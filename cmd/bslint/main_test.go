@@ -40,7 +40,7 @@ func TestBslintList(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bslint -list: %v\n%s", err, out)
 	}
-	for _, name := range []string{"ctxflow", "droppederr", "lockhold", "spanend", "walltime"} {
+	for _, name := range []string{"ctxflow", "droppederr", "framealias", "lockhold", "spanend", "walltime"} {
 		if !strings.Contains(string(out), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out)
 		}

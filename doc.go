@@ -92,8 +92,8 @@
 // The invariants the implementation leans on — no blocking call
 // while a mutex is held, contexts threaded end to end through the
 // RPC surface, no silently discarded errors, injected clocks in
-// time-sensitive packages, every started span reaching End — are
-// machine-checked by the project's own analyzer suite
+// time-sensitive packages, every started span reaching End, no alias
+// of a recycled rpc frame kept past its decode — are machine-checked by the project's own analyzer suite
 // (internal/analysis) via `go run ./cmd/bslint ./...`, a hard CI
 // gate. Deliberate exceptions are justified in the source with
 // per-line `//lint:<analyzer> <reason>` markers.

@@ -22,6 +22,8 @@
 //     tests, and //lint:detached-justified cleanup sites.
 //   - droppederr: no silent `_ =` or bare-call discards of
 //     error-returning expressions in production code.
+//   - framealias: a wire.Reader.Bytes result (a slice of an rpc frame
+//     that is about to be recycled) must not be stored or returned.
 //   - walltime:   packages that carry an injected clock must not call
 //     time.Now/Sleep/After/... directly.
 //   - spanend:    every obs.StartSpan/StartChild/StartTrace/StartRemote

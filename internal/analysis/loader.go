@@ -285,7 +285,9 @@ func (l *Loader) patternDir(pat string) (string, error) {
 }
 
 // walk collects every buildable package directory under root,
-// skipping testdata, hidden, and underscore-prefixed directories.
+// skipping testdata, hidden, and underscore-prefixed directories and,
+// like the go tool's "./...", nested modules (benchmark/ has a go.mod
+// of its own: its packages are not this module's).
 func (l *Loader) walk(root string, add func(string)) error {
 	return filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -296,6 +298,9 @@ func (l *Loader) walk(root string, add func(string)) error {
 		}
 		name := d.Name()
 		if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil && p != l.moduleRoot {
 			return filepath.SkipDir
 		}
 		if l.buildable(p) {

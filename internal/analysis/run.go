@@ -5,7 +5,7 @@ import "fmt"
 // All returns the full analyzer suite in reporting order — the set
 // cmd/bslint runs and CI gates on.
 func All() []*Analyzer {
-	return []*Analyzer{CtxFlow, DroppedErr, LockHold, SpanEnd, WallTime}
+	return []*Analyzer{CtxFlow, DroppedErr, FrameAlias, LockHold, SpanEnd, WallTime}
 }
 
 // ByName resolves a comma-free analyzer name against All.

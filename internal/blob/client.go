@@ -108,7 +108,10 @@ type slotKey struct{ blob, ver, page uint64 }
 const cacheCap = 1 << 16
 
 // blobHistory caches write records so repeat writers receive only the
-// history delta from the version manager.
+// history delta from the version manager. An assigned write record
+// never changes, so a slot is written once, and every slot below
+// complete is filled: mergeHistory hands out prefixes of recs that are
+// shared with concurrent writers and read without the lock.
 type blobHistory struct {
 	recs     []segtree.WriteRecord // index ver-1; Ver==0 means unknown
 	complete uint64                // all versions <= complete are cached
@@ -685,10 +688,15 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 		return fmt.Errorf("blob: alloc returned %d providers for %d pages", len(alloc.Providers), rec.N)
 	}
 
-	content := make([]byte, contentEnd-pageBase)
-	copy(content[a.Start-pageBase:], data)
-	copy(content, head) // head covers [pageBase, headHi)
-	copy(content[writeEnd-pageBase:], tail)
+	// A write that starts on a page boundary and has nothing to merge
+	// is sent as it is; only an unaligned one is assembled in a copy.
+	content := data
+	if a.Start != pageBase || contentEnd != writeEnd {
+		content = make([]byte, contentEnd-pageBase)
+		copy(content[a.Start-pageBase:], data)
+		copy(content, head) // head covers [pageBase, headHi)
+		copy(content[writeEnd-pageBase:], tail)
+	}
 
 	// 4. Parallel page writes.
 	pctx, psp := obs.StartSpan(ctx, "write.pages")
@@ -1190,7 +1198,9 @@ func (c *Client) knownPrefix(blob uint64) uint64 {
 }
 
 // mergeHistory folds the assignment's history delta plus the writer's
-// own record into the cache and returns the full history below own.Ver.
+// own record into the cache and returns the full history below own.Ver
+// — a read-only view of the cache itself, not a copy, so an append
+// costs the same at version 4000 as at version 4.
 func (c *Client) mergeHistory(blob uint64, delta []segtree.WriteRecord, own segtree.WriteRecord) ([]segtree.WriteRecord, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1204,7 +1214,12 @@ func (c *Client) mergeHistory(blob uint64, delta []segtree.WriteRecord, own segt
 		for uint64(len(h.recs)) <= idx {
 			h.recs = append(h.recs, segtree.WriteRecord{})
 		}
-		h.recs[idx] = rec
+		// Write-once: a delta that overlaps what is cached (a slower
+		// writer's assignment arriving late) must not store into a slot
+		// an earlier caller may be reading.
+		if h.recs[idx].Ver == 0 {
+			h.recs[idx] = rec
+		}
 	}
 	for _, rec := range delta {
 		place(rec)
@@ -1217,7 +1232,7 @@ func (c *Client) mergeHistory(blob uint64, delta []segtree.WriteRecord, own segt
 	if h.complete < need {
 		return nil, fmt.Errorf("%w: have %d of %d records", ErrHistoryGap, h.complete, need)
 	}
-	return append([]segtree.WriteRecord(nil), h.recs[:need]...), nil
+	return h.recs[:need:need], nil
 }
 
 func minU64(a, b uint64) uint64 {

@@ -688,12 +688,22 @@ func (m *PutPageReq) AppendTo(b []byte) []byte {
 	return wire.AppendBytes(b, m.Data)
 }
 
-// DecodeFrom implements wire.Unmarshaler.
+// EncodedSize implements wire.Sizer.
+func (m *PutPageReq) EncodedSize() int { return pageFieldsMax + len(m.Data) }
+
+// DecodeFrom implements wire.Unmarshaler. Data aliases the request
+// frame, which the rpc server recycles once the put has been answered:
+// the provider's Store.Put makes the one copy that outlives it.
 func (m *PutPageReq) DecodeFrom(r *wire.Reader) error {
 	m.Key = decodePageKey(r)
-	m.Data = r.BytesCopy()
+	//lint:framealias valid until handlePutPage returns; pagestore.Store.Put copies the page and keeps no reference
+	m.Data = r.Bytes()
 	return r.Err()
 }
+
+// pageFieldsMax bounds what a page message encodes besides the page:
+// three uvarints of key and the length prefix.
+const pageFieldsMax = 3*10 + 5
 
 // GetPageReq fetches one page.
 type GetPageReq struct{ Key pagestore.Key }
@@ -713,9 +723,16 @@ type GetPageResp struct{ Data []byte }
 // AppendTo implements wire.Marshaler.
 func (m *GetPageResp) AppendTo(b []byte) []byte { return wire.AppendBytes(b, m.Data) }
 
-// DecodeFrom implements wire.Unmarshaler.
+// EncodedSize implements wire.Sizer.
+func (m *GetPageResp) EncodedSize() int { return pageFieldsMax + len(m.Data) }
+
+// DecodeFrom implements wire.Unmarshaler. Data aliases the response
+// frame: that frame is the page's one allocation on the read path, it
+// is what the page cache holds, and it is shared and read-only from
+// here on.
 func (m *GetPageResp) DecodeFrom(r *wire.Reader) error {
-	m.Data = r.BytesCopy()
+	//lint:framealias a decoded response owns its frame (rpc never recycles it); the slice is the immutable cache entry
+	m.Data = r.Bytes()
 	return r.Err()
 }
 

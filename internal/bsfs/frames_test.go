@@ -1,0 +1,218 @@
+package bsfs
+
+import (
+	"bytes"
+	"io"
+	"os"
+	"runtime"
+	"testing"
+
+	"blobseer/internal/transport"
+)
+
+// Every test of this package runs with released rpc frames and the
+// writer's recycled block buffers overwritten with 0xDB: a block
+// recycled while its pages are still being sent, or a page that
+// aliases a recycled frame, fails its content check.
+func TestMain(m *testing.M) {
+	transport.PoisonReleased(true)
+	os.Exit(m.Run())
+}
+
+// allocated returns the bytes the whole process (clients and the
+// in-process servers) allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+const (
+	budgetPage = 64 << 10
+	// pageBudget is what one 64 KiB page may allocate per hop: the one
+	// copy that outlives the frame (the provider's stored page on
+	// write, the response frame that becomes the cache entry on read),
+	// with a quarter page of slack for size classes and allocator
+	// rounding.
+	pageBudget = budgetPage + budgetPage/4
+	// metaAllowance covers everything that is not page bytes: on the
+	// write path a block is one append of its own (assign, allocate,
+	// segment-tree commit, complete, size update); on the read path
+	// the version lookup and slot resolution. Measured 12.6 KiB (on
+	// top of the 64 KiB stored copy) and 12 KiB (on top of a response
+	// frame the allocator rounds to 72 KiB); a second page-sized copy
+	// anywhere is five times either.
+	metaAllowance = 16 << 10
+)
+
+// TestAllocationBudget is the tier-1 guard on the data path's copies:
+// bytes allocated per page on the write path (Write+Flush of one-page
+// blocks) and on the cold read path, process-wide on MemNet.
+func TestAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under the race detector's short job")
+	}
+	d := newDeployment(t, budgetPage)
+	fs := mount(t, d, "writer")
+	fw, err := fs.Create(ctx, "/budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := fw.(*fileWriter)
+	const warm, blocks = 32, 256
+	block := func(i int) []byte { return pattern(byte(i), budgetPage) }
+	write := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := w.Write(block(i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(0, warm)
+	payloads := uint64(blocks * budgetPage) // block(i) itself, made inside the window
+	perPage := (allocated(func() { write(warm, warm+blocks) }) - payloads) / blocks
+	t.Logf("write path: %d B allocated per 64 KiB page (budget %d)", perPage, pageBudget+metaAllowance)
+	if perPage > pageBudget+metaAllowance {
+		t.Errorf("write path allocates %d B per 64 KiB page, budget %d: a page is being copied more than once per hop", perPage, pageBudget+metaAllowance)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Cold reads: a fresh mount, so every block comes from a provider.
+	rfs := mount(t, d, "reader")
+	r, err := rfs.Open(ctx, "/budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf := make([]byte, budgetPage)
+	read := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := io.ReadFull(r, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, block(i)) {
+				t.Fatalf("block %d read back wrong", i)
+			}
+		}
+	}
+	read(0, warm)
+	perPage = (allocated(func() { read(warm, warm+blocks) }) - payloads) / blocks
+	t.Logf("read path: %d B allocated per 64 KiB page (budget %d)", perPage, pageBudget+metaAllowance)
+	if perPage > pageBudget+metaAllowance {
+		t.Errorf("cold read path allocates %d B per 64 KiB page, budget %d: a page is being copied more than once per hop", perPage, pageBudget+metaAllowance)
+	}
+	if misses := rfs.BlobClient().ReadStats().Snapshot().ProviderFetches; misses < warm+blocks {
+		t.Errorf("only %d provider fetches for %d cold blocks: the read was not cold", misses, warm+blocks)
+	}
+}
+
+// TestAppendCostFlatInVersionCount: an append must cost the same at
+// version 4000 of a BLOB as at version 100 — the write-record history
+// is shared, not copied per append.
+func TestAppendCostFlatInVersionCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4000 appends; allocation accounting is not meaningful under the race detector's short job")
+	}
+	const page = 1 << 10
+	d := newDeployment(t, page)
+	fs := mount(t, d, "writer")
+	fw, err := fs.Create(ctx, "/long")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := fw.(*fileWriter)
+	data := pattern(3, page)
+	appendRange := func(n int) uint64 {
+		return allocated(func() {
+			for i := 0; i < n; i++ {
+				if _, err := w.Write(data); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / uint64(n)
+	}
+	appendRange(100)
+	early := appendRange(500) // versions 101..600
+	appendRange(2900)
+	late := appendRange(500) // versions 3501..4000
+	t.Logf("bytes allocated per append: %d at versions 101-600, %d at versions 3501-4000", early, late)
+	// The segment tree is three levels deeper by then and the metadata
+	// providers' node maps have doubled a few times (both logarithmic:
+	// measured 16 KB against 23 KB). A history copied per append would
+	// add 150 KB at version 3750 and 14 KB at version 350.
+	if late > 2*early {
+		t.Errorf("an append allocates %d B at version ~3750 but %d B at version ~350: cost grows with the version count", late, early)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.Open(ctx, "/long")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	tail := make([]byte, page)
+	if _, err := got.ReadAt(tail, 3999*page); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tail, data) {
+		t.Fatal("the 4000th append read back wrong")
+	}
+}
+
+// TestWriterRecyclesBlockBuffers: a writer owns at most WriteDepth+1
+// block buffers however many blocks it writes, and (with recycled
+// buffers poisoned) every block still lands intact.
+func TestWriterRecyclesBlockBuffers(t *testing.T) {
+	const block, depth, blocks = 4 << 10, 3, 64
+	d := newDeployment(t, block)
+	d.WriteDepth = depth
+	fs := mount(t, d, "cli")
+	fw, err := fs.Create(ctx, "/recycled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := fw.(*fileWriter)
+	var want []byte
+	for i := 0; i < blocks; i++ {
+		p := pattern(byte(i), block)
+		want = append(want, p...)
+		if _, err := w.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	owned := len(w.free) + 1 // the free list plus the buffer being filled
+	w.mu.Unlock()
+	if owned > depth+1 {
+		t.Errorf("writer owns %d block buffers after %d blocks, want at most %d", owned, blocks, depth+1)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := fs.Open(ctx, "/recycled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("content mismatch: a block buffer was recycled while its pages were in flight")
+	}
+}

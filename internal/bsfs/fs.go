@@ -488,11 +488,12 @@ type fileWriter struct {
 	wg  sync.WaitGroup // watchers of in-flight blocks
 
 	mu           sync.Mutex
-	werr         error  // first error from any block's data path
-	lastVer      uint64 // highest version this writer produced
-	sizeSeen     uint64 // max SizeAfter among finished appends
-	sizeSent     uint64 // last size pushed to the namespace
-	sizeUpdating bool   // an NSUpdateSize coalescing loop is running
+	free         [][]byte // block buffers whose appends have finished
+	werr         error    // first error from any block's data path
+	lastVer      uint64   // highest version this writer produced
+	sizeSeen     uint64   // max SizeAfter among finished appends
+	sizeSent     uint64   // last size pushed to the namespace
+	sizeUpdating bool     // an NSUpdateSize coalescing loop is running
 }
 
 func (w *fileWriter) firstErr() error {
@@ -549,10 +550,13 @@ func (w *fileWriter) launch() error {
 		return err
 	}
 	block := w.buf
-	w.buf = make([]byte, 0, w.b.PageSize())
 	w.sem <- struct{}{} // wait for a pipeline slot
+	// Taken after the slot: the block that freed it is back by now, so
+	// a writer owns at most WriteDepth+1 buffers however long it lives.
+	w.buf = w.takeBuf()
 	p, err := w.b.AppendAsync(w.ctx, block)
 	if err != nil {
+		w.recycle(block) // nothing was started, nothing references it
 		<-w.sem
 		w.setErr(err)
 		return err
@@ -561,6 +565,15 @@ func (w *fileWriter) launch() error {
 	go func() {
 		defer w.wg.Done()
 		res, err := p.Wait(w.ctx)
+		select {
+		case <-p.Done():
+			// The data path is over: every page was marshalled into
+			// its own frame, and nothing references the block.
+			w.recycle(block)
+		default:
+			// Wait left on a cancelled context with page transfers
+			// still reading the block; the collector gets this one.
+		}
 		<-w.sem
 		if err != nil {
 			w.setErr(err)
@@ -569,6 +582,27 @@ func (w *fileWriter) launch() error {
 		w.noteAppended(res)
 	}()
 	return nil
+}
+
+// takeBuf returns an empty block buffer, a recycled one if any.
+func (w *fileWriter) takeBuf() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n := len(w.free); n > 0 {
+		b := w.free[n-1]
+		w.free = w.free[:n-1]
+		return b
+	}
+	return make([]byte, 0, w.b.PageSize())
+}
+
+// recycle makes block the next takeBuf's buffer. The caller guarantees
+// nothing reads it any more.
+func (w *fileWriter) recycle(block []byte) {
+	transport.Poison(block)
+	w.mu.Lock()
+	w.free = append(w.free, block[:0])
+	w.mu.Unlock()
 }
 
 // noteAppended records one finished block and pushes the file size to

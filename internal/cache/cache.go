@@ -8,7 +8,8 @@
 // Published pages are immutable (every write creates pages under a
 // fresh version), so a cached page never needs invalidation: entries
 // leave the cache only under budget pressure. Cached slices are shared
-// with every caller and MUST be treated as read-only.
+// with every caller and MUST be treated as read-only; the cache takes
+// the slice a fetch returns as it is (no copy) and charges its capacity.
 //
 // Concurrent requests for the same missing page are de-duplicated
 // ("singleflight"): one provider fetch runs, everyone else waits for
@@ -53,6 +54,13 @@ type entry struct {
 	key  pagestore.Key
 	data []byte
 }
+
+// charge is what an entry costs the budget: the capacity it pins, not
+// the bytes it shows. Entries are not copied in, so a short prefix of
+// a large buffer keeps the buffer alive. (A fetched page is a slice of
+// its rpc response frame clipped to its length, wire.Reader.Bytes does
+// that, so there the two agree to within the frame's header.)
+func charge(data []byte) int64 { return int64(cap(data)) }
 
 // flight is one in-progress fetch that concurrent callers share.
 type flight struct {
@@ -164,7 +172,7 @@ func (c *Cache) purge(match func(pagestore.Key) bool) int {
 		e := el.Value.(*entry)
 		c.lru.Remove(el)
 		delete(c.entries, k)
-		c.bytes -= int64(len(e.data))
+		c.bytes -= charge(e.data)
 		n++
 	}
 	for k, f := range c.flights {
@@ -202,7 +210,7 @@ func (c *Cache) Put(key pagestore.Key, data []byte) {
 // the LRU tail until the budget holds. Pages larger than the whole
 // budget are not cached at all. Caller holds c.mu.
 func (c *Cache) add(key pagestore.Key, data []byte) {
-	size := int64(len(data))
+	size := charge(data)
 	if size > c.budget {
 		return
 	}
@@ -214,7 +222,7 @@ func (c *Cache) add(key pagestore.Key, data []byte) {
 			c.lru.MoveToFront(el)
 			return
 		}
-		c.bytes += size - int64(len(e.data))
+		c.bytes += size - charge(e.data)
 		e.data = data
 		c.lru.MoveToFront(el)
 		c.evictLocked()
@@ -236,7 +244,7 @@ func (c *Cache) evictLocked() {
 		ev := back.Value.(*entry)
 		c.lru.Remove(back)
 		delete(c.entries, ev.key)
-		c.bytes -= int64(len(ev.data))
+		c.bytes -= charge(ev.data)
 		c.stats.AddEviction()
 	}
 }

@@ -23,10 +23,12 @@
 package kvlog
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 
@@ -316,10 +318,15 @@ func (sn *Snapshot) Scan(fn func(key string, value []byte) error) error {
 		size int64
 	}
 	index := make(map[string]loc)
+	// One buffered sequential pass over the pinned prefix, the payload
+	// buffer reused from record to record: a pread pair and an
+	// allocation per record let an unthrottled appender outgrow a scan.
+	br := bufio.NewReaderSize(io.NewSectionReader(sn.f, 0, sn.end), 256<<10)
 	var off int64
-	hdr := make([]byte, headerLen)
+	var hdr [headerLen]byte
+	var payload []byte
 	for off+headerLen <= sn.end {
-		if _, err := sn.f.ReadAt(hdr, off); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return fmt.Errorf("kvlog scan: %w", err)
 		}
 		if hdr[0] != recMagic {
@@ -330,8 +337,11 @@ func (sn *Snapshot) Scan(fn func(key string, value []byte) error) error {
 		if off+headerLen+plen > sn.end {
 			break // record straddles the pin; it published after us
 		}
-		payload := make([]byte, plen)
-		if _, err := sn.f.ReadAt(payload, off+headerLen); err != nil {
+		if int64(cap(payload)) < plen {
+			payload = make([]byte, plen)
+		}
+		payload = payload[:plen]
+		if _, err := io.ReadFull(br, payload); err != nil {
 			return fmt.Errorf("kvlog scan: %w", err)
 		}
 		if crc32.ChecksumIEEE(payload) != crc {

@@ -473,25 +473,33 @@ func TestScanConcurrentWithAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stop := make(chan struct{})
+	// The writer is bounded, a fixed batch of puts per scan round: an
+	// unthrottled one grows the log faster than twenty scans can read
+	// it, and the test then measures the disk. It still overlaps every
+	// scan — the scan's start releases the round's batch.
+	const rounds, putsPerRound = 20, 200
+	round := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+		i := 0
+		for range round {
+			for n := 0; n < putsPerRound; n, i = n+1, i+1 {
+				if err := s.Put(fmt.Sprintf("k%03d", i%50), []byte("mutated")); err != nil {
+					t.Error(err)
+				}
+				if err := s.Put(fmt.Sprintf("extra%04d", i), []byte("tail")); err != nil {
+					t.Error(err)
+				}
 			}
-			_ = s.Put(fmt.Sprintf("k%03d", i%50), []byte("mutated"))
-			_ = s.Put(fmt.Sprintf("extra%04d", i), []byte("tail"))
 		}
 	}()
 	// Each scan must see one consistent prefix: every base key exactly
 	// once, values either all-base or individually overwritten BEFORE
 	// the pin — never a torn record and never a key appearing twice.
-	for round := 0; round < 20; round++ {
+	for r := 0; r < rounds; r++ {
+		round <- struct{}{}
 		seen := map[string]int{}
 		if err := s.Scan(func(k string, v []byte) error {
 			seen[k]++
@@ -505,10 +513,10 @@ func TestScanConcurrentWithAppends(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			k := fmt.Sprintf("k%03d", i)
 			if seen[k] != 1 {
-				t.Fatalf("round %d: key %s seen %d times", round, k, seen[k])
+				t.Fatalf("round %d: key %s seen %d times", r, k, seen[k])
 			}
 		}
 	}
-	close(stop)
+	close(round)
 	wg.Wait()
 }

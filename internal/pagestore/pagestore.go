@@ -55,9 +55,13 @@ var ErrNotFound = errors.New("pagestore: page not found")
 // concurrent use.
 type Store interface {
 	// Put stores an immutable page. Re-putting the same key is allowed
-	// (idempotent replication retries) and replaces the content.
+	// (idempotent replication retries) and replaces the content. Put
+	// keeps no reference to data: the caller's buffer (an rpc request
+	// frame) is reused as soon as Put returns.
 	Put(k Key, data []byte) error
-	// Get returns the page content. The caller owns the returned slice.
+	// Get returns the page content. Stored pages are immutable, so the
+	// slice may be the stored copy itself, shared with every other
+	// reader: callers must treat it as read-only.
 	Get(k Key) ([]byte, error)
 	// Has reports whether the page exists.
 	Has(k Key) bool
@@ -87,7 +91,8 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[Key][]byte)}
 }
 
-// Put implements Store. The data slice is copied.
+// Put implements Store. The data slice is copied — the one page-sized
+// allocation of the write path.
 func (m *Memory) Put(k Key, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
@@ -101,7 +106,9 @@ func (m *Memory) Put(k Key, data []byte) error {
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store. It returns the stored slice itself: a re-put
+// replaces the map entry, never the bytes, so the slice stays valid
+// and unchanged for as long as a reader holds it.
 func (m *Memory) Get(k Key) ([]byte, error) {
 	m.mu.RLock()
 	p, ok := m.pages[k]
@@ -109,9 +116,7 @@ func (m *Memory) Get(k Key) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	cp := make([]byte, len(p))
-	copy(cp, p)
-	return cp, nil
+	return p, nil
 }
 
 // Has implements Store.

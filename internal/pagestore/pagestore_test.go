@@ -129,11 +129,17 @@ func TestMemoryPutCopies(t *testing.T) {
 	if got[0] != 'm' {
 		t.Error("Put did not copy the page")
 	}
-	// And Get must return an independent copy too.
-	got[1] = 'Y'
+	// Get shares the stored, immutable slice (no copy per read), and a
+	// re-put replaces the entry without touching bytes a reader holds.
 	again, _ := s.Get(k)
-	if again[1] != 'u' {
-		t.Error("Get did not copy the page")
+	if &again[0] != &got[0] {
+		t.Error("Get copied the page")
+	}
+	if err := s.Put(k, []byte("changed")); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "mutable" {
+		t.Errorf("re-put rewrote a slice a reader holds: %q", got)
 	}
 }
 

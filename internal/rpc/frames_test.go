@@ -1,0 +1,272 @@
+package rpc
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"blobseer/internal/transport"
+	"blobseer/internal/wire"
+)
+
+// Every test of this package runs with released frames overwritten:
+// a frame recycled while something still aliases it shows up as 0xDB
+// garbage in a verified payload instead of passing by luck.
+func TestMain(m *testing.M) {
+	transport.PoisonReleased(true)
+	os.Exit(m.Run())
+}
+
+// aliasMsg decodes by aliasing its frame, the way blob.GetPageResp
+// (and the benchmark's echo probe) do.
+type aliasMsg struct{ data []byte }
+
+func (m *aliasMsg) AppendTo(b []byte) []byte { return wire.AppendBytes(b, m.data) }
+func (m *aliasMsg) EncodedSize() int         { return 5 + len(m.data) }
+func (m *aliasMsg) DecodeFrom(r *wire.Reader) error {
+	m.data = r.Bytes()
+	return r.Err()
+}
+
+var methodAliasEcho = M(10, "test.AliasEcho")
+
+// handleAliasEcho returns the request it decoded as the response body:
+// the body aliases the request frame until it is marshalled.
+func handleAliasEcho(r *wire.Reader) (wire.Marshaler, error) {
+	var m aliasMsg
+	if err := m.DecodeFrom(r); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+func payload(tag byte, n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = tag + byte(i*7)
+	}
+	return p
+}
+
+// TestAliasingEchoUnderRecycling: concurrent callers bounce distinct
+// 64 KiB payloads off a handler that aliases its request. The request
+// frame must stay valid until the response body is marshalled, and a
+// decoded response must stay valid for as long as its holder keeps it,
+// however many frames are recycled meanwhile.
+func TestAliasingEchoUnderRecycling(t *testing.T) {
+	for name, net := range map[string]transport.Network{
+		"memnet": transport.NewMemNet(),
+		"tcpnet": transport.NewTCPNet(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewServer(net, "srv/echo")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.Handle(methodAliasEcho, handleAliasEcho)
+			c := NewClient(net, "cli/x", "srv/echo")
+			defer c.Close()
+
+			const callers, calls = 8, 40
+			var wg sync.WaitGroup
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					var first aliasMsg // held across every later call
+					for i := 0; i < calls; i++ {
+						want := payload(byte(g*calls+i), 64<<10)
+						var resp aliasMsg
+						if err := c.Call(context.Background(), methodAliasEcho, &aliasMsg{data: want}, &resp); err != nil {
+							t.Error(err)
+							return
+						}
+						if !bytes.Equal(resp.data, want) {
+							t.Errorf("caller %d call %d: echo corrupted", g, i)
+							return
+						}
+						if i == 0 {
+							first = resp
+						}
+					}
+					if !bytes.Equal(first.data, payload(byte(g*calls), 64<<10)) {
+						t.Errorf("caller %d: a decoded response changed under its holder", g)
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// gatedServer serves methodSlow by blocking until the gate opens.
+func gatedServer(t *testing.T, net transport.Network) (s *Server, entered chan struct{}, gate chan struct{}) {
+	t.Helper()
+	s, err := NewServer(net, "srv/echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	entered, gate = make(chan struct{}, 64), make(chan struct{})
+	s.Handle(methodSlow, func(r *wire.Reader) (wire.Marshaler, error) {
+		var m aliasMsg
+		if err := m.DecodeFrom(r); err != nil {
+			return nil, err
+		}
+		entered <- struct{}{}
+		<-gate
+		return &m, nil
+	})
+	s.Handle(methodAliasEcho, handleAliasEcho)
+	return s, entered, gate
+}
+
+// TestCancelMidCall: the caller leaves on ctx.Done() while the handler
+// still runs; the late response finds no pending call and is released,
+// and the connection keeps serving verified calls afterwards.
+func TestCancelMidCall(t *testing.T) {
+	net := transport.NewMemNet()
+	_, entered, gate := gatedServer(t, net)
+	c := NewClient(net, "cli/x", "srv/echo")
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		var resp aliasMsg
+		done <- c.Call(ctx, methodSlow, &aliasMsg{data: payload(1, 64<<10)}, &resp)
+	}()
+	<-entered
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call returned %v", err)
+	}
+	close(gate) // the response is sent to a caller that is gone
+
+	for i := 0; i < 20; i++ {
+		want := payload(byte(10+i), 64<<10)
+		var resp aliasMsg
+		if err := c.Call(context.Background(), methodAliasEcho, &aliasMsg{data: want}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp.data, want) {
+			t.Fatalf("call %d after a cancelled one: echo corrupted", i)
+		}
+	}
+}
+
+// TestCloseWithPendingCalls: Client.Close with calls in flight fails
+// each of them exactly once, and the handlers' late responses go to a
+// closed connection without harm.
+func TestCloseWithPendingCalls(t *testing.T) {
+	net := transport.NewMemNet()
+	_, entered, gate := gatedServer(t, net)
+	c := NewClient(net, "cli/x", "srv/echo")
+
+	const pending = 8
+	errs := make(chan error, pending)
+	for i := 0; i < pending; i++ {
+		go func(i int) {
+			var resp aliasMsg
+			errs <- c.Call(context.Background(), methodSlow, &aliasMsg{data: payload(byte(i), 4<<10)}, &resp)
+		}(i)
+	}
+	for i := 0; i < pending; i++ {
+		<-entered
+	}
+	c.Close()
+	for i := 0; i < pending; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrConnLost) {
+				t.Errorf("pending call returned %v, want ErrConnLost", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a pending call never returned after Close")
+		}
+	}
+	close(gate) // eight responses into a closed connection
+}
+
+// failingSendNet makes the accepted side's Send fail while broken is
+// set, consuming the frame as the Conn contract says.
+type failingSendNet struct {
+	transport.Network
+	broken atomic.Bool
+}
+
+func (n *failingSendNet) Listen(addr transport.Addr) (transport.Listener, error) {
+	l, err := n.Network.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &failingSendListener{Listener: l, net: n}, nil
+}
+
+type failingSendListener struct {
+	transport.Listener
+	net *failingSendNet
+}
+
+func (l *failingSendListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &failingSendConn{Conn: c, net: l.net}, nil
+}
+
+type failingSendConn struct {
+	transport.Conn
+	net *failingSendNet
+}
+
+func (c *failingSendConn) Send(frame []byte) error {
+	if c.net.broken.Load() {
+		return transport.ErrClosed
+	}
+	return c.Conn.Send(frame)
+}
+
+// TestResponseSendFailure: when the server cannot send a response the
+// request frame has already been released (once) and the response
+// frame stays with the transport; the server keeps serving.
+func TestResponseSendFailure(t *testing.T) {
+	net := &failingSendNet{Network: transport.NewMemNet()}
+	s, err := NewServer(net, "srv/echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Handle(methodAliasEcho, handleAliasEcho)
+	c := NewClient(net, "cli/x", "srv/echo")
+	defer c.Close()
+
+	net.broken.Store(true)
+	for i := 0; i < 4; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		var resp aliasMsg
+		err := c.Call(ctx, methodAliasEcho, &aliasMsg{data: payload(byte(i), 64<<10)}, &resp)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call with a dropped response returned %v", err)
+		}
+	}
+	net.broken.Store(false)
+	for i := 0; i < 20; i++ {
+		want := payload(byte(40+i), 64<<10)
+		var resp aliasMsg
+		if err := c.Call(context.Background(), methodAliasEcho, &aliasMsg{data: want}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp.data, want) {
+			t.Fatalf("call %d after dropped responses: echo corrupted", i)
+		}
+	}
+}

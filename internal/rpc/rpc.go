@@ -13,6 +13,32 @@
 // request frame carries a wire.TraceContext, and both sides of every
 // call record per-method latency/bytes/error counters into the default
 // metrics registry, keyed by the Method's registered name.
+//
+// # Frame lifetime
+//
+// Request and response frames come from transport.NewFrame and have
+// one owner at a time; the last owner releases the frame exactly once
+// or abandons it to the garbage collector.
+//
+//   - Call marshals the request into a frame and hands it to Conn.Send,
+//     which owns it from then on whether or not the send succeeds.
+//   - The server owns a request frame from Recv until the handler has
+//     returned AND its response body has been marshalled, and releases
+//     it then. A handler, and the body it returns, may therefore alias
+//     the request (wire.Reader.Bytes) — but nothing may keep such an
+//     alias longer: the frame's bytes are reused by the next request.
+//     What has to outlive the handler is copied (pagestore.Store.Put
+//     makes that one copy of a page).
+//   - The response frame goes to Conn.Send the same way. On the client
+//     it belongs to the decoded response: DecodeFrom may alias it (a
+//     fetched page lives on in the cache as a slice of its response
+//     frame), so a decoded frame is never recycled. The client releases
+//     a response only when nothing can alias it: it carried an error or
+//     no body was wanted, or its caller already left on ctx.Done() and
+//     the receive loop found no pending call. A response that raced a
+//     departing caller into its channel, and the calls failed by a lost
+//     connection or Close, hold no frame that anybody else will touch:
+//     they are abandoned.
 package rpc
 
 import (
@@ -100,8 +126,23 @@ type request struct {
 	id     uint64
 	method uint32
 	tc     wire.TraceContext
-	reqLen int
-	r      *wire.Reader
+	frame  []byte       // the whole request frame, released after dispatch
+	r      *wire.Reader // positioned at the request body
+}
+
+// frameHeader is room for the header either direction puts in front of
+// a body: kind, call id, method id and trace context are at most 36
+// bytes. A body that is no wire.Sizer gets the smallest frame and
+// grows it by append if it must.
+const frameHeader = 64
+
+// newFrame takes a frame that fits the rpc header plus body.
+func newFrame(body wire.Marshaler) []byte {
+	n := frameHeader
+	if s, ok := body.(wire.Sizer); ok {
+		n += s.EncodedSize()
+	}
+	return transport.NewFrame(n)
 }
 
 // dispatchWorkers is how many long-lived dispatch goroutines a server
@@ -142,7 +183,7 @@ func (s *Server) dispatchWorker() {
 	for {
 		select {
 		case req := <-s.reqCh:
-			s.dispatch(req.c, req.id, req.method, req.tc, req.reqLen, req.r)
+			s.dispatch(req)
 		case <-s.quit:
 			return
 		}
@@ -241,14 +282,14 @@ func (s *Server) serveConn(c transport.Conn) {
 			obs.Log.Warnf("rpc %s: corrupt request frame (%d bytes), dropping connection", s.addr, len(frame))
 			return
 		}
-		req := request{c: c, id: id, method: uint32(method), tc: tc, reqLen: len(frame), r: r}
+		req := request{c: c, id: id, method: uint32(method), tc: tc, frame: frame, r: r}
 		select {
 		case s.reqCh <- req:
 		default:
 			// Every worker is busy (or blocked in a handler): spawn
 			// rather than queue, so one slow handler can never stall
 			// the requests behind it.
-			go s.dispatch(c, id, uint32(method), tc, len(frame), r)
+			go s.dispatch(req)
 		}
 	}
 }
@@ -267,36 +308,44 @@ func unknownEntry(method uint32) handlerEntry {
 	}
 }
 
-func (s *Server) dispatch(c transport.Conn, id uint64, method uint32, tc wire.TraceContext, reqLen int, r *wire.Reader) {
+func (s *Server) dispatch(req request) {
 	s.mu.Lock()
-	ent, known := s.handlers[method]
+	ent, known := s.handlers[req.method]
 	s.mu.Unlock()
 	if !known {
-		ent = unknownEntry(method)
+		ent = unknownEntry(req.method)
 	}
 
-	span := obs.StartRemote(tc.Trace, tc.Span, ent.spanLabel, string(s.addr))
+	span := obs.StartRemote(req.tc.Trace, req.tc.Span, ent.spanLabel, string(s.addr))
 	start := time.Now()
 
 	var body wire.Marshaler
 	var err error
 	if ent.h == nil {
-		err = fmt.Errorf("%w: %d at %s", ErrUnknownMethod, method, s.addr)
+		err = fmt.Errorf("%w: %d at %s", ErrUnknownMethod, req.method, s.addr)
 	} else {
-		body, err = ent.h(r)
+		body, err = ent.h(req.r)
+	}
+	if err != nil {
+		body = nil
 	}
 
-	resp := wire.AppendUvarint(nil, kindResponse)
-	resp = wire.AppendUvarint(resp, id)
+	resp := wire.AppendUvarint(newFrame(body), kindResponse)
+	resp = wire.AppendUvarint(resp, req.id)
 	resp = wire.AppendError(resp, err)
-	if err == nil && body != nil {
+	if body != nil {
 		resp = body.AppendTo(resp)
 	}
+	// The body may alias the request (an echo returns what it decoded),
+	// so the request frame lives until here and no longer.
+	reqLen := len(req.frame)
+	transport.ReleaseFrame(req.frame)
 
 	ent.stats.Observe(time.Since(start), reqLen+len(resp), err)
 	span.End(err)
 
-	if serr := c.Send(resp); serr != nil {
+	// Send owns resp from here on, delivered or not.
+	if serr := req.c.Send(resp); serr != nil {
 		// The peer went away mid-response; the caller will observe a
 		// lost connection, but record that the reply was dropped.
 		obs.Log.Debugf("rpc %s: drop response for %s: %v", s.addr, ent.name, serr)
@@ -397,9 +446,12 @@ func (c *Client) recvLoop(conn transport.Conn) {
 		ch := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- callResult{frame: frame, body: r, err: rerr}
+		if ch == nil {
+			// The caller left on ctx.Done(): nobody will decode this.
+			transport.ReleaseFrame(frame)
+			continue
 		}
+		ch <- callResult{frame: frame, body: r, err: rerr}
 	}
 }
 
@@ -463,7 +515,7 @@ func (c *Client) Call(ctx context.Context, method Method, req wire.Marshaler, re
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	frame := wire.AppendUvarint(nil, kindRequest)
+	frame := wire.AppendUvarint(newFrame(req), kindRequest)
 	frame = wire.AppendUvarint(frame, id)
 	frame = wire.AppendUvarint(frame, uint64(method.ID))
 	frame = tc.AppendTo(frame)
@@ -483,12 +535,14 @@ func (c *Client) Call(ctx context.Context, method Method, req wire.Marshaler, re
 	select {
 	case res := <-ch:
 		nbytes += len(res.frame)
-		if res.err != nil {
+		if res.err != nil || resp == nil {
+			// Nothing aliases the frame: a remote error's text is copied
+			// out by the header decode, and no body is decoded. (A
+			// connection-lost result carries no frame.)
+			transport.ReleaseFrame(res.frame)
 			return res.err
 		}
-		if resp == nil {
-			return nil
-		}
+		// From here the frame belongs to resp, which may alias it.
 		if err := resp.DecodeFrom(res.body); err != nil {
 			return fmt.Errorf("rpc call %s/%s: decode response: %w", c.remote, method, err)
 		}

@@ -84,6 +84,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 		return nil, fmt.Errorf("tcpnet accept handshake: %w", err)
 	}
 	tc.remote = Addr(peer)
+	ReleaseFrame(peer)
 	return tc, nil
 }
 
@@ -124,6 +125,8 @@ func newTCPConn(c net.Conn, local, remote Addr) *tcpConn {
 }
 
 func (c *tcpConn) Send(frame []byte) error {
+	// Written or not, the frame is this conn's to recycle.
+	defer ReleaseFrame(frame)
 	if len(frame) > maxFrame {
 		return fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", len(frame))
 	}
@@ -154,8 +157,9 @@ func (c *tcpConn) Recv() ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
 	}
-	frame := make([]byte, n)
+	frame := NewFrame(int(n))[:n]
 	if _, err := io.ReadFull(c.br, frame); err != nil {
+		ReleaseFrame(frame)
 		return nil, ErrClosed
 	}
 	return frame, nil

@@ -55,11 +55,18 @@ var (
 // may interleave in any order but are never corrupted or dropped.
 type Conn interface {
 	// Send transmits one frame. Ownership of the slice passes to the
-	// transport; callers must not modify it afterwards. Send blocks
-	// while the (possibly shaped) link transmits the frame.
+	// transport whether or not Send succeeds; the caller must not read,
+	// modify or release it afterwards. An in-process transport hands
+	// the very slice to the peer's Recv; a socket transport returns it
+	// to the frame pool (ReleaseFrame) once it is written; a frame that
+	// could not be delivered is released or left to the garbage
+	// collector, never handed back. Send blocks while the (possibly
+	// shaped) link transmits the frame.
 	Send(frame []byte) error
 	// Recv returns the next frame, blocking until one arrives or the
-	// connection closes (ErrClosed).
+	// connection closes (ErrClosed). The receiver owns the frame: it
+	// either passes it to ReleaseFrame exactly once, when nothing
+	// aliases it any more, or drops it.
 	Recv() ([]byte, error)
 	// Close tears down both directions. Safe to call multiple times.
 	Close() error

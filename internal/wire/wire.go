@@ -46,8 +46,19 @@ type Message interface {
 	Unmarshaler
 }
 
+// Sizer is implemented by the messages that carry a page, so whoever
+// marshals one can take a buffer of the right size up front instead of
+// growing it through several page-sized reallocations.
+type Sizer interface {
+	// EncodedSize returns an upper bound on len(AppendTo(nil)).
+	EncodedSize() int
+}
+
 // Marshal encodes m into a fresh buffer.
 func Marshal(m Marshaler) []byte {
+	if s, ok := m.(Sizer); ok {
+		return m.AppendTo(make([]byte, 0, s.EncodedSize()))
+	}
 	return m.AppendTo(nil)
 }
 
@@ -254,7 +265,11 @@ func (r *Reader) Bool() bool {
 }
 
 // Bytes decodes a length-prefixed byte string. The returned slice
-// aliases the Reader's buffer; callers that retain it must copy.
+// aliases the Reader's buffer and is valid only as long as that buffer
+// is: an rpc request frame is recycled once the handler's response has
+// been marshalled, so a handler (or a DecodeFrom it calls) that keeps
+// the bytes must use BytesCopy. The framealias analyzer flags a Bytes
+// result that is stored in a field or returned.
 func (r *Reader) Bytes() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
