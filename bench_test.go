@@ -37,7 +37,9 @@ const benchBlock = 64 << 10
 // the cache's own effect is measured by BenchmarkReadDepthSweep.
 func newBenchCluster(b *testing.B) *Cluster {
 	b.Helper()
-	c, err := NewCluster(Options{Providers: 8, MetaProviders: 3, BlockSize: benchBlock, CacheBytes: -1})
+	o := sized(8, 3, benchBlock)
+	o.CacheBytes = -1
+	c, err := NewCluster(o)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -484,10 +486,9 @@ func BenchmarkWriteDepthSweep(b *testing.B) {
 	}
 	for _, depth := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			c, err := NewCluster(Options{
-				Providers: 8, MetaProviders: 3, BlockSize: benchBlock, WriteDepth: depth,
-				FlightPath: flightPath,
-			})
+			o := sized(8, 3, benchBlock)
+			o.WriteDepth, o.FlightPath = depth, flightPath
+			c, err := NewCluster(o)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -544,12 +545,9 @@ func BenchmarkReadDepthSweep(b *testing.B) {
 				Latency:       time.Millisecond,
 				FrameOverhead: 64,
 			})
-			c, err := NewCluster(Options{
-				Providers: 8, MetaProviders: 3, BlockSize: benchBlock,
-				Net:        net,
-				ReadDepth:  depth,
-				CacheBytes: blocks / 2 * benchBlock,
-			})
+			o := sized(8, 3, benchBlock)
+			o.Net, o.ReadDepth, o.CacheBytes = net, depth, blocks/2*benchBlock
+			c, err := NewCluster(o)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -586,7 +584,7 @@ func BenchmarkReadDepthSweep(b *testing.B) {
 // BenchmarkMetadataCommit isolates the metadata path: appends of one
 // tiny page each, so version assignment + segment-tree commit dominate.
 func BenchmarkMetadataCommit(b *testing.B) {
-	c, err := NewCluster(Options{Providers: 4, MetaProviders: 3, BlockSize: 256})
+	c, err := NewCluster(sized(4, 3, 256))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -635,7 +633,7 @@ func BenchmarkVersionedRead(b *testing.B) {
 
 // TestClusterFacade keeps the root package tested, not just benched.
 func TestClusterFacade(t *testing.T) {
-	c, err := NewCluster(Options{Providers: 4, MetaProviders: 2, BlockSize: 1024})
+	c, err := NewCluster(sized(4, 2, 1024))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package blobseer
 
 import (
 	"context"
-	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/bsfs"
@@ -64,77 +63,36 @@ var (
 // Map/Reduce framework does. See dfs.AsVersioned.
 func AsVersioned(fs FileSystem) (VersionedFileSystem, bool) { return dfs.AsVersioned(fs) }
 
-// Options sizes an embedded (in-process) BlobSeer + BSFS deployment.
-// The zero value gives a small development cluster.
+// Options sizes and tunes an embedded (in-process) BlobSeer + BSFS
+// deployment. The zero value gives a small development cluster. It
+// declares only what the facade itself consumes; every other knob is
+// the promoted field of the layer that does (README "Configuration"
+// has the whole table), so fill it by assignment:
+//
+//	var o blobseer.Options
+//	o.Providers, o.BlockSize, o.WriteDepth = 8, 4096, 8
 type Options struct {
-	// Providers is the number of data providers (default 8).
-	Providers int
-	// MetaProviders is the number of metadata providers (default 3).
-	MetaProviders int
-	// BlockSize is the page/block size in bytes (default 64 MiB; tests
-	// and examples usually pass something much smaller).
-	BlockSize uint64
-	// WriteDepth is how many blocks one writer keeps in flight
-	// (default bsfs.DefaultWriteDepth; 1 = synchronous writer).
-	WriteDepth int
-	// ReadDepth is how many blocks the readahead engine keeps in
-	// flight ahead of each sequential reader (default
-	// bsfs.DefaultReadDepth; negative disables readahead).
-	ReadDepth int
-	// CacheBytes budgets each mount's shared page cache (default
-	// cache.DefaultBudget; negative disables caching).
-	CacheBytes int64
-	// PageReplicas is the page replication factor (default 1).
-	PageReplicas int
-	// Retain is the version manager's default RetainLatest policy: keep
-	// only the latest k published versions per BLOB, letting the
-	// garbage collector retire the rest. 0 keeps every version.
-	Retain uint64
-	// GCInterval arms periodic garbage-collection passes. 0 leaves the
-	// collector kick-driven: file deletion still reclaims storage, but
-	// retention policies only make progress when something kicks it.
-	GCInterval time.Duration
-	// MonitorInterval arms the cluster monitor's periodic collection
-	// passes (per-component rates, utilization, journal lag). 0 leaves
-	// the monitor collect-on-demand: /cluster and `bsfsctl top` still
-	// work, each poll collecting once.
-	MonitorInterval time.Duration
-	// VMShards partitions the metadata plane across N version-manager
-	// shards (default 1, the paper's single version manager). BLOB ids
-	// are consistent-hashed across shards and every client routes
-	// through the shared ring.
-	VMShards int
-	// JournalDir, when set, makes the metadata plane durable: each
-	// version-manager shard and the namespace manager journal their
-	// decided state there and replay it on restart. Empty keeps
-	// everything in memory.
-	JournalDir string
+	// ClusterConfig is the BlobSeer cluster's topology and policy:
+	// Providers, MetaProviders, VMShards, JournalDir, Retain,
+	// PageReplicas, CacheBytes (plus the storage engine, placement
+	// strategy and modeled NIC capacity the experiments set).
+	blob.ClusterConfig
+	// DeployConfig is the BSFS layer's: BlockSize, WriteDepth,
+	// ReadDepth, GCInterval, HealthPingTimeout.
+	bsfs.DeployConfig
 	// FlightPath, when set, opens a flight recorder at that path and
-	// arms the SLO watchdog (default rules) over the monitor: slow and
-	// errored traces, snapshot deltas, and alert transitions persist
-	// there and replay after a crash (`bsfsctl diag`).
+	// arms the SLO watchdog (default rules) and, for it, the cluster
+	// monitor: slow and errored traces, snapshot deltas, and alert
+	// transitions persist there and replay after a crash (`bsfsctl
+	// diag`).
 	FlightPath string
-	// HealthPingTimeout bounds each VM-shard ping in Deployment.Health
-	// (default bsfs.DefaultHealthPingTimeout).
-	HealthPingTimeout time.Duration
 	// Net lets callers supply a shaped or TCP transport; nil uses an
 	// in-process transport at memory speed.
 	Net transport.Network
 }
 
-// CacheMiB converts a cache-budget flag value in MiB to the CacheBytes
-// convention shared by Options, bsfs.Config, and experiments.Config:
-// 0 means the default budget, negative disables caching.
-func CacheMiB(mb int) int64 {
-	if mb < 0 {
-		return -1
-	}
-	return int64(mb) << 20
-}
-
 // Cluster is an embedded BlobSeer + BSFS deployment: the quickest way
-// to use the library. For experiment-scale topologies use the
-// internal/blob and internal/bsfs packages directly.
+// to use the library.
 type Cluster struct {
 	// Blob is the underlying BlobSeer service cluster.
 	Blob *blob.Cluster
@@ -142,52 +100,33 @@ type Cluster struct {
 	FS *bsfs.Deployment
 }
 
-// NewCluster boots all BlobSeer services and a BSFS namespace manager.
+// NewCluster boots all BlobSeer services, a BSFS namespace manager, the
+// garbage collector and the cluster monitor, and (with FlightPath) the
+// flight recorder: the one place the boot sequence is written.
 func NewCluster(opts Options) (*Cluster, error) {
 	net := opts.Net
 	if net == nil {
 		net = transport.NewMemNet()
 	}
-	if opts.BlockSize == 0 {
-		opts.BlockSize = 64 << 20
-	}
-	bc, err := blob.NewCluster(net, blob.ClusterConfig{
-		Providers:     opts.Providers,
-		MetaProviders: opts.MetaProviders,
-		PageReplicas:  opts.PageReplicas,
-		CacheBytes:    opts.CacheBytes,
-		Retain:        opts.Retain,
-		VMShards:      opts.VMShards,
-		JournalDir:    opts.JournalDir,
-	})
+	bc, err := blob.NewCluster(net, opts.ClusterConfig)
 	if err != nil {
 		return nil, err
 	}
-	d, err := bsfs.Deploy(bc, opts.BlockSize)
+	d, err := bsfs.Deploy(bc, opts.DeployConfig)
 	if err != nil {
 		bc.Close()
 		return nil, err
 	}
-	d.WriteDepth = opts.WriteDepth
-	d.ReadDepth = opts.ReadDepth
-	d.CacheBytes = opts.CacheBytes
-	d.HealthPingTimeout = opts.HealthPingTimeout
-	if opts.GCInterval > 0 {
-		d.SetGCInterval(opts.GCInterval)
-	}
-	if opts.MonitorInterval > 0 {
-		d.SetMonitorInterval(opts.MonitorInterval)
-	}
+	c := &Cluster{Blob: bc, FS: d}
 	if opts.FlightPath != "" {
 		if err := d.EnableFlight(opts.FlightPath, bsfs.FlightConfig{
 			Rules: flight.StandardRulesOptions{Health: true},
 		}); err != nil {
-			d.Close()
-			bc.Close()
+			c.Close()
 			return nil, err
 		}
 	}
-	return &Cluster{Blob: bc, FS: d}, nil
+	return c, nil
 }
 
 // Mount is a BSFS file-system mount surfaced through the facade: a

@@ -29,8 +29,6 @@ import (
 	"blobseer/internal/flight"
 	"blobseer/internal/metrics"
 	"blobseer/internal/monitor"
-	"blobseer/internal/obs"
-	"blobseer/internal/obshttp"
 	"blobseer/internal/workload"
 )
 
@@ -61,43 +59,24 @@ const usage = `commands:
 `
 
 func main() {
+	var opts blobseer.Options
 	var (
-		providers = flag.Int("providers", 8, "data providers")
-		meta      = flag.Int("meta", 3, "metadata providers")
-		block     = flag.Int("block", 64, "block size in KiB")
-		depth     = flag.Int("depth", 0, "writer pipeline depth (0 = default, 1 = synchronous)")
-		rdepth    = flag.Int("readdepth", 0, "reader readahead depth (0 = default, negative = off)")
-		cachemb   = flag.Int("cachemb", 0, "page cache budget in MiB (0 = default, negative = off)")
-		retain    = flag.Uint64("retain", 0, "default RetainLatest GC policy (0 = keep every version)")
-		gcIntv    = flag.Duration("gc-interval", 0, "periodic GC pass cadence (0 = kick-driven only)")
-		vmShards  = flag.Int("vm-shards", 1, "version-manager shards (metadata plane partitions)")
-		journal   = flag.String("journal", "", "journal directory (empty = in-memory metadata plane)")
-		mAddr     = flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /healthz, /spans and /alerts on this address while the shell runs")
-		flightLog = flag.String("flight", "", "flight recorder path: persist sampled traces, snapshots and alerts there and arm the SLO watchdog")
-		pingTmo   = flag.Duration("health-ping-timeout", 0, "per-shard /healthz ping timeout (0 = default 2s)")
-		logLevel  = flag.String("log-level", "", "obs log level: debug|info|warn|error (default warn)")
-		slowMs    = flag.Float64("slow-ms", 0, "slow-span threshold in ms for warn logging and tail sampling (0 = off)")
-		demo      = flag.Bool("demo", false, "run a canned demo script")
+		block = flag.Int("block", 64, "block size in KiB")
+		demo  = flag.Bool("demo", false, "run a canned demo script")
 	)
+	flag.IntVar(&opts.Providers, "providers", 8, "data providers")
+	flag.IntVar(&opts.MetaProviders, "meta", 3, "metadata providers")
+	flag.StringVar(&opts.JournalDir, "journal", "", "journal directory (empty = in-memory metadata plane)")
+	flag.StringVar(&opts.FlightPath, "flight", "", "flight recorder path: persist sampled traces, snapshots and alerts there and arm the SLO watchdog")
+	flag.DurationVar(&opts.HealthPingTimeout, "health-ping-timeout", 0, "per-shard /healthz ping timeout (0 = default 2s)")
+	shared := blobseer.BindFlags(&opts)
 	flag.Parse()
-	if err := applyObsFlags(*logLevel, *slowMs); err != nil {
+	if err := shared.Apply(); err != nil {
 		fatal(err)
 	}
+	opts.BlockSize = uint64(*block) << 10
 
-	cluster, err := blobseer.NewCluster(blobseer.Options{
-		Providers:         *providers,
-		MetaProviders:     *meta,
-		BlockSize:         uint64(*block) << 10,
-		WriteDepth:        *depth,
-		ReadDepth:         *rdepth,
-		CacheBytes:        blobseer.CacheMiB(*cachemb),
-		Retain:            *retain,
-		GCInterval:        *gcIntv,
-		VMShards:          *vmShards,
-		JournalDir:        *journal,
-		FlightPath:        *flightLog,
-		HealthPingTimeout: *pingTmo,
-	})
+	cluster, err := blobseer.NewCluster(opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -111,7 +90,9 @@ func main() {
 	// as registry gauges so `stats` and /metrics show live state, not
 	// just counters.
 	bc := fs.BlobClient()
-	metrics.Default.SetGauge("client_cache_bytes", func() float64 { return float64(bc.PageCache().Bytes()) })
+	if pc := bc.PageCache(); pc != nil { // nil under -cachemb off
+		metrics.Default.SetGauge("client_cache_bytes", func() float64 { return float64(pc.Bytes()) })
+	}
 	metrics.Default.SetGauge("client_inflight_writes", func() float64 { return float64(bc.InFlight()) })
 	vms := cluster.Blob.VMs
 	metrics.Default.SetGauge("vm_journal_records", func() float64 {
@@ -122,21 +103,11 @@ func main() {
 		return float64(n)
 	})
 
-	if *mAddr != "" {
-		opts := obshttp.Options{
-			Monitor: cluster.FS.Monitor,
-			Health:  cluster.FS.Health,
-		}
-		if cluster.FS.Watchdog != nil {
-			opts.Alerts = cluster.FS.Watchdog.Alerts
-		}
-		ms, err := obshttp.Serve(*mAddr, opts)
-		if err != nil {
-			fatal(err)
-		}
-		defer ms.Close()
-		fmt.Printf("[metrics endpoint on http://%s/metrics]\n", ms.Addr())
+	stopMetrics, err := shared.ServeMetrics(cluster)
+	if err != nil {
+		fatal(err)
 	}
+	defer stopMetrics()
 
 	var in io.Reader = os.Stdin
 	if *demo {
@@ -345,22 +316,6 @@ func showHealth(ctx context.Context, cluster *blobseer.Cluster) {
 	}
 }
 
-// applyObsFlags applies -log-level and -slow-ms to the process-wide
-// observability plane.
-func applyObsFlags(level string, slowMs float64) error {
-	if level != "" {
-		lv, err := obs.ParseLevel(level)
-		if err != nil {
-			return err
-		}
-		obs.Log.SetLevel(lv)
-	}
-	if slowMs > 0 {
-		obs.Spans.SetSlowThreshold(time.Duration(slowMs * float64(time.Millisecond)))
-	}
-	return nil
-}
-
 // showAlerts prints the SLO watchdog's per-rule states.
 func showAlerts(cluster *blobseer.Cluster) {
 	if cluster.FS.Watchdog == nil {
@@ -369,7 +324,7 @@ func showAlerts(cluster *blobseer.Cluster) {
 	}
 	alerts := cluster.FS.Watchdog.Alerts()
 	if len(alerts) == 0 {
-		fmt.Println("no rules evaluated yet (watchdog runs on monitor collections; try `top` first)")
+		fmt.Println("no rules evaluated yet (the watchdog runs on monitor collections, one per second)")
 		return
 	}
 	for _, a := range alerts {

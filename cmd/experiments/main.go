@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,82 +23,51 @@ import (
 	"blobseer/internal/experiments"
 	"blobseer/internal/flight"
 	"blobseer/internal/metrics"
-	"blobseer/internal/obs"
-	"blobseer/internal/obshttp"
 	"blobseer/internal/shuffle"
 )
 
 func main() {
+	var cfg experiments.Config
+	// The figures measure the modeled network, so here — unlike in the
+	// library and the other commands — the page cache defaults to off.
+	cfg.CacheBytes = -1
 	var (
-		fig     = flag.String("fig", "all", "figure to run: all,3,4,5,6,filecount,pipeline,shuffle,gc,snapshot,meta,hotspot,incident,abl-placement,abl-pagesize,abl-lock")
-		nodes   = flag.Int("nodes", 270, "total simulated machines (paper: 270)")
-		meta    = flag.Int("meta", 20, "metadata providers (paper: 20)")
-		page    = flag.Int("page", 256, "page/chunk size in KiB (paper: 64 MiB, scaled)")
-		bwMB    = flag.Float64("bw", 12.5, "modeled NIC bandwidth in MB/s (paper: 1 GbE, scaled)")
-		reps    = flag.Int("reps", 5, "repetitions per point (paper: 5)")
-		depth   = flag.Int("depth", 0, "BSFS writer pipeline depth (blocks in flight; 0 = default, 1 = synchronous)")
-		rdepth  = flag.Int("readdepth", 0, "BSFS reader readahead depth (blocks in flight; 0 = default, negative = off)")
-		cachemb = flag.Int("cachemb", 0, "BSFS page cache budget in MiB per mount (0 = off so figures measure the network; >0 enables as an ablation)")
-		shufB   = flag.String("shuffle", "memory", "Map/Reduce shuffle backend for BSFS application figures: memory or blob")
-		retain  = flag.Uint64("retain", 0, "default RetainLatest GC policy for the environment (0 = keep every version)")
-		gcIntv  = flag.Duration("gc-interval", 0, "periodic GC pass cadence (0 = kick-driven only)")
-		shards  = flag.Int("vm-shards", 1, "version-manager shards for the environment (the meta scenario sweeps its own counts)")
-		bench   = flag.String("bench-json", "", "write the meta scenario's machine-readable results to this file (e.g. BENCH_meta.json)")
-		benchD  = flag.String("bench-dir", "", "write BENCH_<fig>.json reports (throughput + latency percentiles) for the write/read/shuffle/gc/hotspot scenarios into this directory")
-		cmpD    = flag.String("compare", "", "diff each scenario's fresh report against the baseline BENCH_<fig>.json in this directory; drift beyond -tolerance prints warnings (GitHub annotations under GITHUB_ACTIONS) but never fails the run")
-		tolPct  = flag.Float64("tolerance", experiments.DefaultTolerancePct, "drift tolerance band for -compare, in percent")
-		mAddr   = flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /healthz and /spans on this address while the experiments run (e.g. 127.0.0.1:9090)")
-		trace   = flag.Bool("trace", false, "with -fig shuffle: sample one traced append and print its causal span tree")
-		diagP   = flag.String("diag", "", "on scenario failure, write a postmortem diag bundle (tar.gz with the process-wide metrics registry) to this path before exiting")
-		logLvl  = flag.String("log-level", "", "obs log level: debug|info|warn|error (default warn)")
-		slowMs  = flag.Float64("slow-ms", 0, "slow-span threshold in ms for warn logging (0 = off)")
-		seed    = flag.Int64("seed", 1, "random seed")
-		quick   = flag.Bool("quick", false, "reduced sweeps for a fast run")
-		csv     = flag.Bool("csv", false, "also print CSV data")
+		fig    = flag.String("fig", "all", "figure to run: all,3,4,5,6,filecount,pipeline,shuffle,gc,snapshot,meta,hotspot,incident,abl-placement,abl-pagesize,abl-lock")
+		page   = flag.Int("page", 256, "page/chunk size in KiB (paper: 64 MiB, scaled)")
+		bwMB   = flag.Float64("bw", 12.5, "modeled NIC bandwidth in MB/s (paper: 1 GbE, scaled)")
+		shufB  = flag.String("shuffle", "memory", "Map/Reduce shuffle backend for BSFS application figures: memory or blob")
+		benchD = flag.String("bench-dir", "", "write BENCH_<fig>.json reports (throughput + latency percentiles) for the write/read/shuffle/gc/hotspot scenarios into this directory")
+		cmpD   = flag.String("compare", "", "diff each scenario's fresh report against the baseline BENCH_<fig>.json in this directory; drift beyond -tolerance prints warnings (GitHub annotations under GITHUB_ACTIONS) but never fails the run")
+		tolPct = flag.Float64("tolerance", experiments.DefaultTolerancePct, "drift tolerance band for -compare, in percent")
+		trace  = flag.Bool("trace", false, "with -fig shuffle: sample one traced append and print its causal span tree")
+		diagP  = flag.String("diag", "", "on scenario failure, write a postmortem diag bundle (tar.gz with the process-wide metrics registry) to this path before exiting")
+		quick  = flag.Bool("quick", false, "reduced sweeps for a fast run")
+		csv    = flag.Bool("csv", false, "also print CSV data")
 	)
+	flag.IntVar(&cfg.Nodes, "nodes", 270, "total simulated machines (paper: 270)")
+	flag.IntVar(&cfg.MetaProviders, "meta", 20, "metadata providers (paper: 20)")
+	flag.IntVar(&cfg.Reps, "reps", 5, "repetitions per point (paper: 5)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "random seed")
+	shared := blobseer.BindFlags(&cfg.Options)
 	flag.Parse()
-	if *logLvl != "" {
-		lv, err := obs.ParseLevel(*logLvl)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		obs.Log.SetLevel(lv)
+	if err := shared.Apply(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
-	if *slowMs > 0 {
-		obs.Spans.SetSlowThreshold(time.Duration(*slowMs * float64(time.Millisecond)))
+	stopMetrics, err := shared.ServeMetrics(nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments: metrics endpoint:", err)
+		os.Exit(1)
 	}
+	defer stopMetrics()
 
-	if *mAddr != "" {
-		ms, err := obshttp.ServeMetrics(*mAddr, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: metrics endpoint:", err)
-			os.Exit(1)
-		}
-		defer ms.Close()
-		fmt.Printf("[metrics endpoint on http://%s/metrics]\n", ms.Addr())
-	}
-
-	shuffleBackend, err := shuffle.ParseBackend(*shufB)
+	cfg.Shuffle, err = shuffle.ParseBackend(*shufB)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	cfg := experiments.Config{
-		Nodes:         *nodes,
-		MetaProviders: *meta,
-		PageSize:      uint64(*page) << 10,
-		Bandwidth:     *bwMB * (1 << 20),
-		Reps:          *reps,
-		WriteDepth:    *depth,
-		ReadDepth:     *rdepth,
-		CacheBytes:    blobseer.CacheMiB(*cachemb),
-		Shuffle:       shuffleBackend,
-		Retain:        *retain,
-		GCInterval:    *gcIntv,
-		VMShards:      *shards,
-		Seed:          *seed,
-	}
+	cfg.BlockSize = uint64(*page) << 10
+	cfg.Bandwidth = *bwMB * (1 << 20)
 
 	sweeps := fullSweeps()
 	if *quick {
@@ -331,16 +299,6 @@ func main() {
 		r := res.Recovery
 		fmt.Printf("# recovery: cold restart of %d shards replayed %d journal records in %.1f ms; %d blobs / %d versions served\n\n",
 			r.Shards, r.Records, r.ReplayMS, r.Blobs, r.Versions)
-		if *bench != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*bench, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("[bench results written to %s]\n\n", *bench)
-		}
 		return writeReport(rep)
 	})
 

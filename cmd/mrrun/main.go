@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"blobseer"
 	"blobseer/internal/apps/datajoin"
@@ -22,56 +21,39 @@ import (
 	"blobseer/internal/dfs"
 	"blobseer/internal/hdfs"
 	"blobseer/internal/mapreduce"
-	"blobseer/internal/obs"
-	"blobseer/internal/obshttp"
 	"blobseer/internal/shuffle"
 	"blobseer/internal/transport"
 	"blobseer/internal/workload"
 )
 
 func main() {
+	var opts blobseer.Options
 	var (
 		app      = flag.String("app", "wordcount", "application: wordcount, datajoin, grep")
 		fsName   = flag.String("fs", "bsfs", "storage backend: bsfs or hdfs")
 		mode     = flag.String("mode", "shared", "output mode: shared (append) or separate")
 		reducers = flag.Int("reducers", 4, "number of reducers")
-		nodes    = flag.Int("nodes", 8, "storage/tasktracker nodes")
 		sizeKB   = flag.Int("size", 256, "input size in KiB")
 		pattern  = flag.String("pattern", "data", "grep pattern")
 		block    = flag.Int("block", 32, "block size in KiB")
-		depth    = flag.Int("depth", 0, "BSFS writer pipeline depth (0 = default, 1 = synchronous)")
-		rdepth   = flag.Int("readdepth", 0, "BSFS reader readahead depth (0 = default, negative = off)")
-		cachemb  = flag.Int("cachemb", 0, "BSFS page cache budget in MiB per mount (0 = default, negative = off)")
 		shuffleB = flag.String("shuffle", "memory", "shuffle backend: memory (in-tracker RPC store) or blob (durable concurrent appends, bsfs only)")
-		retain   = flag.Uint64("retain", 0, "BSFS default RetainLatest GC policy (0 = keep every version)")
-		gcIntv   = flag.Duration("gc-interval", 0, "BSFS periodic GC pass cadence (0 = kick-driven only)")
 		keepInt  = flag.Bool("keep-intermediate", false, "keep the blob shuffle backend's intermediate BLOBs after the job (default: retired through GC)")
-		vmShards = flag.Int("vm-shards", 1, "BSFS version-manager shards (metadata plane partitions)")
-		mAddr    = flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /healthz and /spans on this address while the job runs")
-		logLevel = flag.String("log-level", "", "obs log level: debug|info|warn|error (default warn)")
-		slowMs   = flag.Float64("slow-ms", 0, "slow-span threshold in ms for warn logging (0 = off)")
 	)
+	flag.IntVar(&opts.Providers, "nodes", 8, "storage/tasktracker nodes")
+	shared := blobseer.BindFlags(&opts)
 	flag.Parse()
-	if *logLevel != "" {
-		lv, err := obs.ParseLevel(*logLevel)
-		if err != nil {
-			fatal(err)
-		}
-		obs.Log.SetLevel(lv)
+	if err := shared.Apply(); err != nil {
+		fatal(err)
 	}
-	if *slowMs > 0 {
-		obs.Spans.SetSlowThreshold(time.Duration(*slowMs * float64(time.Millisecond)))
-	}
+	opts.MetaProviders = 3
+	opts.BlockSize = uint64(*block) << 10
 	ctx := context.Background()
 
-	if *mAddr != "" {
-		ms, err := obshttp.ServeMetrics(*mAddr, nil)
-		if err != nil {
-			fatal(err)
-		}
-		defer ms.Close()
-		fmt.Printf("[metrics endpoint on http://%s/metrics]\n", ms.Addr())
+	stopMetrics, err := shared.ServeMetrics(nil)
+	if err != nil {
+		fatal(err)
 	}
+	defer stopMetrics()
 
 	outputMode := mapreduce.SharedAppend
 	if *mode == "separate" {
@@ -82,7 +64,7 @@ func main() {
 		fatal(err)
 	}
 
-	fw, cleanup, err := buildFramework(*fsName, *nodes, uint64(*block)<<10, *depth, *rdepth, blobseer.CacheMiB(*cachemb), *retain, *gcIntv, *vmShards)
+	fw, cleanup, err := buildFramework(*fsName, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -148,14 +130,12 @@ func main() {
 	}
 }
 
-func buildFramework(fsName string, nodes int, block uint64, depth, rdepth int, cacheBytes int64, retain uint64, gcInterval time.Duration, vmShards int) (*mapreduce.Framework, func(), error) {
+// buildFramework boots the chosen backend (hdfs takes only the node
+// count and block size from opts) with a tasktracker on every node.
+func buildFramework(fsName string, opts blobseer.Options) (*mapreduce.Framework, func(), error) {
 	switch fsName {
 	case "bsfs":
-		cluster, err := blobseer.NewCluster(blobseer.Options{
-			Providers: nodes, MetaProviders: 3, BlockSize: block,
-			WriteDepth: depth, ReadDepth: rdepth, CacheBytes: cacheBytes,
-			Retain: retain, GCInterval: gcInterval, VMShards: vmShards,
-		})
+		cluster, err := blobseer.NewCluster(opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -167,14 +147,14 @@ func buildFramework(fsName string, nodes int, block uint64, depth, rdepth int, c
 		return fw, func() { fw.Close(); cluster.Close() }, nil
 	case "hdfs":
 		net := transport.NewMemNet()
-		cluster, err := hdfs.NewCluster(net, hdfs.ClusterConfig{Datanodes: nodes})
+		cluster, err := hdfs.NewCluster(net, hdfs.ClusterConfig{Datanodes: opts.Providers})
 		if err != nil {
 			return nil, nil, err
 		}
 		fw, err := mapreduce.NewFramework(mapreduce.FrameworkConfig{
 			Net:   net,
 			Hosts: cluster.DatanodeHosts(),
-			Mount: func(host string) dfs.FileSystem { return cluster.Mount(host, block) },
+			Mount: func(host string) dfs.FileSystem { return cluster.Mount(host, opts.BlockSize) },
 		})
 		if err != nil {
 			cluster.Close()

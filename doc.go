@@ -13,9 +13,18 @@
 //
 // # Quick start
 //
-//	cluster, _ := blobseer.NewCluster(blobseer.Options{})
+//	var opts blobseer.Options // the zero value is a small dev cluster
+//	opts.Providers, opts.BlockSize = 8, 64<<10
+//	cluster, _ := blobseer.NewCluster(opts)
 //	defer cluster.Close()
 //	fs := cluster.Mount("node-000") // a VersionedFileSystem
+//
+// Options declares only FlightPath and Net itself; every other knob is
+// a promoted field of the one struct that owns it (blob.ClusterConfig,
+// blob.ClientPolicy, bsfs.Tuning, bsfs.DeployConfig), which is why it
+// is filled by assignment. The README's Configuration table lists each
+// knob's home, default, 0/negative meaning and flag; BindFlags
+// registers the shared flags for the three commands.
 //
 // # The version axis
 //
@@ -80,7 +89,8 @@
 // errored span — always the full causal tree), periodic cluster
 // snapshots, health transitions, and alert state changes to a
 // bounded on-disk log that replays after a crash. An SLO watchdog
-// evaluates rules on every monitor collection — journal lag, NIC
+// evaluates rules on every monitor collection (FlightPath arms the
+// collector at one pass a second) — journal lag, NIC
 // utilization, replica imbalance, component health, p99 latency vs
 // the committed BENCH baselines — with hysteresis on both edges;
 // live states serve at /alerts, and `bsfsctl diag` writes the whole

@@ -50,9 +50,9 @@ func main() {
 }
 
 func runBSFS(ctx context.Context, a, b string) (map[string]int, int) {
-	cluster, err := blobseer.NewCluster(blobseer.Options{
-		Providers: 8, MetaProviders: 3, BlockSize: 32 << 10,
-	})
+	var opts blobseer.Options
+	opts.Providers, opts.MetaProviders, opts.BlockSize = 8, 3, 32<<10
+	cluster, err := blobseer.NewCluster(opts)
 	if err != nil {
 		log.Fatal(err)
 	}

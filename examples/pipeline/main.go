@@ -24,11 +24,9 @@ const logPath = "/wal/transactions"
 
 func main() {
 	ctx := context.Background()
-	cluster, err := blobseer.NewCluster(blobseer.Options{
-		Providers:     6,
-		MetaProviders: 3,
-		BlockSize:     4 << 10,
-	})
+	var opts blobseer.Options
+	opts.Providers, opts.MetaProviders, opts.BlockSize = 6, 3, 4<<10
+	cluster, err := blobseer.NewCluster(opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,11 +23,11 @@ func main() {
 	// An in-process deployment: 8 data providers, 3 metadata
 	// providers, one version manager, one provider manager, one BSFS
 	// namespace manager. 64 KiB blocks keep the demo snappy.
-	cluster, err := blobseer.NewCluster(blobseer.Options{
-		Providers:     8,
-		MetaProviders: 3,
-		BlockSize:     64 << 10,
-	})
+	// Options' knobs are promoted from the layers that own them, so
+	// they are set by assignment.
+	var opts blobseer.Options
+	opts.Providers, opts.MetaProviders, opts.BlockSize = 8, 3, 64<<10
+	cluster, err := blobseer.NewCluster(opts)
 	if err != nil {
 		log.Fatal(err)
 	}

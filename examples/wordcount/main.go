@@ -22,9 +22,9 @@ import (
 
 func main() {
 	ctx := context.Background()
-	cluster, err := blobseer.NewCluster(blobseer.Options{
-		Providers: 8, MetaProviders: 3, BlockSize: 16 << 10,
-	})
+	var opts blobseer.Options
+	opts.Providers, opts.MetaProviders, opts.BlockSize = 8, 3, 16<<10
+	cluster, err := blobseer.NewCluster(opts)
 	if err != nil {
 		log.Fatal(err)
 	}

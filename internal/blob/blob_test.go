@@ -449,7 +449,7 @@ func TestEmptyAppendRejected(t *testing.T) {
 }
 
 func TestPageReplicationSurvivesProviderLoss(t *testing.T) {
-	c := newTestCluster(t, ClusterConfig{Providers: 4, PageReplicas: 2})
+	c := newTestCluster(t, ClusterConfig{Providers: 4, ClientPolicy: ClientPolicy{PageReplicas: 2}})
 	cl := newTestClient(t, c, "cli")
 	b, err := cl.Create(ctx, 512)
 	if err != nil {
@@ -489,7 +489,7 @@ func TestSealUnblocksPublication(t *testing.T) {
 
 	// Simulate a dead writer: assign a version and never complete it.
 	var a AssignResp
-	err = cl.pool.Call(ctx, c.VM.Addr(), VMAssign,
+	err = cl.pool.Call(ctx, c.VMs[0].Addr(), VMAssign,
 		&AssignReq{Blob: b.ID(), Kind: KindAppend, Len: 512}, &a)
 	if err != nil {
 		t.Fatal(err)
@@ -541,7 +541,7 @@ func TestExplicitAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a AssignResp
-	err = cl.pool.Call(ctx, c.VM.Addr(), VMAssign,
+	err = cl.pool.Call(ctx, c.VMs[0].Addr(), VMAssign,
 		&AssignReq{Blob: b.ID(), Kind: KindAppend, Len: 256}, &a)
 	if err != nil {
 		t.Fatal(err)
@@ -557,7 +557,7 @@ func TestExplicitAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Complete after seal is rejected.
-	err = cl.pool.Call(ctx, c.VM.Addr(), VMComplete, &VersionRef{Blob: b.ID(), Ver: a.Ver}, nil)
+	err = cl.pool.Call(ctx, c.VMs[0].Addr(), VMComplete, &VersionRef{Blob: b.ID(), Ver: a.Ver}, nil)
 	if !errors.Is(err, ErrVersionFinished) {
 		t.Errorf("complete after seal: %v", err)
 	}
@@ -614,7 +614,7 @@ func TestVMStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats VMStatsResp
-	if err := cl.pool.Call(ctx, c.VM.Addr(), VMStats, nil, &stats); err != nil {
+	if err := cl.pool.Call(ctx, c.VMs[0].Addr(), VMStats, nil, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Blobs != 1 || stats.Assigned != 3 || stats.Published != 3 || stats.Sealed != 0 {
@@ -678,7 +678,7 @@ func TestManyBlobsIndependent(t *testing.T) {
 		}
 	}
 	var list ListBlobsResp
-	if err := cl.pool.Call(ctx, c.VM.Addr(), VMListBlobs, nil, &list); err != nil {
+	if err := cl.pool.Call(ctx, c.VMs[0].Addr(), VMListBlobs, nil, &list); err != nil {
 		t.Fatal(err)
 	}
 	if len(list.Blobs) != 5 {

@@ -28,35 +28,34 @@ var (
 	ErrShortPage  = errors.New("blob: provider returned short page")
 )
 
+// ClientPolicy is the part of a deployment's configuration its clients
+// carry out. It is declared here once; ClusterConfig and ClientConfig
+// embed it.
+type ClientPolicy struct {
+	// PageReplicas is how many providers each page is pushed to
+	// (default 1).
+	PageReplicas int
+	// CacheBytes is the byte budget of the client's shared page cache:
+	// 0 means cache.DefaultBudget, negative disables caching (cache.New
+	// owns the rule). One cache serves every Blob handle and reader of
+	// a client, so all map tasks on a tracker share it. Versioned pages
+	// are immutable, so cached pages never go stale.
+	CacheBytes int64
+}
+
 // ClientConfig configures a BlobSeer client.
 type ClientConfig struct {
 	Net  transport.Network
 	Host string // simulated host the client runs on (NIC attribution)
 
-	VersionManager  transport.Addr
+	// VersionManagers lists every version-manager shard of the metadata
+	// plane, in ring-slot order (must match the ShardAddrs the shards
+	// themselves were built with); an unpartitioned plane lists one.
+	VersionManagers []transport.Addr
 	ProviderManager transport.Addr
 	Metadata        []transport.Addr // metadata providers (DHT members)
 
-	// VersionManagers lists every version-manager shard of a partitioned
-	// metadata plane, in ring-slot order (must match the ShardAddrs the
-	// shards themselves were built with). Empty means the single manager
-	// at VersionManager.
-	VersionManagers []transport.Addr
-
-	// MetaReplicas is the DHT replication factor (default 2, capped at
-	// the metadata membership size).
-	MetaReplicas int
-	// PageReplicas is the page replication factor (default 1).
-	PageReplicas int
-	// MaxParallelPages bounds concurrent page transfers per operation
-	// (default 32).
-	MaxParallelPages int
-	// CacheBytes is the byte budget of the client's shared page cache
-	// (0 means cache.DefaultBudget; negative disables caching). One
-	// cache serves every Blob handle and reader of this client, so all
-	// map tasks on a tracker share it. Versioned pages are immutable,
-	// so cached pages never go stale.
-	CacheBytes int64
+	ClientPolicy
 
 	// ReadHeat, when set, is called once per page access on the unified
 	// fetch path (cache hits and provider fetches alike) with the
@@ -64,6 +63,9 @@ type ClientConfig struct {
 	// plugs in here.
 	ReadHeat PageTouch
 }
+
+// maxParallelPages bounds concurrent page transfers per operation.
+const maxParallelPages = 32
 
 // Client talks to a BlobSeer deployment. It is safe for concurrent use.
 type Client struct {
@@ -119,34 +121,20 @@ type blobHistory struct {
 
 // NewClient returns a client running on cfg.Host.
 func NewClient(cfg ClientConfig) *Client {
-	if cfg.MetaReplicas <= 0 {
-		cfg.MetaReplicas = 2
-	}
 	if cfg.PageReplicas <= 0 {
 		cfg.PageReplicas = 1
 	}
-	if cfg.MaxParallelPages <= 0 {
-		cfg.MaxParallelPages = 32
-	}
 	pool := rpc.NewPool(cfg.Net, transport.MakeAddr(cfg.Host, "client"))
 	ring := dht.NewRing(cfg.Metadata, 64)
-	meta := dht.NewClient(ring, pool, cfg.MetaReplicas)
+	meta := dht.NewClient(ring, pool, metaReplicas)
 	rstats := &metrics.ReadStats{}
 	metrics.Default.AttachReadStats(rstats)
-	var pages *cache.Cache
-	if cfg.CacheBytes >= 0 {
-		pages = cache.New(cfg.CacheBytes, rstats)
-	}
-	shards := cfg.VersionManagers
-	if len(shards) == 0 {
-		shards = []transport.Addr{cfg.VersionManager}
-	}
 	return &Client{
 		cfg:      cfg,
 		pool:     pool,
-		vm:       NewVMRouter(pool, shards, cfg.Host),
+		vm:       NewVMRouter(pool, cfg.VersionManagers, cfg.Host),
 		nodes:    NewNodeStore(meta),
-		pages:    pages,
+		pages:    cache.New(cfg.CacheBytes, rstats),
 		rstats:   rstats,
 		pageWork: make(chan pageTask),
 		pageQuit: make(chan struct{}),
@@ -168,9 +156,13 @@ func (c *Client) PageCache() *cache.Cache { return c.pages }
 // finished — the effective AppendAsync pipelining depth.
 func (c *Client) InFlight() int64 { return c.inflight.Load() }
 
-// Close releases the client's connections and stops its page workers.
+// Close releases the client's connections, stops its page workers, and
+// hands its read counters' final values to the process registry.
 func (c *Client) Close() error {
-	c.closeOnce.Do(func() { close(c.pageQuit) })
+	c.closeOnce.Do(func() {
+		close(c.pageQuit)
+		metrics.Default.ReleaseReadStats(c.rstats)
+	})
 	return c.pool.Close()
 }
 
@@ -781,7 +773,7 @@ func (c *Client) pageWorker() {
 }
 
 // forEachPage runs fn for page indices [0, n) on up to
-// MaxParallelPages goroutines — the transfer scaffolding shared by the
+// maxParallelPages goroutines — the transfer scaffolding shared by the
 // write and read paths — and returns the first error. The per-call
 // concurrency bound is the sem, exactly as if every page spawned its
 // own goroutine; the worker pool only recycles stacks.
@@ -791,7 +783,7 @@ func (c *Client) forEachPage(n uint64, fn func(i uint64) error) error {
 			go c.pageWorker()
 		}
 	})
-	sem := make(chan struct{}, c.cfg.MaxParallelPages)
+	sem := make(chan struct{}, maxParallelPages)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error

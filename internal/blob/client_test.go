@@ -107,14 +107,14 @@ func TestFailedCompleteDoesNotWedgeChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	proxy := newFlakyVM(t, net, cluster.VM.Addr())
+	proxy := newFlakyVM(t, net, cluster.VMs[0].Addr())
 	proxy.completeErr = errors.New("complete rejected")
 	proxy.completeFails.Store(1)
 
 	client := NewClient(ClientConfig{
 		Net:             net,
 		Host:            "flaky-cli",
-		VersionManager:  proxy.srv.Addr(),
+		VersionManagers: []transport.Addr{proxy.srv.Addr()},
 		ProviderManager: cluster.PM.Addr(),
 		Metadata:        cluster.MetaAddrs(),
 	})
@@ -165,13 +165,13 @@ func TestCompleteRetriesThroughConnLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	proxy := newFlakyVM(t, net, cluster.VM.Addr())
+	proxy := newFlakyVM(t, net, cluster.VMs[0].Addr())
 	proxy.completeFails.Store(1) // fails once with rpc.ErrConnLost, then heals
 
 	client := NewClient(ClientConfig{
 		Net:             net,
 		Host:            "flaky-cli",
-		VersionManager:  proxy.srv.Addr(),
+		VersionManagers: []transport.Addr{proxy.srv.Addr()},
 		ProviderManager: cluster.PM.Addr(),
 		Metadata:        cluster.MetaAddrs(),
 	})

@@ -22,18 +22,18 @@ const (
 	StoreSynthesize
 )
 
-// ClusterConfig sizes an in-process BlobSeer deployment. The defaults
-// mirror the paper's §4.1 topology proportions: one version manager,
-// one provider manager, a set of metadata providers, and the remaining
-// nodes as data providers.
+// ClusterConfig sizes an in-process BlobSeer deployment and sets its
+// policy. This is the one place these knobs are declared: the facade's
+// Options and the experiment Config embed it. The defaults mirror the
+// paper's §4.1 topology proportions: one version manager, one provider
+// manager, a set of metadata providers, and the remaining nodes as
+// data providers ("node-000"…, the hosts clients co-locate with).
 type ClusterConfig struct {
 	Providers     int       // data providers (default 8)
 	MetaProviders int       // metadata providers (default 3)
 	Store         StoreKind // provider storage engine
 	Strategy      Strategy  // provider allocation (default RoundRobin)
 	SealTimeout   time.Duration
-	MetaReplicas  int // DHT replication (default 2)
-	PageReplicas  int // page replication (default 1)
 
 	// VMShards partitions the metadata plane across N version-manager
 	// shards (default 1: the paper's single version manager). BLOB ids
@@ -41,9 +41,10 @@ type ClusterConfig struct {
 	// the shared VMRouter ring.
 	VMShards int
 
-	// JournalDir, when non-empty, makes the version-manager shards
-	// durable: shard i journals to <JournalDir>/vmanager-<i>.log and a
-	// restarted (or failed-over) shard replays to its acknowledged
+	// JournalDir, when non-empty, makes the metadata plane durable:
+	// shard i journals to <JournalDir>/vmanager-<i>.log (and a BSFS
+	// namespace manager deployed on the cluster to namespace.log) and a
+	// restarted (or failed-over) service replays to its acknowledged
 	// state. Empty keeps the in-memory managers.
 	JournalDir string
 
@@ -52,29 +53,27 @@ type ClusterConfig struct {
 	// garbage collector retire the rest. 0 keeps every version.
 	Retain uint64
 
-	// CacheBytes is the per-client page-cache budget handed to
-	// Client() (0 = cache.DefaultBudget, negative disables caching).
-	CacheBytes int64
-
-	// HostPrefix names provider hosts ("<prefix>-<i>"); defaults to
-	// "node". Clients co-locate with providers by using these hosts.
-	HostPrefix string
-
 	// NICBandwidth is the modeled per-host NIC capacity in bytes/s of
 	// the underlying transport (simnet's Bandwidth). Purely descriptive
 	// at this layer: the cluster monitor computes provider utilization
 	// against it. 0 means unknown.
 	NICBandwidth float64
+
+	// ClientPolicy is handed to every client of the deployment, raw
+	// BLOB clients and BSFS mounts alike.
+	ClientPolicy
 }
+
+// metaReplicas is the DHT replication factor of tree nodes (capped at
+// the metadata membership size by the DHT client).
+const metaReplicas = 2
 
 // Cluster is an in-process BlobSeer deployment on one transport.
 type Cluster struct {
 	Net transport.Network
 	Cfg ClusterConfig
 
-	// VM is shard 0, kept for single-shard callers and tests; VMs holds
-	// every shard in ring-slot order.
-	VM        *VersionManager
+	// VMs holds every version-manager shard in ring-slot order.
 	VMs       []*VersionManager
 	PM        *ProviderManager
 	Providers []*Provider
@@ -118,17 +117,8 @@ func NewCluster(net transport.Network, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.MetaProviders <= 0 {
 		cfg.MetaProviders = 3
 	}
-	if cfg.MetaReplicas <= 0 {
-		cfg.MetaReplicas = 2
-	}
-	if cfg.PageReplicas <= 0 {
-		cfg.PageReplicas = 1
-	}
 	if cfg.VMShards <= 0 {
 		cfg.VMShards = 1
-	}
-	if cfg.HostPrefix == "" {
-		cfg.HostPrefix = "node"
 	}
 	if cfg.JournalDir != "" {
 		if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
@@ -163,7 +153,6 @@ func NewCluster(net transport.Network, cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	c.VM = c.VMs[0]
 
 	// Provider manager.
 	pm, err := NewProviderManager(net, transport.MakeAddr("pmanager-host", SvcProviderManager), cfg.Strategy)
@@ -175,7 +164,7 @@ func NewCluster(net transport.Network, cfg ClusterConfig) (*Cluster, error) {
 
 	// Data providers, registered with the provider manager.
 	for i := 0; i < cfg.Providers; i++ {
-		addr := transport.MakeAddr(fmt.Sprintf("%s-%03d", cfg.HostPrefix, i), SvcProvider)
+		addr := transport.MakeAddr(fmt.Sprintf("node-%03d", i), SvcProvider)
 		var store pagestore.Store
 		switch cfg.Store {
 		case StoreSynthesize:
@@ -204,7 +193,7 @@ func (c *Cluster) startVM(i int) error {
 	}
 	pool := rpc.NewPool(c.Net, transport.MakeAddr(VMShardHost(i), "client"))
 	ring := dht.NewRing(c.MetaAddrs(), 64)
-	nodes := NewNodeStore(dht.NewClient(ring, pool, c.Cfg.MetaReplicas))
+	nodes := NewNodeStore(dht.NewClient(ring, pool, metaReplicas))
 	vmCfg := VersionManagerConfig{
 		SealTimeout:  c.Cfg.SealTimeout,
 		Nodes:        nodes,
@@ -231,9 +220,6 @@ func (c *Cluster) startVM(i int) error {
 	c.vmPools[i] = pool
 	c.vmMu.Lock()
 	c.VMs[i] = vm
-	if i == 0 {
-		c.VM = vm
-	}
 	c.vmMu.Unlock()
 	return nil
 }
@@ -329,23 +315,27 @@ func (c *Cluster) ProviderBytes() int64 {
 	return total
 }
 
-// Client returns a client for this deployment running on host.
-func (c *Cluster) Client(host string) *Client {
+// ClientConfig is the configuration of a client of this deployment
+// running on host: the service endpoints, the cluster's client policy,
+// and the read-heat hook installed by SetHeat.
+func (c *Cluster) ClientConfig(host string) ClientConfig {
 	c.heatMu.Lock()
 	readHeat := c.readHeat
 	c.heatMu.Unlock()
-	return NewClient(ClientConfig{
-		ReadHeat:        readHeat,
+	return ClientConfig{
 		Net:             c.Net,
 		Host:            host,
-		VersionManager:  c.vmAddrs[0],
 		VersionManagers: c.VMAddrs(),
 		ProviderManager: c.PM.Addr(),
 		Metadata:        c.MetaAddrs(),
-		MetaReplicas:    c.Cfg.MetaReplicas,
-		PageReplicas:    c.Cfg.PageReplicas,
-		CacheBytes:      c.Cfg.CacheBytes,
-	})
+		ClientPolicy:    c.Cfg.ClientPolicy,
+		ReadHeat:        readHeat,
+	}
+}
+
+// Client returns a client for this deployment running on host.
+func (c *Cluster) Client(host string) *Client {
+	return NewClient(c.ClientConfig(host))
 }
 
 // Close tears the whole deployment down.

@@ -25,7 +25,7 @@ func TestMain(m *testing.M) {
 // healthy replica; the failed put's recycled request frame must not
 // leak into the retry.
 func TestPutFailureWithReplicas(t *testing.T) {
-	c := newTestCluster(t, ClusterConfig{Providers: 4, PageReplicas: 2})
+	c := newTestCluster(t, ClusterConfig{Providers: 4, ClientPolicy: ClientPolicy{PageReplicas: 2}})
 	cl := newTestClient(t, c, "cli")
 	const ps = 4 << 10
 	b, err := cl.Create(ctx, ps)

@@ -121,7 +121,7 @@ func TestReadAtShortPage(t *testing.T) {
 // failures (a legitimately short page answers that way from every
 // healthy replica), so the failure stats stay clean.
 func TestShortReplicaFailsOver(t *testing.T) {
-	c := newTestCluster(t, ClusterConfig{Providers: 4, PageReplicas: 2})
+	c := newTestCluster(t, ClusterConfig{Providers: 4, ClientPolicy: ClientPolicy{PageReplicas: 2}})
 	cl := newTestClient(t, c, "cli")
 	b, err := cl.Create(ctx, 128)
 	if err != nil {
@@ -362,18 +362,11 @@ func TestConcurrentReadersShareCache(t *testing.T) {
 // read would start at the same replica. Failed providers must land in
 // the read stats.
 func TestReplicaRotationFailsOver(t *testing.T) {
-	c := newTestCluster(t, ClusterConfig{Providers: 4, PageReplicas: 2})
+	c := newTestCluster(t, ClusterConfig{Providers: 4, ClientPolicy: ClientPolicy{PageReplicas: 2}})
 	// Cache disabled so every read hits the provider path.
-	cl := NewClient(ClientConfig{
-		Net:             c.Net,
-		Host:            "cli",
-		VersionManager:  c.VM.Addr(),
-		ProviderManager: c.PM.Addr(),
-		Metadata:        c.MetaAddrs(),
-		MetaReplicas:    c.Cfg.MetaReplicas,
-		PageReplicas:    c.Cfg.PageReplicas,
-		CacheBytes:      -1,
-	})
+	cc := c.ClientConfig("cli")
+	cc.CacheBytes = -1
+	cl := NewClient(cc)
 	defer cl.Close()
 	b, err := cl.Create(ctx, 64)
 	if err != nil {
@@ -429,7 +422,7 @@ func TestReplicaRotationFailsOver(t *testing.T) {
 // map tasks rely on), no read ever touches the dead remote, so zero
 // failures are recorded.
 func TestLocalReplicaPreferred(t *testing.T) {
-	c := newTestCluster(t, ClusterConfig{Providers: 4, PageReplicas: 2})
+	c := newTestCluster(t, ClusterConfig{Providers: 4, ClientPolicy: ClientPolicy{PageReplicas: 2}})
 	setup := newTestClient(t, c, "setup-host")
 	b, err := setup.Create(ctx, 64)
 	if err != nil {
@@ -456,16 +449,9 @@ func TestLocalReplicaPreferred(t *testing.T) {
 
 	// A cache-less client on the surviving replica's host: every fetch
 	// must be served locally, never noticing the dead remote.
-	cl := NewClient(ClientConfig{
-		Net:             c.Net,
-		Host:            localHost,
-		VersionManager:  c.VM.Addr(),
-		ProviderManager: c.PM.Addr(),
-		Metadata:        c.MetaAddrs(),
-		MetaReplicas:    c.Cfg.MetaReplicas,
-		PageReplicas:    c.Cfg.PageReplicas,
-		CacheBytes:      -1,
-	})
+	cc := c.ClientConfig(localHost)
+	cc.CacheBytes = -1
+	cl := NewClient(cc)
 	defer cl.Close()
 	lb := cl.Handle(b.ID(), 64)
 	const reads = 10
@@ -487,7 +473,7 @@ func TestLocalReplicaPreferred(t *testing.T) {
 // TestClientCacheDisabled covers the CacheBytes<0 escape hatch: reads
 // work, nothing is cached, every read pays a provider RPC.
 func TestClientCacheDisabled(t *testing.T) {
-	c := newTestCluster(t, ClusterConfig{CacheBytes: -1})
+	c := newTestCluster(t, ClusterConfig{ClientPolicy: ClientPolicy{CacheBytes: -1}})
 	cl := newTestClient(t, c, "cli")
 	if cl.PageCache() != nil {
 		t.Fatal("cache present despite CacheBytes < 0")
@@ -535,7 +521,7 @@ func TestVersionInfoCached(t *testing.T) {
 	if _, err := b.ReadAt(ctx, res.Ver, 0, 64); err != nil {
 		t.Fatal(err)
 	}
-	c.VM.Close()
+	c.VMs[0].Close()
 	// Version metadata is immutable once published; the re-read must
 	// be served from the local version-info cache (and page cache).
 	got, err := b.ReadAt(ctx, res.Ver, 0, 64)

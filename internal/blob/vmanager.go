@@ -98,10 +98,10 @@ type VersionManagerConfig struct {
 // issued". Assignment is the only serialized step of a write and
 // exchanges O(1) data plus the write-record history delta.
 //
-// Locking is three-level so BLOBs never contend with each other: the
-// state's stripe lock guards only blob-id allocation, each map shard's
-// lock guards one slice of the id→state map, and every blobState has
-// its own lock for assign/complete/seal/wait traffic.
+// Locking is two-level so BLOBs never contend with each other: the
+// state's lock guards blob-id allocation and membership of the id→state
+// map, and every blobState has its own lock for
+// assign/complete/seal/wait traffic.
 type VersionManager struct {
 	srv *rpc.Server
 	cfg VersionManagerConfig

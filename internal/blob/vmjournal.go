@@ -141,10 +141,9 @@ func (j *vmJournal) replay(st *vmState, now time.Time) (int, error) {
 			if err != nil {
 				return fmt.Errorf("blob: snapshot %s: %w", key, err)
 			}
-			s := st.shard(id)
-			s.mu.Lock()
-			s.blobs[id] = bs
-			s.mu.Unlock()
+			st.mu.Lock()
+			st.blobs[id] = bs
+			st.mu.Unlock()
 			st.noteID(id)
 			st.assigned.Add(uint64(len(bs.records)))
 			st.publishedCount.Add(bs.published)

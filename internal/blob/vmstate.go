@@ -181,18 +181,6 @@ func decodeVMRecord(data []byte) (vmRecord, error) {
 // State machine.
 //
 
-// vmShardCount is the number of shards of the blob map. Power of two so
-// the shard index is a mask; sized well above typical core counts to
-// keep the probability of two hot BLOBs colliding low.
-const vmShardCount = 32
-
-// vmShard holds one slice of the blob map. The shard lock guards only
-// map membership; per-BLOB state is guarded by blobState.mu.
-type vmShard struct {
-	mu    sync.Mutex
-	blobs map[uint64]*blobState
-}
-
 // vmState is the manager's decided state plus the pure transition
 // functions over it. One instance backs one manager shard; with
 // metadata-ring sharding, blob ids are allocated from this shard's
@@ -205,10 +193,12 @@ type vmState struct {
 	shardCount int
 	ownsID     func(uint64) bool // nil = owns every id (unsharded)
 
-	mu         sync.Mutex // guards nextStripe
+	// mu guards the stripe counter and membership of the id→state map,
+	// and is held only for an allocation, a lookup or an insert;
+	// per-BLOB state is guarded by blobState.mu.
+	mu         sync.Mutex
 	nextStripe uint64
-
-	shards [vmShardCount]vmShard
+	blobs      map[uint64]*blobState
 
 	assigned       atomic.Uint64
 	publishedCount atomic.Uint64
@@ -219,23 +209,14 @@ func newVMState(index, count int, ownsID func(uint64) bool) *vmState {
 	if count <= 0 {
 		count = 1
 	}
-	st := &vmState{shardIndex: index, shardCount: count, ownsID: ownsID}
-	for i := range st.shards {
-		st.shards[i].blobs = make(map[uint64]*blobState)
-	}
-	return st
+	return &vmState{shardIndex: index, shardCount: count, ownsID: ownsID, blobs: make(map[uint64]*blobState)}
 }
 
-func (st *vmState) shard(blob uint64) *vmShard {
-	return &st.shards[blob&(vmShardCount-1)]
-}
-
-// lookup resolves a blob id to its state without touching other shards.
+// lookup resolves a blob id to its state.
 func (st *vmState) lookup(blob uint64) (*blobState, bool) {
-	s := st.shard(blob)
-	s.mu.Lock()
-	bs, ok := s.blobs[blob]
-	s.mu.Unlock()
+	st.mu.Lock()
+	bs, ok := st.blobs[blob]
+	st.mu.Unlock()
 	return bs, ok
 }
 
@@ -276,17 +257,14 @@ type blobEntry struct {
 }
 
 // blobStates snapshots the (id, state) pairs of every known BLOB. The
-// shard locks are released before any bs.mu is taken, preserving the
+// map lock is released before any bs.mu is taken, preserving the
 // map-lock-before-blob-lock discipline.
 func (st *vmState) blobStates() []blobEntry {
-	var out []blobEntry
-	for i := range st.shards {
-		s := &st.shards[i]
-		s.mu.Lock()
-		for id, bs := range s.blobs {
-			out = append(out, blobEntry{id: id, bs: bs})
-		}
-		s.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	out := make([]blobEntry, 0, len(st.blobs))
+	for id, bs := range st.blobs {
+		out = append(out, blobEntry{id: id, bs: bs})
 	}
 	return out
 }
@@ -308,14 +286,9 @@ func (st *vmState) listBlobs() []uint64 {
 
 // blobCount counts every known BLOB (tombstones included), for stats.
 func (st *vmState) blobCount() uint64 {
-	var n uint64
-	for i := range st.shards {
-		s := &st.shards[i]
-		s.mu.Lock()
-		n += uint64(len(s.blobs))
-		s.mu.Unlock()
-	}
-	return n
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return uint64(len(st.blobs))
 }
 
 // apply replays one journal record. It is the recovery path; live
@@ -358,15 +331,14 @@ func (st *vmState) applyCreate(rec vmRecord) *blobState {
 		pageSize: rec.Val,
 		waiters:  make(map[uint64][]chan struct{}),
 	}
-	s := st.shard(rec.Blob)
-	s.mu.Lock()
-	if cur, ok := s.blobs[rec.Blob]; ok {
+	st.mu.Lock()
+	if cur, ok := st.blobs[rec.Blob]; ok {
 		// Replay after a snapshot that already covers the create.
-		s.mu.Unlock()
+		st.mu.Unlock()
 		return cur
 	}
-	s.blobs[rec.Blob] = bs
-	s.mu.Unlock()
+	st.blobs[rec.Blob] = bs
+	st.mu.Unlock()
 	st.noteID(rec.Blob)
 	return bs
 }

@@ -27,7 +27,7 @@ func newDeployment(t *testing.T, blockSize uint64) *Deployment {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	d, err := Deploy(cluster, blockSize)
+	d, err := Deploy(cluster, DeployConfig{Tuning: Tuning{BlockSize: blockSize}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,47 +15,51 @@ import (
 	"blobseer/internal/transport"
 )
 
+// DeployConfig is what Deploy needs beyond the BlobSeer cluster. Like
+// Tuning, which it embeds, it is the one declaration of its knobs: the
+// facade's Options embeds it in turn.
+type DeployConfig struct {
+	// Tuning is handed to every mount of the deployment.
+	Tuning
+
+	// GCInterval arms periodic garbage-collection passes. 0 leaves the
+	// collector kick-driven: file deletion still reclaims storage, but
+	// retention policies only make progress when something kicks it.
+	GCInterval time.Duration
+
+	// HealthPingTimeout bounds each VM-shard ping in Health; 0 means
+	// DefaultHealthPingTimeout. The router's failover retry would
+	// otherwise mask a dead shard for the caller's whole deadline.
+	HealthPingTimeout time.Duration
+}
+
+// DefaultHealthPingTimeout is the shard ping bound of a deployment
+// that does not set its own.
+const DefaultHealthPingTimeout = 2 * time.Second
+
 // Deployment bundles a BlobSeer cluster with a BSFS namespace manager
 // and the garbage collector: a complete BSFS installation.
 type Deployment struct {
 	Blob *blob.Cluster
 	NS   *NamespaceManager
 
+	// DeployConfig is what Deploy was given. Its Tuning and
+	// HealthPingTimeout stay live: a mount or health check made after a
+	// change sees it.
+	DeployConfig
+
 	// GC is the deployment's garbage collector. It is always created —
 	// file deletion kicks it so "rm" actually frees provider storage —
-	// and runs kick-driven until SetGCInterval arms periodic passes
+	// and runs kick-driven unless GCInterval arms periodic passes
 	// (which retention policies need to make progress without deletes).
 	GC *gc.Collector
 
 	// Monitor is the deployment's cluster monitor: every provider, VM
 	// shard, the namespace manager, and each Mount register stats
 	// sources on it, and its heat sketches watch the page access paths.
-	// Like GC it is collect-on-demand until SetMonitorInterval arms the
-	// periodic collector.
+	// It is collect-on-demand until EnableFlight or SetMonitorInterval
+	// arms the periodic collector.
 	Monitor *monitor.Monitor
-
-	// WriteDepth is the writer pipeline depth handed to mounts (how
-	// many blocks one writer keeps in flight); 0 means
-	// DefaultWriteDepth, 1 reverts to the synchronous writer.
-	WriteDepth int
-
-	// ReadDepth is the reader readahead depth handed to mounts (how
-	// many blocks stay in flight ahead of a sequential reader); 0
-	// means DefaultReadDepth, negative disables readahead.
-	ReadDepth int
-
-	// CacheBytes budgets each mount's shared page cache; 0 means
-	// cache.DefaultBudget, negative disables caching.
-	CacheBytes int64
-
-	// PinTTL is the reader pin lease handed to mounts; 0 means
-	// DefaultPinTTL, negative disables reader pins.
-	PinTTL time.Duration
-
-	// HealthPingTimeout bounds each VM-shard health ping; 0 means
-	// DefaultHealthPingTimeout. The router's failover retry would
-	// otherwise mask a dead shard for the caller's whole deadline.
-	HealthPingTimeout time.Duration
 
 	// Flight is the deployment's flight recorder, nil until
 	// EnableFlight wires one. Watchdog is the SLO rule engine armed
@@ -64,16 +68,14 @@ type Deployment struct {
 	Watchdog *flight.Watchdog
 	sampler  *flight.Sampler
 
-	nsClient  *blob.Client // owned by the namespace manager
-	gcClient  *blob.Client // owned by the collector wiring
-	blockSize uint64
+	nsClient *blob.Client // owned by the namespace manager
+	gcClient *blob.Client // owned by the collector wiring
 }
 
 // Deploy starts a namespace manager on host "bsfs-ns-host" attached to
 // an existing BlobSeer cluster, plus a garbage collector co-located
-// with the version manager. blockSize is the page size of newly
-// created files.
-func Deploy(c *blob.Cluster, blockSize uint64) (*Deployment, error) {
+// with the version manager.
+func Deploy(c *blob.Cluster, cfg DeployConfig) (*Deployment, error) {
 	nsClient := c.Client("bsfs-ns-host")
 	// The namespace manager shares the cluster's durability mode: with a
 	// journal directory it survives restarts alongside the version-
@@ -82,7 +84,7 @@ func Deploy(c *blob.Cluster, blockSize uint64) (*Deployment, error) {
 	if c.Cfg.JournalDir != "" {
 		nsJournal = filepath.Join(c.Cfg.JournalDir, "namespace.log")
 	}
-	ns, err := NewDurableNamespaceManager(c.Net, transport.MakeAddr("bsfs-ns-host", SvcNamespace), nsClient, nsJournal)
+	ns, err := NewNamespaceManager(c.Net, transport.MakeAddr("bsfs-ns-host", SvcNamespace), nsClient, nsJournal)
 	if err != nil {
 		nsClient.Close()
 		return nil, err
@@ -93,7 +95,7 @@ func Deploy(c *blob.Cluster, blockSize uint64) (*Deployment, error) {
 	// interval armed; the cluster re-wires the kick when a shard
 	// restarts after failover.
 	gcClient := c.Client("vmanager-host")
-	collector := gc.New(gcClient, gc.Options{})
+	collector := gc.New(gcClient, gc.Options{Interval: cfg.GCInterval})
 	c.SetReclaimNotify(collector.Kick)
 
 	// Cluster monitor: heat hooks go in AFTER the internal ns/gc clients
@@ -125,32 +127,22 @@ func Deploy(c *blob.Cluster, blockSize uint64) (*Deployment, error) {
 	})
 
 	return &Deployment{
-		Blob:      c,
-		NS:        ns,
-		GC:        collector,
-		Monitor:   mon,
-		nsClient:  nsClient,
-		gcClient:  gcClient,
-		blockSize: blockSize,
+		Blob:         c,
+		NS:           ns,
+		DeployConfig: cfg,
+		GC:           collector,
+		Monitor:      mon,
+		nsClient:     nsClient,
+		gcClient:     gcClient,
 	}, nil
 }
 
-// SetGCInterval arms the collector's periodic reclaim passes (0 keeps
-// it kick-driven only).
-func (d *Deployment) SetGCInterval(interval time.Duration) {
-	d.GC.SetInterval(interval)
-}
-
-// SetMonitorInterval arms the cluster monitor's periodic collection
-// (0 keeps it collect-on-demand only).
+// SetMonitorInterval arms the cluster monitor's periodic collection at
+// a cadence other than the one EnableFlight picks (0 stops it, leaving
+// the monitor collect-on-demand).
 func (d *Deployment) SetMonitorInterval(interval time.Duration) {
 	d.Monitor.SetInterval(interval)
 }
-
-// DefaultHealthPingTimeout bounds each VM-shard health ping when the
-// deployment doesn't set its own; the router's failover retry would
-// otherwise mask a dead shard for the caller's whole deadline.
-const DefaultHealthPingTimeout = 2 * time.Second
 
 func (d *Deployment) healthPingTimeout() time.Duration {
 	if d.HealthPingTimeout > 0 {
@@ -221,8 +213,10 @@ type FlightConfig struct {
 // (standard rules + cfg.ExtraRules, health check wired to
 // Deployment.Health) on the cluster monitor: every collection pass
 // evaluates the rules, and snapshots/health transitions/alerts land in
-// the flight log. Close tears it all down; a kill doesn't, which is
-// the point — the log replays.
+// the flight log. The rules only run when the monitor collects, so a
+// monitor nobody armed is armed here at monitor.DefaultInterval. Close
+// tears it all down; a kill doesn't, which is the point — the log
+// replays.
 func (d *Deployment) EnableFlight(path string, cfg FlightConfig) error {
 	if d.Flight != nil {
 		return fmt.Errorf("bsfs: flight recorder already enabled")
@@ -245,6 +239,9 @@ func (d *Deployment) EnableFlight(path string, cfg FlightConfig) error {
 	d.sampler = flight.AttachSampler(obs.Spans, rec, cfg.Sampler)
 	d.Watchdog = flight.NewWatchdog(d.Monitor, rec, rules, wopts)
 	d.Watchdog.Arm()
+	if _, armed := d.Monitor.Armed(); !armed {
+		d.Monitor.SetInterval(monitor.DefaultInterval)
+	}
 	return nil
 }
 
@@ -253,21 +250,9 @@ func (d *Deployment) EnableFlight(path string, cfg FlightConfig) error {
 // until it closes.
 func (d *Deployment) Mount(host string) *FS {
 	fs := New(Config{
-		Net:             d.Blob.Net,
-		Host:            host,
-		Namespace:       d.NS.Addr(),
-		VersionManager:  d.Blob.VM.Addr(),
-		VersionManagers: d.Blob.VMAddrs(),
-		ProviderManager: d.Blob.PM.Addr(),
-		Metadata:        d.Blob.MetaAddrs(),
-		BlockSize:       d.blockSize,
-		WriteDepth:      d.WriteDepth,
-		ReadDepth:       d.ReadDepth,
-		CacheBytes:      d.CacheBytes,
-		PinTTL:          d.PinTTL,
-		MetaReplicas:    d.Blob.Cfg.MetaReplicas,
-		PageReplicas:    d.Blob.Cfg.PageReplicas,
-		ReadHeat:        d.Monitor.ReadHeat().TouchPage,
+		ClientConfig: d.Blob.ClientConfig(host),
+		Namespace:    d.NS.Addr(),
+		Tuning:       d.Tuning,
 	})
 	bc := fs.BlobClient()
 	src := d.Monitor.Register(monitor.KindClient, host, func() monitor.Sample {

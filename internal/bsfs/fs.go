@@ -17,73 +17,74 @@ import (
 	"blobseer/internal/transport"
 )
 
-// Config configures a BSFS client mount.
-type Config struct {
-	Net  transport.Network
-	Host string
-
-	Namespace       transport.Addr
-	VersionManager  transport.Addr
-	ProviderManager transport.Addr
-	Metadata        []transport.Addr
-
-	// VersionManagers lists every version-manager shard of a partitioned
-	// metadata plane, in ring-slot order. Empty means the single manager
-	// at VersionManager.
-	VersionManagers []transport.Addr
-
+// Tuning is what can be tuned about a BSFS mount. It is declared here
+// once; DeployConfig, and through it the facade's Options and the
+// experiment Config, embed it, and resolved is the one function that
+// gives 0 and negative values their meaning. (The fourth mount knob,
+// the page-cache budget, belongs to the blob client that owns the
+// cache: blob.ClientPolicy.CacheBytes.)
+type Tuning struct {
 	// BlockSize is the page size of newly created files and the unit
 	// of client-side buffering/prefetching (the paper uses 64 MB to
-	// match HDFS chunks; tests and experiments scale it down).
+	// match HDFS chunks, and 0 means that; tests and experiments scale
+	// it down).
 	BlockSize uint64
 
 	// WriteDepth is how many blocks one writer keeps in flight: each
 	// full block starts its append without waiting for the previous
 	// one's data path, so only BlobSeer's serialized version
-	// assignment is ordered. 1 reverts to the fully synchronous
-	// writer; 0 means DefaultWriteDepth.
+	// assignment is ordered. 1 is the fully synchronous writer; 0 (or
+	// negative) means DefaultWriteDepth.
 	WriteDepth int
 
 	// ReadDepth is the read-side twin of WriteDepth: how many blocks
 	// the readahead engine keeps in flight ahead of each sequential
 	// reader. 0 means DefaultReadDepth; negative disables readahead
-	// (the fully synchronous reader).
+	// (the fully synchronous reader). Readahead stages pages through
+	// the mount's page cache, so a mount without a cache has none.
 	ReadDepth int
-
-	// CacheBytes budgets the mount's shared page cache — every reader
-	// of this mount (all map tasks on a tracker) shares one cache, and
-	// BlobSeer's versioned pages are immutable, so cached pages never
-	// go stale. 0 means cache.DefaultBudget; negative disables caching
-	// (and with it readahead, which stages pages through the cache).
-	CacheBytes int64
-
-	// PinTTL is the lease length of the version pin every reader takes
-	// on its snapshot at Open: while the pin is live the garbage
-	// collector cannot reclaim the pinned version, so a slow reader
-	// never has pages deleted out from under it, and a crashed reader
-	// delays collection by at most one TTL. 0 means DefaultPinTTL;
-	// negative disables reader pins.
-	PinTTL time.Duration
-
-	MetaReplicas int
-	PageReplicas int
-
-	// ReadHeat, when set, observes every page access this mount makes
-	// (the cluster monitor's read-heat sketch plugs in here).
-	ReadHeat blob.PageTouch
 }
 
-// DefaultWriteDepth is the writer pipeline depth used when Config
-// leaves WriteDepth unset.
-const DefaultWriteDepth = 4
+// Defaults of an unset Tuning.
+const (
+	DefaultBlockSize  = 64 << 20
+	DefaultWriteDepth = 4
+	DefaultReadDepth  = 4
+)
 
-// DefaultReadDepth is the reader readahead depth used when Config
-// leaves ReadDepth unset.
-const DefaultReadDepth = 4
+// resolved returns the effective tuning of a mount whose page cache is
+// on or off: defaults filled in, and ReadDepth 0 meaning "readahead
+// off" from here on.
+func (t Tuning) resolved(cacheOn bool) Tuning {
+	if t.BlockSize == 0 {
+		t.BlockSize = DefaultBlockSize
+	}
+	if t.WriteDepth <= 0 {
+		t.WriteDepth = DefaultWriteDepth
+	}
+	switch {
+	case t.ReadDepth < 0 || !cacheOn:
+		t.ReadDepth = 0
+	case t.ReadDepth == 0:
+		t.ReadDepth = DefaultReadDepth
+	}
+	return t
+}
 
-// DefaultPinTTL is the reader pin lease used when Config leaves PinTTL
-// unset.
-const DefaultPinTTL = 2 * time.Minute
+// Config configures a BSFS client mount: the BlobSeer client beneath
+// it, the namespace manager's endpoint, and the mount's tuning.
+type Config struct {
+	blob.ClientConfig
+	Namespace transport.Addr
+	Tuning
+}
+
+// pinTTL is the lease length of the version pin every reader takes on
+// its snapshot at Open: while the pin is live the garbage collector
+// cannot reclaim the pinned version, so a slow reader never has pages
+// deleted out from under it, and a crashed reader delays collection by
+// at most one TTL.
+const pinTTL = 2 * time.Minute
 
 // FS is a BSFS mount implementing dfs.FileSystem.
 type FS struct {
@@ -120,42 +121,12 @@ func mapVerErr(err error) error {
 
 // New returns a BSFS mount for the given deployment.
 func New(cfg Config) *FS {
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 64 << 20
-	}
-	if cfg.WriteDepth <= 0 {
-		cfg.WriteDepth = DefaultWriteDepth
-	}
-	switch {
-	case cfg.ReadDepth == 0:
-		cfg.ReadDepth = DefaultReadDepth
-	case cfg.ReadDepth < 0:
-		cfg.ReadDepth = 0 // normalized: 0 now means "readahead off"
-	}
-	if cfg.CacheBytes < 0 {
-		cfg.ReadDepth = 0 // readahead stages pages through the cache
-	}
-	switch {
-	case cfg.PinTTL == 0:
-		cfg.PinTTL = DefaultPinTTL
-	case cfg.PinTTL < 0:
-		cfg.PinTTL = 0 // normalized: 0 now means "reader pins off"
-	}
+	bc := blob.NewClient(cfg.ClientConfig)
+	cfg.Tuning = cfg.Tuning.resolved(bc.PageCache() != nil)
 	return &FS{
 		cfg:  cfg,
 		pool: rpc.NewPool(cfg.Net, transport.MakeAddr(cfg.Host, "bsfs-client")),
-		bc: blob.NewClient(blob.ClientConfig{
-			Net:             cfg.Net,
-			Host:            cfg.Host,
-			VersionManager:  cfg.VersionManager,
-			VersionManagers: cfg.VersionManagers,
-			ProviderManager: cfg.ProviderManager,
-			Metadata:        cfg.Metadata,
-			MetaReplicas:    cfg.MetaReplicas,
-			PageReplicas:    cfg.PageReplicas,
-			CacheBytes:      cfg.CacheBytes,
-			ReadHeat:        cfg.ReadHeat,
-		}),
+		bc:   bc,
 	}
 }
 
@@ -177,6 +148,10 @@ func (fs *FS) BlockSize() uint64 { return fs.cfg.BlockSize }
 
 // BlobClient exposes the underlying BlobSeer client (tools, tests).
 func (fs *FS) BlobClient() *blob.Client { return fs.bc }
+
+// Tuning reports the mount's effective tuning: defaults resolved, and
+// ReadDepth 0 when readahead is off.
+func (fs *FS) Tuning() Tuning { return fs.cfg.Tuning }
 
 // Create implements dfs.FileSystem.
 func (fs *FS) Create(ctx context.Context, path string) (dfs.FileWriter, error) {
@@ -229,18 +204,16 @@ func (fs *FS) OpenVersion(ctx context.Context, path string, ver uint64) (dfs.Ver
 		return nil, dfs.ErrIsDir
 	}
 	b := fs.bc.Handle(ent.Blob, ent.PageSize)
-	r := &fileReader{ctx: ctx, b: b, blockSize: ent.PageSize, pinTTL: fs.cfg.PinTTL, fixed: ver != 0}
+	r := &fileReader{ctx: ctx, b: b, blockSize: ent.PageSize, fixed: ver != 0}
 
 	var info blob.VersionInfo
 	if ver != 0 {
 		// Fixed-version open: pin first, resolve after.
-		if r.pinTTL > 0 {
-			if err := b.Pin(ctx, ver, r.pinTTL); err != nil {
-				return nil, mapVerErr(err)
-			}
-			r.pinned = ver
-			r.pinnedAt = time.Now()
+		if err := b.Pin(ctx, ver, pinTTL); err != nil {
+			return nil, mapVerErr(err)
 		}
+		r.pinned = ver
+		r.pinnedAt = time.Now()
 		if info, err = b.GetVersion(ctx, ver); err == nil && !info.Published {
 			err = blob.ErrNotPublished
 		}
@@ -254,8 +227,8 @@ func (fs *FS) OpenVersion(ctx context.Context, path string, ver uint64) (dfs.Ver
 		}
 		// Pin the snapshot so the garbage collector cannot reclaim it
 		// while this reader streams it, however slowly.
-		if r.pinTTL > 0 && info.Ver > 0 {
-			if err := b.Pin(ctx, info.Ver, r.pinTTL); err != nil {
+		if info.Ver > 0 {
+			if err := b.Pin(ctx, info.Ver, pinTTL); err != nil {
 				return nil, mapVerErr(err)
 			}
 			r.pinned = info.Ver
@@ -289,7 +262,7 @@ func (fs *FS) SnapshotAt(ctx context.Context, path string, ver uint64) (*blob.Sn
 	if ent.IsDir {
 		return nil, dfs.ErrIsDir
 	}
-	s, err := fs.bc.Handle(ent.Blob, ent.PageSize).At(ctx, ver, fs.cfg.PinTTL)
+	s, err := fs.bc.Handle(ent.Blob, ent.PageSize).At(ctx, ver, pinTTL)
 	if err != nil {
 		return nil, mapVerErr(err)
 	}
@@ -470,7 +443,7 @@ func (fs *FS) MetadataEntries(ctx context.Context) (uint64, error) {
 //
 // Writer: client-side caching of §3.2 ("delays committing writes until
 // a whole block has been filled in the cache"), pipelined so up to
-// Config.WriteDepth blocks are in flight at once. Version assignment
+// Tuning.WriteDepth blocks are in flight at once. Version assignment
 // stays in the caller's goroutine, so one writer's blocks land in
 // write order; everything after assignment overlaps across blocks.
 //
@@ -698,7 +671,7 @@ func (w *fileWriter) Close() error {
 //
 // Reader: whole-block reads through the mount's shared page cache
 // (§3.2: the client "prefetches a whole block when the requested data
-// is not already cached"), with up to Config.ReadDepth blocks kept in
+// is not already cached"), with up to Tuning.ReadDepth blocks kept in
 // flight ahead of a sequential stream by the readahead engine — the
 // read-side twin of the writer's WriteDepth pipeline.
 //
@@ -713,12 +686,11 @@ type fileReader struct {
 	// it to a newer version.
 	fixed bool
 
-	// pinned is the version this reader holds a GC pin on (0 = none);
-	// pinTTL is the lease length used when (re-)pinning, and pinnedAt
-	// is when the lease was last extended — block reads renew it past
-	// its half-life, so a reader slower than the TTL keeps protection.
+	// pinned is the version this reader holds a GC pin on (0 = none)
+	// and pinnedAt is when the lease was last extended — block reads
+	// renew it past its half-life, so a reader slower than pinTTL keeps
+	// protection.
 	pinned   uint64
-	pinTTL   time.Duration
 	pinnedAt time.Time
 
 	// ver/size are the pinned snapshot. They are atomics because the
@@ -834,10 +806,10 @@ func (r *fileReader) Close() error {
 // ignored — the read itself surfaces ErrVersionCollected if the
 // version really is gone.
 func (r *fileReader) renewPin() {
-	if r.pinned == 0 || time.Since(r.pinnedAt) < r.pinTTL/2 {
+	if r.pinned == 0 || time.Since(r.pinnedAt) < pinTTL/2 {
 		return
 	}
-	if err := r.b.Pin(r.ctx, r.pinned, r.pinTTL); err == nil {
+	if err := r.b.Pin(r.ctx, r.pinned, pinTTL); err == nil {
 		if uerr := r.b.Unpin(r.ctx, r.pinned); uerr != nil {
 			// The fresh pin still protects the version; the stray
 			// count drains when its lease expires.
@@ -889,8 +861,8 @@ func (r *fileReader) Refresh(ctx context.Context) (uint64, error) {
 	// Move the GC pin to the refreshed snapshot (pin first, then release
 	// the old one, so the reader is never unprotected in between). This
 	// also renews the lease, so long-lived tailing readers stay pinned.
-	if r.pinTTL > 0 && info.Ver > 0 && info.Ver != r.pinned {
-		if err := r.b.Pin(ctx, info.Ver, r.pinTTL); err != nil {
+	if info.Ver > 0 && info.Ver != r.pinned {
+		if err := r.b.Pin(ctx, info.Ver, pinTTL); err != nil {
 			return 0, mapVerErr(err)
 		}
 		r.unpin()

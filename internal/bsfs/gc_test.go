@@ -22,7 +22,7 @@ func newGCDeployment(t *testing.T, blockSize uint64) (*blob.Cluster, *Deployment
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	d, err := Deploy(cluster, blockSize)
+	d, err := Deploy(cluster, DeployConfig{Tuning: Tuning{BlockSize: blockSize}})
 	if err != nil {
 		t.Fatal(err)
 	}

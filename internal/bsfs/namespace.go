@@ -150,16 +150,10 @@ type NamespaceManager struct {
 // store and a restart should not replay that churn.
 const nsCompactThreshold = 1 << 20
 
-// NewNamespaceManager starts an in-memory namespace manager at addr;
-// bc is used to create one BLOB per new file.
-func NewNamespaceManager(net transport.Network, addr transport.Addr, bc *blob.Client) (*NamespaceManager, error) {
-	return NewDurableNamespaceManager(net, addr, bc, "")
-}
-
-// NewDurableNamespaceManager starts a namespace manager journaling to
-// journalPath (empty = in-memory). An existing journal is replayed
-// before the endpoint binds.
-func NewDurableNamespaceManager(net transport.Network, addr transport.Addr, bc *blob.Client, journalPath string) (*NamespaceManager, error) {
+// NewNamespaceManager starts a namespace manager at addr journaling to
+// journalPath (empty = in-memory); bc is used to create one BLOB per
+// new file. An existing journal is replayed before the endpoint binds.
+func NewNamespaceManager(net transport.Network, addr transport.Addr, bc *blob.Client, journalPath string) (*NamespaceManager, error) {
 	ns := &NamespaceManager{
 		bc:      bc,
 		entries: map[string]*nsEntry{"/": {isDir: true}},

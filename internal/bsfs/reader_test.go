@@ -75,13 +75,10 @@ func TestReadaheadDisabled(t *testing.T) {
 
 func TestReaderCacheDisabled(t *testing.T) {
 	d := newDeployment(t, 512)
-	d.CacheBytes = -1 // no cache; readahead implicitly off too
+	d.Blob.Cfg.CacheBytes = -1 // no cache; readahead implicitly off too
 	fs := mount(t, d, "cli")
 	data := writeBlocks(t, fs, "/ra/nocache", 512, 4)
 
-	if fs.BlobClient().PageCache() != nil {
-		t.Fatal("cache present despite CacheBytes < 0")
-	}
 	f, err := fs.Open(ctx, "/ra/nocache")
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func TestNamespaceRecoversFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	d, err := Deploy(cluster, 1024)
+	d, err := Deploy(cluster, DeployConfig{Tuning: Tuning{BlockSize: 1024}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestNamespaceRecoversFromJournal(t *testing.T) {
 
 	// Second deployment on the same cluster: nothing in memory carries
 	// over, the tree comes back from the journal alone.
-	d2, err := Deploy(cluster, 1024)
+	d2, err := Deploy(cluster, DeployConfig{Tuning: Tuning{BlockSize: 1024}})
 	if err != nil {
 		t.Fatalf("redeploy on journaled cluster: %v", err)
 	}

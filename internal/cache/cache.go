@@ -74,10 +74,16 @@ type flight struct {
 	noCache bool
 }
 
-// New returns a cache holding at most budget bytes of page content
-// (0 means DefaultBudget). stats may be nil.
+// New returns a cache holding at most budget bytes of page content.
+// This is where the cache-budget convention of every layer above is
+// resolved: 0 means DefaultBudget, and a negative budget means caching
+// is off — New returns nil and the caller fetches directly. stats may
+// be nil.
 func New(budget int64, stats *metrics.ReadStats) *Cache {
-	if budget <= 0 {
+	if budget < 0 {
+		return nil
+	}
+	if budget == 0 {
 		budget = DefaultBudget
 	}
 	if stats == nil {

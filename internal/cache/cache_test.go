@@ -25,6 +25,20 @@ func page(i uint64, n int) []byte {
 	return out
 }
 
+// TestNewResolvesBudget pins the cache-budget convention every layer
+// above relies on: 0 is the default budget, negative is no cache.
+func TestNewResolvesBudget(t *testing.T) {
+	if got := New(0, nil).Budget(); got != DefaultBudget {
+		t.Errorf("New(0) budget = %d, want DefaultBudget", got)
+	}
+	if got := New(1<<10, nil).Budget(); got != 1<<10 {
+		t.Errorf("New(1 KiB) budget = %d", got)
+	}
+	if c := New(-1, nil); c != nil {
+		t.Errorf("New(-1) = %v, want nil (caching off)", c)
+	}
+}
+
 func TestGetCachesAndCounts(t *testing.T) {
 	stats := &metrics.ReadStats{}
 	c := New(1<<20, stats)

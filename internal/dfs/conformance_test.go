@@ -44,7 +44,7 @@ func backends() []backend {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { cluster.Close() })
-				d, err := bsfs.Deploy(cluster, confBlock)
+				d, err := bsfs.Deploy(cluster, bsfs.DeployConfig{Tuning: bsfs.Tuning{BlockSize: confBlock}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -469,7 +469,7 @@ func TestConformanceVersionAfterGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	d, err := bsfs.Deploy(cluster, confBlock)
+	d, err := bsfs.Deploy(cluster, bsfs.DeployConfig{Tuning: bsfs.Tuning{BlockSize: confBlock}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,11 +356,6 @@ func NewRing(members []transport.Addr, vnodes int) *Ring {
 	return r
 }
 
-// Members returns the ring membership.
-func (r *Ring) Members() []transport.Addr {
-	return append([]transport.Addr(nil), r.members...)
-}
-
 // Lookup returns up to n distinct members responsible for key, in
 // preference order (primary first).
 func (r *Ring) Lookup(key string, n int) []transport.Addr {

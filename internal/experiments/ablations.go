@@ -23,7 +23,7 @@ func AblationPlacement(cfg Config, clients []int) ([]*metrics.Series, error) {
 	var out []*metrics.Series
 	for _, s := range strategies {
 		c := cfg
-		c.Placement = s
+		c.Strategy = s
 		series, err := Fig3(c, clients)
 		if err != nil {
 			return nil, fmt.Errorf("placement %s: %w", s.Name(), err)
@@ -46,7 +46,7 @@ func AblationPageSize(cfg Config, sizes []uint64, n int) (*metrics.Series, error
 	}
 	for _, size := range sizes {
 		c := cfg
-		c.PageSize = size
+		c.BlockSize = size
 		env, err := newBSFSEnv(c)
 		if err != nil {
 			return nil, err

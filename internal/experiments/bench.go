@@ -64,7 +64,7 @@ func benchConfig(cfg Config) BenchConfig {
 	return BenchConfig{
 		Nodes:         cfg.Nodes,
 		MetaProviders: cfg.MetaProviders,
-		PageSize:      cfg.PageSize,
+		PageSize:      cfg.BlockSize,
 		BandwidthMBps: cfg.Bandwidth / (1 << 20),
 		Reps:          cfg.Reps,
 		WriteDepth:    cfg.WriteDepth,
@@ -338,7 +338,7 @@ func TraceAppend(ctx context.Context, cfg Config) (string, error) {
 	hosts := env.cluster.ProviderHosts()
 	c := env.cluster.Client(hosts[0])
 	defer c.Close()
-	bl, err := c.Create(ctx, cfg.PageSize)
+	bl, err := c.Create(ctx, cfg.BlockSize)
 	if err != nil {
 		return "", err
 	}

@@ -11,7 +11,7 @@
 // machines; every remaining machine is a data provider, and clients
 // are "launched simultaneously on the same machines as the datanodes
 // (data providers, respectively)". Pages/chunks are scaled from the
-// paper's 64 MB to cfg.PageSize (default 256 KiB) so a full sweep
+// paper's 64 MB to cfg.BlockSize (default 256 KiB) so a full sweep
 // takes seconds, not hours; shapes, not absolute MB/s, are the
 // reproduction target (see EXPERIMENTS.md).
 package experiments
@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"blobseer"
 	"blobseer/internal/blob"
 	"blobseer/internal/bsfs"
 	"blobseer/internal/hdfs"
@@ -30,59 +31,40 @@ import (
 	"blobseer/internal/transport"
 )
 
-// Config scales an experiment environment.
+// Config scales an experiment environment. The storage knobs are the
+// embedded Options' — the same fields, defaults and meanings as every
+// other deployment — read here with the paper's set-up in mind:
+// MetaProviders (paper: 20), BlockSize (the BlobSeer page = HDFS chunk
+// = append unit: "As HDFS handles data in 64 MB chunks, we also set the
+// page size at the level of BlobSeer to 64 MB", §4.1; scaled down),
+// Strategy (provider placement; default random, which models
+// balls-into-bins hotspots, see Abl 2), and WriteDepth, ReadDepth,
+// Retain, GCInterval, VMShards and JournalDir for the environment (the
+// GC and Meta scenarios sweep their own policies and shard counts
+// regardless). Providers, Store, NICBandwidth and Net are set by the
+// environment itself from Nodes, the scenario and Bandwidth.
+//
+// CacheBytes is the exception to "same defaults": the figures measure
+// the modeled network, and clients re-reading warm pages from memory
+// would flatten the curves, so cmd/experiments' -cachemb defaults to
+// off where the library defaults to on. Enable it as an ablation.
 type Config struct {
+	blobseer.Options
+
 	// Nodes is the total machine count (paper: 270).
 	Nodes int
-	// MetaProviders is the metadata provider count (paper: 20).
-	MetaProviders int
-	// PageSize is the BlobSeer page = HDFS chunk = append unit
-	// ("As HDFS handles data in 64 MB chunks, we also set the page
-	// size at the level of BlobSeer to 64 MB", §4.1). Scaled down.
-	PageSize uint64
 	// Bandwidth models each machine's NIC in bytes/second.
 	Bandwidth float64
 	// Latency is the one-way per-frame delay.
 	Latency time.Duration
 	// Reps repeats each measurement ("Each test is executed 5 times").
 	Reps int
-	// Placement selects the provider-allocation strategy (default
-	// random, which models balls-into-bins hotspots; see Abl 2).
-	Placement blob.Strategy
-	// WriteDepth is the BSFS writer pipeline depth (blocks in flight
-	// per writer); 0 means bsfs.DefaultWriteDepth, 1 is the
-	// synchronous writer.
-	WriteDepth int
-	// ReadDepth is the BSFS reader readahead depth (blocks in flight
-	// ahead of each sequential reader); 0 means bsfs.DefaultReadDepth,
-	// negative disables readahead.
-	ReadDepth int
-	// CacheBytes budgets each mount's shared page cache. The default
-	// (0) DISABLES caching in experiment environments — the figures
-	// measure the modeled network, and clients re-reading warm pages
-	// from memory would flatten the curves — unlike the library
-	// default, which caches. Set explicitly to enable as an ablation.
-	CacheBytes int64
 	// Shuffle selects the Map/Reduce intermediate-data backend for the
 	// application experiments that run on BSFS (Figure 6, the
 	// pipeline): memory is the classic in-tracker store, blob stores
 	// map outputs as concurrent appends to shared intermediate BLOBs.
 	// The dedicated Shuffle scenario compares both regardless.
 	Shuffle shuffle.Backend
-	// Retain is the version manager's default RetainLatest policy for
-	// the environment (0 keeps every version, the paper's model). The
-	// dedicated GC scenario sweeps its own policies regardless.
-	Retain uint64
-	// GCInterval arms periodic garbage-collection passes on the
-	// deployment's collector (0 = kick-driven only).
-	GCInterval time.Duration
-	// VMShards partitions the metadata plane across N version-manager
-	// shards (default 1, the paper's single version manager). The Meta
-	// scenario sweeps its own shard counts regardless.
-	VMShards int
-	// JournalDir, when set, journals version-manager and namespace
-	// state there so killed services can be restarted (Meta failover).
-	JournalDir string
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -95,8 +77,8 @@ func (c Config) withDefaults() Config {
 	if c.MetaProviders <= 0 {
 		c.MetaProviders = 20
 	}
-	if c.PageSize == 0 {
-		c.PageSize = 256 << 10
+	if c.BlockSize == 0 {
+		c.BlockSize = 256 << 10
 	}
 	if c.Bandwidth == 0 {
 		// Modeled NIC: 1/10 of GbE. Together with 256 KiB pages this
@@ -112,8 +94,8 @@ func (c Config) withDefaults() Config {
 	if c.Reps <= 0 {
 		c.Reps = 5
 	}
-	if c.Placement == nil {
-		c.Placement = blob.NewRandomK(c.Seed + 1)
+	if c.Strategy == nil {
+		c.Strategy = blob.NewRandomK(c.Seed + 1)
 	}
 	return c
 }
@@ -156,34 +138,16 @@ func newBSFSEnvStore(cfg Config, store blob.StoreKind) (*bsfsEnv, error) {
 		Latency:       cfg.Latency,
 		FrameOverhead: 64,
 	})
-	cluster, err := blob.NewCluster(net, blob.ClusterConfig{
-		Providers:     cfg.providers(),
-		MetaProviders: cfg.MetaProviders,
-		Store:         store,
-		Strategy:      cfg.Placement,
-		Retain:        cfg.Retain,
-		VMShards:      cfg.VMShards,
-		JournalDir:    cfg.JournalDir,
-		NICBandwidth:  cfg.Bandwidth,
-	})
+	opts := cfg.Options
+	opts.Net = net
+	opts.Providers = cfg.providers()
+	opts.Store = store
+	opts.NICBandwidth = cfg.Bandwidth
+	c, err := blobseer.NewCluster(opts)
 	if err != nil {
 		return nil, err
 	}
-	deploy, err := bsfs.Deploy(cluster, cfg.PageSize)
-	if err != nil {
-		cluster.Close()
-		return nil, err
-	}
-	deploy.WriteDepth = cfg.WriteDepth
-	deploy.ReadDepth = cfg.ReadDepth
-	deploy.CacheBytes = cfg.CacheBytes
-	if cfg.CacheBytes == 0 {
-		deploy.CacheBytes = -1 // measure the network, not the cache
-	}
-	if cfg.GCInterval > 0 {
-		deploy.SetGCInterval(cfg.GCInterval)
-	}
-	return &bsfsEnv{cfg: cfg, net: net, cluster: cluster, deploy: deploy}, nil
+	return &bsfsEnv{cfg: cfg, net: net, cluster: c.Blob, deploy: c.FS}, nil
 }
 
 // mount returns a BSFS mount co-located with provider i (mod the
@@ -246,7 +210,7 @@ func newHDFSEnv(cfg Config) (*hdfsEnv, error) {
 
 func (e *hdfsEnv) mount(i int) *hdfs.FS {
 	hosts := e.cluster.DatanodeHosts()
-	fs := e.cluster.Mount(hosts[i%len(hosts)], e.cfg.PageSize)
+	fs := e.cluster.Mount(hosts[i%len(hosts)], e.cfg.BlockSize)
 	e.mu.Lock()
 	e.mounts = append(e.mounts, fs)
 	e.mu.Unlock()
@@ -270,7 +234,7 @@ func (e *hdfsEnv) Close() {
 
 // chunk builds one deterministic chunk (= page) of payload.
 func chunk(cfg Config, tag int) []byte {
-	buf := make([]byte, cfg.PageSize)
+	buf := make([]byte, cfg.BlockSize)
 	x := uint64(tag)*2654435761 + 12345
 	for i := range buf {
 		x ^= x << 13

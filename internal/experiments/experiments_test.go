@@ -8,15 +8,17 @@ import (
 // smallCfg keeps smoke tests fast: a 24-node cluster, 64 KiB pages,
 // 2 reps, high modeled bandwidth so shaping costs stay tiny.
 func smallCfg() Config {
-	return Config{
-		Nodes:         24,
-		MetaProviders: 3,
-		PageSize:      64 << 10,
-		Bandwidth:     500 << 20,
-		Latency:       50 * time.Microsecond,
-		Reps:          2,
-		Seed:          1,
+	cfg := Config{
+		Nodes:     24,
+		Bandwidth: 500 << 20,
+		Latency:   50 * time.Microsecond,
+		Reps:      2,
+		Seed:      1,
 	}
+	cfg.MetaProviders = 3
+	cfg.BlockSize = 64 << 10
+	cfg.CacheBytes = -1 // as cmd/experiments defaults it: measure the network
+	return cfg
 }
 
 func TestFig3Smoke(t *testing.T) {
@@ -125,7 +127,7 @@ func TestAblationLockedSmoke(t *testing.T) {
 	// can even win on a 2-core box.
 	cfg := smallCfg()
 	cfg.Bandwidth = 12.5 * (1 << 20)
-	cfg.PageSize = 128 << 10
+	cfg.BlockSize = 128 << 10
 	versioned, locked, err := AblationLockedAppend(cfg, []int{1, 8})
 	if err != nil {
 		t.Fatal(err)

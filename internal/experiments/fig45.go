@@ -184,16 +184,16 @@ func mixedRep(cfg Config, path string, readers []*bsfs.FS, appenders []*appendCl
 			}
 			defer f.Close()
 			<-start
-			buf := make([]byte, cfg.PageSize)
-			base := uint64(r) * chunksPerReader * cfg.PageSize
+			buf := make([]byte, cfg.BlockSize)
+			base := uint64(r) * chunksPerReader * cfg.BlockSize
 			for c := 0; c < chunksPerReader; c++ {
-				off := base + uint64(c)*cfg.PageSize
+				off := base + uint64(c)*cfg.BlockSize
 				t0 := time.Now()
 				if _, err := f.ReadAt(buf, int64(off)); err != nil {
 					errs <- fmt.Errorf("reader %d chunk %d: %w", r, c, err)
 					return
 				}
-				readMeter.Record(cfg.PageSize, time.Since(t0))
+				readMeter.Record(cfg.BlockSize, time.Since(t0))
 			}
 		}(r, fs)
 	}

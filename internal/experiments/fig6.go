@@ -45,7 +45,7 @@ func Fig6(cfg Config, reducers []int) (*Fig6Result, error) {
 	// Two input files of ~5 chunks each, so "10 concurrent mappers
 	// will perform the map phase" like the paper; the join output is
 	// ~10x the input.
-	targetLines := int(5 * cfg.PageSize / 45)
+	targetLines := int(5 * cfg.BlockSize / 45)
 	keys := targetLines / 8
 	if keys < 8 {
 		keys = 8
@@ -157,7 +157,7 @@ func newFramework(cfg Config, system string, mapSlots, reduceSlots, maxHosts int
 		fw, err := mapreduce.NewFramework(mapreduce.FrameworkConfig{
 			Net:         env.net,
 			Hosts:       capHosts(env.cluster.DatanodeHosts()),
-			Mount:       func(host string) dfs.FileSystem { return env.cluster.Mount(host, cfg.PageSize) },
+			Mount:       func(host string) dfs.FileSystem { return env.cluster.Mount(host, cfg.BlockSize) },
 			MapSlots:    mapSlots,
 			ReduceSlots: reduceSlots,
 		})

@@ -82,7 +82,7 @@ func gcOverwriteRun(cfg Config, gcOn bool, res *GCResult) error {
 	env.deploy.GC.SetEnabled(gcOn)
 
 	hosts := env.cluster.ProviderHosts()
-	ps := cfg.PageSize
+	ps := cfg.BlockSize
 	region := uint64(gcRegionPages) * ps
 
 	creator := env.cluster.Client(hosts[0])
@@ -150,7 +150,7 @@ func gcRotateRun(cfg Config, gcOn bool, res *GCResult) error {
 	env.deploy.GC.SetEnabled(gcOn)
 
 	fs := env.mount(0)
-	ps := int(cfg.PageSize)
+	ps := int(cfg.BlockSize)
 	series := res.RotateNoGC
 	if gcOn {
 		series = res.RotateGC

@@ -32,7 +32,7 @@ const (
 	// hotspotZipfS is the Zipf skew exponent (s > 1 concentrates mass:
 	// the top page draws ~20% of all accesses at s = 1.2).
 	hotspotZipfS = 1.2
-	// hotspotPageSize overrides cfg.PageSize: heat ranking counts page
+	// hotspotPageSize overrides cfg.BlockSize: heat ranking counts page
 	// touches, not bytes, and small pages keep the skewed read phase —
 	// serialized on the hot pages' holder NICs — down to seconds.
 	hotspotPageSize = 32 << 10
@@ -67,7 +67,7 @@ type HotspotResult struct {
 // by hot-set rank, for the BENCH report.
 func Hotspot(cfg Config) (*HotspotResult, []*metrics.Series, error) {
 	cfg = cfg.withDefaults()
-	cfg.PageSize = hotspotPageSize
+	cfg.BlockSize = hotspotPageSize
 	env, err := newBSFSEnv(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -131,9 +131,9 @@ func Hotspot(cfg Config) (*HotspotResult, []*metrics.Series, error) {
 				return
 			}
 			defer f.Close()
-			buf := make([]byte, cfg.PageSize)
+			buf := make([]byte, cfg.BlockSize)
 			for _, page := range seqs[r] {
-				if _, err := f.ReadAt(buf, int64(page)*int64(cfg.PageSize)); err != nil {
+				if _, err := f.ReadAt(buf, int64(page)*int64(cfg.BlockSize)); err != nil {
 					errs <- fmt.Errorf("read page %d: %w", page, err)
 					return
 				}
@@ -167,7 +167,7 @@ func Hotspot(cfg Config) (*HotspotResult, []*metrics.Series, error) {
 	holders := make(map[string]bool)
 	loc := env.mount(0)
 	for _, page := range trueTop {
-		locs, err := loc.BlockLocations(ctx, path, page*cfg.PageSize, cfg.PageSize)
+		locs, err := loc.BlockLocations(ctx, path, page*cfg.BlockSize, cfg.BlockSize)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -82,6 +82,7 @@ func Incident(cfg Config) (*IncidentResult, error) {
 	envCfg := cfg
 	envCfg.VMShards = incidentShards
 	envCfg.JournalDir = filepath.Join(dir, "journal")
+	envCfg.HealthPingTimeout = incidentPingTmo
 	if err := os.MkdirAll(envCfg.JournalDir, 0o755); err != nil {
 		return nil, err
 	}
@@ -91,7 +92,6 @@ func Incident(cfg Config) (*IncidentResult, error) {
 	}
 	defer env.Close()
 	d := env.deploy
-	d.HealthPingTimeout = incidentPingTmo
 
 	if err := d.EnableFlight(flightPath, bsfs.FlightConfig{
 		Sampler: flight.SamplerOptions{SlowFloor: 2 * time.Millisecond},
@@ -111,10 +111,16 @@ func Incident(cfg Config) (*IncidentResult, error) {
 	// Zipf readers hammer.
 	clients := make([]*blob.Client, incidentWriters)
 	blobs := make([]*blob.Blob, incidentWriters)
+	hosts := env.cluster.ProviderHosts()
 	for w := range clients {
-		hosts := env.cluster.ProviderHosts()
-		clients[w] = env.cluster.Client(hosts[w%len(hosts)])
-		bl, err := clients[w].Create(ctx, cfg.PageSize)
+		// The drill's clients keep the library's page cache whatever the
+		// environment's -cachemb says: the hotspot's signal is page heat,
+		// which counts cache hits, and readers that re-fetched every hot
+		// page over the shaped net would outlast the outage they overlap.
+		cc := env.cluster.ClientConfig(hosts[w%len(hosts)])
+		cc.CacheBytes = 0
+		clients[w] = blob.NewClient(cc)
+		bl, err := clients[w].Create(ctx, cfg.BlockSize)
 		if err != nil {
 			return nil, err
 		}
@@ -202,10 +208,10 @@ func Incident(cfg Config) (*IncidentResult, error) {
 			go func(r int) {
 				rng := rand.New(rand.NewSource(cfg.Seed + seedOff + int64(r)))
 				zipf := rand.NewZipf(rng, incidentZipfS, 1, incidentHotPages-1)
-				buf := make([]byte, cfg.PageSize)
+				buf := make([]byte, cfg.BlockSize)
 				for i := 0; i < incidentHotReads; i++ {
 					page := zipf.Uint64()
-					if _, err := blobs[hot].ReadAtInto(ctx, hotVer, page*cfg.PageSize, buf); err != nil {
+					if _, err := blobs[hot].ReadAtInto(ctx, hotVer, page*cfg.BlockSize, buf); err != nil {
 						errs <- fmt.Errorf("reader %d: %w", r, err)
 						return
 					}

@@ -142,7 +142,7 @@ func newMetaEnv(cfg Config, shards int, journalDir string) (*metaEnv, error) {
 	cluster, err := blob.NewCluster(net, blob.ClusterConfig{
 		Providers:     metaProviders,
 		MetaProviders: cfg.MetaProviders,
-		Strategy:      cfg.Placement,
+		Strategy:      cfg.Strategy,
 		VMShards:      shards,
 		JournalDir:    journalDir,
 	})

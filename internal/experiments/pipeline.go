@@ -26,7 +26,7 @@ type PipelineResult struct {
 func Pipeline(cfg Config) (*PipelineResult, error) {
 	cfg = cfg.withDefaults()
 
-	targetLines := int(3 * cfg.PageSize / 45)
+	targetLines := int(3 * cfg.BlockSize / 45)
 	keys := targetLines / 8
 	if keys < 8 {
 		keys = 8

@@ -56,7 +56,7 @@ func Shuffle(cfg Config) (*ShuffleResult, error) {
 		RerunsBlob:   &metrics.Series{Name: "blob map re-runs", XLabel: "tracker failure", YLabel: "maps"},
 	}
 
-	text := workload.Text(int(24*cfg.PageSize), cfg.Seed+61)
+	text := workload.Text(int(24*cfg.BlockSize), cfg.Seed+61)
 	for _, backend := range []shuffle.Backend{shuffle.Memory, shuffle.Blob} {
 		for _, kill := range []bool{false, true} {
 			r, err := runShufflePoint(cfg, backend, kill, text)
@@ -104,7 +104,7 @@ func runShufflePoint(cfg Config, backend shuffle.Backend, kill bool, text string
 	// padding (segments pad to whole pages to stay boundary-merge-
 	// free). An eighth of the chunk size bounds the waste while
 	// keeping appends page-aligned.
-	job.ShufflePageSize = cfg.PageSize / 8
+	job.ShufflePageSize = cfg.BlockSize / 8
 	job.MapCostPerRecord = 10 * time.Microsecond
 	if kill {
 		trackers := fw.Trackers()

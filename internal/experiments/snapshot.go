@@ -119,7 +119,7 @@ func Snapshot(cfg Config) (*SnapshotResult, error) {
 	res := &SnapshotResult{Appenders: snapAppenders, Rounds: snapRounds}
 	const path = "/snap/events"
 	fs := env.mount(0)
-	if err := dfs.WriteFile(ctx, fs, path, snapBlock(cfg.PageSize, 999, 0)); err != nil {
+	if err := dfs.WriteFile(ctx, fs, path, snapBlock(cfg.BlockSize, 999, 0)); err != nil {
 		return nil, err
 	}
 
@@ -162,7 +162,7 @@ func Snapshot(cfg Config) (*SnapshotResult, error) {
 					phase1.Done()
 					<-resume
 				}
-				if _, err := f.Write(snapBlock(cfg.PageSize, w, r)); err != nil {
+				if _, err := f.Write(snapBlock(cfg.BlockSize, w, r)); err != nil {
 					appErr <- fmt.Errorf("appender %d round %d: %w", w, r, err)
 					return
 				}

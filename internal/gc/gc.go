@@ -52,11 +52,10 @@ type Options struct {
 	// timer: passes then run only on Kick (the version manager kicks on
 	// every DeleteBlob/TruncateBefore/SetRetention) or explicit RunOnce.
 	Interval time.Duration
-	// BatchSize bounds one provider delete RPC (default 256 keys).
-	BatchSize int
-	// Stats receives the collector's counters (nil allocates one).
-	Stats *metrics.GCStats
 }
+
+// deleteBatch bounds one provider delete RPC, in keys.
+const deleteBatch = 256
 
 // Collector drives reclamation for one deployment. It talks to the
 // version manager, metadata DHT, and providers through a regular
@@ -127,17 +126,12 @@ type Report struct {
 // dedicated client so the collector's cache purges cannot race real
 // readers' caches.
 func New(c *blob.Client, opts Options) *Collector {
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = 256
-	}
-	if opts.Stats == nil {
-		opts.Stats = &metrics.GCStats{}
-	}
-	metrics.Default.AttachGCStats(opts.Stats)
+	stats := &metrics.GCStats{}
+	metrics.Default.AttachGCStats(stats)
 	g := &Collector{
 		c:       c,
 		opts:    opts,
-		stats:   opts.Stats,
+		stats:   stats,
 		now:     time.Now,
 		enabled: true,
 		queues:  make(map[string][]pagestore.Key),
@@ -182,29 +176,17 @@ func (g *Collector) Close() {
 		close(g.done)
 	}
 	g.wg.Wait()
-}
-
-// SetInterval (re)arms the periodic pass cadence; 0 disables the timer
-// (kick-driven passes keep working). Deployments arm it after flag
-// parsing.
-func (g *Collector) SetInterval(d time.Duration) {
-	g.mu.Lock()
-	g.opts.Interval = d
-	g.mu.Unlock()
-	g.Kick() // re-enter the loop so the new cadence takes effect
+	metrics.Default.ReleaseGCStats(g.stats)
 }
 
 func (g *Collector) loop() {
 	defer g.wg.Done()
 	for {
-		g.mu.Lock()
-		iv := g.opts.Interval
-		g.mu.Unlock()
 		var tickC <-chan time.Time
 		var timer *time.Timer
-		if iv > 0 {
+		if g.opts.Interval > 0 {
 			//lint:walltime the reclaim cadence is wall-clock by design; RunOnce is the injectable seam tests drive
-			timer = time.NewTimer(iv)
+			timer = time.NewTimer(g.opts.Interval)
 			tickC = timer.C
 		}
 		fired := false
@@ -475,8 +457,8 @@ func (g *Collector) flush(ctx context.Context, rep *Report) {
 		delete(g.queues, addr)
 		g.mu.Unlock()
 
-		for off := 0; off < len(keys); off += g.opts.BatchSize {
-			end := off + g.opts.BatchSize
+		for off := 0; off < len(keys); off += deleteBatch {
+			end := off + deleteBatch
 			if end > len(keys) {
 				end = len(keys)
 			}
@@ -497,18 +479,6 @@ func (g *Collector) flush(ctx context.Context, rep *Report) {
 			}
 		}
 	}
-}
-
-// PendingDeletes reports the queued-but-undelivered page deletions
-// (tests use it to observe retry behaviour).
-func (g *Collector) PendingDeletes() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := 0
-	for _, q := range g.queues {
-		n += len(q)
-	}
-	return n
 }
 
 //

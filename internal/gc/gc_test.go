@@ -152,7 +152,7 @@ func TestRetentionBoundsStorage(t *testing.T) {
 // ErrVersionCollected.
 func TestDeleteBlobReclaimsEverything(t *testing.T) {
 	const ps = uint64(512)
-	h := newHarness(t, blob.ClusterConfig{Providers: 3, MetaProviders: 3, PageReplicas: 2})
+	h := newHarness(t, blob.ClusterConfig{Providers: 3, MetaProviders: 3, ClientPolicy: blob.ClientPolicy{PageReplicas: 2}})
 	bl, err := h.cl.Create(ctx, ps)
 	if err != nil {
 		t.Fatal(err)

@@ -8,13 +8,13 @@ import (
 )
 
 // ClusterConfig sizes an in-process HDFS deployment: one namenode on a
-// dedicated machine and datanodes on the remaining nodes (§4.1).
+// dedicated machine and datanodes ("node-000"…) on the remaining nodes
+// (§4.1).
 type ClusterConfig struct {
 	Datanodes  int
 	Replicas   int
 	Seed       int64
 	Synthesize bool // use the synthesizing block store (experiments)
-	HostPrefix string
 }
 
 // Cluster is an in-process HDFS deployment.
@@ -30,9 +30,6 @@ func NewCluster(net transport.Network, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Datanodes <= 0 {
 		cfg.Datanodes = 8
 	}
-	if cfg.HostPrefix == "" {
-		cfg.HostPrefix = "node"
-	}
 	c := &Cluster{Net: net, Cfg: cfg}
 	nn, err := NewNamenode(net, transport.MakeAddr("namenode-host", SvcNamenode),
 		NamenodeConfig{Replicas: cfg.Replicas, Seed: cfg.Seed})
@@ -41,7 +38,7 @@ func NewCluster(net transport.Network, cfg ClusterConfig) (*Cluster, error) {
 	}
 	c.NN = nn
 	for i := 0; i < cfg.Datanodes; i++ {
-		addr := transport.MakeAddr(fmt.Sprintf("%s-%03d", cfg.HostPrefix, i), SvcDatanode)
+		addr := transport.MakeAddr(fmt.Sprintf("node-%03d", i), SvcDatanode)
 		var store pagestore.Store
 		if cfg.Synthesize {
 			store = pagestore.NewSynthesize()

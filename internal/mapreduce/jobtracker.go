@@ -248,6 +248,7 @@ func (jt *JobTracker) RunStreaming(ctx context.Context, fs dfs.FileSystem, conf 
 		res.SegmentsAppended = snap.SegmentsAppended
 		res.SegmentsFetched = snap.SegmentsFetched
 		res.SegmentsRecovered = snap.SegmentsRecovered
+		job.shuffle.Close()
 	}
 
 	for _, tt := range jt.trackers {

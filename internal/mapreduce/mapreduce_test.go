@@ -42,7 +42,7 @@ func newBSFSEnv(t *testing.T, hosts int) *env {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	d, err := bsfs.Deploy(cluster, testBlock)
+	d, err := bsfs.Deploy(cluster, bsfs.DeployConfig{Tuning: bsfs.Tuning{BlockSize: testBlock}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func newBSFSEnvSlots(t *testing.T, hosts, mapSlots, reduceSlots int) *env {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cluster.Close() })
-	d, err := bsfs.Deploy(cluster, testBlock)
+	d, err := bsfs.Deploy(cluster, bsfs.DeployConfig{Tuning: bsfs.Tuning{BlockSize: testBlock}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestBlobShuffleJobEndCleanup(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cluster.Close() })
-		d, err := bsfs.Deploy(cluster, testBlock)
+		d, err := bsfs.Deploy(cluster, bsfs.DeployConfig{Tuning: bsfs.Tuning{BlockSize: testBlock}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -231,3 +231,40 @@ func BenchmarkHistogramRecord(b *testing.B) {
 		}
 	})
 }
+
+// TestRegistryReleaseKeepsTotals: components attach a counter set when
+// they start and release it when they close. However many come and go,
+// the registry must hold only the live ones while its exported sums
+// keep every count ever made.
+func TestRegistryReleaseKeepsTotals(t *testing.T) {
+	r := NewRegistry()
+	const cycles = 50
+	for i := 0; i < cycles; i++ {
+		rs, gs, ss := &ReadStats{}, &GCStats{}, &ShuffleStats{}
+		r.AttachReadStats(rs)
+		r.AttachGCStats(gs)
+		r.AttachShuffleStats(ss)
+		rs.AddHit()
+		rs.NoteProviderFailure("node-000:provider")
+		gs.AddPass()
+		ss.AddAppended(10)
+		r.ReleaseReadStats(rs)
+		r.ReleaseReadStats(rs) // a second release must not count twice
+		r.ReleaseGCStats(gs)
+		r.ReleaseShuffleStats(ss)
+		rs.AddHit() // after release: nobody is listening
+	}
+	if n := len(r.reads.live) + len(r.gcs.live) + len(r.shuffles.live); n != 0 {
+		t.Errorf("%d sets still attached after %d attach/release cycles, want 0", n, cycles)
+	}
+	live := &ReadStats{}
+	r.AttachReadStats(live)
+	live.AddHit()
+	snap := r.Snapshot()
+	if snap.Read.Hits != cycles+1 || snap.Read.FailedProviders["node-000:provider"] != cycles {
+		t.Errorf("read = %+v, want %d hits and %d failures", snap.Read, cycles+1, cycles)
+	}
+	if snap.GC.Passes != cycles || snap.Shuffle.SegmentsAppended != cycles || snap.Shuffle.BytesAppended != 10*cycles {
+		t.Errorf("gc = %+v shuffle = %+v, want %d passes and segments", snap.GC, snap.Shuffle, cycles)
+	}
+}

@@ -26,9 +26,9 @@ type Registry struct {
 	RPCServer *RPCStats
 
 	mu       sync.Mutex
-	reads    []*ReadStats
-	gcs      []*GCStats
-	shuffles []*ShuffleStats
+	reads    attached[*ReadStats, ReadSnapshot]
+	gcs      attached[*GCStats, GCSnapshot]
+	shuffles attached[*ShuffleStats, ShuffleSnapshot]
 	ops      map[string]*Histogram
 	gauges   map[string]func() float64
 	heat     map[string]HeatSource
@@ -80,50 +80,103 @@ func NewRegistry() *Registry {
 // Default is the process-wide registry.
 var Default = NewRegistry()
 
-// AttachReadStats adopts a read-path counter set; snapshots sum every
-// attached set. Attaching the same set twice is a no-op.
-func (r *Registry) AttachReadStats(s *ReadStats) {
-	if s == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, have := range r.reads {
+// attached is the registry's view of one kind of subsystem counters:
+// the sets of the components alive now, plus the final counts of the
+// ones that closed, folded into one retired total — so the exported
+// sums stay monotonic while the registry holds no set (and scans none)
+// longer than its component lives. Guarded by Registry.mu.
+type attached[T interface {
+	comparable
+	Snapshot() S
+}, S interface{ merge(S) S }] struct {
+	live    []T
+	retired S
+}
+
+func (a *attached[T, S]) index(s T) int {
+	for i, have := range a.live {
 		if have == s {
-			return
+			return i
 		}
 	}
-	r.reads = append(r.reads, s)
+	return -1
+}
+
+// attach adopts s; a nil or already attached set is a no-op.
+func (a *attached[T, S]) attach(s T) {
+	var none T
+	if s != none && a.index(s) < 0 {
+		a.live = append(a.live, s)
+	}
+}
+
+// release drops s, keeping its final counts; a set that is not
+// attached (never was, or released already) is a no-op.
+func (a *attached[T, S]) release(s T) {
+	if i := a.index(s); i >= 0 {
+		a.retired = a.retired.merge(s.Snapshot())
+		a.live = append(a.live[:i], a.live[i+1:]...)
+	}
+}
+
+// view copies a under the registry lock so sum can run outside it.
+func (a *attached[T, S]) view() attached[T, S] {
+	return attached[T, S]{live: append([]T(nil), a.live...), retired: a.retired}
+}
+
+// sum is the retired total plus every live set.
+func (a *attached[T, S]) sum() S {
+	out := a.retired
+	for _, s := range a.live {
+		out = out.merge(s.Snapshot())
+	}
+	return out
+}
+
+// AttachReadStats adopts a read-path counter set; snapshots sum every
+// attached set. Attaching the same set twice is a no-op. The owner
+// releases the set when it closes (ReleaseReadStats).
+func (r *Registry) AttachReadStats(s *ReadStats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.reads.attach(s)
+}
+
+// ReleaseReadStats drops a counter set whose owner closed. Its counts
+// so far stay in every later snapshot; what it counts afterwards does
+// not.
+func (r *Registry) ReleaseReadStats(s *ReadStats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.reads.release(s)
 }
 
 // AttachGCStats adopts a collector counter set (see AttachReadStats).
 func (r *Registry) AttachGCStats(s *GCStats) {
-	if s == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, have := range r.gcs {
-		if have == s {
-			return
-		}
-	}
-	r.gcs = append(r.gcs, s)
+	r.gcs.attach(s)
+}
+
+// ReleaseGCStats drops a closed collector's set (see ReleaseReadStats).
+func (r *Registry) ReleaseGCStats(s *GCStats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gcs.release(s)
 }
 
 // AttachShuffleStats adopts a shuffle counter set (see AttachReadStats).
 func (r *Registry) AttachShuffleStats(s *ShuffleStats) {
-	if s == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, have := range r.shuffles {
-		if have == s {
-			return
-		}
-	}
-	r.shuffles = append(r.shuffles, s)
+	r.shuffles.attach(s)
+}
+
+// ReleaseShuffleStats drops a finished job's set (see ReleaseReadStats).
+func (r *Registry) ReleaseShuffleStats(s *ShuffleStats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.shuffles.release(s)
 }
 
 // Op returns the named operation-latency histogram, creating it on
@@ -153,18 +206,6 @@ func (r *Registry) OpSnapshot(name string) (HistogramSnapshot, bool) {
 		return HistogramSnapshot{}, false
 	}
 	return h.Snapshot(), true
-}
-
-// OpNames lists the operation histograms recorded so far, sorted.
-func (r *Registry) OpNames() []string {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.ops))
-	for k := range r.ops {
-		names = append(names, k)
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-	return names
 }
 
 // SetGauge registers (or replaces) a named gauge read at snapshot
@@ -200,9 +241,7 @@ const snapshotHeatTopK = 20
 // attached sets of the same kind.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Lock()
-	reads := append([]*ReadStats(nil), r.reads...)
-	gcs := append([]*GCStats(nil), r.gcs...)
-	shuffles := append([]*ShuffleStats(nil), r.shuffles...)
+	reads, gcs, shuffles := r.reads.view(), r.gcs.view(), r.shuffles.view()
 	ops := make(map[string]*Histogram, len(r.ops))
 	for k, v := range r.ops {
 		ops[k] = v
@@ -218,17 +257,11 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Unlock()
 
 	snap := RegistrySnapshot{
+		Read:      reads.sum(),
+		GC:        gcs.sum(),
+		Shuffle:   shuffles.sum(),
 		RPCClient: r.RPCClient.Snapshot(),
 		RPCServer: r.RPCServer.Snapshot(),
-	}
-	for _, s := range reads {
-		snap.Read = snap.Read.merge(s.Snapshot())
-	}
-	for _, s := range gcs {
-		snap.GC = snap.GC.merge(s.Snapshot())
-	}
-	for _, s := range shuffles {
-		snap.Shuffle = snap.Shuffle.merge(s.Snapshot())
 	}
 	if len(ops) > 0 {
 		snap.Ops = make(map[string]LatencyQuantiles, len(ops))

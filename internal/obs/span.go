@@ -49,15 +49,6 @@ func SpanIDs(ctx context.Context) (trace, span uint64, ok bool) {
 	return ref.trace, ref.span, ok
 }
 
-// ContextWithIDs returns ctx carrying an explicit span identity —
-// used by servers adopting a trace context received over the wire.
-func ContextWithIDs(ctx context.Context, trace, span uint64) context.Context {
-	if trace == 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey, spanRef{trace, span})
-}
-
 // StartTrace begins a new trace rooted at a span called name. The
 // returned context carries the trace; every StartSpan and rpc call
 // under it records into the default collector.

@@ -57,13 +57,6 @@ type MetricsServer struct {
 	opts Options
 }
 
-// ServeMetrics starts the export endpoint on addr (":0" picks a free
-// port) serving reg and the default span collector. nil reg means
-// metrics.Default.
-func ServeMetrics(addr string, reg *metrics.Registry) (*MetricsServer, error) {
-	return Serve(addr, Options{Registry: reg})
-}
-
 // Serve starts the export endpoint on addr (":0" picks a free port)
 // with the given options.
 func Serve(addr string, opts Options) (*MetricsServer, error) {

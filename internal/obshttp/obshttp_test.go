@@ -20,7 +20,7 @@ func TestMetricsServerEndpoints(t *testing.T) {
 	reg.SetGauge("client_cache_bytes", func() float64 { return 512 })
 	reg.RPCClient.Method("vm.Assign").Observe(time.Millisecond, 64, nil)
 
-	ms, err := ServeMetrics("127.0.0.1:0", reg)
+	ms, err := Serve("127.0.0.1:0", Options{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

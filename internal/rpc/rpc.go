@@ -383,9 +383,6 @@ func NewClient(net transport.Network, local, remote transport.Addr) *Client {
 	}
 }
 
-// Remote returns the remote endpoint address.
-func (c *Client) Remote() transport.Addr { return c.remote }
-
 // Close tears down the connection; in-flight calls fail.
 func (c *Client) Close() error {
 	c.mu.Lock()

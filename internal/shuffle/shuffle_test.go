@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/metrics"
 	"blobseer/internal/transport"
 )
 
@@ -249,6 +250,16 @@ func TestStoreAppendFetchRoundtrip(t *testing.T) {
 	if snap.SegmentsAppended != maps*parts || snap.SegmentsFetched != maps*parts ||
 		snap.SegmentsRecovered != maps*parts {
 		t.Errorf("stats = %+v", snap)
+	}
+
+	// A store is per job: Close must hand the process registry the
+	// job's final counts and detach the set, or every job ever run
+	// stays in every later /metrics snapshot's scan.
+	before := metrics.Default.Snapshot().Shuffle.SegmentsAppended
+	st.Close()
+	st.Stats().AddAppended(1)
+	if after := metrics.Default.Snapshot().Shuffle.SegmentsAppended; after != before {
+		t.Errorf("registry segments appended %d -> %d across Close: the closed store's counters are still attached (or its total was dropped)", before, after)
 	}
 }
 

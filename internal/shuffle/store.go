@@ -181,7 +181,6 @@ func NewBlobStore(ctx context.Context, c *blob.Client, jobID uint64, partitions 
 		fetched:   make(map[segKey]bool),
 		recovered: make(map[segKey]bool),
 	}
-	metrics.Default.AttachShuffleStats(st.stats)
 	for p := 0; p < partitions; p++ {
 		b, err := c.Create(ctx, pageSize)
 		if err != nil {
@@ -198,11 +197,16 @@ func NewBlobStore(ctx context.Context, c *blob.Client, jobID uint64, partitions 
 		}
 		st.blobs = append(st.blobs, b.ID())
 	}
+	metrics.Default.AttachShuffleStats(st.stats)
 	return st, nil
 }
 
-// Partitions returns the store's reduce-partition count.
-func (st *Store) Partitions() int { return len(st.blobs) }
+// Close ends the store's accounting once its job is over: the process
+// registry keeps the segment counters' final values and lets go of the
+// set. The BLOBs are Cleanup's business.
+func (st *Store) Close() {
+	metrics.Default.ReleaseShuffleStats(st.stats)
+}
 
 // Blobs returns the intermediate BLOB ids (one per partition).
 func (st *Store) Blobs() []uint64 { return append([]uint64(nil), st.blobs...) }

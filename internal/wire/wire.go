@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Common decoding errors.
@@ -96,11 +95,6 @@ func AppendUint32(b []byte, v uint32) []byte {
 // AppendUint64 appends v as a fixed 8-byte little-endian value.
 func AppendUint64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-// AppendFloat64 appends v in IEEE-754 bits.
-func AppendFloat64(b []byte, v float64) []byte {
-	return AppendUint64(b, math.Float64bits(v))
 }
 
 // AppendBool appends v as one byte.
@@ -243,11 +237,6 @@ func (r *Reader) Uint64() uint64 {
 	v := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
 	return v
-}
-
-// Float64 decodes an IEEE-754 value.
-func (r *Reader) Float64() float64 {
-	return math.Float64frombits(r.Uint64())
 }
 
 // Bool decodes a single byte as a boolean.

@@ -40,7 +40,6 @@ func TestVarintRoundTrip(t *testing.T) {
 func TestFixedWidthRoundTrip(t *testing.T) {
 	b := AppendUint32(nil, 0xdeadbeef)
 	b = AppendUint64(b, 0x0123456789abcdef)
-	b = AppendFloat64(b, 3.14159)
 	b = AppendBool(b, true)
 	b = AppendBool(b, false)
 	r := NewReader(b)
@@ -49,9 +48,6 @@ func TestFixedWidthRoundTrip(t *testing.T) {
 	}
 	if got := r.Uint64(); got != 0x0123456789abcdef {
 		t.Errorf("Uint64: got %#x", got)
-	}
-	if got := r.Float64(); got != 3.14159 {
-		t.Errorf("Float64: got %v", got)
 	}
 	if !r.Bool() || r.Bool() {
 		t.Error("Bool: wrong values")

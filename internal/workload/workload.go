@@ -106,14 +106,3 @@ var vocabulary = []string{
 	"grid", "node", "client", "write", "read", "chunk", "block",
 	"pipeline", "reducer", "mapper", "scheduler", "namespace",
 }
-
-// KVLines generates n random "key<TAB>value" lines with keys drawn
-// from keyspace distinct keys.
-func KVLines(n, keyspace int, seed int64) string {
-	rng := rand.New(rand.NewSource(seed))
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "k%05d\tv%08d\n", rng.Intn(keyspace), rng.Int63n(1e8))
-	}
-	return b.String()
-}

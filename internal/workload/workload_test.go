@@ -64,22 +64,3 @@ func TestTextShape(t *testing.T) {
 		t.Error("not deterministic")
 	}
 }
-
-func TestKVLines(t *testing.T) {
-	s := KVLines(100, 10, 7)
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 100 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	keys := map[string]bool{}
-	for _, l := range lines {
-		k, _, ok := strings.Cut(l, "\t")
-		if !ok {
-			t.Fatalf("malformed %q", l)
-		}
-		keys[k] = true
-	}
-	if len(keys) > 10 {
-		t.Errorf("distinct keys = %d, want <= 10", len(keys))
-	}
-}
