@@ -11,10 +11,11 @@ import (
 // result that outlives the decode (stored in a struct field, a
 // package variable or a composite literal, or returned) is a
 // use-after-free unless somebody copies it in time. Decoders that keep
-// the bytes call BytesCopy; the two that alias on purpose
-// (blob.PutPageReq, whose page the store copies before the handler
-// returns, and blob.GetPageResp, whose response frame is never
-// recycled) carry `//lint:framealias <reason>`.
+// the bytes call BytesCopy (or BytesSliceCopy); the three that alias on
+// purpose (blob.PutPageReq, whose page the store copies before the
+// handler returns, and blob.GetPageResp and dht.BatchResp, whose
+// response frames are never recycled) carry
+// `//lint:framealias <reason>`.
 //
 // The check follows a Bytes result through local variables and slice
 // expressions within one function body; it does not follow it into a

@@ -71,3 +71,26 @@ func (m *msg) justified(r *wire.Reader) error {
 	m.data = r.Bytes()
 	return r.Err()
 }
+
+// batchResp is dht.BatchResp's shape: a client-side decode whose
+// values alias the response frame, element by element. The frame
+// belongs to the decoded response, so the alias is justified, once,
+// on the line that takes it.
+func (m *msg) batchResp(r *wire.Reader) error {
+	m.values = make([][]byte, r.Uvarint())
+	for i := range m.values {
+		//lint:framealias fixture: a response frame belongs to the decoded response and is never recycled
+		m.values[i] = r.Bytes()
+	}
+	return r.Err()
+}
+
+// batchReq is the same decode on the request side, where the frame is
+// recycled under whatever the handler stored: still a finding.
+func (m *msg) batchReq(r *wire.Reader) error {
+	m.values = make([][]byte, r.Uvarint())
+	for i := range m.values {
+		m.values[i] = r.Bytes() // want "stored beyond the decode"
+	}
+	return r.Err()
+}

@@ -19,14 +19,14 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// allocated returns the bytes the whole process (clients and the
-// in-process servers) allocated while fn ran.
-func allocated(fn func()) uint64 {
+// allocated returns the bytes and the objects the whole process
+// (clients and the in-process servers) allocated while fn ran.
+func allocated(fn func()) (bytes, objects uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
 const (
@@ -45,6 +45,14 @@ const (
 	// frame the allocator rounds to 72 KiB); a second page-sized copy
 	// anywhere is five times either.
 	metaAllowance = 16 << 10
+	// objectBudget is how many objects one block append may allocate,
+	// whatever the page size and however deep the segment tree: the
+	// metadata commit allocates per version and per member batch, never
+	// per tree node (measured 64 at 288 pages and 63 at 4000; the
+	// per-node design this replaced cost 250, and an object per node
+	// creeping back into the builder, the DHT client and both replicas'
+	// decoders would add 60 at 4096 pages).
+	objectBudget = 140
 )
 
 // TestAllocationBudget is the tier-1 guard on the data path's copies:
@@ -75,10 +83,15 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	write(0, warm)
 	payloads := uint64(blocks * budgetPage) // block(i) itself, made inside the window
-	perPage := (allocated(func() { write(warm, warm+blocks) }) - payloads) / blocks
+	written, objects := allocated(func() { write(warm, warm+blocks) })
+	perPage := (written - payloads) / blocks
 	t.Logf("write path: %d B allocated per 64 KiB page (budget %d)", perPage, pageBudget+metaAllowance)
 	if perPage > pageBudget+metaAllowance {
 		t.Errorf("write path allocates %d B per 64 KiB page, budget %d: a page is being copied more than once per hop", perPage, pageBudget+metaAllowance)
+	}
+	t.Logf("write path: %d objects allocated per block append (budget %d)", objects/blocks, objectBudget)
+	if objects/blocks > objectBudget {
+		t.Errorf("write path allocates %d objects per block append, budget %d", objects/blocks, objectBudget)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -103,7 +116,8 @@ func TestAllocationBudget(t *testing.T) {
 		}
 	}
 	read(0, warm)
-	perPage = (allocated(func() { read(warm, warm+blocks) }) - payloads) / blocks
+	read64k, _ := allocated(func() { read(warm, warm+blocks) })
+	perPage = (read64k - payloads) / blocks
 	t.Logf("read path: %d B allocated per 64 KiB page (budget %d)", perPage, pageBudget+metaAllowance)
 	if perPage > pageBudget+metaAllowance {
 		t.Errorf("cold read path allocates %d B per 64 KiB page, budget %d: a page is being copied more than once per hop", perPage, pageBudget+metaAllowance)
@@ -129,8 +143,8 @@ func TestAppendCostFlatInVersionCount(t *testing.T) {
 	}
 	w := fw.(*fileWriter)
 	data := pattern(3, page)
-	appendRange := func(n int) uint64 {
-		return allocated(func() {
+	appendRange := func(n int) (bytes, objects uint64) {
+		bytes, objects = allocated(func() {
 			for i := 0; i < n; i++ {
 				if _, err := w.Write(data); err != nil {
 					t.Fatal(err)
@@ -139,13 +153,19 @@ func TestAppendCostFlatInVersionCount(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		}) / uint64(n)
+		})
+		return bytes / uint64(n), objects / uint64(n)
 	}
 	appendRange(100)
-	early := appendRange(500) // versions 101..600
+	early, _ := appendRange(500) // versions 101..600
 	appendRange(2900)
-	late := appendRange(500) // versions 3501..4000
-	t.Logf("bytes allocated per append: %d at versions 101-600, %d at versions 3501-4000", early, late)
+	late, lateObjects := appendRange(500) // versions 3501..4000
+	t.Logf("allocated per append: %d B at versions 101-600, %d B and %d objects at versions 3501-4000", early, late, lateObjects)
+	// Twelve tree levels deep, an append must still fit the budget of
+	// one at the root: no object per tree node.
+	if lateObjects > objectBudget {
+		t.Errorf("an append allocates %d objects at version ~3750 (a 4096-page tree), budget %d", lateObjects, objectBudget)
+	}
 	// The segment tree is three levels deeper by then and the metadata
 	// providers' node maps have doubled a few times (both logarithmic:
 	// measured 16 KB against 23 KB). A history copied per append would

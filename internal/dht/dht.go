@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -106,24 +105,17 @@ type BatchReq struct {
 // AppendTo implements wire.Marshaler.
 func (m *BatchReq) AppendTo(b []byte) []byte {
 	b = wire.AppendStringSlice(b, m.Keys)
-	b = wire.AppendUvarint(b, uint64(len(m.Values)))
-	for _, v := range m.Values {
-		b = wire.AppendBytes(b, v)
-	}
-	return b
+	return wire.AppendBytesSlice(b, m.Values)
 }
 
-// DecodeFrom implements wire.Unmarshaler.
+// DecodeFrom implements wire.Unmarshaler. A request frame is recycled,
+// so the batch is copied out of it — once for all keys and once for all
+// values: Keys are substrings of one string and Values sub-slices of
+// one slice, which a provider that stores them keeps alive until the
+// last entry of the batch is deleted.
 func (m *BatchReq) DecodeFrom(r *wire.Reader) error {
 	m.Keys = r.StringSlice()
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.Values = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Values = append(m.Values, r.BytesCopy())
-	}
+	m.Values = r.BytesSliceCopy()
 	return r.Err()
 }
 
@@ -144,17 +136,21 @@ func (m *BatchResp) AppendTo(b []byte) []byte {
 	return b
 }
 
-// DecodeFrom implements wire.Unmarshaler.
+// DecodeFrom implements wire.Unmarshaler. Values alias the frame.
 func (m *BatchResp) DecodeFrom(r *wire.Reader) error {
 	n := r.Uvarint()
 	if r.Err() != nil {
 		return r.Err()
 	}
-	m.Found = make([]bool, 0, n)
-	m.Values = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.Found = append(m.Found, r.Bool())
-		m.Values = append(m.Values, r.BytesCopy())
+	if n > uint64(r.Len()) { // every entry takes at least two bytes
+		return wire.ErrShortBuffer
+	}
+	m.Found = make([]bool, n)
+	m.Values = make([][]byte, n)
+	for i := range m.Found {
+		m.Found[i] = r.Bool()
+		//lint:framealias a response frame belongs to the decoded response and is never recycled
+		m.Values[i] = r.Bytes()
 	}
 	return r.Err()
 }
@@ -237,18 +233,19 @@ func (s *Server) handlePut(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
 	s.put(req.Key, req.Value)
+	s.mu.Unlock()
 	return nil, nil
 }
 
+// put stores one entry; the caller holds s.mu.
 func (s *Server) put(key string, value []byte) {
-	s.mu.Lock()
 	if old, ok := s.data[key]; ok {
 		s.bytes -= uint64(len(old))
 	}
 	s.data[key] = value
 	s.bytes += uint64(len(value))
-	s.mu.Unlock()
 }
 
 func (s *Server) handleDelete(r *wire.Reader) (wire.Marshaler, error) {
@@ -309,9 +306,11 @@ func (s *Server) handlePutBatch(r *wire.Reader) (wire.Marshaler, error) {
 	if len(req.Keys) != len(req.Values) {
 		return nil, fmt.Errorf("dht: put batch with %d keys, %d values", len(req.Keys), len(req.Values))
 	}
+	s.mu.Lock()
 	for i, k := range req.Keys {
 		s.put(k, req.Values[i])
 	}
+	s.mu.Unlock()
 	return nil, nil
 }
 
@@ -362,30 +361,48 @@ func (r *Ring) Lookup(key string, n int) []transport.Addr {
 	if n > len(r.members) {
 		n = len(r.members)
 	}
-	if n <= 0 || len(r.points) == 0 {
+	if n <= 0 {
 		return nil
 	}
-	h := hashString(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
+	var buf [8]int
+	idx := buf[:]
+	if n > len(idx) {
+		idx = make([]int, n)
 	}
-	out := make([]transport.Addr, 0, n)
-	seen := make(map[int]bool, n)
-	for j := 0; len(out) < n && j < len(r.points); j++ {
-		p := r.points[(i+j)%len(r.points)]
-		if !seen[p.member] {
-			seen[p.member] = true
-			out = append(out, r.members[p.member])
-		}
+	r.lookup(key, idx[:n])
+	out := make([]transport.Addr, n)
+	for i, m := range idx[:n] {
+		out[i] = r.members[m]
 	}
 	return out
 }
 
+// lookup fills dst with the indices of the first len(dst) distinct
+// members clockwise of key's hash; len(dst) must not exceed the
+// membership.
+func (r *Ring) lookup(key string, dst []int) {
+	h := hashString(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	for n := 0; n < len(dst); i++ {
+		m := r.points[i%len(r.points)].member
+		dup := false
+		for _, seen := range dst[:n] {
+			dup = dup || seen == m
+		}
+		if !dup {
+			dst[n] = m
+			n++
+		}
+	}
+}
+
 func hashString(s string) uint64 {
-	f := fnv.New64a()
-	f.Write([]byte(s))
-	h := f.Sum64()
+	// FNV-1a, inlined: hash/fnv costs a hasher and a []byte(s) per key.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
 	// FNV alone leaves keys that share a prefix within ~2^44 of each
 	// other (only the final characters multiply the ~2^40 prime), which
 	// clusters them onto one ring arc. A splitmix64-style avalanche
@@ -477,58 +494,130 @@ func (c *Client) Delete(ctx context.Context, key string) error {
 	return nil
 }
 
-// PutBatch writes a set of entries, grouping them by primary replica so
-// one RPC carries all entries destined for the same member. Used by the
-// metadata layer to commit all new segment-tree nodes of a version in a
-// handful of round-trips.
+// errEmptyRing fails a batch on a client whose ring has no members.
+var errEmptyRing = errors.New("dht: empty ring")
+
+// fanOut is one batch operation split by ring member. Key i's j-th
+// replica lives on member owner[i*r+j] and is entry slot[i*r+j] of that
+// member's request: calls[m].req.Keys (and Values, for a put) are
+// consecutive ranges of one slab each, sized by a counting pass.
+type fanOut struct {
+	r     int   // replicas per key
+	owner []int // member index per (key, replica)
+	slot  []int // position in the owner's request per (key, replica)
+	calls []memberCall
+	wg    sync.WaitGroup
+}
+
+// memberCall is one member's share of a fanOut and how it went.
+type memberCall struct {
+	req  BatchReq
+	resp BatchResp // decoded only for GetBatch
+	err  error
+}
+
+// split assigns each of n keys to its first r ring members; value, if
+// not nil, supplies what goes beside key i in every request.
+func (c *Client) split(n, r int, key func(i int) string, value func(i int) []byte) *fanOut {
+	members := len(c.ring.members)
+	scratch := make([]int, 2*n*r+members)
+	f := &fanOut{r: r, owner: scratch[:n*r], slot: scratch[n*r : 2*n*r], calls: make([]memberCall, members)}
+	count := scratch[2*n*r:]
+	for i := 0; i < n; i++ {
+		c.ring.lookup(key(i), f.owner[i*r:(i+1)*r])
+	}
+	for p, m := range f.owner {
+		f.slot[p] = count[m]
+		count[m]++
+	}
+	keys := make([]string, n*r)
+	var values [][]byte
+	if value != nil {
+		values = make([][]byte, n*r)
+	}
+	start := 0
+	for m, k := range count {
+		f.calls[m].req.Keys = keys[start : start+k : start+k]
+		if value != nil {
+			f.calls[m].req.Values = values[start : start+k : start+k]
+		}
+		start += k
+	}
+	for p, m := range f.owner {
+		req := &f.calls[m].req
+		req.Keys[f.slot[p]] = key(p / r)
+		if value != nil {
+			req.Values[f.slot[p]] = value(p / r)
+		}
+	}
+	return f
+}
+
+// run sends every member its non-empty share concurrently (the last one
+// from the calling goroutine) and waits; calls[m].err is the outcome.
+func (c *Client) run(ctx context.Context, method rpc.Method, f *fanOut, wantResp bool) {
+	last := -1
+	for m := range f.calls {
+		if len(f.calls[m].req.Keys) == 0 {
+			continue
+		}
+		if prev := last; prev >= 0 {
+			f.wg.Add(1)
+			go func() {
+				defer f.wg.Done()
+				c.callMember(ctx, method, f, prev, wantResp)
+			}()
+		}
+		last = m
+	}
+	if last >= 0 {
+		c.callMember(ctx, method, f, last, wantResp)
+	}
+	f.wg.Wait()
+}
+
+func (c *Client) callMember(ctx context.Context, method rpc.Method, f *fanOut, m int, wantResp bool) {
+	mc := &f.calls[m]
+	var resp wire.Unmarshaler
+	if wantResp {
+		resp = &mc.resp
+	}
+	mc.err = c.pool.Call(ctx, c.ring.members[m], method, &mc.req, resp)
+}
+
+// firstErr returns the first member failure, naming the member.
+func (c *Client) firstErr(op string, f *fanOut) error {
+	for m := range f.calls {
+		if err := f.calls[m].err; err != nil {
+			return fmt.Errorf("dht %s at %s: %w", op, c.ring.members[m], err)
+		}
+	}
+	return nil
+}
+
+// PutBatch writes a set of entries to all their replicas, one RPC per
+// member carrying every entry destined for it. Used by the metadata
+// layer to commit all new segment-tree nodes of a version in one round
+// trip. Like Put, it tolerates failed members as long as every entry
+// reached at least one replica; an entry that reached none fails the
+// batch, because acking it would ack a commit with tree nodes missing.
 func (c *Client) PutBatch(ctx context.Context, kvs []KV) error {
 	if len(kvs) == 0 {
 		return nil
 	}
-	// member -> batch.
-	batches := make(map[transport.Addr]*BatchReq)
-	for _, kv := range kvs {
-		for _, addr := range c.ring.Lookup(kv.Key, c.replicas) {
-			b, ok := batches[addr]
-			if !ok {
-				b = &BatchReq{}
-				batches[addr] = b
-			}
-			b.Keys = append(b.Keys, kv.Key)
-			b.Values = append(b.Values, kv.Value)
+	if len(c.ring.members) == 0 {
+		return errEmptyRing
+	}
+	f := c.split(len(kvs), c.replicas, func(i int) string { return kvs[i].Key }, func(i int) []byte { return kvs[i].Value })
+	c.run(ctx, MethodPutBatch, f, false)
+	for i := range kvs {
+		stored := false
+		for _, m := range f.owner[i*f.r : (i+1)*f.r] {
+			stored = stored || f.calls[m].err == nil
 		}
-	}
-	type result struct {
-		addr transport.Addr
-		err  error
-	}
-	results := make(chan result, len(batches))
-	for addr, b := range batches {
-		go func(addr transport.Addr, b *BatchReq) {
-			results <- result{addr, c.pool.Call(ctx, addr, MethodPutBatch, b, nil)}
-		}(addr, b)
-	}
-	var firstErr error
-	oks := 0
-	for range batches {
-		r := <-results
-		if r.err == nil {
-			oks++
-		} else if firstErr == nil {
-			firstErr = fmt.Errorf("dht put batch at %s: %w", r.addr, r.err)
+		if !stored {
+			return fmt.Errorf("dht put batch: %q reached none of its %d replicas: %w", kvs[i].Key, f.r, c.firstErr("put batch", f))
 		}
-	}
-	// With replication >= 2 a single failed member is tolerable; all
-	// keys still have at least one live replica only if every key had
-	// one success, which grouping does not track per-key. Be
-	// conservative: any failure with replicas==1 is fatal, otherwise
-	// require at least one member success overall plus warn via error
-	// only when everything failed.
-	if oks == 0 {
-		return firstErr
-	}
-	if firstErr != nil && c.replicas == 1 {
-		return firstErr
 	}
 	return nil
 }
@@ -543,74 +632,40 @@ func (c *Client) DeleteBatch(ctx context.Context, keys []string) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	batches := make(map[transport.Addr]*BatchReq)
-	for _, k := range keys {
-		for _, addr := range c.ring.Lookup(k, c.replicas) {
-			b, ok := batches[addr]
-			if !ok {
-				b = &BatchReq{}
-				batches[addr] = b
-			}
-			b.Keys = append(b.Keys, k)
-		}
+	if len(c.ring.members) == 0 {
+		return errEmptyRing
 	}
-	errs := make(chan error, len(batches))
-	for addr, b := range batches {
-		go func(addr transport.Addr, b *BatchReq) {
-			err := c.pool.Call(ctx, addr, MethodDeleteBatch, b, nil)
-			if err != nil {
-				err = fmt.Errorf("dht delete batch at %s: %w", addr, err)
-			}
-			errs <- err
-		}(addr, b)
-	}
-	var firstErr error
-	for range batches {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	f := c.split(len(keys), c.replicas, func(i int) string { return keys[i] }, nil)
+	c.run(ctx, MethodDeleteBatch, f, false)
+	return c.firstErr("delete batch", f)
 }
 
 // GetBatch fetches many keys; the result slice is parallel to keys and
-// contains nil for entries that are missing everywhere.
+// contains nil for entries that are missing everywhere. Each key is
+// asked of its primary, all primaries at once; what a primary does not
+// have or cannot answer falls back to Get, which tries every replica.
+// The values alias the response frames.
 func (c *Client) GetBatch(ctx context.Context, keys []string) ([][]byte, error) {
 	out := make([][]byte, len(keys))
-	// Group by primary; fall back per-key on miss/failure.
-	groups := make(map[transport.Addr][]int)
-	for i, k := range keys {
-		prim := c.ring.Lookup(k, 1)
-		if len(prim) == 0 {
-			return nil, errors.New("dht: empty ring")
-		}
-		groups[prim[0]] = append(groups[prim[0]], i)
+	if len(keys) == 0 {
+		return out, nil
 	}
-	for addr, idxs := range groups {
-		req := &BatchReq{Keys: make([]string, len(idxs))}
-		for j, i := range idxs {
-			req.Keys[j] = keys[i]
+	if len(c.ring.members) == 0 {
+		return nil, errEmptyRing
+	}
+	f := c.split(len(keys), 1, func(i int) string { return keys[i] }, nil)
+	c.run(ctx, MethodGetBatch, f, true)
+	for i, m := range f.owner {
+		mc := &f.calls[m]
+		if j := f.slot[i]; mc.err == nil && len(mc.resp.Found) == len(mc.req.Keys) && mc.resp.Found[j] {
+			out[i] = mc.resp.Values[j]
+			continue
 		}
-		var resp BatchResp
-		err := c.pool.Call(ctx, addr, MethodGetBatch, req, &resp)
-		if err == nil && len(resp.Found) == len(idxs) {
-			for j, i := range idxs {
-				if resp.Found[j] {
-					out[i] = resp.Values[j]
-				}
-			}
+		v, err := c.Get(ctx, keys[i])
+		if err != nil && !errors.Is(err, ErrNotFound) {
+			return nil, err
 		}
-		// Per-key fallback through replicas for anything still nil.
-		for _, i := range idxs {
-			if out[i] != nil {
-				continue
-			}
-			v, err := c.Get(ctx, keys[i])
-			if err != nil && !errors.Is(err, ErrNotFound) {
-				return nil, err
-			}
-			out[i] = v
-		}
+		out[i] = v
 	}
 	return out, nil
 }

@@ -4,18 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"hash/fnv"
 	"sync"
 	"testing"
 
 	"blobseer/internal/rpc"
+	"blobseer/internal/segtree"
 	"blobseer/internal/transport"
 )
 
 // testCluster spins up n metadata providers on a MemNet.
-func testCluster(t *testing.T, n, replicas int) (*Client, []*Server) {
+func testCluster(t testing.TB, n, replicas int) (*Client, []*Server) {
 	t.Helper()
-	net := transport.NewMemNet()
+	return testClusterOn(t, transport.NewMemNet(), n, replicas)
+}
+
+func testClusterOn(t testing.TB, net transport.Network, n, replicas int) (*Client, []*Server) {
+	t.Helper()
 	servers := make([]*Server, n)
 	members := make([]transport.Addr, n)
 	for i := range servers {
@@ -166,26 +171,56 @@ func TestEmptyBatch(t *testing.T) {
 	}
 }
 
+// appendNodeKeys returns the first n segment-tree node keys that
+// one-page appends to one BLOB commit: version v owns the nodes above
+// page v-1 on every level. They are binary and share most of their
+// bytes, which is what the ring has to spread.
+func appendNodeKeys(n int) []string {
+	keys := make([]string, 0, n)
+	for v := uint64(1); ; v++ {
+		page := v - 1
+		for span := uint64(1); span <= segtree.RootSpan(v); span *= 2 {
+			if len(keys) == n {
+				return keys
+			}
+			keys = append(keys, segtree.NodeKey(7, v, page&^(span-1), span))
+		}
+	}
+}
+
 func TestRingBalance(t *testing.T) {
 	members := make([]transport.Addr, 20)
 	for i := range members {
 		members[i] = transport.MakeAddr(fmt.Sprintf("meta-%d", i), "dht")
 	}
-	ring := NewRing(members, 64)
-	counts := make(map[transport.Addr]int)
-	const keys = 20000
-	for i := 0; i < keys; i++ {
-		prim := ring.Lookup(fmt.Sprintf("key-%d", i), 1)
-		counts[prim[0]]++
+	textKeys := make([]string, 20000)
+	for i := range textKeys {
+		textKeys[i] = fmt.Sprintf("key-%d", i)
 	}
-	mean := float64(keys) / float64(len(members))
-	for m, c := range counts {
-		if math.Abs(float64(c)-mean)/mean > 0.5 {
-			t.Errorf("member %s holds %d keys, mean %.0f (>50%% imbalance)", m, c, mean)
+	for _, tc := range []struct {
+		name    string
+		members []transport.Addr
+		keys    []string
+		minLoad float64 // idlest and busiest member's keys over the mean
+		maxLoad float64
+	}{
+		{"text keys, 20 members", members, textKeys, 0.5, 1.5},
+		{"node keys of one BLOB, 3 members", members[:3], appendNodeKeys(10000), 0.5, 1.25},
+	} {
+		ring := NewRing(tc.members, 64)
+		counts := make(map[transport.Addr]int)
+		for _, k := range tc.keys {
+			counts[ring.Lookup(k, 1)[0]]++
 		}
-	}
-	if len(counts) != len(members) {
-		t.Errorf("only %d of %d members received keys", len(counts), len(members))
+		mean := float64(len(tc.keys)) / float64(len(tc.members))
+		for m, c := range counts {
+			if load := float64(c) / mean; load < tc.minLoad || load > tc.maxLoad {
+				t.Errorf("%s: member %s holds %d keys, %.2f of the mean %.0f (want %.2f to %.2f)", tc.name, m, c, load, mean, tc.minLoad, tc.maxLoad)
+			}
+		}
+		if len(counts) != len(tc.members) {
+			t.Errorf("%s: only %d of %d members received keys", tc.name, len(counts), len(tc.members))
+		}
 	}
 }
 
@@ -215,12 +250,30 @@ func TestRingDeterministic(t *testing.T) {
 	members := []transport.Addr{"a/dht", "b/dht", "c/dht"}
 	r1 := NewRing(members, 64)
 	r2 := NewRing(members, 64)
+	keys := appendNodeKeys(50)
 	for i := 0; i < 50; i++ {
-		k := fmt.Sprintf("key-%d", i)
+		keys = append(keys, fmt.Sprintf("key-%d", i))
+	}
+	for _, k := range keys {
 		a := r1.Lookup(k, 2)
 		b := r2.Lookup(k, 2)
 		if len(a) != len(b) || a[0] != b[0] || a[1] != b[1] {
 			t.Fatalf("ring not deterministic for %q: %v vs %v", k, a, b)
+		}
+	}
+	// The hash is FNV-1a under an avalanche finalizer, whoever computes
+	// it: placement must not move when the implementation does.
+	for _, k := range keys {
+		f := fnv.New64a()
+		f.Write([]byte(k))
+		h := f.Sum64()
+		h ^= h >> 30
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
+		h *= 0x94d049bb133111eb
+		h ^= h >> 31
+		if got := hashString(k); got != h {
+			t.Fatalf("hashString(%q) = %#x, want %#x", k, got, h)
 		}
 	}
 }

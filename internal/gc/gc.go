@@ -307,8 +307,8 @@ func (g *Collector) computeWork(br *blob.BlobReclaim) *reclaimWork {
 				w.leafKeys = append(w.leafKeys, segtree.LeafKey(br.Blob, v, i))
 				w.leafPages = append(w.leafPages, pagestore.Key{Blob: br.Blob, Version: v, Index: i})
 			}
-			for _, nr := range segtree.VersionNodes(br.Blob, rec, recs[:v-1]) {
-				w.deadNodes = append(w.deadNodes, nr.Key)
+			for _, nr := range segtree.VersionNodes(rec, recs[:v-1]) {
+				w.deadNodes = append(w.deadNodes, segtree.NodeKey(br.Blob, v, nr.Off, nr.Span))
 			}
 			g.c.PurgeVersion(br.Blob, v)
 		}
@@ -339,7 +339,7 @@ func (g *Collector) computeWork(br *blob.BlobReclaim) *reclaimWork {
 	// scan ships the full prefix again).
 	for v := st.processed + 1; v <= br.To && v <= n; v++ {
 		if v > br.From {
-			for _, nr := range segtree.VersionNodes(br.Blob, recs[v-1], recs[:v-1]) {
+			for _, nr := range segtree.VersionNodes(recs[v-1], recs[:v-1]) {
 				owner := st.owners.latest(nr.Off, nr.Span)
 				if owner == 0 {
 					continue // no predecessor: fresh range or hole wrapper
@@ -394,6 +394,7 @@ func (g *Collector) executeWork(ctx context.Context, w *reclaimWork, rep *Report
 			ref, err := segtree.DecodeLeaf(raw)
 			if err != nil || ref.Hole {
 				if err != nil {
+					obs.Log.Debugf("gc: leaf %s: %v", segtree.FormatKey(w.leafKeys[i]), err)
 					rep.PagesUnlocatable++
 				}
 				continue // holes store no page

@@ -270,3 +270,86 @@ func TestResponseSendFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledCallsNeverCrossResults: a call's result channel goes back
+// to the pool after a normal receive only. Callers whose deadlines
+// expire around the moment their response arrives leave a sender
+// behind; if their channel were recycled, the stale result would answer
+// somebody else's call. Every call that succeeds must see its own echo.
+func TestRecycledCallsNeverCrossResults(t *testing.T) {
+	net := transport.NewMemNet()
+	s, err := NewServer(net, "srv/echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Handle(methodAliasEcho, handleAliasEcho)
+	c := NewClient(net, "cli/x", "srv/echo")
+	defer c.Close()
+
+	const callers, calls = 8, 400
+	var wg sync.WaitGroup
+	var expired atomic.Int64
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				want := payload(byte(g*calls+i), 32+i%64)
+				// Deadlines straddle the round-trip time of a small echo.
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%40)*2*time.Microsecond)
+				var resp aliasMsg
+				err := c.Call(ctx, methodAliasEcho, &aliasMsg{data: want}, &resp)
+				cancel()
+				switch {
+				case errors.Is(err, context.DeadlineExceeded):
+					expired.Add(1)
+				case err != nil:
+					t.Error(err)
+					return
+				case !bytes.Equal(resp.data, want):
+					t.Errorf("caller %d call %d received another call's response", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	t.Logf("%d of %d calls expired", expired.Load(), callers*calls)
+}
+
+// TestEchoAllocationBudget: an empty call costs the response frame its
+// decoded response keeps, the response body the handler returns, and
+// nothing per call on either side of the rpc layer itself — no result
+// channel, no Reader.
+func TestEchoAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under the race detector's short job")
+	}
+	net := transport.NewMemNet()
+	s, err := NewServer(net, "srv/echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Handle(methodAliasEcho, handleAliasEcho)
+	c := NewClient(net, "cli/x", "srv/echo")
+	defer c.Close()
+	ctx := context.Background()
+	req := &aliasMsg{}
+	// Let the server's dispatch workers park first: AllocsPerRun runs on
+	// one P, where the call's chain of wake-ups can keep workers that
+	// never ran off the processor, and every request then pays for the
+	// overflow goroutine instead.
+	time.Sleep(10 * time.Millisecond)
+	allocs := testing.AllocsPerRun(500, func() {
+		var resp aliasMsg
+		if err := c.Call(ctx, methodAliasEcho, req, &resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("empty echo: %.0f allocs", allocs)
+	if allocs > 4 {
+		t.Errorf("an empty echo allocates %.0f objects, budget 4", allocs)
+	}
+}

@@ -126,8 +126,8 @@ type request struct {
 	id     uint64
 	method uint32
 	tc     wire.TraceContext
-	frame  []byte       // the whole request frame, released after dispatch
-	r      *wire.Reader // positioned at the request body
+	frame  []byte      // the whole request frame, released after dispatch
+	r      wire.Reader // positioned at the request body
 }
 
 // frameHeader is room for the header either direction puts in front of
@@ -180,10 +180,14 @@ func NewServer(net transport.Network, addr transport.Addr) (*Server, error) {
 
 func (s *Server) dispatchWorker() {
 	defer s.wg.Done()
+	// One request object per worker: a handler is given a pointer to its
+	// Reader, which would otherwise cost an allocation per request.
+	var req request
 	for {
 		select {
-		case req := <-s.reqCh:
-			s.dispatch(req)
+		case req = <-s.reqCh:
+			s.dispatch(&req)
+			req = request{} // a parked worker pins neither frame nor conn
 		case <-s.quit:
 			return
 		}
@@ -271,25 +275,24 @@ func (s *Server) serveConn(c transport.Conn) {
 		if err != nil {
 			return
 		}
-		r := wire.NewReader(frame)
-		kind := r.Uvarint()
-		id := r.Uvarint()
-		method := r.Uvarint()
-		var tc wire.TraceContext
-		if err := tc.DecodeFrom(r); err != nil || kind != kindRequest {
+		req := request{c: c, frame: frame, r: *wire.NewReader(frame)}
+		kind := req.r.Uvarint()
+		req.id = req.r.Uvarint()
+		req.method = uint32(req.r.Uvarint())
+		if err := req.tc.DecodeFrom(&req.r); err != nil || kind != kindRequest {
 			// Corrupt stream: drop the connection, and say so — a
 			// silent teardown here looks like a network fault upstream.
 			obs.Log.Warnf("rpc %s: corrupt request frame (%d bytes), dropping connection", s.addr, len(frame))
 			return
 		}
-		req := request{c: c, id: id, method: uint32(method), tc: tc, frame: frame, r: r}
 		select {
 		case s.reqCh <- req:
 		default:
 			// Every worker is busy (or blocked in a handler): spawn
 			// rather than queue, so one slow handler can never stall
 			// the requests behind it.
-			go s.dispatch(req)
+			overflow := req // its own copy: only this path pays an allocation
+			go s.dispatch(&overflow)
 		}
 	}
 }
@@ -308,7 +311,7 @@ func unknownEntry(method uint32) handlerEntry {
 	}
 }
 
-func (s *Server) dispatch(req request) {
+func (s *Server) dispatch(req *request) {
 	s.mu.Lock()
 	ent, known := s.handlers[req.method]
 	s.mu.Unlock()
@@ -324,7 +327,7 @@ func (s *Server) dispatch(req request) {
 	if ent.h == nil {
 		err = fmt.Errorf("%w: %d at %s", ErrUnknownMethod, req.method, s.addr)
 	} else {
-		body, err = ent.h(req.r)
+		body, err = ent.h(&req.r)
 	}
 	if err != nil {
 		body = nil
@@ -362,13 +365,27 @@ type Client struct {
 	mu      sync.Mutex
 	conn    transport.Conn
 	nextID  uint64
-	pending map[uint64]chan callResult
+	pending map[uint64]*call
 	closed  bool
 }
 
+// call is what a Call parks in pending: the channel its result arrives
+// on and the Reader its response is decoded through (DecodeFrom takes a
+// pointer, which has to point somewhere that outlives the stack frame).
+// A call is recycled after its result was received and nowhere else:
+// whoever removes a call from pending sends on done exactly once, so a
+// Call that leaves without receiving — on ctx.Done() or a failed send —
+// may leave a sender behind that still holds the channel.
+type call struct {
+	done chan callResult // buffered: the sender never blocks
+	body wire.Reader
+}
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan callResult, 1)} }}
+
 type callResult struct {
-	frame []byte // positioned response body (after header decode)
-	body  *wire.Reader
+	frame []byte      // the whole response frame
+	body  wire.Reader // positioned at the response body
 	err   error
 }
 
@@ -379,7 +396,7 @@ func NewClient(net transport.Network, local, remote transport.Addr) *Client {
 		net:     net,
 		local:   local,
 		remote:  remote,
-		pending: make(map[uint64]chan callResult),
+		pending: make(map[uint64]*call),
 	}
 }
 
@@ -390,13 +407,13 @@ func (c *Client) Close() error {
 	conn := c.conn
 	c.conn = nil
 	pend := c.pending
-	c.pending = make(map[uint64]chan callResult)
+	c.pending = make(map[uint64]*call)
 	c.mu.Unlock()
 	if conn != nil {
 		conn.Close()
 	}
-	for _, ch := range pend {
-		ch <- callResult{err: ErrConnLost}
+	for _, cl := range pend {
+		cl.done <- callResult{err: ErrConnLost}
 	}
 	return nil
 }
@@ -431,24 +448,24 @@ func (c *Client) recvLoop(conn transport.Conn) {
 			c.failConn(conn, ErrConnLost)
 			return
 		}
-		r := wire.NewReader(frame)
-		kind := r.Uvarint()
-		id := r.Uvarint()
-		rerr := r.Error()
-		if r.Err() != nil || kind != kindResponse {
+		res := callResult{frame: frame, body: *wire.NewReader(frame)}
+		kind := res.body.Uvarint()
+		id := res.body.Uvarint()
+		res.err = res.body.Error()
+		if res.body.Err() != nil || kind != kindResponse {
 			c.failConn(conn, fmt.Errorf("rpc: corrupt response from %s", c.remote))
 			return
 		}
 		c.mu.Lock()
-		ch := c.pending[id]
+		cl := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
-		if ch == nil {
+		if cl == nil {
 			// The caller left on ctx.Done(): nobody will decode this.
 			transport.ReleaseFrame(frame)
 			continue
 		}
-		ch <- callResult{frame: frame, body: r, err: rerr}
+		cl.done <- res
 	}
 }
 
@@ -466,10 +483,10 @@ func (c *Client) failConn(conn transport.Conn, err error) {
 	}
 	c.conn = nil
 	pend := c.pending
-	c.pending = make(map[uint64]chan callResult)
+	c.pending = make(map[uint64]*call)
 	c.mu.Unlock()
-	for _, ch := range pend {
-		ch <- callResult{err: err}
+	for _, cl := range pend {
+		cl.done <- callResult{err: err}
 	}
 }
 
@@ -505,11 +522,11 @@ func (c *Client) Call(ctx context.Context, method Method, req wire.Marshaler, re
 		return err
 	}
 
+	cl := callPool.Get().(*call)
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
-	ch := make(chan callResult, 1)
-	c.pending[id] = ch
+	c.pending[id] = cl
 	c.mu.Unlock()
 
 	frame := wire.AppendUvarint(newFrame(req), kindRequest)
@@ -530,17 +547,22 @@ func (c *Client) Call(ctx context.Context, method Method, req wire.Marshaler, re
 	}
 
 	select {
-	case res := <-ch:
+	case res := <-cl.done:
 		nbytes += len(res.frame)
 		if res.err != nil || resp == nil {
 			// Nothing aliases the frame: a remote error's text is copied
 			// out by the header decode, and no body is decoded. (A
 			// connection-lost result carries no frame.)
 			transport.ReleaseFrame(res.frame)
+			callPool.Put(cl)
 			return res.err
 		}
 		// From here the frame belongs to resp, which may alias it.
-		if err := resp.DecodeFrom(res.body); err != nil {
+		cl.body = res.body
+		err := resp.DecodeFrom(&cl.body)
+		cl.body = wire.Reader{} // a pooled call must not pin the frame
+		callPool.Put(cl)
+		if err != nil {
 			return fmt.Errorf("rpc call %s/%s: decode response: %w", c.remote, method, err)
 		}
 		return nil

@@ -24,7 +24,7 @@ func TestQuickAppendSequences(t *testing.T) {
 			n := uint64(s%9) + 1
 			ver := uint64(i + 1)
 			w := m.apply(ver, off, n)
-			if err := Commit(ctx, store, m.blob, w, m.history[:len(m.history)-1], mkRefs(m.blob, ver, off, n)); err != nil {
+			if err := commitCheckingKeys(store, m.blob, w, m.history[:len(m.history)-1], mkRefs(m.blob, ver, off, n)); err != nil {
 				t.Logf("commit: %v", err)
 				return false
 			}
@@ -64,7 +64,7 @@ func TestQuickPartialResolves(t *testing.T) {
 	for v := uint64(1); v <= 30; v++ {
 		n := uint64(rng.Intn(7) + 1)
 		w := m.apply(v, off, n)
-		if err := Commit(ctx, store, m.blob, w, m.history[:len(m.history)-1], mkRefs(m.blob, v, off, n)); err != nil {
+		if err := commitCheckingKeys(store, m.blob, w, m.history[:len(m.history)-1], mkRefs(m.blob, v, off, n)); err != nil {
 			t.Fatal(err)
 		}
 		off += n

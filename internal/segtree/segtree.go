@@ -24,14 +24,30 @@
 // root, handled below). Metadata commits by concurrent appenders
 // therefore proceed fully in parallel — one batched DHT write each —
 // and only version *publication* is ordered.
+//
+// # Node keys
+//
+// The store key of the node covering [off, off+span) in version ver's
+// tree of a BLOB is the byte keyTag followed by the uvarints of blob,
+// ver, off and span. A uvarint says where it ends, so no key is a
+// prefix of another and ParseKey inverts NodeKey exactly; a uvarint is
+// never longer than the decimal digits of its value, so a key is
+// shorter than the "st/<blob>/<ver>/<off>/<span>" it replaced — which
+// is still what FormatKey prints, because a key is binary and must not
+// reach a log or an error through %s. Commit renders all keys of a
+// version into one string and all encoded values into one byte slice
+// and hands the store substrings of them: a commit allocates per
+// version, not per node.
 package segtree
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 	"strconv"
+	"strings"
 	"sync"
 
 	"blobseer/internal/pagestore"
@@ -83,13 +99,77 @@ func RootSpan(n uint64) uint64 {
 	return 1 << uint(bits.Len64(n-1))
 }
 
-// nodeKey renders the DHT key of the node covering [off, off+span) in
-// the tree of version ver.
-func nodeKey(blob, ver, off, span uint64) string {
-	return "st/" + strconv.FormatUint(blob, 10) +
-		"/" + strconv.FormatUint(ver, 10) +
-		"/" + strconv.FormatUint(off, 10) +
-		"/" + strconv.FormatUint(span, 10)
+// keyTag opens every node key; see "Node keys" in the package comment.
+const keyTag = 's'
+
+// uvarintLen is the encoded size of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// keyLen is the size of the key NodeKey renders.
+func keyLen(blob, ver, off, span uint64) int {
+	return 1 + uvarintLen(blob) + uvarintLen(ver) + uvarintLen(off) + uvarintLen(span)
+}
+
+func appendKey(b []byte, blob, ver, off, span uint64) []byte {
+	b = append(b, keyTag)
+	b = wire.AppendUvarint(b, blob)
+	b = wire.AppendUvarint(b, ver)
+	b = wire.AppendUvarint(b, off)
+	return wire.AppendUvarint(b, span)
+}
+
+// maxKeyLen is the size of the longest key.
+const maxKeyLen = 1 + 4*binary.MaxVarintLen64
+
+// NodeKey renders the store key of the node covering [off, off+span)
+// in version ver's tree.
+func NodeKey(blob, ver, off, span uint64) string {
+	var buf [maxKeyLen]byte
+	return string(appendKey(buf[:0], blob, ver, off, span))
+}
+
+// keySlab renders keys back to back into one string; a key it returned
+// stays valid when a later one makes the slab grow (growing copies, it
+// never rewrites what was rendered).
+type keySlab struct{ strings.Builder }
+
+func (s *keySlab) add(blob, ver, off, span uint64) string {
+	var buf [maxKeyLen]byte
+	k0 := s.Len()
+	s.Write(appendKey(buf[:0], blob, ver, off, span))
+	return s.String()[k0:]
+}
+
+// LeafKey renders the store key of the leaf holding page `page` in the
+// tree of version ver — the node whose value carries the page's
+// provider locations. The garbage collector reads these to learn which
+// providers hold a reclaimable page.
+func LeafKey(blob, ver, page uint64) string {
+	return NodeKey(blob, ver, page, 1)
+}
+
+// ParseKey inverts NodeKey; ok is false for anything NodeKey did not
+// render.
+func ParseKey(key string) (blob, ver, off, span uint64, ok bool) {
+	if len(key) == 0 || key[0] != keyTag {
+		return 0, 0, 0, 0, false
+	}
+	r := wire.NewReader([]byte(key[1:]))
+	blob, ver, off, span = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	// A uvarint padded with zero groups decodes too, but is longer than
+	// the one NodeKey renders.
+	ok = r.Err() == nil && r.Len() == 0 && keyLen(blob, ver, off, span) == len(key)
+	return blob, ver, off, span, ok
+}
+
+// FormatKey renders a node key for people: logs and errors print keys
+// through it, never through %s.
+func FormatKey(key string) string {
+	blob, ver, off, span, ok := ParseKey(key)
+	if !ok {
+		return strconv.Quote(key)
+	}
+	return fmt.Sprintf("st/%d/%d/%d/%d", blob, ver, off, span)
 }
 
 // Node encodings.
@@ -98,76 +178,98 @@ const (
 	nodeLeaf  = 1
 )
 
-func encodeInner(leftPresent bool, leftVer uint64, rightPresent bool, rightVer uint64) []byte {
-	b := []byte{nodeInner}
+func appendInner(b []byte, leftPresent bool, leftVer uint64, rightPresent bool, rightVer uint64) []byte {
+	b = append(b, nodeInner)
 	b = wire.AppendBool(b, leftPresent)
 	b = wire.AppendUvarint(b, leftVer)
 	b = wire.AppendBool(b, rightPresent)
-	b = wire.AppendUvarint(b, rightVer)
-	return b
+	return wire.AppendUvarint(b, rightVer)
 }
 
-func encodeLeaf(ref PageRef) []byte {
-	b := []byte{nodeLeaf}
+func appendLeaf(b []byte, ref PageRef) []byte {
+	b = append(b, nodeLeaf)
 	b = wire.AppendBool(b, ref.Hole)
 	b = wire.AppendUvarint(b, ref.Page.Blob)
 	b = wire.AppendUvarint(b, ref.Page.Version)
 	b = wire.AppendUvarint(b, ref.Page.Index)
-	b = wire.AppendStringSlice(b, ref.Providers)
-	return b
+	return wire.AppendStringSlice(b, ref.Providers)
 }
 
-type innerNode struct {
+// leafLen is the size of what appendLeaf appends.
+func leafLen(ref PageRef) int {
+	n := 2 + uvarintLen(ref.Page.Blob) + uvarintLen(ref.Page.Version) + uvarintLen(ref.Page.Index) +
+		uvarintLen(uint64(len(ref.Providers)))
+	for _, p := range ref.Providers {
+		n += uvarintLen(uint64(len(p))) + len(p)
+	}
+	return n
+}
+
+// node is one decoded tree node: a leaf's page descriptor, or an inner
+// node's two child pointers.
+type node struct {
+	leaf bool
+	ref  PageRef
+
 	leftPresent  bool
 	leftVer      uint64
 	rightPresent bool
 	rightVer     uint64
 }
 
-// decodeNode returns either *innerNode or *PageRef.
-func decodeNode(raw []byte) (interface{}, error) {
+func decodeNode(raw []byte) (node, error) {
+	var n node
 	if len(raw) == 0 {
-		return nil, errors.New("segtree: empty node encoding")
+		return n, errors.New("segtree: empty node encoding")
 	}
 	r := wire.NewReader(raw[1:])
 	switch raw[0] {
 	case nodeInner:
-		var n innerNode
 		n.leftPresent = r.Bool()
 		n.leftVer = r.Uvarint()
 		n.rightPresent = r.Bool()
 		n.rightVer = r.Uvarint()
 		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("segtree: decode inner: %w", err)
+			return n, fmt.Errorf("segtree: decode inner: %w", err)
 		}
-		return &n, nil
 	case nodeLeaf:
-		var ref PageRef
-		ref.Hole = r.Bool()
-		ref.Page.Blob = r.Uvarint()
-		ref.Page.Version = r.Uvarint()
-		ref.Page.Index = r.Uvarint()
-		ref.Providers = r.StringSlice()
+		n.leaf = true
+		n.ref.Hole = r.Bool()
+		n.ref.Page.Blob = r.Uvarint()
+		n.ref.Page.Version = r.Uvarint()
+		n.ref.Page.Index = r.Uvarint()
+		n.ref.Providers = r.StringSlice()
 		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("segtree: decode leaf: %w", err)
+			return n, fmt.Errorf("segtree: decode leaf: %w", err)
 		}
-		return &ref, nil
 	default:
-		return nil, fmt.Errorf("segtree: unknown node tag %d", raw[0])
+		return n, fmt.Errorf("segtree: unknown node tag %d", raw[0])
 	}
+	return n, nil
 }
 
-// builder accumulates the nodes of one version's tree.
+// treeNode is one node a version's tree must own: its page range and,
+// for an inner node (span > 1), its two child pointers.
+type treeNode struct {
+	off, span                 uint64
+	leftPresent, rightPresent bool
+	leftVer, rightVer         uint64
+}
+
+// builder lists the nodes of one version's tree, children before
+// parents.
 type builder struct {
-	blob    uint64
 	w       WriteRecord
 	history []WriteRecord // ascending by Ver, all Ver < w.Ver
-	refs    []PageRef
+	nodes   []treeNode
+}
 
-	keys   []string
-	values [][]byte
-	offs   []uint64 // page range of keys[i]: [offs[i], offs[i]+spans[i])
-	spans  []uint64
+// newBuilder sizes the node list for the worst case: a write of N pages
+// meets at most N/s+2 nodes of span s, and each level adds at most one
+// wrapper node (childPointer), always the leftmost of its level.
+func newBuilder(w WriteRecord, history []WriteRecord) *builder {
+	levels := uint64(bits.Len64(RootSpan(w.PagesAfter)))
+	return &builder{w: w, history: history, nodes: make([]treeNode, 0, 2*w.N+3*levels)}
 }
 
 // intersects reports whether [aOff, aOff+aN) and [bOff, bOff+bN) overlap.
@@ -207,42 +309,30 @@ func (b *builder) childPointer(off, span uint64) (present bool, ver uint64, crea
 	return true, b.w.Ver, true
 }
 
-// build creates the node covering [off, off+span) and recursively all
-// descendants this version must own.
+// build lists the node covering [off, off+span) after all descendants
+// this version must own.
 func (b *builder) build(off, span uint64) {
-	if span == 1 {
-		var ref PageRef
-		if intersects(b.w.Off, b.w.N, off, 1) {
-			ref = b.refs[off-b.w.Off]
-		} else {
-			// Wrapper leaf outside the write with no prior writer.
-			ref = PageRef{Hole: true}
+	n := treeNode{off: off, span: span}
+	if span > 1 {
+		half := span / 2
+		var lc, rc bool
+		n.leftPresent, n.leftVer, lc = b.childPointer(off, half)
+		n.rightPresent, n.rightVer, rc = b.childPointer(off+half, half)
+		if lc {
+			b.build(off, half)
 		}
-		b.keys = append(b.keys, nodeKey(b.blob, b.w.Ver, off, 1))
-		b.values = append(b.values, encodeLeaf(ref))
-		b.offs = append(b.offs, off)
-		b.spans = append(b.spans, 1)
-		return
+		if rc {
+			b.build(off+half, half)
+		}
 	}
-	half := span / 2
-	lp, lv, lc := b.childPointer(off, half)
-	rp, rv, rc := b.childPointer(off+half, half)
-	if lc {
-		b.build(off, half)
-	}
-	if rc {
-		b.build(off+half, half)
-	}
-	b.keys = append(b.keys, nodeKey(b.blob, b.w.Ver, off, span))
-	b.values = append(b.values, encodeInner(lp, lv, rp, rv))
-	b.offs = append(b.offs, off)
-	b.spans = append(b.spans, span)
+	b.nodes = append(b.nodes, n)
 }
 
 // Commit computes and stores all tree nodes for version w of blob.
 // refs[i] describes page w.Off+i; history lists the write intervals of
 // every assigned version below w.Ver (ascending). The commit is one
-// batched write to the node store and reads nothing.
+// batched write to the node store and reads nothing. The keys handed to
+// the store share one backing string and the values one backing slice.
 func Commit(ctx context.Context, store NodeStore, blob uint64, w WriteRecord, history []WriteRecord, refs []PageRef) error {
 	if w.N == 0 {
 		return errors.New("segtree: zero-length write")
@@ -258,50 +348,62 @@ func Commit(ctx context.Context, store NodeStore, blob uint64, w WriteRecord, hi
 			return fmt.Errorf("segtree: history version %d >= committing version %d", h.Ver, w.Ver)
 		}
 	}
-	b := &builder{blob: blob, w: w, history: history, refs: refs}
-	b.build(0, RootSpan(w.PagesAfter))
-	return store.PutNodes(ctx, b.keys, b.values)
+	root := RootSpan(w.PagesAfter)
+	b := newBuilder(w, history)
+	b.build(0, root)
+
+	// No offset reaches PagesAfter, no span exceeds the root's and no
+	// child is newer than w, which bounds both slabs before rendering.
+	valBytes := len(b.nodes) * (3 + 2*uvarintLen(w.Ver))
+	for _, ref := range refs {
+		valBytes += leafLen(ref)
+	}
+	var ks keySlab
+	ks.Grow(len(b.nodes) * keyLen(blob, w.Ver, w.PagesAfter, root))
+	valSlab := make([]byte, 0, valBytes)
+	keys := make([]string, len(b.nodes))
+	values := make([][]byte, len(b.nodes))
+	for i, n := range b.nodes {
+		keys[i] = ks.add(blob, w.Ver, n.off, n.span)
+		v0 := len(valSlab)
+		switch {
+		case n.span > 1:
+			valSlab = appendInner(valSlab, n.leftPresent, n.leftVer, n.rightPresent, n.rightVer)
+		case intersects(w.Off, w.N, n.off, 1):
+			valSlab = appendLeaf(valSlab, refs[n.off-w.Off])
+		default: // wrapper leaf outside the write with no prior writer
+			valSlab = appendLeaf(valSlab, PageRef{Hole: true})
+		}
+		// Like a key, a value stays valid if a wrong bound makes its
+		// slab grow later.
+		values[i] = valSlab[v0:len(valSlab):len(valSlab)]
+	}
+	return store.PutNodes(ctx, keys, values)
 }
 
-// NodeRef names one stored node of a version's tree: its store key and
-// the page range [Off, Off+Span) it covers.
+// NodeRef names one stored node of a version's tree by the page range
+// [Off, Off+Span) it covers; NodeKey renders its store key.
 type NodeRef struct {
-	Key  string
 	Off  uint64
 	Span uint64
 }
 
-// VersionNodes returns the refs of every node version w's commit stored
-// — the exact key set Commit (or a seal) wrote — computed from the
-// write-record history alone, without reading the tree. The garbage
+// VersionNodes returns the range of every node version w's commit
+// stored — the exact node set Commit (or a seal) wrote — computed from
+// the write-record history alone, without reading the tree. The garbage
 // collector uses it to enumerate a dead version's metadata nodes: a
 // node of dead version v is reclaimable iff its range is intersected by
 // some later write at or below the next protected (live or pinned)
 // version, because then every protected tree resolves that range
 // through the later writer's node instead.
-func VersionNodes(blob uint64, w WriteRecord, history []WriteRecord) []NodeRef {
-	b := &builder{blob: blob, w: w, history: history, refs: make([]PageRef, w.N)}
+func VersionNodes(w WriteRecord, history []WriteRecord) []NodeRef {
+	b := newBuilder(w, history)
 	b.build(0, RootSpan(w.PagesAfter))
-	out := make([]NodeRef, len(b.keys))
-	for i := range b.keys {
-		out[i] = NodeRef{Key: b.keys[i], Off: b.offs[i], Span: b.spans[i]}
+	out := make([]NodeRef, len(b.nodes))
+	for i, n := range b.nodes {
+		out[i] = NodeRef{Off: n.off, Span: n.span}
 	}
 	return out
-}
-
-// NodeKey renders the store key of the node covering [off, off+span)
-// in version ver's tree — the exported twin of nodeKey, for the
-// garbage collector's targeted node deletion.
-func NodeKey(blob, ver, off, span uint64) string {
-	return nodeKey(blob, ver, off, span)
-}
-
-// LeafKey renders the store key of the leaf holding page `page` in the
-// tree of version ver — the node whose value carries the page's
-// provider locations. The garbage collector reads these to learn which
-// providers hold a reclaimable page.
-func LeafKey(blob, ver, page uint64) string {
-	return nodeKey(blob, ver, page, 1)
 }
 
 // DecodeLeaf parses a stored leaf node into its PageRef. It fails on
@@ -311,11 +413,10 @@ func DecodeLeaf(raw []byte) (PageRef, error) {
 	if err != nil {
 		return PageRef{}, err
 	}
-	ref, ok := n.(*PageRef)
-	if !ok {
+	if !n.leaf {
 		return PageRef{}, errors.New("segtree: not a leaf node")
 	}
-	return *ref, nil
+	return n.ref, nil
 }
 
 // NodeDeleter is the optional deletion capability of a NodeStore.
@@ -350,9 +451,16 @@ func Resolve(ctx context.Context, store NodeStore, blob, ver, pages, off, n uint
 	slots := make([]Slot, 0, n)
 
 	for len(frontier) > 0 {
+		// One level's keys are substrings of one slab.
+		keyBytes := 0
+		for _, it := range frontier {
+			keyBytes += keyLen(blob, it.ver, it.off, it.span)
+		}
+		var ks keySlab
+		ks.Grow(keyBytes)
 		keys := make([]string, len(frontier))
 		for i, it := range frontier {
-			keys[i] = nodeKey(blob, it.ver, it.off, it.span)
+			keys[i] = ks.add(blob, it.ver, it.off, it.span)
 		}
 		raws, err := store.GetNodes(ctx, keys)
 		if err != nil {
@@ -361,33 +469,32 @@ func Resolve(ctx context.Context, store NodeStore, blob, ver, pages, off, n uint
 		var next []resolveItem
 		for i, it := range frontier {
 			if raws[i] == nil {
-				return nil, fmt.Errorf("%w: %s", ErrNodeMissing, keys[i])
+				return nil, fmt.Errorf("%w: %s", ErrNodeMissing, FormatKey(keys[i]))
 			}
-			node, err := decodeNode(raws[i])
+			nd, err := decodeNode(raws[i])
 			if err != nil {
 				return nil, err
 			}
-			switch v := node.(type) {
-			case *PageRef:
+			if nd.leaf {
 				if it.span != 1 {
 					return nil, fmt.Errorf("segtree: leaf with span %d", it.span)
 				}
-				slots = append(slots, Slot{Index: it.off, Ref: *v})
-			case *innerNode:
-				half := it.span / 2
-				if intersects(off, n, it.off, half) {
-					if v.leftPresent {
-						next = append(next, resolveItem{ver: v.leftVer, off: it.off, span: half})
-					} else {
-						slots = appendHoles(slots, it.off, half, off, n)
-					}
+				slots = append(slots, Slot{Index: it.off, Ref: nd.ref})
+				continue
+			}
+			half := it.span / 2
+			if intersects(off, n, it.off, half) {
+				if nd.leftPresent {
+					next = append(next, resolveItem{ver: nd.leftVer, off: it.off, span: half})
+				} else {
+					slots = appendHoles(slots, it.off, half, off, n)
 				}
-				if intersects(off, n, it.off+half, half) {
-					if v.rightPresent {
-						next = append(next, resolveItem{ver: v.rightVer, off: it.off + half, span: half})
-					} else {
-						slots = appendHoles(slots, it.off+half, half, off, n)
-					}
+			}
+			if intersects(off, n, it.off+half, half) {
+				if nd.rightPresent {
+					next = append(next, resolveItem{ver: nd.rightVer, off: it.off + half, span: half})
+				} else {
+					slots = appendHoles(slots, it.off+half, half, off, n)
 				}
 			}
 		}

@@ -300,15 +300,17 @@ func TestMissingNodeError(t *testing.T) {
 	store := NewMemStore()
 	m := newModel(12)
 	commitModelWrite(t, store, m, 1, 0, 8)
-	// Wipe one node.
-	for k := range store.m {
-		if strings.HasSuffix(k, "/0/1") { // a leaf
-			delete(store.m, k)
-			break
-		}
+	// Wipe one leaf.
+	if err := store.DeleteNodes(ctx, []string{LeafKey(12, 1, 3)}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Resolve(ctx, store, 12, 1, 8, 0, 8); !errors.Is(err, ErrNodeMissing) {
-		t.Errorf("err = %v, want ErrNodeMissing", err)
+	_, err := Resolve(ctx, store, 12, 1, 8, 0, 8)
+	if !errors.Is(err, ErrNodeMissing) {
+		t.Fatalf("err = %v, want ErrNodeMissing", err)
+	}
+	// The key is binary; the error must name the node readably.
+	if !strings.Contains(err.Error(), "st/12/1/3/1") {
+		t.Errorf("err = %q, want the missing node named as st/12/1/3/1", err)
 	}
 }
 
@@ -401,42 +403,49 @@ func TestVersionNodesMatchesCommit(t *testing.T) {
 	store := NewMemStore()
 	recs := []WriteRecord{
 		{Ver: 1, Off: 0, N: 2, PagesAfter: 2},
-		{Ver: 2, Off: 1, N: 2, PagesAfter: 3}, // overwrite + grow
-		{Ver: 3, Off: 6, N: 2, PagesAfter: 8}, // jump past the old root (wrappers)
-		{Ver: 4, Off: 0, N: 1, PagesAfter: 8}, // overwrite inside the grown grid
+		{Ver: 2, Off: 1, N: 2, PagesAfter: 3},       // overwrite + grow
+		{Ver: 3, Off: 6, N: 2, PagesAfter: 8},       // jump past the old root (wrappers)
+		{Ver: 4, Off: 0, N: 1, PagesAfter: 8},       // overwrite inside the grown grid
+		{Ver: 300, Off: 200, N: 3, PagesAfter: 203}, // multi-byte uvarints in every key field
 	}
 	for i, w := range recs {
 		refs := make([]PageRef, w.N)
 		for j := range refs {
 			refs[j] = PageRef{Page: pagestore.Key{Blob: 9, Version: w.Ver, Index: w.Off + uint64(j)}, Providers: []string{"p"}}
 		}
-		before := keySet(store)
-		if err := Commit(ctx, store, 9, w, recs[:i], refs); err != nil {
+		if err := commitCheckingKeys(store, 1<<40+9, w, recs[:i], refs); err != nil {
 			t.Fatal(err)
 		}
-		var committed []string
-		for k := range keySet(store) {
-			if !before[k] {
-				committed = append(committed, k)
-			}
+	}
+}
+
+// commitCheckingKeys commits w and fails unless the keys the commit
+// added to store are exactly VersionNodes' ranges rendered by NodeKey,
+// each parsing back to its range.
+func commitCheckingKeys(store *MemStore, blob uint64, w WriteRecord, history []WriteRecord, refs []PageRef) error {
+	before := keySet(store)
+	if err := Commit(ctx, store, blob, w, history, refs); err != nil {
+		return err
+	}
+	committed := keySet(store)
+	for k := range before {
+		delete(committed, k)
+	}
+	nodes := VersionNodes(w, history)
+	if len(nodes) != len(committed) {
+		return fmt.Errorf("v%d: VersionNodes lists %d nodes, Commit stored %d", w.Ver, len(nodes), len(committed))
+	}
+	for _, nr := range nodes {
+		key := NodeKey(blob, w.Ver, nr.Off, nr.Span)
+		if !committed[key] {
+			return fmt.Errorf("v%d: VersionNodes lists %s, which Commit never stored", w.Ver, FormatKey(key))
 		}
-		nodes := VersionNodes(9, w, recs[:i])
-		if len(nodes) != len(committed) {
-			t.Fatalf("v%d: VersionNodes has %d keys, Commit stored %d", w.Ver, len(nodes), len(committed))
-		}
-		want := make(map[string]bool, len(committed))
-		for _, k := range committed {
-			want[k] = true
-		}
-		for _, nr := range nodes {
-			if !want[nr.Key] {
-				t.Errorf("v%d: VersionNodes key %s never committed", w.Ver, nr.Key)
-			}
-			if nr.Key != NodeKey(9, w.Ver, nr.Off, nr.Span) {
-				t.Errorf("v%d: NodeRef range (%d,%d) disagrees with key %s", w.Ver, nr.Off, nr.Span, nr.Key)
-			}
+		delete(committed, key) // a range listed twice must not pass
+		if b, v, off, span, ok := ParseKey(key); !ok || b != blob || v != w.Ver || off != nr.Off || span != nr.Span {
+			return fmt.Errorf("v%d: key of (%d,%d) parses to %d/%d/%d/%d ok=%v", w.Ver, nr.Off, nr.Span, b, v, off, span, ok)
 		}
 	}
+	return nil
 }
 
 func keySet(s *MemStore) map[string]bool {
@@ -464,5 +473,35 @@ func TestMemStoreDeleteNodes(t *testing.T) {
 	vals, err := s.GetNodes(ctx, []string{"b"})
 	if err != nil || vals[0] == nil {
 		t.Fatalf("survivor missing: %v %v", vals, err)
+	}
+}
+
+// TestCommitAllocationBudget: a commit allocates per version — the node
+// list, the key slab, the value slab and the two slices handed to the
+// store — never per node: 13 nodes deep into a 4096-page BLOB it costs
+// what it costs at the root.
+func TestCommitAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under the race detector's short job")
+	}
+	store := NewMemStore()
+	history := make([]WriteRecord, 0, 4096)
+	pages := uint64(0)
+	commit := func(n uint64, refs []PageRef) {
+		w := WriteRecord{Ver: uint64(len(history)) + 1, Off: pages, N: n, PagesAfter: pages + n}
+		if err := Commit(ctx, store, 400, w, history, refs); err != nil {
+			t.Fatal(err)
+		}
+		history = append(history, w)
+		pages += n
+	}
+	for v := 0; v < 256; v++ {
+		commit(16, mkRefs(400, uint64(v)+1, pages, 16))
+	}
+	refs := mkRefs(400, 0, 0, 1)
+	allocs := testing.AllocsPerRun(500, func() { commit(1, refs) })
+	t.Logf("1-page commit onto %d pages: %.0f allocs", pages, allocs)
+	if allocs > 8 {
+		t.Errorf("a 1-page commit onto a 4096-page history allocates %.0f objects, budget 8", allocs)
 	}
 }

@@ -126,6 +126,15 @@ func AppendStringSlice(b []byte, ss []string) []byte {
 	return b
 }
 
+// AppendBytesSlice appends a count followed by each byte string.
+func AppendBytesSlice(b []byte, ps [][]byte) []byte {
+	b = AppendUvarint(b, uint64(len(ps)))
+	for _, p := range ps {
+		b = AppendBytes(b, p)
+	}
+	return b
+}
+
 // AppendUint64Slice appends a count followed by each value as uvarint.
 func AppendUint64Slice(b []byte, vs []uint64) []byte {
 	b = AppendUvarint(b, uint64(len(vs)))
@@ -293,24 +302,72 @@ func (r *Reader) String() string {
 	return string(r.Bytes())
 }
 
-// StringSlice decodes a count-prefixed string slice.
+// sliceExtent reads the count of a count-prefixed sequence of
+// length-prefixed fields and checks that every field is present. It
+// leaves the Reader at the first field and returns the count and the
+// offset just past the last one, so a decoder can copy the whole
+// region once before it allocates anything sized by the count.
+func (r *Reader) sliceExtent() (n, end int) {
+	cnt := r.Uvarint()
+	if r.err != nil {
+		return 0, 0
+	}
+	if cnt > MaxBytesLen {
+		r.fail(ErrTooLarge)
+		return 0, 0
+	}
+	if cnt > uint64(r.Len()) { // every field takes at least its length byte
+		r.fail(ErrShortBuffer)
+		return 0, 0
+	}
+	start := r.off
+	for i := uint64(0); i < cnt; i++ {
+		r.Bytes()
+	}
+	if r.err != nil {
+		return 0, 0
+	}
+	end, r.off = r.off, start
+	return int(cnt), end
+}
+
+// StringSlice decodes a count-prefixed string slice. The strings are
+// substrings of one copy of the encoded region — two allocations
+// however many strings — so whoever keeps one of them keeps that copy.
 func (r *Reader) StringSlice() []string {
-	n := r.Uvarint()
+	n, end := r.sliceExtent()
 	if r.err != nil {
 		return nil
 	}
-	if n > MaxBytesLen {
-		r.fail(ErrTooLarge)
-		return nil
-	}
-	ss := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ss = append(ss, r.String())
-		if r.err != nil {
-			return nil
-		}
+	start := r.off
+	slab := string(r.buf[start:end])
+	ss := make([]string, n)
+	for i := range ss {
+		p := r.Bytes()
+		e := r.off - start
+		ss[i] = slab[e-len(p) : e]
 	}
 	return ss
+}
+
+// BytesSliceCopy decodes what AppendBytesSlice encoded into fresh
+// storage: the elements are sub-slices of one copy of the encoded
+// region, with the same lifetime rule as StringSlice.
+func (r *Reader) BytesSliceCopy() [][]byte {
+	n, end := r.sliceExtent()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	start := r.off
+	slab := make([]byte, end-start)
+	copy(slab, r.buf[start:end])
+	ps := make([][]byte, n)
+	for i := range ps {
+		p := r.Bytes()
+		e := r.off - start
+		ps[i] = slab[e-len(p) : e : e]
+	}
+	return ps
 }
 
 // Uint64Slice decodes a count-prefixed uvarint slice.

@@ -105,6 +105,66 @@ func TestStringSliceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSliceDecodersCopyOnce: StringSlice and BytesSliceCopy copy the
+// encoded region once — two allocations however many elements — and
+// what they return survives the buffer being overwritten (an rpc
+// request frame is recycled under its decoded message).
+func TestSliceDecodersCopyOnce(t *testing.T) {
+	ss := []string{"", "a", "provider-17", "métadonnées"}
+	ps := [][]byte{[]byte("v0"), nil, []byte("a longer value"), {0}}
+	b := AppendBytesSlice(AppendStringSlice(nil, ss), ps)
+	var gotS []string
+	var gotP [][]byte
+	allocs := testing.AllocsPerRun(100, func() {
+		r := NewReader(b)
+		gotS, gotP = r.StringSlice(), r.BytesSliceCopy()
+		if r.Err() != nil || r.Len() != 0 {
+			t.Fatalf("err %v, %d bytes left", r.Err(), r.Len())
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("decoding %d strings and %d byte strings took %.0f allocations, want 2 + 2", len(ss), len(ps), allocs)
+	}
+	for i := range b {
+		b[i] = 0xDB
+	}
+	for i := range ss {
+		if gotS[i] != ss[i] {
+			t.Errorf("string %d: got %q want %q", i, gotS[i], ss[i])
+		}
+	}
+	for i := range ps {
+		if !bytes.Equal(gotP[i], ps[i]) {
+			t.Errorf("bytes %d: got %q want %q", i, gotP[i], ps[i])
+		}
+		if cap(gotP[i]) != len(gotP[i]) {
+			t.Errorf("bytes %d: cap %d beyond len %d reaches into its neighbour", i, cap(gotP[i]), len(gotP[i]))
+		}
+	}
+}
+
+// TestSliceDecodersRejectBeforeAllocating: a count the buffer cannot
+// hold fails before anything is sized by it, and an element running
+// off the end fails the whole slice.
+func TestSliceDecodersRejectBeforeAllocating(t *testing.T) {
+	for name, b := range map[string][]byte{
+		"count beyond buffer": AppendUvarint(nil, 1<<20),
+		"element off the end": {2, 1, 'a', 9, 'b'},
+	} {
+		if got := NewReader(b).StringSlice(); got != nil {
+			t.Errorf("%s: StringSlice = %q", name, got)
+		}
+		r := NewReader(b)
+		if got := r.BytesSliceCopy(); got != nil || !errors.Is(r.Err(), ErrShortBuffer) {
+			t.Errorf("%s: BytesSliceCopy = %q, err %v", name, got, r.Err())
+		}
+	}
+	r := NewReader(AppendUvarint(nil, MaxBytesLen+1))
+	if r.StringSlice(); !errors.Is(r.Err(), ErrTooLarge) {
+		t.Errorf("count over the limit: err = %v, want ErrTooLarge", r.Err())
+	}
+}
+
 func TestUint64SliceRoundTrip(t *testing.T) {
 	in := []uint64{0, 5, 1 << 50}
 	b := AppendUint64Slice(nil, in)
