@@ -8,6 +8,7 @@ package blobseer
 // curves are recorded in EXPERIMENTS.md.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -467,11 +468,43 @@ func BenchmarkAblationLockedAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkMultiBlockWrite measures a run: one Write of four blocks and
+// its Flush, which the writer sends as a single four-page append (one
+// version, one allocation, one metadata commit) — the op of the gated
+// append_shared workload, with one client.
+func BenchmarkMultiBlockWrite(b *testing.B) {
+	const blocks = 4
+	c := newBenchCluster(b)
+	fs := c.Mount("node-000")
+	defer fs.Close()
+	w, err := fs.Append(benchCtx, "/bench/multi")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	data := bytes.Repeat(benchChunk(2), blocks)
+	b.SetBytes(blocks * benchBlock)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Write(data); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.(dfs.Flusher).Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWriteDepthSweep measures multi-block file-write throughput
-// as a function of the writer pipeline depth: depth=1 is the
-// synchronous pre-pipelining writer (each block's data path completes
-// before the next begins), larger depths keep that many blocks in
-// flight behind one serialized version-assignment stream.
+// as a function of the writer pipeline depth, two ways. write=block
+// hands the writer one block per Write, so every block is an append of
+// its own: depth=1 is the synchronous pre-pipelining writer (each
+// block's data path completes before the next begins), larger depths
+// keep that many blocks in flight behind one serialized
+// version-assignment stream. write=file hands it all 16 blocks in one
+// Write, which leaves as runs of depth blocks, one append each: 16, 8,
+// 4 and 2 appends per file.
 //
 // BLOBSEER_BENCH_FLIGHT=1 runs the same sweep with a flight recorder
 // and armed SLO watchdog on the deployment — the paired A/B for the
@@ -484,36 +517,41 @@ func BenchmarkWriteDepthSweep(b *testing.B) {
 	if os.Getenv("BLOBSEER_BENCH_FLIGHT") == "1" {
 		flightPath = filepath.Join(b.TempDir(), "flight.log")
 	}
-	for _, depth := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			o := sized(8, 3, benchBlock)
-			o.WriteDepth, o.FlightPath = depth, flightPath
-			c, err := NewCluster(o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			fs := c.Mount("node-000")
-			defer fs.Close()
-			data := benchChunk(5)
-			b.SetBytes(blocks * benchBlock)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w, err := fs.Create(benchCtx, fmt.Sprintf("/bench/depth%d/%d", depth, i))
+	file := bytes.Repeat(benchChunk(5), blocks)
+	for _, arm := range []struct {
+		name  string
+		write int // bytes per Write call
+	}{{"block", benchBlock}, {"file", len(file)}} {
+		for _, depth := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("write=%s/depth=%d", arm.name, depth), func(b *testing.B) {
+				o := sized(8, 3, benchBlock)
+				o.WriteDepth, o.FlightPath = depth, flightPath
+				c, err := NewCluster(o)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for k := 0; k < blocks; k++ {
-					if _, err := w.Write(data); err != nil {
+				defer c.Close()
+				fs := c.Mount("node-000")
+				defer fs.Close()
+				b.SetBytes(blocks * benchBlock)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					w, err := fs.Create(benchCtx, fmt.Sprintf("/bench/%s-depth%d/%d", arm.name, depth, i))
+					if err != nil {
+						b.Fatal(err)
+					}
+					for off := 0; off < len(file); off += arm.write {
+						if _, err := w.Write(file[off : off+arm.write]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := w.Close(); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if err := w.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -483,34 +483,81 @@ func (p *PendingWrite) Wait(ctx context.Context) (WriteResult, error) {
 	}
 }
 
-// Append appends data to the BLOB.
-func (b *Blob) Append(ctx context.Context, data []byte) (WriteResult, error) {
-	return b.write(ctx, KindAppend, 0, data)
+// payload is the bytes of one write as a list of buffers, every one
+// but the last a whole number of pages long: no page straddles two
+// buffers, so the pipeline sends each page straight out of the buffer
+// its writer filled. Append and WriteAt wrap their one buffer; the bsfs
+// writer hands AppendAsync the block buffers of a run.
+type payload [][]byte
+
+func (p payload) len() uint64 {
+	var n uint64
+	for _, buf := range p {
+		n += uint64(len(buf))
+	}
+	return n
 }
 
-// AppendAsync starts an append and returns as soon as its version is
-// assigned, leaving the data path running in the background. This is
-// the write pipelining that §3.1.2's decoupling makes safe: only
-// version assignment is ordered, so one writer can keep several
-// appends in flight while publication still follows assignment order.
-// The caller must not modify data until the pending write finishes.
-func (b *Blob) AppendAsync(ctx context.Context, data []byte) (*PendingWrite, error) {
+// page returns page i of the payload, short if the payload ends inside
+// it.
+func (p payload) page(i, pageSize uint64) []byte {
+	lo := i * pageSize
+	for _, buf := range p {
+		n := uint64(len(buf))
+		if lo < n {
+			return buf[lo:minU64(lo+pageSize, n)]
+		}
+		lo -= n
+	}
+	return nil
+}
+
+// copyTo copies the payload into dst, which must hold it.
+func (p payload) copyTo(dst []byte) {
+	for _, buf := range p {
+		dst = dst[copy(dst, buf):]
+	}
+}
+
+// Append appends data to the BLOB.
+func (b *Blob) Append(ctx context.Context, data []byte) (WriteResult, error) {
+	return b.write(ctx, KindAppend, 0, payload{data})
+}
+
+// AppendAsync starts one append of the concatenation of pages — every
+// buffer but the last a whole number of pages long; none is copied —
+// and returns as soon as its version is assigned, leaving the data
+// path running in the background. This is the write pipelining that
+// §3.1.2's decoupling makes safe: only version assignment is ordered,
+// so one writer can keep several appends in flight while publication
+// still follows assignment order. However many pages it carries, an
+// append is one version, one provider allocation and one metadata
+// commit. The caller must not modify the buffers until the pending
+// write finishes.
+func (b *Blob) AppendAsync(ctx context.Context, pages [][]byte) (*PendingWrite, error) {
+	data := payload(pages)
+	n := data.len()
+	for i, buf := range pages[:max(len(pages)-1, 0)] {
+		if uint64(len(buf))%b.pageSize != 0 {
+			return nil, fmt.Errorf("blob: append buffer %d of %d is %d bytes, not whole %d-byte pages", i, len(pages), len(buf), b.pageSize)
+		}
+	}
 	start := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "blob.append")
-	a, history, err := b.assign(ctx, KindAppend, 0, data)
+	a, history, err := b.assign(ctx, KindAppend, 0, n)
 	if err != nil {
 		sp.End(err)
 		return nil, err
 	}
 	if sp != nil { // guard: varargs boxing allocates even for a nil span
-		sp.Annotate("ver=%d start=%d len=%d", a.Ver, a.Start, len(data))
+		sp.Annotate("ver=%d start=%d len=%d", a.Ver, a.Start, n)
 	}
 	// Provider allocation stays in the serialized prologue so a
 	// writer's consecutive blocks keep their allocation order (and so
 	// placement strategies like round-robin keep their stride); the
 	// expensive page transfers, metadata commit, and completion run in
 	// the background.
-	alloc, err := b.allocPages(ctx, a, data)
+	alloc, err := b.allocPages(ctx, a, n)
 	if err != nil {
 		b.abortDetached(a.Ver)
 		sp.End(err)
@@ -523,7 +570,7 @@ func (b *Blob) AppendAsync(ctx context.Context, data []byte) (*PendingWrite, err
 	b.c.inflight.Add(1)
 	go func() {
 		defer close(p.done)
-		p.err = b.finishWrite(ctx, a, history, data, &alloc)
+		p.err = b.finishWrite(ctx, a, history, data, alloc)
 		b.c.inflight.Add(-1)
 		sp.End(p.err)
 		metrics.Default.Op("blob.append").RecordDuration(time.Since(start))
@@ -534,11 +581,11 @@ func (b *Blob) AppendAsync(ctx context.Context, data []byte) (*PendingWrite, err
 // WriteAt writes data at a byte offset (beyond-EOF offsets create
 // holes that read as zeros) and returns the new version.
 func (b *Blob) WriteAt(ctx context.Context, data []byte, off uint64) (WriteResult, error) {
-	return b.write(ctx, KindWrite, off, data)
+	return b.write(ctx, KindWrite, off, payload{data})
 }
 
 // write runs the decoupled write pipeline of §3.1.2 synchronously.
-func (b *Blob) write(ctx context.Context, kind uint64, off uint64, data []byte) (WriteResult, error) {
+func (b *Blob) write(ctx context.Context, kind uint64, off uint64, data payload) (WriteResult, error) {
 	start := time.Now()
 	opName := "blob.write"
 	if kind == KindAppend {
@@ -553,8 +600,8 @@ func (b *Blob) write(ctx context.Context, kind uint64, off uint64, data []byte) 
 	return res, err
 }
 
-func (b *Blob) writePipeline(ctx context.Context, kind uint64, off uint64, data []byte) (WriteResult, error) {
-	a, history, err := b.assign(ctx, kind, off, data)
+func (b *Blob) writePipeline(ctx context.Context, kind uint64, off uint64, data payload) (WriteResult, error) {
+	a, history, err := b.assign(ctx, kind, off, data.len())
 	if err != nil {
 		return WriteResult{}, err
 	}
@@ -565,14 +612,15 @@ func (b *Blob) writePipeline(ctx context.Context, kind uint64, off uint64, data 
 }
 
 // assign runs step 1 of the write pipeline — version assignment, the
-// only serialized step — and folds the history delta into the cache.
-func (b *Blob) assign(ctx context.Context, kind, off uint64, data []byte) (AssignResp, []segtree.WriteRecord, error) {
+// only serialized step — for a write of n bytes, and folds the history
+// delta into the cache.
+func (b *Blob) assign(ctx context.Context, kind, off, n uint64) (AssignResp, []segtree.WriteRecord, error) {
 	var a AssignResp
-	if len(data) == 0 {
+	if n == 0 {
 		return a, nil, ErrEmptyWrite
 	}
 	c := b.c
-	req := &AssignReq{Blob: b.id, Kind: kind, Off: off, Len: uint64(len(data)), SinceVer: c.knownPrefix(b.id)}
+	req := &AssignReq{Blob: b.id, Kind: kind, Off: off, Len: n, SinceVer: c.knownPrefix(b.id)}
 	if err := c.vm.Call(ctx, b.id, VMAssign, req, &a); err != nil {
 		return a, nil, fmt.Errorf("blob: assign: %w", err)
 	}
@@ -587,40 +635,47 @@ func (b *Blob) assign(ctx context.Context, kind, off uint64, data []byte) (Assig
 }
 
 // allocPages runs step 3 of the write pipeline: provider allocation
-// for the assigned page interval. It depends only on the assignment,
-// never on the content.
-func (b *Blob) allocPages(ctx context.Context, a AssignResp, data []byte) (AllocResp, error) {
+// for the assigned page interval of an n-byte write. It depends only on
+// the assignment, never on the content.
+func (b *Blob) allocPages(ctx context.Context, a AssignResp, n uint64) (*AllocResp, error) {
 	c := b.c
 	ps := b.pageSize
 	rec := a.Record
 	pageBase := rec.Off * ps
-	writeEnd := a.Start + uint64(len(data))
+	writeEnd := a.Start + n
 	recEnd := (rec.Off + rec.N) * ps
 	contentEnd := maxU64(writeEnd, minU64(recEnd, a.PrevSize))
 
-	var alloc AllocResp
+	alloc := new(AllocResp)
 	err := c.pool.Call(ctx, c.cfg.ProviderManager, PMAlloc, &AllocReq{
 		Blob:     b.id,
 		NPages:   rec.N,
 		Replicas: uint64(c.cfg.PageReplicas),
 		Bytes:    contentEnd - pageBase,
-	}, &alloc)
+	}, alloc)
 	if err != nil {
-		return alloc, fmt.Errorf("blob: alloc: %w", err)
+		return nil, fmt.Errorf("blob: alloc: %w", err)
 	}
 	return alloc, nil
+}
+
+// allocResult is what the overlapped allocation of finishWrite hands
+// back.
+type allocResult struct {
+	alloc *AllocResp
+	err   error
 }
 
 // finishWrite runs the data path of the write pipeline (steps 2-6).
 // When the caller already allocated providers (the pipelined path),
 // preAlloc carries the result; otherwise the allocation round trip is
 // overlapped with the boundary-merge reads.
-func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.WriteRecord, data []byte, preAlloc *AllocResp) error {
+func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.WriteRecord, data payload, preAlloc *AllocResp) error {
 	c := b.c
 	ps := b.pageSize
 	rec := a.Record
 	pageBase := rec.Off * ps
-	writeEnd := a.Start + uint64(len(data))
+	writeEnd := a.Start + data.len()
 	recEnd := (rec.Off + rec.N) * ps
 	headHi := minU64(a.Start, a.PrevSize)
 	tailHi := minU64(recEnd, a.PrevSize)
@@ -628,16 +683,13 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 
 	// 3 (overlapped). Provider allocation runs while the boundary
 	// merges of step 2 read the neighbouring bytes.
-	var alloc AllocResp
-	allocDone := make(chan error, 1)
+	allocDone := make(chan allocResult, 1)
 	if preAlloc != nil {
-		alloc = *preAlloc
-		allocDone <- nil
+		allocDone <- allocResult{alloc: preAlloc}
 	} else {
 		go func() {
-			var err error
-			alloc, err = b.allocPages(ctx, a, data)
-			allocDone <- err
+			alloc, err := b.allocPages(ctx, a, data.len())
+			allocDone <- allocResult{alloc, err}
 		}()
 	}
 
@@ -665,15 +717,16 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 		}
 		msp.End(err)
 	}
-	allocErr := <-allocDone
+	allocated := <-allocDone
 	if err != nil {
 		b.abortDetached(a.Ver)
 		return err
 	}
-	if allocErr != nil {
+	if allocated.err != nil {
 		b.abortDetached(a.Ver)
-		return allocErr
+		return allocated.err
 	}
+	alloc := allocated.alloc
 	r := int(alloc.Replicas)
 	if uint64(len(alloc.Providers)) != rec.N*uint64(r) {
 		b.abortDetached(a.Ver)
@@ -684,10 +737,11 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 	// is sent as it is; only an unaligned one is assembled in a copy.
 	content := data
 	if a.Start != pageBase || contentEnd != writeEnd {
-		content = make([]byte, contentEnd-pageBase)
-		copy(content[a.Start-pageBase:], data)
-		copy(content, head) // head covers [pageBase, headHi)
-		copy(content[writeEnd-pageBase:], tail)
+		whole := make([]byte, contentEnd-pageBase)
+		data.copyTo(whole[a.Start-pageBase:])
+		copy(whole, head) // head covers [pageBase, headHi)
+		copy(whole[writeEnd-pageBase:], tail)
+		content = payload{whole}
 	}
 
 	// 4. Parallel page writes.
@@ -697,14 +751,12 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 	}
 	refs := make([]segtree.PageRef, rec.N)
 	err = c.forEachPage(rec.N, func(i uint64) error {
-		lo := i * ps
-		hi := minU64(lo+ps, uint64(len(content)))
 		key := pagestore.Key{Blob: b.id, Version: a.Ver, Index: rec.Off + i}
 		replicas := alloc.Providers[i*uint64(r) : (i+1)*uint64(r)]
 		var ok []string
 		var lastErr error
 		for _, addr := range replicas {
-			err := c.pool.Call(pctx, transport.Addr(addr), ProvPutPage, &PutPageReq{Key: key, Data: content[lo:hi]}, nil)
+			err := c.pool.Call(pctx, transport.Addr(addr), ProvPutPage, &PutPageReq{Key: key, Data: content.page(i, ps)}, nil)
 			if err != nil {
 				lastErr = err
 				continue

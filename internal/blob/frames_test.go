@@ -158,7 +158,7 @@ func TestSharedHistoryUnderConcurrentAppends(t *testing.T) {
 	}
 	// The holder: assigned, history in hand, data path not yet run.
 	held := pattern(99, ps)
-	a, history, err := b.assign(ctx, KindAppend, 0, held)
+	a, history, err := b.assign(ctx, KindAppend, 0, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSharedHistoryUnderConcurrentAppends(t *testing.T) {
 	readers.Wait()
 
 	// The holder finishes last, against the view it took first.
-	if err := b.finishWrite(ctx, a, history, held, nil); err != nil {
+	if err := b.finishWrite(ctx, a, history, payload{held}, nil); err != nil {
 		t.Fatal(err)
 	}
 	info, err := b.WaitPublished(ctx, 10+1+appenders*each)
@@ -260,5 +260,60 @@ func TestHistorySlotsAreWriteOnce(t *testing.T) {
 	// A gap is still an error, not a short view.
 	if _, err := cl.mergeHistory(8, []segtree.WriteRecord{rec(1)}, rec(4)); err == nil {
 		t.Error("history with a gap accepted")
+	}
+}
+
+// TestPageListAppend: AppendAsync takes its payload as a list of page
+// buffers. Onto a page-aligned BLOB each page goes out of the buffer it
+// came in; onto an unaligned one the list is assembled behind the
+// previous version's tail in the one copy an unaligned write always
+// made. Either way the BLOB reads back byte-exact after the caller has
+// reused (here: poisoned) its buffers, and a list with a partial page
+// anywhere but at its end is refused before a version is assigned.
+func TestPageListAppend(t *testing.T) {
+	c := newTestCluster(t, ClusterConfig{Providers: 4})
+	cl := newTestClient(t, c, "cli")
+	const ps, tail = 512, 100
+	b, err := cl.Create(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for round := byte(0); round < 2; round++ { // aligned, then onto the 100-byte tail
+		pages := [][]byte{pattern(round*4+1, ps), pattern(round*4+2, ps), pattern(round*4+3, ps), pattern(round*4+4, tail)}
+		for _, p := range pages {
+			want = append(want, p...)
+		}
+		pw, err := b.AppendAsync(ctx, pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pw.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ver != uint64(round)+1 || res.SizeAfter != uint64(len(want)) {
+			t.Fatalf("append %d = version %d, size %d; want one version and size %d", round, res.Ver, res.SizeAfter, len(want))
+		}
+		for _, p := range pages {
+			transport.Poison(p)
+		}
+	}
+	if _, err := b.AppendAsync(ctx, [][]byte{pattern(9, tail), pattern(9, ps)}); err == nil {
+		t.Error("a list with a partial page before its end was accepted")
+	}
+	info, err := b.WaitPublished(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if latest, err := b.Latest(ctx); err != nil || latest.Ver != 2 {
+		t.Fatalf("latest = %+v, %v; the refused list must not have taken a version", latest, err)
+	}
+	got, err := b.ReadAt(ctx, info.Ver, 0, uint64(len(want)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("page-list appends read back wrong")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -503,11 +504,23 @@ func TestPipelinedWriterKeepsBlockOrder(t *testing.T) {
 }
 
 // TestPipelinedConcurrentAppendersRecordsIntact runs several pipelined
-// writers appending block-sized records to one shared file: every
-// record must appear exactly once, intact, and each writer's records
-// must keep their relative order.
+// writers appending records of one block, and every fourth of three
+// blocks, to one shared file: every record must appear exactly once,
+// intact — the blocks of a three-block Write adjacent, since a Write of
+// up to WriteDepth whole blocks is one append — and each writer's
+// records must keep their relative order.
 func TestPipelinedConcurrentAppendersRecordsIntact(t *testing.T) {
 	const writers, records, block = 8, 12, 256
+	span := func(ri int) int { // blocks in a writer's record ri
+		if ri%4 == 3 {
+			return 3
+		}
+		return 1
+	}
+	total := 0
+	for ri := 0; ri < records; ri++ {
+		total += writers * span(ri) * block
+	}
 	d := newDeployment(t, block)
 	d.WriteDepth = 4
 	setup := mount(t, d, "cli")
@@ -530,10 +543,7 @@ func TestPipelinedConcurrentAppendersRecordsIntact(t *testing.T) {
 				return
 			}
 			for ri := 0; ri < records; ri++ {
-				rec := make([]byte, block)
-				for k := range rec {
-					rec[k] = byte(wi*records + ri)
-				}
+				rec := bytes.Repeat([]byte{byte(wi*records + ri)}, span(ri)*block)
 				if _, err := w.Write(rec); err != nil {
 					errs <- err
 					w.Close()
@@ -555,24 +565,29 @@ func TestPipelinedConcurrentAppendersRecordsIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != writers*records*block {
-		t.Fatalf("file size = %d, want %d", len(got), writers*records*block)
+	if len(got) != total {
+		t.Fatalf("file size = %d, want %d", len(got), total)
 	}
 	seen := make(map[byte]int)   // record tag -> occurrences
 	lastRec := make(map[int]int) // writer -> last record index seen
-	for off := 0; off < len(got); off += block {
+	for off := 0; off < len(got); {
 		tag := got[off]
-		for k := 1; k < block; k++ {
+		wi, ri := int(tag)/records, int(tag)%records
+		n := span(ri) * block
+		if off+n > len(got) {
+			t.Fatalf("record %d at %d: %d bytes, file ends at %d", tag, off, n, len(got))
+		}
+		for k := 1; k < n; k++ {
 			if got[off+k] != tag {
 				t.Fatalf("record at %d torn: byte %d is %d, want %d", off, k, got[off+k], tag)
 			}
 		}
 		seen[tag]++
-		wi, ri := int(tag)/records, int(tag)%records
 		if last, ok := lastRec[wi]; ok && ri < last {
 			t.Fatalf("writer %d record %d appeared after record %d", wi, ri, last)
 		}
 		lastRec[wi] = ri
+		off += n
 	}
 	if len(seen) != writers*records {
 		t.Fatalf("distinct records = %d, want %d", len(seen), writers*records)
@@ -624,34 +639,117 @@ func TestPipelinedFlushDrains(t *testing.T) {
 	}
 }
 
-// TestPipelinedWriterErrorPropagation cancels the writer's context so
-// in-flight data paths fail, and verifies the failure surfaces through
-// Write and Close rather than being swallowed by the pipeline.
+// TestPipelinedWriterErrorPropagation fails the data path of in-flight
+// runs and verifies the failure surfaces through Write, Flush and Close
+// rather than being swallowed by the pipeline, and that the pipeline
+// gets its slots back.
 func TestPipelinedWriterErrorPropagation(t *testing.T) {
-	const block = 256
-	d := newDeployment(t, block)
-	d.WriteDepth = 4
-	fs := mount(t, d, "cli")
-	cctx, cancel := context.WithCancel(ctx)
-	w, err := fs.Create(cctx, "/doomed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(pattern(1, block)); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	// The next full block cannot start (assignment fails on the dead
-	// context) or a prior block's failure has already been recorded.
-	deadline := time.Now().Add(5 * time.Second)
-	var werr error
-	for werr == nil && time.Now().Before(deadline) {
-		_, werr = w.Write(pattern(2, block))
-	}
-	if werr == nil {
-		t.Fatal("no error surfaced after context cancellation")
-	}
-	if err := w.Close(); err == nil {
-		t.Fatal("Close reported success after a failed pipeline")
-	}
+	t.Run("cancelled context", func(t *testing.T) {
+		const block = 256
+		d := newDeployment(t, block)
+		d.WriteDepth = 4
+		fs := mount(t, d, "cli")
+		cctx, cancel := context.WithCancel(ctx)
+		w, err := fs.Create(cctx, "/doomed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(pattern(1, block)); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		// The next run cannot start (assignment fails on the dead
+		// context) or a prior run's failure has already been recorded.
+		deadline := time.Now().Add(5 * time.Second)
+		var werr error
+		for werr == nil && time.Now().Before(deadline) {
+			_, werr = w.Write(pattern(2, 3*block))
+		}
+		if werr == nil {
+			t.Fatal("no error surfaced after context cancellation")
+		}
+		if err := w.Close(); err == nil {
+			t.Fatal("Close reported success after a failed pipeline")
+		}
+		if n := len(w.(*fileWriter).sem); n != 0 {
+			t.Errorf("%d pipeline slots still taken after Close", n)
+		}
+	})
+
+	// The providers go away after the first page of a 4-block run is
+	// stored. The run's slots come back, its buffers are recycled, and
+	// the writer reports the failure instead of waiting for a slot.
+	t.Run("providers closed mid-run", func(t *testing.T) {
+		const block, depth = 256, 4
+		d := newDeployment(t, block)
+		d.WriteDepth = depth
+		fs := mount(t, d, "cli")
+		fw, err := fs.Create(ctx, "/doomed-run")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := fw.(*fileWriter)
+
+		// One page on every provider first, so the mount holds a live
+		// connection to each and closing them fails its calls.
+		if _, err := w.Write(pattern(0, len(d.Blob.Providers)*block)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+
+		// The provider that stores the first page acknowledges it; the
+		// others hold their acknowledgement until the run has failed on
+		// their closed connections.
+		var first atomic.Bool
+		stored, failed := make(chan struct{}), make(chan struct{})
+		d.Blob.SetHeat(nil, func(_, _ uint64) {
+			if first.CompareAndSwap(false, true) {
+				close(stored)
+				return
+			}
+			<-failed
+		})
+		if _, err := w.Write(pattern(1, depth*block)); err != nil {
+			t.Fatal(err)
+		}
+		<-stored
+		var closing sync.WaitGroup
+		for _, p := range d.Blob.Providers {
+			closing.Add(1)
+			go func() {
+				defer closing.Done()
+				p.Close() // cuts the connections, then waits for the handlers
+			}()
+		}
+		ferr := w.Flush()
+		close(failed)
+		closing.Wait()
+		if ferr == nil {
+			t.Fatal("Flush reported success after the run's pages were lost")
+		}
+		if n := len(w.sem); n != 0 {
+			t.Errorf("%d pipeline slots still taken after the failed run drained", n)
+		}
+		w.mu.Lock()
+		owned := len(w.free) + 1
+		w.mu.Unlock()
+		if owned != depth+1 {
+			t.Errorf("writer owns %d block buffers after the failed run, want all %d back", owned, depth+1)
+		}
+		// Later calls keep reporting the first error.
+		if _, err := w.Write(pattern(2, depth*block)); err != ferr {
+			t.Errorf("Write after the failure = %v, want %v", err, ferr)
+		}
+		if err := w.Flush(); err != ferr {
+			t.Errorf("second Flush = %v, want %v", err, ferr)
+		}
+		if err := w.Close(); err != ferr {
+			t.Errorf("Close = %v, want %v", err, ferr)
+		}
+		if n := len(w.sem); n != 0 {
+			t.Errorf("%d pipeline slots still taken after Close", n)
+		}
+	})
 }

@@ -38,12 +38,13 @@ const (
 	// rounding.
 	pageBudget = budgetPage + budgetPage/4
 	// metaAllowance covers everything that is not page bytes: on the
-	// write path a block is one append of its own (assign, allocate,
-	// segment-tree commit, complete, size update); on the read path
-	// the version lookup and slot resolution. Measured 12.6 KiB (on
-	// top of the 64 KiB stored copy) and 12 KiB (on top of a response
-	// frame the allocator rounds to 72 KiB); a second page-sized copy
-	// anywhere is five times either.
+	// write path one append (assign, allocate, segment-tree commit,
+	// complete, size update); on the read path the version lookup and
+	// slot resolution. Measured 12.6 KiB (on top of the 64 KiB stored
+	// copy) and 12 KiB (on top of a response frame the allocator rounds
+	// to 72 KiB); a second page-sized copy anywhere is five times
+	// either. A run of four blocks is one append, so each of its pages
+	// gets a quarter of the allowance.
 	metaAllowance = 16 << 10
 	// objectBudget is how many objects one block append may allocate,
 	// whatever the page size and however deep the segment tree: the
@@ -53,11 +54,17 @@ const (
 	// creeping back into the builder, the DHT client and both replicas'
 	// decoders would add 60 at 4096 pages).
 	objectBudget = 140
+	// runObjectBudget is the same for a Write of runBlocks blocks and
+	// its Flush: one append plus the transfer of three more pages
+	// (measured 81; four appends of a block each cost 257).
+	runBlocks       = 4
+	runObjectBudget = 110
 )
 
 // TestAllocationBudget is the tier-1 guard on the data path's copies:
-// bytes allocated per page on the write path (Write+Flush of one-page
-// blocks) and on the cold read path, process-wide on MemNet.
+// bytes allocated per page on the write path (Write+Flush of one block,
+// then of a four-block run) and on the cold read path, process-wide on
+// MemNet.
 func TestAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under the race detector's short job")
@@ -93,6 +100,36 @@ func TestAllocationBudget(t *testing.T) {
 	if objects/blocks > objectBudget {
 		t.Errorf("write path allocates %d objects per block append, budget %d", objects/blocks, objectBudget)
 	}
+
+	// The same blocks four to a Write: block i of the file is still
+	// block(i), so the cold read below checks both halves.
+	const runs = blocks / runBlocks
+	run := make([]byte, 0, runBlocks*budgetPage)
+	writeRuns := func(from, to int) {
+		for i := from; i < to; i += runBlocks {
+			run = run[:0]
+			for j := i; j < i+runBlocks; j++ {
+				run = append(run, block(j)...)
+			}
+			if _, err := w.Write(run); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	writeRuns(warm+blocks, 2*warm+blocks)
+	written, objects = allocated(func() { writeRuns(2*warm+blocks, 2*(warm+blocks)) })
+	perPage = (written - payloads) / blocks
+	t.Logf("write path, %d-block runs: %d B allocated per 64 KiB page (budget %d)", runBlocks, perPage, pageBudget+metaAllowance/runBlocks)
+	if perPage > pageBudget+metaAllowance/runBlocks {
+		t.Errorf("a %d-block run allocates %d B per 64 KiB page, budget %d: the run's pages are being copied on their way into the append", runBlocks, perPage, pageBudget+metaAllowance/runBlocks)
+	}
+	t.Logf("write path, %d-block runs: %d objects allocated per run (budget %d)", runBlocks, objects/runs, runObjectBudget)
+	if objects/runs > runObjectBudget {
+		t.Errorf("a %d-block run allocates %d objects, budget %d", runBlocks, objects/runs, runObjectBudget)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +154,14 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	read(0, warm)
 	read64k, _ := allocated(func() { read(warm, warm+blocks) })
+	read(warm+blocks, 2*(warm+blocks)) // what the runs wrote
 	perPage = (read64k - payloads) / blocks
 	t.Logf("read path: %d B allocated per 64 KiB page (budget %d)", perPage, pageBudget+metaAllowance)
 	if perPage > pageBudget+metaAllowance {
 		t.Errorf("cold read path allocates %d B per 64 KiB page, budget %d: a page is being copied more than once per hop", perPage, pageBudget+metaAllowance)
 	}
-	if misses := rfs.BlobClient().ReadStats().Snapshot().ProviderFetches; misses < warm+blocks {
-		t.Errorf("only %d provider fetches for %d cold blocks: the read was not cold", misses, warm+blocks)
+	if misses := rfs.BlobClient().ReadStats().Snapshot().ProviderFetches; misses < 2*(warm+blocks) {
+		t.Errorf("only %d provider fetches for %d cold blocks: the read was not cold", misses, 2*(warm+blocks))
 	}
 }
 
@@ -191,8 +229,9 @@ func TestAppendCostFlatInVersionCount(t *testing.T) {
 }
 
 // TestWriterRecyclesBlockBuffers: a writer owns at most WriteDepth+1
-// block buffers however many blocks it writes, and (with recycled
-// buffers poisoned) every block still lands intact.
+// block buffers however many blocks it writes and however its Write
+// calls cut them into runs, and (with recycled buffers poisoned) every
+// block still lands intact.
 func TestWriterRecyclesBlockBuffers(t *testing.T) {
 	const block, depth, blocks = 4 << 10, 3, 64
 	d := newDeployment(t, block)
@@ -203,9 +242,12 @@ func TestWriterRecyclesBlockBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := fw.(*fileWriter)
+	// Single blocks, a run shorter than the depth, a Write of several
+	// runs, and two that leave and pick up a partial block.
+	sizes := []int{block, block, 2 * block, 5 * block, block / 2, 3*block + block/2}
 	var want []byte
-	for i := 0; i < blocks; i++ {
-		p := pattern(byte(i), block)
+	for i := 0; len(want) < blocks*block; i++ {
+		p := pattern(byte(i), sizes[i%len(sizes)])
 		want = append(want, p...)
 		if _, err := w.Write(p); err != nil {
 			t.Fatal(err)
@@ -218,7 +260,7 @@ func TestWriterRecyclesBlockBuffers(t *testing.T) {
 	owned := len(w.free) + 1 // the free list plus the buffer being filled
 	w.mu.Unlock()
 	if owned > depth+1 {
-		t.Errorf("writer owns %d block buffers after %d blocks, want at most %d", owned, blocks, depth+1)
+		t.Errorf("writer owns %d block buffers after %d blocks, want at most %d", owned, len(want)/block, depth+1)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -30,11 +30,16 @@ type Tuning struct {
 	// it down).
 	BlockSize uint64
 
-	// WriteDepth is how many blocks one writer keeps in flight: each
-	// full block starts its append without waiting for the previous
-	// one's data path, so only BlobSeer's serialized version
-	// assignment is ordered. 1 is the fully synchronous writer; 0 (or
-	// negative) means DefaultWriteDepth.
+	// WriteDepth is how many blocks one writer keeps in flight, and the
+	// most it sends as one append. The whole blocks a Write call fills
+	// leave as runs of up to WriteDepth blocks, each run one BlobSeer
+	// append of that many pages, started without waiting for the
+	// previous run's data path: only BlobSeer's serialized version
+	// assignment is ordered. A Write of at most WriteDepth whole blocks
+	// on a block-aligned writer is therefore one atomic, contiguous
+	// append, even among concurrent appenders. 1 is the fully
+	// synchronous writer, a block per append; 0 (or negative) means
+	// DefaultWriteDepth.
 	WriteDepth int
 
 	// ReadDepth is the read-side twin of WriteDepth: how many blocks
@@ -159,7 +164,8 @@ func (fs *FS) Create(ctx context.Context, path string) (dfs.FileWriter, error) {
 }
 
 // Append implements dfs.FileSystem. BSFS supports concurrent appends:
-// each buffered block is appended atomically via BlobSeer.
+// each run of buffered blocks (see fileWriter) is appended atomically
+// via BlobSeer.
 func (fs *FS) Append(ctx context.Context, path string) (dfs.FileWriter, error) {
 	return fs.openWriter(ctx, path, false)
 }
@@ -442,10 +448,18 @@ func (fs *FS) MetadataEntries(ctx context.Context) (uint64, error) {
 
 //
 // Writer: client-side caching of §3.2 ("delays committing writes until
-// a whole block has been filled in the cache"), pipelined so up to
-// Tuning.WriteDepth blocks are in flight at once. Version assignment
-// stays in the caller's goroutine, so one writer's blocks land in
-// write order; everything after assignment overlaps across blocks.
+// a whole block has been filled in the cache"). The unit of append is
+// the run: the whole blocks one Write call fills, cut every
+// Tuning.WriteDepth blocks, go out as one BlobSeer append — one
+// version, one provider allocation, one metadata commit, one size
+// update, however many pages. Where a run ends depends on the sizes of
+// the Write calls and on WriteDepth, never on what is in flight. A
+// Write of at most WriteDepth whole blocks on a block-aligned writer is
+// therefore one atomic, contiguous append, even in a file other
+// writers are appending to. Runs are pipelined: version assignment
+// stays in the caller's goroutine, so one writer's runs land in write
+// order; everything after it overlaps across runs, up to WriteDepth
+// blocks in flight.
 //
 
 type fileWriter struct {
@@ -454,15 +468,16 @@ type fileWriter struct {
 	path string
 	b    *blob.Blob
 
-	buf    []byte
+	buf    []byte   // the block being filled
+	run    [][]byte // full blocks of the current Write, each holding a slot
 	closed bool
 
-	sem chan struct{}  // one slot per in-flight block
-	wg  sync.WaitGroup // watchers of in-flight blocks
+	sem chan struct{}  // one slot per block in a run, pending or in flight
+	wg  sync.WaitGroup // watchers of in-flight runs
 
 	mu           sync.Mutex
-	free         [][]byte // block buffers whose appends have finished
-	werr         error    // first error from any block's data path
+	free         [][]byte // block buffers whose runs have finished
+	werr         error    // first error from any run's data path
 	lastVer      uint64   // highest version this writer produced
 	sizeSeen     uint64   // max SizeAfter among finished appends
 	sizeSent     uint64   // last size pushed to the namespace
@@ -483,7 +498,13 @@ func (w *fileWriter) setErr(err error) {
 	w.mu.Unlock()
 }
 
-// Write implements io.Writer.
+// AtomicLimit implements dfs.Flusher: a run is at most WriteDepth
+// blocks.
+func (w *fileWriter) AtomicLimit() int { return cap(w.sem) * int(w.b.PageSize()) }
+
+// Write implements io.Writer. The blocks p fills leave as runs of up to
+// WriteDepth blocks, the last one when p is consumed; bytes short of a
+// block stay buffered for the next Write, Flush or Close.
 func (w *fileWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("bsfs: write to closed file %s", w.path)
@@ -503,35 +524,49 @@ func (w *fileWriter) Write(p []byte) (int, error) {
 		p = p[n:]
 		total += n
 		if len(w.buf) == bs {
-			if err := w.launch(); err != nil {
-				return total, err
+			w.join()
+			if len(w.run) == cap(w.sem) {
+				if err := w.launch(); err != nil {
+					return total, err
+				}
 			}
 		}
 	}
-	return total, nil
+	return total, w.launch()
 }
 
-// launch starts the buffered block's append and returns without
-// waiting for its data path, blocking only when WriteDepth blocks are
-// already in flight. The assignment happens here, in the caller's
-// goroutine, which keeps this writer's blocks in write order.
-func (w *fileWriter) launch() error {
-	if len(w.buf) == 0 {
-		return nil
+// join moves the buffered block to the end of the pending run, blocking
+// only when WriteDepth blocks already hold a pipeline slot.
+func (w *fileWriter) join() {
+	w.sem <- struct{}{}
+	if w.run == nil {
+		w.run = make([][]byte, 0, cap(w.sem))
 	}
-	if err := w.firstErr(); err != nil {
-		return err
-	}
-	block := w.buf
-	w.sem <- struct{}{} // wait for a pipeline slot
+	w.run = append(w.run, w.buf)
 	// Taken after the slot: the block that freed it is back by now, so
 	// a writer owns at most WriteDepth+1 buffers however long it lives.
 	w.buf = w.takeBuf()
-	p, err := w.b.AppendAsync(w.ctx, block)
+}
+
+// launch starts the pending run's append and returns without waiting
+// for its data path. The assignment happens here, in the caller's
+// goroutine, which keeps this writer's runs in write order. However the
+// run ends, its slots come back, and its buffers unless something may
+// still be reading them.
+func (w *fileWriter) launch() error {
+	run := w.run
+	if len(run) == 0 {
+		return nil
+	}
+	w.run = nil
+	err := w.firstErr()
+	var p *blob.PendingWrite
+	if err == nil {
+		p, err = w.b.AppendAsync(w.ctx, run)
+	}
 	if err != nil {
-		w.recycle(block) // nothing was started, nothing references it
-		<-w.sem
 		w.setErr(err)
+		w.release(run, true) // nothing was started, nothing references the blocks
 		return err
 	}
 	w.wg.Add(1)
@@ -541,13 +576,13 @@ func (w *fileWriter) launch() error {
 		select {
 		case <-p.Done():
 			// The data path is over: every page was marshalled into
-			// its own frame, and nothing references the block.
-			w.recycle(block)
+			// its own frame, and nothing references the blocks.
+			w.release(run, true)
 		default:
 			// Wait left on a cancelled context with page transfers
-			// still reading the block; the collector gets this one.
+			// still reading the blocks; the collector gets these.
+			w.release(run, false)
 		}
-		<-w.sem
 		if err != nil {
 			w.setErr(err)
 			return
@@ -555,6 +590,20 @@ func (w *fileWriter) launch() error {
 		w.noteAppended(res)
 	}()
 	return nil
+}
+
+// release gives back the slots of a run that is over and, when nothing
+// can read its blocks any more, the blocks: buffers first, so whoever
+// gets a slot finds the buffer that freed it.
+func (w *fileWriter) release(run [][]byte, recycle bool) {
+	for _, block := range run {
+		if recycle {
+			w.recycle(block)
+		}
+	}
+	for range run {
+		<-w.sem
+	}
 }
 
 // takeBuf returns an empty block buffer, a recycled one if any.
@@ -578,7 +627,7 @@ func (w *fileWriter) recycle(block []byte) {
 	w.mu.Unlock()
 }
 
-// noteAppended records one finished block and pushes the file size to
+// noteAppended records one finished run and pushes the file size to
 // the namespace — the second half of §3.2's two-step append
 // translation, coalesced so concurrent completions fold into one
 // in-flight NSUpdateSize carrying the maximum SizeAfter seen.
@@ -622,8 +671,8 @@ func (w *fileWriter) noteAppended(res blob.WriteResult) {
 	}
 }
 
-// drain waits for every in-flight block (and its namespace size
-// update) and reports the first error the pipeline hit.
+// drain waits for every in-flight run (and its namespace size update)
+// and reports the first error the pipeline hit.
 func (w *fileWriter) drain() error {
 	w.wg.Wait()
 	return w.firstErr()
@@ -638,10 +687,18 @@ func (w *fileWriter) Flush() error {
 	if w.closed {
 		return fmt.Errorf("bsfs: flush of closed file %s", w.path)
 	}
-	if err := w.launch(); err != nil {
+	if err := w.launchTail(); err != nil {
 		return err
 	}
 	return w.drain()
+}
+
+// launchTail sends the partly filled block, if any, as a run of one.
+func (w *fileWriter) launchTail() error {
+	if len(w.buf) > 0 {
+		w.join()
+	}
+	return w.launch()
 }
 
 // Close flushes the tail block, drains the pipeline, and waits until
@@ -653,7 +710,7 @@ func (w *fileWriter) Close() error {
 		return nil
 	}
 	w.closed = true
-	if err := w.launch(); err != nil {
+	if err := w.launchTail(); err != nil {
 		w.wg.Wait()
 		return err
 	}

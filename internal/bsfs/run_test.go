@@ -1,0 +1,125 @@
+package bsfs
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+
+	"blobseer/internal/blob"
+	"blobseer/internal/dfs"
+	"blobseer/internal/metrics"
+	"blobseer/internal/rpc"
+)
+
+// TestRunRule: where a writer's appends begin and end is decided by the
+// sizes of its Write calls and by WriteDepth alone, so the versions a
+// sequence of calls produces can be written down in advance.
+func TestRunRule(t *testing.T) {
+	const block, depth = 256, 4
+	d := newDeployment(t, block)
+	d.WriteDepth = depth
+	fs := mount(t, d, "cli")
+
+	repeat := func(n, size int) []int { return slices.Repeat([]int{size}, n) }
+	var upTo16 []uint64
+	for i := uint64(1); i <= 16; i++ {
+		upTo16 = append(upTo16, i*block)
+	}
+	cases := []struct {
+		name   string
+		writes []int // the size of each Write call
+		close  bool
+		sizes  []uint64 // the file size after each version, in order
+	}{
+		{"one Write of 4 blocks", []int{4 * block}, false, []uint64{4 * block}},
+		{"9 blocks and 100 bytes, closed", []int{9*block + 100}, true,
+			[]uint64{4 * block, 8 * block, 9 * block, 9*block + 100}},
+		{"sixteen Writes of one block", repeat(16, block), false, upTo16},
+		{"three Writes of half a block", repeat(3, block/2), false, []uint64{block}},
+		{"6 blocks on a writer half a block in", []int{block / 2, 6 * block}, false,
+			[]uint64{4 * block, 6 * block}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := fmt.Sprintf("/run-%d", i)
+			fw, err := fs.Create(ctx, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := fw.(*fileWriter)
+			var want []byte
+			for k, n := range tc.writes {
+				p := pattern(byte(i*16+k), n)
+				want = append(want, p...)
+				if _, err := w.Write(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.close {
+				err = w.Close()
+			} else {
+				// Not Flush: that would send the buffered tail. A drained
+				// pipeline has completed, and so published, every version.
+				err = w.drain()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			vers, err := fs.Versions(ctx, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sizes []uint64
+			for _, v := range vers {
+				sizes = append(sizes, v.Size)
+			}
+			if !slices.Equal(sizes, tc.sizes) {
+				t.Errorf("file sizes by version = %v, want %v", sizes, tc.sizes)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := dfs.ReadAll(ctx, fs, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Error("content mismatch")
+			}
+		})
+	}
+}
+
+// TestRunIsOneAppend counts the client-side calls of one 4-block Write
+// and its Flush: the run costs what one append costs, plus a put per
+// page.
+func TestRunIsOneAppend(t *testing.T) {
+	const block = 256
+	d := newDeployment(t, block)
+	d.WriteDepth = 4
+	fs := mount(t, d, "cli")
+	w, err := fs.Create(ctx, "/counted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	want := []struct {
+		m     rpc.Method
+		calls uint64
+	}{{blob.VMAssign, 1}, {blob.VMComplete, 1}, {blob.PMAlloc, 1}, {blob.ProvPutPage, 4}, {NSUpdateSize, 1}}
+	before := metrics.Default.RPCClient.Snapshot()
+	if _, err := w.Write(pattern(1, 4*block)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.(dfs.Flusher).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	after := metrics.Default.RPCClient.Snapshot()
+	for _, c := range want {
+		if got := after[c.m.Name].Calls - before[c.m.Name].Calls; got != c.calls {
+			t.Errorf("%s: %d calls for a 4-block Write and Flush, want %d", c.m.Name, got, c.calls)
+		}
+	}
+}

@@ -95,7 +95,14 @@ type BlockLoc struct {
 // must preserve the writer's block order in the file and must not
 // report success from Close unless every block is durable.
 type FileWriter interface {
-	io.Writer
+	// Write buffers p and commits the whole blocks it fills. A backend
+	// with atomic appends (a Flusher) commits the blocks of one call
+	// together, in runs of at most AtomicLimit bytes: on a writer
+	// holding no partial block, a Write of whole blocks no longer than
+	// that lands atomically and contiguously, whoever else appends to
+	// the file. Bytes short of a block wait for the next Write, Flush
+	// or Close.
+	Write(p []byte) (int, error)
 	io.Closer
 }
 
@@ -105,6 +112,9 @@ type FileWriter interface {
 // (GFS-style record append).
 type Flusher interface {
 	Flush() error
+	// AtomicLimit is the most bytes one Write can land as a single
+	// atomic, contiguous append: a whole number of blocks.
+	AtomicLimit() int
 }
 
 // FileReader is a streaming reader with random access.

@@ -192,22 +192,28 @@ func (tt *TaskTracker) fetchBlobSegments(ctx context.Context, job *jobState, r i
 // HDFS's). The cost is interior padding, which for the text record
 // format is just empty lines that every record reader already skips.
 //
-// Records must not exceed the block size (GFS imposes the analogous
-// record ≤ 1/4 chunk limit); oversized records fall back to an
-// unpadded, possibly-merging append, trading speed for correctness.
+// A batch is one block, except that a record larger than a block is a
+// batch of its own, padded to the next block multiple: the stream
+// commits the whole blocks of one Write together, so it too is one
+// atomic append. A record over the stream's dfs.Flusher.AtomicLimit
+// could only be written torn, and fails the Write instead (GFS imposes
+// the analogous record ≤ 1/4 chunk limit).
 type recordWriter struct {
-	w    dfs.FileWriter
-	max  int
-	buf  []byte
-	err  error
-	done bool
+	w     dfs.FileWriter
+	fl    dfs.Flusher // w as a Flusher, nil if it is none
+	block int
+	buf   []byte
+	err   error
+	done  bool
 }
 
 func newRecordWriter(w dfs.FileWriter, blockSize int) *recordWriter {
 	if blockSize <= 0 {
 		blockSize = 64 << 20
 	}
-	return &recordWriter{w: w, max: blockSize, buf: make([]byte, 0, blockSize)}
+	rw := &recordWriter{w: w, block: blockSize, buf: make([]byte, 0, blockSize)}
+	rw.fl, _ = w.(dfs.Flusher)
+	return rw
 }
 
 // Write implements io.Writer; p must be one whole record.
@@ -215,13 +221,17 @@ func (rw *recordWriter) Write(p []byte) (int, error) {
 	if rw.err != nil {
 		return 0, rw.err
 	}
-	if len(rw.buf)+len(p) > rw.max && len(rw.buf) > 0 {
+	if rw.fl != nil && len(p) > rw.fl.AtomicLimit() {
+		rw.err = fmt.Errorf("mapreduce: a %d-byte record cannot be appended atomically (limit %d bytes: raise the block size or the write depth)", len(p), rw.fl.AtomicLimit())
+		return 0, rw.err
+	}
+	if len(rw.buf)+len(p) > rw.block && len(rw.buf) > 0 {
 		if err := rw.flush(); err != nil {
 			return 0, err
 		}
 	}
 	rw.buf = append(rw.buf, p...)
-	if len(rw.buf) >= rw.max {
+	if len(rw.buf) >= rw.block {
 		if err := rw.flush(); err != nil {
 			return 0, err
 		}
@@ -232,22 +242,19 @@ func (rw *recordWriter) Write(p []byte) (int, error) {
 // flush pads the batch to a block multiple and forces it out as one
 // atomic append.
 func (rw *recordWriter) flush() error {
-	if len(rw.buf) == 0 {
-		return nil
+	if rw.err != nil || len(rw.buf) == 0 {
+		return rw.err
 	}
-	if len(rw.buf) <= rw.max {
-		for len(rw.buf) < rw.max {
-			rw.buf = append(rw.buf, '\n')
-		}
+	for len(rw.buf)%rw.block != 0 {
+		rw.buf = append(rw.buf, '\n')
 	}
-	// else: single oversized record; append unpadded (see type doc).
 	if _, err := rw.w.Write(rw.buf); err != nil {
 		rw.err = err
 		return err
 	}
 	rw.buf = rw.buf[:0]
-	if f, ok := rw.w.(dfs.Flusher); ok {
-		if err := f.Flush(); err != nil {
+	if rw.fl != nil {
+		if err := rw.fl.Flush(); err != nil {
 			rw.err = err
 			return err
 		}

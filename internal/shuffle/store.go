@@ -251,7 +251,7 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 	pending := make([]*blob.PendingWrite, len(parts))
 	for p, data := range parts {
 		b := c.Handle(st.blobs[p], st.pageSize)
-		pw, err := b.AppendAsync(ctx, padToPage(data, st.pageSize))
+		pw, err := b.AppendAsync(ctx, [][]byte{padToPage(data, st.pageSize)})
 		if err != nil {
 			return fmt.Errorf("shuffle: append map %d part %d: %w", mapID, p, err)
 		}
