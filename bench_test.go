@@ -496,6 +496,45 @@ func BenchmarkMultiBlockWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkRecordAppend measures a record: a 1000-byte Write and its
+// Flush onto a file of 16 KiB blocks — the op of the gated record_append
+// workload, with one client. All but one record in sixteen begin
+// mid-block, and an unaligned append stores a fragment holding its own
+// bytes: it reads nothing back and waits for no other version.
+func BenchmarkRecordAppend(b *testing.B) {
+	const block, record = 16 << 10, 1000
+	o := sized(8, 3, block)
+	o.CacheBytes = -1
+	c, err := NewCluster(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	fs := c.Mount("node-000")
+	defer fs.Close()
+	w, err := fs.Append(benchCtx, "/bench/records")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	data := benchChunk(4)[:record]
+	b.SetBytes(record)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Write(data); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.(dfs.Flusher).Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if stored := c.Blob.ProviderBytes(); stored != int64(b.N)*record {
+		b.Errorf("providers hold %d bytes for %d bytes of records", stored, b.N*record)
+	}
+}
+
 // BenchmarkWriteDepthSweep measures multi-block file-write throughput
 // as a function of the writer pipeline depth, two ways. write=block
 // hands the writer one block per Write, so every block is an append of

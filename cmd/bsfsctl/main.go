@@ -264,9 +264,9 @@ func renderTop(snap monitor.ClusterSnapshot) {
 	for _, c := range snap.Components {
 		switch c.Kind {
 		case monitor.KindProvider:
-			fmt.Printf("  prov %-12s %s %5.1f%%  r=%8.0f B/s w=%8.0f B/s pages=%.0f\n",
+			fmt.Printf("  prov %-12s %s %5.1f%%  r=%8.0f B/s w=%8.0f B/s pages=%.0f bytes=%.0f\n",
 				c.Name, utilBar(c.Utilization), c.Utilization*100,
-				c.Rates["read_bytes_per_sec"], c.Rates["write_bytes_per_sec"], c.Gauges["pages"])
+				c.Rates["read_bytes_per_sec"], c.Rates["write_bytes_per_sec"], c.Gauges["pages"], c.Gauges["bytes_used"])
 		case monitor.KindVMShard:
 			fmt.Printf("  shard %-11s blobs=%-5.0f pub/s=%-8.2f lag=%.0f journal=%.0fB\n",
 				c.Name, c.Gauges["blobs"], c.Rates["published_per_sec"],

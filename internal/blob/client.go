@@ -96,12 +96,14 @@ type Client struct {
 	mu      sync.Mutex
 	hist    map[uint64]*blobHistory
 	verinfo map[VersionRef]VersionInfo // published (immutable) versions
-	slots   map[slotKey]segtree.Slot   // resolved pages of published versions
+	slots   map[slotKey][]segtree.Slot // resolved page slots of published versions
 }
 
-// slotKey addresses one resolved page of one published version. Like
-// page content, the (read version, page index) -> PageRef mapping is
-// immutable once the version publishes, so it caches forever.
+// slotKey addresses one resolved page slot of one published version.
+// Like page content, the (read version, page index) -> PageRefs mapping
+// is immutable once the version publishes, so it caches forever. The
+// value is the slot's stored pages in offset order — one for a whole
+// page — as a window of the slice segtree.Resolve returned.
 type slotKey struct{ blob, ver, page uint64 }
 
 // cacheCap bounds the client's metadata side-caches (version infos and
@@ -140,7 +142,7 @@ func NewClient(cfg ClientConfig) *Client {
 		pageQuit: make(chan struct{}),
 		hist:     make(map[uint64]*blobHistory),
 		verinfo:  make(map[VersionRef]VersionInfo),
-		slots:    make(map[slotKey]segtree.Slot),
+		slots:    make(map[slotKey][]segtree.Slot),
 	}
 }
 
@@ -499,15 +501,20 @@ func (p payload) len() uint64 {
 }
 
 // page returns page i of the payload, short if the payload ends inside
-// it.
-func (p payload) page(i, pageSize uint64) []byte {
-	lo := i * pageSize
+// it. With head set the payload begins that far into its first page
+// slot, so page 0 is that much shorter and the rest shift; such a
+// payload is one buffer.
+func (p payload) page(i, pageSize, head uint64) []byte {
+	lo, hi := i*pageSize, (i+1)*pageSize-head
+	if i > 0 {
+		lo -= head
+	}
 	for _, buf := range p {
 		n := uint64(len(buf))
 		if lo < n {
-			return buf[lo:minU64(lo+pageSize, n)]
+			return buf[lo:minU64(hi, n)]
 		}
-		lo -= n
+		lo, hi = lo-n, hi-n
 	}
 	return nil
 }
@@ -641,7 +648,7 @@ func (b *Blob) allocPages(ctx context.Context, a AssignResp, n uint64) (*AllocRe
 	c := b.c
 	ps := b.pageSize
 	rec := a.Record
-	pageBase := rec.Off * ps
+	pageBase := rec.Off*ps + rec.Head
 	writeEnd := a.Start + n
 	recEnd := (rec.Off + rec.N) * ps
 	contentEnd := maxU64(writeEnd, minU64(recEnd, a.PrevSize))
@@ -674,7 +681,7 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 	c := b.c
 	ps := b.pageSize
 	rec := a.Record
-	pageBase := rec.Off * ps
+	pageBase := rec.Off*ps + rec.Head // the first byte this version stores
 	writeEnd := a.Start + data.len()
 	recEnd := (rec.Off + rec.N) * ps
 	headHi := minU64(a.Start, a.PrevSize)
@@ -693,11 +700,15 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 		}()
 	}
 
-	// 2. Boundary merges. A write that starts or ends mid-page must
-	// fold in the neighbouring bytes of the previous version so each
-	// stored page is a contiguous prefix of its slot. Whole-page
-	// appends (the common case and all benchmark workloads) skip this
-	// entirely and stay fully parallel.
+	// 2. Boundary merges. A write that lands inside existing bytes — an
+	// overwrite that starts or ends mid-page, or the append told to
+	// compact a slot already stored as segtree.MaxSlotFragments pages —
+	// folds in the neighbouring bytes of the previous version, so that
+	// each page it stores is a prefix of its slot, and must wait for that
+	// version to publish. Every other write skips this and stays fully
+	// parallel: whole pages have no neighbours, and a write that begins
+	// mid-slot past everything the slot holds stores a fragment
+	// (rec.Head), whose pageBase is where the previous version ends.
 	var head, tail []byte
 	var err error
 	if (headHi > pageBase || tailHi > writeEnd) && a.Ver >= 2 {
@@ -733,10 +744,12 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 		return fmt.Errorf("blob: alloc returned %d providers for %d pages", len(alloc.Providers), rec.N)
 	}
 
-	// A write that starts on a page boundary and has nothing to merge
-	// is sent as it is; only an unaligned one is assembled in a copy.
+	// A write that starts at pageBase and has nothing to merge is sent as
+	// it is. One that does not, or that has neighbours to fold in, is
+	// assembled in a copy (a gap up to a.Start stays zero), and so are the
+	// buffers of a run behind a fragment, whose pages would straddle them.
 	content := data
-	if a.Start != pageBase || contentEnd != writeEnd {
+	if a.Start != pageBase || contentEnd != writeEnd || (rec.Head != 0 && len(data) > 1) {
 		whole := make([]byte, contentEnd-pageBase)
 		data.copyTo(whole[a.Start-pageBase:])
 		copy(whole, head) // head covers [pageBase, headHi)
@@ -756,7 +769,7 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 		var ok []string
 		var lastErr error
 		for _, addr := range replicas {
-			err := c.pool.Call(pctx, transport.Addr(addr), ProvPutPage, &PutPageReq{Key: key, Data: content.page(i, ps)}, nil)
+			err := c.pool.Call(pctx, transport.Addr(addr), ProvPutPage, &PutPageReq{Key: key, Data: content.page(i, ps, rec.Head)}, nil)
 			if err != nil {
 				lastErr = err
 				continue
@@ -912,32 +925,51 @@ func (b *Blob) readAtInto(ctx context.Context, ver uint64, off uint64, p []byte)
 	firstPage := off / ps
 	lastPage := (off + n - 1) / ps
 	slots, err := b.resolveSlots(ctx, info, firstPage, lastPage-firstPage+1)
-	if err != nil {
-		return 0, b.collectedOr(ctx, info.Ver, err)
+	if err == nil {
+		err = b.readSlots(ctx, slots, off, p)
 	}
-
-	err = b.c.forEachPage(uint64(len(slots)), func(i uint64) error {
-		slot := slots[i]
-		lo := maxU64(off, slot.Index*ps)
-		hi := minU64(off+n, (slot.Index+1)*ps)
-		if slot.Ref.Hole {
-			clear(p[lo-off : hi-off]) // holes read as zeros
-			return nil
-		}
-		pLo := lo - slot.Index*ps
-		pHi := hi - slot.Index*ps
-		// fetchPage validates length: success means >= pHi bytes.
-		page, err := b.c.fetchPage(ctx, slot.Ref, pHi)
-		if err != nil {
-			return err
-		}
-		copy(p[lo-off:hi-off], page[pLo:pHi])
-		return nil
-	})
 	if err != nil {
 		return 0, b.collectedOr(ctx, info.Ver, err)
 	}
 	return int(n), nil
+}
+
+// extent returns the byte range of the BLOB that stored page i of slots
+// holds: from its Lo up to where the next page of the same slot begins,
+// or to the slot's end. The pages of a slot were stored end to end, so
+// consecutive extents tile the resolved range.
+func (b *Blob) extent(slots []segtree.Slot, i uint64) (lo, hi uint64) {
+	s := &slots[i]
+	lo, hi = s.Index*b.pageSize+uint64(s.Ref.Lo), (s.Index+1)*b.pageSize
+	if i+1 < uint64(len(slots)) && slots[i+1].Index == s.Index {
+		hi = s.Index*b.pageSize + uint64(slots[i+1].Ref.Lo)
+	}
+	return lo, hi
+}
+
+// readSlots copies bytes [off, off+len(p)) of the BLOB into p from the
+// resolved pages that hold them, each fetched in parallel and copied
+// straight to its place; holes read as zeros.
+func (b *Blob) readSlots(ctx context.Context, slots []segtree.Slot, off uint64, p []byte) error {
+	end := off + uint64(len(p))
+	return b.c.forEachPage(uint64(len(slots)), func(i uint64) error {
+		base, limit := b.extent(slots, i)
+		lo, hi := maxU64(off, base), minU64(end, limit)
+		if lo >= hi {
+			return nil // a fragment the read does not reach
+		}
+		if slots[i].Ref.Hole {
+			clear(p[lo-off : hi-off])
+			return nil
+		}
+		// fetchPage validates length: success means >= hi-base bytes.
+		page, err := b.c.fetchPage(ctx, slots[i].Ref, hi-base)
+		if err != nil {
+			return err
+		}
+		copy(p[lo-off:hi-off], page[lo-base:hi-base])
+		return nil
+	})
 }
 
 // PageView returns a read-only view of one whole page of version ver
@@ -945,8 +977,9 @@ func (b *Blob) readAtInto(ctx context.Context, ver uint64, off uint64, p []byte)
 // may be short, and pages past the end return ErrOutOfRange. When the
 // page sits in the shared cache the returned slice aliases the cached
 // copy, so streaming readers move each byte exactly once (cache →
-// caller); holes come back as freshly zeroed slices. Callers MUST NOT
-// modify the returned bytes.
+// caller); holes come back as freshly zeroed slices, and a slot stored
+// as fragments is assembled into a buffer of the view's own. Callers
+// MUST NOT modify the returned bytes.
 func (b *Blob) PageView(ctx context.Context, ver, page uint64) ([]byte, error) {
 	// The BSFS read path is built on PageView, so this histogram (not
 	// blob.read) is where file-system read latency lands.
@@ -965,12 +998,18 @@ func (b *Blob) PageView(ctx context.Context, ver, page uint64) ([]byte, error) {
 	if err != nil {
 		return nil, b.collectedOr(ctx, info.Ver, err)
 	}
-	slot := slots[0]
-	if slot.Ref.Hole {
+	if len(slots) > 1 {
+		view := make([]byte, want)
+		if err := b.readSlots(ctx, slots, page*ps, view); err != nil {
+			return nil, b.collectedOr(ctx, info.Ver, err)
+		}
+		return view, nil
+	}
+	if slots[0].Ref.Hole {
 		return make([]byte, want), nil
 	}
 	// fetchPage validates length: success means >= want bytes.
-	data, err := b.c.fetchPage(ctx, slot.Ref, want)
+	data, err := b.c.fetchPage(ctx, slots[0].Ref, want)
 	if err != nil {
 		return nil, b.collectedOr(ctx, info.Ver, err)
 	}
@@ -1004,35 +1043,33 @@ func (b *Blob) Prefetch(ctx context.Context, ver, off, n uint64) error {
 		return b.collectedOr(ctx, info.Ver, err)
 	}
 	err = b.c.forEachPage(uint64(len(slots)), func(i uint64) error {
-		slot := slots[i]
-		if slot.Ref.Hole {
+		base, limit := b.extent(slots, i)
+		if slots[i].Ref.Hole || base >= off+n {
 			return nil
 		}
-		want := minU64(off+n, (slot.Index+1)*ps) - slot.Index*ps
-		_, err := b.c.fetchPage(ctx, slot.Ref, want)
+		_, err := b.c.fetchPage(ctx, slots[i].Ref, minU64(off+n, limit)-base)
 		return err
 	})
 	return b.collectedOr(ctx, info.Ver, err)
 }
 
 // resolveSlots maps pages [first, first+n) of the published version
-// info to their page refs, through the client's slot cache: a range
-// fully resolved before costs no metadata RPC at all. On a miss the
-// whole range is resolved in one segment-tree walk and cached.
+// info to the refs of their stored pages, in segtree.Resolve's order,
+// through the client's slot cache: a range fully resolved before costs
+// no metadata RPC at all. On a miss the whole range is resolved in one
+// segment-tree walk and cached. The result is shared and read-only.
 func (b *Blob) resolveSlots(ctx context.Context, info VersionInfo, first, n uint64) ([]segtree.Slot, error) {
 	c := b.c
 	out := make([]segtree.Slot, 0, n)
+	hit := true
 	c.mu.Lock()
-	for i := uint64(0); i < n; i++ {
-		s, ok := c.slots[slotKey{b.id, info.Ver, first + i}]
-		if !ok {
-			out = out[:0]
-			break
-		}
-		out = append(out, s)
+	for i := uint64(0); i < n && hit; i++ {
+		var s []segtree.Slot
+		s, hit = c.slots[slotKey{b.id, info.Ver, first + i}]
+		out = append(out, s...)
 	}
 	c.mu.Unlock()
-	if uint64(len(out)) == n {
+	if hit {
 		return out, nil
 	}
 	slots, err := segtree.Resolve(ctx, c.nodes, b.id, info.Ver, info.Pages, first, n)
@@ -1041,10 +1078,12 @@ func (b *Blob) resolveSlots(ctx context.Context, info VersionInfo, first, n uint
 	}
 	c.mu.Lock()
 	if len(c.slots) >= cacheCap {
-		c.slots = make(map[slotKey]segtree.Slot)
+		c.slots = make(map[slotKey][]segtree.Slot)
 	}
-	for _, s := range slots {
-		c.slots[slotKey{b.id, info.Ver, s.Index}] = s
+	for lo, hi := 0, 0; lo < len(slots); lo = hi {
+		for hi = lo + 1; hi < len(slots) && slots[hi].Index == slots[lo].Index; hi++ {
+		}
+		c.slots[slotKey{b.id, info.Ver, slots[lo].Index}] = slots[lo:hi:hi]
 	}
 	c.mu.Unlock()
 	return slots, nil
@@ -1201,7 +1240,8 @@ type PageLoc struct {
 }
 
 // PageLocations resolves the page→provider mapping of [off, off+n)
-// bytes of version ver (0 = latest published).
+// bytes of version ver (0 = latest published), one location per page: a
+// page stored as fragments reports the one its slot begins with.
 func (b *Blob) PageLocations(ctx context.Context, ver, off, n uint64) ([]PageLoc, error) {
 	info, err := b.resolveVersion(ctx, ver)
 	if err != nil {
@@ -1220,13 +1260,16 @@ func (b *Blob) PageLocations(ctx context.Context, ver, off, n uint64) ([]PageLoc
 	if err != nil {
 		return nil, err
 	}
-	out := make([]PageLoc, len(slots))
-	for i, s := range slots {
+	out := make([]PageLoc, 0, lastPage-firstPage+1)
+	for _, s := range slots {
+		if s.Ref.Lo != 0 {
+			continue // one location per page: where its first stored bytes live
+		}
 		loc := PageLoc{Index: s.Index, Hole: s.Ref.Hole, Providers: s.Ref.Providers}
 		for _, p := range s.Ref.Providers {
 			loc.Hosts = append(loc.Hosts, transport.Addr(p).Host())
 		}
-		out[i] = loc
+		out = append(out, loc)
 	}
 	return out, nil
 }

@@ -87,7 +87,7 @@ func appendWriteRecord(b []byte, w segtree.WriteRecord) []byte {
 	b = wire.AppendUvarint(b, w.Off)
 	b = wire.AppendUvarint(b, w.N)
 	b = wire.AppendUvarint(b, w.PagesAfter)
-	return b
+	return wire.AppendUvarint(b, w.Head)
 }
 
 func decodeWriteRecord(r *wire.Reader) segtree.WriteRecord {
@@ -96,6 +96,7 @@ func decodeWriteRecord(r *wire.Reader) segtree.WriteRecord {
 	w.Off = r.Uvarint()
 	w.N = r.Uvarint()
 	w.PagesAfter = r.Uvarint()
+	w.Head = r.Uvarint()
 	return w
 }
 

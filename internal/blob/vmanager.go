@@ -320,6 +320,10 @@ func (vm *VersionManager) handleCreateBlob(r *wire.Reader) (wire.Marshaler, erro
 	if req.PageSize == 0 {
 		return nil, errors.New("blob: zero page size")
 	}
+	if req.PageSize > 1<<31 {
+		// An in-slot offset travels as segtree.PageRef.Lo, a uint32.
+		return nil, fmt.Errorf("blob: page size %d exceeds %d", req.PageSize, uint64(1)<<31)
+	}
 	// Skipped stripe candidates (ids the ring maps elsewhere) are never
 	// journaled; replay re-skips them identically. A journal failure
 	// burns the allocated id, which is harmless — ids are not dense.
@@ -439,11 +443,13 @@ func (vm *VersionManager) handleSeal(r *wire.Reader) (wire.Marshaler, error) {
 
 // seal aborts a pending version: the manager commits hole metadata for
 // its write interval so readers of later versions see zeros there and
-// the publication chain advances past the failed writer. The sealed
-// record is journaled only AFTER the hole metadata is durably in the
-// metadata DHT, so replaying vmOpSealed never needs I/O; a crash
-// between commit and journal re-seals on the next timeout, and
-// segtree.Commit is idempotent for identical content.
+// the publication chain advances past the failed writer. A version that
+// was to store a fragment in its first slot seals as a hole fragment:
+// zeros from its Head on, the bytes earlier versions stored before it
+// untouched. The sealed record is journaled only AFTER the hole metadata
+// is durably in the metadata DHT, so replaying vmOpSealed never needs
+// I/O; a crash between commit and journal re-seals on the next timeout,
+// and segtree.Commit is idempotent for identical content.
 func (vm *VersionManager) seal(blob, ver uint64) error {
 	bs, ok := vm.st.lookup(blob)
 	if !ok {

@@ -353,8 +353,9 @@ type assignResult struct {
 }
 
 // applyAssignLocked appends one version assignment. Caller holds bs.mu.
-// Offsets and version numbers derive from prior state only, so replay
-// in journal order recomputes the exact assignments handed out live.
+// Offsets, version numbers and whether the version stores a fragment in
+// its first page slot derive from prior state only, so replay in journal
+// order recomputes the exact assignments handed out live.
 func (st *vmState) applyAssignLocked(bs *blobState, rec vmRecord, now time.Time) assignResult {
 	ps := bs.pageSize
 	var prevSize uint64
@@ -383,6 +384,7 @@ func (st *vmState) applyAssignLocked(bs *blobState, rec vmRecord, now time.Time)
 		Off:        pageOff,
 		N:          pageEnd - pageOff,
 		PagesAfter: (sizeAfter + ps - 1) / ps,
+		Head:       segtree.FragmentHead(bs.records, ps, prevSize, start),
 	}
 	bs.records = append(bs.records, w)
 	bs.sizes = append(bs.sizes, sizeAfter)

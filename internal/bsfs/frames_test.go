@@ -59,6 +59,16 @@ const (
 	// (measured 81; four appends of a block each cost 257).
 	runBlocks       = 4
 	runObjectBudget = 110
+	// A record is a 1000-byte Write and its Flush onto a file of 16 KiB
+	// blocks: an unaligned append, which stores a fragment of its own
+	// bytes (measured 61 objects and 10 KiB here, 94 and 8.2 KiB per op
+	// on the gated benchmark's record_append; the boundary-page rewrite
+	// this replaced waited for the previous version, read its page back
+	// and stored the whole prefix again: 207 objects and 53 KiB there).
+	recordBlock        = 16 << 10
+	recordLen          = 1000
+	recordObjectBudget = 130
+	recordByteBudget   = 16 << 10
 )
 
 // TestAllocationBudget is the tier-1 guard on the data path's copies:
@@ -133,6 +143,7 @@ func TestAllocationBudget(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	recordBudget(t)
 
 	// Cold reads: a fresh mount, so every block comes from a provider.
 	rfs := mount(t, d, "reader")
@@ -162,6 +173,43 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	if misses := rfs.BlobClient().ReadStats().Snapshot().ProviderFetches; misses < 2*(warm+blocks) {
 		t.Errorf("only %d provider fetches for %d cold blocks: the read was not cold", misses, 2*(warm+blocks))
+	}
+}
+
+// recordBudget is TestAllocationBudget's record line: what one small
+// unaligned append may allocate, process-wide.
+func recordBudget(t *testing.T) {
+	d := newDeployment(t, recordBlock)
+	fs := mount(t, d, "writer")
+	fw, err := fs.Create(ctx, "/records")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
+	w := fw.(*fileWriter)
+	const warm, records = 64, 1024
+	rec := pattern(7, recordLen)
+	write := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := w.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(warm)
+	written, objects := allocated(func() { write(records) })
+	t.Logf("record append: %d objects and %d B allocated per %d-byte record (budgets %d and %d)", objects/records, written/records, recordLen, recordObjectBudget, recordByteBudget)
+	if objects/records > recordObjectBudget {
+		t.Errorf("a %d-byte record append allocates %d objects, budget %d", recordLen, objects/records, recordObjectBudget)
+	}
+	if written/records > recordByteBudget {
+		t.Errorf("a %d-byte record append allocates %d B, budget %d: it is storing or reading more than its own bytes", recordLen, written/records, recordByteBudget)
+	}
+	if stored, user := d.Blob.ProviderBytes(), int64((warm+records)*recordLen); stored != user {
+		t.Errorf("providers hold %d bytes for %d bytes of records", stored, user)
 	}
 }
 

@@ -123,3 +123,54 @@ func TestRunIsOneAppend(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordIsOneAppend counts the client-side calls of a 1000-byte
+// Write and its Flush onto a file that ends mid-block: an unaligned
+// append is the calls of any append and one put of its own bytes —
+// it waits for no other version and reads nothing back.
+func TestRecordIsOneAppend(t *testing.T) {
+	const block = 4096
+	d := newDeployment(t, block)
+	fs := mount(t, d, "cli")
+	w, err := fs.Create(ctx, "/records")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	record := func(tag byte) {
+		t.Helper()
+		if _, err := w.Write(pattern(tag, 1000)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.(dfs.Flusher).Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	record(1)
+	record(2)
+
+	want := []struct {
+		m     rpc.Method
+		calls uint64
+	}{{blob.VMAssign, 1}, {blob.PMAlloc, 1}, {blob.ProvPutPage, 1}, {blob.VMComplete, 1}, {NSUpdateSize, 1},
+		{blob.VMWaitPublished, 0}, {blob.ProvGetPage, 0}}
+	before := metrics.Default.RPCClient.Snapshot()
+	stored := d.Blob.ProviderBytes()
+	record(3)
+	after := metrics.Default.RPCClient.Snapshot()
+	for _, c := range want {
+		if got := after[c.m.Name].Calls - before[c.m.Name].Calls; got != c.calls {
+			t.Errorf("%s: %d calls for a 1000-byte Write and Flush, want %d", c.m.Name, got, c.calls)
+		}
+	}
+	if got := d.Blob.ProviderBytes() - stored; got != 1000 {
+		t.Errorf("the record stored %d bytes, want its own 1000", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := dfs.ReadAll(ctx, fs, "/records")
+	if want := slices.Concat(pattern(1, 1000), pattern(2, 1000), pattern(3, 1000)); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the file reads back %d bytes (%v), want the three records", len(got), err)
+	}
+}

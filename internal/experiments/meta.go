@@ -72,14 +72,18 @@ type MetaResult struct {
 	Recovery MetaRecovery `json:"recovery"`
 }
 
-// Meta-scenario sizing. The metadata hosts' modeled NIC is 8x
+// Meta-scenario sizing. The metadata hosts' modeled NIC is 16x
 // narrower than everyone else's: with 256-byte payloads the
 // version-manager endpoints are the only saturated links, which is
-// exactly the bottleneck sharding attacks. Each writer owns one BLOB,
-// so BLOBs (and their journal records) spread across the shard ring.
+// exactly the bottleneck sharding attacks. (It was 8x while an
+// unaligned append still asked its shard to wait for the previous
+// version; one round trip fewer per op left the four-shard point bound
+// by the op's own latency instead, and so by whatever else the host was
+// running.) Each writer owns one BLOB, so BLOBs (and their journal
+// records) spread across the shard ring.
 const (
 	metaClientBW   = 4 * (1 << 20) // bytes/s: client/provider NICs
-	metaVMBW       = 1 * (1 << 19) // bytes/s: metadata host NICs, the bottleneck
+	metaVMBW       = 1 * (1 << 18) // bytes/s: metadata host NICs, the bottleneck
 	metaPayload    = 256           // bytes per append
 	metaPageSize   = 4096          // page size of the workload BLOBs
 	metaProviders  = 48            // one writer per client host NIC

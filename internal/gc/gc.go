@@ -30,7 +30,11 @@
 // reachability — version v's node or page covering page range R is
 // shadowed at protected version P iff some write in (v, P] intersects
 // R, because every resolve from P then descends through the later
-// writer's node instead.
+// writer's node instead. Page slots stored as fragments (segtree,
+// "Fragments") bend that in one place: a version that stored a fragment
+// in a slot shadows nothing there — its leaf names the pages behind it —
+// and a version that stored a slot prefix shadows the whole chain behind
+// it, which segtree.Chain lists from the same write records.
 package gc
 
 import (
@@ -337,19 +341,31 @@ func (g *Collector) computeWork(br *blob.BlobReclaim) *reclaimWork {
 	// version trees are built from. The replay resumes where the last
 	// pass stopped (from 1 only after a collector restart, where the
 	// scan ships the full prefix again).
+	var chain [segtree.MaxSlotFragments]segtree.Frag
 	for v := st.processed + 1; v <= br.To && v <= n; v++ {
 		if v > br.From {
-			for _, nr := range segtree.VersionNodes(recs[v-1], recs[:v-1]) {
+			rec := recs[v-1]
+			for _, nr := range segtree.VersionNodes(rec, recs[:v-1]) {
 				owner := st.owners.latest(nr.Off, nr.Span)
 				if owner == 0 {
 					continue // no predecessor: fresh range or hole wrapper
 				}
-				// The predecessor's node for this exact range (a missing
-				// key — e.g. a smaller-rooted tree — deletes as a no-op).
-				w.deadNodes = append(w.deadNodes, segtree.NodeKey(br.Blob, owner, nr.Off, nr.Span))
-				if nr.Span == 1 {
-					w.leafPages = append(w.leafPages, pagestore.Key{Blob: br.Blob, Version: owner, Index: nr.Off})
-					w.leafKeys = append(w.leafKeys, segtree.LeafKey(br.Blob, owner, nr.Off))
+				if nr.Span > 1 {
+					// The predecessor's node for this exact range (a missing
+					// key — e.g. a smaller-rooted tree — deletes as a no-op).
+					w.deadNodes = append(w.deadNodes, segtree.NodeKey(br.Blob, owner, nr.Off, nr.Span))
+					continue
+				}
+				if rec.Head != 0 && nr.Off == rec.Off {
+					continue // a fragment: the slot's earlier pages stay part of it
+				}
+				// A slot prefix shadows the predecessor's page and, when
+				// that page is a fragment, the chain behind it.
+				for _, f := range segtree.Chain(recs[:owner], nr.Off, chain[:0]) {
+					leaf := segtree.LeafKey(br.Blob, f.Ver, nr.Off)
+					w.deadNodes = append(w.deadNodes, leaf)
+					w.leafKeys = append(w.leafKeys, leaf)
+					w.leafPages = append(w.leafPages, pagestore.Key{Blob: br.Blob, Version: f.Ver, Index: nr.Off})
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -545,4 +546,139 @@ func TestMetadataOutageRequeuesWork(t *testing.T) {
 	if rep.PagesUnlocatable == 0 {
 		t.Fatalf("lost leaves were not accounted: %+v", rep)
 	}
+}
+
+// TestSealedFragmentSurvivesCollection: a failed append that began
+// mid-page seals as a hole fragment, and neither the seal nor collecting
+// every version behind the latest may cost the bytes earlier versions
+// stored in that page — the latest version's chain still names them.
+func TestSealedFragmentSurvivesCollection(t *testing.T) {
+	h := newHarness(t, blob.ClusterConfig{Providers: 3, Retain: 1})
+	bl, err := h.cl.Create(ctx, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, third := fill(1, 100), fill(3, 100)
+	if _, err := bl.Append(ctx, first); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range h.cluster.Providers {
+		p.SetFailPuts(true)
+	}
+	if _, err := bl.Append(ctx, fill(2, 100)); !errors.Is(err, blob.ErrPageWrite) {
+		t.Fatalf("append with every provider refusing puts: %v", err)
+	}
+	for _, p := range h.cluster.Providers {
+		p.SetFailPuts(false)
+	}
+	res, err := bl.Append(ctx, third)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bl.WaitPublished(ctx, res.Ver); err != nil { // behind the failed append's seal
+		t.Fatal(err)
+	}
+	if rep := h.runOnce(t); rep.VersionsCollected != 2 {
+		t.Fatalf("pass collected %d versions, want 2: %+v", rep.VersionsCollected, rep)
+	}
+	fresh := h.cluster.Client("fresh")
+	defer fresh.Close()
+	got, err := fresh.Handle(bl.ID(), 256).ReadAt(ctx, res.Ver, 0, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(append(first, make([]byte, 100)...), third...); !bytes.Equal(got, want) {
+		t.Error("the latest version lost bytes to the seal or to the collector")
+	}
+	if _, err := bl.ReadAt(ctx, 1, 0, 100); !errors.Is(err, blob.ErrVersionCollected) {
+		t.Errorf("read of collected version 1: %v", err)
+	}
+}
+
+// TestFragmentChainsUnderRetention: mixed unaligned appends and
+// overwrites under a three-version retention, a pass every five
+// versions. A fragment shadows nothing and a slot prefix shadows the
+// whole chain behind it, so after every pass the retained versions read
+// exactly through a cold client, and at the end the providers hold the
+// pages those versions resolve to and not a byte more.
+func TestFragmentChainsUnderRetention(t *testing.T) {
+	const ps, versions, retain = 512, 120, 3
+	h := newHarness(t, blob.ClusterConfig{Providers: 4})
+	bl, err := h.cl.Create(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bl.SetRetention(ctx, retain); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	contents := make([][]byte, 0, versions) // contents[v-1] is what version v reads as
+	var cur []byte
+	checkRetained := func(pass int) {
+		t.Helper()
+		cold := h.cluster.Client(fmt.Sprintf("cold-%d", pass))
+		defer cold.Close()
+		cb := cold.Handle(bl.ID(), ps)
+		for v := len(contents) - retain + 1; v <= len(contents); v++ {
+			want := contents[v-1]
+			got, err := cb.ReadAt(ctx, uint64(v), 0, uint64(len(want)))
+			if err != nil {
+				t.Fatalf("pass %d: read retained version %d: %v", pass, v, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("pass %d: retained version %d reads wrong", pass, v)
+			}
+		}
+	}
+	for v := 1; v <= versions; v++ {
+		data := make([]byte, 1+rng.Intn(300))
+		rng.Read(data)
+		var res blob.WriteResult
+		if rng.Intn(3) == 0 && len(cur) > 0 { // an overwrite inside existing bytes, growing the BLOB at times
+			off := rng.Intn(len(cur))
+			res, err = bl.WriteAt(ctx, data, uint64(off))
+			cur = append(cur[:off:off], append(data, cur[min(len(cur), off+len(data)):]...)...)
+		} else {
+			res, err = bl.Append(ctx, data)
+			cur = append(cur[:len(cur):len(cur)], data...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		contents = append(contents, cur)
+		if v%5 == 0 {
+			if _, err := bl.WaitPublished(ctx, res.Ver); err != nil {
+				t.Fatal(err)
+			}
+			h.runOnce(t)
+			checkRetained(v / 5)
+		}
+	}
+
+	// What the retained versions resolve to is everything left.
+	live := make(map[pagestore.Key]bool)
+	for v := versions - retain + 1; v <= versions; v++ {
+		pages := uint64(len(contents[v-1])+ps-1) / ps
+		slots, err := segtree.Resolve(ctx, h.cl.NodeStore(), bl.ID(), uint64(v), pages, 0, pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range slots {
+			if !s.Ref.Hole {
+				live[s.Ref.Page] = true
+			}
+		}
+	}
+	var liveBytes int64
+	for key := range live {
+		for _, p := range h.cluster.Providers {
+			if data, err := p.Store().Get(key); err == nil {
+				liveBytes += int64(len(data))
+			}
+		}
+	}
+	if stored := h.cluster.ProviderBytes(); stored != liveBytes {
+		t.Errorf("providers hold %d bytes, the %d retained versions resolve to %d", stored, retain, liveBytes)
+	}
+	t.Logf("%d versions, %d bytes in the latest, %d stored == %d live in %d pages", versions, len(cur), h.cluster.ProviderBytes(), liveBytes, len(live))
 }

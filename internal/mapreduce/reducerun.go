@@ -184,13 +184,17 @@ func (tt *TaskTracker) fetchBlobSegments(ctx context.Context, job *jobState, r i
 // and flushes each batch as one atomic append, padded with newlines to
 // an exact multiple of the block size.
 //
-// The padding is the same trade GFS record append makes: keeping every
-// append block-aligned means the BLOB's size is always page-aligned,
-// so concurrent appenders never share a page slot and never pay the
-// serialized boundary merge — appends from all reducers stay fully
-// parallel (that is what makes Figure 6's BSFS completion time match
-// HDFS's). The cost is interior padding, which for the text record
-// format is just empty lines that every record reader already skips.
+// The padding is the trade GFS record append makes, for what is left of
+// its reason. It no longer keeps appends parallel: an unaligned append
+// stores a fragment of its page slot and waits for nobody (package
+// segtree, "Fragments"). What block-aligned batches still buy is that
+// every page slot of the output is one stored page — one fetch for a
+// reader, a block a reader can view without assembling it, and one
+// location to schedule a map task next to. The cost is interior
+// padding, which for the text record format is just empty lines that
+// every record reader already skips. The padding decides the bytes of
+// the output file, so it stays until a gated workload can judge the
+// alternative.
 //
 // A batch is one block, except that a record larger than a block is a
 // batch of its own, padded to the next block multiple: the stream

@@ -1,95 +1,76 @@
 package segtree
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 // TestQuickAppendSequences drives random append-only workloads through
-// testing/quick: for any sequence of append sizes, every version's
-// full-range resolution must match the flat reference model.
+// testing/quick at byte granularity: for any sequence of append sizes —
+// most of them unaligned, so most versions store a fragment — every
+// version's full read must match the flat reference model, and
+// VersionNodes must list exactly the keys each commit stored.
 func TestQuickAppendSequences(t *testing.T) {
 	f := func(sizes []uint8, blobSeed uint16) bool {
-		if len(sizes) == 0 {
-			return true
+		if len(sizes) > 48 {
+			sizes = sizes[:48]
 		}
-		if len(sizes) > 24 {
-			sizes = sizes[:24]
+		m := newByteModel(uint64(blobSeed)+1000, 16)
+		rng := rand.New(rand.NewSource(int64(blobSeed)))
+		for _, s := range sizes {
+			data := make([]byte, s%40+1)
+			rng.Read(data)
+			m.write(t, m.size(), data, false)
 		}
-		store := NewMemStore()
-		m := newModel(uint64(blobSeed) + 1000)
-		off := uint64(0)
-		for i, s := range sizes {
-			n := uint64(s%9) + 1
-			ver := uint64(i + 1)
-			w := m.apply(ver, off, n)
-			if err := commitCheckingKeys(store, m.blob, w, m.history[:len(m.history)-1], mkRefs(m.blob, ver, off, n)); err != nil {
-				t.Logf("commit: %v", err)
-				return false
-			}
-			off += n
-		}
-		// Verify every version against the model.
-		for vi, w := range m.history {
-			owners := m.owners[vi]
-			slots, err := Resolve(ctx, store, m.blob, w.Ver, uint64(len(owners)), 0, uint64(len(owners)))
-			if err != nil {
-				t.Logf("resolve: %v", err)
-				return false
-			}
-			for p, slot := range slots {
-				if owners[p] == 0 && !slot.Ref.Hole {
-					return false
-				}
-				if owners[p] != 0 && slot.Ref.Page.Version != owners[p] {
-					return false
-				}
-			}
-		}
-		return true
+		m.verify(t)
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQuickPartialResolves checks arbitrary sub-range resolutions
-// against full-range ones.
+// TestQuickPartialResolves checks arbitrary byte ranges of a BLOB grown
+// by mixed writes against the model, and that Resolve answers a range of
+// pages with one slot prefix per page whatever else it returns.
 func TestQuickPartialResolves(t *testing.T) {
-	store := NewMemStore()
-	m := newModel(55)
+	m := newByteModel(55, 16)
 	rng := rand.New(rand.NewSource(7))
-	off := uint64(0)
-	for v := uint64(1); v <= 30; v++ {
-		n := uint64(rng.Intn(7) + 1)
-		w := m.apply(v, off, n)
-		if err := commitCheckingKeys(store, m.blob, w, m.history[:len(m.history)-1], mkRefs(m.blob, v, off, n)); err != nil {
-			t.Fatal(err)
-		}
-		off += n
+	for v := 1; v <= 60; v++ {
+		m.randomWrite(t, rng)
 	}
-	pages := off
+	ver := uint64(len(m.content))
+	want := m.content[ver-1]
+	size := uint64(len(want))
+	pages := (size + m.ps - 1) / m.ps
 
 	f := func(a, b uint16) bool {
-		lo := uint64(a) % pages
-		n := uint64(b)%(pages-lo) + 1
-		slots, err := Resolve(ctx, store, m.blob, 30, pages, lo, n)
+		lo := uint64(a) % size
+		n := uint64(b)%(size-lo) + 1
+		if got := m.read(t, ver, lo, n); !bytes.Equal(got, want[lo:lo+n]) {
+			t.Logf("bytes [%d,%d) read wrong from byte %d on", lo, lo+n, lo+uint64(firstDiff(got, want[lo:lo+n])))
+			return false
+		}
+		first, last := lo/m.ps, (lo+n-1)/m.ps
+		slots, err := Resolve(ctx, m.store, m.blob, ver, pages, first, last-first+1)
 		if err != nil {
-			t.Logf("resolve [%d,%d): %v", lo, lo+n, err)
+			t.Logf("resolve pages [%d,%d]: %v", first, last, err)
 			return false
 		}
-		if uint64(len(slots)) != n {
-			return false
-		}
-		owners := m.owners[29]
-		for i, slot := range slots {
-			p := lo + uint64(i)
-			if slot.Index != p || slot.Ref.Page.Version != owners[p] {
+		next := first
+		for i, s := range slots {
+			switch {
+			case s.Ref.Lo == 0 && s.Index == next:
+				next++
+			case s.Ref.Lo != 0 && i > 0 && s.Index == slots[i-1].Index && s.Ref.Lo > slots[i-1].Ref.Lo:
+			default:
+				t.Logf("pages [%d,%d]: entry %d is page %d offset %d, out of order", first, last, i, s.Index, s.Ref.Lo)
 				return false
 			}
 		}
-		return true
+		return next == last+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

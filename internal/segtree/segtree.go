@@ -38,6 +38,47 @@
 // version into one string and all encoded values into one byte slice
 // and hands the store substrings of them: a commit allocates per
 // version, not per node.
+//
+// # Fragments
+//
+// A page slot is stored as a short chain of immutable pages. The first
+// holds a prefix of the slot; each further one, a fragment, begins
+// exactly where the one before it ends. Which of the two a version
+// stores in its first page is decided at assignment and recorded as
+// WriteRecord.Head, the in-slot offset of the first byte it stores
+// there (FragmentHead): a write that begins mid-slot at or past
+// everything the slot holds — every unaligned append, and a write past
+// the end into a partly filled last page, whose writer zero-fills the
+// gap — gets the offset at which the slot's bytes end; an aligned write,
+// a write landing inside existing bytes and the write that finds
+// MaxSlotFragments pages in the slot already get 0, "whole pages", and
+// store a slot prefix, folding in what they must keep of the previous
+// version (the last of the three is what compacts a slot). So an
+// unaligned append stores its own bytes and nothing else, and needs
+// nothing of the version before it: not its bytes, not its metadata,
+// not its publication.
+//
+// The rule reads write records only, and so does everyone after it.
+// Chain walks history backwards over the records touching a slot until
+// the newest one that stored a prefix, and is the one place that knows
+// how: the version manager bounds a chain with it, Commit writes it
+// into the fragment's leaf (a leaf's fields, then Head and the
+// (version, offset) of each page behind it, MaxSlotFragments-1 at most)
+// without reading another version's metadata, and the garbage collector
+// learns from it which pages a slot prefix shadows. A whole-page leaf is
+// encoded as it always was.
+//
+// Resolve returns one Slot per stored page, ordered by index and then by
+// PageRef.Lo, fetching the leaves a fragment leaf names as one more
+// batched level. It returns no lengths and needs none: the pages of a
+// slot lie end to end, so each holds the bytes from its Lo up to the
+// next one's, and the last up to the end of the slot (or of the
+// version). A sealed version that was to store a fragment is a hole
+// over exactly that extent; the pages behind it stay readable.
+//
+// What is left: every MaxSlotFragments-th store into a slot rewrites the
+// slot's prefix, so records tiny next to the page still cost more than
+// their bytes, where every unaligned append used to.
 package segtree
 
 import (
@@ -45,6 +86,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -60,6 +102,10 @@ type PageRef struct {
 	Page      pagestore.Key
 	Providers []string // provider endpoint addresses, primary first
 	Hole      bool
+	// Lo is the in-slot offset of the page's first byte: 0 for a whole
+	// page, the writing version's Head for a fragment. Resolve sets it;
+	// Commit takes it from the record, not from the refs it is handed.
+	Lo uint32
 }
 
 // WriteRecord is one version's write interval, in page units.
@@ -70,13 +116,73 @@ type WriteRecord struct {
 	Off        uint64 // first page written
 	N          uint64 // number of pages written (>= 1)
 	PagesAfter uint64
+	// Head is the in-slot offset of the first byte the version stores in
+	// its first page. Zero means whole pages; see "Fragments" in the
+	// package comment and FragmentHead for the rule that sets it.
+	Head uint64
 }
 
-// Slot is one resolved page of a read: the page index within the BLOB
-// and its descriptor.
+// Slot is one resolved stored page of a read: the index of the page
+// slot it belongs to and its descriptor. A slot stored as fragments
+// resolves to one Slot per fragment.
 type Slot struct {
 	Index uint64
 	Ref   PageRef
+}
+
+// MaxSlotFragments bounds a slot's chain: no slot is ever stored as more
+// pages than this, so a reader fetches any slot in one parallel window
+// (it equals the blob client's per-operation transfer bound).
+const MaxSlotFragments = 32
+
+// Frag names one stored page of a slot's chain: the version that stored
+// it and the in-slot offset of its first byte.
+type Frag struct {
+	Ver uint64
+	Lo  uint64
+}
+
+// Chain lists the stored pages that make up page slot `slot` once every
+// record of history is applied, newest first: it walks history backwards
+// over the records touching the slot and stops at the newest one that
+// stored a slot prefix (Lo 0). The result is appended to buf[:0]. It is
+// nil when nothing in history wrote the slot or no prefix turns up within
+// MaxSlotFragments entries — a history the Head rule cannot produce.
+func Chain(history []WriteRecord, slot uint64, buf []Frag) []Frag {
+	buf = buf[:0]
+	for i := len(history) - 1; i >= 0 && len(buf) < MaxSlotFragments; i-- {
+		rec := &history[i]
+		if !intersects(rec.Off, rec.N, slot, 1) {
+			continue
+		}
+		var lo uint64
+		if slot == rec.Off {
+			lo = rec.Head
+		}
+		buf = append(buf, Frag{Ver: rec.Ver, Lo: lo})
+		if lo == 0 {
+			return buf
+		}
+	}
+	return nil
+}
+
+// FragmentHead is the rule that sets WriteRecord.Head ("Fragments" in
+// the package comment), for a write that starts at byte `start` of a
+// BLOB of pageSize-byte pages whose assigned versions (history) have
+// made it prevSize bytes long. It reads nothing but history, so a
+// journal replay decides what the live manager decided.
+func FragmentHead(history []WriteRecord, pageSize, prevSize, start uint64) uint64 {
+	slot := start / pageSize
+	slotStart := slot * pageSize
+	if prevSize <= slotStart || start < prevSize {
+		return 0 // nothing in the slot yet, or landing inside existing bytes
+	}
+	var buf [MaxSlotFragments]Frag
+	if c := Chain(history, slot, buf[:0]); c == nil || len(c) >= MaxSlotFragments {
+		return 0
+	}
+	return prevSize - slotStart
 }
 
 // NodeStore persists encoded tree nodes. The blob package adapts the
@@ -176,6 +282,7 @@ func FormatKey(key string) string {
 const (
 	nodeInner = 0
 	nodeLeaf  = 1
+	nodeFrag  = 2 // a leaf's fields, then its Lo and the chain behind it
 )
 
 func appendInner(b []byte, leftPresent bool, leftVer uint64, rightPresent bool, rightVer uint64) []byte {
@@ -186,30 +293,49 @@ func appendInner(b []byte, leftPresent bool, leftVer uint64, rightPresent bool, 
 	return wire.AppendUvarint(b, rightVer)
 }
 
-func appendLeaf(b []byte, ref PageRef) []byte {
+// appendLeaf encodes the leaf of a whole page (chain empty, ref.Lo
+// ignored) or of a fragment beginning at ref.Lo with chain behind it.
+func appendLeaf(b []byte, ref PageRef, chain []Frag) []byte {
+	tag := len(b)
 	b = append(b, nodeLeaf)
 	b = wire.AppendBool(b, ref.Hole)
 	b = wire.AppendUvarint(b, ref.Page.Blob)
 	b = wire.AppendUvarint(b, ref.Page.Version)
 	b = wire.AppendUvarint(b, ref.Page.Index)
-	return wire.AppendStringSlice(b, ref.Providers)
+	b = wire.AppendStringSlice(b, ref.Providers)
+	if len(chain) > 0 {
+		b[tag] = nodeFrag
+		b = wire.AppendUvarint(b, uint64(ref.Lo))
+		b = wire.AppendUvarint(b, uint64(len(chain)))
+		for _, f := range chain {
+			b = wire.AppendUvarint(wire.AppendUvarint(b, f.Ver), f.Lo)
+		}
+	}
+	return b
 }
 
 // leafLen is the size of what appendLeaf appends.
-func leafLen(ref PageRef) int {
+func leafLen(ref PageRef, chain []Frag) int {
 	n := 2 + uvarintLen(ref.Page.Blob) + uvarintLen(ref.Page.Version) + uvarintLen(ref.Page.Index) +
 		uvarintLen(uint64(len(ref.Providers)))
 	for _, p := range ref.Providers {
 		n += uvarintLen(uint64(len(p))) + len(p)
 	}
+	if len(chain) > 0 {
+		n += uvarintLen(uint64(ref.Lo)) + uvarintLen(uint64(len(chain)))
+		for _, f := range chain {
+			n += uvarintLen(f.Ver) + uvarintLen(f.Lo)
+		}
+	}
 	return n
 }
 
-// node is one decoded tree node: a leaf's page descriptor, or an inner
-// node's two child pointers.
+// node is one decoded tree node: a leaf's page descriptor (and, for a
+// fragment, the chain behind it), or an inner node's two child pointers.
 type node struct {
-	leaf bool
-	ref  PageRef
+	leaf  bool
+	ref   PageRef
+	chain []Frag
 
 	leftPresent  bool
 	leftVer      uint64
@@ -232,13 +358,18 @@ func decodeNode(raw []byte) (node, error) {
 		if err := r.Err(); err != nil {
 			return n, fmt.Errorf("segtree: decode inner: %w", err)
 		}
-	case nodeLeaf:
+	case nodeLeaf, nodeFrag:
 		n.leaf = true
 		n.ref.Hole = r.Bool()
 		n.ref.Page.Blob = r.Uvarint()
 		n.ref.Page.Version = r.Uvarint()
 		n.ref.Page.Index = r.Uvarint()
 		n.ref.Providers = r.StringSlice()
+		if raw[0] == nodeFrag {
+			if err := n.decodeChain(r); err != nil {
+				return n, err
+			}
+		}
 		if err := r.Err(); err != nil {
 			return n, fmt.Errorf("segtree: decode leaf: %w", err)
 		}
@@ -246,6 +377,33 @@ func decodeNode(raw []byte) (node, error) {
 		return n, fmt.Errorf("segtree: unknown node tag %d", raw[0])
 	}
 	return n, nil
+}
+
+// decodeChain reads what a fragment leaf carries after a leaf's fields:
+// its offset, then the chain behind it, which descends strictly in
+// version and in offset to the slot prefix at offset 0.
+func (n *node) decodeChain(r *wire.Reader) error {
+	lo, links := r.Uvarint(), r.Uvarint()
+	if r.Err() != nil {
+		return nil // the caller reports the reader's error
+	}
+	if lo == 0 || lo > math.MaxUint32 || links == 0 || links >= MaxSlotFragments {
+		return fmt.Errorf("segtree: fragment leaf at offset %d with a chain of %d", lo, links)
+	}
+	n.ref.Lo = uint32(lo)
+	n.chain = make([]Frag, links)
+	prev := Frag{Ver: math.MaxUint64, Lo: lo}
+	for i := range n.chain {
+		f := Frag{Ver: r.Uvarint(), Lo: r.Uvarint()}
+		if r.Err() != nil {
+			return nil
+		}
+		if f.Ver >= prev.Ver || f.Lo >= prev.Lo || (f.Lo == 0) != (i == len(n.chain)-1) {
+			return fmt.Errorf("segtree: fragment chain out of order at link %d", i)
+		}
+		n.chain[i], prev = f, f
+	}
+	return nil
 }
 
 // treeNode is one node a version's tree must own: its page range and,
@@ -333,6 +491,9 @@ func (b *builder) build(off, span uint64) {
 // every assigned version below w.Ver (ascending). The commit is one
 // batched write to the node store and reads nothing. The keys handed to
 // the store share one backing string and the values one backing slice.
+// With w.Head set, refs[0] describes a fragment and its leaf lists the
+// chain history gives the slot; a history with no chain there, or a full
+// one, is refused.
 func Commit(ctx context.Context, store NodeStore, blob uint64, w WriteRecord, history []WriteRecord, refs []PageRef) error {
 	if w.N == 0 {
 		return errors.New("segtree: zero-length write")
@@ -348,6 +509,14 @@ func Commit(ctx context.Context, store NodeStore, blob uint64, w WriteRecord, hi
 			return fmt.Errorf("segtree: history version %d >= committing version %d", h.Ver, w.Ver)
 		}
 	}
+	var chain []Frag
+	if w.Head != 0 {
+		var buf [MaxSlotFragments]Frag
+		chain = Chain(history, w.Off, buf[:0])
+		if chain == nil || len(chain) >= MaxSlotFragments || chain[0].Lo >= w.Head || w.Head > math.MaxUint32 {
+			return fmt.Errorf("segtree: version %d stores a fragment at offset %d of page %d behind a chain of %d", w.Ver, w.Head, w.Off, len(chain))
+		}
+	}
 	root := RootSpan(w.PagesAfter)
 	b := newBuilder(w, history)
 	b.build(0, root)
@@ -356,7 +525,10 @@ func Commit(ctx context.Context, store NodeStore, blob uint64, w WriteRecord, hi
 	// child is newer than w, which bounds both slabs before rendering.
 	valBytes := len(b.nodes) * (3 + 2*uvarintLen(w.Ver))
 	for _, ref := range refs {
-		valBytes += leafLen(ref)
+		valBytes += leafLen(ref, nil)
+	}
+	if chain != nil { // what a fragment's leaf carries after a leaf's fields, and to spare
+		valBytes += leafLen(PageRef{Lo: uint32(w.Head)}, chain)
 	}
 	var ks keySlab
 	ks.Grow(len(b.nodes) * keyLen(blob, w.Ver, w.PagesAfter, root))
@@ -369,10 +541,14 @@ func Commit(ctx context.Context, store NodeStore, blob uint64, w WriteRecord, hi
 		switch {
 		case n.span > 1:
 			valSlab = appendInner(valSlab, n.leftPresent, n.leftVer, n.rightPresent, n.rightVer)
+		case n.off == w.Off:
+			ref := refs[0]
+			ref.Lo = uint32(w.Head)
+			valSlab = appendLeaf(valSlab, ref, chain)
 		case intersects(w.Off, w.N, n.off, 1):
-			valSlab = appendLeaf(valSlab, refs[n.off-w.Off])
+			valSlab = appendLeaf(valSlab, refs[n.off-w.Off], nil)
 		default: // wrapper leaf outside the write with no prior writer
-			valSlab = appendLeaf(valSlab, PageRef{Hole: true})
+			valSlab = appendLeaf(valSlab, PageRef{Hole: true}, nil)
 		}
 		// Like a key, a value stays valid if a wrong bound makes its
 		// slab grow later.
@@ -435,11 +611,39 @@ type resolveItem struct {
 	span uint64
 }
 
+// getLevel fetches one level's nodes in one batch; the keys are
+// substrings of one slab.
+func getLevel(ctx context.Context, store NodeStore, blob uint64, level []resolveItem) (keys []string, raws [][]byte, err error) {
+	keyBytes := 0
+	for _, it := range level {
+		keyBytes += keyLen(blob, it.ver, it.off, it.span)
+	}
+	var ks keySlab
+	ks.Grow(keyBytes)
+	keys = make([]string, len(level))
+	for i, it := range level {
+		keys[i] = ks.add(blob, it.ver, it.off, it.span)
+	}
+	raws, err = store.GetNodes(ctx, keys)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, raw := range raws {
+		if raw == nil {
+			return nil, nil, fmt.Errorf("%w: %s", ErrNodeMissing, FormatKey(keys[i]))
+		}
+	}
+	return keys, raws, nil
+}
+
 // Resolve walks version ver's tree (for a BLOB that has `pages` pages at
-// that version) and returns the descriptors of all pages overlapping
-// [off, off+n), in index order. Holes come back with Ref.Hole == true.
-// The descent is breadth-first with one batched node fetch per level,
-// so a read of p pages costs O(log pages) round trips, not O(p).
+// that version) and returns the descriptors of all stored pages of the
+// slots overlapping [off, off+n), ordered by index, then by Ref.Lo: a
+// whole page is one entry, a slot stored as fragments one entry per
+// fragment, the slot prefix (Lo 0) first. Holes come back with Ref.Hole
+// == true. The descent is breadth-first with one batched node fetch per
+// level, plus one for all the chains the leaves name, so a read of p
+// pages costs O(log pages) round trips, not O(p).
 func Resolve(ctx context.Context, store NodeStore, blob, ver, pages, off, n uint64) ([]Slot, error) {
 	if n == 0 || pages == 0 {
 		return nil, nil
@@ -449,28 +653,18 @@ func Resolve(ctx context.Context, store NodeStore, blob, ver, pages, off, n uint
 	}
 	frontier := []resolveItem{{ver: ver, off: 0, span: RootSpan(pages)}}
 	slots := make([]Slot, 0, n)
+	// The leaves behind the fragment leaves met, and the offset each must
+	// turn out to begin at.
+	var chains []resolveItem
+	var chainLos []uint64
 
 	for len(frontier) > 0 {
-		// One level's keys are substrings of one slab.
-		keyBytes := 0
-		for _, it := range frontier {
-			keyBytes += keyLen(blob, it.ver, it.off, it.span)
-		}
-		var ks keySlab
-		ks.Grow(keyBytes)
-		keys := make([]string, len(frontier))
-		for i, it := range frontier {
-			keys[i] = ks.add(blob, it.ver, it.off, it.span)
-		}
-		raws, err := store.GetNodes(ctx, keys)
+		_, raws, err := getLevel(ctx, store, blob, frontier)
 		if err != nil {
 			return nil, err
 		}
 		var next []resolveItem
 		for i, it := range frontier {
-			if raws[i] == nil {
-				return nil, fmt.Errorf("%w: %s", ErrNodeMissing, FormatKey(keys[i]))
-			}
 			nd, err := decodeNode(raws[i])
 			if err != nil {
 				return nil, err
@@ -480,6 +674,10 @@ func Resolve(ctx context.Context, store NodeStore, blob, ver, pages, off, n uint
 					return nil, fmt.Errorf("segtree: leaf with span %d", it.span)
 				}
 				slots = append(slots, Slot{Index: it.off, Ref: nd.ref})
+				for _, f := range nd.chain {
+					chains = append(chains, resolveItem{ver: f.Ver, off: it.off, span: 1})
+					chainLos = append(chainLos, f.Lo)
+				}
 				continue
 			}
 			half := it.span / 2
@@ -500,17 +698,38 @@ func Resolve(ctx context.Context, store NodeStore, blob, ver, pages, off, n uint
 		}
 		frontier = next
 	}
+	if len(chains) > 0 {
+		keys, raws, err := getLevel(ctx, store, blob, chains)
+		if err != nil {
+			return nil, err
+		}
+		for i, it := range chains {
+			nd, err := decodeNode(raws[i])
+			if err != nil {
+				return nil, err
+			}
+			if !nd.leaf || uint64(nd.ref.Lo) != chainLos[i] {
+				return nil, fmt.Errorf("segtree: chain names %s at offset %d, the node disagrees", FormatKey(keys[i]), chainLos[i])
+			}
+			slots = append(slots, Slot{Index: it.off, Ref: nd.ref})
+		}
+	}
 
-	// Keep only slots inside the query and order them by index.
+	// Keep only slots inside the query, order them, and count the slot
+	// prefixes: every page of the query has exactly one.
 	out := slots[:0]
+	var prefixes uint64
 	for _, s := range slots {
 		if s.Index >= off && s.Index < off+n {
 			out = append(out, s)
+			if s.Ref.Lo == 0 {
+				prefixes++
+			}
 		}
 	}
 	sortSlots(out)
-	if uint64(len(out)) != n {
-		return nil, fmt.Errorf("segtree: resolved %d of %d pages", len(out), n)
+	if prefixes != n {
+		return nil, fmt.Errorf("segtree: resolved %d of %d pages", prefixes, n)
 	}
 	return out, nil
 }
@@ -531,11 +750,15 @@ func appendHoles(slots []Slot, rOff, rSpan, qOff, qN uint64) []Slot {
 	return slots
 }
 
-// sortSlots orders by page index (insertion sort: slices are small and
-// nearly sorted because the descent is left-to-right per level).
+// sortSlots orders by page index, then by offset within the slot
+// (insertion sort: slices are small and nearly sorted because the
+// descent is left-to-right per level).
 func sortSlots(s []Slot) {
+	before := func(a, b *Slot) bool {
+		return a.Index < b.Index || (a.Index == b.Index && a.Ref.Lo < b.Ref.Lo)
+	}
 	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Index < s[j-1].Index; j-- {
+		for j := i; j > 0 && before(&s[j], &s[j-1]); j-- {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}

@@ -1,6 +1,7 @@
 package segtree
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"blobseer/internal/pagestore"
 )
@@ -98,6 +100,14 @@ func commitModelWrite(t *testing.T, store NodeStore, m *model, ver, off, n uint6
 	w := m.apply(ver, off, n)
 	if err := Commit(ctx, store, m.blob, w, m.history[:len(m.history)-1], mkRefs(m.blob, ver, off, n)); err != nil {
 		t.Fatalf("commit ver %d: %v", ver, err)
+	}
+}
+
+// TestSlotSize: PageRef.Lo sits in the padding beside Hole, so a
+// resolved page costs the 64 bytes it cost before fragments.
+func TestSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(Slot{}); got != 64 {
+		t.Errorf("a Slot is %d bytes, want 64", got)
 	}
 }
 
@@ -228,6 +238,30 @@ func TestCommitValidation(t *testing.T) {
 	if err := Commit(ctx, store, 1, w, hist, mkRefs(1, 2, 0, 1)); err == nil {
 		t.Error("future version in history accepted")
 	}
+
+	// A fragment needs a chain behind it, with room left, that ends
+	// before the fragment begins.
+	w = WriteRecord{Ver: 2, Off: 1, N: 1, PagesAfter: 2, Head: 10}
+	hist = []WriteRecord{{Ver: 1, Off: 0, N: 1, PagesAfter: 1}}
+	if err := Commit(ctx, store, 1, w, hist, mkRefs(1, 2, 1, 1)); err == nil {
+		t.Error("fragment in a slot nothing wrote accepted")
+	}
+	hist = []WriteRecord{{Ver: 1, Off: 1, N: 1, PagesAfter: 2}}
+	for v := uint64(2); v <= MaxSlotFragments; v++ {
+		hist = append(hist, WriteRecord{Ver: v, Off: 1, N: 1, PagesAfter: 2, Head: v})
+	}
+	w = WriteRecord{Ver: MaxSlotFragments + 1, Off: 1, N: 1, PagesAfter: 2, Head: 100}
+	if err := Commit(ctx, store, 1, w, hist, mkRefs(1, w.Ver, 1, 1)); err == nil {
+		t.Error("fragment behind a full chain accepted")
+	}
+	w.Ver, w.Head = MaxSlotFragments, MaxSlotFragments-1
+	if err := Commit(ctx, store, 1, w, hist[:MaxSlotFragments-1], mkRefs(1, w.Ver, 1, 1)); err == nil {
+		t.Error("fragment beginning where the one before it begins accepted")
+	}
+	w.Head = MaxSlotFragments
+	if err := Commit(ctx, store, 1, w, hist[:MaxSlotFragments-1], mkRefs(1, w.Ver, 1, 1)); err != nil {
+		t.Errorf("the fragment that fills a chain refused: %v", err)
+	}
 }
 
 func TestStructuralSharing(t *testing.T) {
@@ -314,34 +348,238 @@ func TestMissingNodeError(t *testing.T) {
 	}
 }
 
+// byteModel is a BLOB at byte granularity, built the way the version
+// manager and the blob client build one: write assigns the next version
+// with FragmentHead deciding its Head, stores what finishWrite would
+// store (the version's own bytes from Head on, a zero-filled gap, the
+// neighbouring bytes an overwrite folds in) and commits; read assembles
+// bytes back from what Resolve returns.
+type byteModel struct {
+	blob, ps uint64
+	store    *MemStore
+	history  []WriteRecord
+	content  [][]byte                 // content[v-1] is what version v reads as
+	pages    map[pagestore.Key][]byte // what the providers hold
+}
+
+func newByteModel(blob, ps uint64) *byteModel {
+	return &byteModel{blob: blob, ps: ps, store: NewMemStore(), pages: make(map[pagestore.Key][]byte)}
+}
+
+func (m *byteModel) size() uint64 {
+	if len(m.content) == 0 {
+		return 0
+	}
+	return uint64(len(m.content[len(m.content)-1]))
+}
+
+// write stores data at byte offset start as the next version. A sealed
+// version commits holes in place of pages: zeros from its Head on, which
+// for a whole-page version wipes the bytes its boundary pages shared
+// with earlier versions.
+func (m *byteModel) write(t *testing.T, start uint64, data []byte, sealed bool) WriteRecord {
+	t.Helper()
+	prevSize := m.size()
+	end := start + uint64(len(data))
+	sizeAfter := max(end, prevSize)
+	w := WriteRecord{
+		Ver:        uint64(len(m.history)) + 1,
+		Off:        start / m.ps,
+		N:          (end+m.ps-1)/m.ps - start/m.ps,
+		PagesAfter: (sizeAfter + m.ps - 1) / m.ps,
+		Head:       FragmentHead(m.history, m.ps, prevSize, start),
+	}
+	next := make([]byte, sizeAfter)
+	if prevSize > 0 {
+		copy(next, m.content[len(m.content)-1])
+	}
+	lo, hi := w.Off*m.ps+w.Head, min((w.Off+w.N)*m.ps, sizeAfter)
+	refs := make([]PageRef, w.N)
+	if sealed {
+		clear(next[lo:hi])
+		for i := range refs {
+			refs[i] = PageRef{Hole: true}
+		}
+	} else {
+		copy(next[start:], data)
+		for i := range refs {
+			key := pagestore.Key{Blob: m.blob, Version: w.Ver, Index: w.Off + uint64(i)}
+			pLo, pHi := max(lo, key.Index*m.ps), min(hi, (key.Index+1)*m.ps)
+			m.pages[key] = append([]byte(nil), next[pLo:pHi]...)
+			refs[i] = PageRef{Page: key, Providers: []string{"prov/provider"}}
+		}
+	}
+	if err := commitCheckingKeys(m.store, m.blob, w, m.history, refs); err != nil {
+		t.Fatalf("commit %+v: %v", w, err)
+	}
+	m.history = append(m.history, w)
+	m.content = append(m.content, next)
+	return w
+}
+
+// read returns bytes [off, off+n) of version ver, assembled from the
+// resolved pages: each holds its slot's bytes from its Lo up to the next
+// page of the slot, or to the slot's end.
+func (m *byteModel) read(t *testing.T, ver, off, n uint64) []byte {
+	t.Helper()
+	size := uint64(len(m.content[ver-1]))
+	first, last := off/m.ps, (off+n-1)/m.ps
+	slots, err := Resolve(ctx, m.store, m.blob, ver, (size+m.ps-1)/m.ps, first, last-first+1)
+	if err != nil {
+		t.Fatalf("resolve v%d pages [%d,%d]: %v", ver, first, last, err)
+	}
+	out := bytes.Repeat([]byte{0xEE}, int(n))
+	perSlot := 0
+	for i, s := range slots {
+		if i > 0 && slots[i-1].Index == s.Index {
+			perSlot++
+		} else {
+			perSlot = 1
+		}
+		if perSlot > MaxSlotFragments {
+			t.Fatalf("v%d page %d resolves to more than %d stored pages", ver, s.Index, MaxSlotFragments)
+		}
+		base, limit := s.Index*m.ps+uint64(s.Ref.Lo), (s.Index+1)*m.ps
+		if i+1 < len(slots) && slots[i+1].Index == s.Index {
+			limit = s.Index*m.ps + uint64(slots[i+1].Ref.Lo)
+		}
+		lo, hi := max(off, base), min(off+n, limit)
+		if lo >= hi {
+			continue
+		}
+		if s.Ref.Hole {
+			clear(out[lo-off : hi-off])
+			continue
+		}
+		page := m.pages[s.Ref.Page]
+		if uint64(len(page)) < hi-base {
+			t.Fatalf("v%d: page %v holds %d bytes, the read needs %d", ver, s.Ref.Page, len(page), hi-base)
+		}
+		copy(out[lo-off:hi-off], page[lo-base:hi-base])
+	}
+	return out
+}
+
+// verify reads every version whole and compares it with the model.
+func (m *byteModel) verify(t *testing.T) {
+	t.Helper()
+	for v := uint64(1); v <= uint64(len(m.content)); v++ {
+		want := m.content[v-1]
+		if got := m.read(t, v, 0, uint64(len(want))); !bytes.Equal(got, want) {
+			t.Fatalf("version %d (%+v) reads wrong: first difference at byte %d", v, m.history[v-1], firstDiff(got, want))
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// randomWrite applies one random operation: an append, a write inside
+// existing bytes (beginning and ending mid-page more often than not), a
+// write past the end, any of them sealed one time in eight. A write past
+// the end of a BLOB whose last page is partly filled stays inside that
+// page: one beginning in a later page would leave the last page's tail
+// unstored, which a read across it reports as a short page (a gap the
+// blob client has today).
+func (m *byteModel) randomWrite(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	size := m.size()
+	data := make([]byte, 1+rng.Intn(int(3*m.ps)))
+	rng.Read(data)
+	start := size
+	switch rng.Intn(4) {
+	case 0: // inside existing bytes
+		if size > 0 {
+			start = uint64(rng.Intn(int(size)))
+		}
+	case 1: // past the end
+		if room := (m.ps - size%m.ps) % m.ps; room > 1 {
+			start += uint64(1 + rng.Intn(int(room)-1))
+		} else if room == 0 {
+			start += uint64(rng.Intn(int(3 * m.ps)))
+		}
+	case 2: // a short append, the kind that grows a chain
+		data = data[:min(len(data), 1+rng.Intn(int(m.ps/4)))]
+	}
+	m.write(t, start, data, rng.Intn(8) == 0)
+}
+
 func TestRandomWritesAgainstModel(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			store := NewMemStore()
-			m := newModel(uint64(100 + seed))
-			pages := uint64(0)
-			for v := uint64(1); v <= 40; v++ {
-				var off uint64
-				switch rng.Intn(4) {
-				case 0: // append
-					off = pages
-				case 1: // write beyond end (holes)
-					off = pages + uint64(rng.Intn(10))
-				default: // overwrite inside
-					if pages > 0 {
-						off = uint64(rng.Intn(int(pages)))
-					}
-				}
-				n := uint64(1 + rng.Intn(12))
-				commitModelWrite(t, store, m, v, off, n)
-				if off+n > pages {
-					pages = off + n
+			m := newByteModel(uint64(100+seed), 32)
+			for v := 1; v <= 120; v++ {
+				m.randomWrite(t, rng)
+			}
+			m.verify(t)
+			var frags int
+			for _, w := range m.history {
+				if w.Head != 0 {
+					frags++
 				}
 			}
-			m.verify(t, store)
+			t.Logf("%d versions, %d of them fragments, %d bytes in %d stored pages", len(m.history), frags, m.size(), len(m.pages))
+			if frags == 0 || frags == len(m.history) {
+				t.Errorf("%d fragments in %d versions: the mix must exercise both kinds of leaf", frags, len(m.history))
+			}
 		})
+	}
+}
+
+// TestFragmentChainBound: appends far smaller than a page grow a slot's
+// chain to MaxSlotFragments stored pages and no further — the append
+// that finds it full stores the slot prefix again, which is what
+// compacts a slot — and every version reads exactly across compactions.
+func TestFragmentChainBound(t *testing.T) {
+	m := newByteModel(77, 256)
+	rng := rand.New(rand.NewSource(5))
+	var compactions int
+	for v := 1; v <= 150; v++ {
+		data := make([]byte, 3)
+		rng.Read(data)
+		w := m.write(t, m.size(), data, false)
+		var buf [MaxSlotFragments]Frag
+		chain := Chain(m.history, w.Off, buf[:0])
+		if len(chain) == 0 || len(chain) > MaxSlotFragments {
+			t.Fatalf("after version %d the slot's chain has %d entries", v, len(chain))
+		}
+		if w.Head == 0 && (m.size()-3)%m.ps != 0 {
+			compactions++
+			if len(chain) != 1 {
+				t.Fatalf("version %d rewrote the slot prefix but the chain still has %d entries", v, len(chain))
+			}
+		}
+	}
+	m.verify(t) // read asserts no slot resolves to more than MaxSlotFragments pages
+	// Every 32nd store into a slot is a rewrite: versions 33 and 65 in
+	// slot 0, which version 86 fills and overflows, 118 and 150 in slot 1.
+	if compactions != 4 {
+		t.Errorf("%d compactions, want 4", compactions)
+	}
+}
+
+// TestSealedFragmentKeepsNeighbours: a sealed version that was to store
+// a fragment reads as zeros from its Head on and leaves the bytes
+// earlier versions stored in the slot alone.
+func TestSealedFragmentKeepsNeighbours(t *testing.T) {
+	m := newByteModel(78, 64)
+	m.write(t, 0, []byte("first version, thirty-one bytes"), false)
+	w := m.write(t, m.size(), bytes.Repeat([]byte{'x'}, 80), true) // sealed, over two slots
+	if w.Head != 31 {
+		t.Fatalf("sealed append got Head %d, want 31", w.Head)
+	}
+	m.write(t, m.size(), []byte("third"), false)
+	m.verify(t)
+	if got := m.read(t, 3, 0, 31); string(got) != "first version, thirty-one bytes" {
+		t.Fatalf("version 1's bytes read %q at version 3", got)
 	}
 }
 

@@ -87,12 +87,11 @@ type Segment struct {
 	Map  uint64
 	Part uint64
 	// Off and Len locate the encoded partition inside the BLOB.
-	// Appends are padded to whole pages (see padToPage); Len is the
-	// unpadded payload length.
 	Off uint64
 	Len uint64
 	// Ver is the BLOB version the append produced; the segment is
-	// readable once that version publishes.
+	// readable once that version publishes. An empty partition (Len 0)
+	// was never appended and has no version.
 	Ver uint64
 	// Sum is the CRC-32 (IEEE) checksum of the payload.
 	Sum uint32

@@ -40,24 +40,6 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
-func TestPadToPage(t *testing.T) {
-	for _, tc := range []struct {
-		n, page uint64
-		want    uint64
-	}{
-		{0, 8, 8}, // empty payload still occupies one page
-		{1, 8, 8},
-		{8, 8, 8},
-		{9, 8, 16},
-		{16, 8, 16},
-	} {
-		got := padToPage(make([]byte, tc.n), tc.page)
-		if uint64(len(got)) != tc.want {
-			t.Errorf("padToPage(%d, %d) = %d bytes, want %d", tc.n, tc.page, len(got), tc.want)
-		}
-	}
-}
-
 // TestIndexPublishNext drives the index single-threaded through the
 // reducer contract: segments arrive in publish order, duplicates are
 // dropped whole, and completion needs the map count.
@@ -203,17 +185,30 @@ func TestStoreAppendFetchRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stored int64
 	for m := 0; m < maps; m++ {
 		data := make([][]byte, parts)
 		for p := range data {
-			// Sizes straddle page boundaries to exercise padding.
+			// Sizes straddle page boundaries: segments lie back to back,
+			// unpadded, most of them beginning mid-page.
 			data[p] = segPayload(m, p, 100+m*90+p*17)
+			stored += int64(len(data[p]))
+		}
+		if m == 2 {
+			stored -= int64(len(data[1]))
+			data[1] = nil // an empty partition appends nothing
 		}
 		if err := st.AppendMap(ctx, c, uint64(m), data); err != nil {
 			t.Fatalf("append map %d: %v", m, err)
 		}
 	}
 	st.SetMapCount(maps)
+	if got := cluster.ProviderBytes(); got != stored {
+		t.Errorf("providers hold %d bytes for %d bytes of segments", got, stored)
+	}
+	if info, err := c.Handle(st.Blobs()[1], pageSize).Latest(ctx); err != nil || info.Ver != maps-1 {
+		t.Errorf("partition 1 is at version %d (%v), want %d: the empty segment must not append", info.Ver, err, maps-1)
+	}
 
 	for p := 0; p < parts; p++ {
 		seen := make(map[uint64]bool)

@@ -135,10 +135,11 @@ func (ix *Index) Next(ctx context.Context, part, consumed int) (seg Segment, ok 
 
 // Store is the blob-backed durable map-output store of one job: one
 // intermediate BLOB per reduce partition, appended to concurrently by
-// every map task and read back by reducers through the client's shared
-// page cache. Published segments live in BlobSeer — replicated,
-// immutable, versioned — so a tracker dying after its maps completed
-// costs nothing: the segments outlive it.
+// every map task (each partition's bytes as they are: an append that
+// begins mid-page stores a fragment of its page slot) and read back by
+// reducers through the client's shared page cache. Published segments
+// live in BlobSeer — replicated, immutable, versioned — so a tracker
+// dying after its maps completed costs nothing: the segments outlive it.
 //
 // Intermediate BLOBs live exactly as long as their job: the jobtracker
 // calls Cleanup at job end (unless the job opts out with
@@ -232,10 +233,10 @@ func (st *Store) Stats() *metrics.ShuffleStats { return st.stats }
 // every partition's append is launched through the pipelined
 // AppendAsync path before any is waited on, so one map keeps R appends
 // in flight while nMaps maps do the same against every BLOB — the
-// paper's concurrent-append workload, now load-bearing. Once all
-// appends land, the map's segments publish to the index atomically: a
-// reducer sees all of a map's segments or none, so a failed map
-// attempt never leaks partial output.
+// paper's concurrent-append workload, now load-bearing. An empty
+// partition appends nothing. Once all appends land, the map's segments
+// publish to the index atomically: a reducer sees all of a map's
+// segments or none, so a failed map attempt never leaks partial output.
 func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, parts [][]byte) error {
 	if len(parts) != len(st.blobs) {
 		return fmt.Errorf("shuffle: map %d produced %d partitions, store has %d", mapID, len(parts), len(st.blobs))
@@ -250,24 +251,28 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 	segs := make([]Segment, len(parts))
 	pending := make([]*blob.PendingWrite, len(parts))
 	for p, data := range parts {
-		b := c.Handle(st.blobs[p], st.pageSize)
-		pw, err := b.AppendAsync(ctx, [][]byte{padToPage(data, st.pageSize)})
-		if err != nil {
-			return fmt.Errorf("shuffle: append map %d part %d: %w", mapID, p, err)
-		}
-		pending[p] = pw
-		res := pw.Result()
 		segs[p] = Segment{
 			Job:  st.jobID,
 			Map:  mapID,
 			Part: uint64(p),
-			Off:  res.Start,
 			Len:  uint64(len(data)),
-			Ver:  res.Ver,
 			Sum:  crc32.ChecksumIEEE(data),
 		}
+		if len(data) == 0 {
+			continue
+		}
+		b := c.Handle(st.blobs[p], st.pageSize)
+		pw, err := b.AppendAsync(ctx, [][]byte{data})
+		if err != nil {
+			return fmt.Errorf("shuffle: append map %d part %d: %w", mapID, p, err)
+		}
+		pending[p] = pw
+		segs[p].Off, segs[p].Ver = pw.Result().Start, pw.Result().Ver
 	}
 	for p, pw := range pending {
+		if pw == nil {
+			continue
+		}
 		if _, err := pw.Wait(ctx); err != nil {
 			// Already-landed partitions of this attempt stay unpublished
 			// garbage in their BLOBs; the retried attempt re-appends.
@@ -296,6 +301,12 @@ func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment) ([]byte
 		sp.Annotate("map=%d part=%d len=%d", seg.Map, seg.Part, seg.Len)
 	}
 	defer func() { sp.End(nil) }()
+	if seg.Len == 0 { // never appended: there is no version to read
+		if st.once(st.fetched, seg) {
+			st.stats.AddFetched(0)
+		}
+		return nil, nil
+	}
 	b := c.Handle(st.blobs[seg.Part], st.pageSize)
 	// Pin the segment's version for the duration of the fetch so the
 	// garbage collector can never reclaim intermediate data under an
@@ -330,15 +341,20 @@ func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment) ([]byte
 	if sum := crc32.ChecksumIEEE(data); sum != seg.Sum {
 		return nil, fmt.Errorf("shuffle: segment map %d part %d checksum mismatch: %08x != %08x", seg.Map, seg.Part, sum, seg.Sum)
 	}
-	key := segKey{seg.Map, seg.Part}
-	st.fetchMu.Lock()
-	first := !st.fetched[key]
-	st.fetched[key] = true
-	st.fetchMu.Unlock()
-	if first {
+	if st.once(st.fetched, seg) {
 		st.stats.AddFetched(seg.Len)
 	}
 	return data, nil
+}
+
+// once marks seg in seen and reports whether it was new there.
+func (st *Store) once(seen map[segKey]bool, seg Segment) bool {
+	key := segKey{seg.Map, seg.Part}
+	st.fetchMu.Lock()
+	defer st.fetchMu.Unlock()
+	first := !seen[key]
+	seen[key] = true
+	return first
 }
 
 // MarkRecovered counts seg as recovered intermediate data — served to
@@ -346,26 +362,7 @@ func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment) ([]byte
 // shuffle could not have made. Each distinct segment counts at most
 // once, no matter how many reduce attempts re-read it.
 func (st *Store) MarkRecovered(seg Segment) {
-	key := segKey{seg.Map, seg.Part}
-	st.fetchMu.Lock()
-	first := !st.recovered[key]
-	st.recovered[key] = true
-	st.fetchMu.Unlock()
-	if first {
+	if st.once(st.recovered, seg) {
 		st.stats.AddRecovered()
 	}
-}
-
-// padToPage pads data with zeros to a whole number of pageSize-byte
-// pages, so every append starts page-aligned: concurrent appenders
-// never share a page slot and never pay BlobSeer's serialized boundary
-// merge — the same trade the shared-output record writer makes (GFS
-// record-append discipline). Segments record the unpadded length, so
-// the padding is invisible to readers.
-func padToPage(data []byte, pageSize uint64) []byte {
-	rem := uint64(len(data)) % pageSize
-	if rem == 0 && len(data) > 0 {
-		return data
-	}
-	return append(data, make([]byte, pageSize-rem)...)
 }

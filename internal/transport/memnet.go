@@ -61,6 +61,14 @@ func (n *MemNet) Dial(local, remote Addr) (Conn, error) {
 
 	select {
 	case l.backlog <- server:
+		// The listener may have closed with this send under way, its own
+		// drain already over; whichever of the two drains runs last finds
+		// the connection.
+		select {
+		case <-l.done:
+			l.drain()
+		default:
+		}
 		return client, nil
 	case <-l.done:
 		return nil, ErrNoListener
@@ -107,8 +115,23 @@ func (l *memListener) Close() error {
 			delete(l.net.listeners, l.addr)
 		}
 		l.net.mu.Unlock()
+		l.drain()
 	})
 	return nil
+}
+
+// drain closes the server end of every connection still queued for an
+// Accept that will not come, so its dialer's first call fails instead of
+// waiting forever.
+func (l *memListener) drain() {
+	for {
+		select {
+		case c := <-l.backlog:
+			c.Close()
+		default:
+			return
+		}
+	}
 }
 
 func (l *memListener) Addr() Addr { return l.addr }

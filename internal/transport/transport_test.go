@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestAddrParts(t *testing.T) {
@@ -284,6 +285,39 @@ func TestMemNetClose(t *testing.T) {
 	}
 	if _, err := n.Listen("b/y"); !errors.Is(err, ErrClosed) {
 		t.Errorf("Listen after net close: %v", err)
+	}
+}
+
+// TestMemNetCloseFailsQueuedDial: a connection dialed but not yet
+// accepted when its listener closes must fail on first use — its server
+// end will never exist — instead of waiting forever for a reply.
+func TestMemNetCloseFailsQueuedDial(t *testing.T) {
+	n := NewMemNet()
+	l, err := n.Listen("s/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.Dial("c/x", "s/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	l.Close()
+	errs := make(chan error, 2)
+	go func() {
+		errs <- c.Send([]byte("ping"))
+		_, err := c.Recv()
+		errs <- err
+	}()
+	for _, call := range []string{"Send", "Recv"} {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("%s on a connection queued behind a closed listener: %v, want ErrClosed", call, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s on a connection queued behind a closed listener never returned", call)
+		}
 	}
 }
 
