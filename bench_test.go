@@ -20,8 +20,10 @@ import (
 	"blobseer/internal/apps/datajoin"
 	"blobseer/internal/apps/wordcount"
 	"blobseer/internal/dfs"
+	"blobseer/internal/dht"
 	"blobseer/internal/hdfs"
 	"blobseer/internal/mapreduce"
+	"blobseer/internal/metrics"
 	"blobseer/internal/shuffle"
 	"blobseer/internal/simnet"
 	"blobseer/internal/transport"
@@ -706,6 +708,69 @@ func BenchmarkVersionedRead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFreshSnapshotRead measures the reader of the gated
+// read_under_append workload: per iteration a second mount appends a
+// block, and the reader Stats the file, opens the snapshot Stat saw,
+// reads 16 sequential blocks at a rotating offset and closes. The reader
+// has walked the file once, so of each fresh snapshot's tree it lacks
+// the root and what the appends since its last read built; getbatch/block
+// is the meta.GetBatch calls that costs per block read (a descent per
+// block would be 11).
+func BenchmarkFreshSnapshotRead(b *testing.B) {
+	const preload, window = 512, 16
+	c := newBenchCluster(b)
+	wfs, rfs := c.Mount("node-000"), c.Mount("node-001")
+	defer wfs.Close()
+	defer rfs.Close()
+	const path = "/bench/fresh"
+	preloadShared(b, wfs, path, preload)
+	w, err := wfs.Append(benchCtx, path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	data := benchChunk(7)
+	buf := make([]byte, benchBlock)
+	iteration := func(i int) {
+		if _, err := w.Write(data); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.(dfs.Flusher).Flush(); err != nil {
+			b.Fatal(err)
+		}
+		fi, err := rfs.Stat(benchCtx, path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := rfs.OpenVersion(benchCtx, path, fi.Version)
+		if err != nil {
+			b.Fatal(err)
+		}
+		start := i * window % (preload - window)
+		for blk := start; blk < start+window; blk++ {
+			if _, err := r.ReadAt(buf, int64(blk)*benchBlock); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < preload/window; i++ { // the reader walks the file once
+		iteration(i)
+	}
+	getBatches := func() uint64 { return metrics.Default.RPCClient.Snapshot()[dht.MethodGetBatch.Name].Calls }
+	before := getBatches()
+	b.SetBytes(window * benchBlock)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		iteration(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(getBatches()-before)/float64(b.N*window), "getbatch/block")
 }
 
 // TestClusterFacade keeps the root package tested, not just benched.

@@ -69,10 +69,14 @@ const maxParallelPages = 32
 
 // Client talks to a BlobSeer deployment. It is safe for concurrent use.
 type Client struct {
-	cfg   ClientConfig
-	pool  *rpc.Pool
-	vm    *VMRouter
-	nodes segtree.NodeStore
+	cfg  ClientConfig
+	pool *rpc.Pool
+	vm   *VMRouter
+	// nodes is the metadata DHT behind the client's cache of decoded
+	// tree nodes: a read resolves through it, so a node is fetched once,
+	// whichever versions share it. slots, below, is its front: the
+	// finished answers, which cost no descent at all.
+	nodes *segtree.NodeCache
 
 	// pages is the process-shared read cache (nil when disabled);
 	// rstats aggregates the read-path counters whether or not the
@@ -107,8 +111,9 @@ type Client struct {
 type slotKey struct{ blob, ver, page uint64 }
 
 // cacheCap bounds the client's metadata side-caches (version infos and
-// resolved slots): when a map reaches this many entries it is dropped
-// and rebuilt, a crude but allocation-free bound.
+// resolved slots; the node cache has the same rule and a bound of its
+// own): when a map reaches this many entries it is dropped and rebuilt,
+// a crude but allocation-free bound.
 const cacheCap = 1 << 16
 
 // blobHistory caches write records so repeat writers receive only the
@@ -135,7 +140,7 @@ func NewClient(cfg ClientConfig) *Client {
 		cfg:      cfg,
 		pool:     pool,
 		vm:       NewVMRouter(pool, cfg.VersionManagers, cfg.Host),
-		nodes:    NewNodeStore(meta),
+		nodes:    segtree.NewNodeCache(NewNodeStore(meta)),
 		pages:    cache.New(cfg.CacheBytes, rstats),
 		rstats:   rstats,
 		pageWork: make(chan pageTask),
@@ -173,9 +178,10 @@ func (c *Client) Close() error {
 // policy instead of growing their own.
 func (c *Client) VMRouter() *VMRouter { return c.vm }
 
-// NodeStore exposes the metadata store (used by the version manager
-// when co-constructed, and by tools).
-func (c *Client) NodeStore() segtree.NodeStore { return c.nodes }
+// NodeStore exposes the metadata store, behind the client's node cache:
+// the garbage collector reads and deletes dead nodes through it, which
+// is how the cache learns of the deletions.
+func (c *Client) NodeStore() *segtree.NodeCache { return c.nodes }
 
 // Create creates a BLOB with the given page size and opens it. The
 // router spreads creations across shards round-robin; the allocating
@@ -224,6 +230,9 @@ func (b *Blob) PageSize() uint64 { return b.pageSize }
 func (b *Blob) Latest(ctx context.Context) (VersionInfo, error) {
 	var info VersionInfo
 	err := b.c.vm.Call(ctx, b.id, VMLatest, &BlobRef{Blob: b.id}, &info)
+	if err == nil {
+		b.c.rememberVersion(b.id, info)
+	}
 	return info, err
 }
 
@@ -231,7 +240,26 @@ func (b *Blob) Latest(ctx context.Context) (VersionInfo, error) {
 func (b *Blob) GetVersion(ctx context.Context, ver uint64) (VersionInfo, error) {
 	var info VersionInfo
 	err := b.c.vm.Call(ctx, b.id, VMGetVersion, &VersionRef{Blob: b.id, Ver: ver}, &info)
+	if err == nil {
+		b.c.rememberVersion(b.id, info)
+	}
 	return info, err
+}
+
+// rememberVersion caches the info of a published version, which never
+// changes again, for resolveVersion: every info the version manager
+// hands out passes through here, so a version somebody on this client
+// has stat'ed, opened or waited for costs its readers no lookup.
+func (c *Client) rememberVersion(blob uint64, info VersionInfo) {
+	if !info.Published || info.Ver == 0 {
+		return
+	}
+	c.mu.Lock()
+	if len(c.verinfo) >= cacheCap {
+		c.verinfo = make(map[VersionRef]VersionInfo)
+	}
+	c.verinfo[VersionRef{Blob: blob, Ver: info.Ver}] = info
+	c.mu.Unlock()
 }
 
 // History enumerates the BLOB's published versions still inside the
@@ -261,6 +289,7 @@ func (b *Blob) WaitPublished(ctx context.Context, ver uint64) (VersionInfo, erro
 			&WaitPublishedReq{Blob: b.id, Ver: ver, TimeoutMillis: 5000}, &info)
 		switch {
 		case err == nil:
+			b.c.rememberVersion(b.id, info)
 			return info, nil
 		case errors.Is(err, ErrWaitTimeout):
 			if ctx.Err() != nil {
@@ -358,9 +387,10 @@ func (c *Client) DeletePages(ctx context.Context, provider string, keys []pagest
 }
 
 // PurgeVersion drops every locally cached artifact of one version —
-// its VersionInfo, resolved slots, and cached pages. Collection breaks
-// the "published versions are immutable forever" assumption those
-// caches rely on, so this is the cache layer's invalidation path.
+// its VersionInfo, resolved slots, the tree nodes it wrote, and cached
+// pages. Collection breaks the "published versions are immutable
+// forever" assumption those caches rely on, so this is the cache
+// layer's invalidation path.
 func (c *Client) PurgeVersion(blob, ver uint64) {
 	c.mu.Lock()
 	delete(c.verinfo, VersionRef{Blob: blob, Ver: ver})
@@ -370,6 +400,7 @@ func (c *Client) PurgeVersion(blob, ver uint64) {
 		}
 	}
 	c.mu.Unlock()
+	c.nodes.ForgetVersion(blob, ver)
 	if c.pages != nil {
 		c.pages.PurgeVersion(blob, ver)
 	}
@@ -391,6 +422,7 @@ func (c *Client) PurgeBlob(blob uint64) {
 		}
 	}
 	c.mu.Unlock()
+	c.nodes.ForgetBlob(blob)
 	if c.pages != nil {
 		c.pages.PurgeBlob(blob)
 	}
@@ -1056,8 +1088,11 @@ func (b *Blob) Prefetch(ctx context.Context, ver, off, n uint64) error {
 // resolveSlots maps pages [first, first+n) of the published version
 // info to the refs of their stored pages, in segtree.Resolve's order,
 // through the client's slot cache: a range fully resolved before costs
-// no metadata RPC at all. On a miss the whole range is resolved in one
-// segment-tree walk and cached. The result is shared and read-only.
+// no descent at all. On a miss the whole range is resolved in one
+// segment-tree walk through the node cache, which fetches the nodes no
+// earlier walk met — for a fresh version of a file this client has read,
+// its new root — and the slots are cached. The result is shared and
+// read-only.
 func (b *Blob) resolveSlots(ctx context.Context, info VersionInfo, first, n uint64) ([]segtree.Slot, error) {
 	c := b.c
 	out := make([]segtree.Slot, 0, n)
@@ -1104,7 +1139,7 @@ func (b *Blob) resolveVersion(ctx context.Context, ver uint64) (VersionInfo, err
 	if ok {
 		return info, nil
 	}
-	info, err := b.GetVersion(ctx, ver)
+	info, err := b.GetVersion(ctx, ver) // remembers a published info
 	if err != nil {
 		if errors.Is(err, ErrVersionCollected) {
 			// Collection invalidated whatever this client still caches
@@ -1116,12 +1151,6 @@ func (b *Blob) resolveVersion(ctx context.Context, ver uint64) (VersionInfo, err
 	if !info.Published {
 		return VersionInfo{}, ErrNotPublished
 	}
-	c.mu.Lock()
-	if len(c.verinfo) >= cacheCap {
-		c.verinfo = make(map[VersionRef]VersionInfo)
-	}
-	c.verinfo[key] = info
-	c.mu.Unlock()
 	return info, nil
 }
 

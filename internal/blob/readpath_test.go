@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"blobseer/internal/dht"
+	"blobseer/internal/metrics"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/transport"
 )
@@ -535,4 +537,115 @@ func TestVersionInfoCached(t *testing.T) {
 	if _, err := b.ReadAt(ctx, 0, 0, 64); err == nil {
 		t.Error("latest-version read succeeded without a version manager")
 	}
+}
+
+// getBatches is how many meta.GetBatch calls the process's clients have
+// made so far.
+func getBatches() uint64 {
+	return metrics.Default.RPCClient.Snapshot()[dht.MethodGetBatch.Name].Calls
+}
+
+// TestFreshVersionCostsOneNodeFetch is the node cache's headline as a
+// count. A client that has read a file reads a page of a version somebody
+// else just appended, in the half of the tree the append left alone: the
+// version's root is the one node it has never seen, so the read costs one
+// metadata fetch of one key, and a second such page none. A client that
+// has read nothing pays the descent: a fetch a level.
+func TestFreshVersionCostsOneNodeFetch(t *testing.T) {
+	const ps, pages = 64, 200 // a root of span 256: 9 levels
+	c := newTestCluster(t, ClusterConfig{})
+	a, b, cold := newTestClient(t, c, "a"), newTestClient(t, c, "b"), newTestClient(t, c, "c")
+	ba, err := a.Create(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(21, ps*pages)
+	res, err := ba.Append(ctx, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ba.WaitPublished(ctx, res.Ver); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ba.ReadAt(ctx, res.Ver, 0, ps*pages); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read of the preload: %v", err)
+	}
+	bb := b.Handle(ba.ID(), ps)
+	res, err = bb.Append(ctx, pattern(22, ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bb.WaitPublished(ctx, res.Ver); err != nil {
+		t.Fatal(err)
+	}
+
+	readPage := func(bl *Blob, page uint64) (fetches uint64) {
+		t.Helper()
+		before := getBatches()
+		got, err := bl.ReadAt(ctx, res.Ver, page*ps, ps)
+		if err != nil || !bytes.Equal(got, data[page*ps:(page+1)*ps]) {
+			t.Fatalf("page %d of version %d: %v", page, res.Ver, err)
+		}
+		return getBatches() - before
+	}
+	held := a.NodeStore().Len()
+	if got := readPage(ba, 5); got != 1 {
+		t.Errorf("a page of the fresh version cost %d metadata fetches, want 1", got)
+	}
+	if got := a.NodeStore().Len() - held; got != 1 || a.NodeStore().Holds(ba.ID(), res.Ver) != 1 {
+		t.Errorf("the read added %d nodes to the cache, %d of them the fresh version's, want its root alone", got, a.NodeStore().Holds(ba.ID(), res.Ver))
+	}
+	if got := readPage(ba, 70); got != 0 {
+		t.Errorf("a second page of the fresh version cost %d metadata fetches, want 0", got)
+	}
+	if got := readPage(cold.Handle(ba.ID(), ps), 5); got != 9 {
+		t.Errorf("the page cost a cold client %d metadata fetches, want 9: one a level", got)
+	}
+}
+
+// TestNodeCacheUnderConcurrentReads runs readers, prefetches and purges
+// against one client while another appends (meaningful under -race):
+// every read of a published version returns that version's bytes.
+func TestNodeCacheUnderConcurrentReads(t *testing.T) {
+	const ps, versions, readers = 64, 40, 4
+	c := newTestCluster(t, ClusterConfig{})
+	w, r := newTestClient(t, c, "writer"), newTestClient(t, c, "reader")
+	bw, err := w.Create(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := r.Handle(bw.ID(), ps)
+	data := pattern(23, ps*4*versions)
+	published := make(chan uint64, versions) // sized to the number of sends
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for ver := range published {
+				size := ver * 4 * ps
+				off := uint64(g) * ps * (ver % 5) % size
+				if err := br.Prefetch(ctx, ver, off, size-off); err != nil {
+					t.Errorf("prefetch of version %d: %v", ver, err)
+				}
+				got, err := br.ReadAt(ctx, ver, off, size-off)
+				if err != nil || !bytes.Equal(got, data[off:size]) {
+					t.Errorf("version %d from byte %d: %v", ver, off, err)
+				}
+				r.PurgeVersion(bw.ID(), ver-uint64(g)%ver)
+			}
+		}(g)
+	}
+	for v := 0; v < versions; v++ {
+		res, err := bw.Append(ctx, data[v*4*ps:(v+1)*4*ps])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bw.WaitPublished(ctx, res.Ver); err != nil {
+			t.Fatal(err)
+		}
+		published <- res.Ver
+	}
+	close(published)
+	wg.Wait()
 }

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 
+	"blobseer/internal/dht"
+	"blobseer/internal/metrics"
 	"blobseer/internal/transport"
 )
 
@@ -69,12 +71,21 @@ const (
 	recordLen          = 1000
 	recordObjectBudget = 130
 	recordByteBudget   = 16 << 10
+	// A block of a snapshot one append younger than the file the mount
+	// has read, its page no longer cached: the provider fetch and the
+	// readahead beside it, and of the segment tree one node per open
+	// (measured 21; walking the tree again for every block of every new
+	// snapshot, as the client did before it cached nodes, cost 330 on the
+	// gated read_under_append).
+	freshBlocks       = 64
+	freshObjectBudget = 80
 )
 
 // TestAllocationBudget is the tier-1 guard on the data path's copies:
 // bytes allocated per page on the write path (Write+Flush of one block,
-// then of a four-block run) and on the cold read path, process-wide on
-// MemNet.
+// then of a four-block run) and on the cold read path, and objects per
+// block of a fresh snapshot read by a mount that knows the file,
+// process-wide on MemNet.
 func TestAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under the race detector's short job")
@@ -173,6 +184,58 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	if misses := rfs.BlobClient().ReadStats().Snapshot().ProviderFetches; misses < 2*(warm+blocks) {
 		t.Errorf("only %d provider fetches for %d cold blocks: the read was not cold", misses, 2*(warm+blocks))
+	}
+
+	// The same mount opens the snapshot one more append makes and reads
+	// blocks it no longer caches (the gated read_under_append in small):
+	// it knows every tree node but the snapshot's root, so the open and
+	// the reads together fetch metadata once, and a block costs its
+	// provider fetch and little more.
+	aw, err := fs.Append(ctx, "/budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := aw.Write(block(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ent, err := rfs.lookup(ctx, "/budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rfs.BlobClient().PageCache().PurgeBlob(ent.Blob)
+	getBatches := func() uint64 { return metrics.Default.RPCClient.Snapshot()[dht.MethodGetBatch.Name].Calls }
+	batches, fetches := getBatches(), rfs.BlobClient().ReadStats().Snapshot().ProviderFetches
+	fr, err := rfs.Open(ctx, "/budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	if fr.Size() != uint64(2*(warm+blocks)+1)*budgetPage {
+		t.Fatalf("the fresh snapshot is %d bytes long", fr.Size())
+	}
+	_, objects = allocated(func() {
+		for i := warm; i < warm+freshBlocks; i++ {
+			if _, err := fr.ReadAt(buf, int64(i)*budgetPage); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, block(i)) {
+				t.Fatalf("block %d of the fresh snapshot read back wrong", i)
+			}
+		}
+	})
+	objects -= freshBlocks // block(i) itself, made inside the window
+	t.Logf("read path, fresh snapshot: %d objects allocated per cold block (budget %d)", objects/freshBlocks, freshObjectBudget)
+	if objects/freshBlocks > freshObjectBudget {
+		t.Errorf("a cold block of a fresh snapshot allocates %d objects, budget %d", objects/freshBlocks, freshObjectBudget)
+	}
+	if got := getBatches() - batches; got > 1 {
+		t.Errorf("opening and reading the fresh snapshot made %d meta.GetBatch calls, want at most 1: its root", got)
+	}
+	if got := rfs.BlobClient().ReadStats().Snapshot().ProviderFetches - fetches; got < freshBlocks {
+		t.Errorf("only %d provider fetches for %d blocks of the fresh snapshot: the read was not cold", got, freshBlocks)
 	}
 }
 

@@ -3,6 +3,7 @@ package bsfs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"slices"
 	"testing"
 
@@ -172,5 +173,45 @@ func TestRecordIsOneAppend(t *testing.T) {
 	got, err := dfs.ReadAll(ctx, fs, "/records")
 	if want := slices.Concat(pattern(1, 1000), pattern(2, 1000), pattern(3, 1000)); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("the file reads back %d bytes (%v), want the three records", len(got), err)
+	}
+}
+
+// TestOpenVersionIsOneLookup counts the version-manager lookups of an
+// open and its first block: the info the open fetched is the info the
+// read needs, so OpenVersion and a read are one vm.GetVersion (after the
+// pin: pin first, resolve after), and Open and a read one vm.Latest.
+func TestOpenVersionIsOneLookup(t *testing.T) {
+	const block = 256
+	d := newDeployment(t, block)
+	if err := dfs.WriteFile(ctx, mount(t, d, "writer"), "/f", pattern(5, 3*block)); err != nil {
+		t.Fatal(err)
+	}
+	fs := mount(t, d, "reader")
+	fi, err := fs.Stat(ctx, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookups := func(open func() (dfs.FileReader, error)) (latest, getVersion uint64) {
+		t.Helper()
+		before := metrics.Default.RPCClient.Snapshot()
+		r, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		buf := make([]byte, block)
+		if _, err := io.ReadFull(r, buf); err != nil || !bytes.Equal(buf, pattern(5, 3*block)[:block]) {
+			t.Fatalf("first block: %v", err)
+		}
+		after := metrics.Default.RPCClient.Snapshot()
+		return after[blob.VMLatest.Name].Calls - before[blob.VMLatest.Name].Calls,
+			after[blob.VMGetVersion.Name].Calls - before[blob.VMGetVersion.Name].Calls
+	}
+	if latest, get := lookups(func() (dfs.FileReader, error) { return fs.OpenVersion(ctx, "/f", fi.Version) }); latest != 0 || get != 1 {
+		t.Errorf("OpenVersion and a block read: %d vm.Latest and %d vm.GetVersion, want 0 and 1", latest, get)
+	}
+	cold := mount(t, d, "cold")
+	if latest, get := lookups(func() (dfs.FileReader, error) { return cold.Open(ctx, "/f") }); latest != 1 || get != 0 {
+		t.Errorf("Open and a block read: %d vm.Latest and %d vm.GetVersion, want 1 and 0", latest, get)
 	}
 }

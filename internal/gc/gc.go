@@ -426,14 +426,12 @@ func (g *Collector) executeWork(ctx context.Context, w *reclaimWork, rep *Report
 		w.leafKeys, w.leafPages = nil, nil
 	}
 	if len(w.deadNodes) > 0 {
-		if nd, ok := g.c.NodeStore().(segtree.NodeDeleter); ok {
-			if err := nd.DeleteNodes(ctx, w.deadNodes); err != nil {
-				fail()
-				return
-			}
-			rep.NodesDeleted += len(w.deadNodes)
-			g.stats.AddNodesDeleted(uint64(len(w.deadNodes)))
+		if err := g.c.NodeStore().DeleteNodes(ctx, w.deadNodes); err != nil {
+			fail()
+			return
 		}
+		rep.NodesDeleted += len(w.deadNodes)
+		g.stats.AddNodesDeleted(uint64(len(w.deadNodes)))
 	}
 }
 

@@ -21,6 +21,7 @@ var ctx = context.Background()
 type harness struct {
 	cluster *blob.Cluster
 	cl      *blob.Client
+	gcCl    *blob.Client // the collector's own
 	col     *Collector
 }
 
@@ -37,7 +38,7 @@ func newHarness(t *testing.T, cfg blob.ClusterConfig) *harness {
 	t.Cleanup(func() { gcClient.Close() })
 	col := New(gcClient, Options{})
 	t.Cleanup(col.Close)
-	return &harness{cluster: c, cl: cl, col: col}
+	return &harness{cluster: c, cl: cl, gcCl: gcClient, col: col}
 }
 
 func (h *harness) runOnce(t *testing.T) Report {
@@ -595,6 +596,30 @@ func TestSealedFragmentSurvivesCollection(t *testing.T) {
 	}
 }
 
+// mixedWrite is one step of the retention tests' workload: up to 300
+// random bytes, one time in three written over existing bytes (growing the
+// BLOB at times), else appended. cur is what the BLOB reads as before
+// the write; the result is what it reads as after, in a slice of its own.
+func mixedWrite(t *testing.T, rng *rand.Rand, bl *blob.Blob, cur []byte) (blob.WriteResult, []byte) {
+	t.Helper()
+	data := make([]byte, 1+rng.Intn(300))
+	rng.Read(data)
+	var res blob.WriteResult
+	var err error
+	if rng.Intn(3) == 0 && len(cur) > 0 {
+		off := rng.Intn(len(cur))
+		res, err = bl.WriteAt(ctx, data, uint64(off))
+		cur = append(cur[:off:off], append(data, cur[min(len(cur), off+len(data)):]...)...)
+	} else {
+		res, err = bl.Append(ctx, data)
+		cur = append(cur[:len(cur):len(cur)], data...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, cur
+}
+
 // TestFragmentChainsUnderRetention: mixed unaligned appends and
 // overwrites under a three-version retention, a pass every five
 // versions. A fragment shadows nothing and a slot prefix shadows the
@@ -631,20 +656,8 @@ func TestFragmentChainsUnderRetention(t *testing.T) {
 		}
 	}
 	for v := 1; v <= versions; v++ {
-		data := make([]byte, 1+rng.Intn(300))
-		rng.Read(data)
 		var res blob.WriteResult
-		if rng.Intn(3) == 0 && len(cur) > 0 { // an overwrite inside existing bytes, growing the BLOB at times
-			off := rng.Intn(len(cur))
-			res, err = bl.WriteAt(ctx, data, uint64(off))
-			cur = append(cur[:off:off], append(data, cur[min(len(cur), off+len(data)):]...)...)
-		} else {
-			res, err = bl.Append(ctx, data)
-			cur = append(cur[:len(cur):len(cur)], data...)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, cur = mixedWrite(t, rng, bl, cur)
 		contents = append(contents, cur)
 		if v%5 == 0 {
 			if _, err := bl.WaitPublished(ctx, res.Ver); err != nil {
@@ -681,4 +694,140 @@ func TestFragmentChainsUnderRetention(t *testing.T) {
 		t.Errorf("providers hold %d bytes, the %d retained versions resolve to %d", stored, retain, liveBytes)
 	}
 	t.Logf("%d versions, %d bytes in the latest, %d stored == %d live in %d pages", versions, len(cur), h.cluster.ProviderBytes(), liveBytes, len(live))
+}
+
+// TestWarmClientAcrossCollection: TestFragmentChainsUnderRetention's
+// workload read through one long-lived client whose node cache every
+// pass finds warm — it has just read a part of each of the five newest
+// versions. After the pass the versions still retained read exactly and
+// whole through it, cached nodes and fresh ones together. A collected
+// version reads exactly too, while every page it needs outlives it, or
+// fails with ErrVersionCollected and nothing else, and the client then
+// holds no node that version wrote. The client has no page cache, so a
+// reclaimed page cannot hide behind a cached copy.
+func TestWarmClientAcrossCollection(t *testing.T) {
+	const ps, versions, retain, every = 512, 120, 3, 5
+	h := newHarness(t, blob.ClusterConfig{Providers: 4})
+	bl, err := h.cl.Create(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bl.SetRetention(ctx, retain); err != nil {
+		t.Fatal(err)
+	}
+	cc := h.cluster.ClientConfig("warm")
+	cc.CacheBytes = -1
+	warm := blob.NewClient(cc)
+	defer warm.Close()
+	wb := warm.Handle(bl.ID(), ps)
+
+	rng := rand.New(rand.NewSource(3))
+	contents := make([][]byte, 0, versions) // contents[v-1] is what version v reads as
+	var cur []byte
+	var refused int
+	for v := 1; v <= versions; v++ {
+		var res blob.WriteResult
+		res, cur = mixedWrite(t, rng, bl, cur)
+		contents = append(contents, cur)
+		if v%every != 0 {
+			continue
+		}
+		if _, err := bl.WaitPublished(ctx, res.Ver); err != nil {
+			t.Fatal(err)
+		}
+		for u := v - every + 1; u <= v; u++ { // warm: the first half of each new version
+			want := contents[u-1][:(len(contents[u-1])+1)/2]
+			if got, err := wb.ReadAt(ctx, uint64(u), 0, uint64(len(want))); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("before pass %d: version %d: %v", v/every, u, err)
+			}
+		}
+		h.runOnce(t)
+		for u := v - every + 1; u <= v; u++ {
+			want := contents[u-1]
+			got, err := wb.ReadAt(ctx, uint64(u), 0, uint64(len(want)))
+			switch {
+			case err == nil && bytes.Equal(got, want):
+			case u <= v-retain && errors.Is(err, blob.ErrVersionCollected):
+				refused++
+				if n := warm.NodeStore().Holds(bl.ID(), uint64(u)); n != 0 {
+					t.Fatalf("pass %d: the client still holds %d nodes of collected version %d", v/every, n, u)
+				}
+			default:
+				t.Fatalf("pass %d: version %d (latest %d, %d retained) read through the warm client: %v", v/every, u, v, retain, err)
+			}
+		}
+	}
+	if refused == 0 {
+		t.Error("no read of a collected version was refused: the workload never reclaimed a page such a read needs")
+	}
+	t.Logf("%d reads of collected versions refused, %d nodes cached at the end", refused, warm.NodeStore().Len())
+}
+
+// TestDeleteBlobForgetsNodes: what the collector deletes from the
+// metadata store it forgets in its client's node cache — first the nodes
+// a pass retires one by one, which may belong to a version collected
+// long before, then a deleted BLOB's — and the client that deletes a
+// BLOB forgets its nodes on the spot.
+func TestDeleteBlobForgetsNodes(t *testing.T) {
+	const ps = uint64(256)
+	h := newHarness(t, blob.ClusterConfig{Providers: 3, Retain: 1})
+	bl, err := h.cl.Create(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb := h.gcCl.Handle(bl.ID(), ps)
+	write := func(tag int, page, n uint64) uint64 {
+		t.Helper()
+		res, err := bl.WriteAt(ctx, fill(tag, int(n*ps)), page*ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bl.WaitPublished(ctx, res.Ver); err != nil {
+			t.Fatal(err)
+		}
+		return res.Ver
+	}
+	readBoth := func(ver uint64) {
+		t.Helper()
+		for _, b := range []*blob.Blob{bl, gb} {
+			if _, err := b.ReadAt(ctx, ver, 0, 2*ps); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(1, 0, 2) // version 1: both pages
+	write(2, 0, 1) // version 2: page 0 again; page 1 is still version 1's leaf
+	h.runOnce(t)   // collects version 1, whose leaf of page 1 lives on
+	readBoth(2)
+	if n := h.gcCl.NodeStore().Holds(bl.ID(), 1); n != 1 {
+		t.Fatalf("the collector's client holds %d nodes of version 1 after reading version 2, want 1: the leaf of page 1", n)
+	}
+	v3 := write(3, 1, 1) // version 3 shadows that leaf
+	h.runOnce(t)         // collects version 2 and deletes the leaf with it
+	if n := h.gcCl.NodeStore().Holds(bl.ID(), 1); n != 0 {
+		t.Errorf("the collector's client still holds %d nodes of version 1 after deleting its last", n)
+	}
+	readBoth(v3)
+
+	if h.cl.NodeStore().Len() == 0 || h.gcCl.NodeStore().Len() == 0 {
+		t.Fatal("both clients should hold nodes of version 3 by now")
+	}
+	if err := bl.Delete(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.cl.NodeStore().Len(); n != 0 {
+		t.Errorf("the deleting client still holds %d nodes of the BLOB", n)
+	}
+	h.runOnce(t)
+	if n := h.gcCl.NodeStore().Len(); n != 0 {
+		t.Errorf("the collector's client still holds %d nodes of the deleted BLOB", n)
+	}
+	if got := h.metaNodes(); got != 0 {
+		t.Errorf("metadata nodes after delete = %d, want 0", got)
+	}
+	for _, b := range []*blob.Blob{bl, gb} {
+		if _, err := b.ReadAt(ctx, v3, 0, ps); !errors.Is(err, blob.ErrVersionCollected) {
+			t.Errorf("read of the deleted blob = %v, want ErrVersionCollected", err)
+		}
+	}
 }

@@ -54,11 +54,7 @@ func TestQuickPartialResolves(t *testing.T) {
 			return false
 		}
 		first, last := lo/m.ps, (lo+n-1)/m.ps
-		slots, err := Resolve(ctx, m.store, m.blob, ver, pages, first, last-first+1)
-		if err != nil {
-			t.Logf("resolve pages [%d,%d]: %v", first, last, err)
-			return false
-		}
+		slots := m.resolve(t, ver, pages, first, last-first+1)
 		next := first
 		for i, s := range slots {
 			switch {

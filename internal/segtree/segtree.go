@@ -79,6 +79,43 @@
 // What is left: every MaxSlotFragments-th store into a slot rewrites the
 // slot's prefix, so records tiny next to the page still cost more than
 // their bytes, where every unaligned append used to.
+//
+// # Caching
+//
+// Versions share subtrees, so a reader of version v+1 needs, of the
+// nodes a reader of v already fetched, all but the few v+1 wrote. A
+// NodeCache in front of the store keeps them: decoded nodes by identity
+// (blob, ver, off, span), looked up a level at a time by the one descent
+// there is (getLevel), which sends the store only the keys the cache
+// lacks. A fresh version of a BLOB the process has read costs its new
+// root plus whatever subtree nobody has touched yet.
+//
+// What may be cached, and why. A key is written once, by the commit of
+// the version it names (or by the seal that stands in for a failed
+// commit, before the version publishes), and Resolve through a cache is
+// for published versions: every node reached from a published root was
+// written by a version at or below it, all of them published and final.
+// So a cached node equals the stored one for as long as the stored one
+// exists, and decoded it owns its memory (decodeNode copies the provider
+// list and makes the chain), so no store buffer is retained. Nothing
+// negative is cached: a node that is missing or does not decode is an
+// error of that Resolve and is asked for again by the next, and a level
+// joins the cache only when all of it arrived. Nothing is filled on
+// PutNodes: a writer reads no tree, and pays nothing. Two descents that
+// miss the same node both fetch it; the second insert changes nothing.
+//
+// Who forgets what. Only garbage collection ends a node's life, and what
+// it retires is unreachable from every version still readable, so a
+// stale entry can serve nobody a wrong page: at worst a collected
+// version resolves where it would have failed, and fails a step later on
+// a reclaimed page or reads the bytes it always had. Forgetting is for
+// memory and for failing fast, by the rules the blob client's other
+// caches follow: DeleteNodes forgets the keys it deletes (the collector
+// deletes through its client's cache), ForgetVersion the nodes one
+// version wrote (the client's PurgeVersion: a read told the version is
+// collected, and each version a collector pass retires), ForgetBlob a
+// BLOB's (PurgeBlob: deletion). The cache holds at most nodeCacheCap
+// nodes and is dropped whole when it gets there.
 package segtree
 
 import (
@@ -88,6 +125,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -333,14 +371,12 @@ func leafLen(ref PageRef, chain []Frag) int {
 // node is one decoded tree node: a leaf's page descriptor (and, for a
 // fragment, the chain behind it), or an inner node's two child pointers.
 type node struct {
-	leaf  bool
+	leaf                      bool
+	leftPresent, rightPresent bool
+	leftVer, rightVer         uint64
+
 	ref   PageRef
 	chain []Frag
-
-	leftPresent  bool
-	leftVer      uint64
-	rightPresent bool
-	rightVer     uint64
 }
 
 func decodeNode(raw []byte) (node, error) {
@@ -604,36 +640,82 @@ type NodeDeleter interface {
 	DeleteNodes(ctx context.Context, keys []string) error
 }
 
-// resolveItem is one frontier entry of the level-ordered descent.
+// resolveItem is one frontier entry of the level-ordered descent: the
+// node of version ver's tree that begins at page off. The nodes of a
+// level all have the level's span.
 type resolveItem struct {
-	ver  uint64
-	off  uint64
-	span uint64
+	ver uint64
+	off uint64
 }
 
-// getLevel fetches one level's nodes in one batch; the keys are
-// substrings of one slab.
-func getLevel(ctx context.Context, store NodeStore, blob uint64, level []resolveItem) (keys []string, raws [][]byte, err error) {
+// scratch is everything a Resolve allocates beside its result: the
+// frontier and the level after it, the level getLevel fetched last, and
+// the chain level. A Resolve takes one from scratchPool and hands it
+// back, so the slices keep what they grew to and a descent over a warm
+// NodeCache allocates its result and nothing else.
+type scratch struct {
+	frontier, next []resolveItem
+	nodes          []node   // the fetched level, decoded
+	miss           []int    // the positions in it the cache did not hold
+	keys           []string // the keys of those
+	// The leaves behind the fragment leaves met, and the offset each must
+	// turn out to begin at.
+	chains   []resolveItem
+	chainLos []uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getLevel returns the decoded nodes of one level, in the level's order;
+// they are s.nodes, valid until the next call. It is the one place a
+// Resolve reads the store: when the store is a NodeCache the nodes it
+// holds come from there and only the others are fetched, as one batch
+// whose keys are substrings of one slab, and join the cache once every
+// one of them has arrived and decoded. A level the cache holds whole
+// renders no key and sends nothing.
+func getLevel(ctx context.Context, store NodeStore, blob, span uint64, level []resolveItem, s *scratch) ([]node, error) {
+	s.nodes = slices.Grow(s.nodes[:0], len(level))[:len(level)]
+	s.miss = s.miss[:0]
+	cache, _ := store.(*NodeCache)
+	if cache != nil {
+		cache.take(blob, span, level, s)
+	} else {
+		for i := range level {
+			s.miss = append(s.miss, i)
+		}
+	}
+	if len(s.miss) == 0 {
+		return s.nodes, nil
+	}
 	keyBytes := 0
-	for _, it := range level {
-		keyBytes += keyLen(blob, it.ver, it.off, it.span)
+	for _, i := range s.miss {
+		keyBytes += keyLen(blob, level[i].ver, level[i].off, span)
 	}
 	var ks keySlab
 	ks.Grow(keyBytes)
-	keys = make([]string, len(level))
-	for i, it := range level {
-		keys[i] = ks.add(blob, it.ver, it.off, it.span)
+	s.keys = s.keys[:0]
+	for _, i := range s.miss {
+		s.keys = append(s.keys, ks.add(blob, level[i].ver, level[i].off, span))
 	}
-	raws, err = store.GetNodes(ctx, keys)
+	raws, err := store.GetNodes(ctx, s.keys)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for i, raw := range raws {
-		if raw == nil {
-			return nil, nil, fmt.Errorf("%w: %s", ErrNodeMissing, FormatKey(keys[i]))
+	if len(raws) != len(s.keys) {
+		return nil, fmt.Errorf("segtree: node store answered %d keys with %d values", len(s.keys), len(raws))
+	}
+	for j, i := range s.miss {
+		if raws[j] == nil {
+			return nil, fmt.Errorf("%w: %s", ErrNodeMissing, FormatKey(s.keys[j]))
+		}
+		if s.nodes[i], err = decodeNode(raws[j]); err != nil {
+			return nil, err
 		}
 	}
-	return keys, raws, nil
+	if cache != nil {
+		cache.add(blob, span, level, s)
+	}
+	return s.nodes, nil
 }
 
 // Resolve walks version ver's tree (for a BLOB that has `pages` pages at
@@ -643,7 +725,10 @@ func getLevel(ctx context.Context, store NodeStore, blob uint64, level []resolve
 // fragment, the slot prefix (Lo 0) first. Holes come back with Ref.Hole
 // == true. The descent is breadth-first with one batched node fetch per
 // level, plus one for all the chains the leaves name, so a read of p
-// pages costs O(log pages) round trips, not O(p).
+// pages costs O(log pages) round trips, not O(p) — and through a
+// NodeCache only the levels holding a node nobody resolved before cost
+// one at all ("Caching" in the package comment): ver must then be a
+// published version.
 func Resolve(ctx context.Context, store NodeStore, blob, ver, pages, off, n uint64) ([]Slot, error) {
 	if n == 0 || pages == 0 {
 		return nil, nil
@@ -651,65 +736,58 @@ func Resolve(ctx context.Context, store NodeStore, blob, ver, pages, off, n uint
 	if off+n > pages {
 		return nil, fmt.Errorf("segtree: resolve [%d,%d) beyond %d pages", off, off+n, pages)
 	}
-	frontier := []resolveItem{{ver: ver, off: 0, span: RootSpan(pages)}}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.frontier = append(s.frontier[:0], resolveItem{ver: ver})
+	s.chains, s.chainLos = s.chains[:0], s.chainLos[:0]
 	slots := make([]Slot, 0, n)
-	// The leaves behind the fragment leaves met, and the offset each must
-	// turn out to begin at.
-	var chains []resolveItem
-	var chainLos []uint64
 
-	for len(frontier) > 0 {
-		_, raws, err := getLevel(ctx, store, blob, frontier)
+	for span := RootSpan(pages); len(s.frontier) > 0; span /= 2 {
+		nodes, err := getLevel(ctx, store, blob, span, s.frontier, s)
 		if err != nil {
 			return nil, err
 		}
-		var next []resolveItem
-		for i, it := range frontier {
-			nd, err := decodeNode(raws[i])
-			if err != nil {
-				return nil, err
-			}
+		s.next = s.next[:0]
+		half := span / 2
+		for i, it := range s.frontier {
+			nd := &nodes[i]
 			if nd.leaf {
-				if it.span != 1 {
-					return nil, fmt.Errorf("segtree: leaf with span %d", it.span)
+				if span != 1 {
+					return nil, fmt.Errorf("segtree: leaf with span %d", span)
 				}
 				slots = append(slots, Slot{Index: it.off, Ref: nd.ref})
 				for _, f := range nd.chain {
-					chains = append(chains, resolveItem{ver: f.Ver, off: it.off, span: 1})
-					chainLos = append(chainLos, f.Lo)
+					s.chains = append(s.chains, resolveItem{ver: f.Ver, off: it.off})
+					s.chainLos = append(s.chainLos, f.Lo)
 				}
 				continue
 			}
-			half := it.span / 2
 			if intersects(off, n, it.off, half) {
 				if nd.leftPresent {
-					next = append(next, resolveItem{ver: nd.leftVer, off: it.off, span: half})
+					s.next = append(s.next, resolveItem{ver: nd.leftVer, off: it.off})
 				} else {
 					slots = appendHoles(slots, it.off, half, off, n)
 				}
 			}
 			if intersects(off, n, it.off+half, half) {
 				if nd.rightPresent {
-					next = append(next, resolveItem{ver: nd.rightVer, off: it.off + half, span: half})
+					s.next = append(s.next, resolveItem{ver: nd.rightVer, off: it.off + half})
 				} else {
 					slots = appendHoles(slots, it.off+half, half, off, n)
 				}
 			}
 		}
-		frontier = next
+		s.frontier, s.next = s.next, s.frontier
 	}
-	if len(chains) > 0 {
-		keys, raws, err := getLevel(ctx, store, blob, chains)
+	if len(s.chains) > 0 {
+		nodes, err := getLevel(ctx, store, blob, 1, s.chains, s)
 		if err != nil {
 			return nil, err
 		}
-		for i, it := range chains {
-			nd, err := decodeNode(raws[i])
-			if err != nil {
-				return nil, err
-			}
-			if !nd.leaf || uint64(nd.ref.Lo) != chainLos[i] {
-				return nil, fmt.Errorf("segtree: chain names %s at offset %d, the node disagrees", FormatKey(keys[i]), chainLos[i])
+		for i, it := range s.chains {
+			nd := &nodes[i]
+			if !nd.leaf || uint64(nd.ref.Lo) != s.chainLos[i] {
+				return nil, fmt.Errorf("segtree: chain names %s at offset %d, the node disagrees", FormatKey(LeafKey(blob, it.ver, it.off)), s.chainLos[i])
 			}
 			slots = append(slots, Slot{Index: it.off, Ref: nd.ref})
 		}
@@ -719,10 +797,10 @@ func Resolve(ctx context.Context, store NodeStore, blob, ver, pages, off, n uint
 	// prefixes: every page of the query has exactly one.
 	out := slots[:0]
 	var prefixes uint64
-	for _, s := range slots {
-		if s.Index >= off && s.Index < off+n {
-			out = append(out, s)
-			if s.Ref.Lo == 0 {
+	for _, sl := range slots {
+		if sl.Index >= off && sl.Index < off+n {
+			out = append(out, sl)
+			if sl.Ref.Lo == 0 {
 				prefixes++
 			}
 		}

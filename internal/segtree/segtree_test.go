@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -357,13 +358,34 @@ func TestMissingNodeError(t *testing.T) {
 type byteModel struct {
 	blob, ps uint64
 	store    *MemStore
+	cache    *NodeCache // over store, for the model's lifetime: every read warms it
 	history  []WriteRecord
 	content  [][]byte                 // content[v-1] is what version v reads as
 	pages    map[pagestore.Key][]byte // what the providers hold
 }
 
 func newByteModel(blob, ps uint64) *byteModel {
-	return &byteModel{blob: blob, ps: ps, store: NewMemStore(), pages: make(map[pagestore.Key][]byte)}
+	store := NewMemStore()
+	return &byteModel{blob: blob, ps: ps, store: store, cache: NewNodeCache(store), pages: make(map[pagestore.Key][]byte)}
+}
+
+// resolve is Resolve through the bare store, through a cold cache over
+// it and through the model's own cache, warm with whatever earlier reads
+// of this and of older versions left there; the cache is invisible, so
+// the three must agree slot for slot.
+func (m *byteModel) resolve(t *testing.T, ver, pages, off, n uint64) []Slot {
+	t.Helper()
+	bare, err := Resolve(ctx, m.store, m.blob, ver, pages, off, n)
+	if err != nil {
+		t.Fatalf("resolve v%d pages [%d,%d): %v", ver, off, off+n, err)
+	}
+	for name, store := range map[string]NodeStore{"cold": NewNodeCache(m.store), "warm": m.cache} {
+		got, err := Resolve(ctx, store, m.blob, ver, pages, off, n)
+		if err != nil || !reflect.DeepEqual(got, bare) {
+			t.Fatalf("resolve v%d pages [%d,%d) through a %s cache: %v, %v; the bare store gives %v", ver, off, off+n, name, got, err, bare)
+		}
+	}
+	return bare
 }
 
 func (m *byteModel) size() uint64 {
@@ -424,10 +446,7 @@ func (m *byteModel) read(t *testing.T, ver, off, n uint64) []byte {
 	t.Helper()
 	size := uint64(len(m.content[ver-1]))
 	first, last := off/m.ps, (off+n-1)/m.ps
-	slots, err := Resolve(ctx, m.store, m.blob, ver, (size+m.ps-1)/m.ps, first, last-first+1)
-	if err != nil {
-		t.Fatalf("resolve v%d pages [%d,%d]: %v", ver, first, last, err)
-	}
+	slots := m.resolve(t, ver, (size+m.ps-1)/m.ps, first, last-first+1)
 	out := bytes.Repeat([]byte{0xEE}, int(n))
 	perSlot := 0
 	for i, s := range slots {
@@ -612,22 +631,34 @@ func BenchmarkCommitAppend16(b *testing.B) {
 	}
 }
 
-func BenchmarkResolve16(b *testing.B) {
-	store := NewMemStore()
-	m := newModel(301)
-	off := uint64(0)
-	for v := uint64(1); v <= 64; v++ {
-		w := m.apply(v, off, 16)
-		if err := Commit(ctx, store, 301, w, m.history[:len(m.history)-1], mkRefs(301, v, off, 16)); err != nil {
-			b.Fatal(err)
+// appendTree commits `versions` appends of 16 pages each to store as
+// BLOB blob.
+func appendTree(tb testing.TB, store *MemStore, blob, versions uint64) {
+	tb.Helper()
+	m := newModel(blob)
+	for v := uint64(1); v <= versions; v++ {
+		w := m.apply(v, (v-1)*16, 16)
+		if err := Commit(ctx, store, blob, w, m.history[:len(m.history)-1], mkRefs(blob, v, w.Off, 16)); err != nil {
+			tb.Fatal(err)
 		}
-		off += 16
 	}
+}
+
+// appendedTree is appendTree into a store of its own.
+func appendedTree(tb testing.TB, blob, versions uint64) *MemStore {
+	tb.Helper()
+	store := NewMemStore()
+	appendTree(tb, store, blob, versions)
+	return store
+}
+
+func BenchmarkResolve16(b *testing.B) {
+	store := appendedTree(b, 301, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := uint64(i%63) * 16
-		if _, err := Resolve(ctx, store, 301, 64, off, start, 16); err != nil {
+		if _, err := Resolve(ctx, store, 301, 64, 64*16, start, 16); err != nil {
 			b.Fatal(err)
 		}
 	}
