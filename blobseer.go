@@ -47,6 +47,13 @@ type (
 	// under concurrent appenders.
 	JobConf   = mapreduce.JobConf
 	JobResult = mapreduce.JobResult
+	// Emitter is what a JobConf's Map, Combine and Reduce functions
+	// hand their output records to: func(key, value []byte, out
+	// *Emitter) and func(key []byte, values [][]byte, out *Emitter)
+	// call out.Emit(key, valueParts...), which copies before it
+	// returns; the functions' own arguments are views that die with
+	// the call.
+	Emitter = mapreduce.Emitter
 )
 
 // Stable sentinels of the versioned API, re-exported from internal/dfs.

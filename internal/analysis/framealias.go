@@ -11,10 +11,11 @@ import (
 // result that outlives the decode (stored in a struct field, a
 // package variable or a composite literal, or returned) is a
 // use-after-free unless somebody copies it in time. Decoders that keep
-// the bytes call BytesCopy (or BytesSliceCopy); the three that alias on
+// the bytes call BytesCopy (or BytesSliceCopy); the four that alias on
 // purpose (blob.PutPageReq, whose page the store copies before the
-// handler returns, and blob.GetPageResp and dht.BatchResp, whose
-// response frames are never recycled) carry
+// handler returns, blob.GetPageResp and dht.BatchResp, whose response
+// frames are never recycled, and mapreduce's run, which reads a
+// shuffle segment the reducer owns and no frame at all) carry
 // `//lint:framealias <reason>`.
 //
 // The check follows a Bytes result through local variables and slice

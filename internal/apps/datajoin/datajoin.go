@@ -7,15 +7,17 @@
 package datajoin
 
 import (
+	"bytes"
 	"strings"
 
 	"blobseer/internal/mapreduce"
 )
 
 // Tags prefixed to values so the reducer can tell the two inputs apart.
-const (
-	tagA = "A\x00"
-	tagB = "B\x00"
+var (
+	tagA = []byte("A\x00")
+	tagB = []byte("B\x00")
+	tab  = []byte("\t")
 )
 
 // Job returns the JobConf for joining fileA and fileB into outputDir.
@@ -36,43 +38,44 @@ func Job(fileA, fileB, outputDir string, reducers int, mode mapreduce.OutputMode
 // mapFunc tags each record with its source file. The framework passes
 // "path:offset" as the map key.
 func mapFunc(fileA string) mapreduce.MapFunc {
-	return func(key, value string, emit func(k, v string)) {
-		k, v, ok := strings.Cut(value, "\t")
-		if !ok || k == "" {
+	return func(key, value []byte, out *mapreduce.Emitter) {
+		k, v, ok := bytes.Cut(value, tab)
+		if !ok || len(k) == 0 {
 			return // malformed record; data join skips it
 		}
 		path := key
-		if i := strings.LastIndexByte(key, ':'); i >= 0 {
+		if i := bytes.LastIndexByte(key, ':'); i >= 0 {
 			path = key[:i]
 		}
-		if path == fileA {
-			emit(k, tagA+v)
+		if string(path) == fileA {
+			out.Emit(k, tagA, v)
 		} else {
-			emit(k, tagB+v)
+			out.Emit(k, tagB, v)
 		}
 	}
 }
 
 // Reduce emits the cross product of A-values and B-values for keys
-// present in both inputs.
-func Reduce(key string, values []string, emit func(k, v string)) {
-	var as, bs []string
-	for _, v := range values {
-		switch {
-		case strings.HasPrefix(v, tagA):
-			as = append(as, v[len(tagA):])
-		case strings.HasPrefix(v, tagB):
-			bs = append(bs, v[len(tagB):])
-		}
-	}
-	if len(as) == 0 || len(bs) == 0 {
-		return
-	}
+// present in both inputs. A group's values arrive in byte order, so the
+// A-tagged ones lead the slice and the B-tagged ones follow them:
+// neither side is copied out, and a row goes to the emitter in parts.
+func Reduce(key []byte, values [][]byte, out *mapreduce.Emitter) {
+	as, rest := cutTagged(values, tagA)
+	bs, _ := cutTagged(rest, tagB)
 	for _, a := range as {
 		for _, b := range bs {
-			emit(key, a+"\t"+b)
+			out.Emit(key, a[len(tagA):], tab, b[len(tagB):])
 		}
 	}
+}
+
+// cutTagged splits values behind its leading run of tag-prefixed ones.
+func cutTagged(values [][]byte, tag []byte) (tagged, rest [][]byte) {
+	n := 0
+	for n < len(values) && bytes.HasPrefix(values[n], tag) {
+		n++
+	}
+	return values[:n], values[n:]
 }
 
 // ReferenceJoin computes the expected join output (as unordered lines

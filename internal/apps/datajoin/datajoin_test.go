@@ -1,24 +1,27 @@
 package datajoin
 
 import (
-	"sort"
+	"bytes"
+	"io"
+	"slices"
 	"strings"
 	"testing"
+
+	"blobseer/internal/mapreduce"
 )
 
-// runLocal drives Map/Reduce functions in-memory.
+// runLocal drives Map/Reduce functions in-memory, the way the
+// framework does: a group's values reach Reduce in byte order.
 func runLocal(t *testing.T, fileA, fileB, contentA, contentB string) map[string]int {
 	t.Helper()
 	job := Job(fileA, fileB, "/out", 1, 0)
-	var inter []struct{ k, v string }
-	emitMap := func(k, v string) {
-		inter = append(inter, struct{ k, v string }{k, v})
-	}
+	var inter bytes.Buffer
+	emitMap := mapreduce.NewEmitter(&inter)
 	feed := func(path, content string) {
 		off := 0
 		for _, line := range strings.Split(content, "\n") {
 			if line != "" {
-				job.Map(path+":"+itoa(off), line, emitMap)
+				job.Map([]byte(path+":"+itoa(off)), []byte(line), emitMap)
 			}
 			off += len(line) + 1
 		}
@@ -26,18 +29,22 @@ func runLocal(t *testing.T, fileA, fileB, contentA, contentB string) map[string]
 	feed(fileA, contentA)
 	feed(fileB, contentB)
 
-	groups := map[string][]string{}
-	for _, p := range inter {
-		groups[p.k] = append(groups[p.k], p.v)
+	groups := map[string][][]byte{}
+	for _, line := range strings.Split(strings.TrimSuffix(inter.String(), "\n"), "\n") {
+		k, v, _ := strings.Cut(line, "\t")
+		groups[k] = append(groups[k], []byte(v))
+	}
+	var rows bytes.Buffer
+	emitReduce := mapreduce.NewEmitter(&rows)
+	for k, values := range groups {
+		slices.SortFunc(values, bytes.Compare)
+		job.Reduce([]byte(k), values, emitReduce)
 	}
 	out := map[string]int{}
-	var keys []string
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		job.Reduce(k, groups[k], func(rk, rv string) { out[rk+"\t"+rv]++ })
+	for _, row := range strings.Split(rows.String(), "\n") {
+		if row != "" {
+			out[row]++
+		}
 	}
 	return out
 }
@@ -113,5 +120,22 @@ func TestValuesContainingTabs(t *testing.T) {
 	got := runLocal(t, "/a", "/b", a, b)
 	if got["k\tval\twith\ttabs\tother"] != 1 {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestRecordCostsNoObject: a record goes through the map and the reduce
+// function without a heap object — no tagged or joined value is built,
+// and Emit's variadic slice stays on the caller's stack.
+func TestRecordCostsNoObject(t *testing.T) {
+	job := Job("/a", "/b", "/out", 1, 0)
+	out := mapreduce.NewEmitter(io.Discard)
+	key, line, user := []byte("/a:4096"), []byte("user000001\tplays=radiohead:12"), []byte("user000001")
+	values := [][]byte{[]byte("A\x00a1"), []byte("A\x00a2"), []byte("B\x00b1"), []byte("B\x00b2")}
+	out.Emit(key, line) // size the emitter's line buffer
+	if n := testing.AllocsPerRun(100, func() { job.Map(key, line, out) }); n != 0 {
+		t.Errorf("map allocates %.0f objects per record", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { job.Reduce(user, values, out) }); n != 0 {
+		t.Errorf("reduce allocates %.0f objects per group of four values", n)
 	}
 }

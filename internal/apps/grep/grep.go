@@ -4,8 +4,8 @@
 package grep
 
 import (
+	"bytes"
 	"strconv"
-	"strings"
 
 	"blobseer/internal/mapreduce"
 )
@@ -24,24 +24,28 @@ func Job(inputs []string, outputDir, pattern string, reducers int, mode mapreduc
 	}
 }
 
+var one = []byte("1")
+
 // Map emits (line, "1") for lines containing the pattern.
 func Map(pattern string) mapreduce.MapFunc {
-	return func(key, value string, emit func(k, v string)) {
-		if strings.Contains(value, pattern) {
-			emit(value, "1")
+	pat := []byte(pattern)
+	return func(key, value []byte, out *mapreduce.Emitter) {
+		if bytes.Contains(value, pat) {
+			out.Emit(value, one)
 		}
 	}
 }
 
 // Reduce sums the match counts of identical lines.
-func Reduce(key string, values []string, emit func(k, v string)) {
+func Reduce(key []byte, values [][]byte, out *mapreduce.Emitter) {
 	total := 0
 	for _, v := range values {
-		n, err := strconv.Atoi(v)
+		n, err := strconv.Atoi(string(v))
 		if err != nil {
 			continue
 		}
 		total += n
 	}
-	emit(key, strconv.Itoa(total))
+	var sum [20]byte
+	out.Emit(key, strconv.AppendInt(sum[:0], int64(total), 10))
 }

@@ -1,22 +1,28 @@
 package grep
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"blobseer/internal/mapreduce"
+)
 
 func TestMapMatches(t *testing.T) {
 	m := Map("needle")
-	var got []string
-	m("k", "hay needle hay", func(k, v string) { got = append(got, k) })
-	m("k", "just hay", func(k, v string) { got = append(got, k) })
-	if len(got) != 1 || got[0] != "hay needle hay" {
-		t.Fatalf("got %v", got)
+	var buf bytes.Buffer
+	out := mapreduce.NewEmitter(&buf)
+	m([]byte("k"), []byte("hay needle hay"), out)
+	m([]byte("k"), []byte("just hay"), out)
+	if got := buf.String(); got != "hay needle hay\t1\n" {
+		t.Fatalf("got %q", got)
 	}
 }
 
 func TestReduceCounts(t *testing.T) {
-	var out string
-	Reduce("line", []string{"1", "1"}, func(k, v string) { out = v })
-	if out != "2" {
-		t.Errorf("count = %q", out)
+	var buf bytes.Buffer
+	Reduce([]byte("line"), [][]byte{[]byte("1"), []byte("1")}, mapreduce.NewEmitter(&buf))
+	if got := buf.String(); got != "line\t2\n" {
+		t.Errorf("count = %q", got)
 	}
 }
 

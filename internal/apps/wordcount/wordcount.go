@@ -3,6 +3,7 @@
 package wordcount
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 
@@ -23,24 +24,27 @@ func Job(inputs []string, outputDir string, reducers int, mode mapreduce.OutputM
 	}
 }
 
+var one = []byte("1")
+
 // Map emits (word, "1") for every whitespace-separated word.
-func Map(key, value string, emit func(k, v string)) {
-	for _, w := range strings.Fields(value) {
-		emit(w, "1")
+func Map(key, value []byte, out *mapreduce.Emitter) {
+	for w := range bytes.FieldsSeq(value) {
+		out.Emit(w, one)
 	}
 }
 
 // Reduce sums the counts of one word.
-func Reduce(key string, values []string, emit func(k, v string)) {
+func Reduce(key []byte, values [][]byte, out *mapreduce.Emitter) {
 	total := 0
 	for _, v := range values {
-		n, err := strconv.Atoi(v)
+		n, err := strconv.Atoi(string(v))
 		if err != nil {
 			continue
 		}
 		total += n
 	}
-	emit(key, strconv.Itoa(total))
+	var sum [20]byte
+	out.Emit(key, strconv.AppendInt(sum[:0], int64(total), 10))
 }
 
 // ReferenceCount computes expected counts from raw text.

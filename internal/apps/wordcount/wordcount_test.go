@@ -1,38 +1,51 @@
 package wordcount
 
 import (
+	"bytes"
+	"io"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
+
+	"blobseer/internal/mapreduce"
 )
 
-func TestMapSplitsWords(t *testing.T) {
-	var got []string
-	Map("k", "  the quick\tbrown  fox ", func(k, v string) {
-		got = append(got, k)
-		if v != "1" {
-			t.Errorf("value = %q", v)
-		}
-	})
-	want := []string{"the", "quick", "brown", "fox"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
+// emitted runs fn against an emitter and returns what it wrote, one
+// "key<TAB>value" line per record.
+func emitted(fn func(out *mapreduce.Emitter)) []string {
+	var buf bytes.Buffer
+	fn(mapreduce.NewEmitter(&buf))
+	if buf.Len() == 0 {
+		return nil
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("word %d = %q", i, got[i])
-		}
+	return strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+}
+
+// reduce runs Reduce over one group and returns the sum it emits.
+func reduce(values ...string) string {
+	group := make([][]byte, len(values))
+	for i, v := range values {
+		group[i] = []byte(v)
+	}
+	lines := emitted(func(out *mapreduce.Emitter) { Reduce([]byte("w"), group, out) })
+	return strings.TrimPrefix(strings.Join(lines, "|"), "w\t")
+}
+
+func TestMapSplitsWords(t *testing.T) {
+	got := emitted(func(out *mapreduce.Emitter) { Map([]byte("k"), []byte("  the quick\tbrown  fox "), out) })
+	want := []string{"the\t1", "quick\t1", "brown\t1", "fox\t1"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %q, want %q", got, want)
 	}
 }
 
 func TestReduceSums(t *testing.T) {
-	var out string
-	Reduce("w", []string{"1", "2", "3"}, func(k, v string) { out = v })
-	if out != "6" {
+	if out := reduce("1", "2", "3"); out != "6" {
 		t.Errorf("sum = %q", out)
 	}
 	// Bad values are skipped, not fatal.
-	Reduce("w", []string{"1", "x", "2"}, func(k, v string) { out = v })
-	if out != "3" {
+	if out := reduce("1", "x", "2"); out != "3" {
 		t.Errorf("sum with junk = %q", out)
 	}
 }
@@ -48,16 +61,27 @@ func TestCombinerAssociativity(t *testing.T) {
 	// reduce(combine(x), combine(y)) == reduce(x ++ y)
 	part1 := []string{"1", "1", "1"}
 	part2 := []string{"1", "1"}
-	var c1, c2 string
-	Reduce("w", part1, func(k, v string) { c1 = v })
-	Reduce("w", part2, func(k, v string) { c2 = v })
-	var combined, direct string
-	Reduce("w", []string{c1, c2}, func(k, v string) { combined = v })
-	Reduce("w", append(part1, part2...), func(k, v string) { direct = v })
+	combined := reduce(reduce(part1...), reduce(part2...))
+	direct := reduce(append(part1, part2...)...)
 	if combined != direct {
 		t.Errorf("combined=%q direct=%q", combined, direct)
 	}
 	if n, _ := strconv.Atoi(direct); n != 5 {
 		t.Errorf("direct = %q", direct)
+	}
+}
+
+// TestRecordCostsNoObject: neither cutting a line into words nor
+// rendering a sum allocates.
+func TestRecordCostsNoObject(t *testing.T) {
+	out := mapreduce.NewEmitter(io.Discard)
+	line := []byte("the quick brown fox jumps over the lazy dog")
+	group := [][]byte{[]byte("1"), []byte("12"), []byte("123")}
+	out.Emit(line, line) // size the emitter's line buffer
+	if n := testing.AllocsPerRun(100, func() { Map(nil, line, out) }); n != 0 {
+		t.Errorf("map allocates %.0f objects per line", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Reduce(line[:3], group, out) }); n != 0 {
+		t.Errorf("reduce allocates %.0f objects per group", n)
 	}
 }

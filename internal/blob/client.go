@@ -873,8 +873,12 @@ func (c *Client) pageWorker() {
 // maxParallelPages goroutines — the transfer scaffolding shared by the
 // write and read paths — and returns the first error. The per-call
 // concurrency bound is the sem, exactly as if every page spawned its
-// own goroutine; the worker pool only recycles stacks.
+// own goroutine; the worker pool only recycles stacks. A single page
+// runs on the caller, which would only wait for the worker otherwise.
 func (c *Client) forEachPage(n uint64, fn func(i uint64) error) error {
+	if n == 1 {
+		return fn(0)
+	}
 	c.startOnce.Do(func() {
 		for i := 0; i < pageWorkers; i++ {
 			go c.pageWorker()

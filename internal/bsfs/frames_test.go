@@ -63,22 +63,24 @@ const (
 	runObjectBudget = 110
 	// A record is a 1000-byte Write and its Flush onto a file of 16 KiB
 	// blocks: an unaligned append, which stores a fragment of its own
-	// bytes (measured 61 objects and 10 KiB here, 94 and 8.2 KiB per op
-	// on the gated benchmark's record_append; the boundary-page rewrite
-	// this replaced waited for the previous version, read its page back
-	// and stored the whole prefix again: 207 objects and 53 KiB there).
+	// bytes (measured 56 objects and 10 KiB here — 61 before a one-page
+	// transfer ran on its caller — 90 and 8.1 KiB per op on the gated
+	// benchmark's record_append; the boundary-page rewrite this replaced
+	// waited for the previous version, read its page back and stored the
+	// whole prefix again: 207 objects and 53 KiB there).
 	recordBlock        = 16 << 10
 	recordLen          = 1000
-	recordObjectBudget = 130
+	recordObjectBudget = 100
 	recordByteBudget   = 16 << 10
 	// A block of a snapshot one append younger than the file the mount
 	// has read, its page no longer cached: the provider fetch and the
 	// readahead beside it, and of the segment tree one node per open
-	// (measured 21; walking the tree again for every block of every new
-	// snapshot, as the client did before it cached nodes, cost 330 on the
-	// gated read_under_append).
+	// (measured 15, 19 before a one-page transfer ran on its caller;
+	// walking the tree again for every block of every new snapshot, as
+	// the client did before it cached nodes, cost 330 on the gated
+	// read_under_append, which now reads 12).
 	freshBlocks       = 64
-	freshObjectBudget = 80
+	freshObjectBudget = 40
 )
 
 // TestAllocationBudget is the tier-1 guard on the data path's copies:

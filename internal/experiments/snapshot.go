@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 
 	"blobseer/internal/blob"
@@ -315,8 +316,8 @@ func Snapshot(cfg Config) (*SnapshotResult, error) {
 		return fail(err)
 	}
 	defer fw.Close()
-	sum := func(key string, values []string, emit func(k, v string)) {
-		emit(key, fmt.Sprint(len(values)))
+	sum := func(key []byte, values [][]byte, out *mapreduce.Emitter) {
+		out.Emit(key, strconv.AppendInt(nil, int64(len(values)), 10))
 	}
 	job, err := fw.Run(ctx, mapreduce.JobConf{
 		Name:      "snapshot-linecount",
@@ -325,9 +326,9 @@ func Snapshot(cfg Config) (*SnapshotResult, error) {
 		// The first record read proves the job pinned its input and is
 		// consuming it; releasing the appenders here makes phase 2
 		// overlap the job deterministically.
-		Map: func(_, _ string, emit func(k, v string)) {
+		Map: func(_, _ []byte, out *mapreduce.Emitter) {
 			release()
-			emit("lines", "1")
+			out.Emit([]byte("lines"), []byte("1"))
 		},
 		Combine:     sum,
 		Reduce:      sum,

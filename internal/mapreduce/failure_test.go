@@ -1,6 +1,7 @@
 package mapreduce_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -105,11 +106,11 @@ func TestPoisonousInputRecords(t *testing.T) {
 		Name:      "poison",
 		Input:     []string{"/in/x"},
 		OutputDir: "/out",
-		Map: func(k, v string, emit func(k, v string)) {
-			emit(strings.ToUpper(v), "1")
+		Map: func(k, v []byte, out *mapreduce.Emitter) {
+			out.Emit(bytes.ToUpper(v), []byte("1"))
 		},
-		Reduce: func(k string, vs []string, emit func(k, v string)) {
-			emit(k, "ok")
+		Reduce: func(k []byte, vs [][]byte, out *mapreduce.Emitter) {
+			out.Emit(k, []byte("ok"))
 		},
 		NumReducers: 1,
 		OutputMode:  mapreduce.SeparateFiles,

@@ -463,6 +463,11 @@ func TestManyReducersFewRecords(t *testing.T) {
 	}
 }
 
+// countValues is a reduce function: (key, number of values).
+func countValues(key []byte, values [][]byte, out *mapreduce.Emitter) {
+	out.Emit(key, strconv.AppendInt(nil, int64(len(values)), 10))
+}
+
 func TestPinnedInputVersions(t *testing.T) {
 	// A job on a versioned backend pins each input's snapshot at
 	// submit: appends racing the job — here injected deterministically
@@ -488,7 +493,7 @@ func TestPinnedInputVersions(t *testing.T) {
 		Name:      "pinned",
 		Input:     []string{"/in/data"},
 		OutputDir: "/out",
-		Map: func(_, line string, emit func(k, v string)) {
+		Map: func(_, line []byte, out *mapreduce.Emitter) {
 			// Grow the input mid-job, exactly once, before this map
 			// emits: the splits were already pinned, so the new bytes
 			// must be invisible to every map of this job.
@@ -503,11 +508,9 @@ func TestPinnedInputVersions(t *testing.T) {
 				}
 				appended <- err
 			})
-			emit("count", "1")
+			out.Emit([]byte("count"), []byte("1"))
 		},
-		Reduce: func(key string, values []string, emit func(k, v string)) {
-			emit(key, fmt.Sprint(len(values)))
-		},
+		Reduce:      countValues,
 		NumReducers: 1,
 	})
 	if err != nil {
@@ -542,13 +545,11 @@ func TestPinnedInputVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	hres, err := eh.fw.Run(ctx, mapreduce.JobConf{
-		Name:      "unpinned",
-		Input:     []string{"/in/data"},
-		OutputDir: "/out",
-		Map:       func(_, _ string, emit func(k, v string)) { emit("count", "1") },
-		Reduce: func(key string, values []string, emit func(k, v string)) {
-			emit(key, fmt.Sprint(len(values)))
-		},
+		Name:        "unpinned",
+		Input:       []string{"/in/data"},
+		OutputDir:   "/out",
+		Map:         func(_, _ []byte, out *mapreduce.Emitter) { out.Emit([]byte("count"), []byte("1")) },
+		Reduce:      countValues,
 		NumReducers: 1,
 	})
 	if err != nil {

@@ -1,22 +1,24 @@
 package mapreduce
 
+import "bytes"
+
 // pairMerger streams the k-way merge of individually sorted runs (the
-// per-map output partitions, each already sorted by sortPairs) in
-// (Key, Value) order. The reduce phase consumes groups straight off
-// the merge instead of buffering the whole concatenation and
-// re-sorting it: O(N log k) comparisons in place of the old
-// O(N log N) full sort, and no second copy of every pair.
+// per-map output partitions, each sorted by recordBuffer.sort) in key,
+// then value, byte order. The reduce phase consumes groups straight
+// off the merge instead of buffering the whole concatenation and
+// re-sorting it: O(N log k) comparisons in place of an O(N log N) full
+// sort, and no copy of any pair — what next returns are views of the
+// runs' segments, good for as long as the segments are.
 type pairMerger struct {
-	runs  [][]Pair
-	pos   []int // per-run cursor
+	runs  []run
 	heads []int // binary min-heap of run indices, ordered by head pair
 }
 
 // newPairMerger builds a merger over the runs; empty runs are skipped.
-func newPairMerger(runs [][]Pair) *pairMerger {
-	m := &pairMerger{runs: runs, pos: make([]int, len(runs))}
-	for i, run := range runs {
-		if len(run) > 0 {
+func newPairMerger(runs []run) *pairMerger {
+	m := &pairMerger{runs: runs}
+	for i := range runs {
+		if runs[i].left > 0 {
 			m.heads = append(m.heads, i)
 		}
 	}
@@ -26,15 +28,15 @@ func newPairMerger(runs [][]Pair) *pairMerger {
 	return m
 }
 
-// less orders two runs by their head pairs, matching sortPairs' key-
-// then-value order so the merged stream is exactly what sorting the
+// less orders two runs by their head pairs, in the order the runs are
+// sorted in, so the merged stream is exactly what sorting the
 // concatenation would produce.
 func (m *pairMerger) less(a, b int) bool {
-	pa, pb := m.runs[a][m.pos[a]], m.runs[b][m.pos[b]]
-	if pa.Key != pb.Key {
-		return pa.Key < pb.Key
+	ra, rb := &m.runs[a], &m.runs[b]
+	if c := bytes.Compare(ra.key, rb.key); c != 0 {
+		return c < 0
 	}
-	return pa.Value < pb.Value
+	return bytes.Compare(ra.val, rb.val) < 0
 }
 
 // down restores the heap property below slot i.
@@ -58,18 +60,18 @@ func (m *pairMerger) down(i int) {
 
 // next pops the smallest remaining pair; ok is false when all runs are
 // exhausted.
-func (m *pairMerger) next() (p Pair, ok bool) {
+func (m *pairMerger) next() (key, val []byte, ok bool) {
 	if len(m.heads) == 0 {
-		return Pair{}, false
+		return nil, nil, false
 	}
-	run := m.heads[0]
-	p = m.runs[run][m.pos[run]]
-	m.pos[run]++
-	if m.pos[run] == len(m.runs[run]) {
+	r := &m.runs[m.heads[0]]
+	key, val = r.key, r.val
+	r.advance()
+	if r.left == 0 {
 		last := len(m.heads) - 1
 		m.heads[0] = m.heads[last]
 		m.heads = m.heads[:last]
 	}
 	m.down(0)
-	return p, true
+	return key, val, true
 }

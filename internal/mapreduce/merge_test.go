@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -11,50 +12,33 @@ import (
 func TestPairMergerMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		nRuns := rng.Intn(6)
-		runs := make([][]Pair, nRuns)
-		var all []Pair
+		runs := make([]run, rng.Intn(6))
+		var all []refPair
 		for i := range runs {
-			n := rng.Intn(20)
-			for k := 0; k < n; k++ {
-				p := Pair{
-					Key:   fmt.Sprintf("k%02d", rng.Intn(8)),
-					Value: fmt.Sprintf("v%02d", rng.Intn(10)),
-				}
-				runs[i] = append(runs[i], p)
-				all = append(all, p)
+			var pairs []refPair
+			for k, n := 0, rng.Intn(20); k < n; k++ {
+				pairs = append(pairs, refPair{
+					k: fmt.Sprintf("k%02d", rng.Intn(8)),
+					v: fmt.Sprintf("v%02d", rng.Intn(10)),
+				})
 			}
-			sortPairs(runs[i])
+			all = append(all, pairs...)
+			refSort(pairs)
+			runs[i] = mustOpenRun(t, refEncode(pairs))
 		}
-		sortPairs(all)
-
-		m := newPairMerger(runs)
-		var got []Pair
-		for {
-			p, ok := m.next()
-			if !ok {
-				break
-			}
-			got = append(got, p)
-		}
-		if len(got) != len(all) {
-			t.Fatalf("trial %d: merged %d pairs, want %d", trial, len(got), len(all))
-		}
-		for i := range got {
-			if got[i] != all[i] {
-				t.Fatalf("trial %d: pair %d = %+v, want %+v", trial, i, got[i], all[i])
-			}
+		refSort(all)
+		if got := drain(newPairMerger(runs)); !slices.Equal(got, all) {
+			t.Fatalf("trial %d: merged %q, want %q", trial, got, all)
 		}
 	}
 }
 
 func TestPairMergerEmpty(t *testing.T) {
-	m := newPairMerger(nil)
-	if _, ok := m.next(); ok {
+	if _, _, ok := newPairMerger(nil).next(); ok {
 		t.Fatal("empty merger produced a pair")
 	}
-	m = newPairMerger([][]Pair{nil, {}, nil})
-	if _, ok := m.next(); ok {
+	empty := mustOpenRun(t, refEncode(nil))
+	if _, _, ok := newPairMerger([]run{empty, empty, empty}).next(); ok {
 		t.Fatal("all-empty-runs merger produced a pair")
 	}
 }

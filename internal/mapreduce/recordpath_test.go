@@ -1,0 +1,265 @@
+package mapreduce_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"blobseer/internal/apps/datajoin"
+	"blobseer/internal/apps/wordcount"
+	"blobseer/internal/blob"
+	"blobseer/internal/bsfs"
+	"blobseer/internal/dfs"
+	"blobseer/internal/hdfs"
+	"blobseer/internal/mapreduce"
+	"blobseer/internal/shuffle"
+	"blobseer/internal/transport"
+	"blobseer/internal/workload"
+)
+
+// flakyFS fails, once, the second ReadAt of the first reader it opens.
+type flakyFS struct {
+	dfs.FileSystem
+	opened atomic.Int32
+}
+
+var errFlakyRead = errors.New("injected provider failure")
+
+func (fs *flakyFS) Open(c context.Context, path string) (dfs.FileReader, error) {
+	r, err := fs.FileSystem.Open(c, path)
+	if err != nil || fs.opened.Add(1) != 1 {
+		return r, err
+	}
+	return &flakyReader{FileReader: r}, nil
+}
+
+type flakyReader struct {
+	dfs.FileReader
+	reads int
+}
+
+func (r *flakyReader) ReadAt(p []byte, off int64) (int, error) {
+	if r.reads++; r.reads == 2 {
+		return 0, errFlakyRead
+	}
+	return r.FileReader.ReadAt(p, off)
+}
+
+// TestMapReadErrorFailsTask: a split read that fails halfway fails the
+// map attempt, which the jobtracker retries — it used to end the task
+// as a success with the records read so far, and the job committed a
+// short result.
+func TestMapReadErrorFailsTask(t *testing.T) {
+	cluster, err := hdfs.NewCluster(transport.NewMemNet(), hdfs.ClusterConfig{Datanodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	flaky := &flakyFS{}
+	fw, err := mapreduce.NewFramework(mapreduce.FrameworkConfig{
+		Net:        cluster.Net,
+		Hosts:      cluster.DatanodeHosts()[:1],
+		ClientHost: "jobclient",
+		Mount: func(host string) dfs.FileSystem {
+			m := cluster.Mount(host, 1<<20)
+			if host == "jobclient" {
+				return m
+			}
+			flaky.FileSystem = m
+			return flaky
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fw.Close() })
+
+	// One split of ~200 KiB: the line reader needs four reads for it.
+	const lines = 5000
+	input := strings.Repeat("the quick brown fox jumps over the lazy dog\n", lines)
+	if err := dfs.WriteFile(ctx, fw.ClientFS(), "/in", []byte(input)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := fw.Run(ctx, wordcount.Job([]string{"/in"}, "/out", 1, mapreduce.SeparateFiles))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MapTasks != 1 {
+		t.Fatalf("input cut into %d splits, the test wants one", res.MapTasks)
+	}
+	if res.TaskFailures != 1 || res.MapInputRecords != lines {
+		t.Errorf("job saw %d task failures and %d map input records, want 1 failed attempt and all %d records",
+			res.TaskFailures, res.MapInputRecords, lines)
+	}
+	if counts := parseCounts(t, readOutputs(t, fw.ClientFS(), res)); counts["fox"] != lines {
+		t.Errorf("fox counted %d times, want %d", counts["fox"], lines)
+	}
+}
+
+// TestCombineMatchesNoCombine: a combiner changes what is shuffled,
+// never what is written.
+func TestCombineMatchesNoCombine(t *testing.T) {
+	e := newBSFSEnv(t, 3)
+	if err := dfs.WriteFile(ctx, e.fs, "/in/text", []byte(workload.Text(20<<10, 3))); err != nil {
+		t.Fatal(err)
+	}
+	with := wordcount.Job([]string{"/in/text"}, "/with", 3, mapreduce.SeparateFiles)
+	without := wordcount.Job([]string{"/in/text"}, "/without", 3, mapreduce.SeparateFiles)
+	without.Combine = nil
+	resWith, err := e.fw.Run(ctx, with)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resWithout, err := e.fw.Run(ctx, without)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resWith.ShuffleBytes >= resWithout.ShuffleBytes {
+		t.Errorf("combiner shuffled %d bytes, no combiner %d", resWith.ShuffleBytes, resWithout.ShuffleBytes)
+	}
+	for i := range resWith.OutputFiles {
+		a, err := dfs.ReadAll(ctx, e.fs, resWith.OutputFiles[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := dfs.ReadAll(ctx, e.fs, resWithout.OutputFiles[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) == 0 || string(a) != string(b) {
+			t.Errorf("%s (%d bytes) differs from %s (%d bytes)", resWith.OutputFiles[i], len(a), resWithout.OutputFiles[i], len(b))
+		}
+	}
+}
+
+// TestDataJoinOutputPinned: the bytes of every part file of a seeded
+// join — which keys a reducer gets, the order of its rows, the rows
+// themselves — are what they were while a record was a Pair of
+// strings, sorted with sort.Slice and written with fmt.Fprintf. The
+// digests were recorded at that commit.
+func TestDataJoinOutputPinned(t *testing.T) {
+	want := map[string]string{
+		"/out/part-r00000": "2dbf478ff3536d5d2a0727cacaebac2a57babc35b2f7ddd6e2def8ba6255ed92",
+		"/out/part-r00001": "ebb967b549a01b154be4b2f176c457b99845b2a427ea9ffd5595cc39903d6325",
+		"/out/part-r00002": "3d16e7cf6b0e9bde0417350793394edbfbc4bb34519eb2482768565e7d8956fd",
+	}
+	e := newBSFSEnv(t, 4)
+	a, b := workload.JoinInputs(workload.JoinConfig{Keys: 400, DupA: 2, DupB: 3, Seed: 5})
+	if err := dfs.WriteFile(ctx, e.fs, "/in/a", []byte(a)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dfs.WriteFile(ctx, e.fs, "/in/b", []byte(b)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.fw.Run(ctx, datajoin.Job("/in/a", "/in/b", "/out", len(want), mapreduce.SeparateFiles))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.OutputFiles) != len(want) || res.ReduceOutputRecords != 400*2*3 {
+		t.Fatalf("%d output files holding %d rows", len(res.OutputFiles), res.ReduceOutputRecords)
+	}
+	for _, path := range res.OutputFiles {
+		data, err := dfs.ReadAll(ctx, e.fs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want[path] {
+			t.Errorf("%s: %d bytes with SHA-256 %s, want %s", path, len(data), got, want[path])
+		}
+	}
+}
+
+// Budgets of the record path, per map input record and per input byte
+// added to a data join (three A and three B records a key, nine output
+// rows). Measured 0.5 objects a record and 10 allocated bytes per input
+// byte: pages, frames and segment-tree nodes, which grow with the bytes
+// moved, and no longer anything per record. While a record was a
+// string per line, a Pair, a boxed Fprintf argument and the
+// application's concatenations, this test measured 13.5 objects a
+// record and 29.5 bytes per input byte (29.4 to 30.0 over three runs);
+// the byte budget is three quarters of that.
+const (
+	recordPathObjectBudget = 1.0
+	recordPathByteBudget   = 22.0
+)
+
+// TestRecordPathAllocationBudget is the tier-1 guard on the framework's
+// record path: the marginal cost of a record, measured as the
+// difference between a join of 2K keys and one of K on one deployment.
+func TestRecordPathAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget: skipped under -short")
+	}
+	const keys, block = 2000, 64 << 10
+	cluster, err := blob.NewCluster(transport.NewMemNet(), blob.ClusterConfig{Providers: 4, MetaProviders: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	d, err := bsfs.Deploy(cluster, bsfs.DeployConfig{Tuning: bsfs.Tuning{BlockSize: block}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	fw, err := mapreduce.NewFramework(mapreduce.FrameworkConfig{
+		Net:   cluster.Net,
+		Hosts: cluster.ProviderHosts(),
+		Mount: func(host string) dfs.FileSystem { return d.Mount(host) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fw.Close() })
+
+	jobs := 0
+	// join runs one data join of n keys and returns what the process
+	// allocated meanwhile.
+	join := func(n int) (res mapreduce.JobResult, objects, bytes uint64) {
+		t.Helper()
+		in := fmt.Sprintf("/in/%d", n)
+		if _, err := fw.ClientFS().Stat(ctx, in+"/a"); err != nil {
+			a, b := workload.JoinInputs(workload.JoinConfig{Keys: n, DupA: 3, DupB: 3, Seed: 11})
+			for path, content := range map[string]string{in + "/a": a, in + "/b": b} {
+				if err := dfs.WriteFile(ctx, fw.ClientFS(), path, []byte(content)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		jobs++
+		conf := datajoin.Job(in+"/a", in+"/b", fmt.Sprintf("/out/%d", jobs), 4, mapreduce.SharedAppend)
+		conf.Shuffle = shuffle.Blob
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := fw.Run(ctx, conf)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MapInputRecords != uint64(n*6) || res.ReduceOutputRecords != uint64(n*9) {
+			t.Fatalf("join of %d keys read %d records and wrote %d rows", n, res.MapInputRecords, res.ReduceOutputRecords)
+		}
+		return res, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	join(keys) // inputs written, caches and pools warm
+	join(2 * keys)
+	small, smallObjects, smallBytes := join(keys)
+	large, largeObjects, largeBytes := join(2 * keys)
+
+	records := float64(large.MapInputRecords - small.MapInputRecords)
+	input := float64(large.InputBytes - small.InputBytes)
+	perRecord := (float64(largeObjects) - float64(smallObjects)) / records
+	perByte := (float64(largeBytes) - float64(smallBytes)) / input
+	t.Logf("record path: %.2f objects per map input record (budget %.1f), %.1f bytes allocated per input byte (budget %.1f); %d and %d objects a job",
+		perRecord, recordPathObjectBudget, perByte, recordPathByteBudget, smallObjects, largeObjects)
+	if perRecord > recordPathObjectBudget {
+		t.Errorf("a map input record costs %.2f objects end to end, budget %.1f", perRecord, recordPathObjectBudget)
+	}
+	if perByte > recordPathByteBudget {
+		t.Errorf("an input byte costs %.1f allocated bytes end to end, budget %.1f", perByte, recordPathByteBudget)
+	}
+}

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -33,8 +34,12 @@ func (tt *TaskTracker) runReduce(ctx context.Context, job *jobState, r int) (out
 	ctx, cancel := mergeCtx(ctx, tt.ctx)
 	defer cancel()
 
-	// Shuffle phase: collect one sorted run per map task.
-	var runs [][]Pair
+	// Shuffle phase: collect one sorted run per map task. Every
+	// segment is validated whole as it arrives, so a damaged one fails
+	// the attempt here, before any output exists: a reduce that died
+	// mid-merge would leave its appended blocks in a shared file for
+	// the retry to duplicate.
+	var runs []run
 	if job.shuffle != nil {
 		runs, shuffled, err = tt.fetchBlobSegments(ctx, job, r)
 	} else {
@@ -46,68 +51,58 @@ func (tt *TaskTracker) runReduce(ctx context.Context, job *jobState, r int) (out
 
 	// Merge + reduce + output phase: groups are consumed straight off
 	// the streaming k-way merge of the sorted runs — no concatenation
-	// buffer, no full re-sort.
+	// buffer, no full re-sort. The group key and its values are views
+	// of the fetched segments; values is one slice, refilled per group.
 	w, commit, err := tt.openReduceOutput(ctx, job, r)
 	if err != nil {
 		return 0, 0, shuffled, err
 	}
 	cw := &countingWriter{w: w}
 	cost := costModel{perRecord: job.conf.ReduceCostPerRecord}
-	var emitErr error
-	emit := func(k, v string) {
-		if emitErr != nil {
-			return
-		}
-		if _, err := fmt.Fprintf(cw, "%s\t%s\n", k, v); err != nil {
-			emitErr = err
-			return
-		}
-		outRecords++
-	}
+	out := NewEmitter(cw)
 	merge := newPairMerger(runs)
-	var groupKey string
-	var values []string
-	for emitErr == nil {
-		p, ok := merge.next()
-		if !ok || (values != nil && p.Key != groupKey) {
-			if values != nil {
-				job.conf.Reduce(groupKey, values, emit)
+	var groupKey []byte
+	var values [][]byte
+	for out.err == nil {
+		k, v, ok := merge.next()
+		if !ok || (len(values) > 0 && !bytes.Equal(k, groupKey)) {
+			if len(values) > 0 {
+				job.conf.Reduce(groupKey, values, out)
 			}
 			if !ok {
 				break
 			}
-			values = nil
+			values = values[:0]
 		}
-		if values == nil {
-			groupKey = p.Key
-			values = make([]string, 0, 4)
+		if len(values) == 0 {
+			groupKey = k
 		}
-		values = append(values, p.Value)
+		values = append(values, v)
 		cost.tick()
 		if ctx.Err() != nil {
-			emitErr = ctx.Err()
+			out.err = ctx.Err()
 		}
 	}
 	cost.flush()
-	if emitErr != nil {
+	if out.err != nil {
 		if cerr := commit(false); cerr != nil {
 			obs.Log.Debugf("mapreduce: abort reduce attempt: %v", cerr)
 		}
-		return 0, 0, shuffled, emitErr
+		return 0, 0, shuffled, out.err
 	}
 	if err := commit(true); err != nil {
 		return 0, 0, shuffled, err
 	}
-	return outRecords, cw.n, shuffled, nil
+	return out.n, cw.n, shuffled, nil
 }
 
 // fetchTrackerOutputs is the memory backend's shuffle: pull partition
 // r of every map output from the producing trackers' shuffle services,
 // re-requesting lost outputs (which the jobtracker re-executes) with
 // capped exponential backoff and a bounded per-map retry budget.
-func (tt *TaskTracker) fetchTrackerOutputs(ctx context.Context, job *jobState, r int) (runs [][]Pair, shuffled uint64, err error) {
+func (tt *TaskTracker) fetchTrackerOutputs(ctx context.Context, job *jobState, r int) (runs []run, shuffled uint64, err error) {
 	nMaps := job.mapCount()
-	runs = make([][]Pair, 0, nMaps)
+	runs = make([]run, 0, nMaps)
 	for m := 0; m < nMaps; m++ {
 		backoff := fetchBackoffBase
 		for attempt := 1; ; attempt++ {
@@ -119,7 +114,7 @@ func (tt *TaskTracker) fetchTrackerOutputs(ctx context.Context, job *jobState, r
 			if ferr == nil {
 				job.noteShuffleFetch(m)
 				shuffled += uint64(len(data))
-				part, derr := decodePairs(data)
+				part, derr := openRun(data)
 				if derr != nil {
 					return nil, shuffled, fmt.Errorf("reduce %d: decode map %d output: %w", r, m, derr)
 				}
@@ -150,7 +145,7 @@ func (tt *TaskTracker) fetchTrackerOutputs(ctx context.Context, job *jobState, r
 // intermediate BLOB through this tracker's shared page cache. A
 // re-executed reduce attempt restarts from consumed = 0; the index
 // replays the same segments.
-func (tt *TaskTracker) fetchBlobSegments(ctx context.Context, job *jobState, r int) (runs [][]Pair, shuffled uint64, err error) {
+func (tt *TaskTracker) fetchBlobSegments(ctx context.Context, job *jobState, r int) (runs []run, shuffled uint64, err error) {
 	src, ok := tt.fs.(shuffle.ClientSource)
 	if !ok {
 		return nil, 0, fmt.Errorf("reduce %d: blob shuffle on %s mount", r, tt.fs.Name())
@@ -172,7 +167,7 @@ func (tt *TaskTracker) fetchBlobSegments(ctx context.Context, job *jobState, r i
 			job.shuffle.MarkRecovered(seg)
 		}
 		shuffled += seg.Len
-		part, derr := decodePairs(data)
+		part, derr := openRun(data)
 		if derr != nil {
 			return nil, shuffled, fmt.Errorf("reduce %d: decode map %d segment: %w", r, seg.Map, derr)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"blobseer/internal/dfs"
 )
@@ -147,7 +148,7 @@ type lineReader struct {
 	f    dfs.FileReader
 	path string
 	pos  uint64 // absolute offset of buf[0]
-	buf  []byte
+	buf  []byte // the one buffer the file is read into; lines are views of it
 	used int    // bytes of buf already consumed
 	end  uint64 // split end; lines starting at >= end belong elsewhere
 	size uint64
@@ -155,11 +156,14 @@ type lineReader struct {
 }
 
 // newLineReader positions a reader at the first record of the split.
-func newLineReader(f dfs.FileReader, split Split) (*lineReader, error) {
+// It reads into buf's storage, growing it when a line demands; the
+// caller that recycles buffers takes lr.buf back when it is done.
+func newLineReader(f dfs.FileReader, split Split, buf []byte) (*lineReader, error) {
 	lr := &lineReader{
 		f:    f,
 		path: split.Path,
 		pos:  split.Offset,
+		buf:  buf[:0],
 		end:  split.Offset + split.Length,
 		size: f.Size(),
 	}
@@ -172,15 +176,17 @@ func newLineReader(f dfs.FileReader, split Split) (*lineReader, error) {
 	return lr, nil
 }
 
+// lineBuf is how much of the file one fill asks for.
 const lineBuf = 64 << 10
 
-// fill compacts consumed bytes and reads more of the file. It sets
-// lr.eof at the end of the file and returns io.EOF only when nothing
-// remains buffered.
+// fill moves the unconsumed bytes to the front of the buffer and reads
+// the next lineBuf bytes of the file in behind them, which overwrites
+// every line handed out so far. It sets lr.eof at the end of the file
+// and returns io.EOF only when nothing remains buffered.
 func (lr *lineReader) fill() error {
 	if lr.used > 0 {
 		lr.pos += uint64(lr.used)
-		lr.buf = append(lr.buf[:0], lr.buf[lr.used:]...)
+		lr.buf = lr.buf[:copy(lr.buf, lr.buf[lr.used:])]
 		lr.used = 0
 	}
 	if lr.eof {
@@ -189,11 +195,10 @@ func (lr *lineReader) fill() error {
 		}
 		return nil
 	}
-	chunk := make([]byte, lineBuf)
-	n, err := lr.f.ReadAt(chunk, int64(lr.pos+uint64(len(lr.buf))))
-	if n > 0 {
-		lr.buf = append(lr.buf, chunk[:n]...)
-	}
+	have := len(lr.buf)
+	lr.buf = slices.Grow(lr.buf, lineBuf)
+	n, err := lr.f.ReadAt(lr.buf[have:have+lineBuf], int64(lr.pos+uint64(have)))
+	lr.buf = lr.buf[:have+n]
 	if err == io.EOF {
 		lr.eof = true
 		if len(lr.buf) == 0 {
@@ -222,34 +227,36 @@ func (lr *lineReader) skipPartialLine() error {
 }
 
 // next returns the next record (absolute offset, line without the
-// trailing newline). io.EOF ends the split.
+// trailing newline). The line is a view of the reader's buffer, valid
+// until the next call. io.EOF ends the split.
 //
 // Boundary convention (Hadoop's LineRecordReader): a split also reads
 // the line starting exactly AT its end offset, because the following
 // split unconditionally skips its first line — otherwise a line whose
 // first byte is a split boundary would be lost.
-func (lr *lineReader) next() (uint64, string, error) {
+func (lr *lineReader) next() (uint64, []byte, error) {
 	lineStart := lr.pos + uint64(lr.used)
 	if lineStart > lr.end || lineStart >= lr.size {
-		return 0, "", io.EOF
+		return 0, nil, io.EOF
 	}
 	for {
 		if i := bytes.IndexByte(lr.buf[lr.used:], '\n'); i >= 0 {
-			line := string(lr.buf[lr.used : lr.used+i])
-			lr.used += i + 1
+			end := lr.used + i
+			line := lr.buf[lr.used:end:end]
+			lr.used = end + 1
 			return lineStart, line, nil
 		}
 		if lr.eof {
 			// Final line without trailing newline.
 			if lr.used < len(lr.buf) {
-				line := string(lr.buf[lr.used:])
+				line := lr.buf[lr.used:len(lr.buf):len(lr.buf)]
 				lr.used = len(lr.buf)
 				return lineStart, line, nil
 			}
-			return 0, "", io.EOF
+			return 0, nil, io.EOF
 		}
 		if err := lr.fill(); err != nil {
-			return 0, "", err
+			return 0, nil, err
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -44,7 +47,7 @@ func (m *memReader) Refresh(ctx context.Context) (uint64, error) { return m.Size
 // collectSplit gathers all records a split yields.
 func collectSplit(t *testing.T, data []byte, split Split) []string {
 	t.Helper()
-	lr, err := newLineReader(&memReader{data: data}, split)
+	lr, err := newLineReader(&memReader{data: data}, split, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +60,7 @@ func collectSplit(t *testing.T, data []byte, split Split) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, line)
+		out = append(out, string(line))
 	}
 }
 
@@ -141,7 +144,7 @@ func TestPartitionOfSpread(t *testing.T) {
 	const n = 16
 	counts := make([]int, n)
 	for i := 0; i < 16000; i++ {
-		p := partitionOf(fmt.Sprintf("key-%d", i), n)
+		p := partitionOf(fmt.Appendf(nil, "key-%d", i), n)
 		if p < 0 || p >= n {
 			t.Fatalf("partition %d out of range", p)
 		}
@@ -156,7 +159,7 @@ func TestPartitionOfSpread(t *testing.T) {
 
 func TestPartitionOfDeterministic(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("key-%d", i)
+		k := fmt.Appendf(nil, "key-%d", i)
 		if partitionOf(k, 7) != partitionOf(k, 7) {
 			t.Fatal("partitionOf not deterministic")
 		}
@@ -164,31 +167,31 @@ func TestPartitionOfDeterministic(t *testing.T) {
 }
 
 func TestEncodeDecodePairs(t *testing.T) {
-	in := []Pair{{"a", "1"}, {"b", ""}, {"", "x"}, {"key with\ttab", "v"}}
-	out, err := decodePairs(encodePairs(in))
-	if err != nil {
-		t.Fatal(err)
+	in := []refPair{{"a", "1"}, {"b", ""}, {"", "x"}, {"key with\ttab", "v"}}
+	seg := bufferOf(in...).encode()
+	if want := refEncode(in); !bytes.Equal(seg, want) {
+		t.Fatalf("encoded %q, want %q", seg, want)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("len = %d", len(out))
+	if cap(seg) != len(seg) {
+		t.Errorf("encoded partition has %d bytes of slack", cap(seg)-len(seg))
 	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Errorf("pair %d = %+v, want %+v", i, out[i], in[i])
-		}
+	r := mustOpenRun(t, seg)
+	if got := drain(newPairMerger([]run{r})); !slices.Equal(got, in) {
+		t.Errorf("decoded %q, want %q", got, in)
 	}
 }
 
 func TestCombinePairs(t *testing.T) {
-	pairs := []Pair{{"a", "1"}, {"a", "1"}, {"a", "1"}, {"b", "1"}}
-	sum := func(key string, values []string, emit func(k, v string)) {
-		emit(key, fmt.Sprintf("%d", len(values)))
+	count := func(key []byte, values [][]byte, out *Emitter) {
+		out.Emit(key, strconv.AppendInt(nil, int64(len(values)), 10))
 	}
-	out := combinePairs(pairs, sum)
-	if len(out) != 2 || out[0] != (Pair{"a", "3"}) || out[1] != (Pair{"b", "1"}) {
-		t.Fatalf("combined = %+v", out)
+	var sc mapScratch
+	b := bufferOf(refPair{"a", "1"}, refPair{"a", "1"}, refPair{"a", "1"}, refPair{"b", "1"})
+	got := sc.combine(b, count).pairs()
+	if want := []refPair{{"a", "3"}, {"b", "1"}}; !slices.Equal(got, want) {
+		t.Fatalf("combined = %q, want %q", got, want)
 	}
-	if got := combinePairs(nil, sum); len(got) != 0 {
-		t.Errorf("combine(nil) = %v", got)
+	if got := sc.combine(bufferOf(), count).pairs(); len(got) != 0 {
+		t.Errorf("combine of nothing = %q", got)
 	}
 }

@@ -1,9 +1,12 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"strconv"
 	"sync"
 
 	"blobseer/internal/dfs"
@@ -186,6 +189,40 @@ func (tt *TaskTracker) fetchMapOutput(ctx context.Context, from transport.Addr, 
 	return resp.Data, nil
 }
 
+// mapScratch is the memory a map task works in and nothing outlives:
+// the line buffer its split is read into, the buffer its map keys are
+// rendered in, and the record buffers its output is collected, sorted
+// and combined in. A task's encoded partitions are copies, so a tracker
+// hands the scratch of a finished task — failed or not — to the next.
+type mapScratch struct {
+	line     []byte
+	key      []byte
+	out      Emitter // the map function's: one record buffer per partition
+	combined Emitter // the combiner's: one record buffer
+	values   [][]byte
+}
+
+var mapScratchPool = sync.Pool{New: func() any { return new(mapScratch) }}
+
+// combine applies a combiner to every group of a sorted partition and
+// returns the combined records, sorted, in the scratch's second buffer.
+func (sc *mapScratch) combine(part *recordBuffer, combine ReduceFunc) *recordBuffer {
+	sc.combined.collect(1)
+	for start := 0; start < len(part.index); {
+		key := part.key(part.index[start])
+		sc.values = sc.values[:0]
+		end := start
+		for ; end < len(part.index) && bytes.Equal(part.key(part.index[end]), key); end++ {
+			sc.values = append(sc.values, part.value(part.index[end]))
+		}
+		combine(key, sc.values, &sc.combined)
+		start = end
+	}
+	combined := &sc.combined.parts[0]
+	combined.sort()
+	return combined
+}
+
 // runMap executes one map task: read the split, apply the map function
 // with modeled compute cost, partition + sort (+ combine), store the
 // partitions for the shuffle.
@@ -215,28 +252,34 @@ func (tt *TaskTracker) runMap(ctx context.Context, job *jobState, mapID int, spl
 		return 0, 0, fmt.Errorf("map %d: open %s@%d: %w", mapID, split.Path, split.Ver, err)
 	}
 	defer f.Close()
-	lr, err := newLineReader(f, split)
+	sc := mapScratchPool.Get().(*mapScratch)
+	defer mapScratchPool.Put(sc)
+	lr, err := newLineReader(f, split, sc.line)
 	if err != nil {
 		return 0, 0, fmt.Errorf("map %d: position: %w", mapID, err)
 	}
+	defer func() { sc.line = lr.buf }()
 
 	R := job.conf.NumReducers
-	parts := make([][]Pair, R)
-	emit := func(k, v string) {
-		p := partitionOf(k, R)
-		parts[p] = append(parts[p], Pair{k, v})
-		recordsOut++
-	}
+	sc.out.collect(R)
+	key := append(append(sc.key[:0], split.Path...), ':')
+	prefix := len(key)
 	cost := costModel{perRecord: job.conf.MapCostPerRecord}
 	for {
 		off, line, err := lr.next()
-		if err != nil {
+		if err == io.EOF {
 			break
+		}
+		if err != nil {
+			// A read that failed halfway is not the end of the split:
+			// fail the attempt, or the job commits a short result.
+			return 0, 0, fmt.Errorf("map %d: read %s@%d: %w", mapID, split.Path, split.Ver, err)
 		}
 		if ctx.Err() != nil {
 			return 0, 0, ctx.Err()
 		}
-		job.conf.Map(fmt.Sprintf("%s:%d", split.Path, off), line, emit)
+		key = strconv.AppendUint(key[:prefix], off, 10)
+		job.conf.Map(key, line, &sc.out)
 		recordsIn++
 		// Modeled compute scales with actual data: empty records (e.g.
 		// the newline padding of shared-append blocks) cost nothing.
@@ -245,15 +288,18 @@ func (tt *TaskTracker) runMap(ctx context.Context, job *jobState, mapID int, spl
 		}
 	}
 	cost.flush()
+	sc.key = key
 
 	encoded := make([][]byte, R)
-	for p := range parts {
-		sortPairs(parts[p])
+	for p := range encoded {
+		part := &sc.out.parts[p]
+		part.sort()
 		if job.conf.Combine != nil {
-			parts[p] = combinePairs(parts[p], job.conf.Combine)
+			part = sc.combine(part, job.conf.Combine)
 		}
-		encoded[p] = encodePairs(parts[p])
+		encoded[p] = part.encode()
 	}
+	recordsOut = sc.out.n
 	if job.shuffle != nil {
 		// Blob backend: the partitions become concurrent appends to
 		// the shared per-partition intermediate BLOBs, through this

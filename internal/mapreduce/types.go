@@ -19,29 +19,66 @@
 // boundary; all DATA movement — split reads, shuffle transfers, output
 // writes — goes through the transport layer and is therefore shaped
 // and measured like the paper's.
+//
+// # Records
+//
+// A record is bytes from the split to the output file; the framework
+// builds no string, pair or slice per record.
+//
+// A map task reads its split into one buffer and hands the map function
+// each line, and the key "path:offset" rendered in a second buffer, as
+// views: like bufio.Scanner.Bytes they are valid until the call
+// returns, and a function that keeps one must copy it. The same holds
+// for a combine or reduce function's key, its values and the slice that
+// carries them, which the framework refills for the next group. A
+// group's values arrive in byte order (bytes.Compare), because runs are
+// sorted by key, then value; datajoin's reduce relies on it to find its
+// A-tagged and B-tagged values as two adjacent sub-slices.
+//
+// Output goes to the *Emitter the function is handed. Emit copies the
+// record before it returns, so key and value may be cut from scratch the
+// caller overwrites at once, and it takes the value in parts so that a
+// tagged or joined value is never concatenated first. The emitter is a
+// concrete type with a direct method rather than a func value or an
+// interface: through either, the variadic slice and the caller's
+// scratch would escape to the heap, an object per record again.
+//
+// Map output is collected per partition in a record buffer — one arena
+// of key and value bytes and an index of (offset, key length, value
+// length) — sorted in place by comparing raw bytes, combined into a
+// second buffer of the same type, and encoded once, into a slice of its
+// exact size, as the partition format: a uvarint record count, then per
+// record a uvarint-length-prefixed key and a uvarint-length-prefixed
+// value. A task's buffers are recycled between a tracker's tasks; the
+// encoded partitions, which the shuffle keeps or may still be sending
+// when a failed append returns, never are.
+//
+// A reducer validates each fetched segment whole, allocating nothing
+// per record, before it opens its output: a damaged segment fails the
+// attempt while there is still nothing in the shared file for the retry
+// to duplicate. It then merges the segments in place — a run is a
+// segment and a cursor, the group key and values are views of the
+// segments — and the reduce side's emitter assembles each output line
+// "key<TAB>value<LF>" in one reused buffer and hands it to the record
+// writer as one Write.
 package mapreduce
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"blobseer/internal/shuffle"
-	"blobseer/internal/wire"
 )
 
-// Pair is one key/value record.
-type Pair struct {
-	Key   string
-	Value string
-}
-
 // MapFunc processes one input record. For text inputs key is
-// "<path>:<offset>" and value is the line.
-type MapFunc func(key, value string, emit func(k, v string))
+// "<path>:<offset>" and value is the line. Both are views of the
+// task's buffers, valid until the call returns.
+type MapFunc func(key, value []byte, out *Emitter)
 
-// ReduceFunc merges all values of one intermediate key.
-type ReduceFunc func(key string, values []string, emit func(k, v string))
+// ReduceFunc merges all values of one intermediate key. The values
+// arrive in byte order; key, the values and the slice that holds them
+// are views valid until the call returns.
+type ReduceFunc func(key []byte, values [][]byte, out *Emitter)
 
 // OutputMode selects the reduce-output committer.
 type OutputMode int
@@ -94,9 +131,10 @@ type JobConf struct {
 	Shuffle shuffle.Backend
 
 	// ShufflePageSize is the page size of the Blob backend's
-	// intermediate BLOBs (segment appends are padded to whole pages so
-	// concurrent appenders stay merge-free); zero uses the file
-	// system's block size.
+	// intermediate BLOBs; zero uses the file system's block size. A
+	// segment is appended as the bytes it is: one that begins mid-page
+	// stores a fragment of its page slot, so nothing is padded and the
+	// page size sets only how many pages a segment spans.
 	ShufflePageSize uint64
 
 	// KeepIntermediate opts out of the job-end cleanup that retires the
@@ -193,54 +231,9 @@ type JobResult struct {
 	SegmentsRecovered uint64
 }
 
-//
-// Intermediate data encoding (map output partitions).
-//
-
-// encodePairs renders sorted pairs as a byte stream for the shuffle.
-func encodePairs(pairs []Pair) []byte {
-	var b []byte
-	b = wire.AppendUvarint(b, uint64(len(pairs)))
-	for _, p := range pairs {
-		b = wire.AppendString(b, p.Key)
-		b = wire.AppendString(b, p.Value)
-	}
-	return b
-}
-
-// decodePairs parses an encoded partition.
-func decodePairs(raw []byte) ([]Pair, error) {
-	r := wire.NewReader(raw)
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	pairs := make([]Pair, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var p Pair
-		p.Key = r.String()
-		p.Value = r.String()
-		pairs = append(pairs, p)
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return pairs, nil
-}
-
-// sortPairs orders by key, then value (stable output for tests).
-func sortPairs(pairs []Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Key != pairs[j].Key {
-			return pairs[i].Key < pairs[j].Key
-		}
-		return pairs[i].Value < pairs[j].Value
-	})
-}
-
 // partitionOf assigns a key to one of n reduce partitions (Hadoop's
 // hash partitioner).
-func partitionOf(key string, n int) int {
+func partitionOf(key []byte, n int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
@@ -251,29 +244,6 @@ func partitionOf(key string, n int) int {
 	h *= 0x7feb352d
 	h ^= h >> 15
 	return int(h % uint32(n))
-}
-
-// combinePairs applies a combiner to sorted pairs, producing the
-// combined (still sorted) stream.
-func combinePairs(pairs []Pair, combine ReduceFunc) []Pair {
-	if len(pairs) == 0 {
-		return pairs
-	}
-	out := make([]Pair, 0, len(pairs))
-	emit := func(k, v string) { out = append(out, Pair{k, v}) }
-	start := 0
-	for i := 1; i <= len(pairs); i++ {
-		if i == len(pairs) || pairs[i].Key != pairs[start].Key {
-			values := make([]string, 0, i-start)
-			for _, p := range pairs[start:i] {
-				values = append(values, p.Value)
-			}
-			combine(pairs[start].Key, values, emit)
-			start = i
-		}
-	}
-	sortPairs(out)
-	return out
 }
 
 // costModel batches modeled per-record compute into coarse sleeps so

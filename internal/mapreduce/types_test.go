@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -47,12 +48,10 @@ func TestCostModelZeroIsFree(t *testing.T) {
 }
 
 func TestSortPairsStableOrder(t *testing.T) {
-	pairs := []Pair{{"b", "2"}, {"a", "9"}, {"b", "1"}, {"a", "1"}}
-	sortPairs(pairs)
-	want := []Pair{{"a", "1"}, {"a", "9"}, {"b", "1"}, {"b", "2"}}
-	for i := range want {
-		if pairs[i] != want[i] {
-			t.Fatalf("sorted = %+v", pairs)
-		}
+	b := bufferOf(refPair{"b", "2"}, refPair{"a", "9"}, refPair{"b", "1"}, refPair{"a", "1"}, refPair{"a", ""}, refPair{"", "z"})
+	b.sort()
+	want := []refPair{{"", "z"}, {"a", ""}, {"a", "1"}, {"a", "9"}, {"b", "1"}, {"b", "2"}}
+	if got := b.pairs(); !slices.Equal(got, want) {
+		t.Fatalf("sorted = %q, want %q", got, want)
 	}
 }
