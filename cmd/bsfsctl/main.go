@@ -50,7 +50,7 @@ const usage = `commands:
   shards                  show ring assignment and per-shard blob/version counts
   stats                   print the process metrics registry (RPC p99s, op latencies, gauges)
   top [-watch [n]]        cluster monitor: per-provider utilization, shard journal lag,
-                          and the hot page set (-watch refreshes n times, default 5)
+                          mount cache rates (-watch refreshes n times, default 5)
   health                  per-component health (namespace journal, shard pings, collector)
   alerts                  SLO watchdog rule states (needs -flight)
   diag <file.tar.gz>      collect a postmortem bundle: alerts, flight timeline,
@@ -216,9 +216,9 @@ func showStats(s metrics.RegistrySnapshot) {
 }
 
 // showTop renders the cluster monitor's snapshot: per-provider
-// utilization bars, per-shard journal lag, client cache state, and the
-// hot page sets. With -watch it refreshes once a second, n times
-// (default 5), so rates and heat sharpen across frames.
+// utilization bars, per-shard journal lag and client cache state. With
+// -watch it refreshes once a second, n times (default 5), so rates
+// sharpen across frames.
 func showTop(cluster *blobseer.Cluster, args []string) error {
 	frames := 1
 	if len(args) > 0 {
@@ -241,7 +241,7 @@ func showTop(cluster *blobseer.Cluster, args []string) error {
 			fmt.Println()
 		}
 		mon.CollectOnce()
-		renderTop(mon.Snapshot(10))
+		renderTop(mon.Snapshot())
 	}
 	return nil
 }
@@ -278,19 +278,6 @@ func renderTop(snap monitor.ClusterSnapshot) {
 				c.Name, c.Gauges["cache_bytes"], c.Rates["cache_hits_per_sec"],
 				c.Rates["provider_fetches_per_sec"])
 		}
-	}
-	showHeat("hot reads", snap.HotReads)
-	showHeat("hot writes", snap.HotWrites)
-}
-
-func showHeat(title string, entries []metrics.HeatEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	fmt.Printf("  %s:\n", title)
-	for _, e := range entries {
-		fmt.Printf("    blob=%-6d page=%-8d weight=%-10.2f touches=%d\n",
-			e.Blob, e.Page, e.Weight, e.Touches)
 	}
 }
 

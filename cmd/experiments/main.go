@@ -32,11 +32,11 @@ func main() {
 	// library and the other commands — the page cache defaults to off.
 	cfg.CacheBytes = -1
 	var (
-		fig    = flag.String("fig", "all", "figure to run: all,3,4,5,6,filecount,pipeline,shuffle,gc,snapshot,meta,hotspot,incident,abl-placement,abl-pagesize,abl-lock")
+		fig    = flag.String("fig", "all", "figure to run: all,3,4,5,6,filecount,pipeline,shuffle,gc,snapshot,meta,incident,abl-placement,abl-pagesize,abl-lock")
 		page   = flag.Int("page", 256, "page/chunk size in KiB (paper: 64 MiB, scaled)")
 		bwMB   = flag.Float64("bw", 12.5, "modeled NIC bandwidth in MB/s (paper: 1 GbE, scaled)")
 		shufB  = flag.String("shuffle", "memory", "Map/Reduce shuffle backend for BSFS application figures: memory or blob")
-		benchD = flag.String("bench-dir", "", "write BENCH_<fig>.json reports (throughput + latency percentiles) for the write/read/shuffle/gc/hotspot scenarios into this directory")
+		benchD = flag.String("bench-dir", "", "write BENCH_<fig>.json reports (throughput + latency percentiles) for the write/read/shuffle/gc scenarios into this directory")
 		cmpD   = flag.String("compare", "", "diff each scenario's fresh report against the baseline BENCH_<fig>.json in this directory; drift beyond -tolerance prints warnings (GitHub annotations under GITHUB_ACTIONS) but never fails the run")
 		tolPct = flag.Float64("tolerance", experiments.DefaultTolerancePct, "drift tolerance band for -compare, in percent")
 		trace  = flag.Bool("trace", false, "with -fig shuffle: sample one traced append and print its causal span tree")
@@ -245,23 +245,6 @@ func main() {
 		fmt.Printf("# collector: %d passes, %d versions collected, %d blobs deleted, %d pages (%d bytes) reclaimed, %d tree nodes deleted\n\n",
 			res.GCStats.Passes, res.GCStats.VersionsCollected, res.GCStats.BlobsDeleted,
 			res.GCStats.PagesReclaimed, res.GCStats.BytesReclaimed, res.GCStats.NodesDeleted)
-		return writeReport(rep)
-	})
-
-	run("hotspot", func() error {
-		rep, res, series, err := experiments.BenchHotspot(cfg)
-		if err != nil {
-			return err
-		}
-		emit("Hotspot: monitor heat sketch vs ground-truth Zipf hot set", series...)
-		fmt.Printf("# hotspot: %d Zipf(s=1.2) reads over %d pages (sketch capacity %d), %d readers\n",
-			res.Accesses, res.Pages, res.Pages/2, res.Readers)
-		fmt.Printf("# sketch top-10 precision %.2f (acceptance >= 0.90)\n", res.Precision)
-		fmt.Printf("# provider read-rate imbalance %.1fx; hottest provider %s (%.0f%% NIC), holds a hot page: %v\n\n",
-			res.ReplicaImbalance, res.HotProvider, 100*res.MaxUtilization, res.HotProviderIsHolder)
-		if res.Precision < 0.9 {
-			return fmt.Errorf("heat sketch precision %.2f below the 0.90 acceptance bar", res.Precision)
-		}
 		return writeReport(rep)
 	})
 

@@ -78,7 +78,8 @@
 // metrics.Default registry unifies those with operation histograms,
 // read/GC/shuffle counters, and gauges. All three commands expose it
 // over HTTP with -metrics-addr (/metrics Prometheus text,
-// /metrics.json, /spans, /healthz), and each experiments scenario
+// /metrics.json, /spans; bsfsctl, whose cluster outlives a command,
+// adds /cluster, /healthz, /alerts), and each experiments scenario
 // can emit a BENCH_<fig>.json report (figure series plus latency
 // percentiles) so performance is comparable across changes as a
 // file diff.

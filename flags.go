@@ -56,7 +56,7 @@ func BindFlags(o *Options) *Flags {
 		vmShards:    flag.Int("vm-shards", 1, "version-manager shards (metadata plane partitions)"),
 		logLevel:    flag.String("log-level", "", "obs log level: debug|info|warn|error (default warn)"),
 		slowMs:      flag.Float64("slow-ms", 0, "slow-span threshold in ms for warn logging and tail sampling (0 = off)"),
-		metricsAddr: flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /healthz, /spans (and, given a cluster, /cluster and /alerts) on this address while the command runs (e.g. 127.0.0.1:9090)"),
+		metricsAddr: flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /spans (and, given a cluster, /cluster, /healthz and /alerts) on this address while the command runs (e.g. 127.0.0.1:9090)"),
 	}
 }
 

@@ -56,13 +56,18 @@ type ClientConfig struct {
 	Metadata        []transport.Addr // metadata providers (DHT members)
 
 	ClientPolicy
-
-	// ReadHeat, when set, is called once per page access on the unified
-	// fetch path (cache hits and provider fetches alike) with the
-	// page's (blob, index) — the cluster monitor's read-heat sketch
-	// plugs in here.
-	ReadHeat PageTouch
 }
+
+// The operation-latency histograms of the process-wide registry,
+// resolved once (as rpc.M does for its MethodStats) so that recording
+// an operation takes no registry lock. The flight sampler, the
+// watchdog's p99 rule and the experiment reports find them by name.
+var (
+	opAppend   = metrics.Default.Op("blob.append")
+	opWrite    = metrics.Default.Op("blob.write")
+	opRead     = metrics.Default.Op("blob.read")
+	opPageView = metrics.Default.Op("blob.pageview")
+)
 
 // maxParallelPages bounds concurrent page transfers per operation.
 const maxParallelPages = 32
@@ -612,7 +617,7 @@ func (b *Blob) AppendAsync(ctx context.Context, pages [][]byte) (*PendingWrite, 
 		p.err = b.finishWrite(ctx, a, history, data, alloc)
 		b.c.inflight.Add(-1)
 		sp.End(p.err)
-		metrics.Default.Op("blob.append").RecordDuration(time.Since(start))
+		opAppend.RecordDuration(time.Since(start))
 	}()
 	return p, nil
 }
@@ -626,16 +631,16 @@ func (b *Blob) WriteAt(ctx context.Context, data []byte, off uint64) (WriteResul
 // write runs the decoupled write pipeline of §3.1.2 synchronously.
 func (b *Blob) write(ctx context.Context, kind uint64, off uint64, data payload) (WriteResult, error) {
 	start := time.Now()
-	opName := "blob.write"
+	opName, op := "blob.write", opWrite
 	if kind == KindAppend {
-		opName = "blob.append"
+		opName, op = "blob.append", opAppend
 	}
 	ctx, sp := obs.StartSpan(ctx, opName)
 	b.c.inflight.Add(1)
 	res, err := b.writePipeline(ctx, kind, off, data)
 	b.c.inflight.Add(-1)
 	sp.End(err)
-	metrics.Default.Op(opName).RecordDuration(time.Since(start))
+	op.RecordDuration(time.Since(start))
 	return res, err
 }
 
@@ -941,7 +946,7 @@ func (b *Blob) ReadAtInto(ctx context.Context, ver uint64, off uint64, p []byte)
 	ctx, sp := obs.StartSpan(ctx, "blob.read")
 	n, err := b.readAtInto(ctx, ver, off, p)
 	sp.End(err)
-	metrics.Default.Op("blob.read").RecordDuration(time.Since(start))
+	opRead.RecordDuration(time.Since(start))
 	return n, err
 }
 
@@ -1020,7 +1025,12 @@ func (b *Blob) PageView(ctx context.Context, ver, page uint64) ([]byte, error) {
 	// The BSFS read path is built on PageView, so this histogram (not
 	// blob.read) is where file-system read latency lands.
 	start := time.Now()
-	defer func() { metrics.Default.Op("blob.pageview").RecordDuration(time.Since(start)) }()
+	view, err := b.pageView(ctx, ver, page)
+	opPageView.RecordDuration(time.Since(start))
+	return view, err
+}
+
+func (b *Blob) pageView(ctx context.Context, ver, page uint64) ([]byte, error) {
 	info, err := b.resolveVersion(ctx, ver)
 	if err != nil {
 		return nil, err
@@ -1163,9 +1173,6 @@ func (b *Blob) resolveVersion(ctx context.Context, ver uint64) (VersionInfo, err
 // missing page fold into one provider fetch. The returned slice is
 // shared and read-only.
 func (c *Client) fetchPage(ctx context.Context, ref segtree.PageRef, want uint64) ([]byte, error) {
-	if t := c.cfg.ReadHeat; t != nil {
-		t(ref.Page.Blob, ref.Page.Index)
-	}
 	if c.pages == nil {
 		return c.fetchPageDirect(ctx, ref, want)
 	}

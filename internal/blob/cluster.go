@@ -90,12 +90,6 @@ type Cluster struct {
 	// vmMu guards VMs slot replacement: failover (startVM) swaps a
 	// shard pointer while the cluster monitor samples through ShardVM.
 	vmMu sync.RWMutex
-
-	// heatMu guards the heat hooks; readHeat flows into clients created
-	// after SetHeat, writeHeat is (re-)applied to every provider.
-	heatMu    sync.Mutex
-	readHeat  PageTouch
-	writeHeat PageTouch
 }
 
 // VMShardHost names the host of version-manager shard i. Shard 0
@@ -236,19 +230,6 @@ func (c *Cluster) ShardVM(i int) *VersionManager {
 	return c.VMs[i]
 }
 
-// SetHeat installs the page-access heat hooks: write heat on every
-// provider (applied immediately) and read heat on every client created
-// afterwards. Either may be nil.
-func (c *Cluster) SetHeat(read, write PageTouch) {
-	c.heatMu.Lock()
-	c.readHeat = read
-	c.writeHeat = write
-	c.heatMu.Unlock()
-	for _, p := range c.Providers {
-		p.SetWriteHeat(write)
-	}
-}
-
 // KillVM crashes shard i: the endpoint unbinds and the journal closes
 // WITHOUT a final checkpoint, exactly what a process kill leaves
 // behind. Callers' routed RPCs fail over to the retry loop until
@@ -316,12 +297,9 @@ func (c *Cluster) ProviderBytes() int64 {
 }
 
 // ClientConfig is the configuration of a client of this deployment
-// running on host: the service endpoints, the cluster's client policy,
-// and the read-heat hook installed by SetHeat.
+// running on host: the service endpoints and the cluster's client
+// policy.
 func (c *Cluster) ClientConfig(host string) ClientConfig {
-	c.heatMu.Lock()
-	readHeat := c.readHeat
-	c.heatMu.Unlock()
 	return ClientConfig{
 		Net:             c.Net,
 		Host:            host,
@@ -329,7 +307,6 @@ func (c *Cluster) ClientConfig(host string) ClientConfig {
 		ProviderManager: c.PM.Addr(),
 		Metadata:        c.MetaAddrs(),
 		ClientPolicy:    c.Cfg.ClientPolicy,
-		ReadHeat:        readHeat,
 	}
 }
 

@@ -9,10 +9,6 @@ import (
 	"blobseer/internal/wire"
 )
 
-// PageTouch is a per-page access hook: the monitor's heat sketches
-// plug in here without the blob layer importing them.
-type PageTouch func(blob, page uint64)
-
 // Provider is one BlobSeer data provider: it "stores the pages, as
 // assigned by the provider manager" (§3.1.1). The storage engine is
 // pluggable (memory / durable kvlog / synthesize — see pagestore).
@@ -25,9 +21,6 @@ type Provider struct {
 	bytesRead    atomic.Uint64
 	pagesWritten atomic.Uint64
 	bytesWritten atomic.Uint64
-
-	// writeHeat, when set, is touched on every stored page.
-	writeHeat atomic.Pointer[PageTouch]
 
 	// failPuts simulates a failed node for fault-injection tests: puts
 	// are rejected while it is non-zero; gets still succeed.
@@ -56,16 +49,6 @@ func (p *Provider) Store() pagestore.Store { return p.store }
 
 // SetFailPuts toggles write-failure injection.
 func (p *Provider) SetFailPuts(fail bool) { p.failPuts.Store(fail) }
-
-// SetWriteHeat installs (or, with nil, removes) the page write-heat
-// hook, called once per stored page with the page's (blob, index).
-func (p *Provider) SetWriteHeat(t PageTouch) {
-	if t == nil {
-		p.writeHeat.Store(nil)
-		return
-	}
-	p.writeHeat.Store(&t)
-}
 
 // MonitorSample reports the provider's live stats in the cluster
 // monitor's sample shape ("_total" keys are counters, others gauges).
@@ -102,9 +85,6 @@ func (p *Provider) handlePutPage(r *wire.Reader) (wire.Marshaler, error) {
 	}
 	p.pagesWritten.Add(1)
 	p.bytesWritten.Add(uint64(len(req.Data)))
-	if t := p.writeHeat.Load(); t != nil {
-		(*t)(req.Key.Blob, req.Key.Index)
-	}
 	return nil, nil
 }
 

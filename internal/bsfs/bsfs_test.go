@@ -21,9 +21,15 @@ var ctx = context.Background()
 // newDeployment spins up BlobSeer + BSFS with small blocks for tests.
 func newDeployment(t *testing.T, blockSize uint64) *Deployment {
 	t.Helper()
-	cluster, err := blob.NewCluster(transport.NewMemNet(), blob.ClusterConfig{
-		Providers: 6, MetaProviders: 3,
-	})
+	return newDeploymentOn(t, transport.NewMemNet(), blob.ClusterConfig{}, blockSize)
+}
+
+// newDeploymentOn is newDeployment over the caller's network and with
+// the caller's cluster settings (the node counts stay the tests' 6+3).
+func newDeploymentOn(t *testing.T, net transport.Network, cfg blob.ClusterConfig, blockSize uint64) *Deployment {
+	t.Helper()
+	cfg.Providers, cfg.MetaProviders = 6, 3
+	cluster, err := blob.NewCluster(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +40,49 @@ func newDeployment(t *testing.T, blockSize uint64) *Deployment {
 	}
 	t.Cleanup(func() { d.Close() })
 	return d
+}
+
+// heldAckNet is a fault seam over the test's network: once a test sets
+// ack, every response frame a data provider sends first runs it, in
+// the handler's goroutine — after the page is stored, before the
+// client hears so. Blocking there is a node that stored the page and
+// whose acknowledgement is still on its way.
+type heldAckNet struct {
+	transport.Network
+	ack atomic.Pointer[func()]
+}
+
+func (n *heldAckNet) Listen(addr transport.Addr) (transport.Listener, error) {
+	l, err := n.Network.Listen(addr)
+	if err != nil || addr.Service() != blob.SvcProvider {
+		return l, err
+	}
+	return &heldAckListener{Listener: l, net: n}, nil
+}
+
+type heldAckListener struct {
+	transport.Listener
+	net *heldAckNet
+}
+
+func (l *heldAckListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &heldAckConn{Conn: c, net: l.net}, nil
+}
+
+type heldAckConn struct {
+	transport.Conn
+	net *heldAckNet
+}
+
+func (c *heldAckConn) Send(frame []byte) error {
+	if ack := c.net.ack.Load(); ack != nil {
+		(*ack)()
+	}
+	return c.Conn.Send(frame)
 }
 
 func mount(t *testing.T, d *Deployment, host string) *FS {
@@ -681,7 +730,8 @@ func TestPipelinedWriterErrorPropagation(t *testing.T) {
 	// the writer reports the failure instead of waiting for a slot.
 	t.Run("providers closed mid-run", func(t *testing.T) {
 		const block, depth = 256, 4
-		d := newDeployment(t, block)
+		net := &heldAckNet{Network: transport.NewMemNet()}
+		d := newDeploymentOn(t, net, blob.ClusterConfig{}, block)
 		d.WriteDepth = depth
 		fs := mount(t, d, "cli")
 		fw, err := fs.Create(ctx, "/doomed-run")
@@ -704,13 +754,14 @@ func TestPipelinedWriterErrorPropagation(t *testing.T) {
 		// their closed connections.
 		var first atomic.Bool
 		stored, failed := make(chan struct{}), make(chan struct{})
-		d.Blob.SetHeat(nil, func(_, _ uint64) {
+		ack := func() {
 			if first.CompareAndSwap(false, true) {
 				close(stored)
 				return
 			}
 			<-failed
-		})
+		}
+		net.ack.Store(&ack)
 		if _, err := w.Write(pattern(1, depth*block)); err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/flight"
 	"blobseer/internal/gc"
-	"blobseer/internal/metrics"
 	"blobseer/internal/monitor"
 	"blobseer/internal/obs"
 	"blobseer/internal/transport"
@@ -56,9 +55,8 @@ type Deployment struct {
 
 	// Monitor is the deployment's cluster monitor: every provider, VM
 	// shard, the namespace manager, and each Mount register stats
-	// sources on it, and its heat sketches watch the page access paths.
-	// It is collect-on-demand until EnableFlight or SetMonitorInterval
-	// arms the periodic collector.
+	// sources on it. It is collect-on-demand until EnableFlight or
+	// SetMonitorInterval arms the periodic collector.
 	Monitor *monitor.Monitor
 
 	// Flight is the deployment's flight recorder, nil until
@@ -98,13 +96,7 @@ func Deploy(c *blob.Cluster, cfg DeployConfig) (*Deployment, error) {
 	collector := gc.New(gcClient, gc.Options{Interval: cfg.GCInterval})
 	c.SetReclaimNotify(collector.Kick)
 
-	// Cluster monitor: heat hooks go in AFTER the internal ns/gc clients
-	// were created, so their metadata traffic never pollutes the
-	// read-heat sketch — only real mounts (created later) feed it.
 	mon := monitor.New(monitor.Config{NICBandwidth: c.Cfg.NICBandwidth})
-	c.SetHeat(mon.ReadHeat().TouchPage, mon.WriteHeat().TouchPage)
-	metrics.Default.AttachHeat("read", mon.ReadHeat())
-	metrics.Default.AttachHeat("write", mon.WriteHeat())
 	for _, p := range c.Providers {
 		p := p
 		mon.Register(monitor.KindProvider, p.Addr().Host(), func() monitor.Sample {
@@ -245,9 +237,8 @@ func (d *Deployment) EnableFlight(path string, cfg FlightConfig) error {
 	return nil
 }
 
-// Mount returns a BSFS client mount running on host. The mount feeds
-// the monitor's read-heat sketch and reports as a client stats source
-// until it closes.
+// Mount returns a BSFS client mount running on host. The mount reports
+// as a client stats source on the monitor until it closes.
 func (d *Deployment) Mount(host string) *FS {
 	fs := New(Config{
 		ClientConfig: d.Blob.ClientConfig(host),

@@ -51,14 +51,14 @@ const (
 	// objectBudget is how many objects one block append may allocate,
 	// whatever the page size and however deep the segment tree: the
 	// metadata commit allocates per version and per member batch, never
-	// per tree node (measured 64 at 288 pages and 63 at 4000; the
+	// per tree node (measured 57 at 288 pages and 56 at 4000; the
 	// per-node design this replaced cost 250, and an object per node
 	// creeping back into the builder, the DHT client and both replicas'
 	// decoders would add 60 at 4096 pages).
 	objectBudget = 140
 	// runObjectBudget is the same for a Write of runBlocks blocks and
 	// its Flush: one append plus the transfer of three more pages
-	// (measured 81; four appends of a block each cost 257).
+	// (measured 77; four appends of a block each cost 257).
 	runBlocks       = 4
 	runObjectBudget = 110
 	// A record is a 1000-byte Write and its Flush onto a file of 16 KiB
@@ -75,7 +75,7 @@ const (
 	// A block of a snapshot one append younger than the file the mount
 	// has read, its page no longer cached: the provider fetch and the
 	// readahead beside it, and of the segment tree one node per open
-	// (measured 15, 19 before a one-page transfer ran on its caller;
+	// (measured 14, 19 before a one-page transfer ran on its caller;
 	// walking the tree again for every block of every new snapshot, as
 	// the client did before it cached nodes, cost 330 on the gated
 	// read_under_append, which now reads 12).

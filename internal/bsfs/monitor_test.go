@@ -4,14 +4,16 @@ import (
 	"testing"
 	"time"
 
+	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
 	"blobseer/internal/monitor"
+	"blobseer/internal/transport"
 )
 
 // TestDeploymentMonitorWiring pins what Deploy registers on the
 // monitor: one source per provider, per VM shard, and the namespace
-// manager — and that reads and writes through a mount feed the heat
-// sketches and the provider counters.
+// manager — and that writes through a mount feed the provider
+// counters.
 func TestDeploymentMonitorWiring(t *testing.T) {
 	d := newDeployment(t, 1024)
 	fs := mount(t, d, "cli")
@@ -29,7 +31,7 @@ func TestDeploymentMonitorWiring(t *testing.T) {
 	}
 
 	d.Monitor.CollectOnce()
-	snap := d.Monitor.Snapshot(10)
+	snap := d.Monitor.Snapshot()
 	kinds := make(map[string]int)
 	for _, c := range snap.Components {
 		kinds[c.Kind]++
@@ -39,13 +41,6 @@ func TestDeploymentMonitorWiring(t *testing.T) {
 	}
 	if kinds[monitor.KindClient] != 1 {
 		t.Fatalf("mount did not register a client source: %v", kinds)
-	}
-
-	if len(snap.HotWrites) == 0 {
-		t.Error("write heat empty after writing pages")
-	}
-	if len(snap.HotReads) == 0 {
-		t.Error("read heat empty after reading pages")
 	}
 
 	var pages float64
@@ -62,12 +57,81 @@ func TestDeploymentMonitorWiring(t *testing.T) {
 	fs.Close()
 	d.Monitor.CollectOnce()
 	kinds = make(map[string]int)
-	for _, c := range d.Monitor.Snapshot(0).Components {
+	for _, c := range d.Monitor.Snapshot().Components {
 		kinds[c.Kind]++
 	}
 	if kinds[monitor.KindClient] != 0 {
 		t.Errorf("client source leaked after mount close: %v", kinds)
 	}
+
+	// A skewed read shows up where it lands: with a modelled NIC and no
+	// page cache between reader and provider, re-reading one page of a
+	// file spread over all six providers makes the read load imbalanced,
+	// and the provider the monitor ranks hottest is the page's holder.
+	t.Run("skewed read", func(t *testing.T) {
+		d := newDeploymentOn(t, transport.NewMemNet(), blob.ClusterConfig{
+			NICBandwidth: 1 << 20,
+			ClientPolicy: blob.ClientPolicy{CacheBytes: -1},
+		}, 1024)
+		fs := mount(t, d, "cli")
+		if err := dfs.WriteFile(ctx, fs, "/m/skew", pattern(5, 6*1024)); err != nil {
+			t.Fatal(err)
+		}
+		d.Monitor.CollectOnce() // primes the rate trackers
+		if _, err := dfs.ReadAll(ctx, fs, "/m/skew"); err != nil {
+			t.Fatal(err)
+		}
+		// A reader's one-block view would serve an immediately repeated
+		// page itself, so every hot read opens its own reader.
+		const hotPage = 4
+		buf := make([]byte, 1024)
+		for i := 0; i < 20; i++ {
+			f, err := fs.Open(ctx, "/m/skew")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.ReadAt(buf, hotPage*1024)
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.Monitor.CollectOnce()
+		snap := d.Monitor.Snapshot()
+
+		if snap.ReplicaImbalance <= 1 {
+			t.Errorf("replica imbalance = %.2f, want > 1 under a skewed read", snap.ReplicaImbalance)
+		}
+		var hottest string
+		var bestRate, maxUtil float64
+		for _, c := range snap.Components {
+			if c.Kind != monitor.KindProvider {
+				continue
+			}
+			if c.Utilization > maxUtil {
+				maxUtil = c.Utilization
+			}
+			if r := c.Rates["read_bytes_per_sec"]; hottest == "" || r > bestRate {
+				hottest, bestRate = c.Name, r
+			}
+		}
+		if maxUtil <= 0 {
+			t.Errorf("max utilization = %v, want > 0 with a modelled NIC", maxUtil)
+		}
+		locs, err := fs.BlockLocations(ctx, "/m/skew", hotPage*1024, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holder := false
+		for _, l := range locs {
+			for _, h := range l.Hosts {
+				holder = holder || h == hottest
+			}
+		}
+		if !holder {
+			t.Errorf("hottest provider %q does not hold the hot page (holders %+v)", hottest, locs)
+		}
+	})
 }
 
 // TestDeploymentHealth pins the component health checks: a fresh

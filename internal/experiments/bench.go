@@ -255,37 +255,6 @@ func BenchMeta(cfg Config) (*BenchReport, *MetaResult, error) {
 	}, res, nil
 }
 
-// BenchHotspot runs the skewed-read heat-tracking scenario and
-// packages the sketch-vs-ground-truth scores with the read latency
-// distribution; the acceptance bar (precision >= 0.9 on the top 10)
-// is asserted by the caller from HotspotResult.Precision.
-func BenchHotspot(cfg Config) (*BenchReport, *HotspotResult, []*metrics.Series, error) {
-	run := startBenchRun("blob.pageview", "blob.read")
-	res, series, err := Hotspot(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	holder := 0.0
-	if res.HotProviderIsHolder {
-		holder = 1.0
-	}
-	rep := &BenchReport{
-		Fig:    "hotspot",
-		Config: benchConfig(cfg.withDefaults()),
-		Series: benchSeries(series...),
-		Extra: map[string]float64{
-			"precision_top10":        res.Precision,
-			"replica_imbalance":      res.ReplicaImbalance,
-			"max_utilization":        res.MaxUtilization,
-			"hot_provider_is_holder": holder,
-			"pages":                  float64(res.Pages),
-			"accesses":               float64(res.Accesses),
-		},
-		Latency: run.latencies(),
-	}
-	return rep, res, series, nil
-}
-
 // BenchIncident runs the flight-recorder incident drill and packages
 // the alerting/replay verdicts with the append latency distribution;
 // the scenario itself enforces the acceptance checks (fire within the

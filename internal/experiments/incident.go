@@ -22,8 +22,8 @@ const (
 	incidentWriters  = 6
 	incidentReaders  = 4
 	incidentHotPages = 16                    // pages pre-appended to the hotspot BLOB
-	incidentHotReads = 40                    // Zipf reads per reader per phase
-	incidentZipfS    = 1.2                   // same skew the hotspot scenario uses
+	incidentNumReads = 40                    // Zipf reads per reader per phase
+	incidentZipfS    = 1.2                   // skew of the hot reads
 	incidentOpsPre   = 4                     // appends per writer before the kill
 	incidentOpsPost  = 6                     // appends per writer once the kill lands
 	incidentInterval = 50 * time.Millisecond // monitor collection cadence
@@ -114,9 +114,9 @@ func Incident(cfg Config) (*IncidentResult, error) {
 	hosts := env.cluster.ProviderHosts()
 	for w := range clients {
 		// The drill's clients keep the library's page cache whatever the
-		// environment's -cachemb says: the hotspot's signal is page heat,
-		// which counts cache hits, and readers that re-fetched every hot
-		// page over the shaped net would outlast the outage they overlap.
+		// environment's -cachemb says: the hot readers are read load
+		// beside the outage, and readers that re-fetched every hot page
+		// over the shaped net would outlast the outage they overlap.
 		cc := env.cluster.ClientConfig(hosts[w%len(hosts)])
 		cc.CacheBytes = 0
 		clients[w] = blob.NewClient(cc)
@@ -134,8 +134,8 @@ func Incident(cfg Config) (*IncidentResult, error) {
 
 	// The victim is the shard owning writer 0's BLOB: at least one
 	// writer provably routes through the outage. The hotspot BLOB is
-	// any blob on a DIFFERENT shard, so the read hotspot keeps heat and
-	// utilization flowing while the victim is down.
+	// any blob on a DIFFERENT shard, so the read hotspot keeps read load
+	// and utilization flowing while the victim is down.
 	victim := -1
 	victimAddr := clients[0].VMRouter().Shard(blobs[0].ID())
 	for i, a := range env.cluster.VMAddrs() {
@@ -200,8 +200,8 @@ func Incident(cfg Config) (*IncidentResult, error) {
 		}
 		return first
 	}
-	// runHotspot fires Zipf-skewed reads at the hot BLOB: the page-heat
-	// and utilization signal of the drill.
+	// runHotspot fires Zipf-skewed reads at the hot BLOB: the read load
+	// behind the drill's utilization signal.
 	runHotspot := func(seedOff int64) error {
 		errs := make(chan error, incidentReaders)
 		for r := 0; r < incidentReaders; r++ {
@@ -209,7 +209,7 @@ func Incident(cfg Config) (*IncidentResult, error) {
 				rng := rand.New(rand.NewSource(cfg.Seed + seedOff + int64(r)))
 				zipf := rand.NewZipf(rng, incidentZipfS, 1, incidentHotPages-1)
 				buf := make([]byte, cfg.BlockSize)
-				for i := 0; i < incidentHotReads; i++ {
+				for i := 0; i < incidentNumReads; i++ {
 					page := zipf.Uint64()
 					if _, err := blobs[hot].ReadAtInto(ctx, hotVer, page*cfg.BlockSize, buf); err != nil {
 						errs <- fmt.Errorf("reader %d: %w", r, err)

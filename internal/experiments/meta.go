@@ -39,37 +39,36 @@ import (
 
 // MetaPoint is one scaling measurement.
 type MetaPoint struct {
-	Shards    int     `json:"shards"`
-	OpsPerSec float64 `json:"ops_per_sec"`
+	Shards    int
+	OpsPerSec float64
 }
 
 // MetaFailover reports the kill-one-shard run.
 type MetaFailover struct {
-	Shards       int     `json:"shards"`
-	Writers      int     `json:"writers"`
-	KilledShard  int     `json:"killed_shard"`
-	AckedBefore  int     `json:"acked_before_kill"`
-	AckedTotal   int     `json:"acked_total"`
-	LostWrites   int     `json:"lost_writes"`
-	OutageMS     float64 `json:"outage_ms"`
-	ResumedAfter int     `json:"acked_after_restart"`
+	Shards       int
+	Writers      int
+	KilledShard  int
+	AckedBefore  int
+	AckedTotal   int
+	LostWrites   int
+	OutageMS     float64
+	ResumedAfter int
 }
 
 // MetaRecovery reports the cold-restart replay.
 type MetaRecovery struct {
-	Shards   int     `json:"shards"`
-	Records  int     `json:"journal_records_replayed"`
-	Blobs    int     `json:"blobs"`
-	Versions uint64  `json:"versions_served"`
-	ReplayMS float64 `json:"replay_ms"`
+	Shards   int
+	Records  int
+	Blobs    int
+	Versions uint64
+	ReplayMS float64
 }
 
-// MetaResult bundles all three parts; it marshals directly into the
-// BENCH_meta.json artifact.
+// MetaResult bundles all three parts.
 type MetaResult struct {
-	Scaling  []MetaPoint  `json:"scaling"`
-	Failover MetaFailover `json:"failover"`
-	Recovery MetaRecovery `json:"recovery"`
+	Scaling  []MetaPoint
+	Failover MetaFailover
+	Recovery MetaRecovery
 }
 
 // Meta-scenario sizing. The metadata hosts' modeled NIC is 16x

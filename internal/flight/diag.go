@@ -94,7 +94,7 @@ func WriteDiagBundle(w io.Writer, src DiagSources) ([]string, error) {
 	}
 	if src.Monitor != nil {
 		src.Monitor.CollectOnce()
-		if err := addJSON("cluster.json", src.Monitor.Snapshot(20)); err != nil {
+		if err := addJSON("cluster.json", src.Monitor.Snapshot()); err != nil {
 			return members, err
 		}
 	} else {

@@ -97,6 +97,42 @@ func TestReopenAfterAbandon(t *testing.T) {
 	}
 }
 
+// TestReplayParentSnapshot replays a log written while snapshots still
+// listed hot pages: its snapshot events carry hot_reads/hot_writes,
+// which decode as unknown fields and cost the event nothing else.
+func TestReplayParentSnapshot(t *testing.T) {
+	r, path := openTemp(t, RecorderOptions{})
+	const old = `{"seq":1,"at":"2026-01-02T03:04:05Z","kind":"snapshot","snapshot":{"collections":7,"age_ms":0,` +
+		`"components":[{"kind":"provider","name":"node-000","rates":{"read_bytes_per_sec":10},"samples":3}],` +
+		`"replica_imbalance":1.5,"max_journal_lag":900,` +
+		`"hot_reads":[{"blob":1,"page":4,"weight":2.5,"touches":3}],"hot_writes":[{"blob":1,"page":0,"weight":1,"touches":1}]}}`
+	if err := r.store.Put(eventKey(1), []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+
+	r, err := Open(path, RecorderOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	events, err := r.Replay()
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if len(events) != 1 || events[0].Kind != KindSnapshot || events[0].Snapshot == nil {
+		t.Fatalf("events = %+v", events)
+	}
+	s := events[0].Snapshot
+	if s.Collections != 7 || s.MaxJournalLag != 900 || s.ReplicaImbalance != 1.5 ||
+		len(s.Components) != 1 || s.Components[0].Samples != 3 {
+		t.Fatalf("snapshot = %+v", s)
+	}
+	if out := FormatTimeline(events); !strings.Contains(out, "SNAPSHOT collections=7 lag=900 imbalance=1.50 components=1") {
+		t.Errorf("timeline:\n%s", out)
+	}
+}
+
 func TestRetentionMaxEvents(t *testing.T) {
 	r, _ := openTemp(t, RecorderOptions{MaxEvents: 5})
 	defer r.Close()

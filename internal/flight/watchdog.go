@@ -34,8 +34,6 @@ type WatchdogOptions struct {
 	// default 2s) and feeds health rules plus health-transition events.
 	HealthCheck   func(ctx context.Context) monitor.HealthReport
 	HealthTimeout time.Duration
-	// TopK bounds snapshot heat sets (default 10).
-	TopK int
 }
 
 func (o WatchdogOptions) withDefaults() WatchdogOptions {
@@ -50,9 +48,6 @@ func (o WatchdogOptions) withDefaults() WatchdogOptions {
 	}
 	if o.HealthTimeout <= 0 {
 		o.HealthTimeout = 2 * time.Second
-	}
-	if o.TopK <= 0 {
-		o.TopK = 10
 	}
 	return o
 }
@@ -145,7 +140,7 @@ func (w *Watchdog) Close() {
 // class the monitor's OnCollect design avoids, enforced here by the
 // lockhold analyzer.
 func (w *Watchdog) Evaluate() {
-	snap := w.mon.Snapshot(w.opts.TopK)
+	snap := w.mon.Snapshot()
 
 	var health *monitor.HealthReport
 	if w.opts.HealthCheck != nil {

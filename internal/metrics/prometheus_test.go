@@ -8,23 +8,13 @@ import (
 	"time"
 )
 
-// stubHeat is a fixed HeatSource for export tests.
-type stubHeat []HeatEntry
-
-func (s stubHeat) HotPages(n int) []HeatEntry {
-	if n > 0 && len(s) > n {
-		return s[:n]
-	}
-	return s
-}
-
 var (
 	promSample = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{([^}]*)\})? (-?[0-9.eE+-]+|NaN)$`)
 	promLabel  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)=("(?:\\.|[^"\\])*")(?:,(.*))?$`)
 )
 
 // TestWritePrometheusParseBack renders a snapshot carrying every
-// family — counters, gauges, heat entries, op summaries, RPC methods —
+// family — counters, gauges, op summaries, RPC methods —
 // and re-parses the exposition line by line: every sample line must
 // match the text format, every label value must strconv.Unquote
 // cleanly (the writer uses %q), and the declared TYPE lines must cover
@@ -33,11 +23,6 @@ func TestWritePrometheusParseBack(t *testing.T) {
 	r := NewRegistry()
 	r.Op(`op"with\quotes`).Record(1_500_000)
 	r.SetGauge("test_gauge", func() float64 { return 4.5 })
-	r.AttachHeat("read", stubHeat{
-		{Blob: 3, Page: 17, Weight: 12.5, Touches: 40},
-		{Blob: 3, Page: 2, Weight: 1.25, Touches: 4},
-	})
-	r.AttachHeat(`we"ird\source`, stubHeat{{Blob: 1, Page: 1, Weight: 1, Touches: 1}})
 	r.RPCClient.Method("vm.Assign").Observe(2*time.Millisecond, 100, nil)
 
 	var b strings.Builder
@@ -46,7 +31,7 @@ func TestWritePrometheusParseBack(t *testing.T) {
 
 	types := make(map[string]string)
 	var samples int
-	heatSources := make(map[string]bool)
+	opNames := make(map[string]bool)
 	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {
 			f := strings.Fields(line)
@@ -82,8 +67,8 @@ func TestWritePrometheusParseBack(t *testing.T) {
 			if err != nil {
 				t.Fatalf("label value does not unquote in %q: %v", line, err)
 			}
-			if name == "blobseer_page_heat" && lm[1] == "source" {
-				heatSources[val] = true
+			if name == "blobseer_op_latency_ms_count" && lm[1] == "op" {
+				opNames[val] = true
 			}
 			labels = lm[3]
 		}
@@ -94,7 +79,6 @@ func TestWritePrometheusParseBack(t *testing.T) {
 
 	// The typed families must declare their types.
 	for name, want := range map[string]string{
-		"blobseer_page_heat":                "gauge",
 		"blobseer_test_gauge":               "gauge",
 		"blobseer_op_latency_ms":            "summary",
 		"blobseer_rpc_latency_ms":           "summary",
@@ -106,34 +90,8 @@ func TestWritePrometheusParseBack(t *testing.T) {
 		}
 	}
 
-	// Both heat sources survive the round trip, including the one whose
-	// name needs escaping.
-	if !heatSources["read"] || !heatSources[`we"ird\source`] {
-		t.Errorf("heat sources after parse-back: %v", heatSources)
-	}
-	if !strings.Contains(out, `blobseer_page_heat{source="read",blob="3",page="17"} 12.5`) {
-		t.Errorf("hot page line missing:\n%s", out)
-	}
-}
-
-// TestRegistryHeatSnapshot pins AttachHeat semantics: snapshots carry
-// the live hot set, re-attach replaces, nil detaches.
-func TestRegistryHeatSnapshot(t *testing.T) {
-	r := NewRegistry()
-	if snap := r.Snapshot(); snap.Heat != nil {
-		t.Fatalf("heat on empty registry: %v", snap.Heat)
-	}
-	r.AttachHeat("write", stubHeat{{Blob: 1, Page: 9, Weight: 3, Touches: 3}})
-	snap := r.Snapshot()
-	if got := snap.Heat["write"]; len(got) != 1 || got[0].Page != 9 {
-		t.Fatalf("heat snapshot = %+v", snap.Heat)
-	}
-	r.AttachHeat("write", stubHeat{{Blob: 1, Page: 10, Weight: 1, Touches: 1}})
-	if got := r.Snapshot().Heat["write"]; len(got) != 1 || got[0].Page != 10 {
-		t.Fatalf("re-attach did not replace: %+v", got)
-	}
-	r.AttachHeat("write", nil)
-	if snap := r.Snapshot(); snap.Heat != nil {
-		t.Fatalf("nil attach did not detach: %v", snap.Heat)
+	// The op whose name needs escaping survives the round trip.
+	if !opNames[`op"with\quotes`] {
+		t.Errorf("op names after parse-back: %v", opNames)
 	}
 }

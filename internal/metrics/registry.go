@@ -31,40 +31,6 @@ type Registry struct {
 	shuffles attached[*ShuffleStats, ShuffleSnapshot]
 	ops      map[string]*Histogram
 	gauges   map[string]func() float64
-	heat     map[string]HeatSource
-}
-
-// HeatEntry is one page in a heat source's hot-set: a (blob, page) key
-// with its decayed weight and raw touch count. Weight units are
-// source-defined (page accesses at the default weighting).
-type HeatEntry struct {
-	Blob    uint64  `json:"blob"`
-	Page    uint64  `json:"page"`
-	Weight  float64 `json:"weight"`
-	Touches uint64  `json:"touches"`
-}
-
-// HeatSource exposes a live hot-set; internal/monitor's decaying
-// heavy-hitter sketch implements it. HotPages must be safe for
-// concurrent use and return entries heaviest first.
-type HeatSource interface {
-	HotPages(n int) []HeatEntry
-}
-
-// AttachHeat registers (or replaces) a named heat source read at
-// snapshot time; nil removes it. Conventional names are "read" and
-// "write" for the deployment's page-access sketches.
-func (r *Registry) AttachHeat(name string, src HeatSource) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.heat == nil {
-		r.heat = make(map[string]HeatSource)
-	}
-	if src == nil {
-		delete(r.heat, name)
-		return
-	}
-	r.heat[name] = src
 }
 
 // NewRegistry returns an empty registry.
@@ -228,14 +194,9 @@ type RegistrySnapshot struct {
 	Shuffle   ShuffleSnapshot             `json:"shuffle"`
 	Ops       map[string]LatencyQuantiles `json:"ops,omitempty"`
 	Gauges    map[string]float64          `json:"gauges,omitempty"`
-	Heat      map[string][]HeatEntry      `json:"heat,omitempty"`
 	RPCClient map[string]MethodSnapshot   `json:"rpc_client,omitempty"`
 	RPCServer map[string]MethodSnapshot   `json:"rpc_server,omitempty"`
 }
-
-// snapshotHeatTopK bounds the per-source hot-set captured in a
-// snapshot; the /cluster endpoint serves deeper views.
-const snapshotHeatTopK = 20
 
 // Snapshot captures every attached subsystem, summing multiple
 // attached sets of the same kind.
@@ -249,10 +210,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	gauges := make(map[string]func() float64, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
-	}
-	heat := make(map[string]HeatSource, len(r.heat))
-	for k, v := range r.heat {
-		heat[k] = v
 	}
 	r.mu.Unlock()
 
@@ -273,12 +230,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		snap.Gauges = make(map[string]float64, len(gauges))
 		for k, fn := range gauges {
 			snap.Gauges[k] = fn()
-		}
-	}
-	if len(heat) > 0 {
-		snap.Heat = make(map[string][]HeatEntry, len(heat))
-		for k, src := range heat {
-			snap.Heat[k] = src.HotPages(snapshotHeatTopK)
 		}
 	}
 	return snap
@@ -312,20 +263,6 @@ func (s RegistrySnapshot) WritePrometheus(w io.Writer) {
 		sort.Strings(names)
 		for _, k := range names {
 			fmt.Fprintf(w, "# TYPE blobseer_%s gauge\nblobseer_%s %g\n", k, k, s.Gauges[k])
-		}
-	}
-
-	if len(s.Heat) > 0 {
-		fmt.Fprintf(w, "# HELP blobseer_page_heat Decayed page-access weight from the heat sketches.\n# TYPE blobseer_page_heat gauge\n")
-		names := make([]string, 0, len(s.Heat))
-		for k := range s.Heat {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
-			for _, e := range s.Heat[k] {
-				fmt.Fprintf(w, "blobseer_page_heat{source=%q,blob=\"%d\",page=\"%d\"} %g\n", k, e.Blob, e.Page, e.Weight)
-			}
 		}
 	}
 

@@ -4,19 +4,12 @@
 // stats source — data providers (bytes used, page read/write traffic),
 // version-manager shards (journal growth, publish rates), the
 // namespace manager, and client mounts (cache + read stats) — and a
-// collector samples them on an interval into fixed-size time-series
-// rings, deriving EWMA byte/IOPS rates, per-provider utilization
+// collector samples them on an interval, keeping each source's latest
+// sample and deriving EWMA byte/IOPS rates, per-provider utilization
 // against the modeled NIC, per-shard journal lag, and a
-// replica-imbalance score across providers.
-//
-// The monitor also owns the deployment's page-heat sketches: decaying
-// top-K heavy-hitter summaries (see HeatSketch) fed by the client page
-// fetch path (read heat) and the provider put path (write heat). The
-// live hot-set is exported through metrics.Registry, the /cluster
-// endpoint on internal/obshttp, and `bsfsctl top` — and it is the
-// observability contract the heat-adaptive replication work consumes:
-// a rebalancer can only raise replica counts on pages it can see are
-// hot.
+// replica-imbalance score across providers. The derived view is served
+// on internal/obshttp's /cluster endpoint, rendered by `bsfsctl top`,
+// and judged by the flight watchdog's rules.
 //
 // Collection is pull-based and cheap (reading atomic counters), so an
 // unarmed monitor costs nothing and an armed one costs a few map walks
@@ -57,12 +50,9 @@ const (
 // Defaults.
 const (
 	DefaultInterval = time.Second
-	DefaultRingSize = 120
 	// DefaultHalfLife smooths rates: a burst fully registers within a
 	// few collections and an idle source's rate halves every half-life.
 	DefaultHalfLife = 5 * time.Second
-	// DefaultHeatHalfLife decays the page-heat sketches.
-	DefaultHeatHalfLife = 30 * time.Second
 )
 
 // Config sizes a Monitor.
@@ -70,9 +60,6 @@ type Config struct {
 	// Interval is the collection cadence used by SetInterval(0)...Start
 	// and the freshness unit of Fresh (default 1s).
 	Interval time.Duration
-	// RingSize bounds each source's retained time series (default 120
-	// samples — 2 minutes at the default interval).
-	RingSize int
 	// HalfLife smooths the EWMA rates (default 5s).
 	HalfLife time.Duration
 	// NICBandwidth is the modeled per-host NIC capacity in bytes/s that
@@ -80,28 +67,14 @@ type Config struct {
 	// reads 0). Deployments on a simnet-shaped transport pass the
 	// simnet bandwidth here.
 	NICBandwidth float64
-	// HeatCapacity bounds each heat sketch's tracked keys (default
-	// DefaultHeatCapacity).
-	HeatCapacity int
-	// HeatHalfLife decays the heat sketches (default 30s; negative
-	// disables decay).
-	HeatHalfLife time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = DefaultInterval
 	}
-	if c.RingSize <= 0 {
-		c.RingSize = DefaultRingSize
-	}
 	if c.HalfLife <= 0 {
 		c.HalfLife = DefaultHalfLife
-	}
-	if c.HeatHalfLife == 0 {
-		c.HeatHalfLife = DefaultHeatHalfLife
-	} else if c.HeatHalfLife < 0 {
-		c.HeatHalfLife = 0
 	}
 	return c
 }
@@ -115,10 +88,10 @@ type Source struct {
 	fn   func() Sample
 
 	// Collector-owned state, guarded by m.mu.
-	ring  *Ring
-	rates map[string]*ewma
-	last  Sample
-	lastT time.Time
+	rates   map[string]*ewma
+	last    Sample
+	lastT   time.Time
+	samples int // collections that returned a sample
 }
 
 // Unregister removes the source from its monitor; safe to call twice.
@@ -138,11 +111,9 @@ func (s *Source) Unregister() {
 	s.m = nil
 }
 
-// Monitor collects registered sources and owns the heat sketches.
+// Monitor collects registered sources.
 type Monitor struct {
-	cfg       Config
-	readHeat  *HeatSketch
-	writeHeat *HeatSketch
+	cfg Config
 
 	// now is injectable for deterministic rate/freshness tests.
 	now func() time.Time
@@ -206,23 +177,8 @@ func (m *Monitor) OnCollect(fn func()) (cancel func()) {
 // New returns an idle monitor: sources can register and CollectOnce
 // works immediately; SetInterval arms periodic collection.
 func New(cfg Config) *Monitor {
-	cfg = cfg.withDefaults()
-	return &Monitor{
-		cfg:       cfg,
-		readHeat:  NewHeatSketch(cfg.HeatCapacity, cfg.HeatHalfLife),
-		writeHeat: NewHeatSketch(cfg.HeatCapacity, cfg.HeatHalfLife),
-		now:       time.Now,
-	}
+	return &Monitor{cfg: cfg.withDefaults(), now: time.Now}
 }
-
-// ReadHeat is the page read-heat sketch (fed by client page fetches).
-func (m *Monitor) ReadHeat() *HeatSketch { return m.readHeat }
-
-// WriteHeat is the page write-heat sketch (fed by provider page puts).
-func (m *Monitor) WriteHeat() *HeatSketch { return m.writeHeat }
-
-// Interval returns the configured collection cadence.
-func (m *Monitor) Interval() time.Duration { return m.cfg.Interval }
 
 // Register adds a stats source under a component kind and name and
 // returns its handle (Unregister on component shutdown). Sources must
@@ -233,7 +189,6 @@ func (m *Monitor) Register(kind, name string, fn func() Sample) *Source {
 		kind:  kind,
 		name:  name,
 		fn:    fn,
-		ring:  newRing(m.cfg.RingSize),
 		rates: make(map[string]*ewma),
 	}
 	m.mu.Lock()
@@ -296,8 +251,8 @@ func (m *Monitor) Armed() (time.Duration, bool) {
 	return m.cfg.Interval, true
 }
 
-// CollectOnce samples every source now: the sample lands in the
-// source's ring and its "_total" counters update their EWMA rates.
+// CollectOnce samples every source now: the sample becomes the
+// source's latest and its "_total" counters update their EWMA rates.
 // Callable directly (tools, tests) whether or not the periodic
 // collector is armed.
 func (m *Monitor) CollectOnce() {
@@ -338,8 +293,8 @@ func (m *Monitor) CollectOnce() {
 			}
 			e.observe(v, dt, m.cfg.HalfLife.Seconds())
 		}
-		s.ring.push(now, c.sample)
 		s.last = c.sample
+		s.samples++
 		s.lastT = now
 	}
 	m.collections++

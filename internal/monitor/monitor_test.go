@@ -6,32 +6,6 @@ import (
 	"time"
 )
 
-func TestRing(t *testing.T) {
-	r := newRing(3)
-	if r.Len() != 0 {
-		t.Fatalf("empty Len = %d", r.Len())
-	}
-	if _, ok := r.Last(); ok {
-		t.Fatal("Last on empty ring")
-	}
-	base := time.Unix(0, 0)
-	for i := 0; i < 5; i++ {
-		r.push(base.Add(time.Duration(i)*time.Second), Sample{"v": float64(i)})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
-	}
-	last, ok := r.Last()
-	if !ok || last.Sample["v"] != 4 {
-		t.Fatalf("Last = %+v", last)
-	}
-	var seen []float64
-	r.Each(func(ts TimedSample) { seen = append(seen, ts.Sample["v"]) })
-	if fmt.Sprint(seen) != "[2 3 4]" {
-		t.Fatalf("Each order = %v, want oldest first [2 3 4]", seen)
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	e := &ewma{}
 	if got := e.observe(100, 1, 5); got != 0 {
@@ -98,7 +72,7 @@ func TestCollectAndSnapshot(t *testing.T) {
 		m.CollectOnce()
 	}
 
-	snap := m.Snapshot(0)
+	snap := m.Snapshot()
 	if snap.Collections != 11 {
 		t.Errorf("collections = %d", snap.Collections)
 	}
@@ -119,6 +93,9 @@ func TestCollectAndSnapshot(t *testing.T) {
 	}
 	if h.Utilization < 0.89 || h.Utilization > 0.9 {
 		t.Errorf("hot utilization = %v, want ~0.9", h.Utilization)
+	}
+	if h.Samples != 11 {
+		t.Errorf("samples = %d, want one per collection", h.Samples)
 	}
 	if h.Gauges["pages"] != 3 {
 		t.Errorf("gauges = %v", h.Gauges)
@@ -145,19 +122,19 @@ func TestRegisterUnregister(t *testing.T) {
 	s1 := m.Register(KindClient, "c1", func() Sample { return Sample{"x": 1} })
 	s2 := m.Register(KindClient, "c2", func() Sample { return Sample{"x": 2} })
 	m.CollectOnce()
-	if got := len(m.Snapshot(0).Components); got != 2 {
+	if got := len(m.Snapshot().Components); got != 2 {
 		t.Fatalf("components = %d", got)
 	}
 	s1.Unregister()
 	s1.Unregister() // idempotent
-	if got := m.Snapshot(0).Components; len(got) != 1 || got[0].Name != "c2" {
+	if got := m.Snapshot().Components; len(got) != 1 || got[0].Name != "c2" {
 		t.Fatalf("components after unregister = %+v", got)
 	}
 	s2.Unregister()
 	// A nil sample skips the source for this pass without unregistering.
 	m.Register(KindClient, "c3", func() Sample { return nil })
 	m.CollectOnce()
-	if got := m.Snapshot(0).Components[0].Samples; got != 0 {
+	if got := m.Snapshot().Components[0].Samples; got != 0 {
 		t.Fatalf("nil-sample source recorded %d samples", got)
 	}
 }
@@ -210,12 +187,9 @@ func BenchmarkMonitorSnapshot(b *testing.B) {
 			return Sample{KeyReadBytes: float64(i * 1000)}
 		})
 	}
-	for i := 0; i < 1000; i++ {
-		m.readHeat.TouchPage(1, uint64(i%200))
-	}
 	m.CollectOnce()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Snapshot(20)
+		m.Snapshot()
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"blobseer/internal/metrics"
 )
 
 // ComponentSnapshot is one source's current view: its latest raw gauges,
@@ -21,7 +19,7 @@ type ComponentSnapshot struct {
 	// providers; simnet NICs are full-duplex so the directions don't
 	// share capacity. Zero for other kinds or when bandwidth is unknown.
 	Utilization float64 `json:"utilization,omitempty"`
-	// Samples is how many collections this source has in its ring.
+	// Samples is how many collections this source has answered.
 	Samples int `json:"samples"`
 }
 
@@ -44,18 +42,11 @@ type ClusterSnapshot struct {
 	// MaxJournalLag is the largest per-shard journal_pending gauge:
 	// records not yet retired by a metadata checkpoint.
 	MaxJournalLag float64 `json:"max_journal_lag"`
-
-	// HotReads / HotWrites are the current top-K page heat sets.
-	HotReads  []metrics.HeatEntry `json:"hot_reads,omitempty"`
-	HotWrites []metrics.HeatEntry `json:"hot_writes,omitempty"`
 }
 
-// Snapshot derives the cluster view from the rings and rate trackers as
-// of the last collection. TopK bounds the heat sets (0 = 20).
-func (m *Monitor) Snapshot(topK int) ClusterSnapshot {
-	if topK <= 0 {
-		topK = 20
-	}
+// Snapshot derives the cluster view from each source's latest sample
+// and rate trackers as of the last collection.
+func (m *Monitor) Snapshot() ClusterSnapshot {
 	m.mu.Lock()
 	snap := ClusterSnapshot{
 		Collections: m.collections,
@@ -72,7 +63,7 @@ func (m *Monitor) Snapshot(topK int) ClusterSnapshot {
 		cs := ComponentSnapshot{
 			Kind:    s.kind,
 			Name:    s.name,
-			Samples: s.ring.Len(),
+			Samples: s.samples,
 		}
 		if len(s.last) > 0 {
 			cs.Gauges = make(map[string]float64, len(s.last))
@@ -132,9 +123,6 @@ func (m *Monitor) Snapshot(topK int) ClusterSnapshot {
 			snap.ReplicaImbalance = max / (sum / float64(len(readRates)))
 		}
 	}
-
-	snap.HotReads = m.readHeat.HotPages(topK)
-	snap.HotWrites = m.writeHeat.HotPages(topK)
 	return snap
 }
 

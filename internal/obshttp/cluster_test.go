@@ -26,19 +26,14 @@ func serveGet(t *testing.T, ms *MetricsServer, path string) (int, string) {
 }
 
 // TestClusterEndpoint pins /cluster: each request runs one collection
-// pass and serves the derived snapshot; ?top bounds the heat sets; a
-// server without a monitor answers 404.
+// pass and serves the derived snapshot; a server without a monitor
+// answers 404.
 func TestClusterEndpoint(t *testing.T) {
 	mon := monitor.New(monitor.Config{NICBandwidth: 1000})
 	var reads atomic.Uint64
 	mon.Register(monitor.KindProvider, "prov-a", func() monitor.Sample {
 		return monitor.Sample{monitor.KeyReadBytes: float64(reads.Load())}
 	})
-	for p := uint64(0); p < 30; p++ {
-		for i := uint64(0); i <= p%3; i++ {
-			mon.ReadHeat().TouchPage(1, p)
-		}
-	}
 
 	ms, err := Serve("127.0.0.1:0", Options{Monitor: mon})
 	if err != nil {
@@ -61,24 +56,6 @@ func TestClusterEndpoint(t *testing.T) {
 	if len(snap.Components) != 1 || snap.Components[0].Name != "prov-a" {
 		t.Errorf("components = %+v", snap.Components)
 	}
-	if len(snap.HotReads) != 20 {
-		t.Errorf("default heat topK = %d, want 20", len(snap.HotReads))
-	}
-
-	_, body = serveGet(t, ms, "/cluster?top=3")
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.HotReads) != 3 {
-		t.Errorf("?top=3 heat = %d entries", len(snap.HotReads))
-	}
-
-	if code, _ := serveGet(t, ms, "/cluster?top=bogus"); code != http.StatusBadRequest {
-		t.Errorf("?top=bogus = %d, want 400", code)
-	}
-	if code, _ := serveGet(t, ms, "/cluster?top=-1"); code != http.StatusBadRequest {
-		t.Errorf("?top=-1 = %d, want 400", code)
-	}
 
 	bare, err := Serve("127.0.0.1:0", Options{})
 	if err != nil {
@@ -92,7 +69,7 @@ func TestClusterEndpoint(t *testing.T) {
 
 // TestHealthzComponentReport pins the real /healthz: 200 with a JSON
 // report while healthy, 503 with the failing component named once
-// degraded, and the legacy "ok" when no health function is wired.
+// degraded. (TestMetricsServerEndpoints covers the unwired 404.)
 func TestHealthzComponentReport(t *testing.T) {
 	healthy := atomic.Bool{}
 	healthy.Store(true)

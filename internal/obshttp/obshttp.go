@@ -30,9 +30,8 @@ type Options struct {
 	// collection pass and serves the derived cluster snapshot as JSON.
 	Monitor *monitor.Monitor
 
-	// Health, when set, makes /healthz real: the report is served as
-	// JSON with a 503 when any component is degraded. When nil,
-	// /healthz keeps the legacy unconditional "ok" liveness answer.
+	// Health, when set, enables /healthz: the report is served as
+	// JSON with a 503 when any component is degraded.
 	Health func(context.Context) monitor.HealthReport
 
 	// Alerts, when set, enables /alerts: the SLO watchdog's current
@@ -46,7 +45,7 @@ type Options struct {
 //	/metrics       Prometheus text exposition of the registry snapshot
 //	/metrics.json  the same snapshot as JSON
 //	/cluster       cluster monitor snapshot as JSON (when a Monitor is wired)
-//	/healthz       component health as JSON, 503 on degradation (or "ok" liveness)
+//	/healthz       component health as JSON, 503 on degradation (when a Health func is wired)
 //	/spans         recent trace ids, or one trace's causal tree (?trace=N)
 //	/alerts        SLO watchdog rule states as JSON (when a watchdog is wired)
 type MetricsServer struct {
@@ -108,36 +107,24 @@ func (m *MetricsServer) handleMetricsJSON(w http.ResponseWriter, _ *http.Request
 
 // handleCluster serves the cluster monitor's derived snapshot. Each
 // request runs one collection pass first, so an unarmed monitor still
-// answers with current data (and rates sharpen across polls). ?top=N
-// bounds the heat sets (default 20).
-func (m *MetricsServer) handleCluster(w http.ResponseWriter, r *http.Request) {
+// answers with current data (and rates sharpen across polls).
+func (m *MetricsServer) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	if m.opts.Monitor == nil {
 		http.Error(w, "no cluster monitor wired", http.StatusNotFound)
 		return
-	}
-	topK := 0
-	if q := r.URL.Query().Get("top"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n <= 0 {
-			http.Error(w, "bad top count", http.StatusBadRequest)
-			return
-		}
-		topK = n
 	}
 	m.opts.Monitor.CollectOnce()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(m.opts.Monitor.Snapshot(topK)); err != nil {
+	if err := enc.Encode(m.opts.Monitor.Snapshot()); err != nil {
 		obs.Log.Debugf("metrics endpoint: encode cluster snapshot: %v", err)
 	}
 }
 
 func (m *MetricsServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if m.opts.Health == nil {
-		// Legacy liveness answer: the process is up.
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
+		http.Error(w, "no health check wired", http.StatusNotFound)
 		return
 	}
 	rep := m.opts.Health(r.Context())

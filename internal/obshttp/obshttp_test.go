@@ -40,8 +40,8 @@ func TestMetricsServerEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, "ok") {
-		t.Errorf("/healthz = %d %q", code, body)
+	if code, _ := get("/healthz"); code != http.StatusNotFound {
+		t.Errorf("/healthz without a health func = %d, want 404", code)
 	}
 
 	_, prom := get("/metrics")
