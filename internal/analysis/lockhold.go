@@ -12,7 +12,7 @@ import (
 // sync.RWMutex is held in the enclosing function — the deadlock (and
 // tail-latency) class PR 9 designed around by firing OnCollect hooks
 // outside the monitor's lock. Blocking means: rpc/dht Call, transport
-// Dial/Listen, kvlog writes (Put/Delete/Compact/Sync), flight
+// Dial/Listen, kvlog writes (Put/Delete/Compact/CompactIfDead/Sync), flight
 // recorder appends, channel sends/receives (outside a select with a
 // default), selects without a default, Wait* methods, and time.Sleep.
 //
@@ -186,7 +186,7 @@ func blockingCall(pass *Pass, call *ast.CallExpr) string {
 		isMethodOn(info, call, "blobseer/internal/transport", "", "Listen") {
 		return "transport dial/listen"
 	}
-	for _, m := range []string{"Put", "Delete", "Compact", "Sync"} {
+	for _, m := range []string{"Put", "Delete", "Compact", "CompactIfDead", "Sync"} {
 		if isMethodOn(info, call, "blobseer/internal/kvlog", "Store", m) {
 			return "kvlog " + m
 		}

@@ -4,6 +4,8 @@ package fixture
 import (
 	"sync"
 	"time"
+
+	"blobseer/internal/kvlog"
 )
 
 type guarded struct {
@@ -59,6 +61,12 @@ func (g *guarded) waitUnderLock(wg *sync.WaitGroup) {
 	g.mu.Lock()
 	wg.Wait() // want "Wait call"
 	g.mu.Unlock()
+}
+
+func (g *guarded) compactUnderLock(kv *kvlog.Store) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	kv.CompactIfDead(1 << 20) // want "kvlog CompactIfDead while g.mu is held"
 }
 
 // condWait is the one Wait that REQUIRES the lock held.

@@ -588,24 +588,16 @@ func (b *Blob) AppendAsync(ctx context.Context, pages [][]byte) (*PendingWrite, 
 	}
 	start := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "blob.append")
-	a, history, err := b.assign(ctx, KindAppend, 0, n)
+	// The prologue runs here, in the caller's goroutine; the expensive
+	// page transfers, metadata commit, and completion run in the
+	// background.
+	a, history, alloc, err := b.assign(ctx, KindAppend, 0, n)
 	if err != nil {
 		sp.End(err)
 		return nil, err
 	}
 	if sp != nil { // guard: varargs boxing allocates even for a nil span
 		sp.Annotate("ver=%d start=%d len=%d", a.Ver, a.Start, n)
-	}
-	// Provider allocation stays in the serialized prologue so a
-	// writer's consecutive blocks keep their allocation order (and so
-	// placement strategies like round-robin keep their stride); the
-	// expensive page transfers, metadata commit, and completion run in
-	// the background.
-	alloc, err := b.allocPages(ctx, a, n)
-	if err != nil {
-		b.abortDetached(a.Ver)
-		sp.End(err)
-		return nil, err
 	}
 	p := &PendingWrite{
 		res:  WriteResult{Ver: a.Ver, Start: a.Start, SizeAfter: a.SizeAfter},
@@ -628,7 +620,8 @@ func (b *Blob) WriteAt(ctx context.Context, data []byte, off uint64) (WriteResul
 	return b.write(ctx, KindWrite, off, payload{data})
 }
 
-// write runs the decoupled write pipeline of §3.1.2 synchronously.
+// write runs the decoupled write pipeline of §3.1.2 synchronously:
+// what AppendAsync runs, without the goroutine.
 func (b *Blob) write(ctx context.Context, kind uint64, off uint64, data payload) (WriteResult, error) {
 	start := time.Now()
 	opName, op := "blob.write", opWrite
@@ -637,45 +630,48 @@ func (b *Blob) write(ctx context.Context, kind uint64, off uint64, data payload)
 	}
 	ctx, sp := obs.StartSpan(ctx, opName)
 	b.c.inflight.Add(1)
-	res, err := b.writePipeline(ctx, kind, off, data)
+	a, history, alloc, err := b.assign(ctx, kind, off, data.len())
+	if err == nil {
+		err = b.finishWrite(ctx, a, history, data, alloc)
+	}
 	b.c.inflight.Add(-1)
 	sp.End(err)
 	op.RecordDuration(time.Since(start))
-	return res, err
-}
-
-func (b *Blob) writePipeline(ctx context.Context, kind uint64, off uint64, data payload) (WriteResult, error) {
-	a, history, err := b.assign(ctx, kind, off, data.len())
 	if err != nil {
-		return WriteResult{}, err
-	}
-	if err := b.finishWrite(ctx, a, history, data, nil); err != nil {
 		return WriteResult{}, err
 	}
 	return WriteResult{Ver: a.Ver, Start: a.Start, SizeAfter: a.SizeAfter}, nil
 }
 
-// assign runs step 1 of the write pipeline — version assignment, the
-// only serialized step — for a write of n bytes, and folds the history
-// delta into the cache.
-func (b *Blob) assign(ctx context.Context, kind, off, n uint64) (AssignResp, []segtree.WriteRecord, error) {
+// assign runs the prologue every write shares, for a write of n bytes:
+// version assignment — the only serialized step — folding the history
+// delta into the cache, then provider allocation for the assigned pages
+// (steps 1 and 3). Allocating here, before anything overlaps, keeps a
+// writer's consecutive writes in allocation order (and so placement
+// strategies like round-robin keep their stride). What assign returns
+// is what finishWrite takes.
+func (b *Blob) assign(ctx context.Context, kind, off, n uint64) (AssignResp, []segtree.WriteRecord, *AllocResp, error) {
 	var a AssignResp
 	if n == 0 {
-		return a, nil, ErrEmptyWrite
+		return a, nil, nil, ErrEmptyWrite
 	}
 	c := b.c
 	req := &AssignReq{Blob: b.id, Kind: kind, Off: off, Len: n, SinceVer: c.knownPrefix(b.id)}
 	if err := c.vm.Call(ctx, b.id, VMAssign, req, &a); err != nil {
-		return a, nil, fmt.Errorf("blob: assign: %w", err)
+		return a, nil, nil, fmt.Errorf("blob: assign: %w", err)
 	}
 	history, err := c.mergeHistory(b.id, a.History, a.Record)
+	var alloc *AllocResp
+	if err == nil {
+		alloc, err = b.allocPages(ctx, a, n)
+	}
 	if err != nil {
 		// The version is already assigned; seal it so the publication
 		// chain is not wedged behind a write that will never complete.
 		b.abortDetached(a.Ver)
-		return a, nil, err
+		return a, nil, nil, err
 	}
-	return a, history, nil
+	return a, history, alloc, nil
 }
 
 // allocPages runs step 3 of the write pipeline: provider allocation
@@ -703,18 +699,11 @@ func (b *Blob) allocPages(ctx context.Context, a AssignResp, n uint64) (*AllocRe
 	return alloc, nil
 }
 
-// allocResult is what the overlapped allocation of finishWrite hands
-// back.
-type allocResult struct {
-	alloc *AllocResp
-	err   error
-}
-
-// finishWrite runs the data path of the write pipeline (steps 2-6).
-// When the caller already allocated providers (the pipelined path),
-// preAlloc carries the result; otherwise the allocation round trip is
-// overlapped with the boundary-merge reads.
-func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.WriteRecord, data payload, preAlloc *AllocResp) error {
+// finishWrite runs the data path of the write pipeline — boundary
+// merges, page transfers, metadata commit, completion (steps 2, 4-6) —
+// for a write whose providers alloc names. Whichever step fails, the
+// version is aborted so the publication chain moves on.
+func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.WriteRecord, data payload, alloc *AllocResp) error {
 	c := b.c
 	ps := b.pageSize
 	rec := a.Record
@@ -725,16 +714,10 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 	tailHi := minU64(recEnd, a.PrevSize)
 	contentEnd := maxU64(writeEnd, tailHi)
 
-	// 3 (overlapped). Provider allocation runs while the boundary
-	// merges of step 2 read the neighbouring bytes.
-	allocDone := make(chan allocResult, 1)
-	if preAlloc != nil {
-		allocDone <- allocResult{alloc: preAlloc}
-	} else {
-		go func() {
-			alloc, err := b.allocPages(ctx, a, data.len())
-			allocDone <- allocResult{alloc, err}
-		}()
+	r := int(alloc.Replicas)
+	if uint64(len(alloc.Providers)) != rec.N*uint64(r) {
+		b.abortDetached(a.Ver)
+		return fmt.Errorf("blob: alloc returned %d providers for %d pages", len(alloc.Providers), rec.N)
 	}
 
 	// 2. Boundary merges. A write that lands inside existing bytes — an
@@ -765,20 +748,9 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 		}
 		msp.End(err)
 	}
-	allocated := <-allocDone
 	if err != nil {
 		b.abortDetached(a.Ver)
 		return err
-	}
-	if allocated.err != nil {
-		b.abortDetached(a.Ver)
-		return allocated.err
-	}
-	alloc := allocated.alloc
-	r := int(alloc.Replicas)
-	if uint64(len(alloc.Providers)) != rec.N*uint64(r) {
-		b.abortDetached(a.Ver)
-		return fmt.Errorf("blob: alloc returned %d providers for %d pages", len(alloc.Providers), rec.N)
 	}
 
 	// A write that starts at pageBase and has nothing to merge is sent as

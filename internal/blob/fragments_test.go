@@ -50,7 +50,7 @@ func TestSealKeepsNeighbourBytes(t *testing.T) {
 	}
 	first, third := pattern(1, 100), pattern(3, 100)
 	published(t, b, first)
-	a, _, err := b.assign(ctx, KindAppend, 0, 100)
+	a, _, _, err := b.assign(ctx, KindAppend, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestUnalignedAppendDoesNotWaitForPredecessor(t *testing.T) {
 				t.Fatal(err)
 			}
 			first, second := pattern(1, 100), pattern(2, 100)
-			a, history, err := b.assign(ctx, KindAppend, 0, uint64(len(first)))
+			a, history, alloc, err := b.assign(ctx, KindAppend, 0, uint64(len(first)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func TestUnalignedAppendDoesNotWaitForPredecessor(t *testing.T) {
 				t.Fatalf("version 2 = %+v, %v: it must not publish before version 1", info, err)
 			}
 			if end == "completes" {
-				err = b.finishWrite(ctx, a, history, payload{first}, nil)
+				err = b.finishWrite(ctx, a, history, payload{first}, alloc)
 			} else {
 				err = b.Abort(ctx, a.Ver)
 				first = make([]byte, len(first))

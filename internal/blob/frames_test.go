@@ -158,7 +158,7 @@ func TestSharedHistoryUnderConcurrentAppends(t *testing.T) {
 	}
 	// The holder: assigned, history in hand, data path not yet run.
 	held := pattern(99, ps)
-	a, history, err := b.assign(ctx, KindAppend, 0, ps)
+	a, history, alloc, err := b.assign(ctx, KindAppend, 0, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSharedHistoryUnderConcurrentAppends(t *testing.T) {
 	readers.Wait()
 
 	// The holder finishes last, against the view it took first.
-	if err := b.finishWrite(ctx, a, history, payload{held}, nil); err != nil {
+	if err := b.finishWrite(ctx, a, history, payload{held}, alloc); err != nil {
 		t.Fatal(err)
 	}
 	info, err := b.WaitPublished(ctx, 10+1+appenders*each)

@@ -215,16 +215,8 @@ func (j *vmJournal) checkpoint(st *vmState) error {
 			return err
 		}
 	}
-	return j.maybeCompact()
-}
-
-// maybeCompact rewrites the store once dead bytes pass the threshold.
-func (j *vmJournal) maybeCompact() error {
-	total, live := j.kv.Size()
-	if total-live < j.compactThreshold {
-		return nil
-	}
-	return j.kv.Compact()
+	_, err := j.kv.CompactIfDead(j.compactThreshold)
+	return err
 }
 
 func (j *vmJournal) close() error { return j.kv.Close() }

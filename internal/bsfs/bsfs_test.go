@@ -649,7 +649,7 @@ func TestPipelinedConcurrentAppendersRecordsIntact(t *testing.T) {
 }
 
 // TestPipelinedFlushDrains verifies Flush blocks until every in-flight
-// block is complete and the namespace size reflects all of them.
+// block is complete, so Stat and List both report all of them.
 func TestPipelinedFlushDrains(t *testing.T) {
 	const block = 256
 	d := newDeployment(t, block)
@@ -676,15 +676,13 @@ func TestPipelinedFlushDrains(t *testing.T) {
 	if fi.Size != 6*block {
 		t.Fatalf("size after Flush = %d, want %d", fi.Size, 6*block)
 	}
-	// The namespace's cached size was updated too (coalesced path).
+	// List reports the same snapshot Stat does.
 	infos, err := fs.List(ctx, "/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fi := range infos {
-		if fi.Path == "/drain" && fi.Size != 6*block {
-			t.Fatalf("namespace size after Flush = %d, want %d", fi.Size, 6*block)
-		}
+	if len(infos) != 1 || infos[0] != fi {
+		t.Fatalf("List after Flush = %+v, want [%+v]", infos, fi)
 	}
 }
 

@@ -322,8 +322,8 @@ func (fs *FS) lookup(ctx context.Context, path string) (EntryResp, error) {
 	return ent, err
 }
 
-// Stat implements dfs.FileSystem. File sizes come from the BLOB's
-// latest published version (authoritative), not the namespace cache.
+// Stat implements dfs.FileSystem. A file's size is that of its BLOB's
+// latest published version.
 func (fs *FS) Stat(ctx context.Context, path string) (dfs.FileInfo, error) {
 	ent, err := fs.lookup(ctx, path)
 	if err != nil {
@@ -348,14 +348,30 @@ func (fs *FS) Stat(ctx context.Context, path string) (dfs.FileInfo, error) {
 	return fi, nil
 }
 
-// List implements dfs.FileSystem. Sizes reflect the namespace's cached
-// values, which appenders update after each block.
+// List implements dfs.FileSystem. The namespace manager names dir's
+// children and Stat fills in each file among them, so the two never
+// disagree. A file deleted in between (its entry gone, or its BLOB
+// already retired) is left out.
 func (fs *FS) List(ctx context.Context, dir string) ([]dfs.FileInfo, error) {
 	var resp dfs.ListResp
 	if err := fs.pool.Call(ctx, fs.cfg.Namespace, NSList, &dfs.PathReq{Path: dir}, &resp); err != nil {
 		return nil, err
 	}
-	return resp.Infos, nil
+	infos := resp.Infos[:0]
+	for _, fi := range resp.Infos {
+		if !fi.IsDir {
+			st, err := fs.Stat(ctx, fi.Path)
+			if errors.Is(err, dfs.ErrNotExist) || errors.Is(err, dfs.ErrVersionGone) {
+				continue
+			}
+			if err != nil {
+				return nil, err
+			}
+			fi = st
+		}
+		infos = append(infos, fi)
+	}
+	return infos, nil
 }
 
 // Rename implements dfs.FileSystem.
@@ -451,8 +467,8 @@ func (fs *FS) MetadataEntries(ctx context.Context) (uint64, error) {
 // a whole block has been filled in the cache"). The unit of append is
 // the run: the whole blocks one Write call fills, cut every
 // Tuning.WriteDepth blocks, go out as one BlobSeer append — one
-// version, one provider allocation, one metadata commit, one size
-// update, however many pages. Where a run ends depends on the sizes of
+// version, one provider allocation, one metadata commit, however many
+// pages. Where a run ends depends on the sizes of
 // the Write calls and on WriteDepth, never on what is in flight. A
 // Write of at most WriteDepth whole blocks on a block-aligned writer is
 // therefore one atomic, contiguous append, even in a file other
@@ -468,20 +484,17 @@ type fileWriter struct {
 	path string
 	b    *blob.Blob
 
-	buf    []byte   // the block being filled
-	run    [][]byte // full blocks of the current Write, each holding a slot
-	closed bool
+	buf     []byte   // the block being filled
+	run     [][]byte // full blocks of the current Write, each holding a slot
+	lastVer uint64   // the version of the last run launched
+	closed  bool
 
 	sem chan struct{}  // one slot per block in a run, pending or in flight
 	wg  sync.WaitGroup // watchers of in-flight runs
 
-	mu           sync.Mutex
-	free         [][]byte // block buffers whose runs have finished
-	werr         error    // first error from any run's data path
-	lastVer      uint64   // highest version this writer produced
-	sizeSeen     uint64   // max SizeAfter among finished appends
-	sizeSent     uint64   // last size pushed to the namespace
-	sizeUpdating bool     // an NSUpdateSize coalescing loop is running
+	mu   sync.Mutex
+	free [][]byte // block buffers whose runs have finished
+	werr error    // first error from any run's data path
 }
 
 func (w *fileWriter) firstErr() error {
@@ -569,10 +582,11 @@ func (w *fileWriter) launch() error {
 		w.release(run, true) // nothing was started, nothing references the blocks
 		return err
 	}
+	w.lastVer = p.Result().Ver
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		res, err := p.Wait(w.ctx)
+		_, err := p.Wait(w.ctx)
 		select {
 		case <-p.Done():
 			// The data path is over: every page was marshalled into
@@ -585,9 +599,7 @@ func (w *fileWriter) launch() error {
 		}
 		if err != nil {
 			w.setErr(err)
-			return
 		}
-		w.noteAppended(res)
 	}()
 	return nil
 }
@@ -627,52 +639,8 @@ func (w *fileWriter) recycle(block []byte) {
 	w.mu.Unlock()
 }
 
-// noteAppended records one finished run and pushes the file size to
-// the namespace — the second half of §3.2's two-step append
-// translation, coalesced so concurrent completions fold into one
-// in-flight NSUpdateSize carrying the maximum SizeAfter seen.
-func (w *fileWriter) noteAppended(res blob.WriteResult) {
-	w.mu.Lock()
-	if res.Ver > w.lastVer {
-		w.lastVer = res.Ver
-	}
-	if res.SizeAfter > w.sizeSeen {
-		w.sizeSeen = res.SizeAfter
-	}
-	if w.sizeUpdating {
-		w.mu.Unlock()
-		return // the running updater picks up the new maximum
-	}
-	w.sizeUpdating = true
-	w.mu.Unlock()
-
-	for {
-		w.mu.Lock()
-		target := w.sizeSeen
-		if target <= w.sizeSent {
-			w.sizeUpdating = false
-			w.mu.Unlock()
-			return
-		}
-		w.mu.Unlock()
-		err := w.fs.pool.Call(w.ctx, w.fs.cfg.Namespace, NSUpdateSize,
-			&UpdateSizeReq{Path: w.path, Size: target}, nil)
-		w.mu.Lock()
-		if err != nil {
-			if w.werr == nil {
-				w.werr = err
-			}
-			w.sizeUpdating = false
-			w.mu.Unlock()
-			return
-		}
-		w.sizeSent = target
-		w.mu.Unlock()
-	}
-}
-
-// drain waits for every in-flight run (and its namespace size update)
-// and reports the first error the pipeline hit.
+// drain waits for every in-flight run and reports the first error the
+// pipeline hit.
 func (w *fileWriter) drain() error {
 	w.wg.Wait()
 	return w.firstErr()

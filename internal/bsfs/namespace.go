@@ -5,10 +5,12 @@
 // caching mechanism that buffers whole blocks, and the primitive that
 // exposes page distribution to the Map/Reduce scheduler.
 //
-// Every file is backed by one BLOB; appends go to the BLOB (fully
-// concurrent thanks to versioning) and the file size is updated at the
-// namespace manager, exactly the two-step translation the paper
-// describes.
+// Every file is backed by one BLOB, and appends go to the BLOB (fully
+// concurrent thanks to versioning) and nowhere else. That is the one
+// departure from §3.2, whose append also updates the file size at the
+// namespace manager: a file's size is a property of each published
+// snapshot, which the version manager already serves, so the namespace
+// manager keeps no copy of it and a writer, once open, never calls it.
 package bsfs
 
 import (
@@ -32,14 +34,13 @@ const SvcNamespace = "bsfs-ns"
 
 // Namespace manager methods.
 var (
-	NSCreate     = rpc.M(1, "ns.Create")
-	NSLookup     = rpc.M(2, "ns.Lookup")
-	NSUpdateSize = rpc.M(3, "ns.UpdateSize")
-	NSList       = rpc.M(4, "ns.List")
-	NSRename     = rpc.M(5, "ns.Rename")
-	NSDelete     = rpc.M(6, "ns.Delete")
-	NSMkdir      = rpc.M(7, "ns.Mkdir")
-	NSEntries    = rpc.M(8, "ns.Entries")
+	NSCreate  = rpc.M(1, "ns.Create")
+	NSLookup  = rpc.M(2, "ns.Lookup")
+	NSList    = rpc.M(4, "ns.List")
+	NSRename  = rpc.M(5, "ns.Rename")
+	NSDelete  = rpc.M(6, "ns.Delete")
+	NSMkdir   = rpc.M(7, "ns.Mkdir")
+	NSEntries = rpc.M(8, "ns.Entries")
 )
 
 //
@@ -68,11 +69,12 @@ func (m *CreateReq) DecodeFrom(r *wire.Reader) error {
 	return r.Err()
 }
 
-// EntryResp describes a namespace entry.
+// EntryResp is one namespace entry — a directory, or a file's BLOB and
+// page size — as the manager keeps it, journals it and answers with it.
+// An entry is never modified once stored.
 type EntryResp struct {
 	Blob     uint64
 	PageSize uint64
-	Size     uint64
 	IsDir    bool
 }
 
@@ -80,7 +82,6 @@ type EntryResp struct {
 func (m *EntryResp) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.Blob)
 	b = wire.AppendUvarint(b, m.PageSize)
-	b = wire.AppendUvarint(b, m.Size)
 	return wire.AppendBool(b, m.IsDir)
 }
 
@@ -88,27 +89,7 @@ func (m *EntryResp) AppendTo(b []byte) []byte {
 func (m *EntryResp) DecodeFrom(r *wire.Reader) error {
 	m.Blob = r.Uvarint()
 	m.PageSize = r.Uvarint()
-	m.Size = r.Uvarint()
 	m.IsDir = r.Bool()
-	return r.Err()
-}
-
-// UpdateSizeReq raises the namespace's cached size for a file.
-type UpdateSizeReq struct {
-	Path string
-	Size uint64
-}
-
-// AppendTo implements wire.Marshaler.
-func (m *UpdateSizeReq) AppendTo(b []byte) []byte {
-	b = wire.AppendString(b, m.Path)
-	return wire.AppendUvarint(b, m.Size)
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *UpdateSizeReq) DecodeFrom(r *wire.Reader) error {
-	m.Path = r.String()
-	m.Size = r.Uvarint()
 	return r.Err()
 }
 
@@ -116,38 +97,28 @@ func (m *UpdateSizeReq) DecodeFrom(r *wire.Reader) error {
 // Server.
 //
 
-// nsEntry is one namespace record. For files, Size is the monotonic
-// cached size reported by appenders; the BLOB's published size is
-// authoritative.
-type nsEntry struct {
-	isDir    bool
-	blob     uint64
-	pageSize uint64
-	size     uint64
-}
-
 // NamespaceManager is BSFS's centralized namespace manager. It owns the
 // file-system tree and the file→BLOB mapping; BLOBs are created through
 // the version manager on demand.
 //
 // With a journal path the namespace is durable: every entry mutation
-// (create, mkdir, size update, rename, delete) is persisted to a kvlog
-// store — keyed "e/<path>", write-ahead under ns.mu — before it is
-// acknowledged, and a restart replays the store into the map. The store
-// is the live mapping, not an op log, so replay is a plain scan and
-// size-update churn is bounded by compaction.
+// (create, mkdir, rename, delete) is persisted to a kvlog store — keyed
+// "e/<path>", write-ahead under ns.mu — before it is acknowledged, and
+// a restart replays the store into the map. The store is the live
+// mapping, not an op log, so replay is a plain scan.
 type NamespaceManager struct {
 	srv *rpc.Server
 	bc  *blob.Client // for creating BLOBs
 
 	mu      sync.Mutex
-	entries map[string]*nsEntry
+	entries map[string]*EntryResp
 	kv      *kvlog.Store // nil: in-memory namespace
 }
 
-// nsCompactThreshold is the journal dead-bytes bound: every UpdateSize
-// overwrites the file's record, so an append-heavy workload churns the
-// store and a restart should not replay that churn.
+// nsCompactThreshold is the journal dead-bytes bound: a rename or a
+// delete leaves the old record and a tombstone behind, so a namespace
+// that cycles through temporary files (every Map/Reduce job's) churns
+// the store, and a restart should not replay that churn.
 const nsCompactThreshold = 1 << 20
 
 // NewNamespaceManager starts a namespace manager at addr journaling to
@@ -156,7 +127,7 @@ const nsCompactThreshold = 1 << 20
 func NewNamespaceManager(net transport.Network, addr transport.Addr, bc *blob.Client, journalPath string) (*NamespaceManager, error) {
 	ns := &NamespaceManager{
 		bc:      bc,
-		entries: map[string]*nsEntry{"/": {isDir: true}},
+		entries: map[string]*EntryResp{"/": {IsDir: true}},
 	}
 	if journalPath != "" {
 		kv, err := kvlog.Open(journalPath, kvlog.Options{})
@@ -167,12 +138,9 @@ func NewNamespaceManager(net transport.Network, addr transport.Addr, bc *blob.Cl
 			if !strings.HasPrefix(key, "e/") {
 				return nil
 			}
-			e, err := decodeNSEntry(value)
-			if err != nil {
-				return err
-			}
+			e := new(EntryResp)
 			ns.entries[key[2:]] = e
-			return nil
+			return e.DecodeFrom(wire.NewReader(value))
 		})
 		if err != nil {
 			kv.Close()
@@ -190,7 +158,6 @@ func NewNamespaceManager(net transport.Network, addr transport.Addr, bc *blob.Cl
 	ns.srv = srv
 	srv.Handle(NSCreate, ns.handleCreate)
 	srv.Handle(NSLookup, ns.handleLookup)
-	srv.Handle(NSUpdateSize, ns.handleUpdateSize)
 	srv.Handle(NSList, ns.handleList)
 	srv.Handle(NSRename, ns.handleRename)
 	srv.Handle(NSDelete, ns.handleDelete)
@@ -249,31 +216,13 @@ func (ns *NamespaceManager) Close() error {
 	return err
 }
 
-func encodeNSEntry(e *nsEntry) []byte {
-	b := wire.AppendBool(nil, e.isDir)
-	b = wire.AppendUvarint(b, e.blob)
-	b = wire.AppendUvarint(b, e.pageSize)
-	return wire.AppendUvarint(b, e.size)
-}
-
-func decodeNSEntry(data []byte) (*nsEntry, error) {
-	r := wire.NewReader(data)
-	e := &nsEntry{
-		isDir:    r.Bool(),
-		blob:     r.Uvarint(),
-		pageSize: r.Uvarint(),
-		size:     r.Uvarint(),
-	}
-	return e, r.Err()
-}
-
 // logPutLocked persists path→e write-ahead; on error the caller must
 // not mutate the map. Caller holds ns.mu.
-func (ns *NamespaceManager) logPutLocked(path string, e *nsEntry) error {
+func (ns *NamespaceManager) logPutLocked(path string, e *EntryResp) error {
 	if ns.kv == nil {
 		return nil
 	}
-	if err := ns.kv.Put("e/"+path, encodeNSEntry(e)); err != nil {
+	if err := ns.kv.Put("e/"+path, e.AppendTo(nil)); err != nil {
 		return err
 	}
 	ns.maybeCompactLocked()
@@ -293,13 +242,9 @@ func (ns *NamespaceManager) logDeleteLocked(path string) error {
 }
 
 func (ns *NamespaceManager) maybeCompactLocked() {
-	total, live := ns.kv.Size()
-	if total-live >= nsCompactThreshold {
-		// Best effort: a failed compaction leaves a bigger but intact
-		// journal.
-		if err := ns.kv.Compact(); err != nil {
-			obs.Log.Warnf("bsfs: namespace journal compaction: %v", err)
-		}
+	// Best effort: a failed compaction leaves a bigger but intact journal.
+	if _, err := ns.kv.CompactIfDead(nsCompactThreshold); err != nil {
+		obs.Log.Warnf("bsfs: namespace journal compaction: %v", err)
 	}
 }
 
@@ -312,14 +257,14 @@ func (ns *NamespaceManager) mkdirAllLocked(dir string) error {
 		}
 		e, ok := ns.entries[p]
 		if !ok {
-			d := &nsEntry{isDir: true}
+			d := &EntryResp{IsDir: true}
 			if err := ns.logPutLocked(p, d); err != nil {
 				return err
 			}
 			ns.entries[p] = d
 			continue
 		}
-		if !e.isDir {
+		if !e.IsDir {
 			return dfs.ErrNotDir
 		}
 	}
@@ -342,13 +287,13 @@ func (ns *NamespaceManager) handleCreate(r *wire.Reader) (wire.Marshaler, error)
 	ns.mu.Lock()
 	if e, ok := ns.entries[path]; ok {
 		defer ns.mu.Unlock()
-		if e.isDir {
+		if e.IsDir {
 			return nil, dfs.ErrIsDir
 		}
 		if req.Exclusive {
 			return nil, dfs.ErrExists
 		}
-		return &EntryResp{Blob: e.blob, PageSize: e.pageSize, Size: e.size}, nil
+		return e, nil
 	}
 	if err := ns.mkdirAllLocked(dfs.Parent(path)); err != nil {
 		ns.mu.Unlock()
@@ -368,20 +313,18 @@ func (ns *NamespaceManager) handleCreate(r *wire.Reader) (wire.Marshaler, error)
 	ns.mu.Lock()
 	if e, ok := ns.entries[path]; ok {
 		// Lost a create race; the other BLOB wins. Retire ours through
-		// the garbage collector instead of leaking it. Copy the winner's
-		// fields under the lock — concurrent NSUpdateSize writes e.size.
-		resp := EntryResp{Blob: e.blob, PageSize: e.pageSize, Size: e.size, IsDir: e.isDir}
+		// the garbage collector instead of leaking it.
 		ns.mu.Unlock()
 		ns.deleteBlobDetached(bl.ID())
-		if resp.IsDir {
+		if e.IsDir {
 			return nil, dfs.ErrIsDir
 		}
 		if req.Exclusive {
 			return nil, dfs.ErrExists
 		}
-		return &resp, nil
+		return e, nil
 	}
-	e := &nsEntry{blob: bl.ID(), pageSize: req.PageSize}
+	e := &EntryResp{Blob: bl.ID(), PageSize: req.PageSize}
 	if err := ns.logPutLocked(path, e); err != nil {
 		ns.mu.Unlock()
 		ns.deleteBlobDetached(bl.ID())
@@ -389,7 +332,7 @@ func (ns *NamespaceManager) handleCreate(r *wire.Reader) (wire.Marshaler, error)
 	}
 	ns.entries[path] = e
 	ns.mu.Unlock()
-	return &EntryResp{Blob: bl.ID(), PageSize: req.PageSize}, nil
+	return e, nil
 }
 
 // deleteBlobDetached retires a BLOB in the background, on a context
@@ -422,36 +365,7 @@ func (ns *NamespaceManager) handleLookup(r *wire.Reader) (wire.Marshaler, error)
 	if !ok {
 		return nil, dfs.ErrNotExist
 	}
-	return &EntryResp{Blob: e.blob, PageSize: e.pageSize, Size: e.size, IsDir: e.isDir}, nil
-}
-
-func (ns *NamespaceManager) handleUpdateSize(r *wire.Reader) (wire.Marshaler, error) {
-	var req UpdateSizeReq
-	if err := req.DecodeFrom(r); err != nil {
-		return nil, err
-	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	e, ok := ns.entries[path]
-	if !ok {
-		return nil, dfs.ErrNotExist
-	}
-	if e.isDir {
-		return nil, dfs.ErrIsDir
-	}
-	if req.Size > e.size {
-		old := e.size
-		e.size = req.Size
-		if err := ns.logPutLocked(path, e); err != nil {
-			e.size = old
-			return nil, err
-		}
-	}
-	return nil, nil
+	return e, nil
 }
 
 func (ns *NamespaceManager) handleList(r *wire.Reader) (wire.Marshaler, error) {
@@ -469,7 +383,7 @@ func (ns *NamespaceManager) handleList(r *wire.Reader) (wire.Marshaler, error) {
 	if !ok {
 		return nil, dfs.ErrNotExist
 	}
-	if !e.isDir {
+	if !e.IsDir {
 		return nil, dfs.ErrNotDir
 	}
 	prefix := dir
@@ -484,13 +398,7 @@ func (ns *NamespaceManager) handleList(r *wire.Reader) (wire.Marshaler, error) {
 		if strings.ContainsRune(p[len(prefix):], '/') {
 			continue // not a direct child
 		}
-		blocks := uint64(0)
-		if ent.pageSize > 0 {
-			blocks = (ent.size + ent.pageSize - 1) / ent.pageSize
-		}
-		resp.Infos = append(resp.Infos, dfs.FileInfo{
-			Path: p, IsDir: ent.isDir, Size: ent.size, Blocks: blocks,
-		})
+		resp.Infos = append(resp.Infos, dfs.FileInfo{Path: p, IsDir: ent.IsDir})
 	}
 	sort.Slice(resp.Infos, func(i, j int) bool { return resp.Infos[i].Path < resp.Infos[j].Path })
 	return &resp, nil
@@ -515,10 +423,10 @@ func (ns *NamespaceManager) handleRename(r *wire.Reader) (wire.Marshaler, error)
 	if !ok {
 		return nil, dfs.ErrNotExist
 	}
-	if e.isDir {
+	if e.IsDir {
 		return nil, dfs.ErrIsDir
 	}
-	if d, ok := ns.entries[dst]; ok && d.isDir {
+	if d, ok := ns.entries[dst]; ok && d.IsDir {
 		return nil, dfs.ErrIsDir
 	}
 	if err := ns.mkdirAllLocked(dfs.Parent(dst)); err != nil {
@@ -556,7 +464,7 @@ func (ns *NamespaceManager) handleDelete(r *wire.Reader) (wire.Marshaler, error)
 		ns.mu.Unlock()
 		return nil, dfs.ErrNotExist
 	}
-	isDir, blobID := e.isDir, e.blob
+	isDir, blobID := e.IsDir, e.Blob
 	if isDir {
 		prefix := path + "/"
 		for p := range ns.entries {

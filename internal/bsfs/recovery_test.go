@@ -88,3 +88,83 @@ func TestNamespaceRecoversFromJournal(t *testing.T) {
 		t.Fatalf("List after recovery = %+v, %v", ls, err)
 	}
 }
+
+// TestWriterNeedsNamespaceOnlyToOpen: once open, a writer talks to
+// BlobSeer alone, so nothing that happens to the file's name, or to the
+// namespace manager, fails appends the version manager has acked.
+func TestWriterNeedsNamespaceOnlyToOpen(t *testing.T) {
+	const block = 256
+	first, second := pattern(1, 2*block+40), pattern(2, 3*block)
+	// write sends p as whole runs and a flushed tail.
+	write := func(t *testing.T, w dfs.FileWriter, p []byte) {
+		t.Helper()
+		if _, err := w.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.(dfs.Flusher).Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readBack := func(t *testing.T, fs *FS, path string) {
+		t.Helper()
+		got, err := dfs.ReadAll(ctx, fs, path)
+		if want := append(first[:len(first):len(first)], second...); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s reads back %d bytes (%v), want the %d written", path, len(got), err, len(want))
+		}
+	}
+
+	t.Run("file renamed mid-write", func(t *testing.T) {
+		fs := mount(t, newDeployment(t, block), "cli")
+		w, err := fs.Create(ctx, "/attempt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(t, w, first)
+		if err := fs.Rename(ctx, "/attempt", "/committed"); err != nil {
+			t.Fatal(err)
+		}
+		write(t, w, second)
+		if err := w.Close(); err != nil {
+			t.Fatalf("Close after the file was renamed: %v", err)
+		}
+		readBack(t, fs, "/committed")
+	})
+
+	t.Run("namespace manager stopped mid-write", func(t *testing.T) {
+		cluster, err := blob.NewCluster(transport.NewMemNet(), blob.ClusterConfig{
+			Providers: 6, MetaProviders: 3, JournalDir: t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		d, err := Deploy(cluster, DeployConfig{Tuning: Tuning{BlockSize: block}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := d.Mount("cli")
+		defer fs.Close()
+		w, err := fs.Create(ctx, "/log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(t, w, first)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Stat(ctx, "/log"); err == nil {
+			t.Fatal("Stat answered with the namespace manager stopped")
+		}
+		write(t, w, second)
+		if err := w.Close(); err != nil {
+			t.Fatalf("Close with the namespace manager stopped: %v", err)
+		}
+
+		d2, err := Deploy(cluster, DeployConfig{Tuning: Tuning{BlockSize: block}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d2.Close()
+		readBack(t, mount(t, d2, "cli-2"), "/log")
+	})
+}

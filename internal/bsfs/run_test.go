@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 
 	"blobseer/internal/blob"
@@ -92,9 +93,20 @@ func TestRunRule(t *testing.T) {
 	}
 }
 
+// nsCalls sums the client-side calls of every namespace-manager method
+// between two snapshots of the RPC client table.
+func nsCalls(before, after map[string]metrics.MethodSnapshot) (n uint64) {
+	for name, m := range after {
+		if strings.HasPrefix(name, "ns.") {
+			n += m.Calls - before[name].Calls
+		}
+	}
+	return n
+}
+
 // TestRunIsOneAppend counts the client-side calls of one 4-block Write
 // and its Flush: the run costs what one append costs, plus a put per
-// page.
+// page, and none of it goes to the namespace manager.
 func TestRunIsOneAppend(t *testing.T) {
 	const block = 256
 	d := newDeployment(t, block)
@@ -109,7 +121,7 @@ func TestRunIsOneAppend(t *testing.T) {
 	want := []struct {
 		m     rpc.Method
 		calls uint64
-	}{{blob.VMAssign, 1}, {blob.VMComplete, 1}, {blob.PMAlloc, 1}, {blob.ProvPutPage, 4}, {NSUpdateSize, 1}}
+	}{{blob.VMAssign, 1}, {blob.VMComplete, 1}, {blob.PMAlloc, 1}, {blob.ProvPutPage, 4}}
 	before := metrics.Default.RPCClient.Snapshot()
 	if _, err := w.Write(pattern(1, 4*block)); err != nil {
 		t.Fatal(err)
@@ -123,12 +135,16 @@ func TestRunIsOneAppend(t *testing.T) {
 			t.Errorf("%s: %d calls for a 4-block Write and Flush, want %d", c.m.Name, got, c.calls)
 		}
 	}
+	if got := nsCalls(before, after); got != 0 {
+		t.Errorf("%d namespace-manager calls for a 4-block Write and Flush, want 0", got)
+	}
 }
 
 // TestRecordIsOneAppend counts the client-side calls of a 1000-byte
 // Write and its Flush onto a file that ends mid-block: an unaligned
 // append is the calls of any append and one put of its own bytes —
-// it waits for no other version and reads nothing back.
+// it waits for no other version, reads nothing back and never visits
+// the namespace manager.
 func TestRecordIsOneAppend(t *testing.T) {
 	const block = 4096
 	d := newDeployment(t, block)
@@ -153,7 +169,7 @@ func TestRecordIsOneAppend(t *testing.T) {
 	want := []struct {
 		m     rpc.Method
 		calls uint64
-	}{{blob.VMAssign, 1}, {blob.PMAlloc, 1}, {blob.ProvPutPage, 1}, {blob.VMComplete, 1}, {NSUpdateSize, 1},
+	}{{blob.VMAssign, 1}, {blob.PMAlloc, 1}, {blob.ProvPutPage, 1}, {blob.VMComplete, 1},
 		{blob.VMWaitPublished, 0}, {blob.ProvGetPage, 0}}
 	before := metrics.Default.RPCClient.Snapshot()
 	stored := d.Blob.ProviderBytes()
@@ -163,6 +179,9 @@ func TestRecordIsOneAppend(t *testing.T) {
 		if got := after[c.m.Name].Calls - before[c.m.Name].Calls; got != c.calls {
 			t.Errorf("%s: %d calls for a 1000-byte Write and Flush, want %d", c.m.Name, got, c.calls)
 		}
+	}
+	if got := nsCalls(before, after); got != 0 {
+		t.Errorf("%d namespace-manager calls for a 1000-byte Write and Flush, want 0", got)
 	}
 	if got := d.Blob.ProviderBytes() - stored; got != 1000 {
 		t.Errorf("the record stored %d bytes, want its own 1000", got)

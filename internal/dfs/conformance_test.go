@@ -135,8 +135,8 @@ func TestConformanceNamespace(t *testing.T) {
 			t.Errorf("duplicate create: %v", err)
 		}
 		// List ordering is lexicographic.
-		for _, n := range []string{"/a/z", "/a/m", "/a/k"} {
-			if err := dfs.WriteFile(ctx, fs, n, nil); err != nil {
+		for i, n := range []string{"/a/z", "/a/m", "/a/k"} {
+			if err := dfs.WriteFile(ctx, fs, n, confPattern(3, i*1500)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -147,6 +147,10 @@ func TestConformanceNamespace(t *testing.T) {
 		var names []string
 		for _, fi := range infos {
 			names = append(names, fi.Path)
+			// A file's List entry is its Stat.
+			if st, err := fs.Stat(ctx, fi.Path); !fi.IsDir && (err != nil || fi != st) {
+				t.Errorf("List entry %+v, Stat %+v, %v", fi, st, err)
+			}
 		}
 		want := []string{"/a/b", "/a/k", "/a/m", "/a/z"}
 		if len(names) != len(want) {

@@ -59,10 +59,9 @@ type FileInfo struct {
 	Blocks uint64
 	// Version is the file's latest published snapshot version on
 	// backends that support versioned access (0 on backends that do
-	// not, and in List results, whose sizes come from the namespace
-	// cache rather than the version store). Stat on a versioned
-	// backend fills it, so "Stat then OpenVersion" pins exactly the
-	// snapshot whose Size was observed.
+	// not). Stat and List on a versioned backend fill it, so "Stat
+	// then OpenVersion" pins exactly the snapshot whose Size was
+	// observed.
 	Version uint64
 }
 

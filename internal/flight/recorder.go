@@ -137,13 +137,9 @@ func (r *Recorder) Append(ev Event) error {
 		r.oldest++
 		r.count--
 	}
-	if total, live := r.store.Size(); total-live > r.opts.CompactSlack {
-		//lint:lockhold compaction rewrites the log file; appends racing it would write into the pre-rename fd
-		if err := r.store.Compact(); err != nil {
-			return err
-		}
-	}
-	return nil
+	//lint:lockhold compaction rewrites the log file; appends racing it would write into the pre-rename fd
+	_, err = r.store.CompactIfDead(r.opts.CompactSlack)
+	return err
 }
 
 // RecordTrace persists a sampled span tree.

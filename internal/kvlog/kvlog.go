@@ -424,6 +424,20 @@ func (s *Store) Sync() error {
 	return s.f.Sync()
 }
 
+// CompactIfDead compacts the log once its dead bytes (Size's total
+// minus live) have reached threshold, and reports whether it did: the
+// check every journal on a Store makes after the writes that leave dead
+// bytes behind.
+func (s *Store) CompactIfDead(threshold int64) (bool, error) {
+	if total, live := s.Size(); total-live < threshold {
+		return false, nil
+	}
+	if err := s.Compact(); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
 // Compact rewrites the log keeping only live records, then atomically
 // replaces the old file. Concurrent reads and writes are excluded for
 // the duration (provider compaction runs off the hot path).

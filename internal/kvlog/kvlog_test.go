@@ -243,9 +243,16 @@ func TestCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, _ := s.Size()
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
+	before, live := s.Size()
+	dead := before - live
+	if did, err := s.CompactIfDead(dead + 1); did || err != nil {
+		t.Fatalf("CompactIfDead(%d) with %d dead bytes = %v, %v; want no compaction", dead+1, dead, did, err)
+	}
+	if total, _ := s.Size(); total != before {
+		t.Errorf("log size %d after a declined compaction, want %d", total, before)
+	}
+	if did, err := s.CompactIfDead(dead); !did || err != nil {
+		t.Fatalf("CompactIfDead(%d) with %d dead bytes = %v, %v; want a compaction", dead, dead, did, err)
 	}
 	after, live := s.Size()
 	if after >= before {

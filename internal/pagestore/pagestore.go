@@ -236,15 +236,8 @@ func (d *Durable) MaybeCompact() (bool, error) {
 	if d.compactThreshold < 0 {
 		return false, nil
 	}
-	total, live := d.log.Size()
-	if total-live < d.compactThreshold {
-		return false, nil
-	}
 	//lint:lockhold compaction rewrites the log file and must exclude concurrent writers; d.mu is the write serializer
-	if err := d.log.Compact(); err != nil {
-		return false, err
-	}
-	return true, nil
+	return d.log.CompactIfDead(d.compactThreshold)
 }
 
 // AutoCompacter is implemented by engines whose deletions leave dead
