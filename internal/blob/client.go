@@ -95,6 +95,10 @@ type Client struct {
 	// AppendAsync pipelining depth, exported as a gauge.
 	inflight atomic.Int64
 
+	// lease holds the page placements the provider manager has granted
+	// this client ahead of its writes; see allocPages.
+	lease placementLease
+
 	// pageWork feeds reusable page-transfer workers (started on first
 	// use); see forEachPage. pageQuit stops them at Close.
 	pageWork  chan pageTask
@@ -169,13 +173,20 @@ func (c *Client) PageCache() *cache.Cache { return c.pages }
 func (c *Client) InFlight() int64 { return c.inflight.Load() }
 
 // Close releases the client's connections, stops its page workers, and
-// hands its read counters' final values to the process registry.
+// hands its read counters' final values to the process registry. It
+// returns once a placement-lease refill in flight has ended, which
+// closing the connections makes prompt.
 func (c *Client) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.pageQuit)
 		metrics.Default.ReleaseReadStats(c.rstats)
 	})
-	return c.pool.Close()
+	c.lease.mu.Lock()
+	c.lease.closed = true
+	c.lease.mu.Unlock()
+	err := c.pool.Close()
+	c.lease.refills.Wait()
+	return err
 }
 
 // VMRouter exposes the client's blob→shard router, so co-operating
@@ -493,8 +504,8 @@ type WriteResult struct {
 
 // PendingWrite is an in-flight write whose version has already been
 // assigned: the serialized step is done, and the data path (boundary
-// merges, provider allocation, page writes, metadata commit,
-// completion) runs in the background.
+// merges, page writes, metadata commit, completion) runs in the
+// background.
 type PendingWrite struct {
 	res  WriteResult
 	err  error
@@ -575,9 +586,8 @@ func (b *Blob) Append(ctx context.Context, data []byte) (WriteResult, error) {
 // §3.1.2's decoupling makes safe: only version assignment is ordered,
 // so one writer can keep several appends in flight while publication
 // still follows assignment order. However many pages it carries, an
-// append is one version, one provider allocation and one metadata
-// commit. The caller must not modify the buffers until the pending
-// write finishes.
+// append is one version and one metadata commit. The caller must not
+// modify the buffers until the pending write finishes.
 func (b *Blob) AppendAsync(ctx context.Context, pages [][]byte) (*PendingWrite, error) {
 	data := payload(pages)
 	n := data.len()
@@ -644,13 +654,14 @@ func (b *Blob) write(ctx context.Context, kind uint64, off uint64, data payload)
 }
 
 // assign runs the prologue every write shares, for a write of n bytes:
-// version assignment — the only serialized step — folding the history
-// delta into the cache, then provider allocation for the assigned pages
-// (steps 1 and 3). Allocating here, before anything overlaps, keeps a
-// writer's consecutive writes in allocation order (and so placement
-// strategies like round-robin keep their stride). What assign returns
-// is what finishWrite takes.
-func (b *Blob) assign(ctx context.Context, kind, off, n uint64) (AssignResp, []segtree.WriteRecord, *AllocResp, error) {
+// version assignment — the only serialized step, and the prologue's only
+// round trip — folding the history delta into the cache, then the
+// providers of the assigned pages, taken from the client's placement
+// lease (steps 1 and 3). Taking them here, before anything overlaps,
+// keeps a writer's consecutive writes on consecutive rows of the lease
+// (and so placement strategies like round-robin keep their stride). What
+// assign returns is what finishWrite takes.
+func (b *Blob) assign(ctx context.Context, kind, off, n uint64) (AssignResp, []segtree.WriteRecord, []string, error) {
 	var a AssignResp
 	if n == 0 {
 		return a, nil, nil, ErrEmptyWrite
@@ -661,9 +672,9 @@ func (b *Blob) assign(ctx context.Context, kind, off, n uint64) (AssignResp, []s
 		return a, nil, nil, fmt.Errorf("blob: assign: %w", err)
 	}
 	history, err := c.mergeHistory(b.id, a.History, a.Record)
-	var alloc *AllocResp
+	var alloc []string
 	if err == nil {
-		alloc, err = b.allocPages(ctx, a, n)
+		alloc, err = c.allocPages(ctx, a.Record.N)
 	}
 	if err != nil {
 		// The version is already assigned; seal it so the publication
@@ -674,36 +685,119 @@ func (b *Blob) assign(ctx context.Context, kind, off, n uint64) (AssignResp, []s
 	return a, history, alloc, nil
 }
 
-// allocPages runs step 3 of the write pipeline: provider allocation
-// for the assigned page interval of an n-byte write. It depends only on
-// the assignment, never on the content.
-func (b *Blob) allocPages(ctx context.Context, a AssignResp, n uint64) (*AllocResp, error) {
-	c := b.c
-	ps := b.pageSize
-	rec := a.Record
-	pageBase := rec.Off*ps + rec.Head
-	writeEnd := a.Start + n
-	recEnd := (rec.Off + rec.N) * ps
-	contentEnd := maxU64(writeEnd, minU64(recEnd, a.PrevSize))
+// leasePages is how many page placements a client asks the provider
+// manager for at a time, ahead of the writes that will use them: eight
+// round-robin cycles of eight providers. A refill starts when fewer than
+// half are left, so its round trip has 32 pages of writing to hide
+// behind.
+const leasePages = 64
 
-	alloc := new(AllocResp)
-	err := c.pool.Call(ctx, c.cfg.ProviderManager, PMAlloc, &AllocReq{
-		Blob:     b.id,
-		NPages:   rec.N,
-		Replicas: uint64(c.cfg.PageReplicas),
-		Bytes:    contentEnd - pageBase,
-	}, alloc)
-	if err != nil {
+// placementLease is a client's standing grant of page placements. Where
+// a page goes depends on neither its content nor, under any strategy the
+// provider manager has, its BLOB, so the client asks before it writes
+// and a write finds its providers already here. A row is handed to one
+// page and never again; the rows a write took stay readable through its
+// window while later grants are appended behind them.
+type placementLease struct {
+	mu        sync.Mutex
+	replicas  int            // providers per row, as the manager granted them
+	rows      []string       // row-major; granted and not yet handed to a write
+	refilling bool           // a background refill is in flight
+	closed    bool           // Close ran: start no refill
+	refills   sync.WaitGroup // the refill in flight, for Close to wait on
+}
+
+// grant adds a response's rows to the lease. Rows of another width (the
+// manager clamps replicas to the providers it knows, and providers
+// register while clients run) replace the ones held instead of joining
+// them.
+func (l *placementLease) grant(resp *AllocResp) {
+	if int(resp.Replicas) != l.replicas {
+		l.replicas, l.rows = int(resp.Replicas), nil
+	}
+	l.rows = append(l.rows, resp.Providers...)
+}
+
+// allocPages runs step 3 of the write pipeline, the providers of an
+// assigned write's n pages, and in the steady state makes no call: it
+// takes the next n rows of the lease, as a read-only window of the
+// lease's own slice, and when that leaves fewer than half a lease it
+// starts one refill in the background. Only a cold lease, or one that
+// writes drained faster than the refill answered, calls the provider
+// manager on the write's path, for the write's pages and a lease in one
+// call.
+func (c *Client) allocPages(ctx context.Context, n uint64) ([]string, error) {
+	if n == 0 {
+		return nil, errors.New("blob: alloc of zero pages")
+	}
+	l := &c.lease
+	l.mu.Lock()
+	for l.replicas == 0 || uint64(len(l.rows)) < n*uint64(l.replicas) {
+		l.mu.Unlock()
+		resp, err := c.pmAlloc(ctx, n+leasePages)
+		if err != nil {
+			return nil, err
+		}
+		l.mu.Lock()
+		l.grant(resp)
+	}
+	k := int(n) * l.replicas
+	rows := l.rows[:k:k]
+	l.rows = l.rows[k:]
+	refill := len(l.rows) < leasePages/2*l.replicas && !l.refilling && !l.closed
+	if refill {
+		l.refilling = true
+		l.refills.Add(1)
+	}
+	l.mu.Unlock()
+	if refill {
+		go c.refillLease()
+	}
+	return rows, nil
+}
+
+// refillLease asks for the next lease off every write's path. A failed
+// refill is retried by the next write that finds the lease low, and the
+// write that finds it empty reports the error.
+func (c *Client) refillLease() {
+	l := &c.lease
+	defer l.refills.Done()
+	//lint:detached the refill serves the writes after the one that started it, whose ctx may be dead by then; the 30s deadline bounds it and Close waits for it
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	resp, err := c.pmAlloc(ctx, leasePages)
+	l.mu.Lock()
+	if err == nil {
+		l.grant(resp)
+	}
+	l.refilling = false
+	closed := l.closed
+	l.mu.Unlock()
+	if err != nil && !closed {
+		obs.Log.Warnf("blob: placement lease refill failed, the next write retries it: %v", err)
+	}
+}
+
+// pmAlloc asks the provider manager where n pages go: the one call a
+// client makes to it, from the lease's two refill sites.
+func (c *Client) pmAlloc(ctx context.Context, n uint64) (*AllocResp, error) {
+	resp := new(AllocResp)
+	req := &AllocReq{NPages: n, Replicas: uint64(c.cfg.PageReplicas)}
+	if err := c.pool.Call(ctx, c.cfg.ProviderManager, PMAlloc, req, resp); err != nil {
 		return nil, fmt.Errorf("blob: alloc: %w", err)
 	}
-	return alloc, nil
+	if resp.Replicas == 0 || uint64(len(resp.Providers)) != n*resp.Replicas {
+		return nil, fmt.Errorf("blob: alloc returned %d providers for %d pages", len(resp.Providers), n)
+	}
+	return resp, nil
 }
 
 // finishWrite runs the data path of the write pipeline — boundary
 // merges, page transfers, metadata commit, completion (steps 2, 4-6) —
-// for a write whose providers alloc names. Whichever step fails, the
-// version is aborted so the publication chain moves on.
-func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.WriteRecord, data payload, alloc *AllocResp) error {
+// for a write whose providers alloc names, row-major, its length a
+// whole number of rows. Whichever step fails, the version is aborted so
+// the publication chain moves on.
+func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.WriteRecord, data payload, alloc []string) error {
 	c := b.c
 	ps := b.pageSize
 	rec := a.Record
@@ -713,12 +807,6 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 	headHi := minU64(a.Start, a.PrevSize)
 	tailHi := minU64(recEnd, a.PrevSize)
 	contentEnd := maxU64(writeEnd, tailHi)
-
-	r := int(alloc.Replicas)
-	if uint64(len(alloc.Providers)) != rec.N*uint64(r) {
-		b.abortDetached(a.Ver)
-		return fmt.Errorf("blob: alloc returned %d providers for %d pages", len(alloc.Providers), rec.N)
-	}
 
 	// 2. Boundary merges. A write that lands inside existing bytes — an
 	// overwrite that starts or ends mid-page, or the append told to
@@ -767,6 +855,7 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 	}
 
 	// 4. Parallel page writes.
+	r := uint64(len(alloc)) / rec.N // replicas per page
 	pctx, psp := obs.StartSpan(ctx, "write.pages")
 	if psp != nil {
 		psp.Annotate("pages=%d replicas=%d", rec.N, r)
@@ -774,7 +863,7 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 	refs := make([]segtree.PageRef, rec.N)
 	err = c.forEachPage(rec.N, func(i uint64) error {
 		key := pagestore.Key{Blob: b.id, Version: a.Ver, Index: rec.Off + i}
-		replicas := alloc.Providers[i*uint64(r) : (i+1)*uint64(r)]
+		replicas := alloc[i*r : (i+1)*r]
 		var ok []string
 		var lastErr error
 		for _, addr := range replicas {

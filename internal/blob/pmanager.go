@@ -11,16 +11,19 @@ import (
 	"blobseer/internal/wire"
 )
 
-// Strategy decides which providers receive the pages of one write.
+// Strategy decides which providers receive the pages of one allocation.
 // Implementations are called under the provider manager's lock and must
 // not block.
 type Strategy interface {
 	// Name identifies the strategy in configs and experiment output.
 	Name() string
-	// Pick returns, for each of nPages pages, `replicas` distinct
-	// provider indices into the providers slice. loads[i] is the byte
-	// load already assigned to providers[i] (strategies may ignore it).
-	Pick(nPages, replicas int, providers []string, loads []uint64) [][]int
+	// Pick returns `replicas` distinct provider indices into the
+	// providers slice for each of nPages pages, as one row-major slice:
+	// page i's providers are [i*replicas, (i+1)*replicas). loads[i] is
+	// how many pages have been leased onto providers[i] (strategies may
+	// ignore it); it runs ahead of the pages the provider stores by what
+	// clients hold and have not written yet, about one lease each.
+	Pick(nPages, replicas int, providers []string, loads []uint64) []int
 }
 
 // RoundRobin spreads consecutive pages over consecutive providers. It
@@ -32,16 +35,14 @@ type RoundRobin struct{ next int }
 func (s *RoundRobin) Name() string { return "roundrobin" }
 
 // Pick implements Strategy.
-func (s *RoundRobin) Pick(nPages, replicas int, providers []string, loads []uint64) [][]int {
-	out := make([][]int, nPages)
+func (s *RoundRobin) Pick(nPages, replicas int, providers []string, loads []uint64) []int {
+	out := make([]int, 0, nPages*replicas)
 	p := len(providers)
-	for i := range out {
-		row := make([]int, replicas)
-		for j := range row {
-			row[j] = (s.next + j) % p
+	for i := 0; i < nPages; i++ {
+		for j := 0; j < replicas; j++ {
+			out = append(out, (s.next+j)%p)
 		}
 		s.next = (s.next + 1) % p
-		out[i] = row
 	}
 	return out
 }
@@ -60,52 +61,45 @@ func NewRandomK(seed int64) *RandomK {
 func (s *RandomK) Name() string { return "random" }
 
 // Pick implements Strategy.
-func (s *RandomK) Pick(nPages, replicas int, providers []string, loads []uint64) [][]int {
-	out := make([][]int, nPages)
+func (s *RandomK) Pick(nPages, replicas int, providers []string, loads []uint64) []int {
+	out := make([]int, 0, nPages*replicas)
 	p := len(providers)
-	for i := range out {
-		row := make([]int, 0, replicas)
-		seen := make(map[int]bool, replicas)
-		for len(row) < replicas {
-			c := s.rng.Intn(p)
-			if !seen[c] {
-				seen[c] = true
-				row = append(row, c)
+	for i := 0; i < nPages; i++ {
+		for len(out) < (i+1)*replicas {
+			if c := s.rng.Intn(p); !contains(out[i*replicas:], c) {
+				out = append(out, c)
 			}
 		}
-		out[i] = row
 	}
 	return out
 }
 
-// LeastLoaded assigns each page to the providers with the least bytes
-// allocated so far.
+// LeastLoaded assigns each page to the providers with the fewest pages
+// leased so far.
 type LeastLoaded struct{}
 
 // Name implements Strategy.
 func (s *LeastLoaded) Name() string { return "leastloaded" }
 
 // Pick implements Strategy.
-func (s *LeastLoaded) Pick(nPages, replicas int, providers []string, loads []uint64) [][]int {
+func (s *LeastLoaded) Pick(nPages, replicas int, providers []string, loads []uint64) []int {
 	// Work on a copy so intra-call assignments influence later pages.
 	l := append([]uint64(nil), loads...)
-	out := make([][]int, nPages)
-	for i := range out {
-		row := make([]int, 0, replicas)
-		for len(row) < replicas {
+	out := make([]int, 0, nPages*replicas)
+	for i := 0; i < nPages; i++ {
+		for len(out) < (i+1)*replicas {
 			best := -1
 			for c := range l {
-				if contains(row, c) {
+				if contains(out[i*replicas:], c) {
 					continue
 				}
 				if best < 0 || l[c] < l[best] {
 					best = c
 				}
 			}
-			row = append(row, best)
-			l[best]++ // placeholder unit; real bytes added by the manager
+			out = append(out, best)
+			l[best]++
 		}
-		out[i] = row
 	}
 	return out
 }
@@ -121,7 +115,9 @@ func contains(s []int, v int) bool {
 
 // ProviderManager is BlobSeer's provider manager (§3.1.1): providers
 // register with it, and writers ask it which providers should store
-// each page, "aiming at load-balancing".
+// each page, "aiming at load-balancing". A writer asks ahead of its
+// writes, a lease of pages at a time (Client.allocPages), so the
+// manager balances pages, the one unit both sides know in advance.
 type ProviderManager struct {
 	srv      *rpc.Server
 	strategy Strategy
@@ -129,7 +125,7 @@ type ProviderManager struct {
 	mu        sync.Mutex
 	providers []string
 	index     map[string]int
-	loads     []uint64 // bytes assigned per provider
+	loads     []uint64 // pages leased per provider
 }
 
 // NewProviderManager starts a provider manager at addr using the given
@@ -201,23 +197,17 @@ func (pm *ProviderManager) handleAlloc(r *wire.Reader) (wire.Marshaler, error) {
 	if replicas > len(pm.providers) {
 		replicas = len(pm.providers)
 	}
-	rows := pm.strategy.Pick(int(req.NPages), replicas, pm.providers, pm.loads)
-	if len(rows) != int(req.NPages) {
-		return nil, fmt.Errorf("blob: strategy returned %d rows for %d pages", len(rows), req.NPages)
+	picks := pm.strategy.Pick(int(req.NPages), replicas, pm.providers, pm.loads)
+	if len(picks) != int(req.NPages)*replicas {
+		return nil, fmt.Errorf("blob: strategy returned %d providers for %d pages of %d replicas", len(picks), req.NPages, replicas)
 	}
 	resp := &AllocResp{
 		Replicas:  uint64(replicas),
-		Providers: make([]string, 0, int(req.NPages)*replicas),
+		Providers: make([]string, len(picks)),
 	}
-	perPage := req.Bytes / req.NPages
-	for _, row := range rows {
-		if len(row) != replicas {
-			return nil, fmt.Errorf("blob: strategy returned %d replicas, want %d", len(row), replicas)
-		}
-		for _, idx := range row {
-			resp.Providers = append(resp.Providers, pm.providers[idx])
-			pm.loads[idx] += perPage
-		}
+	for i, idx := range picks {
+		resp.Providers[i] = pm.providers[idx]
+		pm.loads[idx]++
 	}
 	return resp, nil
 }

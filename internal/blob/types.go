@@ -5,7 +5,8 @@
 //
 //   - data providers store pages (provider.go);
 //   - the provider manager assigns pages to providers with a pluggable
-//     load-balancing strategy (pmanager.go);
+//     load-balancing strategy, a lease of pages at a time
+//     (pmanager.go);
 //   - metadata providers form a DHT holding the versioned segment-tree
 //     nodes (package dht + mdstore.go);
 //   - the version manager assigns version numbers and append offsets,
@@ -615,29 +616,23 @@ func (m *RegisterReq) DecodeFrom(r *wire.Reader) error {
 }
 
 // AllocReq asks for provider assignments for NPages pages, Replicas
-// providers each.
+// providers each. It names no BLOB and no byte count: a client asks for
+// the pages it will write next, before it knows what they will hold.
 type AllocReq struct {
-	Blob     uint64
 	NPages   uint64
 	Replicas uint64
-	Bytes    uint64 // total bytes, for load accounting
 }
 
 // AppendTo implements wire.Marshaler.
 func (m *AllocReq) AppendTo(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.Blob)
 	b = wire.AppendUvarint(b, m.NPages)
-	b = wire.AppendUvarint(b, m.Replicas)
-	b = wire.AppendUvarint(b, m.Bytes)
-	return b
+	return wire.AppendUvarint(b, m.Replicas)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *AllocReq) DecodeFrom(r *wire.Reader) error {
-	m.Blob = r.Uvarint()
 	m.NPages = r.Uvarint()
 	m.Replicas = r.Uvarint()
-	m.Bytes = r.Uvarint()
 	return r.Err()
 }
 

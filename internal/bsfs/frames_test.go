@@ -40,9 +40,8 @@ const (
 	// rounding.
 	pageBudget = budgetPage + budgetPage/4
 	// metaAllowance covers everything that is not page bytes: on the
-	// write path one append (assign, allocate, segment-tree commit,
-	// complete); on the read path the version lookup and
-	// slot resolution. Measured 12.6 KiB (on top of the 64 KiB stored
+	// write path one append (assign, segment-tree commit, complete); on
+	// the read path the version lookup and slot resolution. Measured 9 KiB (on top of the 64 KiB stored
 	// copy) and 12 KiB (on top of a response frame the allocator rounds
 	// to 72 KiB); a second page-sized copy anywhere is five times
 	// either. A run of four blocks is one append, so each of its pages
@@ -51,39 +50,40 @@ const (
 	// objectBudget is how many objects one block append may allocate,
 	// whatever the page size and however deep the segment tree: the
 	// metadata commit allocates per version and per member batch, never
-	// per tree node (measured 50 at 288 pages and 49 at 4000; the
+	// per tree node (measured 41 at 288 pages and 40 at 4000; the
 	// per-node design this replaced cost 250, and an object per node
 	// creeping back into the builder, the DHT client and both replicas'
 	// decoders would add 60 at 4096 pages). This budget and the two
-	// below sit 15 % above what they measure, so that two more round
-	// trips on the path show (the namespace size update that used to
-	// end every append cost 5 to 7 objects).
-	objectBudget = 58
+	// below sit 15 % above what they measure, so that one more round
+	// trip on the path shows (the namespace size update that used to
+	// end every append cost 5 to 7 objects, the provider-manager call
+	// that used to follow every assignment 9).
+	objectBudget = 47
 	// runObjectBudget is the same for a Write of runBlocks blocks and
 	// its Flush: one append plus the transfer of three more pages
-	// (measured 71; four appends of a block each cost 200).
+	// (measured 59 to 60; four appends of a block each cost 164).
 	runBlocks       = 4
-	runObjectBudget = 82
+	runObjectBudget = 69
 	// A record is a 1000-byte Write and its Flush onto a file of 16 KiB
 	// blocks: an unaligned append, which stores a fragment of its own
-	// bytes (measured 49 objects and 10 KiB here — 61 before a one-page
-	// transfer ran on its caller — 75 and 7.5 KiB per op on the gated
+	// bytes (measured 40 objects and 9.3 KiB here — 61 before a one-page
+	// transfer ran on its caller — 66 and 7.2 KiB per op on the gated
 	// benchmark's record_append; the boundary-page rewrite this replaced
 	// waited for the previous version, read its page back and stored the
 	// whole prefix again: 207 objects and 53 KiB there).
 	recordBlock        = 16 << 10
 	recordLen          = 1000
-	recordObjectBudget = 56
+	recordObjectBudget = 46
 	recordByteBudget   = 16 << 10
 	// A block of a snapshot one append younger than the file the mount
 	// has read, its page no longer cached: the provider fetch and the
 	// readahead beside it, and of the segment tree one node per open
-	// (measured 14, 19 before a one-page transfer ran on its caller;
-	// walking the tree again for every block of every new snapshot, as
-	// the client did before it cached nodes, cost 330 on the gated
-	// read_under_append, which now reads 12).
+	// (measured 10 on one CPU and 13 to 15 on more, 19 before a one-page
+	// transfer ran on its caller; walking the tree again for every block
+	// of every new snapshot, as the client did before it cached nodes,
+	// cost 330 on the gated read_under_append, which now reads 11).
 	freshBlocks       = 64
-	freshObjectBudget = 40
+	freshObjectBudget = 16
 )
 
 // TestAllocationBudget is the tier-1 guard on the data path's copies:

@@ -467,8 +467,8 @@ func (fs *FS) MetadataEntries(ctx context.Context) (uint64, error) {
 // a whole block has been filled in the cache"). The unit of append is
 // the run: the whole blocks one Write call fills, cut every
 // Tuning.WriteDepth blocks, go out as one BlobSeer append — one
-// version, one provider allocation, one metadata commit, however many
-// pages. Where a run ends depends on the sizes of
+// version, one metadata commit, however many pages. Where a run ends
+// depends on the sizes of
 // the Write calls and on WriteDepth, never on what is in flight. A
 // Write of at most WriteDepth whole blocks on a block-aligned writer is
 // therefore one atomic, contiguous append, even in a file other

@@ -106,7 +106,10 @@ func nsCalls(before, after map[string]metrics.MethodSnapshot) (n uint64) {
 
 // TestRunIsOneAppend counts the client-side calls of one 4-block Write
 // and its Flush: the run costs what one append costs, plus a put per
-// page, and none of it goes to the namespace manager.
+// page, and none of it goes to the namespace manager — or, once the
+// mount holds a placement lease, to the provider manager: a cold
+// client's first write asks it once, for its own pages and the lease the
+// writes after it draw on.
 func TestRunIsOneAppend(t *testing.T) {
 	const block = 256
 	d := newDeployment(t, block)
@@ -118,25 +121,30 @@ func TestRunIsOneAppend(t *testing.T) {
 	}
 	defer w.Close()
 
-	want := []struct {
-		m     rpc.Method
-		calls uint64
-	}{{blob.VMAssign, 1}, {blob.VMComplete, 1}, {blob.PMAlloc, 1}, {blob.ProvPutPage, 4}}
-	before := metrics.Default.RPCClient.Snapshot()
-	if _, err := w.Write(pattern(1, 4*block)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.(dfs.Flusher).Flush(); err != nil {
-		t.Fatal(err)
-	}
-	after := metrics.Default.RPCClient.Snapshot()
-	for _, c := range want {
-		if got := after[c.m.Name].Calls - before[c.m.Name].Calls; got != c.calls {
-			t.Errorf("%s: %d calls for a 4-block Write and Flush, want %d", c.m.Name, got, c.calls)
+	for _, tc := range []struct {
+		client string
+		allocs uint64
+	}{{"cold", 1}, {"warm", 0}} {
+		want := []struct {
+			m     rpc.Method
+			calls uint64
+		}{{blob.VMAssign, 1}, {blob.VMComplete, 1}, {blob.PMAlloc, tc.allocs}, {blob.ProvPutPage, 4}}
+		before := metrics.Default.RPCClient.Snapshot()
+		if _, err := w.Write(pattern(1, 4*block)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := nsCalls(before, after); got != 0 {
-		t.Errorf("%d namespace-manager calls for a 4-block Write and Flush, want 0", got)
+		if err := w.(dfs.Flusher).Flush(); err != nil {
+			t.Fatal(err)
+		}
+		after := metrics.Default.RPCClient.Snapshot()
+		for _, c := range want {
+			if got := after[c.m.Name].Calls - before[c.m.Name].Calls; got != c.calls {
+				t.Errorf("%s: %d calls for a 4-block Write and Flush on a %s client, want %d", c.m.Name, got, tc.client, c.calls)
+			}
+		}
+		if got := nsCalls(before, after); got != 0 {
+			t.Errorf("%d namespace-manager calls for a 4-block Write and Flush, want 0", got)
+		}
 	}
 }
 
@@ -144,7 +152,8 @@ func TestRunIsOneAppend(t *testing.T) {
 // Write and its Flush onto a file that ends mid-block: an unaligned
 // append is the calls of any append and one put of its own bytes —
 // it waits for no other version, reads nothing back and never visits
-// the namespace manager.
+// the namespace manager or, two records into the mount's placement
+// lease, the provider manager.
 func TestRecordIsOneAppend(t *testing.T) {
 	const block = 4096
 	d := newDeployment(t, block)
@@ -169,7 +178,7 @@ func TestRecordIsOneAppend(t *testing.T) {
 	want := []struct {
 		m     rpc.Method
 		calls uint64
-	}{{blob.VMAssign, 1}, {blob.PMAlloc, 1}, {blob.ProvPutPage, 1}, {blob.VMComplete, 1},
+	}{{blob.VMAssign, 1}, {blob.PMAlloc, 0}, {blob.ProvPutPage, 1}, {blob.VMComplete, 1},
 		{blob.VMWaitPublished, 0}, {blob.ProvGetPage, 0}}
 	before := metrics.Default.RPCClient.Snapshot()
 	stored := d.Blob.ProviderBytes()
