@@ -40,7 +40,9 @@
 //     it — the tailing-reader loop for files concurrent appenders keep
 //     growing;
 //   - fs.SnapshotAt(ctx, path, ver) descends to a pinned BLOB-level
-//     Snapshot handle (byte-offset reads, page views, page locations).
+//     Snapshot handle (byte-offset reads, page views, page locations) —
+//     the one implementation of the pin: an OpenVersion reader is a
+//     cursor over the same handle.
 //
 // Capability probing follows the Map/Reduce framework's own pattern:
 //

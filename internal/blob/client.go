@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -319,7 +320,7 @@ func (b *Blob) WaitPublished(ctx context.Context, ver uint64) (VersionInfo, erro
 }
 
 //
-// Lifecycle: retention, truncation, deletion, and reader pins.
+// Lifecycle: retention, truncation, deletion (reader pins: snapshot.go).
 //
 
 // SetRetention sets this BLOB's retention override: keep only the
@@ -351,22 +352,6 @@ func (c *Client) DeleteBlob(ctx context.Context, id uint64) error {
 		c.PurgeBlob(id)
 	}
 	return err
-}
-
-// Pin takes a lease-style reference on ver: while held (and before ttl
-// expires) the version cannot be collected, so a slow reader never has
-// pages deleted out from under it. ttl <= 0 uses the manager's default.
-// Pinning a version the collector already owns fails with
-// ErrVersionCollected.
-func (b *Blob) Pin(ctx context.Context, ver uint64, ttl time.Duration) error {
-	return b.c.vm.Call(ctx, b.id, VMPin,
-		&PinReq{Blob: b.id, Ver: ver, TTLMillis: uint64(ttl / time.Millisecond)}, nil)
-}
-
-// Unpin releases one reference taken by Pin.
-func (b *Blob) Unpin(ctx context.Context, ver uint64) error {
-	return b.c.vm.Call(ctx, b.id, VMUnpin,
-		&VersionRef{Blob: b.id, Ver: ver}, nil)
 }
 
 // ReclaimScan asks every version-manager shard for its newly dead
@@ -422,25 +407,28 @@ func (c *Client) PurgeVersion(blob, ver uint64) {
 	}
 }
 
-// PurgeBlob drops every locally cached artifact of a whole BLOB,
-// including the write-record history.
-func (c *Client) PurgeBlob(blob uint64) {
+// PurgeBlob drops every locally cached artifact of whole BLOBs,
+// including the write-record history, in one pass over each cache
+// however many BLOBs are named (a pass visits everything cached).
+func (c *Client) PurgeBlob(blobs ...uint64) {
 	c.mu.Lock()
-	delete(c.hist, blob)
+	for _, blob := range blobs {
+		delete(c.hist, blob)
+	}
 	for k := range c.verinfo {
-		if k.Blob == blob {
+		if slices.Contains(blobs, k.Blob) {
 			delete(c.verinfo, k)
 		}
 	}
 	for k := range c.slots {
-		if k.blob == blob {
+		if slices.Contains(blobs, k.blob) {
 			delete(c.slots, k)
 		}
 	}
 	c.mu.Unlock()
-	c.nodes.ForgetBlob(blob)
+	c.nodes.ForgetBlob(blobs...)
 	if c.pages != nil {
-		c.pages.PurgeBlob(blob)
+		c.pages.PurgeBlob(blobs...)
 	}
 }
 

@@ -14,15 +14,18 @@ import (
 // read through the handle is served from an immutable, complete page
 // set — the "versioned open" primitive of the snapshot-first API.
 //
-// The pin is a lease (see Blob.Pin): a crashed holder delays
-// collection by at most one TTL. Reads through the handle renew the
-// lease once it is past half its life, so a handle that is actually
-// being read stays protected indefinitely; an idle handle older than
-// the TTL may lose its pin and should call Renew before resuming.
+// The pin is a lease of pinTTL: a crashed holder delays collection by
+// at most one TTL. Reads through the handle renew the lease once it is
+// past half its life, so a handle that is actually being read stays
+// protected indefinitely; an idle handle older than the TTL may lose
+// its pin and should call Renew before resuming.
+//
+// This file is the only code that pins, renews and releases a version:
+// every reader that needs the guarantee (a BSFS file reader, a job's
+// input) reads through a Snapshot.
 type Snapshot struct {
 	b    *Blob
 	info VersionInfo
-	ttl  time.Duration
 
 	mu       sync.Mutex
 	pinned   bool
@@ -30,50 +33,86 @@ type Snapshot struct {
 	closed   bool
 }
 
+// pinTTL is the lease length of every version pin, and what the
+// version manager grants a request that names none: long enough that a
+// reader renewing at half-life never lapses, short enough that a
+// crashed one delays collection by two minutes.
+const pinTTL = 2 * time.Minute
+
 // At opens a pinned snapshot of version ver (0 means the latest
 // published version). The pin lands before the version metadata is
 // read, so there is no window where the collector can reclaim the
 // version between lookup and pin: At either returns a fully protected
-// handle or fails with ErrVersionCollected. ttl <= 0 uses the version
-// manager's default lease.
+// handle or fails with ErrVersionCollected.
 //
 // Version 0 (the empty initial snapshot) has no pages and needs no
 // pin; At returns a handle over the empty state.
-func (b *Blob) At(ctx context.Context, ver uint64, ttl time.Duration) (*Snapshot, error) {
-	// For ver == 0 the Latest reply already carries the snapshot's full
-	// (immutable) metadata; a successful pin proves the version is
-	// still uncollected, so no re-fetch is needed. Only an explicitly
-	// requested version resolves after the pin.
-	var info VersionInfo
+func (b *Blob) At(ctx context.Context, ver uint64) (*Snapshot, error) {
 	if ver == 0 {
+		// The Latest reply already carries the snapshot's full
+		// (immutable) metadata; a successful pin proves the version is
+		// still uncollected, so no re-fetch is needed.
 		latest, err := b.Latest(ctx)
 		if err != nil {
 			return nil, err
 		}
-		ver, info = latest.Ver, latest
+		return b.hold(ctx, latest)
 	}
-	s := &Snapshot{b: b, ttl: ttl, info: VersionInfo{Ver: ver, Published: true}}
-	if ver > 0 {
-		if err := b.Pin(ctx, ver, ttl); err != nil {
+	s, err := b.hold(ctx, VersionInfo{Ver: ver})
+	if err != nil {
+		return nil, err
+	}
+	info, err := b.GetVersion(ctx, ver)
+	if err == nil && !info.Published {
+		err = ErrNotPublished
+	}
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	s.info = info
+	return s, nil
+}
+
+// hold pins info.Ver and returns the handle over it.
+func (b *Blob) hold(ctx context.Context, info VersionInfo) (*Snapshot, error) {
+	s := &Snapshot{b: b, info: info}
+	if info.Ver > 0 {
+		if err := b.pin(ctx, info.Ver); err != nil {
 			return nil, err
 		}
 		s.pinned = true
 		s.pinnedAt = time.Now()
 	}
-	if info.Ver != ver || !info.Published {
-		got, err := b.GetVersion(ctx, ver)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		if !got.Published {
-			s.Close()
-			return nil, ErrNotPublished
-		}
-		info = got
-	}
-	s.info = info
 	return s, nil
+}
+
+// pin takes a lease-style reference on ver: while held (and before
+// pinTTL expires) the version cannot be collected. Pinning a version
+// the collector already owns fails with ErrVersionCollected.
+func (b *Blob) pin(ctx context.Context, ver uint64) error {
+	return b.c.vm.Call(ctx, b.id, VMPin,
+		&PinReq{Blob: b.id, Ver: ver, TTLMillis: uint64(pinTTL / time.Millisecond)}, nil)
+}
+
+// unpin releases one reference taken by pin.
+func (b *Blob) unpin(ctx context.Context, ver uint64) error {
+	return b.c.vm.Call(ctx, b.id, VMUnpin, &VersionRef{Blob: b.id, Ver: ver}, nil)
+}
+
+// Refresh returns a snapshot of the latest published version: s itself
+// when nothing has published since, otherwise a new handle, pinned
+// before it is returned. s stays open either way, so a reader moving
+// to the new handle is never unprotected in between; it then closes s.
+func (s *Snapshot) Refresh(ctx context.Context) (*Snapshot, error) {
+	latest, err := s.b.Latest(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if latest.Ver == s.info.Ver {
+		return s, nil
+	}
+	return s.b.hold(ctx, latest)
 }
 
 // Info returns the snapshot's version metadata.
@@ -133,10 +172,10 @@ func (s *Snapshot) Renew(ctx context.Context) error {
 	// Pin then Unpin, in that order: the extra reference carries the
 	// refreshed expiry while the count nets out, and the version is
 	// never left unreferenced in between.
-	if err := s.b.Pin(ctx, s.info.Ver, s.ttl); err != nil {
+	if err := s.b.pin(ctx, s.info.Ver); err != nil {
 		return err
 	}
-	if err := s.b.Unpin(ctx, s.info.Ver); err != nil {
+	if err := s.b.unpin(ctx, s.info.Ver); err != nil {
 		// The fresh pin still protects the version; the stray count
 		// drains when its lease expires.
 		obs.Log.Debugf("blob %d: unpin after lease refresh of version %d: %v", s.b.id, s.info.Ver, err)
@@ -152,12 +191,7 @@ func (s *Snapshot) Renew(ctx context.Context) error {
 // really is gone.
 func (s *Snapshot) renew(ctx context.Context) {
 	s.mu.Lock()
-	ttl := s.ttl
-	if ttl <= 0 {
-		// The manager applied its default; renew on a conservative guess.
-		ttl = time.Minute
-	}
-	due := s.pinned && !s.closed && time.Since(s.pinnedAt) >= ttl/2
+	due := s.pinned && !s.closed && time.Since(s.pinnedAt) >= pinTTL/2
 	s.mu.Unlock()
 	if due {
 		if err := s.Renew(ctx); err != nil {
@@ -186,5 +220,5 @@ func (s *Snapshot) Close() error {
 	//lint:detached the pin release must reach the version manager even after the caller's ctx died, or collection stalls a full TTL
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	return s.b.Unpin(ctx, s.info.Ver)
+	return s.b.unpin(ctx, s.info.Ver)
 }

@@ -61,9 +61,6 @@ type VersionManagerConfig struct {
 	// retire the rest. Zero keeps every version (BlobSeer's original
 	// keep-forever model); per-BLOB SetRetention overrides it.
 	RetainLatest uint64
-	// DefaultPinTTL bounds pin leases whose request carries no TTL
-	// (zero means one minute).
-	DefaultPinTTL time.Duration
 
 	// ShardIndex/ShardCount/ShardAddrs place this manager in a
 	// partitioned metadata plane: ShardAddrs lists every shard's
@@ -833,10 +830,7 @@ func (vm *VersionManager) handlePin(r *wire.Reader) (wire.Marshaler, error) {
 	}
 	ttl := time.Duration(req.TTLMillis) * time.Millisecond
 	if ttl <= 0 {
-		ttl = vm.cfg.DefaultPinTTL
-		if ttl <= 0 {
-			ttl = time.Minute
-		}
+		ttl = pinTTL
 	}
 	bs.mu.Lock()
 	defer bs.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/cache"
@@ -83,13 +82,6 @@ type Config struct {
 	Namespace transport.Addr
 	Tuning
 }
-
-// pinTTL is the lease length of the version pin every reader takes on
-// its snapshot at Open: while the pin is live the garbage collector
-// cannot reclaim the pinned version, so a slow reader never has pages
-// deleted out from under it, and a crashed reader delays collection by
-// at most one TTL.
-const pinTTL = 2 * time.Minute
 
 // FS is a BSFS mount implementing dfs.FileSystem.
 type FS struct {
@@ -187,62 +179,27 @@ func (fs *FS) openWriter(ctx context.Context, path string, exclusive bool) (dfs.
 	}, nil
 }
 
-// Open implements dfs.FileSystem. The reader pins the latest published
-// version at open time (a consistent snapshot); Refresh re-pins.
+// Open implements dfs.FileSystem. The reader holds a snapshot of the
+// latest published version at open time; Refresh moves it forward.
 func (fs *FS) Open(ctx context.Context, path string) (dfs.FileReader, error) {
 	return fs.OpenVersion(ctx, path, 0)
 }
 
 // OpenVersion implements dfs.VersionedFileSystem: it opens the file's
 // published snapshot ver (0 = latest, identical to Open). A non-zero
-// ver gives a fixed-version reader: the snapshot is pinned against
-// garbage collection before its metadata is even read — there is no
-// window where the collector can reclaim it between lookup and pin —
-// and stays pinned until Close, so the reader never observes
-// dfs.ErrVersionGone mid-stream. Opening a version already behind the
-// retention window fails up front with dfs.ErrVersionGone.
+// ver gives a fixed-version reader. Either way the reader reads through
+// a blob.Snapshot, so the version is pinned against garbage collection
+// before its metadata is even read and stays pinned until Close: the
+// reader never observes dfs.ErrVersionGone mid-stream, however slowly
+// it streams. Opening a version already behind the retention window
+// fails up front with dfs.ErrVersionGone.
 func (fs *FS) OpenVersion(ctx context.Context, path string, ver uint64) (dfs.VersionedReader, error) {
-	ent, err := fs.lookup(ctx, path)
+	s, blockSize, err := fs.snapshotAt(ctx, path, ver)
 	if err != nil {
 		return nil, err
 	}
-	if ent.IsDir {
-		return nil, dfs.ErrIsDir
-	}
-	b := fs.bc.Handle(ent.Blob, ent.PageSize)
-	r := &fileReader{ctx: ctx, b: b, blockSize: ent.PageSize, fixed: ver != 0}
-
-	var info blob.VersionInfo
-	if ver != 0 {
-		// Fixed-version open: pin first, resolve after.
-		if err := b.Pin(ctx, ver, pinTTL); err != nil {
-			return nil, mapVerErr(err)
-		}
-		r.pinned = ver
-		r.pinnedAt = time.Now()
-		if info, err = b.GetVersion(ctx, ver); err == nil && !info.Published {
-			err = blob.ErrNotPublished
-		}
-		if err != nil {
-			r.unpin()
-			return nil, mapVerErr(err)
-		}
-	} else {
-		if info, err = b.Latest(ctx); err != nil {
-			return nil, mapVerErr(err)
-		}
-		// Pin the snapshot so the garbage collector cannot reclaim it
-		// while this reader streams it, however slowly.
-		if info.Ver > 0 {
-			if err := b.Pin(ctx, info.Ver, pinTTL); err != nil {
-				return nil, mapVerErr(err)
-			}
-			r.pinned = info.Ver
-			r.pinnedAt = time.Now()
-		}
-	}
-	r.ver.Store(info.Ver)
-	r.size.Store(info.Size)
+	r := &fileReader{ctx: ctx, blockSize: blockSize, fixed: ver != 0}
+	r.snap.Store(s)
 	if fs.cfg.ReadDepth > 0 {
 		// Each block is one BlobSeer page, fetched into the mount's
 		// shared cache ahead of the reader. Prefetch clamps against the
@@ -250,7 +207,7 @@ func (fs *FS) OpenVersion(ctx context.Context, path string, ver uint64) (dfs.Ver
 		r.ra = cache.NewReadahead(ctx, fs.cfg.ReadDepth, fs.bc.ReadStats(),
 			func(fctx context.Context, page uint64) {
 				//lint:droppederr readahead is advisory; a miss costs one demand fetch and the read path reports real failures
-				_ = b.Prefetch(fctx, r.ver.Load(), page*ent.PageSize, ent.PageSize)
+				_ = r.snap.Load().Prefetch(fctx, page*blockSize, blockSize)
 			})
 	}
 	return r, nil
@@ -261,18 +218,24 @@ func (fs *FS) OpenVersion(ctx context.Context, path string, ver uint64) (dfs.Ver
 // byte-offset ReadAt, page views, page locations — with the same
 // pin-for-lifetime guarantee. Close the snapshot to release its pin.
 func (fs *FS) SnapshotAt(ctx context.Context, path string, ver uint64) (*blob.Snapshot, error) {
+	s, _, err := fs.snapshotAt(ctx, path, ver)
+	return s, err
+}
+
+// snapshotAt is SnapshotAt plus the file's block size.
+func (fs *FS) snapshotAt(ctx context.Context, path string, ver uint64) (*blob.Snapshot, uint64, error) {
 	ent, err := fs.lookup(ctx, path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if ent.IsDir {
-		return nil, dfs.ErrIsDir
+		return nil, 0, dfs.ErrIsDir
 	}
-	s, err := fs.bc.Handle(ent.Blob, ent.PageSize).At(ctx, ver, pinTTL)
+	s, err := fs.bc.Handle(ent.Blob, ent.PageSize).At(ctx, ver)
 	if err != nil {
-		return nil, mapVerErr(err)
+		return nil, 0, mapVerErr(err)
 	}
-	return s, nil
+	return s, ent.PageSize, nil
 }
 
 // Versions implements dfs.VersionedFileSystem: the file's published
@@ -698,12 +661,12 @@ func (w *fileWriter) Close() error {
 // (§3.2: the client "prefetches a whole block when the requested data
 // is not already cached"), with up to Tuning.ReadDepth blocks kept in
 // flight ahead of a sequential stream by the readahead engine — the
-// read-side twin of the writer's WriteDepth pipeline.
+// read-side twin of the writer's WriteDepth pipeline. The reader is a
+// cursor and that window over a blob.Snapshot, which owns the GC pin.
 //
 
 type fileReader struct {
 	ctx       context.Context
-	b         *blob.Blob
 	blockSize uint64
 
 	// fixed marks a fixed-version reader (OpenVersion with ver != 0):
@@ -711,17 +674,11 @@ type fileReader struct {
 	// it to a newer version.
 	fixed bool
 
-	// pinned is the version this reader holds a GC pin on (0 = none)
-	// and pinnedAt is when the lease was last extended — block reads
-	// renew it past its half-life, so a reader slower than pinTTL keeps
-	// protection.
-	pinned   uint64
-	pinnedAt time.Time
-
-	// ver/size are the pinned snapshot. They are atomics because the
-	// readahead goroutines read ver concurrently with Refresh.
-	ver  atomic.Uint64
-	size atomic.Uint64
+	// snap is the pinned snapshot every read goes through; the pin, its
+	// lease renewal and its release are the snapshot's. It is atomic
+	// because the readahead goroutines load it concurrently with
+	// Refresh.
+	snap atomic.Pointer[blob.Snapshot]
 
 	pos    uint64
 	bufOff uint64
@@ -736,15 +693,14 @@ type fileReader struct {
 // at all — the view aliases the cached page — and consuming it nudges
 // the readahead window forward.
 func (r *fileReader) fillBlock(pos uint64) error {
-	r.renewPin()
-	size := r.size.Load()
+	snap := r.snap.Load()
 	block := pos / r.blockSize
-	view, err := r.b.PageView(r.ctx, r.ver.Load(), block)
+	view, err := snap.PageView(r.ctx, block)
 	if err != nil {
 		return mapVerErr(err)
 	}
 	r.bufOff, r.buf = block*r.blockSize, view
-	r.ra.Observe(block, (size+r.blockSize-1)/r.blockSize)
+	r.ra.Observe(block, (snap.Size()+r.blockSize-1)/r.blockSize)
 	return nil
 }
 
@@ -758,7 +714,7 @@ func (r *fileReader) Read(p []byte) (int, error) {
 	if r.closed {
 		return 0, fmt.Errorf("bsfs: read from closed file")
 	}
-	if r.pos >= r.size.Load() {
+	if r.pos >= r.Size() {
 		return 0, io.EOF
 	}
 	if !r.cached(r.pos) {
@@ -783,7 +739,7 @@ func (r *fileReader) ReadAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("bsfs: negative offset")
 	}
 	pos := uint64(off)
-	size := r.size.Load()
+	size := r.Size()
 	if pos >= size {
 		return 0, io.EOF
 	}
@@ -819,85 +775,50 @@ func (r *fileReader) Close() error {
 	r.closed = true
 	r.ra.Close()
 	r.buf = nil
-	r.unpin()
+	r.release(r.snap.Load())
 	return nil
 }
 
-// renewPin extends the snapshot pin's lease once it is past half its
-// TTL, so a reader streaming slower than the TTL keeps GC protection.
-// Renewal is a Pin/Unpin pair in that order: the extra reference
-// carries the refreshed expiry while the count nets out, and the
-// version is never left unreferenced in between. Renewal failure is
-// ignored — the read itself surfaces ErrVersionCollected if the
-// version really is gone.
-func (r *fileReader) renewPin() {
-	if r.pinned == 0 || time.Since(r.pinnedAt) < pinTTL/2 {
-		return
-	}
-	if err := r.b.Pin(r.ctx, r.pinned, pinTTL); err == nil {
-		if uerr := r.b.Unpin(r.ctx, r.pinned); uerr != nil {
-			// The fresh pin still protects the version; the stray
-			// count drains when its lease expires.
-			obs.Log.Debugf("bsfs: unpin after lease refresh of version %d: %v", r.pinned, uerr)
-		}
-		r.pinnedAt = time.Now()
-	}
-}
-
-// unpin releases the current pin (if any) on a detached context: the
-// reader's own context may already be cancelled, but the lease must
-// still reach the version manager or collection stalls for one TTL.
-func (r *fileReader) unpin() {
-	if r.pinned == 0 {
-		return
-	}
-	ver := r.pinned
-	r.pinned = 0
-	//lint:detached the lease release must reach the version manager even after the reader's ctx died, or collection stalls a full TTL
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := r.b.Unpin(ctx, ver); err != nil {
-		obs.Log.Debugf("bsfs: detached unpin of version %d: %v", ver, err)
+// release closes a snapshot this reader is done with. A failed pin
+// release is not the reader's failure: the lease expires on its own.
+func (r *fileReader) release(s *blob.Snapshot) {
+	if err := s.Close(); err != nil {
+		obs.Log.Debugf("bsfs: unpin of version %d: %v", s.Ver(), err)
 	}
 }
 
 // Size implements dfs.FileReader.
-func (r *fileReader) Size() uint64 { return r.size.Load() }
+func (r *fileReader) Size() uint64 { return r.snap.Load().Size() }
 
 // Version implements dfs.VersionedReader: the published snapshot this
 // reader currently serves.
-func (r *fileReader) Version() uint64 { return r.ver.Load() }
+func (r *fileReader) Version() uint64 { return r.snap.Load().Ver() }
 
-// Refresh re-pins the latest published version so a reader can follow
-// a file that concurrent appenders are growing (the pipeline scenario
-// of §5). Cached pages of older versions stay valid — versions are
-// immutable — so refreshing never invalidates the cache. A
-// fixed-version reader (OpenVersion) serves one immutable snapshot:
-// its Refresh is a no-op returning the snapshot size, never a move to
-// a newer version — use WaitVersion + OpenVersion to tail instead.
+// Refresh moves the reader to the latest published version so it can
+// follow a file that concurrent appenders are growing (the pipeline
+// scenario of §5). The new snapshot is pinned before the old one is
+// released, so the reader is never unprotected in between; when nothing
+// published, it costs the one lookup. Cached pages of older versions
+// stay valid — versions are immutable — so refreshing never invalidates
+// the cache. A fixed-version reader (OpenVersion) serves one immutable
+// snapshot: its Refresh is a no-op returning the snapshot size, never a
+// move to a newer version — use WaitVersion + OpenVersion to tail
+// instead.
 func (r *fileReader) Refresh(ctx context.Context) (uint64, error) {
+	old := r.snap.Load()
 	if r.fixed {
-		return r.size.Load(), nil
+		return old.Size(), nil
 	}
-	info, err := r.b.Latest(ctx)
+	next, err := old.Refresh(ctx)
 	if err != nil {
 		return 0, mapVerErr(err)
 	}
-	// Move the GC pin to the refreshed snapshot (pin first, then release
-	// the old one, so the reader is never unprotected in between). This
-	// also renews the lease, so long-lived tailing readers stay pinned.
-	if info.Ver > 0 && info.Ver != r.pinned {
-		if err := r.b.Pin(ctx, info.Ver, pinTTL); err != nil {
-			return 0, mapVerErr(err)
-		}
-		r.unpin()
-		r.pinned = info.Ver
-		r.pinnedAt = time.Now()
+	if next != old {
+		r.snap.Store(next)
+		r.release(old)
 	}
-	r.ver.Store(info.Ver)
-	r.size.Store(info.Size)
 	// The current view may end short of the refreshed size mid-block;
 	// drop it so the next read sees the grown block.
 	r.buf = nil
-	return info.Size, nil
+	return next.Size(), nil
 }

@@ -243,3 +243,59 @@ func TestOpenVersionIsOneLookup(t *testing.T) {
 		t.Errorf("Open and a block read: %d vm.Latest and %d vm.GetVersion, want 1 and 0", latest, get)
 	}
 }
+
+// TestReaderLifecycleCalls counts what a reader asks of the version
+// manager over its life. The reader reads through a blob.Snapshot,
+// which owns the pin; the calls are the ones a reader has always made:
+// Open is a lookup and a pin, OpenVersion a pin and then the lookup, a
+// Refresh that finds nothing new is one lookup, one that finds a new
+// version pins it before releasing the old one, and Close releases.
+func TestReaderLifecycleCalls(t *testing.T) {
+	const block = 256
+	d := newDeployment(t, block)
+	wfs, fs := mount(t, d, "writer"), mount(t, d, "reader")
+	grow := func() {
+		t.Helper()
+		w, err := wfs.Append(ctx, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(pattern(9, block)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dfs.WriteFile(ctx, wfs, "/f", pattern(8, block)); err != nil {
+		t.Fatal(err)
+	}
+	var r dfs.VersionedReader
+	for _, step := range []struct {
+		name                           string
+		do                             func() error
+		latest, getVersion, pin, unpin uint64
+	}{
+		{"Open", func() (err error) { r, err = fs.OpenVersion(ctx, "/f", 0); return }, 1, 0, 1, 0},
+		{"Refresh, nothing new", func() error { _, err := r.Refresh(ctx); return err }, 1, 0, 0, 0},
+		{"Refresh after an append", func() error { grow(); _, err := r.Refresh(ctx); return err }, 1, 0, 1, 1},
+		{"Close", func() error { return r.Close() }, 0, 0, 0, 1},
+		{"OpenVersion", func() (err error) { r, err = fs.OpenVersion(ctx, "/f", 1); return }, 0, 1, 1, 0},
+		{"Refresh of a fixed version", func() error { grow(); _, err := r.Refresh(ctx); return err }, 0, 0, 0, 0},
+		{"Close of a fixed version", func() error { return r.Close() }, 0, 0, 0, 1},
+	} {
+		before := metrics.Default.RPCClient.Snapshot()
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		after := metrics.Default.RPCClient.Snapshot()
+		for _, c := range []struct {
+			m    rpc.Method
+			want uint64
+		}{{blob.VMLatest, step.latest}, {blob.VMGetVersion, step.getVersion}, {blob.VMPin, step.pin}, {blob.VMUnpin, step.unpin}} {
+			if got := after[c.m.Name].Calls - before[c.m.Name].Calls; got != c.want {
+				t.Errorf("%s: %d %s calls, want %d", step.name, got, c.m.Name, c.want)
+			}
+		}
+	}
+}

@@ -25,6 +25,7 @@ package cache
 import (
 	"container/list"
 	"context"
+	"slices"
 	"sync"
 
 	"blobseer/internal/metrics"
@@ -162,9 +163,9 @@ func (c *Cache) PurgeVersion(blob, ver uint64) int {
 	return c.purge(func(k pagestore.Key) bool { return k.Blob == blob && k.Version == ver })
 }
 
-// PurgeBlob drops every cached page of a whole BLOB (see PurgeVersion).
-func (c *Cache) PurgeBlob(blob uint64) int {
-	return c.purge(func(k pagestore.Key) bool { return k.Blob == blob })
+// PurgeBlob drops every cached page of whole BLOBs (see PurgeVersion).
+func (c *Cache) PurgeBlob(blobs ...uint64) int {
+	return c.purge(func(k pagestore.Key) bool { return slices.Contains(blobs, k.Blob) })
 }
 
 func (c *Cache) purge(match func(pagestore.Key) bool) int {

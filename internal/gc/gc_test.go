@@ -227,7 +227,8 @@ func TestPinBlocksCollection(t *testing.T) {
 	}
 
 	const pinned = uint64(2)
-	if err := bl.Pin(ctx, pinned, 0); err != nil {
+	snap, err := bl.At(ctx, pinned)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := bl.SetRetention(ctx, 1); err != nil {
@@ -239,7 +240,7 @@ func TestPinBlocksCollection(t *testing.T) {
 		t.Fatalf("expected the pin to block collection, report %+v", rep)
 	}
 	// The slow read over the to-be-collected version: still perfect.
-	got, err := bl.ReadAt(ctx, pinned, 0, uint64(len(images[pinned])))
+	got, err := snap.ReadAt(ctx, 0, uint64(len(images[pinned])))
 	if err != nil {
 		t.Fatalf("pinned read failed mid-GC: %v", err)
 	}
@@ -247,11 +248,11 @@ func TestPinBlocksCollection(t *testing.T) {
 		t.Fatal("pinned read returned wrong bytes")
 	}
 	// Pinning an already collected version is refused cleanly.
-	if err := bl.Pin(ctx, 1, 0); !errors.Is(err, blob.ErrVersionCollected) {
+	if _, err := bl.At(ctx, 1); !errors.Is(err, blob.ErrVersionCollected) {
 		t.Errorf("pin of collected version = %v, want ErrVersionCollected", err)
 	}
 
-	if err := bl.Unpin(ctx, pinned); err != nil {
+	if err := snap.Close(); err != nil {
 		t.Fatal(err)
 	}
 	h.runOnce(t)

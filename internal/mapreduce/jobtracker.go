@@ -190,14 +190,8 @@ func (jt *JobTracker) RunStreaming(ctx context.Context, fs dfs.FileSystem, conf 
 		}
 		job.mu.Lock()
 		job.splitsClosed = true
-		n := len(job.splits)
 		job.cond.Broadcast()
 		job.mu.Unlock()
-		if job.shuffle != nil {
-			// Blob-backend reducers, already running, can now detect
-			// when their partition is complete.
-			job.shuffle.SetMapCount(n)
-		}
 	}()
 
 	// Abort the dispatcher when the caller's context dies.
@@ -255,11 +249,11 @@ func (jt *JobTracker) RunStreaming(ctx context.Context, fs dfs.FileSystem, conf 
 		tt.dropJobOutputs(job.id)
 	}
 	if job.shuffle != nil && !conf.KeepIntermediate {
-		// The job is over (success or failure) and every reducer has
-		// drained, so no segment pin is held: retire the intermediate
-		// BLOBs so shuffle traffic does not accrete storage forever.
-		// Detached context: cleanup must run even when the caller's
-		// context is what killed the job.
+		// The job is over (success or failure) and dispatch returned
+		// only once every task had drained, so no fetch can race the
+		// delete: retire the intermediate BLOBs so shuffle traffic does
+		// not accrete storage forever. Detached context: cleanup must
+		// run even when the caller's context is what killed the job.
 		//lint:detached cleanup must run even when the caller's ctx is what killed the job; the 30s deadline bounds it
 		cctx, ccancel := context.WithTimeout(context.Background(), 30*time.Second)
 		if cerr := job.shuffle.Cleanup(cctx, fs.(shuffle.ClientSource).BlobClient()); cerr != nil {
@@ -268,6 +262,15 @@ func (jt *JobTracker) RunStreaming(ctx context.Context, fs dfs.FileSystem, conf 
 			obs.Log.Warnf("mapreduce: job %d: shuffle cleanup: %v", job.id, cerr)
 		}
 		ccancel()
+		// The deleting client forgot the BLOBs; the trackers' clients
+		// appended and fetched them, and would keep a finished job's
+		// pages, slots and tree nodes until LRU evicted them.
+		blobs := job.shuffle.Blobs()
+		for _, tt := range jt.trackers {
+			if src, ok := tt.fs.(shuffle.ClientSource); ok && !tt.Dead() {
+				src.BlobClient().PurgeBlob(blobs...)
+			}
+		}
 	}
 	if err != nil {
 		return res, err
@@ -387,13 +390,19 @@ func (j *jobState) dispatch(ctx context.Context) {
 			j.reducesAt = time.Now()
 			if hook := j.conf.MapsDoneHook; hook != nil {
 				// Run the fault-injection hook outside the lock (it may
-				// kill trackers) and before any barrier-gated reduce is
-				// scheduled, so tests get a deterministic kill point.
+				// kill trackers) and before any reduce can pass the
+				// barrier — scheduled (memory) or told its partition is
+				// complete (blob) — so tests get a deterministic kill
+				// point.
 				j.mu.Unlock()
 				hook()
 				j.mu.Lock()
 			}
-			if !j.reducesStarted {
+			if j.shuffle != nil {
+				// Blob-backend reducers, already running, can now
+				// detect when their partition is complete.
+				j.shuffle.SetMapCount(len(j.splits))
+			} else {
 				j.startReducesLocked()
 			}
 			continue

@@ -1,6 +1,7 @@
 package mapreduce_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -232,8 +233,9 @@ func TestBlobShufflePipeline(t *testing.T) {
 
 // TestBlobShuffleJobEndCleanup: a finished job retires its
 // intermediate shuffle BLOBs through the garbage collector, so the
-// cluster ends the job holding only input and output bytes; a job
-// opting out with KeepIntermediate leaves the segments in place.
+// cluster ends the job holding only input and output bytes — and no
+// tracker's page cache holds a page of a BLOB the cleanup deleted; a
+// job opting out with KeepIntermediate leaves the segments in place.
 func TestBlobShuffleJobEndCleanup(t *testing.T) {
 	run := func(t *testing.T, keep bool) int64 {
 		cluster, err := blob.NewCluster(transport.NewMemNet(), blob.ClusterConfig{
@@ -248,10 +250,14 @@ func TestBlobShuffleJobEndCleanup(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
+		mounts := make(map[string]*bsfs.FS)
 		fw, err := mapreduce.NewFramework(mapreduce.FrameworkConfig{
 			Net:   cluster.Net,
 			Hosts: cluster.ProviderHosts(),
-			Mount: func(host string) dfs.FileSystem { return d.Mount(host) },
+			Mount: func(host string) dfs.FileSystem {
+				mounts[host] = d.Mount(host)
+				return mounts[host]
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -271,6 +277,34 @@ func TestBlobShuffleJobEndCleanup(t *testing.T) {
 		}
 		if res.SegmentsAppended == 0 {
 			t.Fatal("job produced no shuffle segments")
+		}
+		// BLOB ids are dense from 1 on one shard, and the only BLOBs
+		// deleted so far are the job's partitions (the collector has not
+		// run): every tracker appended to them and some fetched from
+		// them, and none may still cache a page of one.
+		deleted := 0
+		probe := fw.ClientFS().(*bsfs.FS).BlobClient()
+		for id := uint64(1); ; id++ {
+			_, err := probe.Handle(id, testBlock).Latest(ctx)
+			if errors.Is(err, blob.ErrBlobNotFound) {
+				break
+			}
+			if !errors.Is(err, blob.ErrVersionCollected) {
+				continue
+			}
+			deleted++
+			for host, m := range mounts {
+				if n := m.BlobClient().PageCache().PurgeBlob(id); n != 0 {
+					t.Errorf("%s still caches %d pages of deleted shuffle BLOB %d", host, n, id)
+				}
+			}
+		}
+		want := job.NumReducers
+		if keep {
+			want = 0
+		}
+		if deleted != want {
+			t.Errorf("%d BLOBs deleted at job end, want %d", deleted, want)
 		}
 		// Deterministic settle: the cleanup's DeleteBlob kicked the
 		// collector; RunOnce serializes behind it and finishes the job.

@@ -144,10 +144,12 @@ type JobConf struct {
 	KeepIntermediate bool
 
 	// MapsDoneHook, when set, runs synchronously at the map/reduce
-	// barrier: all maps have finished, and no barrier-gated reduce has
-	// been scheduled yet. Tests and experiments use it to inject
-	// faults at a deterministic point — e.g. killing a tracker the
-	// moment its map outputs become shuffle-only.
+	// barrier: all maps have finished, and no reduce is past it yet —
+	// a memory-shuffle reduce has not been scheduled, a blob-shuffle
+	// reduce has not been told its partition is complete. Tests and
+	// experiments use it to inject faults at a deterministic point —
+	// e.g. killing a tracker the moment its map outputs become
+	// shuffle-only.
 	MapsDoneHook func()
 
 	// SplitSize is the map input split size in bytes; zero uses the

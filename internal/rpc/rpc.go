@@ -65,6 +65,7 @@ var (
 	ErrUnknownMethod = errors.New("rpc: unknown method")
 	ErrServerClosed  = errors.New("rpc: server closed")
 	ErrConnLost      = errors.New("rpc: connection lost")
+	ErrPoolClosed    = errors.New("rpc: pool closed")
 )
 
 // Method identifies an RPC method: the compact id that goes on the
@@ -591,10 +592,14 @@ func NewPool(net transport.Network, local transport.Addr) *Pool {
 	return &Pool{net: net, local: local, clients: make(map[transport.Addr]*Client)}
 }
 
-// Get returns the cached client for remote, creating it if needed.
+// Get returns the cached client for remote, creating it if needed; a
+// closed pool has none to give and returns nil.
 func (p *Pool) Get(remote transport.Addr) *Client {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return nil
+	}
 	cl, ok := p.clients[remote]
 	if !ok {
 		cl = NewClient(p.net, p.local, remote)
@@ -603,9 +608,16 @@ func (p *Pool) Get(remote transport.Addr) *Client {
 	return cl
 }
 
-// Call is shorthand for Get(remote).Call(...).
+// Call is shorthand for Get(remote).Call(...). On a closed pool it fails
+// with ErrPoolClosed and dials nothing: detached calls (a pin release,
+// an abort) can run during teardown, and must not open a connection
+// nobody will close.
 func (p *Pool) Call(ctx context.Context, remote transport.Addr, method Method, req wire.Marshaler, resp wire.Unmarshaler) error {
-	return p.Get(remote).Call(ctx, method, req, resp)
+	cl := p.Get(remote)
+	if cl == nil {
+		return fmt.Errorf("rpc call %s/%s: %w", remote, method, ErrPoolClosed)
+	}
+	return cl.Call(ctx, method, req, resp)
 }
 
 // Close closes every cached client.

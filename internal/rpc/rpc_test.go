@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,6 +257,42 @@ func TestPool(t *testing.T) {
 	}
 	if resp.N != 3 {
 		t.Fatalf("resp = %+v", resp)
+	}
+}
+
+// dialCounter counts the dials a pool makes through it.
+type dialCounter struct {
+	transport.Network
+	dials atomic.Int64
+}
+
+func (n *dialCounter) Dial(local, remote transport.Addr) (transport.Conn, error) {
+	n.dials.Add(1)
+	return n.Network.Dial(local, remote)
+}
+
+// TestPoolCallAfterClose: a pin release or an abort is a detached call
+// that can run while its client is being torn down. On a closed pool it
+// must fail with ErrPoolClosed and dial nothing — a client built after
+// Close would be closed by nobody.
+func TestPoolCallAfterClose(t *testing.T) {
+	net := &dialCounter{Network: transport.NewMemNet()}
+	newEchoServer(t, net, "srv/echo")
+	p := NewPool(net, "cli/x")
+	var resp echoMsg
+	if err := p.Call(context.Background(), "srv/echo", methodEcho, &echoMsg{N: 1}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	dials := net.dials.Load()
+	for _, remote := range []transport.Addr{"srv/echo", "srv-never-dialed/echo"} {
+		err := p.Call(context.Background(), remote, methodEcho, &echoMsg{N: 1}, &resp)
+		if !errors.Is(err, ErrPoolClosed) {
+			t.Errorf("Call(%s) after Close = %v, want ErrPoolClosed", remote, err)
+		}
+	}
+	if got := net.dials.Load(); got != dials {
+		t.Errorf("a closed pool dialed %d times", got-dials)
 	}
 }
 

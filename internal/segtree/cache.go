@@ -2,6 +2,7 @@ package segtree
 
 import (
 	"context"
+	"slices"
 	"sync"
 )
 
@@ -76,11 +77,11 @@ func (c *NodeCache) ForgetVersion(blob, ver uint64) {
 	c.mu.Unlock()
 }
 
-// ForgetBlob drops every node of blob.
-func (c *NodeCache) ForgetBlob(blob uint64) {
+// ForgetBlob drops every node of the named BLOBs.
+func (c *NodeCache) ForgetBlob(blobs ...uint64) {
 	c.mu.Lock()
 	for id := range c.nodes {
-		if id.blob == blob {
+		if slices.Contains(blobs, id.blob) {
 			delete(c.nodes, id)
 		}
 	}

@@ -1,13 +1,17 @@
 package shuffle
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/gc"
 	"blobseer/internal/metrics"
+	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 )
 
@@ -362,5 +366,117 @@ func TestStoreChecksumRejectsWrongSegment(t *testing.T) {
 	seg.Sum ^= 0xdeadbeef
 	if _, err := st.Fetch(ctx, c, seg); err == nil {
 		t.Fatal("corrupted checksum accepted")
+	}
+}
+
+// TestFetchAsksTheVersionManagerOnce counts the client-side calls of
+// reading a job's segments back: a fetched segment costs one
+// vm.WaitPublished and takes no pin — the job owns its partition
+// BLOBs' lifetime by ordering (Cleanup runs after the last task), so
+// there is nothing for a per-segment lease to guard. An empty segment
+// was never appended and asks nothing.
+func TestFetchAsksTheVersionManagerOnce(t *testing.T) {
+	const maps, parts, pageSize = 5, 3, 256
+	cluster := newTestCluster(t)
+	c := cluster.Client("node-000")
+	defer c.Close()
+	st, err := NewBlobStore(ctx, c, 4, parts, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for m := 0; m < maps; m++ {
+		data := make([][]byte, parts)
+		for p := range data {
+			data[p] = segPayload(m, p, 100+m*90+p*17)
+		}
+		if m == 2 {
+			data[1] = nil
+		}
+		if err := st.AppendMap(ctx, c, uint64(m), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.SetMapCount(maps)
+
+	before := metrics.Default.RPCClient.Snapshot()
+	var fetched uint64
+	for p := 0; p < parts; p++ {
+		for consumed := 0; ; consumed++ {
+			seg, ok, err := st.Next(ctx, p, consumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if _, err := st.Fetch(ctx, c, seg); err != nil {
+				t.Fatal(err)
+			}
+			if seg.Len > 0 {
+				fetched++
+			}
+		}
+	}
+	after := metrics.Default.RPCClient.Snapshot()
+	if fetched != maps*parts-1 {
+		t.Fatalf("fetched %d non-empty segments, want %d", fetched, maps*parts-1)
+	}
+	for _, want := range []struct {
+		m     rpc.Method
+		calls uint64
+	}{{blob.VMWaitPublished, fetched}, {blob.VMPin, 0}, {blob.VMUnpin, 0}} {
+		if got := after[want.m.Name].Calls - before[want.m.Name].Calls; got != want.calls {
+			t.Errorf("%s: %d calls for %d fetched segments, want %d", want.m.Name, got, fetched, want.calls)
+		}
+	}
+}
+
+// TestFetchAfterCleanupIsRefused: once the job has deleted its
+// partition BLOBs and the collector has taken them, a fetch is refused
+// with one of the version manager's typed errors — also through a
+// client whose caches still hold the segment's version, slots and
+// pages, because Fetch asks the version manager before it reads. No
+// pin holds the delete off, and no cache answers for a BLOB that is
+// gone.
+func TestFetchAfterCleanupIsRefused(t *testing.T) {
+	const pageSize = 128
+	cluster := newTestCluster(t)
+	c, reader, gcClient := cluster.Client("node-000"), cluster.Client("node-001"), cluster.Client("node-002")
+	defer c.Close()
+	defer reader.Close()
+	defer gcClient.Close()
+	col := gc.New(gcClient, gc.Options{})
+	defer col.Close()
+
+	st, err := NewBlobStore(ctx, c, 5, 1, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	want := segPayload(0, 0, 300)
+	if err := st.AppendMap(ctx, c, 0, [][]byte{want}); err != nil {
+		t.Fatal(err)
+	}
+	st.SetMapCount(1)
+	seg, ok, err := st.Next(ctx, 0, 0)
+	if err != nil || !ok {
+		t.Fatalf("Next = %v, %v", ok, err)
+	}
+	if got, err := st.Fetch(ctx, reader, seg); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("fetch before cleanup: %d bytes, %v", len(got), err)
+	}
+
+	if err := st.Cleanup(ctx, c); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := col.RunOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name, cl := range map[string]*blob.Client{"deleting": c, "warm": reader} {
+		got, err := st.Fetch(ctx, cl, seg)
+		if !errors.Is(err, blob.ErrVersionCollected) && !errors.Is(err, blob.ErrBlobNotFound) {
+			t.Errorf("fetch through the %s client after cleanup = %d bytes, %v; want ErrVersionCollected or ErrBlobNotFound", name, len(got), err)
+		}
 	}
 }

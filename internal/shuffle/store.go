@@ -28,7 +28,7 @@ type Index struct {
 	cond      *sync.Cond
 	segs      [][]Segment // per partition, publish order
 	published map[uint64]bool
-	mapCount  int // total map tasks; -1 until the split stream closes
+	mapCount  int // total map tasks; -1 until the map/reduce barrier
 	err       error
 }
 
@@ -62,8 +62,9 @@ func (ix *Index) Publish(mapID uint64, segs []Segment) bool {
 	return true
 }
 
-// SetMapCount records the job's final map-task count (known once the
-// split stream closes), letting reducers detect partition completion.
+// SetMapCount records the job's final map-task count, letting reducers
+// detect partition completion. The jobtracker calls it at the
+// map/reduce barrier, so no reduce finishes before the barrier does.
 func (ix *Index) SetMapCount(n int) {
 	ix.mu.Lock()
 	ix.mapCount = n
@@ -141,13 +142,15 @@ func (ix *Index) Next(ctx context.Context, part, consumed int) (seg Segment, ok 
 // live in BlobSeer — replicated, immutable, versioned — so a tracker
 // dying after its maps completed costs nothing: the segments outlive it.
 //
-// Intermediate BLOBs live exactly as long as their job: the jobtracker
-// calls Cleanup at job end (unless the job opts out with
-// KeepIntermediate), retiring them through the garbage collector so a
-// busy cluster's shuffle traffic does not accrete storage forever.
-// While the job runs, every segment fetch holds a lease-style version
-// pin, so even an operator-issued delete cannot reclaim a segment out
-// from under a streaming reducer.
+// Intermediate BLOBs live exactly as long as their job, and the job
+// owns that lifetime by ordering, not by pins: NewBlobStore opts every
+// partition out of retention, so nothing collects a version mid-job,
+// and the jobtracker calls Cleanup only once its last task has drained
+// (unless the job opts out with KeepIntermediate), retiring the BLOBs
+// through the garbage collector so a busy cluster's shuffle traffic
+// does not accrete storage forever. A partition BLOB deleted by anyone
+// else mid-job is not held off: the reduce attempts that still need it
+// fail (see Fetch).
 type Store struct {
 	*Index
 	jobID    uint64
@@ -214,8 +217,10 @@ func (st *Store) Blobs() []uint64 { return append([]uint64(nil), st.blobs...) }
 
 // Cleanup retires every intermediate BLOB through the garbage
 // collector. The jobtracker calls it once the job is over — reducers
-// are drained by then, so no pin is held and the partitions' pages are
-// immediately reclaimable.
+// are drained by then, so no fetch can race the delete and the
+// partitions' pages are immediately reclaimable. c forgets the BLOBs as
+// it deletes them; every other client that read or wrote them still
+// caches their pages and should PurgeBlob(st.Blobs()...).
 func (st *Store) Cleanup(ctx context.Context, c *blob.Client) error {
 	var firstErr error
 	for _, id := range st.blobs {
@@ -287,10 +292,14 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 	return nil
 }
 
-// Fetch reads one published segment through c — WaitPublished pins the
-// segment's version, ReadAt streams its pages through the client's
-// shared cache — and verifies its checksum. Each distinct segment
-// counts toward the fetched statistics once: re-executed reduce
+// Fetch reads one published segment through c — WaitPublished is its
+// one question to the version manager, ReadAt streams its pages through
+// the client's shared cache — and verifies its checksum. It takes no
+// pin: the job deletes its partition BLOBs only after its last task has
+// drained (see Store), and a BLOB deleted from outside fails the fetch
+// with the version manager's typed refusal (blob.ErrVersionCollected or
+// blob.ErrBlobNotFound), never with stale or short bytes. Each distinct
+// segment counts toward the fetched statistics once: re-executed reduce
 // attempts re-read their whole partition, and those re-reads must not
 // inflate the counters.
 func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment) ([]byte, error) {
@@ -308,29 +317,6 @@ func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment) ([]byte
 		return nil, nil
 	}
 	b := c.Handle(st.blobs[seg.Part], st.pageSize)
-	// Pin the segment's version for the duration of the fetch so the
-	// garbage collector can never reclaim intermediate data under an
-	// active reducer (the lease expiring covers a crashed one). The
-	// pin is per segment, not per partition: the only GC threat to an
-	// intermediate BLOB is DeleteBlob (NewBlobStore opts every
-	// partition out of retention), and under deletion only versions at
-	// or above the pin survive — a long-lived partition pin would have
-	// to sit at version 1 and be lease-renewed for the whole job to
-	// protect re-read attempts, costing more machinery than two RPCs
-	// per segment.
-	if err := b.Pin(ctx, seg.Ver, 0); err != nil {
-		return nil, fmt.Errorf("shuffle: pin segment map %d part %d: %w", seg.Map, seg.Part, err)
-	}
-	defer func() {
-		//lint:detached the segment unpin must reach the version manager even after the reduce's ctx died, or reclaim stalls a full lease
-		uctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := b.Unpin(uctx, seg.Ver); err != nil {
-			// The pin's lease expiry still unblocks GC eventually; log
-			// so a stuck-reclaim investigation can see the leak.
-			obs.Log.Infof("shuffle: unpin map %d part %d ver %d: %v", seg.Map, seg.Part, seg.Ver, err)
-		}
-	}()
 	if _, err := b.WaitPublished(ctx, seg.Ver); err != nil {
 		return nil, fmt.Errorf("shuffle: segment map %d part %d not published: %w", seg.Map, seg.Part, err)
 	}
