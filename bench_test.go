@@ -387,6 +387,58 @@ func BenchmarkDataJoinRecords(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(records), "objects/record")
 }
 
+// BenchmarkSegmentFetch is the blob shuffle's read alone, in the gated
+// mr_datajoin job's shape: an op fetches one partition of 124 segments of
+// about 17 KB over 64 KiB pages through a client that holds nothing of it
+// (the client forgets the BLOB, off the clock, before every op).
+// getbatch/op is the meta.GetBatch calls that costs: per segment one
+// level of leaves, a call per metadata provider holding one of them,
+// where a walk of the segment tree cost 5.5.
+func BenchmarkSegmentFetch(b *testing.B) {
+	const segs = 124
+	c := newBenchCluster(b)
+	w, r := c.BlobClient("node-000"), c.BlobClient("node-001")
+	defer w.Close()
+	defer r.Close()
+	st, err := shuffle.NewBlobStore(benchCtx, w, 1, 1, benchBlock)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	for m := 0; m < segs; m++ {
+		if err := st.AppendMap(benchCtx, w, uint64(m), [][]byte{benchChunk(byte(m))[:16<<10+m*37%2048]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st.SetMapCount(segs)
+	fetch := func(i int) {
+		seg, ok, err := st.Next(benchCtx, 0, i)
+		if err == nil && ok {
+			_, err = st.Fetch(benchCtx, r, seg)
+		}
+		if err != nil || !ok {
+			b.Fatalf("segment %d: %v, %v", i, ok, err)
+		}
+	}
+	for i := 0; i < segs; i++ { // dial every connection a fetch needs
+		fetch(i)
+	}
+	getBatches := func() uint64 { return metrics.Default.RPCClient.Snapshot()[dht.MethodGetBatch.Name].Calls }
+	before := getBatches()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r.PurgeBlob(st.Blobs()...)
+		b.StartTimer()
+		for s := 0; s < segs; s++ {
+			fetch(s)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(getBatches()-before)/float64(b.N), "getbatch/op")
+}
+
 // BenchmarkExtPipeline runs the §5 future-work scenario: a two-stage
 // pipeline whose second stage streams the first stage's growing output.
 func BenchmarkExtPipeline(b *testing.B) {

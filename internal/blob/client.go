@@ -1024,6 +1024,44 @@ func (b *Blob) readAtInto(ctx context.Context, ver uint64, off uint64, p []byte)
 	return int(n), nil
 }
 
+// ReadWritten reads n bytes at byte offset off that version ver itself
+// wrote: it reads ver's own leaves by address (segtree.Written), one
+// batched fetch of those the node cache lacks, instead of resolving
+// snapshot ver, then the pages. The caller vouches that ver completed —
+// its leaves are final then, and the node cache keeps them — and wrote
+// all of [off, off+n); a read beginning before the first byte ver stored
+// is refused, and one running past its last fails on a short page. It
+// asks the version manager nothing unless a page or leaf turns out to be
+// gone, which fails as ErrVersionCollected when collection took it.
+func (b *Blob) ReadWritten(ctx context.Context, ver, off, n uint64) ([]byte, error) {
+	start := time.Now()
+	ctx, sp := obs.StartSpan(ctx, "blob.read")
+	out, err := b.readWritten(ctx, ver, off, n)
+	sp.End(err)
+	opRead.RecordDuration(time.Since(start))
+	return out, err
+}
+
+func (b *Blob) readWritten(ctx context.Context, ver, off, n uint64) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	ps := b.pageSize
+	first := off / ps
+	slots, err := segtree.Written(ctx, b.c.nodes, b.id, ver, first, (off+n-1)/ps-first+1)
+	if err != nil {
+		return nil, b.collectedOr(ctx, ver, err)
+	}
+	if first*ps+uint64(slots[0].Ref.Lo) > off {
+		return nil, fmt.Errorf("blob: version %d of blob %d stored page %d from byte %d on, read starts at %d", ver, b.id, first, slots[0].Ref.Lo, off-first*ps)
+	}
+	out := make([]byte, n)
+	if err := b.readSlots(ctx, slots, off, out); err != nil {
+		return nil, b.collectedOr(ctx, ver, err)
+	}
+	return out, nil
+}
+
 // extent returns the byte range of the BLOB that stored page i of slots
 // holds: from its Lo up to where the next page of the same slot begins,
 // or to the slot's end. The pages of a slot were stored end to end, so

@@ -269,6 +269,36 @@ func TestFragmentWriteShapes(t *testing.T) {
 	}
 }
 
+// TestWritePastPartlyFilledPage: a write beginning in a page past a
+// partly filled last page stores that page's tail, zeros up to the write
+// and then the write, as a fragment behind the last page's bytes. It used
+// to start at its own page, and a read across the last page failed on
+// its writer's short page.
+func TestWritePastPartlyFilledPage(t *testing.T) {
+	const ps = 256
+	c := newTestCluster(t, ClusterConfig{Providers: 4})
+	cl := newTestClient(t, c, "cli")
+	b, err := cl.Create(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := pattern(1, 100), pattern(2, 50)
+	published(t, b, first)
+	res, err := b.WriteAt(ctx, second, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.WaitPublished(ctx, res.Ver); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Concat(first, make([]byte, 500), second)
+	readExact(t, b, res.Ver, 0, want)
+	readExact(t, newTestClient(t, c, "reader").Handle(b.ID(), ps), res.Ver, 0, want)
+	if got := c.ProviderBytes(); got != int64(len(want)) {
+		t.Errorf("providers hold %d bytes for a %d-byte BLOB: the write must store from byte 100 on", got, len(want))
+	}
+}
+
 // TestFragmentHeadsSurviveCheckpointAndReplay: the Head of every record
 // is a function of the records before it, so a shard that restarts from
 // a checkpoint plus raw journal records holds the records the live shard
@@ -284,12 +314,26 @@ func TestFragmentHeadsSurviveCheckpointAndReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var contents [][]byte
 	var want []byte
+	pastEnd := map[uint64]uint64{} // version -> start of a write past the end
 	grow := func(n int) {
 		for k := 0; k < n; k++ {
 			rec := make([]byte, 1+rng.Intn(40))
 			rng.Read(rec)
-			published(t, b, rec)
-			want = append(want, rec...)
+			if k%10 != 9 {
+				published(t, b, rec)
+				want = append(want, rec...)
+			} else { // in a later page, ending on a page boundary: the next append is whole pages
+				start := (len(want)/ps+2)*ps - len(rec)
+				res, err := b.WriteAt(ctx, rec, uint64(start))
+				if err == nil {
+					_, err = b.WaitPublished(ctx, res.Ver)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				pastEnd[res.Ver] = uint64(start)
+				want = append(append(want, make([]byte, start-len(want))...), rec...)
+			}
 			contents = append(contents, slices.Clone(want))
 		}
 	}
@@ -319,16 +363,19 @@ func TestFragmentHeadsSurviveCheckpointAndReplay(t *testing.T) {
 		t.Fatalf("replayed records differ from the live ones:\n%v\n%v", replayed, live)
 	}
 	grow(50)
-	var frags, rewrites int
+	var frags, rewrites, gapped int
 	for _, rec := range records() {
 		if rec.Head != 0 {
 			frags++
 		} else if rec.Ver > 1 {
 			rewrites++
 		}
+		if start, ok := pastEnd[rec.Ver]; ok && rec.Off*ps+rec.Head < start {
+			gapped++
+		}
 	}
-	if frags == 0 || rewrites == 0 {
-		t.Errorf("%d fragments and %d whole-page records: the run must produce both", frags, rewrites)
+	if frags == 0 || rewrites == 0 || gapped == 0 {
+		t.Errorf("%d fragments, %d whole-page records and %d writes stored from a partly filled page before them: the run must produce all three", frags, rewrites, gapped)
 	}
 	fresh := newTestClient(t, c, "fresh")
 	fb := fresh.Handle(b.ID(), ps)

@@ -376,7 +376,15 @@ func (st *vmState) applyAssignLocked(bs *blobState, rec vmRecord, now time.Time)
 	if sizeAfter < prevSize {
 		sizeAfter = prevSize
 	}
-	pageOff := start / ps
+	// A write beginning in a page past a partly filled last page stores
+	// from where that page's bytes end, the gap zero-filled: the version
+	// must own the page's tail, or a read across it would find the last
+	// writer's page short.
+	stored := start
+	if prevSize%ps != 0 && start/ps > prevSize/ps {
+		stored = prevSize
+	}
+	pageOff := stored / ps
 	pageEnd := (start + rec.Len + ps - 1) / ps
 	ver := uint64(len(bs.records)) + 1
 	w := segtree.WriteRecord{
@@ -384,7 +392,7 @@ func (st *vmState) applyAssignLocked(bs *blobState, rec vmRecord, now time.Time)
 		Off:        pageOff,
 		N:          pageEnd - pageOff,
 		PagesAfter: (sizeAfter + ps - 1) / ps,
-		Head:       segtree.FragmentHead(bs.records, ps, prevSize, start),
+		Head:       segtree.FragmentHead(bs.records, ps, prevSize, stored),
 	}
 	bs.records = append(bs.records, w)
 	bs.sizes = append(bs.sizes, sizeAfter)

@@ -17,7 +17,8 @@ const nodeCacheCap = 1 << 16
 type nodeID struct{ blob, ver, off, span uint64 }
 
 // NodeCache is a NodeStore that keeps, decoded, the tree nodes Resolve
-// fetched through it, so that no Resolve after fetches them again; see
+// and Written fetched through it, so that no read after fetches them
+// again; see
 // "Caching" in the package comment for why that is sound and who forgets
 // what. PutNodes and GetNodes go straight to the store behind it: a
 // commit fills nothing, so a client that only writes pays nothing. It is

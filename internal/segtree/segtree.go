@@ -48,9 +48,11 @@
 // WriteRecord.Head, the in-slot offset of the first byte it stores
 // there (FragmentHead): a write that begins mid-slot at or past
 // everything the slot holds — every unaligned append, and a write past
-// the end into a partly filled last page, whose writer zero-fills the
-// gap — gets the offset at which the slot's bytes end; an aligned write,
-// a write landing inside existing bytes and the write that finds
+// the end of a partly filled last page, whose writer zero-fills the gap
+// (the version manager starts the record of one that begins in a later
+// page at that last page, so the page's tail is stored) — gets the
+// offset at which the slot's bytes end; an aligned write, a write
+// landing inside existing bytes and the write that finds
 // MaxSlotFragments pages in the slot already get 0, "whole pages", and
 // store a slot prefix, folding in what they must keep of the previous
 // version (the last of the three is what compacts a slot). So an
@@ -76,6 +78,13 @@
 // version). A sealed version that was to store a fragment is a hole
 // over exactly that extent; the pages behind it stay readable.
 //
+// Written reads the other way round: not what version v reads as, but
+// what v itself stored. Every node on the path to a page v wrote is v's,
+// so v's leaves are named by (v, page) and come back as one batched
+// level, with no descent and no chain: a fragment's chain holds earlier
+// versions' bytes, which a reader of v's own write never needs. A reader
+// told "v wrote bytes [off, off+len)", a shuffle fetch, reads by it.
+//
 // What is left: every MaxSlotFragments-th store into a slot rewrites the
 // slot's prefix, so records tiny next to the page still cost more than
 // their bytes, where every unaligned append used to.
@@ -85,9 +94,9 @@
 // Versions share subtrees, so a reader of version v+1 needs, of the
 // nodes a reader of v already fetched, all but the few v+1 wrote. A
 // NodeCache in front of the store keeps them: decoded nodes by identity
-// (blob, ver, off, span), looked up a level at a time by the one descent
-// there is (getLevel), which sends the store only the keys the cache
-// lacks. A fresh version of a BLOB the process has read costs its new
+// (blob, ver, off, span), looked up a level at a time by getLevel, the
+// one place Resolve and Written read the store, which sends it only the
+// keys the cache lacks. A fresh version of a BLOB the process has read costs its new
 // root plus whatever subtree nobody has touched yet.
 //
 // What may be cached, and why. A key is written once, by the commit of
@@ -95,11 +104,15 @@
 // commit, before the version publishes), and Resolve through a cache is
 // for published versions: every node reached from a published root was
 // written by a version at or below it, all of them published and final.
+// Written through a cache is for completed versions, published or not:
+// it reads only the version's own leaves, and the version manager seals
+// only a pending version, so once a completion is acknowledged nothing
+// writes those keys again, whatever becomes of the versions before it.
 // So a cached node equals the stored one for as long as the stored one
 // exists, and decoded it owns its memory (decodeNode copies the provider
 // list and makes the chain), so no store buffer is retained. Nothing
 // negative is cached: a node that is missing or does not decode is an
-// error of that Resolve and is asked for again by the next, and a level
+// error of that read and is asked for again by the next, and a level
 // joins the cache only when all of it arrived. Nothing is filled on
 // PutNodes: a writer reads no tree, and pays nothing. Two descents that
 // miss the same node both fetch it; the second insert changes nothing.
@@ -667,8 +680,8 @@ type scratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // getLevel returns the decoded nodes of one level, in the level's order;
-// they are s.nodes, valid until the next call. It is the one place a
-// Resolve reads the store: when the store is a NodeCache the nodes it
+// they are s.nodes, valid until the next call. It is the one place
+// Resolve and Written read the store: when the store is a NodeCache the nodes it
 // holds come from there and only the others are fetched, as one batch
 // whose keys are substrings of one slab, and join the cache once every
 // one of them has arrived and decoded. A level the cache holds whole
@@ -810,6 +823,42 @@ func Resolve(ctx context.Context, store NodeStore, blob, ver, pages, off, n uint
 		return nil, fmt.Errorf("segtree: resolved %d of %d pages", prefixes, n)
 	}
 	return out, nil
+}
+
+// Written returns the pages version ver itself stored in slots
+// [first, first+n), one Slot per slot, ordered by index: ver's own leaf
+// at each, a whole page or the fragment ver began at its Head. It
+// resolves no snapshot. Every node on the path to a page ver wrote is
+// ver's, so the leaves are named by (ver, page) and fetched as one level
+// through getLevel, and a NodeCache serves those it holds ("Caching" in
+// the package comment: ver must then have completed). A page that is not
+// one ver stored is refused: no leaf, a hole (every leaf of a sealed
+// version is one), or a leaf naming another page. The chain behind a
+// fragment is not followed; the bytes before ver's Head are earlier
+// versions'.
+func Written(ctx context.Context, store NodeStore, blob, ver, first, n uint64) ([]Slot, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.frontier = s.frontier[:0]
+	for p := first; p < first+n; p++ {
+		s.frontier = append(s.frontier, resolveItem{ver: ver, off: p})
+	}
+	nodes, err := getLevel(ctx, store, blob, 1, s.frontier, s)
+	if err != nil {
+		return nil, err
+	}
+	slots := make([]Slot, n)
+	for i, it := range s.frontier {
+		nd := &nodes[i]
+		if !nd.leaf || nd.ref.Hole || nd.ref.Page.Version != ver || nd.ref.Page.Index != it.off {
+			return nil, fmt.Errorf("segtree: version %d stored no page at %s", ver, FormatKey(LeafKey(blob, ver, it.off)))
+		}
+		slots[i] = Slot{Index: it.off, Ref: nd.ref}
+	}
+	return slots, nil
 }
 
 // appendHoles emits hole slots for the pages of [rOff, rOff+rSpan) that

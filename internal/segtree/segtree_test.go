@@ -361,7 +361,9 @@ type byteModel struct {
 	cache    *NodeCache // over store, for the model's lifetime: every read warms it
 	history  []WriteRecord
 	content  [][]byte                 // content[v-1] is what version v reads as
+	sealed   []bool                   // sealed[v-1]: version v committed holes
 	pages    map[pagestore.Key][]byte // what the providers hold
+	gapped   int                      // writes stored from a partly filled page before their start
 }
 
 func newByteModel(blob, ps uint64) *byteModel {
@@ -398,18 +400,25 @@ func (m *byteModel) size() uint64 {
 // write stores data at byte offset start as the next version. A sealed
 // version commits holes in place of pages: zeros from its Head on, which
 // for a whole-page version wipes the bytes its boundary pages shared
-// with earlier versions.
+// with earlier versions. A write beginning in a page past a partly
+// filled last page stores from where that page's bytes end, as the
+// version manager assigns it.
 func (m *byteModel) write(t *testing.T, start uint64, data []byte, sealed bool) WriteRecord {
 	t.Helper()
 	prevSize := m.size()
 	end := start + uint64(len(data))
 	sizeAfter := max(end, prevSize)
+	stored := start
+	if prevSize%m.ps != 0 && start/m.ps > prevSize/m.ps {
+		stored = prevSize
+		m.gapped++
+	}
 	w := WriteRecord{
 		Ver:        uint64(len(m.history)) + 1,
-		Off:        start / m.ps,
-		N:          (end+m.ps-1)/m.ps - start/m.ps,
+		Off:        stored / m.ps,
+		N:          (end+m.ps-1)/m.ps - stored/m.ps,
 		PagesAfter: (sizeAfter + m.ps - 1) / m.ps,
-		Head:       FragmentHead(m.history, m.ps, prevSize, start),
+		Head:       FragmentHead(m.history, m.ps, prevSize, stored),
 	}
 	next := make([]byte, sizeAfter)
 	if prevSize > 0 {
@@ -436,6 +445,7 @@ func (m *byteModel) write(t *testing.T, start uint64, data []byte, sealed bool) 
 	}
 	m.history = append(m.history, w)
 	m.content = append(m.content, next)
+	m.sealed = append(m.sealed, sealed)
 	return w
 }
 
@@ -501,11 +511,8 @@ func firstDiff(a, b []byte) int {
 
 // randomWrite applies one random operation: an append, a write inside
 // existing bytes (beginning and ending mid-page more often than not), a
-// write past the end, any of them sealed one time in eight. A write past
-// the end of a BLOB whose last page is partly filled stays inside that
-// page: one beginning in a later page would leave the last page's tail
-// unstored, which a read across it reports as a short page (a gap the
-// blob client has today).
+// write past the end (inside the last page or beyond it), any of them
+// sealed one time in eight.
 func (m *byteModel) randomWrite(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	size := m.size()
@@ -518,11 +525,7 @@ func (m *byteModel) randomWrite(t *testing.T, rng *rand.Rand) {
 			start = uint64(rng.Intn(int(size)))
 		}
 	case 1: // past the end
-		if room := (m.ps - size%m.ps) % m.ps; room > 1 {
-			start += uint64(1 + rng.Intn(int(room)-1))
-		} else if room == 0 {
-			start += uint64(rng.Intn(int(3 * m.ps)))
-		}
+		start += uint64(1 + rng.Intn(int(3*m.ps)))
 	case 2: // a short append, the kind that grows a chain
 		data = data[:min(len(data), 1+rng.Intn(int(m.ps/4)))]
 	}
@@ -545,9 +548,70 @@ func TestRandomWritesAgainstModel(t *testing.T) {
 					frags++
 				}
 			}
-			t.Logf("%d versions, %d of them fragments, %d bytes in %d stored pages", len(m.history), frags, m.size(), len(m.pages))
+			t.Logf("%d versions, %d of them fragments, %d past a partly filled page, %d bytes in %d stored pages", len(m.history), frags, m.gapped, m.size(), len(m.pages))
 			if frags == 0 || frags == len(m.history) {
 				t.Errorf("%d fragments in %d versions: the mix must exercise both kinds of leaf", frags, len(m.history))
+			}
+			if m.gapped == 0 {
+				t.Error("no write began past a partly filled last page")
+			}
+		})
+	}
+}
+
+// TestWrittenMatchesResolve: over the same random histories, the pages a
+// version stored, read by address, are the pages of its own that
+// resolving its snapshot finds — through the bare store, a cold cache and
+// the model's warm one — and a sealed version, or a page the version did
+// not write, is refused.
+func TestWrittenMatchesResolve(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			m := newByteModel(uint64(100+seed), 32)
+			for v := 1; v <= 120; v++ {
+				m.randomWrite(t, rng)
+			}
+			m.verify(t) // warms m.cache with every version's reads
+			for i, w := range m.history {
+				stores := map[string]NodeStore{"bare": m.store, "cold": NewNodeCache(m.store), "warm": m.cache}
+				if m.sealed[i] {
+					for name, store := range stores {
+						if got, err := Written(ctx, store, m.blob, w.Ver, w.Off, w.N); err == nil {
+							t.Fatalf("sealed v%d through the %s store: Written = %v, want a refusal", w.Ver, name, got)
+						}
+					}
+					continue
+				}
+				var want []Slot
+				for _, s := range m.resolve(t, w.Ver, w.PagesAfter, w.Off, w.N) {
+					if s.Ref.Page.Version == w.Ver {
+						want = append(want, s)
+					}
+				}
+				if uint64(len(want)) != w.N {
+					t.Fatalf("v%d %+v: resolving finds %d of its pages, want %d", w.Ver, w, len(want), w.N)
+				}
+				for name, store := range stores {
+					got, err := Written(ctx, store, m.blob, w.Ver, w.Off, w.N)
+					if err != nil || !reflect.DeepEqual(got, want) {
+						t.Fatalf("v%d %+v through the %s store: Written = %v, %v; Resolve finds %v", w.Ver, w, name, got, err, want)
+					}
+					for j := range want {
+						got, err := Written(ctx, store, m.blob, w.Ver, want[j].Index, 1)
+						if err != nil || !reflect.DeepEqual(got, want[j:j+1]) {
+							t.Fatalf("v%d page %d through the %s store: Written = %v, %v; want %v", w.Ver, want[j].Index, name, got, err, want[j])
+						}
+					}
+					for _, p := range []uint64{w.Off - 1, w.Off + w.N} {
+						if p+1 == 0 { // w.Off-1 of a write from page 0
+							continue
+						}
+						if got, err := Written(ctx, store, m.blob, w.Ver, p, 1); err == nil {
+							t.Fatalf("v%d %+v through the %s store: Written of page %d = %v, want a refusal", w.Ver, w, name, p, got)
+						}
+					}
+				}
 			}
 		})
 	}

@@ -5,13 +5,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/dht"
 	"blobseer/internal/gc"
 	"blobseer/internal/metrics"
 	"blobseer/internal/rpc"
+	"blobseer/internal/segtree"
 	"blobseer/internal/transport"
 )
 
@@ -374,7 +377,10 @@ func TestStoreChecksumRejectsWrongSegment(t *testing.T) {
 // vm.WaitPublished and takes no pin — the job owns its partition
 // BLOBs' lifetime by ordering (Cleanup runs after the last task), so
 // there is nothing for a per-segment lease to guard. An empty segment
-// was never appended and asks nothing.
+// was never appended and asks nothing. Through a reader that wrote
+// nothing, a segment's leaves are one level of gets, a meta.GetBatch per
+// metadata provider holding one at most and never more than its pages,
+// and a second pass asks the metadata plane nothing.
 func TestFetchAsksTheVersionManagerOnce(t *testing.T) {
 	const maps, parts, pageSize = 5, 3, 256
 	cluster := newTestCluster(t)
@@ -429,6 +435,165 @@ func TestFetchAsksTheVersionManagerOnce(t *testing.T) {
 		if got := after[want.m.Name].Calls - before[want.m.Name].Calls; got != want.calls {
 			t.Errorf("%s: %d calls for %d fetched segments, want %d", want.m.Name, got, fetched, want.calls)
 		}
+	}
+
+	reader := cluster.Client("node-001")
+	defer reader.Close()
+	metaProviders := uint64(len(cluster.MetaAddrs()))
+	for pass := 0; pass < 2; pass++ {
+		var getBatches uint64
+		for p := 0; p < parts; p++ {
+			for consumed := 0; ; consumed++ {
+				seg, ok, err := st.Next(ctx, p, consumed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				before := metrics.Default.RPCClient.Snapshot()
+				if _, err := st.Fetch(ctx, reader, seg); err != nil {
+					t.Fatal(err)
+				}
+				after := metrics.Default.RPCClient.Snapshot()
+				calls := func(m rpc.Method) uint64 { return after[m.Name].Calls - before[m.Name].Calls }
+				var pages, waits uint64
+				if seg.Len > 0 {
+					pages, waits = (seg.Off+seg.Len-1)/pageSize-seg.Off/pageSize+1, 1
+				}
+				gb := calls(dht.MethodGetBatch)
+				getBatches += gb
+				if got := calls(blob.VMWaitPublished); got != waits {
+					t.Errorf("pass %d, map %d part %d: %d vm.WaitPublished calls, want %d", pass, seg.Map, p, got, waits)
+				}
+				if gb > pages || gb > metaProviders {
+					t.Errorf("pass %d, map %d part %d: %d meta.GetBatch calls for a segment of %d pages over %d metadata providers", pass, seg.Map, p, gb, pages, metaProviders)
+				}
+			}
+		}
+		if pass == 0 && getBatches == 0 {
+			t.Error("the cold reader fetched no tree node")
+		}
+		if pass == 1 && getBatches != 0 {
+			t.Errorf("a second pass through the same reader made %d meta.GetBatch calls, want 0", getBatches)
+		}
+	}
+}
+
+// TestColdFetchAllocationBudget: in the data join's shape, 124 segments
+// of about 17 KB in one partition of 64 KiB pages, a segment fetched by a
+// client that has read none of it costs the process about 40 objects and
+// a meta.GetBatch or two; walking the segment tree cost 106 objects and
+// 5.4 round trips.
+func TestColdFetchAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under the race detector's short job")
+	}
+	const segs, pageSize, budget = 124, 64 << 10, 50
+	cluster := newTestCluster(t)
+	c, reader := cluster.Client("node-000"), cluster.Client("node-001")
+	defer c.Close()
+	defer reader.Close()
+	st, err := NewBlobStore(ctx, c, 8, 1, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for m := 0; m < segs; m++ {
+		if err := st.AppendMap(ctx, c, uint64(m), [][]byte{segPayload(m, 0, 16<<10+m*37%2048)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.SetMapCount(segs)
+	fetch := func(i int) {
+		seg, ok, err := st.Next(ctx, 0, i)
+		if err == nil && ok {
+			_, err = st.Fetch(ctx, reader, seg)
+		}
+		if err != nil || !ok {
+			t.Fatalf("segment %d: %v, %v", i, ok, err)
+		}
+	}
+	fetch(0) // the reader's connections, worker pool and version cache
+	getBatches := func() uint64 { return metrics.Default.RPCClient.Snapshot()[dht.MethodGetBatch.Name].Calls }
+	gb := getBatches()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i < segs; i++ {
+		fetch(i)
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / (segs - 1)
+	t.Logf("a cold fetch: %.1f objects, %.2f meta.GetBatch", objects, float64(getBatches()-gb)/(segs-1))
+	if objects > budget {
+		t.Errorf("a cold segment fetch allocates %.1f objects, budget %d", objects, budget)
+	}
+}
+
+// TestFetchSegmentShapes reads back, through a client that wrote none of
+// them, the three shapes a segment's version stores: whole pages over
+// several slots, a fragment behind earlier segments' bytes, and the
+// append that finds its slot's chain full and stores the slot prefix,
+// earlier segments' bytes folded in.
+func TestFetchSegmentShapes(t *testing.T) {
+	const pageSize = 256
+	cluster := newTestCluster(t)
+	c, reader := cluster.Client("node-000"), cluster.Client("node-001")
+	defer c.Close()
+	defer reader.Close()
+	st, err := NewBlobStore(ctx, c, 6, 1, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// 600 bytes over three slots, then 5-byte segments into the third
+	// until its chain is full and one compacts it, then 700 bytes
+	// beginning mid-page.
+	sizes := []int{600}
+	for range segtree.MaxSlotFragments + 2 {
+		sizes = append(sizes, 5)
+	}
+	sizes = append(sizes, 700)
+	for m, n := range sizes {
+		if err := st.AppendMap(ctx, c, uint64(m), [][]byte{segPayload(m, 0, n)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.SetMapCount(len(sizes))
+
+	var multi, frags, compacted int
+	for consumed := 0; ; consumed++ {
+		seg, ok, err := st.Next(ctx, 0, consumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got, err := st.Fetch(ctx, reader, seg)
+		if err != nil {
+			t.Fatalf("fetch map %d: %v", seg.Map, err)
+		}
+		if !bytes.Equal(got, segPayload(int(seg.Map), 0, int(seg.Len))) {
+			t.Fatalf("map %d reads wrong", seg.Map)
+		}
+		first, last := seg.Off/pageSize, (seg.Off+seg.Len-1)/pageSize
+		slots, err := segtree.Written(ctx, reader.NodeStore(), st.Blobs()[0], seg.Ver, first, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case slots[0].Ref.Lo != 0:
+			frags++
+		case seg.Off%pageSize != 0:
+			compacted++
+		}
+		if last > first {
+			multi++
+		}
+	}
+	if multi < 2 || frags == 0 || compacted == 0 {
+		t.Errorf("%d segments over several pages, %d fragments, %d compacting appends: the partition must hold every shape", multi, frags, compacted)
 	}
 }
 

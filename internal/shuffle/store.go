@@ -292,13 +292,20 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 	return nil
 }
 
-// Fetch reads one published segment through c — WaitPublished is its
-// one question to the version manager, ReadAt streams its pages through
-// the client's shared cache — and verifies its checksum. It takes no
-// pin: the job deletes its partition BLOBs only after its last task has
-// drained (see Store), and a BLOB deleted from outside fails the fetch
-// with the version manager's typed refusal (blob.ErrVersionCollected or
-// blob.ErrBlobNotFound), never with stale or short bytes. Each distinct
+// Fetch reads one published segment through c: one vm.WaitPublished,
+// one batched get of the leaves the segment's version wrote, the page
+// reads and the checksum. A segment is exactly the bytes its version
+// appended, so ReadWritten reads them by address, through the client's
+// node and page caches, and walks no segment tree; its version was
+// complete before AppendMap published it, so its leaves are final.
+// WaitPublished is the fetch's one question to the version manager and
+// stays even though the index only hands out published segments: it is
+// what refuses a collected partition to a client whose caches still hold
+// the segment. It takes no pin: the job deletes its partition BLOBs only
+// after its last task has drained (see Store), and a BLOB deleted from
+// outside fails the fetch with the version manager's typed refusal
+// (blob.ErrVersionCollected or blob.ErrBlobNotFound), never with stale or
+// short bytes. Each distinct
 // segment counts toward the fetched statistics once: re-executed reduce
 // attempts re-read their whole partition, and those re-reads must not
 // inflate the counters.
@@ -320,7 +327,7 @@ func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment) ([]byte
 	if _, err := b.WaitPublished(ctx, seg.Ver); err != nil {
 		return nil, fmt.Errorf("shuffle: segment map %d part %d not published: %w", seg.Map, seg.Part, err)
 	}
-	data, err := b.ReadAt(ctx, seg.Ver, seg.Off, seg.Len)
+	data, err := b.ReadWritten(ctx, seg.Ver, seg.Off, seg.Len)
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: read segment map %d part %d: %w", seg.Map, seg.Part, err)
 	}
