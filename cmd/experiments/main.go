@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"blobseer"
@@ -37,8 +36,6 @@ func main() {
 		bwMB   = flag.Float64("bw", 12.5, "modeled NIC bandwidth in MB/s (paper: 1 GbE, scaled)")
 		shufB  = flag.String("shuffle", "memory", "Map/Reduce shuffle backend for BSFS application figures: memory or blob")
 		benchD = flag.String("bench-dir", "", "write BENCH_<fig>.json reports (throughput + latency percentiles) for the write/read/shuffle/gc scenarios into this directory")
-		cmpD   = flag.String("compare", "", "diff each scenario's fresh report against the baseline BENCH_<fig>.json in this directory; drift beyond -tolerance prints warnings (GitHub annotations under GITHUB_ACTIONS) but never fails the run")
-		tolPct = flag.Float64("tolerance", experiments.DefaultTolerancePct, "drift tolerance band for -compare, in percent")
 		trace  = flag.Bool("trace", false, "with -fig shuffle: sample one traced append and print its causal span tree")
 		diagP  = flag.String("diag", "", "on scenario failure, write a postmortem diag bundle (tar.gz with the process-wide metrics registry) to this path before exiting")
 		quick  = flag.Bool("quick", false, "reduced sweeps for a fast run")
@@ -88,29 +85,16 @@ func main() {
 	}
 
 	// writeReport emits the scenario's BENCH_<fig>.json when -bench-dir
-	// is set, and diffs the fresh report against the committed baseline
-	// when -compare is set.
+	// is set.
 	writeReport := func(rep *experiments.BenchReport) error {
-		if *benchD != "" {
-			path, err := experiments.WriteBench(*benchD, rep)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("[bench report written to %s]\n\n", path)
+		if *benchD == "" {
+			return nil
 		}
-		if *cmpD != "" {
-			base, err := experiments.LoadBench(filepath.Join(*cmpD, "BENCH_"+rep.Fig+".json"))
-			if os.IsNotExist(err) {
-				fmt.Printf("[no baseline for %s in %s; skipping compare]\n\n", rep.Fig, *cmpD)
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			drifts := experiments.CompareBench(base, rep, *tolPct)
-			annotate := os.Getenv("GITHUB_ACTIONS") == "true"
-			fmt.Printf("# bench drift vs %s baseline:\n%s\n", rep.Fig, experiments.FormatDrift(drifts, *tolPct, annotate))
+		path, err := experiments.WriteBench(*benchD, rep)
+		if err != nil {
+			return err
 		}
+		fmt.Printf("[bench report written to %s]\n\n", path)
 		return nil
 	}
 

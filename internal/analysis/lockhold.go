@@ -12,7 +12,8 @@ import (
 // sync.RWMutex is held in the enclosing function — the deadlock (and
 // tail-latency) class PR 9 designed around by firing OnCollect hooks
 // outside the monitor's lock. Blocking means: rpc/dht Call, transport
-// Dial/Listen, kvlog writes (Put/Delete/Compact/CompactIfDead/Sync), flight
+// Dial/Listen, kvlog writes (Store Put/Delete/Compact/CompactIfDead/Sync,
+// Journal Append/TrimThrough), flight
 // recorder appends, channel sends/receives (outside a select with a
 // default), selects without a default, Wait* methods, and time.Sleep.
 //
@@ -189,6 +190,11 @@ func blockingCall(pass *Pass, call *ast.CallExpr) string {
 	for _, m := range []string{"Put", "Delete", "Compact", "CompactIfDead", "Sync"} {
 		if isMethodOn(info, call, "blobseer/internal/kvlog", "Store", m) {
 			return "kvlog " + m
+		}
+	}
+	for _, m := range []string{"Append", "TrimThrough"} {
+		if isMethodOn(info, call, "blobseer/internal/kvlog", "Journal", m) {
+			return "kvlog journal " + m
 		}
 	}
 	if isMethodOn(info, call, "blobseer/internal/flight", "Recorder", "Append") ||

@@ -69,6 +69,13 @@ func (g *guarded) compactUnderLock(kv *kvlog.Store) {
 	kv.CompactIfDead(1 << 20) // want "kvlog CompactIfDead while g.mu is held"
 }
 
+func (g *guarded) journalUnderLock(j *kvlog.Journal) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	j.Append(func(uint64) ([]byte, error) { return nil, nil }) // want "kvlog journal Append while g.mu is held"
+	j.TrimThrough(1)                                           // want "kvlog journal TrimThrough while g.mu is held"
+}
+
 // condWait is the one Wait that REQUIRES the lock held.
 func (g *guarded) condWait(c *sync.Cond) {
 	g.mu.Lock()

@@ -75,18 +75,9 @@ type VersionManagerConfig struct {
 	// decided transition is appended to a kvlog store there before it
 	// is acknowledged, and a restart replays the journal to exactly the
 	// acknowledged state. Empty keeps the original in-memory manager
-	// (tests, simnet).
+	// (tests, simnet). Every 4096 records the manager checkpoints:
+	// it snapshots every BLOB and trims the journal the snapshots cover.
 	JournalPath string
-	// JournalSyncEvery forces an fsync every N journal appends (kvlog
-	// semantics; zero leaves flushing to Close/checkpoints).
-	JournalSyncEvery int
-	// CheckpointEvery bounds journal replay: after N records the
-	// manager snapshots every BLOB and trims the covered journal
-	// prefix. Zero means the default (4096).
-	CheckpointEvery int
-	// CompactThreshold is the dead-bytes threshold past which the
-	// journal store is rewritten. Zero means the default (1 MiB).
-	CompactThreshold int64
 }
 
 // VersionManager is BlobSeer's centralized version manager (§3.1.1):
@@ -149,7 +140,7 @@ func NewVersionManager(net transport.Network, addr transport.Addr, cfg VersionMa
 		done: make(chan struct{}),
 	}
 	if cfg.JournalPath != "" {
-		j, err := openVMJournal(cfg.JournalPath, cfg.JournalSyncEvery, cfg.CheckpointEvery, cfg.CompactThreshold)
+		j, err := openVMJournal(cfg.JournalPath)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +202,7 @@ func (vm *VersionManager) JournalRecords() uint64 {
 	if vm.journal == nil {
 		return 0
 	}
-	return vm.journal.seqNow()
+	return vm.journal.log.Last()
 }
 
 // JournalPending reports records appended since the last checkpoint
@@ -292,7 +283,7 @@ func (vm *VersionManager) logRecord(rec *vmRecord) error {
 }
 
 // checkpointLoop writes a checkpoint whenever the journal accumulates
-// CheckpointEvery records since the last one.
+// checkpointEvery records since the last one.
 func (vm *VersionManager) checkpointLoop() {
 	defer vm.wg.Done()
 	for {

@@ -1,10 +1,15 @@
 package blob
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"sort"
 	"testing"
+	"time"
 
 	"blobseer/internal/rpc"
 	"blobseer/internal/segtree"
@@ -34,18 +39,15 @@ func newVMPair(t *testing.T) *vmPair {
 	net := transport.NewMemNet()
 	durAddr := transport.MakeAddr("vm-dur-host", SvcVersionManager)
 	refAddr := transport.MakeAddr("vm-ref-host", SvcVersionManager)
-	// Tiny checkpoint/compaction thresholds so a few hundred ops cross
-	// several checkpoint boundaries and at least one journal rewrite.
 	durCfg := VersionManagerConfig{
-		Nodes:            segtree.NewMemStore(),
-		JournalPath:      filepath.Join(t.TempDir(), "vm.log"),
-		CheckpointEvery:  16,
-		CompactThreshold: 512,
+		Nodes:       segtree.NewMemStore(),
+		JournalPath: filepath.Join(t.TempDir(), "vm.log"),
 	}
 	dur, err := NewVersionManager(net, durAddr, durCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrinkJournal(dur)
 	ref, err := NewVersionManager(net, refAddr, VersionManagerConfig{Nodes: segtree.NewMemStore()})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +73,16 @@ func (p *vmPair) crash() {
 	if err != nil {
 		p.t.Fatalf("replay after kill: %v", err)
 	}
+	shrinkJournal(vm)
 	p.dur = vm
+}
+
+// shrinkJournal sets tiny checkpoint/compaction thresholds so a few
+// hundred ops cross several checkpoint boundaries and at least one
+// journal rewrite. It runs before the manager serves its first call.
+func shrinkJournal(vm *VersionManager) {
+	vm.journal.checkpointEvery = 16
+	vm.journal.compactThreshold = 512
 }
 
 // call hits the journaled manager directly (the pool redials after a
@@ -210,7 +221,7 @@ func TestJournalColdRestartServesHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 7 versions = 15 records (create + 7×assign + 7×complete), below
-	// CheckpointEvery, so the background checkpointer cannot absorb the
+	// checkpointEvery, so the background checkpointer cannot absorb the
 	// tail and the replay count is deterministic.
 	const versions = 7
 	for i := 0; i < versions; i++ {
@@ -239,5 +250,213 @@ func TestJournalColdRestartServesHistory(t *testing.T) {
 	}
 	if len(hist.Infos) != versions {
 		t.Fatalf("history after replay has %d versions, want %d", len(hist.Infos), versions)
+	}
+}
+
+// vmDigest is the decided state of every BLOB, in id order: each one's
+// checkpoint encoding with asOf 0.
+func vmDigest(st *vmState) string {
+	es := st.blobStates()
+	sort.Slice(es, func(a, b int) bool { return es[a].id < es[b].id })
+	h := sha256.New()
+	for _, e := range es {
+		e.bs.mu.Lock()
+		h.Write(encodeBlobSnapshot(e.id, e.bs, 0))
+		e.bs.mu.Unlock()
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// vmCrashScript is 45 transitions over four BLOBs: creates, appends and
+// a write, completes, a seal, retention, truncation, frontiers, and a
+// delete collected to a tombstone.
+func vmCrashScript() []vmRecord {
+	var recs []vmRecord
+	for id := uint64(1); id <= 3; id++ {
+		recs = append(recs, vmRecord{Op: vmOpCreate, Blob: id, Val: 128})
+	}
+	for i := uint64(0); i < 6; i++ {
+		for id := uint64(1); id <= 3; id++ {
+			recs = append(recs, vmRecord{Op: vmOpAssign, Blob: id, Kind: KindAppend, Len: 50 + 37*i + id})
+		}
+		for id := uint64(1); id <= 3; id++ {
+			if (i+id)%3 != 0 {
+				recs = append(recs, vmRecord{Op: vmOpComplete, Blob: id, Ver: i + 1})
+			}
+		}
+	}
+	return append(recs,
+		vmRecord{Op: vmOpSealed, Blob: 1, Ver: 3},
+		vmRecord{Op: vmOpRetain, Blob: 2, Val: 2},
+		vmRecord{Op: vmOpAssign, Blob: 3, Kind: KindWrite, Off: 300, Len: 70},
+		vmRecord{Op: vmOpTrunc, Blob: 2, Ver: 2},
+		vmRecord{Op: vmOpFrontier, Blob: 2, Ver: 2},
+		vmRecord{Op: vmOpCreate, Blob: 4, Val: 64},
+		vmRecord{Op: vmOpAssign, Blob: 4, Kind: KindAppend, Len: 100},
+		vmRecord{Op: vmOpComplete, Blob: 4, Ver: 1},
+		vmRecord{Op: vmOpAssign, Blob: 1, Kind: KindAppend, Len: 33},
+		vmRecord{Op: vmOpDelete, Blob: 3},
+		vmRecord{Op: vmOpFrontier, Blob: 3, Ver: 8},
+		vmRecord{Op: vmOpComplete, Blob: 1, Ver: 7},
+	)
+}
+
+// TestVMJournalCrashPoints runs vmCrashScript through a journal, with
+// checkpoints after records 20 and 36 and a compaction after the
+// second, then cuts a copy of the log at every byte offset of its life
+// (a compacted image is synced before it replaces the log, so cuts
+// start past it). Each reopened copy must replay to the in-memory state
+// after the last record wholly below the cut, however the cut splits a
+// checkpoint's snapshots from its trim, and its next record must get
+// that record's seq + 1.
+func TestVMJournalCrashPoints(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "vm.log")
+	j, err := openVMJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newVMState(0, 1, nil)
+	now := time.Unix(1, 0)
+	type point struct {
+		end    int64
+		digest string
+		last   uint64
+	}
+	type logGen struct {
+		data   []byte
+		base   int64
+		start  point
+		points []point
+	}
+	readLog := func() []byte {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cur := &logGen{start: point{digest: vmDigest(st)}}
+	var gens []*logGen
+	for i, rec := range vmCrashScript() {
+		if err := j.append(&rec); err != nil {
+			t.Fatal(err)
+		}
+		st.apply(rec, now)
+		end, _ := j.kv.Size()
+		cur.points = append(cur.points, point{end: end, digest: vmDigest(st), last: rec.Seq})
+		if i+1 != 20 && i+1 != 36 {
+			continue
+		}
+		if err := j.checkpoint(st); err != nil {
+			t.Fatal(err)
+		}
+		if i+1 == 36 {
+			cur.data = readLog()
+			gens = append(gens, cur)
+			if err := j.kv.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			image := readLog()
+			cur = &logGen{data: image, base: int64(len(image)), start: cur.points[len(cur.points)-1]}
+		}
+	}
+	cur.data = readLog()
+	gens = append(gens, cur)
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cutPath := filepath.Join(dir, "cut.log")
+	rng := rand.New(rand.NewSource(1))
+	for _, g := range gens {
+		for cut := g.base; cut <= int64(len(g.data)); cut++ {
+			if testing.Short() && rng.Intn(8) != 0 {
+				continue
+			}
+			want := g.start
+			for _, p := range g.points {
+				if p.end > cut {
+					break
+				}
+				want = p
+			}
+			if err := os.WriteFile(cutPath, g.data[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rj, err := openVMJournal(cutPath)
+			if err != nil {
+				t.Fatalf("cut %d: open: %v", cut, err)
+			}
+			rst := newVMState(0, 1, nil)
+			if _, err := rj.replay(rst, now); err != nil {
+				t.Fatalf("cut %d: replay: %v", cut, err)
+			}
+			if got := vmDigest(rst); got != want.digest {
+				t.Fatalf("cut %d: replayed state differs from the state after record %d", cut, want.last)
+			}
+			next := vmRecord{Op: vmOpCreate, Blob: 9, Val: 128}
+			if err := rj.append(&next); err != nil || next.Seq != want.last+1 {
+				t.Fatalf("cut %d: next record got seq %d, %v; want %d", cut, next.Seq, err, want.last+1)
+			}
+			rj.close()
+		}
+	}
+}
+
+// TestReplayParentJournal replays testdata/vmjournal-parent.log, written
+// by the version manager before its journal moved onto kvlog.Journal:
+// 44 records over four BLOBs, a checkpoint after record 36 that trimmed
+// them, and 8 records after it. The format is unchanged, so it replays
+// to the digest the writer computed from its own memory, and the next
+// record continues the seq.
+func TestReplayParentJournal(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "vmjournal-parent.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "vm.log")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := openVMJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.close()
+	st := newVMState(0, 1, nil)
+	n, err := j.replay(st, time.Unix(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const digest = "822798219f3a9c095742c5caebacf74ab25a93a087e70d55da8069d24bffadcc"
+	if got := vmDigest(st); got != digest || n != 8 || j.log.Last() != 44 {
+		t.Fatalf("replayed digest %s, %d records, last seq %d; want %s, 8, 44", got, n, j.log.Last(), digest)
+	}
+	rec := vmRecord{Op: vmOpCreate, Blob: 9, Val: 128}
+	if err := j.append(&rec); err != nil || rec.Seq != 45 {
+		t.Fatalf("next record got seq %d, %v; want 45", rec.Seq, err)
+	}
+}
+
+// TestVMJournalAppendAllocationBudget: one journal append costs its key,
+// its encoding, and the store's framing — 6 objects.
+func TestVMJournalAppendAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget: skipped under -short")
+	}
+	j, err := openVMJournal(filepath.Join(t.TempDir(), "vm.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.close()
+	rec := vmRecord{Op: vmOpAssign, Blob: 1, Kind: KindAppend, Len: 1000}
+	for i := 0; i < 300; i++ {
+		if err := j.append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { j.append(&rec) }); n > 6 {
+		t.Fatalf("a journal append allocates %.2f objects, budget 6", n)
 	}
 }

@@ -192,7 +192,6 @@ func (d *Deployment) Health(ctx context.Context) monitor.HealthReport {
 // FlightConfig wires a flight recorder + SLO watchdog onto a
 // deployment. Zero values take the flight package defaults.
 type FlightConfig struct {
-	Recorder flight.RecorderOptions
 	Sampler  flight.SamplerOptions
 	Watchdog flight.WatchdogOptions
 	Rules    flight.StandardRulesOptions
@@ -213,16 +212,11 @@ func (d *Deployment) EnableFlight(path string, cfg FlightConfig) error {
 	if d.Flight != nil {
 		return fmt.Errorf("bsfs: flight recorder already enabled")
 	}
-	rec, err := flight.Open(path, cfg.Recorder)
+	rec, err := flight.Open(path)
 	if err != nil {
 		return err
 	}
-	rules, err := flight.StandardRules(cfg.Rules)
-	if err != nil {
-		rec.Close()
-		return err
-	}
-	rules = append(rules, cfg.ExtraRules...)
+	rules := append(flight.StandardRules(cfg.Rules), cfg.ExtraRules...)
 	wopts := cfg.Watchdog
 	if wopts.HealthCheck == nil && cfg.Rules.Health {
 		wopts.HealthCheck = d.Health

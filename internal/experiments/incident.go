@@ -318,7 +318,7 @@ func Incident(cfg Config) (*IncidentResult, error) {
 	// Post-crash replay: open a SECOND recorder on the same path while
 	// the deployment's own handle is still live-but-abandoned — exactly
 	// what a restarted process sees after a kill (no clean Close).
-	replayRec, err := flight.Open(flightPath, flight.RecorderOptions{})
+	replayRec, err := flight.Open(flightPath)
 	if err != nil {
 		return nil, fmt.Errorf("incident: post-kill reopen: %w", err)
 	}

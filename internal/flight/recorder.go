@@ -3,7 +3,6 @@ package flight
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -13,133 +12,84 @@ import (
 	"blobseer/internal/obs"
 )
 
-// RecorderOptions bound the flight log.
-type RecorderOptions struct {
-	// MaxEvents caps retained events; the oldest are deleted past it
-	// (default 4096).
-	MaxEvents int
-	// MaxBytes caps the live payload bytes; oldest events are deleted
-	// past it (default 8 MiB).
-	MaxBytes int64
-	// CompactSlack is the dead-byte threshold past which the backing
-	// kvlog is rewritten (default 1 MiB, the vmjournal convention).
-	CompactSlack int64
-	// SyncEvery forces an fsync per N events; zero leaves flushing to
-	// the OS (a flight recorder tolerates losing the last instants —
-	// crash recovery truncates the torn tail).
-	SyncEvery int
-}
-
-func (o RecorderOptions) withDefaults() RecorderOptions {
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = 4096
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 8 << 20
-	}
-	if o.CompactSlack <= 0 {
-		o.CompactSlack = 1 << 20
-	}
-	return o
-}
-
-// Recorder is the bounded on-disk event journal. Events append under
-// keys "e/%016x" (hex seq, so lexical key order is append order);
-// retention deletes the oldest keys and compacts the log when dead
-// bytes pile up. Safe for concurrent use.
+// Recorder is the bounded on-disk event journal: a kvlog.Journal under
+// the "e/" prefix, one JSON event per record, with the record's seq as
+// the event's Seq. Retention trims the oldest events past 4096 events
+// or 8 MiB of live bytes, and the log compacts past 1 MiB of dead
+// bytes. Crash recovery truncates a torn tail, so a recorder needs no
+// fsync: it can lose only its last instants. Safe for concurrent use.
 type Recorder struct {
-	opts RecorderOptions
-
 	// now is the injected clock stamping events; tests override it to
 	// keep timelines deterministic.
 	now func() time.Time
 
-	mu        sync.Mutex
-	store     *kvlog.Store
-	seq       uint64 // last assigned seq
-	oldest    uint64 // seq of the oldest retained event (seq+1 when empty)
-	count     int
-	liveBytes int64
-	closed    bool
-}
+	// Retention bounds; tests shrink them.
+	maxEvents    int
+	maxBytes     int64
+	compactSlack int64
 
-func eventKey(seq uint64) string { return fmt.Sprintf("e/%016x", seq) }
+	store *kvlog.Store
+	log   *kvlog.Journal
+	// mu makes an append and the retention it triggers one step, so
+	// Len never reads past maxEvents.
+	mu sync.Mutex
+}
 
 // Open opens (or creates) a flight log at path and replays its index.
 // Reopening a log abandoned by a killed process recovers every intact
 // event — the whole point.
-func Open(path string, opts RecorderOptions) (*Recorder, error) {
-	opts = opts.withDefaults()
-	store, err := kvlog.Open(path, kvlog.Options{SyncEvery: opts.SyncEvery})
+func Open(path string) (*Recorder, error) {
+	store, err := kvlog.Open(path, kvlog.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("flight open: %w", err)
 	}
-	r := &Recorder{opts: opts, store: store, now: time.Now}
-	var seqs []uint64
-	for _, k := range store.Keys() {
-		var s uint64
-		if !strings.HasPrefix(k, "e/") {
-			continue
-		}
-		if _, err := fmt.Sscanf(k[2:], "%016x", &s); err != nil {
-			continue
-		}
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	if len(seqs) > 0 {
-		r.oldest = seqs[0]
-		r.seq = seqs[len(seqs)-1]
-		r.count = len(seqs)
-		_, live := store.Size()
-		r.liveBytes = live
-	} else {
-		r.oldest = 1
-	}
-	return r, nil
+	return &Recorder{
+		now:          time.Now,
+		maxEvents:    4096,
+		maxBytes:     8 << 20,
+		compactSlack: 1 << 20,
+		store:        store,
+		log:          store.Journal("e/"),
+	}, nil
 }
 
 // Append persists one event, assigning its Seq and At, and enforces
-// retention.
+// retention. An event that fails to encode is not stored and uses no
+// Seq.
 func (r *Recorder) Append(ev Event) error {
+	if err := r.append(ev); err != nil {
+		return err
+	}
+	_, err := r.store.CompactIfDead(r.compactSlack)
+	return err
+}
+
+func (r *Recorder) append(ev Event) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return fmt.Errorf("flight: recorder closed")
-	}
-	r.seq++
-	ev.Seq = r.seq
-	if ev.At.IsZero() {
-		ev.At = r.now()
-	}
-	buf, err := json.Marshal(ev)
+	//lint:lockhold r.mu admits the event and trims past the caps as one step; contenders are appends that wait for the write regardless
+	seq, err := r.log.Append(func(seq uint64) ([]byte, error) {
+		ev.Seq = seq
+		if ev.At.IsZero() {
+			ev.At = r.now()
+		}
+		return json.Marshal(ev)
+	})
 	if err != nil {
 		return fmt.Errorf("flight append: %w", err)
 	}
-	// r.mu exists to serialize log appends: seq assignment and the
-	// kvlog write must commit in the same order, and every contender
-	// is itself an append that needs the disk write ordered anyway.
-	//lint:lockhold r.mu's purpose is serializing the append + seq assignment; contenders are appends that must wait for the write regardless
-	if err := r.store.Put(eventKey(ev.Seq), buf); err != nil {
-		return err
-	}
-	r.count++
-	r.liveBytes += int64(len(buf))
-	for r.count > r.opts.MaxEvents || (r.liveBytes > r.opts.MaxBytes && r.count > 1) {
-		key := eventKey(r.oldest)
-		if v, err := r.store.Get(key); err == nil {
-			r.liveBytes -= int64(len(v))
+	// Under r.mu the retained run ends at seq, so it starts at
+	// seq-n+1. The newest event is always kept.
+	for n := r.log.Len(); n > 1; n-- {
+		if _, live := r.store.Size(); n <= r.maxEvents && live <= r.maxBytes {
+			break
 		}
-		//lint:lockhold retention must delete under the same critical section that admitted the event past the cap
-		if err := r.store.Delete(key); err != nil {
+		//lint:lockhold retention deletes under the critical section that admitted the event past the cap
+		if err := r.log.TrimThrough(seq - uint64(n) + 1); err != nil {
 			return err
 		}
-		r.oldest++
-		r.count--
 	}
-	//lint:lockhold compaction rewrites the log file; appends racing it would write into the pre-rename fd
-	_, err = r.store.CompactIfDead(r.opts.CompactSlack)
-	return err
+	return nil
 }
 
 // RecordTrace persists a sampled span tree.
@@ -171,57 +121,29 @@ func (r *Recorder) RecordAlert(a AlertEvent) error {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.count
+	return r.log.Len()
 }
 
 // Replay returns every retained event in append order.
 func (r *Recorder) Replay() ([]Event, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, fmt.Errorf("flight: recorder closed")
-	}
-	events := make([]Event, 0, r.count)
-	err := r.store.Scan(func(key string, value []byte) error {
-		if !strings.HasPrefix(key, "e/") {
-			return nil
-		}
+	events := make([]Event, 0, r.log.Len())
+	err := r.log.Replay(func(seq uint64, rec []byte) error {
 		var ev Event
-		if jerr := json.Unmarshal(value, &ev); jerr != nil {
-			return fmt.Errorf("flight replay %s: %w", key, jerr)
+		if err := json.Unmarshal(rec, &ev); err != nil {
+			return fmt.Errorf("flight replay event %d: %w", seq, err)
 		}
 		events = append(events, ev)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	return events, nil
+	return events, err
 }
 
 // Sync flushes the backing log to disk.
-func (r *Recorder) Sync() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	//lint:lockhold Sync must order against in-flight appends; r.mu is the append serializer
-	return r.store.Sync()
-}
+func (r *Recorder) Sync() error { return r.store.Sync() }
 
 // Close closes the backing log. A kill skips this — by design the log
 // is still replayable.
-func (r *Recorder) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	return r.store.Close()
-}
+func (r *Recorder) Close() error { return r.store.Close() }
 
 // FormatTimeline renders replayed events as a human-readable incident
 // timeline: one line per snapshot/health/alert event, sampled traces

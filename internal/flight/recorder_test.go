@@ -1,6 +1,12 @@
 package flight
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,10 +16,10 @@ import (
 	"blobseer/internal/obs"
 )
 
-func openTemp(t *testing.T, opts RecorderOptions) (*Recorder, string) {
+func openTemp(t *testing.T) (*Recorder, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "flight.log")
-	r, err := Open(path, opts)
+	r, err := Open(path)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -21,7 +27,7 @@ func openTemp(t *testing.T, opts RecorderOptions) (*Recorder, string) {
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
-	r, _ := openTemp(t, RecorderOptions{})
+	r, _ := openTemp(t)
 	defer r.Close()
 
 	if err := r.RecordAlert(AlertEvent{Rule: "journal_lag", State: StateFiring, Value: 900, Limit: 512}); err != nil {
@@ -67,7 +73,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 // abandoned without Close (the killed process) must replay fully from
 // a fresh Open on the same path.
 func TestReopenAfterAbandon(t *testing.T) {
-	r, path := openTemp(t, RecorderOptions{})
+	r, path := openTemp(t)
 	for i := 0; i < 10; i++ {
 		if err := r.RecordAlert(AlertEvent{Rule: "r", State: StateFiring, Value: float64(i)}); err != nil {
 			t.Fatalf("append: %v", err)
@@ -75,7 +81,7 @@ func TestReopenAfterAbandon(t *testing.T) {
 	}
 	// No Close: simulate the kill. The fd leaks for the test's
 	// duration, which is the point.
-	r2, err := Open(path, RecorderOptions{})
+	r2, err := Open(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -101,17 +107,17 @@ func TestReopenAfterAbandon(t *testing.T) {
 // listed hot pages: its snapshot events carry hot_reads/hot_writes,
 // which decode as unknown fields and cost the event nothing else.
 func TestReplayParentSnapshot(t *testing.T) {
-	r, path := openTemp(t, RecorderOptions{})
+	r, path := openTemp(t)
 	const old = `{"seq":1,"at":"2026-01-02T03:04:05Z","kind":"snapshot","snapshot":{"collections":7,"age_ms":0,` +
 		`"components":[{"kind":"provider","name":"node-000","rates":{"read_bytes_per_sec":10},"samples":3}],` +
 		`"replica_imbalance":1.5,"max_journal_lag":900,` +
 		`"hot_reads":[{"blob":1,"page":4,"weight":2.5,"touches":3}],"hot_writes":[{"blob":1,"page":0,"weight":1,"touches":1}]}}`
-	if err := r.store.Put(eventKey(1), []byte(old)); err != nil {
+	if _, err := r.log.Append(func(uint64) ([]byte, error) { return []byte(old), nil }); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
 
-	r, err := Open(path, RecorderOptions{})
+	r, err := Open(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -134,7 +140,8 @@ func TestReplayParentSnapshot(t *testing.T) {
 }
 
 func TestRetentionMaxEvents(t *testing.T) {
-	r, _ := openTemp(t, RecorderOptions{MaxEvents: 5})
+	r, _ := openTemp(t)
+	r.maxEvents = 5
 	defer r.Close()
 	for i := 0; i < 20; i++ {
 		if err := r.RecordAlert(AlertEvent{Rule: "r", Value: float64(i)}); err != nil {
@@ -158,7 +165,8 @@ func TestRetentionMaxEvents(t *testing.T) {
 }
 
 func TestRetentionCompacts(t *testing.T) {
-	r, path := openTemp(t, RecorderOptions{MaxEvents: 8, CompactSlack: 4 << 10})
+	r, path := openTemp(t)
+	r.maxEvents, r.compactSlack = 8, 4<<10
 	defer r.Close()
 	big := strings.Repeat("x", 512)
 	for i := 0; i < 200; i++ {
@@ -172,7 +180,7 @@ func TestRetentionCompacts(t *testing.T) {
 	}
 	// Retention state survives the compaction: reopen agrees.
 	r.Close()
-	r2, err := Open(path, RecorderOptions{MaxEvents: 8})
+	r2, err := Open(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -205,10 +213,11 @@ func TestFormatTimeline(t *testing.T) {
 
 func BenchmarkFlightRecord(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "flight.log")
-	r, err := Open(path, RecorderOptions{MaxEvents: 1024})
+	r, err := Open(path)
 	if err != nil {
 		b.Fatalf("open: %v", err)
 	}
+	r.maxEvents = 1024
 	defer r.Close()
 	spans := []obs.SpanInfo{
 		{Trace: 1, ID: 1, Name: "blob.append", Dur: 75 * time.Millisecond},
@@ -219,6 +228,197 @@ func BenchmarkFlightRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := r.RecordTrace(uint64(i+1), "slow", 75*time.Millisecond, spans); err != nil {
 			b.Fatalf("record: %v", err)
+		}
+	}
+}
+
+// TestFailedAppendLeavesNoGap: an event that fails to encode is not
+// stored and uses no Seq, so the next event follows the last stored one
+// and retention counts only what the log holds.
+func TestFailedAppendLeavesNoGap(t *testing.T) {
+	r, _ := openTemp(t)
+	r.maxEvents = 3
+	defer r.Close()
+	if err := r.RecordAlert(AlertEvent{Rule: "r", Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RecordAlert(AlertEvent{Rule: "r", Value: math.NaN()}); err == nil {
+		t.Fatal("an alert with a NaN value encoded")
+	}
+	for i := 2; i <= 4; i++ {
+		if err := r.RecordAlert(AlertEvent{Rule: "r", Value: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events, err := r.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 3 || len(events) != 3 {
+		t.Fatalf("Len %d, replayed %d events; want 3 and 3", r.Len(), len(events))
+	}
+	for i, ev := range events {
+		if ev.Seq != uint64(i+2) || ev.Alert.Value != float64(i+2) {
+			t.Fatalf("event %d = seq %d value %v, want seq %d value %d", i, ev.Seq, ev.Alert.Value, i+2, i+2)
+		}
+	}
+}
+
+// TestReplayParentLog replays testdata/flight-parent.log, written by the
+// recorder before it moved onto kvlog.Journal: 12 events under a
+// retention of 5, abandoned without Close. It replays the same events
+// the writer's own reopen did (flight-parent.events.json), and the next
+// event continues the seq.
+func TestReplayParentLog(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "flight-parent.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "flight-parent.events.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "flight.log")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	events, err := r.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(events, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got)+"\n" != string(want) {
+		t.Fatalf("replayed:\n%s\nwant:\n%s", got, want)
+	}
+	if r.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", r.Len())
+	}
+	if err := r.RecordAlert(AlertEvent{Rule: "r"}); err != nil {
+		t.Fatal(err)
+	}
+	if events, _ = r.Replay(); events[len(events)-1].Seq != 13 {
+		t.Fatalf("next event seq = %d, want 13", events[len(events)-1].Seq)
+	}
+}
+
+// TestFlightCrashPoints appends 40 events under a retention of 8, with a
+// compaction after the 20th, then cuts a copy of the log at every byte
+// offset of its life (past the compacted image, which is synced before
+// it replaces the log). Each reopened recorder must replay exactly the
+// retained run of appended events as of the last record wholly below
+// the cut — including the event a cut between an append and its trim
+// leaves one past the cap — and its next event must follow the last.
+func TestFlightCrashPoints(t *testing.T) {
+	dir := t.TempDir()
+	r, path := openTemp(t)
+	r.maxEvents = 8
+	base := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	r.now = func() time.Time { return base }
+	type logGen struct {
+		data   []byte
+		base   int64
+		start  []uint64
+		ends   []int64
+		models [][]uint64 // retained seqs after each record
+	}
+	readLog := func() []byte {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	var retained []uint64
+	cur := &logGen{}
+	var gens []*logGen
+	for seq := uint64(1); seq <= 40; seq++ {
+		if err := r.RecordAlert(AlertEvent{Rule: "r", Value: float64(seq)}); err != nil {
+			t.Fatal(err)
+		}
+		// The append's put, then one delete per event past the cap.
+		models := [][]uint64{append(retained[:len(retained):len(retained)], seq)}
+		for m := models[0]; len(m) > 8; {
+			m = m[1:]
+			models = append(models, m)
+		}
+		retained = models[len(models)-1]
+		data := readLog()
+		from := cur.base
+		if n := len(cur.ends); n > 0 {
+			from = cur.ends[n-1]
+		}
+		for off := from; off < int64(len(data)); {
+			off += 9 + int64(binary.LittleEndian.Uint32(data[off+5:off+9]))
+			cur.ends = append(cur.ends, off)
+		}
+		if len(cur.ends) != len(cur.models)+len(models) {
+			t.Fatalf("event %d wrote %d records, want %d", seq, len(cur.ends)-len(cur.models), len(models))
+		}
+		cur.models = append(cur.models, models...)
+		cur.data = data
+		if seq == 20 {
+			gens = append(gens, cur)
+			if err := r.store.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			image := readLog()
+			cur = &logGen{data: image, base: int64(len(image)), start: retained}
+		}
+	}
+	gens = append(gens, cur)
+	r.Close()
+
+	cutPath := filepath.Join(dir, "cut.log")
+	rng := rand.New(rand.NewSource(1))
+	for _, g := range gens {
+		for cut := g.base; cut <= int64(len(g.data)); cut++ {
+			if testing.Short() && rng.Intn(8) != 0 {
+				continue
+			}
+			want := g.start
+			for i, end := range g.ends {
+				if end > cut {
+					break
+				}
+				want = g.models[i]
+			}
+			if err := os.WriteFile(cutPath, g.data[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rr, err := Open(cutPath)
+			if err != nil {
+				t.Fatalf("cut %d: open: %v", cut, err)
+			}
+			events, err := rr.Replay()
+			if err != nil {
+				t.Fatalf("cut %d: replay: %v", cut, err)
+			}
+			var got []uint64
+			for _, ev := range events {
+				if ev.Alert == nil || ev.Alert.Value != float64(ev.Seq) {
+					t.Fatalf("cut %d: event %d replayed as %+v", cut, ev.Seq, ev)
+				}
+				got = append(got, ev.Seq)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) || rr.Len() != len(want) {
+				t.Fatalf("cut %d: replayed seqs %v (Len %d), want %v", cut, got, rr.Len(), want)
+			}
+			var last uint64
+			if len(want) > 0 {
+				last = want[len(want)-1]
+			}
+			if err := rr.RecordAlert(AlertEvent{Rule: "next"}); err != nil || rr.log.Last() != last+1 {
+				t.Fatalf("cut %d: next event got seq %d, %v; want %d", cut, rr.log.Last(), err, last+1)
+			}
+			rr.Close()
 		}
 	}
 }

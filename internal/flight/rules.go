@@ -1,11 +1,7 @@
 package flight
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"blobseer/internal/metrics"
@@ -76,8 +72,8 @@ func RuleHealth() Rule {
 }
 
 // RuleLatency breaches when the windowed (since the previous
-// evaluation) p99 of the named op histogram exceeds factor × the
-// committed baseline p99. The closure holds the previous cumulative
+// evaluation) p99 of the named op histogram exceeds factor ×
+// baselineP99Ms. The closure holds the previous cumulative
 // snapshot, so each evaluation judges only the operations completed
 // since the last one.
 func RuleLatency(reg *metrics.Registry, op string, baselineP99Ms, factor float64) Rule {
@@ -108,71 +104,18 @@ func RuleLatency(reg *metrics.Registry, op string, baselineP99Ms, factor float64
 	}
 }
 
-// Baseline is one committed per-op latency reference.
-type Baseline struct {
-	Op    string
-	P99Ms float64
-	File  string
-}
-
-// LoadBaselines reads every BENCH_*.json in dir and extracts per-op
-// p99 baselines from their latency maps, keeping the max p99 per op
-// across files (the most permissive committed reference). The decode
-// is structural — only the latency field is read — so flight stays
-// independent of internal/experiments (which imports flight).
-func LoadBaselines(dir string) ([]Baseline, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return nil, err
-	}
-	byOp := make(map[string]Baseline)
-	for _, p := range paths {
-		buf, err := os.ReadFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("flight baselines: %w", err)
-		}
-		var rep struct {
-			Latency map[string]struct {
-				P99Ms float64 `json:"p99_ms"`
-			} `json:"latency"`
-		}
-		if err := json.Unmarshal(buf, &rep); err != nil {
-			return nil, fmt.Errorf("flight baselines %s: %w", filepath.Base(p), err)
-		}
-		for op, lq := range rep.Latency {
-			if lq.P99Ms <= 0 {
-				continue
-			}
-			if have, ok := byOp[op]; !ok || lq.P99Ms > have.P99Ms {
-				byOp[op] = Baseline{Op: op, P99Ms: lq.P99Ms, File: filepath.Base(p)}
-			}
-		}
-	}
-	out := make([]Baseline, 0, len(byOp))
-	for _, b := range byOp {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Op < out[j].Op })
-	return out, nil
-}
-
 // StandardRulesOptions configure the default rule set.
 type StandardRulesOptions struct {
 	MaxJournalLag  float64 // default 512 pending records
 	MaxUtilization float64 // default 0.95
 	MaxImbalance   float64 // default 3.0
-	// BaselineDir, when set, adds a RuleLatency per op found in the
-	// committed BENCH_*.json files there.
-	BaselineDir   string
-	LatencyFactor float64 // default 2.0 × baseline p99
-	Registry      *metrics.Registry
 	// Health toggles the component-health rule (needs the watchdog's
 	// HealthCheck wired to mean anything).
 	Health bool
 }
 
 // StandardRules builds the default SLO rule set.
-func StandardRules(o StandardRulesOptions) ([]Rule, error) {
+func StandardRules(o StandardRulesOptions) []Rule {
 	if o.MaxJournalLag <= 0 {
 		o.MaxJournalLag = 512
 	}
@@ -182,9 +125,6 @@ func StandardRules(o StandardRulesOptions) ([]Rule, error) {
 	if o.MaxImbalance <= 0 {
 		o.MaxImbalance = 3.0
 	}
-	if o.LatencyFactor <= 0 {
-		o.LatencyFactor = 2.0
-	}
 	rules := []Rule{
 		RuleJournalLag(o.MaxJournalLag),
 		RuleUtilization(o.MaxUtilization),
@@ -193,14 +133,5 @@ func StandardRules(o StandardRulesOptions) ([]Rule, error) {
 	if o.Health {
 		rules = append(rules, RuleHealth())
 	}
-	if o.BaselineDir != "" {
-		baselines, err := LoadBaselines(o.BaselineDir)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range baselines {
-			rules = append(rules, RuleLatency(o.Registry, b.Op, b.P99Ms, o.LatencyFactor))
-		}
-	}
-	return rules, nil
+	return rules
 }

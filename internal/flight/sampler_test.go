@@ -23,7 +23,7 @@ func traceInto(d time.Duration, childErr error) {
 
 func newTestSampler(t *testing.T, opts SamplerOptions) (*Sampler, *Recorder) {
 	t.Helper()
-	rec, _ := openTemp(t, RecorderOptions{})
+	rec, _ := openTemp(t)
 	t.Cleanup(func() { rec.Close() })
 	s := AttachSampler(obs.Spans, rec, opts)
 	t.Cleanup(s.Close)

@@ -2,8 +2,6 @@ package flight
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -24,7 +22,7 @@ func lagMonitor(lag *float64) *monitor.Monitor {
 func TestWatchdogHysteresis(t *testing.T) {
 	lag := 0.0
 	m := lagMonitor(&lag)
-	rec, _ := openTemp(t, RecorderOptions{})
+	rec, _ := openTemp(t)
 	defer rec.Close()
 
 	w := NewWatchdog(m, rec, []Rule{RuleJournalLag(100)}, WatchdogOptions{
@@ -122,7 +120,7 @@ func TestWatchdogArmEvaluatesOnCollection(t *testing.T) {
 func TestWatchdogHealthTransitions(t *testing.T) {
 	healthy := true
 	m := monitor.New(monitor.Config{})
-	rec, _ := openTemp(t, RecorderOptions{})
+	rec, _ := openTemp(t)
 	defer rec.Close()
 	w := NewWatchdog(m, rec, []Rule{RuleHealth()}, WatchdogOptions{
 		FireAfter: 1, ClearAfter: 1, SnapshotEvery: -1,
@@ -197,40 +195,5 @@ func TestRuleLatencyWindowed(t *testing.T) {
 	_, _, breached, detail := rule.Evaluate(monitor.ClusterSnapshot{}, nil)
 	if breached || detail != "idle window" {
 		t.Fatalf("idle window: breached=%v detail=%q", breached, detail)
-	}
-}
-
-func TestLoadBaselines(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("BENCH_append.json", `{"fig":"append","latency":{"blob.append":{"p99_ms":12.5},"blob.pageview":{"p99_ms":3.0}}}`)
-	write("BENCH_read.json", `{"fig":"read","latency":{"blob.append":{"p99_ms":20.0}}}`)
-	write("not-a-bench.json", `{"latency":{"x":{"p99_ms":99}}}`)
-
-	bs, err := LoadBaselines(dir)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if len(bs) != 2 {
-		t.Fatalf("got %d baselines, want 2: %+v", len(bs), bs)
-	}
-	if bs[0].Op != "blob.append" || bs[0].P99Ms != 20.0 {
-		t.Fatalf("max-across-files not applied: %+v", bs[0])
-	}
-	if bs[1].Op != "blob.pageview" || bs[1].P99Ms != 3.0 {
-		t.Fatalf("baseline mismatch: %+v", bs[1])
-	}
-
-	rules, err := StandardRules(StandardRulesOptions{BaselineDir: dir, Registry: metrics.NewRegistry()})
-	if err != nil {
-		t.Fatalf("standard rules: %v", err)
-	}
-	// 3 base rules + 2 latency rules.
-	if len(rules) != 5 {
-		t.Fatalf("got %d standard rules, want 5", len(rules))
 	}
 }

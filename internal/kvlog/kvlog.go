@@ -20,6 +20,19 @@
 // history, however many appends, deletes, or compactions land while
 // the scan runs (open-at-version, like the BLOB layer's versioned
 // reads).
+//
+// # Journal
+//
+// A Journal is a sequenced log under one key prefix of a Store: record
+// n is stored at prefix+%016x. Its contract is kopia's storage
+// atomicity clause ("it mustn't be possible to observe partial
+// results") applied to a record. A reopened journal replays exactly the
+// records wholly written before a crash, in ascending seq; recovery
+// truncates a torn tail, so it is never replayed. There is never a gap:
+// Append uses a seq only once its record is stored and trims delete
+// oldest first, so any crash leaves one contiguous run, and the next
+// Append gets the last replayed seq + 1. A crash inside Compact leaves
+// the old log: the rewrite replaces it only once synced.
 package kvlog
 
 import (
@@ -30,6 +43,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sort"
+	"strconv"
 	"sync"
 
 	"blobseer/internal/wire"
@@ -257,28 +272,6 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Keys returns a snapshot of all live keys, in unspecified order.
-func (s *Store) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.index))
-	for k := range s.index {
-		out = append(out, k)
-	}
-	return out
-}
-
-//
-// Pinned-snapshot scans. The log is append-only and records are
-// immutable, so the store's "version" IS its end offset: pinning the
-// offset at open time and replaying only records below it yields one
-// consistent prefix of the store's history, no matter how many appends
-// land while the scan runs — the same open-at-version discipline the
-// BLOB layer applies to versioned reads. The old Keys-then-Get walk
-// chased a moving tail instead: values overwritten between the key
-// listing and each Get leaked mid-scan states that never coexisted.
-//
-
 // Snapshot is a pinned read-only view of the log at one end offset.
 // It holds its own file descriptor on the log path, so a concurrent
 // Compact (which atomically renames a rewritten log over the path)
@@ -387,8 +380,8 @@ func (sn *Snapshot) Len() (int, error) {
 func (sn *Snapshot) Close() error { return sn.f.Close() }
 
 // Scan runs fn over one pinned snapshot of the store (see Snapshot):
-// the consistent-prefix replacement for iterating Keys and calling Get
-// per key while writers append.
+// every live key once, as of one consistent prefix, while writers
+// append.
 func (s *Store) Scan(fn func(key string, value []byte) error) error {
 	sn, err := s.Snapshot()
 	if err != nil {
@@ -509,4 +502,135 @@ func (s *Store) Close() error {
 		return err
 	}
 	return s.f.Close()
+}
+
+// Journal is a sequenced log under one key prefix of a Store (see the
+// package doc for its crash contract). Its retained records are always
+// the contiguous run [first, last]. Safe for concurrent use.
+type Journal struct {
+	s      *Store
+	prefix string
+
+	mu    sync.Mutex
+	first uint64 // oldest retained seq; last+1 when empty
+	last  uint64 // newest seq used
+}
+
+// Journal returns the journal kept under prefix, with its retained run
+// read from the store's index.
+func (s *Store) Journal(prefix string) *Journal {
+	j := &Journal{s: s, prefix: prefix, first: 1}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for key := range s.index {
+		if seq, ok := j.seq(key); ok {
+			if j.last == 0 || seq < j.first {
+				j.first = seq
+			}
+			j.last = max(j.last, seq)
+		}
+	}
+	return j
+}
+
+// key names record seq: the prefix and 16 zero-padded hex digits.
+func (j *Journal) key(seq uint64) string {
+	var buf [16]byte
+	hex := strconv.AppendUint(buf[:0], seq, 16)
+	return j.prefix + "0000000000000000"[len(hex):] + string(hex)
+}
+
+// seq parses a key of this journal; ok is false for any other key.
+func (j *Journal) seq(key string) (uint64, bool) {
+	if len(key) != len(j.prefix)+16 || key[:len(j.prefix)] != j.prefix {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(key[len(j.prefix):], 16, 64)
+	return seq, err == nil && seq > 0
+}
+
+// Append stores one record as the next seq and returns it. encode is
+// handed that seq and returns the record; the seq counts as used only
+// once the record is stored, so a failed encode or put leaves no gap.
+// encode runs under the journal's lock and must not call back into it.
+func (j *Journal) Append(encode func(seq uint64) ([]byte, error)) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	seq := j.last + 1
+	rec, err := encode(seq)
+	if err != nil {
+		return 0, err
+	}
+	//lint:lockhold seq order must equal log order, so the put commits under j.mu; every contender is an append needing the same ordering
+	if err := j.s.Put(j.key(seq), rec); err != nil {
+		return 0, err
+	}
+	j.last = seq
+	return seq, nil
+}
+
+// Replay calls fn once per record retained at one pinned Scan, in
+// ascending seq. A non-nil error from fn stops it and is returned.
+func (j *Journal) Replay(fn func(seq uint64, rec []byte) error) error {
+	type entry struct {
+		seq uint64
+		rec []byte
+	}
+	var recs []entry
+	if err := j.s.Scan(func(key string, value []byte) error {
+		if seq, ok := j.seq(key); ok {
+			recs = append(recs, entry{seq, value})
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	sort.Slice(recs, func(a, b int) bool { return recs[a].seq < recs[b].seq })
+	for _, e := range recs {
+		if err := fn(e.seq, e.rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TrimThrough deletes the retained records with seq ≤ seq, oldest
+// first, so a crash part-way still leaves a contiguous run.
+func (j *Journal) TrimThrough(seq uint64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for ; j.first <= min(seq, j.last); j.first++ {
+		//lint:lockhold the run's first seq moves with each delete under j.mu, so no Append or Len sees a record the log no longer holds
+		if err := j.s.Delete(j.key(j.first)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SkipThrough makes seq the last seq used if the journal is empty and
+// its last is lower, so the next Append gets seq+1. An empty journal's
+// keys keep no number: an owner that trimmed every record into a
+// checkpoint restores the seq the checkpoint covers with it.
+func (j *Journal) SkipThrough(seq uint64) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.first > j.last && seq > j.last {
+		j.first, j.last = seq+1, seq
+	}
+}
+
+// Len returns the number of retained records.
+func (j *Journal) Len() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return int(j.last + 1 - j.first)
+}
+
+// Last returns the newest seq used: every record ever appended,
+// trimmed or not.
+func (j *Journal) Last() uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.last
 }
