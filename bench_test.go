@@ -404,7 +404,6 @@ func BenchmarkSegmentFetch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer st.Close()
 	for m := 0; m < segs; m++ {
 		if err := st.AppendMap(benchCtx, w, uint64(m), [][]byte{benchChunk(byte(m))[:16<<10+m*37%2048]}); err != nil {
 			b.Fatal(err)

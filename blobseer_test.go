@@ -1,16 +1,23 @@
 package blobseer
 
 import (
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"blobseer/internal/apps/wordcount"
 	"blobseer/internal/bsfs"
 	"blobseer/internal/cache"
 	"blobseer/internal/dfs"
 	"blobseer/internal/flight"
+	"blobseer/internal/mapreduce"
 	"blobseer/internal/metrics"
+	"blobseer/internal/obshttp"
+	"blobseer/internal/shuffle"
 )
 
 // sized is the Options of a small test deployment.
@@ -170,12 +177,11 @@ func TestFlightPathAloneEvaluatesRules(t *testing.T) {
 
 // TestClosedComponentsLeaveTheRegistry boots and closes whole
 // deployments in one process, the way tests and experiment sweeps do:
-// the process registry must let go of each closed client's and
-// collector's counters (what they count afterwards is invisible) while
-// its totals keep everything they counted before.
+// the process counters must keep exactly what each closed mount and
+// collector counted.
 func TestClosedComponentsLeaveTheRegistry(t *testing.T) {
 	const cycles = 5
-	before := metrics.Default.Snapshot()
+	before := metrics.Default.Snapshot().Counters
 	var want metrics.ReadSnapshot // what the closed mounts counted, all cycles
 	for i := 0; i < cycles; i++ {
 		c, err := NewCluster(sized(2, 2, 256))
@@ -192,26 +198,77 @@ func TestClosedComponentsLeaveTheRegistry(t *testing.T) {
 		if _, err := c.FS.GC.RunOnce(benchCtx); err != nil {
 			t.Fatal(err)
 		}
-		rs, gs := m.BlobClient().ReadStats(), c.FS.GC.Stats()
+		rs := m.BlobClient().ReadStats()
 		m.Close()
 		c.Close()
 		final := rs.Snapshot()
 		want.Hits += final.Hits
 		want.Misses += final.Misses
-		rs.AddHit()
-		gs.AddPass()
 	}
-	after := metrics.Default.Snapshot()
+	after := metrics.Default.Snapshot().Counters
 	if want.Misses == 0 {
 		t.Fatal("the workload read nothing: the test proves nothing")
 	}
-	if got := after.Read.Misses - before.Read.Misses; got != want.Misses {
-		t.Errorf("registry misses grew by %d over %d cycles, want %d: a closed mount's total was dropped", got, cycles, want.Misses)
+	if got := after["read_cache_misses"] - before["read_cache_misses"]; got != want.Misses {
+		t.Errorf("read_cache_misses grew by %d over %d cycles, want the mounts' %d", got, cycles, want.Misses)
 	}
-	if got := after.Read.Hits - before.Read.Hits; got != want.Hits {
-		t.Errorf("registry hits grew by %d, want %d: a closed mount's counters are still attached", got, want.Hits)
+	if got := after["read_cache_hits"] - before["read_cache_hits"]; got != want.Hits {
+		t.Errorf("read_cache_hits grew by %d, want the mounts' %d", got, want.Hits)
 	}
-	if got := after.GC.Passes - before.GC.Passes; got != cycles {
-		t.Errorf("registry gc passes grew by %d, want %d: a closed collector's counters are still attached", got, cycles)
+	if got := after["gc_passes"] - before["gc_passes"]; got != cycles {
+		t.Errorf("gc_passes grew by %d, want %d", got, cycles)
+	}
+}
+
+// TestCounterExportNamesAreStable scrapes /metrics after one write, one
+// read, one GC pass and one blob-shuffle job: every subsystem counter
+// name dashboards already query is still exported, typed as a counter.
+func TestCounterExportNamesAreStable(t *testing.T) {
+	c := newTestCluster(t, sized(4, 3, 256))
+	m := c.Mount("node-000")
+	defer m.Close()
+	if err := dfs.WriteFile(benchCtx, m, "/in/t", []byte("a b a\nb c\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dfs.ReadAll(benchCtx, m, "/in/t"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FS.GC.RunOnce(benchCtx); err != nil {
+		t.Fatal(err)
+	}
+	fw, err := c.NewFramework()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
+	job := wordcount.Job([]string{"/in/t"}, "/out", 2, mapreduce.SharedAppend)
+	job.Shuffle = shuffle.Blob
+	if _, err := fw.Run(benchCtx, job); err != nil {
+		t.Fatal(err)
+	}
+
+	ms, err := obshttp.Serve("127.0.0.1:0", obshttp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	resp, err := http.Get("http://" + ms.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"read_cache_hits", "read_cache_misses", "read_readahead_pages",
+		"read_cache_evictions", "read_provider_fetches", "read_provider_failures",
+		"gc_passes", "gc_versions_collected", "gc_pages_reclaimed", "gc_bytes_reclaimed",
+		"shuffle_segments_appended", "shuffle_segments_fetched", "shuffle_segments_recovered",
+	} {
+		if metric := "blobseer_" + name + "_total"; !strings.Contains(string(body), "# TYPE "+metric+" counter\n"+metric+" ") {
+			t.Errorf("/metrics does not export %s as a counter", metric)
+		}
 	}
 }

@@ -138,10 +138,7 @@ entries
 				fmt.Printf("error: %v\n", err)
 				continue
 			}
-			s := cluster.FS.GC.Stats().Snapshot()
-			fmt.Printf("gc: passes=%d versions=%d blobs=%d pages=%d bytes=%d nodes=%d pins-blocked=%d\n",
-				s.Passes, s.VersionsCollected, s.BlobsDeleted, s.PagesReclaimed,
-				s.BytesReclaimed, s.NodesDeleted, s.PinsBlocked)
+			showCounters(metrics.Default.Snapshot().Counters, "gc_")
 			continue
 		}
 		if line == "stats" {
@@ -186,14 +183,7 @@ entries
 // counters, live gauges, operation latencies, and per-method RPC
 // latency quantiles for both wire sides.
 func showStats(s metrics.RegistrySnapshot) {
-	fmt.Printf("read:    hits=%d misses=%d readahead=%d evictions=%d fetches=%d failures=%d\n",
-		s.Read.Hits, s.Read.Misses, s.Read.Readahead, s.Read.Evictions,
-		s.Read.ProviderFetches, s.Read.ProviderFailures)
-	fmt.Printf("gc:      passes=%d versions=%d blobs=%d pages=%d bytes=%d\n",
-		s.GC.Passes, s.GC.VersionsCollected, s.GC.BlobsDeleted,
-		s.GC.PagesReclaimed, s.GC.BytesReclaimed)
-	fmt.Printf("shuffle: appended=%d fetched=%d recovered=%d\n",
-		s.Shuffle.SegmentsAppended, s.Shuffle.SegmentsFetched, s.Shuffle.SegmentsRecovered)
+	showCounters(s.Counters, "")
 	for _, k := range sortedKeys(s.Gauges) {
 		fmt.Printf("gauge    %-28s %g\n", k, s.Gauges[k])
 	}
@@ -345,6 +335,16 @@ func runDiag(cluster *blobseer.Cluster, args []string) error {
 	}
 	fmt.Printf("wrote %s: %s\n", args[0], strings.Join(members, ", "))
 	return nil
+}
+
+// showCounters prints the process counters whose names start with
+// prefix.
+func showCounters(counters map[string]uint64, prefix string) {
+	for _, k := range sortedKeys(counters) {
+		if strings.HasPrefix(k, prefix) {
+			fmt.Printf("counter  %-28s %d\n", k, counters[k])
+		}
+	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

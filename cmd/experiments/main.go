@@ -226,9 +226,10 @@ func main() {
 			res.OverwriteGC, res.OverwriteNoGC, res.RotateGC, res.RotateNoGC)
 		fmt.Printf("# overwrite: final storage %.2fx the working set under RetainLatest(2)\n", res.OverwriteBoundRatio)
 		fmt.Printf("# rotate:    final storage %.2fx the live-file set with delete-driven GC\n", res.RotateBoundRatio)
+		c := res.Collector
 		fmt.Printf("# collector: %d passes, %d versions collected, %d blobs deleted, %d pages (%d bytes) reclaimed, %d tree nodes deleted\n\n",
-			res.GCStats.Passes, res.GCStats.VersionsCollected, res.GCStats.BlobsDeleted,
-			res.GCStats.PagesReclaimed, res.GCStats.BytesReclaimed, res.GCStats.NodesDeleted)
+			c["gc_passes"], c["gc_versions_collected"], c["gc_blobs_deleted"],
+			c["gc_pages_reclaimed"], c["gc_bytes_reclaimed"], c["gc_nodes_deleted"])
 		return writeReport(rep)
 	})
 

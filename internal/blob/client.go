@@ -85,8 +85,8 @@ type Client struct {
 	nodes *segtree.NodeCache
 
 	// pages is the process-shared read cache (nil when disabled);
-	// rstats aggregates the read-path counters whether or not the
-	// cache is on. replicaRR rotates the starting replica of page
+	// rstats is this client's view of the read-path counters, kept
+	// whether or not the cache is on. replicaRR rotates the starting replica of page
 	// fetches so the primary does not absorb all read traffic.
 	pages     *cache.Cache
 	rstats    *metrics.ReadStats
@@ -145,7 +145,6 @@ func NewClient(cfg ClientConfig) *Client {
 	ring := dht.NewRing(cfg.Metadata, 64)
 	meta := dht.NewClient(ring, pool, metaReplicas)
 	rstats := &metrics.ReadStats{}
-	metrics.Default.AttachReadStats(rstats)
 	return &Client{
 		cfg:      cfg,
 		pool:     pool,
@@ -161,8 +160,9 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 }
 
-// ReadStats exposes the client's read-path counters (cache hits and
-// misses, readahead, provider fetches and failures).
+// ReadStats exposes the client's own read-path counters (cache hits and
+// misses, readahead, provider fetches, and failures per provider
+// endpoint); the process registry's read_* counters sum every client's.
 func (c *Client) ReadStats() *metrics.ReadStats { return c.rstats }
 
 // PageCache exposes the shared page cache (nil when disabled), for
@@ -173,15 +173,12 @@ func (c *Client) PageCache() *cache.Cache { return c.pages }
 // finished — the effective AppendAsync pipelining depth.
 func (c *Client) InFlight() int64 { return c.inflight.Load() }
 
-// Close releases the client's connections, stops its page workers, and
-// hands its read counters' final values to the process registry. It
-// returns once a placement-lease refill in flight has ended, which
-// closing the connections makes prompt.
+// Close releases the client's connections and stops its page workers.
+// It returns once a placement-lease refill in flight has ended, which
+// closing the connections makes prompt. What the client counted stays
+// in the process registry's read_* counters.
 func (c *Client) Close() error {
-	c.closeOnce.Do(func() {
-		close(c.pageQuit)
-		metrics.Default.ReleaseReadStats(c.rstats)
-	})
+	c.closeOnce.Do(func() { close(c.pageQuit) })
 	c.lease.mu.Lock()
 	c.lease.closed = true
 	c.lease.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"blobseer/internal/metrics"
 	"blobseer/internal/obs"
@@ -120,6 +121,19 @@ func (r *benchRun) latencies() map[string]metrics.LatencyQuantiles {
 	return out
 }
 
+// countersSince returns how much each process counter whose name starts
+// with prefix grew since before, the Counters of a snapshot taken when
+// the run started.
+func countersSince(before map[string]uint64, prefix string) map[string]uint64 {
+	out := make(map[string]uint64)
+	for k, v := range metrics.Default.Snapshot().Counters {
+		if strings.HasPrefix(k, prefix) {
+			out[k] = v - before[k]
+		}
+	}
+	return out
+}
+
 // WriteBench writes the report to dir/BENCH_<fig>.json and returns the
 // path.
 func WriteBench(dir string, rep *BenchReport) (string, error) {
@@ -168,50 +182,33 @@ func BenchRead(cfg Config, appenders []int) (*BenchReport, *metrics.Series, erro
 	return rep, s, nil
 }
 
-// BenchShuffle runs the shuffle-backend comparison. Segment append and
-// fetch latencies come from the shuffle stats attached to the
-// process-wide registry; only shuffle runs record them, so the
-// snapshot is the scenario's own traffic.
+// BenchShuffle runs the shuffle-backend comparison and packages it with
+// the segment append and fetch latency distributions.
 func BenchShuffle(cfg Config) (*BenchReport, *ShuffleResult, error) {
-	run := startBenchRun("blob.append", "blob.read")
+	run := startBenchRun("blob.append", "blob.read", "shuffle.append", "shuffle.fetch")
 	res, err := Shuffle(cfg)
 	if err != nil {
 		return nil, nil, err
-	}
-	lat := run.latencies()
-	snap := metrics.Default.Snapshot()
-	if lat == nil {
-		lat = make(map[string]metrics.LatencyQuantiles)
-	}
-	if snap.Shuffle.AppendLatency.Count > 0 {
-		lat["shuffle.append"] = snap.Shuffle.AppendLatency
-	}
-	if snap.Shuffle.FetchLatency.Count > 0 {
-		lat["shuffle.fetch"] = snap.Shuffle.FetchLatency
 	}
 	return &BenchReport{
 		Fig:    "shuffle",
 		Config: benchConfig(cfg.withDefaults()),
 		Series: benchSeries(res.TimeMemory, res.TimeBlob, res.RerunsMemory, res.RerunsBlob),
 		Extra: map[string]float64{
-			"blob_overlap_sec":   res.BlobOverlapSec,
-			"blob_recovered":     float64(res.BlobRecovered),
-			"segments_recovered": float64(snap.Shuffle.SegmentsRecovered),
+			"blob_overlap_sec": res.BlobOverlapSec,
+			"blob_recovered":   float64(res.BlobRecovered),
 		},
-		Latency: lat,
+		Latency: run.latencies(),
 	}, res, nil
 }
 
-// BenchGC runs the storage-lifecycle scenario; pass latency comes from
-// the collectors' stats attached to the registry.
+// BenchGC runs the storage-lifecycle scenario and packages it with the
+// reclaim pass latency distribution.
 func BenchGC(cfg Config) (*BenchReport, *GCResult, error) {
+	run := startBenchRun("gc.pass")
 	res, err := GC(cfg)
 	if err != nil {
 		return nil, nil, err
-	}
-	lat := map[string]metrics.LatencyQuantiles{}
-	if snap := metrics.Default.Snapshot(); snap.GC.PassLatency.Count > 0 {
-		lat["gc.pass"] = snap.GC.PassLatency
 	}
 	return &BenchReport{
 		Fig:    "gc",
@@ -220,10 +217,10 @@ func BenchGC(cfg Config) (*BenchReport, *GCResult, error) {
 		Extra: map[string]float64{
 			"overwrite_bound_ratio": res.OverwriteBoundRatio,
 			"rotate_bound_ratio":    res.RotateBoundRatio,
-			"gc_passes":             float64(res.GCStats.Passes),
-			"pages_reclaimed":       float64(res.GCStats.PagesReclaimed),
+			"gc_passes":             float64(res.Collector["gc_passes"]),
+			"pages_reclaimed":       float64(res.Collector["gc_pages_reclaimed"]),
 		},
-		Latency: lat,
+		Latency: run.latencies(),
 	}, res, nil
 }
 

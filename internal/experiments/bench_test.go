@@ -84,6 +84,22 @@ func TestBenchRunBrackets(t *testing.T) {
 	}
 }
 
+// TestBenchGCReportsOwnPasses runs the GC scenario twice in one
+// process, as -fig all and the test suite do: each report must count
+// only its own reclaim passes, in its latency block as in its extras.
+func TestBenchGCReportsOwnPasses(t *testing.T) {
+	for run := 1; run <= 2; run++ {
+		rep, _, err := BenchGC(smallCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes := rep.Extra["gc_passes"]
+		if got := float64(rep.Latency["gc.pass"].Count); passes == 0 || got != passes {
+			t.Errorf("run %d: gc.pass latency counts %v passes, gc_passes %v", run, got, passes)
+		}
+	}
+}
+
 func TestTraceAppendTree(t *testing.T) {
 	tree, err := TraceAppend(context.Background(), smallCfg())
 	if err != nil {

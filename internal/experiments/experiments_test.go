@@ -223,7 +223,7 @@ func TestGCScenarioSmoke(t *testing.T) {
 	if rraw < 2*rgc {
 		t.Errorf("rotate: no-GC baseline %f MiB not clearly above GC run %f MiB", rraw, rgc)
 	}
-	if res.GCStats.PagesReclaimed == 0 || res.GCStats.BlobsDeleted == 0 {
-		t.Errorf("collector idle across the scenario: %+v", res.GCStats)
+	if res.Collector["gc_pages_reclaimed"] == 0 || res.Collector["gc_blobs_deleted"] == 0 {
+		t.Errorf("collector idle across the scenario: %+v", res.Collector)
 	}
 }

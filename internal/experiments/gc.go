@@ -37,8 +37,9 @@ type GCResult struct {
 	// RotateBoundRatio is the same ratio for the rotation workload
 	// (working set = the two live files).
 	RotateBoundRatio float64
-	// GCStats snapshots the collectors' counters across both GC runs.
-	GCStats metrics.GCSnapshot
+	// Collector is how much each gc_* process counter (gc_passes,
+	// gc_pages_reclaimed, ...) grew over the scenario.
+	Collector map[string]uint64
 }
 
 // gcRounds/gcWriters size the sustained workload; regions are
@@ -60,6 +61,7 @@ func GC(cfg Config) (*GCResult, error) {
 		RotateNoGC:    &metrics.Series{Name: "rotate no-gc", XLabel: "round", YLabel: "provider MiB"},
 	}
 
+	before := metrics.Default.Snapshot().Counters
 	for _, gcOn := range []bool{true, false} {
 		if err := gcOverwriteRun(cfg, gcOn, res); err != nil {
 			return nil, fmt.Errorf("gc overwrite (gc=%v): %w", gcOn, err)
@@ -68,6 +70,7 @@ func GC(cfg Config) (*GCResult, error) {
 			return nil, fmt.Errorf("gc rotate (gc=%v): %w", gcOn, err)
 		}
 	}
+	res.Collector = countersSince(before, "gc_")
 	return res, nil
 }
 
@@ -129,12 +132,6 @@ func gcOverwriteRun(cfg Config, gcOn bool, res *GCResult) error {
 	if gcOn {
 		working := float64(gcWriters) * float64(region)
 		res.OverwriteBoundRatio = float64(env.cluster.ProviderBytes()) / working
-		snap := env.deploy.GC.Stats().Snapshot()
-		res.GCStats.VersionsCollected += snap.VersionsCollected
-		res.GCStats.PagesReclaimed += snap.PagesReclaimed
-		res.GCStats.BytesReclaimed += snap.BytesReclaimed
-		res.GCStats.NodesDeleted += snap.NodesDeleted
-		res.GCStats.Passes += snap.Passes
 	}
 	return nil
 }
@@ -179,13 +176,6 @@ func gcRotateRun(cfg Config, gcOn bool, res *GCResult) error {
 	if gcOn {
 		working := 2 * float64(gcRegionPages) * float64(ps)
 		res.RotateBoundRatio = float64(env.cluster.ProviderBytes()) / working
-		snap := env.deploy.GC.Stats().Snapshot()
-		res.GCStats.BlobsDeleted += snap.BlobsDeleted
-		res.GCStats.VersionsCollected += snap.VersionsCollected
-		res.GCStats.PagesReclaimed += snap.PagesReclaimed
-		res.GCStats.BytesReclaimed += snap.BytesReclaimed
-		res.GCStats.NodesDeleted += snap.NodesDeleted
-		res.GCStats.Passes += snap.Passes
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"blobseer/internal/bsfs"
 	"blobseer/internal/dfs"
 	"blobseer/internal/mapreduce"
+	"blobseer/internal/metrics"
 )
 
 // SnapshotResult demonstrates the snapshot-first API end to end: while
@@ -409,11 +410,12 @@ func Snapshot(cfg Config) (*SnapshotResult, error) {
 	// retention window, and the collected snapshot answers with the
 	// stable sentinel.
 	closeFixed()
-	before := env.deploy.GC.Stats().Snapshot().VersionsCollected
+	collected := metrics.Default.Counter("gc_versions_collected")
+	before := collected.Load()
 	if _, err := env.deploy.GC.RunOnce(ctx); err != nil {
 		return nil, err
 	}
-	res.VersionsCollected = env.deploy.GC.Stats().Snapshot().VersionsCollected - before
+	res.VersionsCollected = collected.Load() - before
 	infos, err = fs.Versions(ctx, path)
 	if err != nil {
 		return nil, err

@@ -61,13 +61,27 @@ type Options struct {
 // deleteBatch bounds one provider delete RPC, in keys.
 const deleteBatch = 256
 
+// The process-wide collector counters and pass latency, resolved once.
+// A pass is counted, and its latency recorded, only when it completes,
+// so gc.pass's count and gc_passes agree.
+var (
+	opPass              = metrics.Default.Op("gc.pass")
+	gcPasses            = metrics.Default.Counter("gc_passes")
+	gcVersionsCollected = metrics.Default.Counter("gc_versions_collected")
+	gcBlobsDeleted      = metrics.Default.Counter("gc_blobs_deleted")
+	gcPagesReclaimed    = metrics.Default.Counter("gc_pages_reclaimed")
+	gcBytesReclaimed    = metrics.Default.Counter("gc_bytes_reclaimed")
+	gcNodesDeleted      = metrics.Default.Counter("gc_nodes_deleted")
+	gcPinsBlocked       = metrics.Default.Counter("gc_pins_blocked")
+	gcCompactions       = metrics.Default.Counter("gc_compactions")
+)
+
 // Collector drives reclamation for one deployment. It talks to the
 // version manager, metadata DHT, and providers through a regular
 // blob.Client, so it deploys anywhere a client can run.
 type Collector struct {
-	c     *blob.Client
-	opts  Options
-	stats *metrics.GCStats
+	c    *blob.Client
+	opts Options
 
 	runMu sync.Mutex // serializes passes
 
@@ -130,12 +144,9 @@ type Report struct {
 // dedicated client so the collector's cache purges cannot race real
 // readers' caches.
 func New(c *blob.Client, opts Options) *Collector {
-	stats := &metrics.GCStats{}
-	metrics.Default.AttachGCStats(stats)
 	g := &Collector{
 		c:       c,
 		opts:    opts,
-		stats:   stats,
 		now:     time.Now,
 		enabled: true,
 		queues:  make(map[string][]pagestore.Key),
@@ -147,9 +158,6 @@ func New(c *blob.Client, opts Options) *Collector {
 	go g.loop()
 	return g
 }
-
-// Stats returns the collector's counters.
-func (g *Collector) Stats() *metrics.GCStats { return g.stats }
 
 // SetEnabled toggles collection; while disabled, passes (periodic,
 // kicked, or explicit) are no-ops. Experiments use it for no-GC
@@ -180,7 +188,6 @@ func (g *Collector) Close() {
 		close(g.done)
 	}
 	g.wg.Wait()
-	metrics.Default.ReleaseGCStats(g.stats)
 }
 
 func (g *Collector) loop() {
@@ -242,7 +249,6 @@ func (g *Collector) RunOnce(ctx context.Context) (Report, error) {
 	ctx, sp := obs.StartSpan(ctx, "gc.pass")
 	var passErr error
 	defer func() {
-		g.stats.ObservePassLatency(g.now().Sub(start))
 		if sp != nil { // guard: varargs boxing allocates even for a nil span
 			sp.Annotate("pages=%d bytes=%d", rep.PagesReclaimed, rep.BytesReclaimed)
 		}
@@ -255,7 +261,7 @@ func (g *Collector) RunOnce(ctx context.Context) (Report, error) {
 		return rep, err
 	}
 	rep.PinsBlocked = scan.PinsBlocked
-	g.stats.AddPinsBlocked(scan.PinsBlocked)
+	gcPinsBlocked.Add(scan.PinsBlocked)
 
 	// Retry work whose metadata I/O failed in an earlier pass first:
 	// the scan already advanced those frontiers irreversibly, so this
@@ -273,16 +279,17 @@ func (g *Collector) RunOnce(ctx context.Context) (Report, error) {
 		br := &scan.Blobs[i]
 		died := int(br.To - br.From)
 		rep.VersionsCollected += died
-		g.stats.AddVersionsCollected(uint64(died))
+		gcVersionsCollected.Add(uint64(died))
 		if br.Deleted {
-			g.stats.AddBlobDeleted()
+			gcBlobsDeleted.Add(1)
 		}
 		// Deriving the work is pure computation over write records and
 		// cannot fail; only executing it does I/O and can be retried.
 		g.executeWork(ctx, g.computeWork(br), &rep)
 	}
 	g.flush(ctx, &rep)
-	g.stats.AddPass()
+	opPass.RecordDuration(g.now().Sub(start))
+	gcPasses.Add(1)
 	return rep, nil
 }
 
@@ -431,7 +438,7 @@ func (g *Collector) executeWork(ctx context.Context, w *reclaimWork, rep *Report
 			return
 		}
 		rep.NodesDeleted += len(w.deadNodes)
-		g.stats.AddNodesDeleted(uint64(len(w.deadNodes)))
+		gcNodesDeleted.Add(uint64(len(w.deadNodes)))
 	}
 }
 
@@ -488,9 +495,10 @@ func (g *Collector) flush(ctx context.Context, rep *Report) {
 			}
 			rep.PagesReclaimed += resp.Deleted
 			rep.BytesReclaimed += resp.BytesFreed
-			g.stats.AddPagesReclaimed(resp.Deleted, resp.BytesFreed)
+			gcPagesReclaimed.Add(resp.Deleted)
+			gcBytesReclaimed.Add(resp.BytesFreed)
 			if resp.Compacted {
-				g.stats.AddCompaction()
+				gcCompactions.Add(1)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dht"
+	"blobseer/internal/metrics"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/segtree"
 	"blobseer/internal/transport"
@@ -419,8 +420,8 @@ func TestCollectorDisabledIsNoOp(t *testing.T) {
 	}
 }
 
-// TestStatsAccounting sanity-checks the GCStats counters across a
-// delete-driven pass.
+// TestStatsAccounting checks a delete-driven pass's report and what it
+// adds to the process counters.
 func TestStatsAccounting(t *testing.T) {
 	const ps = uint64(256)
 	h := newHarness(t, blob.ClusterConfig{Providers: 2, MetaProviders: 3})
@@ -438,16 +439,26 @@ func TestStatsAccounting(t *testing.T) {
 	if err := bl.Delete(ctx); err != nil {
 		t.Fatal(err)
 	}
-	h.runOnce(t)
-	s := h.col.Stats().Snapshot()
-	if s.Passes == 0 || s.VersionsCollected != 1 || s.BlobsDeleted != 1 {
-		t.Errorf("stats %+v", s)
+	before := metrics.Default.Snapshot().Counters
+	rep := h.runOnce(t)
+	if rep.VersionsCollected != 1 || rep.PagesReclaimed != 3 || rep.BytesReclaimed != 3*uint64(ps) {
+		t.Errorf("report %+v, want 1 version and 3 pages of %d bytes", rep, ps)
 	}
-	if s.PagesReclaimed != 3 || s.BytesReclaimed != 3*uint64(ps) {
-		t.Errorf("pages/bytes = %d/%d, want 3/%d", s.PagesReclaimed, s.BytesReclaimed, 3*ps)
-	}
-	if s.NodesDeleted == 0 {
+	if rep.NodesDeleted == 0 {
 		t.Error("no tree nodes deleted")
+	}
+	after := metrics.Default.Snapshot().Counters
+	for name, want := range map[string]uint64{
+		"gc_passes":             1,
+		"gc_versions_collected": 1,
+		"gc_blobs_deleted":      1,
+		"gc_pages_reclaimed":    3,
+		"gc_bytes_reclaimed":    3 * ps,
+		"gc_nodes_deleted":      uint64(rep.NodesDeleted),
+	} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s grew by %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -238,11 +238,7 @@ func (jt *JobTracker) RunStreaming(ctx context.Context, fs dfs.FileSystem, conf 
 	}
 	job.mu.Unlock()
 	if job.shuffle != nil {
-		snap := job.shuffle.Stats().Snapshot()
-		res.SegmentsAppended = snap.SegmentsAppended
-		res.SegmentsFetched = snap.SegmentsFetched
-		res.SegmentsRecovered = snap.SegmentsRecovered
-		job.shuffle.Close()
+		res.SegmentsAppended, res.SegmentsFetched, res.SegmentsRecovered = job.shuffle.Segments()
 	}
 
 	for _, tt := range jt.trackers {

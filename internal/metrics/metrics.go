@@ -1,6 +1,10 @@
-// Package metrics provides the measurement plumbing of the experiment
-// harness: per-operation throughput samples, aggregate statistics, and
-// (x, y) series matching the paper's figures.
+// Package metrics is the process's stats vocabulary. Registry (Default)
+// owns the named counters every subsystem adds to, the named operation
+// latency histograms, the gauges and the per-method RPC tables, and
+// renders them as one snapshot in Prometheus text or JSON. ReadStats is
+// a client's own view of its read path, and Meter, Summary and Series
+// are the experiment harness's per-operation throughput samples and the
+// (x, y) series of the paper's figures.
 package metrics
 
 import (
@@ -63,12 +67,10 @@ type Summary struct {
 	TotalBytes uint64
 	// MeanMBps is the mean of per-operation throughputs — the paper's
 	// "average throughput" metric for Figures 3-5.
-	MeanMBps   float64
-	MedianMBps float64
-	P5MBps     float64
-	P95MBps    float64
-	// AggregateMBps is total bytes / wall span of the samples run in
-	// parallel (needs an externally measured wall duration).
+	MeanMBps     float64
+	MedianMBps   float64
+	P5MBps       float64
+	P95MBps      float64
 	MeanDuration time.Duration
 }
 

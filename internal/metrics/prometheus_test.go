@@ -21,6 +21,8 @@ var (
 // the families that declare them.
 func TestWritePrometheusParseBack(t *testing.T) {
 	r := NewRegistry()
+	r.Counter("read_cache_hits").Add(3)
+	r.Counter("gc_pages_reclaimed")
 	r.Op(`op"with\quotes`).Record(1_500_000)
 	r.SetGauge("test_gauge", func() float64 { return 4.5 })
 	r.RPCClient.Method("vm.Assign").Observe(2*time.Millisecond, 100, nil)

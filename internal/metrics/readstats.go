@@ -6,10 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// ReadStats aggregates the read-path counters of one client: page-cache
-// hits and misses, readahead activity, eviction pressure, and provider
-// fetch traffic. All methods are safe for concurrent use and cheap
-// enough to call on every page access.
+// ReadStats is one client's view of the read path: page-cache hits and
+// misses, readahead activity, eviction pressure, provider fetch traffic,
+// and which provider endpoints failed fetches. Every count also adds to
+// a process counter in Default (read_cache_hits, ...), so the export
+// plane sees all clients without knowing any of them. All methods are
+// safe for concurrent use and cheap enough to call on every page access.
 type ReadStats struct {
 	hits             atomic.Uint64
 	misses           atomic.Uint64
@@ -22,6 +24,16 @@ type ReadStats struct {
 	failed map[string]uint64 // provider endpoint -> failed fetch count
 }
 
+// The process-wide read counters every ReadStats adds to.
+var (
+	readHits             = Default.Counter("read_cache_hits")
+	readMisses           = Default.Counter("read_cache_misses")
+	readReadahead        = Default.Counter("read_readahead_pages")
+	readEvictions        = Default.Counter("read_cache_evictions")
+	readProviderFetches  = Default.Counter("read_provider_fetches")
+	readProviderFailures = Default.Counter("read_provider_failures")
+)
+
 // FailedOverflowKey is the bucket absorbing failures from endpoints
 // beyond the per-endpoint tracking cap, so the failure map stays
 // bounded under a long-lived client watching a churning provider set.
@@ -33,28 +45,31 @@ const maxFailedEndpoints = 64
 
 // AddHit counts one page served from the cache (including requests
 // de-duplicated onto an in-flight fetch).
-func (s *ReadStats) AddHit() { s.hits.Add(1) }
+func (s *ReadStats) AddHit() { s.hits.Add(1); readHits.Add(1) }
 
 // AddMiss counts one page that had to be fetched from a provider.
-func (s *ReadStats) AddMiss() { s.misses.Add(1) }
+func (s *ReadStats) AddMiss() { s.misses.Add(1); readMisses.Add(1) }
 
 // AddReadahead counts n pages scheduled by the readahead engine.
-func (s *ReadStats) AddReadahead(n uint64) { s.readahead.Add(n) }
+func (s *ReadStats) AddReadahead(n uint64) { s.readahead.Add(n); readReadahead.Add(n) }
 
 // AddEviction counts one page evicted to stay within the cache budget.
-func (s *ReadStats) AddEviction() { s.evictions.Add(1) }
+func (s *ReadStats) AddEviction() { s.evictions.Add(1); readEvictions.Add(1) }
 
 // AddProviderFetch counts one GetPage RPC issued to a provider
 // (successful or not).
-func (s *ReadStats) AddProviderFetch() { s.providerFetches.Add(1) }
+func (s *ReadStats) AddProviderFetch() { s.providerFetches.Add(1); readProviderFetches.Add(1) }
 
 // NoteProviderFailure records one failed page fetch against the
 // provider endpoint that served it, so operators can spot sick
-// replicas. At most maxFailedEndpoints distinct endpoints are tracked;
-// failures from further endpoints land in the FailedOverflowKey bucket
-// so the map cannot grow without bound under provider churn.
+// replicas; the endpoint map is this client's alone, the process
+// counter carries only the count. At most maxFailedEndpoints distinct
+// endpoints are tracked; failures from further endpoints land in the
+// FailedOverflowKey bucket so the map cannot grow without bound under
+// provider churn.
 func (s *ReadStats) NoteProviderFailure(addr string) {
 	s.providerFailures.Add(1)
+	readProviderFailures.Add(1)
 	s.mu.Lock()
 	if s.failed == nil {
 		s.failed = make(map[string]uint64)

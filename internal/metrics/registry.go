@@ -3,22 +3,24 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Registry is the unified metrics plane of one process: it owns the
-// RPC method histograms of both wire sides, adopts every subsystem's
-// counters (read path, GC, shuffle), and carries named operation
-// histograms and gauges. One Snapshot captures the whole thing; the
-// obs package serves snapshots over HTTP in Prometheus text and JSON.
+// RPC method histograms of both wire sides and carries named counters,
+// operation histograms and gauges. One Snapshot captures the whole
+// thing; the obshttp package serves snapshots over HTTP in Prometheus
+// text and JSON.
 //
-// Default is the process-wide registry: services attach their stats at
-// construction so tools (bsfsctl stats, the -metrics-addr endpoint)
-// see every subsystem without per-call plumbing. Tests that boot many
-// deployments in one process share Default; its counters are sums
-// across them, which is what a per-process exporter reports anyway.
+// Default is the process-wide registry: subsystems resolve their
+// counters and histograms from it once, at package init, so tools
+// (bsfsctl stats, the -metrics-addr endpoint) see every subsystem
+// without per-call plumbing. Tests that boot many deployments in one
+// process share Default; its counters are sums across them, which is
+// what a per-process exporter reports anyway, and a caller measuring
+// one run brackets it with two snapshots.
 type Registry struct {
 	// RPCClient and RPCServer hold the per-method histograms of all
 	// outbound calls and inbound dispatches recorded in this process.
@@ -26,9 +28,7 @@ type Registry struct {
 	RPCServer *RPCStats
 
 	mu       sync.Mutex
-	reads    attached[*ReadStats, ReadSnapshot]
-	gcs      attached[*GCStats, GCSnapshot]
-	shuffles attached[*ShuffleStats, ShuffleSnapshot]
+	counters map[string]*Counter
 	ops      map[string]*Histogram
 	gauges   map[string]func() float64
 }
@@ -38,6 +38,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		RPCClient: &RPCStats{},
 		RPCServer: &RPCStats{},
+		counters:  make(map[string]*Counter),
 		ops:       make(map[string]*Histogram),
 		gauges:    make(map[string]func() float64),
 	}
@@ -46,103 +47,29 @@ func NewRegistry() *Registry {
 // Default is the process-wide registry.
 var Default = NewRegistry()
 
-// attached is the registry's view of one kind of subsystem counters:
-// the sets of the components alive now, plus the final counts of the
-// ones that closed, folded into one retired total — so the exported
-// sums stay monotonic while the registry holds no set (and scans none)
-// longer than its component lives. Guarded by Registry.mu.
-type attached[T interface {
-	comparable
-	Snapshot() S
-}, S interface{ merge(S) S }] struct {
-	live    []T
-	retired S
-}
+// Counter is a monotonic count, the counter twin of an Op histogram:
+// adding is one atomic add and allocates nothing. Safe for concurrent
+// use.
+type Counter struct{ n atomic.Uint64 }
 
-func (a *attached[T, S]) index(s T) int {
-	for i, have := range a.live {
-		if have == s {
-			return i
-		}
+// Add counts n more.
+func (c *Counter) Add(n uint64) { c.n.Add(n) }
+
+// Load returns the count so far.
+func (c *Counter) Load() uint64 { return c.n.Load() }
+
+// Counter returns the named counter, creating it on first use. It is
+// exported as blobseer_<name>_total. Subsystems resolve their counters
+// once, at package init, and add to them inline.
+func (r *Registry) Counter(name string) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c, ok := r.counters[name]
+	if !ok {
+		c = &Counter{}
+		r.counters[name] = c
 	}
-	return -1
-}
-
-// attach adopts s; a nil or already attached set is a no-op.
-func (a *attached[T, S]) attach(s T) {
-	var none T
-	if s != none && a.index(s) < 0 {
-		a.live = append(a.live, s)
-	}
-}
-
-// release drops s, keeping its final counts; a set that is not
-// attached (never was, or released already) is a no-op.
-func (a *attached[T, S]) release(s T) {
-	if i := a.index(s); i >= 0 {
-		a.retired = a.retired.merge(s.Snapshot())
-		a.live = append(a.live[:i], a.live[i+1:]...)
-	}
-}
-
-// view copies a under the registry lock so sum can run outside it.
-func (a *attached[T, S]) view() attached[T, S] {
-	return attached[T, S]{live: append([]T(nil), a.live...), retired: a.retired}
-}
-
-// sum is the retired total plus every live set.
-func (a *attached[T, S]) sum() S {
-	out := a.retired
-	for _, s := range a.live {
-		out = out.merge(s.Snapshot())
-	}
-	return out
-}
-
-// AttachReadStats adopts a read-path counter set; snapshots sum every
-// attached set. Attaching the same set twice is a no-op. The owner
-// releases the set when it closes (ReleaseReadStats).
-func (r *Registry) AttachReadStats(s *ReadStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reads.attach(s)
-}
-
-// ReleaseReadStats drops a counter set whose owner closed. Its counts
-// so far stay in every later snapshot; what it counts afterwards does
-// not.
-func (r *Registry) ReleaseReadStats(s *ReadStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reads.release(s)
-}
-
-// AttachGCStats adopts a collector counter set (see AttachReadStats).
-func (r *Registry) AttachGCStats(s *GCStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gcs.attach(s)
-}
-
-// ReleaseGCStats drops a closed collector's set (see ReleaseReadStats).
-func (r *Registry) ReleaseGCStats(s *GCStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gcs.release(s)
-}
-
-// AttachShuffleStats adopts a shuffle counter set (see AttachReadStats).
-func (r *Registry) AttachShuffleStats(s *ShuffleStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.shuffles.attach(s)
-}
-
-// ReleaseShuffleStats drops a finished job's set (see ReleaseReadStats).
-func (r *Registry) ReleaseShuffleStats(s *ShuffleStats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.shuffles.release(s)
+	return c
 }
 
 // Op returns the named operation-latency histogram, creating it on
@@ -189,20 +116,22 @@ func (r *Registry) SetGauge(name string, fn func() float64) {
 // RegistrySnapshot is one consistent-enough copy of everything the
 // registry owns; it marshals directly to the /metrics.json payload.
 type RegistrySnapshot struct {
-	Read      ReadSnapshot                `json:"read"`
-	GC        GCSnapshot                  `json:"gc"`
-	Shuffle   ShuffleSnapshot             `json:"shuffle"`
+	Counters  map[string]uint64           `json:"counters,omitempty"`
 	Ops       map[string]LatencyQuantiles `json:"ops,omitempty"`
 	Gauges    map[string]float64          `json:"gauges,omitempty"`
 	RPCClient map[string]MethodSnapshot   `json:"rpc_client,omitempty"`
 	RPCServer map[string]MethodSnapshot   `json:"rpc_server,omitempty"`
 }
 
-// Snapshot captures every attached subsystem, summing multiple
-// attached sets of the same kind.
+// Snapshot captures every counter, operation histogram, gauge and RPC
+// method table. Each value is read individually, so a snapshot taken
+// while subsystems run may be skewed by in-flight operations.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Lock()
-	reads, gcs, shuffles := r.reads.view(), r.gcs.view(), r.shuffles.view()
+	counters := make(map[string]*Counter, len(r.counters))
+	for k, v := range r.counters {
+		counters[k] = v
+	}
 	ops := make(map[string]*Histogram, len(r.ops))
 	for k, v := range r.ops {
 		ops[k] = v
@@ -214,11 +143,14 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Unlock()
 
 	snap := RegistrySnapshot{
-		Read:      reads.sum(),
-		GC:        gcs.sum(),
-		Shuffle:   shuffles.sum(),
 		RPCClient: r.RPCClient.Snapshot(),
 		RPCServer: r.RPCServer.Snapshot(),
+	}
+	if len(counters) > 0 {
+		snap.Counters = make(map[string]uint64, len(counters))
+		for k, c := range counters {
+			snap.Counters[k] = c.Load()
+		}
 	}
 	if len(ops) > 0 {
 		snap.Ops = make(map[string]LatencyQuantiles, len(ops))
@@ -235,35 +167,24 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	return snap
 }
 
+// sortedKeys returns m's keys in order, for deterministic output.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // WritePrometheus renders the snapshot in Prometheus text exposition
 // format, deterministically ordered.
 func (s RegistrySnapshot) WritePrometheus(w io.Writer) {
-	counter := func(name string, v uint64, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	for _, k := range sortedKeys(s.Counters) {
+		fmt.Fprintf(w, "# TYPE blobseer_%s_total counter\nblobseer_%s_total %d\n", k, k, s.Counters[k])
 	}
-	counter("blobseer_read_cache_hits_total", s.Read.Hits, "Pages served from the shared page cache.")
-	counter("blobseer_read_cache_misses_total", s.Read.Misses, "Pages fetched from providers.")
-	counter("blobseer_read_readahead_pages_total", s.Read.Readahead, "Pages scheduled by readahead.")
-	counter("blobseer_read_cache_evictions_total", s.Read.Evictions, "Pages evicted under the cache budget.")
-	counter("blobseer_read_provider_fetches_total", s.Read.ProviderFetches, "GetPage RPCs issued to providers.")
-	counter("blobseer_read_provider_failures_total", s.Read.ProviderFailures, "Failed provider page fetches.")
-	counter("blobseer_gc_passes_total", s.GC.Passes, "Completed reclaim passes.")
-	counter("blobseer_gc_versions_collected_total", s.GC.VersionsCollected, "Versions retired by the collector.")
-	counter("blobseer_gc_pages_reclaimed_total", s.GC.PagesReclaimed, "Pages deleted from providers.")
-	counter("blobseer_gc_bytes_reclaimed_total", s.GC.BytesReclaimed, "Bytes reclaimed from providers.")
-	counter("blobseer_shuffle_segments_appended_total", s.Shuffle.SegmentsAppended, "Map-output segments appended.")
-	counter("blobseer_shuffle_segments_fetched_total", s.Shuffle.SegmentsFetched, "Map-output segments fetched by reducers.")
-	counter("blobseer_shuffle_segments_recovered_total", s.Shuffle.SegmentsRecovered, "Segments served after their producing tracker died.")
-
-	if len(s.Gauges) > 0 {
-		names := make([]string, 0, len(s.Gauges))
-		for k := range s.Gauges {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
-			fmt.Fprintf(w, "# TYPE blobseer_%s gauge\nblobseer_%s %g\n", k, k, s.Gauges[k])
-		}
+	for _, k := range sortedKeys(s.Gauges) {
+		fmt.Fprintf(w, "# TYPE blobseer_%s gauge\nblobseer_%s %g\n", k, k, s.Gauges[k])
 	}
 
 	writeLatency := func(metric string, labels string, q LatencyQuantiles) {
@@ -279,27 +200,14 @@ func (s RegistrySnapshot) WritePrometheus(w io.Writer) {
 
 	if len(s.Ops) > 0 {
 		fmt.Fprintf(w, "# HELP blobseer_op_latency_ms Operation latency quantiles in milliseconds.\n# TYPE blobseer_op_latency_ms summary\n")
-		names := make([]string, 0, len(s.Ops))
-		for k := range s.Ops {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
+		for _, k := range sortedKeys(s.Ops) {
 			writeLatency("blobseer_op_latency_ms", fmt.Sprintf("op=%q", k), s.Ops[k])
 			fmt.Fprintf(w, "blobseer_op_latency_ms_count{op=%q} %d\n", k, s.Ops[k].Count)
 		}
 	}
 
 	writeSide := func(side string, methods map[string]MethodSnapshot) {
-		if len(methods) == 0 {
-			return
-		}
-		names := make([]string, 0, len(methods))
-		for k := range methods {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
+		for _, k := range sortedKeys(methods) {
 			m := methods[k]
 			labels := fmt.Sprintf("side=%q,method=%q", side, k)
 			fmt.Fprintf(w, "blobseer_rpc_calls_total{%s} %d\n", labels, m.Calls)
@@ -311,79 +219,4 @@ func (s RegistrySnapshot) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP blobseer_rpc_latency_ms Per-method RPC latency quantiles in milliseconds.\n# TYPE blobseer_rpc_latency_ms summary\n")
 	writeSide("client", s.RPCClient)
 	writeSide("server", s.RPCServer)
-}
-
-// merge sums two read snapshots.
-func (a ReadSnapshot) merge(b ReadSnapshot) ReadSnapshot {
-	out := ReadSnapshot{
-		Hits:             a.Hits + b.Hits,
-		Misses:           a.Misses + b.Misses,
-		Readahead:        a.Readahead + b.Readahead,
-		Evictions:        a.Evictions + b.Evictions,
-		ProviderFetches:  a.ProviderFetches + b.ProviderFetches,
-		ProviderFailures: a.ProviderFailures + b.ProviderFailures,
-	}
-	if len(a.FailedProviders)+len(b.FailedProviders) > 0 {
-		out.FailedProviders = make(map[string]uint64, len(a.FailedProviders)+len(b.FailedProviders))
-		for k, v := range a.FailedProviders {
-			out.FailedProviders[k] += v
-		}
-		for k, v := range b.FailedProviders {
-			out.FailedProviders[k] += v
-		}
-	}
-	return out
-}
-
-// merge sums two GC snapshots.
-func (a GCSnapshot) merge(b GCSnapshot) GCSnapshot {
-	return GCSnapshot{
-		Passes:            a.Passes + b.Passes,
-		VersionsCollected: a.VersionsCollected + b.VersionsCollected,
-		BlobsDeleted:      a.BlobsDeleted + b.BlobsDeleted,
-		PagesReclaimed:    a.PagesReclaimed + b.PagesReclaimed,
-		BytesReclaimed:    a.BytesReclaimed + b.BytesReclaimed,
-		NodesDeleted:      a.NodesDeleted + b.NodesDeleted,
-		PinsBlocked:       a.PinsBlocked + b.PinsBlocked,
-		Compactions:       a.Compactions + b.Compactions,
-		PassLatency:       mergeLatency(a.PassLatency, b.PassLatency),
-	}
-}
-
-// merge sums two shuffle snapshots.
-func (a ShuffleSnapshot) merge(b ShuffleSnapshot) ShuffleSnapshot {
-	return ShuffleSnapshot{
-		SegmentsAppended:  a.SegmentsAppended + b.SegmentsAppended,
-		BytesAppended:     a.BytesAppended + b.BytesAppended,
-		SegmentsFetched:   a.SegmentsFetched + b.SegmentsFetched,
-		BytesFetched:      a.BytesFetched + b.BytesFetched,
-		SegmentsRecovered: a.SegmentsRecovered + b.SegmentsRecovered,
-		AppendLatency:     mergeLatency(a.AppendLatency, b.AppendLatency),
-		FetchLatency:      mergeLatency(a.FetchLatency, b.FetchLatency),
-	}
-}
-
-// mergeLatency combines two latency summaries count-weighted. Exact
-// only for the mean; the percentiles of a sum of distributions are not
-// derivable from the parts, so this is an approximation used when a
-// registry has several attached stats sets of the same kind (multiple
-// jobs or deployments in one process). Max stays exact.
-func mergeLatency(a, b LatencyQuantiles) LatencyQuantiles {
-	if a.Count == 0 {
-		return b
-	}
-	if b.Count == 0 {
-		return a
-	}
-	wa := float64(a.Count) / float64(a.Count+b.Count)
-	wb := 1 - wa
-	return LatencyQuantiles{
-		Count:  a.Count + b.Count,
-		MeanMs: a.MeanMs*wa + b.MeanMs*wb,
-		P50Ms:  a.P50Ms*wa + b.P50Ms*wb,
-		P90Ms:  a.P90Ms*wa + b.P90Ms*wb,
-		P99Ms:  a.P99Ms*wa + b.P99Ms*wb,
-		P999Ms: a.P999Ms*wa + b.P999Ms*wb,
-		MaxMs:  math.Max(a.MaxMs, b.MaxMs),
-	}
 }

@@ -16,6 +16,7 @@ import (
 
 func TestMetricsServerEndpoints(t *testing.T) {
 	reg := metrics.NewRegistry()
+	reg.Counter("gc_passes").Add(2)
 	reg.Op("blob.append").RecordDuration(2 * time.Millisecond)
 	reg.SetGauge("client_cache_bytes", func() float64 { return 512 })
 	reg.RPCClient.Method("vm.Assign").Observe(time.Millisecond, 64, nil)
@@ -46,6 +47,7 @@ func TestMetricsServerEndpoints(t *testing.T) {
 
 	_, prom := get("/metrics")
 	for _, want := range []string{
+		"blobseer_gc_passes_total 2",
 		"blobseer_client_cache_bytes 512",
 		`blobseer_op_latency_ms{op="blob.append",quantile="0.99"}`,
 		`blobseer_rpc_calls_total{side="client",method="vm.Assign"} 1`,
@@ -60,7 +62,7 @@ func TestMetricsServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(raw), &snap); err != nil {
 		t.Fatalf("/metrics.json does not decode: %v", err)
 	}
-	if snap.Ops["blob.append"].Count != 1 || snap.Gauges["client_cache_bytes"] != 512 {
+	if snap.Counters["gc_passes"] != 2 || snap.Ops["blob.append"].Count != 1 || snap.Gauges["client_cache_bytes"] != 512 {
 		t.Errorf("decoded snapshot = %+v", snap)
 	}
 

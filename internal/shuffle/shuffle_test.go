@@ -210,6 +210,9 @@ func TestStoreAppendFetchRoundtrip(t *testing.T) {
 		}
 	}
 	st.SetMapCount(maps)
+	fetched := metrics.Default.Counter("shuffle_segments_fetched")
+	recovered := metrics.Default.Counter("shuffle_segments_recovered")
+	fetchedBefore, recoveredBefore := fetched.Load(), recovered.Load()
 	if got := cluster.ProviderBytes(); got != stored {
 		t.Errorf("providers hold %d bytes for %d bytes of segments", got, stored)
 	}
@@ -248,20 +251,12 @@ func TestStoreAppendFetchRoundtrip(t *testing.T) {
 			t.Fatalf("partition %d saw %d maps, want %d", p, len(seen), maps)
 		}
 	}
-	snap := st.Stats().Snapshot()
-	if snap.SegmentsAppended != maps*parts || snap.SegmentsFetched != maps*parts ||
-		snap.SegmentsRecovered != maps*parts {
-		t.Errorf("stats = %+v", snap)
+	if a, f, r := st.Segments(); a != maps*parts || f != maps*parts || r != maps*parts {
+		t.Errorf("segments appended/fetched/recovered = %d/%d/%d, want %d each", a, f, r, maps*parts)
 	}
-
-	// A store is per job: Close must hand the process registry the
-	// job's final counts and detach the set, or every job ever run
-	// stays in every later /metrics snapshot's scan.
-	before := metrics.Default.Snapshot().Shuffle.SegmentsAppended
-	st.Close()
-	st.Stats().AddAppended(1)
-	if after := metrics.Default.Snapshot().Shuffle.SegmentsAppended; after != before {
-		t.Errorf("registry segments appended %d -> %d across Close: the closed store's counters are still attached (or its total was dropped)", before, after)
+	// The process counters count each segment once too.
+	if f, r := fetched.Load()-fetchedBefore, recovered.Load()-recoveredBefore; f != maps*parts || r != maps*parts {
+		t.Errorf("process counters grew by %d fetched and %d recovered, want %d each", f, r, maps*parts)
 	}
 }
 
@@ -390,7 +385,6 @@ func TestFetchAsksTheVersionManagerOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	for m := 0; m < maps; m++ {
 		data := make([][]byte, parts)
 		for p := range data {
@@ -498,7 +492,6 @@ func TestColdFetchAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	for m := 0; m < segs; m++ {
 		if err := st.AppendMap(ctx, c, uint64(m), [][]byte{segPayload(m, 0, 16<<10+m*37%2048)}); err != nil {
 			t.Fatal(err)
@@ -545,7 +538,6 @@ func TestFetchSegmentShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	// 600 bytes over three slots, then 5-byte segments into the third
 	// until its chain is full and one compacts it, then 700 bytes
 	// beginning mid-page.
@@ -618,7 +610,6 @@ func TestFetchAfterCleanupIsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	want := segPayload(0, 0, 300)
 	if err := st.AppendMap(ctx, c, 0, [][]byte{want}); err != nil {
 		t.Fatal(err)

@@ -134,6 +134,17 @@ func (ix *Index) Next(ctx context.Context, part, consumed int) (seg Segment, ok 
 	}
 }
 
+// The process-wide shuffle counters and operation latencies, resolved
+// once. A Store counts each distinct segment once, however often
+// re-executed reduce attempts re-read it.
+var (
+	opAppendMap       = metrics.Default.Op("shuffle.append")
+	opFetch           = metrics.Default.Op("shuffle.fetch")
+	segmentsAppended  = metrics.Default.Counter("shuffle_segments_appended")
+	segmentsFetched   = metrics.Default.Counter("shuffle_segments_fetched")
+	segmentsRecovered = metrics.Default.Counter("shuffle_segments_recovered")
+)
+
 // Store is the blob-backed durable map-output store of one job: one
 // intermediate BLOB per reduce partition, appended to concurrently by
 // every map task (each partition's bytes as they are: an append that
@@ -156,14 +167,13 @@ type Store struct {
 	jobID    uint64
 	pageSize uint64
 	blobs    []uint64 // partition -> intermediate BLOB id
-	stats    *metrics.ShuffleStats
 
 	fetchMu   sync.Mutex
 	fetched   map[segKey]bool // segments fetched at least once
 	recovered map[segKey]bool // segments counted as recovered
 }
 
-// segKey identifies one segment for per-segment stats accounting.
+// segKey identifies one segment for per-segment accounting.
 type segKey struct{ m, part uint64 }
 
 // NewBlobStore creates one intermediate BLOB per partition through c
@@ -181,7 +191,6 @@ func NewBlobStore(ctx context.Context, c *blob.Client, jobID uint64, partitions 
 		jobID:     jobID,
 		pageSize:  pageSize,
 		blobs:     make([]uint64, 0, partitions),
-		stats:     &metrics.ShuffleStats{},
 		fetched:   make(map[segKey]bool),
 		recovered: make(map[segKey]bool),
 	}
@@ -201,15 +210,7 @@ func NewBlobStore(ctx context.Context, c *blob.Client, jobID uint64, partitions 
 		}
 		st.blobs = append(st.blobs, b.ID())
 	}
-	metrics.Default.AttachShuffleStats(st.stats)
 	return st, nil
-}
-
-// Close ends the store's accounting once its job is over: the process
-// registry keeps the segment counters' final values and lets go of the
-// set. The BLOBs are Cleanup's business.
-func (st *Store) Close() {
-	metrics.Default.ReleaseShuffleStats(st.stats)
 }
 
 // Blobs returns the intermediate BLOB ids (one per partition).
@@ -231,8 +232,19 @@ func (st *Store) Cleanup(ctx context.Context, c *blob.Client) error {
 	return firstErr
 }
 
-// Stats exposes the store's segment counters.
-func (st *Store) Stats() *metrics.ShuffleStats { return st.stats }
+// Segments reports the job's distinct segments so far: published by map
+// tasks, fetched by reducers, and served after their producing tracker
+// died (MarkRecovered).
+func (st *Store) Segments() (appended, fetched, recovered uint64) {
+	st.Index.mu.Lock()
+	for _, segs := range st.segs {
+		appended += uint64(len(segs))
+	}
+	st.Index.mu.Unlock()
+	st.fetchMu.Lock()
+	defer st.fetchMu.Unlock()
+	return appended, uint64(len(st.fetched)), uint64(len(st.recovered))
+}
 
 // AppendMap stores map mapID's encoded partitions (one per reducer):
 // every partition's append is launched through the pipelined
@@ -247,7 +259,7 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 		return fmt.Errorf("shuffle: map %d produced %d partitions, store has %d", mapID, len(parts), len(st.blobs))
 	}
 	start := time.Now()
-	defer func() { st.stats.ObserveAppendLatency(time.Since(start)) }()
+	defer func() { opAppendMap.RecordDuration(time.Since(start)) }()
 	ctx, sp := obs.StartSpan(ctx, "shuffle.appendMap")
 	if sp != nil { // guard: varargs boxing allocates even for a nil span
 		sp.Annotate("map=%d parts=%d", mapID, len(parts))
@@ -285,9 +297,7 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 		}
 	}
 	if st.Publish(mapID, segs) {
-		for _, s := range segs {
-			st.stats.AddAppended(s.Len)
-		}
+		segmentsAppended.Add(uint64(len(segs)))
 	}
 	return nil
 }
@@ -306,12 +316,11 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 // outside fails the fetch with the version manager's typed refusal
 // (blob.ErrVersionCollected or blob.ErrBlobNotFound), never with stale or
 // short bytes. Each distinct
-// segment counts toward the fetched statistics once: re-executed reduce
-// attempts re-read their whole partition, and those re-reads must not
-// inflate the counters.
+// segment counts as fetched once: re-executed reduce attempts re-read
+// their whole partition, and those re-reads must not inflate the counts.
 func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment) ([]byte, error) {
 	start := time.Now()
-	defer func() { st.stats.ObserveFetchLatency(time.Since(start)) }()
+	defer func() { opFetch.RecordDuration(time.Since(start)) }()
 	ctx, sp := obs.StartSpan(ctx, "shuffle.fetch")
 	if sp != nil {
 		sp.Annotate("map=%d part=%d len=%d", seg.Map, seg.Part, seg.Len)
@@ -319,7 +328,7 @@ func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment) ([]byte
 	defer func() { sp.End(nil) }()
 	if seg.Len == 0 { // never appended: there is no version to read
 		if st.once(st.fetched, seg) {
-			st.stats.AddFetched(0)
+			segmentsFetched.Add(1)
 		}
 		return nil, nil
 	}
@@ -335,7 +344,7 @@ func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment) ([]byte
 		return nil, fmt.Errorf("shuffle: segment map %d part %d checksum mismatch: %08x != %08x", seg.Map, seg.Part, sum, seg.Sum)
 	}
 	if st.once(st.fetched, seg) {
-		st.stats.AddFetched(seg.Len)
+		segmentsFetched.Add(1)
 	}
 	return data, nil
 }
@@ -356,6 +365,6 @@ func (st *Store) once(seen map[segKey]bool, seg Segment) bool {
 // once, no matter how many reduce attempts re-read it.
 func (st *Store) MarkRecovered(seg Segment) {
 	if st.once(st.recovered, seg) {
-		st.stats.AddRecovered()
+		segmentsRecovered.Add(1)
 	}
 }
