@@ -6,7 +6,6 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/bsfs"
 	"blobseer/internal/dfs"
-	"blobseer/internal/flight"
 	"blobseer/internal/mapreduce"
 	"blobseer/internal/transport"
 )
@@ -88,8 +87,8 @@ type Options struct {
 	// ReadDepth, GCInterval, HealthPingTimeout.
 	bsfs.DeployConfig
 	// FlightPath, when set, opens a flight recorder at that path and
-	// arms the SLO watchdog (default rules) and, for it, the cluster
-	// monitor: slow and errored traces, snapshot deltas, and alert
+	// arms the SLO watchdog (default rules), whose ticker collects the
+	// cluster monitor: slow and errored traces, snapshot deltas, and alert
 	// transitions persist there and replay after a crash (`bsfsctl
 	// diag`).
 	FlightPath string
@@ -126,9 +125,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{Blob: bc, FS: d}
 	if opts.FlightPath != "" {
-		if err := d.EnableFlight(opts.FlightPath, bsfs.FlightConfig{
-			Rules: flight.StandardRulesOptions{Health: true},
-		}); err != nil {
+		if err := d.EnableFlight(opts.FlightPath, bsfs.FlightConfig{}); err != nil {
 			c.Close()
 			return nil, err
 		}

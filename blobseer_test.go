@@ -148,14 +148,14 @@ func TestOptionsReachTheirLayer(t *testing.T) {
 
 // TestFlightPathAloneEvaluatesRules: a cluster built with nothing but
 // FlightPath must run its watchdog with nobody polling `top` or
-// /cluster — the snapshot events the rules' collection passes leave in
-// the flight log are the evidence.
+// /cluster — the snapshot events the watchdog's ticks leave in the
+// flight log are the evidence.
 func TestFlightPathAloneEvaluatesRules(t *testing.T) {
 	o := sized(2, 2, 256)
 	o.FlightPath = filepath.Join(t.TempDir(), "flight.log")
 	c := newTestCluster(t, o)
-	if _, armed := c.FS.Monitor.Armed(); !armed {
-		t.Fatal("FlightPath left the monitor unarmed: the watchdog's rules would never run")
+	if iv, _ := c.FS.Watchdog.Fresh(); iv == 0 {
+		t.Fatal("FlightPath left the watchdog unarmed: its rules would never run")
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -301,7 +301,7 @@ func showAlerts(cluster *blobseer.Cluster) {
 	}
 	alerts := cluster.FS.Watchdog.Alerts()
 	if len(alerts) == 0 {
-		fmt.Println("no rules evaluated yet (the watchdog runs on monitor collections, one per second)")
+		fmt.Println("no rules evaluated yet (the watchdog evaluates once per second)")
 		return
 	}
 	for _, a := range alerts {

@@ -277,7 +277,7 @@ func main() {
 		}
 		fmt.Printf("# Incident drill: VM shard %d/%d killed for %.0f ms under an armed SLO watchdog\n",
 			res.KilledShard, res.Shards, res.OutageMS)
-		fmt.Printf("# alert: fired %.1f ms after the kill (%d collection passes), cleared %d evals after the restart (hysteresis >= 3)\n",
+		fmt.Printf("# alert: fired %.1f ms after the kill (%d evaluations), cleared %d evals after the restart (hysteresis >= 3)\n",
 			res.FireDelayMS, res.FireCollections, res.ClearEvals)
 		fmt.Printf("# replay: %d events off the abandoned flight log — %d traces (largest slow tree %d spans), %d snapshots (%d before kill / %d after restart), %d alert transitions, %d health flips\n\n",
 			res.ReplayEvents, res.ReplayTraces, res.ReplaySlowTraceSpans, res.ReplaySnapshots,

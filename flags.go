@@ -55,7 +55,7 @@ func BindFlags(o *Options) *Flags {
 		gcInterval:  flag.Duration("gc-interval", 0, "periodic GC pass cadence (0 = kick-driven only)"),
 		vmShards:    flag.Int("vm-shards", 1, "version-manager shards (metadata plane partitions)"),
 		logLevel:    flag.String("log-level", "", "obs log level: debug|info|warn|error (default warn)"),
-		slowMs:      flag.Float64("slow-ms", 0, "slow-span threshold in ms for warn logging and tail sampling (0 = off)"),
+		slowMs:      flag.Float64("slow-ms", 0, "slow-span threshold in ms: a span ending at or past it logs a warning (0 = off; the flight tail sampler keeps its own 50 ms floor)"),
 		metricsAddr: flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /spans (and, given a cluster, /cluster, /healthz and /alerts) on this address while the command runs (e.g. 127.0.0.1:9090)"),
 	}
 }

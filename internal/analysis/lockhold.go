@@ -10,8 +10,8 @@ import (
 
 // LockHold flags blocking operations performed while a sync.Mutex or
 // sync.RWMutex is held in the enclosing function — the deadlock (and
-// tail-latency) class PR 9 designed around by firing OnCollect hooks
-// outside the monitor's lock. Blocking means: rpc/dht Call, transport
+// tail-latency) class the flight watchdog avoids by journaling its
+// events only after releasing its state lock. Blocking means: rpc/dht Call, transport
 // Dial/Listen, kvlog writes (Store Put/Delete/Compact/CompactIfDead/Sync,
 // Journal Append/TrimThrough), flight
 // recorder appends, channel sends/receives (outside a select with a

@@ -55,13 +55,13 @@ type Deployment struct {
 
 	// Monitor is the deployment's cluster monitor: every provider, VM
 	// shard, the namespace manager, and each Mount register stats
-	// sources on it. It is collect-on-demand until EnableFlight or
-	// SetMonitorInterval arms the periodic collector.
+	// sources on it. It collects on demand: a scrape, or each tick of
+	// the watchdog EnableFlight arms.
 	Monitor *monitor.Monitor
 
 	// Flight is the deployment's flight recorder, nil until
 	// EnableFlight wires one. Watchdog is the SLO rule engine armed
-	// alongside it.
+	// alongside it; its ticker sets the monitor's cadence.
 	Flight   *flight.Recorder
 	Watchdog *flight.Watchdog
 	sampler  *flight.Sampler
@@ -96,7 +96,7 @@ func Deploy(c *blob.Cluster, cfg DeployConfig) (*Deployment, error) {
 	collector := gc.New(gcClient, gc.Options{Interval: cfg.GCInterval})
 	c.SetReclaimNotify(collector.Kick)
 
-	mon := monitor.New(monitor.Config{NICBandwidth: c.Cfg.NICBandwidth})
+	mon := monitor.New(c.Cfg.NICBandwidth)
 	for _, p := range c.Providers {
 		p := p
 		mon.Register(monitor.KindProvider, p.Addr().Host(), func() monitor.Sample {
@@ -129,13 +129,6 @@ func Deploy(c *blob.Cluster, cfg DeployConfig) (*Deployment, error) {
 	}, nil
 }
 
-// SetMonitorInterval arms the cluster monitor's periodic collection at
-// a cadence other than the one EnableFlight picks (0 stops it, leaving
-// the monitor collect-on-demand).
-func (d *Deployment) SetMonitorInterval(interval time.Duration) {
-	d.Monitor.SetInterval(interval)
-}
-
 func (d *Deployment) healthPingTimeout() time.Duration {
 	if d.HealthPingTimeout > 0 {
 		return d.HealthPingTimeout
@@ -146,9 +139,9 @@ func (d *Deployment) healthPingTimeout() time.Duration {
 // Health checks every component and reports per-component verdicts
 // with per-check latency: the namespace journal is open, every VM
 // shard answers a cheap stats ping through the router (bounded by
-// HealthPingTimeout), and (when armed) the monitor's collector has run
-// within two intervals. The /healthz endpoint serves this with a 503
-// on degradation.
+// HealthPingTimeout), and (when flight is on) the watchdog has
+// evaluated within two of its intervals. The /healthz endpoint serves
+// this with a 503 on degradation.
 func (d *Deployment) Health(ctx context.Context) monitor.HealthReport {
 	rep := monitor.HealthReport{Healthy: true, CheckedAt: time.Now()}
 
@@ -177,35 +170,45 @@ func (d *Deployment) Health(ctx context.Context) monitor.HealthReport {
 	}
 
 	start = time.Now()
-	if iv, armed := d.Monitor.Armed(); armed {
-		if d.Monitor.Fresh(2 * iv) {
-			rep.AddTimed("monitor", true, "", time.Since(start))
-		} else {
-			rep.AddTimed("monitor", false, fmt.Sprintf("collector stale (no pass within %v)", 2*iv), time.Since(start))
-		}
-	} else {
-		rep.AddTimed("monitor", true, "collector unarmed (collect-on-demand)", time.Since(start))
+	var iv time.Duration
+	var fresh bool
+	if d.Watchdog != nil {
+		iv, fresh = d.Watchdog.Fresh()
+	}
+	switch {
+	case iv == 0:
+		rep.AddTimed("monitor", true, "watchdog unarmed (collect-on-demand)", time.Since(start))
+	case fresh:
+		rep.AddTimed("monitor", true, "", time.Since(start))
+	default:
+		rep.AddTimed("monitor", false, fmt.Sprintf("watchdog stale (no evaluation within %v)", 2*iv), time.Since(start))
 	}
 	return rep
 }
 
-// FlightConfig wires a flight recorder + SLO watchdog onto a
-// deployment. Zero values take the flight package defaults.
+// FlightConfig tunes what EnableFlight wires. Zero fields take the
+// defaults.
 type FlightConfig struct {
-	Sampler  flight.SamplerOptions
-	Watchdog flight.WatchdogOptions
-	Rules    flight.StandardRulesOptions
-	// ExtraRules are appended after the standard set.
-	ExtraRules []flight.Rule
+	// Interval is the watchdog's cadence: every tick collects the
+	// monitor and evaluates the rules (default 1 s).
+	Interval time.Duration
+	// FireAfter is how many consecutive breaches fire an alert
+	// (default 2).
+	FireAfter int
+	// SlowFloor is the root-span duration the tail sampler always
+	// keeps (default 50 ms).
+	SlowFloor time.Duration
 }
+
+// defaultFlightInterval is the watchdog cadence of a FlightConfig that
+// names none.
+const defaultFlightInterval = time.Second
 
 // EnableFlight opens a flight recorder at path, attaches the tail
 // sampler to the process-wide span collector, and arms an SLO watchdog
-// (standard rules + cfg.ExtraRules, health check wired to
-// Deployment.Health) on the cluster monitor: every collection pass
-// evaluates the rules, and snapshots/health transitions/alerts land in
-// the flight log. The rules only run when the monitor collects, so a
-// monitor nobody armed is armed here at monitor.DefaultInterval. Close
+// (flight.StandardRules, health check wired to Deployment.Health): each
+// of its ticks collects the monitor and evaluates the rules, and
+// snapshots/health transitions/alerts land in the flight log. Close
 // tears it all down; a kill doesn't, which is the point — the log
 // replays.
 func (d *Deployment) EnableFlight(path string, cfg FlightConfig) error {
@@ -216,18 +219,13 @@ func (d *Deployment) EnableFlight(path string, cfg FlightConfig) error {
 	if err != nil {
 		return err
 	}
-	rules := append(flight.StandardRules(cfg.Rules), cfg.ExtraRules...)
-	wopts := cfg.Watchdog
-	if wopts.HealthCheck == nil && cfg.Rules.Health {
-		wopts.HealthCheck = d.Health
+	if cfg.Interval <= 0 {
+		cfg.Interval = defaultFlightInterval
 	}
 	d.Flight = rec
-	d.sampler = flight.AttachSampler(obs.Spans, rec, cfg.Sampler)
-	d.Watchdog = flight.NewWatchdog(d.Monitor, rec, rules, wopts)
-	d.Watchdog.Arm()
-	if _, armed := d.Monitor.Armed(); !armed {
-		d.Monitor.SetInterval(monitor.DefaultInterval)
-	}
+	d.sampler = flight.AttachSampler(obs.Spans, rec, cfg.SlowFloor)
+	d.Watchdog = flight.NewWatchdog(d.Monitor, rec, flight.StandardRules(), cfg.FireAfter, d.Health)
+	d.Watchdog.Arm(cfg.Interval)
 	return nil
 }
 
@@ -262,15 +260,15 @@ func (d *Deployment) Mount(host string) *FS {
 // cluster is owned by the caller).
 func (d *Deployment) Close() error {
 	d.Blob.SetReclaimNotify(nil)
+	// The watchdog stays set once closed: Health, which a scrape may
+	// still be running, reads it, and a closed one reports unarmed.
 	if d.Watchdog != nil {
 		d.Watchdog.Close()
-		d.Watchdog = nil
 	}
 	if d.sampler != nil {
 		d.sampler.Close()
 		d.sampler = nil
 	}
-	d.Monitor.Close()
 	d.GC.Close()
 	err := d.NS.Close()
 	d.nsClient.Close()

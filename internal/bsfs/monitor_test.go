@@ -1,6 +1,7 @@
 package bsfs
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -135,9 +136,9 @@ func TestDeploymentMonitorWiring(t *testing.T) {
 }
 
 // TestDeploymentHealth pins the component health checks: a fresh
-// deployment is healthy with an unarmed-collector note; arming the
-// monitor makes the collector check real; killing a VM shard degrades
-// the report and names the shard.
+// deployment is healthy with an unarmed-watchdog note; enabling flight
+// arms the watchdog and makes the freshness check real; killing a VM
+// shard degrades the report and names the shard.
 func TestDeploymentHealth(t *testing.T) {
 	d := newDeployment(t, 1024)
 
@@ -157,11 +158,16 @@ func TestDeploymentHealth(t *testing.T) {
 		t.Fatalf("unarmed monitor health = %+v (want healthy with a detail note)", mon)
 	}
 
-	// Armed and collecting: the freshness check passes for real.
-	d.SetMonitorInterval(20 * time.Millisecond)
+	// Armed and evaluating: the freshness check passes for real.
+	if err := d.EnableFlight(filepath.Join(t.TempDir(), "flight.log"), FlightConfig{Interval: 20 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for d.Monitor.Collections() == 0 && time.Now().Before(deadline) {
+	for d.Watchdog.Evals() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
+	}
+	if d.Monitor.Collections() == 0 {
+		t.Fatal("armed watchdog never collected the monitor")
 	}
 	rep = d.Health(ctx)
 	for _, c := range rep.Components {

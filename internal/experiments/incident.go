@@ -26,7 +26,7 @@ const (
 	incidentZipfS    = 1.2                   // skew of the hot reads
 	incidentOpsPre   = 4                     // appends per writer before the kill
 	incidentOpsPost  = 6                     // appends per writer once the kill lands
-	incidentInterval = 50 * time.Millisecond // monitor collection cadence
+	incidentInterval = 50 * time.Millisecond // watchdog evaluation cadence
 	incidentPingTmo  = 150 * time.Millisecond
 	incidentOutage   = 300 * time.Millisecond
 )
@@ -42,8 +42,8 @@ type IncidentResult struct {
 	OutageMS float64 `json:"outage_ms"`
 
 	// FireDelayMS is kill -> health alert firing; FireCollections is
-	// the same delay in monitor collection passes (the acceptance bar:
-	// within one interval, so a small number of passes).
+	// the same delay in watchdog evaluations, one per collection (the
+	// acceptance bar: within one interval, so a small number of passes).
 	FireDelayMS     float64 `json:"fire_delay_ms"`
 	FireCollections uint64  `json:"fire_collections"`
 	// ClearEvals is how many evaluation passes after the restart the
@@ -94,18 +94,12 @@ func Incident(cfg Config) (*IncidentResult, error) {
 	d := env.deploy
 
 	if err := d.EnableFlight(flightPath, bsfs.FlightConfig{
-		Sampler: flight.SamplerOptions{SlowFloor: 2 * time.Millisecond},
-		Watchdog: flight.WatchdogOptions{
-			FireAfter:     1,
-			ClearAfter:    3,
-			SnapshotEvery: 1,
-			HealthTimeout: time.Second,
-		},
-		Rules: flight.StandardRulesOptions{Health: true},
+		Interval:  incidentInterval,
+		FireAfter: 1,
+		SlowFloor: 2 * time.Millisecond,
 	}); err != nil {
 		return nil, err
 	}
-	d.SetMonitorInterval(incidentInterval)
 
 	// Workload BLOBs: one per writer, plus the hotspot BLOB that the
 	// Zipf readers hammer.
@@ -236,7 +230,7 @@ func Incident(cfg Config) (*IncidentResult, error) {
 	if err := runHotspot(11); err != nil {
 		return nil, err
 	}
-	for d.Monitor.Collections() < 3 {
+	for d.Watchdog.Evals() < 3 {
 		time.Sleep(incidentInterval)
 	}
 
@@ -256,7 +250,7 @@ func Incident(cfg Config) (*IncidentResult, error) {
 	// Phase 2: kill the victim mid-workload. Writers ride the routed
 	// retry loop; the watchdog's next health check sees the dead shard.
 	killTime := time.Now()
-	collAtKill := d.Monitor.Collections()
+	evalsAtKill := d.Watchdog.Evals()
 	if err := env.cluster.KillVM(victim); err != nil {
 		return nil, err
 	}
@@ -273,7 +267,7 @@ func Incident(cfg Config) (*IncidentResult, error) {
 	for {
 		if firingNow() {
 			fireDelay = time.Since(killTime)
-			fireCollections = d.Monitor.Collections() - collAtKill
+			fireCollections = d.Watchdog.Evals() - evalsAtKill
 			break
 		}
 		if time.Now().After(fireDeadline) {
@@ -309,11 +303,11 @@ func Incident(cfg Config) (*IncidentResult, error) {
 
 	// Let a couple more snapshots land past the recovery so the replay
 	// provably brackets the outage.
-	collAfterClear := d.Monitor.Collections()
-	for d.Monitor.Collections() < collAfterClear+2 {
+	evalsAfterClear := d.Watchdog.Evals()
+	for d.Watchdog.Evals() < evalsAfterClear+2 {
 		time.Sleep(incidentInterval)
 	}
-	d.Monitor.SetInterval(0) // quiesce: no more writes into the flight log
+	d.Watchdog.Close() // quiesce: no more writes into the flight log
 
 	// Post-crash replay: open a SECOND recorder on the same path while
 	// the deployment's own handle is still live-but-abandoned — exactly

@@ -16,9 +16,10 @@ func TestIncident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// FireAfter=1 on a 50ms collection cadence: the alert must land
-	// within a handful of collection passes of the kill (one pass to
-	// notice, plus the health ping timeout the check itself burns).
+	// FireAfter=1 on a 50ms watchdog cadence: the alert must land
+	// within a handful of evaluations of the kill, each one collection
+	// pass (one to notice, plus the health ping timeout the check itself
+	// burns).
 	if res.FireCollections > 6 {
 		t.Errorf("alert fired after %d collections; want within a collection interval or so", res.FireCollections)
 	}

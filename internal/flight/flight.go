@@ -12,10 +12,10 @@
 // same path replays the minutes before the outage.
 //
 // The watchdog turns monitor snapshots into decisions: a rule set
-// (journal lag, NIC utilization, replica imbalance, component health,
-// per-op p99 vs committed BENCH baselines) evaluated on every monitor
-// collection, with hysteresis — N consecutive breaches to fire, M
-// consecutive OKs to clear — so one noisy sample neither pages nor
+// (journal lag, NIC utilization, replica imbalance, component health)
+// evaluated on every tick of the watchdog's own ticker, which collects
+// the monitor first, with hysteresis — N consecutive breaches to fire,
+// 3 consecutive OKs to clear — so one noisy sample neither pages nor
 // silences. Fire/clear transitions land in the flight log and are
 // served on /alerts by internal/obshttp; `bsfsctl diag` folds alerts,
 // the replayed timeline, /cluster, and /metrics.json into one archive.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"blobseer/internal/metrics"
 	"blobseer/internal/monitor"
 )
 
@@ -71,67 +70,14 @@ func RuleHealth() Rule {
 	}
 }
 
-// RuleLatency breaches when the windowed (since the previous
-// evaluation) p99 of the named op histogram exceeds factor ×
-// baselineP99Ms. The closure holds the previous cumulative
-// snapshot, so each evaluation judges only the operations completed
-// since the last one.
-func RuleLatency(reg *metrics.Registry, op string, baselineP99Ms, factor float64) Rule {
-	if reg == nil {
-		reg = metrics.Default
+// StandardRules is the SLO rule set a deployment's watchdog runs:
+// journal lag past 512 pending records, a provider NIC past 95 %
+// utilization, read imbalance past 3×, and any unhealthy component.
+func StandardRules() []Rule {
+	return []Rule{
+		RuleJournalLag(512),
+		RuleUtilization(0.95),
+		RuleImbalance(3.0),
+		RuleHealth(),
 	}
-	if factor <= 0 {
-		factor = 2.0
-	}
-	limit := baselineP99Ms * factor
-	var prev metrics.HistogramSnapshot
-	return Rule{
-		Name: "latency_p99:" + op,
-		Evaluate: func(_ monitor.ClusterSnapshot, _ *monitor.HealthReport) (float64, float64, bool, string) {
-			cur, ok := reg.OpSnapshot(op)
-			if !ok {
-				return 0, limit, false, "no samples"
-			}
-			win := cur.Sub(prev)
-			prev = cur
-			if win.Count == 0 {
-				return 0, limit, false, "idle window"
-			}
-			p99Ms := win.Quantile(0.99) / 1e6
-			return p99Ms, limit, p99Ms > limit,
-				fmt.Sprintf("windowed p99 %.2fms vs baseline %.2fms ×%.1f (n=%d)", p99Ms, baselineP99Ms, factor, win.Count)
-		},
-	}
-}
-
-// StandardRulesOptions configure the default rule set.
-type StandardRulesOptions struct {
-	MaxJournalLag  float64 // default 512 pending records
-	MaxUtilization float64 // default 0.95
-	MaxImbalance   float64 // default 3.0
-	// Health toggles the component-health rule (needs the watchdog's
-	// HealthCheck wired to mean anything).
-	Health bool
-}
-
-// StandardRules builds the default SLO rule set.
-func StandardRules(o StandardRulesOptions) []Rule {
-	if o.MaxJournalLag <= 0 {
-		o.MaxJournalLag = 512
-	}
-	if o.MaxUtilization <= 0 {
-		o.MaxUtilization = 0.95
-	}
-	if o.MaxImbalance <= 0 {
-		o.MaxImbalance = 3.0
-	}
-	rules := []Rule{
-		RuleJournalLag(o.MaxJournalLag),
-		RuleUtilization(o.MaxUtilization),
-		RuleImbalance(o.MaxImbalance),
-	}
-	if o.Health {
-		rules = append(rules, RuleHealth())
-	}
-	return rules
 }

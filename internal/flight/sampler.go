@@ -8,61 +8,38 @@ import (
 	"blobseer/internal/obs"
 )
 
-// SamplerOptions tune the tail-sampling policy.
-type SamplerOptions struct {
-	// SlowFloor is the minimum root duration worth keeping regardless
-	// of the live distribution (default 50ms). Zero keeps the default;
-	// negative disables the floor (only the percentile gate applies).
-	SlowFloor time.Duration
-	// P99Factor keeps a trace when its root ran past factor × the live
-	// p99 of the same-named op histogram (default 1.0; the histogram
-	// gate needs MinCount samples before it judges anything).
-	P99Factor float64
-	// MinCount is the sample count a histogram needs before its p99 is
-	// trusted (default 50).
-	MinCount uint64
-	// Registry supplies the live op histograms (default
-	// metrics.Default).
-	Registry *metrics.Registry
-}
-
-func (o SamplerOptions) withDefaults() SamplerOptions {
-	if o.SlowFloor == 0 {
-		o.SlowFloor = 50 * time.Millisecond
-	} else if o.SlowFloor < 0 {
-		o.SlowFloor = 1<<63 - 1
-	}
-	if o.P99Factor <= 0 {
-		o.P99Factor = 1.0
-	}
-	if o.MinCount == 0 {
-		o.MinCount = 50
-	}
-	if o.Registry == nil {
-		o.Registry = metrics.Default
-	}
-	return o
-}
+// Tail-sampling policy.
+const (
+	// defaultSlowFloor is the root duration kept regardless of the live
+	// distribution when AttachSampler is given 0.
+	defaultSlowFloor = 50 * time.Millisecond
+	// minCount is the sample count an op histogram needs before its p99
+	// is trusted.
+	minCount = 50
+)
 
 // Sampler decides, at root-span completion, whether the finished trace
 // is worth persisting — tail sampling: the whole causal tree is kept
 // or dropped based on how the operation actually went, never on a coin
 // flip taken up front. A trace is kept when its root is slow (past the
-// floor, or past P99Factor × the live p99 of the matching op
+// floor, or past the live p99 of the same-named metrics.Default op
 // histogram) or when any retained span of the trace errored.
 type Sampler struct {
-	opts    SamplerOptions
-	rec     *Recorder
-	coll    *obs.Collector
-	cancel  func()
-	kept    atomic.Uint64
-	dropped atomic.Uint64
+	slowFloor time.Duration
+	rec       *Recorder
+	coll      *obs.Collector
+	cancel    func()
+	kept      atomic.Uint64
+	dropped   atomic.Uint64
 }
 
-// AttachSampler hooks a tail sampler between coll and rec. Detach with
-// Close.
-func AttachSampler(coll *obs.Collector, rec *Recorder, opts SamplerOptions) *Sampler {
-	s := &Sampler{opts: opts.withDefaults(), rec: rec, coll: coll}
+// AttachSampler hooks a tail sampler between coll and rec that keeps
+// roots running at least slowFloor (0 means 50 ms). Detach with Close.
+func AttachSampler(coll *obs.Collector, rec *Recorder, slowFloor time.Duration) *Sampler {
+	if slowFloor <= 0 {
+		slowFloor = defaultSlowFloor
+	}
+	s := &Sampler{slowFloor: slowFloor, rec: rec, coll: coll}
 	s.cancel = coll.Observe(s.onSpan)
 	return s
 }
@@ -95,12 +72,11 @@ func (s *Sampler) verdict(root obs.SpanInfo) string {
 	if root.Err != "" {
 		return "error"
 	}
-	if root.Dur >= s.opts.SlowFloor {
+	if root.Dur >= s.slowFloor {
 		return "slow"
 	}
-	if snap, ok := s.opts.Registry.OpSnapshot(root.Name); ok && snap.Count >= s.opts.MinCount {
-		p99 := snap.Quantile(0.99)
-		if p99 > 0 && float64(root.Dur) >= s.opts.P99Factor*float64(p99) {
+	if snap, ok := metrics.Default.OpSnapshot(root.Name); ok && snap.Count >= minCount {
+		if p99 := snap.Quantile(0.99); p99 > 0 && float64(root.Dur) >= p99 {
 			return "slow"
 		}
 	}

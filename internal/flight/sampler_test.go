@@ -10,31 +10,33 @@ import (
 	"blobseer/internal/obs"
 )
 
-// traceInto runs one two-span trace through the process-wide obs.Spans
-// collector (the only sink obs.StartTrace records into), sleeping d in
-// the root, optionally erroring the child.
-func traceInto(d time.Duration, childErr error) {
-	ctx, root := obs.StartTrace(context.Background(), "test.op")
+// traceInto runs one two-span trace rooted at op through the
+// process-wide obs.Spans collector (the only sink obs.StartTrace
+// records into), sleeping d in the root, optionally erroring the
+// child. Each test roots its traces at its own op, so the sampler's
+// p99 gate reads only that test's metrics.Default histogram.
+func traceInto(op string, d time.Duration, childErr error) {
+	ctx, root := obs.StartTrace(context.Background(), op)
 	child := obs.StartChild(ctx, "test.child")
 	time.Sleep(d)
 	child.End(childErr)
 	root.End(nil)
 }
 
-func newTestSampler(t *testing.T, opts SamplerOptions) (*Sampler, *Recorder) {
+func newTestSampler(t *testing.T, slowFloor time.Duration) (*Sampler, *Recorder) {
 	t.Helper()
 	rec, _ := openTemp(t)
 	t.Cleanup(func() { rec.Close() })
-	s := AttachSampler(obs.Spans, rec, opts)
+	s := AttachSampler(obs.Spans, rec, slowFloor)
 	t.Cleanup(s.Close)
 	return s, rec
 }
 
 func TestSamplerKeepsSlowTrace(t *testing.T) {
-	s, rec := newTestSampler(t, SamplerOptions{SlowFloor: 10 * time.Millisecond, Registry: metrics.NewRegistry()})
+	s, rec := newTestSampler(t, 10*time.Millisecond)
 
-	traceInto(20*time.Millisecond, nil) // slow: kept
-	traceInto(0, nil)                   // fast: dropped
+	traceInto("test.slow", 20*time.Millisecond, nil) // slow: kept
+	traceInto("test.slow", 0, nil)                   // fast: dropped
 
 	kept, dropped := s.Stats()
 	if kept != 1 || dropped != 1 {
@@ -58,11 +60,11 @@ func TestSamplerKeepsSlowTrace(t *testing.T) {
 }
 
 func TestSamplerKeepsErroredChild(t *testing.T) {
-	s, rec := newTestSampler(t, SamplerOptions{SlowFloor: time.Hour, Registry: metrics.NewRegistry()})
+	s, rec := newTestSampler(t, time.Hour)
 
 	// Fast trace, but the child errored: tail sampling must still keep
 	// it — the verdict looks at the whole tree, not just the root.
-	traceInto(0, errors.New("page put failed"))
+	traceInto("test.errchild", 0, errors.New("page put failed"))
 
 	kept, _ := s.Stats()
 	if kept != 1 {
@@ -75,21 +77,16 @@ func TestSamplerKeepsErroredChild(t *testing.T) {
 }
 
 func TestSamplerPercentileGate(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := reg.Op("test.op")
+	h := metrics.Default.Op("test.percentile")
 	// Tight distribution around 1ms, enough samples to trust p99.
 	for i := 0; i < 200; i++ {
 		h.RecordDuration(time.Millisecond)
 	}
-	s, _ := newTestSampler(t, SamplerOptions{
-		SlowFloor: -1, // floor off: only the percentile gate judges
-		P99Factor: 1.0,
-		MinCount:  50,
-		Registry:  reg,
-	})
+	// An hour's floor never binds: only the percentile gate judges.
+	s, _ := newTestSampler(t, time.Hour)
 
-	traceInto(30*time.Millisecond, nil) // ≫ p99 of 1ms: kept
-	traceInto(0, nil)                   // ~µs, below p99 bucket: dropped
+	traceInto("test.percentile", 30*time.Millisecond, nil) // ≫ p99 of 1ms: kept
+	traceInto("test.percentile", 0, nil)                   // ~µs, below p99 bucket: dropped
 
 	kept, dropped := s.Stats()
 	if kept != 1 || dropped != 1 {
@@ -98,9 +95,9 @@ func TestSamplerPercentileGate(t *testing.T) {
 }
 
 func TestSamplerCancelDetaches(t *testing.T) {
-	s, _ := newTestSampler(t, SamplerOptions{SlowFloor: time.Nanosecond, Registry: metrics.NewRegistry()})
+	s, _ := newTestSampler(t, time.Nanosecond)
 	s.Close()
-	traceInto(2*time.Millisecond, nil)
+	traceInto("test.detached", 2*time.Millisecond, nil)
 	kept, dropped := s.Stats()
 	if kept != 0 || dropped != 0 {
 		t.Fatalf("closed sampler still observing: kept=%d dropped=%d", kept, dropped)

@@ -18,39 +18,17 @@ type Rule struct {
 	Evaluate func(snap monitor.ClusterSnapshot, health *monitor.HealthReport) (value, limit float64, breached bool, detail string)
 }
 
-// WatchdogOptions tune the rule engine.
-type WatchdogOptions struct {
-	// FireAfter is how many consecutive breaches arm an alert
-	// (default 2); ClearAfter is how many consecutive OK evaluations
-	// clear a firing one (default 3). Hysteresis: one noisy sample
-	// neither pages nor silences.
-	FireAfter  int
-	ClearAfter int
-	// SnapshotEvery persists the cluster snapshot to the flight log on
-	// every Nth evaluation (default 1 — every collection; 0 keeps the
-	// default, negative disables snapshot recording).
-	SnapshotEvery int
-	// HealthCheck, when set, runs per evaluation (under HealthTimeout,
-	// default 2s) and feeds health rules plus health-transition events.
-	HealthCheck   func(ctx context.Context) monitor.HealthReport
-	HealthTimeout time.Duration
-}
-
-func (o WatchdogOptions) withDefaults() WatchdogOptions {
-	if o.FireAfter <= 0 {
-		o.FireAfter = 2
-	}
-	if o.ClearAfter <= 0 {
-		o.ClearAfter = 3
-	}
-	if o.SnapshotEvery == 0 {
-		o.SnapshotEvery = 1
-	}
-	if o.HealthTimeout <= 0 {
-		o.HealthTimeout = 2 * time.Second
-	}
-	return o
-}
+// Hysteresis and health-check bounds of every watchdog.
+const (
+	// defaultFireAfter is how many consecutive breaches fire an alert
+	// when NewWatchdog is given 0; clearAfter is how many consecutive
+	// OK evaluations clear a firing one. One noisy sample neither pages
+	// nor silences.
+	defaultFireAfter = 2
+	clearAfter       = 3
+	// healthTimeout bounds one evaluation's health check.
+	healthTimeout = 2 * time.Second
+)
 
 // AlertState is one rule's live status, served on /alerts.
 type AlertState struct {
@@ -75,60 +53,101 @@ type ruleState struct {
 }
 
 // Watchdog evaluates rules over the monitor plane, applies hysteresis,
-// and emits alert transitions into the flight recorder. Hook it to a
-// monitor with Arm (evaluates on every collection) or call Evaluate
-// directly from tests.
+// and emits alert transitions into the flight recorder. Arm starts its
+// ticker, which collects the monitor and evaluates once per interval;
+// tests call Evaluate directly.
 type Watchdog struct {
-	opts  WatchdogOptions
-	mon   *monitor.Monitor
-	rec   *Recorder
-	rules []Rule
+	mon       *monitor.Monitor
+	rec       *Recorder
+	rules     []Rule
+	fireAfter int
+	health    func(ctx context.Context) monitor.HealthReport
 
-	// now is the injected clock behind alert Since stamps; tests
-	// override it for deterministic hysteresis timelines.
+	// now is the injected clock behind alert Since stamps and
+	// freshness; tests override it for deterministic timelines.
 	now func() time.Time
 
 	mu         sync.Mutex
 	states     map[string]*ruleState
 	lastHealth map[string]bool
 	evals      uint64
-	cancel     func()
+	lastEval   time.Time
+	interval   time.Duration // 0 while unarmed
+	stop       chan struct{}
+	stopped    chan struct{}
 }
 
-// NewWatchdog builds an idle watchdog; rec may be nil (alerts stay
-// in memory only).
-func NewWatchdog(mon *monitor.Monitor, rec *Recorder, rules []Rule, opts WatchdogOptions) *Watchdog {
+// NewWatchdog builds an unarmed watchdog. fireAfter consecutive
+// breaches fire an alert (0 means 2). health, when set, runs on every
+// evaluation and feeds the health rule and health-transition events.
+// rec may be nil (alerts stay in memory only).
+func NewWatchdog(mon *monitor.Monitor, rec *Recorder, rules []Rule, fireAfter int, health func(ctx context.Context) monitor.HealthReport) *Watchdog {
+	if fireAfter <= 0 {
+		fireAfter = defaultFireAfter
+	}
 	return &Watchdog{
-		opts:       opts.withDefaults(),
 		mon:        mon,
 		rec:        rec,
 		rules:      rules,
+		fireAfter:  fireAfter,
+		health:     health,
 		now:        time.Now,
 		states:     make(map[string]*ruleState),
 		lastHealth: make(map[string]bool),
 	}
 }
 
-// Arm hooks Evaluate into every monitor collection pass. Disarm with
-// Close.
-func (w *Watchdog) Arm() {
+// Arm starts the watchdog's ticker: every interval it collects the
+// monitor and evaluates the rules. Arming an armed watchdog does
+// nothing; Close stops it.
+func (w *Watchdog) Arm(interval time.Duration) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.cancel != nil {
+	if w.stop != nil {
 		return
 	}
-	w.cancel = w.mon.OnCollect(func() { w.Evaluate() })
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	w.interval, w.stop, w.stopped = interval, stop, stopped
+	go func() {
+		defer close(stopped)
+		//lint:walltime the evaluation cadence is wall-clock by design; Evaluate is the seam tests drive
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				w.mon.CollectOnce()
+				w.Evaluate()
+			}
+		}
+	}()
 }
 
-// Close detaches the watchdog from the monitor.
+// Close stops the ticker and waits for an evaluation in progress to
+// finish. Safe to call twice, or on a watchdog never armed.
 func (w *Watchdog) Close() {
 	w.mu.Lock()
-	cancel := w.cancel
-	w.cancel = nil
+	stop, stopped := w.stop, w.stopped
+	w.interval, w.stop, w.stopped = 0, nil, nil
 	w.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if stop != nil {
+		close(stop)
+		<-stopped
 	}
+}
+
+// Fresh reports the armed interval (0 when unarmed) and whether an
+// evaluation began within the last two intervals: the deployment's
+// "monitor" health check.
+func (w *Watchdog) Fresh() (interval time.Duration, fresh bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.interval == 0 || w.lastEval.IsZero() {
+		return w.interval, false
+	}
+	return w.interval, w.now().Sub(w.lastEval) <= 2*w.interval
 }
 
 // Evaluate runs one rule pass against a fresh snapshot (and health
@@ -136,19 +155,23 @@ func (w *Watchdog) Close() {
 // snapshot/health/alert events. Journal writes are decided under
 // w.mu but performed after it is released: a kvlog append (worst
 // case: a compaction rewrite) under the state lock would stall every
-// /alerts and Firing reader — the same holding-a-lock-across-I/O
-// class the monitor's OnCollect design avoids, enforced here by the
-// lockhold analyzer.
+// /alerts and Firing reader — the holding-a-lock-across-I/O class the
+// lockhold analyzer rejects.
 func (w *Watchdog) Evaluate() {
+	// Stamped before the health check, which reads Fresh: the pass in
+	// progress counts as evidence the cadence is alive.
+	w.mu.Lock()
+	w.lastEval = w.now()
+	w.mu.Unlock()
 	snap := w.mon.Snapshot()
 
 	var health *monitor.HealthReport
-	if w.opts.HealthCheck != nil {
-		// The ping is driven by the collector tick, not an RPC caller:
-		// there is no inbound context to thread, only the timeout.
-		//lint:detached health pings run on the monitor's collection goroutine; HealthTimeout bounds them
-		ctx, cancel := context.WithTimeout(context.Background(), w.opts.HealthTimeout)
-		h := w.opts.HealthCheck(ctx)
+	if w.health != nil {
+		// The ping is driven by the ticker, not an RPC caller: there is
+		// no inbound context to thread, only the timeout.
+		//lint:detached health pings run on the watchdog's ticker goroutine; healthTimeout bounds them
+		ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
+		h := w.health(ctx)
 		cancel()
 		health = &h
 	}
@@ -157,9 +180,8 @@ func (w *Watchdog) Evaluate() {
 
 	w.mu.Lock()
 	w.evals++
-	if w.rec != nil && w.opts.SnapshotEvery > 0 && w.evals%uint64(w.opts.SnapshotEvery) == 0 {
-		s := snap
-		pending = append(pending, Event{Kind: KindSnapshot, Snapshot: &s})
+	if w.rec != nil {
+		pending = append(pending, Event{Kind: KindSnapshot, Snapshot: &snap})
 	}
 	if health != nil {
 		pending = append(pending, w.healthTransitionsLocked(health)...)
@@ -180,12 +202,12 @@ func (w *Watchdog) Evaluate() {
 			st.breaches = 0
 		}
 		switch {
-		case !st.firing && st.breaches >= w.opts.FireAfter:
+		case !st.firing && st.breaches >= w.fireAfter:
 			st.firing = true
 			st.since = w.now()
 			st.fires++
 			pending = append(pending, w.transitionLocked(rule.Name, StateFiring, value, limit, detail)...)
-		case st.firing && st.oks >= w.opts.ClearAfter:
+		case st.firing && st.oks >= clearAfter:
 			st.firing = false
 			st.since = w.now()
 			pending = append(pending, w.transitionLocked(rule.Name, StateOK, value, limit, detail)...)

@@ -5,14 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"blobseer/internal/metrics"
 	"blobseer/internal/monitor"
 )
 
 // lagMonitor builds a monitor with a single vmshard source whose
 // journal_pending gauge tracks *lag.
 func lagMonitor(lag *float64) *monitor.Monitor {
-	m := monitor.New(monitor.Config{})
+	m := monitor.New(0)
 	m.Register(monitor.KindVMShard, "vm-0", func() monitor.Sample {
 		return monitor.Sample{monitor.KeyJournalPending: *lag}
 	})
@@ -25,9 +24,7 @@ func TestWatchdogHysteresis(t *testing.T) {
 	rec, _ := openTemp(t)
 	defer rec.Close()
 
-	w := NewWatchdog(m, rec, []Rule{RuleJournalLag(100)}, WatchdogOptions{
-		FireAfter: 2, ClearAfter: 3, SnapshotEvery: -1,
-	})
+	w := NewWatchdog(m, rec, []Rule{RuleJournalLag(100)}, 2, nil)
 
 	eval := func() { m.CollectOnce(); w.Evaluate() }
 
@@ -66,14 +63,20 @@ func TestWatchdogHysteresis(t *testing.T) {
 		t.Fatal("fired across a non-consecutive breach run")
 	}
 
-	// Exactly one fire + one clear event landed in the flight log.
+	// Every evaluation left a snapshot, and exactly one fire + one
+	// clear event landed in the flight log.
 	events, err := rec.Replay()
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	var fires, clears int
+	var snapshots, fires, clears int
 	for _, ev := range events {
-		if ev.Kind != KindAlert {
+		switch ev.Kind {
+		case KindSnapshot:
+			snapshots++
+			continue
+		case KindAlert:
+		default:
 			t.Fatalf("unexpected event kind %s", ev.Kind)
 		}
 		switch ev.Alert.State {
@@ -82,6 +85,9 @@ func TestWatchdogHysteresis(t *testing.T) {
 		case StateOK:
 			clears++
 		}
+	}
+	if snapshots != int(w.Evals()) {
+		t.Fatalf("got %d snapshots over %d evaluations", snapshots, w.Evals())
 	}
 	if fires != 1 || clears != 1 {
 		t.Fatalf("got %d fires / %d clears, want 1 / 1", fires, clears)
@@ -96,44 +102,109 @@ func TestWatchdogHysteresis(t *testing.T) {
 	}
 }
 
+// TestWatchdogArmEvaluatesOnCollection pins the pairing of the armed
+// ticker: every tick collects the monitor and evaluates once, so after
+// Close the two counts agree, and a collection nobody evaluates (one
+// made after Close) leaves the watchdog untouched.
 func TestWatchdogArmEvaluatesOnCollection(t *testing.T) {
 	lag := 1000.0
 	m := lagMonitor(&lag)
-	w := NewWatchdog(m, nil, []Rule{RuleJournalLag(100)}, WatchdogOptions{FireAfter: 1, SnapshotEvery: -1})
-	w.Arm()
-	defer w.Close()
-
-	m.CollectOnce()
-	if w.Evals() != 1 {
-		t.Fatalf("evals = %d after one collection, want 1", w.Evals())
+	w := NewWatchdog(m, nil, []Rule{RuleJournalLag(100)}, 1, nil)
+	w.Arm(time.Millisecond)
+	deadline := time.Now().Add(5 * time.Second)
+	for w.Evals() < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	w.Close()
+	if w.Evals() < 3 {
+		t.Fatalf("armed watchdog evaluated %d times in 5s", w.Evals())
 	}
 	if w.Firing() != 1 {
 		t.Fatal("armed watchdog did not fire on collection")
 	}
-	w.Close()
+	if got, want := m.Collections(), w.Evals(); got != want {
+		t.Fatalf("collections = %d, evals = %d; want one evaluation per collection", got, want)
+	}
+	evals := w.Evals()
 	m.CollectOnce()
-	if w.Evals() != 1 {
-		t.Fatal("closed watchdog still evaluating")
+	if w.Evals() != evals {
+		t.Fatal("closed watchdog evaluated on a collection")
+	}
+}
+
+// TestWatchdogArmTicksAndCloses pins the watchdog's cadence: Arm
+// starts a ticker that collects the monitor and evaluates with nobody
+// calling either, Fresh reports it, and Close stops it for good.
+func TestWatchdogArmTicksAndCloses(t *testing.T) {
+	lag := 1000.0
+	m := lagMonitor(&lag)
+	w := NewWatchdog(m, nil, []Rule{RuleJournalLag(100)}, 1, nil)
+	if iv, fresh := w.Fresh(); iv != 0 || fresh {
+		t.Fatalf("new watchdog Fresh = %v, %v; want unarmed", iv, fresh)
+	}
+
+	w.Arm(10 * time.Millisecond)
+	w.Arm(time.Hour) // already armed: no second ticker, interval kept
+	deadline := time.Now().Add(5 * time.Second)
+	for w.Firing() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if w.Firing() != 1 || m.Collections() == 0 {
+		t.Fatalf("armed watchdog: firing=%d collections=%d", w.Firing(), m.Collections())
+	}
+	if iv, fresh := w.Fresh(); iv != 10*time.Millisecond || !fresh {
+		t.Fatalf("armed Fresh = %v, %v", iv, fresh)
+	}
+
+	w.Close()
+	w.Close() // idempotent
+	if iv, fresh := w.Fresh(); iv != 0 || fresh {
+		t.Fatalf("closed Fresh = %v, %v; want unarmed", iv, fresh)
+	}
+	evals := w.Evals()
+	time.Sleep(30 * time.Millisecond)
+	if w.Evals() != evals {
+		t.Fatalf("closed watchdog still evaluating: %d -> %d", evals, w.Evals())
+	}
+}
+
+// TestWatchdogFreshness drives the injected clock: an armed watchdog
+// is fresh while its last evaluation is within two intervals.
+func TestWatchdogFreshness(t *testing.T) {
+	m := monitor.New(0)
+	w := NewWatchdog(m, nil, nil, 0, nil)
+	now := time.Unix(5000, 0)
+	w.now = func() time.Time { return now }
+	w.Arm(time.Hour) // no tick lands during the test
+	defer w.Close()
+	if _, fresh := w.Fresh(); fresh {
+		t.Fatal("fresh before any evaluation")
+	}
+	w.Evaluate()
+	now = now.Add(2 * time.Hour)
+	if _, fresh := w.Fresh(); !fresh {
+		t.Fatal("stale two intervals after an evaluation")
+	}
+	now = now.Add(time.Second)
+	if _, fresh := w.Fresh(); fresh {
+		t.Fatal("fresh past two intervals")
 	}
 }
 
 func TestWatchdogHealthTransitions(t *testing.T) {
 	healthy := true
-	m := monitor.New(monitor.Config{})
+	m := monitor.New(0)
 	rec, _ := openTemp(t)
 	defer rec.Close()
-	w := NewWatchdog(m, rec, []Rule{RuleHealth()}, WatchdogOptions{
-		FireAfter: 1, ClearAfter: 1, SnapshotEvery: -1,
-		HealthCheck: func(_ context.Context) monitor.HealthReport {
-			var r monitor.HealthReport
-			r.Healthy = true
-			detail := ""
-			if !healthy {
-				detail = "ping timeout"
-			}
-			r.AddTimed("vm-shard-0", healthy, detail, 3*time.Millisecond)
-			return r
-		},
+	w := NewWatchdog(m, rec, []Rule{RuleHealth()}, 1, func(_ context.Context) monitor.HealthReport {
+		var r monitor.HealthReport
+		r.Healthy = true
+		detail := ""
+		if !healthy {
+			detail = "ping timeout"
+		}
+		r.AddTimed("vm-shard-0", healthy, detail, 3*time.Millisecond)
+		return r
 	})
 
 	w.Evaluate()
@@ -146,7 +217,9 @@ func TestWatchdogHealthTransitions(t *testing.T) {
 		t.Fatal("health rule did not fire on unhealthy component")
 	}
 	healthy = true
-	w.Evaluate()
+	for i := 0; i < clearAfter; i++ {
+		w.Evaluate()
+	}
 	if w.Firing() != 0 {
 		t.Fatal("health rule did not clear")
 	}
@@ -166,34 +239,5 @@ func TestWatchdogHealthTransitions(t *testing.T) {
 	}
 	if healthEvents[0].LatencyMs <= 0 {
 		t.Fatal("health event lost check latency")
-	}
-}
-
-func TestRuleLatencyWindowed(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := reg.Op("blob.append")
-	rule := RuleLatency(reg, "blob.append", 10 /* ms */, 2.0)
-
-	// Slow history: everything at 100ms.
-	for i := 0; i < 100; i++ {
-		h.RecordDuration(100 * time.Millisecond)
-	}
-	_, _, breached, _ := rule.Evaluate(monitor.ClusterSnapshot{}, nil)
-	if !breached {
-		t.Fatal("100ms p99 vs 20ms limit did not breach")
-	}
-	// Fast window after the slow history: the windowed delta must
-	// judge only the new samples, not the cumulative distribution.
-	for i := 0; i < 100; i++ {
-		h.RecordDuration(1 * time.Millisecond)
-	}
-	value, limit, breached, _ := rule.Evaluate(monitor.ClusterSnapshot{}, nil)
-	if breached {
-		t.Fatalf("fast window breached: p99 %.2fms vs %.2fms", value, limit)
-	}
-	// Idle window: no samples, no breach.
-	_, _, breached, detail := rule.Evaluate(monitor.ClusterSnapshot{}, nil)
-	if breached || detail != "idle window" {
-		t.Fatalf("idle window: breached=%v detail=%q", breached, detail)
 	}
 }

@@ -46,9 +46,9 @@ func testClock(m *Monitor) func(time.Duration) {
 // TestCollectAndSnapshot drives two fake providers and a vmshard
 // through collections with an injected clock and checks every derived
 // quantity: per-second rates, NIC utilization, replica imbalance,
-// journal lag, freshness.
+// journal lag, snapshot age.
 func TestCollectAndSnapshot(t *testing.T) {
-	m := New(Config{NICBandwidth: 1000, HalfLife: time.Second})
+	m := New(1000)
 	advance := testClock(m)
 
 	hot, cold, pending := 0.0, 0.0, 7.0
@@ -63,9 +63,9 @@ func TestCollectAndSnapshot(t *testing.T) {
 	})
 
 	m.CollectOnce() // primes the rate trackers
-	// 10 seconds at 900 B/s hot, 100 B/s cold: with a 1s half-life the
-	// EWMA is within a fraction of a percent of the true rate.
-	for i := 0; i < 10; i++ {
+	// 60 seconds at 900 B/s hot, 100 B/s cold: twelve 5s half-lives
+	// bring the EWMA within a fraction of a percent of the true rate.
+	for i := 0; i < 60; i++ {
 		advance(time.Second)
 		hot += 900
 		cold += 100
@@ -73,7 +73,7 @@ func TestCollectAndSnapshot(t *testing.T) {
 	}
 
 	snap := m.Snapshot()
-	if snap.Collections != 11 {
+	if snap.Collections != 61 {
 		t.Errorf("collections = %d", snap.Collections)
 	}
 	if snap.AgeMs != 0 {
@@ -94,7 +94,7 @@ func TestCollectAndSnapshot(t *testing.T) {
 	if h.Utilization < 0.89 || h.Utilization > 0.9 {
 		t.Errorf("hot utilization = %v, want ~0.9", h.Utilization)
 	}
-	if h.Samples != 11 {
+	if h.Samples != 61 {
 		t.Errorf("samples = %d, want one per collection", h.Samples)
 	}
 	if h.Gauges["pages"] != 3 {
@@ -108,17 +108,14 @@ func TestCollectAndSnapshot(t *testing.T) {
 		t.Errorf("imbalance = %v, want ~1.8", snap.ReplicaImbalance)
 	}
 
-	if !m.Fresh(time.Second) {
-		t.Error("not fresh right after collecting")
-	}
 	advance(3 * time.Second)
-	if m.Fresh(2 * time.Second) {
-		t.Error("fresh 3s after the last collection")
+	if age := m.Snapshot().AgeMs; age != 3000 {
+		t.Errorf("age 3s after the last collection = %dms", age)
 	}
 }
 
 func TestRegisterUnregister(t *testing.T) {
-	m := New(Config{})
+	m := New(0)
 	s1 := m.Register(KindClient, "c1", func() Sample { return Sample{"x": 1} })
 	s2 := m.Register(KindClient, "c2", func() Sample { return Sample{"x": 2} })
 	m.CollectOnce()
@@ -139,30 +136,8 @@ func TestRegisterUnregister(t *testing.T) {
 	}
 }
 
-func TestArmedInterval(t *testing.T) {
-	m := New(Config{})
-	if _, armed := m.Armed(); armed {
-		t.Fatal("new monitor reports armed")
-	}
-	m.SetInterval(10 * time.Millisecond)
-	if iv, armed := m.Armed(); !armed || iv != 10*time.Millisecond {
-		t.Fatalf("Armed = %v, %v", iv, armed)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Collections() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if m.Collections() == 0 {
-		t.Fatal("armed monitor never collected")
-	}
-	m.Close()
-	if _, armed := m.Armed(); armed {
-		t.Fatal("closed monitor reports armed")
-	}
-}
-
 func BenchmarkMonitorCollect(b *testing.B) {
-	m := New(Config{NICBandwidth: 1e9})
+	m := New(1e9)
 	for i := 0; i < 64; i++ {
 		i := i
 		m.Register(KindProvider, fmt.Sprintf("prov-%03d", i), func() Sample {
@@ -180,7 +155,7 @@ func BenchmarkMonitorCollect(b *testing.B) {
 }
 
 func BenchmarkMonitorSnapshot(b *testing.B) {
-	m := New(Config{NICBandwidth: 1e9})
+	m := New(1e9)
 	for i := 0; i < 64; i++ {
 		i := i
 		m.Register(KindProvider, fmt.Sprintf("prov-%03d", i), func() Sample {

@@ -86,12 +86,12 @@ func (m *Monitor) Snapshot() ClusterSnapshot {
 			r := cs.Rates[rateKey(KeyReadBytes)]
 			w := cs.Rates[rateKey(KeyWriteBytes)]
 			readRates = append(readRates, r)
-			if m.cfg.NICBandwidth > 0 {
+			if m.nicBandwidth > 0 {
 				util := r
 				if w > util {
 					util = w
 				}
-				cs.Utilization = util / m.cfg.NICBandwidth
+				cs.Utilization = util / m.nicBandwidth
 			}
 		}
 		if s.kind == KindVMShard {

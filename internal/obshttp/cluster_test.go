@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"blobseer/internal/flight"
 	"blobseer/internal/monitor"
 )
 
@@ -29,7 +32,7 @@ func serveGet(t *testing.T, ms *MetricsServer, path string) (int, string) {
 // pass and serves the derived snapshot; a server without a monitor
 // answers 404.
 func TestClusterEndpoint(t *testing.T) {
-	mon := monitor.New(monitor.Config{NICBandwidth: 1000})
+	mon := monitor.New(1000)
 	var reads atomic.Uint64
 	mon.Register(monitor.KindProvider, "prov-a", func() monitor.Sample {
 		return monitor.Sample{monitor.KeyReadBytes: float64(reads.Load())}
@@ -64,6 +67,78 @@ func TestClusterEndpoint(t *testing.T) {
 	defer bare.Close()
 	if code, _ := serveGet(t, bare, "/cluster"); code != http.StatusNotFound {
 		t.Errorf("/cluster without monitor = %d, want 404", code)
+	}
+}
+
+// TestClusterScrapeDoesNotEvaluateRules: a /cluster scrape collects
+// the monitor and nothing else. With an unarmed watchdog over a shard
+// whose journal lag breaches its rule, two scrapes must leave no
+// evaluation, no firing alert and no snapshot event; arming the
+// watchdog is what makes the rules run, with nobody scraping, and
+// Close stops them.
+func TestClusterScrapeDoesNotEvaluateRules(t *testing.T) {
+	mon := monitor.New(0)
+	mon.Register(monitor.KindVMShard, "vm-0", func() monitor.Sample {
+		return monitor.Sample{monitor.KeyJournalPending: 1000}
+	})
+	rec, err := flight.Open(filepath.Join(t.TempDir(), "flight.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	w := flight.NewWatchdog(mon, rec, []flight.Rule{flight.RuleJournalLag(100)}, 0, nil)
+	defer w.Close()
+
+	ms, err := Serve("127.0.0.1:0", Options{Monitor: mon, Alerts: w.Alerts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+
+	for i := 0; i < 2; i++ {
+		if code, body := serveGet(t, ms, "/cluster"); code != 200 {
+			t.Fatalf("/cluster = %d %q", code, body)
+		}
+	}
+	if mon.Collections() != 2 {
+		t.Errorf("collections = %d after two scrapes, want 2", mon.Collections())
+	}
+	if w.Evals() != 0 || w.Firing() != 0 {
+		t.Fatalf("two scrapes evaluated the rules: evals=%d firing=%d", w.Evals(), w.Firing())
+	}
+	snapshots := func() int {
+		events, err := rec.Replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, ev := range events {
+			if ev.Kind == flight.KindSnapshot {
+				n++
+			}
+		}
+		return n
+	}
+	if n := snapshots(); n != 0 {
+		t.Fatalf("two scrapes recorded %d snapshot events", n)
+	}
+
+	w.Arm(10 * time.Millisecond)
+	deadline := time.Now().Add(5 * time.Second)
+	for w.Evals() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if w.Evals() < 2 || w.Firing() != 1 {
+		t.Fatalf("armed watchdog: evals=%d firing=%d, want >= 2 and 1", w.Evals(), w.Firing())
+	}
+	w.Close()
+	evals := w.Evals()
+	time.Sleep(30 * time.Millisecond)
+	if w.Evals() != evals {
+		t.Fatalf("closed watchdog still evaluating: %d -> %d", evals, w.Evals())
+	}
+	if n := snapshots(); uint64(n) != evals {
+		t.Fatalf("%d snapshot events over %d evaluations", n, evals)
 	}
 }
 

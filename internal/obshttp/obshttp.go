@@ -26,8 +26,10 @@ type Options struct {
 	// metrics.Default.
 	Registry *metrics.Registry
 
-	// Monitor, when set, enables /cluster: each request triggers one
-	// collection pass and serves the derived cluster snapshot as JSON.
+	// Monitor, when set, enables /cluster: each request runs one
+	// CollectOnce and serves the derived cluster snapshot as JSON. A
+	// scrape only reads: the watchdog's rules run on its own ticker,
+	// never on a request.
 	Monitor *monitor.Monitor
 
 	// Health, when set, enables /healthz: the report is served as
@@ -106,8 +108,8 @@ func (m *MetricsServer) handleMetricsJSON(w http.ResponseWriter, _ *http.Request
 }
 
 // handleCluster serves the cluster monitor's derived snapshot. Each
-// request runs one collection pass first, so an unarmed monitor still
-// answers with current data (and rates sharpen across polls).
+// request runs one collection pass first, so the answer is current
+// with or without an armed watchdog (and rates sharpen across polls).
 func (m *MetricsServer) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	if m.opts.Monitor == nil {
 		http.Error(w, "no cluster monitor wired", http.StatusNotFound)
