@@ -79,9 +79,8 @@ type Client struct {
 	pool *rpc.Pool
 	vm   *VMRouter
 	// nodes is the metadata DHT behind the client's cache of decoded
-	// tree nodes: a read resolves through it, so a node is fetched once,
-	// whichever versions share it. slots, below, is its front: the
-	// finished answers, which cost no descent at all.
+	// tree nodes: a read fetches the leaves it names through it, so a
+	// leaf is fetched once, whichever versions share it.
 	nodes *segtree.NodeCache
 
 	// pages is the process-shared read cache (nil when disabled);
@@ -110,30 +109,26 @@ type Client struct {
 	mu      sync.Mutex
 	hist    map[uint64]*blobHistory
 	verinfo map[VersionRef]VersionInfo // published (immutable) versions
-	slots   map[slotKey][]segtree.Slot // resolved page slots of published versions
 }
 
-// slotKey addresses one resolved page slot of one published version.
-// Like page content, the (read version, page index) -> PageRefs mapping
-// is immutable once the version publishes, so it caches forever. The
-// value is the slot's stored pages in offset order — one for a whole
-// page — as a window of the slice segtree.Resolve returned.
-type slotKey struct{ blob, ver, page uint64 }
-
-// cacheCap bounds the client's metadata side-caches (version infos and
-// resolved slots; the node cache has the same rule and a bound of its
-// own): when a map reaches this many entries it is dropped and rebuilt,
-// a crude but allocation-free bound.
+// cacheCap bounds the client's version-info cache (the node cache has
+// the same rule and a bound of its own): when the map reaches this many
+// entries it is dropped and rebuilt, a crude but allocation-free bound.
 const cacheCap = 1 << 16
 
-// blobHistory caches write records so repeat writers receive only the
-// history delta from the version manager. An assigned write record
-// never changes, so a slot is written once, and every slot below
-// complete is filled: mergeHistory hands out prefixes of recs that are
-// shared with concurrent writers and read without the lock.
+// blobHistory caches a BLOB's write records: repeat writers receive only
+// the history delta from the version manager, and a read names its
+// leaves from them. An assigned write record never changes, so a slot
+// is written once, and every slot below complete is filled:
+// mergeHistory hands out prefixes of recs that are shared with
+// concurrent writers, and index holds one, all read without the lock.
 type blobHistory struct {
 	recs     []segtree.WriteRecord // index ver-1; Ver==0 means unknown
 	complete uint64                // all versions <= complete are cached
+	// index arranges the records for reading by address. It is built on
+	// the BLOB's first read (Blob.index), never by a write, so a client
+	// that only writes pays nothing for it.
+	index *segtree.Index
 }
 
 // NewClient returns a client running on cfg.Host.
@@ -156,7 +151,6 @@ func NewClient(cfg ClientConfig) *Client {
 		pageQuit: make(chan struct{}),
 		hist:     make(map[uint64]*blobHistory),
 		verinfo:  make(map[VersionRef]VersionInfo),
-		slots:    make(map[slotKey][]segtree.Slot),
 	}
 }
 
@@ -250,14 +244,16 @@ func (b *Blob) Latest(ctx context.Context) (VersionInfo, error) {
 	return info, err
 }
 
-// GetVersion returns metadata for one version.
+// GetVersion returns metadata for one version, and takes in the write
+// records up to it that the client lacks (see Blob.index).
 func (b *Blob) GetVersion(ctx context.Context, ver uint64) (VersionInfo, error) {
-	var info VersionInfo
-	err := b.c.vm.Call(ctx, b.id, VMGetVersion, &VersionRef{Blob: b.id, Ver: ver}, &info)
-	if err == nil {
-		b.c.rememberVersion(b.id, info)
+	var resp VersionResp
+	req := &GetVersionReq{Blob: b.id, Ver: ver, SinceVer: b.c.knownPrefix(b.id)}
+	if err := b.c.vm.Call(ctx, b.id, VMGetVersion, req, &resp); err != nil {
+		return VersionInfo{}, err
 	}
-	return info, err
+	b.c.learn(b.id, &resp)
+	return resp.Info, nil
 }
 
 // rememberVersion caches the info of a published version, which never
@@ -385,18 +381,14 @@ func (c *Client) DeletePages(ctx context.Context, provider string, keys []pagest
 }
 
 // PurgeVersion drops every locally cached artifact of one version —
-// its VersionInfo, resolved slots, the tree nodes it wrote, and cached
-// pages. Collection breaks the "published versions are immutable
-// forever" assumption those caches rely on, so this is the cache
-// layer's invalidation path.
+// its VersionInfo, the tree nodes it wrote, and cached pages.
+// Collection breaks the "published versions are immutable forever"
+// assumption those caches rely on, so this is the cache layer's
+// invalidation path. The version's write record stays: records never
+// change.
 func (c *Client) PurgeVersion(blob, ver uint64) {
 	c.mu.Lock()
 	delete(c.verinfo, VersionRef{Blob: blob, Ver: ver})
-	for k := range c.slots {
-		if k.blob == blob && k.ver == ver {
-			delete(c.slots, k)
-		}
-	}
 	c.mu.Unlock()
 	c.nodes.ForgetVersion(blob, ver)
 	if c.pages != nil {
@@ -405,8 +397,9 @@ func (c *Client) PurgeVersion(blob, ver uint64) {
 }
 
 // PurgeBlob drops every locally cached artifact of whole BLOBs,
-// including the write-record history, in one pass over each cache
-// however many BLOBs are named (a pass visits everything cached).
+// including the write-record history and its index, in one pass over
+// each cache however many BLOBs are named (a pass visits everything
+// cached).
 func (c *Client) PurgeBlob(blobs ...uint64) {
 	c.mu.Lock()
 	for _, blob := range blobs {
@@ -415,11 +408,6 @@ func (c *Client) PurgeBlob(blobs ...uint64) {
 	for k := range c.verinfo {
 		if slices.Contains(blobs, k.Blob) {
 			delete(c.verinfo, k)
-		}
-	}
-	for k := range c.slots {
-		if slices.Contains(blobs, k.blob) {
-			delete(c.slots, k)
 		}
 	}
 	c.mu.Unlock()
@@ -1305,42 +1293,49 @@ func (b *Blob) Prefetch(ctx context.Context, ver, off, n uint64) error {
 }
 
 // resolveSlots maps pages [first, first+n) of the published version
-// info to the refs of their stored pages, in segtree.Resolve's order,
-// through the client's slot cache: a range fully resolved before costs
-// no descent at all. On a miss the whole range is resolved in one
-// segment-tree walk through the node cache, which fetches the nodes no
-// earlier walk met — for a fresh version of a file this client has read,
-// its new root — and the slots are cached. The result is shared and
-// read-only.
+// info to the refs of their stored pages, in segtree.Resolve's order, by
+// address: the BLOB's record index names every leaf, and the node cache
+// fetches the ones no earlier read brought in, as one batch. A fresh
+// version of a file this client has read costs nothing for the pages it
+// did not write. The refs in the result are shared and read-only.
 func (b *Blob) resolveSlots(ctx context.Context, info VersionInfo, first, n uint64) ([]segtree.Slot, error) {
-	c := b.c
-	out := make([]segtree.Slot, 0, n)
-	hit := true
-	c.mu.Lock()
-	for i := uint64(0); i < n && hit; i++ {
-		var s []segtree.Slot
-		s, hit = c.slots[slotKey{b.id, info.Ver, first + i}]
-		out = append(out, s...)
-	}
-	c.mu.Unlock()
-	if hit {
-		return out, nil
-	}
-	slots, err := segtree.Resolve(ctx, c.nodes, b.id, info.Ver, info.Pages, first, n)
+	ix, err := b.index(ctx, info.Ver)
 	if err != nil {
 		return nil, err
 	}
+	return ix.Locate(ctx, b.c.nodes, b.id, info.Ver, first, n)
+}
+
+// index returns the BLOB's record index, holding at least the records
+// of versions 1..ver, which name every leaf a read of ver needs. They
+// come with the version's info — a Snapshot's pin, GetVersion — so a
+// read seldom asks for them; one whose info came from elsewhere
+// (Latest, WaitPublished) asks GetVersion once. The index is built on
+// the BLOB's first read and grows as records arrive.
+func (b *Blob) index(ctx context.Context, ver uint64) (*segtree.Index, error) {
+	c := b.c
 	c.mu.Lock()
-	if len(c.slots) >= cacheCap {
-		c.slots = make(map[slotKey][]segtree.Slot)
-	}
-	for lo, hi := 0, 0; lo < len(slots); lo = hi {
-		for hi = lo + 1; hi < len(slots) && slots[hi].Index == slots[lo].Index; hi++ {
+	h := c.historyLocked(b.id)
+	if h.complete < ver {
+		c.mu.Unlock()
+		if _, err := b.GetVersion(ctx, ver); err != nil {
+			return nil, err
 		}
-		c.slots[slotKey{b.id, info.Ver, slots[lo].Index}] = slots[lo:hi:hi]
+		c.mu.Lock()
+		if h = c.historyLocked(b.id); h.complete < ver {
+			c.mu.Unlock()
+			return nil, fmt.Errorf("%w: have %d of %d records", ErrHistoryGap, h.complete, ver)
+		}
 	}
+	if h.index == nil {
+		h.index = new(segtree.Index)
+	}
+	ix, recs := h.index, h.recs[:h.complete:h.complete]
 	c.mu.Unlock()
-	return slots, nil
+	if ix.Len() < uint64(len(recs)) {
+		ix.Extend(recs)
+	}
+	return ix, nil
 }
 
 // resolveVersion maps ver (0 = latest) to a published VersionInfo.
@@ -1529,6 +1524,50 @@ func (c *Client) knownPrefix(blob uint64) uint64 {
 	return 0
 }
 
+// historyLocked returns the BLOB's record cache, making an empty one.
+// Caller holds c.mu.
+func (c *Client) historyLocked(blob uint64) *blobHistory {
+	h, ok := c.hist[blob]
+	if !ok {
+		h = &blobHistory{}
+		c.hist[blob] = h
+	}
+	return h
+}
+
+// place caches recs and advances complete over what they fill in.
+// Write-once: a record that overlaps what is cached (a slower writer's
+// assignment arriving late) must not store into a slot an earlier
+// caller may be reading.
+func (h *blobHistory) place(recs ...segtree.WriteRecord) {
+	for _, rec := range recs {
+		if rec.Ver == 0 {
+			continue
+		}
+		idx := rec.Ver - 1
+		for uint64(len(h.recs)) <= idx {
+			h.recs = append(h.recs, segtree.WriteRecord{})
+		}
+		if h.recs[idx].Ver == 0 {
+			h.recs[idx] = rec
+		}
+	}
+	for h.complete < uint64(len(h.recs)) && h.recs[h.complete].Ver == h.complete+1 {
+		h.complete++
+	}
+}
+
+// learn takes in a GetVersion or Pin reply: the version's info, kept
+// once published, and the write records the client lacked.
+func (c *Client) learn(blob uint64, resp *VersionResp) {
+	c.rememberVersion(blob, resp.Info)
+	if len(resp.Records) > 0 {
+		c.mu.Lock()
+		c.historyLocked(blob).place(resp.Records...)
+		c.mu.Unlock()
+	}
+}
+
 // mergeHistory folds the assignment's history delta plus the writer's
 // own record into the cache and returns the full history below own.Ver
 // — a read-only view of the cache itself, not a copy, so an append
@@ -1536,30 +1575,9 @@ func (c *Client) knownPrefix(blob uint64) uint64 {
 func (c *Client) mergeHistory(blob uint64, delta []segtree.WriteRecord, own segtree.WriteRecord) ([]segtree.WriteRecord, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h, ok := c.hist[blob]
-	if !ok {
-		h = &blobHistory{}
-		c.hist[blob] = h
-	}
-	place := func(rec segtree.WriteRecord) {
-		idx := rec.Ver - 1
-		for uint64(len(h.recs)) <= idx {
-			h.recs = append(h.recs, segtree.WriteRecord{})
-		}
-		// Write-once: a delta that overlaps what is cached (a slower
-		// writer's assignment arriving late) must not store into a slot
-		// an earlier caller may be reading.
-		if h.recs[idx].Ver == 0 {
-			h.recs[idx] = rec
-		}
-	}
-	for _, rec := range delta {
-		place(rec)
-	}
-	place(own)
-	for h.complete < uint64(len(h.recs)) && h.recs[h.complete].Ver == h.complete+1 {
-		h.complete++
-	}
+	h := c.historyLocked(blob)
+	h.place(delta...)
+	h.place(own)
 	need := own.Ver - 1
 	if h.complete < need {
 		return nil, fmt.Errorf("%w: have %d of %d records", ErrHistoryGap, h.complete, need)

@@ -53,7 +53,7 @@ func newFlakyVM(t *testing.T, net transport.Network, vm transport.Addr) *flakyVM
 	srv.Handle(VMOpenBlob, forward[BlobRef, OpenBlobResp](f, VMOpenBlob))
 	srv.Handle(VMAssign, forward[AssignReq, AssignResp](f, VMAssign))
 	srv.Handle(VMSeal, forwardNoResp[VersionRef](f, VMSeal))
-	srv.Handle(VMGetVersion, forward[VersionRef, VersionInfo](f, VMGetVersion))
+	srv.Handle(VMGetVersion, forward[GetVersionReq, VersionResp](f, VMGetVersion))
 	srv.Handle(VMLatest, forward[BlobRef, VersionInfo](f, VMLatest))
 	srv.Handle(VMWaitPublished, forward[WaitPublishedReq, VersionInfo](f, VMWaitPublished))
 	f.completeErr = rpc.ErrConnLost

@@ -40,59 +40,57 @@ type Snapshot struct {
 const pinTTL = 2 * time.Minute
 
 // At opens a pinned snapshot of version ver (0 means the latest
-// published version). The pin lands before the version metadata is
-// read, so there is no window where the collector can reclaim the
-// version between lookup and pin: At either returns a fully protected
-// handle or fails with ErrVersionCollected.
+// published version). The pin is the lookup: its reply carries the
+// version's metadata and the write records the client lacks, which name
+// every leaf a read of the snapshot needs. So At(v) is one
+// version-manager round trip, there is no window where the collector
+// can reclaim the version between lookup and pin, and At either returns
+// a fully protected handle or fails with ErrVersionCollected.
 //
 // Version 0 (the empty initial snapshot) has no pages and needs no
 // pin; At returns a handle over the empty state.
 func (b *Blob) At(ctx context.Context, ver uint64) (*Snapshot, error) {
 	if ver == 0 {
-		// The Latest reply already carries the snapshot's full
-		// (immutable) metadata; a successful pin proves the version is
-		// still uncollected, so no re-fetch is needed.
 		latest, err := b.Latest(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return b.hold(ctx, latest)
+		if latest.Ver == 0 {
+			return &Snapshot{b: b, info: latest}, nil
+		}
+		ver = latest.Ver
 	}
-	s, err := b.hold(ctx, VersionInfo{Ver: ver})
-	if err != nil {
-		return nil, err
-	}
-	info, err := b.GetVersion(ctx, ver)
-	if err == nil && !info.Published {
-		err = ErrNotPublished
-	}
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	s.info = info
-	return s, nil
+	return b.hold(ctx, ver)
 }
 
-// hold pins info.Ver and returns the handle over it.
-func (b *Blob) hold(ctx context.Context, info VersionInfo) (*Snapshot, error) {
-	s := &Snapshot{b: b, info: info}
-	if info.Ver > 0 {
-		if err := b.pin(ctx, info.Ver); err != nil {
-			return nil, err
-		}
-		s.pinned = true
-		s.pinnedAt = time.Now()
+// hold pins ver and returns the handle over it. A version that has not
+// published is refused with ErrNotPublished, its pin released.
+func (b *Blob) hold(ctx context.Context, ver uint64) (*Snapshot, error) {
+	info, err := b.pin(ctx, ver, b.c.knownPrefix(b.id))
+	if err != nil {
+		return nil, err
+	}
+	s := &Snapshot{b: b, info: info, pinned: true, pinnedAt: time.Now()}
+	if !info.Published {
+		s.Close()
+		return nil, ErrNotPublished
 	}
 	return s, nil
 }
 
 // pin takes a lease-style reference on ver: while held (and before
 // pinTTL expires) the version cannot be collected. Pinning a version
-// the collector already owns fails with ErrVersionCollected.
-func (b *Blob) pin(ctx context.Context, ver uint64) error {
-	return b.c.vm.Call(ctx, b.id, VMPin,
-		&PinReq{Blob: b.id, Ver: ver, TTLMillis: uint64(pinTTL / time.Millisecond)}, nil)
+// the collector already owns fails with ErrVersionCollected. The reply
+// is ver's info and the write records of the versions in (since, ver],
+// which the client takes in.
+func (b *Blob) pin(ctx context.Context, ver, since uint64) (VersionInfo, error) {
+	var resp VersionResp
+	req := &PinReq{Blob: b.id, Ver: ver, TTLMillis: uint64(pinTTL / time.Millisecond), SinceVer: since}
+	if err := b.c.vm.Call(ctx, b.id, VMPin, req, &resp); err != nil {
+		return VersionInfo{}, err
+	}
+	b.c.learn(b.id, &resp)
+	return resp.Info, nil
 }
 
 // unpin releases one reference taken by pin.
@@ -112,7 +110,7 @@ func (s *Snapshot) Refresh(ctx context.Context) (*Snapshot, error) {
 	if latest.Ver == s.info.Ver {
 		return s, nil
 	}
-	return s.b.hold(ctx, latest)
+	return s.b.hold(ctx, latest.Ver)
 }
 
 // Info returns the snapshot's version metadata.
@@ -172,7 +170,7 @@ func (s *Snapshot) Renew(ctx context.Context) error {
 	// Pin then Unpin, in that order: the extra reference carries the
 	// refreshed expiry while the count nets out, and the version is
 	// never left unreferenced in between.
-	if err := s.b.pin(ctx, s.info.Ver); err != nil {
+	if _, err := s.b.pin(ctx, s.info.Ver, s.info.Ver); err != nil {
 		return err
 	}
 	if err := s.b.unpin(ctx, s.info.Ver); err != nil {

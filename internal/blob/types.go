@@ -101,6 +101,29 @@ func decodeWriteRecord(r *wire.Reader) segtree.WriteRecord {
 	return w
 }
 
+// appendWriteRecords encodes a list of write records, its length first.
+func appendWriteRecords(b []byte, recs []segtree.WriteRecord) []byte {
+	b = wire.AppendUvarint(b, uint64(len(recs)))
+	for _, w := range recs {
+		b = appendWriteRecord(b, w)
+	}
+	return b
+}
+
+// decodeWriteRecords decodes what appendWriteRecords encoded; an empty
+// list is nil. A length the frame cannot hold fails on the reader.
+func decodeWriteRecords(r *wire.Reader) []segtree.WriteRecord {
+	n := r.Uvarint()
+	if n == 0 || r.Err() != nil {
+		return nil
+	}
+	recs := make([]segtree.WriteRecord, 0, min(n, uint64(r.Len())))
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		recs = append(recs, decodeWriteRecord(r))
+	}
+	return recs
+}
+
 func appendPageKey(b []byte, k pagestore.Key) []byte {
 	b = wire.AppendUvarint(b, k.Blob)
 	b = wire.AppendUvarint(b, k.Version)
@@ -255,11 +278,7 @@ func (m *AssignResp) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.PrevSize)
 	b = wire.AppendUvarint(b, m.SizeAfter)
 	b = appendWriteRecord(b, m.Record)
-	b = wire.AppendUvarint(b, uint64(len(m.History)))
-	for _, h := range m.History {
-		b = appendWriteRecord(b, h)
-	}
-	return b
+	return appendWriteRecords(b, m.History)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
@@ -269,14 +288,7 @@ func (m *AssignResp) DecodeFrom(r *wire.Reader) error {
 	m.PrevSize = r.Uvarint()
 	m.SizeAfter = r.Uvarint()
 	m.Record = decodeWriteRecord(r)
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.History = make([]segtree.WriteRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m.History = append(m.History, decodeWriteRecord(r))
-	}
+	m.History = decodeWriteRecords(r)
 	return r.Err()
 }
 
@@ -296,6 +308,56 @@ func (m *VersionRef) AppendTo(b []byte) []byte {
 func (m *VersionRef) DecodeFrom(r *wire.Reader) error {
 	m.Blob = r.Uvarint()
 	m.Ver = r.Uvarint()
+	return r.Err()
+}
+
+// GetVersionReq asks for one version's info and, like AssignReq, for
+// the write records of the versions in (SinceVer, Ver] the caller
+// lacks. A request that ends after Ver, as a VersionRef does, asks for
+// no records.
+type GetVersionReq struct {
+	Blob     uint64
+	Ver      uint64
+	SinceVer uint64
+}
+
+// AppendTo implements wire.Marshaler.
+func (m *GetVersionReq) AppendTo(b []byte) []byte {
+	b = wire.AppendUvarint(b, m.Blob)
+	b = wire.AppendUvarint(b, m.Ver)
+	return wire.AppendUvarint(b, m.SinceVer)
+}
+
+// DecodeFrom implements wire.Unmarshaler.
+func (m *GetVersionReq) DecodeFrom(r *wire.Reader) error {
+	m.Blob = r.Uvarint()
+	m.Ver = r.Uvarint()
+	m.SinceVer = m.Ver
+	if r.Err() == nil && r.Len() > 0 {
+		m.SinceVer = r.Uvarint()
+	}
+	return r.Err()
+}
+
+// VersionResp answers GetVersion and Pin: the version's info, then the
+// write records of the versions in (SinceVer, Ver] the caller lacks. It
+// begins as a VersionInfo does, so a VersionInfo decodes it too.
+type VersionResp struct {
+	Info    VersionInfo
+	Records []segtree.WriteRecord
+}
+
+// AppendTo implements wire.Marshaler.
+func (m *VersionResp) AppendTo(b []byte) []byte {
+	return appendWriteRecords(m.Info.AppendTo(b), m.Records)
+}
+
+// DecodeFrom implements wire.Unmarshaler.
+func (m *VersionResp) DecodeFrom(r *wire.Reader) error {
+	if err := m.Info.DecodeFrom(r); err != nil {
+		return err
+	}
+	m.Records = decodeWriteRecords(r)
 	return r.Err()
 }
 
@@ -388,18 +450,23 @@ func (m *SetRetentionReq) DecodeFrom(r *wire.Reader) error {
 
 // PinReq takes a lease-style reference on one version: while the lease
 // is live the version cannot be collected. TTLMillis bounds the lease
-// so a dead client never blocks collection forever.
+// so a dead client never blocks collection forever. SinceVer is the
+// client's complete record prefix, as in AssignReq: the reply, a
+// VersionResp, carries the version's info and the records of the
+// versions in (SinceVer, Ver].
 type PinReq struct {
 	Blob      uint64
 	Ver       uint64
 	TTLMillis uint64
+	SinceVer  uint64
 }
 
 // AppendTo implements wire.Marshaler.
 func (m *PinReq) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.Blob)
 	b = wire.AppendUvarint(b, m.Ver)
-	return wire.AppendUvarint(b, m.TTLMillis)
+	b = wire.AppendUvarint(b, m.TTLMillis)
+	return wire.AppendUvarint(b, m.SinceVer)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
@@ -407,6 +474,7 @@ func (m *PinReq) DecodeFrom(r *wire.Reader) error {
 	m.Blob = r.Uvarint()
 	m.Ver = r.Uvarint()
 	m.TTLMillis = r.Uvarint()
+	m.SinceVer = r.Uvarint()
 	return r.Err()
 }
 

@@ -107,6 +107,10 @@ type VersionManager struct {
 	notifyMu      sync.Mutex
 	reclaimNotify func()
 
+	// createLogged, when set, runs between a create's journal append and
+	// its install: a test seam for a checkpoint that races the create.
+	createLogged func()
+
 	done     chan struct{}
 	wg       sync.WaitGroup
 	stopOnce sync.Once
@@ -312,16 +316,23 @@ func (vm *VersionManager) handleCreateBlob(r *wire.Reader) (wire.Marshaler, erro
 		// An in-slot offset travels as segtree.PageRef.Lo, a uint32.
 		return nil, fmt.Errorf("blob: page size %d exceeds %d", req.PageSize, uint64(1)<<31)
 	}
-	// Skipped stripe candidates (ids the ring maps elsewhere) are never
+	// Journal and install under the map lock, which a checkpoint holds
+	// while it reads its start seq and lists the BLOBs: the create is in
+	// the listing or above the seq the checkpoint trims through. Skipped
+	// stripe candidates (ids the ring maps elsewhere) are never
 	// journaled; replay re-skips them identically. A journal failure
 	// burns the allocated id, which is harmless — ids are not dense.
-	id := vm.st.allocBlobID()
-	rec := vmRecord{Op: vmOpCreate, Blob: id, Val: req.PageSize}
+	vm.st.mu.Lock()
+	defer vm.st.mu.Unlock()
+	rec := vmRecord{Op: vmOpCreate, Blob: vm.st.allocBlobIDLocked(), Val: req.PageSize}
 	if err := vm.logRecord(&rec); err != nil {
 		return nil, err
 	}
-	vm.st.applyCreate(rec)
-	return &CreateBlobResp{Blob: id}, nil
+	if vm.createLogged != nil {
+		vm.createLogged()
+	}
+	vm.st.createLocked(rec)
+	return &CreateBlobResp{Blob: rec.Blob}, nil
 }
 
 func (vm *VersionManager) handleOpenBlob(r *wire.Reader) (wire.Marshaler, error) {
@@ -367,18 +378,13 @@ func (vm *VersionManager) handleAssign(r *wire.Reader) (wire.Marshaler, error) {
 	}
 	res := vm.st.applyAssignLocked(bs, rec, time.Now())
 
-	// History delta: records in (SinceVer, ver).
-	var hist []segtree.WriteRecord
-	if req.SinceVer < res.ver-1 {
-		hist = append(hist, bs.records[req.SinceVer:res.ver-1]...)
-	}
 	return &AssignResp{
 		Ver:       res.ver,
 		Start:     res.start,
 		PrevSize:  res.prevSize,
 		SizeAfter: res.sizeAfter,
 		Record:    res.rec,
-		History:   hist,
+		History:   bs.recordsSince(req.SinceVer, res.ver-1),
 	}, nil
 }
 
@@ -532,7 +538,7 @@ func (vm *VersionManager) sealLoop() {
 }
 
 func (vm *VersionManager) handleGetVersion(r *wire.Reader) (wire.Marshaler, error) {
-	var req VersionRef
+	var req GetVersionReq
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
@@ -554,8 +560,7 @@ func (vm *VersionManager) handleGetVersion(r *wire.Reader) (wire.Marshaler, erro
 		}
 		return nil, ErrNoSuchVersion
 	}
-	info := bs.info(req.Ver)
-	return &info, nil
+	return &VersionResp{Info: bs.info(req.Ver), Records: bs.recordsSince(req.SinceVer, req.Ver)}, nil
 }
 
 func (vm *VersionManager) handleLatest(r *wire.Reader) (wire.Marshaler, error) {
@@ -850,7 +855,7 @@ func (vm *VersionManager) handlePin(r *wire.Reader) (wire.Marshaler, error) {
 	if exp := time.Now().Add(ttl); exp.After(p.expires) {
 		p.expires = exp
 	}
-	return nil, nil
+	return &VersionResp{Info: bs.info(req.Ver), Records: bs.recordsSince(req.SinceVer, req.Ver)}, nil
 }
 
 func (vm *VersionManager) handleUnpin(r *wire.Reader) (wire.Marshaler, error) {

@@ -96,6 +96,19 @@ func (bs *blobState) info(ver uint64) VersionInfo {
 	}
 }
 
+// recordsSince returns the write records of versions (since, upto]: the
+// history delta of a reply to a client whose complete record prefix is
+// since — Assign's up to the version before the one it assigns,
+// GetVersion's and Pin's up to the version asked for. It is a zero-copy
+// view, safe to encode after bs.mu is released for the reason
+// buildReclaimLocked's is. Caller holds bs.mu; upto is assigned.
+func (bs *blobState) recordsSince(since, upto uint64) []segtree.WriteRecord {
+	if since >= upto {
+		return nil
+	}
+	return bs.records[since:upto:upto]
+}
+
 // removeWaiterLocked deregisters one waiter channel for ver. Callers
 // whose wait ends without publication (timeout, server shutdown) must
 // deregister, or the waiter list grows without bound while the version
@@ -220,13 +233,12 @@ func (st *vmState) lookup(blob uint64) (*blobState, bool) {
 	return bs, ok
 }
 
-// allocBlobID returns the next unused id of this shard's stripe that
-// the metadata ring maps back to this shard. Skipped candidates are
-// never journaled; replay re-skips them identically because the ring is
-// built from the same stable shard addresses.
-func (st *vmState) allocBlobID() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// allocBlobIDLocked returns the next unused id of this shard's stripe
+// that the metadata ring maps back to this shard. Skipped candidates
+// are never journaled; replay re-skips them identically because the
+// ring is built from the same stable shard addresses. Caller holds
+// st.mu.
+func (st *vmState) allocBlobIDLocked() uint64 {
 	for {
 		id := st.nextStripe*uint64(st.shardCount) + uint64(st.shardIndex) + 1
 		st.nextStripe++
@@ -239,15 +251,19 @@ func (st *vmState) allocBlobID() uint64 {
 // noteID folds an existing blob id (replayed create or snapshot) into
 // the stripe counter so post-recovery allocation resumes past it.
 func (st *vmState) noteID(id uint64) {
+	st.mu.Lock()
+	st.noteIDLocked(id)
+	st.mu.Unlock()
+}
+
+// noteIDLocked is noteID with st.mu held.
+func (st *vmState) noteIDLocked(id uint64) {
 	if id == 0 {
 		return
 	}
-	ord := (id - 1) / uint64(st.shardCount)
-	st.mu.Lock()
-	if ord+1 > st.nextStripe {
+	if ord := (id - 1) / uint64(st.shardCount); ord+1 > st.nextStripe {
 		st.nextStripe = ord + 1
 	}
-	st.mu.Unlock()
 }
 
 // blobEntry pairs a blob id with its state for whole-map sweeps.
@@ -262,6 +278,11 @@ type blobEntry struct {
 func (st *vmState) blobStates() []blobEntry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.blobStatesLocked()
+}
+
+// blobStatesLocked is blobStates with st.mu held.
+func (st *vmState) blobStatesLocked() []blobEntry {
 	out := make([]blobEntry, 0, len(st.blobs))
 	for id, bs := range st.blobs {
 		out = append(out, blobEntry{id: id, bs: bs})
@@ -326,21 +347,19 @@ func (st *vmState) apply(rec vmRecord, now time.Time) {
 }
 
 // applyCreate installs a new BLOB.
-func (st *vmState) applyCreate(rec vmRecord) *blobState {
-	bs := &blobState{
-		pageSize: rec.Val,
-		waiters:  make(map[uint64][]chan struct{}),
-	}
+func (st *vmState) applyCreate(rec vmRecord) {
 	st.mu.Lock()
-	if cur, ok := st.blobs[rec.Blob]; ok {
-		// Replay after a snapshot that already covers the create.
-		st.mu.Unlock()
-		return cur
-	}
-	st.blobs[rec.Blob] = bs
+	st.createLocked(rec)
 	st.mu.Unlock()
-	st.noteID(rec.Blob)
-	return bs
+}
+
+// createLocked is applyCreate with st.mu held.
+func (st *vmState) createLocked(rec vmRecord) {
+	if _, ok := st.blobs[rec.Blob]; ok {
+		return // replay after a snapshot that already covers the create
+	}
+	st.blobs[rec.Blob] = &blobState{pageSize: rec.Val, waiters: make(map[uint64][]chan struct{})}
+	st.noteIDLocked(rec.Blob)
 }
 
 // assignResult is everything AssignResp needs besides the history delta.

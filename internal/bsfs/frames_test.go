@@ -240,8 +240,8 @@ func TestAllocationBudget(t *testing.T) {
 	if objects/freshBlocks > freshObjectBudget {
 		t.Errorf("a cold block of a fresh snapshot allocates %d objects, budget %d", objects/freshBlocks, freshObjectBudget)
 	}
-	if got := getBatches() - batches; got > 1 {
-		t.Errorf("opening and reading the fresh snapshot made %d meta.GetBatch calls, want at most 1: its root", got)
+	if got := getBatches() - batches; got != 0 {
+		t.Errorf("opening and reading the fresh snapshot made %d meta.GetBatch calls, want 0: the mount holds the leaf of every block it reads", got)
 	}
 	if got := rfs.BlobClient().ReadStats().Snapshot().ProviderFetches - fetches; got < freshBlocks {
 		t.Errorf("only %d provider fetches for %d blocks of the fresh snapshot: the read was not cold", got, freshBlocks)

@@ -334,6 +334,62 @@ func TestReadaheadSchedulesWindow(t *testing.T) {
 	}
 }
 
+// TestReadaheadSeekSchedulesNothing: a forward seek past the window is a
+// random access, not a stream, and fetches nothing ahead of itself.
+func TestReadaheadSeekSchedulesNothing(t *testing.T) {
+	done := make(chan uint64, 16)
+	stats := &metrics.ReadStats{}
+	ra := NewReadahead(ctx, 4, stats, func(_ context.Context, p uint64) { done <- p })
+	defer ra.Close()
+	ra.Observe(0, 100)
+	for i := 0; i < 4; i++ {
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatal("timed out waiting for the first window")
+		}
+	}
+	ra.Observe(40, 100)
+	select {
+	case p := <-done:
+		t.Errorf("a seek to page 40 fetched page %d", p)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if snap := stats.Snapshot(); snap.Readahead != 4 {
+		t.Errorf("readahead counter = %d, want 4: the first window alone", snap.Readahead)
+	}
+}
+
+// TestReadaheadResumesAfterSeek: the access of the page after a seek's
+// is a stream again, and the window resumes from it.
+func TestReadaheadResumesAfterSeek(t *testing.T) {
+	done := make(chan uint64, 16)
+	ra := NewReadahead(ctx, 2, nil, func(_ context.Context, p uint64) { done <- p })
+	defer ra.Close()
+	collect := func() map[uint64]bool {
+		t.Helper()
+		got := map[uint64]bool{}
+		for len(got) < 2 {
+			select {
+			case p := <-done:
+				got[p] = true
+			case <-time.After(2 * time.Second):
+				t.Fatalf("timed out with %v fetched", got)
+			}
+		}
+		return got
+	}
+	ra.Observe(0, 100)
+	if got := collect(); !got[1] || !got[2] {
+		t.Fatalf("the first window fetched %v, want pages 1 and 2", got)
+	}
+	ra.Observe(10, 100)
+	ra.Observe(11, 100)
+	if got := collect(); !got[12] || !got[13] {
+		t.Errorf("after a seek to 10 and a read of 11 the window fetched %v, want pages 12 and 13", got)
+	}
+}
+
 func TestReadaheadRespectsLimit(t *testing.T) {
 	done := make(chan uint64, 16)
 	ra := NewReadahead(ctx, 8, nil, func(_ context.Context, p uint64) { done <- p })

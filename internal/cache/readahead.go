@@ -56,18 +56,27 @@ func NewReadahead(ctx context.Context, depth int, stats *metrics.ReadStats, fetc
 }
 
 // Observe tells the scheduler the reader just accessed page; limit is
-// the stream's page count (pages >= limit are never scheduled). It
-// schedules fetches for the unscheduled pages in (page, page+depth],
-// skipping pages already covered by a previous call, and returns
-// without blocking. Backward seeks re-read already-fetched territory
-// and schedule nothing new until the reader passes its high-water mark
-// again.
+// the stream's page count (pages >= limit are never scheduled). A
+// reader's first access, and any at or below the high-water mark (the
+// lowest page not yet scheduled), is a stream: Observe schedules fetches
+// for the unscheduled pages in (page, page+depth], skipping pages
+// already covered by a previous call, and returns without blocking.
+// Backward seeks re-read already-fetched territory and schedule nothing
+// new until the reader passes its high-water mark again. A forward seek
+// past the mark is not a stream: it moves the mark to page+1 and
+// schedules nothing, so a random reader does not fetch pages nobody
+// reads, and the access of page+1 that follows resumes the window.
 func (r *Readahead) Observe(page, limit uint64) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	if r.closed {
+		r.mu.Unlock()
+		return
+	}
+	if r.primed && page > r.next {
+		r.next = page + 1
 		r.mu.Unlock()
 		return
 	}
