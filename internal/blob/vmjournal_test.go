@@ -460,3 +460,55 @@ func TestVMJournalAppendAllocationBudget(t *testing.T) {
 		t.Fatalf("a journal append allocates %.2f objects, budget 6", n)
 	}
 }
+
+// TestCheckpointRacingCreateKeepsBlob: a checkpoint that starts between
+// a create's journal append and its install must still cover the
+// create, in its snapshots or above the seq it trims through, so the
+// BLOB opens after a crash and a restart. The seam starts the
+// checkpoint there and gives it 100 ms: one that nothing holds off
+// finishes in that time and trims the create away.
+func TestCheckpointRacingCreateKeepsBlob(t *testing.T) {
+	net := transport.NewMemNet()
+	addr := transport.MakeAddr("vm-race-host", SvcVersionManager)
+	cfg := VersionManagerConfig{Nodes: segtree.NewMemStore(), JournalPath: filepath.Join(t.TempDir(), "vm.log")}
+	dur, err := NewVersionManager(net, addr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := rpc.NewPool(net, transport.MakeAddr("vm-race-cli", "client"))
+	defer pool.Close()
+	checkpointed := make(chan error, 1)
+	dur.createLogged = func() {
+		go func() { checkpointed <- dur.journal.checkpoint(dur.st) }()
+		select {
+		case err := <-checkpointed:
+			checkpointed <- err
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	var created CreateBlobResp
+	if err := pool.Call(ctx, addr, VMCreateBlob, &CreateBlobReq{PageSize: 64}, &created); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-checkpointed; err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := NewVersionManager(net, addr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	open := func() error {
+		return pool.Call(ctx, addr, VMOpenBlob, &BlobRef{Blob: created.Blob}, &OpenBlobResp{})
+	}
+	err = open()
+	if retryableVMErr(err) {
+		err = open() // the pool redials the restarted manager
+	}
+	if err != nil {
+		t.Fatalf("blob %d after a checkpoint raced its create and a restart: %v", created.Blob, err)
+	}
+}

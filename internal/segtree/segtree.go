@@ -92,6 +92,26 @@
 // slot's prefix, so records tiny next to the page still cost more than
 // their bytes, where every unaligned append used to.
 //
+// # Reading by address
+//
+// What lets a commit read nothing lets a read descend nothing: the leaf
+// a descent of version v's tree reaches for page p is LeafKey(blob, w,
+// p), w the newest version at or below v whose record touches p, or a
+// hole when there is none, and behind a fragment leaf lies Chain over
+// the same records. An Index holds a BLOB's records and, per page slot,
+// the versions that stored into it, so w is a binary search and the
+// chain a walk back, never a scan of the history, and Index.Locate reads
+// every leaf a read needs, chains included, as one batched level: a cold
+// page read is one metadata round trip, whatever the BLOB's size or
+// version count, and returns exactly what Resolve returns. The leaves
+// are final: publication is ordered, so every record at or below a
+// published version is a completed or a sealed version's, and a seal
+// writes hole leaves at the same keys; the garbage collector deletes a
+// leaf only once it is no protected version's newest writer, so a
+// pinned read never meets a missing one. Resolve stays as the reference
+// descent — the oracle Locate is tested against, and a pinned benchmark
+// probe — and inner nodes are still written for it.
+//
 // # Caching
 //
 // Versions share subtrees, so a reader of version v+1 needs, of the
