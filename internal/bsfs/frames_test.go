@@ -81,13 +81,15 @@ const (
 	recordByteBudget   = 16 << 10
 	// A block of a snapshot one append younger than the file the mount
 	// has read, its page no longer cached: the provider fetch and the
-	// readahead beside it, and of the segment tree one node per open
-	// (measured 10 on one CPU and 13 to 15 on more, 19 before a one-page
+	// readahead beside it, and no metadata fetch, since the leaves it
+	// names by address are older versions' and cached (measured 9 on one
+	// CPU and 11 to 13 on more; 10 and 13 to 15 while a read descended
+	// the tree behind a per-version slot cache, 19 before a one-page
 	// transfer ran on its caller; walking the tree again for every block
 	// of every new snapshot, as the client did before it cached nodes,
-	// cost 330 on the gated read_under_append, which now reads 11).
+	// cost 330 on the gated read_under_append, which now reads 10).
 	freshBlocks       = 64
-	freshObjectBudget = 16
+	freshObjectBudget = 15
 )
 
 // TestAllocationBudget is the tier-1 guard on the data path's copies:
