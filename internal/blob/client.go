@@ -426,8 +426,8 @@ func (b *Blob) collectedOr(ctx context.Context, ver uint64, err error) error {
 		!(errors.Is(err, ErrPageRead) || errors.Is(err, segtree.ErrNodeMissing)) {
 		return err
 	}
-	var info VersionInfo
-	perr := b.c.vm.Call(ctx, b.id, VMGetVersion, &VersionRef{Blob: b.id, Ver: ver}, &info)
+	var resp VersionResp
+	perr := b.c.vm.Call(ctx, b.id, VMGetVersion, &GetVersionReq{Blob: b.id, Ver: ver, SinceVer: ver}, &resp)
 	if errors.Is(perr, ErrVersionCollected) {
 		b.c.PurgeVersion(b.id, ver)
 		return fmt.Errorf("%w: blob %d version %d", ErrVersionCollected, b.id, ver)

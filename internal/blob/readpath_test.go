@@ -9,6 +9,7 @@ import (
 	"blobseer/internal/dht"
 	"blobseer/internal/metrics"
 	"blobseer/internal/pagestore"
+	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 )
 
@@ -545,12 +546,12 @@ func getBatches() uint64 {
 	return metrics.Default.RPCClient.Snapshot()[dht.MethodGetBatch.Name].Calls
 }
 
-// TestFreshVersionCostsOneNodeFetch is the node cache's headline as a
-// count. A client that has read a file reads a page of a version somebody
-// else just appended, in the half of the tree the append left alone: the
-// version's root is the one node it has never seen, so the read costs one
-// metadata fetch of one key, and a second such page none. A client that
-// has read nothing pays the descent: a fetch a level.
+// TestFreshVersionCostsOneNodeFetch is reading by address as a count. A
+// client that has read a file reads a version somebody else just
+// appended: a page the append did not write is named by an older leaf it
+// holds, so it costs no metadata fetch, and the page the append wrote
+// costs one, its leaf. A client that has read nothing also pays one
+// fetch, where a descent paid one a tree level (9 here).
 func TestFreshVersionCostsOneNodeFetch(t *testing.T) {
 	const ps, pages = 64, 200 // a root of span 256: 9 levels
 	c := newTestCluster(t, ClusterConfig{})
@@ -601,6 +602,69 @@ func TestFreshVersionCostsOneNodeFetch(t *testing.T) {
 	}
 	if got := readPage(cold.Handle(ba.ID(), ps), 5); got != 1 {
 		t.Errorf("the page cost a cold client %d metadata fetches, want 1: its leaf", got)
+	}
+}
+
+// TestPinnedColdReadIsOneLeafBatch: a client that holds nothing of a
+// 4096-page BLOB opens a snapshot with one version-manager call, the
+// pin, whose reply carries the write records; a page of it then costs
+// one batched leaf get and one provider get, and no version-manager
+// call, where a descent paid a get a tree level (13 here).
+func TestPinnedColdReadIsOneLeafBatch(t *testing.T) {
+	const ps, pages, appends = 64, 4096, 4
+	c := newTestCluster(t, ClusterConfig{})
+	w, cold := newTestClient(t, c, "writer"), newTestClient(t, c, "cold")
+	bw, err := w.Create(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(31, ps*pages)
+	var ver uint64
+	for i := 0; i < appends; i++ {
+		part := data[i*len(data)/appends : (i+1)*len(data)/appends]
+		res, err := bw.Append(ctx, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ver = res.Ver
+	}
+	if _, err := bw.WaitPublished(ctx, ver); err != nil {
+		t.Fatal(err)
+	}
+	calls := func(methods ...rpc.Method) (n uint64) {
+		snap := metrics.Default.RPCClient.Snapshot()
+		for _, m := range methods {
+			n += snap[m.Name].Calls
+		}
+		return n
+	}
+	vmCalls := func() uint64 {
+		return calls(VMOpenBlob, VMGetVersion, VMLatest, VMWaitPublished, VMPin, VMUnpin, VMHistory)
+	}
+
+	before := vmCalls()
+	s, err := cold.Handle(bw.ID(), ps).At(ctx, ver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := vmCalls() - before; got != 1 {
+		t.Errorf("At(%d) made %d version-manager calls, want 1: the pin", ver, got)
+	}
+	const page = 3000
+	vm, leaves, gets := vmCalls(), getBatches(), calls(ProvGetPage)
+	got, err := s.ReadAt(ctx, page*ps, ps)
+	if err != nil || !bytes.Equal(got, data[page*ps:(page+1)*ps]) {
+		t.Fatalf("page %d of version %d: %v", page, ver, err)
+	}
+	if n := vmCalls() - vm; n != 0 {
+		t.Errorf("the cold page made %d version-manager calls, want 0: the pin brought the records", n)
+	}
+	if n := getBatches() - leaves; n != 1 {
+		t.Errorf("the cold page made %d meta.GetBatch calls, want 1: its leaf", n)
+	}
+	if n := calls(ProvGetPage) - gets; n != 1 {
+		t.Errorf("the cold page made %d provider gets, want 1", n)
 	}
 }
 

@@ -313,8 +313,7 @@ func (m *VersionRef) DecodeFrom(r *wire.Reader) error {
 
 // GetVersionReq asks for one version's info and, like AssignReq, for
 // the write records of the versions in (SinceVer, Ver] the caller
-// lacks. A request that ends after Ver, as a VersionRef does, asks for
-// no records.
+// lacks; SinceVer = Ver asks for none.
 type GetVersionReq struct {
 	Blob     uint64
 	Ver      uint64
@@ -332,16 +331,12 @@ func (m *GetVersionReq) AppendTo(b []byte) []byte {
 func (m *GetVersionReq) DecodeFrom(r *wire.Reader) error {
 	m.Blob = r.Uvarint()
 	m.Ver = r.Uvarint()
-	m.SinceVer = m.Ver
-	if r.Err() == nil && r.Len() > 0 {
-		m.SinceVer = r.Uvarint()
-	}
+	m.SinceVer = r.Uvarint()
 	return r.Err()
 }
 
 // VersionResp answers GetVersion and Pin: the version's info, then the
-// write records of the versions in (SinceVer, Ver] the caller lacks. It
-// begins as a VersionInfo does, so a VersionInfo decodes it too.
+// write records of the versions in (SinceVer, Ver] the caller lacks.
 type VersionResp struct {
 	Info    VersionInfo
 	Records []segtree.WriteRecord

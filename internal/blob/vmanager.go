@@ -316,23 +316,24 @@ func (vm *VersionManager) handleCreateBlob(r *wire.Reader) (wire.Marshaler, erro
 		// An in-slot offset travels as segtree.PageRef.Lo, a uint32.
 		return nil, fmt.Errorf("blob: page size %d exceeds %d", req.PageSize, uint64(1)<<31)
 	}
-	// Journal and install under the map lock, which a checkpoint holds
-	// while it reads its start seq and lists the BLOBs: the create is in
-	// the listing or above the seq the checkpoint trims through. Skipped
-	// stripe candidates (ids the ring maps elsewhere) are never
+	// Skipped stripe candidates (ids the ring maps elsewhere) are never
 	// journaled; replay re-skips them identically. A journal failure
 	// burns the allocated id, which is harmless — ids are not dense.
-	vm.st.mu.Lock()
-	defer vm.st.mu.Unlock()
-	rec := vmRecord{Op: vmOpCreate, Blob: vm.st.allocBlobIDLocked(), Val: req.PageSize}
+	id := vm.st.allocBlobID()
+	rec := vmRecord{Op: vmOpCreate, Blob: id, Val: req.PageSize}
+	// Journal and install under st.creating, which a checkpoint takes
+	// while it reads its start seq and lists the BLOBs: the create is in
+	// the listing or above the seq the checkpoint trims through.
+	vm.st.creating.RLock()
+	defer vm.st.creating.RUnlock()
 	if err := vm.logRecord(&rec); err != nil {
 		return nil, err
 	}
 	if vm.createLogged != nil {
 		vm.createLogged()
 	}
-	vm.st.createLocked(rec)
-	return &CreateBlobResp{Blob: rec.Blob}, nil
+	vm.st.applyCreate(rec)
+	return &CreateBlobResp{Blob: id}, nil
 }
 
 func (vm *VersionManager) handleOpenBlob(r *wire.Reader) (wire.Marshaler, error) {

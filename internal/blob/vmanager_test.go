@@ -2,6 +2,7 @@ package blob
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"blobseer/internal/rpc"
 	"blobseer/internal/segtree"
 	"blobseer/internal/transport"
+	"blobseer/internal/wire"
 )
 
 // vmHarness drives the version manager protocol directly.
@@ -109,6 +111,39 @@ func TestAssignHistoryDelta(t *testing.T) {
 	a5 := h.assign(t, KindAppend, 0, 100, 4)
 	if len(a5.History) != 0 {
 		t.Fatalf("caught-up history = %+v", a5.History)
+	}
+}
+
+// TestPinAndGetVersionHistoryDelta: Pin and GetVersion answer with the
+// version's info and the records in (SinceVer, Ver], sliced as Assign's
+// delta is: all of them for a client that knows none, the newer ones for
+// one with a prefix, none for one caught up or past the version.
+func TestPinAndGetVersionHistoryDelta(t *testing.T) {
+	h := newVMHarness(t, 100)
+	h.publishN(t, 4)
+	for _, tc := range []struct {
+		since uint64
+		want  []uint64
+	}{{0, []uint64{1, 2, 3}}, {2, []uint64{3}}, {3, nil}, {4, nil}} {
+		for _, call := range []struct {
+			m   rpc.Method
+			req wire.Marshaler
+		}{
+			{VMPin, &PinReq{Blob: h.blob, Ver: 3, TTLMillis: 1000, SinceVer: tc.since}},
+			{VMGetVersion, &GetVersionReq{Blob: h.blob, Ver: 3, SinceVer: tc.since}},
+		} {
+			var resp VersionResp
+			if err := h.pool.Call(ctx, h.vm.Addr(), call.m, call.req, &resp); err != nil {
+				t.Fatalf("%s since %d: %v", call.m.Name, tc.since, err)
+			}
+			var got []uint64
+			for _, r := range resp.Records {
+				got = append(got, r.Ver)
+			}
+			if resp.Info.Ver != 3 || resp.Info.Size != 300 || !slices.Equal(got, tc.want) {
+				t.Errorf("%s since %d: info %+v, records of versions %v; want version 3 of 300 bytes and %v", call.m.Name, tc.since, resp.Info, got, tc.want)
+			}
+		}
 	}
 }
 
@@ -427,11 +462,11 @@ func TestRetentionScanAdvancesFrontier(t *testing.T) {
 		t.Fatalf("idle rescan returned %d blobs", len(resp2.Blobs))
 	}
 	// Collected versions answer ErrVersionCollected; live ones work.
-	err := h.pool.Call(ctx, h.vm.Addr(), VMGetVersion, &VersionRef{Blob: h.blob, Ver: 2}, &VersionInfo{})
+	err := h.pool.Call(ctx, h.vm.Addr(), VMGetVersion, &GetVersionReq{Blob: h.blob, Ver: 2, SinceVer: 2}, &VersionResp{})
 	if !errors.Is(err, ErrVersionCollected) {
 		t.Errorf("GetVersion(collected) = %v", err)
 	}
-	if err := h.pool.Call(ctx, h.vm.Addr(), VMGetVersion, &VersionRef{Blob: h.blob, Ver: 4}, &VersionInfo{}); err != nil {
+	if err := h.pool.Call(ctx, h.vm.Addr(), VMGetVersion, &GetVersionReq{Blob: h.blob, Ver: 4, SinceVer: 4}, &VersionResp{}); err != nil {
 		t.Errorf("GetVersion(live) = %v", err)
 	}
 }

@@ -153,13 +153,13 @@ func (j *vmJournal) replay(st *vmState, now time.Time) (int, error) {
 // under its own lock with its own asOf (≥ start, so every trimmed
 // record is covered), and a crash mid-checkpoint is safe because
 // replay filters per BLOB by each snapshot's own asOf. start is read
-// with the listing, under the map lock a create holds from its journal
-// append to its install, so no BLOB created at or below start is
-// missing from the listing.
+// with the listing, under st.creating, which a create holds from its
+// journal append to its install, so no BLOB created at or below start
+// is missing from the listing.
 func (j *vmJournal) checkpoint(st *vmState) error {
-	st.mu.Lock()
-	start, blobs := j.log.Last(), st.blobStatesLocked()
-	st.mu.Unlock()
+	st.creating.Lock()
+	start, blobs := j.log.Last(), st.blobStates()
+	st.creating.Unlock()
 	for _, e := range blobs {
 		e.bs.mu.Lock()
 		data := encodeBlobSnapshot(e.id, e.bs, j.log.Last())

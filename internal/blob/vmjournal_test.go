@@ -173,8 +173,8 @@ func runJournalRandomOps(t *testing.T, seed int64) {
 				func() wire.Unmarshaler { return &VersionInfo{} })
 		case r < 0.86:
 			ver := uint64(1 + rng.Intn(int(assigned[bl])+2))
-			p.check("getversion", VMGetVersion, &VersionRef{Blob: bl, Ver: ver},
-				func() wire.Unmarshaler { return &VersionInfo{} })
+			p.check("getversion", VMGetVersion, &GetVersionReq{Blob: bl, Ver: ver, SinceVer: ver},
+				func() wire.Unmarshaler { return &VersionResp{} })
 		case r < 0.92:
 			p.check("history", VMHistory, &HistoryReq{Blob: bl},
 				func() wire.Unmarshaler { return &HistoryResp{} })
@@ -204,8 +204,8 @@ func runJournalRandomOps(t *testing.T, seed int64) {
 		p.check("final history", VMHistory, &HistoryReq{Blob: bl},
 			func() wire.Unmarshaler { return &HistoryResp{} })
 		for v := uint64(1); v <= assigned[bl]+1; v++ {
-			p.check("final getversion", VMGetVersion, &VersionRef{Blob: bl, Ver: v},
-				func() wire.Unmarshaler { return &VersionInfo{} })
+			p.check("final getversion", VMGetVersion, &GetVersionReq{Blob: bl, Ver: v, SinceVer: v},
+				func() wire.Unmarshaler { return &VersionResp{} })
 		}
 	}
 }

@@ -213,6 +213,12 @@ type vmState struct {
 	nextStripe uint64
 	blobs      map[uint64]*blobState
 
+	// creating orders creates against a checkpoint: a create holds it
+	// shared from its journal append to its install, a checkpoint
+	// exclusively while it reads its start seq and lists the BLOBs, so
+	// every create at or below that seq is in the listing.
+	creating sync.RWMutex
+
 	assigned       atomic.Uint64
 	publishedCount atomic.Uint64
 	sealed         atomic.Uint64
@@ -233,12 +239,13 @@ func (st *vmState) lookup(blob uint64) (*blobState, bool) {
 	return bs, ok
 }
 
-// allocBlobIDLocked returns the next unused id of this shard's stripe
-// that the metadata ring maps back to this shard. Skipped candidates
-// are never journaled; replay re-skips them identically because the
-// ring is built from the same stable shard addresses. Caller holds
-// st.mu.
-func (st *vmState) allocBlobIDLocked() uint64 {
+// allocBlobID returns the next unused id of this shard's stripe that
+// the metadata ring maps back to this shard. Skipped candidates are
+// never journaled; replay re-skips them identically because the ring is
+// built from the same stable shard addresses.
+func (st *vmState) allocBlobID() uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	for {
 		id := st.nextStripe*uint64(st.shardCount) + uint64(st.shardIndex) + 1
 		st.nextStripe++
@@ -251,19 +258,15 @@ func (st *vmState) allocBlobIDLocked() uint64 {
 // noteID folds an existing blob id (replayed create or snapshot) into
 // the stripe counter so post-recovery allocation resumes past it.
 func (st *vmState) noteID(id uint64) {
-	st.mu.Lock()
-	st.noteIDLocked(id)
-	st.mu.Unlock()
-}
-
-// noteIDLocked is noteID with st.mu held.
-func (st *vmState) noteIDLocked(id uint64) {
 	if id == 0 {
 		return
 	}
-	if ord := (id - 1) / uint64(st.shardCount); ord+1 > st.nextStripe {
+	ord := (id - 1) / uint64(st.shardCount)
+	st.mu.Lock()
+	if ord+1 > st.nextStripe {
 		st.nextStripe = ord + 1
 	}
+	st.mu.Unlock()
 }
 
 // blobEntry pairs a blob id with its state for whole-map sweeps.
@@ -278,11 +281,6 @@ type blobEntry struct {
 func (st *vmState) blobStates() []blobEntry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.blobStatesLocked()
-}
-
-// blobStatesLocked is blobStates with st.mu held.
-func (st *vmState) blobStatesLocked() []blobEntry {
 	out := make([]blobEntry, 0, len(st.blobs))
 	for id, bs := range st.blobs {
 		out = append(out, blobEntry{id: id, bs: bs})
@@ -347,19 +345,21 @@ func (st *vmState) apply(rec vmRecord, now time.Time) {
 }
 
 // applyCreate installs a new BLOB.
-func (st *vmState) applyCreate(rec vmRecord) {
-	st.mu.Lock()
-	st.createLocked(rec)
-	st.mu.Unlock()
-}
-
-// createLocked is applyCreate with st.mu held.
-func (st *vmState) createLocked(rec vmRecord) {
-	if _, ok := st.blobs[rec.Blob]; ok {
-		return // replay after a snapshot that already covers the create
+func (st *vmState) applyCreate(rec vmRecord) *blobState {
+	bs := &blobState{
+		pageSize: rec.Val,
+		waiters:  make(map[uint64][]chan struct{}),
 	}
-	st.blobs[rec.Blob] = &blobState{pageSize: rec.Val, waiters: make(map[uint64][]chan struct{})}
-	st.noteIDLocked(rec.Blob)
+	st.mu.Lock()
+	if cur, ok := st.blobs[rec.Blob]; ok {
+		// Replay after a snapshot that already covers the create.
+		st.mu.Unlock()
+		return cur
+	}
+	st.blobs[rec.Blob] = bs
+	st.mu.Unlock()
+	st.noteID(rec.Blob)
+	return bs
 }
 
 // assignResult is everything AssignResp needs besides the history delta.

@@ -383,6 +383,13 @@ func TestReadaheadResumesAfterSeek(t *testing.T) {
 	if got := collect(); !got[1] || !got[2] {
 		t.Fatalf("the first window fetched %v, want pages 1 and 2", got)
 	}
+	// A fetch reports its page before it frees its slot; with a slot
+	// still busy the window below would schedule one page, not two.
+	for deadline := time.Now().Add(2 * time.Second); len(ra.sem) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first window's fetches kept their slots")
+		}
+	}
 	ra.Observe(10, 100)
 	ra.Observe(11, 100)
 	if got := collect(); !got[12] || !got[13] {

@@ -12,13 +12,19 @@ import (
 // keeps, per page slot, the ascending versions that stored into the
 // slot, so the newest writer of a page at or below a version is a binary
 // search and the slot's chain a walk back from there. Records arrive in
-// version order through Extend and never change. It is safe for
+// version order through Extend and never change. The slots are kept in
+// chunks of slotChunk, made only where a record stores, so the index
+// grows with the pages written, not with the highest one: a write far
+// past the end costs a chunk, not the hole before it. It is safe for
 // concurrent use.
 type Index struct {
-	mu    sync.Mutex
-	recs  []WriteRecord // recs[i] is version i+1's
-	slots []slotVers    // by page index
+	mu     sync.Mutex
+	recs   []WriteRecord                   // recs[i] is version i+1's
+	chunks map[uint64]*[slotChunk]slotVers // by page index / slotChunk
 }
+
+// slotChunk is how many page slots the index makes at a time.
+const slotChunk = 64
 
 // slotVers lists the versions that stored into one page slot, ascending:
 // the first inline, since most slots are stored once, the others behind
@@ -62,13 +68,20 @@ func (ix *Index) Extend(recs []WriteRecord) {
 	if len(recs) <= len(ix.recs) {
 		return
 	}
+	if ix.chunks == nil {
+		ix.chunks = make(map[uint64]*[slotChunk]slotVers)
+	}
 	for i := range recs[len(ix.recs):] {
 		rec := &recs[len(ix.recs)+i]
-		for uint64(len(ix.slots)) < rec.Off+rec.N {
-			ix.slots = append(ix.slots, slotVers{})
-		}
+		var chunk *[slotChunk]slotVers
 		for p := rec.Off; p < rec.Off+rec.N; p++ {
-			if s := &ix.slots[p]; s.first == 0 {
+			if chunk == nil || p%slotChunk == 0 {
+				if chunk = ix.chunks[p/slotChunk]; chunk == nil {
+					chunk = new([slotChunk]slotVers)
+					ix.chunks[p/slotChunk] = chunk
+				}
+			}
+			if s := &chunk[p%slotChunk]; s.first == 0 {
 				s.first = rec.Ver
 			} else {
 				s.more = append(s.more, rec.Ver)
@@ -84,10 +97,11 @@ func (ix *Index) Extend(recs []WriteRecord) {
 // when no such version stored into the slot. Caller holds ix.mu.
 func (ix *Index) chainLocked(slot, ver uint64, buf []Frag) ([]Frag, error) {
 	buf = buf[:0]
-	if slot >= uint64(len(ix.slots)) {
-		return buf, nil
+	chunk := ix.chunks[slot/slotChunk]
+	if chunk == nil {
+		return buf, nil // no record stored into the slot's chunk
 	}
-	s := &ix.slots[slot]
+	s := &chunk[slot%slotChunk]
 	for j := s.upTo(ver) - 1; j >= 0 && len(buf) < MaxSlotFragments; j-- {
 		rec := &ix.recs[s.at(j)-1]
 		var lo uint64

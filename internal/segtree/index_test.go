@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"blobseer/internal/pagestore"
 )
 
 // indexedModel is a byteModel whose every write also extends an Index,
@@ -117,6 +119,61 @@ func TestLocateMatchesResolve(t *testing.T) {
 		}
 		m.locateMatches(t, true)
 	})
+}
+
+// TestLocateFarPastTheEnd: a write far past a BLOB's end leaves a hole
+// the index makes no slots for — it holds the chunks records stored
+// into, not every page up to the highest — and the BLOB reads the same
+// by address as by descent before the hole, inside it and after it.
+func TestLocateFarPastTheEnd(t *testing.T) {
+	const blob, far = 7, uint64(1) << 40
+	store := NewMemStore()
+	var (
+		ix      Index
+		history []WriteRecord
+	)
+	commit := func(w WriteRecord, sealed bool) {
+		t.Helper()
+		w.Ver = uint64(len(history)) + 1
+		refs := make([]PageRef, w.N)
+		for i := range refs {
+			refs[i] = PageRef{Hole: true}
+			if !sealed {
+				refs[i] = PageRef{Page: pagestore.Key{Blob: blob, Version: w.Ver, Index: w.Off + uint64(i)}, Providers: []string{"prov/provider"}}
+			}
+		}
+		if err := Commit(ctx, store, blob, w, history, refs); err != nil {
+			t.Fatalf("commit %+v: %v", w, err)
+		}
+		history = append(history, w)
+		ix.Extend(history)
+	}
+	commit(WriteRecord{Off: 0, N: 3, PagesAfter: 3}, false)
+	commit(WriteRecord{Off: far, N: 2, PagesAfter: far + 2}, false)              // its last page partly filled
+	commit(WriteRecord{Off: far + 1, N: 1, PagesAfter: far + 2, Head: 5}, false) // an unaligned append: a fragment
+	commit(WriteRecord{Off: 1, N: 1, PagesAfter: far + 2}, false)                // an overwrite before the hole
+	commit(WriteRecord{Off: far + 10, N: 1, PagesAfter: far + 11}, true)         // sealed, past the end again
+	if len(ix.chunks) != 2 {
+		t.Fatalf("the index made %d chunks of %d slots for pages 0 to 2 and %d to %d", len(ix.chunks), slotChunk, far, far+10)
+	}
+	ranges := [][2]uint64{{0, 4}, {1, 2}, {2, 3}, {far / 2, far/2 + 8}, {far - 3, far + 12}, {far, far + 1}, {far + 1, far + 2}, {far + 10, far + 11}}
+	for v := uint64(1); v <= uint64(len(history)); v++ {
+		pages := history[v-1].PagesAfter
+		for _, r := range ranges {
+			off, end := r[0], min(r[1], pages)
+			if off >= end {
+				continue
+			}
+			want, err := Resolve(ctx, store, blob, v, pages, off, end-off)
+			if err != nil {
+				t.Fatalf("resolve v%d pages [%d,%d): %v", v, off, end, err)
+			}
+			got, err := ix.Locate(ctx, NewNodeCache(store), blob, v, off, end-off)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("v%d pages [%d,%d): Locate = %v, %v; Resolve = %v", v, off, end, got, err, want)
+			}
+		}
+	}
 }
 
 // FuzzLocateMatchesResolve: a history the fuzzer scripts, three bytes a

@@ -98,9 +98,10 @@
 // a descent of version v's tree reaches for page p is LeafKey(blob, w,
 // p), w the newest version at or below v whose record touches p, or a
 // hole when there is none, and behind a fragment leaf lies Chain over
-// the same records. An Index holds a BLOB's records and, per page slot,
-// the versions that stored into it, so w is a binary search and the
-// chain a walk back, never a scan of the history, and Index.Locate reads
+// the same records. An Index holds a BLOB's records and, per page slot a
+// record stored into, the versions that did, so w is a binary search and
+// the chain a walk back, never a scan of the history; it grows with the
+// pages written, not with the highest offset. Index.Locate reads
 // every leaf a read needs, chains included, as one batched level: a cold
 // page read is one metadata round trip, whatever the BLOB's size or
 // version count, and returns exactly what Resolve returns. The leaves
