@@ -4,8 +4,7 @@ package blobseer
 // the exact workload shape at reduced scale on the unshaped in-process
 // transport, so testing.B numbers reflect implementation cost (CPU,
 // allocations, synchronization), not modeled wire time. The shaped,
-// full-scale figure regeneration lives in cmd/experiments; measured
-// curves are recorded in EXPERIMENTS.md.
+// full-scale figure regeneration lives in cmd/experiments.
 
 import (
 	"bytes"

@@ -2,7 +2,10 @@
 // simulated Grid'5000 substrate: Figure 3 (concurrent appends), Figures
 // 4/5 (reader/appender interference), Figure 6 (data-join completion
 // time, HDFS vs BSFS), the derived file-count table, the §5 pipeline
-// extension, and the DESIGN.md ablations.
+// extension, the ablations, and the scenarios of this implementation's
+// own subsystems (shuffle, gc, snapshot, meta, incident). Each prints
+// its tables and summary lines to stdout; the gated performance record
+// is the pinned benchmark in benchmark/.
 //
 // Usage:
 //
@@ -31,15 +34,14 @@ func main() {
 	// library and the other commands — the page cache defaults to off.
 	cfg.CacheBytes = -1
 	var (
-		fig    = flag.String("fig", "all", "figure to run: all,3,4,5,6,filecount,pipeline,shuffle,gc,snapshot,meta,incident,abl-placement,abl-pagesize,abl-lock")
-		page   = flag.Int("page", 256, "page/chunk size in KiB (paper: 64 MiB, scaled)")
-		bwMB   = flag.Float64("bw", 12.5, "modeled NIC bandwidth in MB/s (paper: 1 GbE, scaled)")
-		shufB  = flag.String("shuffle", "memory", "Map/Reduce shuffle backend for BSFS application figures: memory or blob")
-		benchD = flag.String("bench-dir", "", "write BENCH_<fig>.json reports (throughput + latency percentiles) for the write/read/shuffle/gc scenarios into this directory")
-		trace  = flag.Bool("trace", false, "with -fig shuffle: sample one traced append and print its causal span tree")
-		diagP  = flag.String("diag", "", "on scenario failure, write a postmortem diag bundle (tar.gz with the process-wide metrics registry) to this path before exiting")
-		quick  = flag.Bool("quick", false, "reduced sweeps for a fast run")
-		csv    = flag.Bool("csv", false, "also print CSV data")
+		fig   = flag.String("fig", "all", "figure to run: all,3,4,5,6,filecount,pipeline,shuffle,gc,snapshot,meta,incident,abl-placement,abl-pagesize,abl-lock")
+		page  = flag.Int("page", 256, "page/chunk size in KiB (paper: 64 MiB, scaled)")
+		bwMB  = flag.Float64("bw", 12.5, "modeled NIC bandwidth in MB/s (paper: 1 GbE, scaled)")
+		shufB = flag.String("shuffle", "memory", "Map/Reduce shuffle backend for BSFS application figures: memory or blob")
+		trace = flag.Bool("trace", false, "with -fig shuffle: sample one traced append and print its causal span tree")
+		diagP = flag.String("diag", "", "on scenario failure, write a postmortem diag bundle (tar.gz with the process-wide metrics registry) to this path before exiting")
+		quick = flag.Bool("quick", false, "reduced sweeps for a fast run")
+		csv   = flag.Bool("csv", false, "also print CSV data")
 	)
 	flag.IntVar(&cfg.Nodes, "nodes", 270, "total simulated machines (paper: 270)")
 	flag.IntVar(&cfg.MetaProviders, "meta", 20, "metadata providers (paper: 20)")
@@ -74,32 +76,8 @@ func main() {
 		cfg.Reps = 2
 	}
 
-	// The scenarios that grew bench reports are addressable by role as
-	// well as figure number: -fig write == -fig 3, -fig read == -fig 4.
-	figSel := *fig
-	switch figSel {
-	case "write":
-		figSel = "3"
-	case "read":
-		figSel = "4"
-	}
-
-	// writeReport emits the scenario's BENCH_<fig>.json when -bench-dir
-	// is set.
-	writeReport := func(rep *experiments.BenchReport) error {
-		if *benchD == "" {
-			return nil
-		}
-		path, err := experiments.WriteBench(*benchD, rep)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("[bench report written to %s]\n\n", path)
-		return nil
-	}
-
 	run := func(name string, fn func() error) {
-		if figSel != "all" && figSel != name {
+		if *fig != "all" && *fig != name {
 			return
 		}
 		start := time.Now()
@@ -120,29 +98,29 @@ func main() {
 		fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	emit := func(title string, series ...*metrics.Series) {
-		fmt.Println(metrics.Table(title, series...))
+	emit := func(title string, series ...*experiments.Series) {
+		fmt.Println(experiments.Table(title, series...))
 		if *csv {
-			fmt.Println(metrics.CSV(series...))
+			fmt.Println(experiments.CSV(series...))
 		}
 	}
 
 	run("3", func() error {
-		rep, s, err := experiments.BenchWrite(cfg, sweeps.fig3)
+		s, err := experiments.Fig3(cfg, sweeps.fig3)
 		if err != nil {
 			return err
 		}
 		emit("Figure 3: concurrent appends to the same file (BSFS)", s)
-		return writeReport(rep)
+		return nil
 	})
 
 	run("4", func() error {
-		rep, s, err := experiments.BenchRead(cfg, sweeps.fig45)
+		s, err := experiments.Fig4(cfg, sweeps.fig45)
 		if err != nil {
 			return err
 		}
 		emit("Figure 4: impact of concurrent appends on concurrent reads (100 readers)", s)
-		return writeReport(rep)
+		return nil
 	})
 
 	run("5", func() error {
@@ -197,7 +175,7 @@ func main() {
 	})
 
 	run("shuffle", func() error {
-		rep, res, err := experiments.BenchShuffle(cfg)
+		res, err := experiments.Shuffle(cfg)
 		if err != nil {
 			return err
 		}
@@ -214,11 +192,11 @@ func main() {
 			}
 			fmt.Printf("# one sampled append, traced across processes:\n%s\n", tree)
 		}
-		return writeReport(rep)
+		return nil
 	})
 
 	run("gc", func() error {
-		rep, res, err := experiments.BenchGC(cfg)
+		res, err := experiments.GC(cfg)
 		if err != nil {
 			return err
 		}
@@ -230,7 +208,7 @@ func main() {
 		fmt.Printf("# collector: %d passes, %d versions collected, %d blobs deleted, %d pages (%d bytes) reclaimed, %d tree nodes deleted\n\n",
 			c["gc_passes"], c["gc_versions_collected"], c["gc_blobs_deleted"],
 			c["gc_pages_reclaimed"], c["gc_bytes_reclaimed"], c["gc_nodes_deleted"])
-		return writeReport(rep)
+		return nil
 	})
 
 	run("snapshot", func() error {
@@ -250,11 +228,11 @@ func main() {
 	})
 
 	run("meta", func() error {
-		rep, res, err := experiments.BenchMeta(cfg)
+		res, err := experiments.Meta(cfg)
 		if err != nil {
 			return err
 		}
-		scaling := &metrics.Series{Name: "publish ops/s", XLabel: "vm shards", YLabel: "ops/s"}
+		scaling := &experiments.Series{Name: "publish ops/s", XLabel: "vm shards", YLabel: "ops/s"}
 		for _, p := range res.Scaling {
 			scaling.Add(float64(p.Shards), p.OpsPerSec, 0)
 		}
@@ -267,11 +245,11 @@ func main() {
 		r := res.Recovery
 		fmt.Printf("# recovery: cold restart of %d shards replayed %d journal records in %.1f ms; %d blobs / %d versions served\n\n",
 			r.Shards, r.Records, r.ReplayMS, r.Blobs, r.Versions)
-		return writeReport(rep)
+		return nil
 	})
 
 	run("incident", func() error {
-		rep, res, err := experiments.BenchIncident(cfg)
+		res, err := experiments.Incident(cfg)
 		if err != nil {
 			return err
 		}
@@ -282,7 +260,7 @@ func main() {
 		fmt.Printf("# replay: %d events off the abandoned flight log — %d traces (largest slow tree %d spans), %d snapshots (%d before kill / %d after restart), %d alert transitions, %d health flips\n\n",
 			res.ReplayEvents, res.ReplayTraces, res.ReplaySlowTraceSpans, res.ReplaySnapshots,
 			res.SnapshotsBeforeKill, res.SnapshotsAfterRestart, res.AlertFires+res.AlertClears, res.HealthTransitions)
-		return writeReport(rep)
+		return nil
 	})
 
 	run("abl-placement", func() error {

@@ -81,10 +81,9 @@
 // read/GC/shuffle counters, and gauges. All three commands expose it
 // over HTTP with -metrics-addr (/metrics Prometheus text,
 // /metrics.json, /spans; bsfsctl, whose cluster outlives a command,
-// adds /cluster, /healthz, /alerts), and each experiments scenario
-// can emit a BENCH_<fig>.json report (figure series plus latency
-// percentiles) so performance is comparable across changes as a
-// file diff.
+// adds /cluster, /healthz, /alerts). Performance across changes is
+// compared by the pinned benchmark in benchmark/, not by the
+// experiments scenarios, which print their figures as tables.
 //
 // Options.FlightPath arms the black box on top of that plane: a
 // flight recorder (internal/flight) journals tail-sampled span trees
@@ -93,9 +92,8 @@
 // snapshots, health transitions, and alert state changes to a
 // bounded on-disk log that replays after a crash. An SLO watchdog
 // evaluates rules on every monitor collection (FlightPath arms the
-// collector at one pass a second) — journal lag, NIC
-// utilization, replica imbalance, component health, p99 latency vs
-// the committed BENCH baselines — with hysteresis on both edges;
+// collector at one pass a second) — journal lag, NIC utilization,
+// replica imbalance, component health — with hysteresis on both edges;
 // live states serve at /alerts, and `bsfsctl diag` writes the whole
 // postmortem bundle (alerts, replayed timeline, cluster snapshot,
 // metrics, health) as one tar.gz.
@@ -111,6 +109,6 @@
 // gate. Deliberate exceptions are justified in the source with
 // per-line `//lint:<analyzer> <reason>` markers.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduced evaluation.
+// README.md's "Layout" section is the package inventory;
+// cmd/experiments reproduces the paper's evaluation.
 package blobseer

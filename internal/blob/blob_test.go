@@ -374,7 +374,7 @@ func TestConcurrentReadersDuringAppends(t *testing.T) {
 				if info.Size == 0 {
 					continue
 				}
-				got, err := rb.ReadAt(ctx, info.Ver, 0, minU64(info.Size, ps*4))
+				got, err := rb.ReadAt(ctx, info.Ver, 0, min(info.Size, ps*4))
 				if err != nil {
 					readErrs <- fmt.Errorf("read ver %d: %w", info.Ver, err)
 					return

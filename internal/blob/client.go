@@ -61,8 +61,8 @@ type ClientConfig struct {
 
 // The operation-latency histograms of the process-wide registry,
 // resolved once (as rpc.M does for its MethodStats) so that recording
-// an operation takes no registry lock. The flight sampler, the
-// watchdog's p99 rule and the experiment reports find them by name.
+// an operation takes no registry lock. The flight sampler and the
+// export plane find them by name.
 var (
 	opAppend   = metrics.Default.Op("blob.append")
 	opWrite    = metrics.Default.Op("blob.write")
@@ -533,7 +533,7 @@ func (p payload) page(i, pageSize, head uint64) []byte {
 	for _, buf := range p {
 		n := uint64(len(buf))
 		if lo < n {
-			return buf[lo:minU64(hi, n)]
+			return buf[lo:min(hi, n)]
 		}
 		lo, hi = lo-n, hi-n
 	}
@@ -778,9 +778,9 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 	pageBase := rec.Off*ps + rec.Head // the first byte this version stores
 	writeEnd := a.Start + data.len()
 	recEnd := (rec.Off + rec.N) * ps
-	headHi := minU64(a.Start, a.PrevSize)
-	tailHi := minU64(recEnd, a.PrevSize)
-	contentEnd := maxU64(writeEnd, tailHi)
+	headHi := min(a.Start, a.PrevSize)
+	tailHi := min(recEnd, a.PrevSize)
+	contentEnd := max(writeEnd, tailHi)
 
 	// 2. Boundary merges. A write that lands inside existing bytes — an
 	// overwrite that starts or ends mid-page, or the append told to
@@ -1188,7 +1188,7 @@ func (b *Blob) readSlots(ctx context.Context, slots []segtree.Slot, off uint64, 
 	end := off + uint64(len(p))
 	return b.c.forEachPage(uint64(len(slots)), func(i uint64) error {
 		base, limit := b.extent(slots, i)
-		lo, hi := maxU64(off, base), minU64(end, limit)
+		lo, hi := max(off, base), min(end, limit)
 		if lo >= hi {
 			return nil // a fragment the read does not reach
 		}
@@ -1232,7 +1232,7 @@ func (b *Blob) pageView(ctx context.Context, ver, page uint64) ([]byte, error) {
 	if page*ps >= info.Size {
 		return nil, fmt.Errorf("%w: page %d of %d", ErrOutOfRange, page, info.Pages)
 	}
-	want := minU64(ps, info.Size-page*ps)
+	want := min(ps, info.Size-page*ps)
 	slots, err := b.resolveSlots(ctx, info, page, 1)
 	if err != nil {
 		return nil, b.collectedOr(ctx, info.Ver, err)
@@ -1286,7 +1286,7 @@ func (b *Blob) Prefetch(ctx context.Context, ver, off, n uint64) error {
 		if slots[i].Ref.Hole || base >= off+n {
 			return nil
 		}
-		_, err := b.c.fetchPage(ctx, slots[i].Ref, minU64(off+n, limit)-base)
+		_, err := b.c.fetchPage(ctx, slots[i].Ref, min(off+n, limit)-base)
 		return err
 	})
 	return b.collectedOr(ctx, info.Ver, err)
@@ -1583,18 +1583,4 @@ func (c *Client) mergeHistory(blob uint64, delta []segtree.WriteRecord, own segt
 		return nil, fmt.Errorf("%w: have %d of %d records", ErrHistoryGap, h.complete, need)
 	}
 	return h.recs[:need:need], nil
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"blobseer/internal/rpc"
@@ -66,7 +67,7 @@ func (s *RandomK) Pick(nPages, replicas int, providers []string, loads []uint64)
 	p := len(providers)
 	for i := 0; i < nPages; i++ {
 		for len(out) < (i+1)*replicas {
-			if c := s.rng.Intn(p); !contains(out[i*replicas:], c) {
+			if c := s.rng.Intn(p); !slices.Contains(out[i*replicas:], c) {
 				out = append(out, c)
 			}
 		}
@@ -90,7 +91,7 @@ func (s *LeastLoaded) Pick(nPages, replicas int, providers []string, loads []uin
 		for len(out) < (i+1)*replicas {
 			best := -1
 			for c := range l {
-				if contains(out[i*replicas:], c) {
+				if slices.Contains(out[i*replicas:], c) {
 					continue
 				}
 				if best < 0 || l[c] < l[best] {
@@ -102,15 +103,6 @@ func (s *LeastLoaded) Pick(nPages, replicas int, providers []string, loads []uin
 		}
 	}
 	return out
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // ProviderManager is BlobSeer's provider manager (§3.1.1): providers

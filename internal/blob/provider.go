@@ -36,7 +36,6 @@ func NewProvider(net transport.Network, addr transport.Addr, store pagestore.Sto
 	p := &Provider{srv: srv, store: store}
 	srv.Handle(ProvPutPage, p.handlePutPage)
 	srv.Handle(ProvGetPage, p.handleGetPage)
-	srv.Handle(ProvStats, p.handleStats)
 	srv.Handle(ProvDeletePages, p.handleDeletePages)
 	return p, nil
 }
@@ -100,13 +99,6 @@ func (p *Provider) handleGetPage(r *wire.Reader) (wire.Marshaler, error) {
 	p.pagesRead.Add(1)
 	p.bytesRead.Add(uint64(len(data)))
 	return &GetPageResp{Data: data}, nil
-}
-
-func (p *Provider) handleStats(r *wire.Reader) (wire.Marshaler, error) {
-	return &ProvStatsResp{
-		Pages: uint64(p.store.Len()),
-		Bytes: uint64(p.store.BytesUsed()),
-	}, nil
 }
 
 // handleDeletePages drops a garbage-collection batch. Keys the store

@@ -69,7 +69,6 @@ var (
 var (
 	ProvPutPage     = rpc.M(1, "prov.PutPage")
 	ProvGetPage     = rpc.M(2, "prov.GetPage")
-	ProvStats       = rpc.M(3, "prov.Stats")
 	ProvDeletePages = rpc.M(4, "prov.DeletePages")
 )
 
@@ -792,24 +791,5 @@ func (m *GetPageResp) EncodedSize() int { return pageFieldsMax + len(m.Data) }
 func (m *GetPageResp) DecodeFrom(r *wire.Reader) error {
 	//lint:framealias a decoded response owns its frame (rpc never recycles it); the slice is the immutable cache entry
 	m.Data = r.Bytes()
-	return r.Err()
-}
-
-// ProvStatsResp reports provider storage counters.
-type ProvStatsResp struct {
-	Pages uint64
-	Bytes uint64
-}
-
-// AppendTo implements wire.Marshaler.
-func (m *ProvStatsResp) AppendTo(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.Pages)
-	return wire.AppendUvarint(b, m.Bytes)
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *ProvStatsResp) DecodeFrom(r *wire.Reader) error {
-	m.Pages = r.Uvarint()
-	m.Bytes = r.Uvarint()
 	return r.Err()
 }

@@ -6,21 +6,20 @@ import (
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
-	"blobseer/internal/metrics"
 )
 
 // AblationPlacement compares provider-allocation strategies on the
-// Figure 3 workload (Abl 2 in DESIGN.md): round-robin spreads pages
+// Figure 3 workload: round-robin spreads pages
 // perfectly, random suffers balls-into-bins hotspots, least-loaded
 // sits between.
-func AblationPlacement(cfg Config, clients []int) ([]*metrics.Series, error) {
+func AblationPlacement(cfg Config, clients []int) ([]*Series, error) {
 	cfg = cfg.withDefaults()
 	strategies := []blob.Strategy{
 		&blob.RoundRobin{},
 		blob.NewRandomK(cfg.Seed + 1),
 		&blob.LeastLoaded{},
 	}
-	var out []*metrics.Series
+	var out []*Series
 	for _, s := range strategies {
 		c := cfg
 		c.Strategy = s
@@ -37,9 +36,9 @@ func AblationPlacement(cfg Config, clients []int) ([]*metrics.Series, error) {
 // AblationPageSize sweeps the page/chunk size on the Figure 3 workload
 // at a fixed client count (Abl 3): larger pages amortize the fixed
 // per-append costs (version assignment, metadata commit).
-func AblationPageSize(cfg Config, sizes []uint64, n int) (*metrics.Series, error) {
+func AblationPageSize(cfg Config, sizes []uint64, n int) (*Series, error) {
 	cfg = cfg.withDefaults()
-	series := &metrics.Series{
+	series := &Series{
 		Name:   fmt.Sprintf("append, %d clients", n),
 		XLabel: "page size (KiB)",
 		YLabel: "avg throughput (MB/s)",
@@ -66,7 +65,7 @@ func AblationPageSize(cfg Config, sizes []uint64, n int) (*metrics.Series, error
 // models a lease-based single-writer design (what HDFS appends would
 // look like), whose per-client throughput collapses as 1/N while
 // versioning degrades only gently.
-func AblationLockedAppend(cfg Config, clients []int) (versioned, locked *metrics.Series, err error) {
+func AblationLockedAppend(cfg Config, clients []int) (versioned, locked *Series, err error) {
 	cfg = cfg.withDefaults()
 	versioned, err = Fig3(cfg, clients)
 	if err != nil {
@@ -79,7 +78,7 @@ func AblationLockedAppend(cfg Config, clients []int) (versioned, locked *metrics
 		return nil, nil, err
 	}
 	defer env.Close()
-	locked = &metrics.Series{
+	locked = &Series{
 		Name:   "global append lock",
 		XLabel: "clients",
 		YLabel: "avg throughput (MB/s)",
@@ -96,22 +95,22 @@ func AblationLockedAppend(cfg Config, clients []int) (versioned, locked *metrics
 }
 
 // lockedPoint is fig3Point with every append serialized by one lock.
-func lockedPoint(env *bsfsEnv, cfg Config, point, n int) (metrics.Summary, error) {
+func lockedPoint(env *bsfsEnv, cfg Config, point, n int) (Summary, error) {
 	path := freshPath("locked", point)
 	setup := env.mount(0)
 	if err := dfs.WriteFile(ctx, setup, path, nil); err != nil {
-		return metrics.Summary{}, err
+		return Summary{}, err
 	}
 	clients := make([]*appendClient, n)
 	for i := range clients {
 		clients[i] = &appendClient{fs: env.mount(i), path: path, data: chunk(cfg, i)}
 	}
 	var gate sync.Mutex
-	var meter metrics.Meter
+	var meter Meter
 	for rep := 0; rep < cfg.Reps; rep++ {
 		if err := runAppenders(clients, &meter, &gate); err != nil {
-			return metrics.Summary{}, err
+			return Summary{}, err
 		}
 	}
-	return metrics.Summarize(meter.Samples()), nil
+	return Summarize(meter.Samples()), nil
 }

@@ -1,7 +1,8 @@
 // Package experiments regenerates every figure of the paper's
 // evaluation (§4) plus the derived file-count table, the §5 pipeline
-// extension, and ablations of the design choices called out in
-// DESIGN.md.
+// extension, and ablations of the design choices. Meter and Summary
+// are its per-operation throughput samples, Series the (x, y) curves
+// of a figure, which Table and CSV render.
 //
 // The environment reproduces §4.1 at laptop scale: one simulated
 // cluster of cfg.Nodes machines on a bandwidth/latency-shaped
@@ -13,7 +14,7 @@
 // (data providers, respectively)". Pages/chunks are scaled from the
 // paper's 64 MB to cfg.BlockSize (default 256 KiB) so a full sweep
 // takes seconds, not hours; shapes, not absolute MB/s, are the
-// reproduction target (see EXPERIMENTS.md).
+// reproduction target.
 package experiments
 
 import (

@@ -6,14 +6,13 @@ import (
 	"time"
 
 	"blobseer/internal/dfs"
-	"blobseer/internal/metrics"
 )
 
 // Fig3 reproduces Figure 3: "Performance of BSFS when concurrent
 // clients append data to the same file". For each N in clients, N
 // co-located clients each append one chunk to the same shared file,
 // cfg.Reps times; the point is the mean per-client append throughput.
-func Fig3(cfg Config, clients []int) (*metrics.Series, error) {
+func Fig3(cfg Config, clients []int) (*Series, error) {
 	cfg = cfg.withDefaults()
 	env, err := newBSFSEnv(cfg)
 	if err != nil {
@@ -21,7 +20,7 @@ func Fig3(cfg Config, clients []int) (*metrics.Series, error) {
 	}
 	defer env.Close()
 
-	series := &metrics.Series{
+	series := &Series{
 		Name:   "BSFS append",
 		XLabel: "clients",
 		YLabel: "avg throughput (MB/s)",
@@ -39,11 +38,11 @@ func Fig3(cfg Config, clients []int) (*metrics.Series, error) {
 
 // fig3Point measures one sweep point: n concurrent appenders, one
 // chunk each, cfg.Reps repetitions on a fresh file.
-func fig3Point(env *bsfsEnv, cfg Config, point, n int) (metrics.Summary, error) {
+func fig3Point(env *bsfsEnv, cfg Config, point, n int) (Summary, error) {
 	path := freshPath("fig3", point)
 	setup := env.mount(0)
 	if err := dfs.WriteFile(ctx, setup, path, nil); err != nil {
-		return metrics.Summary{}, err
+		return Summary{}, err
 	}
 
 	mounts := make([]*appendClient, n)
@@ -51,13 +50,13 @@ func fig3Point(env *bsfsEnv, cfg Config, point, n int) (metrics.Summary, error) 
 		mounts[i] = &appendClient{fs: env.mount(i), path: path, data: chunk(cfg, i)}
 	}
 
-	var meter metrics.Meter
+	var meter Meter
 	for rep := 0; rep < cfg.Reps; rep++ {
 		if err := runAppenders(mounts, &meter, nil); err != nil {
-			return metrics.Summary{}, err
+			return Summary{}, err
 		}
 	}
-	return metrics.Summarize(meter.Samples()), nil
+	return Summarize(meter.Samples()), nil
 }
 
 // appendClient is one benchmark appender bound to a mount.
@@ -72,7 +71,7 @@ type appendClient struct {
 // version manager acknowledges completion) and then closes (untimed
 // publish wait). A non-nil gate serializes appends — the global-lock
 // ablation.
-func runAppenders(clients []*appendClient, meter *metrics.Meter, gate *sync.Mutex) error {
+func runAppenders(clients []*appendClient, meter *Meter, gate *sync.Mutex) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, len(clients))
 	start := make(chan struct{})

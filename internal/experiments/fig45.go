@@ -7,7 +7,6 @@ import (
 
 	"blobseer/internal/bsfs"
 	"blobseer/internal/dfs"
-	"blobseer/internal/metrics"
 )
 
 // Figures 4 and 5 share one scenario (§4.2): a shared file, a fixed
@@ -27,16 +26,16 @@ const (
 // Fig4 reproduces Figure 4: "Impact of concurrent appends on
 // concurrent reads from the same file" — 100 readers, 0..N appenders,
 // reporting read throughput.
-func Fig4(cfg Config, appenders []int) (*metrics.Series, error) {
+func Fig4(cfg Config, appenders []int) (*Series, error) {
 	cfg = cfg.withDefaults()
-	series := &metrics.Series{
+	series := &Series{
 		Name:   "BSFS read",
 		XLabel: "appenders",
 		YLabel: "read avg throughput (MB/s)",
 	}
 	err := runMixed(cfg, "fig4", appenders, func(point, x int) (readers, appenders, appChunks int) {
 		return fixedReaders, x, chunksPerAppender
-	}, func(readSum, appendSum metrics.Summary, x int) {
+	}, func(readSum, appendSum Summary, x int) {
 		series.Add(float64(x), readSum.MeanMBps, (readSum.P95MBps-readSum.P5MBps)/2)
 	})
 	return series, err
@@ -45,16 +44,16 @@ func Fig4(cfg Config, appenders []int) (*metrics.Series, error) {
 // Fig5 reproduces Figure 5: "Impact of concurrent reads on concurrent
 // appends to the same file" — 100 appenders (10 chunks each, like the
 // readers, per §4.2), 0..N readers, reporting append throughput.
-func Fig5(cfg Config, readers []int) (*metrics.Series, error) {
+func Fig5(cfg Config, readers []int) (*Series, error) {
 	cfg = cfg.withDefaults()
-	series := &metrics.Series{
+	series := &Series{
 		Name:   "BSFS append",
 		XLabel: "readers",
 		YLabel: "append avg throughput (MB/s)",
 	}
 	err := runMixed(cfg, "fig5", readers, func(point, x int) (r, a, appChunks int) {
 		return x, fixedAppenders, chunksPerReader
-	}, func(readSum, appendSum metrics.Summary, x int) {
+	}, func(readSum, appendSum Summary, x int) {
 		series.Add(float64(x), appendSum.MeanMBps, (appendSum.P95MBps-appendSum.P5MBps)/2)
 	})
 	return series, err
@@ -63,7 +62,7 @@ func Fig5(cfg Config, readers []int) (*metrics.Series, error) {
 // runMixed drives the shared readers+appenders scenario across sweep
 // points. shape maps a sweep value to (readers, appenders, chunks per
 // appender); report receives the two summaries per point.
-func runMixed(cfg Config, kind string, xs []int, shape func(point, x int) (int, int, int), report func(r, a metrics.Summary, x int)) error {
+func runMixed(cfg Config, kind string, xs []int, shape func(point, x int) (int, int, int), report func(r, a Summary, x int)) error {
 	env, err := newBSFSEnv(cfg)
 	if err != nil {
 		return err
@@ -106,13 +105,13 @@ func runMixed(cfg Config, kind string, xs []int, shape func(point, x int) (int, 
 
 	for pi, x := range xs {
 		nR, nA, appChunks := shape(pi, x)
-		var readMeter, appendMeter metrics.Meter
+		var readMeter, appendMeter Meter
 		for rep := 0; rep < cfg.Reps; rep++ {
 			if err := mixedRep(cfg, path, readerMounts[:nR], appenderMounts[:nA], appChunks, &readMeter, &appendMeter); err != nil {
 				return fmt.Errorf("%s x=%d: %w", kind, x, err)
 			}
 		}
-		report(metrics.Summarize(readMeter.Samples()), metrics.Summarize(appendMeter.Samples()), x)
+		report(Summarize(readMeter.Samples()), Summarize(appendMeter.Samples()), x)
 	}
 	return nil
 }
@@ -168,7 +167,7 @@ func preload(env *bsfsEnv, cfg Config, path string, chunks int) error {
 // mixedRep runs one repetition: all readers and appenders start
 // together; each reader reads its 10-chunk region chunk by chunk, each
 // appender appends its chunks at the tail.
-func mixedRep(cfg Config, path string, readers []*bsfs.FS, appenders []*appendClient, appChunks int, readMeter, appendMeter *metrics.Meter) error {
+func mixedRep(cfg Config, path string, readers []*bsfs.FS, appenders []*appendClient, appChunks int, readMeter, appendMeter *Meter) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, len(readers)+len(appenders))
 	start := make(chan struct{})

@@ -8,23 +8,22 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
 	"blobseer/internal/mapreduce"
-	"blobseer/internal/metrics"
 	"blobseer/internal/workload"
 )
 
 // Fig6Result carries the data-join comparison of §4.3: completion time
 // versus reducer count for original-Hadoop-on-HDFS (one output file
 // per reducer) and modified-Hadoop-on-BSFS (single shared appended
-// file), plus the derived file-count table (Tab A in DESIGN.md).
+// file), plus the derived file-count table.
 type Fig6Result struct {
-	HDFS *metrics.Series // completion time (s)
-	BSFS *metrics.Series
+	HDFS *Series // completion time (s)
+	BSFS *Series
 
-	FilesHDFS *metrics.Series // committed output files
-	FilesBSFS *metrics.Series
+	FilesHDFS *Series // committed output files
+	FilesBSFS *Series
 
-	MetaHDFS *metrics.Series // centralized metadata entries after the run
-	MetaBSFS *metrics.Series
+	MetaHDFS *Series // centralized metadata entries after the run
+	MetaBSFS *Series
 }
 
 // fig6Costs models the data join being "a computation-intensive
@@ -53,12 +52,12 @@ func Fig6(cfg Config, reducers []int) (*Fig6Result, error) {
 	contentA, contentB := workload.JoinInputs(workload.JoinConfig{Keys: keys, Seed: cfg.Seed})
 
 	res := &Fig6Result{
-		HDFS:      &metrics.Series{Name: "HDFS - multiple output files", XLabel: "reducers", YLabel: "time (s)"},
-		BSFS:      &metrics.Series{Name: "BSFS - single output file", XLabel: "reducers", YLabel: "time (s)"},
-		FilesHDFS: &metrics.Series{Name: "HDFS output files", XLabel: "reducers", YLabel: "files"},
-		FilesBSFS: &metrics.Series{Name: "BSFS output files", XLabel: "reducers", YLabel: "files"},
-		MetaHDFS:  &metrics.Series{Name: "HDFS namenode entries", XLabel: "reducers", YLabel: "entries"},
-		MetaBSFS:  &metrics.Series{Name: "BSFS namespace entries", XLabel: "reducers", YLabel: "entries"},
+		HDFS:      &Series{Name: "HDFS - multiple output files", XLabel: "reducers", YLabel: "time (s)"},
+		BSFS:      &Series{Name: "BSFS - single output file", XLabel: "reducers", YLabel: "time (s)"},
+		FilesHDFS: &Series{Name: "HDFS output files", XLabel: "reducers", YLabel: "files"},
+		FilesBSFS: &Series{Name: "BSFS output files", XLabel: "reducers", YLabel: "files"},
+		MetaHDFS:  &Series{Name: "HDFS namenode entries", XLabel: "reducers", YLabel: "entries"},
+		MetaBSFS:  &Series{Name: "BSFS namespace entries", XLabel: "reducers", YLabel: "entries"},
 	}
 
 	if err := fig6System(cfg, "hdfs", contentA, contentB, reducers, res.HDFS, res.FilesHDFS, res.MetaHDFS); err != nil {
@@ -71,7 +70,7 @@ func Fig6(cfg Config, reducers []int) (*Fig6Result, error) {
 }
 
 // fig6System runs the sweep on one backend.
-func fig6System(cfg Config, system, contentA, contentB string, reducers []int, timeS, filesS, metaS *metrics.Series) error {
+func fig6System(cfg Config, system, contentA, contentB string, reducers []int, timeS, filesS, metaS *Series) error {
 	fw, clientFS, cleanup, err := newFramework(cfg, system, 0, 0, 0)
 	if err != nil {
 		return err

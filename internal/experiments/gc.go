@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"blobseer/internal/dfs"
 	"blobseer/internal/metrics"
@@ -25,10 +26,10 @@ import (
 //     namespace entry and storage grows linearly (the pre-GC repo
 //     behaviour).
 type GCResult struct {
-	OverwriteGC   *metrics.Series // x = round, y = provider MiB
-	OverwriteNoGC *metrics.Series
-	RotateGC      *metrics.Series
-	RotateNoGC    *metrics.Series
+	OverwriteGC   *Series // x = round, y = provider MiB
+	OverwriteNoGC *Series
+	RotateGC      *Series
+	RotateNoGC    *Series
 
 	// OverwriteBoundRatio is final GC-run provider bytes over the
 	// overwrite working set (one full region set): the acceptance bound
@@ -55,10 +56,10 @@ const (
 func GC(cfg Config) (*GCResult, error) {
 	cfg = cfg.withDefaults()
 	res := &GCResult{
-		OverwriteGC:   &metrics.Series{Name: "overwrite retain=2", XLabel: "round", YLabel: "provider MiB"},
-		OverwriteNoGC: &metrics.Series{Name: "overwrite no-gc", XLabel: "round", YLabel: "provider MiB"},
-		RotateGC:      &metrics.Series{Name: "rotate gc", XLabel: "round", YLabel: "provider MiB"},
-		RotateNoGC:    &metrics.Series{Name: "rotate no-gc", XLabel: "round", YLabel: "provider MiB"},
+		OverwriteGC:   &Series{Name: "overwrite retain=2", XLabel: "round", YLabel: "provider MiB"},
+		OverwriteNoGC: &Series{Name: "overwrite no-gc", XLabel: "round", YLabel: "provider MiB"},
+		RotateGC:      &Series{Name: "rotate gc", XLabel: "round", YLabel: "provider MiB"},
+		RotateNoGC:    &Series{Name: "rotate no-gc", XLabel: "round", YLabel: "provider MiB"},
 	}
 
 	before := metrics.Default.Snapshot().Counters
@@ -178,4 +179,17 @@ func gcRotateRun(cfg Config, gcOn bool, res *GCResult) error {
 		res.RotateBoundRatio = float64(env.cluster.ProviderBytes()) / working
 	}
 	return nil
+}
+
+// countersSince returns how much each process counter whose name starts
+// with prefix grew since before, the Counters of a snapshot taken when
+// the run started.
+func countersSince(before map[string]uint64, prefix string) map[string]uint64 {
+	out := make(map[string]uint64)
+	for k, v := range metrics.Default.Snapshot().Counters {
+		if strings.HasPrefix(k, prefix) {
+			out[k] = v - before[k]
+		}
+	}
+	return out
 }

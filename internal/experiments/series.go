@@ -1,11 +1,4 @@
-// Package metrics is the process's stats vocabulary. Registry (Default)
-// owns the named counters every subsystem adds to, the named operation
-// latency histograms, the gauges and the per-method RPC tables, and
-// renders them as one snapshot in Prometheus text or JSON. ReadStats is
-// a client's own view of its read path, and Meter, Summary and Series
-// are the experiment harness's per-operation throughput samples and the
-// (x, y) series of the paper's figures.
-package metrics
+package experiments
 
 import (
 	"fmt"
@@ -142,7 +135,7 @@ func (s *Series) Add(x, y, err float64) {
 }
 
 // Table renders series as an aligned ASCII table, one row per X value,
-// one column per series (the way EXPERIMENTS.md reports figures).
+// one column per series.
 func Table(title string, series ...*Series) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\n", title)

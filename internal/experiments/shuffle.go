@@ -7,7 +7,6 @@ import (
 	"blobseer/internal/apps/wordcount"
 	"blobseer/internal/dfs"
 	"blobseer/internal/mapreduce"
-	"blobseer/internal/metrics"
 	"blobseer/internal/shuffle"
 	"blobseer/internal/workload"
 )
@@ -22,11 +21,11 @@ import (
 type ShuffleResult struct {
 	// Completion time (s) versus failure injection (x = 0: none,
 	// x = 1: half the trackers killed at the barrier).
-	TimeMemory *metrics.Series
-	TimeBlob   *metrics.Series
+	TimeMemory *Series
+	TimeBlob   *Series
 	// Map outputs lost (and therefore maps re-executed), same sweep.
-	RerunsMemory *metrics.Series
-	RerunsBlob   *metrics.Series
+	RerunsMemory *Series
+	RerunsBlob   *Series
 
 	// BlobOverlapSec is map-phase end minus first segment fetch in the
 	// failure-free blob run: positive means the shuffle overlapped the
@@ -50,10 +49,10 @@ func Shuffle(cfg Config) (*ShuffleResult, error) {
 	cfg = cfg.withDefaults()
 
 	res := &ShuffleResult{
-		TimeMemory:   &metrics.Series{Name: "memory shuffle", XLabel: "tracker failure", YLabel: "time (s)"},
-		TimeBlob:     &metrics.Series{Name: "blob shuffle", XLabel: "tracker failure", YLabel: "time (s)"},
-		RerunsMemory: &metrics.Series{Name: "memory map re-runs", XLabel: "tracker failure", YLabel: "maps"},
-		RerunsBlob:   &metrics.Series{Name: "blob map re-runs", XLabel: "tracker failure", YLabel: "maps"},
+		TimeMemory:   &Series{Name: "memory shuffle", XLabel: "tracker failure", YLabel: "time (s)"},
+		TimeBlob:     &Series{Name: "blob shuffle", XLabel: "tracker failure", YLabel: "time (s)"},
+		RerunsMemory: &Series{Name: "memory map re-runs", XLabel: "tracker failure", YLabel: "maps"},
+		RerunsBlob:   &Series{Name: "blob map re-runs", XLabel: "tracker failure", YLabel: "maps"},
 	}
 
 	text := workload.Text(int(24*cfg.BlockSize), cfg.Seed+61)

@@ -341,7 +341,7 @@ func (g *Collector) computeWork(br *blob.BlobReclaim) *reclaimWork {
 	}
 	recs := st.recs
 	n := uint64(len(recs))
-	st.owners.ensureSpan(maxRootSpan(recs), recs[:minU64(st.processed, n)])
+	st.owners.ensureSpan(maxRootSpan(recs), recs[:min(st.processed, n)])
 
 	// owners answers "which version owned range R just before w" in
 	// O(1): it replays writes [1, w) level-aligned, exactly the ranges
@@ -378,7 +378,7 @@ func (g *Collector) computeWork(br *blob.BlobReclaim) *reclaimWork {
 		}
 		st.owners.update(v, recs[v-1])
 	}
-	if to := minU64(br.To, n); to > st.processed {
+	if to := min(br.To, n); to > st.processed {
 		st.processed = to
 	}
 	for v := br.From; v < br.To; v++ {
@@ -440,13 +440,6 @@ func (g *Collector) executeWork(ctx context.Context, w *reclaimWork, rep *Report
 		rep.NodesDeleted += len(w.deadNodes)
 		gcNodesDeleted.Add(uint64(len(w.deadNodes)))
 	}
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // maxRootSpan returns the root span implied by the largest grid any

@@ -440,6 +440,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := metrics.Default.Snapshot().Counters
+	passesBefore := metrics.Default.Op("gc.pass").Snapshot().Count
 	rep := h.runOnce(t)
 	if rep.VersionsCollected != 1 || rep.PagesReclaimed != 3 || rep.BytesReclaimed != 3*uint64(ps) {
 		t.Errorf("report %+v, want 1 version and 3 pages of %d bytes", rep, ps)
@@ -459,6 +460,11 @@ func TestStatsAccounting(t *testing.T) {
 		if got := after[name] - before[name]; got != want {
 			t.Errorf("%s grew by %d, want %d", name, got, want)
 		}
+	}
+	// A pass is counted and timed together: the gc.pass histogram grows
+	// by the same one pass as gc_passes.
+	if got := metrics.Default.Op("gc.pass").Snapshot().Count - passesBefore; got != 1 {
+		t.Errorf("gc.pass histogram grew by %d, want 1", got)
 	}
 }
 

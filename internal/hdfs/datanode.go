@@ -24,7 +24,6 @@ func NewDatanode(net transport.Network, addr transport.Addr, store pagestore.Sto
 	d := &Datanode{srv: srv, store: store}
 	srv.Handle(DNPutBlock, d.handlePutBlock)
 	srv.Handle(DNGetBlock, d.handleGetBlock)
-	srv.Handle(DNStats, d.handleStats)
 	return d, nil
 }
 
@@ -66,8 +65,4 @@ func (d *Datanode) handleGetBlock(r *wire.Reader) (wire.Marshaler, error) {
 		return nil, err
 	}
 	return &BlockDataResp{Data: data}, nil
-}
-
-func (d *Datanode) handleStats(r *wire.Reader) (wire.Marshaler, error) {
-	return &wire.CountPair{A: uint64(d.store.Len()), B: uint64(d.store.BytesUsed())}, nil
 }

@@ -45,7 +45,6 @@ var (
 var (
 	DNPutBlock = rpc.M(1, "dn.PutBlock")
 	DNGetBlock = rpc.M(2, "dn.GetBlock")
-	DNStats    = rpc.M(3, "dn.Stats")
 )
 
 //

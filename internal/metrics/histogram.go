@@ -70,26 +70,6 @@ type HistogramSnapshot struct {
 	Buckets [histBuckets]uint64
 }
 
-// Sub returns the delta snapshot since prev (for measuring one run of
-// a long-lived histogram). Counters that went backwards clamp to zero.
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	d := HistogramSnapshot{
-		Count: subU64(s.Count, prev.Count),
-		Sum:   subU64(s.Sum, prev.Sum),
-	}
-	for i := range s.Buckets {
-		d.Buckets[i] = subU64(s.Buckets[i], prev.Buckets[i])
-	}
-	return d
-}
-
-func subU64(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
 // bucketBounds returns the value range [lo, hi) of bucket i.
 func bucketBounds(i int) (lo, hi float64) {
 	switch {

@@ -55,23 +55,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramSub(t *testing.T) {
-	var h Histogram
-	h.Record(10)
-	before := h.Snapshot()
-	h.Record(20)
-	h.Record(30)
-	d := h.Snapshot().Sub(before)
-	if d.Count != 2 || d.Sum != 50 {
-		t.Errorf("delta count=%d sum=%d, want 2/50", d.Count, d.Sum)
-	}
-	// A stale "after" clamps to zero rather than underflowing.
-	z := before.Sub(h.Snapshot())
-	if z.Count != 0 || z.Sum != 0 {
-		t.Errorf("clamped delta = %+v", z)
-	}
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	var h Histogram
 	const workers, each = 8, 2000

@@ -1,3 +1,8 @@
+// Package metrics is the process's stats vocabulary. Registry (Default)
+// owns the named counters every subsystem adds to, the named operation
+// latency histograms, the gauges and the per-method RPC tables, and
+// renders them as one snapshot in Prometheus text or JSON. ReadStats is
+// a client's own view of its read path.
 package metrics
 
 import (

@@ -403,23 +403,6 @@ func (r *Reader) Error() error {
 	return RemoteError(msg)
 }
 
-// CountPair is a generic two-counter response message used by several
-// services' stats endpoints.
-type CountPair struct{ A, B uint64 }
-
-// AppendTo implements Marshaler.
-func (m *CountPair) AppendTo(b []byte) []byte {
-	b = AppendUvarint(b, m.A)
-	return AppendUvarint(b, m.B)
-}
-
-// DecodeFrom implements Unmarshaler.
-func (m *CountPair) DecodeFrom(r *Reader) error {
-	m.A = r.Uvarint()
-	m.B = r.Uvarint()
-	return r.Err()
-}
-
 // RemoteError is an error message that crossed the wire. The concrete
 // error type is lost in transit; services that need programmatic
 // dispatch compare against sentinel message prefixes.
