@@ -72,7 +72,33 @@ func (m *msg) justified(r *wire.Reader) error {
 	return r.Err()
 }
 
-// batchResp is dht.BatchResp's shape: a client-side decode whose
+// fieldsRegion keeps the region wire.Reader.Fields returns beside its
+// count: a slice of the frame like a Bytes result.
+func (m *msg) fieldsRegion(r *wire.Reader) error {
+	_, m.data = r.Fields() // want "stored beyond the decode"
+	return r.Err()
+}
+
+func (m *msg) fieldsViaLocal(r *wire.Reader) int {
+	n, region := r.Fields()
+	m.data = region[1:] // want "stored beyond the decode"
+	return n
+}
+
+func fieldsReturned(r *wire.Reader) (int, []byte) {
+	return r.Fields() // want "result returned"
+}
+
+// fieldsCopied copies the region before keeping it, the way a decoder
+// that keeps a batch's fields does.
+func (m *msg) fieldsCopied(r *wire.Reader) int {
+	n, region := r.Fields()
+	m.name = string(region)
+	m.data = append([]byte(nil), region...)
+	return n
+}
+
+// batchResp is the dht client's batch answer: a decode whose
 // values alias the response frame, element by element. The frame
 // belongs to the decoded response, so the alias is justified, once,
 // on the line that takes it.

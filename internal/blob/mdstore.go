@@ -19,11 +19,7 @@ func NewNodeStore(c *dht.Client) *dhtNodeStore { //nolint:revive // deliberately
 
 // PutNodes implements segtree.NodeStore.
 func (s *dhtNodeStore) PutNodes(ctx context.Context, keys []string, values [][]byte) error {
-	kvs := make([]dht.KV, len(keys))
-	for i := range keys {
-		kvs[i] = dht.KV{Key: keys[i], Value: values[i]}
-	}
-	return s.c.PutBatch(ctx, kvs)
+	return s.c.PutEntries(ctx, keys, values)
 }
 
 // GetNodes implements segtree.NodeStore.

@@ -35,10 +35,14 @@ import (
 // agree on ownership.
 const vmRingVnodes = 64
 
-// vmRingKey is the ring key of a blob id. Shared by router lookup and
-// manager-side ownership checks.
-func vmRingKey(blob uint64) string {
-	return "blob/" + strconv.FormatUint(blob, 10)
+// vmShard returns the member of a blob→shard ring that owns blob, the
+// ring's primary for the key "blob/<id>". Shared by router lookup and
+// manager-side ownership checks. The key is rendered into a stack
+// buffer and the ring returns its one owner, so routing a call
+// allocates nothing.
+func vmShard(ring *dht.Ring, blob uint64) transport.Addr {
+	var buf [32]byte
+	return ring.Primary(string(strconv.AppendUint(append(buf[:0], "blob/"...), blob, 10)))
 }
 
 // Retry budget for shard failover, mirroring the shuffle fetch loop's
@@ -86,7 +90,7 @@ func (r *VMRouter) Shard(blob uint64) transport.Addr {
 	if r.ring == nil {
 		return r.shards[0]
 	}
-	return r.ring.Lookup(vmRingKey(blob), 1)[0]
+	return vmShard(r.ring, blob)
 }
 
 // CreateTarget picks the shard for the next CreateBlob, round-robin so

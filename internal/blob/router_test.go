@@ -1,10 +1,12 @@
 package blob
 
 import (
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"blobseer/internal/dht"
 	"blobseer/internal/rpc"
 	"blobseer/internal/segtree"
 	"blobseer/internal/transport"
@@ -43,6 +45,26 @@ func TestRouterMappingStable(t *testing.T) {
 		if counts[addr] < 4096/16 {
 			t.Fatalf("shard %s owns only %d of 4096 blobs: %v", addr, counts[addr], counts)
 		}
+	}
+}
+
+// TestRouterShardAllocatesNothing: every version-manager call routes
+// through Shard, so it renders the ring key on the stack and asks the
+// ring for one owner — and still answers what the ring's replica
+// lookup of "blob/<id>" answers, the mapping the shards stripe their
+// ids by.
+func TestRouterShardAllocatesNothing(t *testing.T) {
+	shards := routerShards(2)
+	r := NewVMRouter(rpc.NewPool(transport.NewMemNet(), transport.MakeAddr("alloc-host", "client")), shards, "alloc-host")
+	ring := dht.NewRing(shards, vmRingVnodes)
+	for blob := uint64(0); blob < 1024; blob++ {
+		if got, want := r.Shard(blob), ring.Lookup("blob/"+strconv.FormatUint(blob, 10), 1)[0]; got != want {
+			t.Fatalf("blob %d: Shard = %s, ring lookup = %s", blob, got, want)
+		}
+	}
+	blob := uint64(1) << 40
+	if n := testing.AllocsPerRun(1000, func() { blob++; r.Shard(blob) }); n != 0 {
+		t.Errorf("Shard allocates %.2f objects per call, want 0", n)
 	}
 }
 

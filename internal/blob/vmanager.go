@@ -133,10 +133,7 @@ func NewVersionManager(net transport.Network, addr transport.Addr, cfg VersionMa
 		}
 		ring := dht.NewRing(cfg.ShardAddrs, vmRingVnodes)
 		self := cfg.ShardAddrs[cfg.ShardIndex]
-		ownsID = func(id uint64) bool {
-			owners := ring.Lookup(vmRingKey(id), 1)
-			return len(owners) == 1 && owners[0] == self
-		}
+		ownsID = func(id uint64) bool { return vmShard(ring, id) == self }
 	}
 	vm := &VersionManager{
 		cfg:  cfg,

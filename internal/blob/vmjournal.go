@@ -18,11 +18,16 @@ package blob
 // is kvlog's; TestVMJournalCrashPoints checks the two together at every
 // byte offset.
 //
+// A record costs three objects (TestVMJournalAppendAllocationBudget):
+// its key, its encoding, and the one buffer kvlog frames it in.
+//
 // Checkpoints bound replay time and journal growth: once snapshots
 // cover seq S, the journal is trimmed through S, and the store is
 // compacted once its dead bytes pass a threshold (the pagestore.Durable
 // pattern), so long-lived shards don't replay unbounded publish/seal
-// churn on restart.
+// churn on restart. The trim writes one tombstone per record under the
+// journal's lock, so every assign and complete on the shard waits for
+// it: 5 to 9 ms per 4096-record checkpoint.
 
 import (
 	"fmt"

@@ -440,7 +440,8 @@ func TestReplayParentJournal(t *testing.T) {
 }
 
 // TestVMJournalAppendAllocationBudget: one journal append costs its key,
-// its encoding, and the store's framing — 6 objects.
+// its encoding, and the one buffer the store frames the record in — 3
+// objects.
 func TestVMJournalAppendAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget: skipped under -short")
@@ -456,8 +457,8 @@ func TestVMJournalAppendAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(1000, func() { j.append(&rec) }); n > 6 {
-		t.Fatalf("a journal append allocates %.2f objects, budget 6", n)
+	if n := testing.AllocsPerRun(1000, func() { j.append(&rec) }); n > 3 {
+		t.Fatalf("a journal append allocates %.2f objects, budget 3", n)
 	}
 }
 

@@ -50,34 +50,40 @@ const (
 	// objectBudget is how many objects one block append may allocate,
 	// whatever the page size and however deep the segment tree: the
 	// metadata commit allocates per version and per member batch, never
-	// per tree node (measured 40 to 41 at 288 pages and 39 at 4000, where
-	// a page that kept a list of its acked replicas cost one more; the
-	// per-node design this replaced cost 250, and an object per node
+	// per tree node (measured 30 to 31 at 288 pages and 29 at 4000; 40 to
+	// 41 and 39 while the DHT client regrouped each batch into slabs of
+	// its own and each provider decoded it into a []string and a
+	// [][]byte, one more where a page kept a list of its acked replicas;
+	// the per-node design this replaced cost 250, and an object per node
 	// creeping back into the builder, the DHT client and both replicas'
 	// decoders would add 60 at 4096 pages). This budget and the two
-	// below sit 15 % above what they measure, so that one more round
-	// trip on the path shows (the namespace size update that used to
-	// end every append cost 5 to 7 objects, the provider-manager call
+	// below sit 15 to 25 % above what they measure, so that one more
+	// round trip on the path shows (the namespace size update that used
+	// to end every append cost 5 to 7 objects, the provider-manager call
 	// that used to follow every assignment 9).
-	objectBudget = 47
+	objectBudget = 38
 	// runObjectBudget is the same for a Write of runBlocks blocks and
 	// its Flush: one append plus the transfer of three more pages
-	// (measured 51; 59 to 60 while each fan-out made its own scaffolding
-	// and each page its list of acked replicas; four appends of a block
-	// each cost 164).
+	// (measured 41; 51 before the metadata batches were encoded and
+	// decoded in place, 59 to 60 while each fan-out made its own
+	// scaffolding and each page its list of acked replicas; four appends
+	// of a block each cost 164).
 	runBlocks       = 4
-	runObjectBudget = 59
+	runObjectBudget = 50
 	// A record is a 1000-byte Write and its Flush onto a file of 16 KiB
 	// blocks: an unaligned append, which stores a fragment of its own
-	// bytes (measured 39 objects and 9.3 KiB here — 40 before the commit
-	// ran beside the put, 61 before a one-page transfer ran on its caller
-	// — 66 and 7.2 KiB per op on the gated benchmark's record_append; the
+	// bytes (measured 29 objects and 7.8 KiB here — 39 and 9.3 KiB before
+	// the metadata batches were encoded and decoded in place, 40 before
+	// the commit ran beside the put, 61 before a one-page transfer ran on
+	// its caller — 64 and 7.1 KiB per op on the gated benchmark's
+	// record_append before the metadata batches and journal records were
+	// framed per message; the
 	// boundary-page rewrite this replaced waited for the previous
 	// version, read its page back and stored the whole prefix again: 207
 	// objects and 53 KiB there).
 	recordBlock        = 16 << 10
 	recordLen          = 1000
-	recordObjectBudget = 45
+	recordObjectBudget = 35
 	recordByteBudget   = 16 << 10
 	// A block of a snapshot one append younger than the file the mount
 	// has read, its page no longer cached: the provider fetch and the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -213,80 +214,125 @@ func TestProviderSlabLifetime(t *testing.T) {
 }
 
 // TestPutBatchAllocationBudget: a put batch costs a fixed number of
-// objects per member — slabs, not one object per key — end to end:
-// client split, three rpc calls, three provider decodes.
+// objects per message, not one per key, end to end: the client's
+// fanOut and its owner and share table, a goroutine for each extra
+// member, and each provider's one key copy and one value copy — 10 for
+// three members. It measures PutEntries, the metadata layer's commit
+// path; PutBatch adds its two KV-splitting slices.
 func TestPutBatchAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under the race detector's short job")
 	}
 	c, _ := testCluster(t, 3, 2)
 	ctx := context.Background()
-	batches := make([][]KV, 64) // a bounded key set: the providers' maps reach a steady state
-	for round := range batches {
-		batches[round], _ = testBatch(fmt.Sprintf("round%d", round), 8)
+	type round struct {
+		keys   []string
+		values [][]byte
 	}
-	round := 0
+	rounds := make([]round, 64) // a bounded key set: the providers' maps reach a steady state
+	for i := range rounds {
+		kvs, keys := testBatch(fmt.Sprintf("round%d", i), 8)
+		rounds[i].keys = keys
+		for _, kv := range kvs {
+			rounds[i].values = append(rounds[i].values, kv.Value)
+		}
+	}
+	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		round = (round + 1) % len(batches)
-		if err := c.PutBatch(ctx, batches[round]); err != nil {
+		i = (i + 1) % len(rounds)
+		if err := c.PutEntries(ctx, rounds[i].keys, rounds[i].values); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("PutBatch of 8 keys: %.0f allocs", allocs)
-	if allocs > 30 {
-		t.Errorf("PutBatch of 8 keys allocates %.0f objects end to end, budget 30", allocs)
+	t.Logf("PutEntries of 8 keys: %.0f allocs", allocs)
+	if allocs > 10 {
+		t.Errorf("PutEntries of 8 keys allocates %.0f objects end to end, budget 10", allocs)
 	}
 }
 
-func batchEqual(a, b *BatchReq) bool {
-	if len(a.Keys) != len(b.Keys) || len(a.Values) != len(b.Values) {
+// entry is one decoded put-batch entry.
+type entry struct {
+	key   string
+	value []byte
+}
+
+// decodeEntries runs the provider's put-batch decode over frame and
+// collects what it stores.
+func decodeEntries(frame []byte) ([]entry, error) {
+	var got []entry
+	b, err := decodePutBatch(wire.NewReader(frame))
+	b.each(func(k string, v []byte) { got = append(got, entry{k, v}) })
+	return got, err
+}
+
+// encodeEntries encodes es as a put batch the way the client does: one
+// member's share of a fanOut that sends every key to that member.
+func encodeEntries(t *testing.T, es []entry) []byte {
+	f := &fanOut{keys: []string{}, values: [][]byte{}, r: 1}
+	mc := &memberCall{f: f}
+	for i, e := range es {
+		f.keys = append(f.keys, e.key)
+		f.values = append(f.values, e.value)
+		mc.share = append(mc.share, i)
+	}
+	b := wire.Marshal(mc)
+	if len(b) != mc.EncodedSize() {
+		t.Fatalf("put: EncodedSize() = %d, AppendTo wrote %d bytes", mc.EncodedSize(), len(b))
+	}
+	f.values = nil // the same keys as a get
+	if get := wire.Marshal(mc); len(get) > mc.EncodedSize() {
+		t.Fatalf("get: EncodedSize() = %d, AppendTo wrote %d bytes", mc.EncodedSize(), len(get))
+	}
+	return b
+}
+
+func entriesEqual(a, b []entry) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i := range a.Keys {
-		if a.Keys[i] != b.Keys[i] {
-			return false
-		}
-	}
-	for i := range a.Values {
-		if !bytes.Equal(a.Values[i], b.Values[i]) {
+	for i := range a {
+		if a[i].key != b[i].key || !bytes.Equal(a[i].value, b[i].value) {
 			return false
 		}
 	}
 	return true
 }
 
-// FuzzBatchReqDecode: the provider's batch decoder sees bytes off the
-// wire. Whatever they are it must not panic; what it decodes must not
-// alias the frame (the frame is recycled under it); and re-encoding
-// what it decoded must decode to the same batch.
+// FuzzBatchReqDecode: the provider's put-batch decoder sees bytes off
+// the wire. Whatever they are it must not panic; what it decodes must
+// not alias the frame (the frame is recycled under it); and the
+// client's encoding of what it decoded must decode to the same batch.
 func FuzzBatchReqDecode(f *testing.F) {
 	kvs, keys := testBatch("seed", 3)
-	f.Add(wire.Marshal(&BatchReq{Keys: keys, Values: [][]byte{kvs[0].Value, nil, kvs[2].Value}}))
-	f.Add(wire.Marshal(&BatchReq{Keys: keys}))
-	f.Add(wire.Marshal(&BatchReq{}))
+	f.Add(wire.AppendStringSlice(wire.AppendStringSlice(nil, keys), []string{string(kvs[0].Value), "", string(kvs[2].Value)}))
+	f.Add(wire.AppendUvarint(wire.AppendStringSlice(nil, keys), 0))
+	f.Add([]byte{0, 0})
 	// The malformed seeds are in testdata/fuzz.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := append([]byte(nil), data...)
-		var got BatchReq
-		if err := got.DecodeFrom(wire.NewReader(frame)); err != nil {
+		got, err := decodeEntries(frame)
+		if err != nil {
 			return
 		}
-		before := BatchReq{Keys: append([]string(nil), got.Keys...)}
-		for _, v := range got.Values {
-			before.Values = append(before.Values, append([]byte(nil), v...))
+		before := make([]entry, len(got))
+		for i, e := range got {
+			before[i] = entry{strings.Clone(e.key), bytes.Clone(e.value)}
+			if cap(e.value) != len(e.value) {
+				t.Fatalf("value %d: cap %d beyond len %d reaches into its neighbour", i, cap(e.value), len(e.value))
+			}
 		}
 		for i := range frame {
 			frame[i] = 0xDB
 		}
-		if !batchEqual(&got, &before) {
+		if !entriesEqual(got, before) {
 			t.Fatal("a decoded batch changed when its frame was overwritten")
 		}
-		var again BatchReq
-		if err := wire.Unmarshal(wire.Marshal(&got), &again); err != nil {
+		again, err := decodeEntries(encodeEntries(t, got))
+		if err != nil {
 			t.Fatalf("re-decoding an encoded batch: %v", err)
 		}
-		if !batchEqual(&got, &again) {
-			t.Fatalf("DecodeFrom(AppendTo(x)) = %+v, want %+v", again, got)
+		if !entriesEqual(got, again) {
+			t.Fatalf("decode(encode(x)) = %q, want %q", again, got)
 		}
 	})
 }

@@ -10,9 +10,17 @@
 // nodes are content-addressed per version), which makes replication
 // trivially consistent: any replica that has the key has the right
 // value.
+//
+// A batch costs a fixed number of objects per message, not per entry:
+// the client encodes each member's share straight from the caller's
+// keys and values into its request frame, a provider copies a put
+// batch out of its frame in two copies and answers a get from its map
+// as the answer is marshalled, and the client decodes the answers
+// straight into the result (TestPutBatchAllocationBudget).
 package dht
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -96,63 +104,102 @@ func (m *GetResp) DecodeFrom(r *wire.Reader) error {
 	return r.Err()
 }
 
-// BatchReq carries several entries (PutBatch) or keys (GetBatch).
-type BatchReq struct {
-	Keys   []string
-	Values [][]byte // nil for GetBatch
+// A batch request — put, get or delete — is its keys as a
+// count-prefixed sequence of strings, then its values as a
+// count-prefixed sequence of byte strings, a count of 0 for a get or a
+// delete (wire.AppendStringSlice's encoding, twice). Neither side
+// builds a message struct for it: the client encodes each member's
+// share straight from the caller's keys and values (memberCall), and
+// the server reads the keys in place (getAnswer, handleDeleteBatch) or
+// copies the batch out once (decodePutBatch). A get-batch answer is a
+// count, then a found byte and a value per requested key, in request
+// order.
+
+// fieldSize is what an n-byte length-prefixed field takes on the wire.
+func fieldSize(n int) int { return wire.UvarintLen(uint64(n)) + n }
+
+// putBatch is a put batch copied out of its request frame: the key
+// region once, as one string, and the value region once, so every key
+// it stores is a substring of the one and every value a sub-slice of
+// the other. A provider that keeps an entry keeps its batch's copies
+// alive until the last entry of the batch is deleted, and never the
+// request frame, which is recycled.
+type putBatch struct {
+	n      int
+	keys   string // n length-prefixed keys
+	values []byte // n length-prefixed values
 }
 
-// AppendTo implements wire.Marshaler.
-func (m *BatchReq) AppendTo(b []byte) []byte {
-	b = wire.AppendStringSlice(b, m.Keys)
-	return wire.AppendBytesSlice(b, m.Values)
-}
-
-// DecodeFrom implements wire.Unmarshaler. A request frame is recycled,
-// so the batch is copied out of it — once for all keys and once for all
-// values: Keys are substrings of one string and Values sub-slices of
-// one slice, which a provider that stores them keeps alive until the
-// last entry of the batch is deleted.
-func (m *BatchReq) DecodeFrom(r *wire.Reader) error {
-	m.Keys = r.StringSlice()
-	m.Values = r.BytesSliceCopy()
-	return r.Err()
-}
-
-// BatchResp answers a GetBatch: parallel to Keys; missing entries have
-// Found=false.
-type BatchResp struct {
-	Found  []bool
-	Values [][]byte
-}
-
-// AppendTo implements wire.Marshaler.
-func (m *BatchResp) AppendTo(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(m.Found)))
-	for i := range m.Found {
-		b = wire.AppendBool(b, m.Found[i])
-		b = wire.AppendBytes(b, m.Values[i])
+// decodePutBatch checks a put batch and copies it out of its request.
+func decodePutBatch(r *wire.Reader) (putBatch, error) {
+	n, keyFields := r.Fields()
+	nv, valueFields := r.Fields()
+	if err := r.Err(); err != nil {
+		return putBatch{}, err
 	}
+	if n != nv {
+		return putBatch{}, fmt.Errorf("dht: put batch with %d keys, %d values", n, nv)
+	}
+	return putBatch{n: n, keys: string(keyFields), values: bytes.Clone(valueFields)}, nil
+}
+
+// each calls put with each entry, in order. The regions were checked
+// by decodePutBatch, so the walk cannot run off them.
+func (b *putBatch) each(put func(key string, value []byte)) {
+	vr := wire.NewReader(b.values)
+	off := 0
+	for i := 0; i < b.n; i++ {
+		var l, shift uint // the key's uvarint length prefix
+		for ; b.keys[off] >= 0x80; off++ {
+			l |= uint(b.keys[off]&0x7f) << shift
+			shift += 7
+		}
+		l |= uint(b.keys[off]) << shift
+		off++
+		put(b.keys[off:off+int(l)], vr.Bytes())
+		off += int(l)
+	}
+}
+
+// getAnswer answers a GetBatch by reading the provider's map while rpc
+// marshals it, so no per-key result is built: keys is the request's key
+// region, a slice of the request frame, which rpc releases only after
+// the answer has been marshalled.
+type getAnswer struct {
+	s    *Server
+	n    int
+	keys []byte
+}
+
+// lookups calls fn with each requested key's entry, in request order,
+// under the provider's read lock.
+func (a *getAnswer) lookups(fn func(value []byte, found bool)) {
+	kr := wire.NewReader(a.keys)
+	a.s.mu.RLock()
+	defer a.s.mu.RUnlock()
+	for i := 0; i < a.n; i++ {
+		v, ok := a.s.data[string(kr.Bytes())]
+		fn(v, ok)
+	}
+}
+
+// EncodedSize implements wire.Sizer: what AppendTo writes, unless a
+// put or a delete lands between the two lookups, when the frame grows
+// by append or keeps room to spare.
+func (a *getAnswer) EncodedSize() int {
+	size := wire.UvarintLen(uint64(a.n))
+	a.lookups(func(v []byte, _ bool) { size += 1 + fieldSize(len(v)) })
+	return size
+}
+
+// AppendTo implements wire.Marshaler.
+func (a *getAnswer) AppendTo(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(a.n))
+	a.lookups(func(v []byte, found bool) {
+		b = wire.AppendBool(b, found)
+		b = wire.AppendBytes(b, v)
+	})
 	return b
-}
-
-// DecodeFrom implements wire.Unmarshaler. Values alias the frame.
-func (m *BatchResp) DecodeFrom(r *wire.Reader) error {
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n > uint64(r.Len()) { // every entry takes at least two bytes
-		return wire.ErrShortBuffer
-	}
-	m.Found = make([]bool, n)
-	m.Values = make([][]byte, n)
-	for i := range m.Found {
-		m.Found[i] = r.Bool()
-		//lint:framealias a response frame belongs to the decoded response and is never recycled
-		m.Values[i] = r.Bytes()
-	}
-	return r.Err()
 }
 
 // StatsResp reports server-side entry counts.
@@ -263,15 +310,17 @@ func (s *Server) handleDelete(r *wire.Reader) (wire.Marshaler, error) {
 }
 
 func (s *Server) handleDeleteBatch(r *wire.Reader) (wire.Marshaler, error) {
-	var req BatchReq // Values unused for deletes
-	if err := req.DecodeFrom(r); err != nil {
+	n, keys := r.Fields() // the values' count of 0 follows, unread
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	kr := wire.NewReader(keys)
 	s.mu.Lock()
-	for _, k := range req.Keys {
-		if old, ok := s.data[k]; ok {
+	for i := 0; i < n; i++ {
+		k := kr.Bytes()
+		if old, ok := s.data[string(k)]; ok {
 			s.bytes -= uint64(len(old))
-			delete(s.data, k)
+			delete(s.data, string(k))
 		}
 	}
 	s.mu.Unlock()
@@ -279,37 +328,21 @@ func (s *Server) handleDeleteBatch(r *wire.Reader) (wire.Marshaler, error) {
 }
 
 func (s *Server) handleGetBatch(r *wire.Reader) (wire.Marshaler, error) {
-	var req BatchReq
-	if err := req.DecodeFrom(r); err != nil {
+	n, keys := r.Fields()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	resp := &BatchResp{
-		Found:  make([]bool, len(req.Keys)),
-		Values: make([][]byte, len(req.Keys)),
-	}
-	s.mu.RLock()
-	for i, k := range req.Keys {
-		if v, ok := s.data[k]; ok {
-			resp.Found[i] = true
-			resp.Values[i] = v
-		}
-	}
-	s.mu.RUnlock()
-	return resp, nil
+	//lint:framealias rpc marshals the answer before it releases the request frame the keys live in
+	return &getAnswer{s: s, n: n, keys: keys}, nil
 }
 
 func (s *Server) handlePutBatch(r *wire.Reader) (wire.Marshaler, error) {
-	var req BatchReq
-	if err := req.DecodeFrom(r); err != nil {
+	b, err := decodePutBatch(r)
+	if err != nil {
 		return nil, err
 	}
-	if len(req.Keys) != len(req.Values) {
-		return nil, fmt.Errorf("dht: put batch with %d keys, %d values", len(req.Keys), len(req.Values))
-	}
 	s.mu.Lock()
-	for i, k := range req.Keys {
-		s.put(k, req.Values[i])
-	}
+	b.each(s.put)
 	s.mu.Unlock()
 	return nil, nil
 }
@@ -375,6 +408,15 @@ func (r *Ring) Lookup(key string, n int) []transport.Addr {
 		out[i] = r.members[m]
 	}
 	return out
+}
+
+// Primary returns the member first in line for key, Lookup(key, 1)[0]
+// without the slice: for callers that route every request by it. The
+// ring must have a member.
+func (r *Ring) Primary(key string) transport.Addr {
+	var m [1]int
+	r.lookup(key, m[:])
+	return r.members[m[0]]
 }
 
 // lookup fills dst with the indices of the first len(dst) distinct
@@ -497,92 +539,151 @@ func (c *Client) Delete(ctx context.Context, key string) error {
 // errEmptyRing fails a batch on a client whose ring has no members.
 var errEmptyRing = errors.New("dht: empty ring")
 
+// inlineMembers is how many ring members a fanOut holds the calls of
+// inside itself; a wider ring allocates a slice for them.
+const inlineMembers = 8
+
 // fanOut is one batch operation split by ring member. Key i's j-th
-// replica lives on member owner[i*r+j] and is entry slot[i*r+j] of that
-// member's request: calls[m].req.Keys (and Values, for a put) are
-// consecutive ranges of one slab each, sized by a counting pass.
+// replica lives on member owner[i*r+j]. A member's share lists its
+// positions (i*r+j) in key order; its request is encoded from keys and
+// values as rpc marshals it, and a get's answer is decoded the same
+// way, straight into out, so nothing is regrouped.
 type fanOut struct {
-	r     int   // replicas per key
-	owner []int // member index per (key, replica)
-	slot  []int // position in the owner's request per (key, replica)
-	calls []memberCall
-	wg    sync.WaitGroup
+	c      *Client
+	keys   []string
+	values [][]byte // a put's values, parallel to keys; nil otherwise
+	r      int      // replicas per key
+	owner  []int    // member index per (key, replica)
+	calls  []memberCall
+	out    [][]byte // a get's result, parallel to keys
+	wg     sync.WaitGroup
+	buf    [inlineMembers]memberCall
 }
 
-// memberCall is one member's share of a fanOut and how it went.
+// memberCall is one member's share of a fanOut and how it went. It is
+// the share's request (a wire.Sizer, so rpc takes a frame of the right
+// size up front) and, for a get, the decoder of its answer.
 type memberCall struct {
-	req  BatchReq
-	resp BatchResp // decoded only for GetBatch
-	err  error
+	f     *fanOut
+	m     int   // ring member index
+	share []int // the member's (key, replica) positions, in key order
+	err   error
 }
 
-// split assigns each of n keys to its first r ring members; value, if
-// not nil, supplies what goes beside key i in every request.
-func (c *Client) split(n, r int, key func(i int) string, value func(i int) []byte) *fanOut {
-	members := len(c.ring.members)
+// split assigns each key to its first r ring members. Past the fanOut
+// itself it allocates once, for owner and the shares, on rings of up
+// to inlineMembers members; each share is a range of one slab, sized
+// by a counting pass.
+func (c *Client) split(keys []string, values [][]byte, r int) *fanOut {
+	n, members := len(keys), len(c.ring.members)
 	scratch := make([]int, 2*n*r+members)
-	f := &fanOut{r: r, owner: scratch[:n*r], slot: scratch[n*r : 2*n*r], calls: make([]memberCall, members)}
-	count := scratch[2*n*r:]
-	for i := 0; i < n; i++ {
-		c.ring.lookup(key(i), f.owner[i*r:(i+1)*r])
+	f := &fanOut{c: c, keys: keys, values: values, r: r, owner: scratch[:n*r]}
+	shares, count := scratch[n*r:2*n*r], scratch[2*n*r:]
+	for i, k := range keys {
+		c.ring.lookup(k, f.owner[i*r:(i+1)*r])
 	}
-	for p, m := range f.owner {
-		f.slot[p] = count[m]
+	for _, m := range f.owner {
 		count[m]++
 	}
-	keys := make([]string, n*r)
-	var values [][]byte
-	if value != nil {
-		values = make([][]byte, n*r)
+	f.calls = f.buf[:0]
+	if members > len(f.buf) {
+		f.calls = make([]memberCall, 0, members)
 	}
 	start := 0
 	for m, k := range count {
-		f.calls[m].req.Keys = keys[start : start+k : start+k]
-		if value != nil {
-			f.calls[m].req.Values = values[start : start+k : start+k]
-		}
+		f.calls = append(f.calls, memberCall{f: f, m: m, share: shares[start : start : start+k]})
 		start += k
 	}
 	for p, m := range f.owner {
-		req := &f.calls[m].req
-		req.Keys[f.slot[p]] = key(p / r)
-		if value != nil {
-			req.Values[f.slot[p]] = value(p / r)
-		}
+		f.calls[m].share = append(f.calls[m].share, p)
 	}
 	return f
 }
 
 // run sends every member its non-empty share concurrently (the last one
 // from the calling goroutine) and waits; calls[m].err is the outcome.
-func (c *Client) run(ctx context.Context, method rpc.Method, f *fanOut, wantResp bool) {
+// The member calls must overlap: on a modeled network a send takes the
+// whole delivery time, so sends from one goroutine would queue.
+func (f *fanOut) run(ctx context.Context, method rpc.Method, wantAnswer bool) {
 	last := -1
 	for m := range f.calls {
-		if len(f.calls[m].req.Keys) == 0 {
+		if len(f.calls[m].share) == 0 {
 			continue
 		}
 		if prev := last; prev >= 0 {
 			f.wg.Add(1)
 			go func() {
 				defer f.wg.Done()
-				c.callMember(ctx, method, f, prev, wantResp)
+				f.calls[prev].call(ctx, method, wantAnswer)
 			}()
 		}
 		last = m
 	}
 	if last >= 0 {
-		c.callMember(ctx, method, f, last, wantResp)
+		f.calls[last].call(ctx, method, wantAnswer)
 	}
 	f.wg.Wait()
 }
 
-func (c *Client) callMember(ctx context.Context, method rpc.Method, f *fanOut, m int, wantResp bool) {
-	mc := &f.calls[m]
-	var resp wire.Unmarshaler
-	if wantResp {
-		resp = &mc.resp
+func (mc *memberCall) call(ctx context.Context, method rpc.Method, wantAnswer bool) {
+	var answer wire.Unmarshaler
+	if wantAnswer {
+		answer = mc
 	}
-	mc.err = c.pool.Call(ctx, c.ring.members[m], method, &mc.req, resp)
+	c := mc.f.c
+	mc.err = c.pool.Call(ctx, c.ring.members[mc.m], method, mc, answer)
+}
+
+// EncodedSize implements wire.Sizer: exactly what AppendTo writes for
+// a put; a get's share, which has no values, takes a byte less per key.
+func (mc *memberCall) EncodedSize() int {
+	f := mc.f
+	size := 2 * wire.UvarintLen(uint64(len(mc.share)))
+	for _, p := range mc.share {
+		var v []byte
+		if f.values != nil {
+			v = f.values[p/f.r]
+		}
+		size += fieldSize(len(f.keys[p/f.r])) + fieldSize(len(v))
+	}
+	return size
+}
+
+// AppendTo implements wire.Marshaler: the share's keys, then its values
+// for a put and a count of 0 otherwise.
+func (mc *memberCall) AppendTo(b []byte) []byte {
+	f := mc.f
+	b = wire.AppendUvarint(b, uint64(len(mc.share)))
+	for _, p := range mc.share {
+		b = wire.AppendString(b, f.keys[p/f.r])
+	}
+	if f.values == nil {
+		return wire.AppendUvarint(b, 0)
+	}
+	b = wire.AppendUvarint(b, uint64(len(mc.share)))
+	for _, p := range mc.share {
+		b = wire.AppendBytes(b, f.values[p/f.r])
+	}
+	return b
+}
+
+// DecodeFrom implements wire.Unmarshaler for a get's answer: each
+// found value goes straight into the fanOut's result, where it aliases
+// the response frame (a decoded response owns its frame).
+func (mc *memberCall) DecodeFrom(r *wire.Reader) error {
+	f := mc.f
+	if n := r.Uvarint(); r.Err() == nil && n != uint64(len(mc.share)) {
+		return fmt.Errorf("dht: %d answers for %d keys", n, len(mc.share))
+	}
+	for _, p := range mc.share {
+		found := r.Bool()
+		v := r.Bytes()
+		if found && r.Err() == nil {
+			//lint:framealias a response frame belongs to the decoded response and is never recycled
+			f.out[p/f.r] = v
+		}
+	}
+	return r.Err()
 }
 
 // firstErr returns the first member failure, naming the member.
@@ -595,28 +696,42 @@ func (c *Client) firstErr(op string, f *fanOut) error {
 	return nil
 }
 
-// PutBatch writes a set of entries to all their replicas, one RPC per
-// member carrying every entry destined for it. Used by the metadata
-// layer to commit all new segment-tree nodes of a version in one round
-// trip. Like Put, it tolerates failed members as long as every entry
-// reached at least one replica; an entry that reached none fails the
-// batch, because acking it would ack a commit with tree nodes missing.
+// PutBatch is PutEntries over KVs.
 func (c *Client) PutBatch(ctx context.Context, kvs []KV) error {
-	if len(kvs) == 0 {
+	keys := make([]string, len(kvs))
+	values := make([][]byte, len(kvs))
+	for i, kv := range kvs {
+		keys[i], values[i] = kv.Key, kv.Value
+	}
+	return c.PutEntries(ctx, keys, values)
+}
+
+// PutEntries writes a set of entries, values[i] under keys[i], to all
+// their replicas, one RPC per member carrying every entry destined for
+// it: the metadata layer commits all new segment-tree nodes of a
+// version through it in one round trip. Like Put, it tolerates failed
+// members as long as every entry reached at least one replica; an
+// entry that reached none fails the batch, because acking it would ack
+// a commit with tree nodes missing.
+func (c *Client) PutEntries(ctx context.Context, keys []string, values [][]byte) error {
+	if len(keys) != len(values) {
+		return fmt.Errorf("dht put batch: %d keys, %d values", len(keys), len(values))
+	}
+	if len(keys) == 0 {
 		return nil
 	}
 	if len(c.ring.members) == 0 {
 		return errEmptyRing
 	}
-	f := c.split(len(kvs), c.replicas, func(i int) string { return kvs[i].Key }, func(i int) []byte { return kvs[i].Value })
-	c.run(ctx, MethodPutBatch, f, false)
-	for i := range kvs {
+	f := c.split(keys, values, c.replicas)
+	f.run(ctx, MethodPutBatch, false)
+	for i, k := range keys {
 		stored := false
 		for _, m := range f.owner[i*f.r : (i+1)*f.r] {
 			stored = stored || f.calls[m].err == nil
 		}
 		if !stored {
-			return fmt.Errorf("dht put batch: %q reached none of its %d replicas: %w", kvs[i].Key, f.r, c.firstErr("put batch", f))
+			return fmt.Errorf("dht put batch: %q reached none of its %d replicas: %w", k, f.r, c.firstErr("put batch", f))
 		}
 	}
 	return nil
@@ -635,8 +750,8 @@ func (c *Client) DeleteBatch(ctx context.Context, keys []string) error {
 	if len(c.ring.members) == 0 {
 		return errEmptyRing
 	}
-	f := c.split(len(keys), c.replicas, func(i int) string { return keys[i] }, nil)
-	c.run(ctx, MethodDeleteBatch, f, false)
+	f := c.split(keys, nil, c.replicas)
+	f.run(ctx, MethodDeleteBatch, false)
 	return c.firstErr("delete batch", f)
 }
 
@@ -653,12 +768,11 @@ func (c *Client) GetBatch(ctx context.Context, keys []string) ([][]byte, error) 
 	if len(c.ring.members) == 0 {
 		return nil, errEmptyRing
 	}
-	f := c.split(len(keys), 1, func(i int) string { return keys[i] }, nil)
-	c.run(ctx, MethodGetBatch, f, true)
+	f := c.split(keys, nil, 1)
+	f.out = out
+	f.run(ctx, MethodGetBatch, true)
 	for i, m := range f.owner {
-		mc := &f.calls[m]
-		if j := f.slot[i]; mc.err == nil && len(mc.resp.Found) == len(mc.req.Keys) && mc.resp.Found[j] {
-			out[i] = mc.resp.Values[j]
+		if f.calls[m].err == nil && out[i] != nil {
 			continue
 		}
 		v, err := c.Get(ctx, keys[i])

@@ -119,26 +119,48 @@ func TestSurvivesReplicaFailure(t *testing.T) {
 	}
 }
 
+// TestBatchRoundTrip puts, gets and deletes a batch on a narrow ring
+// and on one as wide as the paper's 20 metadata providers, wider than
+// a fanOut holds member calls inline for.
 func TestBatchRoundTrip(t *testing.T) {
-	c, _ := testCluster(t, 5, 2)
-	ctx := context.Background()
-	kvs := make([]KV, 200)
-	keys := make([]string, 200)
-	for i := range kvs {
-		keys[i] = fmt.Sprintf("batch-%d", i)
-		kvs[i] = KV{Key: keys[i], Value: []byte(fmt.Sprintf("val-%d", i))}
-	}
-	if err := c.PutBatch(ctx, kvs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.GetBatch(ctx, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range keys {
-		if string(got[i]) != fmt.Sprintf("val-%d", i) {
-			t.Fatalf("batch get %d = %q", i, got[i])
-		}
+	for _, members := range []int{5, 20} {
+		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
+			c, servers := testCluster(t, members, 2)
+			ctx := context.Background()
+			kvs := make([]KV, 200)
+			keys := make([]string, 200)
+			for i := range kvs {
+				keys[i] = fmt.Sprintf("batch-%d", i)
+				kvs[i] = KV{Key: keys[i], Value: []byte(fmt.Sprintf("val-%d", i))}
+			}
+			if err := c.PutBatch(ctx, kvs); err != nil {
+				t.Fatal(err)
+			}
+			stored := 0
+			for _, s := range servers {
+				stored += s.Len()
+			}
+			if stored != 2*len(kvs) {
+				t.Fatalf("members hold %d entries, want %d: two replicas each", stored, 2*len(kvs))
+			}
+			got, err := c.GetBatch(ctx, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range keys {
+				if string(got[i]) != fmt.Sprintf("val-%d", i) {
+					t.Fatalf("batch get %d = %q", i, got[i])
+				}
+			}
+			if err := c.DeleteBatch(ctx, keys); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range servers {
+				if n := s.Len(); n != 0 {
+					t.Fatalf("%d entries left after DeleteBatch", n)
+				}
+			}
+		})
 	}
 }
 

@@ -102,39 +102,14 @@ func Open(path string, opts Options) (*Store, error) {
 }
 
 // recover replays the log, rebuilding the index and truncating any
-// torn tail left by a crash.
+// torn or corrupt tail left by a crash.
 func (s *Store) recover() error {
 	info, err := s.f.Stat()
 	if err != nil {
 		return fmt.Errorf("kvlog recover: %w", err)
 	}
 	size := info.Size()
-	var off int64
-	hdr := make([]byte, headerLen)
-	for off+headerLen <= size {
-		if _, err := s.f.ReadAt(hdr, off); err != nil {
-			break
-		}
-		if hdr[0] != recMagic {
-			break
-		}
-		crc := binary.LittleEndian.Uint32(hdr[1:5])
-		plen := int64(binary.LittleEndian.Uint32(hdr[5:9]))
-		if off+headerLen+plen > size {
-			break // torn record
-		}
-		payload := make([]byte, plen)
-		if _, err := s.f.ReadAt(payload, off+headerLen); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // corrupt record
-		}
-		if err := s.applyPayload(payload, off+headerLen); err != nil {
-			break
-		}
-		off += headerLen + plen
-	}
+	off, _ := readRecords(s.f, size, s.applyPayload) // whatever stopped it short ends the log
 	if off < size {
 		if err := s.f.Truncate(off); err != nil {
 			return fmt.Errorf("kvlog recover truncate: %w", err)
@@ -144,27 +119,77 @@ func (s *Store) recover() error {
 	return nil
 }
 
+// errTorn reports a record that runs past the end being read: a torn
+// tail to recovery, a record published after the pin to a scan.
+var errTorn = errors.New("torn record")
+
+// readRecords reads the records in the first end bytes of f and calls
+// fn with each record's payload and the file offset of its first byte.
+// It reads in one buffered sequential pass with one payload buffer
+// reused from record to record: a pread pair and an allocation per
+// record let an unthrottled appender outgrow a scan, and tripled the
+// cost of a replay. It returns the offset just past the last
+// record fn took and, if it stopped short of end, why: errTorn, a bad
+// magic byte or CRC, a read error, or fn's error.
+func readRecords(f *os.File, end int64, fn func(payload []byte, payloadOff int64) error) (int64, error) {
+	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, end), 256<<10)
+	var off int64
+	var hdr [headerLen]byte
+	var payload []byte
+	for off < end {
+		if off+headerLen > end {
+			return off, errTorn
+		}
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return off, err
+		}
+		if hdr[0] != recMagic {
+			return off, fmt.Errorf("bad magic at %d", off)
+		}
+		crc := binary.LittleEndian.Uint32(hdr[1:5])
+		plen := int64(binary.LittleEndian.Uint32(hdr[5:9]))
+		if off+headerLen+plen > end {
+			return off, errTorn
+		}
+		if int64(cap(payload)) < plen {
+			payload = make([]byte, plen)
+		}
+		payload = payload[:plen]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return off, err
+		}
+		if crc32.ChecksumIEEE(payload) != crc {
+			return off, fmt.Errorf("corrupt record at %d", off)
+		}
+		if err := fn(payload, off+headerLen); err != nil {
+			return off, err
+		}
+		off += headerLen + plen
+	}
+	return off, nil
+}
+
 // applyPayload replays one record into the index. payloadOff is the
 // file offset of the payload's first byte.
 func (s *Store) applyPayload(payload []byte, payloadOff int64) error {
 	r := wire.NewReader(payload)
 	op := r.Uvarint()
-	key := r.String()
+	key := r.Bytes()
 	if r.Err() != nil {
 		return r.Err()
 	}
 	switch op {
 	case opPut:
 		valOff := payloadOff + int64(len(payload)-r.Len())
-		if old, ok := s.index[key]; ok {
+		if old, ok := s.index[string(key)]; ok {
 			s.liveBytes -= old.size
 		}
-		s.index[key] = valueLoc{off: valOff, size: int64(r.Len())}
+		s.index[string(key)] = valueLoc{off: valOff, size: int64(r.Len())}
 		s.liveBytes += int64(r.Len())
 	case opDelete:
-		if old, ok := s.index[key]; ok {
+		if old, ok := s.index[string(key)]; ok {
 			s.liveBytes -= old.size
-			delete(s.index, key)
+			delete(s.index, string(key))
 		}
 	default:
 		return fmt.Errorf("kvlog: unknown op %d", op)
@@ -172,17 +197,36 @@ func (s *Store) applyPayload(payload []byte, payloadOff int64) error {
 	return nil
 }
 
-// appendRecord writes one framed record at the end of the log.
-func (s *Store) appendRecord(payload []byte) (payloadOff int64, err error) {
-	rec := make([]byte, headerLen+len(payload))
+// record frames a record of op on key with an n-byte value in one
+// buffer: the header, then the payload — op, key, value — that the
+// header's CRC covers. It returns the record and its value slot, which
+// the caller fills before sealRecord writes the header. Put, Delete and
+// Compact all write records framed here, so a value is copied once,
+// into the record.
+func record(op uint64, key string, n int) (rec, value []byte) {
+	plen := wire.UvarintLen(op) + wire.UvarintLen(uint64(len(key))) + len(key) + n
+	rec = make([]byte, headerLen, headerLen+plen)
+	rec = wire.AppendUvarint(rec, op)
+	rec = wire.AppendString(rec, key)
+	rec = rec[:headerLen+plen]
+	return rec, rec[headerLen+plen-n:]
+}
+
+// sealRecord writes rec's header over its filled payload.
+func sealRecord(rec []byte) []byte {
 	rec[0] = recMagic
-	binary.LittleEndian.PutUint32(rec[1:5], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(rec[5:9], uint32(len(payload)))
-	copy(rec[headerLen:], payload)
+	binary.LittleEndian.PutUint32(rec[1:5], crc32.ChecksumIEEE(rec[headerLen:]))
+	binary.LittleEndian.PutUint32(rec[5:9], uint32(len(rec)-headerLen))
+	return rec
+}
+
+// appendRecord writes one framed record at the end of the log and
+// returns the file offset of its first byte.
+func (s *Store) appendRecord(rec []byte) (off int64, err error) {
 	if _, err := s.f.WriteAt(rec, s.end); err != nil {
 		return 0, fmt.Errorf("kvlog append: %w", err)
 	}
-	payloadOff = s.end + headerLen
+	off = s.end
 	s.end += int64(len(rec))
 	s.puts++
 	if s.opts.SyncEvery > 0 && s.puts%s.opts.SyncEvery == 0 {
@@ -190,25 +234,25 @@ func (s *Store) appendRecord(payload []byte) (payloadOff int64, err error) {
 			return 0, fmt.Errorf("kvlog sync: %w", err)
 		}
 	}
-	return payloadOff, nil
+	return off, nil
 }
 
 // Put stores value under key.
 func (s *Store) Put(key string, value []byte) error {
-	payload := wire.AppendUvarint(nil, opPut)
-	payload = wire.AppendString(payload, key)
-	payload = append(payload, value...)
+	rec, slot := record(opPut, key, len(value))
+	copy(slot, value)
+	sealRecord(rec)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errors.New("kvlog: store closed")
 	}
-	payloadOff, err := s.appendRecord(payload)
+	off, err := s.appendRecord(rec)
 	if err != nil {
 		return err
 	}
-	valOff := payloadOff + int64(len(payload)) - int64(len(value))
+	valOff := off + int64(len(rec)) - int64(len(value))
 	if old, ok := s.index[key]; ok {
 		s.liveBytes -= old.size
 	}
@@ -255,9 +299,8 @@ func (s *Store) Delete(key string) error {
 	if _, ok := s.index[key]; !ok {
 		return nil
 	}
-	payload := wire.AppendUvarint(nil, opDelete)
-	payload = wire.AppendString(payload, key)
-	if _, err := s.appendRecord(payload); err != nil {
+	rec, _ := record(opDelete, key, 0)
+	if _, err := s.appendRecord(sealRecord(rec)); err != nil {
 		return err
 	}
 	s.liveBytes -= s.index[key].size
@@ -311,51 +354,25 @@ func (sn *Snapshot) Scan(fn func(key string, value []byte) error) error {
 		size int64
 	}
 	index := make(map[string]loc)
-	// One buffered sequential pass over the pinned prefix, the payload
-	// buffer reused from record to record: a pread pair and an
-	// allocation per record let an unthrottled appender outgrow a scan.
-	br := bufio.NewReaderSize(io.NewSectionReader(sn.f, 0, sn.end), 256<<10)
-	var off int64
-	var hdr [headerLen]byte
-	var payload []byte
-	for off+headerLen <= sn.end {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return fmt.Errorf("kvlog scan: %w", err)
-		}
-		if hdr[0] != recMagic {
-			return fmt.Errorf("kvlog scan: bad magic at %d", off)
-		}
-		crc := binary.LittleEndian.Uint32(hdr[1:5])
-		plen := int64(binary.LittleEndian.Uint32(hdr[5:9]))
-		if off+headerLen+plen > sn.end {
-			break // record straddles the pin; it published after us
-		}
-		if int64(cap(payload)) < plen {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return fmt.Errorf("kvlog scan: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			return fmt.Errorf("kvlog scan: corrupt record at %d", off)
-		}
+	_, err := readRecords(sn.f, sn.end, func(payload []byte, payloadOff int64) error {
 		r := wire.NewReader(payload)
 		op := r.Uvarint()
 		key := r.String()
 		if r.Err() != nil {
-			return fmt.Errorf("kvlog scan: %w", r.Err())
+			return r.Err()
 		}
 		switch op {
 		case opPut:
-			valOff := off + headerLen + int64(len(payload)-r.Len())
-			index[key] = loc{off: valOff, size: int64(r.Len())}
+			index[key] = loc{off: payloadOff + int64(len(payload)-r.Len()), size: int64(r.Len())}
 		case opDelete:
 			delete(index, key)
 		default:
-			return fmt.Errorf("kvlog scan: unknown op %d", op)
+			return fmt.Errorf("unknown op %d", op)
 		}
-		off += headerLen + plen
+		return nil
+	})
+	if err != nil && !errors.Is(err, errTorn) { // a torn record straddles the pin: it published after us
+		return fmt.Errorf("kvlog scan: %w", err)
 	}
 	for key, l := range index {
 		value := make([]byte, l.size)
@@ -451,20 +468,12 @@ func (s *Store) Compact() error {
 	newIndex := make(map[string]valueLoc, len(s.index))
 	var newEnd, newLive int64
 	for key, loc := range s.index {
-		value := make([]byte, loc.size)
+		rec, value := record(opPut, key, int(loc.size))
 		if _, err := s.f.ReadAt(value, loc.off); err != nil {
 			tmp.Close()
 			return fmt.Errorf("kvlog compact read %q: %w", key, err)
 		}
-		payload := wire.AppendUvarint(nil, opPut)
-		payload = wire.AppendString(payload, key)
-		payload = append(payload, value...)
-		rec := make([]byte, headerLen+len(payload))
-		rec[0] = recMagic
-		binary.LittleEndian.PutUint32(rec[1:5], crc32.ChecksumIEEE(payload))
-		binary.LittleEndian.PutUint32(rec[5:9], uint32(len(payload)))
-		copy(rec[headerLen:], payload)
-		if _, err := tmp.WriteAt(rec, newEnd); err != nil {
+		if _, err := tmp.WriteAt(sealRecord(rec), newEnd); err != nil {
 			tmp.Close()
 			return fmt.Errorf("kvlog compact write: %w", err)
 		}
@@ -533,11 +542,16 @@ func (s *Store) Journal(prefix string) *Journal {
 	return j
 }
 
-// key names record seq: the prefix and 16 zero-padded hex digits.
+// key names record seq: the prefix and 16 zero-padded hex digits,
+// rendered on the stack so the key is the one allocation.
 func (j *Journal) key(seq uint64) string {
-	var buf [16]byte
-	hex := strconv.AppendUint(buf[:0], seq, 16)
-	return j.prefix + "0000000000000000"[len(hex):] + string(hex)
+	var buf [48]byte
+	b := append(append(buf[:0], j.prefix...), "0000000000000000"...)
+	for i := len(b) - 1; seq > 0; i-- {
+		b[i] = "0123456789abcdef"[seq&15]
+		seq >>= 4
+	}
+	return string(b)
 }
 
 // seq parses a key of this journal; ok is false for any other key.

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -395,6 +396,48 @@ func TestClosedStoreErrors(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("double close: %v", err)
+	}
+}
+
+// sink keeps TestPutFramesOnce's reference allocation on the heap.
+var sink []byte
+
+// TestPutFramesOnce: a Put copies its value once, into the record it
+// writes. A 64 KiB value — a durable page store's page — costs one
+// object, and no more heap than the runtime hands out for 64 KiB + 64 B.
+func TestPutFramesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget: skipped under -short")
+	}
+	s, _ := openTemp(t)
+	const key = "p/0000000000000001"
+	value := make([]byte, 64<<10)
+	if err := s.Put(key, value); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { s.Put(key, value) }); n != 1 {
+		t.Errorf("a 64 KiB Put allocates %.2f objects, want 1", n)
+	}
+	heap := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// The least of several puts: TotalAlloc also counts whatever another
+	// goroutine allocates meanwhile.
+	perPut := uint64(1 << 62)
+	for i := 0; i < 10; i++ {
+		perPut = min(perPut, heap(func() {
+			if err := s.Put(key, value); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	bound := heap(func() { sink = make([]byte, 64<<10+64) })
+	if perPut > bound {
+		t.Errorf("a 64 KiB Put allocates %d bytes, more than one 64 KiB + 64 B object (%d)", perPut, bound)
 	}
 }
 

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"bytes"
 	"io"
-	"math/bits"
 	"slices"
 
 	"blobseer/internal/wire"
@@ -139,9 +138,9 @@ func (b *recordBuffer) sort() {
 // uvarint-length-prefixed key and a uvarint-length-prefixed value. The
 // result is a slice of its own, sized exactly.
 func (b *recordBuffer) encode() []byte {
-	size := uvarintLen(uint64(len(b.index))) + len(b.arena)
+	size := wire.UvarintLen(uint64(len(b.index))) + len(b.arena)
 	for _, r := range b.index {
-		size += uvarintLen(uint64(r.klen)) + uvarintLen(uint64(r.vlen))
+		size += wire.UvarintLen(uint64(r.klen)) + wire.UvarintLen(uint64(r.vlen))
 	}
 	out := wire.AppendUvarint(make([]byte, 0, size), uint64(len(b.index)))
 	for _, r := range b.index {
@@ -150,8 +149,6 @@ func (b *recordBuffer) encode() []byte {
 	}
 	return out
 }
-
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // run is one fetched map output partition read in place: a cursor
 // into the encoded segment and views of the record it stands on.

@@ -25,10 +25,12 @@
 //   - The server owns a request frame from Recv until the handler has
 //     returned AND its response body has been marshalled, and releases
 //     it then. A handler, and the body it returns, may therefore alias
-//     the request (wire.Reader.Bytes) — but nothing may keep such an
-//     alias longer: the frame's bytes are reused by the next request.
-//     What has to outlive the handler is copied (pagestore.Store.Put
-//     makes that one copy of a page).
+//     the request (wire.Reader.Bytes, Fields) — and the body may read
+//     the request as it is marshalled: the dht's get-batch answer looks
+//     its keys up in the request frame inside its AppendTo. Nothing may
+//     keep such an alias longer: the frame's bytes are reused by the
+//     next request. What has to outlive the handler is copied
+//     (pagestore.Store.Put makes that one copy of a page).
 //   - The response frame goes to Conn.Send the same way. On the client
 //     it belongs to the decoded response: DecodeFrom may alias it (a
 //     fetched page lives on in the cache as a slice of its response

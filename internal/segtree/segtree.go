@@ -285,12 +285,9 @@ func RootSpan(n uint64) uint64 {
 // keyTag opens every node key; see "Node keys" in the package comment.
 const keyTag = 's'
 
-// uvarintLen is the encoded size of v.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
 // keyLen is the size of the key NodeKey renders.
 func keyLen(blob, ver, off, span uint64) int {
-	return 1 + uvarintLen(blob) + uvarintLen(ver) + uvarintLen(off) + uvarintLen(span)
+	return 1 + wire.UvarintLen(blob) + wire.UvarintLen(ver) + wire.UvarintLen(off) + wire.UvarintLen(span)
 }
 
 func appendKey(b []byte, blob, ver, off, span uint64) []byte {
@@ -393,15 +390,15 @@ func appendLeaf(b []byte, ref PageRef, chain []Frag) []byte {
 
 // leafLen is the size of what appendLeaf appends.
 func leafLen(ref PageRef, chain []Frag) int {
-	n := 2 + uvarintLen(ref.Page.Blob) + uvarintLen(ref.Page.Version) + uvarintLen(ref.Page.Index) +
-		uvarintLen(uint64(len(ref.Providers)))
+	n := 2 + wire.UvarintLen(ref.Page.Blob) + wire.UvarintLen(ref.Page.Version) + wire.UvarintLen(ref.Page.Index) +
+		wire.UvarintLen(uint64(len(ref.Providers)))
 	for _, p := range ref.Providers {
-		n += uvarintLen(uint64(len(p))) + len(p)
+		n += wire.UvarintLen(uint64(len(p))) + len(p)
 	}
 	if len(chain) > 0 {
-		n += uvarintLen(uint64(ref.Lo)) + uvarintLen(uint64(len(chain)))
+		n += wire.UvarintLen(uint64(ref.Lo)) + wire.UvarintLen(uint64(len(chain)))
 		for _, f := range chain {
-			n += uvarintLen(f.Ver) + uvarintLen(f.Lo)
+			n += wire.UvarintLen(f.Ver) + wire.UvarintLen(f.Lo)
 		}
 	}
 	return n
@@ -598,7 +595,7 @@ func Commit(ctx context.Context, store NodeStore, blob uint64, w WriteRecord, hi
 
 	// No offset reaches PagesAfter, no span exceeds the root's and no
 	// child is newer than w, which bounds both slabs before rendering.
-	valBytes := len(b.nodes) * (3 + 2*uvarintLen(w.Ver))
+	valBytes := len(b.nodes) * (3 + 2*wire.UvarintLen(w.Ver))
 	for _, ref := range refs {
 		valBytes += leafLen(ref, nil)
 	}

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Common decoding errors.
@@ -82,6 +83,9 @@ func AppendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
 
+// UvarintLen returns how many bytes AppendUvarint appends for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // AppendVarint appends v in zigzag form.
 func AppendVarint(b []byte, v int64) []byte {
 	return binary.AppendVarint(b, v)
@@ -122,15 +126,6 @@ func AppendStringSlice(b []byte, ss []string) []byte {
 	b = AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
 		b = AppendString(b, s)
-	}
-	return b
-}
-
-// AppendBytesSlice appends a count followed by each byte string.
-func AppendBytesSlice(b []byte, ps [][]byte) []byte {
-	b = AppendUvarint(b, uint64(len(ps)))
-	for _, p := range ps {
-		b = AppendBytes(b, p)
 	}
 	return b
 }
@@ -350,24 +345,21 @@ func (r *Reader) StringSlice() []string {
 	return ss
 }
 
-// BytesSliceCopy decodes what AppendBytesSlice encoded into fresh
-// storage: the elements are sub-slices of one copy of the encoded
-// region, with the same lifetime rule as StringSlice.
-func (r *Reader) BytesSliceCopy() [][]byte {
+// Fields decodes a count-prefixed sequence of length-prefixed fields
+// (what AppendStringSlice encodes) without copying it: the count, and
+// the region that holds the fields, each still length-prefixed. The
+// region aliases the Reader's buffer, with Bytes' lifetime rule, so a
+// decoder that keeps the fields copies the region once, one allocation
+// however many fields. The framealias analyzer treats the region as it
+// treats a Bytes result.
+func (r *Reader) Fields() (n int, region []byte) {
 	n, end := r.sliceExtent()
-	if r.err != nil || n == 0 {
-		return nil
+	if r.err != nil {
+		return 0, nil
 	}
-	start := r.off
-	slab := make([]byte, end-start)
-	copy(slab, r.buf[start:end])
-	ps := make([][]byte, n)
-	for i := range ps {
-		p := r.Bytes()
-		e := r.off - start
-		ps[i] = slab[e-len(p) : e : e]
-	}
-	return ps
+	region = r.buf[r.off:end:end]
+	r.off = end
+	return n, region
 }
 
 // Uint64Slice decodes a count-prefixed uvarint slice.

@@ -105,25 +105,34 @@ func TestStringSliceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSliceDecodersCopyOnce: StringSlice and BytesSliceCopy copy the
-// encoded region once — two allocations however many elements — and
-// what they return survives the buffer being overwritten (an rpc
-// request frame is recycled under its decoded message).
+// TestSliceDecodersCopyOnce: StringSlice copies the encoded region
+// once — two allocations however many strings — and what it returns
+// survives the buffer being overwritten (an rpc request frame is
+// recycled under its decoded message). Fields copies nothing: its
+// region is the encoded fields, in place.
 func TestSliceDecodersCopyOnce(t *testing.T) {
 	ss := []string{"", "a", "provider-17", "métadonnées"}
-	ps := [][]byte{[]byte("v0"), nil, []byte("a longer value"), {0}}
-	b := AppendBytesSlice(AppendStringSlice(nil, ss), ps)
+	ps := []string{"v0", "", "a longer value", "\x00"}
+	b := AppendStringSlice(AppendStringSlice(nil, ss), ps)
 	var gotS []string
-	var gotP [][]byte
+	var n int
+	var region []byte
 	allocs := testing.AllocsPerRun(100, func() {
 		r := NewReader(b)
-		gotS, gotP = r.StringSlice(), r.BytesSliceCopy()
+		gotS = r.StringSlice()
+		n, region = r.Fields()
 		if r.Err() != nil || r.Len() != 0 {
 			t.Fatalf("err %v, %d bytes left", r.Err(), r.Len())
 		}
 	})
-	if allocs > 4 {
-		t.Errorf("decoding %d strings and %d byte strings took %.0f allocations, want 2 + 2", len(ss), len(ps), allocs)
+	if allocs > 2 {
+		t.Errorf("decoding %d strings and the fields of %d took %.0f allocations, want 2 + 0", len(ss), len(ps), allocs)
+	}
+	if want := b[len(AppendStringSlice(nil, ss))+1:]; n != len(ps) || !bytes.Equal(region, want) || &region[0] != &want[0] {
+		t.Errorf("Fields = %d, %q; want %d and the encoded fields in place", n, region, len(ps))
+	}
+	if cap(region) != len(region) {
+		t.Errorf("Fields region: cap %d beyond len %d", cap(region), len(region))
 	}
 	for i := range b {
 		b[i] = 0xDB
@@ -131,14 +140,6 @@ func TestSliceDecodersCopyOnce(t *testing.T) {
 	for i := range ss {
 		if gotS[i] != ss[i] {
 			t.Errorf("string %d: got %q want %q", i, gotS[i], ss[i])
-		}
-	}
-	for i := range ps {
-		if !bytes.Equal(gotP[i], ps[i]) {
-			t.Errorf("bytes %d: got %q want %q", i, gotP[i], ps[i])
-		}
-		if cap(gotP[i]) != len(gotP[i]) {
-			t.Errorf("bytes %d: cap %d beyond len %d reaches into its neighbour", i, cap(gotP[i]), len(gotP[i]))
 		}
 	}
 }
@@ -155,8 +156,8 @@ func TestSliceDecodersRejectBeforeAllocating(t *testing.T) {
 			t.Errorf("%s: StringSlice = %q", name, got)
 		}
 		r := NewReader(b)
-		if got := r.BytesSliceCopy(); got != nil || !errors.Is(r.Err(), ErrShortBuffer) {
-			t.Errorf("%s: BytesSliceCopy = %q, err %v", name, got, r.Err())
+		if n, region := r.Fields(); n != 0 || region != nil || !errors.Is(r.Err(), ErrShortBuffer) {
+			t.Errorf("%s: Fields = %d, %q, err %v", name, n, region, r.Err())
 		}
 	}
 	r := NewReader(AppendUvarint(nil, MaxBytesLen+1))
