@@ -1402,7 +1402,7 @@ func (c *Client) fetchPage(ctx context.Context, ref segtree.PageRef, want uint64
 // scheduler places tasks next to their data, and a local fetch spares
 // both NICs); otherwise the starting replica rotates per fetch so
 // remote read traffic spreads across replicas instead of hammering the
-// primary. Failed providers are recorded in the read stats.
+// primary. Failed fetches are counted in the read stats.
 func (c *Client) fetchPageDirect(ctx context.Context, ref segtree.PageRef, want uint64) ([]byte, error) {
 	nrep := len(ref.Providers)
 	local := -1
@@ -1426,7 +1426,7 @@ func (c *Client) fetchPageDirect(ctx context.Context, ref segtree.PageRef, want 
 			// the provider (reader Close cancels in-flight prefetches
 			// all the time) — the ctx check below stops the sweep.
 			if ctx.Err() == nil {
-				c.rstats.NoteProviderFailure(addr)
+				c.rstats.AddProviderFailure()
 			}
 			lastErr = err
 			return nil, false

@@ -131,9 +131,7 @@ func NewProviderManager(net transport.Network, addr transport.Addr, strategy Str
 		return nil, err
 	}
 	pm := &ProviderManager{srv: srv, strategy: strategy, index: make(map[string]int)}
-	srv.Handle(PMRegister, pm.handleRegister)
 	srv.Handle(PMAlloc, pm.handleAlloc)
-	srv.Handle(PMProviders, pm.handleProviders)
 	return pm, nil
 }
 
@@ -143,30 +141,17 @@ func (pm *ProviderManager) Addr() transport.Addr { return pm.srv.Addr() }
 // Close stops the manager.
 func (pm *ProviderManager) Close() error { return pm.srv.Close() }
 
-// Register adds a provider directly (used by the in-process cluster
-// harness; remote providers use the PMRegister RPC).
+// Register adds a provider. Providers register in-process, as the
+// cluster starts them.
 func (pm *ProviderManager) Register(addr string) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	pm.registerLocked(addr)
-}
-
-func (pm *ProviderManager) registerLocked(addr string) {
 	if _, ok := pm.index[addr]; ok {
 		return
 	}
 	pm.index[addr] = len(pm.providers)
 	pm.providers = append(pm.providers, addr)
 	pm.loads = append(pm.loads, 0)
-}
-
-func (pm *ProviderManager) handleRegister(r *wire.Reader) (wire.Marshaler, error) {
-	var req RegisterReq
-	if err := req.DecodeFrom(r); err != nil {
-		return nil, err
-	}
-	pm.Register(req.Addr)
-	return nil, nil
 }
 
 func (pm *ProviderManager) handleAlloc(r *wire.Reader) (wire.Marshaler, error) {
@@ -202,10 +187,4 @@ func (pm *ProviderManager) handleAlloc(r *wire.Reader) (wire.Marshaler, error) {
 		pm.loads[idx]++
 	}
 	return resp, nil
-}
-
-func (pm *ProviderManager) handleProviders(r *wire.Reader) (wire.Marshaler, error) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return &ProvidersResp{Providers: append([]string(nil), pm.providers...)}, nil
 }

@@ -60,9 +60,7 @@ var (
 
 // Provider manager methods.
 var (
-	PMRegister  = rpc.M(1, "pm.Register")
-	PMAlloc     = rpc.M(2, "pm.Alloc")
-	PMProviders = rpc.M(3, "pm.Providers")
+	PMAlloc = rpc.M(2, "pm.Alloc")
 )
 
 // Provider methods.
@@ -665,18 +663,6 @@ func (m *DeletePagesResp) DecodeFrom(r *wire.Reader) error {
 // Provider manager messages.
 //
 
-// RegisterReq announces a provider to the provider manager.
-type RegisterReq struct{ Addr string }
-
-// AppendTo implements wire.Marshaler.
-func (m *RegisterReq) AppendTo(b []byte) []byte { return wire.AppendString(b, m.Addr) }
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *RegisterReq) DecodeFrom(r *wire.Reader) error {
-	m.Addr = r.String()
-	return r.Err()
-}
-
 // AllocReq asks for provider assignments for NPages pages, Replicas
 // providers each. It names no BLOB and no byte count: a client asks for
 // the pages it will write next, before it knows what they will hold.
@@ -714,18 +700,6 @@ func (m *AllocResp) AppendTo(b []byte) []byte {
 // DecodeFrom implements wire.Unmarshaler.
 func (m *AllocResp) DecodeFrom(r *wire.Reader) error {
 	m.Replicas = r.Uvarint()
-	m.Providers = r.StringSlice()
-	return r.Err()
-}
-
-// ProvidersResp lists registered providers.
-type ProvidersResp struct{ Providers []string }
-
-// AppendTo implements wire.Marshaler.
-func (m *ProvidersResp) AppendTo(b []byte) []byte { return wire.AppendStringSlice(b, m.Providers) }
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *ProvidersResp) DecodeFrom(r *wire.Reader) error {
 	m.Providers = r.StringSlice()
 	return r.Err()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
@@ -155,5 +156,41 @@ func TestDeleteIsSelective(t *testing.T) {
 	got, err := dfs.ReadAll(ctx, fs, "/data/keep")
 	if err != nil || !bytes.Equal(got, keep) {
 		t.Fatalf("survivor read: err=%v", err)
+	}
+}
+
+// TestRenameOntoFileRetiresItsBlob: a rename that replaces a file
+// leaves the replaced file's BLOB without a name, so the namespace
+// manager retires it, and a GC pass frees exactly its bytes.
+func TestRenameOntoFileRetiresItsBlob(t *testing.T) {
+	cluster, d := newGCDeployment(t, 1024)
+	fs := mount(t, d, "cli")
+
+	const replaced = 8 * 1024
+	if err := dfs.WriteFile(ctx, fs, "/out/part-0", pattern(1, replaced)); err != nil {
+		t.Fatal(err)
+	}
+	renamed := pattern(2, 1024)
+	if err := dfs.WriteFile(ctx, fs, "/tmp/part-0", renamed); err != nil {
+		t.Fatal(err)
+	}
+	before := cluster.ProviderBytes()
+	if err := fs.Rename(ctx, "/tmp/part-0", "/out/part-0"); err != nil {
+		t.Fatal(err)
+	}
+	// The retirement runs in the background: pass until it has landed.
+	want := before - replaced
+	for deadline := time.Now().Add(5 * time.Second); cluster.ProviderBytes() != want && time.Now().Before(deadline); {
+		if _, err := d.GC.RunOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := cluster.ProviderBytes(); got != want {
+		t.Errorf("provider bytes after the rename and GC = %d, want %d: the replaced file's %d bytes freed", got, want, replaced)
+	}
+	got, err := dfs.ReadAll(ctx, fs, "/out/part-0")
+	if err != nil || !bytes.Equal(got, renamed) {
+		t.Fatalf("renamed file read: err=%v", err)
 	}
 }

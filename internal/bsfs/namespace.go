@@ -426,8 +426,12 @@ func (ns *NamespaceManager) handleRename(r *wire.Reader) (wire.Marshaler, error)
 	if e.IsDir {
 		return nil, dfs.ErrIsDir
 	}
-	if d, ok := ns.entries[dst]; ok && d.IsDir {
+	d, replaced := ns.entries[dst]
+	if replaced && d.IsDir {
 		return nil, dfs.ErrIsDir
+	}
+	if src == dst {
+		return nil, nil // journaling a put then a delete of one path would drop it
 	}
 	if err := ns.mkdirAllLocked(dfs.Parent(dst)); err != nil {
 		return nil, err
@@ -443,6 +447,11 @@ func (ns *NamespaceManager) handleRename(r *wire.Reader) (wire.Marshaler, error)
 	}
 	delete(ns.entries, src)
 	ns.entries[dst] = e
+	// The replaced file's BLOB has no name left: retire it, as a delete
+	// would, unless it is the renamed file's own.
+	if replaced && d.Blob != e.Blob && d.Blob != 0 {
+		ns.deleteBlobDetached(d.Blob)
+	}
 	return nil, nil
 }
 

@@ -13,7 +13,7 @@ import (
 // TestNamespaceRecoversFromJournal tears a durable deployment down and
 // re-deploys on the same cluster: the namespace manager reopens
 // namespace.log and must serve the exact pre-shutdown tree — sizes,
-// content, a rename, and a delete all included. This is the filesystem
+// content, a rename, a rename onto itself, and a delete all included. This is the filesystem
 // half of the durable metadata plane; the version-manager half is
 // covered by the blob package's journal tests.
 func TestNamespaceRecoversFromJournal(t *testing.T) {
@@ -50,6 +50,9 @@ func TestNamespaceRecoversFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := fs.Delete(ctx, "/scratch/tmp-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Rename(ctx, "/warehouse/stage/part-1", "/warehouse/stage/part-1"); err != nil {
 		t.Fatal(err)
 	}
 	fs.Close()

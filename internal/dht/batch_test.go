@@ -5,11 +5,13 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"blobseer/internal/metrics"
 	"blobseer/internal/transport"
 	"blobseer/internal/wire"
 )
@@ -44,10 +46,13 @@ func TestPutBatchNeedsAReplicaPerKey(t *testing.T) {
 	if err := c.PutBatch(ctx, kvs); err != nil {
 		t.Fatalf("PutBatch with one of three members down: %v", err)
 	}
+	got, err := c.GetBatch(ctx, keys)
+	if err != nil {
+		t.Fatalf("GetBatch after an acked batch: %v", err)
+	}
 	for i, k := range keys {
-		v, err := c.Get(ctx, k)
-		if err != nil || !bytes.Equal(v, kvs[i].Value) {
-			t.Fatalf("Get %s after an acked batch = %q, %v", k, v, err)
+		if !bytes.Equal(got[i], kvs[i].Value) {
+			t.Fatalf("%s after an acked batch = %q", k, got[i])
 		}
 	}
 
@@ -135,19 +140,33 @@ func TestGetBatchAsksMembersConcurrently(t *testing.T) {
 	}
 }
 
-// TestGetBatchFallsBackToReplicas: a key its primary cannot answer for
-// is still found on its other replica.
+// TestGetBatchFallsBackToReplicas: the keys a dead primary held are
+// asked of their other replicas in one more batch round, a call per
+// live member, not a get per key and replica. A key no replica has
+// stays nil; a key whose every replica is dead fails the batch.
 func TestGetBatchFallsBackToReplicas(t *testing.T) {
 	c, servers := testCluster(t, 3, 2)
 	ctx := context.Background()
-	kvs, keys := testBatch("fallback", 64)
+	kvs, keys := testBatch("fallback", 100)
 	if err := c.PutBatch(ctx, kvs); err != nil {
 		t.Fatal(err)
 	}
 	servers[2].Close()
-	got, err := c.GetBatch(ctx, append(keys, "absent"))
+	metaCalls := func() (n uint64) {
+		for name, m := range metrics.Default.RPCClient.Snapshot() {
+			if strings.HasPrefix(name, "meta.") {
+				n += m.Calls
+			}
+		}
+		return n
+	}
+	before := metaCalls()
+	got, err := c.GetBatch(ctx, append(keys, "absent")) // "absent" has no replica on the dead member
 	if err != nil {
 		t.Fatal(err)
+	}
+	if calls := metaCalls() - before; calls > 5 {
+		t.Errorf("GetBatch with a dead primary made %d metadata calls, want at most 5: a round to the 3 primaries, one to the 2 live members", calls)
 	}
 	for i := range keys {
 		if !bytes.Equal(got[i], kvs[i].Value) {
@@ -157,11 +176,27 @@ func TestGetBatchFallsBackToReplicas(t *testing.T) {
 	if got[len(keys)] != nil {
 		t.Errorf("absent key = %q, want nil", got[len(keys)])
 	}
+
+	servers[1].Close()
+	var live, stranded []string
+	for _, k := range keys {
+		if slices.Contains(c.ring.Lookup(k, 2), servers[0].Addr()) {
+			live = append(live, k)
+		} else {
+			stranded = append(stranded, k)
+		}
+	}
+	if got, err := c.GetBatch(ctx, live); err != nil || slices.ContainsFunc(got, func(v []byte) bool { return v == nil }) {
+		t.Errorf("GetBatch of the %d keys with a replica on the live member: %v", len(live), err)
+	}
+	if _, err := c.GetBatch(ctx, stranded[:1]); err == nil {
+		t.Errorf("GetBatch of %q, whose every replica is dead, succeeded", stranded[0])
+	}
 }
 
 // TestProviderSlabLifetime: a provider keeps a put batch as one key
-// slab and one value slab. Deleting entries must account for exactly
-// the entries deleted, the survivors must stay intact while later
+// slab and one value slab. Deleting entries must drop exactly the
+// entries deleted, the survivors must stay intact while later
 // batches recycle the frames they arrived in, and deleting the last
 // entry leaves nothing behind.
 func TestProviderSlabLifetime(t *testing.T) {
@@ -186,15 +221,8 @@ func TestProviderSlabLifetime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var stats StatsResp
-	if err := c.pool.Call(ctx, s.Addr(), MethodStats, nil, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(len(kvs[survivor].Value)); stats.Entries != 1 || stats.Bytes != want {
-		t.Errorf("stats = %+v, want the survivor alone: 1 entry, %d bytes", stats, want)
-	}
-	if v, err := c.Get(ctx, keys[survivor]); err != nil || !bytes.Equal(v, kvs[survivor].Value) {
-		t.Errorf("survivor reads back %q, %v; want %q", v, err, kvs[survivor].Value)
+	if n := s.Len(); n != 1 {
+		t.Errorf("Len() = %d, want the survivor alone", n)
 	}
 	got, err := c.GetBatch(ctx, keys)
 	if err != nil {
@@ -204,6 +232,9 @@ func TestProviderSlabLifetime(t *testing.T) {
 		if (v != nil) != (i == survivor) {
 			t.Errorf("key %d after the delete: %q", i, v)
 		}
+	}
+	if !bytes.Equal(got[survivor], kvs[survivor].Value) {
+		t.Errorf("survivor reads back %q, want %q", got[survivor], kvs[survivor].Value)
 	}
 	if err := c.DeleteBatch(ctx, keys[survivor:survivor+1]); err != nil {
 		t.Fatal(err)
@@ -333,6 +364,56 @@ func FuzzBatchReqDecode(f *testing.F) {
 		}
 		if !entriesEqual(got, again) {
 			t.Fatalf("decode(encode(x)) = %q, want %q", again, got)
+		}
+	})
+}
+
+// FuzzGetAnswerDecode: a get answer is bytes off the wire, decoded
+// straight into the fanOut's slots. The first byte picks which of
+// eight positions (four keys, two replicas each) the member was asked
+// for; the rest is its answer. Whatever it is, the decoder must not
+// panic, must refuse a count that is not its share's, and may write a
+// value only at a position of its share: the one the answer gave it.
+func FuzzGetAnswerDecode(f *testing.F) {
+	answer := func(share byte, vals ...string) []byte {
+		b := wire.AppendUvarint([]byte{share}, uint64(len(vals)))
+		for _, v := range vals {
+			b = wire.AppendBool(b, v != "")
+			b = wire.AppendString(b, v)
+		}
+		return b
+	}
+	f.Add(answer(0b10000110, "one", "", "seven"))
+	f.Add(answer(0b00000001, "zero"))
+	f.Add(answer(0, ""))
+	// The malformed seeds are in testdata/fuzz.
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		fo := &fanOut{keys: []string{"a", "b", "c", "d"}, r: 2, out: make([][]byte, 8)}
+		mc := &memberCall{f: fo}
+		for p := range fo.out {
+			if data[0]&(1<<p) != 0 {
+				mc.share = append(mc.share, p)
+			}
+		}
+		err := mc.DecodeFrom(wire.NewReader(data[1:]))
+		want := make([][]byte, len(fo.out))
+		r := wire.NewReader(data[1:])
+		n := r.Uvarint()
+		if err == nil && n != uint64(len(mc.share)) {
+			t.Fatalf("accepted %d answers for a share of %d", n, len(mc.share))
+		}
+		for _, p := range mc.share {
+			if found, v := r.Bool(), r.Bytes(); found && r.Err() == nil && n == uint64(len(mc.share)) {
+				want[p] = v
+			}
+		}
+		for p, v := range fo.out {
+			if !bytes.Equal(v, want[p]) || (v == nil) != (want[p] == nil) {
+				t.Fatalf("position %d holds %q, want %q (share %v, error %v)", p, v, want[p], mc.share, err)
+			}
 		}
 	})
 }

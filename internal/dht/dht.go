@@ -11,6 +11,11 @@
 // trivially consistent: any replica that has the key has the right
 // value.
 //
+// The metadata layer reads and writes tree nodes a level at a time, so
+// a provider speaks one protocol, batches: PutBatch, GetBatch and
+// DeleteBatch each carry every key of one operation destined for that
+// member.
+//
 // A batch costs a fixed number of objects per message, not per entry:
 // the client encodes each member's share straight from the caller's
 // keys and values into its request frame, a provider copies a put
@@ -27,7 +32,6 @@ import (
 	"sort"
 	"sync"
 
-	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 	"blobseer/internal/wire"
@@ -35,17 +39,10 @@ import (
 
 // RPC methods served by a metadata provider.
 var (
-	MethodGet         = rpc.M(1, "meta.Get")
-	MethodPut         = rpc.M(2, "meta.Put")
-	MethodDelete      = rpc.M(3, "meta.Delete")
 	MethodGetBatch    = rpc.M(4, "meta.GetBatch")
 	MethodPutBatch    = rpc.M(5, "meta.PutBatch")
-	MethodStats       = rpc.M(6, "meta.Stats")
 	MethodDeleteBatch = rpc.M(7, "meta.DeleteBatch")
 )
-
-// ErrNotFound is returned when no replica holds the key.
-var ErrNotFound = errors.New("dht: key not found")
 
 //
 // Wire messages.
@@ -55,53 +52,6 @@ var ErrNotFound = errors.New("dht: key not found")
 type KV struct {
 	Key   string
 	Value []byte
-}
-
-// PutReq stores one entry.
-type PutReq struct{ KV }
-
-// AppendTo implements wire.Marshaler.
-func (m *PutReq) AppendTo(b []byte) []byte {
-	b = wire.AppendString(b, m.Key)
-	return wire.AppendBytes(b, m.Value)
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *PutReq) DecodeFrom(r *wire.Reader) error {
-	m.Key = r.String()
-	m.Value = r.BytesCopy()
-	return r.Err()
-}
-
-// GetReq fetches one entry.
-type GetReq struct{ Key string }
-
-// AppendTo implements wire.Marshaler.
-func (m *GetReq) AppendTo(b []byte) []byte { return wire.AppendString(b, m.Key) }
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *GetReq) DecodeFrom(r *wire.Reader) error {
-	m.Key = r.String()
-	return r.Err()
-}
-
-// GetResp carries the value when found.
-type GetResp struct {
-	Found bool
-	Value []byte
-}
-
-// AppendTo implements wire.Marshaler.
-func (m *GetResp) AppendTo(b []byte) []byte {
-	b = wire.AppendBool(b, m.Found)
-	return wire.AppendBytes(b, m.Value)
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *GetResp) DecodeFrom(r *wire.Reader) error {
-	m.Found = r.Bool()
-	m.Value = r.BytesCopy()
-	return r.Err()
 }
 
 // A batch request — put, get or delete — is its keys as a
@@ -202,25 +152,6 @@ func (a *getAnswer) AppendTo(b []byte) []byte {
 	return b
 }
 
-// StatsResp reports server-side entry counts.
-type StatsResp struct {
-	Entries uint64
-	Bytes   uint64
-}
-
-// AppendTo implements wire.Marshaler.
-func (m *StatsResp) AppendTo(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.Entries)
-	return wire.AppendUvarint(b, m.Bytes)
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *StatsResp) DecodeFrom(r *wire.Reader) error {
-	m.Entries = r.Uvarint()
-	m.Bytes = r.Uvarint()
-	return r.Err()
-}
-
 //
 // Server: one metadata provider.
 //
@@ -229,9 +160,8 @@ func (m *StatsResp) DecodeFrom(r *wire.Reader) error {
 type Server struct {
 	srv *rpc.Server
 
-	mu    sync.RWMutex
-	data  map[string][]byte
-	bytes uint64
+	mu   sync.RWMutex
+	data map[string][]byte
 }
 
 // NewServer starts a metadata provider at addr.
@@ -241,12 +171,8 @@ func NewServer(net transport.Network, addr transport.Addr) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{srv: srv, data: make(map[string][]byte)}
-	srv.Handle(MethodGet, s.handleGet)
-	srv.Handle(MethodPut, s.handlePut)
-	srv.Handle(MethodDelete, s.handleDelete)
 	srv.Handle(MethodGetBatch, s.handleGetBatch)
 	srv.Handle(MethodPutBatch, s.handlePutBatch)
-	srv.Handle(MethodStats, s.handleStats)
 	srv.Handle(MethodDeleteBatch, s.handleDeleteBatch)
 	return s, nil
 }
@@ -264,51 +190,6 @@ func (s *Server) Len() int {
 	return len(s.data)
 }
 
-func (s *Server) handleGet(r *wire.Reader) (wire.Marshaler, error) {
-	var req GetReq
-	if err := req.DecodeFrom(r); err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	v, ok := s.data[req.Key]
-	s.mu.RUnlock()
-	return &GetResp{Found: ok, Value: v}, nil
-}
-
-func (s *Server) handlePut(r *wire.Reader) (wire.Marshaler, error) {
-	var req PutReq
-	if err := req.DecodeFrom(r); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.put(req.Key, req.Value)
-	s.mu.Unlock()
-	return nil, nil
-}
-
-// put stores one entry; the caller holds s.mu.
-func (s *Server) put(key string, value []byte) {
-	if old, ok := s.data[key]; ok {
-		s.bytes -= uint64(len(old))
-	}
-	s.data[key] = value
-	s.bytes += uint64(len(value))
-}
-
-func (s *Server) handleDelete(r *wire.Reader) (wire.Marshaler, error) {
-	var req GetReq
-	if err := req.DecodeFrom(r); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if old, ok := s.data[req.Key]; ok {
-		s.bytes -= uint64(len(old))
-		delete(s.data, req.Key)
-	}
-	s.mu.Unlock()
-	return nil, nil
-}
-
 func (s *Server) handleDeleteBatch(r *wire.Reader) (wire.Marshaler, error) {
 	n, keys := r.Fields() // the values' count of 0 follows, unread
 	if err := r.Err(); err != nil {
@@ -317,11 +198,7 @@ func (s *Server) handleDeleteBatch(r *wire.Reader) (wire.Marshaler, error) {
 	kr := wire.NewReader(keys)
 	s.mu.Lock()
 	for i := 0; i < n; i++ {
-		k := kr.Bytes()
-		if old, ok := s.data[string(k)]; ok {
-			s.bytes -= uint64(len(old))
-			delete(s.data, string(k))
-		}
+		delete(s.data, string(kr.Bytes()))
 	}
 	s.mu.Unlock()
 	return nil, nil
@@ -342,15 +219,9 @@ func (s *Server) handlePutBatch(r *wire.Reader) (wire.Marshaler, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	b.each(s.put)
+	b.each(func(key string, value []byte) { s.data[key] = value })
 	s.mu.Unlock()
 	return nil, nil
-}
-
-func (s *Server) handleStats(r *wire.Reader) (wire.Marshaler, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return &StatsResp{Entries: uint64(len(s.data)), Bytes: s.bytes}, nil
 }
 
 //
@@ -480,62 +351,6 @@ func NewClient(ring *Ring, pool *rpc.Pool, replicas int) *Client {
 	return &Client{ring: ring, pool: pool, replicas: replicas}
 }
 
-// Put writes key to all replicas; it succeeds if at least one replica
-// accepted the write (entries are immutable, so a lagging replica can
-// be repaired by any later writer or ignored).
-func (c *Client) Put(ctx context.Context, key string, value []byte) error {
-	replicas := c.ring.Lookup(key, c.replicas)
-	var firstErr error
-	oks := 0
-	for _, addr := range replicas {
-		err := c.pool.Call(ctx, addr, MethodPut, &PutReq{KV{Key: key, Value: value}}, nil)
-		if err == nil {
-			oks++
-		} else if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if oks == 0 {
-		return fmt.Errorf("dht put %q: all %d replicas failed: %w", key, len(replicas), firstErr)
-	}
-	return nil
-}
-
-// Get returns the value for key, consulting replicas in preference
-// order and returning the first hit.
-func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
-	replicas := c.ring.Lookup(key, c.replicas)
-	var firstErr error
-	for _, addr := range replicas {
-		var resp GetResp
-		err := c.pool.Call(ctx, addr, MethodGet, &GetReq{Key: key}, &resp)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if resp.Found {
-			return resp.Value, nil
-		}
-	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("dht get %q: %w", key, firstErr)
-	}
-	return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-}
-
-// Delete removes key from all reachable replicas.
-func (c *Client) Delete(ctx context.Context, key string) error {
-	for _, addr := range c.ring.Lookup(key, c.replicas) {
-		// Best effort: immutable entries make deletes advisory (GC).
-		if err := c.pool.Call(ctx, addr, MethodDelete, &GetReq{Key: key}, nil); err != nil {
-			obs.Log.Debugf("dht: advisory delete of %q at %v: %v", key, addr, err)
-		}
-	}
-	return nil
-}
-
 // errEmptyRing fails a batch on a client whose ring has no members.
 var errEmptyRing = errors.New("dht: empty ring")
 
@@ -547,7 +362,8 @@ const inlineMembers = 8
 // replica lives on member owner[i*r+j]. A member's share lists its
 // positions (i*r+j) in key order; its request is encoded from keys and
 // values as rpc marshals it, and a get's answer is decoded the same
-// way, straight into out, so nothing is regrouped.
+// way, straight into out[i*r+j], so nothing is regrouped and no two
+// members write one element.
 type fanOut struct {
 	c      *Client
 	keys   []string
@@ -555,7 +371,7 @@ type fanOut struct {
 	r      int      // replicas per key
 	owner  []int    // member index per (key, replica)
 	calls  []memberCall
-	out    [][]byte // a get's result, parallel to keys
+	out    [][]byte // a get's answers, one per position
 	wg     sync.WaitGroup
 	buf    [inlineMembers]memberCall
 }
@@ -570,11 +386,12 @@ type memberCall struct {
 	err   error
 }
 
-// split assigns each key to its first r ring members. Past the fanOut
+// split assigns each key to its first r ring members and gives each
+// member the positions of replicas first..r-1 it holds. Past the fanOut
 // itself it allocates once, for owner and the shares, on rings of up
 // to inlineMembers members; each share is a range of one slab, sized
 // by a counting pass.
-func (c *Client) split(keys []string, values [][]byte, r int) *fanOut {
+func (c *Client) split(keys []string, values [][]byte, r, first int) *fanOut {
 	n, members := len(keys), len(c.ring.members)
 	scratch := make([]int, 2*n*r+members)
 	f := &fanOut{c: c, keys: keys, values: values, r: r, owner: scratch[:n*r]}
@@ -582,8 +399,10 @@ func (c *Client) split(keys []string, values [][]byte, r int) *fanOut {
 	for i, k := range keys {
 		c.ring.lookup(k, f.owner[i*r:(i+1)*r])
 	}
-	for _, m := range f.owner {
-		count[m]++
+	for p, m := range f.owner {
+		if p%r >= first {
+			count[m]++
+		}
 	}
 	f.calls = f.buf[:0]
 	if members > len(f.buf) {
@@ -595,7 +414,9 @@ func (c *Client) split(keys []string, values [][]byte, r int) *fanOut {
 		start += k
 	}
 	for p, m := range f.owner {
-		f.calls[m].share = append(f.calls[m].share, p)
+		if p%r >= first {
+			f.calls[m].share = append(f.calls[m].share, p)
+		}
 	}
 	return f
 }
@@ -668,8 +489,9 @@ func (mc *memberCall) AppendTo(b []byte) []byte {
 }
 
 // DecodeFrom implements wire.Unmarshaler for a get's answer: each
-// found value goes straight into the fanOut's result, where it aliases
-// the response frame (a decoded response owns its frame).
+// found value goes straight into the fanOut's slot for its position,
+// where it aliases the response frame (a decoded response owns its
+// frame).
 func (mc *memberCall) DecodeFrom(r *wire.Reader) error {
 	f := mc.f
 	if n := r.Uvarint(); r.Err() == nil && n != uint64(len(mc.share)) {
@@ -680,7 +502,7 @@ func (mc *memberCall) DecodeFrom(r *wire.Reader) error {
 		v := r.Bytes()
 		if found && r.Err() == nil {
 			//lint:framealias a response frame belongs to the decoded response and is never recycled
-			f.out[p/f.r] = v
+			f.out[p] = v
 		}
 	}
 	return r.Err()
@@ -709,8 +531,9 @@ func (c *Client) PutBatch(ctx context.Context, kvs []KV) error {
 // PutEntries writes a set of entries, values[i] under keys[i], to all
 // their replicas, one RPC per member carrying every entry destined for
 // it: the metadata layer commits all new segment-tree nodes of a
-// version through it in one round trip. Like Put, it tolerates failed
-// members as long as every entry reached at least one replica; an
+// version through it in one round trip. It tolerates failed members
+// as long as every entry reached at least one replica (entries are
+// immutable, so a lagging replica holds nothing stale); an
 // entry that reached none fails the batch, because acking it would ack
 // a commit with tree nodes missing.
 func (c *Client) PutEntries(ctx context.Context, keys []string, values [][]byte) error {
@@ -723,7 +546,7 @@ func (c *Client) PutEntries(ctx context.Context, keys []string, values [][]byte)
 	if len(c.ring.members) == 0 {
 		return errEmptyRing
 	}
-	f := c.split(keys, values, c.replicas)
+	f := c.split(keys, values, c.replicas, 0)
 	f.run(ctx, MethodPutBatch, false)
 	for i, k := range keys {
 		stored := false
@@ -750,16 +573,18 @@ func (c *Client) DeleteBatch(ctx context.Context, keys []string) error {
 	if len(c.ring.members) == 0 {
 		return errEmptyRing
 	}
-	f := c.split(keys, nil, c.replicas)
+	f := c.split(keys, nil, c.replicas, 0)
 	f.run(ctx, MethodDeleteBatch, false)
 	return c.firstErr("delete batch", f)
 }
 
 // GetBatch fetches many keys; the result slice is parallel to keys and
 // contains nil for entries that are missing everywhere. Each key is
-// asked of its primary, all primaries at once; what a primary does not
-// have or cannot answer falls back to Get, which tries every replica.
-// The values alias the response frames.
+// asked of its primary, all primaries at once; the keys a primary does
+// not have or cannot answer for are asked of their other replicas in
+// one more round, all members at once. A key no replica returned fails
+// the batch if one of them failed. The values alias the response
+// frames.
 func (c *Client) GetBatch(ctx context.Context, keys []string) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	if len(keys) == 0 {
@@ -768,18 +593,51 @@ func (c *Client) GetBatch(ctx context.Context, keys []string) ([][]byte, error) 
 	if len(c.ring.members) == 0 {
 		return nil, errEmptyRing
 	}
-	f := c.split(keys, nil, 1)
+	f := c.split(keys, nil, 1, 0)
 	f.out = out
 	f.run(ctx, MethodGetBatch, true)
+	var missed []int
 	for i, m := range f.owner {
-		if f.calls[m].err == nil && out[i] != nil {
-			continue
+		if f.calls[m].err != nil || out[i] == nil {
+			out[i] = nil // a failed answer may have decoded part of its share
+			missed = append(missed, i)
 		}
-		v, err := c.Get(ctx, keys[i])
-		if err != nil && !errors.Is(err, ErrNotFound) {
+	}
+	if len(missed) > 0 {
+		if err := c.getFromReplicas(ctx, f, missed); err != nil {
 			return nil, err
 		}
-		out[i] = v
 	}
 	return out, nil
+}
+
+// getFromReplicas asks the keys of primaries (a GetBatch's first round,
+// one replica per key) at positions missed of their other replicas, in
+// one fan-out round, and fills primaries.out with the first value a
+// replica returns, in preference order.
+func (c *Client) getFromReplicas(ctx context.Context, primaries *fanOut, missed []int) error {
+	keys := make([]string, len(missed))
+	for j, i := range missed {
+		keys[j] = primaries.keys[i]
+	}
+	f := c.split(keys, nil, c.replicas, 1)
+	f.out = make([][]byte, len(keys)*f.r)
+	f.run(ctx, MethodGetBatch, true)
+	for j, i := range missed {
+		m := f.owner[j*f.r] // the primary, asked in the first round
+		err := primaries.calls[m].err
+		for p := j*f.r + 1; p < (j+1)*f.r && primaries.out[i] == nil; p++ {
+			if e := f.calls[f.owner[p]].err; e != nil {
+				if err == nil {
+					err, m = e, f.owner[p]
+				}
+				continue
+			}
+			primaries.out[i] = f.out[p]
+		}
+		if primaries.out[i] == nil && err != nil {
+			return fmt.Errorf("dht get %q at %s: %w", keys[j], c.ring.members[m], err)
+		}
+	}
+	return nil
 }

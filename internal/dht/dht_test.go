@@ -2,7 +2,6 @@ package dht
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -38,13 +37,28 @@ func testClusterOn(t testing.TB, net transport.Network, n, replicas int) (*Clien
 	return NewClient(NewRing(members, 64), pool, replicas), servers
 }
 
+// put stores one entry through a batch of one.
+func put(ctx context.Context, c *Client, key string, value []byte) error {
+	return c.PutBatch(ctx, []KV{{Key: key, Value: value}})
+}
+
+// get reads one entry through a batch of one: nil when it is missing
+// everywhere.
+func get(ctx context.Context, c *Client, key string) ([]byte, error) {
+	vs, err := c.GetBatch(ctx, []string{key})
+	if err != nil {
+		return nil, err
+	}
+	return vs[0], nil
+}
+
 func TestPutGet(t *testing.T) {
 	c, _ := testCluster(t, 5, 2)
 	ctx := context.Background()
-	if err := c.Put(ctx, "node/1/0/8", []byte("tree node")); err != nil {
+	if err := put(ctx, c, "node/1/0/8", []byte("tree node")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Get(ctx, "node/1/0/8")
+	v, err := get(ctx, c, "node/1/0/8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,22 +69,22 @@ func TestPutGet(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	c, _ := testCluster(t, 3, 2)
-	if _, err := c.Get(context.Background(), "nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
+	if v, err := get(context.Background(), c, "nope"); err != nil || v != nil {
+		t.Fatalf("get of a missing key = %q, %v; want nil, nil", v, err)
 	}
 }
 
 func TestDelete(t *testing.T) {
 	c, _ := testCluster(t, 3, 3)
 	ctx := context.Background()
-	if err := c.Put(ctx, "k", []byte("v")); err != nil {
+	if err := put(ctx, c, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete(ctx, "k"); err != nil {
+	if err := c.DeleteBatch(ctx, []string{"k"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("after delete: %v", err)
+	if v, err := get(ctx, c, "k"); err != nil || v != nil {
+		t.Fatalf("after delete: %q, %v", v, err)
 	}
 }
 
@@ -79,7 +93,7 @@ func TestReplication(t *testing.T) {
 	ctx := context.Background()
 	const keys = 100
 	for i := 0; i < keys; i++ {
-		if err := c.Put(ctx, fmt.Sprintf("key-%d", i), []byte{byte(i)}); err != nil {
+		if err := put(ctx, c, fmt.Sprintf("key-%d", i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +111,7 @@ func TestSurvivesReplicaFailure(t *testing.T) {
 	ctx := context.Background()
 	const keys = 50
 	for i := 0; i < keys; i++ {
-		if err := c.Put(ctx, fmt.Sprintf("key-%d", i), []byte{byte(i)}); err != nil {
+		if err := put(ctx, c, fmt.Sprintf("key-%d", i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +119,7 @@ func TestSurvivesReplicaFailure(t *testing.T) {
 	servers[1].Close()
 	servers[3].Close()
 	for i := 0; i < keys; i++ {
-		v, err := c.Get(ctx, fmt.Sprintf("key-%d", i))
+		v, err := get(ctx, c, fmt.Sprintf("key-%d", i))
 		if err != nil {
 			t.Fatalf("Get key-%d after failures: %v", i, err)
 		}
@@ -114,7 +128,7 @@ func TestSurvivesReplicaFailure(t *testing.T) {
 		}
 	}
 	// Writes also continue.
-	if err := c.Put(ctx, "post-failure", []byte("ok")); err != nil {
+	if err := put(ctx, c, "post-failure", []byte("ok")); err != nil {
 		t.Fatalf("Put after failures: %v", err)
 	}
 }
@@ -167,7 +181,7 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestGetBatchMissingEntries(t *testing.T) {
 	c, _ := testCluster(t, 3, 2)
 	ctx := context.Background()
-	if err := c.Put(ctx, "present", []byte("yes")); err != nil {
+	if err := put(ctx, c, "present", []byte("yes")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.GetBatch(ctx, []string{"present", "absent"})
@@ -310,11 +324,11 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := fmt.Sprintf("g%d-%d", g, i)
-				if err := c.Put(ctx, k, []byte(k)); err != nil {
+				if err := put(ctx, c, k, []byte(k)); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
-				v, err := c.Get(ctx, k)
+				v, err := get(ctx, c, k)
 				if err != nil || string(v) != k {
 					t.Errorf("get %q = %q, %v", k, v, err)
 					return
@@ -325,30 +339,20 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
+// TestServerStats: a provider counts the entries it holds, and storing
+// a key again replaces its entry.
 func TestServerStats(t *testing.T) {
-	net := transport.NewMemNet()
-	s, err := NewServer(net, "meta-0/dht")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	pool := rpc.NewPool(net, "cli/x")
-	defer pool.Close()
-
-	ring := NewRing([]transport.Addr{"meta-0/dht"}, 8)
-	c := NewClient(ring, pool, 1)
+	c, servers := testCluster(t, 1, 1)
 	ctx := context.Background()
-	if err := c.Put(ctx, "a", make([]byte, 10)); err != nil {
-		t.Fatal(err)
+	for _, kv := range []KV{{"a", make([]byte, 10)}, {"b", make([]byte, 20)}, {"a", make([]byte, 30)}} {
+		if err := put(ctx, c, kv.Key, kv.Value); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := c.Put(ctx, "b", make([]byte, 20)); err != nil {
-		t.Fatal(err)
+	if n := servers[0].Len(); n != 2 {
+		t.Errorf("Len() = %d, want 2", n)
 	}
-	var stats StatsResp
-	if err := pool.Call(ctx, "meta-0/dht", MethodStats, nil, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Entries != 2 || stats.Bytes != 30 {
-		t.Errorf("stats = %+v", stats)
+	if v, err := get(ctx, c, "a"); err != nil || len(v) != 30 {
+		t.Errorf("a = %d bytes, %v; want the 30 stored last", len(v), err)
 	}
 }

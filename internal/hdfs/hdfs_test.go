@@ -148,9 +148,13 @@ func TestConcurrentWritersSeparateFiles(t *testing.T) {
 }
 
 func TestRenameCommit(t *testing.T) {
-	// The Hadoop output-committer dance: write temp, rename to final.
+	// The Hadoop output-committer dance: write temp, rename to final,
+	// here over an earlier attempt's final file.
 	c := newCluster(t, ClusterConfig{Datanodes: 2})
 	fs := mountFS(t, c, "cli", 256)
+	if err := dfs.WriteFile(ctx, fs, "/out/part-0", pattern(1, 1000)); err != nil {
+		t.Fatal(err)
+	}
 	if err := dfs.WriteFile(ctx, fs, "/tmp/_attempt0/part-0", pattern(2, 300)); err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +164,13 @@ func TestRenameCommit(t *testing.T) {
 	got, err := dfs.ReadAll(ctx, fs, "/out/part-0")
 	if err != nil || !bytes.Equal(got, pattern(2, 300)) {
 		t.Fatalf("renamed file: %v", err)
+	}
+	// The replaced file's 4 block records went with it, as on a delete.
+	c.NN.mu.Lock()
+	records := len(c.NN.blockLocs)
+	c.NN.mu.Unlock()
+	if records != 2 {
+		t.Errorf("namenode holds %d block records after the rename, want the renamed file's 2", records)
 	}
 }
 

@@ -38,7 +38,6 @@ var (
 	NNDelete    = rpc.M(8, "nn.Delete")
 	NNMkdir     = rpc.M(9, "nn.Mkdir")
 	NNEntries   = rpc.M(10, "nn.Entries")
-	NNRegister  = rpc.M(11, "nn.Register")
 )
 
 // Datanode methods.
@@ -263,7 +262,6 @@ func NewNamenode(net transport.Network, addr transport.Addr, cfg NamenodeConfig)
 	srv.Handle(NNDelete, nn.handleDelete)
 	srv.Handle(NNMkdir, nn.handleMkdir)
 	srv.Handle(NNEntries, nn.handleEntries)
-	srv.Handle(NNRegister, nn.handleRegister)
 	return nn, nil
 }
 
@@ -273,7 +271,8 @@ func (nn *Namenode) Addr() transport.Addr { return nn.srv.Addr() }
 // Close stops the namenode.
 func (nn *Namenode) Close() error { return nn.srv.Close() }
 
-// Register adds a datanode (harness path; remote nodes use NNRegister).
+// Register adds a datanode. Datanodes register in-process, as the
+// cluster starts them.
 func (nn *Namenode) Register(addr string) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -283,15 +282,6 @@ func (nn *Namenode) Register(addr string) {
 		}
 	}
 	nn.datanodes = append(nn.datanodes, addr)
-}
-
-func (nn *Namenode) handleRegister(r *wire.Reader) (wire.Marshaler, error) {
-	var req dfs.PathReq // reuse: Path carries the datanode address
-	if err := req.DecodeFrom(r); err != nil {
-		return nil, err
-	}
-	nn.Register(req.Path)
-	return nil, nil
 }
 
 func (nn *Namenode) mkdirAllLocked(dir string) error {
@@ -519,11 +509,18 @@ func (nn *Namenode) handleRename(r *wire.Reader) (wire.Marshaler, error) {
 	if e.isDir {
 		return nil, dfs.ErrIsDir
 	}
-	if d, ok := nn.entries[dst]; ok && d.isDir {
+	d, replaced := nn.entries[dst]
+	if replaced && d.isDir {
 		return nil, dfs.ErrIsDir
 	}
 	if err := nn.mkdirAllLocked(dfs.Parent(dst)); err != nil {
 		return nil, err
+	}
+	if replaced && d != e {
+		// The replaced file's blocks have no name left, as after a delete.
+		for _, id := range d.blocks {
+			delete(nn.blockLocs, id)
+		}
 	}
 	delete(nn.entries, src)
 	nn.entries[dst] = e

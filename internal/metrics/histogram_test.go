@@ -112,38 +112,6 @@ func TestRPCStatsObserve(t *testing.T) {
 	}
 }
 
-func TestReadStatsFailedMapBounded(t *testing.T) {
-	var s ReadStats
-	const endpoints = 500
-	for i := 0; i < endpoints; i++ {
-		s.NoteProviderFailure(fmt.Sprintf("prov-%03d", i))
-	}
-	snap := s.Snapshot()
-	if snap.ProviderFailures != endpoints {
-		t.Errorf("failures = %d, want %d", snap.ProviderFailures, endpoints)
-	}
-	if len(snap.FailedProviders) > 64 {
-		t.Errorf("failed map holds %d endpoints, cap is 64", len(snap.FailedProviders))
-	}
-	// No failure may be dropped: per-endpoint counts plus the overflow
-	// bucket must sum to the total.
-	var sum uint64
-	for _, n := range snap.FailedProviders {
-		sum += n
-	}
-	if sum != endpoints {
-		t.Errorf("failure counts sum to %d, want %d", sum, endpoints)
-	}
-	if snap.FailedProviders[FailedOverflowKey] == 0 {
-		t.Errorf("overflow bucket empty after %d distinct endpoints", endpoints)
-	}
-	// A known endpoint keeps counting individually even past the cap.
-	s.NoteProviderFailure("prov-000")
-	if got := s.Snapshot().FailedProviders["prov-000"]; got != 2 {
-		t.Errorf("known endpoint count = %d, want 2", got)
-	}
-}
-
 func TestRegistrySnapshotAndPrometheus(t *testing.T) {
 	r := NewRegistry()
 

@@ -143,19 +143,8 @@ type HealthReport struct {
 	Components []ComponentHealth `json:"components"`
 }
 
-// Add records one component verdict and folds it into the aggregate.
-func (r *HealthReport) Add(component string, healthy bool, detail string) {
-	if !healthy {
-		r.Healthy = false
-	}
-	r.Components = append(r.Components, ComponentHealth{
-		Component: component,
-		Healthy:   healthy,
-		Detail:    detail,
-	})
-}
-
-// AddTimed is Add plus the measured check latency.
+// AddTimed records one component verdict and the time its check took,
+// and folds the verdict into the aggregate.
 func (r *HealthReport) AddTimed(component string, healthy bool, detail string, took time.Duration) {
 	if !healthy {
 		r.Healthy = false

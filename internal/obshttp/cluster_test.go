@@ -151,9 +151,9 @@ func TestHealthzComponentReport(t *testing.T) {
 	ms, err := Serve("127.0.0.1:0", Options{
 		Health: func(ctx context.Context) monitor.HealthReport {
 			rep := monitor.HealthReport{Healthy: true}
-			rep.Add("namespace", true, "")
+			rep.AddTimed("namespace", true, "", 0)
 			if !healthy.Load() {
-				rep.Add("vmshard-0", false, "stats ping timed out")
+				rep.AddTimed("vmshard-0", false, "stats ping timed out", 0)
 			}
 			return rep
 		},
