@@ -14,7 +14,7 @@ import (
 func TestAnalyzerFixtures(t *testing.T) {
 	for _, a := range All() {
 		t.Run(a.Name, func(t *testing.T) {
-			problems, err := CheckFixture(a, filepath.Join("testdata", a.Name))
+			problems, err := checkFixture(a, filepath.Join("testdata", a.Name))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,13 +7,13 @@ import (
 	"strings"
 )
 
-// CheckFixture runs one analyzer over the fixture package in dir and
+// checkFixture runs one analyzer over the fixture package in dir and
 // verifies its findings against `// want "regexp"` comments, the
 // analysistest convention: each want expectation must be matched by
 // exactly one diagnostic on its line, and every diagnostic must be
 // claimed by an expectation. Returned problems are human-readable
 // mismatches; an empty slice means the fixture passed.
-func CheckFixture(a *Analyzer, dir string) (problems []string, err error) {
+func checkFixture(a *Analyzer, dir string) (problems []string, err error) {
 	loader, err := NewLoader(dir)
 	if err != nil {
 		return nil, err

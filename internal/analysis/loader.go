@@ -65,12 +65,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleRoot returns the directory holding the module's go.mod.
-func (l *Loader) ModuleRoot() string { return l.moduleRoot }
-
-// ModulePath returns the module's import-path prefix.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // findModule walks up from dir to the enclosing go.mod and parses the
 // module path from its first `module` directive.
 func findModule(dir string) (root, modPath string, err error) {

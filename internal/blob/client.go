@@ -326,6 +326,8 @@ func (b *Blob) SetRetention(ctx context.Context, keep uint64) error {
 
 // TruncateBefore marks every version below ver collectable. The latest
 // published version always survives; use Delete to retire the BLOB.
+//
+//lint:unusedexport public retention API named in README beside SetRetention
 func (b *Blob) TruncateBefore(ctx context.Context, ver uint64) error {
 	return b.c.vm.Call(ctx, b.id, VMTruncateBefore,
 		&VersionRef{Blob: b.id, Ver: ver}, nil)

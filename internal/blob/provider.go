@@ -47,6 +47,8 @@ func (p *Provider) Addr() transport.Addr { return p.srv.Addr() }
 func (p *Provider) Store() pagestore.Store { return p.store }
 
 // SetFailPuts toggles write-failure injection.
+//
+//lint:unusedexport fault-injection hook for the blob, bsfs and gc tests
 func (p *Provider) SetFailPuts(fail bool) { p.failPuts.Store(fail) }
 
 // MonitorSample reports the provider's live stats in the cluster
@@ -103,9 +105,7 @@ func (p *Provider) handleGetPage(r *wire.Reader) (wire.Marshaler, error) {
 
 // handleDeletePages drops a garbage-collection batch. Keys the store
 // does not hold are skipped silently (replication spreads a version's
-// pages over many providers). When the engine supports it, crossing
-// the dead-byte threshold triggers an automatic compaction, so
-// reclaimed pages become reclaimed disk.
+// pages over many providers).
 func (p *Provider) handleDeletePages(r *wire.Reader) (wire.Marshaler, error) {
 	var req DeletePagesReq
 	if err := req.DecodeFrom(r); err != nil {
@@ -124,13 +124,6 @@ func (p *Provider) handleDeletePages(r *wire.Reader) (wire.Marshaler, error) {
 	}
 	if freed := before - p.store.BytesUsed(); freed > 0 {
 		resp.BytesFreed = uint64(freed)
-	}
-	if ac, ok := p.store.(pagestore.AutoCompacter); ok && resp.Deleted > 0 {
-		compacted, err := ac.MaybeCompact()
-		if err != nil {
-			return nil, err
-		}
-		resp.Compacted = compacted
 	}
 	return resp, nil
 }

@@ -50,15 +50,14 @@ func TestRouterMappingStable(t *testing.T) {
 
 // TestRouterShardAllocatesNothing: every version-manager call routes
 // through Shard, so it renders the ring key on the stack and asks the
-// ring for one owner — and still answers what the ring's replica
-// lookup of "blob/<id>" answers, the mapping the shards stripe their
-// ids by.
+// ring for one owner — and still answers the ring's primary for
+// "blob/<id>", the mapping the shards stripe their ids by.
 func TestRouterShardAllocatesNothing(t *testing.T) {
 	shards := routerShards(2)
 	r := NewVMRouter(rpc.NewPool(transport.NewMemNet(), transport.MakeAddr("alloc-host", "client")), shards, "alloc-host")
 	ring := dht.NewRing(shards, vmRingVnodes)
 	for blob := uint64(0); blob < 1024; blob++ {
-		if got, want := r.Shard(blob), ring.Lookup("blob/"+strconv.FormatUint(blob, 10), 1)[0]; got != want {
+		if got, want := r.Shard(blob), ring.Primary("blob/"+strconv.FormatUint(blob, 10)); got != want {
 			t.Fatalf("blob %d: Shard = %s, ring lookup = %s", blob, got, want)
 		}
 	}

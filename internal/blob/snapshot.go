@@ -129,6 +129,8 @@ func (s *Snapshot) ReadAt(ctx context.Context, off, n uint64) ([]byte, error) {
 }
 
 // ReadAtInto reads len(p) bytes at off from the pinned version into p.
+//
+//lint:unusedexport method of the re-exported blobseer.Snapshot
 func (s *Snapshot) ReadAtInto(ctx context.Context, off uint64, p []byte) (int, error) {
 	s.renew(ctx)
 	return s.b.ReadAtInto(ctx, s.info.Ver, off, p)
@@ -151,6 +153,8 @@ func (s *Snapshot) Prefetch(ctx context.Context, off, n uint64) error {
 // PageLocations resolves the page→provider mapping of [off, off+n) of
 // the pinned version, for locality-aware scheduling against a fixed
 // snapshot.
+//
+//lint:unusedexport method of the re-exported blobseer.Snapshot
 func (s *Snapshot) PageLocations(ctx context.Context, off, n uint64) ([]PageLoc, error) {
 	s.renew(ctx)
 	return s.b.PageLocations(ctx, s.info.Ver, off, n)

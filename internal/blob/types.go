@@ -110,12 +110,12 @@ func appendWriteRecords(b []byte, recs []segtree.WriteRecord) []byte {
 // decodeWriteRecords decodes what appendWriteRecords encoded; an empty
 // list is nil. A length the frame cannot hold fails on the reader.
 func decodeWriteRecords(r *wire.Reader) []segtree.WriteRecord {
-	n := r.Uvarint()
-	if n == 0 || r.Err() != nil {
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
-	recs := make([]segtree.WriteRecord, 0, min(n, uint64(r.Len())))
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	recs := make([]segtree.WriteRecord, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
 		recs = append(recs, decodeWriteRecord(r))
 	}
 	return recs
@@ -510,12 +510,12 @@ func (m *HistoryResp) AppendTo(b []byte) []byte {
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *HistoryResp) DecodeFrom(r *wire.Reader) error {
-	n := r.Uvarint()
+	n := r.Count()
 	if r.Err() != nil {
 		return r.Err()
 	}
 	m.Infos = make([]VersionInfo, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		if err := m.Infos[i].DecodeFrom(r); err != nil {
 			return err
 		}
@@ -564,12 +564,12 @@ func (m *BlobReclaim) DecodeFrom(r *wire.Reader) error {
 	m.Deleted = r.Bool()
 	m.From = r.Uvarint()
 	m.To = r.Uvarint()
-	n := r.Uvarint()
+	n := r.Count()
 	if r.Err() != nil {
 		return r.Err()
 	}
 	m.Records = make([]segtree.WriteRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		m.Records = append(m.Records, decodeWriteRecord(r))
 	}
 	return r.Err()
@@ -595,12 +595,12 @@ func (m *ReclaimScanResp) AppendTo(b []byte) []byte {
 // DecodeFrom implements wire.Unmarshaler.
 func (m *ReclaimScanResp) DecodeFrom(r *wire.Reader) error {
 	m.PinsBlocked = r.Uvarint()
-	n := r.Uvarint()
+	n := r.Count()
 	if r.Err() != nil {
 		return r.Err()
 	}
 	m.Blobs = make([]BlobReclaim, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		if err := m.Blobs[i].DecodeFrom(r); err != nil {
 			return err
 		}
@@ -626,12 +626,12 @@ func (m *DeletePagesReq) AppendTo(b []byte) []byte {
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *DeletePagesReq) DecodeFrom(r *wire.Reader) error {
-	n := r.Uvarint()
+	n := r.Count()
 	if r.Err() != nil {
 		return r.Err()
 	}
 	m.Keys = make([]pagestore.Key, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		m.Keys = append(m.Keys, decodePageKey(r))
 	}
 	return r.Err()
@@ -641,21 +641,18 @@ func (m *DeletePagesReq) DecodeFrom(r *wire.Reader) error {
 type DeletePagesResp struct {
 	Deleted    uint64 // pages actually present and removed
 	BytesFreed uint64
-	Compacted  bool // the store's dead-byte threshold triggered a compaction
 }
 
 // AppendTo implements wire.Marshaler.
 func (m *DeletePagesResp) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.Deleted)
-	b = wire.AppendUvarint(b, m.BytesFreed)
-	return wire.AppendBool(b, m.Compacted)
+	return wire.AppendUvarint(b, m.BytesFreed)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *DeletePagesResp) DecodeFrom(r *wire.Reader) error {
 	m.Deleted = r.Uvarint()
 	m.BytesFreed = r.Uvarint()
-	m.Compacted = r.Bool()
 	return r.Err()
 }
 

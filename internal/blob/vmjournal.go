@@ -23,11 +23,11 @@ package blob
 //
 // Checkpoints bound replay time and journal growth: once snapshots
 // cover seq S, the journal is trimmed through S, and the store is
-// compacted once its dead bytes pass a threshold (the pagestore.Durable
-// pattern), so long-lived shards don't replay unbounded publish/seal
-// churn on restart. The trim writes one tombstone per record under the
-// journal's lock, so every assign and complete on the shard waits for
-// it: 5 to 9 ms per 4096-record checkpoint.
+// compacted once its dead bytes pass a threshold, so long-lived shards
+// don't replay unbounded publish/seal churn on restart. The trim writes
+// one tombstone per record under the journal's lock, so every assign
+// and complete on the shard waits for it: 5 to 9 ms per 4096-record
+// checkpoint.
 
 import (
 	"fmt"

@@ -654,11 +654,11 @@ func decodeBlobSnapshot(data []byte, now time.Time) (id uint64, bs *blobState, a
 	bs.truncBefore = r.Uvarint()
 	bs.deleted = r.Bool()
 	bs.frontier = r.Uvarint()
-	n := r.Uvarint()
+	n := r.Count()
 	if r.Err() != nil {
 		return 0, nil, 0, r.Err()
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		bs.records = append(bs.records, decodeWriteRecord(r))
 		bs.sizes = append(bs.sizes, r.Uvarint())
 		bs.status = append(bs.status, vstatus(r.Uvarint()))

@@ -43,18 +43,23 @@ func newDeploymentOn(t *testing.T, net transport.Network, cfg blob.ClusterConfig
 }
 
 // heldAckNet is a fault seam over the test's network: once a test sets
-// ack, every response frame a data provider sends first runs it, in
-// the handler's goroutine — after the page is stored, before the
-// client hears so. Blocking there is a node that stored the page and
-// whose acknowledgement is still on its way.
+// ack, every response frame a data provider (or the service svc names)
+// sends first runs it, in the handler's goroutine — after the page is
+// stored, before the client hears so. Blocking there is a node that
+// stored the page and whose acknowledgement is still on its way.
 type heldAckNet struct {
 	transport.Network
+	svc string // "" means blob.SvcProvider
 	ack atomic.Pointer[func()]
 }
 
 func (n *heldAckNet) Listen(addr transport.Addr) (transport.Listener, error) {
 	l, err := n.Network.Listen(addr)
-	if err != nil || addr.Service() != blob.SvcProvider {
+	svc := n.svc
+	if svc == "" {
+		svc = blob.SvcProvider
+	}
+	if err != nil || addr.Service() != svc {
 		return l, err
 	}
 	return &heldAckListener{Listener: l, net: n}, nil
@@ -120,6 +125,51 @@ func TestCreateWriteRead(t *testing.T) {
 	}
 	if fi.Size != 5000 || fi.IsDir {
 		t.Errorf("Stat = %+v", fi)
+	}
+}
+
+// TestCreateRacingParentDelete: a create releases the namespace lock
+// while the version manager creates the file's BLOB. A Delete of the
+// new, still empty parent in that window must not leave the file
+// behind without its directory: the create makes the parent again.
+func TestCreateRacingParentDelete(t *testing.T) {
+	net := &heldAckNet{Network: transport.NewMemNet(), svc: blob.SvcVersionManager}
+	d := newDeploymentOn(t, net, blob.ClusterConfig{}, 512)
+	fs := mount(t, d, "cli")
+
+	// Hold the version manager's first answer: the BLOB exists, the
+	// namespace manager is waiting for it with its lock released.
+	var once sync.Once
+	held, release := make(chan struct{}), make(chan struct{})
+	hold := func() { once.Do(func() { close(held); <-release }) }
+	net.ack.Store(&hold)
+	created := make(chan error, 1)
+	go func() {
+		w, err := fs.Create(ctx, "/a/f")
+		if err == nil {
+			if _, err = w.Write([]byte("x")); err == nil {
+				err = w.Close()
+			}
+		}
+		created <- err
+	}()
+	<-held
+	if err := fs.Delete(ctx, "/a"); err != nil {
+		t.Fatalf("delete the empty parent: %v", err)
+	}
+	close(release)
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+
+	if fi, err := fs.Stat(ctx, "/a"); err != nil || !fi.IsDir {
+		t.Errorf("Stat(/a) = %+v, %v; want the directory", fi, err)
+	}
+	if infos, err := fs.List(ctx, "/"); err != nil || len(infos) != 1 || infos[0].Path != "/a" {
+		t.Errorf("List(/) = %+v, %v; want /a", infos, err)
+	}
+	if got, err := dfs.ReadAll(ctx, fs, "/a/f"); err != nil || string(got) != "x" {
+		t.Errorf("ReadAll(/a/f) = %q, %v", got, err)
 	}
 }
 

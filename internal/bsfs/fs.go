@@ -148,6 +148,8 @@ func (fs *FS) BlobClient() *blob.Client { return fs.bc }
 
 // Tuning reports the mount's effective tuning: defaults resolved, and
 // ReadDepth 0 when readahead is off.
+//
+//lint:unusedexport public API of a Mount, named in README
 func (fs *FS) Tuning() Tuning { return fs.cfg.Tuning }
 
 // Create implements dfs.FileSystem.
@@ -217,6 +219,8 @@ func (fs *FS) OpenVersion(ctx context.Context, path string, ver uint64) (dfs.Ver
 // ver (0 = latest published): lower-level than OpenVersion —
 // byte-offset ReadAt, page views, page locations — with the same
 // pin-for-lifetime guarantee. Close the snapshot to release its pin.
+//
+//lint:unusedexport public API of a Mount, named in README and doc.go
 func (fs *FS) SnapshotAt(ctx context.Context, path string, ver uint64) (*blob.Snapshot, error) {
 	s, _, err := fs.snapshotAt(ctx, path, ver)
 	return s, err

@@ -166,7 +166,7 @@ func TestDeploymentHealth(t *testing.T) {
 	for d.Watchdog.Evals() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if d.Monitor.Collections() == 0 {
+	if d.Monitor.Snapshot().Collections == 0 {
 		t.Fatal("armed watchdog never collected the monitor")
 	}
 	rep = d.Health(ctx)

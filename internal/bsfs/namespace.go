@@ -169,9 +169,6 @@ func NewNamespaceManager(net transport.Network, addr transport.Addr, bc *blob.Cl
 // Addr returns the manager's endpoint.
 func (ns *NamespaceManager) Addr() transport.Addr { return ns.srv.Addr() }
 
-// Durable reports whether this manager journals entries to disk.
-func (ns *NamespaceManager) Durable() bool { return ns.kv != nil }
-
 // JournalOpen reports whether the durable journal still accepts
 // operations; an in-memory manager has no journal to lose and reports
 // true. The /healthz namespace check watches it.
@@ -324,8 +321,14 @@ func (ns *NamespaceManager) handleCreate(r *wire.Reader) (wire.Marshaler, error)
 		}
 		return e, nil
 	}
+	// A Delete of the parent may have run while the lock was released:
+	// make the parents again, so no entry outlives its directory.
 	e := &EntryResp{Blob: bl.ID(), PageSize: req.PageSize}
-	if err := ns.logPutLocked(path, e); err != nil {
+	err = ns.mkdirAllLocked(dfs.Parent(path))
+	if err == nil {
+		err = ns.logPutLocked(path, e)
+	}
+	if err != nil {
 		ns.mu.Unlock()
 		ns.deleteBlobDetached(bl.ID())
 		return nil, err

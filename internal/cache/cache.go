@@ -99,9 +99,6 @@ func New(budget int64, stats *metrics.ReadStats) *Cache {
 	}
 }
 
-// Stats returns the counter set the cache records into.
-func (c *Cache) Stats() *metrics.ReadStats { return c.stats }
-
 // Get returns the page for key, fetching it at most once no matter how
 // many goroutines ask concurrently. The returned slice is shared and
 // read-only. A flight leader's fetch error is returned only to the
@@ -190,17 +187,6 @@ func (c *Cache) purge(match func(pagestore.Key) bool) int {
 	return n
 }
 
-// Peek returns the cached page without fetching (and without counting
-// a hit or miss). Used by tests and budget probes.
-func (c *Cache) Peek(key pagestore.Key) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		return el.Value.(*entry).data, true
-	}
-	return nil, false
-}
-
 // Put inserts or upgrades the page for key outside the singleflight
 // path. The client uses it to repair an entry that was cached under a
 // narrower length validation (a truncated replica accepted by a prefix
@@ -271,4 +257,6 @@ func (c *Cache) Bytes() int64 {
 }
 
 // Budget returns the configured byte budget.
+//
+//lint:unusedexport test hook: the root and cache tests check the resolved budget
 func (c *Cache) Budget() int64 { return c.budget }

@@ -17,6 +17,17 @@ var ctx = context.Background()
 
 func key(i uint64) pagestore.Key { return pagestore.Key{Blob: 1, Version: 1, Index: i} }
 
+// cached returns the page c holds for k without fetching it, counting
+// a hit or a miss, or moving it in the LRU order.
+func cached(c *Cache, k pagestore.Key) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok {
+		return el.Value.(*entry).data, true
+	}
+	return nil, false
+}
+
 func page(i uint64, n int) []byte {
 	out := make([]byte, n)
 	for j := range out {
@@ -74,11 +85,11 @@ func TestLRUEvictionByBytes(t *testing.T) {
 		}
 	}
 	// Page 0 is the LRU victim of inserting page 3.
-	if _, ok := c.Peek(key(0)); ok {
+	if _, ok := cached(c, key(0)); ok {
 		t.Error("page 0 still cached, want evicted")
 	}
 	for i := uint64(1); i < 4; i++ {
-		if _, ok := c.Peek(key(i)); !ok {
+		if _, ok := cached(c, key(i)); !ok {
 			t.Errorf("page %d not cached", i)
 		}
 	}
@@ -96,10 +107,10 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	if _, err := c.Get(ctx, key(4), fetchFor(4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Peek(key(1)); !ok {
+	if _, ok := cached(c, key(1)); !ok {
 		t.Error("recently used page 1 evicted")
 	}
-	if _, ok := c.Peek(key(2)); ok {
+	if _, ok := cached(c, key(2)); ok {
 		t.Error("page 2 still cached, want evicted")
 	}
 }
@@ -112,7 +123,7 @@ func TestPutUpgradesEntry(t *testing.T) {
 	}
 	// Upgrading replaces the entry and fixes the byte accounting.
 	c.Put(key(2), page(2, 128))
-	got, ok := c.Peek(key(2))
+	got, ok := cached(c, key(2))
 	if !ok || len(got) != 128 {
 		t.Fatalf("after upgrade: %d bytes cached, want 128", len(got))
 	}
@@ -121,7 +132,7 @@ func TestPutUpgradesEntry(t *testing.T) {
 	}
 	// A shorter Put never downgrades.
 	c.Put(key(2), page(2, 64))
-	if got, _ := c.Peek(key(2)); len(got) != 128 {
+	if got, _ := cached(c, key(2)); len(got) != 128 {
 		t.Errorf("downgraded to %d bytes, want 128 kept", len(got))
 	}
 	if c.Bytes() != 128 {
@@ -218,7 +229,7 @@ func TestFailedFlightDoesNotPoisonJoiners(t *testing.T) {
 		t.Fatalf("joiner err = %v, want nil (retry as fresh flight)", err)
 	}
 	// The retry's result must have landed in the cache.
-	if _, ok := c.Peek(key(5)); !ok {
+	if _, ok := cached(c, key(5)); !ok {
 		t.Error("joiner's successful retry was not cached")
 	}
 }
@@ -496,16 +507,16 @@ func TestPurgeVersionAndBlob(t *testing.T) {
 	if n := c.PurgeVersion(1, 1); n != 3 {
 		t.Fatalf("PurgeVersion removed %d, want 3", n)
 	}
-	if _, ok := c.Peek(pagestore.Key{Blob: 1, Version: 1, Index: 0}); ok {
+	if _, ok := cached(c, pagestore.Key{Blob: 1, Version: 1, Index: 0}); ok {
 		t.Fatal("purged entry still cached")
 	}
-	if _, ok := c.Peek(pagestore.Key{Blob: 1, Version: 2, Index: 0}); !ok {
+	if _, ok := cached(c, pagestore.Key{Blob: 1, Version: 2, Index: 0}); !ok {
 		t.Fatal("sibling version was purged")
 	}
 	if n := c.PurgeBlob(1); n != 3 {
 		t.Fatalf("PurgeBlob removed %d, want the remaining 3", n)
 	}
-	if _, ok := c.Peek(pagestore.Key{Blob: 2, Version: 1, Index: 0}); !ok {
+	if _, ok := cached(c, pagestore.Key{Blob: 2, Version: 1, Index: 0}); !ok {
 		t.Fatal("other blob was purged")
 	}
 	if got, want := c.Bytes(), int64(3*128); got != want {
@@ -540,7 +551,7 @@ func TestPurgeMarksInFlightFetches(t *testing.T) {
 	if data := <-done; len(data) != 64 {
 		t.Fatalf("in-flight caller got %d bytes", len(data))
 	}
-	if _, ok := c.Peek(k); ok {
+	if _, ok := cached(c, k); ok {
 		t.Fatal("purged in-flight fetch was cached anyway")
 	}
 }

@@ -161,6 +161,17 @@ func TestConformanceNamespace(t *testing.T) {
 				t.Fatalf("list order = %v", names)
 			}
 		}
+		// A directory with entries is not deleted; a file is not a
+		// directory to make or list through.
+		if err := fs.Delete(ctx, "/a/b"); !errors.Is(err, dfs.ErrNotEmpty) {
+			t.Errorf("delete non-empty directory: %v", err)
+		}
+		if err := fs.Mkdir(ctx, "/a/z/sub"); !errors.Is(err, dfs.ErrNotDir) {
+			t.Errorf("mkdir through a file: %v", err)
+		}
+		if _, err := fs.List(ctx, "/a/z"); !errors.Is(err, dfs.ErrNotDir) {
+			t.Errorf("list a file: %v", err)
+		}
 	})
 }
 
@@ -194,6 +205,21 @@ func TestConformanceRenameSemantics(t *testing.T) {
 		}
 		if err := fs.Rename(ctx, "/dir", "/dir2"); !errors.Is(err, dfs.ErrIsDir) {
 			t.Errorf("dir rename: %v", err)
+		}
+		// So is renaming onto a directory, or from a missing source.
+		if err := fs.Rename(ctx, "/deep/dst", "/dir"); !errors.Is(err, dfs.ErrIsDir) {
+			t.Errorf("rename onto a directory: %v", err)
+		}
+		if err := fs.Rename(ctx, "/missing", "/dst2"); !errors.Is(err, dfs.ErrNotExist) {
+			t.Errorf("rename a missing source: %v", err)
+		}
+		// A file renamed onto itself stays readable.
+		if err := fs.Rename(ctx, "/deep/dst", "/deep/dst"); err != nil {
+			t.Errorf("rename onto itself: %v", err)
+		}
+		got, err = dfs.ReadAll(ctx, fs, "/deep/dst")
+		if err != nil || !bytes.Equal(got, confPattern(2, 50)) {
+			t.Fatalf("after renaming onto itself: %v", err)
 		}
 	})
 }
@@ -310,6 +336,9 @@ func TestConformanceErrors(t *testing.T) {
 		}
 		if _, err := fs.Open(ctx, "relative/path"); !errors.Is(err, dfs.ErrInvalidPath) {
 			t.Errorf("invalid path: %v", err)
+		}
+		if err := fs.Delete(ctx, "/"); !errors.Is(err, dfs.ErrInvalidPath) {
+			t.Errorf("delete the root: %v", err)
 		}
 	})
 }

@@ -205,16 +205,6 @@ func Versions(ctx context.Context, fs FileSystem, path string) ([]VersionInfo, e
 	return vfs.Versions(ctx, path)
 }
 
-// WaitVersion blocks until path publishes a snapshot newer than after,
-// returning ErrVersionsNotSupported when fs lacks the capability.
-func WaitVersion(ctx context.Context, fs FileSystem, path string, after uint64) (VersionInfo, error) {
-	vfs, ok := AsVersioned(fs)
-	if !ok {
-		return VersionInfo{}, ErrVersionsNotSupported
-	}
-	return vfs.WaitVersion(ctx, path, after)
-}
-
 // FileSystem is the storage interface the Map/Reduce framework uses.
 // Implementations must be safe for concurrent use.
 type FileSystem interface {

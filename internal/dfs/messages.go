@@ -52,12 +52,12 @@ func (m *ListResp) AppendTo(b []byte) []byte {
 
 // DecodeFrom implements wire.Unmarshaler.
 func (m *ListResp) DecodeFrom(r *wire.Reader) error {
-	n := r.Uvarint()
+	n := r.Count()
 	if r.Err() != nil {
 		return r.Err()
 	}
 	m.Infos = make([]FileInfo, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		var fi FileInfo
 		fi.Path = r.String()
 		fi.IsDir = r.Bool()

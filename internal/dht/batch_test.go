@@ -180,7 +180,7 @@ func TestGetBatchFallsBackToReplicas(t *testing.T) {
 	servers[1].Close()
 	var live, stranded []string
 	for _, k := range keys {
-		if slices.Contains(c.ring.Lookup(k, 2), servers[0].Addr()) {
+		if slices.Contains(replicas(c.ring, k, 2), servers[0].Addr()) {
 			live = append(live, k)
 		} else {
 			stranded = append(stranded, k)

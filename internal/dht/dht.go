@@ -259,31 +259,8 @@ func NewRing(members []transport.Addr, vnodes int) *Ring {
 	return r
 }
 
-// Lookup returns up to n distinct members responsible for key, in
-// preference order (primary first).
-func (r *Ring) Lookup(key string, n int) []transport.Addr {
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	if n <= 0 {
-		return nil
-	}
-	var buf [8]int
-	idx := buf[:]
-	if n > len(idx) {
-		idx = make([]int, n)
-	}
-	r.lookup(key, idx[:n])
-	out := make([]transport.Addr, n)
-	for i, m := range idx[:n] {
-		out[i] = r.members[m]
-	}
-	return out
-}
-
-// Primary returns the member first in line for key, Lookup(key, 1)[0]
-// without the slice: for callers that route every request by it. The
-// ring must have a member.
+// Primary returns the member first in line for key: for callers that
+// route every request by it. The ring must have a member.
 func (r *Ring) Primary(key string) transport.Addr {
 	var m [1]int
 	r.lookup(key, m[:])

@@ -246,7 +246,7 @@ func TestRingBalance(t *testing.T) {
 		ring := NewRing(tc.members, 64)
 		counts := make(map[transport.Addr]int)
 		for _, k := range tc.keys {
-			counts[ring.Lookup(k, 1)[0]]++
+			counts[ring.Primary(k)]++
 		}
 		mean := float64(len(tc.keys)) / float64(len(tc.members))
 		for m, c := range counts {
@@ -264,10 +264,7 @@ func TestRingLookupDistinct(t *testing.T) {
 	members := []transport.Addr{"a/dht", "b/dht", "c/dht", "d/dht"}
 	ring := NewRing(members, 32)
 	for i := 0; i < 100; i++ {
-		got := ring.Lookup(fmt.Sprintf("k%d", i), 3)
-		if len(got) != 3 {
-			t.Fatalf("Lookup returned %d members", len(got))
-		}
+		got := replicas(ring, fmt.Sprintf("k%d", i), 3)
 		seen := map[transport.Addr]bool{}
 		for _, m := range got {
 			if seen[m] {
@@ -276,10 +273,18 @@ func TestRingLookupDistinct(t *testing.T) {
 			seen[m] = true
 		}
 	}
-	// n larger than membership is capped.
-	if got := ring.Lookup("k", 10); len(got) != 4 {
-		t.Errorf("Lookup(10) = %d members, want 4", len(got))
+}
+
+// replicas names the first n distinct members for key, in preference
+// order; n must not exceed the membership.
+func replicas(r *Ring, key string, n int) []transport.Addr {
+	idx := make([]int, n)
+	r.lookup(key, idx)
+	out := make([]transport.Addr, n)
+	for i, m := range idx {
+		out[i] = r.members[m]
 	}
+	return out
 }
 
 func TestRingDeterministic(t *testing.T) {
@@ -291,8 +296,8 @@ func TestRingDeterministic(t *testing.T) {
 		keys = append(keys, fmt.Sprintf("key-%d", i))
 	}
 	for _, k := range keys {
-		a := r1.Lookup(k, 2)
-		b := r2.Lookup(k, 2)
+		a := replicas(r1, k, 2)
+		b := replicas(r2, k, 2)
 		if len(a) != len(b) || a[0] != b[0] || a[1] != b[1] {
 			t.Fatalf("ring not deterministic for %q: %v vs %v", k, a, b)
 		}

@@ -182,12 +182,8 @@ func (e *bsfsEnv) Close() {
 
 // hdfsEnv is a running shaped HDFS deployment of the same scale.
 type hdfsEnv struct {
-	cfg     Config
 	net     *simnet.Net
 	cluster *hdfs.Cluster
-
-	mu     sync.Mutex
-	mounts []*hdfs.FS
 }
 
 // newHDFSEnv boots the shaped HDFS environment: a dedicated namenode
@@ -206,32 +202,10 @@ func newHDFSEnv(cfg Config) (*hdfsEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hdfsEnv{cfg: cfg, net: net, cluster: cluster}, nil
+	return &hdfsEnv{net: net, cluster: cluster}, nil
 }
 
-func (e *hdfsEnv) mount(i int) *hdfs.FS {
-	hosts := e.cluster.DatanodeHosts()
-	fs := e.cluster.Mount(hosts[i%len(hosts)], e.cfg.BlockSize)
-	e.mu.Lock()
-	e.mounts = append(e.mounts, fs)
-	e.mu.Unlock()
-	return fs
-}
-
-func (e *hdfsEnv) closeMounts() {
-	e.mu.Lock()
-	mounts := e.mounts
-	e.mounts = nil
-	e.mu.Unlock()
-	for _, m := range mounts {
-		m.Close()
-	}
-}
-
-func (e *hdfsEnv) Close() {
-	e.closeMounts()
-	e.cluster.Close()
-}
+func (e *hdfsEnv) Close() { e.cluster.Close() }
 
 // chunk builds one deterministic chunk (= page) of payload.
 func chunk(cfg Config, tag int) []byte {

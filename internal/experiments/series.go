@@ -37,16 +37,6 @@ func (m *Meter) Record(bytes uint64, d time.Duration) {
 	m.mu.Unlock()
 }
 
-// Time runs fn and records its duration against the given byte count.
-func (m *Meter) Time(bytes uint64, fn func() error) error {
-	start := time.Now()
-	err := fn()
-	if err == nil {
-		m.Record(bytes, time.Since(start))
-	}
-	return err
-}
-
 // Samples returns a copy of all samples.
 func (m *Meter) Samples() []Sample {
 	m.mu.Lock()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"blobseer/internal/kvlog"
-	"blobseer/internal/monitor"
 	"blobseer/internal/obs"
 )
 
@@ -102,21 +101,6 @@ func (r *Recorder) RecordTrace(traceID uint64, reason string, rootDur time.Durat
 	}})
 }
 
-// RecordSnapshot persists a monitor cluster view.
-func (r *Recorder) RecordSnapshot(snap monitor.ClusterSnapshot) error {
-	return r.Append(Event{Kind: KindSnapshot, Snapshot: &snap})
-}
-
-// RecordHealth persists a component health transition.
-func (r *Recorder) RecordHealth(h HealthEvent) error {
-	return r.Append(Event{Kind: KindHealth, Health: &h})
-}
-
-// RecordAlert persists a watchdog rule transition.
-func (r *Recorder) RecordAlert(a AlertEvent) error {
-	return r.Append(Event{Kind: KindAlert, Alert: &a})
-}
-
 // Len reports retained events.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
@@ -137,9 +121,6 @@ func (r *Recorder) Replay() ([]Event, error) {
 	})
 	return events, err
 }
-
-// Sync flushes the backing log to disk.
-func (r *Recorder) Sync() error { return r.store.Sync() }
 
 // Close closes the backing log. A kill skips this — by design the log
 // is still replayable.

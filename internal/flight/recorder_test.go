@@ -30,13 +30,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	r, _ := openTemp(t)
 	defer r.Close()
 
-	if err := r.RecordAlert(AlertEvent{Rule: "journal_lag", State: StateFiring, Value: 900, Limit: 512}); err != nil {
+	if err := r.Append(Event{Kind: KindAlert, Alert: &AlertEvent{Rule: "journal_lag", State: StateFiring, Value: 900, Limit: 512}}); err != nil {
 		t.Fatalf("alert: %v", err)
 	}
-	if err := r.RecordHealth(HealthEvent{Component: "vm-shard-1", Healthy: false, Detail: "timeout"}); err != nil {
+	if err := r.Append(Event{Kind: KindHealth, Health: &HealthEvent{Component: "vm-shard-1", Healthy: false, Detail: "timeout"}}); err != nil {
 		t.Fatalf("health: %v", err)
 	}
-	if err := r.RecordSnapshot(monitor.ClusterSnapshot{Collections: 7, MaxJournalLag: 900}); err != nil {
+	if err := r.Append(Event{Kind: KindSnapshot, Snapshot: &monitor.ClusterSnapshot{Collections: 7, MaxJournalLag: 900}}); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	spans := []obs.SpanInfo{
@@ -75,7 +75,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestReopenAfterAbandon(t *testing.T) {
 	r, path := openTemp(t)
 	for i := 0; i < 10; i++ {
-		if err := r.RecordAlert(AlertEvent{Rule: "r", State: StateFiring, Value: float64(i)}); err != nil {
+		if err := r.Append(Event{Kind: KindAlert, Alert: &AlertEvent{Rule: "r", State: StateFiring, Value: float64(i)}}); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -94,7 +94,7 @@ func TestReopenAfterAbandon(t *testing.T) {
 		t.Fatalf("got %d events after reopen, want 10", len(events))
 	}
 	// Appends continue past the recovered seq.
-	if err := r2.RecordAlert(AlertEvent{Rule: "r", State: StateOK}); err != nil {
+	if err := r2.Append(Event{Kind: KindAlert, Alert: &AlertEvent{Rule: "r", State: StateOK}}); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 	events, _ = r2.Replay()
@@ -144,7 +144,7 @@ func TestRetentionMaxEvents(t *testing.T) {
 	r.maxEvents = 5
 	defer r.Close()
 	for i := 0; i < 20; i++ {
-		if err := r.RecordAlert(AlertEvent{Rule: "r", Value: float64(i)}); err != nil {
+		if err := r.Append(Event{Kind: KindAlert, Alert: &AlertEvent{Rule: "r", Value: float64(i)}}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -170,7 +170,7 @@ func TestRetentionCompacts(t *testing.T) {
 	defer r.Close()
 	big := strings.Repeat("x", 512)
 	for i := 0; i < 200; i++ {
-		if err := r.RecordAlert(AlertEvent{Rule: "r", Detail: big}); err != nil {
+		if err := r.Append(Event{Kind: KindAlert, Alert: &AlertEvent{Rule: "r", Detail: big}}); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -239,14 +239,14 @@ func TestFailedAppendLeavesNoGap(t *testing.T) {
 	r, _ := openTemp(t)
 	r.maxEvents = 3
 	defer r.Close()
-	if err := r.RecordAlert(AlertEvent{Rule: "r", Value: 1}); err != nil {
+	if err := r.Append(Event{Kind: KindAlert, Alert: &AlertEvent{Rule: "r", Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RecordAlert(AlertEvent{Rule: "r", Value: math.NaN()}); err == nil {
+	if err := r.Append(Event{Kind: KindAlert, Alert: &AlertEvent{Rule: "r", Value: math.NaN()}}); err == nil {
 		t.Fatal("an alert with a NaN value encoded")
 	}
 	for i := 2; i <= 4; i++ {
-		if err := r.RecordAlert(AlertEvent{Rule: "r", Value: float64(i)}); err != nil {
+		if err := r.Append(Event{Kind: KindAlert, Alert: &AlertEvent{Rule: "r", Value: float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,7 +301,7 @@ func TestReplayParentLog(t *testing.T) {
 	if r.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", r.Len())
 	}
-	if err := r.RecordAlert(AlertEvent{Rule: "r"}); err != nil {
+	if err := r.Append(Event{Kind: KindAlert, Alert: &AlertEvent{Rule: "r"}}); err != nil {
 		t.Fatal(err)
 	}
 	if events, _ = r.Replay(); events[len(events)-1].Seq != 13 {
@@ -340,7 +340,7 @@ func TestFlightCrashPoints(t *testing.T) {
 	cur := &logGen{}
 	var gens []*logGen
 	for seq := uint64(1); seq <= 40; seq++ {
-		if err := r.RecordAlert(AlertEvent{Rule: "r", Value: float64(seq)}); err != nil {
+		if err := r.Append(Event{Kind: KindAlert, Alert: &AlertEvent{Rule: "r", Value: float64(seq)}}); err != nil {
 			t.Fatal(err)
 		}
 		// The append's put, then one delete per event past the cap.
@@ -415,7 +415,7 @@ func TestFlightCrashPoints(t *testing.T) {
 			if len(want) > 0 {
 				last = want[len(want)-1]
 			}
-			if err := rr.RecordAlert(AlertEvent{Rule: "next"}); err != nil || rr.log.Last() != last+1 {
+			if err := rr.Append(Event{Kind: KindAlert, Alert: &AlertEvent{Rule: "next"}}); err != nil || rr.log.Last() != last+1 {
 				t.Fatalf("cut %d: next event got seq %d, %v; want %d", cut, rr.log.Last(), err, last+1)
 			}
 			rr.Close()

@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"sync/atomic"
 	"time"
 
 	"blobseer/internal/metrics"
@@ -29,8 +28,6 @@ type Sampler struct {
 	rec       *Recorder
 	coll      *obs.Collector
 	cancel    func()
-	kept      atomic.Uint64
-	dropped   atomic.Uint64
 }
 
 // AttachSampler hooks a tail sampler between coll and rec that keeps
@@ -60,7 +57,6 @@ func (s *Sampler) onSpan(si obs.SpanInfo) {
 				return
 			}
 		}
-		s.dropped.Add(1)
 		return
 	}
 	s.keep(si, reason, s.coll.Trace(si.Trace))
@@ -89,14 +85,7 @@ func (s *Sampler) keep(root obs.SpanInfo, reason string, spans []obs.SpanInfo) {
 	}
 	if err := s.rec.RecordTrace(root.Trace, reason, root.Dur, spans); err != nil {
 		obs.Log.Errorf("flight: record trace %d: %v", root.Trace, err)
-		return
 	}
-	s.kept.Add(1)
-}
-
-// Stats reports traces kept and dropped since attach.
-func (s *Sampler) Stats() (kept, dropped uint64) {
-	return s.kept.Load(), s.dropped.Load()
 }
 
 // Close detaches the sampler from the collector.

@@ -297,19 +297,6 @@ func (w *Watchdog) Alerts() []AlertState {
 	return out
 }
 
-// Firing reports how many rules are currently firing.
-func (w *Watchdog) Firing() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := 0
-	for _, st := range w.states {
-		if st.firing {
-			n++
-		}
-	}
-	return n
-}
-
 // Evals reports evaluation passes run.
 func (w *Watchdog) Evals() uint64 {
 	w.mu.Lock()

@@ -18,6 +18,17 @@ func lagMonitor(lag *float64) *monitor.Monitor {
 	return m
 }
 
+// firing counts the rules w reports firing.
+func firing(w *Watchdog) int {
+	n := 0
+	for _, a := range w.Alerts() {
+		if a.State == StateFiring {
+			n++
+		}
+	}
+	return n
+}
+
 func TestWatchdogHysteresis(t *testing.T) {
 	lag := 0.0
 	m := lagMonitor(&lag)
@@ -31,24 +42,24 @@ func TestWatchdogHysteresis(t *testing.T) {
 	// One breach must not fire (hysteresis).
 	lag = 500
 	eval()
-	if w.Firing() != 0 {
+	if firing(w) != 0 {
 		t.Fatal("fired after one breach; want hysteresis to hold")
 	}
 	// Second consecutive breach fires.
 	eval()
-	if w.Firing() != 1 {
+	if firing(w) != 1 {
 		t.Fatal("did not fire after FireAfter consecutive breaches")
 	}
 	// Two OKs are not enough to clear.
 	lag = 0
 	eval()
 	eval()
-	if w.Firing() != 1 {
+	if firing(w) != 1 {
 		t.Fatal("cleared before ClearAfter consecutive OKs")
 	}
 	// Third OK clears.
 	eval()
-	if w.Firing() != 0 {
+	if firing(w) != 0 {
 		t.Fatal("did not clear after ClearAfter consecutive OKs")
 	}
 
@@ -59,7 +70,7 @@ func TestWatchdogHysteresis(t *testing.T) {
 	eval()
 	lag = 500
 	eval()
-	if w.Firing() != 0 {
+	if firing(w) != 0 {
 		t.Fatal("fired across a non-consecutive breach run")
 	}
 
@@ -119,10 +130,10 @@ func TestWatchdogArmEvaluatesOnCollection(t *testing.T) {
 	if w.Evals() < 3 {
 		t.Fatalf("armed watchdog evaluated %d times in 5s", w.Evals())
 	}
-	if w.Firing() != 1 {
+	if firing(w) != 1 {
 		t.Fatal("armed watchdog did not fire on collection")
 	}
-	if got, want := m.Collections(), w.Evals(); got != want {
+	if got, want := m.Snapshot().Collections, w.Evals(); got != want {
 		t.Fatalf("collections = %d, evals = %d; want one evaluation per collection", got, want)
 	}
 	evals := w.Evals()
@@ -146,11 +157,11 @@ func TestWatchdogArmTicksAndCloses(t *testing.T) {
 	w.Arm(10 * time.Millisecond)
 	w.Arm(time.Hour) // already armed: no second ticker, interval kept
 	deadline := time.Now().Add(5 * time.Second)
-	for w.Firing() == 0 && time.Now().Before(deadline) {
+	for firing(w) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if w.Firing() != 1 || m.Collections() == 0 {
-		t.Fatalf("armed watchdog: firing=%d collections=%d", w.Firing(), m.Collections())
+	if firing(w) != 1 || m.Snapshot().Collections == 0 {
+		t.Fatalf("armed watchdog: firing=%d collections=%d", firing(w), m.Snapshot().Collections)
 	}
 	if iv, fresh := w.Fresh(); iv != 10*time.Millisecond || !fresh {
 		t.Fatalf("armed Fresh = %v, %v", iv, fresh)
@@ -208,19 +219,19 @@ func TestWatchdogHealthTransitions(t *testing.T) {
 	})
 
 	w.Evaluate()
-	if w.Firing() != 0 {
+	if firing(w) != 0 {
 		t.Fatal("fired while healthy")
 	}
 	healthy = false
 	w.Evaluate()
-	if w.Firing() != 1 {
+	if firing(w) != 1 {
 		t.Fatal("health rule did not fire on unhealthy component")
 	}
 	healthy = true
 	for i := 0; i < clearAfter; i++ {
 		w.Evaluate()
 	}
-	if w.Firing() != 0 {
+	if firing(w) != 0 {
 		t.Fatal("health rule did not clear")
 	}
 

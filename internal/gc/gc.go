@@ -73,7 +73,6 @@ var (
 	gcBytesReclaimed    = metrics.Default.Counter("gc_bytes_reclaimed")
 	gcNodesDeleted      = metrics.Default.Counter("gc_nodes_deleted")
 	gcPinsBlocked       = metrics.Default.Counter("gc_pins_blocked")
-	gcCompactions       = metrics.Default.Counter("gc_compactions")
 )
 
 // Collector drives reclamation for one deployment. It talks to the
@@ -490,9 +489,6 @@ func (g *Collector) flush(ctx context.Context, rep *Report) {
 			rep.BytesReclaimed += resp.BytesFreed
 			gcPagesReclaimed.Add(resp.Deleted)
 			gcBytesReclaimed.Add(resp.BytesFreed)
-			if resp.Compacted {
-				gcCompactions.Add(1)
-			}
 		}
 	}
 }

@@ -30,9 +30,6 @@ func NewDatanode(net transport.Network, addr transport.Addr, store pagestore.Sto
 // Addr returns the datanode endpoint.
 func (d *Datanode) Addr() transport.Addr { return d.srv.Addr() }
 
-// Store exposes the underlying block store.
-func (d *Datanode) Store() pagestore.Store { return d.store }
-
 // Close stops the datanode.
 func (d *Datanode) Close() error {
 	err := d.srv.Close()

@@ -116,12 +116,12 @@ func (m *GetBlocksResp) AppendTo(b []byte) []byte {
 // DecodeFrom implements wire.Unmarshaler.
 func (m *GetBlocksResp) DecodeFrom(r *wire.Reader) error {
 	m.Size = r.Uvarint()
-	n := r.Uvarint()
+	n := r.Count()
 	if r.Err() != nil {
 		return r.Err()
 	}
 	m.Blocks = make([]BlockInfo, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		var blk BlockInfo
 		blk.ID = r.Uvarint()
 		blk.Length = r.Uvarint()

@@ -425,6 +425,8 @@ func (s *Store) Open() bool {
 }
 
 // Sync flushes the log to stable storage.
+//
+//lint:unusedexport durability flush for a caller that must not lose an acked write
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -43,13 +43,6 @@ func (h *Histogram) RecordDuration(d time.Duration) {
 	h.Record(uint64(d))
 }
 
-// Time runs fn and records its duration.
-func (h *Histogram) Time(fn func()) {
-	start := time.Now()
-	fn()
-	h.RecordDuration(time.Since(start))
-}
-
 // Snapshot copies the histogram. Counters are read individually, so a
 // snapshot taken while writers run may be skewed by in-flight
 // observations; counts never go backwards.

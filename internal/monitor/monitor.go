@@ -175,13 +175,6 @@ func (m *Monitor) CollectOnce() {
 	m.mu.Unlock()
 }
 
-// Collections reports how many collection passes have run.
-func (m *Monitor) Collections() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.collections
-}
-
 // rateKey maps "read_bytes_total" to its exported rate name
 // "read_bytes_per_sec".
 func rateKey(counter string) string {

@@ -88,13 +88,6 @@ func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
 // Enabled reports whether level would be emitted.
 func (l *Logger) Enabled(level Level) bool { return int32(level) >= l.level.Load() }
 
-// SetOutput redirects the logger.
-func (l *Logger) SetOutput(w io.Writer) {
-	l.mu.Lock()
-	l.w = w
-	l.mu.Unlock()
-}
-
 func (l *Logger) logf(level Level, format string, args ...any) {
 	if !l.Enabled(level) {
 		return

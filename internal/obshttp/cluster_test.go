@@ -44,12 +44,12 @@ func TestClusterEndpoint(t *testing.T) {
 	}
 	defer ms.Close()
 
-	before := mon.Collections()
+	before := mon.Snapshot().Collections
 	code, body := serveGet(t, ms, "/cluster")
 	if code != 200 {
 		t.Fatalf("/cluster = %d %q", code, body)
 	}
-	if mon.Collections() != before+1 {
+	if mon.Snapshot().Collections != before+1 {
 		t.Error("/cluster request did not trigger a collection pass")
 	}
 	var snap monitor.ClusterSnapshot
@@ -100,11 +100,11 @@ func TestClusterScrapeDoesNotEvaluateRules(t *testing.T) {
 			t.Fatalf("/cluster = %d %q", code, body)
 		}
 	}
-	if mon.Collections() != 2 {
-		t.Errorf("collections = %d after two scrapes, want 2", mon.Collections())
+	if mon.Snapshot().Collections != 2 {
+		t.Errorf("collections = %d after two scrapes, want 2", mon.Snapshot().Collections)
 	}
-	if w.Evals() != 0 || w.Firing() != 0 {
-		t.Fatalf("two scrapes evaluated the rules: evals=%d firing=%d", w.Evals(), w.Firing())
+	if w.Evals() != 0 || len(w.Alerts()) != 0 {
+		t.Fatalf("two scrapes evaluated the rules: evals=%d alerts=%+v", w.Evals(), w.Alerts())
 	}
 	snapshots := func() int {
 		events, err := rec.Replay()
@@ -128,8 +128,8 @@ func TestClusterScrapeDoesNotEvaluateRules(t *testing.T) {
 	for w.Evals() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if w.Evals() < 2 || w.Firing() != 1 {
-		t.Fatalf("armed watchdog: evals=%d firing=%d, want >= 2 and 1", w.Evals(), w.Firing())
+	if a := w.Alerts(); w.Evals() < 2 || len(a) != 1 || a[0].State != flight.StateFiring {
+		t.Fatalf("armed watchdog: evals=%d alerts=%+v, want >= 2 and one firing", w.Evals(), a)
 	}
 	w.Close()
 	evals := w.Evals()

@@ -4,11 +4,9 @@
 // every write/append creates pages for a fresh version) and read many
 // times.
 //
-// Three engines share one interface:
+// Providers hold pages in memory. Two engines share one interface:
 //
-//   - Memory: a plain map, for unit tests and small clusters;
-//   - Durable: backed by a kvlog file, the BerkeleyDB-substitute
-//     persistence layer of the paper (§3.1.1);
+//   - Memory: a plain map;
 //   - Synthesize: stores only page *sizes* and regenerates deterministic
 //     bytes on read. Experiments with hundreds of simulated clients use
 //     it to keep the 270-node cluster's memory footprint flat while the
@@ -19,8 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"blobseer/internal/kvlog"
 )
 
 // Key identifies one immutable page. Version is the BLOB version whose
@@ -31,7 +27,7 @@ type Key struct {
 	Index   uint64
 }
 
-// String renders the key for logs and kvlog encoding.
+// String renders the key for logs and errors.
 func (k Key) String() string {
 	return fmt.Sprintf("p/%d/%d/%d", k.Blob, k.Version, k.Index)
 }
@@ -156,100 +152,6 @@ func (m *Memory) BytesUsed() int64 {
 func (m *Memory) Close() error { return nil }
 
 //
-// Durable engine.
-//
-
-// DefaultCompactThreshold is the dead-byte watermark beyond which
-// MaybeCompact rewrites a durable store's log.
-const DefaultCompactThreshold = 4 << 20
-
-// Durable persists pages in a kvlog file.
-type Durable struct {
-	log *kvlog.Store
-
-	mu               sync.Mutex // serializes MaybeCompact decisions
-	compactThreshold int64
-}
-
-// OpenDurable opens (or creates) a durable page store at path, with
-// auto-compaction armed at DefaultCompactThreshold dead bytes.
-func OpenDurable(path string) (*Durable, error) {
-	log, err := kvlog.Open(path, kvlog.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: %w", err)
-	}
-	return &Durable{log: log, compactThreshold: DefaultCompactThreshold}, nil
-}
-
-// SetCompactThreshold arms (or, with a negative value, disarms) the
-// dead-byte watermark MaybeCompact compares against. Zero restores
-// DefaultCompactThreshold.
-func (d *Durable) SetCompactThreshold(bytes int64) {
-	if bytes == 0 {
-		bytes = DefaultCompactThreshold
-	}
-	d.mu.Lock()
-	d.compactThreshold = bytes
-	d.mu.Unlock()
-}
-
-// Put implements Store.
-func (d *Durable) Put(k Key, data []byte) error {
-	return d.log.Put(k.String(), data)
-}
-
-// Get implements Store.
-func (d *Durable) Get(k Key) ([]byte, error) {
-	p, err := d.log.Get(k.String())
-	if errors.Is(err, kvlog.ErrNotFound) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, k)
-	}
-	return p, err
-}
-
-// Has implements Store.
-func (d *Durable) Has(k Key) bool { return d.log.Has(k.String()) }
-
-// Delete implements Store.
-func (d *Durable) Delete(k Key) error { return d.log.Delete(k.String()) }
-
-// Len implements Store.
-func (d *Durable) Len() int { return d.log.Len() }
-
-// BytesUsed implements Store.
-func (d *Durable) BytesUsed() int64 {
-	_, live := d.log.Size()
-	return live
-}
-
-// Compact reclaims space from deleted pages.
-func (d *Durable) Compact() error { return d.log.Compact() }
-
-// MaybeCompact compacts the log when its dead bytes (log size minus
-// live payload) have crossed the configured threshold, and reports
-// whether it did. The provider's delete-batch handler calls it after
-// every garbage-collection batch, so reclaimed pages translate into
-// reclaimed disk instead of accumulating as log garbage forever.
-func (d *Durable) MaybeCompact() (bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.compactThreshold < 0 {
-		return false, nil
-	}
-	//lint:lockhold compaction rewrites the log file and must exclude concurrent writers; d.mu is the write serializer
-	return d.log.CompactIfDead(d.compactThreshold)
-}
-
-// AutoCompacter is implemented by engines whose deletions leave dead
-// bytes behind that a compaction pass can reclaim.
-type AutoCompacter interface {
-	MaybeCompact() (bool, error)
-}
-
-// Close implements Store.
-func (d *Durable) Close() error { return d.log.Close() }
-
-//
 // Synthesize engine.
 //
 
@@ -346,6 +248,5 @@ func Fill(buf []byte, seed uint64) {
 
 var (
 	_ Store = (*Memory)(nil)
-	_ Store = (*Durable)(nil)
 	_ Store = (*Synthesize)(nil)
 )

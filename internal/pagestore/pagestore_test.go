@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -13,13 +12,8 @@ import (
 // engines returns a fresh instance of every Store implementation.
 func engines(t *testing.T) map[string]Store {
 	t.Helper()
-	durable, err := OpenDurable(filepath.Join(t.TempDir(), "pages.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]Store{
 		"memory":     NewMemory(),
-		"durable":    durable,
 		"synthesize": NewSynthesize(),
 	}
 }
@@ -170,28 +164,6 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	}
 }
 
-func TestDurablePersistsAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.log")
-	s, err := OpenDurable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := Key{Blob: 2, Version: 3, Index: 4}
-	if err := s.Put(k, []byte("durable bytes")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, err := OpenDurable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got, err := s2.Get(k)
-	if err != nil || string(got) != "durable bytes" {
-		t.Fatalf("reopen Get = %q, %v", got, err)
-	}
-}
-
 func TestConcurrentPutGet(t *testing.T) {
 	for name, s := range engines(t) {
 		t.Run(name, func(t *testing.T) {
@@ -276,75 +248,5 @@ func BenchmarkSynthesizeGet64K(b *testing.B) {
 		if _, err := s.Get(k); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestDurableAutoCompact: deleting pages accrues dead bytes in the
-// kvlog; once they cross the configured threshold, MaybeCompact
-// rewrites the log and the file shrinks. Below the threshold it must
-// leave the log alone.
-func TestDurableAutoCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.log")
-	d, err := OpenDurable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.SetCompactThreshold(4096)
-
-	page := make([]byte, 1024)
-	for i := range page {
-		page[i] = byte(i)
-	}
-	for i := uint64(0); i < 8; i++ {
-		if err := d.Put(Key{Blob: 1, Version: 1, Index: i}, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// One deletion: dead bytes below the threshold, no compaction.
-	if err := d.Delete(Key{Blob: 1, Version: 1, Index: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if did, err := d.MaybeCompact(); err != nil || did {
-		t.Fatalf("MaybeCompact below threshold: did=%v err=%v", did, err)
-	}
-
-	// Delete most pages: dead bytes cross the threshold.
-	for i := uint64(1); i < 6; i++ {
-		if err := d.Delete(Key{Blob: 1, Version: 1, Index: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	totalBefore, _ := d.log.Size()
-	did, err := d.MaybeCompact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !did {
-		t.Fatal("MaybeCompact above threshold did not compact")
-	}
-	totalAfter, live := d.log.Size()
-	if totalAfter >= totalBefore {
-		t.Errorf("log did not shrink: %d -> %d", totalBefore, totalAfter)
-	}
-	if live != 2*1024 {
-		t.Errorf("live bytes after compact = %d, want %d", live, 2*1024)
-	}
-	// Surviving pages still read back.
-	for i := uint64(6); i < 8; i++ {
-		got, err := d.Get(Key{Blob: 1, Version: 1, Index: i})
-		if err != nil || len(got) != len(page) {
-			t.Fatalf("page %d after compact: err=%v len=%d", i, err, len(got))
-		}
-	}
-
-	// A negative threshold disarms auto-compaction entirely.
-	d.SetCompactThreshold(-1)
-	if err := d.Delete(Key{Blob: 1, Version: 1, Index: 6}); err != nil {
-		t.Fatal(err)
-	}
-	if did, err := d.MaybeCompact(); err != nil || did {
-		t.Fatalf("disarmed MaybeCompact: did=%v err=%v", did, err)
 	}
 }

@@ -97,6 +97,8 @@ func (c *NodeCache) Len() int {
 }
 
 // Holds returns how many of them version ver of blob wrote.
+//
+//lint:unusedexport test hook: the segtree, blob and gc tests count cached nodes
 func (c *NodeCache) Holds(blob, ver uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

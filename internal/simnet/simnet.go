@@ -88,6 +88,8 @@ type HostStats struct {
 }
 
 // Stats returns the traffic counters of host, or zeros if unknown.
+//
+//lint:unusedexport test hook: the pinned benchmark's nettrace test reads it
 func (n *Net) Stats(host string) HostStats {
 	n.mu.Lock()
 	h := n.hosts[host]

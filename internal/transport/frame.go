@@ -93,6 +93,8 @@ var poisonReleased atomic.Bool
 // garbage at once instead of whatever the next owner writes. It exists
 // for tests (TestMain switches it on) and is always on under the race
 // detector; it is not a tuning knob.
+//
+//lint:unusedexport test hook: TestMain of every package that recycles frames
 func PoisonReleased(on bool) { poisonReleased.Store(on) }
 
 // Poison overwrites the whole capacity of b with 0xDB when

@@ -20,6 +20,8 @@ type TCPNet struct {
 }
 
 // NewTCPNet returns a TCP-backed network using loopback sockets.
+//
+//lint:unusedexport the one transport that crosses processes
 func NewTCPNet() *TCPNet {
 	return &TCPNet{ports: make(map[Addr]string)}
 }

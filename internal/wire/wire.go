@@ -86,21 +86,6 @@ func AppendUvarint(b []byte, v uint64) []byte {
 // UvarintLen returns how many bytes AppendUvarint appends for v.
 func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// AppendVarint appends v in zigzag form.
-func AppendVarint(b []byte, v int64) []byte {
-	return binary.AppendVarint(b, v)
-}
-
-// AppendUint32 appends v as a fixed 4-byte little-endian value.
-func AppendUint32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-// AppendUint64 appends v as a fixed 8-byte little-endian value.
-func AppendUint64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
 // AppendBool appends v as one byte.
 func AppendBool(b []byte, v bool) []byte {
 	if v {
@@ -197,50 +182,19 @@ func (r *Reader) Uvarint() uint64 {
 	return 0
 }
 
-// Varint decodes a zigzag varint.
-func (r *Reader) Varint() int64 {
+// Count decodes the element count of a count-prefixed sequence. Every
+// element takes at least one byte, so a count beyond the bytes left
+// fails with ErrShortBuffer, and a decoder may size an allocation by
+// what Count returns.
+func (r *Reader) Count() int {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(r.Len()) {
+		r.fail(ErrShortBuffer)
+	}
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(r.buf[r.off:])
-	switch {
-	case n > 0:
-		r.off += n
-		return v
-	case n == 0:
-		r.fail(ErrShortBuffer)
-	default:
-		r.fail(ErrOverflow)
-	}
-	return 0
-}
-
-// Uint32 decodes a fixed 4-byte value.
-func (r *Reader) Uint32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.Len() < 4 {
-		r.fail(ErrShortBuffer)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-// Uint64 decodes a fixed 8-byte value.
-func (r *Reader) Uint64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.Len() < 8 {
-		r.fail(ErrShortBuffer)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
+	return int(n)
 }
 
 // Bool decodes a single byte as a boolean.
@@ -364,16 +318,12 @@ func (r *Reader) Fields() (n int, region []byte) {
 
 // Uint64Slice decodes a count-prefixed uvarint slice.
 func (r *Reader) Uint64Slice() []uint64 {
-	n := r.Uvarint()
+	n := r.Count()
 	if r.err != nil {
 		return nil
 	}
-	if n > MaxBytesLen {
-		r.fail(ErrTooLarge)
-		return nil
-	}
 	vs := make([]uint64, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		vs = append(vs, r.Uvarint())
 		if r.err != nil {
 			return nil

@@ -26,29 +26,10 @@ func TestUvarintRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVarintRoundTrip(t *testing.T) {
-	cases := []int64{0, 1, -1, 63, -64, 1 << 40, -(1 << 40), math.MaxInt64, math.MinInt64}
-	for _, v := range cases {
-		b := AppendVarint(nil, v)
-		r := NewReader(b)
-		if got := r.Varint(); got != v || r.Err() != nil {
-			t.Errorf("Varint(%d): got %d err %v", v, got, r.Err())
-		}
-	}
-}
-
 func TestFixedWidthRoundTrip(t *testing.T) {
-	b := AppendUint32(nil, 0xdeadbeef)
-	b = AppendUint64(b, 0x0123456789abcdef)
-	b = AppendBool(b, true)
+	b := AppendBool(nil, true)
 	b = AppendBool(b, false)
 	r := NewReader(b)
-	if got := r.Uint32(); got != 0xdeadbeef {
-		t.Errorf("Uint32: got %#x", got)
-	}
-	if got := r.Uint64(); got != 0x0123456789abcdef {
-		t.Errorf("Uint64: got %#x", got)
-	}
 	if !r.Bool() || r.Bool() {
 		t.Error("Bool: wrong values")
 	}
@@ -164,6 +145,15 @@ func TestSliceDecodersRejectBeforeAllocating(t *testing.T) {
 	if r.StringSlice(); !errors.Is(r.Err(), ErrTooLarge) {
 		t.Errorf("count over the limit: err = %v, want ErrTooLarge", r.Err())
 	}
+	for _, n := range []uint64{1, 1 << 20, 1 << 62} {
+		b := AppendUvarint(nil, n)
+		if r := NewReader(b); r.Uint64Slice() != nil || !errors.Is(r.Err(), ErrShortBuffer) {
+			t.Errorf("count %d: Uint64Slice err = %v, want ErrShortBuffer", n, r.Err())
+		}
+		if r := NewReader(b); r.Count() != 0 || !errors.Is(r.Err(), ErrShortBuffer) {
+			t.Errorf("count %d: Count err = %v, want ErrShortBuffer", n, r.Err())
+		}
+	}
 }
 
 func TestUint64SliceRoundTrip(t *testing.T) {
@@ -237,12 +227,12 @@ func TestTruncationNeverPanics(t *testing.T) {
 	// Every prefix of a valid encoding must fail cleanly, not panic.
 	full := AppendString(nil, "some string")
 	full = AppendUint64Slice(full, []uint64{1, 2, 3})
-	full = AppendUint64(full, 42)
+	full = AppendBool(full, true)
 	for i := 0; i < len(full); i++ {
 		r := NewReader(full[:i])
 		_ = r.String()
 		_ = r.Uint64Slice()
-		_ = r.Uint64()
+		_ = r.Bool()
 		if i < len(full) && r.Err() == nil && r.Len() == 0 {
 			// Some prefixes decode fine (e.g. shorter string); that is OK
 			// as long as nothing panicked.
@@ -253,22 +243,20 @@ func TestTruncationNeverPanics(t *testing.T) {
 
 // quick-check property: arbitrary field sequences round-trip.
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(u uint64, i int64, s string, p []byte, bl bool) bool {
+	f := func(u uint64, s string, p []byte, bl bool) bool {
 		b := AppendUvarint(nil, u)
-		b = AppendVarint(b, i)
 		b = AppendString(b, s)
 		b = AppendBytes(b, p)
 		b = AppendBool(b, bl)
 		r := NewReader(b)
 		gu := r.Uvarint()
-		gi := r.Varint()
 		gs := r.String()
 		gp := r.BytesCopy()
 		gb := r.Bool()
 		if r.Err() != nil || r.Len() != 0 {
 			return false
 		}
-		return gu == u && gi == i && gs == s && bytes.Equal(gp, p) && gb == bl
+		return gu == u && gs == s && bytes.Equal(gp, p) && gb == bl
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
