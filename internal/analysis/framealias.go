@@ -8,18 +8,21 @@ import (
 // FrameAlias guards the rpc frame pool. wire.Reader.Bytes returns a
 // slice of the frame being decoded, and so does the region that
 // wire.Reader.Fields returns beside its count; a request frame is
-// recycled as soon as its handler's response has been marshalled — so
-// such a slice that outlives the decode (stored in a struct field, a
-// package variable or a composite literal, or returned) is a
-// use-after-free unless somebody copies it in time. Decoders that keep
-// the bytes call BytesCopy (or copy a Fields region once); the ones
-// that alias on purpose (blob.PutPageReq, whose page the store copies
-// before the handler returns, blob.GetPageResp and the dht client's
-// batch answer, whose response frames are never recycled, the dht
-// server's get-batch answer, which reads its request's keys while it
-// is marshalled, before the frame is released, and mapreduce's run,
-// which reads a shuffle segment the reducer owns and no frame at all)
-// carry `//lint:framealias <reason>`.
+// recycled as soon as its handler's response has been marshalled, and a
+// response frame as soon as the client has decoded it — so such a slice
+// that outlives the decode (stored in a struct field, a package
+// variable or a composite literal, or returned) is a use-after-free
+// unless somebody copies it in time. Decoders that keep the bytes call
+// BytesCopy (or copy a Fields region once). A response whose type
+// declares KeepsFrame (rpc.FrameKeeper: blob.GetPageResp, whose page
+// becomes the cache entry, and the dht client's batch answer) is handed
+// its frame for good, so its DecodeFrom may store aliases. The other
+// decoders that alias on purpose (blob.PutPageReq, whose page the store
+// copies before the handler returns, the dht server's get-batch answer,
+// which reads its request's keys while it is marshalled, before the
+// frame is released, and mapreduce's run, which reads a shuffle segment
+// the reducer owns and no frame at all) carry
+// `//lint:framealias <reason>`.
 //
 // The check follows a frame slice through local variables and slice
 // expressions within one function body; it does not follow it into a
@@ -37,11 +40,35 @@ func runFrameAlias(pass *Pass) error {
 		if isTestFile(pass.Fset, file.Pos()) {
 			continue
 		}
+		keepers := make(map[*ast.BlockStmt]bool)
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && keepsFrame(pass.TypesInfo, fd) {
+				keepers[fd.Body] = true
+			}
+		}
 		funcScopes(file, func(_ string, body *ast.BlockStmt) {
-			checkFrameAliases(pass, body)
+			if !keepers[body] {
+				checkFrameAliases(pass, body)
+			}
 		})
 	}
 	return nil
+}
+
+// keepsFrame reports whether fd is the DecodeFrom of a type that also
+// declares KeepsFrame: a response rpc leaves its frame to.
+func keepsFrame(info *types.Info, fd *ast.FuncDecl) bool {
+	if fd.Recv == nil || fd.Name.Name != "DecodeFrom" {
+		return false
+	}
+	fn, _ := info.Defs[fd.Name].(*types.Func)
+	if fn == nil {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	obj, _, _ := types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), "KeepsFrame")
+	_, ok := obj.(*types.Func)
+	return ok
 }
 
 func checkFrameAliases(pass *Pass, body *ast.BlockStmt) {

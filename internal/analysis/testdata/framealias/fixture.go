@@ -67,7 +67,7 @@ func usedInPlace(r *wire.Reader) int {
 }
 
 func (m *msg) justified(r *wire.Reader) error {
-	//lint:framealias fixture: the response frame is never recycled
+	//lint:framealias fixture: the caller copies m.data before the frame is released
 	m.data = r.Bytes()
 	return r.Err()
 }
@@ -98,20 +98,41 @@ func (m *msg) fieldsCopied(r *wire.Reader) int {
 	return n
 }
 
-// batchResp is the dht client's batch answer: a decode whose
-// values alias the response frame, element by element. The frame
-// belongs to the decoded response, so the alias is justified, once,
-// on the line that takes it.
-func (m *msg) batchResp(r *wire.Reader) error {
-	m.values = make([][]byte, r.Uvarint())
-	for i := range m.values {
-		//lint:framealias fixture: a response frame belongs to the decoded response and is never recycled
-		m.values[i] = r.Bytes()
+// keeper is a response that declares KeepsFrame, as the dht client's
+// batch answer does: rpc leaves it its frame, so its DecodeFrom may
+// keep aliases, element by element.
+type keeper struct {
+	data   []byte
+	values [][]byte
+}
+
+func (k *keeper) KeepsFrame() {}
+
+func (k *keeper) DecodeFrom(r *wire.Reader) error {
+	k.data = r.Bytes()
+	k.values = make([][]byte, r.Uvarint())
+	for i := range k.values {
+		k.values[i] = r.Bytes()
 	}
 	return r.Err()
 }
 
-// batchReq is the same decode on the request side, where the frame is
+// decodeAgain is no DecodeFrom: rpc hands a keeper's frame to that one
+// method only.
+func (k *keeper) decodeAgain(r *wire.Reader) {
+	k.data = r.Bytes() // want "stored beyond the decode"
+}
+
+// copier declares no KeepsFrame: rpc recycles its frame once DecodeFrom
+// returns.
+type copier struct{ data []byte }
+
+func (c *copier) DecodeFrom(r *wire.Reader) error {
+	c.data = r.Bytes() // want "stored beyond the decode"
+	return r.Err()
+}
+
+// batchReq is keeper's decode on the request side, where the frame is
 // recycled under whatever the handler stored: still a finding.
 func (m *msg) batchReq(r *wire.Reader) error {
 	m.values = make([][]byte, r.Uvarint())

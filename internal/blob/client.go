@@ -1124,7 +1124,7 @@ func (b *Blob) readAtInto(ctx context.Context, ver uint64, off uint64, p []byte)
 	lastPage := (off + n - 1) / ps
 	slots, err := b.resolveSlots(ctx, info, firstPage, lastPage-firstPage+1)
 	if err == nil {
-		err = b.readSlots(ctx, slots, off, p)
+		err = b.readSlots(ctx, slots, off, p, true)
 	}
 	if err != nil {
 		return 0, b.collectedOr(ctx, info.Ver, err)
@@ -1164,7 +1164,7 @@ func (b *Blob) readWritten(ctx context.Context, ver, off, n uint64) ([]byte, err
 		return nil, fmt.Errorf("blob: version %d of blob %d stored page %d from byte %d on, read starts at %d", ver, b.id, first, slots[0].Ref.Lo, off-first*ps)
 	}
 	out := make([]byte, n)
-	if err := b.readSlots(ctx, slots, off, out); err != nil {
+	if err := b.readSlots(ctx, slots, off, out, false); err != nil {
 		return nil, b.collectedOr(ctx, ver, err)
 	}
 	return out, nil
@@ -1185,25 +1185,33 @@ func (b *Blob) extent(slots []segtree.Slot, i uint64) (lo, hi uint64) {
 
 // readSlots copies bytes [off, off+len(p)) of the BLOB into p from the
 // resolved pages that hold them, each fetched in parallel and copied
-// straight to its place; holes read as zeros.
-func (b *Blob) readSlots(ctx context.Context, slots []segtree.Slot, off uint64, p []byte) error {
+// straight to its place; holes read as zeros. With cached set, and a
+// page cache to use, the pages are read through it; otherwise each is
+// copied straight out of its response frame, which goes back to the
+// pool, and nothing of it stays behind.
+func (b *Blob) readSlots(ctx context.Context, slots []segtree.Slot, off uint64, p []byte, cached bool) error {
 	end := off + uint64(len(p))
+	cached = cached && b.c.pages != nil
 	return b.c.forEachPage(uint64(len(slots)), func(i uint64) error {
 		base, limit := b.extent(slots, i)
 		lo, hi := max(off, base), min(end, limit)
 		if lo >= hi {
 			return nil // a fragment the read does not reach
 		}
+		dst := p[lo-off : hi-off]
 		if slots[i].Ref.Hole {
-			clear(p[lo-off : hi-off])
+			clear(dst)
 			return nil
+		}
+		if !cached {
+			return b.c.fetchPageDirect(ctx, slots[i].Ref, hi-base, &pageWindow{dst: dst, lo: lo - base})
 		}
 		// fetchPage validates length: success means >= hi-base bytes.
 		page, err := b.c.fetchPage(ctx, slots[i].Ref, hi-base)
 		if err != nil {
 			return err
 		}
-		copy(p[lo-off:hi-off], page[lo-base:hi-base])
+		copy(dst, page[lo-base:hi-base])
 		return nil
 	})
 }
@@ -1241,7 +1249,7 @@ func (b *Blob) pageView(ctx context.Context, ver, page uint64) ([]byte, error) {
 	}
 	if len(slots) > 1 {
 		view := make([]byte, want)
-		if err := b.readSlots(ctx, slots, page*ps, view); err != nil {
+		if err := b.readSlots(ctx, slots, page*ps, view, true); err != nil {
 			return nil, b.collectedOr(ctx, info.Ver, err)
 		}
 		return view, nil
@@ -1376,10 +1384,10 @@ func (b *Blob) resolveVersion(ctx context.Context, ver uint64) (VersionInfo, err
 // shared and read-only.
 func (c *Client) fetchPage(ctx context.Context, ref segtree.PageRef, want uint64) ([]byte, error) {
 	if c.pages == nil {
-		return c.fetchPageDirect(ctx, ref, want)
+		return c.fetchPageFrame(ctx, ref, want)
 	}
 	data, err := c.pages.Get(ctx, ref.Page, func(fctx context.Context) ([]byte, error) {
-		return c.fetchPageDirect(fctx, ref, want)
+		return c.fetchPageFrame(fctx, ref, want)
 	})
 	if err == nil && uint64(len(data)) < want {
 		// Cached by an earlier read that needed a narrower prefix of
@@ -1388,7 +1396,7 @@ func (c *Client) fetchPage(ctx context.Context, ref segtree.PageRef, want uint64
 		// access records one hit AND one miss — keeping "zero misses"
 		// a truthful proxy for "zero provider RPCs".
 		c.rstats.AddMiss()
-		data, err = c.fetchPageDirect(ctx, ref, want)
+		data, err = c.fetchPageFrame(ctx, ref, want)
 		if err == nil {
 			c.pages.Put(ref.Page, data)
 		}
@@ -1396,16 +1404,26 @@ func (c *Client) fetchPage(ctx context.Context, ref segtree.PageRef, want uint64
 	return data, err
 }
 
-// fetchPageDirect retrieves one page from its replicas, accepting only
-// replies of at least want bytes — a truncated/corrupt replica counts
-// as a failed provider and the fetch fails over to the next one, so a
-// sick replica can degrade latency but never poisons the shared cache.
-// A replica co-located with this client is tried first (the map
-// scheduler places tasks next to their data, and a local fetch spares
-// both NICs); otherwise the starting replica rotates per fetch so
-// remote read traffic spreads across replicas instead of hammering the
-// primary. Failed fetches are counted in the read stats.
-func (c *Client) fetchPageDirect(ctx context.Context, ref segtree.PageRef, want uint64) ([]byte, error) {
+// fetchPageFrame retrieves one page of at least want bytes as a slice
+// of its response frame, which the page is from then on.
+func (c *Client) fetchPageFrame(ctx context.Context, ref segtree.PageRef, want uint64) ([]byte, error) {
+	var resp GetPageResp
+	if err := c.fetchPageDirect(ctx, ref, want, &resp); err != nil {
+		return nil, err
+	}
+	return resp.Data, nil
+}
+
+// fetchPageDirect retrieves one page from its replicas into resp,
+// accepting only replies of at least want bytes — a truncated/corrupt
+// replica counts as a failed provider and the fetch fails over to the
+// next one, so a sick replica can degrade latency but never poisons the
+// shared cache. A replica co-located with this client is tried first
+// (the map scheduler places tasks next to their data, and a local fetch
+// spares both NICs); otherwise the starting replica rotates per fetch
+// so remote read traffic spreads across replicas instead of hammering
+// the primary. Failed fetches are counted in the read stats.
+func (c *Client) fetchPageDirect(ctx context.Context, ref segtree.PageRef, want uint64, resp pageResp) error {
 	nrep := len(ref.Providers)
 	local := -1
 	for i, addr := range ref.Providers {
@@ -1419,11 +1437,22 @@ func (c *Client) fetchPageDirect(ctx context.Context, ref segtree.PageRef, want 
 		start = int(c.replicaRR.Add(1) % uint32(nrep))
 	}
 	var lastErr error
-	try := func(addr string) ([]byte, bool) {
-		var resp GetPageResp
+	for i := -1; i < nrep; i++ {
+		// The local replica first, if there is one, then the others
+		// from start on.
+		k := local
+		if i >= 0 {
+			if k = (start + i) % nrep; k == local {
+				continue
+			}
+		}
+		if k < 0 {
+			continue
+		}
 		c.rstats.AddProviderFetch()
-		err := c.pool.Call(ctx, transport.Addr(addr), ProvGetPage, &GetPageReq{Key: ref.Page}, &resp)
-		if err != nil {
+		err := c.pool.Call(ctx, transport.Addr(ref.Providers[k]), ProvGetPage, &GetPageReq{Key: ref.Page}, resp)
+		switch {
+		case err != nil:
 			// A cancelled caller is not a sick replica: don't brand
 			// the provider (reader Close cancels in-flight prefetches
 			// all the time) — the ctx check below stops the sweep.
@@ -1431,43 +1460,24 @@ func (c *Client) fetchPageDirect(ctx context.Context, ref segtree.PageRef, want 
 				c.rstats.AddProviderFailure()
 			}
 			lastErr = err
-			return nil, false
-		}
-		if uint64(len(resp.Data)) < want {
+		case resp.pageLen() < want:
 			// Either a truncated replica or a legitimately short page
 			// (a never-rewritten tail the read version overshoots).
 			// Try the remaining replicas, but don't brand the provider
 			// as failed: a legitimately short page answers this way
 			// from every healthy replica.
-			lastErr = fmt.Errorf("%w: page %s has %d bytes, need %d", ErrShortPage, ref.Page, len(resp.Data), want)
-			return nil, false
-		}
-		return resp.Data, true
-	}
-	if local >= 0 {
-		if data, ok := try(ref.Providers[local]); ok {
-			return data, nil
+			lastErr = fmt.Errorf("%w: page %s has %d bytes, need %d", ErrShortPage, ref.Page, resp.pageLen(), want)
+		default:
+			return nil
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < nrep; i++ {
-		k := (start + i) % nrep
-		if k == local {
-			continue
-		}
-		if data, ok := try(ref.Providers[k]); ok {
-			return data, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if errors.Is(lastErr, ErrShortPage) {
-		return nil, lastErr
+		return lastErr
 	}
-	return nil, fmt.Errorf("%w: %s: %w", ErrPageRead, ref.Page, lastErr)
+	return fmt.Errorf("%w: %s: %w", ErrPageRead, ref.Page, lastErr)
 }
 
 // PageLoc describes where one page of a version lives; the Map/Reduce

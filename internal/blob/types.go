@@ -746,6 +746,13 @@ func (m *GetPageReq) DecodeFrom(r *wire.Reader) error {
 	return r.Err()
 }
 
+// pageResp is a GetPage response as a page fetch decodes it: into the
+// frame itself (GetPageResp) or out of it (pageWindow).
+type pageResp interface {
+	wire.Unmarshaler
+	pageLen() uint64 // the length of the page the last decode saw
+}
+
 // GetPageResp carries the page content.
 type GetPageResp struct{ Data []byte }
 
@@ -756,11 +763,37 @@ func (m *GetPageResp) AppendTo(b []byte) []byte { return wire.AppendBytes(b, m.D
 func (m *GetPageResp) EncodedSize() int { return pageFieldsMax + len(m.Data) }
 
 // DecodeFrom implements wire.Unmarshaler. Data aliases the response
-// frame: that frame is the page's one allocation on the read path, it
-// is what the page cache holds, and it is shared and read-only from
-// here on.
+// frame: that frame is the page's one allocation on the cached read
+// path, it is what the page cache holds, and it is shared and read-only
+// from here on.
 func (m *GetPageResp) DecodeFrom(r *wire.Reader) error {
-	//lint:framealias a decoded response owns its frame (rpc never recycles it); the slice is the immutable cache entry
 	m.Data = r.Bytes()
 	return r.Err()
 }
+
+// KeepsFrame implements rpc.FrameKeeper: Data is the frame.
+func (m *GetPageResp) KeepsFrame() {}
+
+func (m *GetPageResp) pageLen() uint64 { return uint64(len(m.Data)) }
+
+// pageWindow decodes a GetPage response by copying bytes
+// [lo, lo+len(dst)) of the page into dst, and only if the page holds
+// them all. It keeps nothing of the frame, which rpc then recycles: a
+// page read this way is allocated once, where it rests.
+type pageWindow struct {
+	dst  []byte
+	lo   uint64
+	size uint64 // the page's length
+}
+
+// DecodeFrom implements wire.Unmarshaler.
+func (m *pageWindow) DecodeFrom(r *wire.Reader) error {
+	page := r.Bytes()
+	m.size = uint64(len(page))
+	if m.size >= m.lo+uint64(len(m.dst)) {
+		copy(m.dst, page[m.lo:])
+	}
+	return r.Err()
+}
+
+func (m *pageWindow) pageLen() uint64 { return m.size }

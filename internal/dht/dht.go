@@ -467,8 +467,7 @@ func (mc *memberCall) AppendTo(b []byte) []byte {
 
 // DecodeFrom implements wire.Unmarshaler for a get's answer: each
 // found value goes straight into the fanOut's slot for its position,
-// where it aliases the response frame (a decoded response owns its
-// frame).
+// where it aliases the response frame (see KeepsFrame).
 func (mc *memberCall) DecodeFrom(r *wire.Reader) error {
 	f := mc.f
 	if n := r.Uvarint(); r.Err() == nil && n != uint64(len(mc.share)) {
@@ -478,12 +477,15 @@ func (mc *memberCall) DecodeFrom(r *wire.Reader) error {
 		found := r.Bool()
 		v := r.Bytes()
 		if found && r.Err() == nil {
-			//lint:framealias a response frame belongs to the decoded response and is never recycled
 			f.out[p] = v
 		}
 	}
 	return r.Err()
 }
+
+// KeepsFrame implements rpc.FrameKeeper: a get's values alias the
+// answer's frame, which they own from then on.
+func (mc *memberCall) KeepsFrame() {}
 
 // firstErr returns the first member failure, naming the member.
 func (c *Client) firstErr(op string, f *fanOut) error {

@@ -260,7 +260,9 @@ func (jt *JobTracker) RunStreaming(ctx context.Context, fs dfs.FileSystem, conf 
 		ccancel()
 		// The deleting client forgot the BLOBs; the trackers' clients
 		// appended and fetched them, and would keep a finished job's
-		// pages, slots and tree nodes until LRU evicted them.
+		// write records, version infos and tree nodes, and the pages a
+		// compacting append read back, until LRU evicted them (a fetch
+		// caches no page).
 		blobs := job.shuffle.Blobs()
 		for _, tt := range jt.trackers {
 			if src, ok := tt.fs.(shuffle.ClientSource); ok && !tt.Dead() {

@@ -133,16 +133,25 @@ func (b *recordBuffer) sort() {
 	})
 }
 
-// encode renders the buffer's records, in index order, as one map
-// output partition: a uvarint record count, then every record as a
-// uvarint-length-prefixed key and a uvarint-length-prefixed value. The
-// result is a slice of its own, sized exactly.
-func (b *recordBuffer) encode() []byte {
+// encodedSize is the length of the buffer's encoding (see encode).
+func (b *recordBuffer) encodedSize() int {
 	size := wire.UvarintLen(uint64(len(b.index))) + len(b.arena)
 	for _, r := range b.index {
 		size += wire.UvarintLen(uint64(r.klen)) + wire.UvarintLen(uint64(r.vlen))
 	}
-	out := wire.AppendUvarint(make([]byte, 0, size), uint64(len(b.index)))
+	return size
+}
+
+// encode appends the buffer's records, in index order, to dst as one
+// map output partition: a uvarint record count, then every record as a
+// uvarint-length-prefixed key and a uvarint-length-prefixed value. A
+// dst with encodedSize bytes of room is filled without growing; a nil
+// dst gets a slice of its own, sized exactly.
+func (b *recordBuffer) encode(dst []byte) []byte {
+	if dst == nil {
+		dst = make([]byte, 0, b.encodedSize())
+	}
+	out := wire.AppendUvarint(dst, uint64(len(b.index)))
 	for _, r := range b.index {
 		out = wire.AppendBytes(out, b.key(r))
 		out = wire.AppendBytes(out, b.value(r))

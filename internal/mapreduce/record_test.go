@@ -129,7 +129,7 @@ func TestRecordBufferAgainstModel(t *testing.T) {
 			b := &em.parts[p]
 			b.sort()
 			refSort(model[p])
-			seg := b.encode()
+			seg := b.encode(nil)
 			if want := refEncode(model[p]); !bytes.Equal(seg, want) {
 				t.Fatalf("trial %d part %d: encoded\n%q, the reference encoder renders\n%q", trial, p, seg, want)
 			}
@@ -145,7 +145,7 @@ func TestRecordBufferAgainstModel(t *testing.T) {
 			}
 			runs := make([]run, len(deal))
 			for i := range deal {
-				runs[i] = mustOpenRun(t, bufferOf(deal[i]...).encode())
+				runs[i] = mustOpenRun(t, bufferOf(deal[i]...).encode(nil))
 			}
 			if got := drain(newPairMerger(runs)); !slices.Equal(got, model[p]) {
 				t.Fatalf("trial %d part %d: merged %q, want %q", trial, p, got, model[p])

@@ -2,6 +2,7 @@ package mapreduce_test
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,15 @@ import (
 	"blobseer/internal/transport"
 	"blobseer/internal/workload"
 )
+
+// Released frames are overwritten in every test of this package: a map
+// partition an append still read after AppendMap returned, or a page
+// frame recycled under a fetch, shows up as 0xDB bytes and fails a
+// segment's checksum instead of passing by luck.
+func TestMain(m *testing.M) {
+	transport.PoisonReleased(true)
+	os.Exit(m.Run())
+}
 
 // newBSFSEnvSlots is newBSFSEnv with explicit per-tracker slot counts
 // (the overlap tests cap map slots to force multi-wave map phases).

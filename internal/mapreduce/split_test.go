@@ -168,7 +168,7 @@ func TestPartitionOfDeterministic(t *testing.T) {
 
 func TestEncodeDecodePairs(t *testing.T) {
 	in := []refPair{{"a", "1"}, {"b", ""}, {"", "x"}, {"key with\ttab", "v"}}
-	seg := bufferOf(in...).encode()
+	seg := bufferOf(in...).encode(nil)
 	if want := refEncode(in); !bytes.Equal(seg, want) {
 		t.Fatalf("encoded %q, want %q", seg, want)
 	}

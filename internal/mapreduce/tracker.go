@@ -297,7 +297,14 @@ func (tt *TaskTracker) runMap(ctx context.Context, job *jobState, mapID int, spl
 		if job.conf.Combine != nil {
 			part = sc.combine(part, job.conf.Combine)
 		}
-		encoded[p] = part.encode()
+		if job.shuffle != nil {
+			// A blob-shuffle partition lives only until AppendMap
+			// returns: the providers keep the bytes from then on.
+			encoded[p] = part.encode(transport.NewFrame(part.encodedSize()))
+		} else {
+			// The memory backend serves the partition until the job ends.
+			encoded[p] = part.encode(nil)
+		}
 	}
 	recordsOut = sc.out.n
 	if job.shuffle != nil {
@@ -308,7 +315,11 @@ func (tt *TaskTracker) runMap(ctx context.Context, job *jobState, mapID int, spl
 		if !ok {
 			return 0, 0, fmt.Errorf("map %d: blob shuffle on %s mount", mapID, tt.fs.Name())
 		}
-		if err := job.shuffle.AppendMap(ctx, src.BlobClient(), uint64(mapID), encoded); err != nil {
+		err := job.shuffle.AppendMap(ctx, src.BlobClient(), uint64(mapID), encoded)
+		for _, data := range encoded {
+			transport.ReleaseFrame(data)
+		}
+		if err != nil {
 			return 0, 0, fmt.Errorf("map %d: %w", mapID, err)
 		}
 		return recordsIn, recordsOut, nil

@@ -23,13 +23,31 @@ func TestMain(m *testing.M) {
 }
 
 // aliasMsg decodes by aliasing its frame, the way blob.GetPageResp
-// (and the benchmark's echo probe) do.
+// does, and so declares KeepsFrame: a response keeps its frame.
 type aliasMsg struct{ data []byte }
 
 func (m *aliasMsg) AppendTo(b []byte) []byte { return wire.AppendBytes(b, m.data) }
 func (m *aliasMsg) EncodedSize() int         { return 5 + len(m.data) }
 func (m *aliasMsg) DecodeFrom(r *wire.Reader) error {
 	m.data = r.Bytes()
+	return r.Err()
+}
+func (m *aliasMsg) KeepsFrame() {}
+
+// copyMsg decodes by copying, the way every response but a page and a
+// dht answer does; at is where its payload lay in the frame, so a test
+// can tell whether the frame came back from the pool.
+type copyMsg struct {
+	data []byte
+	at   *byte
+}
+
+func (m *copyMsg) DecodeFrom(r *wire.Reader) error {
+	p := r.Bytes()
+	if len(p) > 0 {
+		m.at = &p[0]
+	}
+	m.data = append(m.data[:0], p...)
 	return r.Err()
 }
 
@@ -318,10 +336,11 @@ func TestRecycledCallsNeverCrossResults(t *testing.T) {
 	t.Logf("%d of %d calls expired", expired.Load(), callers*calls)
 }
 
-// TestEchoAllocationBudget: an empty call costs the response frame its
-// decoded response keeps, the response body the handler returns, and
-// nothing per call on either side of the rpc layer itself — no result
-// channel, no Reader.
+// TestEchoAllocationBudget: an empty call costs the response body the
+// handler returns, the response it is decoded into and, when that
+// response keeps its frame, the frame — nothing per call on either side
+// of the rpc layer itself: no result channel, no Reader, and no frame a
+// copying decode has done with.
 func TestEchoAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under the race detector's short job")
@@ -342,14 +361,89 @@ func TestEchoAllocationBudget(t *testing.T) {
 	// never ran off the processor, and every request then pays for the
 	// overflow goroutine instead.
 	time.Sleep(10 * time.Millisecond)
-	allocs := testing.AllocsPerRun(500, func() {
-		var resp aliasMsg
-		if err := c.Call(ctx, methodAliasEcho, req, &resp); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		resp   func() wire.Unmarshaler
+		budget float64
+	}{
+		{"aliasing", func() wire.Unmarshaler { return new(aliasMsg) }, 3},
+		{"copying", func() wire.Unmarshaler { return new(copyMsg) }, 2},
+	} {
+		allocs := testing.AllocsPerRun(500, func() {
+			if err := c.Call(ctx, methodAliasEcho, req, tc.resp()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("empty %s echo: %.0f allocs", tc.name, allocs)
+		if allocs > tc.budget {
+			t.Errorf("an empty %s echo allocates %.0f objects, budget %.0f", tc.name, allocs, tc.budget)
 		}
-	})
-	t.Logf("empty echo: %.0f allocs", allocs)
-	if allocs > 4 {
-		t.Errorf("an empty echo allocates %.0f objects, budget 4", allocs)
+	}
+}
+
+// holds reports whether the byte at lies in frame f's capacity.
+func holds(f []byte, at *byte) bool {
+	f = f[:cap(f)]
+	for i := range f {
+		if &f[i] == at {
+			return true
+		}
+	}
+	return false
+}
+
+// drainFrames empties the pool's class for n-byte frames: it takes
+// frames until one comes freshly made (zeroed, where a released one is
+// poisoned), and reports whether any it took holds the byte at.
+func drainFrames(n int, at *byte) (seen bool) {
+	for {
+		f := transport.NewFrame(n)
+		seen = seen || holds(f, at)
+		if f[:cap(f)][0] != 0xDB {
+			return seen
+		}
+	}
+}
+
+// TestCopyingDecodeRecyclesItsFrame: a response that copies what it
+// keeps gives its frame back to the pool the moment its decode is done
+// — it is the next frame of its class — while a KeepsFrame response's
+// frame never comes back, and its bytes stay as they were.
+func TestCopyingDecodeRecyclesItsFrame(t *testing.T) {
+	net := transport.NewMemNet()
+	s, err := NewServer(net, "srv/echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Handle(methodAliasEcho, handleAliasEcho)
+	c := NewClient(net, "cli/x", "srv/echo")
+	defer c.Close()
+	const size = 4 << 10
+	n := frameHeader + size
+
+	want := payload(3, size)
+	drainFrames(n, nil)
+	var copied copyMsg
+	if err := c.Call(context.Background(), methodAliasEcho, &aliasMsg{data: want}, &copied); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(copied.data, want) {
+		t.Fatal("copying echo corrupted")
+	}
+	if !holds(transport.NewFrame(n), copied.at) {
+		t.Error("the frame of a copying decode is not the next frame of its class")
+	}
+
+	drainFrames(n, nil)
+	var kept aliasMsg
+	if err := c.Call(context.Background(), methodAliasEcho, &aliasMsg{data: want}, &kept); err != nil {
+		t.Fatal(err)
+	}
+	if drainFrames(n, &kept.data[0]) {
+		t.Error("the frame of a KeepsFrame response went back to the pool")
+	}
+	if !bytes.Equal(kept.data, want) {
+		t.Error("a KeepsFrame response changed under its holder")
 	}
 }

@@ -32,15 +32,18 @@
 //     next request. What has to outlive the handler is copied
 //     (pagestore.Store.Put makes that one copy of a page).
 //   - The response frame goes to Conn.Send the same way. On the client
-//     it belongs to the decoded response: DecodeFrom may alias it (a
-//     fetched page lives on in the cache as a slice of its response
-//     frame), so a decoded frame is never recycled. The client releases
-//     a response only when nothing can alias it: it carried an error or
-//     no body was wanted, or its caller already left on ctx.Done() and
-//     the receive loop found no pending call. A response that raced a
-//     departing caller into its channel, and the calls failed by a lost
-//     connection or Close, hold no frame that anybody else will touch:
-//     they are abandoned.
+//     Call releases it once the response is decoded, unless the response
+//     is a FrameKeeper: its DecodeFrom may alias the frame (a fetched
+//     page lives on in the cache as a slice of its response frame), so
+//     the frame belongs to the decoded response and is abandoned with
+//     it. Every other decoder copies what it keeps, and its frame is the
+//     next NewFrame of its class. A response that carried an error or
+//     whose body was not wanted is released undecoded, and so is one
+//     whose caller already left on ctx.Done() and that the receive loop
+//     found no pending call for. A response that raced a departing
+//     caller into its channel, and the calls failed by a lost connection
+//     or Close, hold no frame that anybody else will touch: they are
+//     abandoned.
 package rpc
 
 import (
@@ -101,6 +104,13 @@ func M(id uint32, name string) Method {
 		stats:     metrics.Default.RPCClient.Method(name),
 	}
 }
+
+// FrameKeeper is a response whose DecodeFrom keeps slices of the
+// response frame (wire.Reader.Bytes) past the decode. Call abandons
+// such a response's frame to it instead of recycling the frame; every
+// other response must copy what it keeps, because its frame goes back
+// to the pool as soon as DecodeFrom returns.
+type FrameKeeper interface{ KeepsFrame() }
 
 // HandlerFunc serves one request. The Reader is positioned at the
 // request body; the returned Marshaler is the response body. A non-nil
@@ -560,11 +570,14 @@ func (c *Client) Call(ctx context.Context, method Method, req wire.Marshaler, re
 			callPool.Put(cl)
 			return res.err
 		}
-		// From here the frame belongs to resp, which may alias it.
 		cl.body = res.body
 		err := resp.DecodeFrom(&cl.body)
 		cl.body = wire.Reader{} // a pooled call must not pin the frame
 		callPool.Put(cl)
+		if _, keeps := resp.(FrameKeeper); !keeps {
+			// The decode copied what it keeps.
+			transport.ReleaseFrame(res.frame)
+		}
 		if err != nil {
 			return fmt.Errorf("rpc call %s/%s: decode response: %w", c.remote, method, err)
 		}

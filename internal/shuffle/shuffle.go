@@ -15,10 +15,10 @@
 //     appenders per BLOB), then publishes a small segment index entry
 //     (job, map, offset, length, checksum) so reducers can locate each
 //     map's contribution. Published segments are immutable, replicated
-//     BlobSeer data: reducers stream them through the client's shared
-//     page cache as they appear — shuffle overlaps the map phase — and
-//     tracker death never loses intermediate data, so map re-execution
-//     becomes a non-event.
+//     BlobSeer data: reducers stream them out as they appear — shuffle
+//     overlaps the map phase — each page copied straight into the
+//     segment, past the page cache, and tracker death never loses
+//     intermediate data, so map re-execution becomes a non-event.
 //
 // The Memory backend lives in internal/mapreduce (it is the trackers'
 // RPC store); this package provides the Blob backend: the segment

@@ -5,9 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dht"
@@ -19,6 +23,15 @@ import (
 )
 
 var ctx = context.Background()
+
+// Released frames are overwritten in every test of this package: a
+// partition buffer an append still reads after AppendMap returned, or a
+// page frame recycled under a fetch, shows up as 0xDB bytes and fails a
+// checksum instead of passing by luck.
+func TestMain(m *testing.M) {
+	transport.PoisonReleased(true)
+	os.Exit(m.Run())
+}
 
 func TestBackendString(t *testing.T) {
 	if Memory.String() != "memory" || Blob.String() != "blob" {
@@ -283,11 +296,19 @@ func TestStoreConcurrentAppenders(t *testing.T) {
 			defer appenders.Done()
 			c := cluster.Client(fmt.Sprintf("node-%03d", m%4))
 			defer c.Close()
+			// Partitions in recycled frames, as a map task's are: one
+			// an append still read after AppendMap returned would be
+			// stored poisoned and fail its fetch's checksum.
 			data := make([][]byte, parts)
 			for p := range data {
-				data[p] = segPayload(m, p, 64+m*13+p*5)
+				want := segPayload(m, p, 64+m*13+p*5)
+				data[p] = append(transport.NewFrame(len(want)), want...)
 			}
-			if err := st.AppendMap(ctx, c, uint64(m), data); err != nil {
+			err := st.AppendMap(ctx, c, uint64(m), data)
+			for _, b := range data {
+				transport.ReleaseFrame(b)
+			}
+			if err != nil {
 				appendErrs <- fmt.Errorf("map %d: %w", m, err)
 			}
 		}(m)
@@ -340,6 +361,148 @@ func TestStoreConcurrentAppenders(t *testing.T) {
 	}
 	for err := range readErrs {
 		t.Error(err)
+	}
+}
+
+// heldPutNet is a fault seam over the test's network: once a test arms
+// hold, every response a data provider sends first runs it, given the
+// provider's address, in the handler's goroutine — after the page is
+// stored, before the client hears so.
+type heldPutNet struct {
+	transport.Network
+	hold atomic.Pointer[func(provider transport.Addr)]
+}
+
+func (n *heldPutNet) Listen(addr transport.Addr) (transport.Listener, error) {
+	l, err := n.Network.Listen(addr)
+	if err != nil || addr.Service() != blob.SvcProvider {
+		return l, err
+	}
+	return &heldPutListener{Listener: l, net: n, addr: addr}, nil
+}
+
+type heldPutListener struct {
+	transport.Listener
+	net  *heldPutNet
+	addr transport.Addr
+}
+
+func (l *heldPutListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &heldPutConn{Conn: c, net: l.net, addr: l.addr}, nil
+}
+
+type heldPutConn struct {
+	transport.Conn
+	net  *heldPutNet
+	addr transport.Addr
+}
+
+func (c *heldPutConn) Send(frame []byte) error {
+	if hold := c.net.hold.Load(); hold != nil {
+		(*hold)(c.addr)
+	}
+	return c.Conn.Send(frame)
+}
+
+// byAddr places the pages of every lease on the providers it names, in
+// turn, so a test knows which provider stores which append.
+type byAddr []transport.Addr
+
+func (s byAddr) Name() string { return "by-addr" }
+
+func (s byAddr) Pick(nPages, replicas int, providers []string, _ []uint64) []int {
+	out := make([]int, 0, nPages*replicas)
+	for i := 0; i < nPages*replicas; i++ {
+		out = append(out, slices.Index(providers, string(s[i%len(s)])))
+	}
+	return out
+}
+
+// TestAppendMapDrainsBeforeItFails: an AppendMap that fails returns
+// only once every append it launched has finished, so the caller may
+// recycle the partitions the moment it returns. One partition's page
+// is held on its way to the provider that stores it while the other
+// partition fails — its provider refuses the page, or the append is
+// refused before it begins — and AppendMap must still be waiting when
+// the held page is released.
+func TestAppendMapDrainsBeforeItFails(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// held names the partition whose page is held; fail makes the
+		// other one fail.
+		held int
+		fail func(t *testing.T, cluster *blob.Cluster, c *blob.Client, st *Store, other int)
+	}{
+		{"put refused", 1, func(t *testing.T, cluster *blob.Cluster, _ *blob.Client, _ *Store, other int) {
+			cluster.Providers[other].SetFailPuts(true)
+		}},
+		{"append refused", 0, func(t *testing.T, _ *blob.Cluster, c *blob.Client, st *Store, other int) {
+			if err := c.DeleteBlob(ctx, st.Blobs()[other]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const pageSize = 256
+			mem := transport.NewMemNet()
+			net := &heldPutNet{Network: mem}
+			var place byAddr // partition p's page goes to provider p
+			cluster, err := blob.NewCluster(net, blob.ClusterConfig{Providers: 2, MetaProviders: 2, Strategy: &place})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cluster.Close() })
+			for _, p := range cluster.Providers {
+				place = append(place, p.Addr())
+			}
+			c := cluster.Client("node-000")
+			defer c.Close()
+			st, err := NewBlobStore(ctx, c, 9, 2, pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := 1 - tc.held
+			tc.fail(t, cluster, c, st, other)
+
+			entered, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			hold := func(provider transport.Addr) {
+				if provider == place[tc.held] {
+					once.Do(func() { close(entered) })
+					<-release
+				}
+			}
+			net.hold.Store(&hold)
+			done := make(chan error, 1)
+			go func() {
+				done <- st.AppendMap(ctx, c, 0, [][]byte{segPayload(0, 0, 100), segPayload(0, 1, 100)})
+			}()
+			<-entered
+			// The failing partition's append is over once only the held
+			// one is in flight; an AppendMap that returned on its
+			// failure would be back long before the deadline.
+			for c.InFlight() != 1 {
+				time.Sleep(time.Millisecond)
+			}
+			select {
+			case err := <-done:
+				close(release)
+				t.Fatalf("AppendMap returned (%v) while a page of it was still held", err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			net.hold.Store(nil)
+			close(release)
+			if err := <-done; err == nil {
+				t.Error("AppendMap succeeded with a partition failed")
+			}
+			if n := c.InFlight(); n != 0 {
+				t.Errorf("AppendMap returned with %d appends in flight", n)
+			}
+		})
 	}
 }
 
@@ -474,16 +637,66 @@ func TestFetchAsksTheVersionManagerOnce(t *testing.T) {
 	}
 }
 
+// TestFetchCachesNothing: a segment is read once per reduce attempt, so
+// a fetch copies each page straight into the segment and keeps none of
+// it: a client that fetched a whole partition holds no page of its BLOB
+// afterwards, and asked a provider exactly once per page it read.
+func TestFetchCachesNothing(t *testing.T) {
+	const maps, pageSize = 6, 256
+	cluster := newTestCluster(t)
+	c, reader := cluster.Client("node-000"), cluster.Client("node-001")
+	defer c.Close()
+	defer reader.Close()
+	st, err := NewBlobStore(ctx, c, 10, 1, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < maps; m++ {
+		if err := st.AppendMap(ctx, c, uint64(m), [][]byte{segPayload(m, 0, 100+m*90)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.SetMapCount(maps)
+	var pages uint64
+	for consumed := 0; ; consumed++ {
+		seg, ok, err := st.Next(ctx, 0, consumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got, err := st.Fetch(ctx, reader, seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, segPayload(int(seg.Map), 0, int(seg.Len))) {
+			t.Fatalf("map %d reads wrong", seg.Map)
+		}
+		pages += (seg.Off+seg.Len-1)/pageSize - seg.Off/pageSize + 1
+	}
+	if n := reader.PageCache().PurgeBlob(st.Blobs()...); n != 0 {
+		t.Errorf("the fetching client cached %d pages of the partition", n)
+	}
+	if got := reader.ReadStats().Snapshot().ProviderFetches; got != pages {
+		t.Errorf("%d provider fetches for %d pages read", got, pages)
+	}
+}
+
 // TestColdFetchAllocationBudget: in the data join's shape, 124 segments
 // of about 17 KB in one partition of 64 KiB pages, a segment fetched by a
-// client that has read none of it costs the process about 40 objects and
-// a meta.GetBatch or two; walking the segment tree cost 106 objects and
-// 5.4 round trips.
+// client that has read none of it costs the process about 22 objects,
+// 1.3 times the segment's bytes and a meta.GetBatch or two: the segment
+// buffer is its one page-sized allocation, every page copied into it
+// straight out of a response frame that goes back to the pool. Walking
+// the segment tree cost 106 objects and 5.4 round trips; keeping each
+// page's response frame in the page cache cost 30 objects and 3.4
+// times the segment's bytes.
 func TestColdFetchAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under the race detector's short job")
 	}
-	const segs, pageSize, budget = 124, 64 << 10, 50
+	const segs, pageSize, budget, byteBudget = 124, 64 << 10, 28, 1.5
 	cluster := newTestCluster(t)
 	c, reader := cluster.Client("node-000"), cluster.Client("node-001")
 	defer c.Close()
@@ -498,6 +711,7 @@ func TestColdFetchAllocationBudget(t *testing.T) {
 		}
 	}
 	st.SetMapCount(segs)
+	var segBytes uint64 // of segments 1 on
 	fetch := func(i int) {
 		seg, ok, err := st.Next(ctx, 0, i)
 		if err == nil && ok {
@@ -505,6 +719,9 @@ func TestColdFetchAllocationBudget(t *testing.T) {
 		}
 		if err != nil || !ok {
 			t.Fatalf("segment %d: %v, %v", i, ok, err)
+		}
+		if i > 0 {
+			segBytes += seg.Len
 		}
 	}
 	fetch(0) // the reader's connections, worker pool and version cache
@@ -517,9 +734,13 @@ func TestColdFetchAllocationBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	objects := float64(after.Mallocs-before.Mallocs) / (segs - 1)
-	t.Logf("a cold fetch: %.1f objects, %.2f meta.GetBatch", objects, float64(getBatches()-gb)/(segs-1))
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(segBytes)
+	t.Logf("a cold fetch: %.1f objects, %.2f bytes per segment byte, %.2f meta.GetBatch", objects, perByte, float64(getBatches()-gb)/(segs-1))
 	if objects > budget {
 		t.Errorf("a cold segment fetch allocates %.1f objects, budget %d", objects, budget)
+	}
+	if perByte > byteBudget {
+		t.Errorf("a cold segment fetch allocates %.2f bytes per segment byte, budget %.1f", perByte, byteBudget)
 	}
 }
 

@@ -149,9 +149,10 @@ var (
 // intermediate BLOB per reduce partition, appended to concurrently by
 // every map task (each partition's bytes as they are: an append that
 // begins mid-page stores a fragment of its page slot) and read back by
-// reducers through the client's shared page cache. Published segments
-// live in BlobSeer — replicated, immutable, versioned — so a tracker
-// dying after its maps completed costs nothing: the segments outlive it.
+// reducers, each page copied straight into its segment, past the page
+// cache (see Fetch). Published segments live in BlobSeer — replicated,
+// immutable, versioned — so a tracker dying after its maps completed
+// costs nothing: the segments outlive it.
 //
 // Intermediate BLOBs live exactly as long as their job, and the job
 // owns that lifetime by ordering, not by pins: NewBlobStore opts every
@@ -221,7 +222,8 @@ func (st *Store) Blobs() []uint64 { return append([]uint64(nil), st.blobs...) }
 // are drained by then, so no fetch can race the delete and the
 // partitions' pages are immediately reclaimable. c forgets the BLOBs as
 // it deletes them; every other client that read or wrote them still
-// caches their pages and should PurgeBlob(st.Blobs()...).
+// caches their versions and tree nodes and should
+// PurgeBlob(st.Blobs()...).
 func (st *Store) Cleanup(ctx context.Context, c *blob.Client) error {
 	var firstErr error
 	for _, id := range st.blobs {
@@ -254,6 +256,8 @@ func (st *Store) Segments() (appended, fetched, recovered uint64) {
 // partition appends nothing. Once all appends land, the map's segments
 // publish to the index atomically: a reducer sees all of a map's
 // segments or none, so a failed map attempt never leaks partial output.
+// AppendMap returns only once every append it launched has finished,
+// failed or not, so the caller may reuse parts as soon as it returns.
 func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, parts [][]byte) error {
 	if len(parts) != len(st.blobs) {
 		return fmt.Errorf("shuffle: map %d produced %d partitions, store has %d", mapID, len(parts), len(st.blobs))
@@ -267,6 +271,7 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 	defer func() { sp.End(nil) }()
 	segs := make([]Segment, len(parts))
 	pending := make([]*blob.PendingWrite, len(parts))
+	var err error
 	for p, data := range parts {
 		segs[p] = Segment{
 			Job:  st.jobID,
@@ -279,22 +284,29 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 			continue
 		}
 		b := c.Handle(st.blobs[p], st.pageSize)
-		pw, err := b.AppendAsync(ctx, [][]byte{data})
-		if err != nil {
-			return fmt.Errorf("shuffle: append map %d part %d: %w", mapID, p, err)
+		pw, aerr := b.AppendAsync(ctx, [][]byte{data})
+		if aerr != nil {
+			err = fmt.Errorf("shuffle: append map %d part %d: %w", mapID, p, aerr)
+			break
 		}
 		pending[p] = pw
 		segs[p].Off, segs[p].Ver = pw.Result().Start, pw.Result().Ver
 	}
+	// Every launched append is waited for, whatever failed before it or
+	// beside it: its pages are read out of parts until it finishes. A
+	// cancelled ctx ends the appends' data paths, not this wait.
 	for p, pw := range pending {
 		if pw == nil {
 			continue
 		}
-		if _, err := pw.Wait(ctx); err != nil {
+		if _, werr := pw.Wait(context.WithoutCancel(ctx)); werr != nil && err == nil {
 			// Already-landed partitions of this attempt stay unpublished
 			// garbage in their BLOBs; the retried attempt re-appends.
-			return fmt.Errorf("shuffle: append map %d part %d: %w", mapID, p, err)
+			err = fmt.Errorf("shuffle: append map %d part %d: %w", mapID, p, werr)
 		}
+	}
+	if err != nil {
+		return err
 	}
 	if st.Publish(mapID, segs) {
 		segmentsAppended.Add(uint64(len(segs)))
@@ -306,8 +318,11 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 // one batched get of the leaves the segment's version wrote, the page
 // reads and the checksum. A segment is exactly the bytes its version
 // appended, so ReadWritten reads them by address, through the client's
-// node and page caches, and walks no segment tree; its version was
-// complete before AppendMap published it, so its leaves are final.
+// node cache, and walks no segment tree; its version was complete
+// before AppendMap published it, so its leaves are final. Each page is
+// copied into the segment straight out of its response frame, which
+// goes back to the pool, and none enters the page cache: nothing but a
+// re-executed reduce reads a segment again.
 // WaitPublished is the fetch's one question to the version manager and
 // stays even though the index only hands out published segments: it is
 // what refuses a collected partition to a client whose caches still hold
