@@ -319,3 +319,37 @@ func TestLeastLoadedSpreadsACall(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeAllocIsRefused: an alloc whose page count no placement slice
+// can hold is answered with an error, not a panic on the manager's
+// dispatch worker that would take every in-process service down with
+// it, and the manager goes on serving.
+func TestHugeAllocIsRefused(t *testing.T) {
+	net := transport.NewMemNet()
+	pm, err := NewProviderManager(net, transport.MakeAddr("pm-host", SvcProviderManager), NewRandomK(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pm.Close()
+	for i := 0; i < 4; i++ {
+		pm.Register(string(transport.MakeAddr("node-"+string(rune('0'+i)), SvcProvider)))
+	}
+	pool := rpc.NewPool(net, transport.MakeAddr("cli", "client"))
+	defer pool.Close()
+	for _, req := range []AllocReq{
+		{NPages: 1 << 62, Replicas: 1},
+		{NPages: maxAllocPages + 1, Replicas: 4},
+		{NPages: 1 << 62, Replicas: 1 << 62},
+	} {
+		if err := pool.Call(ctx, pm.Addr(), PMAlloc, &req, &AllocResp{}); err == nil {
+			t.Errorf("alloc of %d pages of %d replicas succeeded", req.NPages, req.Replicas)
+		}
+	}
+	var resp AllocResp
+	if err := pool.Call(ctx, pm.Addr(), PMAlloc, &AllocReq{NPages: leasePages, Replicas: 2}, &resp); err != nil {
+		t.Fatalf("a lease after the refused allocs: %v", err)
+	}
+	if len(resp.Providers) != 2*leasePages {
+		t.Fatalf("%d providers for %d pages of 2 replicas", len(resp.Providers), leasePages)
+	}
+}

@@ -3,6 +3,7 @@ package blob
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -154,6 +155,11 @@ func (pm *ProviderManager) Register(addr string) {
 	pm.loads = append(pm.loads, 0)
 }
 
+// maxAllocPages bounds the pages one alloc may ask for: far above a
+// lease (leasePages) plus any write that fits in memory, and far below
+// a count whose placement slice a strategy cannot make.
+const maxAllocPages = 1 << 20
+
 func (pm *ProviderManager) handleAlloc(r *wire.Reader) (wire.Marshaler, error) {
 	var req AllocReq
 	if err := req.DecodeFrom(r); err != nil {
@@ -173,6 +179,9 @@ func (pm *ProviderManager) handleAlloc(r *wire.Reader) (wire.Marshaler, error) {
 	}
 	if replicas > len(pm.providers) {
 		replicas = len(pm.providers)
+	}
+	if req.NPages > maxAllocPages || int(req.NPages) > math.MaxInt/replicas {
+		return nil, fmt.Errorf("blob: alloc of %d pages of %d replicas, at most %d pages at a time", req.NPages, replicas, maxAllocPages)
 	}
 	picks := pm.strategy.Pick(int(req.NPages), replicas, pm.providers, pm.loads)
 	if len(picks) != int(req.NPages)*replicas {

@@ -11,7 +11,9 @@ import (
 
 // Provider is one BlobSeer data provider: it "stores the pages, as
 // assigned by the provider manager" (§3.1.1). The storage engine is
-// pluggable (memory / durable kvlog / synthesize — see pagestore).
+// pluggable (memory / synthesize — see pagestore). The HDFS baseline's
+// datanodes are providers too (internal/hdfs): a block is the page
+// {Blob: block id}.
 type Provider struct {
 	srv   *rpc.Server
 	store pagestore.Store

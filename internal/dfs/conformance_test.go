@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"testing"
 
 	"blobseer/internal/blob"
@@ -21,6 +22,15 @@ import (
 )
 
 var ctx = context.Background()
+
+// Every test of this package runs with released rpc frames overwritten
+// with 0xDB: both backends' data nodes store a put page straight out of
+// its request frame, so a block that aliases a recycled frame fails its
+// content check.
+func TestMain(m *testing.M) {
+	transport.PoisonReleased(true)
+	os.Exit(m.Run())
+}
 
 const confBlock = 1 << 10
 

@@ -116,7 +116,10 @@ type Flusher interface {
 	AtomicLimit() int
 }
 
-// FileReader is a streaming reader with random access.
+// FileReader is a streaming reader with random access. A reader is not
+// safe for concurrent use, ReadAt included: both backends serve ReadAt
+// from the same one-block view as Read, so io.ReaderAt's promise of
+// parallel calls does not hold. Open one reader per goroutine.
 type FileReader interface {
 	io.Reader
 	io.ReaderAt

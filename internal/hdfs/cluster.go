@@ -3,6 +3,7 @@ package hdfs
 import (
 	"fmt"
 
+	"blobseer/internal/blob"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/transport"
 )
@@ -11,18 +12,20 @@ import (
 // dedicated machine and datanodes ("node-000"…) on the remaining nodes
 // (§4.1).
 type ClusterConfig struct {
-	Datanodes  int
-	Replicas   int
-	Seed       int64
-	Synthesize bool // use the synthesizing block store (experiments)
+	Datanodes int
+	Replicas  int
+	Seed      int64
 }
 
-// Cluster is an in-process HDFS deployment.
+// Cluster is an in-process HDFS deployment. Its datanodes are BlobSeer
+// data providers: a datanode stores write-once chunks under a block id
+// as a provider stores immutable pages under a key, so block b is the
+// page {Blob: b} and both systems' blocks take the same hops.
 type Cluster struct {
 	Net       transport.Network
 	Cfg       ClusterConfig
 	NN        *Namenode
-	Datanodes []*Datanode
+	Datanodes []*blob.Provider
 }
 
 // NewCluster starts a namenode and datanodes on net.
@@ -38,14 +41,8 @@ func NewCluster(net transport.Network, cfg ClusterConfig) (*Cluster, error) {
 	}
 	c.NN = nn
 	for i := 0; i < cfg.Datanodes; i++ {
-		addr := transport.MakeAddr(fmt.Sprintf("node-%03d", i), SvcDatanode)
-		var store pagestore.Store
-		if cfg.Synthesize {
-			store = pagestore.NewSynthesize()
-		} else {
-			store = pagestore.NewMemory()
-		}
-		d, err := NewDatanode(net, addr, store)
+		addr := transport.MakeAddr(fmt.Sprintf("node-%03d", i), blob.SvcProvider)
+		d, err := blob.NewProvider(net, addr, pagestore.NewMemory())
 		if err != nil {
 			c.Close()
 			return nil, err

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 
+	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
+	"blobseer/internal/pagestore"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 )
@@ -236,8 +238,8 @@ func (w *fileWriter) flush() error {
 		return err
 	}
 	for _, dn := range alloc.Datanodes {
-		err := w.fs.pool.Call(w.ctx, transport.Addr(dn), DNPutBlock,
-			&PutBlockReq{ID: alloc.BlockID, Data: w.buf}, nil)
+		err := w.fs.pool.Call(w.ctx, transport.Addr(dn), blob.ProvPutPage,
+			&blob.PutPageReq{Key: pagestore.Key{Blob: alloc.BlockID}, Data: w.buf}, nil)
 		if err != nil {
 			w.err = fmt.Errorf("hdfs: block %d to %s: %w", alloc.BlockID, dn, err)
 			return w.err
@@ -312,11 +314,15 @@ func (r *fileReader) fetchBlockAt(off uint64) error {
 	return io.EOF
 }
 
+// fetchBlock gets a block from the first of its datanodes that answers.
+// The block is the response frame itself (blob.GetPageResp keeps its
+// frame), so the one-chunk buffer costs no copy.
 func (r *fileReader) fetchBlock(blk BlockInfo) ([]byte, error) {
 	var lastErr error
 	for _, dn := range blk.Datanodes {
-		var resp BlockDataResp
-		err := r.fs.pool.Call(r.ctx, transport.Addr(dn), DNGetBlock, &BlockRef{ID: blk.ID}, &resp)
+		var resp blob.GetPageResp
+		err := r.fs.pool.Call(r.ctx, transport.Addr(dn), blob.ProvGetPage,
+			&blob.GetPageReq{Key: pagestore.Key{Blob: blk.ID}}, &resp)
 		if err == nil {
 			return resp.Data, nil
 		}

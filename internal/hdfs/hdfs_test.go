@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -14,6 +16,15 @@ import (
 )
 
 var ctx = context.Background()
+
+// Every test of this package runs with released rpc frames overwritten
+// with 0xDB: a datanode stores a block straight out of its request
+// frame, so a block that aliases a recycled frame fails its content
+// check.
+func TestMain(m *testing.M) {
+	transport.PoisonReleased(true)
+	os.Exit(m.Run())
+}
 
 func newCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 	t.Helper()
@@ -312,4 +323,75 @@ func TestEmptyFile(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("ReadAll = %q, %v", got, err)
 	}
+}
+
+// TestBlockAllocationBudget holds the baseline to BSFS's page budget
+// (bsfs.TestAllocationBudget): a 64 KiB block may allocate a quarter
+// block more than the one copy that outlives its frame, process-wide
+// on MemNet. On the write path that copy is the datanode's stored
+// block; on a cold read it is the response frame, which the reader
+// keeps as its one-chunk buffer. Datanodes with block messages of their
+// own, which copied every block out of its frame, allocated 3.2 blocks
+// per block written and 2.1 per block read.
+func TestBlockAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under the race detector's short job")
+	}
+	const block, blocks = 64 << 10, 16
+	const budget = block + block/4
+	c := newCluster(t, ClusterConfig{Datanodes: 4})
+	fs := mountFS(t, c, "cli", block)
+	data := pattern(1, blocks*block)
+	write := func(path string) {
+		w, err := fs.Create(ctx, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < blocks; i++ {
+			if _, err := w.Write(data[i*block : (i+1)*block]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, block)
+	read := func(path string) {
+		r, err := fs.Open(ctx, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for i := 0; i < blocks; i++ {
+			if _, err := io.ReadFull(r, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, data[i*block:(i+1)*block]) {
+				t.Fatalf("%s: block %d read back wrong", path, i)
+			}
+		}
+	}
+	write("/warm") // fills rpc's frame pool
+	if perBlock := allocated(func() { write("/budget") }) / blocks; perBlock > budget {
+		t.Errorf("writing a file allocates %d B per 64 KiB block, budget %d: a block is being copied more than once", perBlock, budget)
+	} else {
+		t.Logf("write path: %d B allocated per 64 KiB block (budget %d)", perBlock, budget)
+	}
+	read("/warm")
+	if perBlock := allocated(func() { read("/budget") }) / blocks; perBlock > budget {
+		t.Errorf("reading a file allocates %d B per 64 KiB block, budget %d: a block is being copied more than once", perBlock, budget)
+	} else {
+		t.Logf("read path: %d B allocated per 64 KiB block (budget %d)", perBlock, budget)
+	}
+}
+
+// allocated returns the bytes the whole process (client and the
+// in-process servers) allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

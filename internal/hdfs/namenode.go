@@ -1,7 +1,8 @@
 // Package hdfs is the write-once-read-many baseline file system of the
 // paper (§2.2): an HDFS-like design with a centralized namenode holding
-// the namespace and the block map, datanodes storing fixed-size chunks,
-// random block placement, client-side write buffering of whole chunks,
+// the namespace and the block map, datanodes storing fixed-size chunks
+// (BlobSeer data providers, block b being the page {Blob: b}), random
+// block placement, client-side write buffering of whole chunks,
 // whole-chunk readahead, and — crucially for the paper's argument — NO
 // append support: "once a file is created, written and closed, the
 // data cannot be overwritten or appended to".
@@ -9,22 +10,19 @@ package hdfs
 
 import (
 	"errors"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
 
+	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 	"blobseer/internal/wire"
 )
 
-// Service names.
-const (
-	SvcNamenode = "namenode"
-	SvcDatanode = "datanode"
-)
+// SvcNamenode is the namenode's service name.
+const SvcNamenode = "namenode"
 
 // Namenode methods.
 var (
@@ -38,12 +36,6 @@ var (
 	NNDelete    = rpc.M(8, "nn.Delete")
 	NNMkdir     = rpc.M(9, "nn.Mkdir")
 	NNEntries   = rpc.M(10, "nn.Entries")
-)
-
-// Datanode methods.
-var (
-	DNPutBlock = rpc.M(1, "dn.PutBlock")
-	DNGetBlock = rpc.M(2, "dn.GetBlock")
 )
 
 //
@@ -156,49 +148,6 @@ func (m *LookupResp) DecodeFrom(r *wire.Reader) error {
 	return r.Err()
 }
 
-// BlockRef names one block.
-type BlockRef struct{ ID uint64 }
-
-// AppendTo implements wire.Marshaler.
-func (m *BlockRef) AppendTo(b []byte) []byte { return wire.AppendUvarint(b, m.ID) }
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *BlockRef) DecodeFrom(r *wire.Reader) error {
-	m.ID = r.Uvarint()
-	return r.Err()
-}
-
-// PutBlockReq stores one block on a datanode.
-type PutBlockReq struct {
-	ID   uint64
-	Data []byte
-}
-
-// AppendTo implements wire.Marshaler.
-func (m *PutBlockReq) AppendTo(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.ID)
-	return wire.AppendBytes(b, m.Data)
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *PutBlockReq) DecodeFrom(r *wire.Reader) error {
-	m.ID = r.Uvarint()
-	m.Data = r.BytesCopy()
-	return r.Err()
-}
-
-// BlockDataResp carries block content.
-type BlockDataResp struct{ Data []byte }
-
-// AppendTo implements wire.Marshaler.
-func (m *BlockDataResp) AppendTo(b []byte) []byte { return wire.AppendBytes(b, m.Data) }
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *BlockDataResp) DecodeFrom(r *wire.Reader) error {
-	m.Data = r.BytesCopy()
-	return r.Err()
-}
-
 //
 // Namenode.
 //
@@ -234,7 +183,7 @@ type Namenode struct {
 	blockLocs map[uint64][]string
 	datanodes []string
 	nextBlock uint64
-	rng       *rand.Rand
+	placement *blob.RandomK
 }
 
 // NewNamenode starts a namenode at addr.
@@ -247,10 +196,10 @@ func NewNamenode(net transport.Network, addr transport.Addr, cfg NamenodeConfig)
 		return nil, err
 	}
 	nn := &Namenode{
-		srv:     srv,
-		cfg:     cfg,
-		entries: map[string]*nnEntry{"/": {isDir: true}},
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		srv:       srv,
+		cfg:       cfg,
+		entries:   map[string]*nnEntry{"/": {isDir: true}},
+		placement: blob.NewRandomK(cfg.Seed),
 	}
 	srv.Handle(NNCreate, nn.handleCreate)
 	srv.Handle(NNAddBlock, nn.handleAddBlock)
@@ -355,14 +304,12 @@ func (nn *Namenode) handleAddBlock(r *wire.Reader) (wire.Marshaler, error) {
 	e.blockLens = append(e.blockLens, req.Length)
 	e.size += req.Length
 
-	// Random placement (§2.2), distinct replicas.
-	replicas := nn.cfg.Replicas
-	if replicas > len(nn.datanodes) {
-		replicas = len(nn.datanodes)
-	}
-	perm := nn.rng.Perm(len(nn.datanodes))[:replicas]
+	// Random placement (§2.2), distinct replicas: the provider manager's
+	// random strategy, which never returns when asked for more replicas
+	// than there are datanodes.
+	replicas := min(nn.cfg.Replicas, len(nn.datanodes))
 	resp := &AddBlockResp{BlockID: id}
-	for _, i := range perm {
+	for _, i := range nn.placement.Pick(1, replicas, nn.datanodes, nil) {
 		resp.Datanodes = append(resp.Datanodes, nn.datanodes[i])
 	}
 	// Record placement as part of the block map.
