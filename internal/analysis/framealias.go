@@ -13,10 +13,11 @@ import (
 // that outlives the decode (stored in a struct field, a package
 // variable or a composite literal, or returned) is a use-after-free
 // unless somebody copies it in time. Decoders that keep the bytes call
-// BytesCopy (or copy a Fields region once). A response whose type
-// declares KeepsFrame (rpc.FrameKeeper: blob.GetPageResp, whose page
-// becomes the cache entry, and the dht client's batch answer) is handed
-// its frame for good, so its DecodeFrom may store aliases. The other
+// BytesCopy, copy a Fields region once, or append the bytes to a buffer
+// of their own (blob.GetPageResp copies a page into a pooled frame). A
+// response whose type declares KeepsFrame (rpc.FrameKeeper: the dht
+// client's batch answer) is handed its frame for good, so its
+// DecodeFrom may store aliases. The other
 // decoders that alias on purpose (blob.PutPageReq, whose page the store
 // copies before the handler returns, the dht server's get-batch answer,
 // which reads its request's keys while it is marshalled, before the

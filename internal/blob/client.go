@@ -1211,7 +1211,8 @@ func (b *Blob) readSlots(ctx context.Context, slots []segtree.Slot, off uint64, 
 		if err != nil {
 			return err
 		}
-		copy(dst, page[lo-base:hi-base])
+		copy(dst, page.Data[lo-base:hi-base])
+		page.Release()
 		return nil
 	})
 }
@@ -1219,12 +1220,16 @@ func (b *Blob) readSlots(ctx context.Context, slots []segtree.Slot, off uint64, 
 // PageView returns a read-only view of one whole page of version ver
 // (0 = latest published), trimmed to the version's size: the last page
 // may be short, and pages past the end return ErrOutOfRange. When the
-// page sits in the shared cache the returned slice aliases the cached
-// copy, so streaming readers move each byte exactly once (cache →
-// caller); holes come back as freshly zeroed slices, and a slot stored
-// as fragments is assembled into a buffer of the view's own. Callers
-// MUST NOT modify the returned bytes.
-func (b *Blob) PageView(ctx context.Context, ver, page uint64) ([]byte, error) {
+// page sits in the shared cache the view is a counted reference to the
+// cached copy, so streaming readers move each byte exactly once (cache
+// → caller); with the cache off it owns the pooled frame the page was
+// copied into; holes come back as freshly zeroed slices, and a slot
+// stored as fragments is assembled into a buffer of the view's own.
+// Callers MUST NOT modify view.Data, and MUST Release the view
+// once they are done with it, exactly once: its buffer goes back to the
+// frame pool when the page has left the cache and the last view of it
+// is released, and Data is not valid after that.
+func (b *Blob) PageView(ctx context.Context, ver, page uint64) (cache.Page, error) {
 	// The BSFS read path is built on PageView, so this histogram (not
 	// blob.read) is where file-system read latency lands.
 	start := time.Now()
@@ -1233,36 +1238,37 @@ func (b *Blob) PageView(ctx context.Context, ver, page uint64) ([]byte, error) {
 	return view, err
 }
 
-func (b *Blob) pageView(ctx context.Context, ver, page uint64) ([]byte, error) {
+func (b *Blob) pageView(ctx context.Context, ver, page uint64) (cache.Page, error) {
 	info, err := b.resolveVersion(ctx, ver)
 	if err != nil {
-		return nil, err
+		return cache.Page{}, err
 	}
 	ps := b.pageSize
 	if page*ps >= info.Size {
-		return nil, fmt.Errorf("%w: page %d of %d", ErrOutOfRange, page, info.Pages)
+		return cache.Page{}, fmt.Errorf("%w: page %d of %d", ErrOutOfRange, page, info.Pages)
 	}
 	want := min(ps, info.Size-page*ps)
 	slots, err := b.resolveSlots(ctx, info, page, 1)
 	if err != nil {
-		return nil, b.collectedOr(ctx, info.Ver, err)
+		return cache.Page{}, b.collectedOr(ctx, info.Ver, err)
 	}
 	if len(slots) > 1 {
 		view := make([]byte, want)
 		if err := b.readSlots(ctx, slots, page*ps, view, true); err != nil {
-			return nil, b.collectedOr(ctx, info.Ver, err)
+			return cache.Page{}, b.collectedOr(ctx, info.Ver, err)
 		}
-		return view, nil
+		return cache.Page{Data: view}, nil
 	}
 	if slots[0].Ref.Hole {
-		return make([]byte, want), nil
+		return cache.Page{Data: make([]byte, want)}, nil
 	}
 	// fetchPage validates length: success means >= want bytes.
-	data, err := b.c.fetchPage(ctx, slots[0].Ref, want)
+	view, err := b.c.fetchPage(ctx, slots[0].Ref, want)
 	if err != nil {
-		return nil, b.collectedOr(ctx, info.Ver, err)
+		return cache.Page{}, b.collectedOr(ctx, info.Ver, err)
 	}
-	return data[:want], nil
+	view.Data = view.Data[:want]
+	return view, nil
 }
 
 // Prefetch warms the shared page cache with the pages covering
@@ -1296,7 +1302,8 @@ func (b *Blob) Prefetch(ctx context.Context, ver, off, n uint64) error {
 		if slots[i].Ref.Hole || base >= off+n {
 			return nil
 		}
-		_, err := b.c.fetchPage(ctx, slots[i].Ref, min(off+n, limit)-base)
+		page, err := b.c.fetchPage(ctx, slots[i].Ref, min(off+n, limit)-base)
+		page.Release()
 		return err
 	})
 	return b.collectedOr(ctx, info.Ver, err)
@@ -1380,38 +1387,43 @@ func (b *Blob) resolveVersion(ctx context.Context, ver uint64) (VersionInfo, err
 
 // fetchPage retrieves one page holding at least want bytes, serving it
 // from the shared cache when possible. Concurrent readers of the same
-// missing page fold into one provider fetch. The returned slice is
-// shared and read-only.
-func (c *Client) fetchPage(ctx context.Context, ref segtree.PageRef, want uint64) ([]byte, error) {
-	if c.pages == nil {
-		return c.fetchPageFrame(ctx, ref, want)
+// missing page fold into one provider fetch. A cold page is copied out
+// of its response frame into a pooled frame of its own, which the cache
+// (or, with the cache off, the returned Page) owns, so the response
+// frame goes back to the pool at once. The returned Page is shared and
+// read-only, and the caller releases it.
+func (c *Client) fetchPage(ctx context.Context, ref segtree.PageRef, want uint64) (cache.Page, error) {
+	fetch := func(ctx context.Context) ([]byte, error) {
+		var resp GetPageResp
+		if err := c.fetchPageDirect(ctx, ref, want, &resp); err != nil {
+			transport.ReleaseFrame(resp.Data) // a short page, if any
+			return nil, err
+		}
+		return resp.Data, nil
 	}
-	data, err := c.pages.Get(ctx, ref.Page, func(fctx context.Context) ([]byte, error) {
-		return c.fetchPageFrame(fctx, ref, want)
-	})
-	if err == nil && uint64(len(data)) < want {
+	if c.pages == nil {
+		data, err := fetch(ctx)
+		if err != nil {
+			return cache.Page{}, err
+		}
+		return cache.Detached(data), nil
+	}
+	page, err := c.pages.Get(ctx, ref.Page, fetch)
+	if err == nil && uint64(len(page.Data)) < want {
 		// Cached by an earlier read that needed a narrower prefix of
 		// this page; fetch wide and upgrade the entry so later wide
 		// reads hit. Get already counted the short-entry hit, so this
 		// access records one hit AND one miss — keeping "zero misses"
 		// a truthful proxy for "zero provider RPCs".
+		page.Release()
 		c.rstats.AddMiss()
-		data, err = c.fetchPageFrame(ctx, ref, want)
-		if err == nil {
-			c.pages.Put(ref.Page, data)
+		data, ferr := fetch(ctx)
+		if ferr != nil {
+			return cache.Page{}, ferr
 		}
+		page = c.pages.Put(ref.Page, data)
 	}
-	return data, err
-}
-
-// fetchPageFrame retrieves one page of at least want bytes as a slice
-// of its response frame, which the page is from then on.
-func (c *Client) fetchPageFrame(ctx context.Context, ref segtree.PageRef, want uint64) ([]byte, error) {
-	var resp GetPageResp
-	if err := c.fetchPageDirect(ctx, ref, want, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
+	return page, err
 }
 
 // fetchPageDirect retrieves one page from its replicas into resp,

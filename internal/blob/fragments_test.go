@@ -89,9 +89,10 @@ func TestRecordAppendsStoreOnlyTheirBytes(t *testing.T) {
 		readExact(t, rb, res.Ver, uint64(len(want)-len(tail)), tail)
 		last := uint64(len(want)-1) / ps
 		view, err := rb.PageView(ctx, res.Ver, last)
-		if err != nil || !bytes.Equal(view, want[last*ps:]) {
-			t.Fatalf("after record %d: last page views as %d bytes (%v), want %d", k, len(view), err, uint64(len(want))-last*ps)
+		if err != nil || !bytes.Equal(view.Data, want[last*ps:]) {
+			t.Fatalf("after record %d: last page views as %d bytes (%v), want %d", k, len(view.Data), err, uint64(len(want))-last*ps)
 		}
+		view.Release()
 	}
 	if got := c.ProviderBytes(); got != int64(len(want)) {
 		t.Errorf("providers hold %d bytes for %d user bytes", got, len(want))

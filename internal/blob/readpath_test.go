@@ -236,13 +236,15 @@ func TestPageView(t *testing.T) {
 		t.Fatal(err)
 	}
 	full, err := b.PageView(ctx, res.Ver, 0)
-	if err != nil || !bytes.Equal(full, data[:64]) {
-		t.Fatalf("page 0 = %d bytes, %v", len(full), err)
+	if err != nil || !bytes.Equal(full.Data, data[:64]) {
+		t.Fatalf("page 0 = %d bytes, %v", len(full.Data), err)
 	}
+	full.Release()
 	short, err := b.PageView(ctx, res.Ver, 1)
-	if err != nil || !bytes.Equal(short, data[64:]) {
-		t.Fatalf("tail page = %d bytes, %v (want 36)", len(short), err)
+	if err != nil || !bytes.Equal(short.Data, data[64:]) {
+		t.Fatalf("tail page = %d bytes, %v (want 36)", len(short.Data), err)
 	}
+	short.Release()
 	if _, err := b.PageView(ctx, res.Ver, 2); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("err = %v, want ErrOutOfRange", err)
 	}
@@ -256,9 +258,10 @@ func TestPageView(t *testing.T) {
 		t.Fatal(err)
 	}
 	hv, err := b.PageView(ctx, hole.Ver, 2)
-	if err != nil || !bytes.Equal(hv, make([]byte, 64)) {
-		t.Fatalf("hole page = %v, %v", hv, err)
+	if err != nil || !bytes.Equal(hv.Data, make([]byte, 64)) {
+		t.Fatalf("hole page = %v, %v", hv.Data, err)
 	}
+	hv.Release()
 }
 
 // TestCacheHitReReadIssuesNoProviderRPCs is the acceptance check for

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"blobseer/internal/cache"
 	"blobseer/internal/obs"
 )
 
@@ -137,8 +138,9 @@ func (s *Snapshot) ReadAtInto(ctx context.Context, off uint64, p []byte) (int, e
 }
 
 // PageView returns a read-only whole-page view of the pinned version
-// (see Blob.PageView; the bytes may alias the shared cache).
-func (s *Snapshot) PageView(ctx context.Context, page uint64) ([]byte, error) {
+// (see Blob.PageView: the view may reference the shared cache, and the
+// caller releases it).
+func (s *Snapshot) PageView(ctx context.Context, page uint64) (cache.Page, error) {
 	s.renew(ctx)
 	return s.b.PageView(ctx, s.info.Ver, page)
 }

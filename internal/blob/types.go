@@ -26,6 +26,7 @@ import (
 	"blobseer/internal/pagestore"
 	"blobseer/internal/rpc"
 	"blobseer/internal/segtree"
+	"blobseer/internal/transport"
 	"blobseer/internal/wire"
 )
 
@@ -746,8 +747,10 @@ func (m *GetPageReq) DecodeFrom(r *wire.Reader) error {
 	return r.Err()
 }
 
-// pageResp is a GetPage response as a page fetch decodes it: into the
-// frame itself (GetPageResp) or out of it (pageWindow).
+// pageResp is a GetPage response as a page fetch decodes it: copied
+// whole into a pooled frame of its own (GetPageResp) or in part into
+// the caller's buffer (pageWindow). Neither keeps anything of the
+// response frame, which rpc recycles as soon as the decode returns.
 type pageResp interface {
 	wire.Unmarshaler
 	pageLen() uint64 // the length of the page the last decode saw
@@ -762,17 +765,22 @@ func (m *GetPageResp) AppendTo(b []byte) []byte { return wire.AppendBytes(b, m.D
 // EncodedSize implements wire.Sizer.
 func (m *GetPageResp) EncodedSize() int { return pageFieldsMax + len(m.Data) }
 
-// DecodeFrom implements wire.Unmarshaler. Data aliases the response
-// frame: that frame is the page's one allocation on the cached read
-// path, it is what the page cache holds, and it is shared and read-only
-// from here on.
+// DecodeFrom implements wire.Unmarshaler: it copies the page into a
+// frame of its own from transport.NewFrame, so Data begins at its
+// frame's base and the caller owns it — it hands Data to the page cache
+// or to transport.ReleaseFrame when done. A decode into a GetPageResp
+// that still holds a page releases that page first, so a fetch that
+// moves on to the next replica after a short page leaks nothing.
 func (m *GetPageResp) DecodeFrom(r *wire.Reader) error {
-	m.Data = r.Bytes()
-	return r.Err()
+	transport.ReleaseFrame(m.Data)
+	m.Data = nil
+	page := r.Bytes()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	m.Data = append(transport.NewFrame(len(page)), page...)
+	return nil
 }
-
-// KeepsFrame implements rpc.FrameKeeper: Data is the frame.
-func (m *GetPageResp) KeepsFrame() {}
 
 func (m *GetPageResp) pageLen() uint64 { return uint64(len(m.Data)) }
 

@@ -365,6 +365,15 @@ func (vm *VersionManager) handleAssign(r *wire.Reader) (wire.Marshaler, error) {
 	if !ok {
 		return nil, ErrBlobNotFound
 	}
+	// A write's pages are counted off the wire: bound them before the
+	// record is journaled, as pm.Alloc bounds its own, because a seal
+	// allocates a hole reference per page.
+	if pages := (req.Len-1)/bs.pageSize + 1; pages > maxAllocPages {
+		return nil, fmt.Errorf("blob: write of %d bytes is %d pages of %d bytes, at most %d pages at a time", req.Len, pages, bs.pageSize, maxAllocPages)
+	}
+	if req.Off+req.Len < req.Off {
+		return nil, fmt.Errorf("blob: write of %d bytes at offset %d ends past the largest offset", req.Len, req.Off)
+	}
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	if bs.deleted {

@@ -2,6 +2,7 @@ package blob
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -414,6 +415,63 @@ func TestSealTimeoutAdvancesChain(t *testing.T) {
 	// The sealed version's metadata exists (hole tree committed).
 	if nodes.Len() == 0 {
 		t.Error("no hole metadata committed for the sealed version")
+	}
+}
+
+// TestHugeAssignIsRefused: an assign whose length no seal could cover
+// with hole references, or whose end overflows, is refused before it
+// is journaled, so no pending version of that size exists for the
+// seal timeout to find (a 2⁶²-byte one used to panic the seal's
+// make on the manager's sweep and take every in-process service down
+// with it), and the manager goes on assigning and sealing.
+func TestHugeAssignIsRefused(t *testing.T) {
+	net := transport.NewMemNet()
+	vm, err := NewVersionManager(net, "vm-host/vmanager", VersionManagerConfig{
+		Nodes:       segtree.NewMemStore(),
+		SealTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vm.Close()
+	pool := rpc.NewPool(net, "cli/x")
+	defer pool.Close()
+	var created CreateBlobResp
+	if err := pool.Call(ctx, vm.Addr(), VMCreateBlob, &CreateBlobReq{PageSize: 100}, &created); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []AssignReq{
+		{Kind: KindAppend, Len: 1 << 62},
+		{Kind: KindWrite, Len: (maxAllocPages + 1) * 100},
+		{Kind: KindWrite, Off: math.MaxUint64 - 10, Len: 100},
+	} {
+		req.Blob = created.Blob
+		if err := pool.Call(ctx, vm.Addr(), VMAssign, &req, &AssignResp{}); err == nil {
+			t.Errorf("assign of %d bytes at %d succeeded", req.Len, req.Off)
+		}
+	}
+	// A write assigned and abandoned: the seal sweep covers it with
+	// holes and publishes it.
+	var a AssignResp
+	if err := pool.Call(ctx, vm.Addr(), VMAssign, &AssignReq{Blob: created.Blob, Kind: KindAppend, Len: 100}, &a); err != nil {
+		t.Fatalf("an assign after the refused ones: %v", err)
+	}
+	if a.Ver != 1 {
+		t.Fatalf("the first allowed assign got version %d: a refused one was assigned", a.Ver)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var info VersionInfo
+		if err := pool.Call(ctx, vm.Addr(), VMLatest, &BlobRef{Blob: created.Blob}, &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Ver == a.Ver {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned version was never sealed")
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -35,9 +35,8 @@ const (
 	budgetPage = 64 << 10
 	// pageBudget is what one 64 KiB page may allocate per hop: the one
 	// copy that outlives the frame (the provider's stored page on
-	// write, the response frame that becomes the cache entry on read),
-	// with a quarter page of slack for size classes and allocator
-	// rounding.
+	// write, the pooled frame the page cache holds on read), with a
+	// quarter page of slack for size classes and allocator rounding.
 	pageBudget = budgetPage + budgetPage/4
 	// metaAllowance covers everything that is not page bytes: on the
 	// write path one append (assign, segment-tree commit, complete); on
@@ -96,6 +95,14 @@ const (
 	// cost 330 on the gated read_under_append, which now reads 10).
 	freshBlocks       = 64
 	freshObjectBudget = 15
+	// A block read cold through a mount whose cache is a quarter of the
+	// file, on the second pass over it: the page's frame is the one a
+	// page evicted before it gave back, so a block allocates only its
+	// metadata (measured ≈ 0.7 KiB; 65 KiB while the cache kept each
+	// page's response frame and eviction left it to the garbage
+	// collector, and so while a reader keeps its block views).
+	smallCache       = 1 << 20
+	smallCacheBudget = 8 << 10
 )
 
 // TestAllocationBudget is the tier-1 guard on the data path's copies:
@@ -172,6 +179,7 @@ func TestAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	recordBudget(t)
+	smallCacheReadBudget(t)
 
 	// Cold reads: a fresh mount, so every block comes from a provider.
 	rfs := mount(t, d, "reader")
@@ -253,6 +261,43 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	if got := rfs.BlobClient().ReadStats().Snapshot().ProviderFetches - fetches; got < freshBlocks {
 		t.Errorf("only %d provider fetches for %d blocks of the fresh snapshot: the read was not cold", got, freshBlocks)
+	}
+}
+
+// smallCacheReadBudget is TestAllocationBudget's line for a working set
+// larger than the cache: what a block read cold allocates once
+// eviction recycles page frames.
+func smallCacheReadBudget(t *testing.T) {
+	d := newDeployment(t, budgetPage)
+	d.Blob.Cfg.CacheBytes = smallCache
+	const blocks = 4 * smallCache / budgetPage
+	data := writeBlocks(t, mount(t, d, "writer"), "/cold", budgetPage, blocks)
+	fs := mount(t, d, "reader")
+	buf := make([]byte, budgetPage)
+	pass := func() {
+		r, err := fs.Open(ctx, "/cold")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for i := 0; i < blocks; i++ {
+			if _, err := io.ReadFull(r, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, data[i*budgetPage:(i+1)*budgetPage]) {
+				t.Fatalf("block %d read back wrong", i)
+			}
+		}
+	}
+	pass() // fills the cache and the frame pool
+	fetches := fs.BlobClient().ReadStats().Snapshot().ProviderFetches
+	read, _ := allocated(pass)
+	t.Logf("read path, %d KiB cache: %d B allocated per cold 64 KiB block (budget %d)", smallCache>>10, read/blocks, smallCacheBudget)
+	if read/blocks > smallCacheBudget {
+		t.Errorf("a cold block read past a %d KiB cache allocates %d B, budget %d: evicted pages are not recycled", smallCache>>10, read/blocks, smallCacheBudget)
+	}
+	if got := fs.BlobClient().ReadStats().Snapshot().ProviderFetches - fetches; got < blocks {
+		t.Errorf("only %d provider fetches for %d blocks: the second pass was not cold", got, blocks)
 	}
 }
 

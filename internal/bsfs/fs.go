@@ -686,31 +686,40 @@ type fileReader struct {
 
 	pos    uint64
 	bufOff uint64
-	buf    []byte // read-only view of the current block (may alias the cache)
+	view   cache.Page // the current block, read-only: the reader's one reference to it
 
 	ra     *cache.Readahead // nil when readahead is disabled
 	closed bool
 }
 
-// fillBlock points r.buf at the whole block containing pos. Each BSFS
-// block is one BlobSeer page, so a cache-resident block costs no copy
-// at all — the view aliases the cached page — and consuming it nudges
-// the readahead window forward.
+// fillBlock points r.view at the whole block containing pos, releasing
+// the view of the block it leaves. Each BSFS block is one BlobSeer
+// page, so a cache-resident block costs no copy at all — the view
+// references the cached page — and consuming it nudges the readahead
+// window forward.
 func (r *fileReader) fillBlock(pos uint64) error {
+	r.dropView()
 	snap := r.snap.Load()
 	block := pos / r.blockSize
 	view, err := snap.PageView(r.ctx, block)
 	if err != nil {
 		return mapVerErr(err)
 	}
-	r.bufOff, r.buf = block*r.blockSize, view
+	r.bufOff, r.view = block*r.blockSize, view
 	r.ra.Observe(block, (snap.Size()+r.blockSize-1)/r.blockSize)
 	return nil
 }
 
+// dropView releases the reader's block view, so its page can go back
+// to the frame pool once it leaves the cache.
+func (r *fileReader) dropView() {
+	r.view.Release()
+	r.view = cache.Page{}
+}
+
 // cached reports whether pos is inside the current block view.
 func (r *fileReader) cached(pos uint64) bool {
-	return len(r.buf) > 0 && pos >= r.bufOff && pos < r.bufOff+uint64(len(r.buf))
+	return len(r.view.Data) > 0 && pos >= r.bufOff && pos < r.bufOff+uint64(len(r.view.Data))
 }
 
 // Read implements io.Reader with whole-block reads and readahead.
@@ -726,7 +735,7 @@ func (r *fileReader) Read(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	n := copy(p, r.buf[r.pos-r.bufOff:])
+	n := copy(p, r.view.Data[r.pos-r.bufOff:])
 	r.pos += uint64(n)
 	return n, nil
 }
@@ -760,7 +769,7 @@ func (r *fileReader) ReadAt(p []byte, off int64) (int, error) {
 				return int(done), err
 			}
 		}
-		done += uint64(copy(p[done:want], r.buf[pos+done-r.bufOff:]))
+		done += uint64(copy(p[done:want], r.view.Data[pos+done-r.bufOff:]))
 	}
 	if eof {
 		return int(done), io.EOF
@@ -769,16 +778,16 @@ func (r *fileReader) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // Close implements io.Closer: it cancels outstanding readahead,
-// releases the snapshot's GC pin, and drops the block view so a closed
-// reader pins neither cache budget, provider bandwidth, nor obsolete
-// versions. Further reads fail.
+// releases the snapshot's GC pin, and releases the block view so a
+// closed reader pins neither a page frame, provider bandwidth, nor
+// obsolete versions. Further reads fail.
 func (r *fileReader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
 	r.ra.Close()
-	r.buf = nil
+	r.dropView()
 	r.release(r.snap.Load())
 	return nil
 }
@@ -823,6 +832,6 @@ func (r *fileReader) Refresh(ctx context.Context) (uint64, error) {
 	}
 	// The current view may end short of the refreshed size mid-block;
 	// drop it so the next read sees the grown block.
-	r.buf = nil
+	r.dropView()
 	return next.Size(), nil
 }

@@ -20,6 +20,55 @@ func writeBlocks(t *testing.T, fs *FS, path string, blockSize, n int) []byte {
 	return data
 }
 
+// TestHeldViewSurvivesEviction: a reader's block view stays valid while
+// another reader of the mount evicts that block from the shared cache;
+// its buffer is recycled only once the view is released.
+func TestHeldViewSurvivesEviction(t *testing.T) {
+	const block, blocks = 64 << 10, 32 // the file is twice the cache
+	d := newDeployment(t, block)
+	d.Blob.Cfg.CacheBytes = 1 << 20
+	d.ReadDepth = -1 // every fetch is one a read asked for
+	var data []byte
+	for i := 0; i < blocks; i++ { // a recycled buffer shows another block's bytes
+		data = append(data, pattern(byte(i), block)...)
+	}
+	if err := dfs.WriteFile(ctx, mount(t, d, "writer"), "/held", data); err != nil {
+		t.Fatal(err)
+	}
+	fs := mount(t, d, "reader")
+	holder, err := fs.Open(ctx, "/held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	head := make([]byte, block/2)
+	if _, err := io.ReadFull(holder, head); err != nil {
+		t.Fatal(err)
+	}
+	scanner, err := fs.Open(ctx, "/held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, scanner); err != nil {
+		t.Fatal(err)
+	}
+	scanner.Close()
+	if ev := fs.BlobClient().ReadStats().Snapshot().Evictions; ev < blocks/2 {
+		t.Fatalf("%d evictions: the scan did not push block 0 out of the cache", ev)
+	}
+	fetches := fs.BlobClient().ReadStats().Snapshot().ProviderFetches
+	tail := make([]byte, block/2)
+	if _, err := io.ReadFull(holder, tail); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.BlobClient().ReadStats().Snapshot().ProviderFetches - fetches; got != 0 {
+		t.Fatalf("the held view was fetched again (%d fetches)", got)
+	}
+	if !bytes.Equal(append(head, tail...), data[:block]) {
+		t.Fatal("the held view of block 0 changed when the scan evicted it")
+	}
+}
+
 func TestSequentialReadWithReadahead(t *testing.T) {
 	d := newDeployment(t, 512)
 	// Deployment zero-values leave ReadDepth at the default (4) and the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,9 +12,18 @@ import (
 
 	"blobseer/internal/metrics"
 	"blobseer/internal/pagestore"
+	"blobseer/internal/transport"
 )
 
 var ctx = context.Background()
+
+// Every test of this package runs with released buffers overwritten
+// with 0xDB: a page recycled while a reader still holds it fails that
+// reader's content check.
+func TestMain(m *testing.M) {
+	transport.PoisonReleased(true)
+	os.Exit(m.Run())
+}
 
 func key(i uint64) pagestore.Key { return pagestore.Key{Blob: 1, Version: 1, Index: i} }
 
@@ -60,9 +70,10 @@ func TestGetCachesAndCounts(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		got, err := c.Get(ctx, key(3), fetch)
-		if err != nil || len(got) != 100 {
-			t.Fatalf("Get = %d bytes, %v", len(got), err)
+		if err != nil || len(got.Data) != 100 {
+			t.Fatalf("Get = %d bytes, %v", len(got.Data), err)
 		}
+		got.Release()
 	}
 	if n := fetches.Load(); n != 1 {
 		t.Errorf("fetches = %d, want 1", n)
@@ -122,7 +133,7 @@ func TestPutUpgradesEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Upgrading replaces the entry and fixes the byte accounting.
-	c.Put(key(2), page(2, 128))
+	c.Put(key(2), page(2, 128)).Release()
 	got, ok := cached(c, key(2))
 	if !ok || len(got) != 128 {
 		t.Fatalf("after upgrade: %d bytes cached, want 128", len(got))
@@ -131,7 +142,7 @@ func TestPutUpgradesEntry(t *testing.T) {
 		t.Errorf("Bytes = %d, want 128", c.Bytes())
 	}
 	// A shorter Put never downgrades.
-	c.Put(key(2), page(2, 64))
+	c.Put(key(2), page(2, 64)).Release()
 	if got, _ := cached(c, key(2)); len(got) != 128 {
 		t.Errorf("downgraded to %d bytes, want 128 kept", len(got))
 	}
@@ -144,9 +155,10 @@ func TestOversizedPageNotCached(t *testing.T) {
 	c := New(100, nil)
 	big := func(context.Context) ([]byte, error) { return page(9, 200), nil }
 	got, err := c.Get(ctx, key(9), big)
-	if err != nil || len(got) != 200 {
-		t.Fatalf("Get = %d bytes, %v", len(got), err)
+	if err != nil || len(got.Data) != 200 {
+		t.Fatalf("Get = %d bytes, %v", len(got.Data), err)
 	}
+	got.Release()
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Errorf("cache holds %d pages / %d bytes, want empty", c.Len(), c.Bytes())
 	}
@@ -170,9 +182,10 @@ func TestSingleflightDeduplicates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got, err := c.Get(ctx, key(7), fetch)
-			if err == nil && len(got) != 64 {
-				err = fmt.Errorf("got %d bytes", len(got))
+			if err == nil && len(got.Data) != 64 {
+				err = fmt.Errorf("got %d bytes", len(got.Data))
 			}
+			got.Release()
 			errs <- err
 		}()
 	}
@@ -277,10 +290,11 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					return
 				}
 				want := page(i, 64)
-				if got[0] != want[0] || got[63] != want[63] {
+				if got.Data[0] != want[0] || got.Data[63] != want[63] {
 					t.Errorf("page %d content mismatch", i)
 					return
 				}
+				got.Release()
 			}
 		}(w)
 	}
@@ -533,9 +547,9 @@ func TestPurgeMarksInFlightFetches(t *testing.T) {
 	k := key(7)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	done := make(chan []byte, 1)
+	done := make(chan Page, 1)
 	go func() {
-		data, err := c.Get(ctx, k, func(context.Context) ([]byte, error) {
+		pg, err := c.Get(ctx, k, func(context.Context) ([]byte, error) {
 			close(started)
 			<-release
 			return page(7, 64), nil
@@ -543,14 +557,16 @@ func TestPurgeMarksInFlightFetches(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		done <- data
+		done <- pg
 	}()
 	<-started
 	c.PurgeVersion(k.Blob, k.Version) // lands mid-flight
 	close(release)
-	if data := <-done; len(data) != 64 {
-		t.Fatalf("in-flight caller got %d bytes", len(data))
+	pg := <-done
+	if len(pg.Data) != 64 {
+		t.Fatalf("in-flight caller got %d bytes", len(pg.Data))
 	}
+	pg.Release()
 	if _, ok := cached(c, k); ok {
 		t.Fatal("purged in-flight fetch was cached anyway")
 	}

@@ -278,7 +278,7 @@ type fileReader struct {
 
 	pos    uint64
 	bufOff uint64
-	buf    []byte
+	buf    []byte // the current chunk: a pooled frame the reader owns
 	bufOK  bool
 }
 
@@ -297,8 +297,10 @@ func (r *fileReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// fetchBlockAt prefetches the whole chunk containing byte offset off.
+// fetchBlockAt prefetches the whole chunk containing byte offset off,
+// releasing the chunk it replaces.
 func (r *fileReader) fetchBlockAt(off uint64) error {
+	r.dropBlock()
 	var cur uint64
 	for _, blk := range r.meta.Blocks {
 		if off < cur+blk.Length {
@@ -314,9 +316,16 @@ func (r *fileReader) fetchBlockAt(off uint64) error {
 	return io.EOF
 }
 
-// fetchBlock gets a block from the first of its datanodes that answers.
-// The block is the response frame itself (blob.GetPageResp keeps its
-// frame), so the one-chunk buffer costs no copy.
+// dropBlock hands the one-chunk buffer back to the frame pool.
+func (r *fileReader) dropBlock() {
+	transport.ReleaseFrame(r.buf)
+	r.buf, r.bufOK = nil, false
+}
+
+// fetchBlock gets a block from the first of its datanodes that answers,
+// as the pooled frame blob.GetPageResp copies it into; the response
+// frame goes back to the pool, and the block's frame is the next
+// chunk's once the reader moves on.
 func (r *fileReader) fetchBlock(blk BlockInfo) ([]byte, error) {
 	var lastErr error
 	for _, dn := range blk.Datanodes {
@@ -362,8 +371,11 @@ func (r *fileReader) ReadAt(p []byte, off int64) (int, error) {
 	return int(done), nil
 }
 
-// Close implements io.Closer.
-func (r *fileReader) Close() error { return nil }
+// Close implements io.Closer: it releases the one-chunk buffer.
+func (r *fileReader) Close() error {
+	r.dropBlock()
+	return nil
+}
 
 // Size implements dfs.FileReader.
 func (r *fileReader) Size() uint64 { return r.meta.Size }

@@ -326,19 +326,22 @@ func TestEmptyFile(t *testing.T) {
 }
 
 // TestBlockAllocationBudget holds the baseline to BSFS's page budget
-// (bsfs.TestAllocationBudget): a 64 KiB block may allocate a quarter
-// block more than the one copy that outlives its frame, process-wide
-// on MemNet. On the write path that copy is the datanode's stored
-// block; on a cold read it is the response frame, which the reader
-// keeps as its one-chunk buffer. Datanodes with block messages of their
-// own, which copied every block out of its frame, allocated 3.2 blocks
-// per block written and 2.1 per block read.
+// (bsfs.TestAllocationBudget), process-wide on MemNet. On the write
+// path a 64 KiB block may allocate a quarter block more than the one
+// copy that outlives its frame, the datanode's stored block. A cold
+// read copies each block into a pooled frame, the reader's one-chunk
+// buffer, which it hands back when it moves to the next block, so a
+// block read allocates no page at all: measured 256 B per block, held
+// to 1 KiB. While the reader kept each response frame as its chunk it
+// allocated 1.13 blocks per block read; datanodes with block messages
+// of their own, which copied every block out of its frame, allocated
+// 3.2 blocks per block written and 2.1 per block read.
 func TestBlockAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under the race detector's short job")
 	}
 	const block, blocks = 64 << 10, 16
-	const budget = block + block/4
+	const budget, readBudget = block + block/4, 1 << 10
 	c := newCluster(t, ClusterConfig{Datanodes: 4})
 	fs := mountFS(t, c, "cli", block)
 	data := pattern(1, blocks*block)
@@ -379,10 +382,10 @@ func TestBlockAllocationBudget(t *testing.T) {
 		t.Logf("write path: %d B allocated per 64 KiB block (budget %d)", perBlock, budget)
 	}
 	read("/warm")
-	if perBlock := allocated(func() { read("/budget") }) / blocks; perBlock > budget {
-		t.Errorf("reading a file allocates %d B per 64 KiB block, budget %d: a block is being copied more than once", perBlock, budget)
+	if perBlock := allocated(func() { read("/budget") }) / blocks; perBlock > readBudget {
+		t.Errorf("reading a file allocates %d B per 64 KiB block, budget %d: a block is not read into a recycled frame", perBlock, readBudget)
 	} else {
-		t.Logf("read path: %d B allocated per 64 KiB block (budget %d)", perBlock, budget)
+		t.Logf("read path: %d B allocated per 64 KiB block (budget %d)", perBlock, readBudget)
 	}
 }
 

@@ -22,8 +22,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// aliasMsg decodes by aliasing its frame, the way blob.GetPageResp
-// does, and so declares KeepsFrame: a response keeps its frame.
+// aliasMsg decodes by aliasing its frame, the way the dht client's get
+// answer does, and so declares KeepsFrame: a response keeps its frame.
 type aliasMsg struct{ data []byte }
 
 func (m *aliasMsg) AppendTo(b []byte) []byte { return wire.AppendBytes(b, m.data) }

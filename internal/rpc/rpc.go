@@ -33,11 +33,13 @@
 //     (pagestore.Store.Put makes that one copy of a page).
 //   - The response frame goes to Conn.Send the same way. On the client
 //     Call releases it once the response is decoded, unless the response
-//     is a FrameKeeper: its DecodeFrom may alias the frame (a fetched
-//     page lives on in the cache as a slice of its response frame), so
-//     the frame belongs to the decoded response and is abandoned with
-//     it. Every other decoder copies what it keeps, and its frame is the
-//     next NewFrame of its class. A response that carried an error or
+//     is a FrameKeeper: its DecodeFrom may alias the frame (the dht
+//     client's get answer, whose values the caller decodes and drops at
+//     once), so the frame belongs to the decoded response and is
+//     abandoned with it. Every other decoder copies what it keeps — a
+//     fetched page is copied into a pooled frame of its own, which the
+//     page cache recycles — and its frame is the next NewFrame of its
+//     class. A response that carried an error or
 //     whose body was not wanted is released undecoded, and so is one
 //     whose caller already left on ctx.Done() and that the receive loop
 //     found no pending call for. A response that raced a departing

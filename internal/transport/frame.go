@@ -15,9 +15,12 @@ import (
 // Conn.Send passes it to the transport and Conn.Recv to the receiver;
 // whoever holds a frame last either calls ReleaseFrame exactly once or
 // abandons it to the garbage collector (a frame something still
-// aliases — a decoded page that lives on in the cache — is abandoned,
-// never released). Releasing a buffer that did not come from NewFrame
-// is allowed: it is filed under its capacity or dropped.
+// aliases — a dht get answer whose values the caller holds — is
+// abandoned, never released). Releasing a buffer that did not come from
+// NewFrame is allowed: it is filed under its capacity or dropped. The
+// page cache holds pooled frames too: each cached page is a frame of
+// its own, released when the page has left the cache and its last
+// reader is done.
 //
 // Class c holds buffers of at least 2^(frameMinShift+c)+frameSlack
 // bytes: a power-of-two page plus the rpc header and the fixed fields
