@@ -23,7 +23,7 @@ type (
 	FileSystem = dfs.FileSystem
 	// VersionedFileSystem is the snapshot capability interface: probe
 	// any FileSystem for it with AsVersioned. BSFS mounts implement it;
-	// HDFS mounts answer every method with ErrVersionsNotSupported.
+	// HDFS mounts do not.
 	VersionedFileSystem = dfs.VersionedFileSystem
 	// FileReader is a streaming reader with random access.
 	FileReader = dfs.FileReader
@@ -57,8 +57,9 @@ type (
 
 // Stable sentinels of the versioned API, re-exported from internal/dfs.
 var (
-	// ErrVersionsNotSupported is returned by every VersionedFileSystem
-	// method of a backend without snapshot support (HDFS).
+	// ErrVersionsNotSupported is what the dfs helpers (OpenVersion,
+	// Versions) return for a file system without VersionedFileSystem
+	// (HDFS).
 	ErrVersionsNotSupported = dfs.ErrVersionsNotSupported
 	// ErrVersionGone reports an open or read of a snapshot the
 	// retention policy has collected.

@@ -48,9 +48,9 @@
 //
 //	if vfs, ok := blobseer.AsVersioned(fs); ok { ... }
 //
-// with ErrVersionsNotSupported as the stable answer from backends
-// without the capability (the HDFS baseline), and ErrVersionGone as
-// the stable answer for snapshots the retention policy has collected.
+// — a type assertion, false for a backend without the capability (the
+// HDFS baseline). ErrVersionGone is the stable answer for snapshots the
+// retention policy has collected.
 //
 // Map/Reduce jobs submitted through Cluster.NewFramework pin each
 // input file's snapshot at submit (JobResult.InputVersions), so a

@@ -14,16 +14,14 @@ import (
 // variable or a composite literal, or returned) is a use-after-free
 // unless somebody copies it in time. Decoders that keep the bytes call
 // BytesCopy, copy a Fields region once, or append the bytes to a buffer
-// of their own (blob.GetPageResp copies a page into a pooled frame). A
-// response whose type declares KeepsFrame (rpc.FrameKeeper: the dht
-// client's batch answer) is handed its frame for good, so its
-// DecodeFrom may store aliases. The other
-// decoders that alias on purpose (blob.PutPageReq, whose page the store
-// copies before the handler returns, the dht server's get-batch answer,
-// which reads its request's keys while it is marshalled, before the
-// frame is released, and mapreduce's run, which reads a shuffle segment
-// the reducer owns and no frame at all) carry
-// `//lint:framealias <reason>`.
+// of their own (blob.GetPageResp copies a page into a pooled frame, the
+// dht client's get answer copies its values into one slab). No response
+// decoder is exempt. The request-side decoders that alias on purpose
+// (blob.PutPageReq, whose page the store copies before the handler
+// returns, the dht server's get-batch answer, which reads its request's
+// keys while it is marshalled, before the frame is released, and
+// mapreduce's run, which reads a shuffle segment the reducer owns and no
+// frame at all) carry `//lint:framealias <reason>`.
 //
 // The check follows a frame slice through local variables and slice
 // expressions within one function body; it does not follow it into a
@@ -41,35 +39,11 @@ func runFrameAlias(pass *Pass) error {
 		if isTestFile(pass.Fset, file.Pos()) {
 			continue
 		}
-		keepers := make(map[*ast.BlockStmt]bool)
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && keepsFrame(pass.TypesInfo, fd) {
-				keepers[fd.Body] = true
-			}
-		}
 		funcScopes(file, func(_ string, body *ast.BlockStmt) {
-			if !keepers[body] {
-				checkFrameAliases(pass, body)
-			}
+			checkFrameAliases(pass, body)
 		})
 	}
 	return nil
-}
-
-// keepsFrame reports whether fd is the DecodeFrom of a type that also
-// declares KeepsFrame: a response rpc leaves its frame to.
-func keepsFrame(info *types.Info, fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || fd.Name.Name != "DecodeFrom" {
-		return false
-	}
-	fn, _ := info.Defs[fd.Name].(*types.Func)
-	if fn == nil {
-		return false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	obj, _, _ := types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), "KeepsFrame")
-	_, ok := obj.(*types.Func)
-	return ok
 }
 
 func checkFrameAliases(pass *Pass, body *ast.BlockStmt) {

@@ -98,9 +98,9 @@ func (m *msg) fieldsCopied(r *wire.Reader) int {
 	return n
 }
 
-// keeper is a response that declares KeepsFrame, as the dht client's
-// batch answer does: rpc leaves it its frame, so its DecodeFrom may
-// keep aliases, element by element.
+// keeper is a response that declares a KeepsFrame method. No method
+// exempts a DecodeFrom: rpc recycles every response frame once the
+// decode returns, so its stores are findings like any other.
 type keeper struct {
 	data   []byte
 	values [][]byte
@@ -109,31 +109,16 @@ type keeper struct {
 func (k *keeper) KeepsFrame() {}
 
 func (k *keeper) DecodeFrom(r *wire.Reader) error {
-	k.data = r.Bytes()
+	k.data = r.Bytes() // want "stored beyond the decode"
 	k.values = make([][]byte, r.Uvarint())
 	for i := range k.values {
-		k.values[i] = r.Bytes()
+		k.values[i] = r.Bytes() // want "stored beyond the decode"
 	}
 	return r.Err()
 }
 
-// decodeAgain is no DecodeFrom: rpc hands a keeper's frame to that one
-// method only.
-func (k *keeper) decodeAgain(r *wire.Reader) {
-	k.data = r.Bytes() // want "stored beyond the decode"
-}
-
-// copier declares no KeepsFrame: rpc recycles its frame once DecodeFrom
-// returns.
-type copier struct{ data []byte }
-
-func (c *copier) DecodeFrom(r *wire.Reader) error {
-	c.data = r.Bytes() // want "stored beyond the decode"
-	return r.Err()
-}
-
-// batchReq is keeper's decode on the request side, where the frame is
-// recycled under whatever the handler stored: still a finding.
+// batchReq is keeper's decode on the request side: a finding there
+// too, element by element.
 func (m *msg) batchReq(r *wire.Reader) error {
 	m.values = make([][]byte, r.Uvarint())
 	for i := range m.values {

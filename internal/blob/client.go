@@ -1186,9 +1186,10 @@ func (b *Blob) extent(slots []segtree.Slot, i uint64) (lo, hi uint64) {
 // readSlots copies bytes [off, off+len(p)) of the BLOB into p from the
 // resolved pages that hold them, each fetched in parallel and copied
 // straight to its place; holes read as zeros. With cached set, and a
-// page cache to use, the pages are read through it; otherwise each is
-// copied straight out of its response frame, which goes back to the
-// pool, and nothing of it stays behind.
+// page cache to use, the pages are read through it; otherwise (the
+// shuffle's ReadWritten, and every read with the cache off) each page
+// is fetched into a pooled frame whose window is copied out before the
+// frame goes back to the pool, and nothing of it stays behind.
 func (b *Blob) readSlots(ctx context.Context, slots []segtree.Slot, off uint64, p []byte, cached bool) error {
 	end := off + uint64(len(p))
 	cached = cached && b.c.pages != nil
@@ -1204,7 +1205,13 @@ func (b *Blob) readSlots(ctx context.Context, slots []segtree.Slot, off uint64, 
 			return nil
 		}
 		if !cached {
-			return b.c.fetchPageDirect(ctx, slots[i].Ref, hi-base, &pageWindow{dst: dst, lo: lo - base})
+			var resp GetPageResp
+			err := b.c.fetchPageDirect(ctx, slots[i].Ref, hi-base, &resp)
+			if err == nil {
+				copy(dst, resp.Data[lo-base:])
+			}
+			transport.ReleaseFrame(resp.Data) // a short page, if any
+			return err
 		}
 		// fetchPage validates length: success means >= hi-base bytes.
 		page, err := b.c.fetchPage(ctx, slots[i].Ref, hi-base)
@@ -1426,16 +1433,18 @@ func (c *Client) fetchPage(ctx context.Context, ref segtree.PageRef, want uint64
 	return page, err
 }
 
-// fetchPageDirect retrieves one page from its replicas into resp,
-// accepting only replies of at least want bytes — a truncated/corrupt
-// replica counts as a failed provider and the fetch fails over to the
-// next one, so a sick replica can degrade latency but never poisons the
-// shared cache. A replica co-located with this client is tried first
-// (the map scheduler places tasks next to their data, and a local fetch
-// spares both NICs); otherwise the starting replica rotates per fetch
-// so remote read traffic spreads across replicas instead of hammering
-// the primary. Failed fetches are counted in the read stats.
-func (c *Client) fetchPageDirect(ctx context.Context, ref segtree.PageRef, want uint64, resp pageResp) error {
+// fetchPageDirect retrieves one page from its replicas into resp, whose
+// Data is a pooled frame the caller releases, after a failure too (it
+// may hold a short page). It accepts only replies of at least want
+// bytes — a truncated/corrupt replica counts as a failed provider and
+// the fetch fails over to the next one, so a sick replica can degrade
+// latency but never poisons the shared cache. A replica co-located
+// with this client is tried first (the map scheduler places tasks next
+// to their data, and a local fetch spares both NICs); otherwise the
+// starting replica rotates per fetch so remote read traffic spreads
+// across replicas instead of hammering the primary. Failed fetches are
+// counted in the read stats.
+func (c *Client) fetchPageDirect(ctx context.Context, ref segtree.PageRef, want uint64, resp *GetPageResp) error {
 	nrep := len(ref.Providers)
 	local := -1
 	for i, addr := range ref.Providers {
@@ -1472,13 +1481,13 @@ func (c *Client) fetchPageDirect(ctx context.Context, ref segtree.PageRef, want 
 				c.rstats.AddProviderFailure()
 			}
 			lastErr = err
-		case resp.pageLen() < want:
+		case uint64(len(resp.Data)) < want:
 			// Either a truncated replica or a legitimately short page
 			// (a never-rewritten tail the read version overshoots).
 			// Try the remaining replicas, but don't brand the provider
 			// as failed: a legitimately short page answers this way
 			// from every healthy replica.
-			lastErr = fmt.Errorf("%w: page %s has %d bytes, need %d", ErrShortPage, ref.Page, resp.pageLen(), want)
+			lastErr = fmt.Errorf("%w: page %s has %d bytes, need %d", ErrShortPage, ref.Page, len(resp.Data), want)
 		default:
 			return nil
 		}

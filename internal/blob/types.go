@@ -747,15 +747,6 @@ func (m *GetPageReq) DecodeFrom(r *wire.Reader) error {
 	return r.Err()
 }
 
-// pageResp is a GetPage response as a page fetch decodes it: copied
-// whole into a pooled frame of its own (GetPageResp) or in part into
-// the caller's buffer (pageWindow). Neither keeps anything of the
-// response frame, which rpc recycles as soon as the decode returns.
-type pageResp interface {
-	wire.Unmarshaler
-	pageLen() uint64 // the length of the page the last decode saw
-}
-
 // GetPageResp carries the page content.
 type GetPageResp struct{ Data []byte }
 
@@ -781,27 +772,3 @@ func (m *GetPageResp) DecodeFrom(r *wire.Reader) error {
 	m.Data = append(transport.NewFrame(len(page)), page...)
 	return nil
 }
-
-func (m *GetPageResp) pageLen() uint64 { return uint64(len(m.Data)) }
-
-// pageWindow decodes a GetPage response by copying bytes
-// [lo, lo+len(dst)) of the page into dst, and only if the page holds
-// them all. It keeps nothing of the frame, which rpc then recycles: a
-// page read this way is allocated once, where it rests.
-type pageWindow struct {
-	dst  []byte
-	lo   uint64
-	size uint64 // the page's length
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *pageWindow) DecodeFrom(r *wire.Reader) error {
-	page := r.Bytes()
-	m.size = uint64(len(page))
-	if m.size >= m.lo+uint64(len(m.dst)) {
-		copy(m.dst, page[m.lo:])
-	}
-	return r.Err()
-}
-
-func (m *pageWindow) pageLen() uint64 { return m.size }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"sync"
 	"sync/atomic"
 
@@ -692,6 +693,8 @@ type fileReader struct {
 	closed bool
 }
 
+var errReadClosed = fmt.Errorf("bsfs: read from closed file: %w", iofs.ErrClosed)
+
 // fillBlock points r.view at the whole block containing pos, releasing
 // the view of the block it leaves. Each BSFS block is one BlobSeer
 // page, so a cache-resident block costs no copy at all — the view
@@ -725,7 +728,7 @@ func (r *fileReader) cached(pos uint64) bool {
 // Read implements io.Reader with whole-block reads and readahead.
 func (r *fileReader) Read(p []byte) (int, error) {
 	if r.closed {
-		return 0, fmt.Errorf("bsfs: read from closed file")
+		return 0, errReadClosed
 	}
 	if r.pos >= r.Size() {
 		return 0, io.EOF
@@ -746,7 +749,7 @@ func (r *fileReader) Read(p []byte) (int, error) {
 // containing block per call.
 func (r *fileReader) ReadAt(p []byte, off int64) (int, error) {
 	if r.closed {
-		return 0, fmt.Errorf("bsfs: read from closed file")
+		return 0, errReadClosed
 	}
 	if off < 0 {
 		return 0, fmt.Errorf("bsfs: negative offset")

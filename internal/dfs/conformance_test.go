@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"os"
 	"testing"
 
@@ -296,6 +297,34 @@ func TestConformanceReaderAt(t *testing.T) {
 	})
 }
 
+// TestConformanceClosedReader: a reader reads nothing after Close, not
+// even the block it still had: Read and ReadAt fail with an error that
+// wraps io/fs.ErrClosed.
+func TestConformanceClosedReader(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b backend, fs dfs.FileSystem) {
+		if err := dfs.WriteFile(ctx, fs, "/f", confPattern(6, 2*confBlock)); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Open(ctx, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := make([]byte, 100)
+		if _, err := f.Read(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := f.Read(p); !errors.Is(err, iofs.ErrClosed) {
+			t.Errorf("Read after Close = %d, %v; want fs.ErrClosed", n, err)
+		}
+		if n, err := f.ReadAt(p, 0); !errors.Is(err, iofs.ErrClosed) {
+			t.Errorf("ReadAt after Close = %d, %v; want fs.ErrClosed", n, err)
+		}
+	})
+}
+
 func TestConformanceBlockLocations(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b backend, fs dfs.FileSystem) {
 		data := confPattern(6, 4*confBlock)
@@ -380,47 +409,35 @@ func TestConformanceSequentialStreaming(t *testing.T) {
 
 func TestConformanceVersioning(t *testing.T) {
 	// The snapshot capability, probed the way the framework does it: a
-	// type assertion, then calls whose stable answers distinguish a
-	// real capability (BSFS) from the rejection sentinel (HDFS).
+	// type assertion, true for BSFS and false for HDFS.
 	forEachBackend(t, func(t *testing.T, b backend, fs dfs.FileSystem) {
-		vfs, ok := dfs.AsVersioned(fs)
-		if !ok {
-			t.Fatalf("%s does not expose dfs.VersionedFileSystem", b.name)
-		}
 		if err := dfs.WriteFile(ctx, fs, "/v/log", []byte("one\n")); err != nil {
 			t.Fatal(err)
 		}
+		// The package-level helpers answer the sentinel for any
+		// FileSystem value without the capability.
+		if _, err := dfs.OpenVersion(ctx, unversionedOnly{fs}, "/v/log", 1); !errors.Is(err, dfs.ErrVersionsNotSupported) {
+			t.Errorf("helper OpenVersion on plain FS: %v", err)
+		}
+		vfs, ok := dfs.AsVersioned(fs)
 
 		if !b.appendSupport {
-			// HDFS: one version axis short — every method answers the
-			// stable sentinel, and Stat has no version to report.
-			if _, err := vfs.OpenVersion(ctx, "/v/log", 1); !errors.Is(err, dfs.ErrVersionsNotSupported) {
+			// HDFS: one version axis short — it lacks the capability,
+			// and Stat has no version to report.
+			if ok {
+				t.Fatalf("%s exposes dfs.VersionedFileSystem", b.name)
+			}
+			if _, err := dfs.OpenVersion(ctx, fs, "/v/log", 1); !errors.Is(err, dfs.ErrVersionsNotSupported) {
 				t.Errorf("OpenVersion: %v", err)
-			}
-			if _, err := vfs.Versions(ctx, "/v/log"); !errors.Is(err, dfs.ErrVersionsNotSupported) {
-				t.Errorf("Versions: %v", err)
-			}
-			if _, err := vfs.WaitVersion(ctx, "/v/log", 0); !errors.Is(err, dfs.ErrVersionsNotSupported) {
-				t.Errorf("WaitVersion: %v", err)
-			}
-			if _, err := vfs.BlockLocationsAt(ctx, "/v/log", 1, 0, 4); !errors.Is(err, dfs.ErrVersionsNotSupported) {
-				t.Errorf("BlockLocationsAt: %v", err)
-			}
-			// Version 0 — latest, the only version HDFS has — degrades
-			// to plain BlockLocations for capability-blind callers.
-			if _, err := vfs.BlockLocationsAt(ctx, "/v/log", 0, 0, 4); err != nil {
-				t.Errorf("BlockLocationsAt(latest): %v", err)
 			}
 			fi, err := fs.Stat(ctx, "/v/log")
 			if err != nil || fi.Version != 0 {
 				t.Errorf("Stat.Version = %d, %v", fi.Version, err)
 			}
-			// The package-level helpers answer the sentinel for any
-			// FileSystem value without the capability.
-			if _, err := dfs.OpenVersion(ctx, unversionedOnly{fs}, "/v/log", 1); !errors.Is(err, dfs.ErrVersionsNotSupported) {
-				t.Errorf("helper OpenVersion on plain FS: %v", err)
-			}
 			return
+		}
+		if !ok {
+			t.Fatalf("%s does not expose dfs.VersionedFileSystem", b.name)
 		}
 
 		// BSFS: every append published a snapshot; round-trip them.

@@ -32,10 +32,9 @@ var (
 	ErrAppendNotSupported = errors.New("dfs: append is not supported by this file system")
 	ErrInvalidPath        = errors.New("dfs: invalid path")
 
-	// ErrVersionsNotSupported is the stable sentinel a backend without
-	// snapshot support returns from every VersionedFileSystem method.
-	// HDFS returns it — the paper's backend contrast, extended to the
-	// version axis — and frameworks fall back to latest-only reads.
+	// ErrVersionsNotSupported is the stable sentinel OpenVersion and
+	// Versions return for a file system without VersionedFileSystem
+	// (HDFS: the paper's backend contrast, extended to the version axis).
 	ErrVersionsNotSupported = errors.New("dfs: versioned access is not supported by this file system")
 
 	// ErrVersionGone reports an open or read of a file version the
@@ -145,12 +144,9 @@ type VersionedReader interface {
 
 // VersionedFileSystem is the snapshot capability interface: every
 // append to a BlobSeer-backed file publishes an immutable version, and
-// backends that expose that axis implement these four methods. The
-// Map/Reduce framework probes for it with a type assertion and treats
-// ErrVersionsNotSupported from any method as "capability absent", so a
-// backend may also implement the methods purely to return the stable
-// sentinel (HDFS does — the interface is uniform, the behaviour is the
-// paper's backend contrast).
+// backends that expose that axis implement these four methods. A file
+// system has the capability or lacks it: HDFS, whose write-once files
+// have no version axis, does not implement the interface.
 //
 // Lease semantics: OpenVersion pins the chosen snapshot against
 // garbage collection for the reader's lifetime (released at Close), so
@@ -180,9 +176,7 @@ type VersionedFileSystem interface {
 }
 
 // AsVersioned probes fs for the snapshot capability the way the
-// Map/Reduce framework does: a type assertion, plus the convention
-// that a backend advertising the interface may still answer every call
-// with ErrVersionsNotSupported.
+// Map/Reduce framework does: a type assertion.
 func AsVersioned(fs FileSystem) (VersionedFileSystem, bool) {
 	vfs, ok := fs.(VersionedFileSystem)
 	return vfs, ok

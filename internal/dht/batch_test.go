@@ -244,6 +244,40 @@ func TestProviderSlabLifetime(t *testing.T) {
 	}
 }
 
+// TestGetBatchValuesOutliveTheirFrames: a get answer's values belong to
+// the caller. One GetBatch result is held while many more gets and puts
+// recycle the frames its answers arrived in, each overwritten on
+// release: every held value must still read as it was stored.
+func TestGetBatchValuesOutliveTheirFrames(t *testing.T) {
+	c, _ := testCluster(t, 3, 2)
+	ctx := context.Background()
+	kvs, keys := testBatch("held", 16)
+	if err := c.PutBatch(ctx, kvs); err != nil {
+		t.Fatal(err)
+	}
+	held, err := c.GetBatch(ctx, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		more, moreKeys := testBatch(fmt.Sprintf("churn%d", i%8), 16)
+		if err := c.PutBatch(ctx, more); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.GetBatch(ctx, moreKeys); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.GetBatch(ctx, keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, kv := range kvs {
+		if !bytes.Equal(held[i], kv.Value) {
+			t.Fatalf("held value %d = %q, want %q", i, held[i], kv.Value)
+		}
+	}
+}
+
 // TestPutBatchAllocationBudget: a put batch costs a fixed number of
 // objects per message, not one per key, end to end: the client's
 // fanOut and its owner and share table, a goroutine for each extra

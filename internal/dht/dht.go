@@ -20,8 +20,8 @@
 // the client encodes each member's share straight from the caller's
 // keys and values into its request frame, a provider copies a put
 // batch out of its frame in two copies and answers a get from its map
-// as the answer is marshalled, and the client decodes the answers
-// straight into the result (TestPutBatchAllocationBudget).
+// as the answer is marshalled, and the client copies each answer's
+// values into one slab of its own (TestPutBatchAllocationBudget).
 package dht
 
 import (
@@ -466,26 +466,26 @@ func (mc *memberCall) AppendTo(b []byte) []byte {
 }
 
 // DecodeFrom implements wire.Unmarshaler for a get's answer: each
-// found value goes straight into the fanOut's slot for its position,
-// where it aliases the response frame (see KeepsFrame).
+// found value is copied into one slab per answer, sized once so that no
+// append moves a value already handed out, and goes into the fanOut's
+// slot for its position. rpc recycles the frame when the decode returns.
 func (mc *memberCall) DecodeFrom(r *wire.Reader) error {
 	f := mc.f
 	if n := r.Uvarint(); r.Err() == nil && n != uint64(len(mc.share)) {
 		return fmt.Errorf("dht: %d answers for %d keys", n, len(mc.share))
 	}
+	slab := make([]byte, 0, r.Len())
 	for _, p := range mc.share {
 		found := r.Bool()
 		v := r.Bytes()
 		if found && r.Err() == nil {
-			f.out[p] = v
+			at := len(slab)
+			slab = append(slab, v...)
+			f.out[p] = slab[at:len(slab):len(slab)]
 		}
 	}
 	return r.Err()
 }
-
-// KeepsFrame implements rpc.FrameKeeper: a get's values alias the
-// answer's frame, which they own from then on.
-func (mc *memberCall) KeepsFrame() {}
 
 // firstErr returns the first member failure, naming the member.
 func (c *Client) firstErr(op string, f *fanOut) error {
@@ -562,8 +562,7 @@ func (c *Client) DeleteBatch(ctx context.Context, keys []string) error {
 // asked of its primary, all primaries at once; the keys a primary does
 // not have or cannot answer for are asked of their other replicas in
 // one more round, all members at once. A key no replica returned fails
-// the batch if one of them failed. The values alias the response
-// frames.
+// the batch if one of them failed. The values belong to the caller.
 func (c *Client) GetBatch(ctx context.Context, keys []string) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	if len(keys) == 0 {

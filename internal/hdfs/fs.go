@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	iofs "io/fs"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
@@ -30,10 +31,7 @@ type FS struct {
 	pool *rpc.Pool
 }
 
-var (
-	_ dfs.FileSystem          = (*FS)(nil)
-	_ dfs.VersionedFileSystem = (*FS)(nil)
-)
+var _ dfs.FileSystem = (*FS)(nil)
 
 // New returns an HDFS mount.
 func New(cfg Config) *FS {
@@ -69,38 +67,6 @@ func (fs *FS) Create(ctx context.Context, path string) (dfs.FileWriter, error) {
 // disabled" upstream). This is the paper's premise.
 func (fs *FS) Append(ctx context.Context, path string) (dfs.FileWriter, error) {
 	return nil, dfs.ErrAppendNotSupported
-}
-
-// OpenVersion implements dfs.VersionedFileSystem by rejection: HDFS's
-// write-once files have no version axis, the versioned mirror of its
-// missing append (§2.2) — the paper's backend contrast, extended to
-// the snapshot-first API. The sentinel is stable so frameworks fall
-// back to latest-only reads instead of failing the job.
-func (fs *FS) OpenVersion(ctx context.Context, path string, ver uint64) (dfs.VersionedReader, error) {
-	return nil, dfs.ErrVersionsNotSupported
-}
-
-// Versions implements dfs.VersionedFileSystem by rejection (see
-// OpenVersion).
-func (fs *FS) Versions(ctx context.Context, path string) ([]dfs.VersionInfo, error) {
-	return nil, dfs.ErrVersionsNotSupported
-}
-
-// WaitVersion implements dfs.VersionedFileSystem by rejection (see
-// OpenVersion).
-func (fs *FS) WaitVersion(ctx context.Context, path string, after uint64) (dfs.VersionInfo, error) {
-	return dfs.VersionInfo{}, dfs.ErrVersionsNotSupported
-}
-
-// BlockLocationsAt implements dfs.VersionedFileSystem by rejection
-// (see OpenVersion); version 0 — latest, the only version HDFS has —
-// degrades to plain BlockLocations so capability-blind callers that
-// pass 0 keep working.
-func (fs *FS) BlockLocationsAt(ctx context.Context, path string, ver uint64, off, length uint64) ([]dfs.BlockLoc, error) {
-	if ver == 0 {
-		return fs.BlockLocations(ctx, path, off, length)
-	}
-	return nil, dfs.ErrVersionsNotSupported
 }
 
 // Open implements dfs.FileSystem.
@@ -280,10 +246,16 @@ type fileReader struct {
 	bufOff uint64
 	buf    []byte // the current chunk: a pooled frame the reader owns
 	bufOK  bool
+	closed bool
 }
+
+var errReadClosed = fmt.Errorf("hdfs: read from closed file: %w", iofs.ErrClosed)
 
 // Read implements io.Reader.
 func (r *fileReader) Read(p []byte) (int, error) {
+	if r.closed {
+		return 0, errReadClosed
+	}
 	if r.pos >= r.meta.Size {
 		return 0, io.EOF
 	}
@@ -344,6 +316,9 @@ func (r *fileReader) fetchBlock(blk BlockInfo) ([]byte, error) {
 // cache as Read, so sub-chunk sequential ReadAt patterns fetch every
 // chunk once.
 func (r *fileReader) ReadAt(p []byte, off int64) (int, error) {
+	if r.closed {
+		return 0, errReadClosed
+	}
 	if off < 0 {
 		return 0, fmt.Errorf("hdfs: negative offset")
 	}
@@ -371,8 +346,10 @@ func (r *fileReader) ReadAt(p []byte, off int64) (int, error) {
 	return int(done), nil
 }
 
-// Close implements io.Closer: it releases the one-chunk buffer.
+// Close implements io.Closer: it releases the one-chunk buffer, and
+// the reader reads nothing more.
 func (r *fileReader) Close() error {
+	r.closed = true
 	r.dropBlock()
 	return nil
 }

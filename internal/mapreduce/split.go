@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -39,8 +38,7 @@ type pinnedInput struct {
 // pinInputs pins each input file's latest published snapshot when the
 // backend supports versioned access: the job's input set becomes
 // immutable at submit — the paper's flagship read/append overlap, made
-// correct by construction. Backends without the capability (HDFS, or a
-// capability probe that answers with dfs.ErrVersionsNotSupported) run
+// correct by construction. Backends without the capability (HDFS) run
 // unpinned, exactly as before. The returned release func closes every
 // held reader (dropping the pins) and must be called when the job
 // finishes.
@@ -61,12 +59,6 @@ func pinInputs(ctx context.Context, fs dfs.FileSystem, inputs []string) (map[str
 		// stat'd version while appenders publish newer ones — and the
 		// reader reports which version the pin landed on.
 		r, err := vfs.OpenVersion(ctx, path, 0)
-		if errors.Is(err, dfs.ErrVersionsNotSupported) {
-			// The interface is present but the capability is absent:
-			// fall back to unpinned inputs for the whole job.
-			closeAll()
-			return nil, func() {}, nil
-		}
 		if err != nil {
 			closeAll()
 			return nil, nil, fmt.Errorf("mapreduce: pin input %s: %w", path, err)

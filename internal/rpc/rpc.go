@@ -32,20 +32,16 @@
 //     next request. What has to outlive the handler is copied
 //     (pagestore.Store.Put makes that one copy of a page).
 //   - The response frame goes to Conn.Send the same way. On the client
-//     Call releases it once the response is decoded, unless the response
-//     is a FrameKeeper: its DecodeFrom may alias the frame (the dht
-//     client's get answer, whose values the caller decodes and drops at
-//     once), so the frame belongs to the decoded response and is
-//     abandoned with it. Every other decoder copies what it keeps — a
-//     fetched page is copied into a pooled frame of its own, which the
-//     page cache recycles — and its frame is the next NewFrame of its
-//     class. A response that carried an error or
-//     whose body was not wanted is released undecoded, and so is one
-//     whose caller already left on ctx.Done() and that the receive loop
-//     found no pending call for. A response that raced a departing
-//     caller into its channel, and the calls failed by a lost connection
-//     or Close, hold no frame that anybody else will touch: they are
-//     abandoned.
+//     Call releases it as soon as DecodeFrom returns, so a response
+//     decoder copies whatever it keeps: the dht client's get answer
+//     copies its values into one slab per answer, and a fetched page is
+//     copied into a pooled frame of its own, which the page cache
+//     recycles. A response that carried an error or whose body was not
+//     wanted is released undecoded, and so is one whose caller already
+//     left on ctx.Done() and that the receive loop found no pending call
+//     for. A response that raced a departing caller into its channel,
+//     and the calls failed by a lost connection or Close, hold no frame
+//     that anybody else will touch: they are abandoned.
 package rpc
 
 import (
@@ -106,13 +102,6 @@ func M(id uint32, name string) Method {
 		stats:     metrics.Default.RPCClient.Method(name),
 	}
 }
-
-// FrameKeeper is a response whose DecodeFrom keeps slices of the
-// response frame (wire.Reader.Bytes) past the decode. Call abandons
-// such a response's frame to it instead of recycling the frame; every
-// other response must copy what it keeps, because its frame goes back
-// to the pool as soon as DecodeFrom returns.
-type FrameKeeper interface{ KeepsFrame() }
 
 // HandlerFunc serves one request. The Reader is positioned at the
 // request body; the returned Marshaler is the response body. A non-nil
@@ -564,26 +553,19 @@ func (c *Client) Call(ctx context.Context, method Method, req wire.Marshaler, re
 	select {
 	case res := <-cl.done:
 		nbytes += len(res.frame)
-		if res.err != nil || resp == nil {
-			// Nothing aliases the frame: a remote error's text is copied
-			// out by the header decode, and no body is decoded. (A
-			// connection-lost result carries no frame.)
-			transport.ReleaseFrame(res.frame)
-			callPool.Put(cl)
-			return res.err
+		err = res.err // a remote error's text is copied out by the header decode
+		if err == nil && resp != nil {
+			cl.body = res.body
+			if err = resp.DecodeFrom(&cl.body); err != nil {
+				err = fmt.Errorf("rpc call %s/%s: decode response: %w", c.remote, method, err)
+			}
+			cl.body = wire.Reader{} // a pooled call must not pin the frame
 		}
-		cl.body = res.body
-		err := resp.DecodeFrom(&cl.body)
-		cl.body = wire.Reader{} // a pooled call must not pin the frame
 		callPool.Put(cl)
-		if _, keeps := resp.(FrameKeeper); !keeps {
-			// The decode copied what it keeps.
-			transport.ReleaseFrame(res.frame)
-		}
-		if err != nil {
-			return fmt.Errorf("rpc call %s/%s: decode response: %w", c.remote, method, err)
-		}
-		return nil
+		// Nothing aliases the frame: the decode copied what it keeps. (A
+		// connection-lost result carries no frame.)
+		transport.ReleaseFrame(res.frame)
+		return err
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, id)

@@ -320,8 +320,8 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 // appended, so ReadWritten reads them by address, through the client's
 // node cache, and walks no segment tree; its version was complete
 // before AppendMap published it, so its leaves are final. Each page is
-// copied into the segment straight out of its response frame, which
-// goes back to the pool, and none enters the page cache: nothing but a
+// copied into the segment out of its pooled page frame, which goes back
+// to the pool, and none enters the page cache: nothing but a
 // re-executed reduce reads a segment again.
 // WaitPublished is the fetch's one question to the version manager and
 // stays even though the index only hands out published segments: it is

@@ -14,13 +14,11 @@ import (
 // Ownership is linear. NewFrame hands a frame to its caller;
 // Conn.Send passes it to the transport and Conn.Recv to the receiver;
 // whoever holds a frame last either calls ReleaseFrame exactly once or
-// abandons it to the garbage collector (a frame something still
-// aliases — a dht get answer whose values the caller holds — is
-// abandoned, never released). Releasing a buffer that did not come from
-// NewFrame is allowed: it is filed under its capacity or dropped. The
-// page cache holds pooled frames too: each cached page is a frame of
-// its own, released when the page has left the cache and its last
-// reader is done.
+// abandons it to the garbage collector. Releasing a buffer that did not
+// come from NewFrame is allowed: it is filed under its capacity or
+// dropped. The page cache holds pooled frames too: each cached page is
+// a frame of its own, released when the page has left the cache and
+// its last reader is done.
 //
 // Class c holds buffers of at least 2^(frameMinShift+c)+frameSlack
 // bytes: a power-of-two page plus the rpc header and the fixed fields
