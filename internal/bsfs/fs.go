@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	iofs "io/fs"
 	"sync"
 	"sync/atomic"
 
@@ -667,7 +665,8 @@ func (w *fileWriter) Close() error {
 // is not already cached"), with up to Tuning.ReadDepth blocks kept in
 // flight ahead of a sequential stream by the readahead engine — the
 // read-side twin of the writer's WriteDepth pipeline. The reader is a
-// cursor and that window over a blob.Snapshot, which owns the GC pin.
+// dfs.BlockCursor and that window over a blob.Snapshot, which owns the
+// GC pin.
 //
 
 type fileReader struct {
@@ -685,99 +684,31 @@ type fileReader struct {
 	// Refresh.
 	snap atomic.Pointer[blob.Snapshot]
 
-	pos    uint64
-	bufOff uint64
-	view   cache.Page // the current block, read-only: the reader's one reference to it
-
-	ra     *cache.Readahead // nil when readahead is disabled
-	closed bool
+	cur dfs.BlockCursor
+	ra  *cache.Readahead // nil when readahead is disabled
 }
 
-var errReadClosed = fmt.Errorf("bsfs: read from closed file: %w", iofs.ErrClosed)
-
-// fillBlock points r.view at the whole block containing pos, releasing
-// the view of the block it leaves. Each BSFS block is one BlobSeer
-// page, so a cache-resident block costs no copy at all — the view
-// references the cached page — and consuming it nudges the readahead
+// Block implements dfs.BlockSource. Each BSFS block is one BlobSeer
+// page, so a cache-resident block costs no copy at all — the page
+// references the cached one — and consuming it nudges the readahead
 // window forward.
-func (r *fileReader) fillBlock(pos uint64) error {
-	r.dropView()
+func (r *fileReader) Block(ctx context.Context, pos uint64) (cache.Page, uint64, error) {
 	snap := r.snap.Load()
 	block := pos / r.blockSize
-	view, err := snap.PageView(r.ctx, block)
+	view, err := snap.PageView(ctx, block)
 	if err != nil {
-		return mapVerErr(err)
+		return cache.Page{}, 0, mapVerErr(err)
 	}
-	r.bufOff, r.view = block*r.blockSize, view
 	r.ra.Observe(block, (snap.Size()+r.blockSize-1)/r.blockSize)
-	return nil
-}
-
-// dropView releases the reader's block view, so its page can go back
-// to the frame pool once it leaves the cache.
-func (r *fileReader) dropView() {
-	r.view.Release()
-	r.view = cache.Page{}
-}
-
-// cached reports whether pos is inside the current block view.
-func (r *fileReader) cached(pos uint64) bool {
-	return len(r.view.Data) > 0 && pos >= r.bufOff && pos < r.bufOff+uint64(len(r.view.Data))
+	return view, block * r.blockSize, nil
 }
 
 // Read implements io.Reader with whole-block reads and readahead.
-func (r *fileReader) Read(p []byte) (int, error) {
-	if r.closed {
-		return 0, errReadClosed
-	}
-	if r.pos >= r.Size() {
-		return 0, io.EOF
-	}
-	if !r.cached(r.pos) {
-		if err := r.fillBlock(r.pos); err != nil {
-			return 0, err
-		}
-	}
-	n := copy(p, r.view.Data[r.pos-r.bufOff:])
-	r.pos += uint64(n)
-	return n, nil
-}
+func (r *fileReader) Read(p []byte) (int, error) { return r.cur.Read(r.ctx, r, p) }
 
-// ReadAt implements io.ReaderAt through the same one-block view, so
-// sequential sub-block ReadAt patterns (the Map/Reduce record readers)
-// fetch every block exactly once instead of re-transferring the whole
-// containing block per call.
+// ReadAt implements io.ReaderAt through the same held block as Read.
 func (r *fileReader) ReadAt(p []byte, off int64) (int, error) {
-	if r.closed {
-		return 0, errReadClosed
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("bsfs: negative offset")
-	}
-	pos := uint64(off)
-	size := r.Size()
-	if pos >= size {
-		return 0, io.EOF
-	}
-	want := uint64(len(p))
-	var eof bool
-	if pos+want > size {
-		want = size - pos
-		eof = true
-	}
-	var done uint64
-	for done < want {
-		if !r.cached(pos + done) {
-			if err := r.fillBlock(pos + done); err != nil {
-				return int(done), err
-			}
-		}
-		done += uint64(copy(p[done:want], r.view.Data[pos+done-r.bufOff:]))
-	}
-	if eof {
-		return int(done), io.EOF
-	}
-	return int(done), nil
+	return r.cur.ReadAt(r.ctx, r, p, off)
 }
 
 // Close implements io.Closer: it cancels outstanding readahead,
@@ -785,12 +716,10 @@ func (r *fileReader) ReadAt(p []byte, off int64) (int, error) {
 // closed reader pins neither a page frame, provider bandwidth, nor
 // obsolete versions. Further reads fail.
 func (r *fileReader) Close() error {
-	if r.closed {
+	if !r.cur.Close() {
 		return nil
 	}
-	r.closed = true
 	r.ra.Close()
-	r.dropView()
 	r.release(r.snap.Load())
 	return nil
 }
@@ -835,6 +764,6 @@ func (r *fileReader) Refresh(ctx context.Context) (uint64, error) {
 	}
 	// The current view may end short of the refreshed size mid-block;
 	// drop it so the next read sees the grown block.
-	r.dropView()
+	r.cur.Drop()
 	return next.Size(), nil
 }

@@ -66,7 +66,12 @@ func (m *CreateReq) DecodeFrom(r *wire.Reader) error {
 	m.Path = r.String()
 	m.PageSize = r.Uvarint()
 	m.Exclusive = r.Bool()
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	var err error
+	m.Path, err = dfs.CleanPath(m.Path)
+	return err
 }
 
 // EntryResp is one namespace entry — a directory, or a file's BLOB and
@@ -273,16 +278,12 @@ func (ns *NamespaceManager) handleCreate(r *wire.Reader) (wire.Marshaler, error)
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
-	if path == "/" {
+	if req.Path == "/" {
 		return nil, dfs.ErrIsDir
 	}
 
 	ns.mu.Lock()
-	if e, ok := ns.entries[path]; ok {
+	if e, ok := ns.entries[req.Path]; ok {
 		defer ns.mu.Unlock()
 		if e.IsDir {
 			return nil, dfs.ErrIsDir
@@ -292,7 +293,7 @@ func (ns *NamespaceManager) handleCreate(r *wire.Reader) (wire.Marshaler, error)
 		}
 		return e, nil
 	}
-	if err := ns.mkdirAllLocked(dfs.Parent(path)); err != nil {
+	if err := ns.mkdirAllLocked(dfs.Parent(req.Path)); err != nil {
 		ns.mu.Unlock()
 		return nil, err
 	}
@@ -308,7 +309,7 @@ func (ns *NamespaceManager) handleCreate(r *wire.Reader) (wire.Marshaler, error)
 	}
 
 	ns.mu.Lock()
-	if e, ok := ns.entries[path]; ok {
+	if e, ok := ns.entries[req.Path]; ok {
 		// Lost a create race; the other BLOB wins. Retire ours through
 		// the garbage collector instead of leaking it.
 		ns.mu.Unlock()
@@ -324,16 +325,16 @@ func (ns *NamespaceManager) handleCreate(r *wire.Reader) (wire.Marshaler, error)
 	// A Delete of the parent may have run while the lock was released:
 	// make the parents again, so no entry outlives its directory.
 	e := &EntryResp{Blob: bl.ID(), PageSize: req.PageSize}
-	err = ns.mkdirAllLocked(dfs.Parent(path))
+	err = ns.mkdirAllLocked(dfs.Parent(req.Path))
 	if err == nil {
-		err = ns.logPutLocked(path, e)
+		err = ns.logPutLocked(req.Path, e)
 	}
 	if err != nil {
 		ns.mu.Unlock()
 		ns.deleteBlobDetached(bl.ID())
 		return nil, err
 	}
-	ns.entries[path] = e
+	ns.entries[req.Path] = e
 	ns.mu.Unlock()
 	return e, nil
 }
@@ -358,13 +359,9 @@ func (ns *NamespaceManager) handleLookup(r *wire.Reader) (wire.Marshaler, error)
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	e, ok := ns.entries[path]
+	e, ok := ns.entries[req.Path]
 	if !ok {
 		return nil, dfs.ErrNotExist
 	}
@@ -376,20 +373,16 @@ func (ns *NamespaceManager) handleList(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	dir, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	e, ok := ns.entries[dir]
+	e, ok := ns.entries[req.Path]
 	if !ok {
 		return nil, dfs.ErrNotExist
 	}
 	if !e.IsDir {
 		return nil, dfs.ErrNotDir
 	}
-	prefix := dir
+	prefix := req.Path
 	if prefix != "/" {
 		prefix += "/"
 	}
@@ -412,44 +405,36 @@ func (ns *NamespaceManager) handleRename(r *wire.Reader) (wire.Marshaler, error)
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	src, err := dfs.CleanPath(req.Src)
-	if err != nil {
-		return nil, err
-	}
-	dst, err := dfs.CleanPath(req.Dst)
-	if err != nil {
-		return nil, err
-	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	e, ok := ns.entries[src]
+	e, ok := ns.entries[req.Src]
 	if !ok {
 		return nil, dfs.ErrNotExist
 	}
 	if e.IsDir {
 		return nil, dfs.ErrIsDir
 	}
-	d, replaced := ns.entries[dst]
+	d, replaced := ns.entries[req.Dst]
 	if replaced && d.IsDir {
 		return nil, dfs.ErrIsDir
 	}
-	if src == dst {
+	if req.Src == req.Dst {
 		return nil, nil // journaling a put then a delete of one path would drop it
 	}
-	if err := ns.mkdirAllLocked(dfs.Parent(dst)); err != nil {
+	if err := ns.mkdirAllLocked(dfs.Parent(req.Dst)); err != nil {
 		return nil, err
 	}
 	// Journal dst before src: a crash between the two leaves both paths
 	// naming the same BLOB (data never lost), and the survivor wins on
 	// the next delete/rename of either path.
-	if err := ns.logPutLocked(dst, e); err != nil {
+	if err := ns.logPutLocked(req.Dst, e); err != nil {
 		return nil, err
 	}
-	if err := ns.logDeleteLocked(src); err != nil {
+	if err := ns.logDeleteLocked(req.Src); err != nil {
 		return nil, err
 	}
-	delete(ns.entries, src)
-	ns.entries[dst] = e
+	delete(ns.entries, req.Src)
+	ns.entries[req.Dst] = e
 	// The replaced file's BLOB has no name left: retire it, as a delete
 	// would, unless it is the renamed file's own.
 	if replaced && d.Blob != e.Blob && d.Blob != 0 {
@@ -463,33 +448,29 @@ func (ns *NamespaceManager) handleDelete(r *wire.Reader) (wire.Marshaler, error)
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
-	if path == "/" {
+	if req.Path == "/" {
 		return nil, dfs.ErrInvalidPath
 	}
 	ns.mu.Lock()
-	e, ok := ns.entries[path]
+	e, ok := ns.entries[req.Path]
 	if !ok {
 		ns.mu.Unlock()
 		return nil, dfs.ErrNotExist
 	}
 	isDir, blobID := e.IsDir, e.Blob
 	if isDir {
-		prefix := path + "/"
+		prefix := req.Path + "/"
 		for p := range ns.entries {
 			if strings.HasPrefix(p, prefix) {
 				ns.mu.Unlock()
 				return nil, dfs.ErrNotEmpty
 			}
 		}
-		if err := ns.logDeleteLocked(path); err != nil {
+		if err := ns.logDeleteLocked(req.Path); err != nil {
 			ns.mu.Unlock()
 			return nil, err
 		}
-		delete(ns.entries, path)
+		delete(ns.entries, req.Path)
 		ns.mu.Unlock()
 		return nil, nil
 	}
@@ -514,14 +495,14 @@ func (ns *NamespaceManager) handleDelete(r *wire.Reader) (wire.Marshaler, error)
 	// Drop the entry only if it is still the one whose BLOB we retired:
 	// a concurrent rename/recreate made a new entry under this path,
 	// and that one's BLOB is untouched.
-	if cur, ok := ns.entries[path]; ok && cur == e {
-		if err := ns.logDeleteLocked(path); err != nil {
+	if cur, ok := ns.entries[req.Path]; ok && cur == e {
+		if err := ns.logDeleteLocked(req.Path); err != nil {
 			// The BLOB is already retired; the entry stays and the
 			// caller's retry re-deletes (DeleteBlob is idempotent).
 			ns.mu.Unlock()
 			return nil, err
 		}
-		delete(ns.entries, path)
+		delete(ns.entries, req.Path)
 	}
 	ns.mu.Unlock()
 	return nil, nil
@@ -532,16 +513,9 @@ func (ns *NamespaceManager) handleMkdir(r *wire.Reader) (wire.Marshaler, error) 
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if err := ns.mkdirAllLocked(path); err != nil {
-		return nil, err
-	}
-	return nil, nil
+	return nil, ns.mkdirAllLocked(req.Path)
 }
 
 func (ns *NamespaceManager) handleEntries(r *wire.Reader) (wire.Marshaler, error) {

@@ -382,6 +382,51 @@ func TestConformanceErrors(t *testing.T) {
 	})
 }
 
+// TestConformanceUncleanPaths: every call below spells its path
+// uncleanly, and the namespace server cleans it as the request
+// decodes. An HDFS writer names its file again in every AddBlock.
+func TestConformanceUncleanPaths(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b backend, fs dfs.FileSystem) {
+		data := confPattern(8, 3*confBlock+7)
+		if err := dfs.WriteFile(ctx, fs, "//u/./v//f", data); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := fs.Stat(ctx, "/u//v/./f")
+		if err != nil || fi.Path != "/u/v/f" || fi.Size != uint64(len(data)) || fi.Blocks != 4 {
+			t.Fatalf("Stat = %+v, %v", fi, err)
+		}
+		got, err := dfs.ReadAll(ctx, fs, "/./u/v//f")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("ReadAll: %v", err)
+		}
+		infos, err := fs.List(ctx, "//u/v/")
+		if err != nil || len(infos) != 1 || infos[0].Path != "/u/v/f" || infos[0].Size != uint64(len(data)) {
+			t.Fatalf("List = %+v, %v", infos, err)
+		}
+		if err := fs.Rename(ctx, "/u/v/./f", "//w/./g"); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := dfs.ReadAll(ctx, fs, "/w/g"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("renamed file: %v", err)
+		}
+		if _, err := fs.Stat(ctx, "/u/v/f"); !errors.Is(err, dfs.ErrNotExist) {
+			t.Errorf("Stat of the rename's source: %v", err)
+		}
+		if err := fs.Mkdir(ctx, "/x//y/."); err != nil {
+			t.Fatal(err)
+		}
+		if fi, err := fs.Stat(ctx, "/x/y"); err != nil || !fi.IsDir {
+			t.Errorf("Stat of the made directory = %+v, %v", fi, err)
+		}
+		if err := fs.Delete(ctx, "//w/g/"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Stat(ctx, "/w/g"); !errors.Is(err, dfs.ErrNotExist) {
+			t.Errorf("Stat after Delete: %v", err)
+		}
+	})
+}
+
 func TestConformanceSequentialStreaming(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b backend, fs dfs.FileSystem) {
 		data := confPattern(7, 10*confBlock+123)

@@ -11,6 +11,10 @@
 // exposes the basic functions of a file system" — and, as in the paper,
 // "the append operation is available in the interface" even though one
 // backend refuses it.
+//
+// Both backends read through one BlockCursor: a read fetches the whole
+// block that holds it, and later reads copy out of that block until
+// they leave it. The backends differ only in where a block comes from.
 package dfs
 
 import (
@@ -117,8 +121,9 @@ type Flusher interface {
 
 // FileReader is a streaming reader with random access. A reader is not
 // safe for concurrent use, ReadAt included: both backends serve ReadAt
-// from the same one-block view as Read, so io.ReaderAt's promise of
-// parallel calls does not hold. Open one reader per goroutine.
+// from the block their BlockCursor holds for Read, so io.ReaderAt's
+// promise of parallel calls does not hold. Open one reader per
+// goroutine.
 type FileReader interface {
 	io.Reader
 	io.ReaderAt

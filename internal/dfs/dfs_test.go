@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"blobseer/internal/wire"
 )
 
 func TestCleanPath(t *testing.T) {
@@ -72,4 +74,29 @@ func TestCleanPathIdempotent(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzPathDecode: a namespace request cleans the paths it names as it
+// decodes, so whatever bytes arrive, a decode either fails or yields
+// absolute paths that CleanPath leaves as they are. Each input is
+// decoded both as a PathReq and as a PathPairReq. The malformed seeds
+// are in testdata/fuzz.
+func FuzzPathDecode(f *testing.F) {
+	f.Add(wire.AppendString(wire.AppendString(nil, "/a/b"), "/c"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		clean := func(p string) {
+			if c, err := CleanPath(p); err != nil || c != p {
+				t.Fatalf("decoded path %q is not clean: CleanPath = %q, %v", p, c, err)
+			}
+		}
+		var one PathReq
+		if one.DecodeFrom(wire.NewReader(data)) == nil {
+			clean(one.Path)
+		}
+		var pair PathPairReq
+		if pair.DecodeFrom(wire.NewReader(data)) == nil {
+			clean(pair.Src)
+			clean(pair.Dst)
+		}
+	})
 }

@@ -5,7 +5,8 @@ import (
 )
 
 // Wire messages shared by the namespace services of both backends
-// (BSFS namespace manager and HDFS namenode).
+// (BSFS namespace manager and HDFS namenode). A request that names a
+// path cleans it as it decodes, so no handler sees an unclean path.
 
 // PathReq names one path.
 type PathReq struct{ Path string }
@@ -16,7 +17,12 @@ func (m *PathReq) AppendTo(b []byte) []byte { return wire.AppendString(b, m.Path
 // DecodeFrom implements wire.Unmarshaler.
 func (m *PathReq) DecodeFrom(r *wire.Reader) error {
 	m.Path = r.String()
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	var err error
+	m.Path, err = CleanPath(m.Path)
+	return err
 }
 
 // PathPairReq names a source and destination.
@@ -32,7 +38,14 @@ func (m *PathPairReq) AppendTo(b []byte) []byte {
 func (m *PathPairReq) DecodeFrom(r *wire.Reader) error {
 	m.Src = r.String()
 	m.Dst = r.String()
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	var err error
+	if m.Src, err = CleanPath(m.Src); err == nil {
+		m.Dst, err = CleanPath(m.Dst)
+	}
+	return err
 }
 
 // ListResp carries directory entries.

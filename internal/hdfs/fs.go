@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	iofs "io/fs"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/cache"
 	"blobseer/internal/dfs"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/rpc"
@@ -196,18 +196,18 @@ func (w *fileWriter) flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	var alloc AddBlockResp
+	var blk BlockInfo
 	err := w.fs.pool.Call(w.ctx, w.fs.cfg.Namenode, NNAddBlock,
-		&AddBlockReq{Path: w.path, Length: uint64(len(w.buf))}, &alloc)
+		&AddBlockReq{Path: w.path, Length: uint64(len(w.buf))}, &blk)
 	if err != nil {
 		w.err = err
 		return err
 	}
-	for _, dn := range alloc.Datanodes {
+	for _, dn := range blk.Datanodes {
 		err := w.fs.pool.Call(w.ctx, transport.Addr(dn), blob.ProvPutPage,
-			&blob.PutPageReq{Key: pagestore.Key{Blob: alloc.BlockID}, Data: w.buf}, nil)
+			&blob.PutPageReq{Key: pagestore.Key{Blob: blk.ID}, Data: w.buf}, nil)
 		if err != nil {
-			w.err = fmt.Errorf("hdfs: block %d to %s: %w", alloc.BlockID, dn, err)
+			w.err = fmt.Errorf("hdfs: block %d to %s: %w", blk.ID, dn, err)
 			return w.err
 		}
 	}
@@ -241,116 +241,48 @@ type fileReader struct {
 	fs   *FS
 	path string
 	meta GetBlocksResp
-
-	pos    uint64
-	bufOff uint64
-	buf    []byte // the current chunk: a pooled frame the reader owns
-	bufOK  bool
-	closed bool
+	cur  dfs.BlockCursor
 }
 
-var errReadClosed = fmt.Errorf("hdfs: read from closed file: %w", iofs.ErrClosed)
+// Block implements dfs.BlockSource: it gets the chunk holding pos from
+// the first of its datanodes that answers, as the pooled frame
+// blob.GetPageResp copies it into. The response frame goes back to the
+// pool at once, and the chunk's frame once the cursor moves on.
+func (r *fileReader) Block(ctx context.Context, pos uint64) (cache.Page, uint64, error) {
+	var start uint64
+	for _, blk := range r.meta.Blocks {
+		if pos >= start+blk.Length {
+			start += blk.Length
+			continue
+		}
+		var err error
+		for _, dn := range blk.Datanodes {
+			var resp blob.GetPageResp
+			err = r.fs.pool.Call(ctx, transport.Addr(dn), blob.ProvGetPage,
+				&blob.GetPageReq{Key: pagestore.Key{Blob: blk.ID}}, &resp)
+			if err == nil {
+				return cache.Detached(resp.Data), start, nil
+			}
+		}
+		return cache.Page{}, 0, fmt.Errorf("hdfs: block %d unreadable: %w", blk.ID, err)
+	}
+	return cache.Page{}, 0, io.EOF
+}
 
 // Read implements io.Reader.
-func (r *fileReader) Read(p []byte) (int, error) {
-	if r.closed {
-		return 0, errReadClosed
-	}
-	if r.pos >= r.meta.Size {
-		return 0, io.EOF
-	}
-	if !r.bufOK || r.pos < r.bufOff || r.pos >= r.bufOff+uint64(len(r.buf)) {
-		if err := r.fetchBlockAt(r.pos); err != nil {
-			return 0, err
-		}
-	}
-	n := copy(p, r.buf[r.pos-r.bufOff:])
-	r.pos += uint64(n)
-	return n, nil
-}
-
-// fetchBlockAt prefetches the whole chunk containing byte offset off,
-// releasing the chunk it replaces.
-func (r *fileReader) fetchBlockAt(off uint64) error {
-	r.dropBlock()
-	var cur uint64
-	for _, blk := range r.meta.Blocks {
-		if off < cur+blk.Length {
-			data, err := r.fetchBlock(blk)
-			if err != nil {
-				return err
-			}
-			r.bufOff, r.buf, r.bufOK = cur, data, true
-			return nil
-		}
-		cur += blk.Length
-	}
-	return io.EOF
-}
-
-// dropBlock hands the one-chunk buffer back to the frame pool.
-func (r *fileReader) dropBlock() {
-	transport.ReleaseFrame(r.buf)
-	r.buf, r.bufOK = nil, false
-}
-
-// fetchBlock gets a block from the first of its datanodes that answers,
-// as the pooled frame blob.GetPageResp copies it into; the response
-// frame goes back to the pool, and the block's frame is the next
-// chunk's once the reader moves on.
-func (r *fileReader) fetchBlock(blk BlockInfo) ([]byte, error) {
-	var lastErr error
-	for _, dn := range blk.Datanodes {
-		var resp blob.GetPageResp
-		err := r.fs.pool.Call(r.ctx, transport.Addr(dn), blob.ProvGetPage,
-			&blob.GetPageReq{Key: pagestore.Key{Blob: blk.ID}}, &resp)
-		if err == nil {
-			return resp.Data, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("hdfs: block %d unreadable: %w", blk.ID, lastErr)
-}
+func (r *fileReader) Read(p []byte) (int, error) { return r.cur.Read(r.ctx, r, p) }
 
 // ReadAt implements io.ReaderAt through the same one-chunk readahead
 // cache as Read, so sub-chunk sequential ReadAt patterns fetch every
 // chunk once.
 func (r *fileReader) ReadAt(p []byte, off int64) (int, error) {
-	if r.closed {
-		return 0, errReadClosed
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("hdfs: negative offset")
-	}
-	pos := uint64(off)
-	if pos >= r.meta.Size {
-		return 0, io.EOF
-	}
-	want := uint64(len(p))
-	if pos+want > r.meta.Size {
-		want = r.meta.Size - pos
-	}
-	var done uint64
-	for done < want {
-		at := pos + done
-		if !r.bufOK || at < r.bufOff || at >= r.bufOff+uint64(len(r.buf)) {
-			if err := r.fetchBlockAt(at); err != nil {
-				return int(done), err
-			}
-		}
-		done += uint64(copy(p[done:want], r.buf[at-r.bufOff:]))
-	}
-	if done < uint64(len(p)) {
-		return int(done), io.EOF
-	}
-	return int(done), nil
+	return r.cur.ReadAt(r.ctx, r, p, off)
 }
 
-// Close implements io.Closer: it releases the one-chunk buffer, and
-// the reader reads nothing more.
+// Close implements io.Closer: it releases the held chunk, and the
+// reader reads nothing more.
 func (r *fileReader) Close() error {
-	r.closed = true
-	r.dropBlock()
+	r.cur.Close()
 	return nil
 }
 

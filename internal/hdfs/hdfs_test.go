@@ -176,13 +176,49 @@ func TestRenameCommit(t *testing.T) {
 	if err != nil || !bytes.Equal(got, pattern(2, 300)) {
 		t.Fatalf("renamed file: %v", err)
 	}
-	// The replaced file's 4 block records went with it, as on a delete.
-	c.NN.mu.Lock()
-	records := len(c.NN.blockLocs)
-	c.NN.mu.Unlock()
-	if records != 2 {
-		t.Errorf("namenode holds %d block records after the rename, want the renamed file's 2", records)
+	// The replaced file's 4 blocks went with it, as on a delete.
+	if pages, n := stored(c); pages != 2 || n != 300 {
+		t.Errorf("datanodes hold %d blocks (%d B) after the rename, want the renamed file's 2 (300 B)", pages, n)
 	}
+}
+
+// TestDeleteFreesBlocks: a delete, and a rename over an existing file,
+// take the blocks that lost their name off every datanode holding a
+// replica.
+func TestDeleteFreesBlocks(t *testing.T) {
+	c := newCluster(t, ClusterConfig{Datanodes: 3, Replicas: 2})
+	fs := mountFS(t, c, "cli", 1<<10)
+	for i, f := range []struct {
+		path string
+		size int
+	}{{"/a", 5000}, {"/b", 3000}, {"/c", 2000}} {
+		if err := dfs.WriteFile(ctx, fs, f.path, pattern(byte(i), f.size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Delete(ctx, "/a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Rename(ctx, "/c", "/b"); err != nil {
+		t.Fatal(err)
+	}
+	// /c's 2 blocks, 2 replicas each.
+	if pages, n := stored(c); pages != 4 || n != 4000 {
+		t.Errorf("datanodes hold %d blocks (%d B), want only the renamed file's 4 (4000 B)", pages, n)
+	}
+	got, err := dfs.ReadAll(ctx, fs, "/b")
+	if err != nil || !bytes.Equal(got, pattern(2, 2000)) {
+		t.Fatalf("renamed file: %v", err)
+	}
+}
+
+// stored counts the blocks and bytes every datanode holds.
+func stored(c *Cluster) (pages int, n int64) {
+	for _, d := range c.Datanodes {
+		pages += d.Store().Len()
+		n += d.Store().BytesUsed()
+	}
+	return pages, n
 }
 
 func TestBlockLocationsAndPlacement(t *testing.T) {
@@ -329,10 +365,10 @@ func TestEmptyFile(t *testing.T) {
 // (bsfs.TestAllocationBudget), process-wide on MemNet. On the write
 // path a 64 KiB block may allocate a quarter block more than the one
 // copy that outlives its frame, the datanode's stored block. A cold
-// read copies each block into a pooled frame, the reader's one-chunk
-// buffer, which it hands back when it moves to the next block, so a
-// block read allocates no page at all: measured 256 B per block, held
-// to 1 KiB. While the reader kept each response frame as its chunk it
+// read copies each block into a pooled frame, the block the reader's
+// dfs.BlockCursor holds, which it hands back when it moves to the next
+// block, so a block read allocates no page at all: measured 238 B per
+// block, held to 1 KiB. While the reader kept each response frame as its chunk it
 // allocated 1.13 blocks per block read; datanodes with block messages
 // of their own, which copied every block out of its frame, allocated
 // 3.2 blocks per block written and 2.1 per block read.

@@ -9,13 +9,17 @@
 package hdfs
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
+	"blobseer/internal/obs"
+	"blobseer/internal/pagestore"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 	"blobseer/internal/wire"
@@ -58,33 +62,35 @@ func (m *AddBlockReq) AppendTo(b []byte) []byte {
 func (m *AddBlockReq) DecodeFrom(r *wire.Reader) error {
 	m.Path = r.String()
 	m.Length = r.Uvarint()
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	var err error
+	m.Path, err = dfs.CleanPath(m.Path)
+	return err
 }
 
-// AddBlockResp names the new block and its target datanodes.
-type AddBlockResp struct {
-	BlockID   uint64
-	Datanodes []string
-}
-
-// AppendTo implements wire.Marshaler.
-func (m *AddBlockResp) AppendTo(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.BlockID)
-	return wire.AppendStringSlice(b, m.Datanodes)
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *AddBlockResp) DecodeFrom(r *wire.Reader) error {
-	m.BlockID = r.Uvarint()
-	m.Datanodes = r.StringSlice()
-	return r.Err()
-}
-
-// BlockInfo describes one block of a file.
+// BlockInfo is the namenode's one record of a block: its id, its
+// length and the datanodes holding it. AddBlock answers with it.
 type BlockInfo struct {
 	ID        uint64
 	Length    uint64
 	Datanodes []string
+}
+
+// AppendTo implements wire.Marshaler.
+func (m *BlockInfo) AppendTo(b []byte) []byte {
+	b = wire.AppendUvarint(b, m.ID)
+	b = wire.AppendUvarint(b, m.Length)
+	return wire.AppendStringSlice(b, m.Datanodes)
+}
+
+// DecodeFrom implements wire.Unmarshaler.
+func (m *BlockInfo) DecodeFrom(r *wire.Reader) error {
+	m.ID = r.Uvarint()
+	m.Length = r.Uvarint()
+	m.Datanodes = r.StringSlice()
+	return r.Err()
 }
 
 // GetBlocksResp lists a completed file's blocks.
@@ -97,10 +103,8 @@ type GetBlocksResp struct {
 func (m *GetBlocksResp) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.Size)
 	b = wire.AppendUvarint(b, uint64(len(m.Blocks)))
-	for _, blk := range m.Blocks {
-		b = wire.AppendUvarint(b, blk.ID)
-		b = wire.AppendUvarint(b, blk.Length)
-		b = wire.AppendStringSlice(b, blk.Datanodes)
+	for i := range m.Blocks {
+		b = m.Blocks[i].AppendTo(b)
 	}
 	return b
 }
@@ -108,35 +112,27 @@ func (m *GetBlocksResp) AppendTo(b []byte) []byte {
 // DecodeFrom implements wire.Unmarshaler.
 func (m *GetBlocksResp) DecodeFrom(r *wire.Reader) error {
 	m.Size = r.Uvarint()
-	n := r.Count()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	m.Blocks = make([]BlockInfo, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var blk BlockInfo
-		blk.ID = r.Uvarint()
-		blk.Length = r.Uvarint()
-		blk.Datanodes = r.StringSlice()
-		m.Blocks = append(m.Blocks, blk)
+	m.Blocks = make([]BlockInfo, r.Count()) // none when the count failed to decode
+	for i := range m.Blocks {
+		if err := m.Blocks[i].DecodeFrom(r); err != nil {
+			return err
+		}
 	}
 	return r.Err()
 }
 
 // LookupResp describes a namespace entry.
 type LookupResp struct {
-	IsDir             bool
-	Size              uint64
-	Blocks            uint64
-	UnderConstruction bool
+	IsDir  bool
+	Size   uint64
+	Blocks uint64
 }
 
 // AppendTo implements wire.Marshaler.
 func (m *LookupResp) AppendTo(b []byte) []byte {
 	b = wire.AppendBool(b, m.IsDir)
 	b = wire.AppendUvarint(b, m.Size)
-	b = wire.AppendUvarint(b, m.Blocks)
-	return wire.AppendBool(b, m.UnderConstruction)
+	return wire.AppendUvarint(b, m.Blocks)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
@@ -144,7 +140,6 @@ func (m *LookupResp) DecodeFrom(r *wire.Reader) error {
 	m.IsDir = r.Bool()
 	m.Size = r.Uvarint()
 	m.Blocks = r.Uvarint()
-	m.UnderConstruction = r.Bool()
 	return r.Err()
 }
 
@@ -155,8 +150,7 @@ func (m *LookupResp) DecodeFrom(r *wire.Reader) error {
 // nnEntry is one namespace record.
 type nnEntry struct {
 	isDir             bool
-	blocks            []uint64
-	blockLens         []uint64
+	blocks            []BlockInfo
 	size              uint64
 	underConstruction bool
 }
@@ -175,12 +169,12 @@ type NamenodeConfig struct {
 // namespace AND every block record — which is exactly why the
 // file-count problem hits HDFS-like designs (§1).
 type Namenode struct {
-	srv *rpc.Server
-	cfg NamenodeConfig
+	srv  *rpc.Server
+	pool *rpc.Pool // to the datanodes, for deleting blocks that lost their name
+	cfg  NamenodeConfig
 
 	mu        sync.Mutex
 	entries   map[string]*nnEntry
-	blockLocs map[uint64][]string
 	datanodes []string
 	nextBlock uint64
 	placement *blob.RandomK
@@ -197,6 +191,7 @@ func NewNamenode(net transport.Network, addr transport.Addr, cfg NamenodeConfig)
 	}
 	nn := &Namenode{
 		srv:       srv,
+		pool:      rpc.NewPool(net, transport.MakeAddr(addr.Host(), "namenode-client")),
 		cfg:       cfg,
 		entries:   map[string]*nnEntry{"/": {isDir: true}},
 		placement: blob.NewRandomK(cfg.Seed),
@@ -218,7 +213,11 @@ func NewNamenode(net transport.Network, addr transport.Addr, cfg NamenodeConfig)
 func (nn *Namenode) Addr() transport.Addr { return nn.srv.Addr() }
 
 // Close stops the namenode.
-func (nn *Namenode) Close() error { return nn.srv.Close() }
+func (nn *Namenode) Close() error {
+	err := nn.srv.Close()
+	nn.pool.Close()
+	return err
+}
 
 // Register adds a datanode. Datanodes register in-process, as the
 // cluster starts them.
@@ -250,27 +249,47 @@ func (nn *Namenode) mkdirAllLocked(dir string) error {
 	return nil
 }
 
+// freeBlocks deletes blocks that lost their name from the datanodes
+// holding them, one batch per datanode. The namespace change that
+// orphaned them has already taken effect, so a datanode that fails is
+// logged, not reported: its copies stay behind.
+func (nn *Namenode) freeBlocks(blocks []BlockInfo) {
+	keys := make(map[string][]pagestore.Key)
+	for _, blk := range blocks {
+		for _, dn := range blk.Datanodes {
+			keys[dn] = append(keys[dn], pagestore.Key{Blob: blk.ID})
+		}
+	}
+	if len(keys) == 0 {
+		return
+	}
+	//lint:detached the wire handler surface carries no caller ctx; the 30s deadline bounds the deletes
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for dn, ks := range keys {
+		if err := nn.pool.Call(ctx, transport.Addr(dn), blob.ProvDeletePages, &blob.DeletePagesReq{Keys: ks}, nil); err != nil {
+			obs.Log.Warnf("hdfs: deleting %d blocks on %s: %v", len(ks), dn, err)
+		}
+	}
+}
+
 func (nn *Namenode) handleCreate(r *wire.Reader) (wire.Marshaler, error) {
 	var req dfs.PathReq
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
-	if path == "/" {
+	if req.Path == "/" {
 		return nil, dfs.ErrIsDir
 	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	if _, ok := nn.entries[path]; ok {
+	if _, ok := nn.entries[req.Path]; ok {
 		return nil, dfs.ErrExists
 	}
-	if err := nn.mkdirAllLocked(dfs.Parent(path)); err != nil {
+	if err := nn.mkdirAllLocked(dfs.Parent(req.Path)); err != nil {
 		return nil, err
 	}
-	nn.entries[path] = &nnEntry{underConstruction: true}
+	nn.entries[req.Path] = &nnEntry{underConstruction: true}
 	return nil, nil
 }
 
@@ -279,13 +298,9 @@ func (nn *Namenode) handleAddBlock(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	e, ok := nn.entries[path]
+	e, ok := nn.entries[req.Path]
 	if !ok {
 		return nil, dfs.ErrNotExist
 	}
@@ -299,25 +314,17 @@ func (nn *Namenode) handleAddBlock(r *wire.Reader) (wire.Marshaler, error) {
 		return nil, errors.New("hdfs: no datanodes registered")
 	}
 	nn.nextBlock++
-	id := nn.nextBlock
-	e.blocks = append(e.blocks, id)
-	e.blockLens = append(e.blockLens, req.Length)
-	e.size += req.Length
-
+	blk := BlockInfo{ID: nn.nextBlock, Length: req.Length}
 	// Random placement (§2.2), distinct replicas: the provider manager's
 	// random strategy, which never returns when asked for more replicas
 	// than there are datanodes.
 	replicas := min(nn.cfg.Replicas, len(nn.datanodes))
-	resp := &AddBlockResp{BlockID: id}
 	for _, i := range nn.placement.Pick(1, replicas, nn.datanodes, nil) {
-		resp.Datanodes = append(resp.Datanodes, nn.datanodes[i])
+		blk.Datanodes = append(blk.Datanodes, nn.datanodes[i])
 	}
-	// Record placement as part of the block map.
-	if nn.blockLocs == nil {
-		nn.blockLocs = make(map[uint64][]string)
-	}
-	nn.blockLocs[id] = resp.Datanodes
-	return resp, nil
+	e.blocks = append(e.blocks, blk)
+	e.size += req.Length
+	return &blk, nil
 }
 
 func (nn *Namenode) handleComplete(r *wire.Reader) (wire.Marshaler, error) {
@@ -325,13 +332,9 @@ func (nn *Namenode) handleComplete(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	e, ok := nn.entries[path]
+	e, ok := nn.entries[req.Path]
 	if !ok {
 		return nil, dfs.ErrNotExist
 	}
@@ -344,13 +347,9 @@ func (nn *Namenode) handleGetBlocks(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	e, ok := nn.entries[path]
+	e, ok := nn.entries[req.Path]
 	if !ok {
 		return nil, dfs.ErrNotExist
 	}
@@ -362,15 +361,9 @@ func (nn *Namenode) handleGetBlocks(r *wire.Reader) (wire.Marshaler, error) {
 		// after a successful close operation".
 		return nil, dfs.ErrUnderConstruction
 	}
-	resp := &GetBlocksResp{Size: e.size}
-	for i, id := range e.blocks {
-		resp.Blocks = append(resp.Blocks, BlockInfo{
-			ID:        id,
-			Length:    e.blockLens[i],
-			Datanodes: nn.blockLocs[id],
-		})
-	}
-	return resp, nil
+	// A completed file's blocks never change, so the answer may share
+	// them after the lock is gone.
+	return &GetBlocksResp{Size: e.size, Blocks: e.blocks}, nil
 }
 
 func (nn *Namenode) handleLookup(r *wire.Reader) (wire.Marshaler, error) {
@@ -378,22 +371,13 @@ func (nn *Namenode) handleLookup(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	e, ok := nn.entries[path]
+	e, ok := nn.entries[req.Path]
 	if !ok {
 		return nil, dfs.ErrNotExist
 	}
-	return &LookupResp{
-		IsDir:             e.isDir,
-		Size:              e.size,
-		Blocks:            uint64(len(e.blocks)),
-		UnderConstruction: e.underConstruction,
-	}, nil
+	return &LookupResp{IsDir: e.isDir, Size: e.size, Blocks: uint64(len(e.blocks))}, nil
 }
 
 func (nn *Namenode) handleList(r *wire.Reader) (wire.Marshaler, error) {
@@ -401,20 +385,16 @@ func (nn *Namenode) handleList(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	dir, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	e, ok := nn.entries[dir]
+	e, ok := nn.entries[req.Path]
 	if !ok {
 		return nil, dfs.ErrNotExist
 	}
 	if !e.isDir {
 		return nil, dfs.ErrNotDir
 	}
-	prefix := dir
+	prefix := req.Path
 	if prefix != "/" {
 		prefix += "/"
 	}
@@ -439,14 +419,14 @@ func (nn *Namenode) handleRename(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	src, err := dfs.CleanPath(req.Src)
-	if err != nil {
-		return nil, err
-	}
-	dst, err := dfs.CleanPath(req.Dst)
-	if err != nil {
-		return nil, err
-	}
+	freed, err := nn.rename(req.Src, req.Dst)
+	nn.freeBlocks(freed)
+	return nil, err
+}
+
+// rename moves src's entry to dst and returns the blocks of the file
+// it replaced, which have no name left.
+func (nn *Namenode) rename(src, dst string) ([]BlockInfo, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	e, ok := nn.entries[src]
@@ -463,14 +443,11 @@ func (nn *Namenode) handleRename(r *wire.Reader) (wire.Marshaler, error) {
 	if err := nn.mkdirAllLocked(dfs.Parent(dst)); err != nil {
 		return nil, err
 	}
-	if replaced && d != e {
-		// The replaced file's blocks have no name left, as after a delete.
-		for _, id := range d.blocks {
-			delete(nn.blockLocs, id)
-		}
-	}
 	delete(nn.entries, src)
 	nn.entries[dst] = e
+	if replaced && d != e {
+		return d.blocks, nil
+	}
 	return nil, nil
 }
 
@@ -479,13 +456,17 @@ func (nn *Namenode) handleDelete(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
-	if path == "/" {
+	if req.Path == "/" {
 		return nil, dfs.ErrInvalidPath
 	}
+	freed, err := nn.remove(req.Path)
+	nn.freeBlocks(freed)
+	return nil, err
+}
+
+// remove drops path's entry and returns its blocks, which have no name
+// left.
+func (nn *Namenode) remove(path string) ([]BlockInfo, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	e, ok := nn.entries[path]
@@ -500,11 +481,8 @@ func (nn *Namenode) handleDelete(r *wire.Reader) (wire.Marshaler, error) {
 			}
 		}
 	}
-	for _, id := range e.blocks {
-		delete(nn.blockLocs, id)
-	}
 	delete(nn.entries, path)
-	return nil, nil
+	return e.blocks, nil
 }
 
 func (nn *Namenode) handleMkdir(r *wire.Reader) (wire.Marshaler, error) {
@@ -512,13 +490,9 @@ func (nn *Namenode) handleMkdir(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	path, err := dfs.CleanPath(req.Path)
-	if err != nil {
-		return nil, err
-	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	return nil, nn.mkdirAllLocked(path)
+	return nil, nn.mkdirAllLocked(req.Path)
 }
 
 // handleEntries counts namespace entries PLUS block records: the
