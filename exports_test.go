@@ -19,8 +19,9 @@ const unusedExportMarker = "//lint:unusedexport "
 // under internal/ that no non-test code calls is API kept alive by its
 // own tests. So every one must be selected or referenced by some
 // non-test file of this module or of the pinned benchmark/ module. A
-// method whose name an interface declares is not checked: it may be
-// called through that interface.
+// method that an interface declares, with the same name and an
+// identical signature, is not checked: it may be called through that
+// interface.
 func TestEveryExportedFunctionHasACaller(t *testing.T) {
 	root, err := filepath.Abs(".")
 	if err != nil {
@@ -48,7 +49,7 @@ func TestEveryExportedFunctionHasACaller(t *testing.T) {
 			}
 		}
 	}
-	dynamic := interfaceMethodNames(pkgs)
+	dynamic := interfaceMethods(pkgs)
 
 	checked := 0
 	for _, p := range pkgs {
@@ -61,11 +62,12 @@ func TestEveryExportedFunctionHasACaller(t *testing.T) {
 				if !ok || !fd.Name.IsExported() {
 					continue
 				}
-				if fd.Recv != nil && dynamic[fd.Name.Name] {
+				obj := p.TypesInfo.Defs[fd.Name]
+				if fd.Recv != nil && declared(dynamic, obj.(*types.Func)) {
 					continue
 				}
 				checked++
-				if used[p.TypesInfo.Defs[fd.Name]] || marked(fd.Doc) {
+				if used[obj] || marked(fd.Doc) {
 					continue
 				}
 				pos := p.Fset.Position(fd.Pos())
@@ -79,21 +81,34 @@ func TestEveryExportedFunctionHasACaller(t *testing.T) {
 	}
 }
 
-// interfaceMethodNames is the set of method names declared by an
-// interface that the loaded packages declare, or that their code
-// mentions or assigns to an exported struct field. The errors
-// package's Is, As and Unwrap hooks are declared by interfaces local
-// to its functions, which no scope holds.
-func interfaceMethodNames(pkgs []*analysis.Package) map[string]bool {
-	names := map[string]bool{"Is": true, "As": true, "Unwrap": true}
+// interfaceMethods holds, by name, the signatures of the methods
+// declared by an interface that the loaded packages declare, or that
+// their code mentions or assigns to an exported struct field. The
+// errors package's Is, As and Unwrap hooks are declared by interfaces
+// local to its functions, which no scope holds.
+func interfaceMethods(pkgs []*analysis.Package) map[string][]*types.Signature {
+	errType := types.Universe.Lookup("error").Type()
+	sig := func(param, result types.Type) *types.Signature {
+		var params *types.Tuple
+		if param != nil {
+			params = types.NewTuple(types.NewParam(0, nil, "", param))
+		}
+		return types.NewSignatureType(nil, nil, nil, params, types.NewTuple(types.NewParam(0, nil, "", result)), false)
+	}
+	methods := map[string][]*types.Signature{
+		"Is":     {sig(errType, types.Typ[types.Bool])},
+		"As":     {sig(types.Universe.Lookup("any").Type(), types.Typ[types.Bool])},
+		"Unwrap": {sig(nil, errType)},
+	}
 	add := func(typ types.Type) {
 		if it, ok := typ.Underlying().(*types.Interface); ok {
 			for i := 0; i < it.NumMethods(); i++ {
-				names[it.Method(i).Name()] = true
+				m := it.Method(i)
+				methods[m.Name()] = append(methods[m.Name()], m.Type().(*types.Signature))
 			}
 		}
 	}
-	add(types.Universe.Lookup("error").Type())
+	add(errType)
 	for _, p := range pkgs {
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
@@ -116,7 +131,19 @@ func interfaceMethodNames(pkgs []*analysis.Package) map[string]bool {
 			}
 		}
 	}
-	return names
+	return methods
+}
+
+// declared reports whether an interface in methods declares fn: a
+// method of its name whose signature is identical to fn's (Identical
+// ignores receivers).
+func declared(methods map[string][]*types.Signature, fn *types.Func) bool {
+	for _, sig := range methods[fn.Name()] {
+		if types.Identical(sig, fn.Type()) {
+			return true
+		}
+	}
+	return false
 }
 
 // marked reports whether a declaration's doc comment carries the

@@ -50,15 +50,8 @@ func TestCreateOpen(t *testing.T) {
 	if b.PageSize() != 4096 {
 		t.Errorf("PageSize = %d", b.PageSize())
 	}
-	b2, err := cl.Open(ctx, b.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2.PageSize() != 4096 || b2.ID() != b.ID() {
-		t.Errorf("Open returned %d/%d", b2.ID(), b2.PageSize())
-	}
-	if _, err := cl.Open(ctx, 9999); !errors.Is(err, ErrBlobNotFound) {
-		t.Errorf("Open missing blob: %v", err)
+	if _, err := cl.Handle(9999, 4096).Latest(ctx); !errors.Is(err, ErrBlobNotFound) {
+		t.Errorf("Latest of a missing blob: %v", err)
 	}
 	info, err := b.Latest(ctx)
 	if err != nil || info.Ver != 0 || info.Size != 0 {
@@ -269,11 +262,7 @@ func TestConcurrentAppendsDisjointAndComplete(t *testing.T) {
 			defer wg.Done()
 			cl := c.Client(fmt.Sprintf("cli-%d", a))
 			defer cl.Close()
-			b, err := cl.Open(ctx, b0.ID())
-			if err != nil {
-				errs <- err
-				return
-			}
+			b := cl.Handle(b0.ID(), ps)
 			if _, err := b.Append(ctx, pattern(byte(a+1), chunkPages*ps)); err != nil {
 				errs <- err
 			}
@@ -355,11 +344,7 @@ func TestConcurrentReadersDuringAppends(t *testing.T) {
 			defer wg.Done()
 			rcl := c.Client(fmt.Sprintf("reader-%d", rdr))
 			defer rcl.Close()
-			rb, err := rcl.Open(ctx, b.ID())
-			if err != nil {
-				readErrs <- err
-				return
-			}
+			rb := rcl.Handle(b.ID(), b.PageSize())
 			for {
 				select {
 				case <-stop:

@@ -204,19 +204,8 @@ func (c *Client) Create(ctx context.Context, pageSize uint64) (*Blob, error) {
 	return &Blob{c: c, id: resp.Blob, pageSize: pageSize}, nil
 }
 
-// Open opens an existing BLOB.
-func (c *Client) Open(ctx context.Context, id uint64) (*Blob, error) {
-	var resp OpenBlobResp
-	err := c.vm.Call(ctx, id, VMOpenBlob, &BlobRef{Blob: id}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return &Blob{c: c, id: id, pageSize: resp.PageSize}, nil
-}
-
 // Handle builds a BLOB handle from already-known metadata (id and page
-// size), avoiding the version-manager round trip of Open. Callers such
-// as BSFS learn both from their namespace manager.
+// size). Callers such as BSFS learn both from their namespace manager.
 func (c *Client) Handle(id, pageSize uint64) *Blob {
 	return &Blob{c: c, id: id, pageSize: pageSize}
 }

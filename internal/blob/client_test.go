@@ -50,7 +50,6 @@ func newFlakyVM(t *testing.T, net transport.Network, vm transport.Addr) *flakyVM
 		f.pool.Close()
 	})
 	srv.Handle(VMCreateBlob, forward[CreateBlobReq, CreateBlobResp](f, VMCreateBlob))
-	srv.Handle(VMOpenBlob, forward[BlobRef, OpenBlobResp](f, VMOpenBlob))
 	srv.Handle(VMAssign, forward[AssignReq, AssignResp](f, VMAssign))
 	srv.Handle(VMSeal, forwardNoResp[VersionRef](f, VMSeal))
 	srv.Handle(VMGetVersion, forward[GetVersionReq, VersionResp](f, VMGetVersion))

@@ -109,10 +109,7 @@ func TestFailoverConcurrentAppends(t *testing.T) {
 	defer verifier.Close()
 	want := make([]byte, payload)
 	for w, bl := range blobs {
-		fresh, err := verifier.Open(ctx, bl.ID())
-		if err != nil {
-			t.Fatalf("writer %d: reopen: %v", w, err)
-		}
+		fresh := verifier.Handle(bl.ID(), bl.PageSize())
 		for _, a := range ackedBy[w] {
 			wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 			if _, err := fresh.WaitPublished(wctx, a.ver); err != nil {

@@ -72,11 +72,7 @@ func TestConcurrentUnalignedAppends(t *testing.T) {
 			defer wg.Done()
 			cl := c.Client(fmt.Sprintf("cli-%d", a))
 			defer cl.Close()
-			b, err := cl.Open(ctx, b0.ID())
-			if err != nil {
-				errs <- err
-				return
-			}
+			b := cl.Handle(b0.ID(), b0.PageSize())
 			if _, err := b.Append(ctx, pattern(byte(a+1), sizes[a])); err != nil {
 				errs <- fmt.Errorf("appender %d: %w", a, err)
 			}

@@ -636,7 +636,7 @@ func TestPinnedColdReadIsOneLeafBatch(t *testing.T) {
 		return n
 	}
 	vmCalls := func() uint64 {
-		return calls(VMOpenBlob, VMGetVersion, VMLatest, VMWaitPublished, VMPin, VMUnpin, VMHistory)
+		return calls(VMGetVersion, VMLatest, VMWaitPublished, VMPin, VMUnpin, VMHistory)
 	}
 
 	before := vmCalls()
@@ -650,8 +650,8 @@ func TestPinnedColdReadIsOneLeafBatch(t *testing.T) {
 	}
 	const page = 3000
 	vm, leaves, gets := vmCalls(), getBatches(), calls(ProvGetPage)
-	got, err := s.ReadAt(ctx, page*ps, ps)
-	if err != nil || !bytes.Equal(got, data[page*ps:(page+1)*ps]) {
+	got := make([]byte, ps)
+	if _, err := s.ReadAtInto(ctx, page*ps, got); err != nil || !bytes.Equal(got, data[page*ps:(page+1)*ps]) {
 		t.Fatalf("page %d of version %d: %v", page, ver, err)
 	}
 	if n := vmCalls() - vm; n != 0 {

@@ -114,20 +114,11 @@ func (s *Snapshot) Refresh(ctx context.Context) (*Snapshot, error) {
 	return s.b.hold(ctx, latest.Ver)
 }
 
-// Info returns the snapshot's version metadata.
-func (s *Snapshot) Info() VersionInfo { return s.info }
-
 // Ver returns the pinned version number.
 func (s *Snapshot) Ver() uint64 { return s.info.Ver }
 
 // Size returns the BLOB size at the pinned version.
 func (s *Snapshot) Size() uint64 { return s.info.Size }
-
-// ReadAt reads n bytes at byte offset off from the pinned version.
-func (s *Snapshot) ReadAt(ctx context.Context, off, n uint64) ([]byte, error) {
-	s.renew(ctx)
-	return s.b.ReadAt(ctx, s.info.Ver, off, n)
-}
 
 // ReadAtInto reads len(p) bytes at off from the pinned version into p.
 //

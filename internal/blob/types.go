@@ -41,7 +41,6 @@ const (
 // Version manager methods.
 var (
 	VMCreateBlob     = rpc.M(1, "vm.CreateBlob")
-	VMOpenBlob       = rpc.M(2, "vm.OpenBlob")
 	VMAssign         = rpc.M(3, "vm.Assign")
 	VMComplete       = rpc.M(4, "vm.Complete")
 	VMSeal           = rpc.M(5, "vm.Seal")
@@ -175,24 +174,6 @@ func (m *BlobRef) AppendTo(b []byte) []byte { return wire.AppendUvarint(b, m.Blo
 func (m *BlobRef) DecodeFrom(r *wire.Reader) error {
 	m.Blob = r.Uvarint()
 	return r.Err()
-}
-
-// OpenBlobResp describes a BLOB for a client opening it.
-type OpenBlobResp struct {
-	PageSize uint64
-	Latest   VersionInfo
-}
-
-// AppendTo implements wire.Marshaler.
-func (m *OpenBlobResp) AppendTo(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.PageSize)
-	return m.Latest.AppendTo(b)
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *OpenBlobResp) DecodeFrom(r *wire.Reader) error {
-	m.PageSize = r.Uvarint()
-	return m.Latest.DecodeFrom(r)
 }
 
 // VersionInfo describes one version of a BLOB.

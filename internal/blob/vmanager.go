@@ -162,7 +162,6 @@ func NewVersionManager(net transport.Network, addr transport.Addr, cfg VersionMa
 	}
 	vm.srv = srv
 	srv.Handle(VMCreateBlob, vm.handleCreateBlob)
-	srv.Handle(VMOpenBlob, vm.handleOpenBlob)
 	srv.Handle(VMAssign, vm.handleAssign)
 	srv.Handle(VMComplete, vm.handleComplete)
 	srv.Handle(VMSeal, vm.handleSeal)
@@ -331,23 +330,6 @@ func (vm *VersionManager) handleCreateBlob(r *wire.Reader) (wire.Marshaler, erro
 	}
 	vm.st.applyCreate(rec)
 	return &CreateBlobResp{Blob: id}, nil
-}
-
-func (vm *VersionManager) handleOpenBlob(r *wire.Reader) (wire.Marshaler, error) {
-	var req BlobRef
-	if err := req.DecodeFrom(r); err != nil {
-		return nil, err
-	}
-	bs, ok := vm.st.lookup(req.Blob)
-	if !ok {
-		return nil, ErrBlobNotFound
-	}
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if bs.deleted {
-		return nil, ErrBlobNotFound
-	}
-	return &OpenBlobResp{PageSize: bs.pageSize, Latest: bs.info(bs.published)}, nil
 }
 
 func (vm *VersionManager) handleAssign(r *wire.Reader) (wire.Marshaler, error) {

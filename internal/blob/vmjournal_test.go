@@ -503,7 +503,7 @@ func TestCheckpointRacingCreateKeepsBlob(t *testing.T) {
 	}
 	defer restarted.Close()
 	open := func() error {
-		return pool.Call(ctx, addr, VMOpenBlob, &BlobRef{Blob: created.Blob}, &OpenBlobResp{})
+		return pool.Call(ctx, addr, VMLatest, &BlobRef{Blob: created.Blob}, &VersionInfo{})
 	}
 	err = open()
 	if retryableVMErr(err) {

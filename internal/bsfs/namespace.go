@@ -11,18 +11,20 @@
 // namespace manager: a file's size is a property of each published
 // snapshot, which the version manager already serves, so the namespace
 // manager keeps no copy of it and a writer, once open, never calls it.
+//
+// The manager's tree is a journaled dfs.Tree, the namespace type the
+// HDFS baseline's namenode keeps too. What is BSFS's own is the entry
+// (a BLOB id and page size), making a new file's BLOB outside the
+// tree's lock, and retiring a BLOB once its file's name is gone.
 package bsfs
 
 import (
 	"context"
-	"sort"
-	"strings"
-	"sync"
+	"errors"
 	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
-	"blobseer/internal/kvlog"
 	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
@@ -75,8 +77,8 @@ func (m *CreateReq) DecodeFrom(r *wire.Reader) error {
 }
 
 // EntryResp is one namespace entry — a directory, or a file's BLOB and
-// page size — as the manager keeps it, journals it and answers with it.
-// An entry is never modified once stored.
+// page size — as the manager keeps it in its tree, journals it and
+// answers with it. An entry is never modified once stored.
 type EntryResp struct {
 	Blob     uint64
 	PageSize uint64
@@ -98,6 +100,14 @@ func (m *EntryResp) DecodeFrom(r *wire.Reader) error {
 	return r.Err()
 }
 
+// Dir implements dfs.Entry.
+func (m *EntryResp) Dir() bool { return m.IsDir }
+
+func decodeEntry(b []byte) (*EntryResp, error) {
+	e := new(EntryResp)
+	return e, e.DecodeFrom(wire.NewReader(b))
+}
+
 //
 // Server.
 //
@@ -106,61 +116,29 @@ func (m *EntryResp) DecodeFrom(r *wire.Reader) error {
 // file-system tree and the file→BLOB mapping; BLOBs are created through
 // the version manager on demand.
 //
-// With a journal path the namespace is durable: every entry mutation
-// (create, mkdir, rename, delete) is persisted to a kvlog store — keyed
-// "e/<path>", write-ahead under ns.mu — before it is acknowledged, and
-// a restart replays the store into the map. The store is the live
-// mapping, not an op log, so replay is a plain scan.
+// With a journal path the namespace is durable: the tree writes every
+// change (create, mkdir, rename, delete) to a kvlog store before it is
+// acknowledged, and a restart replays the store (see dfs.Tree).
 type NamespaceManager struct {
-	srv *rpc.Server
-	bc  *blob.Client // for creating BLOBs
-
-	mu      sync.Mutex
-	entries map[string]*EntryResp
-	kv      *kvlog.Store // nil: in-memory namespace
+	srv  *rpc.Server
+	bc   *blob.Client // for creating BLOBs
+	tree *dfs.Tree[*EntryResp]
 }
-
-// nsCompactThreshold is the journal dead-bytes bound: a rename or a
-// delete leaves the old record and a tombstone behind, so a namespace
-// that cycles through temporary files (every Map/Reduce job's) churns
-// the store, and a restart should not replay that churn.
-const nsCompactThreshold = 1 << 20
 
 // NewNamespaceManager starts a namespace manager at addr journaling to
 // journalPath (empty = in-memory); bc is used to create one BLOB per
 // new file. An existing journal is replayed before the endpoint binds.
 func NewNamespaceManager(net transport.Network, addr transport.Addr, bc *blob.Client, journalPath string) (*NamespaceManager, error) {
-	ns := &NamespaceManager{
-		bc:      bc,
-		entries: map[string]*EntryResp{"/": {IsDir: true}},
-	}
-	if journalPath != "" {
-		kv, err := kvlog.Open(journalPath, kvlog.Options{})
-		if err != nil {
-			return nil, err
-		}
-		err = kv.Scan(func(key string, value []byte) error {
-			if !strings.HasPrefix(key, "e/") {
-				return nil
-			}
-			e := new(EntryResp)
-			ns.entries[key[2:]] = e
-			return e.DecodeFrom(wire.NewReader(value))
-		})
-		if err != nil {
-			kv.Close()
-			return nil, err
-		}
-		ns.kv = kv
+	tree, err := dfs.OpenTree(journalPath, &EntryResp{IsDir: true}, (*EntryResp).AppendTo, decodeEntry)
+	if err != nil {
+		return nil, err
 	}
 	srv, err := rpc.NewServer(net, addr)
 	if err != nil {
-		if ns.kv != nil {
-			ns.kv.Close()
-		}
+		tree.Close()
 		return nil, err
 	}
-	ns.srv = srv
+	ns := &NamespaceManager{srv: srv, bc: bc, tree: tree}
 	srv.Handle(NSCreate, ns.handleCreate)
 	srv.Handle(NSLookup, ns.handleLookup)
 	srv.Handle(NSList, ns.handleList)
@@ -178,27 +156,23 @@ func (ns *NamespaceManager) Addr() transport.Addr { return ns.srv.Addr() }
 // operations; an in-memory manager has no journal to lose and reports
 // true. The /healthz namespace check watches it.
 func (ns *NamespaceManager) JournalOpen() bool {
-	if ns.kv == nil {
-		return true
-	}
-	return ns.kv.Open()
+	kv := ns.tree.Store()
+	return kv == nil || kv.Open()
 }
 
 // EntryCount reports how many namespace records the manager holds.
 func (ns *NamespaceManager) EntryCount() int {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return len(ns.entries)
+	n := 0
+	ns.tree.Each(func(string, *EntryResp) { n++ })
+	return n
 }
 
 // MonitorSample reports the manager's live stats in the cluster
 // monitor's sample shape.
 func (ns *NamespaceManager) MonitorSample() map[string]float64 {
-	s := map[string]float64{
-		"entries": float64(ns.EntryCount()),
-	}
-	if ns.kv != nil {
-		total, _ := ns.kv.Size()
+	s := map[string]float64{"entries": float64(ns.EntryCount())}
+	if kv := ns.tree.Store(); kv != nil {
+		total, _ := kv.Size()
 		s["journal_bytes"] = float64(total)
 	}
 	return s
@@ -206,71 +180,18 @@ func (ns *NamespaceManager) MonitorSample() map[string]float64 {
 
 // Close stops the manager.
 func (ns *NamespaceManager) Close() error {
-	err := ns.srv.Close()
-	if ns.kv != nil {
-		ns.mu.Lock()
-		cerr := ns.kv.Close()
-		ns.mu.Unlock()
-		if err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return errors.Join(ns.srv.Close(), ns.tree.Close())
 }
 
-// logPutLocked persists path→e write-ahead; on error the caller must
-// not mutate the map. Caller holds ns.mu.
-func (ns *NamespaceManager) logPutLocked(path string, e *EntryResp) error {
-	if ns.kv == nil {
-		return nil
+// opened answers a Create that found e at its path.
+func opened(e *EntryResp, exclusive bool) (wire.Marshaler, error) {
+	if e.IsDir {
+		return nil, dfs.ErrIsDir
 	}
-	if err := ns.kv.Put("e/"+path, e.AppendTo(nil)); err != nil {
-		return err
+	if exclusive {
+		return nil, dfs.ErrExists
 	}
-	ns.maybeCompactLocked()
-	return nil
-}
-
-// logDeleteLocked removes path's record write-ahead. Caller holds ns.mu.
-func (ns *NamespaceManager) logDeleteLocked(path string) error {
-	if ns.kv == nil {
-		return nil
-	}
-	if err := ns.kv.Delete("e/" + path); err != nil {
-		return err
-	}
-	ns.maybeCompactLocked()
-	return nil
-}
-
-func (ns *NamespaceManager) maybeCompactLocked() {
-	// Best effort: a failed compaction leaves a bigger but intact journal.
-	if _, err := ns.kv.CompactIfDead(nsCompactThreshold); err != nil {
-		obs.Log.Warnf("bsfs: namespace journal compaction: %v", err)
-	}
-}
-
-// mkdirAllLocked creates dir and its ancestors; fails if a path
-// component is a file.
-func (ns *NamespaceManager) mkdirAllLocked(dir string) error {
-	for _, p := range append(dfs.Ancestors(dir), dir) {
-		if p == "/" {
-			continue
-		}
-		e, ok := ns.entries[p]
-		if !ok {
-			d := &EntryResp{IsDir: true}
-			if err := ns.logPutLocked(p, d); err != nil {
-				return err
-			}
-			ns.entries[p] = d
-			continue
-		}
-		if !e.IsDir {
-			return dfs.ErrNotDir
-		}
-	}
-	return nil
+	return e, nil
 }
 
 func (ns *NamespaceManager) handleCreate(r *wire.Reader) (wire.Marshaler, error) {
@@ -278,26 +199,13 @@ func (ns *NamespaceManager) handleCreate(r *wire.Reader) (wire.Marshaler, error)
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	if req.Path == "/" {
-		return nil, dfs.ErrIsDir
+	if e, err := ns.tree.Lookup(req.Path); err == nil {
+		return opened(e, req.Exclusive)
 	}
-
-	ns.mu.Lock()
-	if e, ok := ns.entries[req.Path]; ok {
-		defer ns.mu.Unlock()
-		if e.IsDir {
-			return nil, dfs.ErrIsDir
-		}
-		if req.Exclusive {
-			return nil, dfs.ErrExists
-		}
-		return e, nil
-	}
-	if err := ns.mkdirAllLocked(dfs.Parent(req.Path)); err != nil {
-		ns.mu.Unlock()
+	// Fail a path under a file before making its BLOB.
+	if err := ns.tree.Mkdir(dfs.Parent(req.Path)); err != nil {
 		return nil, err
 	}
-	ns.mu.Unlock()
 
 	// Create the backing BLOB outside the lock (network I/O).
 	//lint:detached the wire handler surface carries no caller ctx; the 30s deadline bounds the create
@@ -308,34 +216,18 @@ func (ns *NamespaceManager) handleCreate(r *wire.Reader) (wire.Marshaler, error)
 		return nil, err
 	}
 
-	ns.mu.Lock()
-	if e, ok := ns.entries[req.Path]; ok {
-		// Lost a create race; the other BLOB wins. Retire ours through
-		// the garbage collector instead of leaking it.
-		ns.mu.Unlock()
-		ns.deleteBlobDetached(bl.ID())
-		if e.IsDir {
-			return nil, dfs.ErrIsDir
-		}
-		if req.Exclusive {
-			return nil, dfs.ErrExists
-		}
-		return e, nil
-	}
-	// A Delete of the parent may have run while the lock was released:
-	// make the parents again, so no entry outlives its directory.
-	e := &EntryResp{Blob: bl.ID(), PageSize: req.PageSize}
-	err = ns.mkdirAllLocked(dfs.Parent(req.Path))
-	if err == nil {
-		err = ns.logPutLocked(req.Path, e)
-	}
+	// A Delete of the parent may have run meanwhile: Create makes the
+	// parents again, so no entry outlives its directory.
+	e, err := ns.tree.Create(req.Path, &EntryResp{Blob: bl.ID(), PageSize: req.PageSize})
 	if err != nil {
-		ns.mu.Unlock()
+		// Lost a create race (the other BLOB wins) or the journal failed:
+		// retire ours through the garbage collector instead of leaking it.
 		ns.deleteBlobDetached(bl.ID())
+		if errors.Is(err, dfs.ErrExists) {
+			return opened(e, req.Exclusive)
+		}
 		return nil, err
 	}
-	ns.entries[req.Path] = e
-	ns.mu.Unlock()
 	return e, nil
 }
 
@@ -359,13 +251,7 @@ func (ns *NamespaceManager) handleLookup(r *wire.Reader) (wire.Marshaler, error)
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	e, ok := ns.entries[req.Path]
-	if !ok {
-		return nil, dfs.ErrNotExist
-	}
-	return e, nil
+	return ns.tree.Lookup(req.Path)
 }
 
 func (ns *NamespaceManager) handleList(r *wire.Reader) (wire.Marshaler, error) {
@@ -373,31 +259,8 @@ func (ns *NamespaceManager) handleList(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	e, ok := ns.entries[req.Path]
-	if !ok {
-		return nil, dfs.ErrNotExist
-	}
-	if !e.IsDir {
-		return nil, dfs.ErrNotDir
-	}
-	prefix := req.Path
-	if prefix != "/" {
-		prefix += "/"
-	}
-	var resp dfs.ListResp
-	for p, ent := range ns.entries {
-		if p == "/" || !strings.HasPrefix(p, prefix) {
-			continue
-		}
-		if strings.ContainsRune(p[len(prefix):], '/') {
-			continue // not a direct child
-		}
-		resp.Infos = append(resp.Infos, dfs.FileInfo{Path: p, IsDir: ent.IsDir})
-	}
-	sort.Slice(resp.Infos, func(i, j int) bool { return resp.Infos[i].Path < resp.Infos[j].Path })
-	return &resp, nil
+	infos, err := ns.tree.List(req.Path, nil)
+	return &dfs.ListResp{Infos: infos}, err
 }
 
 func (ns *NamespaceManager) handleRename(r *wire.Reader) (wire.Marshaler, error) {
@@ -405,42 +268,14 @@ func (ns *NamespaceManager) handleRename(r *wire.Reader) (wire.Marshaler, error)
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	e, ok := ns.entries[req.Src]
-	if !ok {
-		return nil, dfs.ErrNotExist
-	}
-	if e.IsDir {
-		return nil, dfs.ErrIsDir
-	}
-	d, replaced := ns.entries[req.Dst]
-	if replaced && d.IsDir {
-		return nil, dfs.ErrIsDir
-	}
-	if req.Src == req.Dst {
-		return nil, nil // journaling a put then a delete of one path would drop it
-	}
-	if err := ns.mkdirAllLocked(dfs.Parent(req.Dst)); err != nil {
-		return nil, err
-	}
-	// Journal dst before src: a crash between the two leaves both paths
-	// naming the same BLOB (data never lost), and the survivor wins on
-	// the next delete/rename of either path.
-	if err := ns.logPutLocked(req.Dst, e); err != nil {
-		return nil, err
-	}
-	if err := ns.logDeleteLocked(req.Src); err != nil {
-		return nil, err
-	}
-	delete(ns.entries, req.Src)
-	ns.entries[req.Dst] = e
+	e, d, err := ns.tree.Rename(req.Src, req.Dst)
 	// The replaced file's BLOB has no name left: retire it, as a delete
-	// would, unless it is the renamed file's own.
-	if replaced && d.Blob != e.Blob && d.Blob != 0 {
+	// would, unless it is the renamed file's own (a rename cut by a
+	// crash leaves two entries naming one BLOB).
+	if d != nil && d.Blob != e.Blob && d.Blob != 0 {
 		ns.deleteBlobDetached(d.Blob)
 	}
-	return nil, nil
+	return nil, err
 }
 
 func (ns *NamespaceManager) handleDelete(r *wire.Reader) (wire.Marshaler, error) {
@@ -448,63 +283,27 @@ func (ns *NamespaceManager) handleDelete(r *wire.Reader) (wire.Marshaler, error)
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	if req.Path == "/" {
-		return nil, dfs.ErrInvalidPath
+	e, err := ns.tree.Delete(req.Path)
+	if err != nil || e.Blob == 0 {
+		return nil, err
 	}
-	ns.mu.Lock()
-	e, ok := ns.entries[req.Path]
-	if !ok {
-		ns.mu.Unlock()
-		return nil, dfs.ErrNotExist
-	}
-	isDir, blobID := e.IsDir, e.Blob
-	if isDir {
-		prefix := req.Path + "/"
-		for p := range ns.entries {
-			if strings.HasPrefix(p, prefix) {
-				ns.mu.Unlock()
-				return nil, dfs.ErrNotEmpty
-			}
-		}
-		if err := ns.logDeleteLocked(req.Path); err != nil {
-			ns.mu.Unlock()
-			return nil, err
-		}
-		delete(ns.entries, req.Path)
-		ns.mu.Unlock()
-		return nil, nil
-	}
-	ns.mu.Unlock()
-
 	// Deleting a file retires its backing BLOB: the version manager
 	// marks every version dead and the garbage collector reclaims the
 	// pages — dropping the namespace entry alone would leave the data
-	// pinned on every provider forever. Retire FIRST (outside the lock),
-	// so a failed retirement leaves the entry in place and the caller's
-	// retry tries again, instead of leaking an orphaned BLOB behind a
-	// half-done delete.
-	if blobID != 0 {
-		//lint:detached the wire handler surface carries no caller ctx; the 30s deadline bounds the retire
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := ns.bc.DeleteBlob(ctx, blobID); err != nil {
-			return nil, err
+	// pinned on every provider forever. The entry goes first, so no
+	// concurrent rename can carry it to a name whose BLOB is dead. A
+	// failed retirement puts it back, so the caller's retry tries again
+	// instead of leaking an orphaned BLOB; if the path was taken
+	// meanwhile, the BLOB is retired in the background.
+	//lint:detached the wire handler surface carries no caller ctx; the 30s deadline bounds the retire
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := ns.bc.DeleteBlob(ctx, e.Blob); err != nil {
+		if _, perr := ns.tree.Create(req.Path, e); perr != nil {
+			ns.deleteBlobDetached(e.Blob)
 		}
+		return nil, err
 	}
-	ns.mu.Lock()
-	// Drop the entry only if it is still the one whose BLOB we retired:
-	// a concurrent rename/recreate made a new entry under this path,
-	// and that one's BLOB is untouched.
-	if cur, ok := ns.entries[req.Path]; ok && cur == e {
-		if err := ns.logDeleteLocked(req.Path); err != nil {
-			// The BLOB is already retired; the entry stays and the
-			// caller's retry re-deletes (DeleteBlob is idempotent).
-			ns.mu.Unlock()
-			return nil, err
-		}
-		delete(ns.entries, req.Path)
-	}
-	ns.mu.Unlock()
 	return nil, nil
 }
 
@@ -513,13 +312,9 @@ func (ns *NamespaceManager) handleMkdir(r *wire.Reader) (wire.Marshaler, error) 
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return nil, ns.mkdirAllLocked(req.Path)
+	return nil, ns.tree.Mkdir(req.Path)
 }
 
 func (ns *NamespaceManager) handleEntries(r *wire.Reader) (wire.Marshaler, error) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return &dfs.CountResp{Count: uint64(len(ns.entries))}, nil
+	return &dfs.CountResp{Count: uint64(ns.EntryCount())}, nil
 }

@@ -12,7 +12,10 @@ import (
 	"fmt"
 	"io"
 	iofs "io/fs"
+	"math/rand"
 	"os"
+	"slices"
+	"sync"
 	"testing"
 
 	"blobseer/internal/blob"
@@ -423,6 +426,96 @@ func TestConformanceUncleanPaths(t *testing.T) {
 		}
 		if _, err := fs.Stat(ctx, "/w/g"); !errors.Is(err, dfs.ErrNotExist) {
 			t.Errorf("Stat after Delete: %v", err)
+		}
+	})
+}
+
+// TestConformanceConcurrentNamespace: 8 goroutines each run 50 mixed
+// creates, mkdirs, renames (over files, across directories) and deletes
+// in three shared directories. An op may lose a race and fail with a
+// namespace error (a writer's own errors are not checked); afterwards
+// the tree must be whole: every file a walk
+// of List from "/" finds answers Stat, every entry sits in the
+// directory that listed it, and MetadataEntries counts exactly what
+// the walk found, "/" included (plus each file's blocks on HDFS, whose
+// namenode keeps the block map). An entry the walk cannot reach, or a
+// name left on a deleted file, breaks the count.
+func TestConformanceConcurrentNamespace(t *testing.T) {
+	const workers, opsEach = 8, 50
+	var files, subdirs []string
+	for _, d := range []string{"/c/d0", "/c/d1", "/c/d2"} {
+		files = append(files, d+"/f0", d+"/f1", d+"/f2", d+"/s/f0", d+"/s/f1")
+		subdirs = append(subdirs, d+"/s")
+	}
+	all := append(slices.Clip(files), subdirs...)
+	// expected are the errors an op that lost a race may return.
+	expected := []error{dfs.ErrNotExist, dfs.ErrExists, dfs.ErrIsDir, dfs.ErrNotDir,
+		dfs.ErrNotEmpty, dfs.ErrUnderConstruction, dfs.ErrVersionGone}
+	forEachBackend(t, func(t *testing.T, b backend, fs dfs.FileSystem) {
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w + 1)))
+				pick := func(from []string) string { return from[rng.Intn(len(from))] }
+				for range opsEach {
+					var err error
+					switch rng.Intn(4) {
+					case 0:
+						var fw dfs.FileWriter
+						if fw, err = fs.Create(ctx, pick(files)); err == nil {
+							// Another worker may delete or replace the
+							// file under its writer, which then fails
+							// with its backend's own error: unchecked.
+							fw.Write(confPattern(byte(w), rng.Intn(3*confBlock)))
+							fw.Close()
+						}
+					case 1:
+						err = fs.Mkdir(ctx, pick(subdirs))
+					case 2:
+						err = fs.Rename(ctx, pick(files), pick(files))
+					case 3:
+						err = fs.Delete(ctx, pick(all))
+					}
+					if err != nil && !slices.ContainsFunc(expected, func(e error) bool { return errors.Is(err, e) }) {
+						t.Errorf("worker %d: %v", w, err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+
+		walked, blocks := uint64(1), uint64(0)
+		var walk func(dir string)
+		walk = func(dir string) {
+			infos, err := fs.List(ctx, dir)
+			if err != nil {
+				t.Fatalf("List %s: %v", dir, err)
+			}
+			for _, fi := range infos {
+				walked++
+				if dfs.Parent(fi.Path) != dir {
+					t.Errorf("List %s returned %s", dir, fi.Path)
+				}
+				if fi.IsDir {
+					walk(fi.Path)
+					continue
+				}
+				st, err := fs.Stat(ctx, fi.Path)
+				if err != nil || st.IsDir {
+					t.Errorf("Stat %s = %+v, %v", fi.Path, st, err)
+				}
+				blocks += st.Blocks
+			}
+		}
+		walk("/")
+		want := walked
+		if b.name == "hdfs" {
+			want += blocks
+		}
+		if n, err := fs.MetadataEntries(ctx); err != nil || n != want {
+			t.Errorf("MetadataEntries = %d, %v; the walk found %d entries and %d blocks", n, err, walked, blocks)
 		}
 	})
 }

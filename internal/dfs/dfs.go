@@ -15,6 +15,12 @@
 // Both backends read through one BlockCursor: a read fetches the whole
 // block that holds it, and later reads copy out of that block until
 // they leave it. The backends differ only in where a block comes from.
+//
+// Both servers keep their namespace in one Tree: the BSFS namespace
+// manager's entries name a file's BLOB and are journaled, the HDFS
+// namenode's hold a file's blocks and live in memory. The servers
+// differ only in what an entry holds and how they free what a delete
+// or a replacing rename displaced.
 package dfs
 
 import (

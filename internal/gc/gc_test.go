@@ -241,8 +241,8 @@ func TestPinBlocksCollection(t *testing.T) {
 		t.Fatalf("expected the pin to block collection, report %+v", rep)
 	}
 	// The slow read over the to-be-collected version: still perfect.
-	got, err := snap.ReadAt(ctx, 0, uint64(len(images[pinned])))
-	if err != nil {
+	got := make([]byte, len(images[pinned]))
+	if _, err := snap.ReadAtInto(ctx, 0, got); err != nil {
 		t.Fatalf("pinned read failed mid-GC: %v", err)
 	}
 	if !bytes.Equal(got, images[pinned]) {

@@ -6,13 +6,18 @@
 // whole-chunk readahead, and — crucially for the paper's argument — NO
 // append support: "once a file is created, written and closed, the
 // data cannot be overwritten or appended to".
+//
+// The namenode's namespace is an in-memory dfs.Tree, the type BSFS's
+// namespace manager journals; an entry holds a file's block list, and
+// what is the namenode's own is block allocation, random placement, and
+// freeing the blocks a delete or a replacing rename leaves nameless. A
+// namenode restart loses every file: unlike Hadoop's, it keeps no edit
+// log.
 package hdfs
 
 import (
 	"context"
 	"errors"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -147,13 +152,18 @@ func (m *LookupResp) DecodeFrom(r *wire.Reader) error {
 // Namenode.
 //
 
-// nnEntry is one namespace record.
+// nnEntry is one namespace record. A file's entry changes as its
+// blocks are added and it completes, so it is read and changed only
+// inside the tree's With.
 type nnEntry struct {
 	isDir             bool
 	blocks            []BlockInfo
 	size              uint64
 	underConstruction bool
 }
+
+// Dir implements dfs.Entry.
+func (e *nnEntry) Dir() bool { return e.isDir }
 
 // NamenodeConfig configures placement.
 type NamenodeConfig struct {
@@ -172,9 +182,9 @@ type Namenode struct {
 	srv  *rpc.Server
 	pool *rpc.Pool // to the datanodes, for deleting blocks that lost their name
 	cfg  NamenodeConfig
+	tree *dfs.Tree[*nnEntry]
 
-	mu        sync.Mutex
-	entries   map[string]*nnEntry
+	mu        sync.Mutex // over the placement state below
 	datanodes []string
 	nextBlock uint64
 	placement *blob.RandomK
@@ -185,6 +195,10 @@ func NewNamenode(net transport.Network, addr transport.Addr, cfg NamenodeConfig)
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
 	}
+	tree, err := dfs.OpenTree("", &nnEntry{isDir: true}, nil, nil)
+	if err != nil {
+		return nil, err
+	}
 	srv, err := rpc.NewServer(net, addr)
 	if err != nil {
 		return nil, err
@@ -193,7 +207,7 @@ func NewNamenode(net transport.Network, addr transport.Addr, cfg NamenodeConfig)
 		srv:       srv,
 		pool:      rpc.NewPool(net, transport.MakeAddr(addr.Host(), "namenode-client")),
 		cfg:       cfg,
-		entries:   map[string]*nnEntry{"/": {isDir: true}},
+		tree:      tree,
 		placement: blob.NewRandomK(cfg.Seed),
 	}
 	srv.Handle(NNCreate, nn.handleCreate)
@@ -232,23 +246,6 @@ func (nn *Namenode) Register(addr string) {
 	nn.datanodes = append(nn.datanodes, addr)
 }
 
-func (nn *Namenode) mkdirAllLocked(dir string) error {
-	for _, p := range append(dfs.Ancestors(dir), dir) {
-		if p == "/" {
-			continue
-		}
-		e, ok := nn.entries[p]
-		if !ok {
-			nn.entries[p] = &nnEntry{isDir: true}
-			continue
-		}
-		if !e.isDir {
-			return dfs.ErrNotDir
-		}
-	}
-	return nil
-}
-
 // freeBlocks deletes blocks that lost their name from the datanodes
 // holding them, one batch per datanode. The namespace change that
 // orphaned them has already taken effect, so a datanode that fails is
@@ -281,16 +278,8 @@ func (nn *Namenode) handleCreate(r *wire.Reader) (wire.Marshaler, error) {
 	if req.Path == "/" {
 		return nil, dfs.ErrIsDir
 	}
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	if _, ok := nn.entries[req.Path]; ok {
-		return nil, dfs.ErrExists
-	}
-	if err := nn.mkdirAllLocked(dfs.Parent(req.Path)); err != nil {
-		return nil, err
-	}
-	nn.entries[req.Path] = &nnEntry{underConstruction: true}
-	return nil, nil
+	_, err := nn.tree.Create(req.Path, &nnEntry{underConstruction: true})
+	return nil, err
 }
 
 func (nn *Namenode) handleAddBlock(r *wire.Reader) (wire.Marshaler, error) {
@@ -298,33 +287,33 @@ func (nn *Namenode) handleAddBlock(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	e, ok := nn.entries[req.Path]
-	if !ok {
-		return nil, dfs.ErrNotExist
-	}
-	if e.isDir {
-		return nil, dfs.ErrIsDir
-	}
-	if !e.underConstruction {
-		return nil, errors.New("hdfs: file is closed; HDFS files are write-once")
-	}
-	if len(nn.datanodes) == 0 {
-		return nil, errors.New("hdfs: no datanodes registered")
-	}
-	nn.nextBlock++
-	blk := BlockInfo{ID: nn.nextBlock, Length: req.Length}
-	// Random placement (§2.2), distinct replicas: the provider manager's
-	// random strategy, which never returns when asked for more replicas
-	// than there are datanodes.
-	replicas := min(nn.cfg.Replicas, len(nn.datanodes))
-	for _, i := range nn.placement.Pick(1, replicas, nn.datanodes, nil) {
-		blk.Datanodes = append(blk.Datanodes, nn.datanodes[i])
-	}
-	e.blocks = append(e.blocks, blk)
-	e.size += req.Length
-	return &blk, nil
+	var blk BlockInfo
+	err := nn.tree.With(req.Path, func(e *nnEntry) error {
+		if e.isDir {
+			return dfs.ErrIsDir
+		}
+		if !e.underConstruction {
+			return errors.New("hdfs: file is closed; HDFS files are write-once")
+		}
+		nn.mu.Lock()
+		defer nn.mu.Unlock()
+		if len(nn.datanodes) == 0 {
+			return errors.New("hdfs: no datanodes registered")
+		}
+		nn.nextBlock++
+		blk = BlockInfo{ID: nn.nextBlock, Length: req.Length}
+		// Random placement (§2.2), distinct replicas: the provider
+		// manager's random strategy, which never returns when asked for
+		// more replicas than there are datanodes.
+		replicas := min(nn.cfg.Replicas, len(nn.datanodes))
+		for _, i := range nn.placement.Pick(1, replicas, nn.datanodes, nil) {
+			blk.Datanodes = append(blk.Datanodes, nn.datanodes[i])
+		}
+		e.blocks = append(e.blocks, blk)
+		e.size += req.Length
+		return nil
+	})
+	return &blk, err
 }
 
 func (nn *Namenode) handleComplete(r *wire.Reader) (wire.Marshaler, error) {
@@ -332,14 +321,10 @@ func (nn *Namenode) handleComplete(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	e, ok := nn.entries[req.Path]
-	if !ok {
-		return nil, dfs.ErrNotExist
-	}
-	e.underConstruction = false
-	return nil, nil
+	return nil, nn.tree.With(req.Path, func(e *nnEntry) error {
+		e.underConstruction = false
+		return nil
+	})
 }
 
 func (nn *Namenode) handleGetBlocks(r *wire.Reader) (wire.Marshaler, error) {
@@ -347,23 +332,22 @@ func (nn *Namenode) handleGetBlocks(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	e, ok := nn.entries[req.Path]
-	if !ok {
-		return nil, dfs.ErrNotExist
-	}
-	if e.isDir {
-		return nil, dfs.ErrIsDir
-	}
-	if e.underConstruction {
-		// §2.2: files "were visible in the file system namespace only
-		// after a successful close operation".
-		return nil, dfs.ErrUnderConstruction
-	}
-	// A completed file's blocks never change, so the answer may share
-	// them after the lock is gone.
-	return &GetBlocksResp{Size: e.size, Blocks: e.blocks}, nil
+	var resp GetBlocksResp
+	err := nn.tree.With(req.Path, func(e *nnEntry) error {
+		if e.isDir {
+			return dfs.ErrIsDir
+		}
+		if e.underConstruction {
+			// §2.2: files "were visible in the file system namespace
+			// only after a successful close operation".
+			return dfs.ErrUnderConstruction
+		}
+		// A completed file's blocks never change, so the answer may
+		// share them after the lock is gone.
+		resp = GetBlocksResp{Size: e.size, Blocks: e.blocks}
+		return nil
+	})
+	return &resp, err
 }
 
 func (nn *Namenode) handleLookup(r *wire.Reader) (wire.Marshaler, error) {
@@ -371,13 +355,12 @@ func (nn *Namenode) handleLookup(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	e, ok := nn.entries[req.Path]
-	if !ok {
-		return nil, dfs.ErrNotExist
-	}
-	return &LookupResp{IsDir: e.isDir, Size: e.size, Blocks: uint64(len(e.blocks))}, nil
+	var resp LookupResp
+	err := nn.tree.With(req.Path, func(e *nnEntry) error {
+		resp = LookupResp{IsDir: e.isDir, Size: e.size, Blocks: uint64(len(e.blocks))}
+		return nil
+	})
+	return &resp, err
 }
 
 func (nn *Namenode) handleList(r *wire.Reader) (wire.Marshaler, error) {
@@ -385,33 +368,10 @@ func (nn *Namenode) handleList(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	e, ok := nn.entries[req.Path]
-	if !ok {
-		return nil, dfs.ErrNotExist
-	}
-	if !e.isDir {
-		return nil, dfs.ErrNotDir
-	}
-	prefix := req.Path
-	if prefix != "/" {
-		prefix += "/"
-	}
-	var resp dfs.ListResp
-	for p, ent := range nn.entries {
-		if p == "/" || !strings.HasPrefix(p, prefix) {
-			continue
-		}
-		if strings.ContainsRune(p[len(prefix):], '/') {
-			continue
-		}
-		resp.Infos = append(resp.Infos, dfs.FileInfo{
-			Path: p, IsDir: ent.isDir, Size: ent.size, Blocks: uint64(len(ent.blocks)),
-		})
-	}
-	sort.Slice(resp.Infos, func(i, j int) bool { return resp.Infos[i].Path < resp.Infos[j].Path })
-	return &resp, nil
+	infos, err := nn.tree.List(req.Path, func(e *nnEntry, fi *dfs.FileInfo) {
+		fi.Size, fi.Blocks = e.size, uint64(len(e.blocks))
+	})
+	return &dfs.ListResp{Infos: infos}, err
 }
 
 func (nn *Namenode) handleRename(r *wire.Reader) (wire.Marshaler, error) {
@@ -419,36 +379,11 @@ func (nn *Namenode) handleRename(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	freed, err := nn.rename(req.Src, req.Dst)
-	nn.freeBlocks(freed)
+	_, d, err := nn.tree.Rename(req.Src, req.Dst)
+	if d != nil {
+		nn.freeBlocks(d.blocks) // the replaced file's blocks have no name left
+	}
 	return nil, err
-}
-
-// rename moves src's entry to dst and returns the blocks of the file
-// it replaced, which have no name left.
-func (nn *Namenode) rename(src, dst string) ([]BlockInfo, error) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	e, ok := nn.entries[src]
-	if !ok {
-		return nil, dfs.ErrNotExist
-	}
-	if e.isDir {
-		return nil, dfs.ErrIsDir
-	}
-	d, replaced := nn.entries[dst]
-	if replaced && d.isDir {
-		return nil, dfs.ErrIsDir
-	}
-	if err := nn.mkdirAllLocked(dfs.Parent(dst)); err != nil {
-		return nil, err
-	}
-	delete(nn.entries, src)
-	nn.entries[dst] = e
-	if replaced && d != e {
-		return d.blocks, nil
-	}
-	return nil, nil
 }
 
 func (nn *Namenode) handleDelete(r *wire.Reader) (wire.Marshaler, error) {
@@ -456,33 +391,11 @@ func (nn *Namenode) handleDelete(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	if req.Path == "/" {
-		return nil, dfs.ErrInvalidPath
+	e, err := nn.tree.Delete(req.Path)
+	if e != nil {
+		nn.freeBlocks(e.blocks) // they have no name left
 	}
-	freed, err := nn.remove(req.Path)
-	nn.freeBlocks(freed)
 	return nil, err
-}
-
-// remove drops path's entry and returns its blocks, which have no name
-// left.
-func (nn *Namenode) remove(path string) ([]BlockInfo, error) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	e, ok := nn.entries[path]
-	if !ok {
-		return nil, dfs.ErrNotExist
-	}
-	if e.isDir {
-		prefix := path + "/"
-		for p := range nn.entries {
-			if strings.HasPrefix(p, prefix) {
-				return nil, dfs.ErrNotEmpty
-			}
-		}
-	}
-	delete(nn.entries, path)
-	return e.blocks, nil
 }
 
 func (nn *Namenode) handleMkdir(r *wire.Reader) (wire.Marshaler, error) {
@@ -490,20 +403,14 @@ func (nn *Namenode) handleMkdir(r *wire.Reader) (wire.Marshaler, error) {
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	return nil, nn.mkdirAllLocked(req.Path)
+	return nil, nn.tree.Mkdir(req.Path)
 }
 
 // handleEntries counts namespace entries PLUS block records: the
 // namenode keeps the whole block map in memory, so every block of
 // every small file weighs on it — the file-count problem.
 func (nn *Namenode) handleEntries(r *wire.Reader) (wire.Marshaler, error) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	count := uint64(len(nn.entries))
-	for _, e := range nn.entries {
-		count += uint64(len(e.blocks))
-	}
+	var count uint64
+	nn.tree.Each(func(_ string, e *nnEntry) { count += 1 + uint64(len(e.blocks)) })
 	return &dfs.CountResp{Count: count}, nil
 }

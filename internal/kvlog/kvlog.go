@@ -262,6 +262,8 @@ func (s *Store) Put(key string, value []byte) error {
 }
 
 // Get returns the value stored under key.
+//
+//lint:unusedexport the store's point read; every journal replays by Scan, and kvlog's tests check writes, replay and compaction through it
 func (s *Store) Get(key string) ([]byte, error) {
 	s.mu.RLock()
 	loc, ok := s.index[key]
@@ -279,14 +281,6 @@ func (s *Store) Get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("kvlog get %q: %w", key, err)
 	}
 	return buf, nil
-}
-
-// Has reports whether key is present.
-func (s *Store) Has(key string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[key]
-	return ok
 }
 
 // Delete removes key. Deleting a missing key is a no-op.
@@ -384,13 +378,6 @@ func (sn *Snapshot) Scan(fn func(key string, value []byte) error) error {
 		}
 	}
 	return nil
-}
-
-// Len returns the number of keys live at the pinned offset.
-func (sn *Snapshot) Len() (int, error) {
-	n := 0
-	err := sn.Scan(func(string, []byte) error { n++; return nil })
-	return n, err
 }
 
 // Close releases the snapshot's file descriptor.
