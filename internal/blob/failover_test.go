@@ -5,11 +5,13 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"blobseer/internal/pagestore"
 	"blobseer/internal/transport"
+	"blobseer/internal/wire"
 )
 
 // TestFailoverConcurrentAppends drives concurrent appenders across all
@@ -127,4 +129,75 @@ func TestFailoverConcurrentAppends(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLostCompleteAckIsRetried: the shard's answer to a writer's
+// vm.Complete is lost after the shard journaled the completion, and the
+// shard is killed and taken over from its journal. The router retries
+// the Complete, the replayed shard answers it as already done, and so
+// the append is acked once, as version 1, which publishes and reads
+// back byte for byte.
+//
+// The same test with the answer to vm.Assign dropped is the failover
+// wedge's test (ROADMAP item 1), and it wedges at this commit: the
+// retried Assign is acked as version 2, and version 2 never publishes
+// behind the orphan pending version 1.
+func TestLostCompleteAckIsRetried(t *testing.T) {
+	var complete atomic.Uint64 // the rpc call id of the writer's first vm.Complete
+	var lost atomic.Bool
+	dropped := make(chan struct{})
+	net := transport.OnSend(transport.NewMemNet(), func(c transport.Conn, frame []byte) error {
+		r := wire.NewReader(frame)
+		kind, id := r.Uvarint(), r.Uvarint() // an rpc frame's header; a request's method follows
+		switch {
+		case c.LocalAddr().Host() == "writer" && c.RemoteAddr().Service() == SvcVersionManager &&
+			kind == 1 && r.Uvarint() == uint64(VMComplete.ID):
+			complete.CompareAndSwap(0, id)
+		case c.RemoteAddr().Host() == "writer" && c.LocalAddr().Service() == SvcVersionManager &&
+			id == complete.Load() && lost.CompareAndSwap(false, true):
+			close(dropped)
+			return transport.ErrClosed
+		}
+		return nil
+	})
+	cluster, err := NewCluster(net, ClusterConfig{Providers: 2, JournalDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	const ps = 512
+	bl, err := newTestClient(t, cluster, "writer").Create(ctx, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(1, ps)
+	type ack struct {
+		res WriteResult
+		err error
+	}
+	acked := make(chan ack, 1)
+	go func() {
+		res, err := bl.Append(ctx, data)
+		acked <- ack{res, err}
+	}()
+	<-dropped
+	if err := cluster.KillVM(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.RestartVM(0); err != nil {
+		t.Fatal(err)
+	}
+	if a := <-acked; a.err != nil || a.res.Ver != 1 {
+		t.Fatalf("append whose complete ack was lost = v%d, %v; want v1 acked", a.res.Ver, a.err)
+	}
+	fresh := newTestClient(t, cluster, "fresh").Handle(bl.ID(), ps)
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if _, err := fresh.WaitPublished(wctx, 1); err != nil {
+		t.Fatalf("v1 never published: %v", err)
+	}
+	if info, err := fresh.Latest(ctx); err != nil || info.Ver != 1 {
+		t.Errorf("latest = v%d, %v; want v1: the retried Complete acked the append once", info.Ver, err)
+	}
+	readExact(t, fresh, 1, 0, data)
 }

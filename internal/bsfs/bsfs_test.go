@@ -42,52 +42,19 @@ func newDeploymentOn(t *testing.T, net transport.Network, cfg blob.ClusterConfig
 	return d
 }
 
-// heldAckNet is a fault seam over the test's network: once a test sets
-// ack, every response frame a data provider (or the service svc names)
-// sends first runs it, in the handler's goroutine — after the page is
-// stored, before the client hears so. Blocking there is a node that
-// stored the page and whose acknowledgement is still on its way.
-type heldAckNet struct {
-	transport.Network
-	svc string // "" means blob.SvcProvider
-	ack atomic.Pointer[func()]
-}
-
-func (n *heldAckNet) Listen(addr transport.Addr) (transport.Listener, error) {
-	l, err := n.Network.Listen(addr)
-	svc := n.svc
-	if svc == "" {
-		svc = blob.SvcProvider
-	}
-	if err != nil || addr.Service() != svc {
-		return l, err
-	}
-	return &heldAckListener{Listener: l, net: n}, nil
-}
-
-type heldAckListener struct {
-	transport.Listener
-	net *heldAckNet
-}
-
-func (l *heldAckListener) Accept() (transport.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &heldAckConn{Conn: c, net: l.net}, nil
-}
-
-type heldAckConn struct {
-	transport.Conn
-	net *heldAckNet
-}
-
-func (c *heldAckConn) Send(frame []byte) error {
-	if ack := c.net.ack.Load(); ack != nil {
-		(*ack)()
-	}
-	return c.Conn.Send(frame)
+// heldAcks is a fault seam over a fresh in-process network: once a test
+// stores a hook in ack, every frame the servers of service svc send
+// first runs it, in the handler's goroutine — after the page is stored,
+// before the client hears so. Blocking there is a node that stored the
+// page and whose acknowledgement is still on its way.
+func heldAcks(svc string) (net transport.Network, ack *atomic.Pointer[func()]) {
+	ack = new(atomic.Pointer[func()])
+	return transport.OnSend(transport.NewMemNet(), func(c transport.Conn, _ []byte) error {
+		if hold := ack.Load(); hold != nil && c.LocalAddr().Service() == svc {
+			(*hold)()
+		}
+		return nil
+	}), ack
 }
 
 func mount(t *testing.T, d *Deployment, host string) *FS {
@@ -133,7 +100,7 @@ func TestCreateWriteRead(t *testing.T) {
 // new, still empty parent in that window must not leave the file
 // behind without its directory: the create makes the parent again.
 func TestCreateRacingParentDelete(t *testing.T) {
-	net := &heldAckNet{Network: transport.NewMemNet(), svc: blob.SvcVersionManager}
+	net, ack := heldAcks(blob.SvcVersionManager)
 	d := newDeploymentOn(t, net, blob.ClusterConfig{}, 512)
 	fs := mount(t, d, "cli")
 
@@ -142,7 +109,7 @@ func TestCreateRacingParentDelete(t *testing.T) {
 	var once sync.Once
 	held, release := make(chan struct{}), make(chan struct{})
 	hold := func() { once.Do(func() { close(held); <-release }) }
-	net.ack.Store(&hold)
+	ack.Store(&hold)
 	created := make(chan error, 1)
 	go func() {
 		w, err := fs.Create(ctx, "/a/f")
@@ -778,7 +745,7 @@ func TestPipelinedWriterErrorPropagation(t *testing.T) {
 	// the writer reports the failure instead of waiting for a slot.
 	t.Run("providers closed mid-run", func(t *testing.T) {
 		const block, depth = 256, 4
-		net := &heldAckNet{Network: transport.NewMemNet()}
+		net, ack := heldAcks(blob.SvcProvider)
 		d := newDeploymentOn(t, net, blob.ClusterConfig{}, block)
 		d.WriteDepth = depth
 		fs := mount(t, d, "cli")
@@ -802,14 +769,14 @@ func TestPipelinedWriterErrorPropagation(t *testing.T) {
 		// their closed connections.
 		var first atomic.Bool
 		stored, failed := make(chan struct{}), make(chan struct{})
-		ack := func() {
+		hold := func() {
 			if first.CompareAndSwap(false, true) {
 				close(stored)
 				return
 			}
 			<-failed
 		}
-		net.ack.Store(&ack)
+		ack.Store(&hold)
 		if _, err := w.Write(pattern(1, depth*block)); err != nil {
 			t.Fatal(err)
 		}

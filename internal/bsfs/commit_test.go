@@ -14,7 +14,6 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
 	"blobseer/internal/segtree"
-	"blobseer/internal/transport"
 )
 
 // TestAppendCommitsBesideItsPages: an append's metadata commit does not
@@ -25,7 +24,7 @@ import (
 // followed the acks would find every hold running out first.
 func TestAppendCommitsBesideItsPages(t *testing.T) {
 	const block = 256
-	net := &heldAckNet{Network: transport.NewMemNet()}
+	net, ack := heldAcks(blob.SvcProvider)
 	d := newDeploymentOn(t, net, blob.ClusterConfig{}, block)
 	d.WriteDepth = 4
 	fs := mount(t, d, "cli")
@@ -50,7 +49,7 @@ func TestAppendCommitsBesideItsPages(t *testing.T) {
 			}
 		}
 	}
-	net.ack.Store(&hold)
+	ack.Store(&hold)
 	data := pattern(1, 4*block)
 	if _, err := w.Write(data); err != nil {
 		t.Fatal(err)
@@ -58,7 +57,7 @@ func TestAppendCommitsBesideItsPages(t *testing.T) {
 	if err := w.(dfs.Flusher).Flush(); err != nil {
 		t.Fatal(err)
 	}
-	net.ack.Store(nil)
+	ack.Store(nil)
 	if n := timedOut.Load(); n != 0 {
 		t.Errorf("%d of %d page acks waited 2 s for the version's tree nodes: the commit waits for the pages", n, held.Load())
 	}
@@ -86,9 +85,9 @@ func TestSealIsLastWrite(t *testing.T) {
 	const page = 256
 	aborts := []struct {
 		name  string
-		abort func(t *testing.T, d *Deployment, net *heldAckNet, bl *blob.Blob, data []byte)
+		abort func(t *testing.T, d *Deployment, ack *atomic.Pointer[func()], bl *blob.Blob, data []byte)
 	}{
-		{"puts refused", func(t *testing.T, d *Deployment, _ *heldAckNet, bl *blob.Blob, data []byte) {
+		{"puts refused", func(t *testing.T, d *Deployment, _ *atomic.Pointer[func()], bl *blob.Blob, data []byte) {
 			for _, p := range d.Blob.Providers {
 				p.SetFailPuts(true)
 			}
@@ -99,7 +98,7 @@ func TestSealIsLastWrite(t *testing.T) {
 				p.SetFailPuts(false)
 			}
 		}},
-		{"cancelled", func(t *testing.T, _ *Deployment, net *heldAckNet, bl *blob.Blob, data []byte) {
+		{"cancelled", func(t *testing.T, _ *Deployment, ack *atomic.Pointer[func()], bl *blob.Blob, data []byte) {
 			cctx, cancel := context.WithCancel(ctx)
 			defer cancel()
 			release := make(chan struct{})
@@ -108,9 +107,9 @@ func TestSealIsLastWrite(t *testing.T) {
 				once.Do(cancel) // the page is stored; its ack is held
 				<-release
 			}
-			net.ack.Store(&hold)
+			ack.Store(&hold)
 			_, err := bl.Append(cctx, data)
-			net.ack.Store(nil)
+			ack.Store(nil)
 			close(release)
 			if err == nil {
 				t.Fatal("an append cancelled while its put was held succeeded")
@@ -120,7 +119,7 @@ func TestSealIsLastWrite(t *testing.T) {
 	for _, size := range []int{page, 100} {
 		for _, tc := range aborts {
 			t.Run(fmt.Sprintf("%s/%d bytes", tc.name, size), func(t *testing.T) {
-				net := &heldAckNet{Network: transport.NewMemNet()}
+				net, ack := heldAcks(blob.SvcProvider)
 				d := newDeploymentOn(t, net, blob.ClusterConfig{}, page)
 				cl := d.Blob.Client("writer")
 				defer cl.Close()
@@ -132,7 +131,7 @@ func TestSealIsLastWrite(t *testing.T) {
 				if _, err := bl.Append(ctx, first); err != nil {
 					t.Fatal(err)
 				}
-				tc.abort(t, d, net, bl, pattern(2, size)) // version 2
+				tc.abort(t, d, ack, bl, pattern(2, size)) // version 2
 				res, err := bl.Append(ctx, third)
 				if err != nil {
 					t.Fatal(err)

@@ -102,17 +102,31 @@ var (
 // sentinels into the stable dfs error surface at the bsfs boundary, so
 // framework and application code matches dfs.ErrVersionGone /
 // dfs.ErrNotExist instead of internal error text that happens to
-// survive RPC boundaries. Other errors pass through unchanged.
+// survive RPC boundaries. A BLOB that is gone is a file that was
+// deleted, also under its writer. Other errors pass through unchanged.
 func mapVerErr(err error) error {
 	switch {
 	case err == nil:
 		return nil
 	case errors.Is(err, blob.ErrVersionCollected):
 		return fmt.Errorf("%w (%v)", dfs.ErrVersionGone, err)
-	case errors.Is(err, blob.ErrNoSuchVersion), errors.Is(err, blob.ErrNotPublished):
+	case errors.Is(err, blob.ErrNoSuchVersion), errors.Is(err, blob.ErrNotPublished),
+		errors.Is(err, blob.ErrBlobNotFound):
 		return fmt.Errorf("%w (%v)", dfs.ErrNotExist, err)
 	}
 	return err
+}
+
+// mapWriteErr is mapVerErr on the writer's paths, where a write-record
+// history cut short is a deleted file too: this mount's Delete purges
+// the file's history, and an append whose assign raced it finds the
+// history gone. A reader's gap is not mapped; nothing shows it can come
+// only from a delete.
+func mapWriteErr(err error) error {
+	if errors.Is(err, blob.ErrHistoryGap) {
+		return fmt.Errorf("%w (%v)", dfs.ErrNotExist, err)
+	}
+	return mapVerErr(err)
 }
 
 // New returns a BSFS mount for the given deployment.
@@ -472,7 +486,7 @@ func (w *fileWriter) firstErr() error {
 func (w *fileWriter) setErr(err error) {
 	w.mu.Lock()
 	if w.werr == nil {
-		w.werr = err
+		w.werr = mapWriteErr(err)
 	}
 	w.mu.Unlock()
 }
@@ -546,7 +560,7 @@ func (w *fileWriter) launch() error {
 	if err != nil {
 		w.setErr(err)
 		w.release(run, true) // nothing was started, nothing references the blocks
-		return err
+		return mapWriteErr(err)
 	}
 	w.lastVer = p.Result().Ver
 	w.wg.Add(1)
@@ -653,7 +667,7 @@ func (w *fileWriter) Close() error {
 	}
 	if w.lastVer > 0 {
 		if _, err := w.b.WaitPublished(w.ctx, w.lastVer); err != nil {
-			return err
+			return mapWriteErr(err)
 		}
 	}
 	return nil

@@ -38,11 +38,12 @@ func TestMain(m *testing.M) {
 
 const confBlock = 1 << 10
 
-// backend describes one FS under test.
+// backend describes one FS under test. start brings up a cluster and
+// returns what mounts it from a host.
 type backend struct {
 	name          string
 	appendSupport bool
-	mk            func(t *testing.T) dfs.FileSystem
+	start         func(t *testing.T) (mount func(host string) dfs.FileSystem)
 }
 
 func backends() []backend {
@@ -50,7 +51,7 @@ func backends() []backend {
 		{
 			name:          "bsfs",
 			appendSupport: true,
-			mk: func(t *testing.T) dfs.FileSystem {
+			start: func(t *testing.T) func(host string) dfs.FileSystem {
 				cluster, err := blob.NewCluster(transport.NewMemNet(), blob.ClusterConfig{
 					Providers: 4, MetaProviders: 2,
 				})
@@ -63,23 +64,27 @@ func backends() []backend {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { d.Close() })
-				fs := d.Mount("conf-cli")
-				t.Cleanup(func() { fs.Close() })
-				return fs
+				return func(host string) dfs.FileSystem {
+					fs := d.Mount(host)
+					t.Cleanup(func() { fs.Close() })
+					return fs
+				}
 			},
 		},
 		{
 			name:          "hdfs",
 			appendSupport: false,
-			mk: func(t *testing.T) dfs.FileSystem {
+			start: func(t *testing.T) func(host string) dfs.FileSystem {
 				cluster, err := hdfs.NewCluster(transport.NewMemNet(), hdfs.ClusterConfig{Datanodes: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { cluster.Close() })
-				fs := cluster.Mount("conf-cli", confBlock)
-				t.Cleanup(func() { fs.Close() })
-				return fs
+				return func(host string) dfs.FileSystem {
+					fs := cluster.Mount(host, confBlock)
+					t.Cleanup(func() { fs.Close() })
+					return fs
+				}
 			},
 		},
 	}
@@ -90,7 +95,7 @@ func forEachBackend(t *testing.T, fn func(t *testing.T, b backend, fs dfs.FileSy
 	for _, b := range backends() {
 		b := b
 		t.Run(b.name, func(t *testing.T) {
-			fn(t, b, b.mk(t))
+			fn(t, b, b.start(t)("conf-cli"))
 		})
 	}
 }
@@ -459,17 +464,22 @@ func TestConformanceConcurrentNamespace(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(w + 1)))
 				pick := func(from []string) string { return from[rng.Intn(len(from))] }
+				check := func(err error) {
+					if err != nil && !slices.ContainsFunc(expected, func(e error) bool { return errors.Is(err, e) }) {
+						t.Errorf("worker %d: %v", w, err)
+					}
+				}
 				for range opsEach {
 					var err error
 					switch rng.Intn(4) {
 					case 0:
 						var fw dfs.FileWriter
 						if fw, err = fs.Create(ctx, pick(files)); err == nil {
-							// Another worker may delete or replace the
-							// file under its writer, which then fails
-							// with its backend's own error: unchecked.
-							fw.Write(confPattern(byte(w), rng.Intn(3*confBlock)))
-							fw.Close()
+							// Another worker may delete, move or
+							// replace the file under its writer.
+							_, err = fw.Write(confPattern(byte(w), rng.Intn(3*confBlock)))
+							check(err)
+							err = fw.Close()
 						}
 					case 1:
 						err = fs.Mkdir(ctx, pick(subdirs))
@@ -478,9 +488,7 @@ func TestConformanceConcurrentNamespace(t *testing.T) {
 					case 3:
 						err = fs.Delete(ctx, pick(all))
 					}
-					if err != nil && !slices.ContainsFunc(expected, func(e error) bool { return errors.Is(err, e) }) {
-						t.Errorf("worker %d: %v", w, err)
-					}
+					check(err)
 				}
 			}()
 		}
@@ -518,6 +526,35 @@ func TestConformanceConcurrentNamespace(t *testing.T) {
 			t.Errorf("MetadataEntries = %d, %v; the walk found %d entries and %d blocks", n, err, walked, blocks)
 		}
 	})
+}
+
+// TestConformanceWriterOfDeletedFile: a file deleted from another mount
+// under its writer fails the writer's next block or its Close with
+// dfs.ErrNotExist, whichever finds out first.
+func TestConformanceWriterOfDeletedFile(t *testing.T) {
+	for _, b := range backends() {
+		t.Run(b.name, func(t *testing.T) {
+			mount := b.start(t)
+			fs, other := mount("conf-cli"), mount("conf-other")
+			w, err := fs.Create(ctx, "/deleted/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Write(confPattern(1, confBlock)); err != nil {
+				t.Fatal(err)
+			}
+			if err := other.Delete(ctx, "/deleted/f"); err != nil {
+				t.Fatal(err)
+			}
+			_, err = w.Write(confPattern(2, confBlock))
+			if cerr := w.Close(); err == nil {
+				err = cerr
+			}
+			if !errors.Is(err, dfs.ErrNotExist) {
+				t.Errorf("writer of a deleted file: %v, want dfs.ErrNotExist", err)
+			}
+		})
+	}
 }
 
 func TestConformanceSequentialStreaming(t *testing.T) {

@@ -63,67 +63,44 @@ func TestPutBatchNeedsAReplicaPerKey(t *testing.T) {
 	}
 }
 
-// rendezvousNet makes the first frame sent to each of `want` remotes
-// wait until all of them have one in flight, once armed: requests that
-// go out one after another never meet.
-type rendezvousNet struct {
-	transport.Network
-	mu      sync.Mutex
-	armed   bool
-	want    int
-	waiting map[transport.Addr]bool
-	all     chan struct{}
-	missed  bool
-}
-
-func (n *rendezvousNet) Dial(local, remote transport.Addr) (transport.Conn, error) {
-	c, err := n.Network.Dial(local, remote)
-	if err != nil {
-		return nil, err
-	}
-	return &rendezvousConn{Conn: c, net: n}, nil
-}
-
-type rendezvousConn struct {
-	transport.Conn
-	net *rendezvousNet
-}
-
-func (c *rendezvousConn) Send(frame []byte) error {
-	n := c.net
-	n.mu.Lock()
-	if n.armed && !n.waiting[c.RemoteAddr()] {
-		n.waiting[c.RemoteAddr()] = true
-		if len(n.waiting) == n.want {
-			close(n.all)
-		}
-		n.mu.Unlock()
-		select {
-		case <-n.all:
-		case <-time.After(5 * time.Second):
-			n.mu.Lock()
-			n.missed = true
-			n.mu.Unlock()
-		}
-	} else {
-		n.mu.Unlock()
-	}
-	return c.Conn.Send(frame)
-}
-
 // TestGetBatchAsksMembersConcurrently: every level of a tree descent is
 // one GetBatch, so its per-member calls must overlap, not queue.
 func TestGetBatchAsksMembersConcurrently(t *testing.T) {
-	net := &rendezvousNet{Network: transport.NewMemNet(), want: 3, waiting: map[transport.Addr]bool{}, all: make(chan struct{})}
+	// Once armed, the first request to each of the 3 members waits
+	// until all of them have one in flight: requests that go out one
+	// after another never meet.
+	var mu sync.Mutex
+	var armed, missed bool
+	waiting, all := map[transport.Addr]bool{}, make(chan struct{})
+	net := transport.OnSend(transport.NewMemNet(), func(c transport.Conn, _ []byte) error {
+		mu.Lock()
+		if !armed || c.LocalAddr() != "client/dht" || waiting[c.RemoteAddr()] {
+			mu.Unlock()
+			return nil
+		}
+		waiting[c.RemoteAddr()] = true
+		if len(waiting) == 3 {
+			close(all)
+		}
+		mu.Unlock()
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second):
+			mu.Lock()
+			missed = true
+			mu.Unlock()
+		}
+		return nil
+	})
 	c, _ := testClusterOn(t, net, 3, 2)
 	ctx := context.Background()
 	kvs, keys := testBatch("level", 64) // enough keys that each member is primary for some
 	if err := c.PutBatch(ctx, kvs); err != nil {
 		t.Fatal(err)
 	}
-	net.mu.Lock()
-	net.armed = true
-	net.mu.Unlock()
+	mu.Lock()
+	armed = true
+	mu.Unlock()
 	got, err := c.GetBatch(ctx, keys)
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +110,10 @@ func TestGetBatchAsksMembersConcurrently(t *testing.T) {
 			t.Fatalf("GetBatch[%d] = %q, want %q", i, got[i], kvs[i].Value)
 		}
 	}
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	if net.missed || len(net.waiting) != 3 {
-		t.Errorf("GetBatch never had requests to all 3 members in flight at once (%d members asked, a request waited out the rendezvous: %v)", len(net.waiting), net.missed)
+	mu.Lock()
+	defer mu.Unlock()
+	if missed || len(waiting) != 3 {
+		t.Errorf("GetBatch never had requests to all 3 members in flight at once (%d members asked, a request waited out the rendezvous: %v)", len(waiting), missed)
 	}
 }
 

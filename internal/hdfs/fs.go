@@ -2,12 +2,14 @@ package hdfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/cache"
 	"blobseer/internal/dfs"
+	"blobseer/internal/obs"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
@@ -151,6 +153,11 @@ func (fs *FS) MetadataEntries(ctx context.Context) (uint64, error) {
 //
 // Writer: client-side buffering of whole chunks (§2.2: "Clients buffer
 // all write operations until the data reaches the size of a chunk").
+// A file deleted under its writer frees its blocks at the namenode, but
+// the block the writer was putting may land after that; the writer
+// learns of the delete from its next AddBlock or its Complete and
+// deletes that block again. A writer that dies before either still
+// leaves the blocks it put behind.
 //
 
 type fileWriter struct {
@@ -158,6 +165,7 @@ type fileWriter struct {
 	fs     *FS
 	path   string
 	buf    []byte
+	last   BlockInfo // the block put last
 	err    error
 	closed bool
 }
@@ -200,8 +208,8 @@ func (w *fileWriter) flush() error {
 	err := w.fs.pool.Call(w.ctx, w.fs.cfg.Namenode, NNAddBlock,
 		&AddBlockReq{Path: w.path, Length: uint64(len(w.buf))}, &blk)
 	if err != nil {
-		w.err = err
-		return err
+		w.err = w.gone(err)
+		return w.err
 	}
 	for _, dn := range blk.Datanodes {
 		err := w.fs.pool.Call(w.ctx, transport.Addr(dn), blob.ProvPutPage,
@@ -211,8 +219,27 @@ func (w *fileWriter) flush() error {
 			return w.err
 		}
 	}
+	w.last = blk
 	w.buf = w.buf[:0]
 	return nil
+}
+
+// gone passes on the namenode's answer err. If it says the file is not
+// at the writer's path any more, the block put last, which may have
+// landed after the namenode freed the file's blocks, is deleted again:
+// a datanode deletes a missing block as a no-op. (A file moved away
+// under its writer can never complete, so it loses nothing readable.)
+func (w *fileWriter) gone(err error) error {
+	if !errors.Is(err, dfs.ErrNotExist) {
+		return err
+	}
+	for _, dn := range w.last.Datanodes {
+		if derr := w.fs.pool.Call(w.ctx, transport.Addr(dn), blob.ProvDeletePages,
+			&blob.DeletePagesReq{Keys: []pagestore.Key{{Blob: w.last.ID}}}, nil); derr != nil {
+			obs.Log.Warnf("hdfs: deleting block %d of deleted %s on %s: %v", w.last.ID, w.path, dn, derr)
+		}
+	}
+	return fmt.Errorf("hdfs: writer of %s: %w", w.path, err)
 }
 
 // Close flushes the tail block and completes the file, making it
@@ -228,7 +255,7 @@ func (w *fileWriter) Close() error {
 	if err := w.flush(); err != nil {
 		return err
 	}
-	return w.fs.pool.Call(w.ctx, w.fs.cfg.Namenode, NNComplete, &dfs.PathReq{Path: w.path}, nil)
+	return w.gone(w.fs.pool.Call(w.ctx, w.fs.cfg.Namenode, NNComplete, &dfs.PathReq{Path: w.path}, nil))
 }
 
 //

@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"blobseer/internal/dfs"
@@ -209,6 +210,67 @@ func TestDeleteFreesBlocks(t *testing.T) {
 	got, err := dfs.ReadAll(ctx, fs, "/b")
 	if err != nil || !bytes.Equal(got, pattern(2, 2000)) {
 		t.Fatalf("renamed file: %v", err)
+	}
+}
+
+// TestBlockPutAfterDeleteIsFreed: a block the namenode allocated before
+// its file was deleted, and that the writer puts after the namenode freed
+// the file's blocks, is deleted by the writer once the namenode's answer
+// to its Complete says the file is gone. The namenode's answer to the
+// AddBlock is held while another mount deletes the file; in "replaced",
+// the other mount then creates and closes an empty file at the same
+// path, which the writer's Complete must not take for its own.
+func TestBlockPutAfterDeleteIsFreed(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		replaced bool
+	}{{"deleted", false}, {"replaced", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var armed atomic.Bool
+			held, release := make(chan struct{}), make(chan struct{})
+			net := transport.OnSend(transport.NewMemNet(), func(c transport.Conn, _ []byte) error {
+				if c.LocalAddr().Service() == SvcNamenode && c.RemoteAddr().Host() == "cli" && armed.CompareAndSwap(true, false) {
+					close(held)
+					<-release
+				}
+				return nil
+			})
+			c, err := NewCluster(net, ClusterConfig{Datanodes: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			fs, other := mountFS(t, c, "cli", 1<<10), mountFS(t, c, "other", 1<<10)
+			w, err := fs.Create(ctx, "/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			armed.Store(true) // the namenode's next answer to the writer is its AddBlock's
+			written := make(chan error, 1)
+			go func() {
+				_, err := w.Write(pattern(1, 1<<10))
+				written <- err
+			}()
+			<-held
+			if err := other.Delete(ctx, "/f"); err != nil {
+				t.Fatal(err)
+			}
+			close(release)
+			if err := <-written; err != nil {
+				t.Fatalf("the put of a block allocated before the delete: %v", err)
+			}
+			if tc.replaced {
+				if err := dfs.WriteFile(ctx, other, "/f", nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); !errors.Is(err, dfs.ErrNotExist) {
+				t.Errorf("Close of a deleted file = %v, want dfs.ErrNotExist", err)
+			}
+			if pages, n := stored(c); pages != 0 {
+				t.Errorf("datanodes hold %d blocks (%d B) of a deleted file", pages, n)
+			}
+		})
 	}
 }
 

@@ -293,7 +293,10 @@ func (nn *Namenode) handleAddBlock(r *wire.Reader) (wire.Marshaler, error) {
 			return dfs.ErrIsDir
 		}
 		if !e.underConstruction {
-			return errors.New("hdfs: file is closed; HDFS files are write-once")
+			// A closed file took the path of the writer's, which was
+			// deleted or moved away: the writer's file is not here. The
+			// bare sentinel crosses the wire; the writer adds the path.
+			return dfs.ErrNotExist
 		}
 		nn.mu.Lock()
 		defer nn.mu.Unlock()
@@ -322,6 +325,11 @@ func (nn *Namenode) handleComplete(r *wire.Reader) (wire.Marshaler, error) {
 		return nil, err
 	}
 	return nil, nn.tree.With(req.Path, func(e *nnEntry) error {
+		if !e.underConstruction {
+			// A closed file or a directory (never under construction)
+			// took the path: as in AddBlock, the writer's file is not here.
+			return dfs.ErrNotExist
+		}
 		e.underConstruction = false
 		return nil
 	})

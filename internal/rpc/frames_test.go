@@ -211,51 +211,19 @@ func TestCloseWithPendingCalls(t *testing.T) {
 	close(gate) // eight responses into a closed connection
 }
 
-// failingSendNet makes the accepted side's Send fail while broken is
-// set, consuming the frame as the Conn contract says.
-type failingSendNet struct {
-	transport.Network
-	broken atomic.Bool
-}
-
-func (n *failingSendNet) Listen(addr transport.Addr) (transport.Listener, error) {
-	l, err := n.Network.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &failingSendListener{Listener: l, net: n}, nil
-}
-
-type failingSendListener struct {
-	transport.Listener
-	net *failingSendNet
-}
-
-func (l *failingSendListener) Accept() (transport.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &failingSendConn{Conn: c, net: l.net}, nil
-}
-
-type failingSendConn struct {
-	transport.Conn
-	net *failingSendNet
-}
-
-func (c *failingSendConn) Send(frame []byte) error {
-	if c.net.broken.Load() {
-		return transport.ErrClosed
-	}
-	return c.Conn.Send(frame)
-}
-
 // TestResponseSendFailure: when the server cannot send a response the
 // request frame has already been released (once) and the response
 // frame stays with the transport; the server keeps serving.
 func TestResponseSendFailure(t *testing.T) {
-	net := &failingSendNet{Network: transport.NewMemNet()}
+	// While broken is set, the server's Send fails, consuming the frame
+	// as the Conn contract says.
+	var broken atomic.Bool
+	net := transport.OnSend(transport.NewMemNet(), func(c transport.Conn, _ []byte) error {
+		if broken.Load() && c.LocalAddr() == "srv/echo" {
+			return transport.ErrClosed
+		}
+		return nil
+	})
 	s, err := NewServer(net, "srv/echo")
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +233,7 @@ func TestResponseSendFailure(t *testing.T) {
 	c := NewClient(net, "cli/x", "srv/echo")
 	defer c.Close()
 
-	net.broken.Store(true)
+	broken.Store(true)
 	for i := 0; i < 4; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 		var resp copyMsg
@@ -275,7 +243,7 @@ func TestResponseSendFailure(t *testing.T) {
 			t.Fatalf("call with a dropped response returned %v", err)
 		}
 	}
-	net.broken.Store(false)
+	broken.Store(false)
 	for i := 0; i < 20; i++ {
 		want := payload(byte(40+i), 64<<10)
 		var resp copyMsg

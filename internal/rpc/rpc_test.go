@@ -260,38 +260,36 @@ func TestPool(t *testing.T) {
 	}
 }
 
-// dialCounter counts the dials a pool makes through it.
-type dialCounter struct {
-	transport.Network
-	dials atomic.Int64
-}
-
-func (n *dialCounter) Dial(local, remote transport.Addr) (transport.Conn, error) {
-	n.dials.Add(1)
-	return n.Network.Dial(local, remote)
-}
-
 // TestPoolCallAfterClose: a pin release or an abort is a detached call
 // that can run while its client is being torn down. On a closed pool it
 // must fail with ErrPoolClosed and dial nothing — a client built after
 // Close would be closed by nobody.
 func TestPoolCallAfterClose(t *testing.T) {
-	net := &dialCounter{Network: transport.NewMemNet()}
+	var dialed atomic.Int64 // the connections the pool dials
+	net := transport.Decorate(transport.NewMemNet(), func(c transport.Conn) transport.Conn {
+		if c.LocalAddr() == "cli/x" {
+			dialed.Add(1)
+		}
+		return c
+	})
 	newEchoServer(t, net, "srv/echo")
+	// Listening, so that a dial to it would succeed and be counted: the
+	// decorator sees only the connections a dial made.
+	newEchoServer(t, net, "srv-never-dialed/echo")
 	p := NewPool(net, "cli/x")
 	var resp echoMsg
 	if err := p.Call(context.Background(), "srv/echo", methodEcho, &echoMsg{N: 1}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
-	dials := net.dials.Load()
+	dials := dialed.Load()
 	for _, remote := range []transport.Addr{"srv/echo", "srv-never-dialed/echo"} {
 		err := p.Call(context.Background(), remote, methodEcho, &echoMsg{N: 1}, &resp)
 		if !errors.Is(err, ErrPoolClosed) {
 			t.Errorf("Call(%s) after Close = %v, want ErrPoolClosed", remote, err)
 		}
 	}
-	if got := net.dials.Load(); got != dials {
+	if got := dialed.Load(); got != dials {
 		t.Errorf("a closed pool dialed %d times", got-dials)
 	}
 }

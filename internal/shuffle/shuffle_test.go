@@ -364,50 +364,6 @@ func TestStoreConcurrentAppenders(t *testing.T) {
 	}
 }
 
-// heldPutNet is a fault seam over the test's network: once a test arms
-// hold, every response a data provider sends first runs it, given the
-// provider's address, in the handler's goroutine — after the page is
-// stored, before the client hears so.
-type heldPutNet struct {
-	transport.Network
-	hold atomic.Pointer[func(provider transport.Addr)]
-}
-
-func (n *heldPutNet) Listen(addr transport.Addr) (transport.Listener, error) {
-	l, err := n.Network.Listen(addr)
-	if err != nil || addr.Service() != blob.SvcProvider {
-		return l, err
-	}
-	return &heldPutListener{Listener: l, net: n, addr: addr}, nil
-}
-
-type heldPutListener struct {
-	transport.Listener
-	net  *heldPutNet
-	addr transport.Addr
-}
-
-func (l *heldPutListener) Accept() (transport.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &heldPutConn{Conn: c, net: l.net, addr: l.addr}, nil
-}
-
-type heldPutConn struct {
-	transport.Conn
-	net  *heldPutNet
-	addr transport.Addr
-}
-
-func (c *heldPutConn) Send(frame []byte) error {
-	if hold := c.net.hold.Load(); hold != nil {
-		(*hold)(c.addr)
-	}
-	return c.Conn.Send(frame)
-}
-
 // byAddr places the pages of every lease on the providers it names, in
 // turn, so a test knows which provider stores which append.
 type byAddr []transport.Addr
@@ -448,8 +404,17 @@ func TestAppendMapDrainsBeforeItFails(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const pageSize = 256
-			mem := transport.NewMemNet()
-			net := &heldPutNet{Network: mem}
+			// Once hold is armed, every response a data provider sends
+			// first runs it, given the provider's address, in the
+			// handler's goroutine — after the page is stored, before
+			// the client hears so.
+			var hold atomic.Pointer[func(provider transport.Addr)]
+			net := transport.OnSend(transport.NewMemNet(), func(c transport.Conn, _ []byte) error {
+				if h := hold.Load(); h != nil && c.LocalAddr().Service() == blob.SvcProvider {
+					(*h)(c.LocalAddr())
+				}
+				return nil
+			})
 			var place byAddr // partition p's page goes to provider p
 			cluster, err := blob.NewCluster(net, blob.ClusterConfig{Providers: 2, MetaProviders: 2, Strategy: &place})
 			if err != nil {
@@ -470,13 +435,13 @@ func TestAppendMapDrainsBeforeItFails(t *testing.T) {
 
 			entered, release := make(chan struct{}), make(chan struct{})
 			var once sync.Once
-			hold := func(provider transport.Addr) {
+			holdPut := func(provider transport.Addr) {
 				if provider == place[tc.held] {
 					once.Do(func() { close(entered) })
 					<-release
 				}
 			}
-			net.hold.Store(&hold)
+			hold.Store(&holdPut)
 			done := make(chan error, 1)
 			go func() {
 				done <- st.AppendMap(ctx, c, 0, [][]byte{segPayload(0, 0, 100), segPayload(0, 1, 100)})
@@ -494,7 +459,7 @@ func TestAppendMapDrainsBeforeItFails(t *testing.T) {
 				t.Fatalf("AppendMap returned (%v) while a page of it was still held", err)
 			case <-time.After(100 * time.Millisecond):
 			}
-			net.hold.Store(nil)
+			hold.Store(nil)
 			close(release)
 			if err := <-done; err == nil {
 				t.Error("AppendMap succeeded with a partition failed")

@@ -17,6 +17,9 @@
 // Wall-clock sleeping keeps all concurrency real (the same service code
 // runs unshaped in unit tests); experiments choose page sizes so each
 // reservation is >= ~0.5 ms, comfortably above timer resolution.
+//
+// Net is a transport.Decorate of the inner network whose wrap shapes
+// each connection: conn.Send is the one place simulated time passes.
 package simnet
 
 import (
@@ -50,10 +53,10 @@ type Config struct {
 	SleepFloor time.Duration
 }
 
-// Net is a shaped transport.Network.
+// Net is a shaped transport.Network, a transport.Decorate of the inner one.
 type Net struct {
-	inner transport.Network
-	cfg   Config
+	transport.Network
+	cfg Config
 
 	mu    sync.Mutex
 	hosts map[string]*hostNIC
@@ -66,7 +69,9 @@ func New(inner transport.Network, cfg Config) *Net {
 	if cfg.SleepFloor == 0 {
 		cfg.SleepFloor = time.Millisecond
 	}
-	return &Net{inner: inner, cfg: cfg, hosts: make(map[string]*hostNIC)}
+	n := &Net{cfg: cfg, hosts: make(map[string]*hostNIC)}
+	n.Network = transport.Decorate(inner, n.wrap)
+	return n
 }
 
 // hostNIC is one simulated machine's network port.
@@ -146,24 +151,7 @@ func (s *shaper) reserve(n int) time.Time {
 	return end
 }
 
-// Listen implements transport.Network.
-func (n *Net) Listen(addr transport.Addr) (transport.Listener, error) {
-	l, err := n.inner.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &listener{net: n, inner: l}, nil
-}
-
-// Dial implements transport.Network.
-func (n *Net) Dial(local, remote transport.Addr) (transport.Conn, error) {
-	c, err := n.inner.Dial(local, remote)
-	if err != nil {
-		return nil, err
-	}
-	return n.wrap(c), nil
-}
-
+// wrap shapes one dialed or accepted connection.
 func (n *Net) wrap(c transport.Conn) transport.Conn {
 	return &conn{
 		Conn:   c,
@@ -172,22 +160,6 @@ func (n *Net) wrap(c transport.Conn) transport.Conn {
 		remote: n.nic(c.RemoteAddr().Host()),
 	}
 }
-
-type listener struct {
-	net   *Net
-	inner transport.Listener
-}
-
-func (l *listener) Accept() (transport.Conn, error) {
-	c, err := l.inner.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.net.wrap(c), nil
-}
-
-func (l *listener) Close() error         { return l.inner.Close() }
-func (l *listener) Addr() transport.Addr { return l.inner.Addr() }
 
 // conn shapes Send; Recv is pass-through (delay is paid by the sender,
 // which models a blocking streaming transfer of the frame).

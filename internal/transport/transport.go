@@ -8,6 +8,9 @@
 //   - simnet: a bandwidth/latency-shaped decorator reproducing the
 //     Grid'5000 testbed conditions (experiments). See package simnet.
 //
+// Decorate is the one wrapper of a Network's connections: simnet shapes
+// them through it, and tests hold, drop or fail a frame with OnSend.
+//
 // Frames are whole messages (the rpc package adds request framing); a
 // Conn is reliable and ordered, like a TCP stream of delimited frames.
 package transport

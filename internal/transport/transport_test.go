@@ -30,8 +30,9 @@ func TestAddrParts(t *testing.T) {
 // transport semantics tests run against each.
 func networkFactories() map[string]func(t *testing.T) Network {
 	return map[string]func(t *testing.T) Network{
-		"memnet": func(t *testing.T) Network { return NewMemNet() },
-		"tcpnet": func(t *testing.T) Network { return NewTCPNet() },
+		"memnet":    func(t *testing.T) Network { return NewMemNet() },
+		"decorated": func(t *testing.T) Network { return OnSend(NewMemNet(), func(Conn, []byte) error { return nil }) },
+		"tcpnet":    func(t *testing.T) Network { return NewTCPNet() },
 	}
 }
 
