@@ -458,11 +458,43 @@ func TestPageReplicationSurvivesProviderLoss(t *testing.T) {
 	}
 }
 
+// TestLeaseSealsAbandonedVersion: on a cluster whose every exported
+// knob is at its default, a version whose writer never completes it is
+// sealed one lease after its assignment, and the next version, which
+// waits behind it, publishes. Only the lease is shortened, through the
+// package's own field, so the test does not wait two minutes.
+func TestLeaseSealsAbandonedVersion(t *testing.T) {
+	c := newTestCluster(t, ClusterConfig{lease: 200 * time.Millisecond})
+	cl := newTestClient(t, c, "cli")
+	b, err := cl.Create(ctx, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a AssignResp
+	if err := cl.pool.Call(ctx, c.VMs[0].Addr(), VMAssign,
+		&AssignReq{Blob: b.ID(), Kind: KindAppend, Len: 256}, &a); err != nil {
+		t.Fatal(err)
+	}
+	next, err := b.Append(ctx, pattern(2, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if _, err := b.WaitPublished(wctx, next.Ver); err != nil {
+		t.Fatalf("v%d behind the abandoned v%d never published: %v", next.Ver, a.Ver, err)
+	}
+	if info, err := b.GetVersion(ctx, a.Ver); err != nil || !info.Sealed {
+		t.Fatalf("abandoned v%d = %+v, %v; want sealed", a.Ver, info, err)
+	}
+	readExact(t, b, next.Ver, 256, pattern(2, 256))
+}
+
 func TestSealUnblocksPublication(t *testing.T) {
 	// A writer that dies after version assignment must not stall the
 	// publication chain: the version manager seals it and later
 	// versions publish.
-	c := newTestCluster(t, ClusterConfig{Providers: 4, SealTimeout: 200 * time.Millisecond})
+	c := newTestCluster(t, ClusterConfig{Providers: 4, lease: 200 * time.Millisecond})
 	cl := newTestClient(t, c, "cli")
 	b, err := cl.Create(ctx, 256)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -95,6 +96,11 @@ type Client struct {
 	// AppendAsync pipelining depth, exported as a gauge.
 	inflight atomic.Int64
 
+	// writers numbers this client's writes for AssignReq.Writer: a
+	// random base plus a sequence number, so every retry of one assign
+	// carries the same id and two clients' ids do not meet.
+	writers atomic.Uint64
+
 	// lease holds the page placements the provider manager has granted
 	// this client ahead of its writes; see allocPages.
 	lease placementLease
@@ -140,7 +146,7 @@ func NewClient(cfg ClientConfig) *Client {
 	ring := dht.NewRing(cfg.Metadata, 64)
 	meta := dht.NewClient(ring, pool, metaReplicas)
 	rstats := &metrics.ReadStats{}
-	return &Client{
+	c := &Client{
 		cfg:      cfg,
 		pool:     pool,
 		vm:       NewVMRouter(pool, cfg.VersionManagers, cfg.Host),
@@ -151,6 +157,17 @@ func NewClient(cfg ClientConfig) *Client {
 		pageQuit: make(chan struct{}),
 		hist:     make(map[uint64]*blobHistory),
 		verinfo:  make(map[VersionRef]VersionInfo),
+	}
+	c.writers.Store(rand.Uint64())
+	return c
+}
+
+// writerID returns the id of this client's next write, never 0.
+func (c *Client) writerID() uint64 {
+	for {
+		if id := c.writers.Add(1); id != 0 {
+			return id
+		}
 	}
 }
 
@@ -285,7 +302,7 @@ func (b *Blob) WaitPublished(ctx context.Context, ver uint64) (VersionInfo, erro
 	for {
 		var info VersionInfo
 		err := b.c.vm.Call(ctx, b.id, VMWaitPublished,
-			&WaitPublishedReq{Blob: b.id, Ver: ver, TimeoutMillis: 5000}, &info)
+			&VersionRef{Blob: b.id, Ver: ver}, &info)
 		switch {
 		case err == nil:
 			b.c.rememberVersion(b.id, info)
@@ -433,18 +450,18 @@ func (b *Blob) Abort(ctx context.Context, ver uint64) error {
 
 // abortDetached seals ver in the background, on a context independent
 // of the write's (possibly already cancelled) context: a failed write
-// must still reach the version manager, or its pending version wedges
-// the publication chain until SealTimeout — forever when sealing is
-// disabled. Fire-and-forget so a caller whose context just died is
-// not held up by the seal round trip.
+// must still reach the version manager, or its pending version holds
+// up the publication chain until the version manager's lease seals it.
+// Fire-and-forget so a caller whose context just died is not held up
+// by the seal round trip.
 func (b *Blob) abortDetached(ver uint64) {
 	go func() {
 		//lint:detached the seal must outlive the write's dead ctx or the pending version wedges publication; detachedTimeout bounds it
 		ctx, cancel := context.WithTimeout(context.Background(), detachedTimeout)
 		defer cancel()
 		if err := b.Abort(ctx, ver); err != nil {
-			// The version stays pending until SealTimeout fires (or
-			// forever without sealing) — worth an operator's attention.
+			// Every later version waits one lease for the sweep to seal
+			// this one — worth an operator's attention.
 			obs.Log.Warnf("blob %d: detached seal of version %d failed: %v", b.id, ver, err)
 		}
 	}()
@@ -631,7 +648,7 @@ func (b *Blob) assign(ctx context.Context, kind, off, n uint64) (AssignResp, []s
 		return a, nil, nil, ErrEmptyWrite
 	}
 	c := b.c
-	req := &AssignReq{Blob: b.id, Kind: kind, Off: off, Len: n, SinceVer: c.knownPrefix(b.id)}
+	req := &AssignReq{Blob: b.id, Kind: kind, Off: off, Len: n, SinceVer: c.knownPrefix(b.id), Writer: c.writerID()}
 	if err := c.vm.Call(ctx, b.id, VMAssign, req, &a); err != nil {
 		return a, nil, nil, fmt.Errorf("blob: assign: %w", err)
 	}

@@ -54,7 +54,7 @@ func newFlakyVM(t *testing.T, net transport.Network, vm transport.Addr) *flakyVM
 	srv.Handle(VMSeal, forwardNoResp[VersionRef](f, VMSeal))
 	srv.Handle(VMGetVersion, forward[GetVersionReq, VersionResp](f, VMGetVersion))
 	srv.Handle(VMLatest, forward[BlobRef, VersionInfo](f, VMLatest))
-	srv.Handle(VMWaitPublished, forward[WaitPublishedReq, VersionInfo](f, VMWaitPublished))
+	srv.Handle(VMWaitPublished, forward[VersionRef, VersionInfo](f, VMWaitPublished))
 	f.completeErr = rpc.ErrConnLost
 	srv.Handle(VMComplete, func(r *wire.Reader) (wire.Marshaler, error) {
 		if f.completeFails.Add(-1) >= 0 {

@@ -33,7 +33,6 @@ type ClusterConfig struct {
 	MetaProviders int       // metadata providers (default 3)
 	Store         StoreKind // provider storage engine
 	Strategy      Strategy  // provider allocation (default RoundRobin)
-	SealTimeout   time.Duration
 
 	// VMShards partitions the metadata plane across N version-manager
 	// shards (default 1: the paper's single version manager). BLOB ids
@@ -62,6 +61,10 @@ type ClusterConfig struct {
 	// ClientPolicy is handed to every client of the deployment, raw
 	// BLOB clients and BSFS mounts alike.
 	ClientPolicy
+
+	// lease, when non-zero, replaces every shard's lease: tests shorten
+	// it to see an abandoned version sealed.
+	lease time.Duration
 }
 
 // metaReplicas is the DHT replication factor of tree nodes (capped at
@@ -189,14 +192,11 @@ func (c *Cluster) startVM(i int) error {
 	ring := dht.NewRing(c.MetaAddrs(), 64)
 	nodes := NewNodeStore(dht.NewClient(ring, pool, metaReplicas))
 	vmCfg := VersionManagerConfig{
-		SealTimeout:  c.Cfg.SealTimeout,
 		Nodes:        nodes,
 		RetainLatest: c.Cfg.Retain,
-	}
-	if c.Cfg.VMShards > 1 {
-		vmCfg.ShardIndex = i
-		vmCfg.ShardCount = c.Cfg.VMShards
-		vmCfg.ShardAddrs = c.vmAddrs
+		ShardIndex:   i,
+		ShardAddrs:   c.vmAddrs,
+		lease:        c.Cfg.lease,
 	}
 	if c.Cfg.JournalDir != "" {
 		vmCfg.JournalPath = filepath.Join(c.Cfg.JournalDir, fmt.Sprintf("vmanager-%d.log", i))

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"blobseer/internal/pagestore"
+	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 	"blobseer/internal/wire"
 )
@@ -17,9 +18,10 @@ import (
 // TestFailoverConcurrentAppends drives concurrent appenders across all
 // shards while one shard is killed mid-workload and taken over ~100ms
 // later. Built to run under -race: the kill/restart races against live
-// routed calls on every writer. Every acknowledged append must read
-// back byte-identical afterwards — the router's retry plus journal
-// replay means a mid-flight failover costs latency, never data.
+// routed calls on every writer. Every writer's appends must be acked as
+// its BLOB's versions 1..8 and read back byte-identical afterwards —
+// the router's retry plus journal replay means a mid-flight failover
+// costs latency, never data and never a version.
 func TestFailoverConcurrentAppends(t *testing.T) {
 	const (
 		shards   = 3
@@ -104,6 +106,16 @@ func TestFailoverConcurrentAppends(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	// Each writer appends alone to its own BLOB, so its acked versions
+	// are exactly 1..appends: a gap is a retried assign that was given a
+	// second version behind an orphan of the first.
+	for w, acks := range ackedBy {
+		for k, a := range acks {
+			if a.ver != uint64(k+1) {
+				t.Fatalf("writer %d: append %d acked as v%d, want v%d", w, k, a.ver, k+1)
+			}
+		}
+	}
 
 	// Every acknowledged append reads back byte-identical through a
 	// fresh client (no warm caches hiding lost metadata).
@@ -137,13 +149,26 @@ func TestFailoverConcurrentAppends(t *testing.T) {
 // the Complete, the replayed shard answers it as already done, and so
 // the append is acked once, as version 1, which publishes and reads
 // back byte for byte.
-//
-// The same test with the answer to vm.Assign dropped is the failover
-// wedge's test (ROADMAP item 1), and it wedges at this commit: the
-// retried Assign is acked as version 2, and version 2 never publishes
-// behind the orphan pending version 1.
 func TestLostCompleteAckIsRetried(t *testing.T) {
-	var complete atomic.Uint64 // the rpc call id of the writer's first vm.Complete
+	testLostAckIsRetried(t, VMComplete)
+}
+
+// TestLostAssignAckIsRetried is TestLostCompleteAckIsRetried with the
+// answer to the writer's vm.Assign lost instead. The replayed shard
+// holds the assign as a pending version 1; the router's retry carries
+// the same writer id, kind, offset and length, so the shard answers it
+// with version 1 again instead of assigning version 2 behind an orphan
+// that nobody completes.
+func TestLostAssignAckIsRetried(t *testing.T) {
+	testLostAckIsRetried(t, VMAssign)
+}
+
+// testLostAckIsRetried fails the shard's answer to the writer's first
+// call of method, after the shard journaled the call, then kills the
+// shard and takes it over from its journal. The append must be acked
+// once, as version 1, which publishes and reads back byte for byte.
+func testLostAckIsRetried(t *testing.T, method rpc.Method) {
+	var call atomic.Uint64 // the rpc call id of the writer's first call of method
 	var lost atomic.Bool
 	dropped := make(chan struct{})
 	net := transport.OnSend(transport.NewMemNet(), func(c transport.Conn, frame []byte) error {
@@ -151,10 +176,10 @@ func TestLostCompleteAckIsRetried(t *testing.T) {
 		kind, id := r.Uvarint(), r.Uvarint() // an rpc frame's header; a request's method follows
 		switch {
 		case c.LocalAddr().Host() == "writer" && c.RemoteAddr().Service() == SvcVersionManager &&
-			kind == 1 && r.Uvarint() == uint64(VMComplete.ID):
-			complete.CompareAndSwap(0, id)
+			kind == 1 && r.Uvarint() == uint64(method.ID):
+			call.CompareAndSwap(0, id)
 		case c.RemoteAddr().Host() == "writer" && c.LocalAddr().Service() == SvcVersionManager &&
-			id == complete.Load() && lost.CompareAndSwap(false, true):
+			id == call.Load() && lost.CompareAndSwap(false, true):
 			close(dropped)
 			return transport.ErrClosed
 		}
@@ -188,7 +213,7 @@ func TestLostCompleteAckIsRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a := <-acked; a.err != nil || a.res.Ver != 1 {
-		t.Fatalf("append whose complete ack was lost = v%d, %v; want v1 acked", a.res.Ver, a.err)
+		t.Fatalf("append whose %s ack was lost = v%d, %v; want v1 acked", method.Name, a.res.Ver, a.err)
 	}
 	fresh := newTestClient(t, cluster, "fresh").Handle(bl.ID(), ps)
 	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
@@ -197,7 +222,52 @@ func TestLostCompleteAckIsRetried(t *testing.T) {
 		t.Fatalf("v1 never published: %v", err)
 	}
 	if info, err := fresh.Latest(ctx); err != nil || info.Ver != 1 {
-		t.Errorf("latest = v%d, %v; want v1: the retried Complete acked the append once", info.Ver, err)
+		t.Errorf("latest = v%d, %v; want v1: the retried %s acked the append once", info.Ver, err, method.Name)
 	}
 	readExact(t, fresh, 1, 0, data)
+}
+
+// TestLeaseSealsOrphanAfterRestart: a version assigned before its shard
+// crashed, whose writer is gone, is pending again after the replay and
+// its lease starts over there: the restarted shard seals it one lease
+// after the restart, never before, and the version behind it publishes.
+func TestLeaseSealsOrphanAfterRestart(t *testing.T) {
+	const lease = 300 * time.Millisecond
+	cluster, err := NewCluster(transport.NewMemNet(), ClusterConfig{Providers: 2, JournalDir: t.TempDir(), lease: lease})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cluster.Close() })
+	cl := newTestClient(t, cluster, "writer")
+	bl, err := cl.Create(ctx, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orphan AssignResp
+	if err := cl.pool.Call(ctx, cluster.VMs[0].Addr(), VMAssign,
+		&AssignReq{Blob: bl.ID(), Kind: KindAppend, Len: 256}, &orphan); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.KillVM(0); err != nil {
+		t.Fatal(err)
+	}
+	restarted := time.Now()
+	if err := cluster.RestartVM(0); err != nil {
+		t.Fatal(err)
+	}
+	next, err := bl.Append(ctx, pattern(2, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if _, err := bl.WaitPublished(wctx, next.Ver); err != nil {
+		t.Fatalf("v%d behind the orphan v%d never published: %v", next.Ver, orphan.Ver, err)
+	}
+	if waited := time.Since(restarted); waited < lease {
+		t.Errorf("the orphan was sealed %v after the restart, within one lease (%v)", waited, lease)
+	}
+	if info, err := bl.GetVersion(ctx, orphan.Ver); err != nil || !info.Sealed {
+		t.Fatalf("orphan v%d = %+v, %v; want sealed", orphan.Ver, info, err)
+	}
 }

@@ -15,11 +15,11 @@ import (
 // read through the handle is served from an immutable, complete page
 // set — the "versioned open" primitive of the snapshot-first API.
 //
-// The pin is a lease of pinTTL: a crashed holder delays collection by
-// at most one TTL. Reads through the handle renew the lease once it is
-// past half its life, so a handle that is actually being read stays
-// protected indefinitely; an idle handle older than the TTL may lose
-// its pin and should call Renew before resuming.
+// The pin is the version manager's lease: a crashed holder delays
+// collection by at most one lease. Reads through the handle renew the
+// lease once it is past half its life, so a handle that is actually
+// being read stays protected indefinitely; an idle handle older than
+// the lease may lose its pin and should call Renew before resuming.
 //
 // This file is the only code that pins, renews and releases a version:
 // every reader that needs the guarantee (a BSFS file reader, a job's
@@ -33,12 +33,6 @@ type Snapshot struct {
 	pinnedAt time.Time
 	closed   bool
 }
-
-// pinTTL is the lease length of every version pin, and what the
-// version manager grants a request that names none: long enough that a
-// reader renewing at half-life never lapses, short enough that a
-// crashed one delays collection by two minutes.
-const pinTTL = 2 * time.Minute
 
 // At opens a pinned snapshot of version ver (0 means the latest
 // published version). The pin is the lookup: its reply carries the
@@ -80,13 +74,13 @@ func (b *Blob) hold(ctx context.Context, ver uint64) (*Snapshot, error) {
 }
 
 // pin takes a lease-style reference on ver: while held (and before
-// pinTTL expires) the version cannot be collected. Pinning a version
+// the lease expires) the version cannot be collected. Pinning a version
 // the collector already owns fails with ErrVersionCollected. The reply
 // is ver's info and the write records of the versions in (since, ver],
 // which the client takes in.
 func (b *Blob) pin(ctx context.Context, ver, since uint64) (VersionInfo, error) {
 	var resp VersionResp
-	req := &PinReq{Blob: b.id, Ver: ver, TTLMillis: uint64(pinTTL / time.Millisecond), SinceVer: since}
+	req := &GetVersionReq{Blob: b.id, Ver: ver, SinceVer: since}
 	if err := b.c.vm.Call(ctx, b.id, VMPin, req, &resp); err != nil {
 		return VersionInfo{}, err
 	}
@@ -153,7 +147,7 @@ func (s *Snapshot) PageLocations(ctx context.Context, off, n uint64) ([]PageLoc,
 	return s.b.PageLocations(ctx, s.info.Ver, off, n)
 }
 
-// Renew extends the pin lease by a full TTL immediately (reads renew
+// Renew extends the pin by a full lease immediately (reads renew
 // lazily past the half-life; an idle holder calls this before resuming
 // after a long pause). Renewing a collected version fails with
 // ErrVersionCollected — the handle lost its protection while idle.
@@ -186,7 +180,7 @@ func (s *Snapshot) Renew(ctx context.Context) error {
 // really is gone.
 func (s *Snapshot) renew(ctx context.Context) {
 	s.mu.Lock()
-	due := s.pinned && !s.closed && time.Since(s.pinnedAt) >= pinTTL/2
+	due := s.pinned && !s.closed && time.Since(s.pinnedAt) >= lease/2
 	s.mu.Unlock()
 	if due {
 		if err := s.Renew(ctx); err != nil {
@@ -197,7 +191,7 @@ func (s *Snapshot) renew(ctx context.Context) {
 
 // Close releases the snapshot's pin. It runs on a detached context:
 // the caller's context may already be cancelled, but the release must
-// still reach the version manager or collection stalls for one TTL.
+// still reach the version manager or collection stalls for one lease.
 // Close is idempotent.
 func (s *Snapshot) Close() error {
 	s.mu.Lock()
@@ -212,7 +206,7 @@ func (s *Snapshot) Close() error {
 	if !pinned {
 		return nil
 	}
-	//lint:detached the pin release must reach the version manager even after the caller's ctx died, or collection stalls a full TTL
+	//lint:detached the pin release must reach the version manager even after the caller's ctx died, or collection stalls a full lease
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return s.b.unpin(ctx, s.info.Ver)

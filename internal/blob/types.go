@@ -210,13 +210,17 @@ func (m *VersionInfo) DecodeFrom(r *wire.Reader) error {
 // "the offset is implicitly assumed to be the size of the latest
 // version"); for writes the caller supplies Off. SinceVer is the
 // highest version whose write record the client already caches; the
-// response carries only newer records.
+// response carries only newer records. Writer is an opaque id the
+// client gives each of its writes: an assign that repeats the Writer,
+// Kind, Off and Len of a pending version — a retry whose first answer
+// was lost — gets that version back. Writer 0 asks for no such match.
 type AssignReq struct {
 	Blob     uint64
 	Kind     uint64 // KindAppend or KindWrite
 	Off      uint64 // byte offset, KindWrite only
 	Len      uint64 // bytes
 	SinceVer uint64
+	Writer   uint64
 }
 
 // AppendTo implements wire.Marshaler.
@@ -226,7 +230,7 @@ func (m *AssignReq) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.Off)
 	b = wire.AppendUvarint(b, m.Len)
 	b = wire.AppendUvarint(b, m.SinceVer)
-	return b
+	return wire.AppendUvarint(b, m.Writer)
 }
 
 // DecodeFrom implements wire.Unmarshaler.
@@ -236,6 +240,7 @@ func (m *AssignReq) DecodeFrom(r *wire.Reader) error {
 	m.Off = r.Uvarint()
 	m.Len = r.Uvarint()
 	m.SinceVer = r.Uvarint()
+	m.Writer = r.Uvarint()
 	return r.Err()
 }
 
@@ -292,7 +297,9 @@ func (m *VersionRef) DecodeFrom(r *wire.Reader) error {
 
 // GetVersionReq asks for one version's info and, like AssignReq, for
 // the write records of the versions in (SinceVer, Ver] the caller
-// lacks; SinceVer = Ver asks for none.
+// lacks; SinceVer = Ver asks for none. Pin asks the same question and
+// also takes a lease on the version: while the lease is live the
+// version cannot be collected.
 type GetVersionReq struct {
 	Blob     uint64
 	Ver      uint64
@@ -332,30 +339,6 @@ func (m *VersionResp) DecodeFrom(r *wire.Reader) error {
 		return err
 	}
 	m.Records = decodeWriteRecords(r)
-	return r.Err()
-}
-
-// WaitPublishedReq blocks until a version is published or the server-
-// side timeout elapses.
-type WaitPublishedReq struct {
-	Blob          uint64
-	Ver           uint64
-	TimeoutMillis uint64
-}
-
-// AppendTo implements wire.Marshaler.
-func (m *WaitPublishedReq) AppendTo(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.Blob)
-	b = wire.AppendUvarint(b, m.Ver)
-	b = wire.AppendUvarint(b, m.TimeoutMillis)
-	return b
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *WaitPublishedReq) DecodeFrom(r *wire.Reader) error {
-	m.Blob = r.Uvarint()
-	m.Ver = r.Uvarint()
-	m.TimeoutMillis = r.Uvarint()
 	return r.Err()
 }
 
@@ -419,36 +402,6 @@ func (m *SetRetentionReq) AppendTo(b []byte) []byte {
 func (m *SetRetentionReq) DecodeFrom(r *wire.Reader) error {
 	m.Blob = r.Uvarint()
 	m.Retain = r.Uvarint()
-	return r.Err()
-}
-
-// PinReq takes a lease-style reference on one version: while the lease
-// is live the version cannot be collected. TTLMillis bounds the lease
-// so a dead client never blocks collection forever. SinceVer is the
-// client's complete record prefix, as in AssignReq: the reply, a
-// VersionResp, carries the version's info and the records of the
-// versions in (SinceVer, Ver].
-type PinReq struct {
-	Blob      uint64
-	Ver       uint64
-	TTLMillis uint64
-	SinceVer  uint64
-}
-
-// AppendTo implements wire.Marshaler.
-func (m *PinReq) AppendTo(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.Blob)
-	b = wire.AppendUvarint(b, m.Ver)
-	b = wire.AppendUvarint(b, m.TTLMillis)
-	return wire.AppendUvarint(b, m.SinceVer)
-}
-
-// DecodeFrom implements wire.Unmarshaler.
-func (m *PinReq) DecodeFrom(r *wire.Reader) error {
-	m.Blob = r.Uvarint()
-	m.Ver = r.Uvarint()
-	m.TTLMillis = r.Uvarint()
-	m.SinceVer = r.Uvarint()
 	return r.Err()
 }
 

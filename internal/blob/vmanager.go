@@ -8,14 +8,15 @@ package blob
 // per-BLOB lock means the journal's per-BLOB record order equals the
 // apply order, so replay IS apply and recovery needs no special cases.
 //
-// With ShardCount > 1 the manager is one shard of a partitioned
-// metadata plane: a consistent-hash ring over the shard addresses
-// (shared with VMRouter on the client side) decides which shard owns
-// each blob id, and each shard allocates ids only from its own modular
-// stripe, so shards never talk to each other — not even for id
-// allocation.
+// With more than one shard address the manager is one shard of a
+// partitioned metadata plane: a consistent-hash ring over the shard
+// addresses (shared with VMRouter on the client side) decides which
+// shard owns each blob id, and each shard allocates ids only from its
+// own modular stripe, so shards never talk to each other — not even
+// for id allocation.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -46,15 +47,21 @@ var (
 	ErrVersionCollected = errors.New("blob: version collected")
 )
 
+// The durations the version manager acts on are its own, not a
+// caller's. lease is both how long a pin holds and how long a version
+// may stay pending before the sweep seals it: a crashed reader holds up
+// collection, and a crashed writer publication, by at most one lease.
+// waitHold is how long a WaitPublished parks before it answers
+// ErrWaitTimeout and the client asks again.
+const (
+	lease    = 2 * time.Minute
+	waitHold = 5 * time.Second
+)
+
 // VersionManagerConfig configures a version manager.
 type VersionManagerConfig struct {
-	// SealTimeout is how long an assigned version may stay pending
-	// before the manager seals it (commits hole metadata) so the
-	// publication chain cannot stall on a dead writer. Zero disables
-	// automatic sealing (explicit Seal RPCs still work).
-	SealTimeout time.Duration
-	// Nodes is the metadata store used to commit hole metadata when
-	// sealing. Required if sealing is used.
+	// Nodes is the metadata store the manager commits hole metadata to
+	// when it seals a version. Required.
 	Nodes segtree.NodeStore
 	// RetainLatest is the default retention policy: keep only the
 	// latest k published versions of every BLOB, letting reclaim scans
@@ -62,13 +69,12 @@ type VersionManagerConfig struct {
 	// keep-forever model); per-BLOB SetRetention overrides it.
 	RetainLatest uint64
 
-	// ShardIndex/ShardCount/ShardAddrs place this manager in a
-	// partitioned metadata plane: ShardAddrs lists every shard's
-	// endpoint (stable across restarts — a standby takes over the dead
-	// shard's address, not a new one) and ShardIndex is this shard's
-	// slot. The zero value is the classic single-manager layout.
+	// ShardIndex/ShardAddrs place this manager in a partitioned
+	// metadata plane: ShardAddrs lists every shard's endpoint (stable
+	// across restarts — a standby takes over the dead shard's address,
+	// not a new one) and ShardIndex is this shard's slot. The zero
+	// value, or one address, is the classic single-manager layout.
 	ShardIndex int
-	ShardCount int
 	ShardAddrs []transport.Addr
 
 	// JournalPath, when non-empty, makes the manager durable: every
@@ -78,6 +84,10 @@ type VersionManagerConfig struct {
 	// (tests, simnet). Every 4096 records the manager checkpoints:
 	// it snapshots every BLOB and trims the journal the snapshots cover.
 	JournalPath string
+
+	// lease and waitHold replace the constants of the same names when
+	// non-zero: tests shorten them.
+	lease, waitHold time.Duration
 }
 
 // VersionManager is BlobSeer's centralized version manager (§3.1.1):
@@ -123,12 +133,14 @@ type VersionManager struct {
 // also the failover path: a standby pointed at a dead shard's journal
 // and address replays and takes over.
 func NewVersionManager(net transport.Network, addr transport.Addr, cfg VersionManagerConfig) (*VersionManager, error) {
+	if cfg.Nodes == nil {
+		return nil, errors.New("blob: version manager needs a metadata store to seal into")
+	}
+	cfg.lease = cmp.Or(cfg.lease, lease)
+	cfg.waitHold = cmp.Or(cfg.waitHold, waitHold)
 	var ownsID func(uint64) bool
-	if cfg.ShardCount > 1 {
-		if len(cfg.ShardAddrs) != cfg.ShardCount {
-			return nil, fmt.Errorf("blob: shard count %d but %d shard addrs", cfg.ShardCount, len(cfg.ShardAddrs))
-		}
-		if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount {
+	if n := len(cfg.ShardAddrs); n > 1 {
+		if cfg.ShardIndex < 0 || cfg.ShardIndex >= n {
 			return nil, fmt.Errorf("blob: shard index %d out of range", cfg.ShardIndex)
 		}
 		ring := dht.NewRing(cfg.ShardAddrs, vmRingVnodes)
@@ -137,7 +149,7 @@ func NewVersionManager(net transport.Network, addr transport.Addr, cfg VersionMa
 	}
 	vm := &VersionManager{
 		cfg:  cfg,
-		st:   newVMState(cfg.ShardIndex, cfg.ShardCount, ownsID),
+		st:   newVMState(cfg.ShardIndex, len(cfg.ShardAddrs), ownsID),
 		done: make(chan struct{}),
 	}
 	if cfg.JournalPath != "" {
@@ -153,7 +165,26 @@ func NewVersionManager(net transport.Network, addr transport.Addr, cfg VersionMa
 		vm.journal = j
 		vm.recovered = n
 	}
-	srv, err := rpc.NewServer(net, addr)
+	// Every handler is in place before the address binds: a restarted
+	// shard's first request is often a router retry.
+	srv, err := rpc.Serve(net, addr, func(srv *rpc.Server) {
+		srv.Handle(VMCreateBlob, vm.handleCreateBlob)
+		srv.Handle(VMAssign, vm.handleAssign)
+		srv.Handle(VMComplete, vm.handleComplete)
+		srv.Handle(VMSeal, vm.handleSeal)
+		srv.Handle(VMGetVersion, vm.handleGetVersion)
+		srv.Handle(VMLatest, vm.handleLatest)
+		srv.Handle(VMWaitPublished, vm.handleWaitPublished)
+		srv.Handle(VMListBlobs, vm.handleListBlobs)
+		srv.Handle(VMStats, vm.handleStats)
+		srv.Handle(VMSetRetention, vm.handleSetRetention)
+		srv.Handle(VMTruncateBefore, vm.handleTruncateBefore)
+		srv.Handle(VMDeleteBlob, vm.handleDeleteBlob)
+		srv.Handle(VMPin, vm.handlePin)
+		srv.Handle(VMUnpin, vm.handleUnpin)
+		srv.Handle(VMReclaimScan, vm.handleReclaimScan)
+		srv.Handle(VMHistory, vm.handleHistory)
+	})
 	if err != nil {
 		if vm.journal != nil {
 			vm.journal.close()
@@ -161,26 +192,8 @@ func NewVersionManager(net transport.Network, addr transport.Addr, cfg VersionMa
 		return nil, err
 	}
 	vm.srv = srv
-	srv.Handle(VMCreateBlob, vm.handleCreateBlob)
-	srv.Handle(VMAssign, vm.handleAssign)
-	srv.Handle(VMComplete, vm.handleComplete)
-	srv.Handle(VMSeal, vm.handleSeal)
-	srv.Handle(VMGetVersion, vm.handleGetVersion)
-	srv.Handle(VMLatest, vm.handleLatest)
-	srv.Handle(VMWaitPublished, vm.handleWaitPublished)
-	srv.Handle(VMListBlobs, vm.handleListBlobs)
-	srv.Handle(VMStats, vm.handleStats)
-	srv.Handle(VMSetRetention, vm.handleSetRetention)
-	srv.Handle(VMTruncateBefore, vm.handleTruncateBefore)
-	srv.Handle(VMDeleteBlob, vm.handleDeleteBlob)
-	srv.Handle(VMPin, vm.handlePin)
-	srv.Handle(VMUnpin, vm.handleUnpin)
-	srv.Handle(VMReclaimScan, vm.handleReclaimScan)
-	srv.Handle(VMHistory, vm.handleHistory)
-	if cfg.SealTimeout > 0 {
-		vm.wg.Add(1)
-		go vm.sealLoop()
-	}
+	vm.wg.Add(1)
+	go vm.sealLoop()
 	if vm.journal != nil {
 		vm.wg.Add(1)
 		go vm.checkpointLoop()
@@ -361,20 +374,18 @@ func (vm *VersionManager) handleAssign(r *wire.Reader) (wire.Marshaler, error) {
 	if bs.deleted {
 		return nil, ErrBlobNotFound
 	}
-	rec := vmRecord{Op: vmOpAssign, Blob: req.Blob, Kind: req.Kind, Off: req.Off, Len: req.Len}
+	// A retry of an assign whose answer was lost (the shard journaled
+	// it, then failed over) gets the version the first attempt made,
+	// not a second one behind an orphan nobody completes.
+	if ver := bs.retriedLocked(&req); ver != 0 {
+		return bs.assignResp(ver, req.SinceVer), nil
+	}
+	rec := vmRecord{Op: vmOpAssign, Blob: req.Blob, Kind: req.Kind, Off: req.Off, Len: req.Len, Val: req.Writer}
 	if err := vm.logRecord(&rec); err != nil {
 		return nil, err
 	}
-	res := vm.st.applyAssignLocked(bs, rec, time.Now())
-
-	return &AssignResp{
-		Ver:       res.ver,
-		Start:     res.start,
-		PrevSize:  res.prevSize,
-		SizeAfter: res.sizeAfter,
-		Record:    res.rec,
-		History:   bs.recordsSince(req.SinceVer, res.ver-1),
-	}, nil
+	ver := vm.st.applyAssignLocked(bs, rec, time.Now())
+	return bs.assignResp(ver, req.SinceVer), nil
 }
 
 func (vm *VersionManager) handleComplete(r *wire.Reader) (wire.Marshaler, error) {
@@ -431,8 +442,8 @@ func (vm *VersionManager) handleSeal(r *wire.Reader) (wire.Marshaler, error) {
 // zeros from its Head on, the bytes earlier versions stored before it
 // untouched. The sealed record is journaled only AFTER the hole metadata
 // is durably in the metadata DHT, so replaying vmOpSealed never needs
-// I/O; a crash between commit and journal re-seals on the next timeout,
-// and segtree.Commit is idempotent for identical content.
+// I/O; a crash between commit and journal re-seals one lease after the
+// restart, and segtree.Commit is idempotent for identical content.
 func (vm *VersionManager) seal(blob, ver uint64) error {
 	bs, ok := vm.st.lookup(blob)
 	if !ok {
@@ -461,15 +472,10 @@ func (vm *VersionManager) seal(blob, ver uint64) error {
 	for i := range holes {
 		holes[i] = segtree.PageRef{Hole: true}
 	}
-	var commitErr error
-	if vm.cfg.Nodes != nil {
-		//lint:detached sealing runs on the manager's timeout sweep, not a caller RPC; its own 30s deadline bounds the commit
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		commitErr = segtree.Commit(ctx, vm.cfg.Nodes, blob, rec, history, holes)
-		cancel()
-	} else {
-		commitErr = errors.New("blob: version manager has no metadata store for sealing")
-	}
+	//lint:detached sealing runs on the manager's lease sweep, not a caller RPC; its own 30s deadline bounds the commit
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	commitErr := segtree.Commit(ctx, vm.cfg.Nodes, blob, rec, history, holes)
+	cancel()
 
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -487,10 +493,13 @@ func (vm *VersionManager) seal(blob, ver uint64) error {
 	return fmt.Errorf("blob: seal %d/%d: %w", blob, ver, commitErr)
 }
 
-// sealLoop periodically seals pending versions older than SealTimeout.
+// sealLoop seals every version that has been pending for longer than
+// one lease. assignedAt is the replay time for a version assigned
+// before a restart, so an orphan of a crash is sealed one lease after
+// the restart.
 func (vm *VersionManager) sealLoop() {
 	defer vm.wg.Done()
-	tick := time.NewTicker(vm.cfg.SealTimeout / 4)
+	tick := time.NewTicker(vm.cfg.lease / 4)
 	defer tick.Stop()
 	for {
 		select {
@@ -511,7 +520,7 @@ func (vm *VersionManager) sealLoop() {
 			// Only the version blocking publication can stall others;
 			// seal any expired pending version though, oldest first.
 			for v := bs.published + 1; v <= uint64(len(bs.status)); v++ {
-				if bs.status[v-1] == vsPending && now.Sub(bs.assignedAt[v-1]) > vm.cfg.SealTimeout {
+				if bs.status[v-1] == vsPending && now.Sub(bs.assignedAt[v-1]) > vm.cfg.lease {
 					targets = append(targets, target{e.id, v})
 				}
 			}
@@ -520,7 +529,7 @@ func (vm *VersionManager) sealLoop() {
 		for _, t := range targets {
 			// Errors are retried on the next tick.
 			if err := vm.seal(t.blob, t.ver); err != nil {
-				obs.Log.Warnf("blob %d: timeout seal of version %d: %v", t.blob, t.ver, err)
+				obs.Log.Warnf("blob %d: lease seal of version %d: %v", t.blob, t.ver, err)
 			}
 		}
 	}
@@ -571,7 +580,7 @@ func (vm *VersionManager) handleLatest(r *wire.Reader) (wire.Marshaler, error) {
 }
 
 func (vm *VersionManager) handleWaitPublished(r *wire.Reader) (wire.Marshaler, error) {
-	var req WaitPublishedReq
+	var req VersionRef
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
@@ -605,11 +614,7 @@ func (vm *VersionManager) handleWaitPublished(r *wire.Reader) (wire.Marshaler, e
 	bs.waiters[req.Ver] = append(bs.waiters[req.Ver], ch)
 	bs.mu.Unlock()
 
-	timeout := time.Duration(req.TimeoutMillis) * time.Millisecond
-	if timeout == 0 {
-		timeout = 30 * time.Second
-	}
-	timer := time.NewTimer(timeout)
+	timer := time.NewTimer(vm.cfg.waitHold)
 	defer timer.Stop()
 	select {
 	case <-ch:
@@ -805,17 +810,13 @@ func (vm *VersionManager) handleDeleteBlob(r *wire.Reader) (wire.Marshaler, erro
 }
 
 func (vm *VersionManager) handlePin(r *wire.Reader) (wire.Marshaler, error) {
-	var req PinReq
+	var req GetVersionReq
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
 	bs, ok := vm.st.lookup(req.Blob)
 	if !ok {
 		return nil, ErrBlobNotFound
-	}
-	ttl := time.Duration(req.TTLMillis) * time.Millisecond
-	if ttl <= 0 {
-		ttl = pinTTL
 	}
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -830,8 +831,8 @@ func (vm *VersionManager) handlePin(r *wire.Reader) (wire.Marshaler, error) {
 		return nil, ErrNoSuchVersion
 	}
 	// Pins are soft state, deliberately not journaled: a manager crash
-	// forgets them, which costs at most one lease TTL of early
-	// collection — the same bound as a crashed pin holder.
+	// forgets them, which costs at most one lease of early collection
+	// — the same bound as a crashed pin holder.
 	if bs.pins == nil {
 		bs.pins = make(map[uint64]*pinLease)
 	}
@@ -841,7 +842,7 @@ func (vm *VersionManager) handlePin(r *wire.Reader) (wire.Marshaler, error) {
 		bs.pins[req.Ver] = p
 	}
 	p.count++
-	if exp := time.Now().Add(ttl); exp.After(p.expires) {
+	if exp := time.Now().Add(vm.cfg.lease); exp.After(p.expires) {
 		p.expires = exp
 	}
 	return &VersionResp{Info: bs.info(req.Ver), Records: bs.recordsSince(req.SinceVer, req.Ver)}, nil

@@ -23,9 +23,16 @@ type vmHarness struct {
 
 func newVMHarness(t *testing.T, pageSize uint64) *vmHarness {
 	t.Helper()
+	return newVMHarnessWith(t, pageSize, VersionManagerConfig{})
+}
+
+// newVMHarnessWith is newVMHarness on a manager configured by cfg, over
+// an in-memory metadata store.
+func newVMHarnessWith(t *testing.T, pageSize uint64, cfg VersionManagerConfig) *vmHarness {
+	t.Helper()
 	net := transport.NewMemNet()
-	nodes := segtree.NewMemStore()
-	vm, err := NewVersionManager(net, "vm-host/vmanager", VersionManagerConfig{Nodes: nodes})
+	cfg.Nodes = segtree.NewMemStore()
+	vm, err := NewVersionManager(net, "vm-host/vmanager", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +137,7 @@ func TestPinAndGetVersionHistoryDelta(t *testing.T) {
 			m   rpc.Method
 			req wire.Marshaler
 		}{
-			{VMPin, &PinReq{Blob: h.blob, Ver: 3, TTLMillis: 1000, SinceVer: tc.since}},
+			{VMPin, &GetVersionReq{Blob: h.blob, Ver: 3, SinceVer: tc.since}},
 			{VMGetVersion, &GetVersionReq{Blob: h.blob, Ver: 3, SinceVer: tc.since}},
 		} {
 			var resp VersionResp
@@ -182,7 +189,7 @@ func TestWaitPublishedWakesInOrder(t *testing.T) {
 	go func() {
 		var info VersionInfo
 		err := h.pool.Call(ctx, h.vm.Addr(), VMWaitPublished,
-			&WaitPublishedReq{Blob: h.blob, Ver: 2, TimeoutMillis: 5000}, &info)
+			&VersionRef{Blob: h.blob, Ver: 2}, &info)
 		if err == nil {
 			done <- info
 		}
@@ -210,18 +217,18 @@ func TestWaitPublishedWakesInOrder(t *testing.T) {
 }
 
 func TestWaitPublishedTimeout(t *testing.T) {
-	h := newVMHarness(t, 100)
+	h := newVMHarnessWith(t, 100, VersionManagerConfig{waitHold: 50 * time.Millisecond})
 	h.assign(t, KindAppend, 0, 100, 0)
 	var info VersionInfo
 	err := h.pool.Call(ctx, h.vm.Addr(), VMWaitPublished,
-		&WaitPublishedReq{Blob: h.blob, Ver: 1, TimeoutMillis: 50}, &info)
+		&VersionRef{Blob: h.blob, Ver: 1}, &info)
 	if !errors.Is(err, ErrWaitTimeout) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestWaitPublishedTimeoutDeregistersWaiter(t *testing.T) {
-	h := newVMHarness(t, 100)
+	h := newVMHarnessWith(t, 100, VersionManagerConfig{waitHold: 20 * time.Millisecond})
 	h.assign(t, KindAppend, 0, 100, 0) // v1 stays pending throughout
 	// Each timed-out wait — the shape of Client.WaitPublished's retry
 	// loop, which registers a fresh server-side channel per attempt —
@@ -230,7 +237,7 @@ func TestWaitPublishedTimeoutDeregistersWaiter(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		var info VersionInfo
 		err := h.pool.Call(ctx, h.vm.Addr(), VMWaitPublished,
-			&WaitPublishedReq{Blob: h.blob, Ver: 1, TimeoutMillis: 20}, &info)
+			&VersionRef{Blob: h.blob, Ver: 1}, &info)
 		if !errors.Is(err, ErrWaitTimeout) {
 			t.Fatalf("wait %d: err = %v", i, err)
 		}
@@ -372,8 +379,8 @@ func TestSealTimeoutAdvancesChain(t *testing.T) {
 	net := transport.NewMemNet()
 	nodes := segtree.NewMemStore()
 	vm, err := NewVersionManager(net, "vm-host/vmanager", VersionManagerConfig{
-		Nodes:       nodes,
-		SealTimeout: 100 * time.Millisecond,
+		Nodes: nodes,
+		lease: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -427,8 +434,8 @@ func TestSealTimeoutAdvancesChain(t *testing.T) {
 func TestHugeAssignIsRefused(t *testing.T) {
 	net := transport.NewMemNet()
 	vm, err := NewVersionManager(net, "vm-host/vmanager", VersionManagerConfig{
-		Nodes:       segtree.NewMemStore(),
-		SealTimeout: 50 * time.Millisecond,
+		Nodes: segtree.NewMemStore(),
+		lease: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -533,10 +540,10 @@ func TestRetentionScanAdvancesFrontier(t *testing.T) {
 // frontier — a crashed reader delays collection by one TTL, not
 // forever.
 func TestPinLeaseExpiryUnblocksScan(t *testing.T) {
-	h := newVMHarness(t, 100)
+	h := newVMHarnessWith(t, 100, VersionManagerConfig{lease: 20 * time.Millisecond})
 	h.publishN(t, 4)
 	if err := h.pool.Call(ctx, h.vm.Addr(), VMPin,
-		&PinReq{Blob: h.blob, Ver: 1, TTLMillis: 20}, nil); err != nil {
+		&GetVersionReq{Blob: h.blob, Ver: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.pool.Call(ctx, h.vm.Addr(), VMSetRetention,
@@ -667,7 +674,7 @@ func TestWaitPublishedCoversFutureVersions(t *testing.T) {
 	go func() {
 		var info VersionInfo
 		woke <- h.pool.Call(ctx, h.vm.Addr(), VMWaitPublished,
-			&WaitPublishedReq{Blob: h.blob, Ver: 1, TimeoutMillis: 5000}, &info)
+			&VersionRef{Blob: h.blob, Ver: 1}, &info)
 	}()
 	time.Sleep(20 * time.Millisecond) // let the waiter register pre-assignment
 	a := h.assign(t, KindAppend, 0, 100, 0)

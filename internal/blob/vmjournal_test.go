@@ -133,6 +133,7 @@ func runJournalRandomOps(t *testing.T, seed int64) {
 
 	var blobs []uint64              // live blob ids (kept in sync via list)
 	assigned := map[uint64]uint64{} // blob -> highest assigned version
+	lastAssign := map[uint64]*AssignReq{}
 
 	list := func() {
 		var resp ListBlobsResp
@@ -158,10 +159,15 @@ func runJournalRandomOps(t *testing.T, seed int64) {
 		case r < 0.06:
 			create()
 		case r < 0.40:
-			length := uint64(1 + rng.Intn(300))
-			p.check("assign", VMAssign,
-				&AssignReq{Blob: bl, Kind: KindAppend, Len: length},
-				func() wire.Unmarshaler { return &AssignResp{} })
+			// One assign in four repeats the blob's last one, as a retry
+			// whose answer was lost does: it must meet the same pending
+			// version in both managers, across crashes and checkpoints.
+			req := lastAssign[bl]
+			if req == nil || rng.Intn(4) != 0 {
+				req = &AssignReq{Blob: bl, Kind: KindAppend, Len: uint64(1 + rng.Intn(300)), Writer: uint64(i + 1)}
+				lastAssign[bl] = req
+			}
+			p.check("assign", VMAssign, req, func() wire.Unmarshaler { return &AssignResp{} })
 			assigned[bl]++
 		case r < 0.70:
 			// Complete a random version, valid or not: rejected and
@@ -250,6 +256,56 @@ func TestJournalColdRestartServesHistory(t *testing.T) {
 	}
 	if len(hist.Infos) != versions {
 		t.Fatalf("history after replay has %d versions, want %d", len(hist.Infos), versions)
+	}
+}
+
+// TestRetriedAssignSurvivesRestart: the writer a pending version's
+// assign named is in the journal record and in the checkpoint, so after
+// a crash (replayed from records) and after a clean close (replayed
+// from the snapshot) a retry of that assign gets the same version back.
+// An assign that differs in length, or whose version is no longer
+// pending, is a new version.
+func TestRetriedAssignSurvivesRestart(t *testing.T) {
+	p := newVMPair(t)
+	var created CreateBlobResp
+	if err := p.call(p.durAddr, VMCreateBlob, &CreateBlobReq{PageSize: 128}, &created); err != nil {
+		t.Fatal(err)
+	}
+	assign := func(req *AssignReq) AssignResp {
+		t.Helper()
+		var a AssignResp
+		if err := p.call(p.durAddr, VMAssign, req, &a); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	first := &AssignReq{Blob: created.Blob, Kind: KindAppend, Len: 100, Writer: 7}
+	a1 := assign(first)
+	a2 := assign(&AssignReq{Blob: created.Blob, Kind: KindAppend, Len: 50, Writer: 8})
+	for _, restart := range []struct {
+		name string
+		stop func(*VersionManager) error
+	}{{"kill", (*VersionManager).Kill}, {"close", (*VersionManager).Close}} {
+		if err := restart.stop(p.dur); err != nil {
+			t.Fatal(err)
+		}
+		vm, err := NewVersionManager(p.net, p.durAddr, p.durCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.dur = vm
+		if got := assign(first); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", a1) {
+			t.Fatalf("after %s: retried assign = %+v, want %+v", restart.name, got, a1)
+		}
+	}
+	if got := assign(&AssignReq{Blob: created.Blob, Kind: KindAppend, Len: 99, Writer: 7}); got.Ver != 3 {
+		t.Fatalf("an assign of another length under the same writer = v%d, want v3", got.Ver)
+	}
+	if err := p.call(p.durAddr, VMComplete, &VersionRef{Blob: created.Blob, Ver: a2.Ver}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := assign(&AssignReq{Blob: created.Blob, Kind: KindAppend, Len: 50, Writer: 8}); got.Ver != 4 {
+		t.Fatalf("a repeat of a completed version's assign = v%d, want v4", got.Ver)
 	}
 }
 
@@ -401,6 +457,59 @@ func TestVMJournalCrashPoints(t *testing.T) {
 			}
 			rj.close()
 		}
+	}
+}
+
+// TestCheckpointedTombstoneReplays: a deleted BLOB collected to a
+// tombstone keeps its published count and no records; a checkpoint of
+// it, and of a live BLOB with a pending version that named a writer,
+// replays to the same state.
+func TestCheckpointedTombstoneReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vm.log")
+	j, err := openVMJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newVMState(0, 1, nil)
+	now := time.Unix(1, 0)
+	for _, rec := range []vmRecord{
+		{Op: vmOpCreate, Blob: 1, Val: 128},
+		{Op: vmOpCreate, Blob: 2, Val: 128},
+		{Op: vmOpAssign, Blob: 1, Kind: KindAppend, Len: 100, Val: 5},
+		{Op: vmOpComplete, Blob: 1, Ver: 1},
+		{Op: vmOpAssign, Blob: 1, Kind: KindAppend, Len: 100, Val: 6},
+		{Op: vmOpComplete, Blob: 1, Ver: 2},
+		{Op: vmOpDelete, Blob: 1},
+		{Op: vmOpFrontier, Blob: 1, Ver: 3},
+		{Op: vmOpAssign, Blob: 2, Kind: KindWrite, Off: 40, Len: 100, Val: 7},
+	} {
+		if err := j.append(&rec); err != nil {
+			t.Fatal(err)
+		}
+		st.apply(rec, now)
+	}
+	if err := j.checkpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	want := vmDigest(st)
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	rj, err := openVMJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rj.close()
+	rst := newVMState(0, 1, nil)
+	if n, err := rj.replay(rst, now); err != nil || n != 0 {
+		t.Fatalf("replay of a checkpointed journal: %d records, %v; want 0, nil", n, err)
+	}
+	if got := vmDigest(rst); got != want {
+		t.Fatal("the replayed checkpoint differs from the state it was taken of")
+	}
+	bs, _ := rst.lookup(2)
+	if ver := bs.retriedLocked(&AssignReq{Blob: 2, Kind: KindWrite, Off: 40, Len: 100, Writer: 7}); ver != 1 {
+		t.Fatalf("a retry of the checkpointed pending assign matched v%d, want v1", ver)
 	}
 }
 

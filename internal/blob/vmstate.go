@@ -47,6 +47,12 @@ type blobState struct {
 	// has published and v has completed (or been sealed).
 	published uint64
 	waiters   map[uint64][]chan struct{}
+	// unpublished holds the assign record of every version above
+	// published, oldest first, its Ver set: a retried assign is matched
+	// against it. A record replayed from a snapshot keeps only what the
+	// snapshot kept: the request of a pending version that named a
+	// writer.
+	unpublished []vmRecord
 
 	// Lifecycle state (internal/gc). Versions below truncBefore are
 	// retirable; retain (when retainSet) overrides the manager's default
@@ -67,8 +73,8 @@ type blobState struct {
 
 // pinLease aggregates the live pins of one version: a refcount plus
 // the latest lease expiry. Expired leases are pruned by reclaim scans,
-// so a crashed reader delays collection by at most one TTL. Pins are
-// soft state: a manager crash drops them, bounded by the lease TTL the
+// so a crashed reader delays collection by at most one lease. Pins are
+// soft state: a manager crash drops them, bounded by the lease the
 // holder already agreed to.
 type pinLease struct {
 	count   int
@@ -109,6 +115,43 @@ func (bs *blobState) recordsSince(since, upto uint64) []segtree.WriteRecord {
 	return bs.records[since:upto:upto]
 }
 
+// retriedLocked returns the pending version whose assign req repeats,
+// or 0. Only a pending version can be the first attempt of a retry: a
+// writer retries an assign only while it has no answer, so it cannot
+// have completed the version, and a sealed one is given up.
+func (bs *blobState) retriedLocked(req *AssignReq) uint64 {
+	if req.Writer == 0 {
+		return 0
+	}
+	for _, u := range bs.unpublished {
+		if u.Val == req.Writer && u.Kind == req.Kind && u.Off == req.Off && u.Len == req.Len && bs.status[u.Ver-1] == vsPending {
+			return u.Ver
+		}
+	}
+	return 0
+}
+
+// assignResp answers the assign of unpublished version ver to a client
+// whose record prefix is since. Caller holds bs.mu.
+func (bs *blobState) assignResp(ver, since uint64) *AssignResp {
+	var prevSize uint64
+	if ver > 1 {
+		prevSize = bs.sizes[ver-2]
+	}
+	start := prevSize
+	if u := bs.unpublished[ver-bs.published-1]; u.Kind == KindWrite {
+		start = u.Off
+	}
+	return &AssignResp{
+		Ver:       ver,
+		Start:     start,
+		PrevSize:  prevSize,
+		SizeAfter: bs.sizes[ver-1],
+		Record:    bs.records[ver-1],
+		History:   bs.recordsSince(since, ver-1),
+	}
+}
+
 // removeWaiterLocked deregisters one waiter channel for ver. Callers
 // whose wait ends without publication (timeout, server shutdown) must
 // deregister, or the waiter list grows without bound while the version
@@ -136,7 +179,7 @@ func (bs *blobState) removeWaiterLocked(ver uint64, ch chan struct{}) {
 // Journal record ops: every decided state transition of the manager.
 const (
 	vmOpCreate   uint8 = iota + 1 // Blob, Val=pageSize
-	vmOpAssign                    // Blob, Kind, Off, Len
+	vmOpAssign                    // Blob, Kind, Off, Len, Val=writer (0: none)
 	vmOpComplete                  // Blob, Ver
 	vmOpSealed                    // Blob, Ver (journaled only after hole metadata committed)
 	vmOpRetain                    // Blob, Val=retain
@@ -362,20 +405,12 @@ func (st *vmState) applyCreate(rec vmRecord) *blobState {
 	return bs
 }
 
-// assignResult is everything AssignResp needs besides the history delta.
-type assignResult struct {
-	ver       uint64
-	start     uint64
-	prevSize  uint64
-	sizeAfter uint64
-	rec       segtree.WriteRecord
-}
-
-// applyAssignLocked appends one version assignment. Caller holds bs.mu.
-// Offsets, version numbers and whether the version stores a fragment in
-// its first page slot derive from prior state only, so replay in journal
-// order recomputes the exact assignments handed out live.
-func (st *vmState) applyAssignLocked(bs *blobState, rec vmRecord, now time.Time) assignResult {
+// applyAssignLocked appends one version assignment and returns its
+// version. Caller holds bs.mu. Offsets, version numbers and whether the
+// version stores a fragment in its first page slot derive from prior
+// state only, so replay in journal order recomputes the exact
+// assignments handed out live.
+func (st *vmState) applyAssignLocked(bs *blobState, rec vmRecord, now time.Time) uint64 {
 	ps := bs.pageSize
 	var prevSize uint64
 	if n := len(bs.sizes); n > 0 {
@@ -417,8 +452,10 @@ func (st *vmState) applyAssignLocked(bs *blobState, rec vmRecord, now time.Time)
 	bs.sizes = append(bs.sizes, sizeAfter)
 	bs.status = append(bs.status, vsPending)
 	bs.assignedAt = append(bs.assignedAt, now)
+	rec.Ver = ver
+	bs.unpublished = append(bs.unpublished, rec)
 	st.assigned.Add(1)
-	return assignResult{ver: ver, start: start, prevSize: prevSize, sizeAfter: sizeAfter, rec: w}
+	return ver
 }
 
 // applyCompleteLocked marks one version completed and advances
@@ -480,13 +517,14 @@ func (st *vmState) applyFrontierLocked(bs *blobState, rec vmRecord) {
 		}
 	}
 	if bs.deleted && bs.frontier == uint64(len(bs.records))+1 {
-		bs.records, bs.sizes, bs.status, bs.assignedAt = nil, nil, nil, nil
+		bs.records, bs.sizes, bs.status, bs.assignedAt, bs.unpublished = nil, nil, nil, nil, nil
 	}
 }
 
 // advanceLocked publishes the longest contiguous prefix of finished
 // versions and wakes the corresponding waiters. Caller holds bs.mu.
 func (st *vmState) advanceLocked(bs *blobState) {
+	from := bs.published
 	for bs.published < uint64(len(bs.status)) {
 		s := bs.status[bs.published]
 		if s != vsCompleted && s != vsSealed {
@@ -500,6 +538,9 @@ func (st *vmState) advanceLocked(bs *blobState) {
 			}
 			delete(bs.waiters, bs.published)
 		}
+	}
+	if n := bs.published - from; n > 0 {
+		bs.unpublished = append(bs.unpublished[:0], bs.unpublished[n:]...)
 	}
 }
 
@@ -616,7 +657,10 @@ func (bs *blobState) buildReclaimLocked(id, to uint64) *BlobReclaim {
 // skips any journal record for this BLOB with Seq <= asOf. In-flight
 // seals persist as pending (the sealed record lands only after the hole
 // metadata commits); waiters, pins and assignment timestamps are soft
-// and not persisted.
+// and not persisted. The assign request of each pending version that
+// named a writer follows the records, so a retry still finds it after
+// a restart; a snapshot with none ends at the records, as every
+// snapshot did before writers were named.
 func encodeBlobSnapshot(id uint64, bs *blobState, asOf uint64) []byte {
 	b := wire.AppendUvarint(nil, asOf)
 	b = wire.AppendUvarint(b, id)
@@ -636,6 +680,15 @@ func encodeBlobSnapshot(id uint64, bs *blobState, asOf uint64) []byte {
 			s = vsPending
 		}
 		b = wire.AppendUvarint(b, uint64(s))
+	}
+	for _, u := range bs.unpublished {
+		if s := bs.status[u.Ver-1]; u.Val != 0 && (s == vsPending || s == vsSealing) {
+			b = wire.AppendUvarint(b, u.Ver)
+			b = wire.AppendUvarint(b, u.Val)
+			b = wire.AppendUvarint(b, u.Kind)
+			b = wire.AppendUvarint(b, u.Off)
+			b = wire.AppendUvarint(b, u.Len)
+		}
 	}
 	return b
 }
@@ -663,6 +716,22 @@ func decodeBlobSnapshot(data []byte, now time.Time) (id uint64, bs *blobState, a
 		bs.sizes = append(bs.sizes, r.Uvarint())
 		bs.status = append(bs.status, vstatus(r.Uvarint()))
 		bs.assignedAt = append(bs.assignedAt, now)
+	}
+	if r.Err() != nil {
+		return 0, nil, 0, r.Err()
+	}
+	// A tombstone keeps published but no records, so no version is
+	// above published and none is unpublished.
+	for v := bs.published + 1; v <= uint64(n); v++ {
+		bs.unpublished = append(bs.unpublished, vmRecord{Ver: v})
+	}
+	for r.Len() > 0 && r.Err() == nil {
+		v, writer := r.Uvarint(), r.Uvarint()
+		kind, off, length := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		if v > bs.published && v <= uint64(n) {
+			u := &bs.unpublished[v-bs.published-1]
+			u.Val, u.Kind, u.Off, u.Len = writer, kind, off, length
+		}
 	}
 	return id, bs, asOf, r.Err()
 }

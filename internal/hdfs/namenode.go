@@ -18,6 +18,7 @@ package hdfs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -294,9 +295,8 @@ func (nn *Namenode) handleAddBlock(r *wire.Reader) (wire.Marshaler, error) {
 		}
 		if !e.underConstruction {
 			// A closed file took the path of the writer's, which was
-			// deleted or moved away: the writer's file is not here. The
-			// bare sentinel crosses the wire; the writer adds the path.
-			return dfs.ErrNotExist
+			// deleted or moved away: the writer's file is not here.
+			return fmt.Errorf("%w: %s", dfs.ErrNotExist, req.Path)
 		}
 		nn.mu.Lock()
 		defer nn.mu.Unlock()
@@ -328,7 +328,7 @@ func (nn *Namenode) handleComplete(r *wire.Reader) (wire.Marshaler, error) {
 		if !e.underConstruction {
 			// A closed file or a directory (never under construction)
 			// took the path: as in AddBlock, the writer's file is not here.
-			return dfs.ErrNotExist
+			return fmt.Errorf("%w: %s", dfs.ErrNotExist, req.Path)
 		}
 		e.underConstruction = false
 		return nil

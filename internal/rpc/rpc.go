@@ -158,22 +158,31 @@ func newFrame(body wire.Marshaler) []byte {
 // queueing behind a blocked handler.
 const dispatchWorkers = 8
 
-// NewServer binds addr on net and starts accepting. Handlers may be
-// registered before or after; requests for unregistered methods fail
-// with ErrUnknownMethod.
+// NewServer binds addr on net and starts accepting. Handlers are
+// registered after; until one is, requests for its method fail with
+// ErrUnknownMethod. A server whose callers may already be retrying
+// against addr, as they do against a restarting version manager, is
+// started with Serve instead.
 func NewServer(net transport.Network, addr transport.Addr) (*Server, error) {
-	l, err := net.Listen(addr)
-	if err != nil {
-		return nil, fmt.Errorf("rpc server %s: %w", addr, err)
-	}
+	return Serve(net, addr, func(*Server) {})
+}
+
+// Serve is NewServer with register run on the server before it binds
+// addr: no request can reach it before the methods register handles.
+func Serve(net transport.Network, addr transport.Addr, register func(*Server)) (*Server, error) {
 	s := &Server{
 		addr:     addr,
-		listener: l,
 		reqCh:    make(chan request),
 		quit:     make(chan struct{}),
 		handlers: make(map[uint32]handlerEntry),
 		conns:    make(map[transport.Conn]struct{}),
 	}
+	register(s)
+	l, err := net.Listen(addr)
+	if err != nil {
+		return nil, fmt.Errorf("rpc server %s: %w", addr, err)
+	}
+	s.listener = l
 	s.wg.Add(1 + dispatchWorkers)
 	go s.acceptLoop()
 	for i := 0; i < dispatchWorkers; i++ {

@@ -111,6 +111,45 @@ func TestUnknownMethod(t *testing.T) {
 	}
 }
 
+// TestServeRegistersBeforeBinding: Serve's register runs while the
+// address is still unbound, so a caller retrying against the address
+// (a restarting server's clients) finds either no listener or every
+// method it registers, never a bound server without its handlers.
+func TestServeRegistersBeforeBinding(t *testing.T) {
+	net := transport.NewMemNet()
+	var dialErr error
+	srv, err := Serve(net, "srv/echo", func(s *Server) {
+		_, dialErr = net.Dial("cli/x", "srv/echo")
+		s.Handle(methodEcho, func(r *wire.Reader) (wire.Marshaler, error) { return nil, nil })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if !errors.Is(dialErr, transport.ErrNoListener) {
+		t.Fatalf("dial from inside register = %v, want transport.ErrNoListener", dialErr)
+	}
+	c := NewClient(net, "cli/x", "srv/echo")
+	defer c.Close()
+	if err := c.Call(context.Background(), methodEcho, &echoMsg{}, nil); err != nil {
+		t.Fatalf("call of the method register handled: %v", err)
+	}
+}
+
+// TestUnknownMethodIsTheSentinel: the server wraps ErrUnknownMethod
+// with the method and its own address, and the client still matches
+// the sentinel with errors.Is.
+func TestUnknownMethodIsTheSentinel(t *testing.T) {
+	net := transport.NewMemNet()
+	newEchoServer(t, net, "srv/echo")
+	c := NewClient(net, "cli/x", "srv/echo")
+	defer c.Close()
+	err := c.Call(context.Background(), M(999, "test.Unregistered"), &echoMsg{}, nil)
+	if !errors.Is(err, ErrUnknownMethod) {
+		t.Fatalf("err = %v, want errors.Is(err, ErrUnknownMethod)", err)
+	}
+}
+
 func TestNilBodyResponse(t *testing.T) {
 	net := transport.NewMemNet()
 	newEchoServer(t, net, "srv/echo")

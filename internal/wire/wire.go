@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"strings"
 )
 
 // Common decoding errors.
@@ -353,8 +354,15 @@ type RemoteError string
 // Error implements the error interface.
 func (e RemoteError) Error() string { return string(e) }
 
-// Is reports message equality so errors.Is works across the wire for
-// sentinel errors re-created on the caller side.
+// Is makes errors.Is work across the wire for sentinel errors
+// re-created on the caller side: it matches a message equal to the
+// sentinel's, or one that begins with it followed by ": " — a server's
+// fmt.Errorf("%w: detail", sentinel).
 func (e RemoteError) Is(target error) bool {
-	return target != nil && target.Error() == string(e)
+	if target == nil {
+		return false
+	}
+	msg := target.Error()
+	rest, ok := strings.CutPrefix(string(e), msg)
+	return ok && (rest == "" || strings.HasPrefix(rest, ": "))
 }

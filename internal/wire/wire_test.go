@@ -198,6 +198,35 @@ func TestRemoteErrorIs(t *testing.T) {
 	}
 }
 
+// TestRemoteErrorIsWrapped: a message matches a sentinel when it is the
+// sentinel's, or the sentinel's followed by ": " and detail, as a server
+// that wraps the sentinel with fmt.Errorf("%w: ...") sends it; any other
+// message that merely begins with the sentinel's does not.
+func TestRemoteErrorIsWrapped(t *testing.T) {
+	sentinel := errors.New("dfs: no such file or directory")
+	for _, tc := range []struct {
+		msg  string
+		want bool
+	}{
+		{"dfs: no such file or directory", true},
+		{"dfs: no such file or directory: /a/b", true},
+		{"dfs: no such file or directory: ", true},
+		{"dfs: no such file or directory:", false},
+		{"dfs: no such file or directory /a/b", false},
+		{"dfs: no such file or directoryx", false},
+		{"hdfs: dfs: no such file or directory", false},
+		{"dfs: no such file", false},
+		{"", false},
+	} {
+		if got := errors.Is(RemoteError(tc.msg), sentinel); got != tc.want {
+			t.Errorf("errors.Is(RemoteError(%q), %q) = %v, want %v", tc.msg, sentinel, got, tc.want)
+		}
+	}
+	if errors.Is(RemoteError("x"), nil) {
+		t.Error("errors.Is matched a nil target")
+	}
+}
+
 func TestShortBufferErrors(t *testing.T) {
 	r := NewReader([]byte{0x05, 'a'}) // claims 5 bytes, has 1
 	if p := r.Bytes(); p != nil {
