@@ -91,41 +91,61 @@ func (p *Provider) handlePutPage(r *wire.Reader) (wire.Marshaler, error) {
 	return nil, nil
 }
 
+// handleGetPage answers with the stored page itself, pinned until rpc
+// has marshalled it, so a read allocates nothing and the page's memory
+// is not reused under it.
 func (p *Provider) handleGetPage(r *wire.Reader) (wire.Marshaler, error) {
 	var req GetPageReq
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
-	data, err := p.store.Get(req.Key)
+	page, err := p.store.Pin(req.Key)
 	if err != nil {
 		return nil, err
 	}
 	p.pagesRead.Add(1)
-	p.bytesRead.Add(uint64(len(data)))
-	return &GetPageResp{Data: data}, nil
+	p.bytesRead.Add(uint64(len(page.Bytes())))
+	return (*pinnedPage)(page), nil
+}
+
+// pinnedPage is a pinned stored page as the body of a GetPage answer,
+// encoded as a GetPageResp. rpc marshals a body exactly once, when its
+// handler returned no error, so AppendTo releases the pin. A pin that
+// is never released costs only reuse: the page goes to the garbage
+// collector, not to the free list.
+type pinnedPage pagestore.Page
+
+func (pp *pinnedPage) resp() GetPageResp { return GetPageResp{Data: (*pagestore.Page)(pp).Bytes()} }
+
+// AppendTo implements wire.Marshaler, and releases the pin.
+func (pp *pinnedPage) AppendTo(b []byte) []byte {
+	resp := pp.resp()
+	b = resp.AppendTo(b)
+	(*pagestore.Page)(pp).Release()
+	return b
+}
+
+// EncodedSize implements wire.Sizer.
+func (pp *pinnedPage) EncodedSize() int {
+	resp := pp.resp()
+	return resp.EncodedSize()
 }
 
 // handleDeletePages drops a garbage-collection batch. Keys the store
 // does not hold are skipped silently (replication spreads a version's
-// pages over many providers).
+// pages over many providers). BytesFreed sums what each delete
+// dropped, so a put that lands during the batch does not hide it.
 func (p *Provider) handleDeletePages(r *wire.Reader) (wire.Marshaler, error) {
 	var req DeletePagesReq
 	if err := req.DecodeFrom(r); err != nil {
 		return nil, err
 	}
 	resp := &DeletePagesResp{}
-	before := p.store.BytesUsed()
 	for _, k := range req.Keys {
-		if !p.store.Has(k) {
-			continue
+		if n, ok := p.store.Delete(k); ok {
+			resp.Deleted++
+			resp.BytesFreed += uint64(n)
 		}
-		if err := p.store.Delete(k); err != nil {
-			return nil, err
-		}
-		resp.Deleted++
-	}
-	if freed := before - p.store.BytesUsed(); freed > 0 {
-		resp.BytesFreed = uint64(freed)
 	}
 	return resp, nil
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"blobseer/internal/dfs"
 	"blobseer/internal/dht"
 	"blobseer/internal/metrics"
 	"blobseer/internal/transport"
@@ -49,7 +50,9 @@ const (
 	// objectBudget is how many objects one block append may allocate,
 	// whatever the page size and however deep the segment tree: the
 	// metadata commit allocates per version and per member batch, never
-	// per tree node (measured 30 to 31 at 288 pages and 29 at 4000; 40 to
+	// per tree node (measured 30 at 288 pages, one of them the provider's
+	// pagestore.Page, which a store makes only for a page beyond what it
+	// ever freed; 29 at 4000; 40 to
 	// 41 and 39 while the DHT client regrouped each batch into slabs of
 	// its own and each provider decoded it into a []string and a
 	// [][]byte, one more where a page kept a list of its acked replicas;
@@ -63,7 +66,8 @@ const (
 	objectBudget = 38
 	// runObjectBudget is the same for a Write of runBlocks blocks and
 	// its Flush: one append plus the transfer of three more pages
-	// (measured 41; 51 before the metadata batches were encoded and
+	// (measured 43 to 44 with a pagestore.Page per page, 39 to 41 before
+	// the provider recycled pages; 51 before the metadata batches were encoded and
 	// decoded in place, 59 to 60 while each fan-out made its own
 	// scaffolding and each page its list of acked replicas; four appends
 	// of a block each cost 164).
@@ -103,6 +107,13 @@ const (
 	// collector, and so while a reader keeps its block views).
 	smallCache       = 1 << 20
 	smallCacheBudget = 8 << 10
+	// A file of recycleBlocks blocks written where the collector has
+	// just freed one as large: each page is stored in the buffer of a
+	// reclaimed one, so a block allocates its metadata share of a run
+	// and no page (a page-sized copy per block while every stored page
+	// was made fresh).
+	recycleBlocks = 64
+	recycleBudget = budgetPage / 10
 )
 
 // TestAllocationBudget is the tier-1 guard on the data path's copies:
@@ -180,6 +191,7 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	recordBudget(t)
 	smallCacheReadBudget(t)
+	recycledWriteBudget(t)
 
 	// Cold reads: a fresh mount, so every block comes from a provider.
 	rfs := mount(t, d, "reader")
@@ -298,6 +310,51 @@ func smallCacheReadBudget(t *testing.T) {
 	}
 	if got := fs.BlobClient().ReadStats().Snapshot().ProviderFetches - fetches; got < blocks {
 		t.Errorf("only %d provider fetches for %d blocks: the second pass was not cold", got, blocks)
+	}
+}
+
+// recycledWriteBudget is TestAllocationBudget's line for the
+// providers' page memory: write a file, delete it, run the collector
+// once, and write as many blocks again; the second pass stores its
+// pages in the first one's buffers. It goes through a writer opened
+// and warmed before, so its own block buffers are not counted.
+func recycledWriteBudget(t *testing.T) {
+	cluster, d := newGCDeployment(t, budgetPage)
+	fs := mount(t, d, "writer")
+	data := pattern(5, recycleBlocks*budgetPage)
+	fw, err := fs.Create(ctx, "/second")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
+	w := fw.(*fileWriter)
+	write := func(b []byte) {
+		if _, err := w.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(data[:2*runBlocks*budgetPage])
+	warm := cluster.ProviderBytes()
+
+	if err := dfs.WriteFile(ctx, fs, "/first", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Delete(ctx, "/first"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.GC.RunOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := cluster.ProviderBytes(); got != warm {
+		t.Fatalf("providers hold %d bytes after the collector ran, want %d", got, warm)
+	}
+	written, _ := allocated(func() { write(data) })
+	t.Logf("write path after a collection: %d B allocated per 64 KiB block (budget %d)", written/recycleBlocks, recycleBudget)
+	if written/recycleBlocks > recycleBudget {
+		t.Errorf("a block written after the collector freed as many allocates %d B, budget %d: the providers do not reuse reclaimed pages", written/recycleBlocks, recycleBudget)
 	}
 }
 

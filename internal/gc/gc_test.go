@@ -703,8 +703,9 @@ func TestFragmentChainsUnderRetention(t *testing.T) {
 	var liveBytes int64
 	for key := range live {
 		for _, p := range h.cluster.Providers {
-			if data, err := p.Store().Get(key); err == nil {
-				liveBytes += int64(len(data))
+			if page, err := p.Store().Pin(key); err == nil {
+				liveBytes += int64(len(page.Bytes()))
+				page.Release()
 			}
 		}
 	}

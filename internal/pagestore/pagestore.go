@@ -6,7 +6,12 @@
 //
 // Providers hold pages in memory. Two engines share one interface:
 //
-//   - Memory: a plain map;
+//   - Memory: a map of pages whose buffers are reused. Keys are never
+//     reused, but memory is: a deleted or replaced page's buffer holds
+//     the next page of its exact length, unless a reader still has it
+//     pinned. So a provider under the paper's append-only churn, whose
+//     collector deletes every dead page, stores new pages in the
+//     memory of reclaimed ones;
 //   - Synthesize: stores only page *sizes* and regenerates deterministic
 //     bytes on read. Experiments with hundreds of simulated clients use
 //     it to keep the 270-node cluster's memory footprint flat while the
@@ -17,6 +22,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
+
+	"blobseer/internal/transport"
 )
 
 // Key identifies one immutable page. Version is the BLOB version whose
@@ -55,14 +63,14 @@ type Store interface {
 	// keeps no reference to data: the caller's buffer (an rpc request
 	// frame) is reused as soon as Put returns.
 	Put(k Key, data []byte) error
-	// Get returns the page content. Stored pages are immutable, so the
-	// slice may be the stored copy itself, shared with every other
-	// reader: callers must treat it as read-only.
-	Get(k Key) ([]byte, error)
-	// Has reports whether the page exists.
-	Has(k Key) bool
-	// Delete removes a page (garbage collection of failed writes).
-	Delete(k Key) error
+	// Pin returns the page held for one reader, who must treat it as
+	// read-only: its bytes stay valid and unchanged, whatever is deleted
+	// or put meanwhile, until the reader calls Release.
+	Pin(k Key) (*Page, error)
+	// Delete removes a page and reports the bytes it dropped; ok is
+	// false when the store did not hold the page. The collector deletes
+	// every page no retained version reads.
+	Delete(k Key) (size int, ok bool)
 	// Len returns the number of stored pages.
 	Len() int
 	// BytesUsed returns the total payload bytes held.
@@ -71,40 +79,142 @@ type Store interface {
 	Close() error
 }
 
+// Page is one stored page. A Memory store's Page is also the unit its
+// buffers are recycled in: while no reader pins it, a deleted Page
+// waits on the store's free list for the next Put of its length.
+type Page struct {
+	data []byte
+	pins atomic.Int32
+	// While the page is free: the next free page of its length. Guarded
+	// by the owning Memory's mu.
+	next *Page
+}
+
+// Bytes returns the page content, valid until Release.
+func (p *Page) Bytes() []byte { return p.data }
+
+// Release ends the pin Store.Pin took; the caller must not touch the
+// page's bytes afterwards.
+func (p *Page) Release() { p.pins.Add(-1) }
+
 //
 // Memory engine.
 //
 
-// Memory is a map-backed Store.
+// Memory is a map-backed Store that reuses the memory of the pages it
+// drops.
+//
+// Bound: the bytes on the free list plus the bytes of pages stored or
+// being stored never exceed the most the latter ever reached, so a
+// store never holds more memory than it did at its busiest. A Put that
+// needs a fresh buffer evicts free pages, of whatever length, until the
+// bound holds again.
 type Memory struct {
 	mu    sync.RWMutex
-	pages map[Key][]byte
-	bytes int64
+	pages map[Key]*Page
+	bytes int64 // stored pages: what BytesUsed reports
+
+	held int64 // stored pages and pages being copied in by a Put
+	peak int64 // the most held has been
+
+	// The free list: a stack of free pages per length.
+	free      map[int]*Page
+	freeBytes int64
 }
 
 // NewMemory returns an empty in-memory store.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[Key][]byte)}
+	return &Memory{pages: make(map[Key]*Page), free: make(map[int]*Page)}
 }
 
-// Put implements Store. The data slice is copied — the one page-sized
-// allocation of the write path.
+// Put implements Store. The data is copied into a freed buffer of its
+// length if the free list has one, else into a fresh one — the
+// one page-sized allocation of the write path, which a provider whose
+// collector frees as fast as it stores no longer pays.
 func (m *Memory) Put(k Key, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
+	n := len(data)
+	m.mu.Lock()
+	p := m.takeFree(n)
+	m.held += int64(n)
+	if p == nil {
+		p = m.makeRoom()
+	}
+	m.mu.Unlock()
+	if p.data == nil {
+		p.data = make([]byte, n)
+	}
+	copy(p.data, data)
+
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if old, ok := m.pages[k]; ok {
-		m.bytes -= int64(len(old))
+		m.bytes -= int64(len(old.data))
+		m.drop(old)
 	}
-	m.pages[k] = cp
-	m.bytes += int64(len(cp))
+	m.pages[k] = p
+	m.bytes += int64(n)
 	return nil
 }
 
-// Get implements Store. It returns the stored slice itself: a re-put
-// replaces the map entry, never the bytes, so the slice stays valid
-// and unchanged for as long as a reader holds it.
+// makeRoom is the fresh-buffer half of Put, under mu, after held has
+// grown by the new page: it raises the peak or evicts free pages until
+// the bound holds, and returns an evicted page's Page to carry the new
+// buffer, or a new one.
+func (m *Memory) makeRoom() *Page {
+	m.peak = max(m.peak, m.held)
+	var spare *Page
+	for n := range m.free {
+		if m.held+m.freeBytes <= m.peak {
+			break
+		}
+		for m.free[n] != nil && m.held+m.freeBytes > m.peak {
+			spare = m.takeFree(n)
+			spare.data = nil
+		}
+	}
+	if spare == nil {
+		spare = new(Page)
+	}
+	return spare
+}
+
+// drop takes a page that has left the map, under mu. Unless a reader
+// still pins it, its buffer goes on the free list; a pinned page is
+// left to the garbage collector. A pin is taken under the read lock
+// while the page is in the map, so once it is out of the map under the
+// write lock the count can only fall.
+func (m *Memory) drop(p *Page) {
+	m.held -= int64(len(p.data))
+	if p.pins.Load() != 0 {
+		return
+	}
+	transport.Poison(p.data)
+	n := len(p.data)
+	p.next = m.free[n]
+	m.free[n] = p
+	m.freeBytes += int64(n)
+}
+
+// takeFree removes a free page of length n, under mu; nil if there is
+// none.
+func (m *Memory) takeFree(n int) *Page {
+	p := m.free[n]
+	if p == nil {
+		return nil
+	}
+	if p.next == nil {
+		delete(m.free, n)
+	} else {
+		m.free[n] = p.next
+	}
+	p.next = nil
+	m.freeBytes -= int64(n)
+	return p
+}
+
+// Get returns the stored bytes without a pin: their memory holds
+// another page once this one is deleted or re-put. Providers read
+// through Pin; benchmark/'s pagestore.get64k probe times this lookup.
 func (m *Memory) Get(k Key) ([]byte, error) {
 	m.mu.RLock()
 	p, ok := m.pages[k]
@@ -112,26 +222,36 @@ func (m *Memory) Get(k Key) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
+	return p.data, nil
+}
+
+// Pin implements Store: the stored page itself, which is not reused
+// until it is released.
+func (m *Memory) Pin(k Key) (*Page, error) {
+	m.mu.RLock()
+	p, ok := m.pages[k]
+	if ok {
+		p.pins.Add(1)
+	}
+	m.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, k)
+	}
 	return p, nil
 }
 
-// Has implements Store.
-func (m *Memory) Has(k Key) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.pages[k]
-	return ok
-}
-
 // Delete implements Store.
-func (m *Memory) Delete(k Key) error {
+func (m *Memory) Delete(k Key) (int, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if old, ok := m.pages[k]; ok {
-		m.bytes -= int64(len(old))
-		delete(m.pages, k)
+	p, ok := m.pages[k]
+	if !ok {
+		return 0, false
 	}
-	return nil
+	delete(m.pages, k)
+	m.bytes -= int64(len(p.data))
+	m.drop(p)
+	return len(p.data), true
 }
 
 // Len implements Store.
@@ -148,14 +268,21 @@ func (m *Memory) BytesUsed() int64 {
 	return m.bytes
 }
 
-// Close implements Store.
-func (m *Memory) Close() error { return nil }
+// Close implements Store: it gives the free list back to the garbage
+// collector.
+func (m *Memory) Close() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	clear(m.free)
+	m.freeBytes = 0
+	return nil
+}
 
 //
 // Synthesize engine.
 //
 
-// Synthesize retains sizes only; Get regenerates deterministic content
+// Synthesize retains sizes only; Pin regenerates deterministic content
 // from the page key, so a read always returns the same bytes for the
 // same key but nothing is actually held in memory.
 type Synthesize struct {
@@ -181,36 +308,30 @@ func (s *Synthesize) Put(k Key, data []byte) error {
 	return nil
 }
 
-// Get implements Store, synthesizing the content.
-func (s *Synthesize) Get(k Key) ([]byte, error) {
+// Pin implements Store with a Page of its own, synthesized for the one
+// reader.
+func (s *Synthesize) Pin(k Key) (*Page, error) {
 	s.mu.RLock()
 	n, ok := s.sizes[k]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	buf := make([]byte, n)
-	Fill(buf, k.hash64())
-	return buf, nil
-}
-
-// Has implements Store.
-func (s *Synthesize) Has(k Key) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.sizes[k]
-	return ok
+	p := &Page{data: make([]byte, n)}
+	Fill(p.data, k.hash64())
+	return p, nil
 }
 
 // Delete implements Store.
-func (s *Synthesize) Delete(k Key) error {
+func (s *Synthesize) Delete(k Key) (int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.sizes[k]; ok {
-		s.bytes -= int64(old)
+	n, ok := s.sizes[k]
+	if ok {
+		s.bytes -= int64(n)
 		delete(s.sizes, k)
 	}
-	return nil
+	return n, ok
 }
 
 // Len implements Store.

@@ -18,6 +18,22 @@ func engines(t *testing.T) map[string]Store {
 	}
 }
 
+// read returns a copy of the page s holds at k, through a pin.
+func read(s Store, k Key) ([]byte, error) {
+	p, err := s.Pin(k)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Release()
+	return bytes.Clone(p.Bytes()), nil
+}
+
+// has reports whether s holds the page at k.
+func has(s Store, k Key) bool {
+	_, err := read(s, k)
+	return err == nil
+}
+
 func TestPutGetAcrossEngines(t *testing.T) {
 	for name, s := range engines(t) {
 		t.Run(name, func(t *testing.T) {
@@ -27,7 +43,7 @@ func TestPutGetAcrossEngines(t *testing.T) {
 			if err := s.Put(k, data); err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.Get(k)
+			got, err := read(s, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,8 +53,8 @@ func TestPutGetAcrossEngines(t *testing.T) {
 			if name != "synthesize" && !bytes.Equal(got, data) {
 				t.Fatalf("content mismatch: %q", got)
 			}
-			if !s.Has(k) {
-				t.Error("Has = false")
+			if !has(s, k) {
+				t.Error("stored page not found")
 			}
 			if s.Len() != 1 {
 				t.Errorf("Len = %d", s.Len())
@@ -54,11 +70,8 @@ func TestMissingPage(t *testing.T) {
 	for name, s := range engines(t) {
 		t.Run(name, func(t *testing.T) {
 			defer s.Close()
-			if _, err := s.Get(Key{Blob: 1}); !errors.Is(err, ErrNotFound) {
-				t.Errorf("Get missing: %v", err)
-			}
-			if s.Has(Key{Blob: 1}) {
-				t.Error("Has missing = true")
+			if _, err := s.Pin(Key{Blob: 1}); !errors.Is(err, ErrNotFound) {
+				t.Errorf("Pin missing: %v", err)
 			}
 		})
 	}
@@ -72,16 +85,16 @@ func TestDeleteAcrossEngines(t *testing.T) {
 			if err := s.Put(k, []byte("abc")); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Delete(k); err != nil {
-				t.Fatal(err)
+			if n, ok := s.Delete(k); n != 3 || !ok {
+				t.Fatalf("Delete = %d, %v; want 3, true", n, ok)
 			}
-			if s.Has(k) || s.Len() != 0 || s.BytesUsed() != 0 {
+			if has(s, k) || s.Len() != 0 || s.BytesUsed() != 0 {
 				t.Errorf("state after delete: has=%v len=%d bytes=%d",
-					s.Has(k), s.Len(), s.BytesUsed())
+					has(s, k), s.Len(), s.BytesUsed())
 			}
-			// Deleting again is fine.
-			if err := s.Delete(k); err != nil {
-				t.Fatal(err)
+			// Deleting again is fine and drops nothing.
+			if n, ok := s.Delete(k); n != 0 || ok {
+				t.Fatalf("second Delete = %d, %v; want 0, false", n, ok)
 			}
 		})
 	}
@@ -116,24 +129,19 @@ func TestMemoryPutCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[0] = 'X'
-	got, err := s.Get(k)
+	got, err := s.Pin(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 'm' {
+	defer got.Release()
+	if got.Bytes()[0] != 'm' {
 		t.Error("Put did not copy the page")
 	}
-	// Get shares the stored, immutable slice (no copy per read), and a
-	// re-put replaces the entry without touching bytes a reader holds.
-	again, _ := s.Get(k)
-	if &again[0] != &got[0] {
-		t.Error("Get copied the page")
-	}
-	if err := s.Put(k, []byte("changed")); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "mutable" {
-		t.Errorf("re-put rewrote a slice a reader holds: %q", got)
+	// Pin shares the stored page (no copy per read).
+	again, _ := s.Pin(k)
+	defer again.Release()
+	if again != got {
+		t.Error("Pin copied the page")
 	}
 }
 
@@ -143,11 +151,11 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	if err := s.Put(k, make([]byte, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.Get(k)
+	a, err := read(s, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Get(k)
+	b, err := read(s, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +166,7 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	if err := s.Put(Key{Blob: 5, Version: 9, Index: 14}, make([]byte, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	c, _ := s.Get(Key{Blob: 5, Version: 9, Index: 14})
+	c, _ := read(s, Key{Blob: 5, Version: 9, Index: 14})
 	if bytes.Equal(a, c) {
 		t.Error("distinct keys synthesized identical content")
 	}
@@ -179,8 +187,8 @@ func TestConcurrentPutGet(t *testing.T) {
 							t.Errorf("put: %v", err)
 							return
 						}
-						if _, err := s.Get(k); err != nil {
-							t.Errorf("get: %v", err)
+						if _, err := read(s, k); err != nil {
+							t.Errorf("pin: %v", err)
 							return
 						}
 					}
@@ -236,7 +244,7 @@ func BenchmarkMemoryPut64K(b *testing.B) {
 	}
 }
 
-func BenchmarkSynthesizeGet64K(b *testing.B) {
+func BenchmarkSynthesizePin64K(b *testing.B) {
 	s := NewSynthesize()
 	k := Key{Blob: 1, Version: 1, Index: 1}
 	if err := s.Put(k, make([]byte, 64<<10)); err != nil {
@@ -245,8 +253,10 @@ func BenchmarkSynthesizeGet64K(b *testing.B) {
 	b.SetBytes(64 << 10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Get(k); err != nil {
+		p, err := s.Pin(k)
+		if err != nil {
 			b.Fatal(err)
 		}
+		p.Release()
 	}
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // The frame pool recycles the buffers rpc frames are marshalled into
-// and (on tcpnet) received into, so a page crossing a hop costs one
-// page-sized allocation — the copy that has to outlive the frame —
-// instead of one per frame.
+// and (on tcpnet) received into, so a page crossing a hop costs at most
+// the copy that has to outlive the frame, not one per frame; and that
+// copy is recycled too — the provider's page store reuses the memory
+// of the pages it drops, the page cache gives evicted frames back here.
 //
 // Ownership is linear. NewFrame hands a frame to its caller;
 // Conn.Send passes it to the transport and Conn.Recv to the receiver;
@@ -89,7 +90,8 @@ func ReleaseFrame(b []byte) {
 var poisonReleased atomic.Bool
 
 // PoisonReleased makes every buffer handed back for reuse — released
-// frames here, and the bsfs writer's recycled block buffers — be
+// frames here, the bsfs writer's recycled block buffers and the page
+// store's freed pages — be
 // overwritten with 0xDB first, so a reader of released memory sees
 // garbage at once instead of whatever the next owner writes. It exists
 // for tests (TestMain switches it on) and is always on under the race
