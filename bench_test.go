@@ -412,7 +412,7 @@ func BenchmarkSegmentFetch(b *testing.B) {
 	fetch := func(i int) {
 		seg, ok, err := st.Next(benchCtx, 0, i)
 		if err == nil && ok {
-			_, err = st.Fetch(benchCtx, r, seg)
+			err = st.Fetch(benchCtx, r, seg, make([]byte, seg.Len))
 		}
 		if err != nil || !ok {
 			b.Fatalf("segment %d: %v, %v", i, ok, err)

@@ -1138,42 +1138,43 @@ func (b *Blob) readAtInto(ctx context.Context, ver uint64, off uint64, p []byte)
 	return int(n), nil
 }
 
-// ReadWritten reads n bytes at byte offset off that version ver itself
-// wrote: it reads ver's own leaves by address (segtree.Written), one
-// batched fetch of those the node cache lacks, instead of resolving
-// snapshot ver, then the pages. The caller vouches that ver completed —
-// its leaves are final then, and the node cache keeps them — and wrote
-// all of [off, off+n); a read beginning before the first byte ver stored
-// is refused, and one running past its last fails on a short page. It
-// asks the version manager nothing unless a page or leaf turns out to be
-// gone, which fails as ErrVersionCollected when collection took it.
-func (b *Blob) ReadWritten(ctx context.Context, ver, off, n uint64) ([]byte, error) {
+// ReadWritten reads len(p) bytes into p from byte offset off that
+// version ver itself wrote: it reads ver's own leaves by address
+// (segtree.Written), one batched fetch of those the node cache lacks,
+// instead of resolving snapshot ver, then the pages. The caller vouches
+// that ver completed — its leaves are final then, and the node cache
+// keeps them — and wrote all of [off, off+len(p)); a read beginning
+// before the first byte ver stored is refused, and one running past its
+// last fails on a short page. It asks the version manager nothing
+// unless a page or leaf turns out to be gone, which fails as
+// ErrVersionCollected when collection took it. Like io.ReaderAt it
+// allocates no buffer: p is the caller's.
+func (b *Blob) ReadWritten(ctx context.Context, ver, off uint64, p []byte) error {
 	start := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "blob.read")
-	out, err := b.readWritten(ctx, ver, off, n)
+	err := b.readWritten(ctx, ver, off, p)
 	sp.End(err)
 	opRead.RecordDuration(time.Since(start))
-	return out, err
+	return err
 }
 
-func (b *Blob) readWritten(ctx context.Context, ver, off, n uint64) ([]byte, error) {
-	if n == 0 {
-		return nil, nil
+func (b *Blob) readWritten(ctx context.Context, ver, off uint64, p []byte) error {
+	if len(p) == 0 {
+		return nil
 	}
 	ps := b.pageSize
 	first := off / ps
-	slots, err := segtree.Written(ctx, b.c.nodes, b.id, ver, first, (off+n-1)/ps-first+1)
+	slots, err := segtree.Written(ctx, b.c.nodes, b.id, ver, first, (off+uint64(len(p))-1)/ps-first+1)
 	if err != nil {
-		return nil, b.collectedOr(ctx, ver, err)
+		return b.collectedOr(ctx, ver, err)
 	}
 	if first*ps+uint64(slots[0].Ref.Lo) > off {
-		return nil, fmt.Errorf("blob: version %d of blob %d stored page %d from byte %d on, read starts at %d", ver, b.id, first, slots[0].Ref.Lo, off-first*ps)
+		return fmt.Errorf("blob: version %d of blob %d stored page %d from byte %d on, read starts at %d", ver, b.id, first, slots[0].Ref.Lo, off-first*ps)
 	}
-	out := make([]byte, n)
-	if err := b.readSlots(ctx, slots, off, out, false); err != nil {
-		return nil, b.collectedOr(ctx, ver, err)
+	if err := b.readSlots(ctx, slots, off, p, false); err != nil {
+		return b.collectedOr(ctx, ver, err)
 	}
-	return out, nil
+	return nil
 }
 
 // extent returns the byte range of the BLOB that stored page i of slots

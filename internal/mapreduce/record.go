@@ -196,7 +196,7 @@ func (r *run) advance() {
 		r.key, r.val = nil, nil
 		return
 	}
-	//lint:framealias a segment is the reducer's own bytes (Blob.ReadAt's result or ShuffleResp's BytesCopy), never a recycled rpc frame
+	//lint:framealias a segment is the reducer's own bytes (a buffer of its tracker's free list, or ShuffleResp's BytesCopy), never a recycled rpc frame
 	r.key = r.rest.Bytes()
 	//lint:framealias as the key: the segment outlives the run
 	r.val = r.rest.Bytes()

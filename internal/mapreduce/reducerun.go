@@ -9,6 +9,7 @@ import (
 	"blobseer/internal/dfs"
 	"blobseer/internal/obs"
 	"blobseer/internal/shuffle"
+	"blobseer/internal/transport"
 )
 
 // Shuffle-fetch retry tuning (memory backend): a reducer that cannot
@@ -41,7 +42,13 @@ func (tt *TaskTracker) runReduce(ctx context.Context, job *jobState, r int) (out
 	// the retry to duplicate.
 	var runs []run
 	if job.shuffle != nil {
-		runs, shuffled, err = tt.fetchBlobSegments(ctx, job, r)
+		var segs [][]byte
+		defer func() {
+			for _, seg := range segs {
+				tt.segs.Give(seg, seg)
+			}
+		}()
+		runs, segs, shuffled, err = tt.fetchBlobSegments(ctx, job, r)
 	} else {
 		runs, shuffled, err = tt.fetchTrackerOutputs(ctx, job, r)
 	}
@@ -53,6 +60,9 @@ func (tt *TaskTracker) runReduce(ctx context.Context, job *jobState, r int) (out
 	// the streaming k-way merge of the sorted runs — no concatenation
 	// buffer, no full re-sort. The group key and its values are views
 	// of the fetched segments; values is one slice, refilled per group.
+	// The views die with the reduce: the record writer copies what is
+	// emitted, and a blob shuffle's segments go back to the tracker's
+	// free list once the output has committed or failed.
 	w, commit, err := tt.openReduceOutput(ctx, job, r)
 	if err != nil {
 		return 0, 0, shuffled, err
@@ -141,27 +151,35 @@ func (tt *TaskTracker) fetchTrackerOutputs(ctx context.Context, job *jobState, r
 
 // fetchBlobSegments is the blob backend's shuffle: consume partition
 // r's segments off the job's segment index as maps publish them —
-// overlapping the map phase — and stream each one out of its
-// intermediate BLOB through this tracker's shared page cache. A
-// re-executed reduce attempt restarts from consumed = 0; the index
-// replays the same segments.
-func (tt *TaskTracker) fetchBlobSegments(ctx context.Context, job *jobState, r int) (runs []run, shuffled uint64, err error) {
+// overlapping the map phase — and read each one out of its
+// intermediate BLOB into a buffer from the tracker's free list. segs
+// holds every buffer taken, also on failure, for the caller to give
+// back. A re-executed reduce attempt restarts from consumed = 0; the
+// index replays the same segments.
+func (tt *TaskTracker) fetchBlobSegments(ctx context.Context, job *jobState, r int) (runs []run, segs [][]byte, shuffled uint64, err error) {
 	src, ok := tt.fs.(shuffle.ClientSource)
 	if !ok {
-		return nil, 0, fmt.Errorf("reduce %d: blob shuffle on %s mount", r, tt.fs.Name())
+		return nil, nil, 0, fmt.Errorf("reduce %d: blob shuffle on %s mount", r, tt.fs.Name())
 	}
 	c := src.BlobClient()
 	for consumed := 0; ; consumed++ {
 		seg, ok, err := job.shuffle.Next(ctx, r, consumed)
 		if err != nil {
-			return nil, shuffled, fmt.Errorf("reduce %d: shuffle: %w", r, err)
+			return nil, segs, shuffled, fmt.Errorf("reduce %d: shuffle: %w", r, err)
 		}
 		if !ok {
-			return runs, shuffled, nil
+			return runs, segs, shuffled, nil
 		}
-		data, err := job.shuffle.Fetch(ctx, c, seg)
-		if err != nil {
-			return nil, shuffled, fmt.Errorf("reduce %d: %w", r, err)
+		var data []byte
+		if seg.Len > 0 {
+			if data, ok = tt.segs.Take(int(seg.Len)); !ok {
+				data = make([]byte, 0, transport.ClassSize(int(seg.Len)))
+			}
+			data = data[:seg.Len]
+			segs = append(segs, data)
+		}
+		if err := job.shuffle.Fetch(ctx, c, seg, data); err != nil {
+			return nil, segs, shuffled, fmt.Errorf("reduce %d: %w", r, err)
 		}
 		if job.noteShuffleFetch(int(seg.Map)) {
 			job.shuffle.MarkRecovered(seg)
@@ -169,7 +187,7 @@ func (tt *TaskTracker) fetchBlobSegments(ctx context.Context, job *jobState, r i
 		shuffled += seg.Len
 		part, derr := openRun(data)
 		if derr != nil {
-			return nil, shuffled, fmt.Errorf("reduce %d: decode map %d segment: %w", r, seg.Map, derr)
+			return nil, segs, shuffled, fmt.Errorf("reduce %d: decode map %d segment: %w", r, seg.Map, derr)
 		}
 		runs = append(runs, part)
 	}

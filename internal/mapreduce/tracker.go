@@ -84,6 +84,12 @@ type TaskTracker struct {
 	dead    bool
 	cancel  context.CancelFunc
 	ctx     context.Context
+
+	// segs is the free list of the blob shuffle's segment buffers: a
+	// reduce takes one per segment it fetches and gives them all back
+	// when it ends, so between jobs a tracker keeps at most the most
+	// segment bytes it ever held at once.
+	segs transport.Recycler[[]byte]
 }
 
 // NewTaskTracker starts a tasktracker on host with the given mount.
@@ -137,6 +143,7 @@ func (tt *TaskTracker) Dead() bool {
 func (tt *TaskTracker) Close() error {
 	tt.cancel()
 	tt.srv.Close()
+	tt.segs.Clear()
 	return tt.pool.Close()
 }
 

@@ -8,10 +8,12 @@
 //
 //   - Memory: a map of pages whose buffers are reused. Keys are never
 //     reused, but memory is: a deleted or replaced page's buffer holds
-//     the next page of its exact length, unless a reader still has it
-//     pinned. So a provider under the paper's append-only churn, whose
-//     collector deletes every dead page, stores new pages in the
-//     memory of reclaimed ones;
+//     the next page of its size class (transport.ClassSize: at most
+//     12.5 % over the length), unless a reader still has it pinned. So
+//     a provider under the paper's append-only churn, whose collector
+//     deletes every dead page, stores new pages — whole pages and the
+//     fragments of unaligned appends alike — in the memory of
+//     reclaimed ones;
 //   - Synthesize: stores only page *sizes* and regenerates deterministic
 //     bytes on read. Experiments with hundreds of simulated clients use
 //     it to keep the 270-node cluster's memory footprint flat while the
@@ -81,13 +83,10 @@ type Store interface {
 
 // Page is one stored page. A Memory store's Page is also the unit its
 // buffers are recycled in: while no reader pins it, a deleted Page
-// waits on the store's free list for the next Put of its length.
+// waits on the store's free list for the next Put of its size class.
 type Page struct {
 	data []byte
 	pins atomic.Int32
-	// While the page is free: the next free page of its length. Guarded
-	// by the owning Memory's mu.
-	next *Page
 }
 
 // Bytes returns the page content, valid until Release.
@@ -102,48 +101,35 @@ func (p *Page) Release() { p.pins.Add(-1) }
 //
 
 // Memory is a map-backed Store that reuses the memory of the pages it
-// drops.
-//
-// Bound: the bytes on the free list plus the bytes of pages stored or
-// being stored never exceed the most the latter ever reached, so a
-// store never holds more memory than it did at its busiest. A Put that
-// needs a fresh buffer evicts free pages, of whatever length, until the
-// bound holds again.
+// drops, through a transport.Recycler: a page's buffer has the capacity
+// of its length's size class, and the store never holds more of it,
+// stored, being stored or free, than it held stored at its busiest.
 type Memory struct {
 	mu    sync.RWMutex
 	pages map[Key]*Page
-	bytes int64 // stored pages: what BytesUsed reports
-
-	held int64 // stored pages and pages being copied in by a Put
-	peak int64 // the most held has been
-
-	// The free list: a stack of free pages per length.
-	free      map[int]*Page
-	freeBytes int64
+	bytes int64 // stored payload: what BytesUsed reports
+	free  transport.Recycler[*Page]
 }
 
 // NewMemory returns an empty in-memory store.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[Key]*Page), free: make(map[int]*Page)}
+	return &Memory{pages: make(map[Key]*Page)}
 }
 
 // Put implements Store. The data is copied into a freed buffer of its
-// length if the free list has one, else into a fresh one — the
+// size class if the free list has one, else into a fresh one — the
 // one page-sized allocation of the write path, which a provider whose
 // collector frees as fast as it stores no longer pays.
 func (m *Memory) Put(k Key, data []byte) error {
 	n := len(data)
-	m.mu.Lock()
-	p := m.takeFree(n)
-	m.held += int64(n)
-	if p == nil {
-		p = m.makeRoom()
+	p, ok := m.free.Take(n)
+	if !ok {
+		if p == nil {
+			p = new(Page)
+		}
+		p.data = make([]byte, 0, transport.ClassSize(n))
 	}
-	m.mu.Unlock()
-	if p.data == nil {
-		p.data = make([]byte, n)
-	}
-	copy(p.data, data)
+	p.data = append(p.data[:0], data...)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -156,61 +142,23 @@ func (m *Memory) Put(k Key, data []byte) error {
 	return nil
 }
 
-// makeRoom is the fresh-buffer half of Put, under mu, after held has
-// grown by the new page: it raises the peak or evicts free pages until
-// the bound holds, and returns an evicted page's Page to carry the new
-// buffer, or a new one.
-func (m *Memory) makeRoom() *Page {
-	m.peak = max(m.peak, m.held)
-	var spare *Page
-	for n := range m.free {
-		if m.held+m.freeBytes <= m.peak {
-			break
-		}
-		for m.free[n] != nil && m.held+m.freeBytes > m.peak {
-			spare = m.takeFree(n)
-			spare.data = nil
-		}
-	}
-	if spare == nil {
-		spare = new(Page)
-	}
-	return spare
-}
-
 // drop takes a page that has left the map, under mu. Unless a reader
 // still pins it, its buffer goes on the free list; a pinned page is
 // left to the garbage collector. A pin is taken under the read lock
 // while the page is in the map, so once it is out of the map under the
 // write lock the count can only fall.
 func (m *Memory) drop(p *Page) {
-	m.held -= int64(len(p.data))
 	if p.pins.Load() != 0 {
+		m.free.Forget(p.data)
 		return
 	}
-	transport.Poison(p.data)
-	n := len(p.data)
-	p.next = m.free[n]
-	m.free[n] = p
-	m.freeBytes += int64(n)
+	m.free.Give(p, p.data)
 }
 
-// takeFree removes a free page of length n, under mu; nil if there is
-// none.
-func (m *Memory) takeFree(n int) *Page {
-	p := m.free[n]
-	if p == nil {
-		return nil
-	}
-	if p.next == nil {
-		delete(m.free, n)
-	} else {
-		m.free[n] = p.next
-	}
-	p.next = nil
-	m.freeBytes -= int64(n)
-	return p
-}
+// Recycled returns the accounting of the store's free list.
+//
+//lint:unusedexport test hook: mapreduce's tests count the buffers providers reuse
+func (m *Memory) Recycled() transport.RecycleStats { return m.free.Stats() }
 
 // Get returns the stored bytes without a pin: their memory holds
 // another page once this one is deleted or re-put. Providers read
@@ -271,10 +219,7 @@ func (m *Memory) BytesUsed() int64 {
 // Close implements Store: it gives the free list back to the garbage
 // collector.
 func (m *Memory) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	clear(m.free)
-	m.freeBytes = 0
+	m.free.Clear()
 	return nil
 }
 

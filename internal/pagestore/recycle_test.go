@@ -31,7 +31,7 @@ func stored(m *Memory, k Key) []byte {
 
 // TestPinnedPageIsNotRecycled: a page pinned across its Delete and a
 // Put of the same length keeps its bytes, and once released and
-// deleted its buffer holds the next page of that length.
+// deleted its buffer holds the next page of its size class.
 func TestPinnedPageIsNotRecycled(t *testing.T) {
 	m := NewMemory()
 	a, b := Key{Blob: 1}, Key{Blob: 2}
@@ -51,18 +51,19 @@ func TestPinnedPageIsNotRecycled(t *testing.T) {
 	}
 	pg.Release()
 
-	// An unpinned page's buffer is reused by the next Put of its length.
+	// An unpinned page's buffer is reused by the next Put of its class:
+	// 100 and 97 bytes both take a 104-byte buffer.
 	pb, err := m.Pin(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pb.Release()
 	m.Delete(b)
-	if err := m.Put(a, fill('c', 100)); err != nil {
+	if err := m.Put(a, fill('c', 97)); err != nil {
 		t.Fatal(err)
 	}
-	if got := stored(m, a); &got[0] != &pb.Bytes()[0] || !bytes.Equal(got, fill('c', 100)) {
-		t.Error("the next Put of a released, deleted page's length did not reuse its buffer")
+	if got := stored(m, a); &got[0] != &pb.Bytes()[0] || !bytes.Equal(got, fill('c', 97)) {
+		t.Error("the next Put of a released, deleted page's class did not reuse its buffer")
 	}
 }
 
@@ -95,55 +96,66 @@ func TestRePutRecyclesOldBuffer(t *testing.T) {
 	}
 }
 
-// TestRecycleRetentionBound: free bytes plus the bytes of stored pages
-// never exceed the most the stored pages reached, so pages of a new
-// length evict free buffers rather than add to them.
+// TestRecycleRetentionBound: the capacity on the free list plus that
+// of stored pages never exceeds the most the stored pages reached, so
+// pages of a new size class evict free buffers rather than add to them.
+// The bound counts capacity: a 1000-byte page holds a buffer of its
+// class, 1024 bytes, while BytesUsed counts its 1000.
 func TestRecycleRetentionBound(t *testing.T) {
 	m := NewMemory()
-	check := func(step string) {
+	check := func(step string) transport.RecycleStats {
 		t.Helper()
+		st := m.Recycled()
+		if st.Held+st.Free > st.Peak {
+			t.Fatalf("%s: %d held + %d free > peak %d", step, st.Held, st.Free, st.Peak)
+		}
 		m.mu.RLock()
 		defer m.mu.RUnlock()
-		if m.held+m.freeBytes > m.peak {
-			t.Fatalf("%s: %d held + %d free > peak %d", step, m.held, m.freeBytes, m.peak)
+		var capacity int64
+		for _, p := range m.pages {
+			capacity += int64(cap(p.data))
 		}
-		if m.held != m.bytes {
-			t.Fatalf("%s: %d held, %d stored with no Put running", step, m.held, m.bytes)
+		if st.Held != capacity {
+			t.Fatalf("%s: %d held, %d stored capacity with no Put running", step, st.Held, capacity)
 		}
+		return st
 	}
-	const n, size = 8, 1000
+	const n, size, class = 8, 1000, 1024
 	for i := 0; i < n; i++ {
 		if err := m.Put(Key{Index: uint64(i)}, fill('a', size)); err != nil {
 			t.Fatal(err)
 		}
 		check("fill")
 	}
+	if used := m.BytesUsed(); used != n*size {
+		t.Fatalf("BytesUsed = %d, want the %d bytes stored", used, n*size)
+	}
 	for i := 0; i < n; i++ {
 		m.Delete(Key{Index: uint64(i)})
 		check("delete")
 	}
-	if m.freeBytes != n*size {
-		t.Fatalf("%d bytes free after deleting %d pages of %d", m.freeBytes, n, size)
+	if st := check("deleted"); st.Free != n*class {
+		t.Fatalf("%d bytes free after deleting %d pages of class %d", st.Free, n, class)
 	}
 	for i := 0; i < 3; i++ {
 		if err := m.Put(Key{Version: 1, Index: uint64(i)}, fill('b', size/2)); err != nil {
 			t.Fatal(err)
 		}
-		check("other length")
+		check("other class")
 	}
-	if m.peak != n*size {
-		t.Errorf("peak = %d, want %d: stored bytes never went above it", m.peak, n*size)
+	st := check("other class")
+	if st.Peak != n*class {
+		t.Errorf("peak = %d, want %d: stored capacity never went above it", st.Peak, n*class)
 	}
-	if m.freeBytes != (n-2)*size {
-		t.Errorf("%d bytes free, want %d: three half pages evict two free pages", m.freeBytes, (n-2)*size)
+	if st.Free != (n-2)*class {
+		t.Errorf("%d bytes free, want %d: three half pages evict two free pages", st.Free, (n-2)*class)
 	}
 	// What is left is still reused.
 	if err := m.Put(Key{Version: 2}, fill('c', size)); err != nil {
 		t.Fatal(err)
 	}
-	check("reuse")
-	if m.freeBytes != (n-3)*size {
-		t.Errorf("%d bytes free, want %d after a reuse", m.freeBytes, (n-3)*size)
+	if st := check("reuse"); st.Free != (n-3)*class || st.Reused != 1 {
+		t.Errorf("%d bytes free and %d reuses, want %d and 1 after a reuse", st.Free, st.Reused, (n-3)*class)
 	}
 }
 

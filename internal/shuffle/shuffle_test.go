@@ -192,6 +192,12 @@ func segPayload(m, p, n int) []byte {
 	return buf
 }
 
+// fetch reads seg through c into a buffer of its own.
+func fetch(st *Store, c *blob.Client, seg Segment) ([]byte, error) {
+	buf := make([]byte, seg.Len)
+	return buf, st.Fetch(ctx, c, seg, buf)
+}
+
 // TestStoreAppendFetchRoundtrip writes every map's partitions through
 // AppendMap and reads them back through Next+Fetch, checking content
 // and checksums end to end.
@@ -243,7 +249,7 @@ func TestStoreAppendFetchRoundtrip(t *testing.T) {
 			if !ok {
 				break
 			}
-			got, err := st.Fetch(ctx, c, seg)
+			got, err := fetch(st, c, seg)
 			if err != nil {
 				t.Fatalf("fetch map %d part %d: %v", seg.Map, p, err)
 			}
@@ -253,7 +259,7 @@ func TestStoreAppendFetchRoundtrip(t *testing.T) {
 			}
 			// A re-read (a retried reduce attempt) must not re-count:
 			// the stats assertion below stays exact despite this.
-			if _, err := st.Fetch(ctx, c, seg); err != nil {
+			if _, err := fetch(st, c, seg); err != nil {
 				t.Fatalf("refetch map %d part %d: %v", seg.Map, p, err)
 			}
 			st.MarkRecovered(seg)
@@ -339,7 +345,7 @@ func TestStoreConcurrentAppenders(t *testing.T) {
 					}
 					return
 				}
-				got, err := st.Fetch(ctx, c, seg)
+				got, err := fetch(st, c, seg)
 				if err != nil {
 					readErrs <- err
 					return
@@ -490,7 +496,7 @@ func TestStoreChecksumRejectsWrongSegment(t *testing.T) {
 		t.Fatalf("Next = %v, %v", ok, err)
 	}
 	seg.Sum ^= 0xdeadbeef
-	if _, err := st.Fetch(ctx, c, seg); err == nil {
+	if _, err := fetch(st, c, seg); err == nil {
 		t.Fatal("corrupted checksum accepted")
 	}
 }
@@ -538,7 +544,7 @@ func TestFetchAsksTheVersionManagerOnce(t *testing.T) {
 			if !ok {
 				break
 			}
-			if _, err := st.Fetch(ctx, c, seg); err != nil {
+			if _, err := fetch(st, c, seg); err != nil {
 				t.Fatal(err)
 			}
 			if seg.Len > 0 {
@@ -574,7 +580,7 @@ func TestFetchAsksTheVersionManagerOnce(t *testing.T) {
 					break
 				}
 				before := metrics.Default.RPCClient.Snapshot()
-				if _, err := st.Fetch(ctx, reader, seg); err != nil {
+				if _, err := fetch(st, reader, seg); err != nil {
 					t.Fatal(err)
 				}
 				after := metrics.Default.RPCClient.Snapshot()
@@ -631,7 +637,7 @@ func TestFetchCachesNothing(t *testing.T) {
 		if !ok {
 			break
 		}
-		got, err := st.Fetch(ctx, reader, seg)
+		got, err := fetch(st, reader, seg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -680,7 +686,7 @@ func TestColdFetchAllocationBudget(t *testing.T) {
 	fetch := func(i int) {
 		seg, ok, err := st.Next(ctx, 0, i)
 		if err == nil && ok {
-			_, err = st.Fetch(ctx, reader, seg)
+			_, err = fetch(st, reader, seg)
 		}
 		if err != nil || !ok {
 			t.Fatalf("segment %d: %v, %v", i, ok, err)
@@ -748,7 +754,7 @@ func TestFetchSegmentShapes(t *testing.T) {
 		if !ok {
 			break
 		}
-		got, err := st.Fetch(ctx, reader, seg)
+		got, err := fetch(st, reader, seg)
 		if err != nil {
 			t.Fatalf("fetch map %d: %v", seg.Map, err)
 		}
@@ -805,7 +811,7 @@ func TestFetchAfterCleanupIsRefused(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Next = %v, %v", ok, err)
 	}
-	if got, err := st.Fetch(ctx, reader, seg); err != nil || !bytes.Equal(got, want) {
+	if got, err := fetch(st, reader, seg); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("fetch before cleanup: %d bytes, %v", len(got), err)
 	}
 
@@ -816,7 +822,7 @@ func TestFetchAfterCleanupIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, cl := range map[string]*blob.Client{"deleting": c, "warm": reader} {
-		got, err := st.Fetch(ctx, cl, seg)
+		got, err := fetch(st, cl, seg)
 		if !errors.Is(err, blob.ErrVersionCollected) && !errors.Is(err, blob.ErrBlobNotFound) {
 			t.Errorf("fetch through the %s client after cleanup = %d bytes, %v; want ErrVersionCollected or ErrBlobNotFound", name, len(got), err)
 		}

@@ -314,14 +314,15 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 	return nil
 }
 
-// Fetch reads one published segment through c: one vm.WaitPublished,
-// one batched get of the leaves the segment's version wrote, the page
-// reads and the checksum. A segment is exactly the bytes its version
-// appended, so ReadWritten reads them by address, through the client's
-// node cache, and walks no segment tree; its version was complete
-// before AppendMap published it, so its leaves are final. Each page is
-// copied into the segment out of its pooled page frame, which goes back
-// to the pool, and none enters the page cache: nothing but a
+// Fetch reads one published segment through c into p, which is
+// seg.Len bytes (a reducer's comes from its tracker's free list):
+// one vm.WaitPublished, one batched get of the leaves the segment's
+// version wrote, the page reads and the checksum. A segment is exactly
+// the bytes its version appended, so ReadWritten reads them by address,
+// through the client's node cache, and walks no segment tree; its
+// version was complete before AppendMap published it, so its leaves are
+// final. Each page is copied into p out of its pooled page frame, which
+// goes back to the pool, and none enters the page cache: nothing but a
 // re-executed reduce reads a segment again.
 // WaitPublished is the fetch's one question to the version manager and
 // stays even though the index only hands out published segments: it is
@@ -333,7 +334,7 @@ func (st *Store) AppendMap(ctx context.Context, c *blob.Client, mapID uint64, pa
 // short bytes. Each distinct
 // segment counts as fetched once: re-executed reduce attempts re-read
 // their whole partition, and those re-reads must not inflate the counts.
-func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment) ([]byte, error) {
+func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment, p []byte) error {
 	start := time.Now()
 	defer func() { opFetch.RecordDuration(time.Since(start)) }()
 	ctx, sp := obs.StartSpan(ctx, "shuffle.fetch")
@@ -345,23 +346,22 @@ func (st *Store) Fetch(ctx context.Context, c *blob.Client, seg Segment) ([]byte
 		if st.once(st.fetched, seg) {
 			segmentsFetched.Add(1)
 		}
-		return nil, nil
+		return nil
 	}
 	b := c.Handle(st.blobs[seg.Part], st.pageSize)
 	if _, err := b.WaitPublished(ctx, seg.Ver); err != nil {
-		return nil, fmt.Errorf("shuffle: segment map %d part %d not published: %w", seg.Map, seg.Part, err)
+		return fmt.Errorf("shuffle: segment map %d part %d not published: %w", seg.Map, seg.Part, err)
 	}
-	data, err := b.ReadWritten(ctx, seg.Ver, seg.Off, seg.Len)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: read segment map %d part %d: %w", seg.Map, seg.Part, err)
+	if err := b.ReadWritten(ctx, seg.Ver, seg.Off, p); err != nil {
+		return fmt.Errorf("shuffle: read segment map %d part %d: %w", seg.Map, seg.Part, err)
 	}
-	if sum := crc32.ChecksumIEEE(data); sum != seg.Sum {
-		return nil, fmt.Errorf("shuffle: segment map %d part %d checksum mismatch: %08x != %08x", seg.Map, seg.Part, sum, seg.Sum)
+	if sum := crc32.ChecksumIEEE(p); sum != seg.Sum {
+		return fmt.Errorf("shuffle: segment map %d part %d checksum mismatch: %08x != %08x", seg.Map, seg.Part, sum, seg.Sum)
 	}
 	if st.once(st.fetched, seg) {
 		segmentsFetched.Add(1)
 	}
-	return data, nil
+	return nil
 }
 
 // once marks seg in seen and reports whether it was new there.

@@ -11,6 +11,10 @@ import (
 // the copy that has to outlive the frame, not one per frame; and that
 // copy is recycled too — the provider's page store reuses the memory
 // of the pages it drops, the page cache gives evicted frames back here.
+// The frame pool is process-wide and capped per class, for short-lived
+// frames; a buffer that lives as long as its owner wants it (a stored
+// page, a reducer's shuffle segment) goes back to that owner's own
+// Recycler instead, bounded by the owner's peak (recycle.go).
 //
 // Ownership is linear. NewFrame hands a frame to its caller;
 // Conn.Send passes it to the transport and Conn.Recv to the receiver;
