@@ -85,7 +85,7 @@ type Options struct {
 	// strategy and modeled NIC capacity the experiments set).
 	blob.ClusterConfig
 	// DeployConfig is the BSFS layer's: BlockSize, WriteDepth,
-	// ReadDepth, GCInterval, HealthPingTimeout.
+	// ReadDepth, HealthPingTimeout.
 	bsfs.DeployConfig
 	// FlightPath, when set, opens a flight recorder at that path and
 	// arms the SLO watchdog (default rules), whose ticker collects the

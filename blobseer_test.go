@@ -128,8 +128,8 @@ func TestOptionsReachTheirLayer(t *testing.T) {
 				}
 			}
 		}},
-		{"deployment", func(o *Options) { o.GCInterval, o.HealthPingTimeout = time.Hour, time.Minute }, func(t *testing.T, c *Cluster, m *Mount) {
-			if c.FS.GCInterval != time.Hour || c.FS.HealthPingTimeout != time.Minute {
+		{"deployment", func(o *Options) { o.HealthPingTimeout = time.Minute }, func(t *testing.T, c *Cluster, m *Mount) {
+			if c.FS.HealthPingTimeout != time.Minute {
 				t.Errorf("deployment config = %+v", c.FS.DeployConfig)
 			}
 		}},

@@ -20,7 +20,6 @@ type Flags struct {
 
 	depth, readDepth, vmShards *int
 	retain                     *uint64
-	gcInterval                 *time.Duration
 	logLevel, metricsAddr      *string
 	slowMs                     *float64
 }
@@ -52,7 +51,6 @@ func BindFlags(o *Options) *Flags {
 		depth:       flag.Int("depth", 0, "BSFS writer pipeline depth (blocks in flight per writer; 0 = default, 1 = synchronous)"),
 		readDepth:   flag.Int("readdepth", 0, "BSFS reader readahead depth (blocks in flight ahead of a reader; 0 = default, negative = off; ignored when the page cache is off, because readahead stages pages through it)"),
 		retain:      flag.Uint64("retain", 0, "default RetainLatest GC policy (0 = keep every version)"),
-		gcInterval:  flag.Duration("gc-interval", 0, "periodic GC pass cadence (0 = kick-driven only)"),
 		vmShards:    flag.Int("vm-shards", 1, "version-manager shards (metadata plane partitions)"),
 		logLevel:    flag.String("log-level", "", "obs log level: debug|info|warn|error (default warn)"),
 		slowMs:      flag.Float64("slow-ms", 0, "slow-span threshold in ms: a span ending at or past it logs a warning (0 = off; the flight tail sampler keeps its own 50 ms floor)"),
@@ -67,7 +65,7 @@ func BindFlags(o *Options) *Flags {
 func (f *Flags) Apply() error {
 	o := f.opts
 	o.WriteDepth, o.ReadDepth, o.VMShards = *f.depth, *f.readDepth, *f.vmShards
-	o.Retain, o.GCInterval = *f.retain, *f.gcInterval
+	o.Retain = *f.retain
 	if o.ReadDepth > 0 && o.CacheBytes < 0 {
 		fmt.Fprintf(os.Stderr, "[-readdepth %d ignored: the page cache is off (-cachemb) and readahead stages pages through it]\n", o.ReadDepth)
 	}

@@ -85,10 +85,10 @@ type Cluster struct {
 	vmAddrs []transport.Addr // stable shard endpoints (survive restarts)
 	vmPools []*rpc.Pool      // per-shard pools backing seal-path metadata clients
 
-	// notifyMu guards reclaimNotify, the cluster-level reclaim callback
-	// re-applied to a shard when it restarts after failover.
-	notifyMu      sync.Mutex
-	reclaimNotify func()
+	// reclaim is the one channel every shard signals when a reclaim
+	// pass may find garbage (VersionManagerConfig.reclaim); a restarted
+	// shard gets it from startVM like the first.
+	reclaim chan struct{}
 
 	// vmMu guards VMs slot replacement: failover (startVM) swaps a
 	// shard pointer while the cluster monitor samples through ShardVM.
@@ -122,7 +122,7 @@ func NewCluster(net transport.Network, cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	c := &Cluster{Net: net, Cfg: cfg}
+	c := &Cluster{Net: net, Cfg: cfg, reclaim: make(chan struct{}, 1)}
 
 	// Metadata providers.
 	for i := 0; i < cfg.MetaProviders; i++ {
@@ -197,6 +197,7 @@ func (c *Cluster) startVM(i int) error {
 		ShardIndex:   i,
 		ShardAddrs:   c.vmAddrs,
 		lease:        c.Cfg.lease,
+		reclaim:      c.reclaim,
 	}
 	if c.Cfg.JournalDir != "" {
 		vmCfg.JournalPath = filepath.Join(c.Cfg.JournalDir, fmt.Sprintf("vmanager-%d.log", i))
@@ -206,11 +207,6 @@ func (c *Cluster) startVM(i int) error {
 		pool.Close()
 		return err
 	}
-	c.notifyMu.Lock()
-	if c.reclaimNotify != nil {
-		vm.SetReclaimNotify(c.reclaimNotify)
-	}
-	c.notifyMu.Unlock()
 	c.vmPools[i] = pool
 	c.vmMu.Lock()
 	c.VMs[i] = vm
@@ -254,17 +250,12 @@ func (c *Cluster) VMAddrs() []transport.Addr {
 	return append([]transport.Addr(nil), c.vmAddrs...)
 }
 
-// SetReclaimNotify registers the reclaim kick on every shard and
-// remembers it so restarted shards are re-wired after failover.
-func (c *Cluster) SetReclaimNotify(fn func()) {
-	c.notifyMu.Lock()
-	c.reclaimNotify = fn
-	c.notifyMu.Unlock()
-	for _, vm := range c.VMs {
-		if vm != nil {
-			vm.SetReclaimNotify(fn)
-		}
-	}
+// ReclaimSignals is the channel the deployment's collector runs a pass
+// on: any shard signals it after a lifecycle RPC and on every tick of
+// its lease sweep. One signal stands for any number sent since the
+// last receive.
+func (c *Cluster) ReclaimSignals() <-chan struct{} {
+	return c.reclaim
 }
 
 // MetaAddrs returns the metadata provider endpoints.

@@ -88,6 +88,11 @@ type VersionManagerConfig struct {
 	// lease and waitHold replace the constants of the same names when
 	// non-zero: tests shorten them.
 	lease, waitHold time.Duration
+
+	// reclaim, when set, is signalled without blocking after every
+	// lifecycle RPC that may create garbage and after every lease sweep:
+	// it is the cluster's one channel its collector runs a pass on.
+	reclaim chan<- struct{}
 }
 
 // VersionManager is BlobSeer's centralized version manager (§3.1.1):
@@ -108,14 +113,6 @@ type VersionManager struct {
 	journal *vmJournal // nil: in-memory manager
 
 	recovered int // journal records replayed at startup
-
-	// reclaimNotify, when set, is called after any lifecycle change
-	// that may create garbage (DeleteBlob, TruncateBefore,
-	// SetRetention); the collector registers a non-blocking kick here
-	// so deletions reclaim promptly instead of waiting for the next
-	// periodic pass.
-	notifyMu      sync.Mutex
-	reclaimNotify func()
 
 	// createLogged, when set, runs between a create's journal append and
 	// its install: a test seam for a checkpoint that races the create.
@@ -496,7 +493,8 @@ func (vm *VersionManager) seal(blob, ver uint64) error {
 // sealLoop seals every version that has been pending for longer than
 // one lease. assignedAt is the replay time for a version assigned
 // before a restart, so an orphan of a crash is sealed one lease after
-// the restart.
+// the restart. Each sweep then signals the collector: retention and
+// expired pins create garbage that no RPC announces.
 func (vm *VersionManager) sealLoop() {
 	defer vm.wg.Done()
 	tick := time.NewTicker(vm.cfg.lease / 4)
@@ -532,6 +530,7 @@ func (vm *VersionManager) sealLoop() {
 				obs.Log.Warnf("blob %d: lease seal of version %d: %v", t.blob, t.ver, err)
 			}
 		}
+		vm.reclaimKick()
 	}
 }
 
@@ -709,21 +708,12 @@ func (vm *VersionManager) handleStats(r *wire.Reader) (wire.Marshaler, error) {
 // that feeds the garbage collector (internal/gc).
 //
 
-// SetReclaimNotify registers a callback invoked after every lifecycle
-// RPC that may create garbage. The collector registers a non-blocking
-// kick so deletions reclaim promptly.
-func (vm *VersionManager) SetReclaimNotify(fn func()) {
-	vm.notifyMu.Lock()
-	vm.reclaimNotify = fn
-	vm.notifyMu.Unlock()
-}
-
+// reclaimKick tells the collector a pass may find garbage. A signal
+// already pending covers this one.
 func (vm *VersionManager) reclaimKick() {
-	vm.notifyMu.Lock()
-	fn := vm.reclaimNotify
-	vm.notifyMu.Unlock()
-	if fn != nil {
-		fn()
+	select {
+	case vm.cfg.reclaim <- struct{}{}:
+	default:
 	}
 }
 

@@ -587,19 +587,37 @@ func TestListBlobsExcludesDeleted(t *testing.T) {
 	}
 }
 
-// TestReclaimNotifyFires: lifecycle RPCs kick the registered reclaim
-// notify hook.
+// TestReclaimNotifyFires: a lifecycle RPC signals the manager's reclaim
+// channel.
 func TestReclaimNotifyFires(t *testing.T) {
-	h := newVMHarness(t, 100)
-	kicks := make(chan struct{}, 8)
-	h.vm.SetReclaimNotify(func() { kicks <- struct{}{} })
+	kicks := make(chan struct{}, 1)
+	h := newVMHarnessWith(t, 100, VersionManagerConfig{reclaim: kicks})
 	if err := h.pool.Call(ctx, h.vm.Addr(), VMDeleteBlob, &BlobRef{Blob: h.blob}, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-kicks:
 	case <-time.After(time.Second):
-		t.Fatal("DeleteBlob did not kick the reclaim notify hook")
+		t.Fatal("DeleteBlob did not signal the reclaim channel")
+	}
+}
+
+// TestLeaseSweepSignalsReclaim: retention creates garbage that no RPC
+// announces, so the lease sweep signals the reclaim channel on its own,
+// and the scan that signal asks for collects the versions retention
+// retired.
+func TestLeaseSweepSignalsReclaim(t *testing.T) {
+	kicks := make(chan struct{}, 1)
+	h := newVMHarnessWith(t, 100, VersionManagerConfig{RetainLatest: 2, lease: 200 * time.Millisecond, reclaim: kicks})
+	h.publishN(t, 10)
+	select {
+	case <-kicks:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the lease sweep never signalled the reclaim channel")
+	}
+	resp := h.scan(t)
+	if len(resp.Blobs) != 1 || resp.Blobs[0].To-resp.Blobs[0].From != 8 {
+		t.Fatalf("scan after the sweep's signal = %+v, want 8 versions of one BLOB", resp.Blobs)
 	}
 }
 

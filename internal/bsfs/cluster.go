@@ -21,11 +21,6 @@ type DeployConfig struct {
 	// Tuning is handed to every mount of the deployment.
 	Tuning
 
-	// GCInterval arms periodic garbage-collection passes. 0 leaves the
-	// collector kick-driven: file deletion still reclaims storage, but
-	// retention policies only make progress when something kicks it.
-	GCInterval time.Duration
-
 	// HealthPingTimeout bounds each VM-shard ping in Health; 0 means
 	// DefaultHealthPingTimeout. The router's failover retry would
 	// otherwise mask a dead shard for the caller's whole deadline.
@@ -47,10 +42,11 @@ type Deployment struct {
 	// change sees it.
 	DeployConfig
 
-	// GC is the deployment's garbage collector. It is always created —
-	// file deletion kicks it so "rm" actually frees provider storage —
-	// and runs kick-driven unless GCInterval arms periodic passes
-	// (which retention policies need to make progress without deletes).
+	// GC is the deployment's garbage collector. It is always created,
+	// and runs a pass whenever a version-manager shard signals one:
+	// after a file deletion, so "rm" frees provider storage at once,
+	// and on every lease sweep, so retention and expired pins are
+	// collected within one sweep.
 	GC *gc.Collector
 
 	// Monitor is the deployment's cluster monitor: every provider, VM
@@ -88,13 +84,10 @@ func Deploy(c *blob.Cluster, cfg DeployConfig) (*Deployment, error) {
 		return nil, err
 	}
 	// The collector gets its own client (cache purges must not race a
-	// real mount's reads) and a kick from every lifecycle RPC on every
-	// shard, so deletions reclaim promptly even with no periodic
-	// interval armed; the cluster re-wires the kick when a shard
-	// restarts after failover.
+	// real mount's reads) and the cluster's reclaim signals, which every
+	// shard, restarted ones included, sends.
 	gcClient := c.Client("vmanager-host")
-	collector := gc.New(gcClient, gc.Options{Interval: cfg.GCInterval})
-	c.SetReclaimNotify(collector.Kick)
+	collector := gc.New(gcClient, c.ReclaimSignals())
 
 	mon := monitor.New(c.Cfg.NICBandwidth)
 	for _, p := range c.Providers {
@@ -259,7 +252,6 @@ func (d *Deployment) Mount(host string) *FS {
 // Close stops the namespace manager and the collector (the BlobSeer
 // cluster is owned by the caller).
 func (d *Deployment) Close() error {
-	d.Blob.SetReclaimNotify(nil)
 	// The watchdog stays set once closed: Health, which a scrape may
 	// still be running, reads it, and a closed one reports unarmed.
 	if d.Watchdog != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
@@ -105,10 +104,10 @@ func lockedPoint(env *bsfsEnv, cfg Config, point, n int) (Summary, error) {
 	for i := range clients {
 		clients[i] = &appendClient{fs: env.mount(i), path: path, data: chunk(cfg, i)}
 	}
-	var gate sync.Mutex
+	gate := make(chan struct{}, 1)
 	var meter Meter
 	for rep := 0; rep < cfg.Reps; rep++ {
-		if err := runAppenders(clients, &meter, &gate); err != nil {
+		if err := runAppenders(clients, &meter, gate); err != nil {
 			return Summary{}, err
 		}
 	}

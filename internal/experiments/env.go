@@ -40,7 +40,7 @@ import (
 // page size at the level of BlobSeer to 64 MB", §4.1; scaled down),
 // Strategy (provider placement; default random, which models
 // balls-into-bins hotspots, see Abl 2), and WriteDepth, ReadDepth,
-// Retain, GCInterval, VMShards and JournalDir for the environment (the
+// Retain, VMShards and JournalDir for the environment (the
 // GC and Meta scenarios sweep their own policies and shard counts
 // regardless). Providers, Store, NICBandwidth and Net are set by the
 // environment itself from Nodes, the scenario and Bandwidth.
@@ -138,6 +138,7 @@ func newBSFSEnvStore(cfg Config, store blob.StoreKind) (*bsfsEnv, error) {
 		Bandwidth:     cfg.Bandwidth,
 		Latency:       cfg.Latency,
 		FrameOverhead: 64,
+		SleepFloor:    sleepFloor,
 	})
 	opts := cfg.Options
 	opts.Net = net
@@ -194,6 +195,7 @@ func newHDFSEnv(cfg Config) (*hdfsEnv, error) {
 		Bandwidth:     cfg.Bandwidth,
 		Latency:       cfg.Latency,
 		FrameOverhead: 64,
+		SleepFloor:    sleepFloor,
 	})
 	cluster, err := hdfs.NewCluster(net, hdfs.ClusterConfig{
 		Datanodes: cfg.Nodes - 1,
@@ -227,3 +229,9 @@ func freshPath(kind string, point int) string {
 
 //lint:detached the bench harness root ctx: experiment runs own their whole process lifetime, there is no caller to thread from
 var ctx = context.Background()
+
+// sleepFloor is every shaped network's simnet.Config.SleepFloor; zero
+// keeps simnet's default. A virtual-time run (testing/synctest) sets it
+// to a nanosecond: a wait under the floor is not slept, and in a bubble
+// only sleeps advance the clock.
+var sleepFloor time.Duration

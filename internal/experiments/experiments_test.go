@@ -21,13 +21,20 @@ func smallCfg() Config {
 	return cfg
 }
 
-func TestFig3Smoke(t *testing.T) {
+func TestFig3Smoke(t *testing.T) { fig3Smoke(t) }
+
+// fig3Smoke runs Fig 3's smoke sweep and checks its shape. It and the
+// other *Smoke helpers report with Errorf, never Fatal, so the virtual
+// time test can run them inside a synctest bubble's goroutine.
+func fig3Smoke(t *testing.T) {
 	series, err := Fig3(smallCfg(), []int{1, 4, 8})
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return
 	}
 	if len(series.Points) != 3 {
-		t.Fatalf("points = %d", len(series.Points))
+		t.Errorf("points = %d", len(series.Points))
+		return
 	}
 	for _, p := range series.Points {
 		if p.Y <= 0 {
@@ -60,14 +67,19 @@ func TestFig4Fig5Smoke(t *testing.T) {
 	}
 }
 
-func TestFig6Smoke(t *testing.T) {
+func TestFig6Smoke(t *testing.T) { fig6Smoke(t) }
+
+// fig6Smoke runs Fig 6 at 1 and 4 reducers and checks its shape.
+func fig6Smoke(t *testing.T) {
 	cfg := smallCfg()
 	res, err := Fig6(cfg, []int{1, 4})
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return
 	}
 	if len(res.HDFS.Points) != 2 || len(res.BSFS.Points) != 2 {
-		t.Fatalf("points: hdfs=%d bsfs=%d", len(res.HDFS.Points), len(res.BSFS.Points))
+		t.Errorf("points: hdfs=%d bsfs=%d", len(res.HDFS.Points), len(res.BSFS.Points))
+		return
 	}
 	// The headline claim: BSFS produces exactly one output file at any
 	// reducer count; HDFS produces one per reducer.
@@ -120,7 +132,11 @@ func TestPipelineSmoke(t *testing.T) {
 	}
 }
 
-func TestAblationLockedSmoke(t *testing.T) {
+func TestAblationLockedSmoke(t *testing.T) { ablationLockedSmoke(t) }
+
+// ablationLockedSmoke runs the global-lock ablation at N = 1 and 8 and
+// checks that versioning beats the lock at 8.
+func ablationLockedSmoke(t *testing.T) {
 	// The lock's queueing penalty only shows when transfers dominate,
 	// so this smoke test runs shaped (10 ms per chunk), unlike the
 	// others: unshaped, everything is CPU-bound and serialization
@@ -130,11 +146,13 @@ func TestAblationLockedSmoke(t *testing.T) {
 	cfg.BlockSize = 128 << 10
 	versioned, locked, err := AblationLockedAppend(cfg, []int{1, 8})
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return
 	}
 	// At N=8 the lock must hurt: versioning clearly beats it.
 	v8 := versioned.Points[1].Y
 	l8 := locked.Points[1].Y
+	t.Logf("N=8: versioned %.2f MB/s, locked %.2f MB/s", v8, l8)
 	if v8 <= l8 {
 		t.Errorf("versioning (%g MB/s) not better than lock (%g MB/s) at N=8", v8, l8)
 	}

@@ -69,9 +69,10 @@ type appendClient struct {
 // runAppenders starts every client simultaneously; each appends its
 // chunk once (timed: Write plus a pipeline drain, i.e. until the
 // version manager acknowledges completion) and then closes (untimed
-// publish wait). A non-nil gate serializes appends — the global-lock
-// ablation.
-func runAppenders(clients []*appendClient, meter *Meter, gate *sync.Mutex) error {
+// publish wait). A non-nil gate, a one-slot channel, serializes
+// appends — the global-lock ablation. It is a channel, not a mutex, so
+// that a virtual-time run sees the appenders queued on it as blocked.
+func runAppenders(clients []*appendClient, meter *Meter, gate chan struct{}) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, len(clients))
 	start := make(chan struct{})
@@ -89,7 +90,7 @@ func runAppenders(clients []*appendClient, meter *Meter, gate *sync.Mutex) error
 			// queueing delay IS the cost of a serialized design.
 			t0 := time.Now()
 			if gate != nil {
-				gate.Lock()
+				gate <- struct{}{}
 			}
 			_, werr := w.Write(c.data) // exactly one block: one append
 			if werr == nil {
@@ -100,7 +101,7 @@ func runAppenders(clients []*appendClient, meter *Meter, gate *sync.Mutex) error
 				}
 			}
 			if gate != nil {
-				gate.Unlock()
+				<-gate
 			}
 			d := time.Since(t0)
 			if werr != nil {

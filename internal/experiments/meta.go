@@ -140,6 +140,7 @@ func newMetaEnv(cfg Config, shards int, journalDir string) (*metaEnv, error) {
 		Bandwidth:     metaClientBW,
 		Latency:       cfg.Latency,
 		FrameOverhead: 64,
+		SleepFloor:    sleepFloor,
 		PerHost:       perHost,
 	})
 	cluster, err := blob.NewCluster(net, blob.ClusterConfig{

@@ -50,14 +50,6 @@ import (
 	"blobseer/internal/segtree"
 )
 
-// Options configures a collector.
-type Options struct {
-	// Interval is the periodic reclaim pass cadence. Zero disables the
-	// timer: passes then run only on Kick (the version manager kicks on
-	// every DeleteBlob/TruncateBefore/SetRetention) or explicit RunOnce.
-	Interval time.Duration
-}
-
 // deleteBatch bounds one provider delete RPC, in keys.
 const deleteBatch = 256
 
@@ -79,8 +71,7 @@ var (
 // version manager, metadata DHT, and providers through a regular
 // blob.Client, so it deploys anywhere a client can run.
 type Collector struct {
-	c    *blob.Client
-	opts Options
+	c *blob.Client
 
 	runMu sync.Mutex // serializes passes
 
@@ -100,7 +91,6 @@ type Collector struct {
 	// replay the whole history from version 1.
 	blobs map[uint64]*blobGCState
 
-	kick chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
 }
@@ -138,43 +128,32 @@ type Report struct {
 	WorkRetries       int // work items whose metadata I/O failed (kept queued)
 }
 
-// New returns a running collector over the deployment c talks to. The
-// caller keeps ownership of c (Close does not close it); c should be a
-// dedicated client so the collector's cache purges cannot race real
-// readers' caches.
-func New(c *blob.Client, opts Options) *Collector {
+// New returns a running collector over the deployment c talks to. It
+// runs one pass per receive from kicks, the version managers' reclaim
+// signals (blob.Cluster.ReclaimSignals); a nil kicks leaves every pass
+// to RunOnce. The caller keeps ownership of c (Close does not close
+// it); c should be a dedicated client so the collector's cache purges
+// cannot race real readers' caches.
+func New(c *blob.Client, kicks <-chan struct{}) *Collector {
 	g := &Collector{
 		c:       c,
-		opts:    opts,
 		now:     time.Now,
 		enabled: true,
 		queues:  make(map[string][]pagestore.Key),
 		blobs:   make(map[uint64]*blobGCState),
-		kick:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
 	g.wg.Add(1)
-	go g.loop()
+	go g.loop(kicks)
 	return g
 }
 
-// SetEnabled toggles collection; while disabled, passes (periodic,
-// kicked, or explicit) are no-ops. Experiments use it for no-GC
-// baselines.
+// SetEnabled toggles collection; while disabled, passes (signalled or
+// explicit) are no-ops. Experiments use it for no-GC baselines.
 func (g *Collector) SetEnabled(on bool) {
 	g.mu.Lock()
 	g.enabled = on
 	g.mu.Unlock()
-}
-
-// Kick schedules a reclaim pass as soon as the loop is free; the
-// version manager calls it (via blob.VersionManager.SetReclaimNotify)
-// whenever a lifecycle RPC creates garbage. Non-blocking.
-func (g *Collector) Kick() {
-	select {
-	case g.kick <- struct{}{}:
-	default:
-	}
 }
 
 // Close stops the collector's loop. Pending queue entries are dropped
@@ -189,42 +168,22 @@ func (g *Collector) Close() {
 	g.wg.Wait()
 }
 
-func (g *Collector) loop() {
+func (g *Collector) loop(kicks <-chan struct{}) {
 	defer g.wg.Done()
 	for {
-		var tickC <-chan time.Time
-		var timer *time.Timer
-		if g.opts.Interval > 0 {
-			//lint:walltime the reclaim cadence is wall-clock by design; RunOnce is the injectable seam tests drive
-			timer = time.NewTimer(g.opts.Interval)
-			tickC = timer.C
-		}
-		fired := false
-		select {
-		case <-g.done:
-		case <-g.kick:
-			fired = true
-		case <-tickC:
-			fired = true
-		}
-		if timer != nil {
-			timer.Stop()
-		}
 		select {
 		case <-g.done:
 			return
-		default:
+		case <-kicks:
 		}
-		if fired {
-			//lint:detached reclaim passes run on the collector's own goroutine, not a caller RPC; the 1m deadline bounds them
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			if _, err := g.RunOnce(ctx); err != nil {
-				// The next pass retries; surface the failure instead of
-				// silently skipping a reclaim cycle.
-				obs.Log.Warnf("gc: reclaim pass failed: %v", err)
-			}
-			cancel()
+		//lint:detached reclaim passes run on the collector's own goroutine, not a caller RPC; the 1m deadline bounds them
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		if _, err := g.RunOnce(ctx); err != nil {
+			// The next signal retries; surface the failure instead of
+			// silently skipping a reclaim cycle.
+			obs.Log.Warnf("gc: reclaim pass failed: %v", err)
 		}
+		cancel()
 	}
 }
 

@@ -37,7 +37,7 @@ func newHarness(t *testing.T, cfg blob.ClusterConfig) *harness {
 	t.Cleanup(func() { cl.Close() })
 	gcClient := c.Client("gc-host")
 	t.Cleanup(func() { gcClient.Close() })
-	col := New(gcClient, Options{})
+	col := New(gcClient, nil)
 	t.Cleanup(col.Close)
 	return &harness{cluster: c, cl: cl, gcCl: gcClient, col: col}
 }

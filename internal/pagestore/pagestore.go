@@ -197,9 +197,10 @@ func (m *Memory) Delete(k Key) (int, bool) {
 		return 0, false
 	}
 	delete(m.pages, k)
-	m.bytes -= int64(len(p.data))
+	n := len(p.data) // drop may hand p to a concurrent Put
+	m.bytes -= int64(n)
 	m.drop(p)
-	return len(p.data), true
+	return n, true
 }
 
 // Len implements Store.

@@ -211,3 +211,41 @@ func TestConcurrentPinRecycling(t *testing.T) {
 		t.Errorf("Len = %d, want 1", m.Len())
 	}
 }
+
+// TestConcurrentDeleteReportsItsPage: Delete reports the length of the
+// page it removed, even when a concurrent Put of the same size class
+// takes that page's buffer the moment Delete frees it. Each goroutine
+// stores its own length, all in the 4 KiB class.
+func TestConcurrentDeleteReportsItsPage(t *testing.T) {
+	const workers, rounds = 4, 500
+	m := NewMemory()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := 4096 - 100*g
+			for r := 0; r < rounds; r++ {
+				k := Key{Blob: uint64(g), Version: uint64(r)}
+				if err := m.Put(k, fill(byte(g), n)); err != nil {
+					t.Error(err)
+					return
+				}
+				pg, err := m.Pin(k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				pg.Release()
+				if got, ok := m.Delete(k); !ok || got != n {
+					t.Errorf("Delete(%s) = %d, %v; want %d, true", k, got, ok, n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if m.Len() != 0 || m.BytesUsed() != 0 {
+		t.Errorf("after every delete: Len %d, BytesUsed %d", m.Len(), m.BytesUsed())
+	}
+}

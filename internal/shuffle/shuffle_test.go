@@ -795,7 +795,7 @@ func TestFetchAfterCleanupIsRefused(t *testing.T) {
 	defer c.Close()
 	defer reader.Close()
 	defer gcClient.Close()
-	col := gc.New(gcClient, gc.Options{})
+	col := gc.New(gcClient, nil)
 	defer col.Close()
 
 	st, err := NewBlobStore(ctx, c, 5, 1, pageSize)
