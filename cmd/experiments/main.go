@@ -12,6 +12,10 @@
 //	experiments -fig all            # everything, full sweeps (~minutes)
 //	experiments -fig 3 -quick       # one figure, reduced sweep
 //	experiments -fig 6 -csv         # emit gnuplot-friendly CSV too
+//
+// With -virtual, a binary built with GOEXPERIMENT=synctest runs one of
+// the figures 3, 4, 5, 6 or an abl-* scenario in virtual time: only the
+// modeled costs advance the clock (experiments.RunVirtual).
 package main
 
 import (
@@ -42,6 +46,7 @@ func main() {
 		diagP = flag.String("diag", "", "on scenario failure, write a postmortem diag bundle (tar.gz with the process-wide metrics registry) to this path before exiting")
 		quick = flag.Bool("quick", false, "reduced sweeps for a fast run")
 		csv   = flag.Bool("csv", false, "also print CSV data")
+		virt  = flag.Bool("virtual", false, "run -fig in virtual time (3, 4, 5, 6 or abl-*; needs a GOEXPERIMENT=synctest build)")
 	)
 	flag.IntVar(&cfg.Nodes, "nodes", 270, "total simulated machines (paper: 270)")
 	flag.IntVar(&cfg.MetaProviders, "meta", 20, "metadata providers (paper: 20)")
@@ -65,6 +70,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
+	if *virt && !virtualScenarios[*fig] {
+		fmt.Fprintf(os.Stderr, "experiments: -virtual runs -fig 3, 4, 5, 6 or abl-*, not %q\n", *fig)
+		os.Exit(1)
+	}
 	cfg.BlockSize = uint64(*page) << 10
 	cfg.Bandwidth = *bwMB * (1 << 20)
 
@@ -81,7 +90,15 @@ func main() {
 			return
 		}
 		start := time.Now()
-		if err := fn(); err != nil {
+		var err error
+		if *virt {
+			if verr := experiments.RunVirtual(func() { err = fn() }); verr != nil {
+				err = verr
+			}
+		} else {
+			err = fn()
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", name, err)
 			if *diagP != "" {
 				// Postmortem collection: the scenario's environment is
@@ -289,6 +306,14 @@ func main() {
 		emit("Ablation 1: versioning vs global append lock", versioned, locked)
 		return nil
 	})
+}
+
+// virtualScenarios are the scenarios -virtual runs: the paper's
+// figures and the ablations, which time the shaped network and run to
+// completion in a bubble. The others have not been run in one.
+var virtualScenarios = map[string]bool{
+	"3": true, "4": true, "5": true, "6": true,
+	"abl-placement": true, "abl-pagesize": true, "abl-lock": true,
 }
 
 // sweepSet bundles the per-figure parameter sweeps.

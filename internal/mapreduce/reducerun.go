@@ -152,7 +152,8 @@ func (tt *TaskTracker) fetchTrackerOutputs(ctx context.Context, job *jobState, r
 // fetchBlobSegments is the blob backend's shuffle: consume partition
 // r's segments off the job's segment index as maps publish them —
 // overlapping the map phase — and read each one out of its
-// intermediate BLOB into a buffer from the tracker's free list. segs
+// intermediate BLOB into a buffer from the tracker's free list, of the
+// segment's size class or up to twice it, sliced to its length. segs
 // holds every buffer taken, also on failure, for the caller to give
 // back. A re-executed reduce attempt restarts from consumed = 0; the
 // index replays the same segments.

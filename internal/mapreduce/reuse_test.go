@@ -145,10 +145,11 @@ func TestWarmDataJoinReusesBuffers(t *testing.T) {
 	// A page store whose free list matched exact lengths only reused 54
 	// to 75 of this warm job's 199 page puts (20 runs): the output's
 	// whole blocks and the rare shuffle fragment of a repeated length.
-	// By size class it reused 106 to 136: most of the shuffle's
-	// fragments too.
-	if puts := pgs2.Reused + pgs2.Fresh; pgs2.Reused*100 < puts*45 {
-		t.Errorf("the warm job stored %d of its %d pages in freed buffers, want at least 45 %%", pgs2.Reused, puts)
+	// By exact size class it reused 112 to 135 (20 runs, 56 to 68 %);
+	// reaching up one octave for a class it lacks, 156 to 176 (40 runs,
+	// 78 to 88 %): most of the shuffle's scattered fragments too.
+	if puts := pgs2.Reused + pgs2.Fresh; pgs2.Reused*100 < puts*75 {
+		t.Errorf("the warm job stored %d of its %d pages in freed buffers, want at least 75 %%", pgs2.Reused, puts)
 	}
 	if segs2.Held != 0 {
 		t.Errorf("trackers hold %d segment bytes after the job", segs2.Held)

@@ -9,11 +9,12 @@
 //   - Memory: a map of pages whose buffers are reused. Keys are never
 //     reused, but memory is: a deleted or replaced page's buffer holds
 //     the next page of its size class (transport.ClassSize: at most
-//     12.5 % over the length), unless a reader still has it pinned. So
-//     a provider under the paper's append-only churn, whose collector
-//     deletes every dead page, stores new pages — whole pages and the
-//     fragments of unaligned appends alike — in the memory of
-//     reclaimed ones;
+//     12.5 % over the length), or of a class up to an octave below
+//     whose own class has no free buffer, unless a reader still has it
+//     pinned. So a provider under the paper's append-only churn, whose
+//     collector deletes every dead page, stores new pages — whole pages
+//     and the fragments of unaligned appends, whatever their lengths —
+//     in the memory of reclaimed ones;
 //   - Synthesize: stores only page *sizes* and regenerates deterministic
 //     bytes on read. Experiments with hundreds of simulated clients use
 //     it to keep the 270-node cluster's memory footprint flat while the
@@ -83,7 +84,8 @@ type Store interface {
 
 // Page is one stored page. A Memory store's Page is also the unit its
 // buffers are recycled in: while no reader pins it, a deleted Page
-// waits on the store's free list for the next Put of its size class.
+// waits on the store's free list for the next Put of its size class
+// or of one up to an octave below.
 type Page struct {
 	data []byte
 	pins atomic.Int32
@@ -102,7 +104,8 @@ func (p *Page) Release() { p.pins.Add(-1) }
 
 // Memory is a map-backed Store that reuses the memory of the pages it
 // drops, through a transport.Recycler: a page's buffer has the capacity
-// of its length's size class, and the store never holds more of it,
+// of its length's size class, or up to twice it when the page reuses a
+// longer page's buffer, and the store never holds more of it,
 // stored, being stored or free, than it held stored at its busiest.
 type Memory struct {
 	mu    sync.RWMutex
@@ -117,9 +120,11 @@ func NewMemory() *Memory {
 }
 
 // Put implements Store. The data is copied into a freed buffer of its
-// size class if the free list has one, else into a fresh one — the
-// one page-sized allocation of the write path, which a provider whose
-// collector frees as fast as it stores no longer pays.
+// size class if the free list has one, else into the smallest freed
+// one up to twice that class (at most 2 × ClassSize(len(data)) bytes),
+// else into a fresh one of its class — the one page-sized allocation
+// of the write path, which a provider whose collector frees as fast as
+// it stores no longer pays.
 func (m *Memory) Put(k Key, data []byte) error {
 	n := len(data)
 	p, ok := m.free.Take(n)

@@ -98,9 +98,10 @@ func TestRePutRecyclesOldBuffer(t *testing.T) {
 
 // TestRecycleRetentionBound: the capacity on the free list plus that
 // of stored pages never exceeds the most the stored pages reached, so
-// pages of a new size class evict free buffers rather than add to them.
-// The bound counts capacity: a 1000-byte page holds a buffer of its
-// class, 1024 bytes, while BytesUsed counts its 1000.
+// pages more than an octave below every free class evict free buffers
+// rather than add to them. The bound counts capacity: a 1000-byte page
+// holds a buffer of its class, 1024 bytes, and so does a 500-byte page
+// stored in a freed one, while BytesUsed counts their payload.
 func TestRecycleRetentionBound(t *testing.T) {
 	m := NewMemory()
 	check := func(step string) transport.RecycleStats {
@@ -120,12 +121,16 @@ func TestRecycleRetentionBound(t *testing.T) {
 		}
 		return st
 	}
-	const n, size, class = 8, 1000, 1024
-	for i := 0; i < n; i++ {
-		if err := m.Put(Key{Index: uint64(i)}, fill('a', size)); err != nil {
+	put := func(step string, k Key, size int) {
+		t.Helper()
+		if err := m.Put(k, fill('a', size)); err != nil {
 			t.Fatal(err)
 		}
-		check("fill")
+		check(step)
+	}
+	const n, size, class = 8, 1000, 1024
+	for i := 0; i < n; i++ {
+		put("fill", Key{Index: uint64(i)}, size)
 	}
 	if used := m.BytesUsed(); used != n*size {
 		t.Fatalf("BytesUsed = %d, want the %d bytes stored", used, n*size)
@@ -137,25 +142,40 @@ func TestRecycleRetentionBound(t *testing.T) {
 	if st := check("deleted"); st.Free != n*class {
 		t.Fatalf("%d bytes free after deleting %d pages of class %d", st.Free, n, class)
 	}
+
+	// Half pages (class 512) are within an octave of the free class:
+	// each is stored in a freed 1024-byte buffer.
 	for i := 0; i < 3; i++ {
-		if err := m.Put(Key{Version: 1, Index: uint64(i)}, fill('b', size/2)); err != nil {
-			t.Fatal(err)
-		}
-		check("other class")
+		put("half pages", Key{Version: 1, Index: uint64(i)}, size/2)
 	}
-	st := check("other class")
+	st := check("half pages")
+	if st.Reused != 3 || st.Free != (n-3)*class || st.Peak != n*class {
+		t.Errorf("stats %+v, want 3 reuses, %d bytes free and peak %d: half pages reuse the freed buffers", st, (n-3)*class, n*class)
+	}
+	if used := m.BytesUsed(); used != 3*size/2 {
+		t.Errorf("BytesUsed = %d, want the %d bytes of payload", used, 3*size/2)
+	}
+	for i := 0; i < 3; i++ {
+		m.Delete(Key{Version: 1, Index: uint64(i)})
+		check("delete half pages")
+	}
+
+	// Quarter pages (class 256) are more than an octave below it: they
+	// are fresh, and five of them evict two free pages.
+	for i := 0; i < 5; i++ {
+		put("quarter pages", Key{Version: 2, Index: uint64(i)}, size/4)
+	}
+	st = check("quarter pages")
 	if st.Peak != n*class {
 		t.Errorf("peak = %d, want %d: stored capacity never went above it", st.Peak, n*class)
 	}
-	if st.Free != (n-2)*class {
-		t.Errorf("%d bytes free, want %d: three half pages evict two free pages", st.Free, (n-2)*class)
+	if st.Free != (n-2)*class || st.Reused != 3 {
+		t.Errorf("%d bytes free and %d reuses, want %d and 3: five quarter pages evict two free pages", st.Free, st.Reused, (n-2)*class)
 	}
 	// What is left is still reused.
-	if err := m.Put(Key{Version: 2}, fill('c', size)); err != nil {
-		t.Fatal(err)
-	}
-	if st := check("reuse"); st.Free != (n-3)*class || st.Reused != 1 {
-		t.Errorf("%d bytes free and %d reuses, want %d and 1 after a reuse", st.Free, st.Reused, (n-3)*class)
+	put("reuse", Key{Version: 3}, size)
+	if st := check("reuse"); st.Free != (n-3)*class || st.Reused != 4 {
+		t.Errorf("%d bytes free and %d reuses, want %d and 4 after a reuse", st.Free, st.Reused, (n-3)*class)
 	}
 }
 

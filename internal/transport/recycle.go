@@ -26,11 +26,18 @@ func ClassSize(n int) int {
 // size class, not exact length. T is what the owner keeps a buffer in:
 // the []byte itself, or a struct that carries it and is reused with it.
 //
+// A Take is served from n's class, else from the smallest free class
+// up to twice n's class size, so a reused buffer's capacity is at most
+// 2 × ClassSize(n) (at most 2.25 × n); a fresh buffer is at most
+// 12.5 % over n. Reaching up one octave lets scattered lengths — the
+// shuffle's fragments — share the memory of longer freed buffers.
+//
 // Bound: the capacity on the free list plus the capacity the owner
 // holds (taken, and not given back or forgotten) never exceeds the most
 // the owner ever held, so an owner never holds more memory than it did
-// at its busiest, and there is no knob. A Take that finds its class
-// empty evicts free items of other classes until the bound holds.
+// at its busiest, and there is no knob. A reuse moves capacity from
+// free to held; a fresh Take evicts free items of other classes until
+// the bound holds.
 //
 // The zero Recycler is empty and ready; it is safe for concurrent use.
 type Recycler[T any] struct {
@@ -46,20 +53,25 @@ type RecycleStats struct {
 	Reused, Fresh    uint64
 }
 
-// Take returns a free item whose buffer has n's class size, counted as
-// held from now on. ok is false when the class has none: the caller
-// makes a buffer of ClassSize(n) bytes' capacity, which is counted as
-// held already, and item is the last free item evicted to make room,
-// or the zero T; the caller drops its buffer and may reuse the rest.
+// Take returns a free item for n bytes, counted as held from now on:
+// one whose buffer has n's class size, else the smallest free one of a
+// class up to twice that, whose capacity the caller slices to n. ok is
+// false when no class in that range has one: the caller makes a buffer
+// of ClassSize(n) bytes' capacity, which is counted as held already,
+// and item is the last free item evicted to make room, or the zero T;
+// the caller drops its buffer and may reuse the rest.
 func (r *Recycler[T]) Take(n int) (item T, ok bool) {
 	c := ClassSize(n)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.st.Held += int64(c)
-	if len(r.free[c]) > 0 {
-		r.st.Reused++
-		return r.pop(c), true
+	for size := c; size <= 2*c; size = ClassSize(size + 1) {
+		if len(r.free[size]) > 0 {
+			r.st.Held += int64(size)
+			r.st.Reused++
+			return r.pop(size), true
+		}
 	}
+	r.st.Held += int64(c)
 	r.st.Fresh++
 	r.st.Peak = max(r.st.Peak, r.st.Held)
 	for size := range r.free {

@@ -124,3 +124,43 @@ func TestRecyclerBound(t *testing.T) {
 		t.Errorf("%d bytes free after Clear", st.Free)
 	}
 }
+
+// TestRecyclerReachesOneOctave: a take whose class is empty gets the
+// smallest free class up to twice its class size, counted as held at
+// that capacity, and never a class above it.
+func TestRecyclerReachesOneOctave(t *testing.T) {
+	var r Recycler[[]byte]
+	// Free buffers of classes 1152, 1536, 2048 and 2304.
+	var bufs [][]byte
+	for _, n := range []int{1100, 1500, 2000, 2300} {
+		bufs = append(bufs, take(&r, n))
+	}
+	const peak = 1152 + 1536 + 2048 + 2304
+	for _, b := range bufs {
+		r.Give(b, b)
+	}
+	held := int64(0)
+	for i, want := range []int{1152, 1536, 2048} {
+		b, ok := r.Take(1000) // class 1024: reaches up to 2048
+		if !ok || cap(b) != want || &b[:1][0] != &bufs[i][0] {
+			t.Fatalf("take %d of 1000 bytes: ok %v, a %d-byte buffer, want the freed %d-byte one", i, ok, cap(b), want)
+		}
+		held += int64(want)
+		if st := r.Stats(); st.Held != held || st.Free != peak-held || st.Peak != peak || st.Reused != uint64(i+1) {
+			t.Fatalf("stats %+v after reusing a %d-byte buffer, want %d held, %d free, peak %d", st, want, held, peak-held, peak)
+		}
+	}
+	// Only the 2304-byte buffer is free, more than an octave above
+	// class 1024: the take is fresh, and evicts it to keep the bound.
+	evicted, ok := r.Take(1000)
+	if ok || cap(evicted) != 2304 {
+		t.Fatalf("a 1000-byte take beside a free 2304-byte buffer: ok %v, evicted %d bytes", ok, cap(evicted))
+	}
+	st := r.Stats()
+	if st.Held != held+1024 || st.Free != 0 || st.Peak != peak || st.Fresh != 5 || st.Reused != 3 {
+		t.Errorf("stats %+v after a fresh 1000-byte take, want %d held, none free, peak %d, 5 fresh, 3 reused", st, held+1024, peak)
+	}
+	if st.Held+st.Free > st.Peak {
+		t.Errorf("%d held + %d free > peak %d", st.Held, st.Free, st.Peak)
+	}
+}
