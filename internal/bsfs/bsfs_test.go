@@ -798,11 +798,9 @@ func TestPipelinedWriterErrorPropagation(t *testing.T) {
 		if n := len(w.sem); n != 0 {
 			t.Errorf("%d pipeline slots still taken after the failed run drained", n)
 		}
-		w.mu.Lock()
-		owned := len(w.free) + 1
-		w.mu.Unlock()
-		if owned != depth+1 {
-			t.Errorf("writer owns %d block buffers after the failed run, want all %d back", owned, depth+1)
+		st := fs.BlockRecycling()
+		if class := int64(transport.ClassSize(block)); st.Held != class || st.Free != depth*class {
+			t.Errorf("mount holds %d B of block buffers and has %d B free after the failed run, want the writer's one block held and its run's %d back", st.Held, st.Free, depth)
 		}
 		// Later calls keep reporting the first error.
 		if _, err := w.Write(pattern(2, depth*block)); err != ferr {
@@ -816,6 +814,9 @@ func TestPipelinedWriterErrorPropagation(t *testing.T) {
 		}
 		if n := len(w.sem); n != 0 {
 			t.Errorf("%d pipeline slots still taken after Close", n)
+		}
+		if held := fs.BlockRecycling().Held; held != 0 {
+			t.Errorf("mount holds %d B of block buffers after Close", held)
 		}
 	})
 }

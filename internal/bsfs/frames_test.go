@@ -2,11 +2,13 @@ package bsfs
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"runtime"
 	"testing"
 
+	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
 	"blobseer/internal/dht"
 	"blobseer/internal/metrics"
@@ -50,9 +52,11 @@ const (
 	// objectBudget is how many objects one block append may allocate,
 	// whatever the page size and however deep the segment tree: the
 	// metadata commit allocates per version and per member batch, never
-	// per tree node (measured 30 at 288 pages, one of them the provider's
-	// pagestore.Page, which a store makes only for a page beyond what it
-	// ever freed; 29 at 4000; 40 to
+	// per tree node (measured 26 to 27 at 288 pages, one of them the
+	// provider's pagestore.Page, which a store makes only for a page
+	// beyond what it ever freed; 25 at 4000; 30 to 31 and 29 while each
+	// DHT batch made its fan-out and member closures and each writer its
+	// first block buffer; 40 to
 	// 41 and 39 while the DHT client regrouped each batch into slabs of
 	// its own and each provider decoded it into a []string and a
 	// [][]byte, one more where a page kept a list of its acked replicas;
@@ -63,19 +67,28 @@ const (
 	// round trip on the path shows (the namespace size update that used
 	// to end every append cost 5 to 7 objects, the provider-manager call
 	// that used to follow every assignment 9).
-	objectBudget = 38
+	objectBudget = 32
+	// deepObjectBudget is objectBudget for TestAppendCostFlatInVersionCount,
+	// which CI's race write path runs: a race build drops sync.Pool items
+	// at random, so pooled scaffolding is remade there (measured 34
+	// objects under -race, 25 without; 35 to 36 and 29 before the DHT
+	// fan-out was pooled). It stays at the 38 both tests had before.
+	deepObjectBudget = 38
 	// runObjectBudget is the same for a Write of runBlocks blocks and
 	// its Flush: one append plus the transfer of three more pages
-	// (measured 43 to 44 with a pagestore.Page per page, 39 to 41 before
+	// (measured 39 to 40; 43 to 44 while each DHT batch made its fan-out
+	// and a writer made its buffers, with a pagestore.Page per page; 39 to 41 before
 	// the provider recycled pages; 51 before the metadata batches were encoded and
 	// decoded in place, 59 to 60 while each fan-out made its own
 	// scaffolding and each page its list of acked replicas; four appends
 	// of a block each cost 164).
 	runBlocks       = 4
-	runObjectBudget = 50
+	runObjectBudget = 47
 	// A record is a 1000-byte Write and its Flush onto a file of 16 KiB
 	// blocks: an unaligned append, which stores a fragment of its own
-	// bytes (measured 29 objects and 7.8 KiB here — 39 and 9.3 KiB before
+	// bytes (measured 25 objects and 6.7 KiB here — 29 and 7.8 KiB while
+	// each DHT batch made its fan-out and each writer its first block
+	// buffer, 39 and 9.3 KiB before
 	// the metadata batches were encoded and decoded in place, 40 before
 	// the commit ran beside the put, 61 before a one-page transfer ran on
 	// its caller — 64 and 7.1 KiB per op on the gated benchmark's
@@ -86,7 +99,7 @@ const (
 	// objects and 53 KiB there).
 	recordBlock        = 16 << 10
 	recordLen          = 1000
-	recordObjectBudget = 35
+	recordObjectBudget = 30
 	recordByteBudget   = 16 << 10
 	// A block of a snapshot one append younger than the file the mount
 	// has read, its page no longer cached: the provider fetch and the
@@ -429,10 +442,10 @@ func TestAppendCostFlatInVersionCount(t *testing.T) {
 	appendRange(2900)
 	late, lateObjects := appendRange(500) // versions 3501..4000
 	t.Logf("allocated per append: %d B at versions 101-600, %d B and %d objects at versions 3501-4000", early, late, lateObjects)
-	// Twelve tree levels deep, an append must still fit the budget of
-	// one at the root: no object per tree node.
-	if lateObjects > objectBudget {
-		t.Errorf("an append allocates %d objects at version ~3750 (a 4096-page tree), budget %d", lateObjects, objectBudget)
+	// Twelve tree levels deep, an append must still fit a block
+	// append's budget: no object per tree node.
+	if lateObjects > deepObjectBudget {
+		t.Errorf("an append allocates %d objects at version ~3750 (a 4096-page tree), budget %d", lateObjects, deepObjectBudget)
 	}
 	// The segment tree is three levels deeper by then and the metadata
 	// providers' node maps have doubled a few times (both logarithmic:
@@ -486,11 +499,9 @@ func TestWriterRecyclesBlockBuffers(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	w.mu.Lock()
-	owned := len(w.free) + 1 // the free list plus the buffer being filled
-	w.mu.Unlock()
-	if owned > depth+1 {
-		t.Errorf("writer owns %d block buffers after %d blocks, want at most %d", owned, len(want)/block, depth+1)
+	// The mount's free list plus the buffer being filled.
+	if st := fs.BlockRecycling(); st.Fresh > depth+1 || st.Peak > (depth+1)*int64(transport.ClassSize(block)) {
+		t.Errorf("writer made %d block buffers and held up to %d B after %d blocks, want at most %d buffers", st.Fresh, st.Peak, len(want)/block, depth+1)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -506,5 +517,87 @@ func TestWriterRecyclesBlockBuffers(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("content mismatch: a block buffer was recycled while its pages were in flight")
+	}
+}
+
+// TestWritersShareBlockBuffers: a mount's writers share one free list
+// of block buffers. A second writer takes every block from it; a writer
+// whose context is cancelled while its run's pages still wait for their
+// acknowledgements gives none of those blocks back, the mount forgets
+// them, and a writer after it makes fresh ones. With released buffers
+// poisoned, every file reads back as written.
+func TestWritersShareBlockBuffers(t *testing.T) {
+	const block, depth = 4 << 10, 3
+	class := int64(transport.ClassSize(block))
+	net, ack := heldAcks(blob.SvcProvider)
+	d := newDeploymentOn(t, net, blob.ClusterConfig{}, block)
+	d.WriteDepth = depth
+	fs := mount(t, d, "cli")
+	files := map[string][]byte{}
+	write := func(path string, tag byte) {
+		t.Helper()
+		files[path] = pattern(tag, 2*depth*block+block/2)
+		if err := dfs.WriteFile(ctx, fs, path, files[path]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	write("/first", 1)
+	cold := fs.BlockRecycling()
+	write("/second", 2)
+	warm := fs.BlockRecycling()
+	if warm.Fresh != cold.Fresh || warm.Reused == cold.Reused || warm.Held != 0 {
+		t.Errorf("second writer: %d fresh and %d reused block buffers, %d B held after Close; want none fresh and none held",
+			warm.Fresh-cold.Fresh, warm.Reused-cold.Reused, warm.Held)
+	}
+
+	// Every provider holds its acknowledgement of the cancelled run's
+	// pages until the end of the test.
+	held, release := make(chan struct{}, 64), make(chan struct{})
+	defer close(release)
+	hold := func() {
+		held <- struct{}{}
+		<-release
+	}
+	ack.Store(&hold)
+	cctx, cancel := context.WithCancel(ctx)
+	fw, err := fs.Create(cctx, "/cancelled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := fw.(*fileWriter)
+	if _, err := w.Write(pattern(3, depth*block)); err != nil {
+		t.Fatal(err)
+	}
+	for range depth {
+		<-held
+	}
+	ack.Store(nil)
+	cancel()
+	if err := w.drain(); err == nil {
+		t.Fatal("the cancelled run reported success")
+	}
+	st := fs.BlockRecycling()
+	if st.Held != class || st.Free != warm.Free-(depth+1)*class {
+		t.Errorf("after the cancelled run the mount holds %d B and has %d B free, want the writer's empty block held (%d B) and %d B free: the run's blocks went back while in flight",
+			st.Held, st.Free, class, warm.Free-(depth+1)*class)
+	}
+
+	write("/after", 4)
+	if after := fs.BlockRecycling(); after.Fresh == st.Fresh {
+		t.Error("a writer after the cancelled run made no fresh block buffer, with its blocks still in flight")
+	}
+	for path, want := range files {
+		got, err := dfs.ReadAll(ctx, fs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s reads back wrong: a block buffer was reused while its pages were in flight", path)
+		}
+	}
+	w.Close()
+	if held := fs.BlockRecycling().Held; held != 0 {
+		t.Errorf("mount holds %d B of block buffers with every writer closed", held)
 	}
 }

@@ -88,6 +88,10 @@ type FS struct {
 	pool *rpc.Pool
 	bc   *blob.Client
 
+	// blocks is the free list of the writers' block buffers: a run's
+	// blocks go back once its data path is over, for any writer to take.
+	blocks transport.Recycler[[]byte]
+
 	// onClose, when set by the deployment, runs once on Close — it
 	// unregisters the mount's monitor source.
 	onClose func()
@@ -140,12 +144,13 @@ func New(cfg Config) *FS {
 	}
 }
 
-// Close releases the mount's connections.
+// Close releases the mount's connections and its free block buffers.
 func (fs *FS) Close() error {
 	if fs.onClose != nil {
 		fs.onClose()
 		fs.onClose = nil
 	}
+	fs.blocks.Clear()
 	fs.pool.Close()
 	return fs.bc.Close()
 }
@@ -189,10 +194,15 @@ func (fs *FS) openWriter(ctx context.Context, path string, exclusive bool) (dfs.
 		fs:   fs,
 		path: path,
 		b:    fs.bc.Handle(ent.Blob, ent.PageSize),
-		buf:  make([]byte, 0, ent.PageSize),
+		buf:  transport.TakeBytes(&fs.blocks, int(ent.PageSize)),
 		sem:  make(chan struct{}, fs.cfg.WriteDepth),
 	}, nil
 }
+
+// BlockRecycling returns the accounting of the mount's block buffers.
+//
+//lint:unusedexport test hook: mapreduce's tests count the buffers reducers reuse
+func (fs *FS) BlockRecycling() transport.RecycleStats { return fs.blocks.Stats() }
 
 // Open implements dfs.FileSystem. The reader holds a snapshot of the
 // latest published version at open time; Refresh moves it forward.
@@ -473,8 +483,7 @@ type fileWriter struct {
 	wg  sync.WaitGroup // watchers of in-flight runs
 
 	mu   sync.Mutex
-	free [][]byte // block buffers whose runs have finished
-	werr error    // first error from any run's data path
+	werr error // first error from any run's data path
 }
 
 func (w *fileWriter) firstErr() error {
@@ -538,14 +547,14 @@ func (w *fileWriter) join() {
 	w.run = append(w.run, w.buf)
 	// Taken after the slot: the block that freed it is back by now, so
 	// a writer owns at most WriteDepth+1 buffers however long it lives.
-	w.buf = w.takeBuf()
+	w.buf = transport.TakeBytes(&w.fs.blocks, int(w.b.PageSize()))
 }
 
 // launch starts the pending run's append and returns without waiting
 // for its data path. The assignment happens here, in the caller's
 // goroutine, which keeps this writer's runs in write order. However the
-// run ends, its slots come back, and its buffers unless something may
-// still be reading them.
+// run ends, its slots come back, and its buffers to the mount unless
+// something may still be reading them.
 func (w *fileWriter) launch() error {
 	run := w.run
 	if len(run) == 0 {
@@ -574,7 +583,8 @@ func (w *fileWriter) launch() error {
 			w.release(run, true)
 		default:
 			// Wait left on a cancelled context with page transfers
-			// still reading the blocks; the collector gets these.
+			// still reading the blocks; the collector gets these, and
+			// the mount stops counting them.
 			w.release(run, false)
 		}
 		if err != nil {
@@ -590,33 +600,14 @@ func (w *fileWriter) launch() error {
 func (w *fileWriter) release(run [][]byte, recycle bool) {
 	for _, block := range run {
 		if recycle {
-			w.recycle(block)
+			w.fs.blocks.Give(block, block)
+		} else {
+			w.fs.blocks.Forget(block)
 		}
 	}
 	for range run {
 		<-w.sem
 	}
-}
-
-// takeBuf returns an empty block buffer, a recycled one if any.
-func (w *fileWriter) takeBuf() []byte {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if n := len(w.free); n > 0 {
-		b := w.free[n-1]
-		w.free = w.free[:n-1]
-		return b
-	}
-	return make([]byte, 0, w.b.PageSize())
-}
-
-// recycle makes block the next takeBuf's buffer. The caller guarantees
-// nothing reads it any more.
-func (w *fileWriter) recycle(block []byte) {
-	transport.Poison(block)
-	w.mu.Lock()
-	w.free = append(w.free, block[:0])
-	w.mu.Unlock()
 }
 
 // drain waits for every in-flight run and reports the first error the
@@ -652,12 +643,13 @@ func (w *fileWriter) launchTail() error {
 // Close flushes the tail block, drains the pipeline, and waits until
 // this writer's last version is published — versions publish in
 // assignment order, so that covers every block — making data readable
-// when Close returns.
+// when Close returns. The empty block buffer goes back to the mount.
 func (w *fileWriter) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
+	defer func() { w.fs.blocks.Give(w.buf, w.buf) }() // the buffer after the tail left
 	if err := w.launchTail(); err != nil {
 		w.wg.Wait()
 		return err

@@ -256,11 +256,13 @@ func TestGetBatchValuesOutliveTheirFrames(t *testing.T) {
 }
 
 // TestPutBatchAllocationBudget: a put batch costs a fixed number of
-// objects per message, not one per key, end to end: the client's
-// fanOut and its owner and share table, a goroutine for each extra
-// member, and each provider's one key copy and one value copy — 10 for
-// three members. It measures PutEntries, the metadata layer's commit
-// path; PutBatch adds its two KV-splitting slices.
+// objects per message, not one per key, end to end: each provider's
+// one key copy and one value copy, 6 for three members. The client's
+// fanOut, its owner and share table and its member goroutines come
+// from a pool and cost nothing (10 while each batch made them, 8 while
+// each goroutine got a closure of its own). It measures PutEntries, the
+// metadata layer's commit path; PutBatch adds its two KV-splitting
+// slices.
 func TestPutBatchAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under the race detector's short job")
@@ -287,9 +289,106 @@ func TestPutBatchAllocationBudget(t *testing.T) {
 		}
 	})
 	t.Logf("PutEntries of 8 keys: %.0f allocs", allocs)
-	if allocs > 10 {
-		t.Errorf("PutEntries of 8 keys allocates %.0f objects end to end, budget 10", allocs)
+	if allocs > 6 {
+		t.Errorf("PutEntries of 8 keys allocates %.0f objects end to end, budget 6", allocs)
 	}
+}
+
+// TestGetBatchAllocationBudget: a warm get batch allocates the result
+// slice and, per member asked, the provider's answer, which reads its
+// map as rpc marshals it, and the slab the client copies the answer's
+// values into: 7 for three members. Its fan-out costs nothing (10
+// while each batch made its own).
+func TestGetBatchAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under the race detector's short job")
+	}
+	const members = 3
+	c, _ := testCluster(t, members, 2)
+	ctx := context.Background()
+	rounds := make([][]string, 64)
+	for i := range rounds {
+		kvs, keys := testBatch(fmt.Sprintf("round%d", i), 8)
+		if err := c.PutBatch(ctx, kvs); err != nil {
+			t.Fatal(err)
+		}
+		rounds[i] = keys
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		i = (i + 1) % len(rounds)
+		got, err := c.GetBatch(ctx, rounds[i])
+		if err != nil || got[0] == nil {
+			t.Fatalf("GetBatch: %q, %v", got, err)
+		}
+	})
+	t.Logf("GetBatch of 8 keys: %.0f allocs", allocs)
+	if allocs > 1+2*members {
+		t.Errorf("GetBatch of 8 keys over %d members allocates %.0f objects, budget %d: the result, and an answer and a slab per member", members, allocs, 1+2*members)
+	}
+}
+
+// TestConcurrentBatchesShareNoFanOut: batches running at once on one
+// client each get a fan-out of their own, also the replica round of a
+// get whose primary is down, and a fan-out goes back to the pool only
+// after its last member call: eight goroutines put, get and delete
+// their own keys with one member of three down, and every answer must
+// be their own.
+func TestConcurrentBatchesShareNoFanOut(t *testing.T) {
+	c, servers := testCluster(t, 3, 2)
+	ctx := context.Background()
+	servers[2].Close()
+	down := servers[2].Addr()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				kvs, keys := testBatch(fmt.Sprintf("g%d-round%d", g, round), 16+g)
+				values := make([][]byte, len(kvs))
+				for i, kv := range kvs {
+					values[i] = kv.Value
+				}
+				if err := c.PutEntries(ctx, keys, values); err != nil {
+					t.Errorf("goroutine %d: PutEntries: %v", g, err)
+					return
+				}
+				got, err := c.GetBatch(ctx, keys)
+				if err != nil {
+					t.Errorf("goroutine %d: GetBatch: %v", g, err)
+					return
+				}
+				for i := range keys {
+					if !bytes.Equal(got[i], values[i]) {
+						t.Errorf("goroutine %d: %s = %q, want %q", g, keys[i], got[i], values[i])
+						return
+					}
+				}
+				// A delete reports the member it could not reach; the
+				// keys with both replicas live are gone everywhere.
+				var live []string
+				onDown := false
+				for _, k := range keys {
+					if slices.Contains(replicas(c.ring, k, 2), down) {
+						onDown = true
+					} else {
+						live = append(live, k)
+					}
+				}
+				if err := c.DeleteBatch(ctx, keys); (err != nil) != onDown {
+					t.Errorf("goroutine %d: DeleteBatch with a key on the down member %v: %v", g, onDown, err)
+					return
+				}
+				got, err = c.GetBatch(ctx, live)
+				if err != nil || slices.ContainsFunc(got, func(v []byte) bool { return v != nil }) {
+					t.Errorf("goroutine %d: deleted keys read back %q, %v", g, got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // entry is one decoded put-batch entry.

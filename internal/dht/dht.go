@@ -18,10 +18,11 @@
 //
 // A batch costs a fixed number of objects per message, not per entry:
 // the client encodes each member's share straight from the caller's
-// keys and values into its request frame, a provider copies a put
+// keys and values into its request frame, from a pooled fan-out whose
+// member goroutines run funcs bound once, a provider copies a put
 // batch out of its frame in two copies and answers a get from its map
 // as the answer is marshalled, and the client copies each answer's
-// values into one slab of its own (TestPutBatchAllocationBudget).
+// values into one slab of its own (Test*BatchAllocationBudget).
 package dht
 
 import (
@@ -331,27 +332,34 @@ func NewClient(ring *Ring, pool *rpc.Pool, replicas int) *Client {
 // errEmptyRing fails a batch on a client whose ring has no members.
 var errEmptyRing = errors.New("dht: empty ring")
 
-// inlineMembers is how many ring members a fanOut holds the calls of
-// inside itself; a wider ring allocates a slice for them.
-const inlineMembers = 8
+// maxPooledScratch caps the owner/share slab, in ints, that a pooled
+// fanOut keeps, so the pool holds no collector-sized DeleteBatch.
+const maxPooledScratch = 4 << 10
 
 // fanOut is one batch operation split by ring member. Key i's j-th
 // replica lives on member owner[i*r+j]. A member's share lists its
 // positions (i*r+j) in key order; its request is encoded from keys and
 // values as rpc marshals it, and a get's answer is decoded the same
 // way, straight into out[i*r+j], so nothing is regrouped and no two
-// members write one element.
+// members write one element. fanOuts are pooled with their slab, their
+// calls and a run func per member, bound once, so a batch allocates no
+// scaffolding and its member goroutines no closure.
 type fanOut struct {
-	c      *Client
-	keys   []string
-	values [][]byte // a put's values, parallel to keys; nil otherwise
-	r      int      // replicas per key
-	owner  []int    // member index per (key, replica)
-	calls  []memberCall
-	out    [][]byte // a get's answers, one per position
-	wg     sync.WaitGroup
-	buf    [inlineMembers]memberCall
+	c       *Client
+	keys    []string
+	values  [][]byte // a put's values, parallel to keys; nil otherwise
+	r       int      // replicas per key
+	owner   []int    // member index per (key, replica)
+	calls   []memberCall
+	out     [][]byte // a get's answers, one per position; nil otherwise
+	scratch []int    // owner, then the shares, then the per-member counts
+	runs    []func() // runs[m] calls member m and marks it done
+	ctx     context.Context
+	method  rpc.Method
+	wg      sync.WaitGroup
 }
+
+var fanOuts = sync.Pool{New: func() any { return new(fanOut) }}
 
 // memberCall is one member's share of a fanOut and how it went. It is
 // the share's request (a wire.Sizer, so rpc takes a frame of the right
@@ -364,15 +372,20 @@ type memberCall struct {
 }
 
 // split assigns each key to its first r ring members and gives each
-// member the positions of replicas first..r-1 it holds. Past the fanOut
-// itself it allocates once, for owner and the shares, on rings of up
-// to inlineMembers members; each share is a range of one slab, sized
-// by a counting pass.
+// member the positions of replicas first..r-1 it holds, in a pooled
+// fanOut the caller releases once run has returned. owner and the
+// shares are ranges of its one slab, sized by a counting pass.
 func (c *Client) split(keys []string, values [][]byte, r, first int) *fanOut {
 	n, members := len(keys), len(c.ring.members)
-	scratch := make([]int, 2*n*r+members)
-	f := &fanOut{c: c, keys: keys, values: values, r: r, owner: scratch[:n*r]}
+	f := fanOuts.Get().(*fanOut)
+	f.c, f.keys, f.values, f.r = c, keys, values, r
+	if cap(f.scratch) < 2*n*r+members {
+		f.scratch = make([]int, 2*n*r+members)
+	}
+	scratch := f.scratch[:2*n*r+members]
+	f.owner = scratch[:n*r]
 	shares, count := scratch[n*r:2*n*r], scratch[2*n*r:]
+	clear(count)
 	for i, k := range keys {
 		c.ring.lookup(k, f.owner[i*r:(i+1)*r])
 	}
@@ -381,9 +394,8 @@ func (c *Client) split(keys []string, values [][]byte, r, first int) *fanOut {
 			count[m]++
 		}
 	}
-	f.calls = f.buf[:0]
-	if members > len(f.buf) {
-		f.calls = make([]memberCall, 0, members)
+	for m := len(f.runs); m < members; m++ {
+		f.runs = append(f.runs, func() { defer f.wg.Done(); f.calls[m].call() })
 	}
 	start := 0
 	for m, k := range count {
@@ -398,38 +410,48 @@ func (c *Client) split(keys []string, values [][]byte, r, first int) *fanOut {
 	return f
 }
 
+// release returns f to the pool; run has returned, so no member call
+// reads it. It drops the caller's keys, values and answers.
+func (f *fanOut) release() {
+	clear(f.calls)
+	f.c, f.keys, f.values, f.owner, f.calls, f.out, f.ctx = nil, nil, nil, nil, f.calls[:0], nil, nil
+	if cap(f.scratch) > maxPooledScratch {
+		f.scratch = nil
+	}
+	fanOuts.Put(f)
+}
+
 // run sends every member its non-empty share concurrently (the last one
 // from the calling goroutine) and waits; calls[m].err is the outcome.
 // The member calls must overlap: on a modeled network a send takes the
 // whole delivery time, so sends from one goroutine would queue.
-func (f *fanOut) run(ctx context.Context, method rpc.Method, wantAnswer bool) {
+func (f *fanOut) run(ctx context.Context, method rpc.Method) {
+	f.ctx, f.method = ctx, method
 	last := -1
 	for m := range f.calls {
 		if len(f.calls[m].share) == 0 {
 			continue
 		}
-		if prev := last; prev >= 0 {
+		if last >= 0 {
 			f.wg.Add(1)
-			go func() {
-				defer f.wg.Done()
-				f.calls[prev].call(ctx, method, wantAnswer)
-			}()
+			go f.runs[last]()
 		}
 		last = m
 	}
 	if last >= 0 {
-		f.calls[last].call(ctx, method, wantAnswer)
+		f.calls[last].call()
 	}
 	f.wg.Wait()
 }
 
-func (mc *memberCall) call(ctx context.Context, method rpc.Method, wantAnswer bool) {
+// call sends the member its share; a get (out set) decodes the answer.
+func (mc *memberCall) call() {
+	f := mc.f
 	var answer wire.Unmarshaler
-	if wantAnswer {
+	if f.out != nil {
 		answer = mc
 	}
-	c := mc.f.c
-	mc.err = c.pool.Call(ctx, c.ring.members[mc.m], method, mc, answer)
+	mc.err = f.c.pool.Call(f.ctx, f.c.ring.members[mc.m], f.method, mc, answer)
 }
 
 // EncodedSize implements wire.Sizer: exactly what AppendTo writes for
@@ -526,7 +548,8 @@ func (c *Client) PutEntries(ctx context.Context, keys []string, values [][]byte)
 		return errEmptyRing
 	}
 	f := c.split(keys, values, c.replicas, 0)
-	f.run(ctx, MethodPutBatch, false)
+	defer f.release()
+	f.run(ctx, MethodPutBatch)
 	for i, k := range keys {
 		stored := false
 		for _, m := range f.owner[i*f.r : (i+1)*f.r] {
@@ -553,7 +576,8 @@ func (c *Client) DeleteBatch(ctx context.Context, keys []string) error {
 		return errEmptyRing
 	}
 	f := c.split(keys, nil, c.replicas, 0)
-	f.run(ctx, MethodDeleteBatch, false)
+	defer f.release()
+	f.run(ctx, MethodDeleteBatch)
 	return c.firstErr("delete batch", f)
 }
 
@@ -572,8 +596,9 @@ func (c *Client) GetBatch(ctx context.Context, keys []string) ([][]byte, error) 
 		return nil, errEmptyRing
 	}
 	f := c.split(keys, nil, 1, 0)
+	defer f.release()
 	f.out = out
-	f.run(ctx, MethodGetBatch, true)
+	f.run(ctx, MethodGetBatch)
 	var missed []int
 	for i, m := range f.owner {
 		if f.calls[m].err != nil || out[i] == nil {
@@ -599,8 +624,9 @@ func (c *Client) getFromReplicas(ctx context.Context, primaries *fanOut, missed 
 		keys[j] = primaries.keys[i]
 	}
 	f := c.split(keys, nil, c.replicas, 1)
+	defer f.release()
 	f.out = make([][]byte, len(keys)*f.r)
-	f.run(ctx, MethodGetBatch, true)
+	f.run(ctx, MethodGetBatch)
 	for j, i := range missed {
 		m := f.owner[j*f.r] // the primary, asked in the first round
 		err := primaries.calls[m].err

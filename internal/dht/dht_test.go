@@ -134,8 +134,8 @@ func TestSurvivesReplicaFailure(t *testing.T) {
 }
 
 // TestBatchRoundTrip puts, gets and deletes a batch on a narrow ring
-// and on one as wide as the paper's 20 metadata providers, wider than
-// a fanOut holds member calls inline for.
+// and on one as wide as the paper's 20 metadata providers, so a pooled
+// fanOut serves rings of both widths.
 func TestBatchRoundTrip(t *testing.T) {
 	for _, members := range []int{5, 20} {
 		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {

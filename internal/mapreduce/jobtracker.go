@@ -338,8 +338,11 @@ func (j *jobState) setup(ctx context.Context) error {
 		if err := w.Close(); err != nil {
 			return err
 		}
-		if _, err := j.fs.Append(ctx, j.conf.OutputDir+"/"+SharedOutputName); err != nil {
+		if w, err = j.fs.Append(ctx, j.conf.OutputDir+"/"+SharedOutputName); err != nil {
 			return fmt.Errorf("mapreduce: shared-append output on %s: %w", j.fs.Name(), err)
+		}
+		if err := w.Close(); err != nil { // the probe's block buffer goes back to the mount
+			return err
 		}
 	}
 	if j.conf.Shuffle == shuffle.Blob {

@@ -54,7 +54,7 @@ func TestOversizedRecordsStayWhole(t *testing.T) {
 				errs <- err
 				return
 			}
-			rw := newRecordWriter(w, block)
+			rw := newRecordWriter(w, block, new(transport.Recycler[[]byte]))
 			for ri := 0; ri < records; ri++ {
 				if _, err := rw.Write(record(wi, ri)); err != nil {
 					errs <- err
@@ -115,7 +115,7 @@ func TestRecordBeyondAtomicLimitFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw := newRecordWriter(w, block)
+	rw := newRecordWriter(w, block, new(transport.Recycler[[]byte]))
 	if _, err := rw.Write(bytes.Repeat([]byte("x"), depth*block)); err != nil {
 		t.Fatalf("a record of exactly %d blocks: %v", depth, err)
 	}

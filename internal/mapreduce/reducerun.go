@@ -173,10 +173,7 @@ func (tt *TaskTracker) fetchBlobSegments(ctx context.Context, job *jobState, r i
 		}
 		var data []byte
 		if seg.Len > 0 {
-			if data, ok = tt.segs.Take(int(seg.Len)); !ok {
-				data = make([]byte, 0, transport.ClassSize(int(seg.Len)))
-			}
-			data = data[:seg.Len]
+			data = transport.TakeBytes(&tt.segs, int(seg.Len))[:seg.Len]
 			segs = append(segs, data)
 		}
 		if err := job.shuffle.Fetch(ctx, c, seg, data); err != nil {
@@ -216,20 +213,26 @@ func (tt *TaskTracker) fetchBlobSegments(ctx context.Context, job *jobState, r i
 // atomic append. A record over the stream's dfs.Flusher.AtomicLimit
 // could only be written torn, and fails the Write instead (GFS imposes
 // the analogous record ≤ 1/4 chunk limit).
+//
+// The batch buffer comes from bufs, a tracker's free list, and goes back
+// on Close: w copies what it is given, so nothing else holds it.
 type recordWriter struct {
 	w     dfs.FileWriter
 	fl    dfs.Flusher // w as a Flusher, nil if it is none
 	block int
+	bufs  *transport.Recycler[[]byte]
+	batch []byte // the buffer taken from bufs, which buf outgrows for a record over a block
 	buf   []byte
 	err   error
 	done  bool
 }
 
-func newRecordWriter(w dfs.FileWriter, blockSize int) *recordWriter {
+func newRecordWriter(w dfs.FileWriter, blockSize int, bufs *transport.Recycler[[]byte]) *recordWriter {
 	if blockSize <= 0 {
 		blockSize = 64 << 20
 	}
-	rw := &recordWriter{w: w, block: blockSize, buf: make([]byte, 0, blockSize)}
+	batch := transport.TakeBytes(bufs, blockSize)
+	rw := &recordWriter{w: w, block: blockSize, bufs: bufs, batch: batch, buf: batch[:0]}
 	rw.fl, _ = w.(dfs.Flusher)
 	return rw
 }
@@ -286,6 +289,7 @@ func (rw *recordWriter) Close() error {
 		return rw.err
 	}
 	rw.done = true
+	defer func() { rw.bufs.Give(rw.batch, rw.batch); rw.batch, rw.buf = nil, nil }()
 	if err := rw.flush(); err != nil {
 		rw.w.Close()
 		return err
@@ -320,7 +324,7 @@ func (tt *TaskTracker) openReduceOutput(ctx context.Context, job *jobState, r in
 		if err != nil {
 			return nil, nil, err
 		}
-		rw := newRecordWriter(w, int(tt.fs.BlockSize()))
+		rw := newRecordWriter(w, int(tt.fs.BlockSize()), &tt.segs)
 		commit := func(ok bool) error {
 			// Failed attempts keep already-appended records (at-least-
 			// once semantics on retry, like GFS record append).

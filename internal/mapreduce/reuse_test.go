@@ -28,11 +28,13 @@ func lineSum(line string) uint64 {
 // TestWarmDataJoinReusesBuffers runs one data join twice on one
 // framework, the reducers appending to one shared file over a blob
 // shuffle, and counts buffer reuse rather than allocations: the second
-// job's reducers take every segment buffer from their tracker's free
-// list, and the providers store pages in the buffers of the pages the
-// first job's cleanup freed. The segments are poisoned when they go
-// back (TestMain), so a key or value view that outlived its reduce
-// changes the output, which must match the reference join row for row.
+// job's reducers take every segment buffer and their record writers'
+// batch buffers from their tracker's free list and every block buffer
+// from their mount's, and the providers store pages in the buffers of
+// the pages the first job's cleanup freed. The segments are poisoned
+// when they go back (TestMain), so a key or value view that outlived
+// its reduce changes the output, which must match the reference join
+// row for row.
 func TestWarmDataJoinReusesBuffers(t *testing.T) {
 	const keys, reducers = 500, 4
 	cluster, err := blob.NewCluster(transport.NewMemNet(), blob.ClusterConfig{Providers: reducers, MetaProviders: 3})
@@ -48,10 +50,14 @@ func TestWarmDataJoinReusesBuffers(t *testing.T) {
 	// One reduce slot a tracker: reduce r runs on tracker r in both jobs,
 	// and no reduce gives its segments back while another on its tracker
 	// still fetches.
+	var mounts []*bsfs.FS
 	fw, err := mapreduce.NewFramework(mapreduce.FrameworkConfig{
-		Net:         cluster.Net,
-		Hosts:       cluster.ProviderHosts(),
-		Mount:       func(host string) dfs.FileSystem { return d.Mount(host) },
+		Net:   cluster.Net,
+		Hosts: cluster.ProviderHosts(),
+		Mount: func(host string) dfs.FileSystem {
+			mounts = append(mounts, d.Mount(host))
+			return mounts[len(mounts)-1]
+		},
 		ReduceSlots: 1,
 	})
 	if err != nil {
@@ -81,6 +87,15 @@ func TestWarmDataJoinReusesBuffers(t *testing.T) {
 		}
 		return st
 	}
+	blocks := func() (st transport.RecycleStats) {
+		for _, m := range mounts {
+			s := m.BlockRecycling()
+			st.Held += s.Held
+			st.Reused += s.Reused
+			st.Fresh += s.Fresh
+		}
+		return st
+	}
 	pages := func() (st transport.RecycleStats) {
 		for _, p := range cluster.Providers {
 			s := p.Store().(*pagestore.Memory).Recycled()
@@ -89,9 +104,9 @@ func TestWarmDataJoinReusesBuffers(t *testing.T) {
 		}
 		return st
 	}
-	job := func(i int) (res mapreduce.JobResult, segs, pgs transport.RecycleStats) {
+	job := func(i int) (res mapreduce.JobResult, segs, blks, pgs transport.RecycleStats) {
 		t.Helper()
-		segs0, pgs0 := segments(), pages()
+		segs0, blks0, pgs0 := segments(), blocks(), pages()
 		conf := datajoin.Job("/in/a", "/in/b", fmt.Sprintf("/out/%d", i), reducers, mapreduce.SharedAppend)
 		conf.Shuffle = shuffle.Blob
 		res, err := fw.Run(ctx, conf)
@@ -125,21 +140,29 @@ func TestWarmDataJoinReusesBuffers(t *testing.T) {
 		if _, err := d.GC.RunOnce(ctx); err != nil {
 			t.Fatal(err)
 		}
-		segs, pgs = segments(), pages()
+		segs, blks, pgs = segments(), blocks(), pages()
 		segs.Reused -= segs0.Reused
 		segs.Fresh -= segs0.Fresh
+		blks.Reused -= blks0.Reused
+		blks.Fresh -= blks0.Fresh
 		pgs.Reused -= pgs0.Reused
 		pgs.Fresh -= pgs0.Fresh
-		return res, segs, pgs
+		return res, segs, blks, pgs
 	}
 
-	_, segs1, pgs1 := job(1)
+	res1, segs1, blks1, pgs1 := job(1)
 	if segs1.Reused != 0 || pgs1.Reused != 0 {
 		t.Fatalf("the cold job reused %d segment and %d page buffers", segs1.Reused, pgs1.Reused)
 	}
-	res, segs2, pgs2 := job(2)
-	t.Logf("segment buffers: job 1 %d fresh, %d reused; job 2 %d fresh, %d reused; %d bytes free",
+	// A segment buffer per segment and a batch buffer per reducer.
+	if segs1.Fresh != res1.SegmentsFetched+reducers {
+		t.Errorf("the cold job's reducers took %d buffers from their trackers for %d segments, want a batch buffer more each", segs1.Fresh, res1.SegmentsFetched)
+	}
+	res, segs2, blks2, pgs2 := job(2)
+	t.Logf("segment and batch buffers: job 1 %d fresh, %d reused; job 2 %d fresh, %d reused; %d bytes free",
 		segs1.Fresh, segs1.Reused, segs2.Fresh, segs2.Reused, segs2.Free)
+	t.Logf("block buffers: job 1 %d fresh, %d reused; job 2 %d fresh, %d reused",
+		blks1.Fresh, blks1.Reused, blks2.Fresh, blks2.Reused)
 	t.Logf("provider pages: job 1 %d fresh, %d reused; job 2 %d fresh, %d reused (%d segments appended)",
 		pgs1.Fresh, pgs1.Reused, pgs2.Fresh, pgs2.Reused, res.SegmentsAppended)
 	// A page store whose free list matched exact lengths only reused 54
@@ -155,6 +178,9 @@ func TestWarmDataJoinReusesBuffers(t *testing.T) {
 		t.Errorf("trackers hold %d segment bytes after the job", segs2.Held)
 	}
 	if segs2.Fresh != 0 || segs2.Reused != segs1.Fresh {
-		t.Errorf("the warm job's reducers took %d fresh and %d free segment buffers, want all %d free", segs2.Fresh, segs2.Reused, segs1.Fresh)
+		t.Errorf("the warm job's reducers took %d fresh and %d free segment and batch buffers, want all %d free", segs2.Fresh, segs2.Reused, segs1.Fresh)
+	}
+	if blks2.Fresh != 0 || blks2.Reused == 0 || blks2.Held != 0 {
+		t.Errorf("the warm job's writers took %d fresh and %d free block buffers and hold %d B after it, want none fresh and none held", blks2.Fresh, blks2.Reused, blks2.Held)
 	}
 }

@@ -85,10 +85,11 @@ type TaskTracker struct {
 	cancel  context.CancelFunc
 	ctx     context.Context
 
-	// segs is the free list of the blob shuffle's segment buffers: a
-	// reduce takes one per segment it fetches and gives them all back
-	// when it ends, so between jobs a tracker keeps at most the most
-	// segment bytes it ever held at once.
+	// segs is the free list of the blob shuffle's segment buffers and
+	// the record writers' batch buffers: a reduce takes one per segment
+	// it fetches and one for its output, and gives them all back when
+	// it ends, so between jobs a tracker keeps at most the most bytes it
+	// ever held at once.
 	segs transport.Recycler[[]byte]
 }
 

@@ -22,8 +22,9 @@ func ClassSize(n int) int {
 }
 
 // Recycler is one owner's free list of long-lived buffers — a
-// provider's stored pages, a tasktracker's shuffle segments — reused by
-// size class, not exact length. T is what the owner keeps a buffer in:
+// provider's stored pages, a tasktracker's shuffle segments and record
+// writers' batches, a BSFS mount's block buffers — reused by size
+// class, not exact length. T is what the owner keeps a buffer in:
 // the []byte itself, or a struct that carries it and is reused with it.
 //
 // A Take is served from n's class, else from the smallest free class
@@ -83,6 +84,16 @@ func (r *Recycler[T]) Take(n int) (item T, ok bool) {
 		}
 	}
 	return item, false
+}
+
+// TakeBytes is Take on a free list of plain buffers: an empty buffer
+// with room for n bytes, a free one if Take finds one, else a fresh one
+// of ClassSize(n).
+func TakeBytes(r *Recycler[[]byte], n int) []byte {
+	if b, ok := r.Take(n); ok {
+		return b[:0]
+	}
+	return make([]byte, 0, ClassSize(n))
 }
 
 // pop removes the newest free item of class size, under mu.
