@@ -16,8 +16,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -184,10 +185,10 @@ entries
 // latency quantiles for both wire sides.
 func showStats(s metrics.RegistrySnapshot) {
 	showCounters(s.Counters, "")
-	for _, k := range sortedKeys(s.Gauges) {
+	for _, k := range slices.Sorted(maps.Keys(s.Gauges)) {
 		fmt.Printf("gauge    %-28s %g\n", k, s.Gauges[k])
 	}
-	for _, k := range sortedKeys(s.Ops) {
+	for _, k := range slices.Sorted(maps.Keys(s.Ops)) {
 		q := s.Ops[k]
 		fmt.Printf("op       %-28s n=%-6d p50=%.3fms p99=%.3fms max=%.3fms\n",
 			k, q.Count, q.P50Ms, q.P99Ms, q.MaxMs)
@@ -197,7 +198,7 @@ func showStats(s metrics.RegistrySnapshot) {
 		methods map[string]metrics.MethodSnapshot
 	}{{"client", s.RPCClient}, {"server", s.RPCServer}}
 	for _, side := range sides {
-		for _, k := range sortedKeys(side.methods) {
+		for _, k := range slices.Sorted(maps.Keys(side.methods)) {
 			m := side.methods[k]
 			fmt.Printf("rpc %-6s %-24s calls=%-7d errs=%-4d bytes=%-10d p50=%.3fms p99=%.3fms\n",
 				side.name, k, m.Calls, m.Errors, m.Bytes, m.Latency.P50Ms, m.Latency.P99Ms)
@@ -340,20 +341,11 @@ func runDiag(cluster *blobseer.Cluster, args []string) error {
 // showCounters prints the process counters whose names start with
 // prefix.
 func showCounters(counters map[string]uint64, prefix string) {
-	for _, k := range sortedKeys(counters) {
+	for _, k := range slices.Sorted(maps.Keys(counters)) {
 		if strings.HasPrefix(k, prefix) {
 			fmt.Printf("counter  %-28s %d\n", k, counters[k])
 		}
 	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // showShards prints the metadata ring: every version-manager shard,

@@ -3,6 +3,7 @@ package blobseer
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"strconv"
 	"time"
@@ -52,7 +53,7 @@ func BindFlags(o *Options) *Flags {
 		readDepth:   flag.Int("readdepth", 0, "BSFS reader readahead depth (blocks in flight ahead of a reader; 0 = default, negative = off; ignored when the page cache is off, because readahead stages pages through it)"),
 		retain:      flag.Uint64("retain", 0, "default RetainLatest GC policy (0 = keep every version)"),
 		vmShards:    flag.Int("vm-shards", 1, "version-manager shards (metadata plane partitions)"),
-		logLevel:    flag.String("log-level", "", "obs log level: debug|info|warn|error (default warn)"),
+		logLevel:    flag.String("log-level", "", "slog level: debug|info|warn|error (default warn)"),
 		slowMs:      flag.Float64("slow-ms", 0, "slow-span threshold in ms: a span ending at or past it logs a warning (0 = off; the flight tail sampler keeps its own 50 ms floor)"),
 		metricsAddr: flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /spans (and, given a cluster, /cluster, /healthz and /alerts) on this address while the command runs (e.g. 127.0.0.1:9090)"),
 	}
@@ -70,11 +71,11 @@ func (f *Flags) Apply() error {
 		fmt.Fprintf(os.Stderr, "[-readdepth %d ignored: the page cache is off (-cachemb) and readahead stages pages through it]\n", o.ReadDepth)
 	}
 	if *f.logLevel != "" {
-		lv, err := obs.ParseLevel(*f.logLevel)
-		if err != nil {
-			return err
+		var lv slog.Level
+		if err := lv.UnmarshalText([]byte(*f.logLevel)); err != nil {
+			return fmt.Errorf("-log-level: %w", err)
 		}
-		obs.Log.SetLevel(lv)
+		slog.SetLogLoggerLevel(lv)
 	}
 	if *f.slowMs > 0 {
 		obs.Spans.SetSlowThreshold(time.Duration(*f.slowMs * float64(time.Millisecond)))

@@ -11,8 +11,8 @@ import (
 //   - bare or deferred statement calls to *module-internal*
 //     error-returning functions (`st.Close()` as a statement).
 //
-// The PR 7 convention is that a meaningful error is routed through
-// obs.Log with context; a genuinely-ignorable one carries a
+// The convention is that a meaningful error is logged through
+// log/slog with context; a genuinely-ignorable one carries a
 // `//lint:droppederr <reason>` marker so the why survives in the
 // diff. Partial discards (`n, _ := f()`) keep a value and are left to
 // review; stdlib bare calls (fmt.Fprintf to a strings.Builder and
@@ -55,7 +55,7 @@ func checkBlankAssign(pass *Pass, stmt *ast.AssignStmt) {
 	}
 	for _, rhs := range stmt.Rhs {
 		if dropsError(pass, rhs) {
-			pass.Reportf(stmt.Pos(), "error discarded with `_ =`: route it through obs.Log or justify with %sdroppederr", markerPrefix)
+			pass.Reportf(stmt.Pos(), "error discarded with `_ =`: log it through slog or justify with %sdroppederr", markerPrefix)
 			return
 		}
 	}
@@ -89,7 +89,7 @@ func checkBareCall(pass *Pass, expr ast.Expr, prefix string) {
 	if strings.EqualFold(fn.Name(), "close") {
 		return
 	}
-	pass.Reportf(call.Pos(), "%serror result of %s dropped: check it, log it via obs.Log, or justify with %sdroppederr",
+	pass.Reportf(call.Pos(), "%serror result of %s dropped: check it, log it through slog, or justify with %sdroppederr",
 		prefix, fn.Name(), markerPrefix)
 }
 

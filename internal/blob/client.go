@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -98,7 +99,11 @@ type Client struct {
 
 	// writers numbers this client's writes for AssignReq.Writer: a
 	// random base plus a sequence number, so every retry of one assign
-	// carries the same id and two clients' ids do not meet.
+	// carries the same id and two clients' ids do not meet. The base
+	// has its top bit set and the next one clear, so every id is
+	// nonzero and encodes as a uvarint of the same width (10 bytes)
+	// whatever the draw: a run's frame sizes, and so its modeled wire
+	// time, do not depend on it.
 	writers atomic.Uint64
 
 	// lease holds the page placements the provider manager has granted
@@ -158,18 +163,12 @@ func NewClient(cfg ClientConfig) *Client {
 		hist:     make(map[uint64]*blobHistory),
 		verinfo:  make(map[VersionRef]VersionInfo),
 	}
-	c.writers.Store(rand.Uint64())
+	c.writers.Store(rand.Uint64()>>2 | 1<<63)
 	return c
 }
 
-// writerID returns the id of this client's next write, never 0.
-func (c *Client) writerID() uint64 {
-	for {
-		if id := c.writers.Add(1); id != 0 {
-			return id
-		}
-	}
-}
+// writerID returns the id of this client's next write.
+func (c *Client) writerID() uint64 { return c.writers.Add(1) }
 
 // ReadStats exposes the client's own read-path counters (cache hits and
 // misses, readahead, provider fetches, and failures per provider
@@ -462,7 +461,7 @@ func (b *Blob) abortDetached(ver uint64) {
 		if err := b.Abort(ctx, ver); err != nil {
 			// Every later version waits one lease for the sweep to seal
 			// this one — worth an operator's attention.
-			obs.Log.Warnf("blob %d: detached seal of version %d failed: %v", b.id, ver, err)
+			slog.Warn("blob: detached seal failed", "blob", b.id, "ver", ver, "err", err)
 		}
 	}()
 }
@@ -755,7 +754,7 @@ func (c *Client) refillLease() {
 	closed := l.closed
 	l.mu.Unlock()
 	if err != nil && !closed {
-		obs.Log.Warnf("blob: placement lease refill failed, the next write retries it: %v", err)
+		slog.Warn("blob: placement lease refill failed, the next write retries it", "err", err)
 	}
 }
 

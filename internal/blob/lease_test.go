@@ -3,6 +3,7 @@ package blob
 import (
 	"bytes"
 	"context"
+	"log/slog"
 	"slices"
 	"strings"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"blobseer/internal/metrics"
-	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 )
@@ -176,8 +176,7 @@ func TestLeaseUnderConcurrentAppends(t *testing.T) {
 // and with their version sealed, and succeed again once a manager
 // listens at the address.
 func TestLeaseOutlivesProviderManager(t *testing.T) {
-	obs.Log.SetLevel(obs.LevelError) // every failed background refill warns
-	defer obs.Log.SetLevel(obs.LevelWarn)
+	defer slog.SetLogLoggerLevel(slog.SetLogLoggerLevel(slog.LevelError)) // every failed background refill warns
 	c := newTestCluster(t, ClusterConfig{})
 	cl := newTestClient(t, c, "cli")
 	const ps = 512

@@ -3,6 +3,7 @@ package blob
 import (
 	"sync/atomic"
 
+	"blobseer/internal/metrics"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
@@ -53,16 +54,20 @@ func (p *Provider) Store() pagestore.Store { return p.store }
 //lint:unusedexport fault-injection hook for the blob, bsfs and gc tests
 func (p *Provider) SetFailPuts(fail bool) { p.failPuts.Store(fail) }
 
-// MonitorSample reports the provider's live stats in the cluster
-// monitor's sample shape ("_total" keys are counters, others gauges).
-func (p *Provider) MonitorSample() map[string]float64 {
-	return map[string]float64{
-		"pages":             float64(p.store.Len()),
-		"bytes_used":        float64(p.store.BytesUsed()),
-		"read_pages_total":  float64(p.pagesRead.Load()),
-		"read_bytes_total":  float64(p.bytesRead.Load()),
-		"write_pages_total": float64(p.pagesWritten.Load()),
-		"write_bytes_total": float64(p.bytesWritten.Load()),
+// MonitorSample reports the provider's live stats to the cluster
+// monitor: its page traffic as counters, its footprint as gauges.
+func (p *Provider) MonitorSample() metrics.RegistrySnapshot {
+	return metrics.RegistrySnapshot{
+		Counters: map[string]uint64{
+			"read_pages":  p.pagesRead.Load(),
+			"read_bytes":  p.bytesRead.Load(),
+			"write_pages": p.pagesWritten.Load(),
+			"write_bytes": p.bytesWritten.Load(),
+		},
+		Gauges: map[string]float64{
+			"pages":      float64(p.store.Len()),
+			"bytes_used": float64(p.store.BytesUsed()),
+		},
 	}
 }
 

@@ -2,11 +2,11 @@ package blob
 
 import (
 	"context"
+	"log/slog"
 	"sync"
 	"time"
 
 	"blobseer/internal/cache"
-	"blobseer/internal/obs"
 )
 
 // Snapshot is a read handle bound to one published version of a BLOB,
@@ -167,7 +167,7 @@ func (s *Snapshot) Renew(ctx context.Context) error {
 	if err := s.b.unpin(ctx, s.info.Ver); err != nil {
 		// The fresh pin still protects the version; the stray count
 		// drains when its lease expires.
-		obs.Log.Debugf("blob %d: unpin after lease refresh of version %d: %v", s.b.id, s.info.Ver, err)
+		slog.Debug("blob: unpin after lease refresh", "blob", s.b.id, "ver", s.info.Ver, "err", err)
 	}
 	s.mu.Lock()
 	s.pinnedAt = time.Now()
@@ -184,7 +184,7 @@ func (s *Snapshot) renew(ctx context.Context) {
 	s.mu.Unlock()
 	if due {
 		if err := s.Renew(ctx); err != nil {
-			obs.Log.Debugf("blob %d: snapshot lease renew of version %d: %v", s.b.id, s.info.Ver, err)
+			slog.Debug("blob: snapshot lease renew", "blob", s.b.id, "ver", s.info.Ver, "err", err)
 		}
 	}
 }

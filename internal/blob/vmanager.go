@@ -20,11 +20,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
 	"blobseer/internal/dht"
-	"blobseer/internal/obs"
+	"blobseer/internal/metrics"
 	"blobseer/internal/rpc"
 	"blobseer/internal/segtree"
 	"blobseer/internal/transport"
@@ -233,19 +234,22 @@ func (vm *VersionManager) JournalBytes() int64 {
 	return vm.journal.bytes()
 }
 
-// MonitorSample reports the shard's live stats in the cluster
-// monitor's sample shape ("_total" keys are counters, others gauges).
-// Returned as a plain map so the blob layer stays free of a monitor
-// dependency.
-func (vm *VersionManager) MonitorSample() map[string]float64 {
-	return map[string]float64{
-		"blobs":                 float64(vm.st.blobCount()),
-		"assigned_total":        float64(vm.st.assigned.Load()),
-		"published_total":       float64(vm.st.publishedCount.Load()),
-		"sealed_total":          float64(vm.st.sealed.Load()),
-		"journal_records_total": float64(vm.JournalRecords()),
-		"journal_pending":       float64(vm.JournalPending()),
-		"journal_bytes":         float64(vm.JournalBytes()),
+// MonitorSample reports the shard's live stats to the cluster monitor:
+// versions and journal records as counters, its blobs and journal as
+// gauges.
+func (vm *VersionManager) MonitorSample() metrics.RegistrySnapshot {
+	return metrics.RegistrySnapshot{
+		Counters: map[string]uint64{
+			"assigned":        vm.st.assigned.Load(),
+			"published":       vm.st.publishedCount.Load(),
+			"sealed":          vm.st.sealed.Load(),
+			"journal_records": vm.JournalRecords(),
+		},
+		Gauges: map[string]float64{
+			"blobs":           float64(vm.st.blobCount()),
+			"journal_pending": float64(vm.JournalPending()),
+			"journal_bytes":   float64(vm.JournalBytes()),
+		},
 	}
 }
 
@@ -304,7 +308,7 @@ func (vm *VersionManager) checkpointLoop() {
 			// Errors are not fatal: the journal itself is intact, the
 			// next kick (or the final checkpoint on Close) retries.
 			if err := vm.journal.checkpoint(vm.st); err != nil {
-				obs.Log.Warnf("blob: version-manager checkpoint: %v", err)
+				slog.Warn("blob: version-manager checkpoint", "err", err)
 			}
 		}
 	}
@@ -527,7 +531,7 @@ func (vm *VersionManager) sealLoop() {
 		for _, t := range targets {
 			// Errors are retried on the next tick.
 			if err := vm.seal(t.blob, t.ver); err != nil {
-				obs.Log.Warnf("blob %d: lease seal of version %d: %v", t.blob, t.ver, err)
+				slog.Warn("blob: lease seal", "blob", t.blob, "ver", t.ver, "err", err)
 			}
 		}
 		vm.reclaimKick()

@@ -9,6 +9,7 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/flight"
 	"blobseer/internal/gc"
+	"blobseer/internal/metrics"
 	"blobseer/internal/monitor"
 	"blobseer/internal/obs"
 	"blobseer/internal/transport"
@@ -91,25 +92,20 @@ func Deploy(c *blob.Cluster, cfg DeployConfig) (*Deployment, error) {
 
 	mon := monitor.New(c.Cfg.NICBandwidth)
 	for _, p := range c.Providers {
-		p := p
-		mon.Register(monitor.KindProvider, p.Addr().Host(), func() monitor.Sample {
-			return p.MonitorSample()
-		})
+		mon.Register(monitor.KindProvider, p.Addr().Host(), p.MonitorSample)
 	}
 	for i := range c.VMAddrs() {
 		i := i
-		mon.Register(monitor.KindVMShard, fmt.Sprintf("shard-%d", i), func() monitor.Sample {
+		mon.Register(monitor.KindVMShard, fmt.Sprintf("shard-%d", i), func() metrics.RegistrySnapshot {
 			// ShardVM, not VMs[i]: failover swaps the slot concurrently.
 			vm := c.ShardVM(i)
 			if vm == nil {
-				return nil
+				return metrics.RegistrySnapshot{}
 			}
 			return vm.MonitorSample()
 		})
 	}
-	mon.Register(monitor.KindNamespace, "namespace", func() monitor.Sample {
-		return ns.MonitorSample()
-	})
+	mon.Register(monitor.KindNamespace, "namespace", ns.MonitorSample)
 
 	return &Deployment{
 		Blob:         c,
@@ -231,17 +227,19 @@ func (d *Deployment) Mount(host string) *FS {
 		Tuning:       d.Tuning,
 	})
 	bc := fs.BlobClient()
-	src := d.Monitor.Register(monitor.KindClient, host, func() monitor.Sample {
+	src := d.Monitor.Register(monitor.KindClient, host, func() metrics.RegistrySnapshot {
 		rs := bc.ReadStats().Snapshot()
-		s := monitor.Sample{
-			"cache_hits_total":        float64(rs.Hits),
-			"cache_misses_total":      float64(rs.Misses),
-			"provider_fetches_total":  float64(rs.ProviderFetches),
-			"provider_failures_total": float64(rs.ProviderFailures),
-			"inflight_writes":         float64(bc.InFlight()),
+		s := metrics.RegistrySnapshot{
+			Counters: map[string]uint64{
+				"cache_hits":        rs.Hits,
+				"cache_misses":      rs.Misses,
+				"provider_fetches":  rs.ProviderFetches,
+				"provider_failures": rs.ProviderFailures,
+			},
+			Gauges: map[string]float64{"inflight_writes": float64(bc.InFlight())},
 		}
 		if pc := bc.PageCache(); pc != nil {
-			s["cache_bytes"] = float64(pc.Bytes())
+			s.Gauges["cache_bytes"] = float64(pc.Bytes())
 		}
 		return s
 	})

@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/cache"
 	"blobseer/internal/dfs"
-	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 )
@@ -734,7 +734,7 @@ func (r *fileReader) Close() error {
 // release is not the reader's failure: the lease expires on its own.
 func (r *fileReader) release(s *blob.Snapshot) {
 	if err := s.Close(); err != nil {
-		obs.Log.Debugf("bsfs: unpin of version %d: %v", s.Ver(), err)
+		slog.Debug("bsfs: unpin", "ver", s.Ver(), "err", err)
 	}
 }
 

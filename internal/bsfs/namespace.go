@@ -21,11 +21,12 @@ package bsfs
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
-	"blobseer/internal/obs"
+	"blobseer/internal/metrics"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
 	"blobseer/internal/wire"
@@ -167,15 +168,15 @@ func (ns *NamespaceManager) EntryCount() int {
 	return n
 }
 
-// MonitorSample reports the manager's live stats in the cluster
-// monitor's sample shape.
-func (ns *NamespaceManager) MonitorSample() map[string]float64 {
-	s := map[string]float64{"entries": float64(ns.EntryCount())}
+// MonitorSample reports the manager's live stats to the cluster
+// monitor, all of them gauges.
+func (ns *NamespaceManager) MonitorSample() metrics.RegistrySnapshot {
+	g := map[string]float64{"entries": float64(ns.EntryCount())}
 	if kv := ns.tree.Store(); kv != nil {
 		total, _ := kv.Size()
-		s["journal_bytes"] = float64(total)
+		g["journal_bytes"] = float64(total)
 	}
-	return s
+	return metrics.RegistrySnapshot{Gauges: g}
 }
 
 // Close stops the manager.
@@ -241,7 +242,7 @@ func (ns *NamespaceManager) deleteBlobDetached(id uint64) {
 		if err := ns.bc.DeleteBlob(ctx, id); err != nil {
 			// The BLOB is orphaned until an operator reaps it — worth
 			// surfacing.
-			obs.Log.Warnf("bsfs: detached retire of blob %d: %v", id, err)
+			slog.Warn("bsfs: detached retire", "blob", id, "err", err)
 		}
 	}()
 }

@@ -1,12 +1,12 @@
 package dfs
 
 import (
+	"log/slog"
 	"slices"
 	"strings"
 	"sync"
 
 	"blobseer/internal/kvlog"
-	"blobseer/internal/obs"
 )
 
 // Entry is what a Tree keeps at a path: a directory or a file, usually
@@ -115,7 +115,7 @@ func (t *Tree[E]) deleteLocked(path string) error {
 func (t *Tree[E]) maybeCompactLocked() {
 	// Best effort: a failed compaction leaves a bigger but intact journal.
 	if _, err := t.kv.CompactIfDead(treeCompactThreshold); err != nil {
-		obs.Log.Warnf("dfs: namespace journal compaction: %v", err)
+		slog.Warn("dfs: namespace journal compaction", "err", err)
 	}
 }
 

@@ -23,18 +23,19 @@ func smallCfg() Config {
 
 func TestFig3Smoke(t *testing.T) { fig3Smoke(t) }
 
-// fig3Smoke runs Fig 3's smoke sweep and checks its shape. It and the
-// other *Smoke helpers report with Errorf, never Fatal, so the virtual
-// time test can run them inside a synctest bubble's goroutine.
-func fig3Smoke(t *testing.T) {
+// fig3Smoke runs Fig 3's smoke sweep, checks its shape and returns its
+// points. It and the other *Smoke helpers report with Errorf, never
+// Fatal, so the virtual time test can run them inside a synctest
+// bubble's goroutine.
+func fig3Smoke(t *testing.T) []Point {
 	series, err := Fig3(smallCfg(), []int{1, 4, 8})
 	if err != nil {
 		t.Error(err)
-		return
+		return nil
 	}
 	if len(series.Points) != 3 {
 		t.Errorf("points = %d", len(series.Points))
-		return
+		return nil
 	}
 	for _, p := range series.Points {
 		if p.Y <= 0 {
@@ -47,6 +48,7 @@ func fig3Smoke(t *testing.T) {
 	if last > first*1.5 {
 		t.Errorf("throughput grew with contention: %g -> %g", first, last)
 	}
+	return series.Points
 }
 
 func TestFig4Fig5Smoke(t *testing.T) {
@@ -69,17 +71,18 @@ func TestFig4Fig5Smoke(t *testing.T) {
 
 func TestFig6Smoke(t *testing.T) { fig6Smoke(t) }
 
-// fig6Smoke runs Fig 6 at 1 and 4 reducers and checks its shape.
-func fig6Smoke(t *testing.T) {
+// fig6Smoke runs Fig 6 at 1 and 4 reducers, checks its shape and
+// returns the points of all its series.
+func fig6Smoke(t *testing.T) []Point {
 	cfg := smallCfg()
 	res, err := Fig6(cfg, []int{1, 4})
 	if err != nil {
 		t.Error(err)
-		return
+		return nil
 	}
 	if len(res.HDFS.Points) != 2 || len(res.BSFS.Points) != 2 {
 		t.Errorf("points: hdfs=%d bsfs=%d", len(res.HDFS.Points), len(res.BSFS.Points))
-		return
+		return nil
 	}
 	// The headline claim: BSFS produces exactly one output file at any
 	// reducer count; HDFS produces one per reducer.
@@ -98,6 +101,11 @@ func fig6Smoke(t *testing.T) {
 	if lastB >= lastH {
 		t.Errorf("metadata entries: bsfs=%g hdfs=%g", lastB, lastH)
 	}
+	var points []Point
+	for _, s := range []*Series{res.HDFS, res.BSFS, res.FilesHDFS, res.FilesBSFS, res.MetaHDFS, res.MetaBSFS} {
+		points = append(points, s.Points...)
+	}
+	return points
 }
 
 func TestShuffleScenarioSmoke(t *testing.T) {

@@ -3,6 +3,8 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -13,18 +15,25 @@ import (
 // smoke tests. In a bubble the clock advances only when every goroutine
 // is blocked, so a figure measures the modeled costs (NIC reservations,
 // latency, the map and reduce cost models) and none of the code's CPU
-// time. Run it with GOEXPERIMENT=synctest go test -run Virtual.
+// time. On one P the goroutines also run in one order, so Fig 3's and
+// Fig 6's points must come out the same in both passes (the lock
+// ablation's still differ, and are not compared). Run it with
+// GOEXPERIMENT=synctest go test -run Virtual.
 func TestVirtualTimeSmoke(t *testing.T) {
-	for pass := 1; pass <= 2; pass++ {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var points [2][]Point
+	for pass := range points {
 		start := time.Now()
 		err := RunVirtual(func() {
-			fig3Smoke(t)
-			fig6Smoke(t)
+			points[pass] = append(fig3Smoke(t), fig6Smoke(t)...)
 			ablationLockedSmoke(t)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("pass %d: %v of wall time", pass, time.Since(start).Round(time.Millisecond))
+		t.Logf("pass %d: %v of wall time", pass+1, time.Since(start).Round(time.Millisecond))
+	}
+	if !reflect.DeepEqual(points[0], points[1]) {
+		t.Errorf("Fig 3 and Fig 6 points differ between passes:\n%v\n%v", points[0], points[1])
 	}
 }

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"log/slog"
 	"time"
 
 	"blobseer/internal/metrics"
@@ -84,7 +85,7 @@ func (s *Sampler) keep(root obs.SpanInfo, reason string, spans []obs.SpanInfo) {
 		spans = []obs.SpanInfo{root}
 	}
 	if err := s.rec.RecordTrace(root.Trace, reason, root.Dur, spans); err != nil {
-		obs.Log.Errorf("flight: record trace %d: %v", root.Trace, err)
+		slog.Error("flight: record trace", "trace", root.Trace, "err", err)
 	}
 }
 

@@ -2,12 +2,12 @@ package flight
 
 import (
 	"context"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
 
 	"blobseer/internal/monitor"
-	"blobseer/internal/obs"
 )
 
 // Rule is one SLO check. Evaluate inspects the fresh cluster snapshot
@@ -234,7 +234,7 @@ func (w *Watchdog) Evaluate() {
 	// snapshot -> health -> alert order is preserved.
 	for _, ev := range pending {
 		if err := w.rec.Append(ev); err != nil {
-			obs.Log.Errorf("flight: record %s: %v", ev.Kind, err)
+			slog.Error("flight: record", "kind", ev.Kind, "err", err)
 		}
 	}
 }
@@ -243,9 +243,9 @@ func (w *Watchdog) Evaluate() {
 // event to journal (empty without a recorder); callers hold w.mu.
 func (w *Watchdog) transitionLocked(rule, state string, value, limit float64, detail string) []Event {
 	if state == StateFiring {
-		obs.Log.Warnf("alert FIRING: %s value=%.3f limit=%.3f %s", rule, value, limit, detail)
+		slog.Warn("alert FIRING", "rule", rule, "value", value, "limit", limit, "detail", detail)
 	} else {
-		obs.Log.Infof("alert cleared: %s value=%.3f limit=%.3f", rule, value, limit)
+		slog.Info("alert cleared", "rule", rule, "value", value, "limit", limit)
 	}
 	if w.rec == nil {
 		return nil

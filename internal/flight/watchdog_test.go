@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"blobseer/internal/metrics"
 	"blobseer/internal/monitor"
 )
 
@@ -12,8 +13,8 @@ import (
 // journal_pending gauge tracks *lag.
 func lagMonitor(lag *float64) *monitor.Monitor {
 	m := monitor.New(0)
-	m.Register(monitor.KindVMShard, "vm-0", func() monitor.Sample {
-		return monitor.Sample{monitor.KeyJournalPending: *lag}
+	m.Register(monitor.KindVMShard, "vm-0", func() metrics.RegistrySnapshot {
+		return metrics.RegistrySnapshot{Gauges: map[string]float64{monitor.KeyJournalPending: *lag}}
 	})
 	return m
 }

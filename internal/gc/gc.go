@@ -39,6 +39,7 @@ package gc
 
 import (
 	"context"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -181,7 +182,7 @@ func (g *Collector) loop(kicks <-chan struct{}) {
 		if _, err := g.RunOnce(ctx); err != nil {
 			// The next signal retries; surface the failure instead of
 			// silently skipping a reclaim cycle.
-			obs.Log.Warnf("gc: reclaim pass failed: %v", err)
+			slog.Warn("gc: reclaim pass failed", "err", err)
 		}
 		cancel()
 	}
@@ -375,7 +376,7 @@ func (g *Collector) executeWork(ctx context.Context, w *reclaimWork, rep *Report
 			ref, err := segtree.DecodeLeaf(raw)
 			if err != nil || ref.Hole {
 				if err != nil {
-					obs.Log.Debugf("gc: leaf %s: %v", segtree.FormatKey(w.leafKeys[i]), err)
+					slog.Debug("gc: leaf", "key", segtree.FormatKey(w.leafKeys[i]), "err", err)
 					rep.PagesUnlocatable++
 				}
 				continue // holes store no page
@@ -438,7 +439,7 @@ func (g *Collector) flush(ctx context.Context, rep *Report) {
 			resp, err := g.c.DeletePages(ctx, addr, keys[off:end])
 			if err != nil {
 				rep.ProviderFailures++
-				obs.Log.Infof("gc: delete batch to %s failed (requeued %d keys): %v", addr, len(keys)-off, err)
+				slog.Info("gc: delete batch failed", "addr", addr, "requeued", len(keys)-off, "err", err)
 				g.mu.Lock()
 				g.queues[addr] = append(g.queues[addr], keys[off:]...)
 				g.mu.Unlock()

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/cache"
 	"blobseer/internal/dfs"
-	"blobseer/internal/obs"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
@@ -236,7 +236,7 @@ func (w *fileWriter) gone(err error) error {
 	for _, dn := range w.last.Datanodes {
 		if derr := w.fs.pool.Call(w.ctx, transport.Addr(dn), blob.ProvDeletePages,
 			&blob.DeletePagesReq{Keys: []pagestore.Key{{Blob: w.last.ID}}}, nil); derr != nil {
-			obs.Log.Warnf("hdfs: deleting block %d of deleted %s on %s: %v", w.last.ID, w.path, dn, derr)
+			slog.Warn("hdfs: deleting a block of a deleted file", "block", w.last.ID, "path", w.path, "datanode", dn, "err", derr)
 		}
 	}
 	return fmt.Errorf("hdfs: writer of %s: %w", w.path, err)

@@ -19,12 +19,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dfs"
-	"blobseer/internal/obs"
 	"blobseer/internal/pagestore"
 	"blobseer/internal/rpc"
 	"blobseer/internal/transport"
@@ -266,7 +266,7 @@ func (nn *Namenode) freeBlocks(blocks []BlockInfo) {
 	defer cancel()
 	for dn, ks := range keys {
 		if err := nn.pool.Call(ctx, transport.Addr(dn), blob.ProvDeletePages, &blob.DeletePagesReq{Keys: ks}, nil); err != nil {
-			obs.Log.Warnf("hdfs: deleting %d blocks on %s: %v", len(ks), dn, err)
+			slog.Warn("hdfs: deleting blocks", "blocks", len(ks), "datanode", dn, "err", err)
 		}
 	}
 }

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"time"
 
 	"blobseer/internal/dfs"
-	"blobseer/internal/obs"
 	"blobseer/internal/shuffle"
 )
 
@@ -255,7 +255,7 @@ func (jt *JobTracker) RunStreaming(ctx context.Context, fs dfs.FileSystem, conf 
 		if cerr := job.shuffle.Cleanup(cctx, fs.(shuffle.ClientSource).BlobClient()); cerr != nil {
 			// Leaked intermediate BLOBs accrete storage until an
 			// operator reaps them — worth surfacing.
-			obs.Log.Warnf("mapreduce: job %d: shuffle cleanup: %v", job.id, cerr)
+			slog.Warn("mapreduce: shuffle cleanup", "job", job.id, "err", cerr)
 		}
 		ccancel()
 		// The deleting client forgot the BLOBs; the trackers' clients
@@ -650,11 +650,11 @@ func (j *jobState) cleanupAndListOutputs(ctx context.Context) ([]string, error) 
 	if infos, err := j.fs.List(ctx, tmpDir); err == nil {
 		for _, fi := range infos {
 			if derr := j.fs.Delete(ctx, fi.Path); derr != nil {
-				obs.Log.Debugf("mapreduce: job %d: delete tmp %s: %v", j.id, fi.Path, derr)
+				slog.Debug("mapreduce: delete tmp", "job", j.id, "path", fi.Path, "err", derr)
 			}
 		}
 		if derr := j.fs.Delete(ctx, tmpDir); derr != nil {
-			obs.Log.Debugf("mapreduce: job %d: delete tmp dir %s: %v", j.id, tmpDir, derr)
+			slog.Debug("mapreduce: delete tmp dir", "job", j.id, "path", tmpDir, "err", derr)
 		}
 	}
 	infos, err := j.fs.List(ctx, j.conf.OutputDir)

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"blobseer/internal/dfs"
-	"blobseer/internal/obs"
 	"blobseer/internal/shuffle"
 	"blobseer/internal/transport"
 )
@@ -96,7 +96,7 @@ func (tt *TaskTracker) runReduce(ctx context.Context, job *jobState, r int) (out
 	cost.flush()
 	if out.err != nil {
 		if cerr := commit(false); cerr != nil {
-			obs.Log.Debugf("mapreduce: abort reduce attempt: %v", cerr)
+			slog.Debug("mapreduce: abort reduce attempt", "err", cerr)
 		}
 		return 0, 0, shuffled, out.err
 	}
@@ -351,7 +351,7 @@ func (tt *TaskTracker) openReduceOutput(ctx context.Context, job *jobState, r in
 			if !ok {
 				w.Close()
 				if derr := tt.fs.Delete(ctx, tmp); derr != nil {
-					obs.Log.Debugf("mapreduce: delete aborted attempt %s: %v", tmp, derr)
+					slog.Debug("mapreduce: delete aborted attempt", "path", tmp, "err", derr)
 				}
 				return nil
 			}

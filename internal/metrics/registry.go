@@ -8,7 +8,8 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -172,23 +173,13 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	return snap
 }
 
-// sortedKeys returns m's keys in order, for deterministic output.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // WritePrometheus renders the snapshot in Prometheus text exposition
 // format, deterministically ordered.
 func (s RegistrySnapshot) WritePrometheus(w io.Writer) {
-	for _, k := range sortedKeys(s.Counters) {
+	for _, k := range slices.Sorted(maps.Keys(s.Counters)) {
 		fmt.Fprintf(w, "# TYPE blobseer_%s_total counter\nblobseer_%s_total %d\n", k, k, s.Counters[k])
 	}
-	for _, k := range sortedKeys(s.Gauges) {
+	for _, k := range slices.Sorted(maps.Keys(s.Gauges)) {
 		fmt.Fprintf(w, "# TYPE blobseer_%s gauge\nblobseer_%s %g\n", k, k, s.Gauges[k])
 	}
 
@@ -205,14 +196,14 @@ func (s RegistrySnapshot) WritePrometheus(w io.Writer) {
 
 	if len(s.Ops) > 0 {
 		fmt.Fprintf(w, "# HELP blobseer_op_latency_ms Operation latency quantiles in milliseconds.\n# TYPE blobseer_op_latency_ms summary\n")
-		for _, k := range sortedKeys(s.Ops) {
+		for _, k := range slices.Sorted(maps.Keys(s.Ops)) {
 			writeLatency("blobseer_op_latency_ms", fmt.Sprintf("op=%q", k), s.Ops[k])
 			fmt.Fprintf(w, "blobseer_op_latency_ms_count{op=%q} %d\n", k, s.Ops[k].Count)
 		}
 	}
 
 	writeSide := func(side string, methods map[string]MethodSnapshot) {
-		for _, k := range sortedKeys(methods) {
+		for _, k := range slices.Sorted(maps.Keys(methods)) {
 			m := methods[k]
 			labels := fmt.Sprintf("side=%q,method=%q", side, k)
 			fmt.Fprintf(w, "blobseer_rpc_calls_total{%s} %d\n", labels, m.Calls)

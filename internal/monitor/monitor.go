@@ -3,9 +3,10 @@
 // the *deployment* is doing right now. Every component registers a
 // stats source — data providers (bytes used, page read/write traffic),
 // version-manager shards (journal growth, publish rates), the
-// namespace manager, and client mounts (cache + read stats) — and each
-// CollectOnce samples them, keeping each source's latest sample and
-// deriving EWMA byte/IOPS rates, per-provider utilization
+// namespace manager, and client mounts (cache + read stats) — that
+// reports metrics counters and gauges, and each CollectOnce samples
+// them, keeping each source's latest gauges and deriving EWMA
+// byte/IOPS rates from its counters, per-provider utilization
 // against the modeled NIC, per-shard journal lag, and a
 // replica-imbalance score across providers. The derived view is served
 // on internal/obshttp's /cluster endpoint, rendered by `bsfsctl top`,
@@ -19,15 +20,11 @@
 package monitor
 
 import (
-	"strings"
 	"sync"
 	"time"
-)
 
-// Sample is one point-in-time reading of a source's stats. Keys ending
-// in "_total" are treated as monotonic counters and reduced to EWMA
-// per-second rates; every other key is a gauge reported as-is.
-type Sample map[string]float64
+	"blobseer/internal/metrics"
+)
 
 // Component kinds with derivation rules the collector knows about.
 const (
@@ -37,16 +34,20 @@ const (
 	KindClient    = "client"    // cache + read-path counters
 )
 
-// Well-known sample keys the collector derives from.
+// Well-known counter and gauge names the collector derives from.
 const (
 	// KeyReadBytes / KeyWriteBytes are the provider byte counters that
 	// drive utilization and the replica-imbalance score.
-	KeyReadBytes  = "read_bytes_total"
-	KeyWriteBytes = "write_bytes_total"
+	KeyReadBytes  = "read_bytes"
+	KeyWriteBytes = "write_bytes"
 	// KeyJournalPending is the vmshard gauge reported as journal lag:
 	// journal records not yet covered by a checkpoint.
 	KeyJournalPending = "journal_pending"
 )
+
+// rateSuffix names a counter's rate: counter "read_bytes" is reported
+// as the rate "read_bytes_per_sec".
+const rateSuffix = "_per_sec"
 
 // halfLife smooths rates: a burst fully registers within a few
 // collections and an idle source's rate halves every half-life.
@@ -58,11 +59,11 @@ type Source struct {
 	m    *Monitor
 	kind string
 	name string
-	fn   func() Sample
+	fn   func() metrics.RegistrySnapshot
 
 	// Collector-owned state, guarded by m.mu.
-	rates   map[string]*ewma
-	last    Sample
+	rates   map[string]*ewma // by counter name
+	gauges  map[string]float64
 	lastT   time.Time
 	samples int // collections that returned a sample
 }
@@ -108,9 +109,12 @@ func New(nicBandwidth float64) *Monitor {
 }
 
 // Register adds a stats source under a component kind and name and
-// returns its handle (Unregister on component shutdown). Sources must
-// be safe to call concurrently with the component's own operation.
-func (m *Monitor) Register(kind, name string, fn func() Sample) *Source {
+// returns its handle (Unregister on component shutdown). fn reports the
+// component's monotonic counters, which the monitor turns into rates,
+// and its gauges, reported as they are; the rest of the snapshot is
+// ignored, and one with neither is no sample. Sources must be safe to
+// call concurrently with the component's own operation.
+func (m *Monitor) Register(kind, name string, fn func() metrics.RegistrySnapshot) *Source {
 	s := &Source{
 		m:     m,
 		kind:  kind,
@@ -124,8 +128,8 @@ func (m *Monitor) Register(kind, name string, fn func() Sample) *Source {
 	return s
 }
 
-// CollectOnce samples every source now: the sample becomes the
-// source's latest and its "_total" counters update their EWMA rates.
+// CollectOnce samples every source now: the gauges become the source's
+// latest and its counters update their EWMA rates.
 // It reads the sources and nothing else: the watchdog's ticker calls it
 // before each evaluation, and a scrape calls it on demand.
 func (m *Monitor) CollectOnce() {
@@ -135,13 +139,13 @@ func (m *Monitor) CollectOnce() {
 	m.mu.Unlock()
 
 	type collected struct {
-		s      *Source
-		sample Sample
+		s    *Source
+		snap metrics.RegistrySnapshot
 	}
 	got := make([]collected, 0, len(sources))
 	for _, s := range sources {
-		if sample := s.fn(); sample != nil {
-			got = append(got, collected{s, sample})
+		if snap := s.fn(); snap.Counters != nil || snap.Gauges != nil {
+			got = append(got, collected{s, snap})
 		}
 	}
 
@@ -155,28 +159,19 @@ func (m *Monitor) CollectOnce() {
 		if !s.lastT.IsZero() {
 			dt = now.Sub(s.lastT).Seconds()
 		}
-		for k, v := range c.sample {
-			if !strings.HasSuffix(k, "_total") {
-				continue
-			}
+		for k, v := range c.snap.Counters {
 			e, ok := s.rates[k]
 			if !ok {
 				e = &ewma{}
 				s.rates[k] = e
 			}
-			e.observe(v, dt, halfLife.Seconds())
+			e.observe(float64(v), dt, halfLife.Seconds())
 		}
-		s.last = c.sample
+		s.gauges = c.snap.Gauges
 		s.samples++
 		s.lastT = now
 	}
 	m.collections++
 	m.lastCollect = now
 	m.mu.Unlock()
-}
-
-// rateKey maps "read_bytes_total" to its exported rate name
-// "read_bytes_per_sec".
-func rateKey(counter string) string {
-	return strings.TrimSuffix(counter, "_total") + "_per_sec"
 }

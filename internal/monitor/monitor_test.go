@@ -4,7 +4,14 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"blobseer/internal/metrics"
 )
+
+// sample builds a source's snapshot from its counters and gauges.
+func sample(counters map[string]uint64, gauges map[string]float64) metrics.RegistrySnapshot {
+	return metrics.RegistrySnapshot{Counters: counters, Gauges: gauges}
+}
 
 func TestEWMA(t *testing.T) {
 	e := &ewma{}
@@ -51,15 +58,15 @@ func TestCollectAndSnapshot(t *testing.T) {
 	m := New(1000)
 	advance := testClock(m)
 
-	hot, cold, pending := 0.0, 0.0, 7.0
-	m.Register(KindProvider, "prov-hot", func() Sample {
-		return Sample{KeyReadBytes: hot, "pages": 3}
+	var hot, cold uint64
+	m.Register(KindProvider, "prov-hot", func() metrics.RegistrySnapshot {
+		return sample(map[string]uint64{KeyReadBytes: hot}, map[string]float64{"pages": 3})
 	})
-	m.Register(KindProvider, "prov-cold", func() Sample {
-		return Sample{KeyReadBytes: cold}
+	m.Register(KindProvider, "prov-cold", func() metrics.RegistrySnapshot {
+		return sample(map[string]uint64{KeyReadBytes: cold}, nil)
 	})
-	m.Register(KindVMShard, "shard-0", func() Sample {
-		return Sample{KeyJournalPending: pending}
+	m.Register(KindVMShard, "shard-0", func() metrics.RegistrySnapshot {
+		return sample(nil, map[string]float64{KeyJournalPending: 7})
 	})
 
 	m.CollectOnce() // primes the rate trackers
@@ -103,6 +110,9 @@ func TestCollectAndSnapshot(t *testing.T) {
 	if _, leaked := h.Gauges[KeyReadBytes]; leaked {
 		t.Error("counter leaked into gauges")
 	}
+	if _, rated := h.Rates["pages_per_sec"]; rated {
+		t.Error("gauge reported as a rate")
+	}
 	// max/mean with rates {900, 100} is 900/500 = 1.8.
 	if snap.ReplicaImbalance < 1.75 || snap.ReplicaImbalance > 1.85 {
 		t.Errorf("imbalance = %v, want ~1.8", snap.ReplicaImbalance)
@@ -116,8 +126,8 @@ func TestCollectAndSnapshot(t *testing.T) {
 
 func TestRegisterUnregister(t *testing.T) {
 	m := New(0)
-	s1 := m.Register(KindClient, "c1", func() Sample { return Sample{"x": 1} })
-	s2 := m.Register(KindClient, "c2", func() Sample { return Sample{"x": 2} })
+	s1 := m.Register(KindClient, "c1", func() metrics.RegistrySnapshot { return sample(nil, map[string]float64{"x": 1}) })
+	s2 := m.Register(KindClient, "c2", func() metrics.RegistrySnapshot { return sample(nil, map[string]float64{"x": 2}) })
 	m.CollectOnce()
 	if got := len(m.Snapshot().Components); got != 2 {
 		t.Fatalf("components = %d", got)
@@ -128,8 +138,9 @@ func TestRegisterUnregister(t *testing.T) {
 		t.Fatalf("components after unregister = %+v", got)
 	}
 	s2.Unregister()
-	// A nil sample skips the source for this pass without unregistering.
-	m.Register(KindClient, "c3", func() Sample { return nil })
+	// An empty snapshot skips the source for this pass without
+	// unregistering.
+	m.Register(KindClient, "c3", func() metrics.RegistrySnapshot { return metrics.RegistrySnapshot{} })
 	m.CollectOnce()
 	if got := m.Snapshot().Components[0].Samples; got != 0 {
 		t.Fatalf("nil-sample source recorded %d samples", got)
@@ -140,12 +151,11 @@ func BenchmarkMonitorCollect(b *testing.B) {
 	m := New(1e9)
 	for i := 0; i < 64; i++ {
 		i := i
-		m.Register(KindProvider, fmt.Sprintf("prov-%03d", i), func() Sample {
-			return Sample{
-				KeyReadBytes:  float64(i * 1000),
-				KeyWriteBytes: float64(i * 500),
-				"pages":       float64(i),
-			}
+		m.Register(KindProvider, fmt.Sprintf("prov-%03d", i), func() metrics.RegistrySnapshot {
+			return sample(map[string]uint64{
+				KeyReadBytes:  uint64(i * 1000),
+				KeyWriteBytes: uint64(i * 500),
+			}, map[string]float64{"pages": float64(i)})
 		})
 	}
 	b.ResetTimer()
@@ -158,8 +168,8 @@ func BenchmarkMonitorSnapshot(b *testing.B) {
 	m := New(1e9)
 	for i := 0; i < 64; i++ {
 		i := i
-		m.Register(KindProvider, fmt.Sprintf("prov-%03d", i), func() Sample {
-			return Sample{KeyReadBytes: float64(i * 1000)}
+		m.Register(KindProvider, fmt.Sprintf("prov-%03d", i), func() metrics.RegistrySnapshot {
+			return sample(map[string]uint64{KeyReadBytes: uint64(i * 1000)}, nil)
 		})
 	}
 	m.CollectOnce()

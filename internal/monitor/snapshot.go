@@ -1,13 +1,13 @@
 package monitor
 
 import (
+	"maps"
 	"sort"
-	"strings"
 	"time"
 )
 
-// ComponentSnapshot is one source's current view: its latest raw gauges,
-// the EWMA per-second rates derived from its "_total" counters, and for
+// ComponentSnapshot is one source's current view: its latest gauges,
+// the EWMA per-second rates derived from its counters, and for
 // providers the NIC utilization in [0, 1+] (can exceed 1 briefly when a
 // burst outruns the modeled bandwidth between collections).
 type ComponentSnapshot struct {
@@ -44,7 +44,7 @@ type ClusterSnapshot struct {
 	MaxJournalLag float64 `json:"max_journal_lag"`
 }
 
-// Snapshot derives the cluster view from each source's latest sample
+// Snapshot derives the cluster view from each source's latest gauges
 // and rate trackers as of the last collection.
 func (m *Monitor) Snapshot() ClusterSnapshot {
 	m.mu.Lock()
@@ -63,28 +63,18 @@ func (m *Monitor) Snapshot() ClusterSnapshot {
 		cs := ComponentSnapshot{
 			Kind:    s.kind,
 			Name:    s.name,
+			Gauges:  maps.Clone(s.gauges),
 			Samples: s.samples,
-		}
-		if len(s.last) > 0 {
-			cs.Gauges = make(map[string]float64, len(s.last))
-			for k, v := range s.last {
-				if !strings.HasSuffix(k, "_total") {
-					cs.Gauges[k] = v
-				}
-			}
-			if len(cs.Gauges) == 0 {
-				cs.Gauges = nil
-			}
 		}
 		if len(s.rates) > 0 {
 			cs.Rates = make(map[string]float64, len(s.rates))
 			for k, e := range s.rates {
-				cs.Rates[rateKey(k)] = e.rate
+				cs.Rates[k+rateSuffix] = e.rate
 			}
 		}
 		if s.kind == KindProvider {
-			r := cs.Rates[rateKey(KeyReadBytes)]
-			w := cs.Rates[rateKey(KeyWriteBytes)]
+			r := cs.Rates[KeyReadBytes+rateSuffix]
+			w := cs.Rates[KeyWriteBytes+rateSuffix]
 			readRates = append(readRates, r)
 			if m.nicBandwidth > 0 {
 				util := r
@@ -95,7 +85,7 @@ func (m *Monitor) Snapshot() ClusterSnapshot {
 			}
 		}
 		if s.kind == KindVMShard {
-			if lag, ok := s.last[KeyJournalPending]; ok && lag > snap.MaxJournalLag {
+			if lag, ok := s.gauges[KeyJournalPending]; ok && lag > snap.MaxJournalLag {
 				snap.MaxJournalLag = lag
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -103,49 +105,12 @@ func TestCollectorRingWraps(t *testing.T) {
 	}
 }
 
-func TestLoggerLevels(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, LevelWarn)
-	l.Debugf("quiet")
-	l.Infof("quiet")
-	l.Warnf("loud %d", 1)
-	l.Errorf("loud %d", 2)
-	out := b.String()
-	if strings.Contains(out, "quiet") {
-		t.Errorf("sub-threshold lines emitted:\n%s", out)
-	}
-	if !strings.Contains(out, "WARN  loud 1") || !strings.Contains(out, "ERROR loud 2") {
-		t.Errorf("expected lines missing:\n%s", out)
-	}
-	l.SetLevel(LevelDebug)
-	if !l.Enabled(LevelDebug) {
-		t.Error("SetLevel(debug) not effective")
-	}
-
-	for _, tc := range []struct {
-		in   string
-		want Level
-		err  bool
-	}{
-		{"debug", LevelDebug, false},
-		{"info", LevelInfo, false},
-		{"warn", LevelWarn, false},
-		{"warning", LevelWarn, false},
-		{"error", LevelError, false},
-		{"loud", 0, true},
-	} {
-		got, err := ParseLevel(tc.in)
-		if (err != nil) != tc.err || (!tc.err && got != tc.want) {
-			t.Errorf("ParseLevel(%q) = (%v, %v)", tc.in, got, err)
-		}
-	}
-}
-
 func TestSlowThresholdLogs(t *testing.T) {
 	var b strings.Builder
-	old := Log
-	Log = NewLogger(&b, LevelWarn)
-	defer func() { Log = old }()
+	old, w, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&b, &slog.HandlerOptions{Level: slog.LevelWarn})))
+	// SetDefault also points the log package at the handler; put both back.
+	defer func() { slog.SetDefault(old); log.SetOutput(w); log.SetFlags(flags) }()
 
 	c := NewCollector(8)
 	c.SetSlowThreshold(time.Nanosecond)
@@ -153,7 +118,7 @@ func TestSlowThresholdLogs(t *testing.T) {
 	s.coll = c
 	time.Sleep(time.Millisecond)
 	s.End(nil)
-	if !strings.Contains(b.String(), "slow op: crawl") {
+	if !strings.Contains(b.String(), `msg="slow op" op=crawl`) {
 		t.Errorf("no slow-op warning:\n%s", b.String())
 	}
 

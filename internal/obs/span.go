@@ -1,8 +1,21 @@
+// Package obs is the observability plane: lightweight causal spans
+// with a ring-buffer collector. The HTTP export endpoint serving the
+// unified metrics registry is internal/obshttp.
+//
+// Operational events (swallowed errors, failovers, slow ops) go to
+// log/slog, whose default handler obs sets to Warn, so tests stay
+// quiet and the benchmarks' transient failover noise (Debug/Info) is
+// dropped. A span crossing the slow-op threshold logs there too, so
+// "what was slow" and "what failed" land in one place. The rpc layer
+// propagates span identity across the wire (see wire.TraceContext),
+// which is what lets one traced append be rendered as a causal tree
+// spanning client, version manager, providers, and the metadata DHT.
 package obs
 
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strings"
 	"sync"
@@ -241,8 +254,10 @@ func NewCollector(capacity int) *Collector {
 // Spans is the process-wide span collector.
 var Spans = NewCollector(8192)
 
+func init() { slog.SetLogLoggerLevel(slog.LevelWarn) }
+
 // SetSlowThreshold arms slow-op logging: any span ending with a
-// duration at or above d logs a warning through Log. d <= 0 disarms.
+// duration at or above d logs a warning through slog. d <= 0 disarms.
 func (c *Collector) SetSlowThreshold(d time.Duration) { c.slow.Store(int64(d)) }
 
 func (c *Collector) add(s *Span) {
@@ -270,11 +285,11 @@ func (c *Collector) add(s *Span) {
 	c.mu.Unlock()
 
 	if slow := c.slow.Load(); slow > 0 && int64(cs.Dur) >= slow {
-		Log.Warnf("slow op: %s took %v (trace=%d span=%d%s)",
-			cs.Name, cs.Dur.Round(time.Microsecond), cs.Trace, cs.ID, whereSuffix(cs.Where))
+		slog.Warn("slow op", "op", cs.Name, "took", cs.Dur.Round(time.Microsecond),
+			"trace", cs.Trace, "span", cs.ID, "where", cs.Where)
 	}
 	if cs.Err != "" {
-		Log.Debugf("span error: %s: %s (trace=%d)", cs.Name, cs.Err, cs.Trace)
+		slog.Debug("span error", "op", cs.Name, "err", cs.Err, "trace", cs.Trace)
 	}
 
 	if v := c.observers.Load(); v != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"blobseer/internal/flight"
+	"blobseer/internal/metrics"
 	"blobseer/internal/monitor"
 )
 
@@ -34,8 +35,8 @@ func serveGet(t *testing.T, ms *MetricsServer, path string) (int, string) {
 func TestClusterEndpoint(t *testing.T) {
 	mon := monitor.New(1000)
 	var reads atomic.Uint64
-	mon.Register(monitor.KindProvider, "prov-a", func() monitor.Sample {
-		return monitor.Sample{monitor.KeyReadBytes: float64(reads.Load())}
+	mon.Register(monitor.KindProvider, "prov-a", func() metrics.RegistrySnapshot {
+		return metrics.RegistrySnapshot{Counters: map[string]uint64{monitor.KeyReadBytes: reads.Load()}}
 	})
 
 	ms, err := Serve("127.0.0.1:0", Options{Monitor: mon})
@@ -78,8 +79,8 @@ func TestClusterEndpoint(t *testing.T) {
 // Close stops them.
 func TestClusterScrapeDoesNotEvaluateRules(t *testing.T) {
 	mon := monitor.New(0)
-	mon.Register(monitor.KindVMShard, "vm-0", func() monitor.Sample {
-		return monitor.Sample{monitor.KeyJournalPending: 1000}
+	mon.Register(monitor.KindVMShard, "vm-0", func() metrics.RegistrySnapshot {
+		return metrics.RegistrySnapshot{Gauges: map[string]float64{monitor.KeyJournalPending: 1000}}
 	})
 	rec, err := flight.Open(filepath.Join(t.TempDir(), "flight.log"))
 	if err != nil {

@@ -24,17 +24,17 @@ func TestEndpointsRaceArmedCollector(t *testing.T) {
 	reg.Op("blob.append").RecordDuration(2 * time.Millisecond)
 
 	mon := monitor.New(0)
-	var counter float64
+	var counter uint64
 	var counterMu sync.Mutex
-	mon.Register(monitor.KindProvider, "p0", func() monitor.Sample {
+	mon.Register(monitor.KindProvider, "p0", func() metrics.RegistrySnapshot {
 		counterMu.Lock()
 		counter += 4096
 		v := counter
 		counterMu.Unlock()
-		return monitor.Sample{monitor.KeyReadBytes: v}
+		return metrics.RegistrySnapshot{Counters: map[string]uint64{monitor.KeyReadBytes: v}}
 	})
-	mon.Register(monitor.KindVMShard, "vm0", func() monitor.Sample {
-		return monitor.Sample{monitor.KeyJournalPending: 3}
+	mon.Register(monitor.KindVMShard, "vm0", func() metrics.RegistrySnapshot {
+		return metrics.RegistrySnapshot{Gauges: map[string]float64{monitor.KeyJournalPending: 3}}
 	})
 
 	w := flight.NewWatchdog(mon, nil, []flight.Rule{flight.RuleJournalLag(100)}, 0, nil)

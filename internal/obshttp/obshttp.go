@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
@@ -81,7 +82,7 @@ func Serve(addr string, opts Options) (*MetricsServer, error) {
 
 	go func() {
 		if err := m.srv.Serve(lis); err != nil && err != http.ErrServerClosed {
-			obs.Log.Errorf("metrics endpoint: %v", err)
+			slog.Error("metrics endpoint", "err", err)
 		}
 	}()
 	return m, nil
@@ -103,7 +104,7 @@ func (m *MetricsServer) handleMetricsJSON(w http.ResponseWriter, _ *http.Request
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(m.reg.Snapshot()); err != nil {
-		obs.Log.Debugf("metrics endpoint: encode snapshot: %v", err)
+		slog.Debug("metrics endpoint: encode snapshot", "err", err)
 	}
 }
 
@@ -120,7 +121,7 @@ func (m *MetricsServer) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(m.opts.Monitor.Snapshot()); err != nil {
-		obs.Log.Debugf("metrics endpoint: encode cluster snapshot: %v", err)
+		slog.Debug("metrics endpoint: encode cluster snapshot", "err", err)
 	}
 }
 
@@ -137,7 +138,7 @@ func (m *MetricsServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
-		obs.Log.Debugf("metrics endpoint: encode health report: %v", err)
+		slog.Debug("metrics endpoint: encode health report", "err", err)
 	}
 }
 
@@ -161,7 +162,7 @@ func (m *MetricsServer) handleAlerts(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(alerts); err != nil {
-		obs.Log.Debugf("metrics endpoint: encode alerts: %v", err)
+		slog.Debug("metrics endpoint: encode alerts", "err", err)
 	}
 }
 

@@ -15,10 +15,11 @@
 //     collector deletes every dead page, stores new pages — whole pages
 //     and the fragments of unaligned appends, whatever their lengths —
 //     in the memory of reclaimed ones;
-//   - Synthesize: stores only page *sizes* and regenerates deterministic
-//     bytes on read. Experiments with hundreds of simulated clients use
-//     it to keep the 270-node cluster's memory footprint flat while the
-//     shaped network still moves real byte counts.
+//   - Synthesize: stores only page *sizes* and serves deterministic
+//     bytes on read, windows of one shared pattern. Experiments with
+//     hundreds of simulated clients use it to keep the 270-node
+//     cluster's memory footprint flat while the shaped network still
+//     moves real byte counts.
 package pagestore
 
 import (
@@ -233,13 +234,18 @@ func (m *Memory) Close() error {
 // Synthesize engine.
 //
 
-// Synthesize retains sizes only; Pin regenerates deterministic content
-// from the page key, so a read always returns the same bytes for the
-// same key but nothing is actually held in memory.
+// Synthesize retains sizes only; Pin serves an n-byte page as a
+// read-only window of one shared Fill pattern, at an offset below n
+// drawn from the key, so a read always returns the same bytes for the
+// same key, distinct keys read differently, and nothing but the
+// pattern is held in memory. The pattern is at least twice the longest
+// page read and only grows, keeping its prefix, so a key's bytes never
+// change.
 type Synthesize struct {
-	mu    sync.RWMutex
-	sizes map[Key]int
-	bytes int64
+	mu      sync.RWMutex
+	sizes   map[Key]int
+	bytes   int64
+	pattern []byte
 }
 
 // NewSynthesize returns an empty synthesizing store.
@@ -259,18 +265,38 @@ func (s *Synthesize) Put(k Key, data []byte) error {
 	return nil
 }
 
-// Pin implements Store with a Page of its own, synthesized for the one
-// reader.
+// Pin implements Store with a Page of its own over the shared pattern;
+// the reader must not write to it.
 func (s *Synthesize) Pin(k Key) (*Page, error) {
 	s.mu.RLock()
 	n, ok := s.sizes[k]
+	pat := s.pattern
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	p := &Page{data: make([]byte, n)}
-	Fill(p.data, k.hash64())
-	return p, nil
+	if n == 0 {
+		return &Page{}, nil
+	}
+	if len(pat) < 2*n {
+		pat = s.grow(2 * n)
+	}
+	off := int(k.hash64() % uint64(n))
+	return &Page{data: pat[off : off+n : off+n]}, nil
+}
+
+// grow makes the pattern at least n bytes long and returns it. Fill is
+// a stream from its seed, so a longer pattern keeps the old one as its
+// prefix; windows over the old one stay valid, since it is never
+// written again.
+func (s *Synthesize) grow(n int) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.pattern) < n {
+		s.pattern = make([]byte, max(n, 2*len(s.pattern)))
+		Fill(s.pattern, 1)
+	}
+	return s.pattern
 }
 
 // Delete implements Store.
@@ -302,9 +328,9 @@ func (s *Synthesize) BytesUsed() int64 {
 // Close implements Store.
 func (s *Synthesize) Close() error { return nil }
 
-// Fill writes a deterministic xorshift64* byte pattern seeded by seed.
-// Exported so tests and workload generators can produce page content
-// that matches what a Synthesize store returns.
+// Fill writes a deterministic xorshift64* byte pattern seeded by seed:
+// the pattern a Synthesize store serves windows of, and the page
+// content tests and workload generators write.
 func Fill(buf []byte, seed uint64) {
 	x := seed | 1
 	for i := 0; i < len(buf); i += 8 {

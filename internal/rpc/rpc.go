@@ -48,6 +48,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -295,7 +296,7 @@ func (s *Server) serveConn(c transport.Conn) {
 		if err := req.tc.DecodeFrom(&req.r); err != nil || kind != kindRequest {
 			// Corrupt stream: drop the connection, and say so — a
 			// silent teardown here looks like a network fault upstream.
-			obs.Log.Warnf("rpc %s: corrupt request frame (%d bytes), dropping connection", s.addr, len(frame))
+			slog.Warn("rpc: corrupt request frame, dropping connection", "addr", s.addr, "bytes", len(frame))
 			return
 		}
 		select {
@@ -364,7 +365,7 @@ func (s *Server) dispatch(req *request) {
 	if serr := req.c.Send(resp); serr != nil {
 		// The peer went away mid-response; the caller will observe a
 		// lost connection, but record that the reply was dropped.
-		obs.Log.Debugf("rpc %s: drop response for %s: %v", s.addr, ent.name, serr)
+		slog.Debug("rpc: drop response", "addr", s.addr, "method", ent.name, "err", serr)
 	}
 }
 
