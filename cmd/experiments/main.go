@@ -112,7 +112,10 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		// The wall time goes to stderr, so two virtual runs' outputs
+		// compare byte for byte.
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
 	}
 
 	emit := func(title string, series ...*experiments.Series) {

@@ -17,7 +17,8 @@ func NewNodeStore(c *dht.Client) *dhtNodeStore { //nolint:revive // deliberately
 	return &dhtNodeStore{c: c}
 }
 
-// PutNodes implements segtree.NodeStore.
+// PutNodes implements segtree.NodeStore. PutEntries keeps no reference
+// to keys or values once it returns, as the interface asks.
 func (s *dhtNodeStore) PutNodes(ctx context.Context, keys []string, values [][]byte) error {
 	return s.c.PutEntries(ctx, keys, values)
 }

@@ -52,9 +52,11 @@ const (
 	// objectBudget is how many objects one block append may allocate,
 	// whatever the page size and however deep the segment tree: the
 	// metadata commit allocates per version and per member batch, never
-	// per tree node (measured 26 to 27 at 288 pages, one of them the
-	// provider's pagestore.Page, which a store makes only for a page
-	// beyond what it ever freed; 25 at 4000; 30 to 31 and 29 while each
+	// per tree node (measured 23 at 288 pages and 21 at 4000, one of them
+	// the provider's pagestore.Page, which a store makes only for a page
+	// beyond what it ever freed; 26 to 27 and 25, budget 32, while each
+	// segment-tree commit made its own node list, value slab and key and
+	// value slices; 30 to 31 and 29 while each
 	// DHT batch made its fan-out and member closures and each writer its
 	// first block buffer; 40 to
 	// 41 and 39 while the DHT client regrouped each batch into slabs of
@@ -67,26 +69,30 @@ const (
 	// round trip on the path shows (the namespace size update that used
 	// to end every append cost 5 to 7 objects, the provider-manager call
 	// that used to follow every assignment 9).
-	objectBudget = 32
+	objectBudget = 27
 	// deepObjectBudget is objectBudget for TestAppendCostFlatInVersionCount,
 	// which CI's race write path runs: a race build drops sync.Pool items
 	// at random, so pooled scaffolding is remade there (measured 34
 	// objects under -race, 25 without; 35 to 36 and 29 before the DHT
-	// fan-out was pooled). It stays at the 38 both tests had before.
+	// fan-out was pooled; 21 without -race once the commit's scratch was
+	// pooled too). It stays at the 38 both tests had before.
 	deepObjectBudget = 38
 	// runObjectBudget is the same for a Write of runBlocks blocks and
 	// its Flush: one append plus the transfer of three more pages
-	// (measured 39 to 40; 43 to 44 while each DHT batch made its fan-out
+	// (measured 36; 39 to 40, budget 47, while each segment-tree commit
+	// made its own scratch; 43 to 44 while each DHT batch made its fan-out
 	// and a writer made its buffers, with a pagestore.Page per page; 39 to 41 before
 	// the provider recycled pages; 51 before the metadata batches were encoded and
 	// decoded in place, 59 to 60 while each fan-out made its own
 	// scaffolding and each page its list of acked replicas; four appends
 	// of a block each cost 164).
 	runBlocks       = 4
-	runObjectBudget = 47
+	runObjectBudget = 42
 	// A record is a 1000-byte Write and its Flush onto a file of 16 KiB
 	// blocks: an unaligned append, which stores a fragment of its own
-	// bytes (measured 25 objects and 6.7 KiB here — 29 and 7.8 KiB while
+	// bytes (measured 21 objects and 5.4 KiB here — 25 and 6.7 KiB,
+	// budget 30, while each segment-tree commit made its own scratch, 29
+	// and 7.8 KiB while
 	// each DHT batch made its fan-out and each writer its first block
 	// buffer, 39 and 9.3 KiB before
 	// the metadata batches were encoded and decoded in place, 40 before
@@ -99,7 +105,7 @@ const (
 	// objects and 53 KiB there).
 	recordBlock        = 16 << 10
 	recordLen          = 1000
-	recordObjectBudget = 30
+	recordObjectBudget = 25
 	recordByteBudget   = 16 << 10
 	// A block of a snapshot one append younger than the file the mount
 	// has read, its page no longer cached: the provider fetch and the

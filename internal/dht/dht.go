@@ -536,7 +536,10 @@ func (c *Client) PutBatch(ctx context.Context, kvs []KV) error {
 // as long as every entry reached at least one replica (entries are
 // immutable, so a lagging replica holds nothing stale); an
 // entry that reached none fails the batch, because acking it would ack
-// a commit with tree nodes missing.
+// a commit with tree nodes missing. It keeps no reference to keys or
+// values once it returns: each member's share is marshalled into its
+// request frame inside the call, and it returns only after every
+// member call has, so the caller may reuse both at once.
 func (c *Client) PutEntries(ctx context.Context, keys []string, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("dht put batch: %d keys, %d values", len(keys), len(values))

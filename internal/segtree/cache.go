@@ -43,7 +43,8 @@ func NewNodeCache(store deletingStore) *NodeCache {
 	return &NodeCache{store: store, nodes: make(map[nodeID]node)}
 }
 
-// PutNodes implements NodeStore.
+// PutNodes implements NodeStore: it passes the batch to the store
+// behind it and keeps nothing of it.
 func (c *NodeCache) PutNodes(ctx context.Context, keys []string, values [][]byte) error {
 	return c.store.PutNodes(ctx, keys, values)
 }

@@ -39,8 +39,11 @@
 // is still what FormatKey prints, because a key is binary and must not
 // reach a log or an error through %s. Commit renders all keys of a
 // version into one string and all encoded values into one byte slice
-// and hands the store substrings of them: a commit allocates per
-// version, not per node.
+// and hands the store substrings of them. The node list, the value
+// slab and the key and value slices are scratch a commit takes from a
+// pool and hands back, because PutNodes keeps no reference to them once
+// it returns (a store that keeps a value copies it): a warm commit
+// allocates its key string and nothing else, whatever its node count.
 //
 // # Fragments
 //
@@ -170,6 +173,7 @@ import (
 	"sync"
 
 	"blobseer/internal/pagestore"
+	"blobseer/internal/transport"
 	"blobseer/internal/wire"
 )
 
@@ -266,6 +270,9 @@ func FragmentHead(history []WriteRecord, pageSize, prevSize, start uint64) uint6
 // metadata DHT to this interface; tests use an in-memory map.
 type NodeStore interface {
 	// PutNodes stores keys[i] -> values[i]. Entries are immutable.
+	// PutNodes keeps no reference to the keys or values slices or to the
+	// values' bytes once it returns: Commit reuses them for its next
+	// version (a key is a string, and a store may keep it).
 	PutNodes(ctx context.Context, keys []string, values [][]byte) error
 	// GetNodes fetches many nodes; missing entries are nil.
 	GetNodes(ctx context.Context, keys []string) ([][]byte, error)
@@ -487,19 +494,49 @@ type treeNode struct {
 }
 
 // builder lists the nodes of one version's tree, children before
-// parents.
+// parents, and holds what Commit renders them into beside the keys: the
+// slices handed to the store and the value slab. Commit and VersionNodes
+// take one from builders and hand it back, so a warm commit allocates
+// its key string and nothing else; that the store keeps no reference to
+// what it was handed (NodeStore.PutNodes) is what makes this safe.
 type builder struct {
 	w       WriteRecord
 	history []WriteRecord // ascending by Ver, all Ver < w.Ver
 	nodes   []treeNode
+	keys    []string
+	values  [][]byte
+	slab    []byte // the values, back to back
 }
 
-// newBuilder sizes the node list for the worst case: a write of N pages
-// meets at most N/s+2 nodes of span s, and each level adds at most one
-// wrapper node (childPointer), always the leftmost of its level.
+var builders = sync.Pool{New: func() any { return new(builder) }}
+
+// maxPooledNodes caps the node list, in nodes, of a builder that goes
+// back to builders, so the pool holds nothing a many-page commit grew;
+// it matches the DHT fan-out's cap on the batches it keeps scratch for.
+const maxPooledNodes = 1 << 10
+
+// newBuilder takes a builder and sizes its node list for the worst case:
+// a write of N pages meets at most N/s+2 nodes of span s, and each level
+// adds at most one wrapper node (childPointer), always the leftmost of
+// its level. The caller releases it.
 func newBuilder(w WriteRecord, history []WriteRecord) *builder {
 	levels := uint64(bits.Len64(RootSpan(w.PagesAfter)))
-	return &builder{w: w, history: history, nodes: make([]treeNode, 0, 2*w.N+3*levels)}
+	b := builders.Get().(*builder)
+	b.w, b.history = w, history
+	b.nodes = slices.Grow(b.nodes[:0], int(2*w.N+3*levels))
+	return b
+}
+
+// release hands b back to builders unless its node list outgrew
+// maxPooledNodes. It drops the caller's history and keys.
+func (b *builder) release() {
+	if cap(b.nodes) > maxPooledNodes {
+		return
+	}
+	clear(b.keys)
+	clear(b.values)
+	b.history, b.keys, b.values = nil, b.keys[:0], b.values[:0]
+	builders.Put(b)
 }
 
 // intersects reports whether [aOff, aOff+aN) and [bOff, bOff+bN) overlap.
@@ -562,7 +599,9 @@ func (b *builder) build(off, span uint64) {
 // refs[i] describes page w.Off+i; history lists the write intervals of
 // every assigned version below w.Ver (ascending). The commit is one
 // batched write to the node store and reads nothing. The keys handed to
-// the store share one backing string and the values one backing slice.
+// the store share one backing string and the values one backing slice,
+// the pooled builder's value slab, which is poisoned
+// (transport.PoisonReleased) once PutNodes returns.
 // With w.Head set, refs[0] describes a fragment and its leaf lists the
 // chain history gives the slot; a history with no chain there, or a full
 // one, is refused.
@@ -591,6 +630,7 @@ func Commit(ctx context.Context, store NodeStore, blob uint64, w WriteRecord, hi
 	}
 	root := RootSpan(w.PagesAfter)
 	b := newBuilder(w, history)
+	defer b.release()
 	b.build(0, root)
 
 	// No offset reaches PagesAfter, no span exceeds the root's and no
@@ -604,11 +644,9 @@ func Commit(ctx context.Context, store NodeStore, blob uint64, w WriteRecord, hi
 	}
 	var ks keySlab
 	ks.Grow(len(b.nodes) * keyLen(blob, w.Ver, w.PagesAfter, root))
-	valSlab := make([]byte, 0, valBytes)
-	keys := make([]string, len(b.nodes))
-	values := make([][]byte, len(b.nodes))
-	for i, n := range b.nodes {
-		keys[i] = ks.add(blob, w.Ver, n.off, n.span)
+	valSlab := slices.Grow(b.slab[:0], valBytes)
+	for _, n := range b.nodes {
+		b.keys = append(b.keys, ks.add(blob, w.Ver, n.off, n.span))
 		v0 := len(valSlab)
 		switch {
 		case n.span > 1:
@@ -624,9 +662,13 @@ func Commit(ctx context.Context, store NodeStore, blob uint64, w WriteRecord, hi
 		}
 		// Like a key, a value stays valid if a wrong bound makes its
 		// slab grow later.
-		values[i] = valSlab[v0:len(valSlab):len(valSlab)]
+		b.values = append(b.values, valSlab[v0:len(valSlab):len(valSlab)])
 	}
-	return store.PutNodes(ctx, keys, values)
+	err := store.PutNodes(ctx, b.keys, b.values)
+	// The store kept nothing; a store that did reads poison in tests.
+	transport.Poison(valSlab)
+	b.slab = valSlab
+	return err
 }
 
 // NodeRef names one stored node of a version's tree by the page range
@@ -646,6 +688,7 @@ type NodeRef struct {
 // through the later writer's node instead.
 func VersionNodes(w WriteRecord, history []WriteRecord) []NodeRef {
 	b := newBuilder(w, history)
+	defer b.release()
 	b.build(0, RootSpan(w.PagesAfter))
 	out := make([]NodeRef, len(b.nodes))
 	for i, n := range b.nodes {
@@ -925,12 +968,20 @@ func NewMemStore() *MemStore {
 	return &MemStore{m: make(map[string][]byte)}
 }
 
-// PutNodes implements NodeStore.
+// PutNodes implements NodeStore. It copies the values into one slab per
+// call, since it may keep none of them.
 func (s *MemStore) PutNodes(_ context.Context, keys []string, values [][]byte) error {
+	n := 0
+	for _, v := range values {
+		n += len(v)
+	}
+	slab := make([]byte, 0, n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, k := range keys {
-		s.m[k] = values[i]
+		at := len(slab)
+		slab = append(slab, values[i]...)
+		s.m[k] = slab[at:len(slab):len(slab)]
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"maps"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -37,8 +39,8 @@ func ClassSize(n int) int {
 // holds (taken, and not given back or forgotten) never exceeds the most
 // the owner ever held, so an owner never holds more memory than it did
 // at its busiest, and there is no knob. A reuse moves capacity from
-// free to held; a fresh Take evicts free items of other classes until
-// the bound holds.
+// free to held; a fresh Take evicts free items of other classes,
+// smallest class first, until the bound holds.
 //
 // The zero Recycler is empty and ready; it is safe for concurrent use.
 type Recycler[T any] struct {
@@ -75,10 +77,12 @@ func (r *Recycler[T]) Take(n int) (item T, ok bool) {
 	r.st.Held += int64(c)
 	r.st.Fresh++
 	r.st.Peak = max(r.st.Peak, r.st.Held)
-	for size := range r.free {
-		if r.st.Held+r.st.Free <= r.st.Peak {
-			break
-		}
+	if r.st.Held+r.st.Free <= r.st.Peak {
+		return item, false
+	}
+	// Smallest classes first, in a fixed order, so which buffers an
+	// owner keeps does not change from run to run with map order.
+	for _, size := range slices.Sorted(maps.Keys(r.free)) {
 		for len(r.free[size]) > 0 && r.st.Held+r.st.Free > r.st.Peak {
 			item = r.pop(size)
 		}

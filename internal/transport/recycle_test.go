@@ -1,6 +1,10 @@
 package transport
 
-import "testing"
+import (
+	"maps"
+	"slices"
+	"testing"
+)
 
 // TestClassSize: a power of two is its own class, no class is more
 // than 12.5 % over the lengths it serves, and classes grow with n.
@@ -162,5 +166,62 @@ func TestRecyclerReachesOneOctave(t *testing.T) {
 	}
 	if st.Held+st.Free > st.Peak {
 		t.Errorf("%d held + %d free > peak %d", st.Held, st.Free, st.Peak)
+	}
+}
+
+// freeClasses lists the class of every free item, smallest first.
+func freeClasses(r *Recycler[[]byte]) []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []int
+	for _, size := range slices.Sorted(maps.Keys(r.free)) {
+		for range r.free[size] {
+			out = append(out, size)
+		}
+	}
+	return out
+}
+
+// TestRecyclerEvictsSmallestFirst: a fresh take evicts the smallest free
+// classes first, so the same Take/Give sequence leaves the same free
+// list every time, whatever order the map ranges in; and a take that
+// evicts nothing allocates nothing.
+func TestRecyclerEvictsSmallestFirst(t *testing.T) {
+	run := func() (*Recycler[[]byte], []byte) {
+		var r Recycler[[]byte]
+		var bufs [][]byte
+		for _, n := range []int{1000, 1500, 2000, 3000, 4000, 6000} {
+			bufs = append(bufs, take(&r, n))
+		}
+		for _, b := range bufs {
+			r.Give(b, b)
+		}
+		// Class 10240, none free within an octave of it: 17920 bytes
+		// free at peak 17920 must drop to 7680.
+		evicted, ok := r.Take(10000)
+		if ok {
+			t.Fatal("a 10000-byte take reused a buffer")
+		}
+		return &r, evicted
+	}
+	r, evicted := run()
+	if got := freeClasses(r); !slices.Equal(got, []int{6144}) || cap(evicted) != 4096 {
+		t.Fatalf("free classes %v after evicting, last evicted %d bytes; want [6144] and 4096", got, cap(evicted))
+	}
+	for i := 0; i < 20; i++ {
+		if r2, _ := run(); !slices.Equal(freeClasses(r2), freeClasses(r)) {
+			t.Fatalf("run %d left free classes %v, the first %v", i, freeClasses(r2), freeClasses(r))
+		}
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		b, _ := r.Take(6000)
+		r.Give(b, b)
+	}); allocs != 0 {
+		t.Errorf("a reusing take allocates %.0f objects", allocs)
+	}
+	var empty Recycler[[]byte]
+	if allocs := testing.AllocsPerRun(100, func() { empty.Take(1000) }); allocs != 0 {
+		t.Errorf("a fresh take that evicts nothing allocates %.0f objects", allocs)
 	}
 }
