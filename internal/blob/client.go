@@ -112,10 +112,12 @@ type Client struct {
 
 	// pageWork feeds reusable page-transfer workers (started on first
 	// use); see forEachPage. pageQuit stops them at Close.
-	pageWork  chan pageTask
-	pageQuit  chan struct{}
-	startOnce sync.Once
-	closeOnce sync.Once
+	pageWork   chan pageTask
+	pageQuit   chan struct{}
+	startOnce  sync.Once
+	closeOnce  sync.Once
+	fanOuts    transport.FreeList[fanOut]    // see forEachPage
+	commitCtxs transport.FreeList[commitCtx] // see detachCommit
 
 	mu      sync.Mutex
 	hist    map[uint64]*blobHistory
@@ -855,7 +857,7 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 		refs[i] = segtree.PageRef{Page: key, Providers: alloc[uint64(i)*r : uint64(i+1)*r]}
 	}
 	//lint:detached a commit abandoned on cancel is still applied, maybe after the seal, so it is always waited for; detachedTimeout bounds it
-	dctx := detachCommit(ctx)
+	dctx := c.detachCommit(ctx)
 	err = c.forEachPage(rec.N+1, func(t uint64) error {
 		if t == 0 {
 			return b.commit(dctx, rec, history, refs)
@@ -898,7 +900,7 @@ func (b *Blob) finishWrite(ctx context.Context, a AssignResp, history []segtree.
 			err = b.commit(dctx, rec, history, refs)
 		}
 	}
-	dctx.release()
+	c.releaseCommit(dctx)
 	if err != nil {
 		// Give up on this version so the publication chain moves on. Every
 		// commit has answered, so the seal is the last write to its nodes.
@@ -943,8 +945,7 @@ const detachedTimeout = 30 * time.Second
 // before it waits, so a commit whose caller left on cancel is still
 // applied, possibly after the seal that aborts its version, and its
 // leaves would name pages nobody stored; a commit is always waited for.
-// One is pooled with its timer and channel, so a write allocates none of
-// it.
+// A client reuses them, timer and channel too: a write allocates none.
 type commitCtx struct {
 	context.Context
 	deadline time.Time
@@ -952,27 +953,24 @@ type commitCtx struct {
 	done     chan struct{} // closed when the timer fires
 }
 
-var commitCtxs sync.Pool
-
-// detachCommit returns a commitCtx over ctx; release hands it back.
-func detachCommit(ctx context.Context) *commitCtx {
-	d, _ := commitCtxs.Get().(*commitCtx)
-	if d == nil {
-		d = &commitCtx{done: make(chan struct{})}
+// detachCommit returns a commitCtx over ctx; releaseCommit hands it back.
+func (c *Client) detachCommit(ctx context.Context) *commitCtx {
+	d := c.commitCtxs.Take(func() *commitCtx {
+		d := &commitCtx{done: make(chan struct{})}
 		d.timer = time.AfterFunc(detachedTimeout, func() { close(d.done) })
-	} else {
-		d.timer.Reset(detachedTimeout)
-	}
+		return d
+	})
+	d.timer.Reset(detachedTimeout)
 	d.Context, d.deadline = ctx, time.Now().Add(detachedTimeout)
 	return d
 }
 
-// release ends d's use. One whose timer fired is closed for good, and is
-// dropped.
-func (d *commitCtx) release() {
+// releaseCommit ends d's use. One whose timer fired is closed for good,
+// and is dropped.
+func (c *Client) releaseCommit(d *commitCtx) {
 	d.Context = nil
 	if d.timer.Stop() {
-		commitCtxs.Put(d)
+		c.commitCtxs.Give(d)
 	}
 }
 
@@ -1014,8 +1012,8 @@ func (c *Client) pageWorker() {
 
 // fanOut is one forEachPage call's scaffolding: the concurrency bound,
 // the tasks' WaitGroup, their first error and the func a worker runs,
-// bound to it once. It is pooled, so a fan-out allocates nothing of its
-// own.
+// bound to it once. The client reuses it, so a fan-out allocates nothing
+// of its own.
 type fanOut struct {
 	fn       func(i uint64) error
 	sem      chan struct{}
@@ -1025,7 +1023,7 @@ type fanOut struct {
 	run      func(i uint64)
 }
 
-var fanOuts = sync.Pool{New: func() any {
+func newFanOut() *fanOut {
 	f := &fanOut{sem: make(chan struct{}, maxParallelPages)}
 	f.run = func(i uint64) {
 		defer f.wg.Done()
@@ -1039,7 +1037,7 @@ var fanOuts = sync.Pool{New: func() any {
 		}
 	}
 	return f
-}}
+}
 
 // forEachPage runs fn for task indices [0, n) on up to maxParallelPages
 // goroutines — the transfer scaffolding shared by the write and read
@@ -1057,7 +1055,7 @@ func (c *Client) forEachPage(n uint64, fn func(i uint64) error) error {
 			go c.pageWorker()
 		}
 	})
-	f := fanOuts.Get().(*fanOut)
+	f := c.fanOuts.Take(newFanOut)
 	f.fn = fn
 	for i := uint64(0); i < n; i++ {
 		f.wg.Add(1)
@@ -1075,7 +1073,7 @@ func (c *Client) forEachPage(n uint64, fn func(i uint64) error) error {
 	f.wg.Wait()
 	err := f.firstErr
 	f.fn, f.firstErr = nil, nil
-	fanOuts.Put(f)
+	c.fanOuts.Give(f)
 	return err
 }
 

@@ -70,13 +70,6 @@ const (
 	// to end every append cost 5 to 7 objects, the provider-manager call
 	// that used to follow every assignment 9).
 	objectBudget = 27
-	// deepObjectBudget is objectBudget for TestAppendCostFlatInVersionCount,
-	// which CI's race write path runs: a race build drops sync.Pool items
-	// at random, so pooled scaffolding is remade there (measured 34
-	// objects under -race, 25 without; 35 to 36 and 29 before the DHT
-	// fan-out was pooled; 21 without -race once the commit's scratch was
-	// pooled too). It stays at the 38 both tests had before.
-	deepObjectBudget = 38
 	// runObjectBudget is the same for a Write of runBlocks blocks and
 	// its Flush: one append plus the transfer of three more pages
 	// (measured 36; 39 to 40, budget 47, while each segment-tree commit
@@ -450,8 +443,8 @@ func TestAppendCostFlatInVersionCount(t *testing.T) {
 	t.Logf("allocated per append: %d B at versions 101-600, %d B and %d objects at versions 3501-4000", early, late, lateObjects)
 	// Twelve tree levels deep, an append must still fit a block
 	// append's budget: no object per tree node.
-	if lateObjects > deepObjectBudget {
-		t.Errorf("an append allocates %d objects at version ~3750 (a 4096-page tree), budget %d", lateObjects, deepObjectBudget)
+	if lateObjects > objectBudget {
+		t.Errorf("an append allocates %d objects at version ~3750 (a 4096-page tree), budget %d", lateObjects, objectBudget)
 	}
 	// The segment tree is three levels deeper by then and the metadata
 	// providers' node maps have doubled a few times (both logarithmic:

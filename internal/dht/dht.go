@@ -18,7 +18,7 @@
 //
 // A batch costs a fixed number of objects per message, not per entry:
 // the client encodes each member's share straight from the caller's
-// keys and values into its request frame, from a pooled fan-out whose
+// keys and values into its request frame, from a reused fan-out whose
 // member goroutines run funcs bound once, a provider copies a put
 // batch out of its frame in two copies and answers a get from its map
 // as the answer is marshalled, and the client copies each answer's
@@ -315,6 +315,7 @@ type Client struct {
 	ring     *Ring
 	pool     *rpc.Pool
 	replicas int
+	fanOuts  transport.FreeList[fanOut]
 }
 
 // NewClient returns a DHT client writing each entry to `replicas`
@@ -332,8 +333,8 @@ func NewClient(ring *Ring, pool *rpc.Pool, replicas int) *Client {
 // errEmptyRing fails a batch on a client whose ring has no members.
 var errEmptyRing = errors.New("dht: empty ring")
 
-// maxPooledScratch caps the owner/share slab, in ints, that a pooled
-// fanOut keeps, so the pool holds no collector-sized DeleteBatch.
+// maxPooledScratch caps the owner/share slab, in ints, that a fanOut
+// keeps for reuse, so a client holds no collector-sized DeleteBatch.
 const maxPooledScratch = 4 << 10
 
 // fanOut is one batch operation split by ring member. Key i's j-th
@@ -341,8 +342,8 @@ const maxPooledScratch = 4 << 10
 // positions (i*r+j) in key order; its request is encoded from keys and
 // values as rpc marshals it, and a get's answer is decoded the same
 // way, straight into out[i*r+j], so nothing is regrouped and no two
-// members write one element. fanOuts are pooled with their slab, their
-// calls and a run func per member, bound once, so a batch allocates no
+// members write one element. The client reuses fanOuts with their slab,
+// their calls and a run func per member, bound once, so a batch allocates no
 // scaffolding and its member goroutines no closure.
 type fanOut struct {
 	c       *Client
@@ -359,8 +360,6 @@ type fanOut struct {
 	wg      sync.WaitGroup
 }
 
-var fanOuts = sync.Pool{New: func() any { return new(fanOut) }}
-
 // memberCall is one member's share of a fanOut and how it went. It is
 // the share's request (a wire.Sizer, so rpc takes a frame of the right
 // size up front) and, for a get, the decoder of its answer.
@@ -372,13 +371,13 @@ type memberCall struct {
 }
 
 // split assigns each key to its first r ring members and gives each
-// member the positions of replicas first..r-1 it holds, in a pooled
+// member the positions of replicas first..r-1 it holds, in a reused
 // fanOut the caller releases once run has returned. owner and the
 // shares are ranges of its one slab, sized by a counting pass.
 func (c *Client) split(keys []string, values [][]byte, r, first int) *fanOut {
 	n, members := len(keys), len(c.ring.members)
-	f := fanOuts.Get().(*fanOut)
-	f.c, f.keys, f.values, f.r = c, keys, values, r
+	f := c.fanOuts.Take(func() *fanOut { return &fanOut{c: c} })
+	f.keys, f.values, f.r = keys, values, r
 	if cap(f.scratch) < 2*n*r+members {
 		f.scratch = make([]int, 2*n*r+members)
 	}
@@ -410,15 +409,15 @@ func (c *Client) split(keys []string, values [][]byte, r, first int) *fanOut {
 	return f
 }
 
-// release returns f to the pool; run has returned, so no member call
-// reads it. It drops the caller's keys, values and answers.
+// release hands f back to its client; run has returned, so no member
+// call reads it. It drops the caller's keys, values and answers.
 func (f *fanOut) release() {
 	clear(f.calls)
-	f.c, f.keys, f.values, f.owner, f.calls, f.out, f.ctx = nil, nil, nil, nil, f.calls[:0], nil, nil
+	f.keys, f.values, f.owner, f.calls, f.out, f.ctx = nil, nil, nil, f.calls[:0], nil, nil
 	if cap(f.scratch) > maxPooledScratch {
 		f.scratch = nil
 	}
-	fanOuts.Put(f)
+	f.c.fanOuts.Give(f)
 }
 
 // run sends every member its non-empty share concurrently (the last one

@@ -3,7 +3,6 @@
 package experiments
 
 import (
-	"runtime"
 	"testing/synctest"
 	"time"
 )
@@ -17,14 +16,6 @@ import (
 func RunVirtual(fn func()) error {
 	defer func(old time.Duration) { sleepFloor = old }(sleepFloor)
 	sleepFloor = time.Nanosecond
-	// rpc's call pool and blob's fan-out pool are sync.Pools of items
-	// that hold channels (dht's pooled fanOut holds a WaitGroup and no
-	// channel, which a bubble does not mind). A goroutine blocked on a
-	// channel made outside the bubble is not durably blocked, so an item
-	// pooled by earlier real-time work would stop the fake clock. Two
-	// collections empty every sync.Pool.
-	runtime.GC()
-	runtime.GC()
 	synctest.Run(fn)
 	return nil
 }

@@ -91,6 +91,7 @@ type TaskTracker struct {
 	// it ends, so between jobs a tracker keeps at most the most bytes it
 	// ever held at once.
 	segs transport.Recycler[[]byte]
+	maps transport.FreeList[mapScratch] // map tasks' scratch
 }
 
 // NewTaskTracker starts a tasktracker on host with the given mount.
@@ -210,8 +211,6 @@ type mapScratch struct {
 	values   [][]byte
 }
 
-var mapScratchPool = sync.Pool{New: func() any { return new(mapScratch) }}
-
 // combine applies a combiner to every group of a sorted partition and
 // returns the combined records, sorted, in the scratch's second buffer.
 func (sc *mapScratch) combine(part *recordBuffer, combine ReduceFunc) *recordBuffer {
@@ -260,8 +259,8 @@ func (tt *TaskTracker) runMap(ctx context.Context, job *jobState, mapID int, spl
 		return 0, 0, fmt.Errorf("map %d: open %s@%d: %w", mapID, split.Path, split.Ver, err)
 	}
 	defer f.Close()
-	sc := mapScratchPool.Get().(*mapScratch)
-	defer mapScratchPool.Put(sc)
+	sc := tt.maps.Take(func() *mapScratch { return new(mapScratch) })
+	defer tt.maps.Give(sc)
 	lr, err := newLineReader(f, split, sc.line)
 	if err != nil {
 		return 0, 0, fmt.Errorf("map %d: position: %w", mapID, err)

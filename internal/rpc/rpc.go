@@ -375,6 +375,7 @@ type Client struct {
 	net    transport.Network
 	local  transport.Addr
 	remote transport.Addr
+	calls  transport.FreeList[call] // for reuse once their result is in
 
 	mu      sync.Mutex
 	conn    transport.Conn
@@ -394,8 +395,6 @@ type call struct {
 	done chan callResult // buffered: the sender never blocks
 	body wire.Reader
 }
-
-var callPool = sync.Pool{New: func() any { return &call{done: make(chan callResult, 1)} }}
 
 type callResult struct {
 	frame []byte      // the whole response frame
@@ -536,7 +535,7 @@ func (c *Client) Call(ctx context.Context, method Method, req wire.Marshaler, re
 		return err
 	}
 
-	cl := callPool.Get().(*call)
+	cl := c.calls.Take(func() *call { return &call{done: make(chan callResult, 1)} })
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
@@ -569,9 +568,9 @@ func (c *Client) Call(ctx context.Context, method Method, req wire.Marshaler, re
 			if err = resp.DecodeFrom(&cl.body); err != nil {
 				err = fmt.Errorf("rpc call %s/%s: decode response: %w", c.remote, method, err)
 			}
-			cl.body = wire.Reader{} // a pooled call must not pin the frame
+			cl.body = wire.Reader{} // a free call must not pin the frame
 		}
-		callPool.Put(cl)
+		c.calls.Give(cl)
 		// Nothing aliases the frame: the decode copied what it keeps. (A
 		// connection-lost result carries no frame.)
 		transport.ReleaseFrame(res.frame)

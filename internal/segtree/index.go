@@ -130,8 +130,8 @@ func (ix *Index) chainLocked(slot, ver uint64, buf []Frag) ([]Frag, error) {
 // ver must be indexed; through a NodeCache it must be published, as for
 // Resolve ("Caching" in the package comment).
 func (ix *Index) Locate(ctx context.Context, store NodeStore, blob, ver, off, n uint64) ([]Slot, error) {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
+	s := scratches.Take(func() *scratch { return new(scratch) })
+	defer scratches.Give(s)
 	slots, err := ix.name(s, ver, off, n)
 	if err != nil || len(s.frontier) == 0 {
 		return slots, err

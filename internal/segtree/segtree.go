@@ -41,7 +41,7 @@
 // version into one string and all encoded values into one byte slice
 // and hands the store substrings of them. The node list, the value
 // slab and the key and value slices are scratch a commit takes from a
-// pool and hands back, because PutNodes keeps no reference to them once
+// free list and hands back, because PutNodes keeps no reference to them once
 // it returns (a store that keeps a value copies it): a warm commit
 // allocates its key string and nothing else, whatever its node count.
 //
@@ -508,10 +508,10 @@ type builder struct {
 	slab    []byte // the values, back to back
 }
 
-var builders = sync.Pool{New: func() any { return new(builder) }}
+var builders transport.FreeList[builder]
 
 // maxPooledNodes caps the node list, in nodes, of a builder that goes
-// back to builders, so the pool holds nothing a many-page commit grew;
+// back to builders, so the list holds nothing a many-page commit grew;
 // it matches the DHT fan-out's cap on the batches it keeps scratch for.
 const maxPooledNodes = 1 << 10
 
@@ -521,7 +521,7 @@ const maxPooledNodes = 1 << 10
 // its level. The caller releases it.
 func newBuilder(w WriteRecord, history []WriteRecord) *builder {
 	levels := uint64(bits.Len64(RootSpan(w.PagesAfter)))
-	b := builders.Get().(*builder)
+	b := builders.Take(func() *builder { return new(builder) })
 	b.w, b.history = w, history
 	b.nodes = slices.Grow(b.nodes[:0], int(2*w.N+3*levels))
 	return b
@@ -536,7 +536,7 @@ func (b *builder) release() {
 	clear(b.keys)
 	clear(b.values)
 	b.history, b.keys, b.values = nil, b.keys[:0], b.values[:0]
-	builders.Put(b)
+	builders.Give(b)
 }
 
 // intersects reports whether [aOff, aOff+aN) and [bOff, bOff+bN) overlap.
@@ -600,7 +600,7 @@ func (b *builder) build(off, span uint64) {
 // every assigned version below w.Ver (ascending). The commit is one
 // batched write to the node store and reads nothing. The keys handed to
 // the store share one backing string and the values one backing slice,
-// the pooled builder's value slab, which is poisoned
+// the reused builder's value slab, which is poisoned
 // (transport.PoisonReleased) once PutNodes returns.
 // With w.Head set, refs[0] describes a fragment and its leaf lists the
 // chain history gives the slot; a history with no chain there, or a full
@@ -729,7 +729,7 @@ type resolveItem struct {
 
 // scratch is everything a Resolve allocates beside its result: the
 // frontier and the level after it, the level getLevel fetched last, and
-// the chain level. A Resolve takes one from scratchPool and hands it
+// the chain level. A Resolve takes one from scratches and hands it
 // back, so the slices keep what they grew to and a descent over a warm
 // NodeCache allocates its result and nothing else.
 type scratch struct {
@@ -743,7 +743,7 @@ type scratch struct {
 	chainLos []uint64
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratches transport.FreeList[scratch]
 
 // getLevel returns the decoded nodes of one level, in the level's order;
 // they are s.nodes, valid until the next call. It is the one place
@@ -815,8 +815,8 @@ func Resolve(ctx context.Context, store NodeStore, blob, ver, pages, off, n uint
 	if off+n > pages {
 		return nil, fmt.Errorf("segtree: resolve [%d,%d) beyond %d pages", off, off+n, pages)
 	}
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
+	s := scratches.Take(func() *scratch { return new(scratch) })
+	defer scratches.Give(s)
 	s.frontier = append(s.frontier[:0], resolveItem{ver: ver})
 	s.chains, s.chainLos = s.chains[:0], s.chainLos[:0]
 	slots := make([]Slot, 0, n)
@@ -906,8 +906,8 @@ func Written(ctx context.Context, store NodeStore, blob, ver, first, n uint64) (
 	if n == 0 {
 		return nil, nil
 	}
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
+	s := scratches.Take(func() *scratch { return new(scratch) })
+	defer scratches.Give(s)
 	s.frontier = s.frontier[:0]
 	for p := first; p < first+n; p++ {
 		s.frontier = append(s.frontier, resolveItem{ver: ver, off: p})

@@ -149,3 +149,32 @@ func (r *Recycler[T]) Stats() RecycleStats {
 	defer r.mu.Unlock()
 	return r.st
 }
+
+// FreeList is a concurrency-safe stack of one owner's reused items
+// that, unlike a Recycler's, have no buffer to size by. Neither a
+// collection nor a race build drops what it holds: at most the most
+// items its owner had out at once, since only a taken item goes back.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// Take pops the item given back last, or returns fresh() if there is none.
+func (l *FreeList[T]) Take(fresh func() *T) *T {
+	l.mu.Lock()
+	if k := len(l.free) - 1; k >= 0 {
+		item := l.free[k]
+		l.free, l.free[k] = l.free[:k], nil
+		l.mu.Unlock()
+		return item
+	}
+	l.mu.Unlock()
+	return fresh()
+}
+
+// Give puts item back; its owner must not touch it until Take returns it.
+func (l *FreeList[T]) Give(item *T) {
+	l.mu.Lock()
+	l.free = append(l.free, item)
+	l.mu.Unlock()
+}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"maps"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -223,5 +224,35 @@ func TestRecyclerEvictsSmallestFirst(t *testing.T) {
 	var empty Recycler[[]byte]
 	if allocs := testing.AllocsPerRun(100, func() { empty.Take(1000) }); allocs != 0 {
 		t.Errorf("a fresh take that evicts nothing allocates %.0f objects", allocs)
+	}
+}
+
+// TestFreeListKeepsWhatItIsGiven: every item given back is taken again,
+// the last one given first, across collections and under the race
+// detector (where a sync.Pool drops a quarter of its Puts), so an owner
+// makes only as many items as it ever had out at once, and the list
+// holds no more than that.
+func TestFreeListKeepsWhatItIsGiven(t *testing.T) {
+	var l FreeList[int]
+	made := 0
+	fresh := func() *int { made++; return new(int) }
+	var last *int
+	for round := 0; round < 200; round++ {
+		a, b := l.Take(fresh), l.Take(fresh)
+		l.Give(a)
+		l.Give(b)
+		last = b
+		if round%50 == 0 {
+			runtime.GC()
+		}
+	}
+	if made != 2 || len(l.free) != 2 {
+		t.Fatalf("two items out at a time: made %d, %d free; want 2 and 2", made, len(l.free))
+	}
+	if got := l.Take(fresh); got != last {
+		t.Errorf("Take returned %p, want %p, the item given last", got, last)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.Give(l.Take(fresh)) }); allocs != 0 {
+		t.Errorf("a take and give of a free item allocates %.0f objects", allocs)
 	}
 }
