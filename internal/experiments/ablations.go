@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"blobseer/internal/blob"
-	"blobseer/internal/dfs"
 )
 
 // AblationPlacement compares provider-allocation strategies on the
@@ -40,7 +39,7 @@ func AblationPageSize(cfg Config, sizes []uint64, n int) (*Series, error) {
 	series := &Series{
 		Name:   fmt.Sprintf("append, %d clients", n),
 		XLabel: "page size (KiB)",
-		YLabel: "avg throughput (MB/s)",
+		YLabel: "mean per-append MB/s",
 	}
 	for _, size := range sizes {
 		c := cfg
@@ -49,12 +48,12 @@ func AblationPageSize(cfg Config, sizes []uint64, n int) (*Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		sum, err := fig3Point(env, c, 0, n)
+		samples, err := fig3Point(env, c, 0, n, nil)
 		env.Close()
 		if err != nil {
 			return nil, fmt.Errorf("page size %d: %w", size, err)
 		}
-		series.Add(float64(size)/1024, sum.MeanMBps, (sum.P95MBps-sum.P5MBps)/2)
+		series.AddSamples(float64(size)/1024, samples)
 	}
 	return series, nil
 }
@@ -71,45 +70,10 @@ func AblationLockedAppend(cfg Config, clients []int) (versioned, locked *Series,
 		return nil, nil, err
 	}
 	versioned.Name = "versioning (BlobSeer)"
-
-	env, err := newBSFSEnv(cfg)
+	locked, err = fig3(cfg, clients, make(chan struct{}, 1))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("locked: %w", err)
 	}
-	defer env.Close()
-	locked = &Series{
-		Name:   "global append lock",
-		XLabel: "clients",
-		YLabel: "avg throughput (MB/s)",
-	}
-	for pi, n := range clients {
-		sum, err := lockedPoint(env, cfg, pi, n)
-		if err != nil {
-			return nil, nil, fmt.Errorf("locked N=%d: %w", n, err)
-		}
-		locked.Add(float64(n), sum.MeanMBps, (sum.P95MBps-sum.P5MBps)/2)
-		env.closeMounts()
-	}
+	locked.Name = "global append lock"
 	return versioned, locked, nil
-}
-
-// lockedPoint is fig3Point with every append serialized by one lock.
-func lockedPoint(env *bsfsEnv, cfg Config, point, n int) (Summary, error) {
-	path := freshPath("locked", point)
-	setup := env.mount(0)
-	if err := dfs.WriteFile(ctx, setup, path, nil); err != nil {
-		return Summary{}, err
-	}
-	clients := make([]*appendClient, n)
-	for i := range clients {
-		clients[i] = &appendClient{fs: env.mount(i), path: path, data: chunk(cfg, i)}
-	}
-	gate := make(chan struct{}, 1)
-	var meter Meter
-	for rep := 0; rep < cfg.Reps; rep++ {
-		if err := runAppenders(clients, &meter, gate); err != nil {
-			return Summary{}, err
-		}
-	}
-	return Summarize(meter.Samples()), nil
 }

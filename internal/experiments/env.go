@@ -1,8 +1,8 @@
 // Package experiments regenerates every figure of the paper's
 // evaluation (§4) plus the derived file-count table, the §5 pipeline
-// extension, and ablations of the design choices. Meter and Summary
-// are its per-operation throughput samples, Series the (x, y) curves
-// of a figure, which Table and CSV render.
+// extension, and ablations of the design choices. A Meter collects its
+// per-operation throughput samples, and Series.AddSamples reduces them
+// to a point of a figure's (x, y) curve, which Table and CSV render.
 //
 // The environment reproduces §4.1 at laptop scale: one simulated
 // cluster of cfg.Nodes machines on a bandwidth/latency-shaped
@@ -18,6 +18,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -235,3 +236,29 @@ var ctx = context.Background()
 // to a nanosecond: a wait under the floor is not slept, and in a bubble
 // only sleeps advance the clock.
 var sleepFloor time.Duration
+
+// fanOut runs n clients, each in its own goroutine, started in index
+// order. A goroutine first runs setup(i), the client's untimed part
+// (open a writer or a reader), which returns the client's run; every
+// run waits at one start, opened once all n goroutines are launched.
+// fanOut waits for every client and returns the first error by index.
+func fanOut(n int, setup func(i int) (run func() error, err error)) error {
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	start := make(chan struct{})
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			run, err := setup(i)
+			if err == nil {
+				<-start
+				err = run()
+			}
+			errs[i] = err
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	return cmp.Or(errs...)
+}

@@ -67,6 +67,44 @@ func TestFig4Fig5Smoke(t *testing.T) {
 	if len(s5.Points) != 2 || s5.Points[0].Y <= 0 || s5.Points[1].Y <= 0 {
 		t.Fatalf("fig5 = %+v", s5.Points)
 	}
+
+	// No sample of the shared loop may beat its client's modeled NIC:
+	// a timed append ends at its completion ack, a timed read at its
+	// last byte. This runs at the command's defaults, a 256 KiB chunk
+	// on a 12.5 MB/s NIC (20 ms a chunk, far above simnet's 1 ms sleep
+	// floor, so it holds in real time too), with 4 readers and 4
+	// appenders of 4 chunks each.
+	cfg.Bandwidth = 12.5 * (1 << 20)
+	cfg.BlockSize = 256 << 10
+	nic := cfg.Bandwidth / (1 << 20)
+	var reads, appends []Sample
+	err = runMixed(cfg, "nic", []int{4}, func(x int) (int, int, int) {
+		return x, x, 4
+	}, func(x int, r, a []Sample) {
+		reads, appends = r, a
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []struct {
+		name    string
+		samples []Sample
+		want    int
+	}{
+		{"read", reads, 4 * chunksPerReader * cfg.Reps},
+		{"append", appends, 4 * 4 * cfg.Reps},
+	} {
+		over := 0
+		for _, s := range kind.samples {
+			if s.MBps() > nic {
+				over++
+			}
+		}
+		if len(kind.samples) != kind.want || over > 0 {
+			t.Errorf("%d of %d %s samples beat the %g MB/s NIC (want %d samples, none over)",
+				over, len(kind.samples), kind.name, nic, kind.want)
+		}
+	}
 }
 
 func TestFig6Smoke(t *testing.T) { fig6Smoke(t) }

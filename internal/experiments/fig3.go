@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"blobseer/internal/dfs"
@@ -11,8 +10,14 @@ import (
 // Fig3 reproduces Figure 3: "Performance of BSFS when concurrent
 // clients append data to the same file". For each N in clients, N
 // co-located clients each append one chunk to the same shared file,
-// cfg.Reps times; the point is the mean per-client append throughput.
+// cfg.Reps times; the point is the mean per-append throughput.
 func Fig3(cfg Config, clients []int) (*Series, error) {
+	return fig3(cfg, clients, nil)
+}
+
+// fig3 runs Fig 3's sweep with every append gated by gate (see
+// fig3Point).
+func fig3(cfg Config, clients []int, gate chan struct{}) (*Series, error) {
 	cfg = cfg.withDefaults()
 	env, err := newBSFSEnv(cfg)
 	if err != nil {
@@ -23,40 +28,47 @@ func Fig3(cfg Config, clients []int) (*Series, error) {
 	series := &Series{
 		Name:   "BSFS append",
 		XLabel: "clients",
-		YLabel: "avg throughput (MB/s)",
+		YLabel: "mean per-append MB/s",
 	}
 	for pi, n := range clients {
-		sum, err := fig3Point(env, cfg, pi, n)
+		samples, err := fig3Point(env, cfg, pi, n, gate)
 		if err != nil {
 			return nil, fmt.Errorf("fig3 N=%d: %w", n, err)
 		}
-		series.Add(float64(n), sum.MeanMBps, (sum.P95MBps-sum.P5MBps)/2)
+		series.AddSamples(float64(n), samples)
 		env.closeMounts()
 	}
 	return series, nil
 }
 
 // fig3Point measures one sweep point: n concurrent appenders, one
-// chunk each, cfg.Reps repetitions on a fresh file.
-func fig3Point(env *bsfsEnv, cfg Config, point, n int) (Summary, error) {
+// chunk each, cfg.Reps repetitions on a fresh file. A nil gate lets
+// the appends run concurrently, as BlobSeer's versioning does; a
+// one-slot channel serializes them, the global-lock ablation. It is a
+// channel, not a mutex, so that a virtual-time run sees the appenders
+// queued on it as blocked.
+func fig3Point(env *bsfsEnv, cfg Config, point, n int, gate chan struct{}) ([]Sample, error) {
 	path := freshPath("fig3", point)
 	setup := env.mount(0)
 	if err := dfs.WriteFile(ctx, setup, path, nil); err != nil {
-		return Summary{}, err
+		return nil, err
 	}
 
-	mounts := make([]*appendClient, n)
-	for i := range mounts {
-		mounts[i] = &appendClient{fs: env.mount(i), path: path, data: chunk(cfg, i)}
+	clients := make([]*appendClient, n)
+	for i := range clients {
+		clients[i] = &appendClient{fs: env.mount(i), path: path, data: chunk(cfg, i)}
 	}
 
 	var meter Meter
 	for rep := 0; rep < cfg.Reps; rep++ {
-		if err := runAppenders(mounts, &meter, nil); err != nil {
-			return Summary{}, err
+		err := fanOut(n, func(i int) (func() error, error) {
+			return clients[i].open(1, &meter, gate)
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	return Summarize(meter.Samples()), nil
+	return meter.Samples(), nil
 }
 
 // appendClient is one benchmark appender bound to a mount.
@@ -66,60 +78,38 @@ type appendClient struct {
 	data []byte
 }
 
-// runAppenders starts every client simultaneously; each appends its
-// chunk once (timed: Write plus a pipeline drain, i.e. until the
-// version manager acknowledges completion) and then closes (untimed
-// publish wait). A non-nil gate, a one-slot channel, serializes
-// appends — the global-lock ablation. It is a channel, not a mutex, so
-// that a virtual-time run sees the appenders queued on it as blocked.
-func runAppenders(clients []*appendClient, meter *Meter, gate chan struct{}) error {
-	var wg sync.WaitGroup
-	errs := make(chan error, len(clients))
-	start := make(chan struct{})
-	for _, c := range clients {
-		wg.Add(1)
-		go func(c *appendClient) {
-			defer wg.Done()
-			w, err := c.fs.Append(ctx, c.path)
-			if err != nil {
-				errs <- err
-				return
-			}
-			<-start
-			// The timed section includes lock wait when a gate is set:
-			// queueing delay IS the cost of a serialized design.
+// open is the client's untimed setup: it opens a writer on the file
+// and returns the timed loop, which appends the client's chunk chunks
+// times and then closes the writer (untimed publish wait). Each append
+// is one sample in meter, timed as Write plus a pipeline drain, so that
+// it ends when the version manager acknowledges completion. With a
+// gate the sample includes the wait for it: queueing delay is the cost
+// of a serialized design.
+func (c *appendClient) open(chunks int, meter *Meter, gate chan struct{}) (func() error, error) {
+	w, err := c.fs.Append(ctx, c.path)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		for i := 0; i < chunks; i++ {
 			t0 := time.Now()
 			if gate != nil {
 				gate <- struct{}{}
 			}
-			_, werr := w.Write(c.data) // exactly one block: one append
-			if werr == nil {
-				if f, ok := w.(dfs.Flusher); ok {
-					// Drain the writer pipeline so the timed section
-					// still ends at completion acknowledgement.
-					werr = f.Flush()
-				}
+			_, err := w.Write(c.data) // exactly one block: one append
+			if f, ok := w.(dfs.Flusher); ok && err == nil {
+				err = f.Flush()
 			}
 			if gate != nil {
 				<-gate
 			}
 			d := time.Since(t0)
-			if werr != nil {
-				errs <- werr
+			if err != nil {
 				w.Close()
-				return
+				return err
 			}
 			meter.Record(uint64(len(c.data)), d)
-			if err := w.Close(); err != nil {
-				errs <- err
-			}
-		}(c)
-	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return err
-	}
-	return nil
+		}
+		return w.Close()
+	}, nil
 }

@@ -106,22 +106,18 @@ func gcOverwriteRun(cfg Config, gcOn bool, res *GCResult) error {
 		series = res.OverwriteGC
 	}
 	for round := 0; round < gcRounds; round++ {
-		errs := make(chan error, gcWriters)
-		for w := 0; w < gcWriters; w++ {
-			go func(w int) {
-				c := env.cluster.Client(hosts[w%len(hosts)])
+		err := fanOut(gcWriters, func(w int) (func() error, error) {
+			c := env.cluster.Client(hosts[w%len(hosts)])
+			data := make([]byte, region)
+			pagestore.Fill(data, uint64(round*gcWriters+w+1))
+			return func() error {
 				defer c.Close()
-				data := make([]byte, region)
-				pagestore.Fill(data, uint64(round*gcWriters+w+1))
-				b := c.Handle(bl.ID(), ps)
-				_, err := b.WriteAt(ctx, data, uint64(w)*region)
-				errs <- err
-			}(w)
-		}
-		for w := 0; w < gcWriters; w++ {
-			if err := <-errs; err != nil {
+				_, err := c.Handle(bl.ID(), ps).WriteAt(ctx, data, uint64(w)*region)
 				return err
-			}
+			}, nil
+		})
+		if err != nil {
+			return err
 		}
 		if gcOn {
 			if _, err := env.deploy.GC.RunOnce(ctx); err != nil {

@@ -174,52 +174,34 @@ func Incident(cfg Config) (*IncidentResult, error) {
 		return err
 	}
 	runWriters := func(opLo, opHi int) error {
-		errs := make(chan error, incidentWriters)
-		for w := 0; w < incidentWriters; w++ {
-			go func(w int) {
+		return fanOut(incidentWriters, func(w int) (func() error, error) {
+			return func() error {
 				for op := opLo; op < opHi; op++ {
 					if err := tracedAppend(w, op); err != nil {
-						errs <- fmt.Errorf("writer %d op %d: %w", w, op, err)
-						return
+						return fmt.Errorf("writer %d op %d: %w", w, op, err)
 					}
 				}
-				errs <- nil
-			}(w)
-		}
-		var first error
-		for w := 0; w < incidentWriters; w++ {
-			if err := <-errs; err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
+				return nil
+			}, nil
+		})
 	}
 	// runHotspot fires Zipf-skewed reads at the hot BLOB: the read load
 	// behind the drill's utilization signal.
 	runHotspot := func(seedOff int64) error {
-		errs := make(chan error, incidentReaders)
-		for r := 0; r < incidentReaders; r++ {
-			go func(r int) {
-				rng := rand.New(rand.NewSource(cfg.Seed + seedOff + int64(r)))
-				zipf := rand.NewZipf(rng, incidentZipfS, 1, incidentHotPages-1)
-				buf := make([]byte, cfg.BlockSize)
+		return fanOut(incidentReaders, func(r int) (func() error, error) {
+			rng := rand.New(rand.NewSource(cfg.Seed + seedOff + int64(r)))
+			zipf := rand.NewZipf(rng, incidentZipfS, 1, incidentHotPages-1)
+			buf := make([]byte, cfg.BlockSize)
+			return func() error {
 				for i := 0; i < incidentNumReads; i++ {
 					page := zipf.Uint64()
 					if _, err := blobs[hot].ReadAtInto(ctx, hotVer, page*cfg.BlockSize, buf); err != nil {
-						errs <- fmt.Errorf("reader %d: %w", r, err)
-						return
+						return fmt.Errorf("reader %d: %w", r, err)
 					}
 				}
-				errs <- nil
-			}(r)
-		}
-		var first error
-		for r := 0; r < incidentReaders; r++ {
-			if err := <-errs; err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
+				return nil
+			}, nil
+		})
 	}
 
 	// Phase 1: healthy traffic, enough collections for pre-kill

@@ -220,22 +220,18 @@ func metaScalingRun(cfg Config, shards int) (float64, error) {
 	}
 
 	start := time.Now()
-	errs := make(chan error, metaWriters)
-	for w := 0; w < metaWriters; w++ {
-		go func(w int) {
+	err = fanOut(metaWriters, func(w int) (func() error, error) {
+		return func() error {
 			for op := 0; op < metaOpsPerW; op++ {
 				if _, err := metaOp(clients[w], blobs[w], uint64(w*1000+op+1)); err != nil {
-					errs <- err
-					return
+					return err
 				}
 			}
-			errs <- nil
-		}(w)
-	}
-	for w := 0; w < metaWriters; w++ {
-		if err := <-errs; err != nil {
-			return 0, err
-		}
+			return nil
+		}, nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	elapsed := time.Since(start).Seconds()
 	return float64(metaWriters*metaOpsPerW) / elapsed, nil
@@ -300,28 +296,19 @@ func metaFailoverRun(cfg Config, res *MetaResult) error {
 		mu.Unlock()
 	}
 	runPhase := func(opLo, opHi int) error {
-		errs := make(chan error, failWriters)
-		for w := 0; w < failWriters; w++ {
-			go func(w int) {
+		return fanOut(failWriters, func(w int) (func() error, error) {
+			return func() error {
 				for op := opLo; op < opHi; op++ {
 					seed := uint64(w)<<32 | uint64(op+1)
 					wr, err := metaOp(clients[w], blobs[w], seed)
 					if err != nil {
-						errs <- fmt.Errorf("writer %d op %d: %w", w, op, err)
-						return
+						return fmt.Errorf("writer %d op %d: %w", w, op, err)
 					}
 					record(w, op, blobs[w], wr, seed)
 				}
-				errs <- nil
-			}(w)
-		}
-		var first error
-		for w := 0; w < failWriters; w++ {
-			if err := <-errs; err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
+				return nil
+			}, nil
+		})
 	}
 
 	// Phase 1: build up acknowledged state on every shard.

@@ -44,45 +44,24 @@ func (m *Meter) Samples() []Sample {
 	return append([]Sample(nil), m.samples...)
 }
 
-// Summary aggregates samples.
-type Summary struct {
-	N          int
-	TotalBytes uint64
-	// MeanMBps is the mean of per-operation throughputs — the paper's
-	// "average throughput" metric for Figures 3-5.
-	MeanMBps     float64
-	MedianMBps   float64
-	P5MBps       float64
-	P95MBps      float64
-	MeanDuration time.Duration
-}
-
-// Summarize reduces a sample set.
-func Summarize(samples []Sample) Summary {
+// AddSamples adds the point (x, y) that a sample set reduces to: y is
+// the mean of its per-operation throughputs, the paper's "average
+// throughput" in Figures 3-5, and the error is half the spread between
+// their 5th and 95th percentiles. An empty set adds (x, 0).
+func (s *Series) AddSamples(x float64, samples []Sample) {
 	if len(samples) == 0 {
-		return Summary{}
+		s.Add(x, 0, 0)
+		return
 	}
 	tput := make([]float64, 0, len(samples))
 	var sum float64
-	var bytes uint64
-	var dur time.Duration
-	for _, s := range samples {
-		v := s.MBps()
+	for _, smp := range samples {
+		v := smp.MBps()
 		tput = append(tput, v)
 		sum += v
-		bytes += s.Bytes
-		dur += s.Duration
 	}
 	sort.Float64s(tput)
-	return Summary{
-		N:            len(samples),
-		TotalBytes:   bytes,
-		MeanMBps:     sum / float64(len(tput)),
-		MedianMBps:   percentile(tput, 0.5),
-		P5MBps:       percentile(tput, 0.05),
-		P95MBps:      percentile(tput, 0.95),
-		MeanDuration: dur / time.Duration(len(samples)),
-	}
+	s.Add(x, sum/float64(len(tput)), (percentile(tput, 0.95)-percentile(tput, 0.05))/2)
 }
 
 // percentile interpolates the p-quantile of sorted values.

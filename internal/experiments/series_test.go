@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -43,21 +44,19 @@ func TestSummarize(t *testing.T) {
 		{Bytes: 3 << 20, Duration: time.Second},     // 3 MB/s
 		{Bytes: 2 << 20, Duration: time.Second / 2}, // 4 MB/s
 	}
-	s := Summarize(samples)
-	if s.N != 4 {
-		t.Errorf("N = %d", s.N)
+	var s Series
+	s.AddSamples(7, samples)
+	s.AddSamples(8, nil)
+	p := s.Points[0]
+	if p.X != 7 || p.Y != 2.5 {
+		t.Errorf("point = %+v, want the mean 2.5 at x = 7", p)
 	}
-	if s.MeanMBps != 2.5 {
-		t.Errorf("mean = %v", s.MeanMBps)
+	// p5 = 1.15 and p95 = 3.85: the error is half their spread.
+	if math.Abs(p.Err-1.35) > 1e-9 {
+		t.Errorf("err = %v, want 1.35", p.Err)
 	}
-	if s.MedianMBps != 2.5 {
-		t.Errorf("median = %v", s.MedianMBps)
-	}
-	if s.TotalBytes != 8<<20 {
-		t.Errorf("bytes = %d", s.TotalBytes)
-	}
-	if z := Summarize(nil); z.N != 0 || z.MeanMBps != 0 {
-		t.Errorf("empty summary = %+v", z)
+	if z := s.Points[1]; z != (Point{X: 8}) {
+		t.Errorf("empty sample set = %+v", z)
 	}
 }
 
